@@ -517,6 +517,35 @@ func BenchmarkOracleCost(b *testing.B) {
 	}
 }
 
+// BenchmarkOracleSweep is BenchmarkOracleCost for the oracles the DP
+// prices a column at a time: one op fills the longest column (every bucket
+// ending at the last item), so ns/cost is what one filled bucket cost
+// stands the DP in. Compare it with the same metric's BenchmarkOracleCost
+// ns/op, the cold search the sweep warm-starts. MAE runs a shorter domain:
+// its sweep is O(|V| + bucket width) per bucket.
+func BenchmarkOracleSweep(b *testing.B) {
+	p := metric.Params{C: 0.5}
+	for _, k := range []metric.Kind{metric.SAE, metric.SARE, metric.MAE} {
+		n := 2048
+		if k == metric.MAE {
+			n = 256
+		}
+		b.Run(k.String(), func(b *testing.B) {
+			o, err := hist.NewOracle(benchLinkage(n), k, p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			so := o.(hist.SweepOracle)
+			costs, reps := make([]float64, n), make([]float64, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				so.CostsForEnd(n-1, costs, reps)
+			}
+			b.ReportMetric(float64(b.Elapsed())/float64(b.N)/float64(n), "ns/cost")
+		})
+	}
+}
+
 func BenchmarkMonteCarloEvaluation(b *testing.B) {
 	src := benchLinkage(1024)
 	o, err := hist.NewOracle(src, metric.SAE, metric.Params{C: 0.5})

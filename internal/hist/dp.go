@@ -15,11 +15,12 @@ import (
 // incumbent under the DP's strict-< tie-break), so per reduction
 // Scanned + Pruned equals the candidate count and the pruned share is
 // the output-sensitivity win. CostEvals counts bucket-cost evaluations —
-// oracle Cost calls plus sweep-fill entries. The dense path always pays
-// Θ(n²) of them; the pruned path's bounded lazy fill stops each end at
-// the furthest surviving candidate, so CostEvals never exceeds the dense
-// count (beyond the per-level seed re-pricings) and drops when the
-// certified cuts bite.
+// oracle Cost calls plus sweep-fill entries. The dense path and every
+// sweep oracle pay Θ(n²) of them, one per bucket; a random-access oracle's
+// bounded lazy fill stops each end at the furthest surviving candidate,
+// so its CostEvals never exceeds the dense count (beyond the per-level
+// seed re-pricings, which a sweep reads off the filled column instead)
+// and drops when the certified cuts bite.
 //
 // The tables a DP produces are bit-identical at every worker count and
 // whether or not pruning engages; the stats are not — chunk-local
@@ -142,7 +143,7 @@ func RunDPWorkers(o Oracle, Bmax, workers int) (*DPTable, error) {
 // DPTable (costs and back-pointers) is bit-identical to a single-worker
 // run. Oracle.Cost must be safe for concurrent calls (all oracles in this
 // package are: Cost reads only precomputed arrays); SweepOracle sweeps are
-// inherently sequential in the bucket start and stay on one goroutine.
+// sequential in the bucket start and stay on the calling goroutine.
 func RunDPPool(o Oracle, Bmax int, pool *engine.Pool) (*DPTable, error) {
 	n := o.N()
 	if n <= 0 {
@@ -185,7 +186,8 @@ func RunDPPool(o Oracle, Bmax int, pool *engine.Pool) (*DPTable, error) {
 // provably >= the incumbent (or strictly > the bound) under the DP's
 // strict-< tie-break, so the tables are bit-identical to the dense
 // reference at every worker count; DenseDPEnv forces that reference.
-// Random-access oracles additionally price buckets lazily: the prev-side
+// Sweep oracles fill the whole column, which is what their sweep is cheap
+// at. Random-access oracles instead price buckets lazily: the prev-side
 // cuts are computed for every level before any cost evaluation, and only
 // the prefix up to the furthest surviving candidate is materialized —
 // never an unconditional costs[0..e] fill.
@@ -194,9 +196,15 @@ func (t *DPTable) runColumns(from int, pool *engine.Pool) {
 		pool = engine.Serial()
 	}
 	o, n, Bmax := t.oracle, t.n, t.bmax
-	sweeper, hasSweep := o.(SweepOracle)
 	isSum := o.Combine() == Sum
 	dense := denseForced()
+	// The dense reference prices bucket by bucket through cold Cost calls
+	// wherever it can, so that comparing its tables against the default
+	// build's checks the sweeps too.
+	sweeper, hasSweep := o.(SweepOracle)
+	if dense && !sweepOnly(o) {
+		hasSweep = false
+	}
 
 	// Monotone certificates: columns >= from are rewritten, so no
 	// certificate may extend past from (entries left of from survive and
@@ -641,10 +649,12 @@ func (t *DPTable) Histogram(B int) (*Histogram, error) {
 // min over the same candidates with the same float operations, so the
 // result is math.Float64bits-identical to DPTable.Cost(B).
 //
-// SweepOracle implementations fill costs per end, which is column-major
-// by nature: re-sweeping per level would cost O(B·n²) fills, so for
-// those the full table is built instead (O(B·n) memory, as Optimal).
-// Used by tests and by error-normalization.
+// It never prices through CostsForEnd where Cost will do, which makes it
+// the independent recomputation of a sweep-built table. A sweep-only
+// oracle (sweepOnly) fills costs per end, column-major by nature:
+// re-sweeping per level would cost O(B·n²) fills, so for it the full table
+// is built instead (O(B·n) memory, as Optimal). Used by tests, the
+// benchmark's second-way cost check and error-normalization.
 func OptimalError(o Oracle, B int) (float64, error) {
 	n := o.N()
 	if n <= 0 {
@@ -653,7 +663,7 @@ func OptimalError(o Oracle, B int) (float64, error) {
 	if B <= 0 {
 		return 0, fmt.Errorf("hist: bucket budget %d, want >= 1", B)
 	}
-	if _, hasSweep := o.(SweepOracle); hasSweep || denseForced() {
+	if sweepOnly(o) || denseForced() {
 		t, err := RunDP(o, B)
 		if err != nil {
 			return 0, err

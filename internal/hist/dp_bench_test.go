@@ -6,7 +6,13 @@ package hist
 // constant segments plus small noise — which is where monotonicity
 // pruning bites; both variants run on a serial pool so cost-evals/op is
 // deterministic and the timing isolates the split-scan work rather than
-// scheduling. scripts/bench_json.sh carries cost-evals/op into the
+// scheduling. The absolute-error rows (SAE, SARE, MAE) also compare two
+// pricings: the default build sweeps each column, the dense reference
+// prices it bucket by bucket through cold Cost calls. The data is the
+// oracles' worst case — every item certain and distinct, so |V| = n+1 and
+// the SAE cost of every even-sized bucket is flat between its two middle
+// values, which sends that bucket to the cold search.
+// scripts/bench_json.sh carries cost-evals/op into the
 // committed snapshot, and scripts/bench_gate.sh compares it run-to-run
 // (the count is exact, so any growth is a real algorithmic change).
 import (
@@ -62,13 +68,16 @@ func benchDPGrid(b *testing.B, dense bool) {
 	b.Helper()
 	for _, n := range []int{2048, 8192} {
 		for _, B := range []int{50, 200} {
-			for _, k := range []metric.Kind{metric.SSE, metric.SSRE, metric.SARE} {
+			for _, k := range []metric.Kind{metric.SSE, metric.SSRE, metric.SAE, metric.SARE} {
 				b.Run(fmt.Sprintf("n=%d/B=%d/%s", n, B, k), func(b *testing.B) {
 					benchDP(b, dense, n, B, k)
 				})
 			}
 		}
 	}
+	// The maximum-error oracle is O(|V| + bucket width) per swept bucket
+	// and dearer still bucket by bucket, so its row stays small.
+	b.Run("n=256/B=16/MAE", func(b *testing.B) { benchDP(b, dense, 256, 16, metric.MAE) })
 }
 
 // BenchmarkHistDPPruned: the default path. Compare each sub-benchmark

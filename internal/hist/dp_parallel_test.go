@@ -7,8 +7,10 @@ package hist
 // races.
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"probsyn/internal/engine"
@@ -182,5 +184,113 @@ func TestOptimalWorkersMatchesOptimal(t *testing.T) {
 		if h1.Buckets[k] != h2.Buckets[k] {
 			t.Fatalf("bucket %d: %+v != %+v", k, h2.Buckets[k], h1.Buckets[k])
 		}
+	}
+}
+
+// TestSharedSweepOracleConcurrentDPs: WeightedAbs and MaxAbs keep their
+// sweep state local to CostsForEnd, so any number of DPs may sweep one
+// oracle at once. Two goroutines build from one shared oracle, each on its
+// own fanned-out pool; both tables must equal the serial build. Under
+// -race this is the check that the sweeps share nothing they write.
+func TestSharedSweepOracleConcurrentDPs(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	const n, B = 96, 9
+	for srcName, src := range parallelSources(rng, n) {
+		for _, k := range []metric.Kind{metric.SAE, metric.SARE, metric.MAE, metric.MARE} {
+			o, err := NewOracle(src, k, metric.Params{C: 0.5})
+			if err != nil {
+				t.Fatalf("%s/%v: %v", srcName, k, err)
+			}
+			if _, ok := o.(SweepOracle); !ok {
+				t.Fatalf("%s/%v: %T has no sweep", srcName, k, o)
+			}
+			serial, err := RunDP(o, B)
+			if err != nil {
+				t.Fatalf("%s/%v serial: %v", srcName, k, err)
+			}
+			var tabs [2]*DPTable
+			var errs [2]error
+			var wg sync.WaitGroup
+			for g := range tabs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					tabs[g], errs[g] = RunDPPool(o, B, finePool(2))
+				}()
+			}
+			wg.Wait()
+			for g := range tabs {
+				if errs[g] != nil {
+					t.Fatalf("%s/%v goroutine %d: %v", srcName, k, g, errs[g])
+				}
+				tablesIdentical(t, serial, tabs[g])
+			}
+		}
+	}
+}
+
+// countingSweep counts how a DP prices a sweep oracle.
+type countingSweep struct {
+	SweepOracle
+	costs, sweeps *int
+}
+
+func (c countingSweep) Cost(s, e int) (float64, float64) {
+	*c.costs++
+	return c.SweepOracle.Cost(s, e)
+}
+
+func (c countingSweep) CostsForEnd(e int, costs, reps []float64) {
+	*c.sweeps++
+	c.SweepOracle.CostsForEnd(e, costs, reps)
+}
+
+// TestReferencePathsPriceThroughCost: the default DP prices a
+// sweep-accelerated oracle through its sweep alone, and the two
+// recomputations it is checked against — the forced-dense DP and
+// OptimalError — through cold Cost calls alone, so that comparing them
+// compares the sweep with the search it stands in for. Only SSETuple is
+// swept by the references as well.
+func TestReferencePathsPriceThroughCost(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	const n, B = 40, 5
+	for _, k := range []metric.Kind{metric.SARE, metric.MAE} {
+		base, err := NewOracle(ptest.RandomValuePDF(rng, n, 3), k, metric.Params{C: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var costs, sweeps int
+		o := countingSweep{base.(SweepOracle), &costs, &sweeps}
+		tab, err := RunDP(o, B)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if costs != 0 || sweeps != n {
+			t.Fatalf("%v default DP: %d Cost calls and %d sweeps, want 0 and %d", k, costs, sweeps, n)
+		}
+		if got, want := tab.Stats().CostEvals, int64(n*(n+1)/2); got != want {
+			t.Fatalf("%v default DP: %d cost evals, want one per bucket, %d", k, got, want)
+		}
+		costs, sweeps = 0, 0
+		dense := denseReference(t, o, B, nil)
+		if costs == 0 || sweeps != 0 {
+			t.Fatalf("%v dense DP: %d Cost calls and %d sweeps, want some and 0", k, costs, sweeps)
+		}
+		tablesIdentical(t, dense, tab)
+		costs, sweeps = 0, 0
+		got, err := OptimalError(o, B)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if costs == 0 || sweeps != 0 {
+			t.Fatalf("%v OptimalError: %d Cost calls and %d sweeps, want some and 0", k, costs, sweeps)
+		}
+		if math.Float64bits(got) != math.Float64bits(tab.Cost(B)) {
+			t.Fatalf("%v: OptimalError %v, table cost %v", k, got, tab.Cost(B))
+		}
+	}
+	tuple := NewSSETuple(ptest.RandomTuplePDF(rng, n, 2*n, 3))
+	if !sweepOnly(tuple) || sweepOnly(countingSweep{SweepOracle: tuple}) {
+		t.Fatal("sweepOnly must hold for SSETuple and for nothing else")
 	}
 }

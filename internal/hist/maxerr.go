@@ -5,7 +5,6 @@ import (
 
 	"probsyn/internal/metric"
 	"probsyn/internal/minimax"
-	"probsyn/internal/numeric"
 	"probsyn/internal/pdata"
 )
 
@@ -15,14 +14,18 @@ import (
 // error — convex piecewise linear with breakpoints at V. The upper envelope
 // of convex functions is convex, so:
 //
-//  1. a binary search over V brackets the minimizer between consecutive
-//     frequency values (O(n_b·log²|V|) evaluations), and
-//  2. within a bracket every f_i is linear, so the min-max is a
-//     minimize-max-of-lines problem solved exactly by internal/minimax
-//     (O(n_b·log n_b)) — the paper's "divide-and-conquer over convex hulls".
+//  1. a binary search over V for the first non-negative forward difference
+//     of the envelope finds its grid minimizer V[g], and the continuous
+//     minimizer lies within one step of it;
+//  2. within a step every f_i is linear, so the min-max over it is a
+//     minimize-max-of-lines problem solved exactly by internal/minimax —
+//     the paper's "divide-and-conquer over convex hulls" (see refine).
 //
-// Unlike the cumulative metrics the optimal b̂ may fall strictly between
-// two values of V.
+// Cost evaluates the envelope at each probed grid point from the bucket's
+// items, O(n_b·log|V|); CostsForEnd keeps the whole grid envelope as it
+// adds items, O(|V|) per bucket (DESIGN.md finding 4). Unlike the
+// cumulative metrics the optimal b̂ may fall strictly between two values
+// of V.
 type MaxAbs struct {
 	kind metric.Kind
 	n    int
@@ -91,43 +94,109 @@ func (o *MaxAbs) itemErrAt(i, l int) float64 {
 	return ln.A*o.vs.Values[l] + ln.B
 }
 
-// CostAt prices bucket [s, e] with the representative pinned to V[l].
-func (o *MaxAbs) CostAt(l, s, e int) float64 {
-	worst := 0.0
+// errAt evaluates the envelope max(0, max_{i∈[s,e]} f_i) at V[l] and, where
+// it is positive, names an item attaining it.
+func (o *MaxAbs) errAt(l, s, e int) (float64, int) {
+	worst, arg := 0.0, s
 	for i := s; i <= e; i++ {
 		if v := o.itemErrAt(i, l); v > worst {
-			worst = v
+			worst, arg = v, i
 		}
 	}
-	return worst
+	return worst, arg
 }
 
-// Cost prices bucket [s, e]; the representative may be fractional.
-func (o *MaxAbs) Cost(s, e int) (float64, float64) {
-	k := o.vs.Len()
-	lStar, best := numeric.MinConvexGrid(0, k-1, func(l int) float64 {
-		return o.CostAt(l, s, e)
-	})
-	bestRep := o.vs.Values[lStar]
-	// Refine into the two segments adjacent to the grid minimizer: the
-	// continuous minimizer of a convex envelope lies within one step of
-	// the leftmost grid argmin.
-	lines := make([]minimax.Line, 0, e-s+1)
-	for _, seg := range [2]int{lStar - 1, lStar} {
-		if seg < 0 || seg+1 >= k {
+// gridArgmin returns the canonical grid minimizer of bucket [s, e]'s
+// envelope: the index a binary search for the first non-negative forward
+// difference ends on. env is the envelope at every grid point if the
+// caller has it, nil to evaluate the probed points from the items.
+func (o *MaxAbs) gridArgmin(env []float64, s, e int) int {
+	l, r := 0, o.vs.Len()-1
+	for l < r {
+		mid := l + (r-l)/2
+		var d float64
+		if env != nil {
+			d = env[mid+1] - env[mid]
+		} else {
+			hi, _ := o.errAt(mid+1, s, e)
+			lo, _ := o.errAt(mid, s, e)
+			d = hi - lo
+		}
+		if d >= 0 {
+			r = mid
+		} else {
+			l = mid + 1
+		}
+	}
+	return l
+}
+
+// refine prices bucket [s, e] given its grid minimizer g, the envelope
+// best there and, if best > 0, an item arg attaining it, by solving the
+// steps either side of V[g], left then right, and keeping a strictly
+// smaller maximum.
+// A step is skipped when arg's own line proves its solution cannot be
+// smaller: every value the solver returns is at least arg's line there,
+// and a line that does not fall towards the step's far end is, anywhere
+// in the step, at least what it is at V[g] — exactly so in floats, as
+// rounding is monotone. To the right that value is best itself; to the
+// left it is the left line's, which rounding may put a hair under best,
+// so it is checked. lines is scratch, returned for reuse.
+func (o *MaxAbs) refine(g int, best float64, arg, s, e int, lines []minimax.Line) (float64, float64, []minimax.Line) {
+	vals := o.vs.Values
+	rep := vals[g]
+	left, right := g > 0, g+1 < len(vals)
+	if best > 0 {
+		if left {
+			ln := o.lineFor(arg, g-1)
+			left = ln.A > 0 || ln.A*vals[g]+ln.B < best
+		}
+		right = right && o.lineFor(arg, g).A < 0
+	}
+	for side, solve := range [2]bool{left, right} {
+		if !solve {
 			continue
 		}
+		seg := g - 1 + side
 		lines = lines[:0]
 		for i := s; i <= e; i++ {
 			lines = append(lines, o.lineFor(i, seg))
 		}
-		x, y := minimax.MinimizeMax(lines, o.vs.Values[seg], o.vs.Values[seg+1])
-		if y < best {
-			best, bestRep = y, x
+		if x, y := minimax.MinimizeMax(lines, vals[seg], vals[seg+1]); y < best {
+			best, rep = y, x
 		}
 	}
 	if best < 0 {
 		best = 0
 	}
-	return best, bestRep
+	return best, rep, lines
+}
+
+// Cost prices bucket [s, e]; the representative may be fractional.
+func (o *MaxAbs) Cost(s, e int) (float64, float64) {
+	g := o.gridArgmin(nil, s, e)
+	best, arg := o.errAt(g, s, e)
+	cost, rep, _ := o.refine(g, best, arg, s, e, nil)
+	return cost, rep
+}
+
+// CostsForEnd prices every bucket ending at e, s = e down to 0. The
+// envelope at every grid point (and an item attaining it) is kept as the
+// items are added — a maximum, so the same floats Cost computes whatever
+// the order — and each bucket then runs Cost's own search and refinement
+// on it. All state is local to the call.
+func (o *MaxAbs) CostsForEnd(e int, costs, reps []float64) {
+	k := o.vs.Len()
+	env := make([]float64, k)
+	arg := make([]int, k)
+	lines := make([]minimax.Line, 0, e+1)
+	for s := e; s >= 0; s-- {
+		for l := range env {
+			if v := o.itemErrAt(s, l); v > env[l] {
+				env[l], arg[l] = v, s
+			}
+		}
+		g := o.gridArgmin(env, s, e)
+		costs[s], reps[s], lines = o.refine(g, env[g], arg[g], s, e, lines)
+	}
 }

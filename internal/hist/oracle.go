@@ -20,8 +20,7 @@ const (
 // Cost must be safe for concurrent calls: RunDPWorkers and
 // ApproximateWorkers issue them from multiple goroutines. Every oracle in
 // this package satisfies this by construction — Cost only reads arrays
-// frozen at construction time. (SweepOracle.CostsForEnd may keep mutable
-// sweep state; it is always invoked from a single goroutine.)
+// frozen at construction time.
 //
 // Cost must be non-negative, exactly, in floats — not just in exact
 // arithmetic. Every error metric is a non-negative expectation, but
@@ -40,9 +39,24 @@ type Oracle interface {
 	Cost(s, e int) (cost, rep float64)
 }
 
-// SweepOracle is an optional fast path used by the exact DP: fill the costs
-// of every bucket ending at e in one pass. The tuple-pdf SSE oracle uses it
-// to stay exact without per-bucket straddle queries (DESIGN.md finding 3).
+// SweepOracle is the form the exact DP prefers: price every bucket ending
+// at e in one pass over the starts, sharing work between neighbours. Two
+// kinds of oracle implement it:
+//
+//   - sweep-only: SSETuple. Its Cost is O(tuples straddling the start); its
+//     sweep maintains the straddle correction incrementally (DESIGN.md
+//     finding 3), agrees with Cost to rounding, and is what every DP
+//     prices it through (see sweepOnly). Its scratch lives on the oracle:
+//     one sweep at a time per SSETuple.
+//   - sweep-accelerated: WeightedAbs and MaxAbs. Cost is a cold search and
+//     stays the definition; the sweep reaches the same answer from the
+//     neighbouring bucket's (DESIGN.md finding 4) and writes what
+//     Cost(s, e) returns, bit for bit. The independent recomputations
+//     (OptimalError, the forced-dense DP) keep pricing through Cost, so
+//     that they check the sweep instead of repeating it. Their scratch is
+//     local to the call: any number of DPs may sweep one oracle at once.
+//
+// Within one DP, CostsForEnd is only ever called from a single goroutine.
 type SweepOracle interface {
 	Oracle
 	// CostsForEnd writes, for each s in [0, e], the cost and optimal
@@ -51,13 +65,10 @@ type SweepOracle interface {
 	CostsForEnd(e int, costs, reps []float64)
 }
 
-// costsForEnd dispatches to the sweep fast path when available.
-func costsForEnd(o Oracle, e int, costs, reps []float64) {
-	if so, ok := o.(SweepOracle); ok {
-		so.CostsForEnd(e, costs, reps)
-		return
-	}
-	for s := 0; s <= e; s++ {
-		costs[s], reps[s] = o.Cost(s, e)
-	}
+// sweepOnly reports whether o can only be priced at scale through its
+// sweep. The reference paths consult it, not SweepOracle membership, so
+// that every other oracle is re-priced through cold Cost calls.
+func sweepOnly(o Oracle) bool {
+	_, ok := o.(*SSETuple)
+	return ok
 }

@@ -22,6 +22,21 @@ func allBuckets(n int, f func(s, e int)) {
 	}
 }
 
+// bothWays invokes f on every bucket of o twice: priced by Cost, then by
+// the sweep the DP prices it through.
+func bothWays(o hist.SweepOracle, f func(how string, s, e int, cost, rep float64)) {
+	n := o.N()
+	costs, reps := make([]float64, n), make([]float64, n)
+	for e := 0; e < n; e++ {
+		o.CostsForEnd(e, costs, reps)
+		for s := 0; s <= e; s++ {
+			cost, rep := o.Cost(s, e)
+			f("Cost", s, e, cost, rep)
+			f("CostsForEnd", s, e, costs[s], reps[s])
+		}
+	}
+}
+
 // --- SSE (paper Eq. 5 objective) -------------------------------------------
 
 func TestSSEValueOracleAgainstEnumeration(t *testing.T) {
@@ -244,6 +259,7 @@ func TestWeightedAbsAgainstEnumeration(t *testing.T) {
 			for _, src := range []pdata.Source{
 				ptest.RandomValuePDF(rng, 4, 3),
 				ptest.RandomTuplePDF(rng, 4, 3, 2),
+				ptest.RandomBasic(rng, 4, 5),
 			} {
 				vp := pdata.AsValuePDF(src)
 				vs := pdata.Support(vp)
@@ -255,19 +271,18 @@ func TestWeightedAbsAgainstEnumeration(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				allBuckets(4, func(s, e int) {
-					cost, rep := o.Cost(s, e)
+				bothWays(o, func(how string, s, e int, cost, rep float64) {
 					want := ptest.ExactBucketCost(src, k, p, s, e, rep)
 					if math.Abs(cost-want) > costTol {
-						t.Fatalf("%v %T [%d,%d]: cost %v, enum-at-rep %v", k, src, s, e, cost, want)
+						t.Fatalf("%v %T %s [%d,%d]: cost %v, enum-at-rep %v", k, src, how, s, e, cost, want)
 					}
 					// optimal over every candidate value in V (paper: the
 					// optimum is attained at a member of V)
 					for _, v := range vs.Values {
 						alt := ptest.ExactBucketCost(src, k, p, s, e, v)
 						if alt < cost-costTol {
-							t.Fatalf("%v %T [%d,%d]: rep %v (cost %v) beaten by %v (cost %v)",
-								k, src, s, e, rep, cost, v, alt)
+							t.Fatalf("%v %T %s [%d,%d]: rep %v (cost %v) beaten by %v (cost %v)",
+								k, src, how, s, e, rep, cost, v, alt)
 						}
 					}
 				})
@@ -297,6 +312,7 @@ func TestMaxAbsAgainstEnumeration(t *testing.T) {
 			for _, src := range []pdata.Source{
 				ptest.RandomValuePDF(rng, 4, 3),
 				ptest.RandomTuplePDF(rng, 4, 3, 2),
+				ptest.RandomBasic(rng, 4, 5),
 			} {
 				vp := pdata.AsValuePDF(src)
 				vs := pdata.Support(vp)
@@ -308,11 +324,10 @@ func TestMaxAbsAgainstEnumeration(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				allBuckets(4, func(s, e int) {
-					cost, rep := o.Cost(s, e)
+				bothWays(o, func(how string, s, e int, cost, rep float64) {
 					want := ptest.ExactBucketCost(src, k, p, s, e, rep)
 					if math.Abs(cost-want) > costTol {
-						t.Fatalf("%v %T [%d,%d]: cost %v, enum-at-rep %v", k, src, s, e, cost, want)
+						t.Fatalf("%v %T %s [%d,%d]: cost %v, enum-at-rep %v", k, src, how, s, e, cost, want)
 					}
 					// optimality against a fine grid of fractional candidates
 					maxV := vs.Values[vs.Len()-1]
@@ -320,8 +335,8 @@ func TestMaxAbsAgainstEnumeration(t *testing.T) {
 						cand := maxV * float64(g) / 60
 						alt := ptest.ExactBucketCost(src, k, p, s, e, cand)
 						if alt < cost-1e-7 {
-							t.Fatalf("%v %T [%d,%d]: rep %v (cost %v) beaten by %v (cost %v)",
-								k, src, s, e, rep, cost, cand, alt)
+							t.Fatalf("%v %T %s [%d,%d]: rep %v (cost %v) beaten by %v (cost %v)",
+								k, src, how, s, e, rep, cost, cand, alt)
 						}
 					}
 				})

@@ -7,15 +7,14 @@
 // absolute error is linear in the representative b̂, and the bucket cost is
 // the upper envelope of those lines.
 //
-// The envelope of k lines is convex piecewise linear; we build it with the
-// classic slope-sorted hull construction in O(k log k) and read the
-// minimizer off the breakpoint where the envelope slope changes sign.
+// The envelope is convex piecewise linear and its minimizer is the
+// breakpoint where its slope changes sign: the crossing of the one falling
+// and the one rising line that are both on the envelope there. Only that
+// pair is needed, not the whole envelope, so the solver looks for it
+// directly — no sorting, no hull, no memory of its own.
 package minimax
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Line is y = A*x + B.
 type Line struct {
@@ -35,7 +34,19 @@ func Eval(lines []Line, x float64) float64 {
 
 // MinimizeMax returns (x*, f(x*)) minimizing f(x) = max_i (A_i x + B_i)
 // over [lo, hi]. It requires lo <= hi and at least one line; otherwise it
-// returns (lo, -Inf) for no lines, and swaps a reversed interval.
+// returns (lo, -Inf) for no lines, and swaps a reversed interval. It reads
+// lines without modifying them and allocates nothing.
+//
+// With falling (A < 0) and rising (A >= 0) lines both present, the
+// minimizer is where the upper envelope of the falling lines meets that of
+// the rising ones. A falling line a meets the rising envelope at its
+// leftmost crossing with any rising line, b; b meets the falling envelope
+// at its rightmost crossing with any falling line, a'. When a' = a the
+// pair is on both envelopes at their common point, which is therefore the
+// minimizer; otherwise the crossing of (a', b) is no lower than that of
+// (a, b) and the next step raises it, so alternating the two steps ends
+// within one round per line (typically two, each two passes). Lines through
+// a common crossing resolve to the steepest on either side.
 func MinimizeMax(lines []Line, lo, hi float64) (float64, float64) {
 	if lo > hi {
 		lo, hi = hi, lo
@@ -43,19 +54,46 @@ func MinimizeMax(lines []Line, lo, hi float64) (float64, float64) {
 	if len(lines) == 0 {
 		return lo, math.Inf(-1)
 	}
-	env := envelope(lines)
-	// Envelope slopes strictly increase left to right. The unconstrained
-	// minimizer is the breakpoint where slope crosses zero.
+	// a, b: the lines of least and greatest slope (largest intercept among
+	// parallels). Both are on the envelope, at its two ends.
+	a, b := lines[0], lines[0]
+	for _, l := range lines[1:] {
+		if l.A < a.A || (l.A == a.A && l.B > a.B) {
+			a = l
+		}
+		if l.A > b.A || (l.A == b.A && l.B > b.B) {
+			b = l
+		}
+	}
 	switch {
-	case env[0].A >= 0: // entirely non-decreasing
+	case a.A >= 0: // entirely non-decreasing
 		return lo, Eval(lines, lo)
-	case env[len(env)-1].A <= 0: // entirely non-increasing
+	case b.A <= 0: // entirely non-increasing
 		return hi, Eval(lines, hi)
 	}
-	// Find first envelope line with non-negative slope; the minimizer is
-	// where it meets the previous (negative-slope) line.
-	k := sort.Search(len(env), func(i int) bool { return env[i].A >= 0 })
-	x := intersect(env[k-1], env[k])
+	x := intersect(a, b)
+	for round := 0; round < len(lines); round++ {
+		xb := math.Inf(1)
+		for _, l := range lines {
+			if l.A >= 0 {
+				if c := intersect(a, l); c < xb || (c == xb && l.A > b.A) {
+					b, xb = l, c
+				}
+			}
+		}
+		prev := a
+		x = math.Inf(-1)
+		for _, l := range lines {
+			if l.A < 0 {
+				if c := intersect(l, b); c > x || (c == x && l.A < a.A) {
+					a, x = l, c
+				}
+			}
+		}
+		if a == prev {
+			break
+		}
+	}
 	if x < lo {
 		x = lo
 	} else if x > hi {
@@ -66,44 +104,3 @@ func MinimizeMax(lines []Line, lo, hi float64) (float64, float64) {
 
 // intersect returns the x where two non-parallel lines meet.
 func intersect(l1, l2 Line) float64 { return (l2.B - l1.B) / (l1.A - l2.A) }
-
-// envelope returns the subset of lines forming the upper envelope, sorted
-// by strictly increasing slope.
-func envelope(lines []Line) []Line {
-	ls := append([]Line(nil), lines...)
-	sort.Slice(ls, func(a, b int) bool {
-		if ls[a].A != ls[b].A {
-			return ls[a].A < ls[b].A
-		}
-		return ls[a].B < ls[b].B
-	})
-	// Drop duplicate slopes, keeping the largest intercept (last after sort).
-	dedup := ls[:0]
-	for i, l := range ls {
-		if i+1 < len(ls) && ls[i+1].A == l.A {
-			continue
-		}
-		dedup = append(dedup, l)
-	}
-	ls = dedup
-	if len(ls) <= 2 {
-		return ls
-	}
-	hull := make([]Line, 0, len(ls))
-	for _, l := range ls {
-		for len(hull) >= 2 {
-			// hull[len-1] is unnecessary if l overtakes hull[len-2] no later
-			// than hull[len-1] does.
-			a, b := hull[len(hull)-2], hull[len(hull)-1]
-			if intersect(a, l) <= intersect(a, b) {
-				hull = hull[:len(hull)-1]
-			} else {
-				break
-			}
-		}
-		// A new line never removes the need for itself; with only one line
-		// on the hull it always joins.
-		hull = append(hull, l)
-	}
-	return hull
-}

@@ -1,7 +1,7 @@
 // Package numeric provides small, numerically careful building blocks used
 // throughout the library: compensated (Kahan–Neumaier) summation, prefix-sum
 // tables built with compensated accumulation, and search helpers over
-// discrete convex/unimodal sequences.
+// sorted and discrete convex sequences.
 //
 // The histogram oracles difference large prefix sums to obtain per-bucket
 // quantities; compensated accumulation keeps the absolute error of each
@@ -83,7 +83,10 @@ func (pp Prefix) Len() int { return len(pp.p) - 1 }
 // (discrete convexity). It returns the minimizing index and value using
 // O(log(hi-lo)) evaluations via binary search on the sign of the forward
 // difference. Ties resolve to the smallest index, which a plateau-afflicted
-// ternary search would not guarantee.
+// ternary search would not guarantee. The SAE/SARE and MAE/MARE histogram
+// oracles run this search inlined over their tables (no closure per
+// probe); this form defines the index they must land on, and their tests
+// hold them to it.
 func MinConvexGrid(lo, hi int, f func(int) float64) (int, float64) {
 	if lo >= hi {
 		return lo, f(lo)
@@ -100,30 +103,6 @@ func MinConvexGrid(lo, hi int, f func(int) float64) (int, float64) {
 		}
 	}
 	return l, f(l)
-}
-
-// MinUnimodalGrid minimizes f over [lo, hi] for strictly unimodal f
-// (decreasing then increasing, no interior plateaus) via ternary search.
-// It is retained for completeness and for cost functions that are unimodal
-// but not convex; callers with convex costs should prefer MinConvexGrid.
-func MinUnimodalGrid(lo, hi int, f func(int) float64) (int, float64) {
-	l, r := lo, hi
-	for r-l > 2 {
-		m1 := l + (r-l)/3
-		m2 := r - (r-l)/3
-		if f(m1) <= f(m2) {
-			r = m2 - 1
-		} else {
-			l = m1 + 1
-		}
-	}
-	bestK, bestV := l, f(l)
-	for k := l + 1; k <= r; k++ {
-		if v := f(k); v < bestV {
-			bestK, bestV = k, v
-		}
-	}
-	return bestK, bestV
 }
 
 // SearchFloats returns the smallest index i in [0, len(v)) with v[i] >= x,

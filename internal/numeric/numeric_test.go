@@ -168,14 +168,6 @@ func TestMinConvexGridEdges(t *testing.T) {
 	}
 }
 
-func TestMinUnimodalGrid(t *testing.T) {
-	f := func(k int) float64 { x := float64(k) - 41.0; return math.Abs(x) + 0.5*x*x }
-	k, _ := MinUnimodalGrid(0, 100, f)
-	if k != 41 {
-		t.Fatalf("argmin = %d, want 41", k)
-	}
-}
-
 func TestMinConvexGridRandomQuadratics(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
