@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"probsyn"
+	"probsyn/internal/engine"
 	"probsyn/internal/eval"
 	"probsyn/internal/gen"
 	"probsyn/internal/hist"
@@ -74,7 +75,7 @@ func BenchmarkFig3a(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := hist.Optimal(o, 50); err != nil {
+				if _, err := hist.OptimalPool(o, 50, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -93,7 +94,7 @@ func BenchmarkFig3b(b *testing.B) {
 	for _, B := range []int{25, 50, 100, 200} {
 		b.Run(fmt.Sprintf("B=%d", B), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := hist.Optimal(o, B); err != nil {
+				if _, err := hist.OptimalPool(o, B, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -130,7 +131,7 @@ func BenchmarkAblateTupleSSEExact(b *testing.B) {
 	o := hist.NewSSETuple(src)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hist.Optimal(o, 32); err != nil {
+		if _, err := hist.OptimalPool(o, 32, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -143,7 +144,7 @@ func BenchmarkAblateTupleSSEClosedForm(b *testing.B) {
 	o := hist.NewSSETupleClosedForm(src)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hist.Optimal(o, 32); err != nil {
+		if _, err := hist.OptimalPool(o, 32, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -160,7 +161,7 @@ func BenchmarkAblateExactDP(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hist.Optimal(o, 16); err != nil {
+		if _, err := hist.OptimalPool(o, 16, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -174,7 +175,7 @@ func BenchmarkAblateApproxDP(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hist.Approximate(o, 16, 0.5); err != nil {
+		if _, err := hist.ApproximatePool(o, 16, 0.5, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -196,7 +197,7 @@ func BenchmarkWaveletRestrictedSAE(b *testing.B) {
 	src := benchLinkage(256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := wavelet.BuildRestricted(src, metric.SAE, metric.Params{C: 0.5}, 8); err != nil {
+		if _, _, err := wavelet.BuildRestrictedPool(src, metric.SAE, metric.Params{C: 0.5}, 8, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -233,7 +234,7 @@ func benchWaveletBuild(b *testing.B, build func(src pdata.Source, B, workers int
 // SAE (every retained coefficient pinned to its expected value).
 func BenchmarkWaveletRestrictedBuild(b *testing.B) {
 	benchWaveletBuild(b, func(src pdata.Source, B, workers int) error {
-		_, _, err := wavelet.BuildRestrictedWorkers(src, metric.SAE, metric.Params{C: 0.5}, B, workers)
+		_, _, err := wavelet.BuildRestrictedPool(src, metric.SAE, metric.Params{C: 0.5}, B, engine.New(engine.Options{Workers: workers}))
 		return err
 	})
 }
@@ -245,7 +246,7 @@ func BenchmarkWaveletRestrictedBuild(b *testing.B) {
 // state-space size as the restricted DP.
 func BenchmarkWaveletUnrestrictedBuild(b *testing.B) {
 	benchWaveletBuild(b, func(src pdata.Source, B, workers int) error {
-		_, _, err := wavelet.BuildUnrestrictedWorkers(src, metric.SAE, metric.Params{C: 0.5}, B, 0, workers)
+		_, _, err := wavelet.BuildUnrestrictedPool(src, metric.SAE, metric.Params{C: 0.5}, B, 0, engine.New(engine.Options{Workers: workers}))
 		return err
 	})
 }
@@ -269,12 +270,12 @@ func BenchmarkWaveletRestrictedApprox(b *testing.B) {
 		})
 	}
 	run("exact", func() error {
-		_, _, err := wavelet.BuildRestricted(src, metric.SAE, metric.Params{C: 0.5}, B)
+		_, _, err := wavelet.BuildRestrictedPool(src, metric.SAE, metric.Params{C: 0.5}, B, nil)
 		return err
 	})
 	for _, q := range []int{16, 64} {
 		run(fmt.Sprintf("q=%d", q), func() error {
-			_, _, err := wavelet.BuildRestrictedApprox(src, metric.SAE, metric.Params{C: 0.5}, B, q)
+			_, _, err := wavelet.BuildRestrictedApproxPool(src, metric.SAE, metric.Params{C: 0.5}, B, q, nil)
 			return err
 		})
 	}
@@ -369,26 +370,26 @@ func benchFrontierIndependent(b *testing.B, build func(src pdata.Source, B int) 
 
 func BenchmarkFrontierSweepRestricted(b *testing.B) {
 	benchFrontierSweep(b, func(src pdata.Source) (*wavelet.Sweep, error) {
-		return wavelet.SweepRestricted(src, metric.SAE, metric.Params{C: 0.5}, frontierB)
+		return wavelet.NewSweep(src, wavelet.RestrictedFamily, metric.SAE, metric.Params{C: 0.5}, frontierB, 0, nil)
 	})
 }
 
 func BenchmarkFrontierIndependentRestricted(b *testing.B) {
 	benchFrontierIndependent(b, func(src pdata.Source, B int) error {
-		_, _, err := wavelet.BuildRestricted(src, metric.SAE, metric.Params{C: 0.5}, B)
+		_, _, err := wavelet.BuildRestrictedPool(src, metric.SAE, metric.Params{C: 0.5}, B, nil)
 		return err
 	})
 }
 
 func BenchmarkFrontierSweepUnrestricted(b *testing.B) {
 	benchFrontierSweep(b, func(src pdata.Source) (*wavelet.Sweep, error) {
-		return wavelet.SweepUnrestricted(src, metric.SAE, metric.Params{C: 0.5}, frontierB, 0)
+		return wavelet.NewSweep(src, wavelet.UnrestrictedFamily, metric.SAE, metric.Params{C: 0.5}, frontierB, 0, nil)
 	})
 }
 
 func BenchmarkFrontierIndependentUnrestricted(b *testing.B) {
 	benchFrontierIndependent(b, func(src pdata.Source, B int) error {
-		_, _, err := wavelet.BuildUnrestricted(src, metric.SAE, metric.Params{C: 0.5}, B, 0)
+		_, _, err := wavelet.BuildUnrestrictedPool(src, metric.SAE, metric.Params{C: 0.5}, B, 0, nil)
 		return err
 	})
 }
@@ -404,7 +405,7 @@ func BenchmarkFrontierSweepHistogram(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab, err := hist.RunDP(o, frontierB)
+		tab, err := hist.RunDPPool(o, frontierB, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -425,7 +426,7 @@ func BenchmarkFrontierIndependentHistogram(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for bb := 1; bb <= frontierB; bb++ {
-			if _, err := hist.Optimal(o, bb); err != nil {
+			if _, err := hist.OptimalPool(o, bb, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -461,7 +462,7 @@ func BenchmarkRunDP(b *testing.B) {
 				name := fmt.Sprintf("n=%d/B=%d/workers=%d", n, B, workers)
 				b.Run(name, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						if _, err := hist.RunDPWorkers(o, B, workers); err != nil {
+						if _, err := hist.RunDPPool(o, B, engine.New(engine.Options{Workers: workers})); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -480,7 +481,7 @@ func BenchmarkRunDPSweepOracle(b *testing.B) {
 	for _, workers := range benchWorkers() {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := hist.RunDPWorkers(o, 64, workers); err != nil {
+				if _, err := hist.RunDPPool(o, 64, engine.New(engine.Options{Workers: workers})); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -552,7 +553,7 @@ func BenchmarkMonteCarloEvaluation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	h, err := hist.Optimal(o, 32)
+	h, err := hist.OptimalPool(o, 32, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,11 +1,9 @@
 package probsyn
 
 import (
-	"context"
-	"fmt"
-
 	"probsyn/internal/engine"
 	"probsyn/internal/hist"
+	"probsyn/internal/synopsis"
 	"probsyn/internal/wavelet"
 )
 
@@ -140,113 +138,49 @@ func WithShards(k int) BuildOption {
 // of the requested family minimizing the metric's expected error over the
 // source's possible worlds, and returns it behind the shared Synopsis
 // interface (Estimate/RangeSum/Terms/ErrorCost; serializable with
-// MarshalSynopsis). OptimalHistogram, ApproxHistogram, WorkloadHistogram
-// and the wavelet builders are thin wrappers over the same paths.
+// MarshalSynopsis). It is BuildSweep's frontier at budget B, extracted at
+// B (budgets beyond the domain repeat the largest synopsis) — except
+// under WithEps, whose DP has no frontier. OptimalHistogram,
+// ApproxHistogram and WorkloadHistogram are shorthands for it.
 func Build(src Source, m Metric, B int, opts ...BuildOption) (Synopsis, error) {
-	cfg := buildConfig{params: DefaultParams(), parallelism: 1}
-	for _, opt := range opts {
-		opt(&cfg)
+	p, err := resolve(m, opts, modeBuild)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.shardsSet && cfg.shards != 1 {
-		res, err := buildSharded(src, m, B, cfg.shards, &cfg)
+	if p.shards != 1 {
+		res, err := p.sharded(src, B, p.shards)
 		if err != nil {
 			return nil, err
 		}
 		return res.Synopsis, nil
 	}
-	return buildOne(src, m, B, &cfg)
+	return p.build(src, B)
 }
 
-func buildOne(src Source, m Metric, B int, cfg *buildConfig) (Synopsis, error) {
-	pool := cfg.pool
-	if pool == nil {
-		pool = engine.New(engine.Options{Workers: cfg.parallelism})
-	}
-	// Admission: hold a build token for the whole construction, so builds
-	// sharing a capped pool are bounded at its MaxBuilds (a no-op on
-	// uncapped pools, including every per-call one made above).
-	release, err := pool.Acquire(context.Background())
+func (p *plan) build(src Source, B int) (Synopsis, error) {
+	_, release, err := p.admit(1)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	// Return an untyped nil on error: wrapping a nil concrete pointer in
-	// the interface would defeat callers' `!= nil` checks.
-	if cfg.wavelet {
-		syn, err := buildWavelet(src, m, B, cfg, pool)
+	if p.family == histEps {
+		o, err := p.oracle(src, p.weights)
 		if err != nil {
 			return nil, err
 		}
-		return syn, nil
-	}
-	h, err := buildHistogram(src, m, B, cfg, pool)
-	if err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-func buildHistogram(src Source, m Metric, B int, cfg *buildConfig, pool *engine.Pool) (*Histogram, error) {
-	if cfg.quantizeSet {
-		return nil, fmt.Errorf("probsyn: unrestricted coefficient values are a wavelet option")
-	}
-	if cfg.rquantSet {
-		return nil, fmt.Errorf("probsyn: incoming-value quantization is a wavelet option")
-	}
-	o, err := histOracle(src, m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.epsSet {
-		return hist.ApproximatePool(o, B, cfg.eps, pool)
-	}
-	tab, err := hist.RunDPPool(o, B, pool)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.dpStats != nil {
-		*cfg.dpStats = tab.Stats()
-	}
-	return tab.Histogram(B)
-}
-
-// histOracle constructs the bucket-cost oracle a histogram build (or
-// sweep) prices against: workload-weighted SSE when weights are set, the
-// metric's standard oracle otherwise.
-func histOracle(src Source, m Metric, cfg *buildConfig) (hist.Oracle, error) {
-	if cfg.weights != nil {
-		if m != SSE && m != SSEFixed {
-			return nil, fmt.Errorf("probsyn: workload weights require the SSE or SSE-fixed metric, got %v", m)
+		// Return an untyped nil on error: wrapping a nil concrete pointer
+		// in the interface would defeat callers' `!= nil` checks.
+		h, err := hist.ApproximatePool(o, B, p.eps, p.pool)
+		if err != nil {
+			return nil, err
 		}
-		return hist.NewWorkloadSSE(src, cfg.weights)
+		return h, nil
 	}
-	return hist.NewOracle(src, m, cfg.params)
-}
-
-func buildWavelet(src Source, m Metric, B int, cfg *buildConfig, pool *engine.Pool) (*WaveletSynopsis, error) {
-	switch {
-	case cfg.weights != nil:
-		return nil, fmt.Errorf("probsyn: workload weights are a histogram option")
-	case cfg.epsSet:
-		return nil, fmt.Errorf("probsyn: the (1+eps)-approximate DP is a histogram option")
-	case cfg.quantizeSet && cfg.rquantSet:
-		return nil, fmt.Errorf("probsyn: WithQuantize (approximate restricted) and WithUnrestricted are mutually exclusive")
-	case cfg.quantizeSet:
-		syn, _, err := wavelet.BuildUnrestrictedPool(src, m, cfg.params, B, cfg.quantize, pool)
-		return syn, err
-	case cfg.rquantSet:
-		if m == SSE {
-			return nil, fmt.Errorf("probsyn: the SSE wavelet build is greedy-exact (Theorem 7); incoming-value quantization applies to the restricted DP metrics")
-		}
-		syn, _, err := wavelet.BuildRestrictedApproxPool(src, m, cfg.params, B, cfg.rquant, pool)
-		return syn, err
+	fr, err := p.frontier(src, B)
+	if err != nil {
+		return nil, err
 	}
-	if m == SSE || m == SSEFixed {
-		syn, _, err := wavelet.BuildSSE(src, B)
-		return syn, err
-	}
-	syn, _, err := wavelet.BuildRestrictedPool(src, m, cfg.params, B, pool)
-	return syn, err
+	return synopsis.Extract(fr, B)
 }
 
 // assert the concrete families satisfy the shared interface.

@@ -57,6 +57,7 @@ import (
 	"probsyn"
 	"probsyn/internal/catalog"
 	"probsyn/internal/query"
+	"probsyn/internal/synopsis"
 )
 
 // errParse marks a flag-parse failure the FlagSet has already reported to
@@ -155,11 +156,17 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
+	dataset := *flagDataset
+	if dataset == "" {
+		dataset = strings.TrimSuffix(filepath.Base(*flagInput), filepath.Ext(*flagInput))
+	}
+	budget := *flagBuckets
+	if *flagWavelet {
+		budget = *flagCoeffs
+		opts = append(opts, probsyn.WithWavelet())
+	}
+
 	if *flagAppend != "" {
-		dataset := *flagDataset
-		if dataset == "" {
-			dataset = strings.TrimSuffix(filepath.Base(*flagInput), filepath.Ext(*flagInput))
-		}
 		return runAppend(stdout, src, *flagAppend, dataset, *flagOut, *flagSaveData, *flagParallel)
 	}
 
@@ -169,15 +176,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 		if *flagShards >= 2 {
 			return fmt.Errorf("-sweep cannot shard (drop -shards)")
-		}
-		dataset := *flagDataset
-		if dataset == "" {
-			dataset = strings.TrimSuffix(filepath.Base(*flagInput), filepath.Ext(*flagInput))
-		}
-		budget := *flagBuckets
-		if *flagWavelet {
-			budget = *flagCoeffs
-			opts = append(opts, probsyn.WithWavelet())
 		}
 		if err := runSweep(stdout, src, m, p, budget, dataset, *flagOut, rquant, opts); err != nil {
 			return err
@@ -190,15 +188,6 @@ func run(args []string, stdout io.Writer) error {
 		if *flagEqui || *flagApprox > 0 || *flagUnres {
 			return fmt.Errorf("-shards needs the exact or quantized DP (drop -equidepth/-approx/-unrestricted)")
 		}
-		dataset := *flagDataset
-		if dataset == "" {
-			dataset = strings.TrimSuffix(filepath.Base(*flagInput), filepath.Ext(*flagInput))
-		}
-		budget := *flagBuckets
-		if *flagWavelet {
-			budget = *flagCoeffs
-			opts = append(opts, probsyn.WithWavelet())
-		}
 		if err := runSharded(stdout, src, m, p, budget, *flagShards, dataset, *flagOut, rquant, opts); err != nil {
 			return err
 		}
@@ -208,9 +197,9 @@ func run(args []string, stdout io.Writer) error {
 
 	var syn probsyn.Synopsis
 	if *flagWavelet {
-		syn, err = buildWavelet(stdout, src, m, *flagCoeffs, *flagQuant, *flagUnres, opts)
+		syn, err = buildWavelet(stdout, src, m, budget, *flagQuant, *flagUnres, opts)
 	} else {
-		syn, err = buildHistogram(stdout, src, m, p, *flagBuckets, *flagApprox, *flagEqui, opts)
+		syn, err = buildHistogram(stdout, src, m, p, budget, *flagApprox, *flagEqui, opts)
 	}
 	if err != nil {
 		return err
@@ -291,21 +280,11 @@ func runAppend(stdout io.Writer, src probsyn.Source, appendPath, dataset, outDir
 				gmax = k.Budget
 			}
 		}
-		m, err := probsyn.ParseMetric(group[0].Metric)
+		m, opts, err := group[0].BuildOptions()
 		if err != nil {
 			return err
 		}
-		opts := []probsyn.BuildOption{
-			probsyn.WithParams(probsyn.Params{C: group[0].C}),
-			probsyn.WithParallelism(parallelism),
-		}
-		if group[0].Family == catalog.FamilyWavelet {
-			opts = append(opts, probsyn.WithWavelet())
-			if group[0].Q > 0 {
-				opts = append(opts, probsyn.WithQuantize(group[0].Q))
-			}
-		}
-		live, err := probsyn.BuildLive(base, m, gmax, opts...)
+		live, err := probsyn.BuildLive(base, m, gmax, append(opts, probsyn.WithParallelism(parallelism))...)
 		if err != nil {
 			return err
 		}
@@ -313,7 +292,7 @@ func runAppend(stdout io.Writer, src probsyn.Source, appendPath, dataset, outDir
 			return err
 		}
 		for _, key := range group {
-			syn, err := catalog.ExtractBudget(live, key.Budget)
+			syn, err := synopsis.Extract(live, key.Budget)
 			if err != nil {
 				return err
 			}
@@ -573,11 +552,13 @@ func buildHistogram(stdout io.Writer, src probsyn.Source, m probsyn.Metric, p pr
 	return h, nil
 }
 
+// buildWavelet builds and prints a wavelet synopsis; opts already select
+// the family (WithWavelet, and WithUnrestricted or WithQuantize if asked).
 func buildWavelet(stdout io.Writer, src probsyn.Source, m probsyn.Metric, coeffs, quantize int, unrestricted bool, opts []probsyn.BuildOption) (probsyn.Synopsis, error) {
 	if quantize >= 0 && unrestricted {
 		// Unrestricted DP: coefficient values optimized over quantized
-		// candidate grids (already selected via WithUnrestricted in opts).
-		s, err := probsyn.Build(src, m, coeffs, append(opts, probsyn.WithWavelet())...)
+		// candidate grids.
+		s, err := probsyn.Build(src, m, coeffs, opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -591,15 +572,11 @@ func buildWavelet(stdout io.Writer, src probsyn.Source, m probsyn.Metric, coeffs
 		// Quantized restricted DP: build through the frontier (bit-identical
 		// to probsyn.Build, per the sweep guarantee) so the §4.2 additive
 		// suboptimality bound can be reported alongside the true cost.
-		fr, err := probsyn.BuildSweep(src, m, coeffs, append(opts, probsyn.WithWavelet())...)
+		fr, err := probsyn.BuildSweep(src, m, coeffs, opts...)
 		if err != nil {
 			return nil, err
 		}
-		b := coeffs
-		if bm := fr.Bmax(); b > bm {
-			b = bm
-		}
-		s, err := fr.Synopsis(b)
+		s, err := synopsis.Extract(fr, coeffs)
 		if err != nil {
 			return nil, err
 		}
@@ -624,7 +601,7 @@ func buildWavelet(stdout io.Writer, src probsyn.Source, m probsyn.Metric, coeffs
 	// Non-SSE metrics run the restricted coefficient-tree DP through the
 	// unified constructor, so -parallelism applies here exactly as it does
 	// to histogram builds.
-	s, err := probsyn.Build(src, m, coeffs, append(opts, probsyn.WithWavelet())...)
+	s, err := probsyn.Build(src, m, coeffs, opts...)
 	if err != nil {
 		return nil, err
 	}

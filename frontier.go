@@ -1,12 +1,9 @@
 package probsyn
 
 import (
-	"context"
 	"fmt"
 
-	"probsyn/internal/engine"
 	"probsyn/internal/hist"
-	"probsyn/internal/wavelet"
 )
 
 // BuildSweep is Build's budget-sweep twin: one DP run at budget Bmax that
@@ -17,114 +14,62 @@ import (
 // construction, and guarantees Frontier.Synopsis(b) is bit-identical —
 // byte-identical through the codec — to Build at budget b with the same
 // options. The (1+eps)-approximate histogram DP prunes its search per
-// budget and produces no frontier; WithEps is rejected.
+// budget and produces no frontier; WithEps is rejected, as is WithShards
+// (a frontier is built unsharded).
 func BuildSweep(src Source, m Metric, Bmax int, opts ...BuildOption) (Frontier, error) {
-	if Bmax < 1 {
-		return nil, fmt.Errorf("probsyn: sweep budget %d, want >= 1", Bmax)
+	p, err := resolve(m, opts, modeFrontier)
+	if err != nil {
+		return nil, err
 	}
-	cfg := buildConfig{params: DefaultParams(), parallelism: 1}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	if cfg.epsSet {
-		return nil, fmt.Errorf("probsyn: the (1+eps)-approximate DP prunes per budget and has no frontier; use the exact DP for sweeps")
-	}
-	pool := cfg.pool
-	if pool == nil {
-		pool = engine.New(engine.Options{Workers: cfg.parallelism})
-	}
-	// One admission token covers the whole sweep: the point of the
-	// frontier is that B budgets cost one DP, so they also cost one
-	// build slot.
-	release, err := pool.Acquire(context.Background())
+	_, release, err := p.admit(1)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	if cfg.wavelet {
-		sw, err := buildWaveletSweep(src, m, Bmax, &cfg, pool)
-		if err != nil {
-			return nil, err
-		}
-		return waveletFrontier{sw}, nil
-	}
-	if cfg.quantizeSet {
-		return nil, fmt.Errorf("probsyn: unrestricted coefficient values are a wavelet option")
-	}
-	if cfg.rquantSet {
-		return nil, fmt.Errorf("probsyn: incoming-value quantization is a wavelet option")
-	}
-	o, err := histOracle(src, m, &cfg)
-	if err != nil {
-		return nil, err
-	}
-	tab, err := hist.RunDPPool(o, Bmax, pool)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.dpStats != nil {
-		*cfg.dpStats = tab.Stats()
-	}
-	return histFrontier{tab}, nil
-}
-
-func buildWaveletSweep(src Source, m Metric, Bmax int, cfg *buildConfig, pool *engine.Pool) (*wavelet.Sweep, error) {
-	switch {
-	case cfg.weights != nil:
-		return nil, fmt.Errorf("probsyn: workload weights are a histogram option")
-	case cfg.quantizeSet && cfg.rquantSet:
-		return nil, fmt.Errorf("probsyn: WithQuantize (approximate restricted) and WithUnrestricted are mutually exclusive")
-	case cfg.quantizeSet:
-		return wavelet.SweepUnrestrictedPool(src, m, cfg.params, Bmax, cfg.quantize, pool)
-	case cfg.rquantSet:
-		if m == SSE {
-			return nil, fmt.Errorf("probsyn: the SSE wavelet build is greedy-exact (Theorem 7); incoming-value quantization applies to the restricted DP metrics")
-		}
-		return wavelet.SweepRestrictedApproxPool(src, m, cfg.params, Bmax, cfg.rquant, pool)
-	case m == SSE || m == SSEFixed:
-		return wavelet.SweepSSE(src, Bmax)
-	default:
-		return wavelet.SweepRestrictedPool(src, m, cfg.params, Bmax, pool)
-	}
+	return p.frontier(src, Bmax)
 }
 
 // histFrontier adapts the histogram DP table (which already holds every
 // budget level) to the shared Frontier surface.
 type histFrontier struct{ tab *hist.DPTable }
 
-func (f histFrontier) Bmax() int { return f.tab.Bmax() }
-
-func (f histFrontier) Cost(b int) float64 {
-	if b < 1 {
-		b = 1
-	}
-	return f.tab.Cost(b)
-}
+func (f histFrontier) Bmax() int          { return f.tab.Bmax() }
+func (f histFrontier) Cost(b int) float64 { return f.tab.Cost(b) }
 
 func (f histFrontier) Synopsis(b int) (Synopsis, error) {
 	if b < 1 || b > f.tab.Bmax() {
 		return nil, fmt.Errorf("probsyn: frontier budget %d outside [1, %d]", b, f.tab.Bmax())
 	}
-	return f.tab.Histogram(b)
+	// Return an untyped nil on error: wrapping a nil concrete pointer in
+	// the interface would defeat callers' `!= nil` checks.
+	h, err := f.tab.Histogram(b)
+	if err != nil {
+		return nil, err
+	}
+	return h, nil
 }
 
-// waveletFrontier adapts a wavelet sweep to the shared Frontier surface.
-type waveletFrontier struct{ sw *wavelet.Sweep }
+// waveletCurve is what a wavelet sweep and a live wavelet frontier share.
+type waveletCurve interface {
+	Bmax() int
+	Cost(b int) float64
+	Synopsis(b int) (*WaveletSynopsis, error)
+	ErrorBound() float64
+}
 
-func (f waveletFrontier) Bmax() int          { return f.sw.Bmax() }
-func (f waveletFrontier) Cost(b int) float64 { return f.sw.Cost(b) }
+// waveletFrontier adapts a wavelet sweep, fresh or maintained, to the
+// shared Frontier surface. Its promoted ErrorBound reports the additive
+// suboptimality bound of a quantized sweep (0 for exact ones); see
+// ApproxBound.
+type waveletFrontier struct{ waveletCurve }
 
 func (f waveletFrontier) Synopsis(b int) (Synopsis, error) {
-	syn, err := f.sw.Synopsis(b)
+	syn, err := f.waveletCurve.Synopsis(b)
 	if err != nil {
 		return nil, err
 	}
 	return syn, nil
 }
-
-// ErrorBound reports the additive suboptimality bound of a quantized
-// sweep (0 for exact ones); see ApproxBound.
-func (f waveletFrontier) ErrorBound() float64 { return f.sw.ErrorBound() }
 
 // ApproxBound returns the additive suboptimality bound of a frontier
 // built by an approximate DP: every extracted synopsis's reported cost

@@ -20,6 +20,7 @@ import (
 	"strings"
 	"sync"
 
+	"probsyn"
 	"probsyn/internal/metric"
 	"probsyn/internal/query"
 	"probsyn/internal/synopsis"
@@ -94,8 +95,9 @@ func NewKey(dataset, family, metricName string, budget int, c float64) (Key, err
 // wavelet DP's grid size. q == 0 is an exact build (identical to NewKey);
 // otherwise q must be >= 2, the family must be wavelet, and the metric
 // must be one the restricted DP prices (not plain SSE, whose greedy build
-// is already exact), mirroring probsyn.WithQuantize's validation so an
-// unkeyable build is rejected at the key, before any work runs.
+// is already exact) — the verdict probsyn.WithQuantize gets at every build
+// entry point, so a build that would be refused is refused at the key,
+// before any work runs.
 func NewKeyQ(dataset, family, metricName string, budget int, c float64, q int) (Key, error) {
 	key, err := NewKey(dataset, family, metricName, budget, c)
 	if err != nil || q == 0 {
@@ -112,6 +114,29 @@ func NewKeyQ(dataset, family, metricName string, budget int, c float64, q int) (
 	}
 	key.Q = q
 	return key, nil
+}
+
+// BuildOptions returns the metric and the probsyn options that build this
+// key's synopsis: the metric parameters (C is the constant the build was
+// requested at, > 0 exactly for relative-error metrics; Params.C is unused
+// otherwise), the family and the quantization. The caller adds where the
+// build runs (WithPool or WithParallelism). Everything that publishes
+// under a key — a server build, sweep, sharded build or live frontier,
+// psyn -append — derives its build from here, so that one key cannot come
+// to mean two builds.
+func (k Key) BuildOptions() (probsyn.Metric, []probsyn.BuildOption, error) {
+	m, err := probsyn.ParseMetric(k.Metric)
+	if err != nil {
+		return 0, nil, err
+	}
+	opts := []probsyn.BuildOption{probsyn.WithParams(probsyn.Params{C: k.C})}
+	if k.Family == FamilyWavelet {
+		opts = append(opts, probsyn.WithWavelet())
+		if k.Q > 0 {
+			opts = append(opts, probsyn.WithQuantize(k.Q))
+		}
+	}
+	return m, opts, nil
 }
 
 // Piece returns the catalog key of shard s of a k-way sharded build of
@@ -554,17 +579,6 @@ func GroupKeys(keys []Key) [][]Key {
 		groups[g] = append(groups[g], k)
 	}
 	return groups
-}
-
-// ExtractBudget extracts the budget-b synopsis from a frontier, with
-// over-domain budgets clamped to the frontier's Bmax — the
-// repeat-the-clamped-max behavior every publisher (server sweeps and
-// mutations, offline revalidation) shares with single builds.
-func ExtractBudget(fr synopsis.Frontier, b int) (synopsis.Synopsis, error) {
-	if bm := fr.Bmax(); b > bm {
-		b = bm
-	}
-	return fr.Synopsis(b)
 }
 
 // WriteFile serializes a synopsis to path through the versioned codec:

@@ -20,7 +20,7 @@ func buildPair(t *testing.T) (*hist.Histogram, *wavelet.Synopsis) {
 	rng := rand.New(rand.NewSource(7))
 	src := ptest.RandomValuePDF(rng, 16, 3)
 	o := hist.NewSSEValue(src)
-	h, err := hist.Optimal(o, 4)
+	h, err := hist.OptimalPool(o, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func (e *ApproxFrontierExperiment) Run() (*ApproxFrontierResult, error) {
 	}
 	for _, q := range e.Qs {
 		start := time.Now()
-		sw, err := wavelet.SweepRestrictedApproxPool(e.Source, e.Metric, e.Params, e.B, q, e.Pool)
+		sw, err := wavelet.NewSweep(e.Source, wavelet.RestrictedFamily, e.Metric, e.Params, e.B, q, e.Pool)
 		if err != nil {
 			return nil, fmt.Errorf("eval: q=%d: %w", q, err)
 		}

@@ -183,7 +183,7 @@ func TestEvaluateAtMatchesOracleOptimum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := hist.Optimal(o, 3)
+		h, err := hist.OptimalPool(o, 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func TestEvaluateAtPenalizesWorseReps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := hist.Optimal(o, 3)
+	h, err := hist.OptimalPool(o, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestMonteCarloMatchesAnalyticCumulative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := hist.Optimal(o, 3)
+	h, err := hist.OptimalPool(o, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestMonteCarloExpectedMaxDominatesMaxExpected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := hist.Optimal(o, 3)
+	h, err := hist.OptimalPool(o, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

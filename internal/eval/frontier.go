@@ -92,7 +92,7 @@ func (e *FrontierExperiment) Run() ([]FrontierSeries, error) {
 	out = append(out, hs)
 
 	start = time.Now()
-	sw, err := wavelet.SweepRestrictedPool(e.Source, e.Metric, e.Params, e.Bmax, e.Pool)
+	sw, err := wavelet.NewSweep(e.Source, wavelet.RestrictedFamily, e.Metric, e.Params, e.Bmax, 0, e.Pool)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +111,7 @@ func (e *FrontierExperiment) Run() ([]FrontierSeries, error) {
 
 	if e.Quantize >= 0 {
 		start = time.Now()
-		usw, err := wavelet.SweepUnrestrictedPool(e.Source, e.Metric, e.Params, e.Bmax, e.Quantize, e.Pool)
+		usw, err := wavelet.NewSweep(e.Source, wavelet.UnrestrictedFamily, e.Metric, e.Params, e.Bmax, e.Quantize, e.Pool)
 		if err != nil {
 			return nil, err
 		}

@@ -51,14 +51,14 @@ func TestFrontierExperimentMatchesIndependentBuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range []int{1, 4, 8} {
-		h, err := hist.Optimal(o, b)
+		h, err := hist.OptimalPool(o, b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := series[0].Points[b-1].Cost; got != h.Cost {
 			t.Fatalf("histogram frontier cost(%d) = %v, independent build %v", b, got, h.Cost)
 		}
-		_, wc, err := wavelet.BuildRestricted(src, metric.SAE, metric.Params{C: 0.5}, b)
+		_, wc, err := wavelet.BuildRestrictedPool(src, metric.SAE, metric.Params{C: 0.5}, b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -123,15 +123,15 @@ func (e *IncrementalExperiment) measure(family, op string, batch, muts int) (Inc
 			return err
 		}
 	case "wavelet-sse":
-		live, err = wavelet.NewLive(data, wavelet.LiveSSEFamily, metric.SSE, e.Params, e.B, 0, e.Pool)
+		live, err = wavelet.NewLive(data, wavelet.SSEFamily, metric.SSE, e.Params, e.B, 0, e.Pool)
 		rebuild = func(vp *pdata.ValuePDF) error {
-			_, err := wavelet.SweepSSE(vp, e.B)
+			_, err := wavelet.NewSweep(vp, wavelet.SSEFamily, metric.SSE, e.Params, e.B, 0, e.Pool)
 			return err
 		}
 	default:
-		live, err = wavelet.NewLive(data, wavelet.LiveRestrictedFamily, e.Metric, e.Params, e.B, 0, e.Pool)
+		live, err = wavelet.NewLive(data, wavelet.RestrictedFamily, e.Metric, e.Params, e.B, 0, e.Pool)
 		rebuild = func(vp *pdata.ValuePDF) error {
-			_, err := wavelet.SweepRestrictedPool(vp, e.Metric, e.Params, e.B, e.Pool)
+			_, err := wavelet.NewSweep(vp, wavelet.RestrictedFamily, e.Metric, e.Params, e.B, 0, e.Pool)
 			return err
 		}
 	}

@@ -28,7 +28,7 @@ func TestShardedExperimentHistogramFrontier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := hist.Optimal(oracle, 6)
+	opt, err := hist.OptimalPool(oracle, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestWaveletDPExperimentCostsMatchSerialBuild(t *testing.T) {
 		if pt.B != budgets[i] {
 			t.Fatalf("point %d has B=%d, want %d", i, pt.B, budgets[i])
 		}
-		_, want, err := wavelet.BuildRestricted(src, metric.SAE, metric.Params{C: 0.5}, pt.B)
+		_, want, err := wavelet.BuildRestrictedPool(src, metric.SAE, metric.Params{C: 0.5}, pt.B, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

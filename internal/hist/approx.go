@@ -7,7 +7,7 @@ import (
 	"probsyn/internal/engine"
 )
 
-// Approximate computes a (1+eps)-approximate B-bucket histogram for
+// ApproximatePool computes a (1+eps)-approximate B-bucket histogram for
 // cumulative metrics, in the style of Guha, Koudas & Shim (§3.5,
 // Theorem 5). Instead of minimizing over every split point i at every DP
 // cell, each DP level is compressed to breakpoints where the level's error
@@ -19,24 +19,13 @@ import (
 //
 // The returned histogram's cost is at most (1+delta)^B ≤ e^(eps/2) ≤
 // (1+eps) times optimal for eps ≤ 1.
-func Approximate(o Oracle, B int, eps float64) (*Histogram, error) {
-	return ApproximateWorkers(o, B, eps, 1)
-}
-
-// ApproximateWorkers is Approximate with each DP level's end-point loop
-// spread across `workers` goroutines (workers <= 0 means one per CPU). It
-// is shorthand for ApproximatePool with a default-grain pool.
-func ApproximateWorkers(o Oracle, B int, eps float64, workers int) (*Histogram, error) {
-	return ApproximatePool(o, B, eps, engine.New(engine.Options{Workers: workers}))
-}
-
-// ApproximatePool is Approximate with each DP level's end-point loop
-// dispatched through the engine pool (nil means serial). Levels are
-// strictly synchronized — level b reads only the completed level b-1 and
-// its breakpoint compression — and every cell is computed by the same
-// sequence of floating-point operations as the serial run, so the result
-// is bit-identical to a single-worker run. Oracle.Cost must be safe for
-// concurrent calls.
+//
+// Each DP level's end-point loop is dispatched through the engine pool
+// (nil means serial). Levels are strictly synchronized — level b reads
+// only the completed level b-1 and its breakpoint compression — and every
+// cell is computed by the same sequence of floating-point operations as
+// the serial run, so the result is bit-identical to a single-worker run.
+// Oracle.Cost must be safe for concurrent calls.
 func ApproximatePool(o Oracle, B int, eps float64, pool *engine.Pool) (*Histogram, error) {
 	if o.Combine() != Sum {
 		return nil, fmt.Errorf("hist: Approximate requires a cumulative metric")

@@ -21,11 +21,11 @@ func TestApproximateWithinBound(t *testing.T) {
 			}
 			for _, eps := range []float64{0.1, 0.5} {
 				for B := 1; B <= 6; B++ {
-					opt, err := hist.Optimal(o, B)
+					opt, err := hist.OptimalPool(o, B, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					apx, err := hist.Approximate(o, B, eps)
+					apx, err := hist.ApproximatePool(o, B, eps, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -49,7 +49,7 @@ func TestApproximateUsesAtMostBBuckets(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	src := ptest.RandomValuePDF(rng, 12, 3)
 	o := hist.NewSSEValue(src)
-	apx, err := hist.Approximate(o, 5, 0.2)
+	apx, err := hist.ApproximatePool(o, 5, 0.2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +61,13 @@ func TestApproximateUsesAtMostBBuckets(t *testing.T) {
 func TestApproximateArgumentErrors(t *testing.T) {
 	src := pdata.Deterministic([]float64{1, 2, 3})
 	o := hist.NewSSEValue(src)
-	if _, err := hist.Approximate(o, 0, 0.1); err == nil {
+	if _, err := hist.ApproximatePool(o, 0, 0.1, nil); err == nil {
 		t.Error("B=0 accepted")
 	}
-	if _, err := hist.Approximate(o, 2, 0); err == nil {
+	if _, err := hist.ApproximatePool(o, 2, 0, nil); err == nil {
 		t.Error("eps=0 accepted")
 	}
-	if _, err := hist.Approximate(o, 2, -1); err == nil {
+	if _, err := hist.ApproximatePool(o, 2, -1, nil); err == nil {
 		t.Error("negative eps accepted")
 	}
 }
@@ -79,7 +79,7 @@ func TestApproximateRejectsMaxMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hist.Approximate(o, 2, 0.1); err == nil {
+	if _, err := hist.ApproximatePool(o, 2, 0.1, nil); err == nil {
 		t.Error("Approximate accepted a max-error metric")
 	}
 }
@@ -89,7 +89,7 @@ func TestApproximateRejectsMaxMetrics(t *testing.T) {
 func TestApproximateZeroErrorPrefix(t *testing.T) {
 	freqs := []float64{4, 4, 4, 4, 1, 1, 1, 1}
 	o := hist.NewSSEValue(pdata.Deterministic(freqs))
-	apx, err := hist.Approximate(o, 2, 0.25)
+	apx, err := hist.ApproximatePool(o, 2, 0.25, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

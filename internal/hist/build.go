@@ -55,13 +55,3 @@ func pmfTable(src pdata.Source) (*pdata.PMFTable, error) {
 	vp := pdata.AsValuePDF(src)
 	return pdata.NewPMFTable(vp, pdata.Support(vp))
 }
-
-// Build is the one-call entry point: construct the metric's oracle and run
-// the exact DP for a B-bucket histogram.
-func Build(src pdata.Source, k metric.Kind, p metric.Params, B int) (*Histogram, error) {
-	o, err := NewOracle(src, k, p)
-	if err != nil {
-		return nil, err
-	}
-	return Optimal(o, B)
-}

@@ -3,7 +3,6 @@ package hist
 import (
 	"fmt"
 	"math"
-	"os"
 
 	"probsyn/internal/engine"
 )
@@ -15,12 +14,12 @@ import (
 // incumbent under the DP's strict-< tie-break), so per reduction
 // Scanned + Pruned equals the candidate count and the pruned share is
 // the output-sensitivity win. CostEvals counts bucket-cost evaluations —
-// oracle Cost calls plus sweep-fill entries. The dense path and every
-// sweep oracle pay Θ(n²) of them, one per bucket; a random-access oracle's
-// bounded lazy fill stops each end at the furthest surviving candidate,
-// so its CostEvals never exceeds the dense count (beyond the per-level
-// seed re-pricings, which a sweep reads off the filled column instead)
-// and drops when the certified cuts bite.
+// oracle Cost calls plus sweep-fill entries. Every sweep oracle pays Θ(n²)
+// of them, one per bucket, as an unpruned DP would; a random-access
+// oracle's bounded lazy fill stops each end at the furthest surviving
+// candidate, so its CostEvals never exceeds that count (beyond the
+// per-level seed re-pricings, which a sweep reads off the filled column
+// instead) and drops when the certified cuts bite.
 //
 // The tables a DP produces are bit-identical at every worker count and
 // whether or not pruning engages; the stats are not — chunk-local
@@ -39,37 +38,18 @@ func (s *DPStats) Add(o DPStats) {
 	s.CostEvals += o.CostEvals
 }
 
-// DenseDPEnv is the environment variable that forces the dense reference
-// DP: when set (to anything non-empty), runColumns performs the full
-// O(n²·B) split scans and cost fills with no pruning. It exists so CI can
-// build the same catalog twice — pruned and dense — and cmp the files
-// byte-identical; it is a test hook, not a tuning knob.
-const DenseDPEnv = "PROBSYN_DENSE_HIST_DP"
-
-func denseForced() bool { return os.Getenv(DenseDPEnv) != "" }
-
-// Optimal computes the error-optimal B-bucket histogram for the oracle's
-// metric by the dynamic program of Eq. (2):
+// OptimalPool computes the error-optimal B-bucket histogram for the
+// oracle's metric by the dynamic program of Eq. (2):
 //
 //	OPT[j,b] = min_{i<j} h(OPT[i,b-1], BERR(i+1, j))
 //
 // with h = + for cumulative metrics and h = max for maximum-error metrics
 // (the principle of optimality holds in both cases over probabilistic data,
 // §3). Runtime is O(B n^2) bucket-cost evaluations on top of the oracle's
-// precomputation; memory is O(B n) for backtracking.
+// precomputation; memory is O(B n) for backtracking. The DP is scheduled
+// on pool (nil means serial); see RunDPPool for the parallel contract.
 //
 // If B >= n the histogram degenerates to one bucket per item.
-func Optimal(o Oracle, B int) (*Histogram, error) {
-	return OptimalWorkers(o, B, 1)
-}
-
-// OptimalWorkers is Optimal with the DP run across a worker pool; see
-// RunDPWorkers for the parallel contract.
-func OptimalWorkers(o Oracle, B, workers int) (*Histogram, error) {
-	return OptimalPool(o, B, engine.New(engine.Options{Workers: workers}))
-}
-
-// OptimalPool is Optimal scheduled on an explicit engine pool.
 func OptimalPool(o Oracle, B int, pool *engine.Pool) (*Histogram, error) {
 	t, err := RunDPPool(o, B, pool)
 	if err != nil {
@@ -117,20 +97,6 @@ func (t *DPTable) setCell(b, e int, v float64, arg int32) {
 			t.mono[b] = e + 1
 		}
 	}
-}
-
-// RunDP executes the dynamic program of Eq. (2) up to budget Bmax,
-// single-threaded. It is shorthand for RunDPWorkers(o, Bmax, 1).
-func RunDP(o Oracle, Bmax int) (*DPTable, error) {
-	return RunDPWorkers(o, Bmax, 1)
-}
-
-// RunDPWorkers executes the dynamic program with the default engine grain
-// and the given worker count (workers <= 0 means one per CPU). It is
-// shorthand for RunDPPool(o, Bmax, engine.New(engine.Options{Workers:
-// workers})); see RunDPPool for the parallel contract.
-func RunDPWorkers(o Oracle, Bmax, workers int) (*DPTable, error) {
-	return RunDPPool(o, Bmax, engine.New(engine.Options{Workers: workers}))
 }
 
 // RunDPPool executes the dynamic program of Eq. (2) up to budget Bmax with
@@ -185,7 +151,8 @@ func RunDPPool(o Oracle, Bmax int, pool *engine.Pool) (*DPTable, error) {
 // scan at the first prev[i] that can no longer beat it. Every skip is
 // provably >= the incumbent (or strictly > the bound) under the DP's
 // strict-< tie-break, so the tables are bit-identical to the dense
-// reference at every worker count; DenseDPEnv forces that reference.
+// reference (the unpruned scan the package's tests keep) at every worker
+// count.
 // Sweep oracles fill the whole column, which is what their sweep is cheap
 // at. Random-access oracles instead price buckets lazily: the prev-side
 // cuts are computed for every level before any cost evaluation, and only
@@ -197,14 +164,7 @@ func (t *DPTable) runColumns(from int, pool *engine.Pool) {
 	}
 	o, n, Bmax := t.oracle, t.n, t.bmax
 	isSum := o.Combine() == Sum
-	dense := denseForced()
-	// The dense reference prices bucket by bucket through cold Cost calls
-	// wherever it can, so that comparing its tables against the default
-	// build's checks the sweeps too.
 	sweeper, hasSweep := o.(SweepOracle)
-	if dense && !sweepOnly(o) {
-		hasSweep = false
-	}
 
 	// Monotone certificates: columns >= from are rewritten, so no
 	// certificate may extend past from (entries left of from survive and
@@ -228,10 +188,7 @@ func (t *DPTable) runColumns(from int, pool *engine.Pool) {
 	// current end's filled costs: non-increasing by construction
 	// regardless of any float wobble in costs itself, so binary-searching
 	// it to skip the dominated low-i prefix is always sound.
-	var cmin []float64
-	if !dense {
-		cmin = make([]float64, n)
-	}
+	cmin := make([]float64, n)
 	// useed[b] is this end's certified upper bound on level b's minimum.
 	useed := make([]float64, Bmax)
 
@@ -244,34 +201,22 @@ func (t *DPTable) runColumns(from int, pool *engine.Pool) {
 	// lastScan is the number of candidates that survived pruning at the
 	// previous end — the work estimate the fan-out decision is derived
 	// from, so a heavily pruned scan does not fan out into pure
-	// scheduling overhead. (The dense path keeps its exact (top-1)*e
-	// estimate.)
+	// scheduling overhead.
 	lastScan := 0
 
 	for e := from; e < n; e++ {
-		switch {
-		case hasSweep:
+		if hasSweep {
 			sweeper.CostsForEnd(e, costs, reps)
 			t.stats.CostEvals += int64(e + 1)
-			if !dense {
-				cm := math.Inf(1)
-				for s := 1; s <= e; s++ {
-					if costs[s] < cm {
-						cm = costs[s]
-					}
-					cmin[s] = cm
+			cm := math.Inf(1)
+			for s := 1; s <= e; s++ {
+				if costs[s] < cm {
+					cm = costs[s]
 				}
+				cmin[s] = cm
 			}
 			t.setCell(0, e, costs[0], -1)
-		case dense:
-			pool.MapChunks(0, e+1, e+1, func(_, lo, hi int) {
-				for s := lo; s < hi; s++ {
-					costs[s], reps[s] = o.Cost(s, e)
-				}
-			})
-			t.stats.CostEvals += int64(e + 1)
-			t.setCell(0, e, costs[0], -1)
-		default:
+		} else {
 			// Lazy path: no fill — level 0 needs exactly one bucket cost.
 			c0, _ := o.Cost(0, e)
 			t.stats.CostEvals++
@@ -282,39 +227,6 @@ func (t *DPTable) runColumns(from int, pool *engine.Pool) {
 			top = e + 1
 		}
 		if top <= 1 {
-			continue
-		}
-
-		if dense {
-			if chunks := pool.Chunks((top - 1) * e); chunks > 1 {
-				// Split the split-point range [0, e) into one contiguous chunk
-				// per worker; each worker reduces its chunk for every level b.
-				pool.MapChunks(0, e, (top-1)*e, func(w, lo, hi int) {
-					for b := 1; b < top; b++ {
-						from := lo
-						if from < b-1 {
-							from = b - 1
-						}
-						partials[(b-1)*chunks+w] = reduceSplits(t.opt[b-1], costs, from, hi, isSum)
-					}
-				})
-				for b := 1; b < top; b++ {
-					best := engine.CombineMin(partials[(b-1)*chunks : b*chunks])
-					if best.Arg < 0 {
-						best = engine.MinPartial{Value: math.Inf(1), Arg: int32(b - 1)}
-					}
-					t.setCell(b, e, best.Value, best.Arg)
-				}
-			} else {
-				for b := 1; b < top; b++ {
-					best := reduceSplits(t.opt[b-1], costs, b-1, e, isSum)
-					if best.Arg < 0 {
-						best = engine.MinPartial{Value: math.Inf(1), Arg: int32(b - 1)}
-					}
-					t.setCell(b, e, best.Value, best.Arg)
-				}
-			}
-			t.stats.CandidatesScanned += int64(top-1)*int64(e) - int64(top-1)*int64(top-2)/2
 			continue
 		}
 
@@ -611,9 +523,7 @@ func (t *DPTable) Bmax() int { return t.bmax }
 
 // Cost returns the optimal B-bucket error (B clamped to [1, Bmax]).
 func (t *DPTable) Cost(B int) float64 {
-	if B > t.bmax {
-		B = t.bmax
-	}
+	B = min(max(B, 1), t.bmax)
 	return t.opt[B-1][t.n-1]
 }
 
@@ -653,7 +563,7 @@ func (t *DPTable) Histogram(B int) (*Histogram, error) {
 // the independent recomputation of a sweep-built table. A sweep-only
 // oracle (sweepOnly) fills costs per end, column-major by nature:
 // re-sweeping per level would cost O(B·n²) fills, so for it the full table
-// is built instead (O(B·n) memory, as Optimal). Used by tests, the
+// is built instead (O(B·n) memory, as OptimalPool). Used by tests, the
 // benchmark's second-way cost check and error-normalization.
 func OptimalError(o Oracle, B int) (float64, error) {
 	n := o.N()
@@ -663,8 +573,8 @@ func OptimalError(o Oracle, B int) (float64, error) {
 	if B <= 0 {
 		return 0, fmt.Errorf("hist: bucket budget %d, want >= 1", B)
 	}
-	if sweepOnly(o) || denseForced() {
-		t, err := RunDP(o, B)
+	if sweepOnly(o) {
+		t, err := RunDPPool(o, B, nil)
 		if err != nil {
 			return 0, err
 		}

@@ -2,7 +2,7 @@ package hist
 
 // Benchmarks pinning the pruned DP's output-sensitivity claim: the same
 // (n, B, metric) build through the default pruned reduction vs. the dense
-// reference (DenseDPEnv forced). The data is structured — piecewise-
+// reference (denseTable). The data is structured — piecewise-
 // constant segments plus small noise — which is where monotonicity
 // pruning bites; both variants run on a serial pool so cost-evals/op is
 // deterministic and the timing isolates the split-scan work rather than
@@ -18,7 +18,6 @@ package hist
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"testing"
 
 	"probsyn/internal/engine"
@@ -46,16 +45,14 @@ func benchDP(b *testing.B, dense bool, n, B int, k metric.Kind) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if dense {
-		os.Setenv(DenseDPEnv, "1")
-		defer os.Unsetenv(DenseDPEnv)
-	}
 	pool := engine.New(engine.Options{Workers: 1})
 	var st DPStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab, err := RunDPPool(o, B, pool)
-		if err != nil {
+		var tab *DPTable
+		if dense {
+			tab = denseTable(o, B)
+		} else if tab, err = RunDPPool(o, B, pool); err != nil {
 			b.Fatal(err)
 		}
 		st = tab.Stats()

@@ -70,7 +70,7 @@ func TestRunDPWorkersBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: %v", srcName, k, err)
 			}
-			serial, err := RunDPWorkers(o, B, 1)
+			serial, err := RunDPPool(o, B, engine.New(engine.Options{Workers: 1}))
 			if err != nil {
 				t.Fatalf("%s/%v serial: %v", srcName, k, err)
 			}
@@ -93,7 +93,7 @@ func TestRunDPWorkersTinyDomains(t *testing.T) {
 		src := ptest.RandomValuePDF(rng, n, 3)
 		o := NewSSEValue(src)
 		for B := 1; B <= n+1; B++ {
-			serial, err := RunDPWorkers(o, B, 1)
+			serial, err := RunDPPool(o, B, engine.New(engine.Options{Workers: 1}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,17 +108,17 @@ func TestRunDPWorkersTinyDomains(t *testing.T) {
 	}
 }
 
-// RunDPWorkers with workers <= 0 resolves to NumCPU and must agree too
+// A pool with Workers <= 0 resolves to NumCPU and must agree too
 // (at the default grain, and through a fine-grained pool).
 func TestRunDPWorkersDefaultWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	src := ptest.RandomTuplePDF(rng, 64, 128, 3)
 	o := NewSSETuple(src)
-	serial, err := RunDPWorkers(o, 7, 1)
+	serial, err := RunDPPool(o, 7, engine.New(engine.Options{Workers: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunDPWorkers(o, 7, 0)
+	par, err := RunDPPool(o, 7, engine.New(engine.Options{Workers: 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestApproximateWorkersBitIdentical(t *testing.T) {
 	src := ptest.RandomValuePDF(rng, 80, 3)
 	o := NewSSEValue(src)
 	for _, eps := range []float64{0.1, 0.5} {
-		serial, err := ApproximateWorkers(o, 6, eps, 1)
+		serial, err := ApproximatePool(o, 6, eps, engine.New(engine.Options{Workers: 1}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,8 @@ func TestApproximateWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// OptimalWorkers must agree with Optimal on the materialized histogram.
+// OptimalPool on a parallel pool must agree with the serial run on the
+// materialized histogram.
 func TestOptimalWorkersMatchesOptimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	src := ptest.RandomBasic(rng, 48, 80)
@@ -168,11 +169,11 @@ func TestOptimalWorkersMatchesOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1, err := Optimal(o, 5)
+	h1, err := OptimalPool(o, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := OptimalWorkers(o, 5, runtime.NumCPU())
+	h2, err := OptimalPool(o, 5, engine.New(engine.Options{Workers: runtime.NumCPU()}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestSharedSweepOracleConcurrentDPs(t *testing.T) {
 			if _, ok := o.(SweepOracle); !ok {
 				t.Fatalf("%s/%v: %T has no sweep", srcName, k, o)
 			}
-			serial, err := RunDP(o, B)
+			serial, err := RunDPPool(o, B, nil)
 			if err != nil {
 				t.Fatalf("%s/%v serial: %v", srcName, k, err)
 			}
@@ -247,7 +248,7 @@ func (c countingSweep) CostsForEnd(e int, costs, reps []float64) {
 
 // TestReferencePathsPriceThroughCost: the default DP prices a
 // sweep-accelerated oracle through its sweep alone, and the two
-// recomputations it is checked against — the forced-dense DP and
+// recomputations it is checked against — the dense reference DP and
 // OptimalError — through cold Cost calls alone, so that comparing them
 // compares the sweep with the search it stands in for. Only SSETuple is
 // swept by the references as well.
@@ -261,7 +262,7 @@ func TestReferencePathsPriceThroughCost(t *testing.T) {
 		}
 		var costs, sweeps int
 		o := countingSweep{base.(SweepOracle), &costs, &sweeps}
-		tab, err := RunDP(o, B)
+		tab, err := RunDPPool(o, B, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +273,7 @@ func TestReferencePathsPriceThroughCost(t *testing.T) {
 			t.Fatalf("%v default DP: %d cost evals, want one per bucket, %d", k, got, want)
 		}
 		costs, sweeps = 0, 0
-		dense := denseReference(t, o, B, nil)
+		dense := denseTable(o, B)
 		if costs == 0 || sweeps != 0 {
 			t.Fatalf("%v dense DP: %d Cost calls and %d sweeps, want some and 0", k, costs, sweeps)
 		}

@@ -2,7 +2,7 @@ package hist
 
 // Property tests for the monotonicity-pruned split reduction: the pruned
 // DP must produce math.Float64bits-identical opt/choice tables to the
-// dense reference (forced via DenseDPEnv) for every oracle family, both
+// dense reference (denseTable, dense_test.go) for every oracle family, both
 // combine rules, and every worker count — and the DPStats accounting must
 // balance exactly (every candidate is either scanned or pruned). Run
 // under -race this also exercises the pruned chunked dispatch.
@@ -10,7 +10,6 @@ package hist
 import (
 	"math"
 	"math/rand"
-	"os"
 	"runtime"
 	"testing"
 
@@ -18,19 +17,6 @@ import (
 	"probsyn/internal/metric"
 	"probsyn/internal/pdata"
 )
-
-// denseReference builds the dense (unpruned, eagerly filled) DP table by
-// flipping the CI escape hatch for the duration of one build.
-func denseReference(t *testing.T, o Oracle, B int, pool *engine.Pool) *DPTable {
-	t.Helper()
-	t.Setenv(DenseDPEnv, "1")
-	defer os.Unsetenv(DenseDPEnv)
-	tab, err := RunDPPool(o, B, pool)
-	if err != nil {
-		t.Fatalf("dense reference: %v", err)
-	}
-	return tab
-}
 
 // splitCandidates is the exact number of split candidates a full DP over
 // (n, B) reduces: level b at end e scans i in [b-1, e).
@@ -72,7 +58,7 @@ func TestPrunedDPBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: %v", srcName, k, err)
 			}
-			dense := denseReference(t, o, B, nil)
+			dense := denseTable(o, B)
 			if ds := dense.Stats(); ds.CandidatesPruned != 0 {
 				t.Fatalf("%s/%v: dense reference pruned %d candidates", srcName, k, ds.CandidatesPruned)
 			}
@@ -123,7 +109,7 @@ func TestPrunedDPAdversarial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: %v", tc.name, k, err)
 			}
-			dense := denseReference(t, o, B, nil)
+			dense := denseTable(o, B)
 			for _, w := range []int{1, runtime.NumCPU()} {
 				pruned, err := RunDPPool(o, B, finePool(w))
 				if err != nil {
@@ -134,7 +120,7 @@ func TestPrunedDPAdversarial(t *testing.T) {
 			}
 			// Pin engagement on the serial schedule (chunk-local incumbents
 			// make parallel stats schedule-dependent).
-			serial, err := RunDP(o, B)
+			serial, err := RunDPPool(o, B, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,8 +149,8 @@ func TestPrunedDPLazyEvalsBounded(t *testing.T) {
 		data[i] = float64(i / 64) // 8 flat segments
 	}
 	o := NewSSEValue(pdata.Deterministic(data))
-	dense := denseReference(t, o, B, nil)
-	pruned, err := RunDP(o, B)
+	dense := denseTable(o, B)
+	pruned, err := RunDPPool(o, B, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +180,7 @@ func TestOptimalErrorMatchesTableCost(t *testing.T) {
 				t.Fatalf("%s/%v: %v", srcName, k, err)
 			}
 			for _, B := range []int{1, 2, 7, 61} {
-				tab, err := RunDP(o, B)
+				tab, err := RunDPPool(o, B, nil)
 				if err != nil {
 					t.Fatalf("%s/%v B=%d: %v", srcName, k, B, err)
 				}
@@ -250,7 +236,7 @@ func TestLiveDPPrunedMatchesDenseFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dense := denseReference(t, o, B, nil)
+			dense := denseTable(o, B)
 			tablesIdentical(t, dense, live.Table())
 		}
 	}

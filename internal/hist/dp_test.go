@@ -72,7 +72,7 @@ func TestOptimalMatchesBruteForce(t *testing.T) {
 		} {
 			for name, o := range allOracles(t, src) {
 				for B := 1; B <= 4; B++ {
-					h, err := hist.Optimal(o, B)
+					h, err := hist.OptimalPool(o, B, nil)
 					if err != nil {
 						t.Fatalf("%s B=%d: %v", name, B, err)
 					}
@@ -99,7 +99,7 @@ func TestOptimalCostMonotoneInB(t *testing.T) {
 	for name, o := range allOracles(t, src) {
 		prev := math.Inf(1)
 		for B := 1; B <= 10; B++ {
-			h, err := hist.Optimal(o, B)
+			h, err := hist.OptimalPool(o, B, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,7 +116,7 @@ func TestOptimalBAtLeastN(t *testing.T) {
 	src := ptest.RandomValuePDF(rng, 5, 2)
 	o := hist.NewSSEValue(src)
 	for _, B := range []int{5, 9} {
-		h, err := hist.Optimal(o, B)
+		h, err := hist.OptimalPool(o, B, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,10 +134,10 @@ func TestOptimalBAtLeastN(t *testing.T) {
 func TestOptimalArgumentErrors(t *testing.T) {
 	src := pdata.Deterministic([]float64{1, 2})
 	o := hist.NewSSEValue(src)
-	if _, err := hist.Optimal(o, 0); err == nil {
+	if _, err := hist.OptimalPool(o, 0, nil); err == nil {
 		t.Error("B=0 accepted")
 	}
-	if _, err := hist.Optimal(o, -3); err == nil {
+	if _, err := hist.OptimalPool(o, -3, nil); err == nil {
 		t.Error("negative B accepted")
 	}
 }
@@ -148,7 +148,7 @@ func TestOptimalArgumentErrors(t *testing.T) {
 func TestDeterministicReduction(t *testing.T) {
 	freqs := []float64{5, 5, 5, 1, 1, 9, 9, 9}
 	o := hist.NewSSEValue(pdata.Deterministic(freqs))
-	h, err := hist.Optimal(o, 3)
+	h, err := hist.OptimalPool(o, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestBoundariesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	src := ptest.RandomValuePDF(rng, 9, 3)
 	o := hist.NewSSEValue(src)
-	h, err := hist.Optimal(o, 4)
+	h, err := hist.OptimalPool(o, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,5 +261,23 @@ func TestBoundariesRoundTrip(t *testing.T) {
 	}
 	if math.Abs(h.Cost-h2.Cost) > 1e-12 {
 		t.Fatalf("roundtrip cost %v != %v", h2.Cost, h.Cost)
+	}
+}
+
+// DPTable.Cost clamps its budget to [1, Bmax] on both sides, as the
+// wavelet sweeps' Cost does: the frontier adapters pass budgets through.
+func TestDPTableCostClamps(t *testing.T) {
+	o := hist.NewSSEValue(ptest.RandomValuePDF(rand.New(rand.NewSource(37)), 9, 3))
+	tab, err := hist.RunDPPool(o, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []int{0, -3} {
+		if got := tab.Cost(b); got != tab.Cost(1) {
+			t.Fatalf("Cost(%d) = %v, want Cost(1) = %v", b, got, tab.Cost(1))
+		}
+	}
+	if got := tab.Cost(99); got != tab.Cost(4) {
+		t.Fatalf("Cost(99) = %v, want Cost(Bmax) = %v", got, tab.Cost(4))
 	}
 }

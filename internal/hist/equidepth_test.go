@@ -65,7 +65,7 @@ func TestEquiDepthNeverBeatsOptimal(t *testing.T) {
 		src := ptest.RandomValuePDF(rng, 10, 3)
 		o := hist.NewSSEValue(src)
 		for B := 1; B <= 5; B++ {
-			opt, err := hist.Optimal(o, B)
+			opt, err := hist.OptimalPool(o, B, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -162,7 +162,7 @@ func TestLiveDPBudgetUnclamps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := RunDP(o, 6)
+	fresh, err := RunDPPool(o, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

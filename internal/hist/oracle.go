@@ -17,8 +17,8 @@ const (
 // with the representative value achieving it. Implementations precompute
 // prefix structures so Cost runs in O(1) or O(polylog) time (§3).
 //
-// Cost must be safe for concurrent calls: RunDPWorkers and
-// ApproximateWorkers issue them from multiple goroutines. Every oracle in
+// Cost must be safe for concurrent calls: RunDPPool and ApproximatePool
+// issue them from multiple goroutines. Every oracle in
 // this package satisfies this by construction — Cost only reads arrays
 // frozen at construction time.
 //
@@ -52,7 +52,7 @@ type Oracle interface {
 //     stays the definition; the sweep reaches the same answer from the
 //     neighbouring bucket's (DESIGN.md finding 4) and writes what
 //     Cost(s, e) returns, bit for bit. The independent recomputations
-//     (OptimalError, the forced-dense DP) keep pricing through Cost, so
+//     (OptimalError, the tests' dense DP) keep pricing through Cost, so
 //     that they check the sweep instead of repeating it. Their scratch is
 //     local to the call: any number of DPs may sweep one oracle at once.
 //

@@ -199,11 +199,11 @@ func TestSSEFixedOptimalEqualsExpectationVOpt(t *testing.T) {
 		oProb := hist.NewSSEFixed(src)
 		oDet := hist.NewSSEFixed(pdata.Deterministic(src.ExpectedFreqs()))
 		for B := 1; B <= 4; B++ {
-			hProb, err := hist.Optimal(oProb, B)
+			hProb, err := hist.OptimalPool(oProb, B, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			hDet, err := hist.Optimal(oDet, B)
+			hDet, err := hist.OptimalPool(oDet, B, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

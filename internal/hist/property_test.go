@@ -55,7 +55,7 @@ func TestQuickDPLowerBoundsRandomBucketings(t *testing.T) {
 		src := ptest.RandomValuePDF(rng, 10, 3)
 		o := hist.NewSSEValue(src)
 		B := 1 + rng.Intn(5)
-		opt, err := hist.Optimal(o, B)
+		opt, err := hist.OptimalPool(o, B, nil)
 		if err != nil {
 			return false
 		}

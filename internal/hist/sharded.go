@@ -75,11 +75,22 @@ func BuildSharded(oracles []Oracle, bounds []int, B int, pool *engine.Pool, conc
 	if err != nil {
 		return nil, err
 	}
+	return mergeSharded(tables, bounds, B)
+}
+
+// mergeSharded splits the budget B across the completed per-shard tables
+// by the exact allocation DP and assembles the result. It is its own
+// function so that the tests can merge reference tables the same way.
+func mergeSharded(tables []*DPTable, bounds []int, B int) (*ShardedResult, error) {
+	k := len(tables)
+	caps := make([]int, k)
 	var stats DPStats
-	for _, t := range tables {
+	for s, t := range tables {
+		caps[s] = t.Bmax()
 		stats.Add(t.Stats())
 	}
-	alloc, err := shard.Allocate(B+k-1, caps, comb == Sum, func(s, b int) float64 { return tables[s].Cost(b) })
+	sum := tables[0].oracle.Combine() == Sum
+	alloc, err := shard.Allocate(B+k-1, caps, sum, func(s, b int) float64 { return tables[s].Cost(b) })
 	if err != nil {
 		return nil, err
 	}

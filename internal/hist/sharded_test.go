@@ -55,7 +55,7 @@ func TestShardedHistWithinBoundOfOptimum(t *testing.T) {
 				if got := res.Merged.B(); got > B {
 					t.Fatalf("%v k=%d B=%d: merged has %d buckets", kind, k, B, got)
 				}
-				opt, err := hist.Optimal(full, B)
+				opt, err := hist.OptimalPool(full, B, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -81,7 +81,7 @@ func TestWorkloadSSESkewReshapesBuckets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := hist.Optimal(o, 4)
+	h, err := hist.OptimalPool(o, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestWorkloadSSEDPMatchesBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		for B := 1; B <= 3; B++ {
-			h, err := hist.Optimal(o, B)
+			h, err := hist.OptimalPool(o, B, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

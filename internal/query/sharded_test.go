@@ -23,7 +23,7 @@ func TestShardedQuerierMatchesDirectEvaluation(t *testing.T) {
 	hists := make([]*hist.Histogram, k)
 	for s := 0; s < k; s++ {
 		svp := &pdata.ValuePDF{N: bounds[s+1] - bounds[s], Items: vp.Items[bounds[s]:bounds[s+1]]}
-		h, err := hist.Optimal(hist.NewSSEValue(svp), 3)
+		h, err := hist.OptimalPool(hist.NewSSEValue(svp), 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -96,19 +95,9 @@ func (s *Server) buildSharded(key catalog.Key, k int) error {
 	if err != nil {
 		return err
 	}
-	m, err := probsyn.ParseMetric(key.Metric)
+	m, opts, err := s.buildOptions(key)
 	if err != nil {
 		return err
-	}
-	opts := []probsyn.BuildOption{
-		probsyn.WithPool(s.cfg.Pool),
-		probsyn.WithParams(probsyn.Params{C: key.C}),
-	}
-	if key.Family == catalog.FamilyWavelet {
-		opts = append(opts, probsyn.WithWavelet())
-		if key.Q > 0 {
-			opts = append(opts, probsyn.WithQuantize(key.Q))
-		}
 	}
 	res, err := probsyn.BuildSharded(src, m, key.Budget, k, opts...)
 	if err != nil {
@@ -124,24 +113,13 @@ func (s *Server) buildSharded(key catalog.Key, k int) error {
 		if err != nil {
 			return err
 		}
-		blob, err := probsyn.MarshalSynopsis(piece)
-		if err != nil {
-			return err
-		}
-		if err := s.placePiece(pk, piece, blob); err != nil {
+		if err := s.placePiece(pk, piece); err != nil {
 			return err
 		}
 	}
-	blob, err := probsyn.MarshalSynopsis(res.Synopsis)
-	if err != nil {
+	if err := s.publish(key, res.Synopsis, nil); err != nil {
 		return err
 	}
-	if s.cfg.CatalogDir != "" {
-		if err := catalog.WriteBlob(filepath.Join(s.cfg.CatalogDir, key.Filename()), blob); err != nil {
-			return fmt.Errorf("persist %s: %w", key, err)
-		}
-	}
-	s.cfg.Catalog.PutEncoded(key, res.Synopsis, blob)
 	s.logf("sharded build %s: %d shards, cost %.6g, suboptimality bound %.6g",
 		key, k, res.Synopsis.ErrorCost(), res.Bound)
 	return nil
@@ -150,9 +128,13 @@ func (s *Server) buildSharded(key catalog.Key, k int) error {
 // placePiece installs one piece at its owning node: locally with the
 // usual persist-before-publish, or pushed to the owning peer, whose
 // /v1/accept applies the same discipline before acknowledging.
-func (s *Server) placePiece(pk catalog.Key, syn probsyn.Synopsis, blob []byte) error {
+func (s *Server) placePiece(pk catalog.Key, syn probsyn.Synopsis) error {
 	if s.clustered() {
 		if owner := s.pieceOwner(pk.Filename()); owner != s.cfg.Self {
+			blob, err := probsyn.MarshalSynopsis(syn)
+			if err != nil {
+				return err
+			}
 			status, resp, err := s.remote.Do(owner, http.MethodPost,
 				"/v1/accept?name="+url.QueryEscape(pk.Filename()), blob, "application/octet-stream")
 			if err != nil {
@@ -164,13 +146,7 @@ func (s *Server) placePiece(pk catalog.Key, syn probsyn.Synopsis, blob []byte) e
 			return nil
 		}
 	}
-	if s.cfg.CatalogDir != "" {
-		if err := catalog.WriteBlob(filepath.Join(s.cfg.CatalogDir, pk.Filename()), blob); err != nil {
-			return fmt.Errorf("persist %s: %w", pk, err)
-		}
-	}
-	s.cfg.Catalog.PutEncoded(pk, syn, blob)
-	return nil
+	return s.publish(pk, syn, nil)
 }
 
 // maxAcceptBody bounds a pushed piece envelope. Synopses are tiny (B
@@ -219,13 +195,10 @@ func (s *Server) handleAccept(w http.ResponseWriter, r *http.Request) {
 		s.flat.JobStart()
 		defer s.flat.JobEnd()
 	}
-	if s.cfg.CatalogDir != "" {
-		if err := catalog.WriteBlob(filepath.Join(s.cfg.CatalogDir, pk.Filename()), blob); err != nil {
-			writeError(w, http.StatusInternalServerError, CodeBuildFailed, "persist %s: %v", pk, err)
-			return
-		}
+	if err := s.publish(pk, syn, blob); err != nil {
+		writeError(w, http.StatusInternalServerError, CodeBuildFailed, "%v", err)
+		return
 	}
-	s.cfg.Catalog.PutEncoded(pk, syn, blob)
 	writeJSON(w, http.StatusOK, BuildResponse{Key: pk, Status: "built"})
 }
 

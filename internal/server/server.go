@@ -93,6 +93,7 @@ import (
 	"probsyn/internal/engine"
 	"probsyn/internal/pdata"
 	"probsyn/internal/query"
+	"probsyn/internal/synopsis"
 )
 
 // Config assembles a Server. Catalog and Pool are shared, process-wide
@@ -1066,37 +1067,42 @@ func (s *Server) build(key catalog.Key) error {
 	if err != nil {
 		return err
 	}
-	m, err := probsyn.ParseMetric(key.Metric)
+	m, opts, err := s.buildOptions(key)
 	if err != nil {
 		return err
-	}
-	// key.C is the constant the build was requested at (> 0 exactly for
-	// relative-error metrics; Params.C is unused otherwise).
-	opts := []probsyn.BuildOption{
-		probsyn.WithPool(s.cfg.Pool),
-		probsyn.WithParams(probsyn.Params{C: key.C}),
-	}
-	if key.Family == catalog.FamilyWavelet {
-		opts = append(opts, probsyn.WithWavelet())
-		if key.Q > 0 {
-			opts = append(opts, probsyn.WithQuantize(key.Q))
-		}
 	}
 	syn, err := probsyn.Build(src, m, key.Budget, opts...)
 	if err != nil {
 		return fmt.Errorf("build %s: %w", key, err)
 	}
-	blob, err := probsyn.MarshalSynopsis(syn)
-	if err != nil {
-		return err
+	return s.publish(key, syn, nil)
+}
+
+// buildOptions is key.BuildOptions scheduled on the server's shared pool:
+// what every build this server runs for a key passes to probsyn.
+func (s *Server) buildOptions(key catalog.Key) (probsyn.Metric, []probsyn.BuildOption, error) {
+	m, opts, err := key.BuildOptions()
+	return m, append(opts, probsyn.WithPool(s.cfg.Pool)), err
+}
+
+// publish makes a built synopsis servable under key: encode it (unless
+// the caller already holds its envelope bytes), persist, then catalog.
+// Persist before publishing: a build is observable (ready, servable) only
+// once it is durably on disk, so a failed persist is reported as
+// build_failed with nothing half-done — no window where a key serves
+// estimates and then vanishes, and retries are not short-circuited by a
+// catalog entry that never hit disk. The write is atomic (temp + rename):
+// LoadDir fails loudly on corrupt files, so a crash mid-persist must not
+// block the next startup either. Builds, every budget of a sweep,
+// republished mutations, local pieces and accepted pieces all become
+// servable here and nowhere else.
+func (s *Server) publish(key catalog.Key, syn probsyn.Synopsis, blob []byte) error {
+	if blob == nil {
+		var err error
+		if blob, err = probsyn.MarshalSynopsis(syn); err != nil {
+			return err
+		}
 	}
-	// Persist before publishing: a build is observable (ready, servable)
-	// only once it is durably on disk, so a failed persist is reported
-	// as build_failed with nothing half-done — no window where a key
-	// serves estimates and then vanishes, and retries are not
-	// short-circuited by a catalog entry that never hit disk. The write
-	// is atomic (temp + rename): LoadDir fails loudly on corrupt files,
-	// so a crash mid-persist must not block the next startup either.
 	if s.cfg.CatalogDir != "" {
 		if err := catalog.WriteBlob(filepath.Join(s.cfg.CatalogDir, key.Filename()), blob); err != nil {
 			return fmt.Errorf("persist %s: %w", key, err)
@@ -1123,43 +1129,24 @@ func (s *Server) buildSweep(key catalog.Key) error {
 	if err != nil {
 		return err
 	}
-	m, err := probsyn.ParseMetric(key.Metric)
+	m, opts, err := s.buildOptions(key)
 	if err != nil {
 		return err
-	}
-	opts := []probsyn.BuildOption{
-		probsyn.WithPool(s.cfg.Pool),
-		probsyn.WithParams(probsyn.Params{C: key.C}),
-	}
-	if key.Family == catalog.FamilyWavelet {
-		opts = append(opts, probsyn.WithWavelet())
-		if key.Q > 0 {
-			opts = append(opts, probsyn.WithQuantize(key.Q))
-		}
 	}
 	fr, err := probsyn.BuildSweep(src, m, key.Budget, opts...)
 	if err != nil {
 		return fmt.Errorf("sweep %s: %w", key, err)
 	}
 	for b := 1; b <= key.Budget; b++ {
-		syn, err := catalog.ExtractBudget(fr, b)
+		syn, err := synopsis.Extract(fr, b)
 		if err != nil {
 			return fmt.Errorf("sweep %s: budget %d: %w", key, b, err)
 		}
-		blob, err := probsyn.MarshalSynopsis(syn)
-		if err != nil {
-			return err
-		}
 		bkey := key
 		bkey.Budget = b
-		// Same persist-before-publish discipline as build: each budget
-		// becomes servable only once it is durably on disk.
-		if s.cfg.CatalogDir != "" {
-			if err := catalog.WriteBlob(filepath.Join(s.cfg.CatalogDir, bkey.Filename()), blob); err != nil {
-				return fmt.Errorf("persist %s: %w", bkey, err)
-			}
+		if err := s.publish(bkey, syn, nil); err != nil {
+			return err
 		}
-		s.cfg.Catalog.PutEncoded(bkey, syn, blob)
 	}
 	return nil
 }
@@ -1262,21 +1249,13 @@ func (s *Server) mutate(mu *mutation) (domain, republished int, err error) {
 				}
 			}
 			for _, key := range group {
-				syn, err := catalog.ExtractBudget(ls.m, key.Budget)
+				syn, err := synopsis.Extract(ls.m, key.Budget)
 				if err != nil {
 					return err
 				}
-				blob, err := probsyn.MarshalSynopsis(syn)
-				if err != nil {
+				if err := s.publish(key, syn, nil); err != nil {
 					return err
 				}
-				// Same persist-before-publish discipline as builds and sweeps.
-				if s.cfg.CatalogDir != "" {
-					if err := catalog.WriteBlob(filepath.Join(s.cfg.CatalogDir, key.Filename()), blob); err != nil {
-						return fmt.Errorf("persist %s: %w", key, err)
-					}
-				}
-				s.cfg.Catalog.PutEncoded(key, syn, blob)
 				republished++
 			}
 		}
@@ -1313,19 +1292,9 @@ func (s *Server) liveFor(lk liveKey, gmax int, data *pdata.ValuePDF) (ls *liveSt
 		return ls, false, nil
 	}
 	s.livesMu.Unlock()
-	m, err := probsyn.ParseMetric(lk.metric)
+	m, opts, err := s.buildOptions(catalog.Key{Dataset: lk.dataset, Family: lk.family, Metric: lk.metric, C: lk.c, Q: lk.q})
 	if err != nil {
 		return nil, false, err
-	}
-	opts := []probsyn.BuildOption{
-		probsyn.WithPool(s.cfg.Pool),
-		probsyn.WithParams(probsyn.Params{C: lk.c}),
-	}
-	if lk.family == catalog.FamilyWavelet {
-		opts = append(opts, probsyn.WithWavelet())
-		if lk.q > 0 {
-			opts = append(opts, probsyn.WithQuantize(lk.q))
-		}
 	}
 	live, err := probsyn.BuildLive(data, m, gmax, opts...)
 	if err != nil {

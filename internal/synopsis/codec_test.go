@@ -25,7 +25,7 @@ func randomSynopses(t *testing.T, rng *rand.Rand) []Synopsis {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h, err := hist.Optimal(o, 1+rng.Intn(n))
+			h, err := hist.OptimalPool(o, 1+rng.Intn(n), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -36,7 +36,7 @@ func randomSynopses(t *testing.T, rng *rand.Rand) []Synopsis {
 			t.Fatal(err)
 		}
 		out = append(out, syn)
-		rsyn, _, err := wavelet.BuildRestricted(src, metric.SAE, metric.Params{C: 0.5}, 3)
+		rsyn, _, err := wavelet.BuildRestrictedPool(src, metric.SAE, metric.Params{C: 0.5}, 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func buildOneOfEach(t testing.TB) (h *hist.Histogram, w *wavelet.Synopsis) {
 	src := ptest.RandomValuePDF(rng, 16, 3)
 	o := hist.NewSSEValue(src)
 	var err error
-	h, err = hist.Optimal(o, 4)
+	h, err = hist.OptimalPool(o, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

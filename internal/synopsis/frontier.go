@@ -22,6 +22,16 @@ type Frontier interface {
 	// [1, Bmax]. Costs are non-increasing in b ("at most b terms").
 	Cost(b int) float64
 	// Synopsis extracts the optimal budget-b synopsis, 1 <= b <= Bmax;
-	// budgets outside that range are an error.
+	// budgets outside that range are an error. (A wavelet frontier built
+	// at budget 0 has Bmax 0 and the one budget 0, the empty synopsis.)
 	Synopsis(b int) (Synopsis, error)
+}
+
+// Extract returns the frontier's synopsis for a requested budget b, with
+// budgets beyond Bmax repeating the Bmax synopsis — what a single build
+// at budget b returns. This is the one place a requested budget is
+// clamped for extraction: probsyn.Build, the server's sweep and mutation
+// publishers and offline revalidation all extract through it.
+func Extract(fr Frontier, b int) (Synopsis, error) {
+	return fr.Synopsis(min(b, fr.Bmax()))
 }

@@ -31,13 +31,13 @@ func TestRestrictedApproxCostVsExact(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(n)))
 			vp := ptest.RandomValuePDF(rng, n, 3)
 			const B = 12
-			exact, err := wavelet.SweepRestricted(vp, kind, p, B)
+			exact, err := wavelet.NewSweep(vp, wavelet.RestrictedFamily, kind, p, B, 0, nil)
 			if err != nil {
 				t.Fatalf("n=%d %v exact: %v", n, kind, err)
 			}
 			prevBound := math.Inf(1)
 			for _, q := range []int{2, 4, 8, 16, 32, n} {
-				sw, err := wavelet.SweepRestrictedApprox(vp, kind, p, B, q)
+				sw, err := wavelet.NewSweep(vp, wavelet.RestrictedFamily, kind, p, B, q, nil)
 				if err != nil {
 					t.Fatalf("n=%d %v q=%d: %v", n, kind, q, err)
 				}
@@ -62,7 +62,7 @@ func TestRestrictedApproxCostVsExact(t *testing.T) {
 			// A grid at least as fine as the exact state space (q >= n/2)
 			// must degenerate to the exact DP: zero bound, bit-identical
 			// synopses and costs.
-			sw, err := wavelet.SweepRestrictedApprox(vp, kind, p, B, n)
+			sw, err := wavelet.NewSweep(vp, wavelet.RestrictedFamily, kind, p, B, n, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +89,7 @@ func TestRestrictedApproxWorkerDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	vp := ptest.RandomValuePDF(rng, 300, 3) // pads to 512
 	const B, q = 10, 8
-	serial, sc, err := wavelet.BuildRestrictedApprox(vp, metric.SAE, p, B, q)
+	serial, sc, err := wavelet.BuildRestrictedApproxPool(vp, metric.SAE, p, B, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestRestrictedApproxSweepMatchesBuilds(t *testing.T) {
 	vp := ptest.RandomValuePDF(rng, 120, 3) // pads to 128
 	const B = 9
 	for _, q := range []int{4, 16} {
-		sw, err := wavelet.SweepRestrictedApproxPool(vp, metric.SARE, p, B, q, finePool(2))
+		sw, err := wavelet.NewSweep(vp, wavelet.RestrictedFamily, metric.SARE, p, B, q, finePool(2))
 		if err != nil {
 			t.Fatalf("q=%d: %v", q, err)
 		}
@@ -117,7 +117,7 @@ func TestRestrictedApproxSweepMatchesBuilds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			built, cost, err := wavelet.BuildRestrictedApprox(vp, metric.SARE, p, b, q)
+			built, cost, err := wavelet.BuildRestrictedApproxPool(vp, metric.SARE, p, b, q, nil)
 			if err != nil {
 				t.Fatalf("q=%d b=%d: %v", q, b, err)
 			}
@@ -145,7 +145,7 @@ func TestRestrictedApproxLargeDomain(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 32768 // levels = 15: the exact DP needs 2^27 states at level 13
 	vp := ptest.RandomValuePDF(rng, n, 2)
-	_, _, err := wavelet.BuildRestricted(vp, metric.SAE, p, 8)
+	_, _, err := wavelet.BuildRestrictedPool(vp, metric.SAE, p, 8, nil)
 	if err == nil {
 		t.Fatal("exact restricted DP unexpectedly fit n=32768")
 	}
@@ -169,10 +169,11 @@ func TestRestrictedApproxValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	vp := ptest.RandomValuePDF(rng, 16, 2)
 	for _, q := range []int{-1, 0, 1} {
-		if _, err := wavelet.SweepRestrictedApprox(vp, metric.SAE, p, 4, q); err == nil {
+		// q = 0 asks NewSweep for the exact DP; the Approx build has none.
+		if _, err := wavelet.NewSweep(vp, wavelet.RestrictedFamily, metric.SAE, p, 4, q, nil); err == nil && q != 0 {
 			t.Fatalf("q=%d accepted, want error", q)
 		}
-		if _, _, err := wavelet.BuildRestrictedApprox(vp, metric.SAE, p, 4, q); err == nil {
+		if _, _, err := wavelet.BuildRestrictedApproxPool(vp, metric.SAE, p, 4, q, nil); err == nil {
 			t.Fatalf("q=%d accepted by build, want error", q)
 		}
 	}

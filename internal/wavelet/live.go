@@ -6,29 +6,7 @@ import (
 	"probsyn/internal/engine"
 	"probsyn/internal/haar"
 	"probsyn/internal/metric"
-	"probsyn/internal/numeric"
 	"probsyn/internal/pdata"
-)
-
-// LiveFamily selects which wavelet construction a Live frontier maintains.
-type LiveFamily int
-
-// The three wavelet builds, mirroring the Sweep constructors.
-const (
-	// LiveSSEFamily maintains the greedy SSE-optimal frontier (Theorem 7,
-	// SweepSSE): the expected coefficients, their magnitude order, and the
-	// error accounting survive mutations, so an append or update patches
-	// the O(log n) path coefficients, merges them back into the retained
-	// total order, and re-derives the moments — no sort, no re-transform
-	// of unchanged state.
-	LiveSSEFamily LiveFamily = iota
-	// LiveRestrictedFamily maintains the restricted coefficient-tree DP
-	// (Theorem 8, SweepRestrictedPool) with its per-level state tables
-	// retained for dirty-path repair.
-	LiveRestrictedFamily
-	// LiveUnrestrictedFamily maintains the quantized unrestricted DP
-	// (SweepUnrestrictedPool) the same way.
-	LiveUnrestrictedFamily
 )
 
 // Live is a wavelet budget frontier kept live against a mutable value-pdf
@@ -63,7 +41,7 @@ const (
 // A Live is not safe for concurrent use; callers serialize mutations
 // against extraction (probsyn.BuildLive's adapter locks internally).
 type Live struct {
-	family LiveFamily
+	family Family
 	kind   metric.Kind
 	p      metric.Params
 	q      int
@@ -82,41 +60,33 @@ type Live struct {
 	d     *treeDP // nil when n == 1 (singleton extraction)
 
 	// SSE family: the retained greedy state.
-	expected  []float64 // padded expected frequencies
-	c         []float64 // haar.Forward(expected)
-	order     []int     // full TopK order: |normalized| desc, index asc
-	varArr    []float64 // Var[g_i] per logical item
-	varFloor  float64   // compensated sum of varArr
-	totalMuSq float64
+	expected []float64 // padded expected frequencies
+	varArr   []float64 // Var[g_i] per logical item
+	g        sseGreedy // over haar.Forward(expected) and varArr
 
 	costs       []float64 // memoized Cost frontier; nil after a mutation
 	fastRepairs int
 }
 
-// NewLive builds the initial frontier (performing exactly the work the
-// corresponding Sweep constructor performs) and retains its state for
+// NewLive builds the initial frontier (performing exactly the work
+// NewSweep performs for the family) and retains its state for
 // maintenance. Mutations are defined over the value-pdf model, so the
 // source must be a *pdata.ValuePDF — convert other models with
 // pdata.AsValuePDF first if the induced-marginal semantics is acceptable.
-// q is the unrestricted family's candidate quantization; for the
-// restricted family it is the incoming-value grid size (0 = exact DP,
-// q >= 2 = quantized approximate DP, see SweepRestrictedApproxPool) —
-// repairs and resweeps then replay mutations on the same quantized
-// grids, so the maintained state keeps matching a fresh quantized sweep
-// bit for bit. Ignored by the SSE family.
-func NewLive(src pdata.Source, family LiveFamily, kind metric.Kind, p metric.Params, B, q int, pool *engine.Pool) (*Live, error) {
+// family and q are NewSweep's (see Family); with a quantized restricted
+// DP, repairs and resweeps replay mutations on the same quantized grids,
+// so the maintained state keeps matching a fresh quantized sweep bit for
+// bit.
+func NewLive(src pdata.Source, family Family, kind metric.Kind, p metric.Params, B, q int, pool *engine.Pool) (*Live, error) {
 	vp, ok := src.(*pdata.ValuePDF)
 	if !ok {
 		return nil, fmt.Errorf("wavelet: live maintenance is defined over the value-pdf model; got %T (convert with pdata.AsValuePDF)", src)
 	}
-	if B < 1 {
-		return nil, fmt.Errorf("wavelet: live budget %d, want >= 1", B)
+	if B < 0 {
+		return nil, fmt.Errorf("wavelet: negative budget %d", B)
 	}
-	if family == LiveUnrestrictedFamily && q < 0 {
-		return nil, fmt.Errorf("wavelet: negative quantization %d", q)
-	}
-	if family == LiveRestrictedFamily && q != 0 && q < 2 {
-		return nil, fmt.Errorf("wavelet: quantized restricted maintenance needs q = 0 (exact) or q >= 2, got %d", q)
+	if err := checkQuant(family, q); err != nil {
+		return nil, err
 	}
 	if err := vp.Validate(); err != nil {
 		return nil, err
@@ -152,19 +122,17 @@ func (lv *Live) FastRepairs() int { return lv.fastRepairs }
 // [1, Bmax]). The frontier is derived lazily from the maintained state
 // and memoized until the next mutation.
 func (lv *Live) Cost(b int) float64 {
-	if b > lv.bmax {
-		b = lv.bmax
+	if lv.bmax == 0 {
+		return lv.at(0).Cost
 	}
-	if b < 1 {
-		b = 1
-	}
+	b = min(max(b, 1), lv.bmax)
 	if lv.costs == nil {
 		costs := make([]float64, lv.bmax)
 		for bb := 1; bb <= lv.bmax; bb++ {
 			// The quantized DP's table objective is approximate, so its
 			// frontier reports the extractions' exactly-evaluated costs
 			// (matching the quantized Sweep's costs).
-			if lv.family != LiveSSEFamily && lv.d != nil && lv.d.quant == 0 {
+			if lv.family != SSEFamily && lv.d != nil && lv.d.quant == 0 {
 				costs[bb-1] = lv.d.cost(bb)
 			} else {
 				costs[bb-1] = lv.at(bb).Cost
@@ -186,10 +154,10 @@ func (lv *Live) ErrorBound() float64 {
 	return 0
 }
 
-// Synopsis extracts the optimal budget-b synopsis, 1 <= b <= Bmax,
-// bit-identical to a fresh build over the current data.
+// Synopsis extracts the optimal budget-b synopsis, 1 <= b <= Bmax (0 when
+// Bmax is 0), bit-identical to a fresh build over the current data.
 func (lv *Live) Synopsis(b int) (*Synopsis, error) {
-	if b < 1 || b > lv.bmax {
+	if b > lv.bmax || b < min(1, lv.bmax) {
 		return nil, fmt.Errorf("wavelet: live budget %d outside [1, %d]", b, lv.bmax)
 	}
 	return lv.at(b), nil
@@ -246,7 +214,7 @@ func (lv *Live) Append(items []pdata.ItemPDF) error {
 // dirty had their pdfs replaced (the padded domain unchanged).
 func (lv *Live) refresh(dirty []int) error {
 	lv.costs = nil
-	if lv.family == LiveSSEFamily {
+	if lv.family == SSEFamily {
 		lv.refreshSSE(dirty)
 		return nil
 	}
@@ -276,33 +244,15 @@ func (lv *Live) refreshSSE(dirty []int) {
 	newC := haar.Forward(lv.expected)
 	changed := make([]int, 0, 4*len(dirty))
 	for i, v := range newC {
-		if v != lv.c[i] {
+		if v != lv.g.c[i] {
 			changed = append(changed, i)
 		}
 	}
-	lv.c = newC
+	lv.g.c = newC
 	if len(changed) > 0 {
-		lv.order = mergeOrder(lv.order, lv.c, lv.n, changed)
+		lv.g.order = mergeOrder(lv.g.order, newC, lv.n, changed)
 	}
-	lv.recomputeSSEMoments()
-}
-
-// recomputeSSEMoments re-derives the error accounting exactly as
-// SweepSSE does: a compensated sum over the per-item variances in item
-// order, and the plain coefficient-order sum of squared normalized
-// expected coefficients.
-func (lv *Live) recomputeSSEMoments() {
-	var acc numeric.Accumulator
-	for _, v := range lv.varArr {
-		acc.Add(v)
-	}
-	lv.varFloor = acc.Value()
-	total := 0.0
-	for i, v := range lv.c {
-		nv := v * haar.NormFactor(i, lv.n)
-		total += nv * nv
-	}
-	lv.totalMuSq = total
+	lv.g.sums(lv.varArr)
 }
 
 // mergeOrder rebuilds the magnitude order after the listed coefficients
@@ -378,7 +328,7 @@ func (lv *Live) refreshDP(dirty []int) error {
 		return err
 	}
 	newCvals := haar.Forward(lv.vp.ExpectedFreqs())
-	newCands := lv.candidates(newCvals)
+	newCands := candidates(lv.family, lv.vp, newCvals, lv.q)
 	if lv.n == 1 {
 		lv.pe, lv.cvals, lv.cands = newPe, newCvals, newCands
 		return nil // singleton extraction reads pe/cands directly
@@ -395,19 +345,6 @@ func (lv *Live) refreshDP(dirty []int) error {
 	}
 	lv.pe, lv.cvals, lv.cands = newPe, newCvals, newCands
 	return lv.rebuildDP()
-}
-
-// candidates builds the per-coefficient candidate lists for the DP
-// families, exactly as the Sweep constructors do.
-func (lv *Live) candidates(cvals []float64) [][]float64 {
-	if lv.family == LiveUnrestrictedFamily {
-		return candidateGrids(lv.vp, cvals, lv.q)
-	}
-	cands := make([][]float64, lv.n)
-	for j := range cands {
-		cands[j] = cvals[j : j+1]
-	}
-	return cands
 }
 
 func sameCandidateShape(a, b [][]float64) bool {
@@ -440,7 +377,7 @@ func changedCandidates(a, b [][]float64) []int {
 // rebuildDP re-runs the forward sweep over the current pe/cands.
 func (lv *Live) rebuildDP() error {
 	quant := 0
-	if lv.family == LiveRestrictedFamily {
+	if lv.family == RestrictedFamily {
 		quant = lv.q
 	}
 	d, err := newTreeDP(lv.n, lv.bmax, lv.cands, lv.pe, lv.kind.Cumulative(), quant, lv.pool)
@@ -459,16 +396,16 @@ func (lv *Live) rebuildAll() error {
 		lv.bmax = lv.n
 	}
 	lv.costs = nil
-	if lv.family == LiveSSEFamily {
+	if lv.family == SSEFamily {
 		lv.expected = lv.vp.ExpectedFreqs()
-		lv.c = haar.Forward(lv.expected)
-		lv.order = haar.TopK(lv.c, lv.n)
 		lv.varArr = make([]float64, lv.logical)
 		for i := 0; i < lv.logical; i++ {
 			mean, sq := lv.vp.Items[i].Mean(), lv.vp.Items[i].MeanSq()
 			lv.varArr[i] = sq - mean*mean
 		}
-		lv.recomputeSSEMoments()
+		c := haar.Forward(lv.expected)
+		lv.g = sseGreedy{c: c, order: haar.TopK(c, lv.n)}
+		lv.g.sums(lv.varArr)
 		return nil
 	}
 	pe, err := NewPointErrors(lv.vp, lv.kind, lv.p)
@@ -477,7 +414,7 @@ func (lv *Live) rebuildAll() error {
 	}
 	lv.pe = pe
 	lv.cvals = haar.Forward(lv.vp.ExpectedFreqs())
-	lv.cands = lv.candidates(lv.cvals)
+	lv.cands = candidates(lv.family, lv.vp, lv.cvals, lv.q)
 	if lv.n == 1 {
 		lv.d = nil
 		return nil
@@ -489,19 +426,10 @@ func (lv *Live) rebuildAll() error {
 // the corresponding Sweep's extraction operation for operation.
 func (lv *Live) at(b int) *Synopsis {
 	switch {
-	case lv.family == LiveSSEFamily:
-		syn := fromDense(lv.c, lv.order[:b])
-		retained := 0.0
-		for k, i := range syn.Indices {
-			nv := syn.Values[k] * haar.NormFactor(i, lv.n)
-			retained += nv * nv
-		}
-		syn.Cost = lv.varFloor + (lv.totalMuSq - retained)
-		return syn
-	case lv.n == 1 && lv.family == LiveRestrictedFamily:
-		return restrictedSingleton(lv.pe, lv.cvals[0], b)
+	case lv.family == SSEFamily:
+		return lv.g.at(b)
 	case lv.n == 1:
-		return unrestrictedSingleton(lv.pe, lv.cands[0], b)
+		return singleton(lv.family, lv.pe, lv.cands[0], b)
 	default:
 		keep, best := lv.d.extract(b)
 		syn := synopsisFromChoices(lv.n, keep)

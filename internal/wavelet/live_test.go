@@ -34,24 +34,9 @@ func liveRandVP(rng *rand.Rand, n int) *pdata.ValuePDF {
 }
 
 // freshSweep builds the from-scratch frontier a live state must match.
-func freshSweep(t *testing.T, vp *pdata.ValuePDF, family LiveFamily, k metric.Kind, p metric.Params, B, q int, pool *engine.Pool) *Sweep {
+func freshSweep(t *testing.T, vp *pdata.ValuePDF, family Family, k metric.Kind, p metric.Params, B, q int, pool *engine.Pool) *Sweep {
 	t.Helper()
-	var (
-		sw  *Sweep
-		err error
-	)
-	switch family {
-	case LiveSSEFamily:
-		sw, err = SweepSSE(vp, B)
-	case LiveRestrictedFamily:
-		if q > 0 {
-			sw, err = SweepRestrictedApproxPool(vp, k, p, B, q, pool)
-		} else {
-			sw, err = SweepRestrictedPool(vp, k, p, B, pool)
-		}
-	default:
-		sw, err = SweepUnrestrictedPool(vp, k, p, B, q, pool)
-	}
+	sw, err := NewSweep(vp, family, k, p, B, q, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +48,8 @@ func assertLiveMatchesSweep(t *testing.T, lv *Live, sw *Sweep, tag string) {
 	if lv.Bmax() != sw.Bmax() {
 		t.Fatalf("%s: Bmax %d vs fresh %d", tag, lv.Bmax(), sw.Bmax())
 	}
-	for b := 1; b <= lv.Bmax(); b++ {
+	// A zero-budget frontier has the one budget 0.
+	for b := min(1, lv.Bmax()); b <= lv.Bmax(); b++ {
 		got, err := lv.Synopsis(b)
 		if err != nil {
 			t.Fatalf("%s: budget %d: %v", tag, b, err)
@@ -90,17 +76,17 @@ func TestLiveWaveletMatchesFresh(t *testing.T) {
 	p := metric.Params{C: 0.5}
 	cases := []struct {
 		name   string
-		family LiveFamily
+		family Family
 		kind   metric.Kind
 		q      int
 	}{
-		{"sse", LiveSSEFamily, metric.SSE, 0},
-		{"restricted", LiveRestrictedFamily, metric.SAE, 0},
-		{"restricted-max", LiveRestrictedFamily, metric.MAE, 0},
+		{"sse", SSEFamily, metric.SSE, 0},
+		{"restricted", RestrictedFamily, metric.SAE, 0},
+		{"restricted-max", RestrictedFamily, metric.MAE, 0},
 		// q=4 keeps the finest level genuinely quantized at n=16 (and
 		// stays quantized after appends regrow the tree to n=32).
-		{"restricted-approx", LiveRestrictedFamily, metric.SAE, 4},
-		{"unrestricted", LiveUnrestrictedFamily, metric.SAE, 1},
+		{"restricted-approx", RestrictedFamily, metric.SAE, 4},
+		{"unrestricted", UnrestrictedFamily, metric.SAE, 1},
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 2} {
@@ -162,7 +148,7 @@ func TestLiveDirtyPathFastPath(t *testing.T) {
 	// Give item 9 an exactly-representable mean so the correction below
 	// preserves it bit-for-bit.
 	vp.Items[9] = pdata.ItemPDF{Entries: []pdata.FreqProb{{Freq: 2, Prob: 0.5}}}
-	lv, err := NewLive(vp, LiveRestrictedFamily, metric.SAE, p, 5, 0, nil)
+	lv, err := NewLive(vp, RestrictedFamily, metric.SAE, p, 5, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +162,7 @@ func TestLiveDirtyPathFastPath(t *testing.T) {
 	}
 	cur := vp.Clone()
 	cur.Items[9] = corrected.Clone()
-	assertLiveMatchesSweep(t, lv, freshSweep(t, cur, LiveRestrictedFamily, metric.SAE, p, 5, 0, nil), "fast-path")
+	assertLiveMatchesSweep(t, lv, freshSweep(t, cur, RestrictedFamily, metric.SAE, p, 5, 0, nil), "fast-path")
 
 	// A mean-changing update must NOT claim the fast path.
 	if err := lv.Update(3, pdata.ItemPDF{Entries: []pdata.FreqProb{{Freq: 5, Prob: 0.5}}}); err != nil {
@@ -198,7 +184,7 @@ func TestLiveQuantizedDirtyPathFastPath(t *testing.T) {
 	vp := liveRandVP(rng, 16)
 	vp.Items[9] = pdata.ItemPDF{Entries: []pdata.FreqProb{{Freq: 2, Prob: 0.5}}}
 	const q = 4
-	lv, err := NewLive(vp, LiveRestrictedFamily, metric.SAE, p, 5, q, nil)
+	lv, err := NewLive(vp, RestrictedFamily, metric.SAE, p, 5, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,46 +200,49 @@ func TestLiveQuantizedDirtyPathFastPath(t *testing.T) {
 	}
 	cur := vp.Clone()
 	cur.Items[9] = corrected.Clone()
-	assertLiveMatchesSweep(t, lv, freshSweep(t, cur, LiveRestrictedFamily, metric.SAE, p, 5, q, nil), "quantized-fast-path")
+	assertLiveMatchesSweep(t, lv, freshSweep(t, cur, RestrictedFamily, metric.SAE, p, 5, q, nil), "quantized-fast-path")
 }
 
 // TestLiveSmallDomains exercises the singleton and n==2 special cases
-// through mutations.
+// through mutations, at an ordinary budget and at budget 0 (the empty
+// synopsis, whose cost still follows the data).
 func TestLiveSmallDomains(t *testing.T) {
 	p := metric.Params{C: 0.5}
 	for _, tc := range []struct {
-		family LiveFamily
+		family Family
 		kind   metric.Kind
 		q      int
 	}{
-		{LiveSSEFamily, metric.SSE, 0},
-		{LiveRestrictedFamily, metric.SAE, 0},
-		{LiveUnrestrictedFamily, metric.SAE, 1},
+		{SSEFamily, metric.SSE, 0},
+		{RestrictedFamily, metric.SAE, 0},
+		{UnrestrictedFamily, metric.SAE, 1},
 	} {
-		rng := rand.New(rand.NewSource(2))
-		vp := liveRandVP(rng, 1)
-		lv, err := NewLive(vp, tc.family, tc.kind, p, 4, tc.q, nil)
-		if err != nil {
-			t.Fatalf("family %d: %v", tc.family, err)
-		}
-		cur := vp.Clone()
-		for step := 0; step < 4; step++ {
-			it := liveRandItem(rng)
-			if step%2 == 0 {
-				cur.Items = append(cur.Items, it.Clone())
-				cur.N = len(cur.Items)
-				if err := lv.Append([]pdata.ItemPDF{it}); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				i := rng.Intn(cur.N)
-				cur.Items[i] = it.Clone()
-				if err := lv.Update(i, it); err != nil {
-					t.Fatal(err)
-				}
+		for _, B := range []int{4, 0} {
+			rng := rand.New(rand.NewSource(2))
+			vp := liveRandVP(rng, 1)
+			lv, err := NewLive(vp, tc.family, tc.kind, p, B, tc.q, nil)
+			if err != nil {
+				t.Fatalf("family %d: %v", tc.family, err)
 			}
-			sw := freshSweep(t, cur, tc.family, tc.kind, p, 4, tc.q, nil)
-			assertLiveMatchesSweep(t, lv, sw, "small")
+			cur := vp.Clone()
+			for step := 0; step < 4; step++ {
+				it := liveRandItem(rng)
+				if step%2 == 0 {
+					cur.Items = append(cur.Items, it.Clone())
+					cur.N = len(cur.Items)
+					if err := lv.Append([]pdata.ItemPDF{it}); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					i := rng.Intn(cur.N)
+					cur.Items[i] = it.Clone()
+					if err := lv.Update(i, it); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sw := freshSweep(t, cur, tc.family, tc.kind, p, B, tc.q, nil)
+				assertLiveMatchesSweep(t, lv, sw, "small")
+			}
 		}
 	}
 }

@@ -56,7 +56,7 @@ func TestBuildRestrictedPoolBitIdentical(t *testing.T) {
 		for _, k := range []metric.Kind{metric.SSEFixed, metric.SSRE,
 			metric.SAE, metric.SARE, metric.MAE, metric.MARE} {
 			for _, B := range []int{0, 1, 4, 9} {
-				serial, cs, err := wavelet.BuildRestricted(src, k, metric.Params{C: 0.5}, B)
+				serial, cs, err := wavelet.BuildRestrictedPool(src, k, metric.Params{C: 0.5}, B, nil)
 				if err != nil {
 					t.Fatalf("%s/%v B=%d serial: %v", srcName, k, B, err)
 				}
@@ -78,7 +78,7 @@ func TestBuildUnrestrictedPoolBitIdentical(t *testing.T) {
 	for _, k := range []metric.Kind{metric.SAE, metric.MAE} {
 		for _, q := range []int{0, 2} {
 			for _, B := range []int{1, 3} {
-				serial, cs, err := wavelet.BuildUnrestricted(src, k, metric.Params{C: 0.5}, B, q)
+				serial, cs, err := wavelet.BuildUnrestrictedPool(src, k, metric.Params{C: 0.5}, B, q, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -102,7 +102,7 @@ func TestBuildUnrestrictedDynamicPoolBitIdentical(t *testing.T) {
 	src := ptest.RandomValuePDF(rng, 16, 3)
 	for _, k := range []metric.Kind{metric.SAE, metric.MAE} {
 		for _, q := range []int{0, 2} {
-			serial, cs, err := wavelet.BuildUnrestricted(src, k, metric.Params{C: 0.5}, 3, q)
+			serial, cs, err := wavelet.BuildUnrestrictedPool(src, k, metric.Params{C: 0.5}, 3, q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,11 +124,11 @@ func TestBuildUnrestrictedDynamicPoolBitIdentical(t *testing.T) {
 func TestBuildRestrictedWorkersDefaultGrain(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	src := ptest.RandomValuePDF(rng, 32, 3)
-	serial, cs, err := wavelet.BuildRestricted(src, metric.SAE, metric.Params{C: 0.5}, 6)
+	serial, cs, err := wavelet.BuildRestrictedPool(src, metric.SAE, metric.Params{C: 0.5}, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, cp, err := wavelet.BuildRestrictedWorkers(src, metric.SAE, metric.Params{C: 0.5}, 6, 0)
+	par, cp, err := wavelet.BuildRestrictedPool(src, metric.SAE, metric.Params{C: 0.5}, 6, engine.New(engine.Options{Workers: 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestBuildRestrictedPoolTinyDomains(t *testing.T) {
 	for n := 1; n <= 6; n++ {
 		src := ptest.RandomValuePDF(rng, n, 3)
 		for B := 0; B <= n+1; B++ {
-			serial, cs, err := wavelet.BuildRestricted(src, metric.SAE, metric.Params{C: 0.5}, B)
+			serial, cs, err := wavelet.BuildRestrictedPool(src, metric.SAE, metric.Params{C: 0.5}, B, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

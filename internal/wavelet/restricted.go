@@ -151,7 +151,7 @@ func (pe *PointErrors) SynopsisError(syn *Synopsis) float64 {
 	return worst
 }
 
-// BuildRestricted solves the restricted thresholding problem (§4.2,
+// BuildRestrictedPool solves the restricted thresholding problem (§4.2,
 // Theorem 8): choose which coefficients to retain, with every retained
 // coefficient fixed at its expected value, minimizing the expected target
 // error. It runs the coefficient-tree dynamic program OPTW[j, b, v],
@@ -160,55 +160,28 @@ func (pe *PointErrors) SynopsisError(syn *Synopsis) float64 {
 // level-by-level sweep over dense per-level tables (see treedp.go).
 //
 // The budget semantics are "at most B coefficients". Returns the synopsis
-// and its optimal expected error. BuildRestricted is single-threaded
-// shorthand for BuildRestrictedPool with a nil pool.
-func BuildRestricted(src pdata.Source, kind metric.Kind, p metric.Params, B int) (*Synopsis, float64, error) {
-	return BuildRestrictedPool(src, kind, p, B, nil)
-}
-
-// BuildRestrictedWorkers is BuildRestricted with the DP's level sweeps
-// spread across `workers` goroutines (workers <= 0 means one per CPU) at
-// the engine's default grain.
-func BuildRestrictedWorkers(src pdata.Source, kind metric.Kind, p metric.Params, B, workers int) (*Synopsis, float64, error) {
-	return BuildRestrictedPool(src, kind, p, B, engine.New(engine.Options{Workers: workers}))
-}
-
-// BuildRestrictedPool is BuildRestricted scheduled on an explicit engine
-// pool (nil means serial). The parallel schedule is deterministic: every
-// DP state is an independent slot computed in the serial operation order,
-// so the synopsis — coefficients, values, and cost — is bit-identical at
-// any worker count.
+// and its optimal expected error. The DP is scheduled on pool (nil means
+// serial), deterministically: every DP state is an independent slot
+// computed in the serial operation order, so the synopsis — coefficients,
+// values, and cost — is bit-identical at any worker count.
 func BuildRestrictedPool(src pdata.Source, kind metric.Kind, p metric.Params, B int, pool *engine.Pool) (*Synopsis, float64, error) {
-	sw, err := SweepRestrictedPool(src, kind, p, B, pool)
-	if err != nil {
-		return nil, 0, err
-	}
-	syn := sw.at(min(B, sw.bmax))
-	return syn, syn.Cost, nil
+	return buildAt(src, RestrictedFamily, kind, p, B, 0, pool)
 }
 
-// BuildRestrictedApprox solves the restricted problem approximately with
-// incoming values quantized onto per-node grids of q >= 2 points (§4.2's
-// bound-and-quantize argument): the DP's state space drops from O(n²B²)
-// to O(n·q·B), reaching domains the exact DP cannot, at a bounded
+// BuildRestrictedApproxPool solves the restricted problem approximately
+// with incoming values quantized onto per-node grids of q >= 2 points
+// (§4.2's bound-and-quantize argument): the DP's state space drops from
+// O(n²B²) to O(n·q·B), reaching domains the exact DP cannot, at a bounded
 // additive suboptimality (see Sweep.ErrorBound). The returned cost is
 // the synopsis's exactly-evaluated expected error, so it is never below
 // the exact optimum and converges to it as q grows; q at least half the
 // padded domain size degenerates to the exact DP. Results are
-// bit-identical at any worker count.
-func BuildRestrictedApprox(src pdata.Source, kind metric.Kind, p metric.Params, B, q int) (*Synopsis, float64, error) {
-	return BuildRestrictedApproxPool(src, kind, p, B, q, nil)
-}
-
-// BuildRestrictedApproxPool is BuildRestrictedApprox scheduled on an
-// explicit engine pool (nil means serial).
+// bit-identical at any worker count; pool nil means serial.
 func BuildRestrictedApproxPool(src pdata.Source, kind metric.Kind, p metric.Params, B, q int, pool *engine.Pool) (*Synopsis, float64, error) {
-	sw, err := SweepRestrictedApproxPool(src, kind, p, B, q, pool)
-	if err != nil {
-		return nil, 0, err
+	if q < 2 {
+		return nil, 0, fmt.Errorf("wavelet: quantized restricted build needs q >= 2, got %d", q)
 	}
-	syn := sw.at(min(B, sw.bmax))
-	return syn, syn.Cost, nil
+	return buildAt(src, RestrictedFamily, kind, p, B, q, pool)
 }
 
 // restrictedSingleton solves the n == 1 domain at budget b: retain c0 at

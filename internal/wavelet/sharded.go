@@ -145,30 +145,17 @@ func BuildShardedSSE(src pdata.Source, B, k int, conc int) (*ShardedResult, *SSE
 	})
 	syn := fromDense(dense, cand[:B])
 
-	// Replay BuildSSE's accounting over the (identical) dense transform
-	// so the report and Cost stay bit-identical too.
-	rep := &SSEReport{}
-	for i, v := range dense {
-		nv := v * haar.NormFactor(i, N)
-		rep.TotalMuSq += nv * nv
-	}
-	for j, i := range syn.Indices {
-		nv := syn.Values[j] * haar.NormFactor(i, N)
-		rep.RetainedMuSq += nv * nv
-	}
-	mom := pdata.MomentsOf(src)
-	var acc numeric.Accumulator
-	for _, v := range mom.Var {
-		acc.Add(v)
-	}
-	rep.VarianceFloor = acc.Value()
-	rep.ExpectedSSE = rep.VarianceFloor + rep.DroppedMuSq()
+	// BuildSSE's accounting over the (identical) dense transform, so the
+	// report and Cost stay bit-identical too.
+	g := sseGreedy{c: dense}
+	g.sums(pdata.MomentsOf(src).Var)
+	rep := g.report(syn)
 	syn.Cost = rep.ExpectedSSE
 
 	return &ShardedResult{
 		Merged: syn,
 		Pieces: ssePieces(syn, k, w),
-	}, rep, nil
+	}, &rep, nil
 }
 
 // ssePieces projects a merged SSE synopsis onto each shard: retained
@@ -226,6 +213,9 @@ func BuildShardedRestricted(src pdata.Source, kind metric.Kind, p metric.Params,
 	if B < 0 {
 		return nil, fmt.Errorf("wavelet: negative budget %d", B)
 	}
+	if err := checkQuant(RestrictedFamily, q); err != nil {
+		return nil, err
+	}
 	vp := padValuePDF(pdata.AsValuePDF(src))
 	N := vp.N
 	if err := checkShards(N, k); err != nil {
@@ -249,7 +239,7 @@ func BuildShardedRestricted(src pdata.Source, kind metric.Kind, p metric.Params,
 	pes := make([]*PointErrors, k)
 	err := engine.Fan(k, conc, func(s int) error {
 		svp := &pdata.ValuePDF{N: w, Items: vp.Items[s*w : (s+1)*w]}
-		sw, pe, err := sweepRestrictedOpt(svp, kind, p, caps[s], q, true, pool)
+		sw, pe, err := sweepDP(svp, RestrictedFamily, kind, p, caps[s], q, true, pool)
 		if err != nil {
 			return err
 		}

@@ -41,41 +41,83 @@ func (r *SSEReport) ErrorPercent() float64 {
 	return 100 * r.DroppedMuSq() / r.TotalMuSq
 }
 
-// BuildSSE constructs the expected-SSE-optimal B-term synopsis (Theorem 7):
-// compute the Haar transform of the expected frequencies — by linearity
-// these are the expected coefficients — and keep the B largest in absolute
-// normalized value, each retained at its expected value. Runs in O(m + n
-// log n) (the paper's O(n) up to our sort-based selection). The domain is
-// zero-padded to a power of two.
-func BuildSSE(src pdata.Source, B int) (*Synopsis, *SSEReport, error) {
-	if B < 0 {
-		return nil, nil, fmt.Errorf("wavelet: negative budget %d", B)
-	}
-	expected := haar.Pad(src.ExpectedFreqs())
-	c := haar.Forward(expected)
-	keep := haar.TopK(c, B)
-	syn := fromDense(c, keep)
+// sseGreedy is the forward state of the greedy SSE-optimal build
+// (Theorem 7): the Haar transform of the expected frequencies — by
+// linearity these are the expected coefficients — in magnitude order, of
+// which a budget-b synopsis keeps the first b, each at its expected value,
+// and the two sums its error accounting needs. The SSE sweep, BuildSSE and
+// the live frontier all extract from one.
+type sseGreedy struct {
+	c     []float64 // expected coefficients over the zero-padded domain
+	order []int     // haar.TopK's total order: |normalized| desc, index asc
+	// totalMuSq is Σ_i μ_i² in coefficient order; varFloor the compensated
+	// Σ_i Var[g_i] in item order (padding items are deterministic zeros).
+	totalMuSq, varFloor float64
+}
 
-	rep := &SSEReport{}
-	n := len(c)
-	for i, v := range c {
+func newSSEGreedy(src pdata.Source) *sseGreedy {
+	g := &sseGreedy{c: haar.Forward(haar.Pad(src.ExpectedFreqs()))}
+	// TopK's order is a deterministic total order (magnitude, then
+	// index), so TopK(c, b) is the b-prefix of TopK(c, n) for every b.
+	g.order = haar.TopK(g.c, len(g.c))
+	g.sums(pdata.MomentsOf(src).Var)
+	return g
+}
+
+// sums re-derives the error accounting from g.c and the per-item
+// variances.
+func (g *sseGreedy) sums(variances []float64) {
+	n := len(g.c)
+	g.totalMuSq = 0
+	for i, v := range g.c {
 		nv := v * haar.NormFactor(i, n)
-		rep.TotalMuSq += nv * nv
+		g.totalMuSq += nv * nv
 	}
+	var acc numeric.Accumulator
+	for _, v := range variances {
+		acc.Add(v)
+	}
+	g.varFloor = acc.Value()
+}
+
+// report is the exact error accounting of a synopsis that retains some of
+// g.c at their expected values.
+func (g *sseGreedy) report(syn *Synopsis) SSEReport {
+	rep := SSEReport{TotalMuSq: g.totalMuSq, VarianceFloor: g.varFloor}
+	n := len(g.c)
 	for k, i := range syn.Indices {
 		nv := syn.Values[k] * haar.NormFactor(i, n)
 		rep.RetainedMuSq += nv * nv
 	}
-	// Irreducible floor: Σ Var[g_i] (padding items are deterministic zeros).
-	mom := pdata.MomentsOf(src)
-	var acc numeric.Accumulator
-	for _, v := range mom.Var {
-		acc.Add(v)
-	}
-	rep.VarianceFloor = acc.Value()
 	rep.ExpectedSSE = rep.VarianceFloor + rep.DroppedMuSq()
-	syn.Cost = rep.ExpectedSSE
-	return syn, rep, nil
+	return rep
+}
+
+// at extracts the budget-b synopsis, priced at its expected SSE.
+func (g *sseGreedy) at(b int) *Synopsis {
+	syn := fromDense(g.c, g.order[:b])
+	syn.Cost = g.report(syn).ExpectedSSE
+	return syn
+}
+
+func (g *sseGreedy) sweep(B int) *Sweep {
+	return extractionSweep(len(g.c), min(B, len(g.c)), g.at)
+}
+
+// BuildSSE constructs the expected-SSE-optimal B-term synopsis
+// (Theorem 7) together with its error accounting: the SSE sweep at budget
+// B extracted at B, which is what probsyn.Build runs for this family.
+// Runs in O(m + n log n) (the paper's O(n) up to our sort-based
+// selection). The domain is zero-padded to a power of two.
+func BuildSSE(src pdata.Source, B int) (*Synopsis, *SSEReport, error) {
+	if B < 0 {
+		return nil, nil, fmt.Errorf("wavelet: negative budget %d", B)
+	}
+	g := newSSEGreedy(src)
+	sw := g.sweep(B)
+	syn := sw.at(sw.bmax)
+	rep := g.report(syn)
+	return syn, &rep, nil
 }
 
 // ExpectedSSEOf returns the exact expected sum-squared error of an

@@ -6,7 +6,6 @@ import (
 	"probsyn/internal/engine"
 	"probsyn/internal/haar"
 	"probsyn/internal/metric"
-	"probsyn/internal/numeric"
 	"probsyn/internal/pdata"
 )
 
@@ -58,9 +57,10 @@ func (s *Sweep) Cost(b int) float64 {
 	return s.costs[b-1]
 }
 
-// Synopsis extracts the optimal budget-b synopsis, 1 <= b <= Bmax.
+// Synopsis extracts the optimal budget-b synopsis, 1 <= b <= Bmax. A
+// zero-budget sweep has the one budget 0: the empty synopsis.
 func (s *Sweep) Synopsis(b int) (*Synopsis, error) {
-	if b < 1 || b > s.bmax {
+	if b > s.bmax || b < min(1, s.bmax) {
 		return nil, fmt.Errorf("wavelet: sweep budget %d outside [1, %d]", b, s.bmax)
 	}
 	return s.at(b), nil
@@ -80,57 +80,77 @@ func (s *Sweep) Synopses() []*Synopsis {
 	return out
 }
 
-// SweepRestricted is SweepRestrictedPool with a nil (serial) pool.
-func SweepRestricted(src pdata.Source, kind metric.Kind, p metric.Params, B int) (*Sweep, error) {
-	return SweepRestrictedPool(src, kind, p, B, nil)
-}
+// Family selects which wavelet construction a Sweep or a Live frontier
+// runs.
+type Family int
 
-// SweepRestrictedPool runs the restricted coefficient-tree DP (Theorem 8)
-// once at budget B and returns the whole frontier: every budget b <= B is
-// a backtrack away, bit-identical to BuildRestrictedPool at budget b.
-func SweepRestrictedPool(src pdata.Source, kind metric.Kind, p metric.Params, B int, pool *engine.Pool) (*Sweep, error) {
-	return sweepRestricted(src, kind, p, B, 0, pool)
-}
+const (
+	// SSEFamily is the greedy SSE-optimal build (Theorem 7): the magnitude
+	// order of the expected normalized coefficients, of which budget b
+	// keeps the first b. It ignores metric, q and pool.
+	SSEFamily Family = iota
+	// RestrictedFamily is the restricted coefficient-tree DP (Theorem 8):
+	// exact when q is 0; with q >= 2, incoming values are quantized onto
+	// per-node grids of q points (§4.2's bound-and-quantize argument),
+	// capping the state space at O(n·q·B) so domains far beyond the exact
+	// DP's reach build in seconds. Every synopsis of a quantized sweep
+	// carries its exactly-evaluated expected error as Cost, and ErrorBound
+	// bounds the gap to the exact optimum; q at least half the padded
+	// domain size degenerates to the exact DP.
+	RestrictedFamily
+	// UnrestrictedFamily is the unrestricted DP over candidate grids of 2q
+	// points per coefficient (§4.2 sketch; see BuildUnrestrictedPool).
+	UnrestrictedFamily
+)
 
-// SweepRestrictedApprox is SweepRestrictedApproxPool with a nil pool.
-func SweepRestrictedApprox(src pdata.Source, kind metric.Kind, p metric.Params, B, q int) (*Sweep, error) {
-	return SweepRestrictedApproxPool(src, kind, p, B, q, nil)
-}
-
-// SweepRestrictedApproxPool runs the restricted DP with incoming values
-// quantized onto per-node grids of q >= 2 points (§4.2's bound-and-
-// quantize argument), capping the state space at O(n·q·B) so domains far
-// beyond the exact DP's reach build in seconds. Every extracted synopsis
-// carries its exactly-evaluated expected error as Cost, and ErrorBound
-// bounds the gap to the exact optimum. Extraction at budget b <= B stays
-// bit-identical to an independent quantized build at budget b (and at
-// any worker count); q at least half the padded domain size degenerates
-// to the exact DP.
-func SweepRestrictedApproxPool(src pdata.Source, kind metric.Kind, p metric.Params, B, q int, pool *engine.Pool) (*Sweep, error) {
-	if q < 2 {
-		return nil, fmt.Errorf("wavelet: quantized restricted sweep needs q >= 2, got %d", q)
+// checkQuant validates a family's q.
+func checkQuant(family Family, q int) error {
+	switch {
+	case family == UnrestrictedFamily && q < 0:
+		return fmt.Errorf("wavelet: negative quantization %d", q)
+	case family == RestrictedFamily && q != 0 && q < 2:
+		return fmt.Errorf("wavelet: the quantized restricted DP needs q = 0 (exact) or q >= 2, got %d", q)
 	}
-	return sweepRestricted(src, kind, p, B, q, pool)
+	return nil
 }
 
-// sweepRestricted is the shared restricted-DP frontier: exact when q is
-// 0, incoming-value quantized when q >= 2.
-func sweepRestricted(src pdata.Source, kind metric.Kind, p metric.Params, B, q int, pool *engine.Pool) (*Sweep, error) {
-	sw, _, err := sweepRestrictedOpt(src, kind, p, B, q, false, pool)
+// NewSweep runs the family's one forward pass at budget B and returns the
+// whole frontier: every budget b <= B is a backtrack away, bit-identical
+// to the family's Build function at budget b, the same q and any worker
+// count. pool nil means serial.
+func NewSweep(src pdata.Source, family Family, kind metric.Kind, p metric.Params, B, q int, pool *engine.Pool) (*Sweep, error) {
+	if B < 0 {
+		return nil, fmt.Errorf("wavelet: negative budget %d", B)
+	}
+	if err := checkQuant(family, q); err != nil {
+		return nil, err
+	}
+	if family == SSEFamily {
+		return newSSEGreedy(src).sweep(B), nil
+	}
+	sw, _, err := sweepDP(src, family, kind, p, B, q, false, pool)
 	return sw, err
 }
 
-// sweepRestrictedOpt is sweepRestricted with the sharded merge's two
-// extras: forced pins the root coefficient retained at its expected
-// value (one budget unit spent on c0, the rest optimized over the
-// details — the per-shard sweeps of a sharded build, whose local c0
-// must survive into the merged synopsis), and the PointErrors is
-// returned so the sharded bound can price reconstruction slack without
-// rebuilding it.
-func sweepRestrictedOpt(src pdata.Source, kind metric.Kind, p metric.Params, B, q int, forced bool, pool *engine.Pool) (*Sweep, *PointErrors, error) {
-	if B < 0 {
-		return nil, nil, fmt.Errorf("wavelet: negative budget %d", B)
+// buildAt is the single-budget form of NewSweep: the frontier at budget B
+// extracted at B (clamped to the padded domain), with its cost.
+func buildAt(src pdata.Source, family Family, kind metric.Kind, p metric.Params, B, q int, pool *engine.Pool) (*Synopsis, float64, error) {
+	sw, err := NewSweep(src, family, kind, p, B, q, pool)
+	if err != nil {
+		return nil, 0, err
 	}
+	syn := sw.at(sw.bmax)
+	return syn, syn.Cost, nil
+}
+
+// sweepDP is the frontier of a coefficient-tree DP family, with the
+// sharded merge's two extras: forced (restricted family only) pins the
+// root coefficient retained at its expected value (one budget unit spent
+// on c0, the rest optimized over the details — the per-shard sweeps of a
+// sharded build, whose local c0 must survive into the merged synopsis),
+// and the PointErrors is returned so the sharded bound can price
+// reconstruction slack without rebuilding it.
+func sweepDP(src pdata.Source, family Family, kind metric.Kind, p metric.Params, B, q int, forced bool, pool *engine.Pool) (*Sweep, *PointErrors, error) {
 	if forced && B < 1 {
 		return nil, nil, fmt.Errorf("wavelet: forced-root sweep needs budget >= 1, got %d", B)
 	}
@@ -140,22 +160,17 @@ func sweepRestrictedOpt(src pdata.Source, kind metric.Kind, p metric.Params, B, 
 		return nil, nil, err
 	}
 	n := vp.N
-	cvals := haar.Forward(vp.ExpectedFreqs())
-	if B > n {
-		B = n
-	}
+	B = min(B, n)
+	cands := candidates(family, vp, haar.Forward(vp.ExpectedFreqs()), q)
 	if n == 1 {
-		at := func(b int) *Synopsis { return restrictedSingleton(pe, cvals[0], b) }
+		at := func(b int) *Synopsis { return singleton(family, pe, cands[0], b) }
 		if forced {
-			at = func(int) *Synopsis { return restrictedSingletonForced(pe, cvals[0]) }
+			at = func(int) *Synopsis { return restrictedSingletonForced(pe, cands[0][0]) }
 		}
-		return singletonSweep(B, at), pe, nil
+		return extractionSweep(1, B, at), pe, nil
 	}
-	// The restricted problem is the shared tree DP with a single
-	// candidate per coefficient: its expected value.
-	cands := make([][]float64, n)
-	for j := range cands {
-		cands[j] = cvals[j : j+1]
+	if family == UnrestrictedFamily {
+		q = 0 // spent on the candidate grids; incoming values stay exact
 	}
 	sw, err := dpSweep(n, B, cands, pe, kind.Cumulative(), q, forced, pool)
 	if err != nil {
@@ -164,83 +179,27 @@ func sweepRestrictedOpt(src pdata.Source, kind metric.Kind, p metric.Params, B, 
 	return sw, pe, nil
 }
 
-// SweepUnrestricted is SweepUnrestrictedPool with a nil (serial) pool.
-func SweepUnrestricted(src pdata.Source, kind metric.Kind, p metric.Params, B, q int) (*Sweep, error) {
-	return SweepUnrestrictedPool(src, kind, p, B, q, nil)
+// candidates builds a DP family's per-coefficient candidate values over
+// the expected coefficients cvals. The restricted problem is the shared
+// tree DP with a single candidate per coefficient: its expected value.
+func candidates(family Family, vp *pdata.ValuePDF, cvals []float64, q int) [][]float64 {
+	if family == UnrestrictedFamily {
+		return candidateGrids(vp, cvals, q)
+	}
+	cands := make([][]float64, len(cvals))
+	for j := range cands {
+		cands[j] = cvals[j : j+1]
+	}
+	return cands
 }
 
-// SweepUnrestrictedPool runs the quantized unrestricted DP (§4.2 sketch)
-// once at budget B and returns the whole frontier; every budget b <= B
-// is bit-identical to BuildUnrestrictedPool at budget b and the same q.
-func SweepUnrestrictedPool(src pdata.Source, kind metric.Kind, p metric.Params, B, q int, pool *engine.Pool) (*Sweep, error) {
-	if B < 0 {
-		return nil, fmt.Errorf("wavelet: negative budget %d", B)
+// singleton solves the degenerate n == 1 domain at budget b, where each
+// family enumerates the root's candidates directly.
+func singleton(family Family, pe *PointErrors, cands []float64, b int) *Synopsis {
+	if family == UnrestrictedFamily {
+		return unrestrictedSingleton(pe, cands, b)
 	}
-	if q < 0 {
-		return nil, fmt.Errorf("wavelet: negative quantization %d", q)
-	}
-	vp := padValuePDF(pdata.AsValuePDF(src))
-	pe, err := NewPointErrors(vp, kind, p)
-	if err != nil {
-		return nil, err
-	}
-	n := vp.N
-	mu := haar.Forward(vp.ExpectedFreqs())
-	if B > n {
-		B = n
-	}
-	cands := candidateGrids(vp, mu, q)
-	if n == 1 {
-		return singletonSweep(B, func(b int) *Synopsis {
-			return unrestrictedSingleton(pe, cands[0], b)
-		}), nil
-	}
-	return dpSweep(n, B, cands, pe, kind.Cumulative(), 0, false, pool)
-}
-
-// SweepSSE is the frontier of the greedy SSE-optimal build (Theorem 7):
-// the magnitude order of the expected normalized coefficients is computed
-// once, and budget b keeps its first b entries — exactly the set (and the
-// cost accounting) BuildSSE produces at budget b.
-func SweepSSE(src pdata.Source, B int) (*Sweep, error) {
-	if B < 0 {
-		return nil, fmt.Errorf("wavelet: negative budget %d", B)
-	}
-	expected := haar.Pad(src.ExpectedFreqs())
-	c := haar.Forward(expected)
-	n := len(c)
-	if B > n {
-		B = n
-	}
-	// TopK's order is a deterministic total order (magnitude, then
-	// index), so TopK(c, b) is the b-prefix of TopK(c, n) for every b.
-	order := haar.TopK(c, n)
-	totalMuSq := 0.0
-	for i, v := range c {
-		nv := v * haar.NormFactor(i, n)
-		totalMuSq += nv * nv
-	}
-	mom := pdata.MomentsOf(src)
-	var acc numeric.Accumulator
-	for _, v := range mom.Var {
-		acc.Add(v)
-	}
-	varianceFloor := acc.Value()
-	at := func(b int) *Synopsis {
-		syn := fromDense(c, order[:b])
-		retained := 0.0
-		for k, i := range syn.Indices {
-			nv := syn.Values[k] * haar.NormFactor(i, n)
-			retained += nv * nv
-		}
-		syn.Cost = varianceFloor + (totalMuSq - retained)
-		return syn
-	}
-	costs := make([]float64, B)
-	for b := 1; b <= B; b++ {
-		costs[b-1] = at(b).Cost
-	}
-	return &Sweep{n: n, bmax: B, costs: costs, at: at, pool: engine.Serial()}, nil
+	return restrictedSingleton(pe, cands[0], b)
 }
 
 // dpSweep runs the shared tree DP once and wraps its tables as a Sweep.
@@ -282,12 +241,14 @@ func dpSweep(n, B int, cands [][]float64, pe *PointErrors, cumulative bool, quan
 	}, nil
 }
 
-// singletonSweep wraps the degenerate n == 1 domain, where budgets are 0
-// or 1 and each family enumerates its candidates directly.
-func singletonSweep(B int, at func(b int) *Synopsis) *Sweep {
+// extractionSweep wraps a family whose budget-b cost is only known by
+// extracting the budget-b synopsis: the SSE greedy, and the degenerate
+// n == 1 domain, where budgets are 0 or 1 and each family enumerates its
+// candidates directly.
+func extractionSweep(n, B int, at func(b int) *Synopsis) *Sweep {
 	costs := make([]float64, B)
 	for b := 1; b <= B; b++ {
 		costs[b-1] = at(b).Cost
 	}
-	return &Sweep{n: 1, bmax: B, costs: costs, at: at, pool: engine.Serial()}
+	return &Sweep{n: n, bmax: B, costs: costs, at: at, pool: engine.Serial()}
 }

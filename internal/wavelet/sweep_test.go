@@ -31,7 +31,7 @@ func families() []sweepFamily {
 		{
 			name: "restricted",
 			sweep: func(src pdata.Source, B, workers int) (*wavelet.Sweep, error) {
-				return wavelet.SweepRestrictedPool(src, metric.SAE, p, B, finePool(workers))
+				return wavelet.NewSweep(src, wavelet.RestrictedFamily, metric.SAE, p, B, 0, finePool(workers))
 			},
 			build: func(src pdata.Source, B, workers int) (*wavelet.Synopsis, float64, error) {
 				return wavelet.BuildRestrictedPool(src, metric.SAE, p, B, finePool(workers))
@@ -40,7 +40,7 @@ func families() []sweepFamily {
 		{
 			name: "unrestricted",
 			sweep: func(src pdata.Source, B, workers int) (*wavelet.Sweep, error) {
-				return wavelet.SweepUnrestrictedPool(src, metric.SARE, p, B, 2, finePool(workers))
+				return wavelet.NewSweep(src, wavelet.UnrestrictedFamily, metric.SARE, p, B, 2, finePool(workers))
 			},
 			build: func(src pdata.Source, B, workers int) (*wavelet.Synopsis, float64, error) {
 				return wavelet.BuildUnrestrictedPool(src, metric.SARE, p, B, 2, finePool(workers))
@@ -49,7 +49,7 @@ func families() []sweepFamily {
 		{
 			name: "sse",
 			sweep: func(src pdata.Source, B, _ int) (*wavelet.Sweep, error) {
-				return wavelet.SweepSSE(src, B)
+				return wavelet.NewSweep(src, wavelet.SSEFamily, metric.SSE, metric.Params{}, B, 0, nil)
 			},
 			build: func(src pdata.Source, B, _ int) (*wavelet.Synopsis, float64, error) {
 				syn, _, err := wavelet.BuildSSE(src, B)
@@ -112,7 +112,7 @@ func TestSweepMatchesIndependentBuilds(t *testing.T) {
 func TestSweepSynopsesParallelExtraction(t *testing.T) {
 	src := ptest.RandomValuePDF(rand.New(rand.NewSource(5)), 32, 3)
 	const B = 12
-	sw, err := wavelet.SweepRestrictedPool(src, metric.SAE, metric.Params{C: 0.5}, B, finePool(runtime.NumCPU()))
+	sw, err := wavelet.NewSweep(src, wavelet.RestrictedFamily, metric.SAE, metric.Params{C: 0.5}, B, 0, finePool(runtime.NumCPU()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestSweepTinyDomains(t *testing.T) {
 // instead of clamping silently; Cost clamps like hist.DPTable.
 func TestSweepBudgetValidation(t *testing.T) {
 	src := ptest.RandomValuePDF(rand.New(rand.NewSource(3)), 8, 3)
-	sw, err := wavelet.SweepRestricted(src, metric.SAE, metric.Params{C: 0.5}, 4)
+	sw, err := wavelet.NewSweep(src, wavelet.RestrictedFamily, metric.SAE, metric.Params{C: 0.5}, 4, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,19 +174,19 @@ func TestSweepBudgetValidation(t *testing.T) {
 	if sw.Cost(99) != sw.Cost(4) || sw.Cost(-3) != sw.Cost(1) {
 		t.Fatal("Cost should clamp out-of-range budgets")
 	}
-	if _, err := wavelet.SweepRestricted(src, metric.SAE, metric.Params{C: 0.5}, -1); err == nil {
+	if _, err := wavelet.NewSweep(src, wavelet.RestrictedFamily, metric.SAE, metric.Params{C: 0.5}, -1, 0, nil); err == nil {
 		t.Fatal("negative sweep budget accepted")
 	}
-	// A zero-budget sweep (built internally by Build* at B=0) has no
-	// extractable budgets but must still answer Cost without panicking.
-	zero, err := wavelet.SweepRestricted(src, metric.SAE, metric.Params{C: 0.5}, 0)
+	// A zero-budget sweep (built internally by Build* at B=0) has the one
+	// budget 0 and must still answer Cost without panicking.
+	zero, err := wavelet.NewSweep(src, wavelet.RestrictedFamily, metric.SAE, metric.Params{C: 0.5}, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if zero.Bmax() != 0 {
 		t.Fatalf("zero sweep Bmax = %d", zero.Bmax())
 	}
-	_, emptyCost, err := wavelet.BuildRestricted(src, metric.SAE, metric.Params{C: 0.5}, 0)
+	_, emptyCost, err := wavelet.BuildRestrictedPool(src, metric.SAE, metric.Params{C: 0.5}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,10 @@ func TestSweepBudgetValidation(t *testing.T) {
 	if _, err := zero.Synopsis(1); err == nil {
 		t.Fatal("zero sweep Synopsis(1) succeeded, want range error")
 	}
-	if _, err := wavelet.SweepUnrestricted(src, metric.SAE, metric.Params{C: 0.5}, 4, -1); err == nil {
+	if empty, err := zero.Synopsis(0); err != nil || empty.Terms() != 0 || empty.Cost != emptyCost {
+		t.Fatalf("zero sweep Synopsis(0) = %+v, %v; want the empty synopsis at cost %v", empty, err, emptyCost)
+	}
+	if _, err := wavelet.NewSweep(src, wavelet.UnrestrictedFamily, metric.SAE, metric.Params{C: 0.5}, 4, -1, nil); err == nil {
 		t.Fatal("negative quantization accepted")
 	}
 }

@@ -335,7 +335,7 @@ func TestBuildRestrictedMatchesBruteForce(t *testing.T) {
 				t.Fatal(err)
 			}
 			for B := 0; B <= 3; B++ {
-				syn, got, err := wavelet.BuildRestricted(src, k, p, B)
+				syn, got, err := wavelet.BuildRestrictedPool(src, k, p, B, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -383,7 +383,7 @@ func TestBuildRestrictedSSEFixedMatchesGreedy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, dp, err := wavelet.BuildRestricted(src, metric.SSEFixed, metric.Params{}, B)
+			_, dp, err := wavelet.BuildRestrictedPool(src, metric.SSEFixed, metric.Params{}, B, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -400,7 +400,7 @@ func TestBuildRestrictedMonotoneInBudget(t *testing.T) {
 	p := metric.Params{C: 0.5}
 	prev := math.Inf(1)
 	for B := 0; B <= 8; B++ {
-		_, got, err := wavelet.BuildRestricted(src, metric.SAE, p, B)
+		_, got, err := wavelet.BuildRestrictedPool(src, metric.SAE, p, B, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,14 +413,14 @@ func TestBuildRestrictedMonotoneInBudget(t *testing.T) {
 
 func TestBuildRestrictedTinyDomain(t *testing.T) {
 	src := pdata.Deterministic([]float64{3})
-	syn, got, err := wavelet.BuildRestricted(src, metric.SAE, metric.Params{C: 1}, 1)
+	syn, got, err := wavelet.BuildRestrictedPool(src, metric.SAE, metric.Params{C: 1}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got > 1e-12 || syn.B() != 1 {
 		t.Fatalf("n=1 with budget: error %v, B %d", got, syn.B())
 	}
-	_, got0, err := wavelet.BuildRestricted(src, metric.SAE, metric.Params{C: 1}, 0)
+	_, got0, err := wavelet.BuildRestrictedPool(src, metric.SAE, metric.Params{C: 1}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +430,7 @@ func TestBuildRestrictedTinyDomain(t *testing.T) {
 }
 
 func TestBuildRestrictedRejectsNegativeBudget(t *testing.T) {
-	if _, _, err := wavelet.BuildRestricted(pdata.Deterministic([]float64{1}), metric.SAE, metric.Params{}, -1); err == nil {
+	if _, _, err := wavelet.BuildRestrictedPool(pdata.Deterministic([]float64{1}), metric.SAE, metric.Params{}, -1, nil); err == nil {
 		t.Fatal("negative budget accepted")
 	}
 }

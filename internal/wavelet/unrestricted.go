@@ -9,7 +9,7 @@ import (
 	"probsyn/internal/pdata"
 )
 
-// BuildUnrestricted approximates the unrestricted thresholding problem of
+// BuildUnrestrictedPool approximates the unrestricted thresholding problem of
 // §4.2: retained coefficient values are chosen to optimize the target
 // metric rather than pinned to their expected values. The paper defers
 // this case, sketching the standard approach — "bound and quantize the
@@ -25,34 +25,15 @@ import (
 // The ancestor-decision state space grows as the product of candidate-set
 // sizes along each root-to-leaf path — O((2q+2)^depth) instead of the
 // restricted DP's 2^depth — so this is exponentially more expensive than
-// BuildRestricted in both q and log n. Use it on small domains: the
+// BuildRestrictedPool in both q and log n. Use it on small domains: the
 // result is optimal over the quantized candidate sets, and combinations
 // whose state space would exhaust memory fail fast with an error. By
 // construction its error is never worse than the restricted optimum,
 // since μ_j is always a candidate; the tests verify both properties.
-// BuildUnrestricted is single-threaded shorthand for
-// BuildUnrestrictedPool with a nil pool.
-func BuildUnrestricted(src pdata.Source, kind metric.Kind, p metric.Params, B, q int) (*Synopsis, float64, error) {
-	return BuildUnrestrictedPool(src, kind, p, B, q, nil)
-}
-
-// BuildUnrestrictedWorkers is BuildUnrestricted with the DP's level
-// sweeps spread across `workers` goroutines (workers <= 0 means one per
-// CPU) at the engine's default grain.
-func BuildUnrestrictedWorkers(src pdata.Source, kind metric.Kind, p metric.Params, B, q, workers int) (*Synopsis, float64, error) {
-	return BuildUnrestrictedPool(src, kind, p, B, q, engine.New(engine.Options{Workers: workers}))
-}
-
-// BuildUnrestrictedPool is BuildUnrestricted scheduled on an explicit
-// engine pool (nil means serial); like the restricted build, the result
-// is bit-identical at any worker count.
+// The DP is scheduled on pool (nil means serial); like the restricted
+// build, the result is bit-identical at any worker count.
 func BuildUnrestrictedPool(src pdata.Source, kind metric.Kind, p metric.Params, B, q int, pool *engine.Pool) (*Synopsis, float64, error) {
-	sw, err := SweepUnrestrictedPool(src, kind, p, B, q, pool)
-	if err != nil {
-		return nil, 0, err
-	}
-	syn := sw.at(min(B, sw.bmax))
-	return syn, syn.Cost, nil
+	return buildAt(src, UnrestrictedFamily, kind, p, B, q, pool)
 }
 
 // unrestrictedSingleton solves the n == 1 domain at budget b: retain the

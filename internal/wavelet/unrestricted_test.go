@@ -20,11 +20,11 @@ func TestUnrestrictedQZeroEqualsRestricted(t *testing.T) {
 		src := ptest.RandomValuePDF(rng, 8, 3)
 		for _, k := range []metric.Kind{metric.SAE, metric.MAE} {
 			for B := 0; B <= 3; B++ {
-				_, restricted, err := wavelet.BuildRestricted(src, k, p, B)
+				_, restricted, err := wavelet.BuildRestrictedPool(src, k, p, B, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, unrestricted, err := wavelet.BuildUnrestricted(src, k, p, B, 0)
+				_, unrestricted, err := wavelet.BuildUnrestrictedPool(src, k, p, B, 0, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -46,11 +46,11 @@ func TestUnrestrictedNeverWorseThanRestricted(t *testing.T) {
 		src := ptest.RandomValuePDF(rng, 8, 3)
 		for _, k := range []metric.Kind{metric.SAE, metric.SARE} {
 			for B := 1; B <= 3; B++ {
-				_, restricted, err := wavelet.BuildRestricted(src, k, p, B)
+				_, restricted, err := wavelet.BuildRestrictedPool(src, k, p, B, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, unrestricted, err := wavelet.BuildUnrestricted(src, k, p, B, 3)
+				_, unrestricted, err := wavelet.BuildUnrestrictedPool(src, k, p, B, 3, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -78,11 +78,11 @@ func TestUnrestrictedBeatsRestrictedOnWitness(t *testing.T) {
 		{Entries: []pdata.FreqProb{{Freq: 1, Prob: 1}}},
 	}}
 	p := metric.Params{C: 0.5}
-	_, restricted, err := wavelet.BuildRestricted(src, metric.SAE, p, 1)
+	_, restricted, err := wavelet.BuildRestrictedPool(src, metric.SAE, p, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, unrestricted, err := wavelet.BuildUnrestricted(src, metric.SAE, p, 1, 8)
+	_, unrestricted, err := wavelet.BuildUnrestrictedPool(src, metric.SAE, p, 1, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestUnrestrictedSelfConsistent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			syn, got, err := wavelet.BuildUnrestricted(src, k, p, 2, 2)
+			syn, got, err := wavelet.BuildUnrestrictedPool(src, k, p, 2, 2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +125,7 @@ func TestUnrestrictedMonotoneInBudget(t *testing.T) {
 	p := metric.Params{C: 0.5}
 	prev := math.Inf(1)
 	for B := 0; B <= 6; B++ {
-		_, got, err := wavelet.BuildUnrestricted(src, metric.SAE, p, B, 2)
+		_, got, err := wavelet.BuildUnrestrictedPool(src, metric.SAE, p, B, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestUnrestrictedMonotoneInBudget(t *testing.T) {
 
 func TestUnrestrictedTinyDomain(t *testing.T) {
 	src := pdata.Deterministic([]float64{5})
-	syn, cost, err := wavelet.BuildUnrestricted(src, metric.SAE, metric.Params{C: 1}, 1, 2)
+	syn, cost, err := wavelet.BuildUnrestrictedPool(src, metric.SAE, metric.Params{C: 1}, 1, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,13 +149,13 @@ func TestUnrestrictedTinyDomain(t *testing.T) {
 
 func TestUnrestrictedArgumentErrors(t *testing.T) {
 	src := pdata.Deterministic([]float64{1})
-	if _, _, err := wavelet.BuildUnrestricted(src, metric.SAE, metric.Params{}, -1, 1); err == nil {
+	if _, _, err := wavelet.BuildUnrestrictedPool(src, metric.SAE, metric.Params{}, -1, 1, nil); err == nil {
 		t.Error("negative budget accepted")
 	}
-	if _, _, err := wavelet.BuildUnrestricted(src, metric.SAE, metric.Params{}, 1, -1); err == nil {
+	if _, _, err := wavelet.BuildUnrestrictedPool(src, metric.SAE, metric.Params{}, 1, -1, nil); err == nil {
 		t.Error("negative quantization accepted")
 	}
-	if _, _, err := wavelet.BuildUnrestricted(src, metric.SSE, metric.Params{}, 1, 1); err == nil {
+	if _, _, err := wavelet.BuildUnrestrictedPool(src, metric.SSE, metric.Params{}, 1, 1, nil); err == nil {
 		t.Error("clairvoyant SSE accepted")
 	}
 }

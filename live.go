@@ -1,11 +1,9 @@
 package probsyn
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
-	"probsyn/internal/engine"
 	"probsyn/internal/hist"
 	"probsyn/internal/pdata"
 	"probsyn/internal/synopsis"
@@ -50,218 +48,118 @@ type Maintainer = synopsis.Maintainer
 // workload-weighted histograms reject Append — the weight vector is
 // per-item and there is no ground truth for new items' weights.
 func BuildLive(src Source, m Metric, Bmax int, opts ...BuildOption) (Maintainer, error) {
-	if Bmax < 1 {
-		return nil, fmt.Errorf("probsyn: live budget %d, want >= 1", Bmax)
-	}
-	cfg := buildConfig{params: DefaultParams(), parallelism: 1}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	if cfg.epsSet {
-		return nil, fmt.Errorf("probsyn: the (1+eps)-approximate DP prunes per budget and has no frontier; use the exact DP for live maintenance")
+	p, err := resolve(m, opts, modeFrontier)
+	if err != nil {
+		return nil, err
 	}
 	vp, ok := src.(*pdata.ValuePDF)
 	if !ok {
 		return nil, fmt.Errorf("probsyn: live maintenance is defined over the value-pdf model; got %T (build from the induced value pdf if marginal semantics suffice)", src)
 	}
-	pool := cfg.pool
-	if pool == nil {
-		pool = engine.New(engine.Options{Workers: cfg.parallelism})
-	}
-	release, err := pool.Acquire(context.Background())
+	_, release, err := p.admit(1)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	if cfg.wavelet {
-		if cfg.weights != nil {
-			return nil, fmt.Errorf("probsyn: workload weights are a histogram option")
-		}
-		if cfg.quantizeSet && cfg.rquantSet {
-			return nil, fmt.Errorf("probsyn: WithQuantize (approximate restricted) and WithUnrestricted are mutually exclusive")
-		}
-		family := wavelet.LiveRestrictedFamily
-		q := 0
-		switch {
-		case cfg.quantizeSet:
-			family, q = wavelet.LiveUnrestrictedFamily, cfg.quantize
-		case cfg.rquantSet:
-			// Quantized restricted: NewLive replays mutations on the
-			// quantized grids, matching a fresh quantized sweep.
-			if m == SSE {
-				return nil, fmt.Errorf("probsyn: the SSE wavelet build is greedy-exact (Theorem 7); incoming-value quantization applies to the restricted DP metrics")
-			}
-			q = cfg.rquant
-		case m == SSE || m == SSEFixed:
-			family = wavelet.LiveSSEFamily
-		}
-		lv, err := wavelet.NewLive(vp, family, m, cfg.params, Bmax, q, pool)
+	l := &liveFrontier{plan: p}
+	if wf, ok := p.family.wavelet(); ok {
+		lv, err := wavelet.NewLive(vp, wf, m, p.params, Bmax, p.q, p.pool)
 		if err != nil {
 			return nil, err
 		}
-		return &liveWavelet{lv: lv, pool: pool}, nil
+		l.state, l.view = lv, func() Frontier { return waveletFrontier{lv} }
+	} else {
+		lv, err := hist.NewLiveDP(vp, func(v *pdata.ValuePDF) (hist.Oracle, error) { return p.oracle(v, p.weights) }, Bmax, p.pool)
+		if err != nil {
+			return nil, err
+		}
+		// The table is revalidated in place by mutations, so it is read
+		// off the live DP at every use, not kept.
+		l.state, l.view = lv, func() Frontier { return histFrontier{lv.Table()} }
 	}
-	if cfg.quantizeSet {
-		return nil, fmt.Errorf("probsyn: unrestricted coefficient values are a wavelet option")
-	}
-	if cfg.rquantSet {
-		return nil, fmt.Errorf("probsyn: incoming-value quantization is a wavelet option")
-	}
-	cfgCopy := cfg // the oracle factory outlives this call
-	makeOracle := func(v *pdata.ValuePDF) (hist.Oracle, error) {
-		return histOracle(v, m, &cfgCopy)
-	}
-	lv, err := hist.NewLiveDP(vp, makeOracle, Bmax, pool)
-	if err != nil {
-		return nil, err
-	}
-	f := &liveHistogram{lv: lv, pool: pool, weighted: cfg.weights != nil, stats: cfg.dpStats}
-	f.snapStats()
-	return f, nil
+	l.reportStats()
+	return l, nil
 }
 
-// liveHistogram adapts hist.LiveDP to the shared Maintainer surface.
-type liveHistogram struct {
-	mu       sync.Mutex
-	lv       *hist.LiveDP
-	pool     *engine.Pool
-	weighted bool
-	stats    *hist.DPStats
+// liveFrontier is a plan's frontier plus the retained state behind it:
+// the one adapter from a family's maintained DP (hist.LiveDP,
+// wavelet.Live — neither safe for concurrent use) to the Maintainer
+// surface. It serializes extractions and mutations with its lock, and
+// every mutation holds a pool admission token like any other build.
+type liveFrontier struct {
+	mu    sync.Mutex
+	plan  *plan
+	state interface {
+		Domain() int
+		Append(items []pdata.ItemPDF) error
+		Update(i int, item pdata.ItemPDF) error
+	}
+	view func() Frontier // the frontier over state's current tables
 }
 
-// snapStats refreshes the WithDPStats sink (if any) with the table's
-// cumulative work counters; called under mu after build and mutations.
-func (f *liveHistogram) snapStats() {
-	if f.stats != nil {
-		*f.stats = f.lv.Table().Stats()
+// reportStats refreshes the WithDPStats sink (if any) with a histogram
+// table's cumulative work counters; called under mu after build and
+// mutations.
+func (l *liveFrontier) reportStats() {
+	if h, ok := l.view().(histFrontier); ok {
+		l.plan.report(h.tab.Stats())
 	}
 }
 
-func (f *liveHistogram) Bmax() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.lv.Table().Bmax()
+func (l *liveFrontier) Bmax() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.view().Bmax()
 }
 
-func (f *liveHistogram) Domain() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.lv.Domain()
+func (l *liveFrontier) Domain() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.state.Domain()
 }
 
-func (f *liveHistogram) Cost(b int) float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if b < 1 {
-		b = 1
-	}
-	return f.lv.Table().Cost(b)
-}
-
-func (f *liveHistogram) Synopsis(b int) (Synopsis, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if b < 1 || b > f.lv.Table().Bmax() {
-		return nil, fmt.Errorf("probsyn: frontier budget %d outside [1, %d]", b, f.lv.Table().Bmax())
-	}
-	return f.lv.Table().Histogram(b)
-}
-
-func (f *liveHistogram) Append(items []pdata.ItemPDF) error {
-	if f.weighted {
-		return fmt.Errorf("probsyn: workload-weighted live histograms cannot Append (no weights for new items); rebuild with an extended weight vector")
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	release, err := f.pool.Acquire(context.Background())
-	if err != nil {
-		return err
-	}
-	defer release()
-	defer f.snapStats()
-	return f.lv.Append(items)
-}
-
-func (f *liveHistogram) Update(i int, item pdata.ItemPDF) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	release, err := f.pool.Acquire(context.Background())
-	if err != nil {
-		return err
-	}
-	defer release()
-	defer f.snapStats()
-	return f.lv.Update(i, item)
-}
-
-// liveWavelet adapts wavelet.Live to the shared Maintainer surface.
-type liveWavelet struct {
-	mu   sync.Mutex
-	lv   *wavelet.Live
-	pool *engine.Pool
-}
-
-func (f *liveWavelet) Bmax() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.lv.Bmax()
-}
-
-func (f *liveWavelet) Domain() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.lv.Domain()
-}
-
-func (f *liveWavelet) Cost(b int) float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.lv.Cost(b)
+func (l *liveFrontier) Cost(b int) float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.view().Cost(b)
 }
 
 // ErrorBound surfaces the quantized restricted DP's additive
 // suboptimality bound under the current data (0 for exact families); see
 // ApproxBound.
-func (f *liveWavelet) ErrorBound() float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.lv.ErrorBound()
+func (l *liveFrontier) ErrorBound() float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return ApproxBound(l.view())
 }
 
-func (f *liveWavelet) Synopsis(b int) (Synopsis, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	syn, err := f.lv.Synopsis(b)
-	if err != nil {
-		return nil, err
+func (l *liveFrontier) Synopsis(b int) (Synopsis, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.view().Synopsis(b)
+}
+
+func (l *liveFrontier) Append(items []pdata.ItemPDF) error {
+	if l.plan.weights != nil {
+		return fmt.Errorf("probsyn: workload-weighted live histograms cannot Append (no weights for new items); rebuild with an extended weight vector")
 	}
-	return syn, nil
+	return l.mutate(func() error { return l.state.Append(items) })
 }
 
-func (f *liveWavelet) Append(items []pdata.ItemPDF) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	release, err := f.pool.Acquire(context.Background())
-	if err != nil {
-		return err
-	}
-	defer release()
-	return f.lv.Append(items)
+func (l *liveFrontier) Update(i int, item pdata.ItemPDF) error {
+	return l.mutate(func() error { return l.state.Update(i, item) })
 }
 
-func (f *liveWavelet) Update(i int, item pdata.ItemPDF) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	release, err := f.pool.Acquire(context.Background())
+func (l *liveFrontier) mutate(apply func() error) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	_, release, err := l.plan.admit(1)
 	if err != nil {
 		return err
 	}
 	defer release()
-	return f.lv.Update(i, item)
+	defer l.reportStats()
+	return apply()
 }
 
-// assert both adapters satisfy the interface.
-var (
-	_ Maintainer = (*liveHistogram)(nil)
-	_ Maintainer = (*liveWavelet)(nil)
-)
+var _ Maintainer = (*liveFrontier)(nil)

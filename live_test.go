@@ -11,12 +11,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
 	"testing"
 
 	"probsyn"
-	"probsyn/internal/hist"
 )
 
 func liveRandItem(rng *rand.Rand) probsyn.ItemPDF {
@@ -198,57 +196,29 @@ func TestBuildLiveValidation(t *testing.T) {
 	}
 }
 
-// TestLivePrunedByteIdenticalToDenseFresh guards the pruned DP's
-// resume-from-column interaction end to end: a live histogram frontier
-// maintained with pruning on (the default) must stay codec-byte-identical
-// to a fresh sweep over the final data built with the dense reference
-// path forced — stale back-pointer seeds and clamped monotone
-// certificates included. It also pins that WithDPStats keeps reporting
-// across mutations.
-func TestLivePrunedByteIdenticalToDenseFresh(t *testing.T) {
-	const B = 5
-	t.Setenv(hist.DenseDPEnv, "")
-	os.Unsetenv(hist.DenseDPEnv)
+// TestLiveDPStatsFollowMutations pins that WithDPStats keeps reporting
+// across mutations: the sink holds the table's cumulative counters, so
+// every mutation that re-runs columns must grow them. (The comparison of
+// a mutated pruned table with a dense fresh build is
+// internal/hist's TestLivePrunedBytesMatchDenseFresh.)
+func TestLiveDPStatsFollowMutations(t *testing.T) {
 	for _, m := range []probsyn.Metric{probsyn.SSE, probsyn.MARE} {
 		rng := rand.New(rand.NewSource(99))
 		vp := liveRandVP(rng, 17)
 		var st probsyn.DPStats
-		live, err := probsyn.BuildLive(vp, m, B, probsyn.WithParallelism(2), probsyn.WithDPStats(&st))
+		live, err := probsyn.BuildLive(vp, m, 5, probsyn.WithParallelism(2), probsyn.WithDPStats(&st))
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
+		}
+		built := st
+		if built.CandidatesScanned+built.CandidatesPruned == 0 {
+			t.Fatalf("%v: WithDPStats sink not filled by the live build", m)
 		}
 		for step := 0; step < 6; step++ {
 			mutate(t, rng, live, vp)
 		}
-		if st.CandidatesScanned+st.CandidatesPruned == 0 {
-			t.Fatalf("%v: WithDPStats sink not refreshed by live mutations", m)
-		}
-		os.Setenv(hist.DenseDPEnv, "1")
-		fresh, err := probsyn.BuildSweep(vp, m, B)
-		os.Unsetenv(hist.DenseDPEnv)
-		if err != nil {
-			t.Fatalf("%v: dense fresh sweep: %v", m, err)
-		}
-		for b := 1; b <= live.Bmax(); b++ {
-			ls, err := live.Synopsis(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fs, err := fresh.Synopsis(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lb, err := probsyn.MarshalSynopsis(ls)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fb, err := probsyn.MarshalSynopsis(fs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(lb, fb) {
-				t.Fatalf("%v: budget %d: pruned live bytes differ from dense fresh sweep", m, b)
-			}
+		if st.CostEvals <= built.CostEvals {
+			t.Fatalf("%v: WithDPStats sink not refreshed by live mutations (%d cost evals before, %d after)", m, built.CostEvals, st.CostEvals)
 		}
 	}
 }

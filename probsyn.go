@@ -120,7 +120,11 @@ func Deterministic(freqs []float64) *ValuePDF { return pdata.Deterministic(freqs
 // metric over any probabilistic source (Theorems 1-4 and 6 of the paper).
 // It is shorthand for Build(src, m, B, WithParams(p)).
 func OptimalHistogram(src Source, m Metric, p Params, B int) (*Histogram, error) {
-	s, err := Build(src, m, B, WithParams(p))
+	return histogramOf(Build(src, m, B, WithParams(p)))
+}
+
+// histogramOf narrows a histogram Build's result to its concrete type.
+func histogramOf(s Synopsis, err error) (*Histogram, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -131,11 +135,7 @@ func OptimalHistogram(src Source, m Metric, p Params, B int) (*Histogram, error)
 // cumulative metric (Theorem 5), trading accuracy for a much smaller
 // search. It is shorthand for Build(src, m, B, WithParams(p), WithEps(eps)).
 func ApproxHistogram(src Source, m Metric, p Params, B int, eps float64) (*Histogram, error) {
-	s, err := Build(src, m, B, WithParams(p), WithEps(eps))
-	if err != nil {
-		return nil, err
-	}
-	return s.(*Histogram), nil
+	return histogramOf(Build(src, m, B, WithParams(p), WithEps(eps)))
 }
 
 // EquiDepthHistogram builds the B-bucket equi-depth histogram over expected
@@ -162,7 +162,7 @@ func SSEWavelet(src Source, B int) (*WaveletSynopsis, *WaveletSSEReport, error) 
 // single-threaded; Build(src, m, B, WithWavelet(), WithParallelism(k))
 // runs the same DP across k workers with a bit-identical result.
 func RestrictedWavelet(src Source, m Metric, p Params, B int) (*WaveletSynopsis, float64, error) {
-	return wavelet.BuildRestricted(src, m, p, B)
+	return wavelet.BuildRestrictedPool(src, m, p, B, nil)
 }
 
 // UnrestrictedWavelet builds a B-term wavelet synopsis for a non-SSE
@@ -173,7 +173,7 @@ func RestrictedWavelet(src Source, m Metric, p Params, B int) (*WaveletSynopsis,
 // than RestrictedWavelet; exponentially more expensive in q and log n, so
 // intended for small domains.
 func UnrestrictedWavelet(src Source, m Metric, p Params, B, q int) (*WaveletSynopsis, float64, error) {
-	return wavelet.BuildUnrestricted(src, m, p, B, q)
+	return wavelet.BuildUnrestrictedPool(src, m, p, B, q, nil)
 }
 
 // WorkloadHistogram builds the optimal B-bucket histogram under
@@ -183,11 +183,7 @@ func UnrestrictedWavelet(src Source, m Metric, p Params, B, q int) (*WaveletSyno
 // to the SSEFixed objective. It is shorthand for
 // Build(src, SSEFixed, B, WithWorkloadWeights(weights)).
 func WorkloadHistogram(src Source, weights []float64, B int) (*Histogram, error) {
-	s, err := Build(src, SSEFixed, B, WithWorkloadWeights(weights))
-	if err != nil {
-		return nil, err
-	}
-	return s.(*Histogram), nil
+	return histogramOf(Build(src, SSEFixed, B, WithWorkloadWeights(weights)))
 }
 
 // ExpectedSSE returns the exact expected sum-squared error of an arbitrary

@@ -1,10 +1,8 @@
 package probsyn
 
 import (
-	"context"
 	"fmt"
 
-	"probsyn/internal/engine"
 	"probsyn/internal/haar"
 	"probsyn/internal/hist"
 	"probsyn/internal/pdata"
@@ -67,118 +65,82 @@ func ShardBounds(n, k int, wavelet bool) []int {
 // wavelet family; WithEps and WithUnrestricted have no sharded merge
 // rule and are rejected.
 func BuildSharded(src Source, m Metric, B, k int, opts ...BuildOption) (*ShardedResult, error) {
-	cfg := buildConfig{params: DefaultParams(), parallelism: 1}
-	for _, opt := range opts {
-		opt(&cfg)
+	p, err := resolve(m, opts, modeSharded)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.shardsSet {
-		return nil, fmt.Errorf("probsyn: BuildSharded takes the shard count directly; drop WithShards")
-	}
-	return buildSharded(src, m, B, k, &cfg)
+	return p.sharded(src, B, k)
 }
 
-func buildSharded(src Source, m Metric, B, k int, cfg *buildConfig) (*ShardedResult, error) {
+func (p *plan) sharded(src Source, B, k int) (*ShardedResult, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("probsyn: shard count %d < 1", k)
 	}
-	if cfg.epsSet {
-		return nil, fmt.Errorf("probsyn: the (1+eps)-approximate DP has no sharded merge rule")
-	}
-	if cfg.quantizeSet {
-		return nil, fmt.Errorf("probsyn: unrestricted coefficient values have no sharded merge rule")
-	}
+	_, isWavelet := p.family.wavelet()
 	if k == 1 {
-		syn, err := buildOne(src, m, B, cfg)
+		syn, err := p.build(src, B)
 		if err != nil {
 			return nil, err
 		}
 		return &ShardedResult{
 			Synopsis: syn,
 			Pieces:   []Synopsis{syn},
-			Bounds:   ShardBounds(src.Domain(), 1, cfg.wavelet),
+			Bounds:   ShardBounds(src.Domain(), 1, isWavelet),
 		}, nil
 	}
-	pool := cfg.pool
-	if pool == nil {
-		pool = engine.New(engine.Options{Workers: cfg.parallelism})
-	}
-	// Admission: ask for one build token per shard, all-or-nothing so
-	// concurrent multi-token holders cannot deadlock a capped pool, and
-	// fan the per-shard builds at whatever width was granted.
-	granted, release, err := pool.AcquireN(context.Background(), k)
+	conc, release, err := p.admit(k)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	if cfg.wavelet {
-		return buildShardedWavelet(src, m, B, k, cfg, pool, granted)
-	}
-	return buildShardedHistogram(src, m, B, k, cfg, pool, granted)
-}
-
-func buildShardedWavelet(src Source, m Metric, B, k int, cfg *buildConfig, pool *engine.Pool, conc int) (*ShardedResult, error) {
-	if cfg.weights != nil {
-		return nil, fmt.Errorf("probsyn: workload weights are a histogram option")
+	if !isWavelet {
+		return p.shardedHistogram(src, B, k, conc)
 	}
 	bounds := ShardBounds(src.Domain(), k, true)
-	if m == SSE || m == SSEFixed {
-		if cfg.rquantSet {
-			return nil, fmt.Errorf("probsyn: the SSE wavelet build is greedy-exact (Theorem 7); incoming-value quantization applies to the restricted DP metrics")
-		}
-		res, _, err := wavelet.BuildShardedSSE(src, B, k, conc)
-		if err != nil {
-			return nil, err
-		}
-		return rootSharded(res.Merged, res.Pieces, bounds, res.Bound), nil
+	var res *wavelet.ShardedResult
+	if p.family == waveletSSE {
+		res, _, err = wavelet.BuildShardedSSE(src, B, k, conc)
+	} else {
+		res, err = wavelet.BuildShardedRestricted(src, p.metric, p.params, B, k, p.q, p.pool, conc)
 	}
-	q := 0
-	if cfg.rquantSet {
-		q = cfg.rquant
-	}
-	res, err := wavelet.BuildShardedRestricted(src, m, cfg.params, B, k, q, pool, conc)
 	if err != nil {
 		return nil, err
 	}
 	return rootSharded(res.Merged, res.Pieces, bounds, res.Bound), nil
 }
 
-// buildShardedHistogram prices shards against the source's per-item
-// marginal value pdf. That is lossless: every bucket-cost oracle is a
-// per-item expectation aggregated over the bucket, so it depends on the
-// per-item marginals only, and AsValuePDF preserves those for all three
-// data models.
-func buildShardedHistogram(src Source, m Metric, B, k int, cfg *buildConfig, pool *engine.Pool, conc int) (*ShardedResult, error) {
-	if cfg.rquantSet {
-		return nil, fmt.Errorf("probsyn: incoming-value quantization is a wavelet option")
-	}
+// shardedHistogram prices shards against the source's per-item marginal
+// value pdf. That is lossless: every bucket-cost oracle is a per-item
+// expectation aggregated over the bucket, so it depends on the per-item
+// marginals only, and AsValuePDF preserves those for all three data
+// models.
+func (p *plan) shardedHistogram(src Source, B, k, conc int) (*ShardedResult, error) {
 	vp := pdata.AsValuePDF(src)
 	if k > vp.N {
 		return nil, fmt.Errorf("probsyn: %d shards over %d items (need k <= n)", k, vp.N)
 	}
+	if p.weights != nil && len(p.weights) != vp.N {
+		return nil, fmt.Errorf("probsyn: %d workload weights for %d items", len(p.weights), vp.N)
+	}
 	bounds := shard.Bounds(vp.N, k)
 	oracles := make([]hist.Oracle, k)
 	for s := range oracles {
-		svp := &pdata.ValuePDF{N: bounds[s+1] - bounds[s], Items: vp.Items[bounds[s]:bounds[s+1]]}
-		scfg := *cfg
-		if cfg.weights != nil {
-			if len(cfg.weights) != vp.N {
-				return nil, fmt.Errorf("probsyn: %d workload weights for %d items", len(cfg.weights), vp.N)
-			}
-			scfg.weights = cfg.weights[bounds[s]:bounds[s+1]]
+		lo, hi := bounds[s], bounds[s+1]
+		var weights []float64
+		if p.weights != nil {
+			weights = p.weights[lo:hi]
 		}
-		o, err := histOracle(svp, m, &scfg)
+		o, err := p.oracle(&pdata.ValuePDF{N: hi - lo, Items: vp.Items[lo:hi]}, weights)
 		if err != nil {
 			return nil, err
 		}
 		oracles[s] = o
 	}
-	res, err := hist.BuildSharded(oracles, bounds, B, pool, conc)
+	res, err := hist.BuildSharded(oracles, bounds, B, p.pool, conc)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.dpStats != nil {
-		*cfg.dpStats = res.Stats
-	}
+	p.report(res.Stats)
 	return rootSharded(res.Merged, res.Pieces, bounds, res.Bound), nil
 }
 

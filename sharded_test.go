@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"os"
 	"runtime"
 	"testing"
 
 	"probsyn"
 	"probsyn/internal/engine"
-	"probsyn/internal/hist"
 	"probsyn/internal/ptest"
 )
 
@@ -233,57 +231,30 @@ func TestBuildShardedArgumentErrors(t *testing.T) {
 	}
 }
 
-// TestBuildShardedPrunedByteIdenticalToDense: a sharded histogram build
-// with the pruned DP (the default) must produce a merged synopsis and
-// per-shard pieces codec-byte-identical to the same build with the dense
-// reference path forced, and the WithDPStats sink must account the work
-// of all shards.
-func TestBuildShardedPrunedByteIdenticalToDense(t *testing.T) {
-	src := randomValuePDF(40, 29)
-	t.Setenv(hist.DenseDPEnv, "")
-	os.Unsetenv(hist.DenseDPEnv)
+// TestBuildShardedFillsDPStats: the WithDPStats sink must account the
+// work of all shards: every split candidate of every shard's DP is either
+// scanned or pruned. (The comparison of a sharded build with the same
+// merge over dense tables is internal/hist's
+// TestShardedPrunedBytesMatchDense.)
+func TestBuildShardedFillsDPStats(t *testing.T) {
+	const n, B, k = 40, 9, 3
+	src := randomValuePDF(n, 29)
+	var want int64
+	bounds := probsyn.ShardBounds(n, k, false)
+	for s := 0; s < k; s++ {
+		for e := 0; e < bounds[s+1]-bounds[s]; e++ {
+			for b := 1; b < B && b <= e; b++ {
+				want += int64(e - b + 1) // level b at end e reduces i in [b-1, e)
+			}
+		}
+	}
 	for _, m := range []probsyn.Metric{probsyn.SSE, probsyn.SARE, probsyn.MAE} {
 		var st probsyn.DPStats
-		pruned, err := probsyn.BuildSharded(src, m, 9, 3, probsyn.WithDPStats(&st))
-		if err != nil {
+		if _, err := probsyn.BuildSharded(src, m, B, k, probsyn.WithDPStats(&st)); err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
-		if st.CandidatesScanned+st.CandidatesPruned == 0 {
-			t.Fatalf("%v: WithDPStats sink not filled by the sharded build", m)
-		}
-		os.Setenv(hist.DenseDPEnv, "1")
-		var dst probsyn.DPStats
-		dense, err := probsyn.BuildSharded(src, m, 9, 3, probsyn.WithDPStats(&dst))
-		os.Unsetenv(hist.DenseDPEnv)
-		if err != nil {
-			t.Fatalf("%v: dense: %v", m, err)
-		}
-		if dst.CandidatesPruned != 0 {
-			t.Fatalf("%v: dense reference pruned %d candidates", m, dst.CandidatesPruned)
-		}
-		pb, err := probsyn.MarshalSynopsis(pruned.Synopsis)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db, err := probsyn.MarshalSynopsis(dense.Synopsis)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(pb, db) {
-			t.Fatalf("%v: pruned merged synopsis bytes differ from dense", m)
-		}
-		for s := range pruned.Pieces {
-			pb, err := probsyn.MarshalSynopsis(pruned.Pieces[s])
-			if err != nil {
-				t.Fatal(err)
-			}
-			db, err := probsyn.MarshalSynopsis(dense.Pieces[s])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(pb, db) {
-				t.Fatalf("%v: shard %d piece bytes differ between pruned and dense", m, s)
-			}
+		if got := st.CandidatesScanned + st.CandidatesPruned; got != want {
+			t.Fatalf("%v: WithDPStats sink accounts %d split candidates, the %d shards have %d", m, got, k, want)
 		}
 	}
 }
