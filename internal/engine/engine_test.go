@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -83,43 +84,6 @@ func TestMapChunksVisitsEveryIndexOnce(t *testing.T) {
 				t.Fatalf("workers=%d span=%d: fn called %d times, want %d", workers, span, calls, want)
 			}
 		}
-	}
-}
-
-// ReduceMin over a synthetic cost array must match a serial strict-< scan
-// bit for bit — value and argmin — at every worker count.
-func TestReduceMinMatchesSerialScan(t *testing.T) {
-	costs := []float64{5, 3, 7, 3, 1, 9, 1, 2, 8, 3, 1, 6}
-	scan := func(lo, hi int) MinPartial {
-		best := EmptyMin()
-		for i := lo; i < hi; i++ {
-			if costs[i] < best.Value {
-				best = MinPartial{Value: costs[i], Arg: int32(i)}
-			}
-		}
-		return best
-	}
-	want := scan(0, len(costs))
-	if want.Arg != 4 { // first of the tied minima
-		t.Fatalf("serial scan argmin %d, want 4", want.Arg)
-	}
-	for _, workers := range []int{1, 2, 3, 5, 16} {
-		p := New(Options{Workers: workers, Grain: 1})
-		got := p.ReduceMin(0, len(costs), len(costs), scan)
-		if got != want {
-			t.Fatalf("workers=%d: ReduceMin = %+v, want %+v", workers, got, want)
-		}
-	}
-}
-
-func TestReduceMinEmptyRange(t *testing.T) {
-	p := New(Options{Workers: 4, Grain: 1})
-	got := p.ReduceMin(0, 0, 10000, func(lo, hi int) MinPartial {
-		t.Fatalf("fn called on empty range [%d,%d)", lo, hi)
-		return MinPartial{}
-	})
-	if got.Arg >= 0 || !math.IsInf(got.Value, 1) {
-		t.Fatalf("empty reduce = %+v, want identity", got)
 	}
 }
 
@@ -294,19 +258,6 @@ func TestAcquireUnlimitedIsNoOp(t *testing.T) {
 	}
 }
 
-func TestCombineMinPrefersEarlierChunkOnTies(t *testing.T) {
-	parts := []MinPartial{
-		EmptyMin(),
-		{Value: 2, Arg: 3},
-		{Value: 2, Arg: 1}, // tied value, later chunk: must lose
-		{Value: 5, Arg: 9},
-	}
-	got := CombineMin(parts)
-	if got.Arg != 3 || got.Value != 2 {
-		t.Fatalf("CombineMin = %+v, want {2 3}", got)
-	}
-}
-
 // Regression for the multi-token deadlock: two concurrent holders each
 // acquiring k=2 tokens from a MaxBuilds=2 pool in a loop would each get
 // one and wait forever for the other's. AcquireN's all-or-nothing grant
@@ -467,6 +418,111 @@ func TestCutFunctionsEmptyRange(t *testing.T) {
 		}
 		if got := CutLE(x, lo, lo, 0); got != lo {
 			t.Fatalf("CutLE empty range at %d returned %d", lo, got)
+		}
+	}
+}
+
+// TestRunGridOrderAndCoverage: every tile runs exactly once, never before
+// the tiles above and to its left have returned, and a row-0 tile never
+// more than ring columns ahead of the last row — at every grid shape and
+// worker count, the inline schedule included. Start and finish stamps come
+// off one atomic clock; a dependency's finish stamp must precede the
+// dependent's start stamp.
+func TestRunGridOrderAndCoverage(t *testing.T) {
+	shapes := []struct{ rows, cols int }{{1, 1}, {1, 9}, {7, 1}, {2, 2}, {5, 13}, {13, 5}}
+	for _, sh := range shapes {
+		for _, ring := range []int{0, 1, 2, 3, 100} {
+			for _, workers := range []int{1, 2, 7} {
+				pools := map[string]*Pool{"pool": New(Options{Workers: workers})}
+				if workers == 1 {
+					pools["nil"] = nil
+				}
+				for name, p := range pools {
+					rows, cols := sh.rows, sh.cols
+					var clock atomic.Int64
+					start := make([]int64, rows*cols)
+					finish := make([]int64, rows*cols)
+					runs := make([]int32, rows*cols)
+					p.RunGrid(rows, cols, ring, func(r, c int) {
+						at := r*cols + c
+						start[at] = clock.Add(1)
+						atomic.AddInt32(&runs[at], 1)
+						if (r+c)%3 == 0 {
+							runtime.Gosched() // let another worker overtake if the schedule allows it
+						}
+						finish[at] = clock.Add(1)
+					})
+					tag := func(r, c int) string {
+						return fmt.Sprintf("%s workers=%d grid %dx%d ring %d tile (%d,%d)", name, workers, rows, cols, ring, r, c)
+					}
+					after := func(r, c, dr, dc int) {
+						if dr < 0 || dc < 0 {
+							return
+						}
+						if f, s := finish[dr*cols+dc], start[r*cols+c]; f == 0 || f > s {
+							t.Fatalf("%s started at %d, before (%d,%d) finished at %d", tag(r, c), s, dr, dc, f)
+						}
+					}
+					for r := 0; r < rows; r++ {
+						for c := 0; c < cols; c++ {
+							if n := runs[r*cols+c]; n != 1 {
+								t.Fatalf("%s ran %d times", tag(r, c), n)
+							}
+							after(r, c, r-1, c)
+							after(r, c, r, c-1)
+							if r == 0 && ring > 0 {
+								after(r, c, rows-1, c-ring)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRunGridDegenerate: an empty grid runs nothing.
+func TestRunGridDegenerate(t *testing.T) {
+	for _, sh := range [][2]int{{0, 5}, {5, 0}, {0, 0}, {-1, 3}} {
+		New(Options{Workers: 2}).RunGrid(sh[0], sh[1], 2, func(r, c int) {
+			t.Fatalf("grid %dx%d ran tile (%d,%d)", sh[0], sh[1], r, c)
+		})
+	}
+}
+
+// TestRunGridPanicPropagates: a panic in one tile reaches the caller with
+// its value, at every worker count, and the workers blocked on tiles that
+// will now never become ready are released instead of deadlocking (the
+// test's timeout is the deadlock detector). No tile that depends on the
+// panicking one may run.
+func TestRunGridPanicPropagates(t *testing.T) {
+	const rows, cols, pr, pc = 6, 9, 2, 4
+	for _, workers := range []int{1, 2, 7} {
+		var ran [rows * cols]atomic.Bool
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			New(Options{Workers: workers}).RunGrid(rows, cols, 3, func(r, c int) {
+				ran[r*cols+c].Store(true)
+				if r == pr && c == pc {
+					panic("tile failed")
+				}
+			})
+		}()
+		select {
+		case v := <-done:
+			if v != "tile failed" {
+				t.Fatalf("workers=%d: RunGrid recovered %v, want the tile's panic", workers, v)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("workers=%d: RunGrid did not return after a tile panicked", workers)
+		}
+		for r := pr; r < rows; r++ {
+			for c := pc; c < cols; c++ {
+				if (r != pr || c != pc) && ran[r*cols+c].Load() {
+					t.Fatalf("workers=%d: tile (%d,%d) ran after its dependency (%d,%d) panicked", workers, r, c, pr, pc)
+				}
+			}
 		}
 	}
 }

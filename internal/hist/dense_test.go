@@ -4,11 +4,7 @@ package hist
 // dense_codec_test.go: synopsis imports hist, so they need the external
 // test package, which reaches denseTable through the handles below.
 
-import (
-	"math"
-
-	"probsyn/internal/engine"
-)
+import "math"
 
 var (
 	DenseTable   = denseTable
@@ -48,10 +44,10 @@ func denseTable(o Oracle, Bmax int) *DPTable {
 		t.setCell(0, e, costs[0], -1)
 		for b := 1; b < Bmax && b <= e; b++ {
 			best := reduceSplits(t.opt[b-1], costs, b-1, e, isSum)
-			if best.Arg < 0 {
-				best = engine.MinPartial{Value: math.Inf(1), Arg: int32(b - 1)}
+			if best.arg < 0 {
+				best = minPartial{value: math.Inf(1), arg: int32(b - 1)}
 			}
-			t.setCell(b, e, best.Value, best.Arg)
+			t.setCell(b, e, best.value, best.arg)
 			t.stats.CandidatesScanned += int64(e - b + 1)
 		}
 	}

@@ -14,17 +14,15 @@ import (
 // incumbent under the DP's strict-< tie-break), so per reduction
 // Scanned + Pruned equals the candidate count and the pruned share is
 // the output-sensitivity win. CostEvals counts bucket-cost evaluations —
-// oracle Cost calls plus sweep-fill entries. Every sweep oracle pays Θ(n²)
-// of them, one per bucket, as an unpruned DP would; a random-access
-// oracle's bounded lazy fill stops each end at the furthest surviving
-// candidate, so its CostEvals never exceeds that count (beyond the
-// per-level seed re-pricings, which a sweep reads off the filled column
-// instead) and drops when the certified cuts bite.
+// oracle Cost calls plus sweep-fill entries. The fill is dense: every
+// bucket ending at a computed end is priced once, e+1 per end, so a full
+// build pays exactly n(n+1)/2 whatever the oracle (a one-level table reads
+// only the whole-prefix bucket and prices a random-access oracle once per
+// end).
 //
-// The tables a DP produces are bit-identical at every worker count and
-// whether or not pruning engages; the stats are not — chunk-local
-// incumbents prune differently than a serial scan — so compare tables,
-// not stats, for determinism.
+// Every cell is reduced by one serial scan over its full candidate range,
+// whichever worker runs it, so the stats — like the tables — are identical
+// at every worker count.
 type DPStats struct {
 	CandidatesScanned int64
 	CandidatesPruned  int64
@@ -99,18 +97,37 @@ func (t *DPTable) setCell(b, e int, v float64, arg int32) {
 	}
 }
 
-// RunDPPool executes the dynamic program of Eq. (2) up to budget Bmax with
-// the per-end cost sweeps and the min-reduction over split points
-// dispatched through the engine pool (nil means serial).
+// RunDPPool executes the dynamic program of Eq. (2) up to budget Bmax as
+// one tile schedule on the engine pool (nil means serial); see runColumns.
 //
-// The parallel schedule is deterministic: every floating-point operation is
-// performed exactly as in the serial order, and chunk results are combined
-// left to right with the same strict-< tie-breaking, so the resulting
-// DPTable (costs and back-pointers) is bit-identical to a single-worker
-// run. Oracle.Cost must be safe for concurrent calls (all oracles in this
-// package are: Cost reads only precomputed arrays); SweepOracle sweeps are
-// sequential in the bucket start and stay on the calling goroutine.
+// The schedule is deterministic by construction: every cell is produced by
+// the same serial scan over its full candidate range whichever worker runs
+// its tile, so the resulting DPTable (costs and back-pointers) and its
+// DPStats are bit-identical at every worker count. Oracle.Cost must be safe
+// for concurrent calls (all oracles in this package are: Cost reads only
+// precomputed arrays) because several DPs may share one oracle; within one
+// DP every bucket is priced by the fill row, one tile at a time in end
+// order, so a SweepOracle's sweeps never overlap.
 func RunDPPool(o Oracle, Bmax int, pool *engine.Pool) (*DPTable, error) {
+	return runDP(o, Bmax, pool, defaultTiles)
+}
+
+// tileShape is the geometry of the DP's tile grid: a tile is levels budget
+// levels by ends bucket ends, and ring end-blocks of cost columns are kept
+// at once. Production code runs defaultTiles; the parameter exists so that
+// tests can put tile edges where they want them.
+type tileShape struct{ levels, ends, ring int }
+
+// An 8 x 8 tile is tens of microseconds of scans against one lock round
+// trip of bookkeeping, and leaves a 64-level, 512-end build some 600 tiles
+// to overlap; 4 x 8, 16 x 8 and 8 x 16 tiles measured the same within
+// noise on two workers. The ring stays at 2 — enough for the fill row to
+// price a block while the bands drain the one before: a slot holds
+// ends x 2n floats, and a 32-end x 4-slot ring bought no speed for +89%
+// allocation on the benchmark's hist-scan workload.
+var defaultTiles = tileShape{levels: 8, ends: 8, ring: 2}
+
+func runDP(o Oracle, Bmax int, pool *engine.Pool, ts tileShape) (*DPTable, error) {
 	n := o.N()
 	if n <= 0 {
 		return nil, fmt.Errorf("hist: empty domain")
@@ -131,7 +148,7 @@ func RunDPPool(o Oracle, Bmax int, pool *engine.Pool) (*DPTable, error) {
 		t.opt[b] = make([]float64, n)
 		t.choice[b] = make([]int32, n)
 	}
-	t.runColumns(0, pool)
+	t.runColumns(0, pool, ts)
 	return t, nil
 }
 
@@ -143,28 +160,40 @@ func RunDPPool(o Oracle, Bmax int, pool *engine.Pool) (*DPTable, error) {
 // (DPTable.resume) relies on this, and the live property tests verify it
 // byte-for-byte through the codec.
 //
+// The (level, end) table is cut into tiles of ts.levels levels by ts.ends
+// ends and run on a dependency grid (engine.Pool.RunGrid). Grid row 0 is
+// the fill row: for each end of its block it prices every bucket ending
+// there — CostsForEnd for a SweepOracle, a Cost loop otherwise — into one
+// slot of a ring of ts.ring cost-column blocks, builds the envelope the
+// scans cut with, and writes level 0. Grid row r >= 1 is the band of
+// levels [1+(r-1)*ts.levels, 1+r*ts.levels): cell (b, e) reads row b-1 at
+// ends < e and the cost column of e, so tile (r, q) may run once (r-1, q)
+// and (r, q-1) have; a fill tile reuses the slot of block q-ring, so it
+// also waits for the last band to finish that block. The fill is dense —
+// pricing only up to the furthest surviving candidate was tried and never
+// paid (35.1M evaluations "bounded" against 33.6M dense at n=8192/B=200:
+// the per-level seed re-pricings cost more than the cuts saved).
+//
 // The split reduction is monotonicity-pruned (see DESIGN.md "Pruned DP"):
 // prev[i] is non-decreasing in i and the closing bucket's cost is
 // non-increasing in i, so a certified upper bound on a level's minimum —
-// the previous column's argmin re-priced at this end — cuts the candidate
+// the previous column's argmin priced at this end — cuts the candidate
 // range by binary search on both sides, and a running incumbent stops the
 // scan at the first prev[i] that can no longer beat it. Every skip is
 // provably >= the incumbent (or strictly > the bound) under the DP's
-// strict-< tie-break, so the tables are bit-identical to the dense
-// reference (the unpruned scan the package's tests keep) at every worker
-// count.
-// Sweep oracles fill the whole column, which is what their sweep is cheap
-// at. Random-access oracles instead price buckets lazily: the prev-side
-// cuts are computed for every level before any cost evaluation, and only
-// the prefix up to the furthest surviving candidate is materialized —
-// never an unconditional costs[0..e] fill.
-func (t *DPTable) runColumns(from int, pool *engine.Pool) {
-	if pool == nil {
-		pool = engine.Serial()
-	}
+// strict-< tie-break, and every cell is one whole serial scan, so the
+// tables are bit-identical to the dense reference (the unpruned scan the
+// package's tests keep) with nothing to combine.
+//
+// A band's first level reads the monotone certificate of a row the band
+// above is still extending. It reads it from the snapshot that band took
+// when it finished the same block: a certificate that stops never resumes,
+// so "certified up to e" has the same truth value in the snapshot as at
+// the moment a serial run would have asked.
+func (t *DPTable) runColumns(from int, pool *engine.Pool, ts tileShape) {
 	o, n, Bmax := t.oracle, t.n, t.bmax
 	isSum := o.Combine() == Sum
-	sweeper, hasSweep := o.(SweepOracle)
+	sweeper, _ := o.(SweepOracle)
 
 	// Monotone certificates: columns >= from are rewritten, so no
 	// certificate may extend past from (entries left of from survive and
@@ -181,151 +210,114 @@ func (t *DPTable) runColumns(from int, pool *engine.Pool) {
 			t.mono[b] = from
 		}
 	}
+	if from >= n {
+		return
+	}
 
-	costs := make([]float64, n)
-	reps := make([]float64, n)
-	// cmin[s] = min(costs[1..s]) is the exact prefix-min envelope of the
-	// current end's filled costs: non-increasing by construction
-	// regardless of any float wobble in costs itself, so binary-searching
-	// it to skip the dominated low-i prefix is always sound.
-	cmin := make([]float64, n)
-	// useed[b] is this end's certified upper bound on level b's minimum.
-	useed := make([]float64, Bmax)
+	rows := 1 + (Bmax-1+ts.levels-1)/ts.levels
+	cols := (n - from + ts.ends - 1) / ts.ends
+	width := min(ts.ends, n-from)
+	ring := min(ts.ring, cols)
+	// One ring slot holds, per end of a block, the costs column and its
+	// prefix-min envelope: cmin[s] = min(costs[1..s]) is non-increasing by
+	// construction regardless of any float wobble in costs itself, so
+	// binary-searching it to skip the dominated low-i prefix is always
+	// sound.
+	ringBuf := make([]float64, ring*width*2*n)
+	column := func(q, e int) (costs, cmin []float64) {
+		at := ((q%ring)*width + e - from - q*ts.ends) * 2 * n
+		return ringBuf[at : at+n], ringBuf[at+n : at+2*n]
+	}
+	var reps []float64
+	if sweeper != nil {
+		reps = make([]float64, n)
+	}
+	// snap[r*cols+q] is row r's last-level certificate as tile (r, q) left
+	// it; stats[r] is row r's work, summed at the end so the total does not
+	// depend on which worker ran what.
+	snap := make([]int, rows*cols)
+	stats := make([]DPStats, rows)
 
-	// partials[(b-1)*chunks + w] is chunk w's best candidate for level b at
-	// the current end; statw[w] is chunk w's work counters. Reused across
-	// ends.
-	partials := make([]engine.MinPartial, (Bmax-1)*pool.Workers())
-	statw := make([]DPStats, pool.Workers())
-
-	// lastScan is the number of candidates that survived pruning at the
-	// previous end — the work estimate the fan-out decision is derived
-	// from, so a heavily pruned scan does not fan out into pure
-	// scheduling overhead.
-	lastScan := 0
-
-	for e := from; e < n; e++ {
-		if hasSweep {
-			sweeper.CostsForEnd(e, costs, reps)
-			t.stats.CostEvals += int64(e + 1)
-			cm := math.Inf(1)
-			for s := 1; s <= e; s++ {
-				if costs[s] < cm {
-					cm = costs[s]
-				}
-				cmin[s] = cm
-			}
-			t.setCell(0, e, costs[0], -1)
-		} else {
-			// Lazy path: no fill — level 0 needs exactly one bucket cost.
-			c0, _ := o.Cost(0, e)
-			t.stats.CostEvals++
-			t.setCell(0, e, c0, -1)
-		}
-		top := Bmax
-		if e+1 < top {
-			top = e + 1
-		}
-		if top <= 1 {
-			continue
-		}
-
-		// Seed each level's upper bound with the previous column's argmin
-		// re-priced at this end: any valid split index upper-bounds the
-		// minimum, stale post-resume back-pointers included, and the
-		// previous column's winner is usually within a hair of optimal.
-		// Pruning against a seed is strict (> useed), so exact ties with
-		// the bound — including the seed candidate itself — survive and
-		// the argmin is untouched.
-		for b := 1; b < top; b++ {
-			u := math.Inf(1)
-			if i0 := int(t.choice[b][e-1]); i0 >= b-1 && i0 < e {
-				var c float64
-				if hasSweep {
-					c = costs[i0+1]
-				} else {
-					c, _ = o.Cost(i0+1, e)
-					t.stats.CostEvals++
-				}
-				if isSum {
-					u = t.opt[b-1][i0] + c
-				} else if u = t.opt[b-1][i0]; c > u {
-					u = c
-				}
-			}
-			useed[b] = u
-		}
-
-		if !hasSweep {
-			// Bounded lazy fill: the certified prev-side cut bounds every
-			// level's scan reach before a single bucket is priced — level b
-			// reads costs only up to CutGT(prev, ., useed[b]) — so only the
-			// prefix costs[1..maxHi] is materialized (with its exact
-			// envelope). maxHi is the furthest surviving candidate across
-			// levels: when the cuts bite, whole-column pricing drops from
-			// Θ(e) to that count; it never exceeds the dense fill.
-			maxHi := 0
-			for b := 1; b < top; b++ {
-				hi := e
-				if t.mono[b-1] >= e && !math.IsInf(useed[b], 1) {
-					hi = engine.CutGT(t.opt[b-1], b-1, e, useed[b])
-				}
-				if hi > maxHi {
-					maxHi = hi
-				}
-			}
-			pool.MapChunks(1, maxHi+1, maxHi, func(_, lo, hi int) {
-				for s := lo; s < hi; s++ {
-					costs[s], reps[s] = o.Cost(s, e)
-				}
-			})
-			t.stats.CostEvals += int64(maxHi)
-			cm := math.Inf(1)
-			for s := 1; s <= maxHi; s++ {
-				if costs[s] < cm {
-					cm = costs[s]
-				}
-				cmin[s] = cm
-			}
-		}
-
-		scannedBefore := t.stats.CandidatesScanned
-		if chunks := pool.Chunks(lastScan); chunks > 1 {
-			for w := range statw[:chunks] {
-				statw[w] = DPStats{}
-			}
-			pool.MapChunks(0, e, lastScan, func(w, lo, hi int) {
-				st := &statw[w]
-				for b := 1; b < top; b++ {
-					from := lo
-					if from < b-1 {
-						from = b - 1
+	pool.RunGrid(rows, cols, ring, func(r, q int) {
+		lo := from + q*ts.ends
+		hi := min(lo+ts.ends, n)
+		var st DPStats
+		last := 0
+		if r == 0 {
+			for e := lo; e < hi; e++ {
+				costs, cmin := column(q, e)
+				switch {
+				case sweeper != nil:
+					sweeper.CostsForEnd(e, costs, reps)
+					st.CostEvals += int64(e + 1)
+				case Bmax == 1:
+					costs[0], _ = o.Cost(0, e)
+					st.CostEvals++
+				default:
+					for s := 0; s <= e; s++ {
+						costs[s], _ = o.Cost(s, e)
 					}
-					partials[(b-1)*chunks+w] = prunedScanDense(t.opt[b-1], costs, cmin, from, hi, isSum, useed[b], t.mono[b-1] >= e, st)
+					st.CostEvals += int64(e + 1)
 				}
-			})
-			for w := range statw[:chunks] {
-				t.stats.Add(statw[w])
-			}
-			for b := 1; b < top; b++ {
-				best := engine.CombineMin(partials[(b-1)*chunks : b*chunks])
-				if best.Arg < 0 {
-					best = engine.MinPartial{Value: math.Inf(1), Arg: int32(b - 1)}
+				cm := math.Inf(1)
+				for s := 1; s <= e; s++ {
+					if costs[s] < cm {
+						cm = costs[s]
+					}
+					cmin[s] = cm
 				}
-				t.setCell(b, e, best.Value, best.Arg)
+				t.setCell(0, e, costs[0], -1)
 			}
 		} else {
-			for b := 1; b < top; b++ {
-				best := prunedScanDense(t.opt[b-1], costs, cmin, b-1, e, isSum, useed[b], t.mono[b-1] >= e, &t.stats)
-				if best.Arg < 0 {
-					best = engine.MinPartial{Value: math.Inf(1), Arg: int32(b - 1)}
+			first := 1 + (r-1)*ts.levels
+			last = min(first+ts.levels, Bmax) - 1
+			for e := max(lo, first); e < hi; e++ {
+				costs, cmin := column(q, e)
+				above := snap[(r-1)*cols+q]
+				for b := first; b <= last && b <= e; b++ {
+					// Seed the level's upper bound with the previous
+					// column's argmin priced at this end: any valid split
+					// index upper-bounds the minimum, stale post-resume
+					// back-pointers included, and the previous column's
+					// winner is usually within a hair of optimal. Pruning
+					// against a seed is strict (> u), so exact ties with the
+					// bound — including the seed candidate itself — survive
+					// and the argmin is untouched.
+					prev := t.opt[b-1]
+					u := math.Inf(1)
+					if i0 := int(t.choice[b][e-1]); i0 >= b-1 && i0 < e {
+						if c := costs[i0+1]; isSum {
+							u = prev[i0] + c
+						} else if u = prev[i0]; c > u {
+							u = c
+						}
+					}
+					best := prunedScanDense(prev, costs, cmin, b-1, e, isSum, u, above >= e, &st)
+					if best.arg < 0 {
+						best = minPartial{value: math.Inf(1), arg: int32(b - 1)}
+					}
+					t.setCell(b, e, best.value, best.arg)
+					above = t.mono[b]
 				}
-				t.setCell(b, e, best.Value, best.Arg)
 			}
 		}
-		lastScan = int(t.stats.CandidatesScanned - scannedBefore)
+		snap[r*cols+q] = t.mono[last]
+		stats[r].Add(st)
+	})
+	for r := range stats {
+		t.stats.Add(stats[r])
 	}
 }
+
+// minPartial is an argmin candidate: the minimal value over a scanned
+// range and the index achieving it. arg < 0 marks an empty range.
+type minPartial struct {
+	value float64
+	arg   int32
+}
+
+// emptyMin returns the identity candidate: +Inf value, no index.
+func emptyMin() minPartial { return minPartial{value: math.Inf(1), arg: -1} }
 
 // prunedScanDense reduces split candidates i in [lo, hi) against a
 // materialized costs row, bit-identically to reduceSplits over the same
@@ -337,9 +329,9 @@ func (t *DPTable) runColumns(from int, pool *engine.Pool) {
 // strict-< tie-breaking and are skipped wholesale. Inside the window a
 // certified-monotone prev additionally stops the scan at the first
 // prev[i] >= the running incumbent.
-func prunedScanDense(prev, costs, cmin []float64, lo, hi int, isSum bool, U float64, monoOK bool, st *DPStats) engine.MinPartial {
+func prunedScanDense(prev, costs, cmin []float64, lo, hi int, isSum bool, U float64, monoOK bool, st *DPStats) minPartial {
 	if lo >= hi {
-		return engine.EmptyMin()
+		return emptyMin()
 	}
 	from, to := lo, hi
 	if !math.IsInf(U, 1) {
@@ -348,35 +340,34 @@ func prunedScanDense(prev, costs, cmin []float64, lo, hi int, isSum bool, U floa
 		}
 		// First s in [lo+1, to] with cmin[s] <= U; candidate i = s-1. The
 		// search is clamped to the prev-side cut: candidates past it are
-		// pruned anyway, and under the bounded lazy fill the envelope is
-		// only materialized that far.
+		// pruned anyway.
 		from = engine.CutLE(cmin, lo+1, to+1, U) - 1
 	}
-	var best engine.MinPartial
+	var best minPartial
 	i := from
 	if monoOK {
-		best = engine.EmptyMin()
+		best = emptyMin()
 		if isSum {
 			for ; i < to; i++ {
 				p := prev[i]
-				if p >= best.Value {
+				if p >= best.value {
 					break
 				}
-				if v := p + costs[i+1]; v < best.Value {
-					best = engine.MinPartial{Value: v, Arg: int32(i)}
+				if v := p + costs[i+1]; v < best.value {
+					best = minPartial{value: v, arg: int32(i)}
 				}
 			}
 		} else {
 			for ; i < to; i++ {
 				v := prev[i]
-				if v >= best.Value {
+				if v >= best.value {
 					break
 				}
 				if c := costs[i+1]; c > v {
 					v = c
 				}
-				if v < best.Value {
-					best = engine.MinPartial{Value: v, Arg: int32(i)}
+				if v < best.value {
+					best = minPartial{value: v, arg: int32(i)}
 				}
 			}
 		}
@@ -396,23 +387,23 @@ func prunedScanDense(prev, costs, cmin []float64, lo, hi int, isSum bool, U floa
 // any monotonicity: the candidate value is >= prev[i] > U >= the
 // minimum) do the pruning. Each evaluation is counted in CostEvals.
 // OptimalError's level-major rolling DP uses it: with no per-end reuse
-// across levels there is nothing to materialize. runColumns instead
-// bounds a shared per-end fill with the same prev-side cuts and scans it
-// densely, so costs are priced once per end, not once per level.
-func prunedScanLazy(o Oracle, prev []float64, lo, hi, e int, isSum bool, U float64, monoOK bool, st *DPStats) engine.MinPartial {
+// across levels there is nothing to materialize. runColumns instead fills
+// each end's column once and scans it densely at every level, so costs are
+// priced once per end, not once per level.
+func prunedScanLazy(o Oracle, prev []float64, lo, hi, e int, isSum bool, U float64, monoOK bool, st *DPStats) minPartial {
 	if lo >= hi {
-		return engine.EmptyMin()
+		return emptyMin()
 	}
 	to := hi
 	if monoOK && !math.IsInf(U, 1) {
 		to = engine.CutGT(prev, lo, hi, U)
 	}
-	best := engine.EmptyMin()
+	best := emptyMin()
 	var evals, skipped int64
 	i := lo
 	for ; i < to; i++ {
 		p := prev[i]
-		if monoOK && p >= best.Value {
+		if monoOK && p >= best.value {
 			break
 		}
 		if p > U {
@@ -427,8 +418,8 @@ func prunedScanLazy(o Oracle, prev []float64, lo, hi, e int, isSum bool, U float
 		} else if c > v {
 			v = c
 		}
-		if v < best.Value {
-			best = engine.MinPartial{Value: v, Arg: int32(i)}
+		if v < best.value {
+			best = minPartial{value: v, arg: int32(i)}
 		}
 	}
 	st.CostEvals += evals
@@ -450,7 +441,7 @@ func prunedScanLazy(o Oracle, prev []float64, lo, hi, e int, isSum bool, U float
 // (prefix structures agree bit-for-bit left of the first change; oracles
 // whose global value grid changed still price untouched buckets
 // identically, because added grid points carry zero mass there).
-func (t *DPTable) resume(o Oracle, from, breq int, pool *engine.Pool) error {
+func (t *DPTable) resume(o Oracle, from, breq int, pool *engine.Pool, ts tileShape) error {
 	n := o.N()
 	if n < t.n {
 		return fmt.Errorf("hist: resume cannot shrink the domain (%d -> %d)", t.n, n)
@@ -488,7 +479,7 @@ func (t *DPTable) resume(o Oracle, from, breq int, pool *engine.Pool) error {
 		}
 	}
 	t.oracle, t.n, t.bmax = o, n, bmax
-	t.runColumns(from, pool)
+	t.runColumns(from, pool, ts)
 	return nil
 }
 
@@ -496,12 +487,12 @@ func (t *DPTable) resume(o Oracle, from, breq int, pool *engine.Pool) error {
 // by a final bucket [i+1, e] whose cost is costs[i+1], and returns the
 // minimum. Strict < keeps the smallest minimizing i, matching the serial
 // DP's tie-breaking exactly.
-func reduceSplits(prev, costs []float64, from, to int, isSum bool) engine.MinPartial {
-	best := engine.EmptyMin()
+func reduceSplits(prev, costs []float64, from, to int, isSum bool) minPartial {
+	best := emptyMin()
 	if isSum {
 		for i := from; i < to; i++ {
-			if v := prev[i] + costs[i+1]; v < best.Value {
-				best = engine.MinPartial{Value: v, Arg: int32(i)}
+			if v := prev[i] + costs[i+1]; v < best.value {
+				best = minPartial{value: v, arg: int32(i)}
 			}
 		}
 	} else {
@@ -510,8 +501,8 @@ func reduceSplits(prev, costs []float64, from, to int, isSum bool) engine.MinPar
 			if c := costs[i+1]; c > v {
 				v = c
 			}
-			if v < best.Value {
-				best = engine.MinPartial{Value: v, Arg: int32(i)}
+			if v < best.value {
+				best = minPartial{value: v, arg: int32(i)}
 			}
 		}
 	}
@@ -610,11 +601,11 @@ func OptimalError(o Oracle, B int) (float64, error) {
 				}
 			}
 			best := prunedScanLazy(o, prev, b-1, e, e, isSum, u, monoOK, &st)
-			if best.Arg < 0 {
-				best = engine.MinPartial{Value: math.Inf(1), Arg: int32(b - 1)}
+			if best.arg < 0 {
+				best = minPartial{value: math.Inf(1), arg: int32(b - 1)}
 			}
-			cur[e] = best.Value
-			lastArg = int(best.Arg)
+			cur[e] = best.value
+			lastArg = int(best.arg)
 		}
 		prev, cur = cur, prev
 	}

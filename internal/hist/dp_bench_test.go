@@ -4,9 +4,10 @@ package hist
 // (n, B, metric) build through the default pruned reduction vs. the dense
 // reference (denseTable). The data is structured — piecewise-
 // constant segments plus small noise — which is where monotonicity
-// pruning bites; both variants run on a serial pool so cost-evals/op is
-// deterministic and the timing isolates the split-scan work rather than
-// scheduling. The absolute-error rows (SAE, SARE, MAE) also compare two
+// pruning bites; both variants run on a serial pool so the timing isolates
+// the split-scan work rather than scheduling (two workers=2 rows record
+// what the tile schedule adds on top; cost-evals/op is the same at any
+// worker count). The absolute-error rows (SAE, SARE, MAE) also compare two
 // pricings: the default build sweeps each column, the dense reference
 // prices it bucket by bucket through cold Cost calls. The data is the
 // oracles' worst case — every item certain and distinct, so |V| = n+1 and
@@ -39,13 +40,13 @@ func benchSegmented(n int) *pdata.ValuePDF {
 	return pdata.Deterministic(freqs)
 }
 
-func benchDP(b *testing.B, dense bool, n, B int, k metric.Kind) {
+func benchDP(b *testing.B, dense bool, workers, n, B int, k metric.Kind) {
 	b.Helper()
 	o, err := NewOracle(benchSegmented(n), k, metric.Params{C: 0.5})
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := engine.New(engine.Options{Workers: 1})
+	pool := engine.New(engine.Options{Workers: workers})
 	var st DPStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -67,14 +68,23 @@ func benchDPGrid(b *testing.B, dense bool) {
 		for _, B := range []int{50, 200} {
 			for _, k := range []metric.Kind{metric.SSE, metric.SSRE, metric.SAE, metric.SARE} {
 				b.Run(fmt.Sprintf("n=%d/B=%d/%s", n, B, k), func(b *testing.B) {
-					benchDP(b, dense, n, B, k)
+					benchDP(b, dense, 1, n, B, k)
 				})
 			}
 		}
 	}
+	// Parallel-vs-serial on the same data: the workers=2 twins of the
+	// n=2048/B=50 SSE and SARE rows (the counts equal their serial twins').
+	if !dense {
+		for _, k := range []metric.Kind{metric.SSE, metric.SARE} {
+			b.Run(fmt.Sprintf("n=2048/B=50/%s/workers=2", k), func(b *testing.B) {
+				benchDP(b, false, 2, 2048, 50, k)
+			})
+		}
+	}
 	// The maximum-error oracle is O(|V| + bucket width) per swept bucket
 	// and dearer still bucket by bucket, so its row stays small.
-	b.Run("n=256/B=16/MAE", func(b *testing.B) { benchDP(b, dense, 256, 16, metric.MAE) })
+	b.Run("n=256/B=16/MAE", func(b *testing.B) { benchDP(b, dense, 1, 256, 16, metric.MAE) })
 }
 
 // BenchmarkHistDPPruned: the default path. Compare each sub-benchmark

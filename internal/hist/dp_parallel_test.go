@@ -1,10 +1,9 @@
 package hist
 
-// White-box tests that the parallel DP schedule is bit-identical to the
-// serial one: same opt values (exact float equality) and same
-// back-pointers, for every oracle family, at parallelism 1, 2, and
-// NumCPU. Run under -race this also exercises the worker pool for data
-// races.
+// White-box tests that the DP's tile schedule is bit-identical at every
+// worker count and tile shape: same opt values (exact float equality),
+// same back-pointers and same work counters, for every oracle family. Run
+// under -race this also exercises the grid runner for data races.
 
 import (
 	"math"
@@ -49,20 +48,24 @@ func parallelSources(rng *rand.Rand, n int) map[string]pdata.Source {
 }
 
 // finePool returns a pool whose grain is low enough that small test
-// inputs actually take the parallel code paths. Grain lives in
-// engine.Options — not a package global — so this is safe under parallel
-// test execution.
+// inputs actually take the chunked code paths (the approximate DP; the
+// exact DP's tile schedule has no grain). Grain lives in engine.Options —
+// not a package global — so this is safe under parallel test execution.
 func finePool(workers int) *engine.Pool {
 	return engine.New(engine.Options{Workers: workers, Grain: 8})
 }
 
+// tileShapes are the geometries the tile-edge cases run on top of
+// production's: a tile edge at every level and every end with a one-slot
+// ring, and two uneven ones whose blocks do not divide the domains below.
+var tileShapes = []tileShape{defaultTiles, {1, 1, 1}, {3, 4, 2}, {2, 5, 3}}
+
 func TestRunDPWorkersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	// With the grain lowered, ends both below and above the threshold run
-	// within one table, covering the serial fallback and both parallel
-	// phases (cost sweep and split-point reduction).
+	// 12 end blocks by a fill row and one band: more tiles than any worker
+	// count below, so every pool really shares the grid.
 	const n, B = 96, 9
-	workerCounts := []int{1, 2, runtime.NumCPU()}
+	workerCounts := []int{1, 2, 3, 5, runtime.NumCPU()}
 	for srcName, src := range parallelSources(rng, n) {
 		for _, k := range []metric.Kind{metric.SSE, metric.SSEFixed, metric.SSRE,
 			metric.SAE, metric.SARE, metric.MAE, metric.MARE} {
@@ -80,29 +83,44 @@ func TestRunDPWorkersBitIdentical(t *testing.T) {
 					t.Fatalf("%s/%v workers=%d: %v", srcName, k, w, err)
 				}
 				tablesIdentical(t, serial, par)
+				if got, want := par.Stats(), serial.Stats(); got != want {
+					t.Fatalf("%s/%v workers=%d: stats %+v, serial %+v", srcName, k, w, got, want)
+				}
 			}
 		}
 	}
 }
 
-// The grain threshold must not change results: force tiny inputs through
-// the parallel path-selection logic at every worker count.
+// Tile edges must not change results: domains and budgets of 1, one short
+// of a tile, exactly a tile, one past it and a non-multiple — Bmax = 1 is a
+// fill row alone, Bmax = 9 one full default band, Bmax > n clamps — on
+// every tile shape, with more workers than some of these grids have tiles,
+// against the dense reference. The work counters must not depend on the
+// shape or the worker count either.
 func TestRunDPWorkersTinyDomains(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
-	for n := 1; n <= 6; n++ {
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 17} {
 		src := ptest.RandomValuePDF(rng, n, 3)
-		o := NewSSEValue(src)
-		for B := 1; B <= n+1; B++ {
-			serial, err := RunDPPool(o, B, engine.New(engine.Options{Workers: 1}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range []int{2, runtime.NumCPU()} {
-				par, err := RunDPPool(o, B, finePool(w))
+		for _, o := range []Oracle{NewSSEValue(src), NewSSETuple(ptest.RandomTuplePDF(rng, n, 2*n, 3))} {
+			for _, B := range []int{1, 2, 3, 7, 8, 9, 10, 13, n, n + 1} {
+				dense := denseTable(o, B)
+				serial, err := RunDPPool(o, B, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				tablesIdentical(t, serial, par)
+				tablesIdentical(t, dense, serial)
+				for _, ts := range tileShapes {
+					for _, w := range []int{1, 2, 5, runtime.NumCPU()} {
+						par, err := runDP(o, B, finePool(w), ts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						tablesIdentical(t, dense, par)
+						if got, want := par.Stats(), serial.Stats(); got != want {
+							t.Fatalf("%T n=%d B=%d tiles=%v workers=%d: stats %+v, serial %+v", o, n, B, ts, w, got, want)
+						}
+					}
+				}
 			}
 		}
 	}

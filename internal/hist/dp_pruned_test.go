@@ -5,7 +5,7 @@ package hist
 // dense reference (denseTable, dense_test.go) for every oracle family, both
 // combine rules, and every worker count — and the DPStats accounting must
 // balance exactly (every candidate is either scanned or pruned). Run
-// under -race this also exercises the pruned chunked dispatch.
+// under -race this also exercises the tile schedule.
 
 import (
 	"math"
@@ -32,6 +32,25 @@ func splitCandidates(n, B int) int64 {
 		}
 	}
 	return total
+}
+
+// dipOracle halves the cost of every bucket ending at or after at: a
+// non-negative cost function a DP row is not monotone under, aggregated
+// by the given rule.
+type dipOracle struct {
+	Oracle
+	at      int
+	combine Combine
+}
+
+func (d dipOracle) Combine() Combine { return d.combine }
+
+func (d dipOracle) Cost(s, e int) (float64, float64) {
+	c, rep := d.Oracle.Cost(s, e)
+	if e >= d.at {
+		c /= 2
+	}
+	return c, rep
 }
 
 func checkStatsBalance(t *testing.T, tag string, tab *DPTable) {
@@ -80,7 +99,13 @@ func TestPrunedDPBitIdentical(t *testing.T) {
 // almost immediately (pruning must engage, pinned via DPStats), and an
 // exponentially growing ramp, where the argmin sits at the far right of
 // every scan so the monotone stop almost never helps — both must stay
-// bit-identical to the dense reference.
+// bit-identical to the dense reference. A third input breaks the
+// monotonicity the pruning leans on: every bucket ending at or after dipAt
+// costs half, so every row drops there and its certificate stops in the
+// middle of an end block, whatever the tile shape. Ends up to dipAt must
+// still prune on the certificate and ends past it must not, both for a
+// level that reads the certificate inside its own band and for a band's
+// first level, which reads the snapshot the band above left behind.
 func TestPrunedDPAdversarial(t *testing.T) {
 	const n, B = 256, 12
 	spike := make([]float64, n)
@@ -93,14 +118,21 @@ func TestPrunedDPAdversarial(t *testing.T) {
 	for i := range ramp {
 		ramp[i] = math.Pow(1.2, float64(i))
 	}
+	const dipAt = 8*13 + 3
+	steps := make([]float64, n)
+	for i := range steps {
+		steps[i] = float64(i/16) + float64(i%3)/4
+	}
 	cases := []struct {
 		name       string
 		data       []float64
+		dip        bool
 		minPrunedF float64 // lower bound on the pruned fraction, engaged case
 	}{
-		{"spike", spike, 0.5},
-		{"equal", equal, 0.5},
-		{"ramp", ramp, 0},
+		{"spike", spike, false, 0.5},
+		{"equal", equal, false, 0.5},
+		{"ramp", ramp, false, 0},
+		{"dip", steps, true, 0},
 	}
 	for _, tc := range cases {
 		src := pdata.Deterministic(tc.data)
@@ -109,20 +141,45 @@ func TestPrunedDPAdversarial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: %v", tc.name, k, err)
 			}
-			dense := denseTable(o, B)
-			for _, w := range []int{1, runtime.NumCPU()} {
-				pruned, err := RunDPPool(o, B, finePool(w))
-				if err != nil {
-					t.Fatalf("%s/%v workers=%d: %v", tc.name, k, w, err)
-				}
-				tablesIdentical(t, dense, pruned)
-				checkStatsBalance(t, tc.name, pruned)
+			if tc.dip {
+				// Priced by the O(1) SSE oracle whatever k, combined as k
+				// combines: any non-negative cost function is a valid input
+				// under either rule, and MAE's cold search bucket by bucket
+				// would be most of this test's time.
+				o = dipOracle{NewSSEValue(src), dipAt, o.Combine()}
 			}
-			// Pin engagement on the serial schedule (chunk-local incumbents
-			// make parallel stats schedule-dependent).
+			dense := denseTable(o, B)
 			serial, err := RunDPPool(o, B, nil)
 			if err != nil {
 				t.Fatal(err)
+			}
+			for _, ts := range tileShapes {
+				workers := []int{2}
+				if ts == defaultTiles {
+					workers = []int{1, 2, runtime.NumCPU()}
+				}
+				for _, w := range workers {
+					pruned, err := runDP(o, B, finePool(w), ts)
+					if err != nil {
+						t.Fatalf("%s/%v tiles=%v workers=%d: %v", tc.name, k, ts, w, err)
+					}
+					tablesIdentical(t, dense, pruned)
+					checkStatsBalance(t, tc.name, pruned)
+					if got, want := pruned.Stats(), serial.Stats(); got != want {
+						t.Fatalf("%s/%v tiles=%v workers=%d: stats %+v, serial %+v", tc.name, k, ts, w, got, want)
+					}
+				}
+			}
+			if tc.dip {
+				// The case is only worth its name if the certificates did
+				// stop where it put the dip: row 0 under either combine rule
+				// (the {1 1 1} shape makes every row a band edge), every row
+				// under Sum (the default shape's band edge is row 8).
+				for b := 0; b < B-1 && (b == 0 || o.Combine() == Sum); b++ {
+					if serial.mono[b] != dipAt {
+						t.Fatalf("dip/%v: row %d certified up to %d, want it to stop at %d", k, b, serial.mono[b], dipAt)
+					}
+				}
 			}
 			st := serial.Stats()
 			frac := float64(st.CandidatesPruned) / float64(st.CandidatesScanned+st.CandidatesPruned)
@@ -135,36 +192,41 @@ func TestPrunedDPAdversarial(t *testing.T) {
 	}
 }
 
-// TestPrunedDPLazyEvalsBounded: the bounded lazy fill prices each end's
-// costs once, up to the furthest surviving candidate — never once per
-// level like a naive lazy scan would (a Θ(B) blowup), and never past the
-// dense Θ(n²/2) fill by more than the per-level seed re-pricings. On
-// structured data the split scans themselves must be almost entirely
-// pruned: that Θ(n²·B) term, not the fill, is the dense path's dominant
-// cost.
+// TestPrunedDPLazyEvalsBounded: the fill prices each bucket exactly once —
+// n(n+1)/2 evaluations for every oracle kind, sweep or random-access,
+// never once per level like a naive lazy scan would (a Θ(B) blowup) and
+// with no seed re-pricing on top. On structured data the split scans
+// themselves must be almost entirely pruned: that Θ(n²·B) term, not the
+// fill, is the dense path's dominant cost.
 func TestPrunedDPLazyEvalsBounded(t *testing.T) {
 	const n, B = 512, 16
 	data := make([]float64, n)
 	for i := range data {
 		data[i] = float64(i / 64) // 8 flat segments
 	}
-	o := NewSSEValue(pdata.Deterministic(data))
-	dense := denseTable(o, B)
-	pruned, err := RunDPPool(o, B, nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, k := range []metric.Kind{metric.SSE, metric.SSRE, metric.SAE, metric.MAE} {
+		o, err := NewOracle(pdata.Deterministic(data), k, metric.Params{C: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pruned, err := RunDPPool(o, B, finePool(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := pruned.Stats().CostEvals, int64(n*(n+1)/2); got != want {
+			t.Fatalf("%v: %d cost evals, want one per bucket, %d", k, got, want)
+		}
+		if k != metric.SSE {
+			continue
+		}
+		tablesIdentical(t, denseTable(o, B), pruned)
+		st := pruned.Stats()
+		frac := float64(st.CandidatesPruned) / float64(st.CandidatesScanned+st.CandidatesPruned)
+		if frac < 0.9 {
+			t.Fatalf("scan pruning fraction %.3f, want >= 0.90 on segmented data", frac)
+		}
+		t.Logf("cost evals %d; scans pruned %.1f%%", st.CostEvals, 100*frac)
 	}
-	tablesIdentical(t, dense, pruned)
-	dEvals, pEvals := dense.Stats().CostEvals, pruned.Stats().CostEvals
-	if slack := int64(B * n); pEvals > dEvals+slack {
-		t.Fatalf("lazy path made %d cost evals, dense fill %d — fill is not bounded (max slack %d)", pEvals, dEvals, slack)
-	}
-	st := pruned.Stats()
-	frac := float64(st.CandidatesPruned) / float64(st.CandidatesScanned+st.CandidatesPruned)
-	if frac < 0.9 {
-		t.Fatalf("scan pruning fraction %.3f, want >= 0.90 on segmented data", frac)
-	}
-	t.Logf("cost evals: dense %d, pruned %d; scans pruned %.1f%%", dEvals, pEvals, 100*frac)
 }
 
 // TestOptimalErrorMatchesTableCost: the rolling two-row DP must agree

@@ -104,5 +104,5 @@ func (l *LiveDP) redo(from int) error {
 	if err != nil {
 		return err
 	}
-	return l.tab.resume(o, from, l.breq, l.pool)
+	return l.tab.resume(o, from, l.breq, l.pool, defaultTiles)
 }

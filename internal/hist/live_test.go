@@ -135,38 +135,78 @@ func TestLiveDPValidation(t *testing.T) {
 
 // TestLiveDPBudgetUnclamps: a budget clamped by a small initial domain
 // grows with the domain, exactly as a fresh DP over the grown data would.
+// The cases put the growth on the tile grid's edges: within the first
+// block, across the block boundary at 8, from exactly a block, and by more
+// than a block with levels appearing in a second band.
 func TestLiveDPBudgetUnclamps(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	vp := liveRandVP(rng, 3)
 	mk := func(v *pdata.ValuePDF) (Oracle, error) { return NewOracle(v, metric.SSE, metric.Params{}) }
-	live, err := NewLiveDP(vp, mk, 6, nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct{ n, B, grow int }{{3, 6, 4}, {7, 12, 3}, {8, 9, 1}, {5, 20, 12}} {
+		for _, workers := range []int{1, 3} {
+			rng := rand.New(rand.NewSource(11))
+			vp := liveRandVP(rng, tc.n)
+			live, err := NewLiveDP(vp, mk, tc.B, engine.New(engine.Options{Workers: workers}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := live.Table().Bmax(); got != tc.n {
+				t.Fatalf("n=%d B=%d: initial Bmax %d, want %d (clamped)", tc.n, tc.B, got, tc.n)
+			}
+			cur := vp.Clone()
+			var items []pdata.ItemPDF
+			for i := 0; i < tc.grow; i++ {
+				it := liveRandItem(rng)
+				items = append(items, it)
+				cur.Items = append(cur.Items, it.Clone())
+			}
+			cur.N = len(cur.Items)
+			if err := live.Append(items); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := live.Table().Bmax(), min(tc.B, cur.N); got != want {
+				t.Fatalf("n=%d B=%d +%d: post-append Bmax %d, want %d", tc.n, tc.B, tc.grow, got, want)
+			}
+			o, err := mk(cur)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tablesIdentical(t, denseTable(o, tc.B), live.Table())
+		}
 	}
-	if got := live.Table().Bmax(); got != 3 {
-		t.Fatalf("initial Bmax %d, want 3 (clamped)", got)
+}
+
+// TestResumeTileEdges: a resume tiles the suffix it recomputes from its
+// own start, so the start is put on every edge — 0, 1, one short of a
+// block, a block, one past it, a non-multiple, the last end and the no-op
+// start n — on every tile shape; the resumed table must equal a dense
+// build over the mutated data.
+func TestResumeTileEdges(t *testing.T) {
+	const n, B = 21, 11
+	mk := func(v *pdata.ValuePDF) Oracle {
+		o, err := NewOracle(v, metric.SAE, metric.Params{C: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
 	}
-	cur := vp.Clone()
-	items := []pdata.ItemPDF{liveRandItem(rng), liveRandItem(rng), liveRandItem(rng), liveRandItem(rng)}
-	for _, it := range items {
-		cur.Items = append(cur.Items, it.Clone())
-	}
-	cur.N = len(cur.Items)
-	if err := live.Append(items); err != nil {
-		t.Fatal(err)
-	}
-	if got := live.Table().Bmax(); got != 6 {
-		t.Fatalf("post-append Bmax %d, want 6", got)
-	}
-	o, err := mk(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := RunDPPool(o, 6, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(live.Table().opt, fresh.opt) {
-		t.Fatal("unclamped tables diverge")
+	for _, ts := range tileShapes {
+		for _, workers := range []int{1, 2, 5} {
+			pool := engine.New(engine.Options{Workers: workers})
+			rng := rand.New(rand.NewSource(29))
+			vp := liveRandVP(rng, n)
+			tab, err := runDP(mk(vp), B, pool, ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, from := range []int{0, 1, 7, 8, 9, 13, n - 1, n} {
+				if from < n {
+					vp.Items[from] = liveRandItem(rng)
+				}
+				o := mk(vp)
+				if err := tab.resume(o, from, B, pool, ts); err != nil {
+					t.Fatalf("tiles=%v workers=%d from=%d: %v", ts, workers, from, err)
+				}
+				tablesIdentical(t, denseTable(o, B), tab)
+			}
+		}
 	}
 }

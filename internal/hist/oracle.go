@@ -17,10 +17,10 @@ const (
 // with the representative value achieving it. Implementations precompute
 // prefix structures so Cost runs in O(1) or O(polylog) time (§3).
 //
-// Cost must be safe for concurrent calls: RunDPPool and ApproximatePool
-// issue them from multiple goroutines. Every oracle in
-// this package satisfies this by construction — Cost only reads arrays
-// frozen at construction time.
+// Cost must be safe for concurrent calls: ApproximatePool issues them
+// from multiple goroutines, and any number of DPs may price through one
+// oracle at once. Every oracle in this package satisfies this by
+// construction — Cost only reads arrays frozen at construction time.
 //
 // Cost must be non-negative, exactly, in floats — not just in exact
 // arithmetic. Every error metric is a non-negative expectation, but
@@ -56,7 +56,10 @@ type Oracle interface {
 //     that they check the sweep instead of repeating it. Their scratch is
 //     local to the call: any number of DPs may sweep one oracle at once.
 //
-// Within one DP, CostsForEnd is only ever called from a single goroutine.
+// Within one DP, CostsForEnd is called from one goroutine at a time, in
+// end order: only the fill row of the DP's tile grid prices buckets, and a
+// grid row is a chain — tile q starts after tile q-1 has returned — though
+// successive tiles may run on different workers.
 type SweepOracle interface {
 	Oracle
 	// CostsForEnd writes, for each s in [0, e], the cost and optimal

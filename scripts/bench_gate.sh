@@ -25,12 +25,13 @@
 #                    contract (the serve hot path); any fresh run
 #                    allocating breaks it and fails the gate. Alloc
 #                    counts do not jitter.
-#   cost_evals_per_op — the histogram DP benchmarks run on a serial
-#                    pool, so the bucket-cost evaluation count is an
-#                    exact, machine-independent function of the code;
-#                    growth beyond 5% over the snapshot fails the gate
-#                    (the pruned DP quietly refilling dense is exactly
-#                    the regression wall-clock noise would hide).
+#   cost_evals_per_op — the histogram DP's bucket-cost evaluation count
+#                    is an exact, machine-independent function of the
+#                    code at every worker count (n(n+1)/2: one per
+#                    bucket); growth beyond 5% over the snapshot fails
+#                    the gate (a DP quietly pricing buckets once per
+#                    level is exactly the regression wall-clock noise
+#                    would hide).
 #   p99_ns         — loadbench tail latency; a > 4.0x blowup is
 #                    reported as a warning only (CI runner tails are
 #                    too noisy to hard-gate).
