@@ -347,11 +347,11 @@ func runPack(stdout io.Writer, dir string) error {
 }
 
 // runQuery answers a batch request file offline from a catalog
-// directory: the same evaluator, key canonicalization, c-defaulting, and
-// canonical response serialization as psynd's POST /v1/query, so the
-// bytes written to stdout are cmp-identical to the served response over
-// the same catalog. Nothing else is written to stdout — reports would
-// break the byte identity.
+// directory: the same decoder, resolver (catalog.Resolve, c defaulting to
+// -c as psynd defaults its own), evaluator and canonical serialization as
+// psynd's POST /v1/query, so the bytes written to stdout are
+// cmp-identical to the served response over the same catalog. Nothing
+// else is written to stdout — reports would break the byte identity.
 func runQuery(stdout io.Writer, reqPath, catalogDir string, c float64) error {
 	if catalogDir == "" {
 		return fmt.Errorf("-query needs -out pointing at a saved catalog directory")
@@ -369,49 +369,18 @@ func runQuery(stdout io.Writer, reqPath, catalogDir string, c float64) error {
 	if err := req.Validate(); err != nil {
 		return err
 	}
-	resolve := func(bk query.BatchKey) (query.Querier, int, *query.OpError) {
-		kc := bk.C
-		if kc == 0 {
-			kc = c // the -c default, exactly as psynd defaults its -c
-		}
-		key, err := catalog.NewKeyQ(bk.Dataset, bk.Family, bk.Metric, bk.Budget, kc, bk.Q)
-		if err != nil {
-			return nil, 0, &query.OpError{Code: "bad_request", Message: err.Error()}
-		}
-		if bk.Shards >= 2 {
-			// A sharded key answers through a composite querier over its
-			// saved piece files — the offline twin of the server's
-			// sharded batch resolution.
-			pieces := make([]query.Querier, bk.Shards)
-			bounds := make([]int, bk.Shards+1)
-			for s := 0; s < bk.Shards; s++ {
-				pk, err := key.Piece(s, bk.Shards)
-				if err != nil {
-					return nil, 0, &query.OpError{Code: "bad_request", Message: err.Error()}
-				}
-				syn, err := catalog.ReadFile(filepath.Join(catalogDir, pk.Filename()))
-				if err != nil {
-					return nil, 0, &query.OpError{Code: "not_found", Message: fmt.Sprintf("no synopsis for %s (build it first)", pk)}
-				}
-				pieces[s] = query.Compile(syn)
-				bounds[s+1] = bounds[s] + syn.Domain()
-			}
-			sq, err := query.NewSharded(pieces, bounds)
-			if err != nil {
-				return nil, 0, &query.OpError{Code: "bad_request", Message: err.Error()}
-			}
-			return sq, sq.Domain(), nil
-		}
+	// The offline synopsis source: one saved file per catalog key. A file
+	// that is missing or unreadable is "no such synopsis" — the answer the
+	// server gives for an uncataloged key, so error results match too.
+	get := func(key catalog.Key) (query.Querier, *query.OpError) {
 		syn, err := catalog.ReadFile(filepath.Join(catalogDir, key.Filename()))
 		if err != nil {
-			// The same message the server's resolver produces for an
-			// uncataloged key, so error results are byte-identical too.
-			return nil, 0, &query.OpError{Code: "not_found", Message: fmt.Sprintf("no synopsis for %s (build it first)", key)}
+			return nil, nil
 		}
-		return query.Compile(syn), syn.Domain(), nil
+		return query.Compile(syn), nil
 	}
 	var resp query.BatchResponse
-	query.EvalBatch(&req, resolve, &resp)
+	query.EvalBatch(&req, catalog.Resolver(c, get), &resp)
 	return query.EncodeResponse(stdout, &resp)
 }
 

@@ -8,6 +8,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,7 +17,9 @@ import (
 
 	"probsyn"
 	"probsyn/internal/catalog"
+	"probsyn/internal/engine"
 	"probsyn/internal/gen"
+	"probsyn/internal/server"
 )
 
 // writeDataset materializes a small generated dataset in the probsyn text
@@ -575,6 +579,95 @@ func TestRunSharded(t *testing.T) {
 	}
 	if resp.Results[0].Value != want0 {
 		t.Fatalf("sharded batch rangesum = %v, want %v", resp.Results[0].Value, want0)
+	}
+}
+
+// TestRunQueryMatchesServedBatch: psyn -query and psynd's POST /v1/query
+// answer through the same resolver and evaluator, so over one catalog
+// directory — unsharded keys, a sharded key, and every kind of per-op
+// error — stdout is byte for byte the served response body. The server
+// here has no datasets at all: reads need none. (The GET endpoints are
+// held to the batch by internal/server's TestReadPathsAgree.)
+func TestRunQueryMatchesServedBatch(t *testing.T) {
+	dir := t.TempDir()
+	dataset, _ := writeDataset(t, dir)
+	catDir := filepath.Join(dir, "catalog")
+	for _, args := range [][]string{
+		{"-metric", "SSE", "-buckets", "4", "-sweep"},
+		{"-wavelet", "-metric", "SAE", "-coeffs", "3", "-sweep"},
+		{"-metric", "SSRE", "-buckets", "3", "-sweep"}, // keyed by the default -c
+		{"-metric", "SSE", "-buckets", "8", "-shards", "4"},
+		{"-wavelet", "-metric", "SSE", "-coeffs", "6", "-shards", "2"},
+	} {
+		args = append([]string{"-input", dataset, "-dataset", "ds", "-out", catDir}, args...)
+		if err := run(args, io.Discard); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+	}
+	batch := `{"ops":[
+		{"dataset":"ds","family":"histogram","metric":"SSE","budget":4,"op":"estimate","i":7},
+		{"dataset":"ds","family":"wavelet","metric":"SAE","budget":3,"op":"rangesum","lo":-2,"hi":2000},
+		{"dataset":"ds","family":"histogram","metric":"SSRE","budget":3,"op":"rangesum","lo":2,"hi":20},
+		{"dataset":"ds","family":"histogram","metric":"SSRE","budget":3,"c":0.5,"op":"estimate","i":1},
+		{"dataset":"ds","family":"histogram","metric":"SSE","budget":8,"shards":4,"op":"rangesum","lo":5,"hi":40},
+		{"dataset":"ds","family":"histogram","metric":"SSE","budget":8,"shards":4,"op":"estimate","i":33},
+		{"dataset":"ds","family":"wavelet","metric":"SSE","budget":6,"shards":2,"op":"rangesum","lo":31,"hi":32},
+		{"dataset":"ds","family":"histogram","metric":"SSE","budget":8,"shards":2,"op":"estimate","i":0},
+		{"dataset":"ds","family":"histogram","metric":"SSE","budget":99,"op":"estimate","i":0},
+		{"dataset":"ds","family":"histogram","metric":"SSRE","budget":3,"c":0.25,"op":"estimate","i":0},
+		{"dataset":"ds","family":"histogram","metric":"SSE","budget":4,"op":"estimate","i":-1},
+		{"dataset":"ds","family":"histogram","metric":"SSE","budget":8,"shards":4,"op":"rangesum","lo":9,"hi":3},
+		{"dataset":"ds","family":"wavelet","metric":"SAE","budget":3,"op":"rangesum","lo":5000,"hi":6000},
+		{"dataset":"ds","family":"histogram","metric":"SSE","budget":4,"op":"median","i":1},
+		{"dataset":"ds","family":"sketch","metric":"SSE","budget":4,"op":"estimate","i":1},
+		{"dataset":"ds","family":"histogram","metric":"SAE","budget":4,"q":4,"op":"estimate","i":1}
+	]}`
+	reqPath := filepath.Join(dir, "batch.json")
+	if err := os.WriteFile(reqPath, []byte(batch), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var offline bytes.Buffer
+	if err := run([]string{"-query", reqPath, "-out", catDir}, &offline); err != nil {
+		t.Fatal(err)
+	}
+
+	cat := catalog.New()
+	if _, err := cat.LoadDir(catDir); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{DataDir: t.TempDir(), Catalog: cat, Pool: engine.Serial(), C: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(batch)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("served batch: status %d: %s", rec.Code, rec.Body)
+	}
+	if !bytes.Equal(offline.Bytes(), rec.Body.Bytes()) {
+		t.Fatalf("psyn -query and POST /v1/query disagree:\noffline %s\nserved  %s", offline.Bytes(), rec.Body)
+	}
+	// The bytes agree about something: eight answers, then eight errors.
+	var resp struct {
+		Results []struct {
+			Err *struct {
+				Code string `json:"code"`
+			} `json:"error"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(offline.Bytes(), &resp); err != nil || len(resp.Results) != 16 {
+		t.Fatalf("%d results (%v):\n%s", len(resp.Results), err, offline.Bytes())
+	}
+	wantCodes := []string{"", "", "", "", "", "", "", "not_found", "not_found", "not_found",
+		"bad_request", "bad_request", "bad_request", "bad_request", "bad_request", "bad_request"}
+	for i, r := range resp.Results {
+		got := ""
+		if r.Err != nil {
+			got = r.Err.Code
+		}
+		if got != wantCodes[i] {
+			t.Errorf("op %d: error code %q, want %q\n%s", i, got, wantCodes[i], offline.Bytes())
+		}
 	}
 }
 

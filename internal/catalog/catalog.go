@@ -85,7 +85,7 @@ func NewKey(dataset, family, metricName string, budget int, c float64) (Key, err
 	}
 	if !k.Relative() {
 		c = 0
-	} else if c <= 0 {
+	} else if !(c > 0) { // NaN included: a NaN key equals nothing, itself least of all
 		return Key{}, fmt.Errorf("catalog: metric %v needs a sanity constant c > 0, got %g", k, c)
 	}
 	return Key{Dataset: dataset, Family: family, Metric: k.String(), Budget: budget, C: c}, nil

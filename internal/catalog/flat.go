@@ -274,7 +274,6 @@ func (l *flatLazy) validateShape() error {
 // Underlying materializing the concrete synopsis for the codec.
 type flatSyn struct {
 	q     query.Querier
-	n     int
 	terms int
 	cost  float64
 	lazy  *flatLazy
@@ -284,7 +283,7 @@ func (s *flatSyn) Estimate(i int) float64      { return s.q.Estimate(i) }
 func (s *flatSyn) RangeSum(lo, hi int) float64 { return s.q.RangeSum(lo, hi) }
 func (s *flatSyn) Terms() int                  { return s.terms }
 func (s *flatSyn) ErrorCost() float64          { return s.cost }
-func (s *flatSyn) Domain() int                 { return s.n }
+func (s *flatSyn) Domain() int                 { return s.q.Domain() }
 func (s *flatSyn) Underlying() (synopsis.Synopsis, error) {
 	l := s.lazy
 	l.matOnce.Do(func() {
@@ -798,7 +797,7 @@ func (f *Flat) buildEntry(rec flatRec) (*Entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("catalog: flat file %s: entry %v: %w", f.path, rec.key, err)
 	}
-	syn := &flatSyn{q: q, n: rec.n, terms: rec.terms, cost: rec.cost, lazy: lazy}
+	syn := &flatSyn{q: q, terms: rec.terms, cost: rec.cost, lazy: lazy}
 	return &Entry{Key: rec.key, Synopsis: syn, Bytes: rec.envBytes, Querier: q, lazy: lazy}, nil
 }
 

@@ -39,6 +39,11 @@ type BatchKey struct {
 	// partials, estimates route to the single owning piece. 0 queries
 	// the ordinary unsharded synopsis.
 	Shards int `json:"shards,omitempty"`
+	// Piece, when non-zero, addresses shard Piece-1 of the Shards-way
+	// build alone, in that piece's own local coordinates. It is the GET
+	// endpoints' &shard=s key syntax and deliberately not a wire field:
+	// a batch cannot carry it.
+	Piece int `json:"-"`
 }
 
 // The two operation kinds.
@@ -135,26 +140,30 @@ func EvalBatch(req *BatchRequest, resolve Resolver, resp *BatchResponse) {
 			resp.Results = append(resp.Results, OpResult{Err: rk.err})
 			continue
 		}
-		resp.Results = append(resp.Results, evalOp(op, rk))
+		resp.Results = append(resp.Results, evalOp(op, rk.q, rk.domain))
 	}
 }
 
-// evalOp answers one operation against its resolved querier.
-func evalOp(op *Op, rk *resolvedKey) OpResult {
+// Eval answers one operation against the querier its key resolved to:
+// the rules EvalBatch applies per op, so a point GET is a batch of one.
+func Eval(op *Op, q Querier) OpResult { return evalOp(op, q, q.Domain()) }
+
+// evalOp is the one op evaluator: domain checks, then the querier.
+func evalOp(op *Op, q Querier, domain int) OpResult {
 	switch op.Op {
 	case OpEstimate:
-		if op.I < 0 || op.I >= rk.domain {
-			return opErrorf("bad_request", "item %d outside domain [0, %d)", op.I, rk.domain)
+		if op.I < 0 || op.I >= domain {
+			return opErrorf("bad_request", "item %d outside domain [0, %d)", op.I, domain)
 		}
-		return OpResult{Value: rk.q.Estimate(op.I)}
+		return OpResult{Value: q.Estimate(op.I)}
 	case OpRangeSum:
 		if op.Lo > op.Hi {
 			return opErrorf("bad_request", "empty range [%d, %d]", op.Lo, op.Hi)
 		}
-		if op.Hi < 0 || op.Lo >= rk.domain {
-			return opErrorf("bad_request", "range [%d, %d] outside domain [0, %d)", op.Lo, op.Hi, rk.domain)
+		if op.Hi < 0 || op.Lo >= domain {
+			return opErrorf("bad_request", "range [%d, %d] outside domain [0, %d)", op.Lo, op.Hi, domain)
 		}
-		return OpResult{Value: rk.q.RangeSum(op.Lo, op.Hi)}
+		return OpResult{Value: q.RangeSum(op.Lo, op.Hi)}
 	default:
 		return opErrorf("bad_request", "unknown op %q (want %q or %q)", op.Op, OpEstimate, OpRangeSum)
 	}

@@ -59,6 +59,8 @@ type Querier interface {
 	// RangeSum estimates the total frequency over the inclusive item
 	// range [lo, hi] (out-of-domain ends are clamped).
 	RangeSum(lo, hi int) float64
+	// Domain returns the number of items the querier covers, [0, Domain()).
+	Domain() int
 }
 
 // Compile returns the compiled querier for a synopsis: the precomputed
@@ -111,6 +113,9 @@ func CompileHistogram(h *hist.Histogram) *HistogramQuerier {
 	}
 	return q
 }
+
+// Domain returns the histogram's item count.
+func (q *HistogramQuerier) Domain() int { return q.n }
 
 // bucketOf returns the index of the bucket containing item i (i must be
 // in-domain): the first bucket whose end is >= i. Inlined binary search —
@@ -225,6 +230,9 @@ func CompileWavelet(s *wavelet.Synopsis) *WaveletQuerier {
 	}
 	return q
 }
+
+// Domain returns the padded power-of-two domain, as Synopsis.Domain does.
+func (q *WaveletQuerier) Domain() int { return q.n }
 
 // find returns the retained-coefficient position of index idx, or -1:
 // one array load on the dense path (kept small enough to inline into the

@@ -5,35 +5,31 @@ import "fmt"
 // ShardedQuerier composes the k piece queriers of a sharded build into
 // one querier over the global domain: estimates route to the single
 // owning piece, range sums split at the shard boundaries and sum the
-// pieces' partials. It is the query-side twin of probsyn.BuildSharded's
-// Pieces — the cluster's batch endpoint assembles one per sharded key
-// (fetching remote pieces once) and then answers every op of the batch
-// locally at the usual querier speed.
+// pieces' partials in shard order. It is the query-side twin of
+// probsyn.BuildSharded's Pieces — catalog.Resolve assembles one per
+// sharded key, for every read path, and then answers at the usual
+// querier speed.
 type ShardedQuerier struct {
 	pieces []Querier
 	bounds []int // k+1 global boundaries; piece s covers [bounds[s], bounds[s+1])
 }
 
-// NewSharded builds the composite querier. bounds must have
-// len(pieces)+1 strictly increasing entries starting at 0 — the global
-// item boundaries the pieces tile (probsyn.ShardBounds of the build).
-func NewSharded(pieces []Querier, bounds []int) (*ShardedQuerier, error) {
+// NewSharded builds the composite querier over pieces in shard order.
+// The global boundaries are the running sum of the pieces' own domains —
+// the pieces of a build tile its domain, so no other cut is possible.
+func NewSharded(pieces []Querier) (*ShardedQuerier, error) {
 	if len(pieces) == 0 {
 		return nil, fmt.Errorf("query: sharded querier needs at least one piece")
 	}
-	if len(bounds) != len(pieces)+1 {
-		return nil, fmt.Errorf("query: %d boundaries for %d pieces, want %d", len(bounds), len(pieces), len(pieces)+1)
-	}
-	if bounds[0] != 0 {
-		return nil, fmt.Errorf("query: shard boundaries start at %d, want 0", bounds[0])
-	}
-	for s := 0; s < len(pieces); s++ {
-		if bounds[s+1] <= bounds[s] {
-			return nil, fmt.Errorf("query: shard boundaries %v not strictly increasing", bounds)
-		}
-		if pieces[s] == nil {
+	bounds := make([]int, len(pieces)+1)
+	for s, p := range pieces {
+		if p == nil {
 			return nil, fmt.Errorf("query: piece %d is nil", s)
 		}
+		if p.Domain() < 1 {
+			return nil, fmt.Errorf("query: piece %d has empty domain %d", s, p.Domain())
+		}
+		bounds[s+1] = bounds[s] + p.Domain()
 	}
 	return &ShardedQuerier{pieces: pieces, bounds: bounds}, nil
 }

@@ -30,7 +30,7 @@ func TestShardedQuerierMatchesDirectEvaluation(t *testing.T) {
 		hists[s] = h
 		pieces[s] = Compile(h)
 	}
-	q, err := NewSharded(pieces, bounds)
+	q, err := NewSharded(pieces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,20 +61,14 @@ func TestShardedQuerierMatchesDirectEvaluation(t *testing.T) {
 }
 
 func TestShardedQuerierRejectsBadInputs(t *testing.T) {
-	q := Querier(nil)
-	if _, err := NewSharded(nil, []int{0}); err == nil {
+	if _, err := NewSharded(nil); err == nil {
 		t.Fatal("no pieces accepted")
 	}
-	if _, err := NewSharded([]Querier{q, q}, []int{0, 4}); err == nil {
-		t.Fatal("short boundary list accepted")
-	}
-	if _, err := NewSharded([]Querier{q}, []int{1, 4}); err == nil {
-		t.Fatal("nonzero first boundary accepted")
-	}
-	if _, err := NewSharded([]Querier{q}, []int{0, 0}); err == nil {
-		t.Fatal("empty shard accepted")
-	}
-	if _, err := NewSharded([]Querier{nil}, []int{0, 4}); err == nil {
+	whole := Compile(&hist.Histogram{N: 4, Buckets: []hist.Bucket{{Start: 0, End: 3, Rep: 1}}})
+	if _, err := NewSharded([]Querier{whole, nil}); err == nil {
 		t.Fatal("nil piece accepted")
+	}
+	if _, err := NewSharded([]Querier{whole, &HistogramQuerier{}}); err == nil {
+		t.Fatal("empty piece accepted")
 	}
 }

@@ -13,18 +13,22 @@
 //     merged whole under the piece-less key only after every piece
 //     landed — the cluster-wide analogue of the single-node
 //     persist-before-publish discipline.
-//   - A gathered GET /v1/rangesum?...&shards=k splits the range at the
-//     build's shard boundaries, answers each subrange from the piece's
-//     querier, and sums the partials; estimates route to the single
-//     owning piece. Remote pieces are fetched once (GET /v1/blob),
-//     compiled, and cached on the coordinating owner — synopses are
-//     tiny, so steady-state gathered reads are purely local and the
-//     scatter happens at build time (piece distribution) and on first
-//     touch, not per query. Batch /v1/query resolves sharded keys
-//     through the same compiled pieces.
+//   - A read of a sharded key (&shards=k on the GETs, "shards" in a
+//     batch op) resolves, like every read, through catalog.Resolve: the
+//     k pieces' queriers compose into one query.ShardedQuerier, whose
+//     range sums split at the shard boundaries and add the partials in
+//     shard order and whose estimates route to the owning piece. A piece
+//     cataloged here answers from the catalog; a remote one is fetched
+//     from its owner (GET /v1/blob) and compiled, the missing ones
+//     concurrently. A gathered GET first forwards to the dataset's
+//     owner, the one node that keeps fetched pieces compiled — synopses
+//     are tiny, so its steady-state gathers are purely local and the
+//     scatter happens at build time and on first touch, not per query.
+//     A batch resolves wherever it lands; off the owner, that is one
+//     fetch per remote piece per batch.
 //
 // A node outside a cluster (empty peer list, or a single-entry one) is
-// just an ordinary psynd; all of the handlers below still work against
+// just an ordinary psynd; sharded builds and reads still work against
 // locally built pieces, which is what the single-node tests exercise.
 package server
 
@@ -33,13 +37,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 
 	"probsyn"
 	"probsyn/internal/catalog"
 	"probsyn/internal/cluster"
-	"probsyn/internal/engine"
 	"probsyn/internal/query"
 )
 
@@ -202,9 +204,9 @@ func (s *Server) handleAccept(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, BuildResponse{Key: pk, Status: "built"})
 }
 
-// handleBlob serves a cataloged synopsis's envelope bytes — the batch
-// endpoint of a gathering node fetches remote pieces through it, once
-// per key per batch, and compiles them locally. The catalog retains
+// handleBlob serves a cataloged synopsis's envelope bytes — a node
+// resolving a sharded key fetches the pieces it does not hold through it
+// (remotePiece) and compiles them locally. The catalog retains
 // only decoded synopses, so the envelope is re-marshaled here; the
 // codec is deterministic, so the bytes equal what was persisted.
 func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
@@ -229,320 +231,56 @@ func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(blob)
 }
 
-// ---- gathered reads ----
-
-// shardParams extracts the sharded-query parameters: &shards=k selects
-// a k-way sharded build, and &shard=s (only meaningful with shards)
-// addresses one piece in its local coordinates — the form a gathering
-// coordinator sends to piece owners.
-func shardParams(r *http.Request) (shard, shards int, hasShard bool, err error) {
-	q := r.URL.Query()
-	if raw := q.Get("shards"); raw != "" {
-		if shards, err = strconv.Atoi(raw); err != nil || shards < 0 {
-			return 0, 0, false, fmt.Errorf("bad shards %q", raw)
-		}
-	}
-	if raw := q.Get("shard"); raw != "" {
-		if shard, err = strconv.Atoi(raw); err != nil {
-			return 0, 0, false, fmt.Errorf("bad shard %q", raw)
-		}
-		if shards < 2 {
-			return 0, 0, false, fmt.Errorf("shard=%d needs shards >= 2", shard)
-		}
-		hasShard = true
-	}
-	return shard, shards, hasShard, nil
-}
-
-// parseKey resolves the key query parameters without requiring a
-// catalog entry — the sharded read paths address keys whose whole lives
-// on another node. Same canonicalization as lookup.
-func (s *Server) parseKey(w http.ResponseWriter, r *http.Request) (catalog.Key, bool) {
-	q := r.URL.Query()
-	budget, err := strconv.Atoi(q.Get("budget"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "bad budget %q", q.Get("budget"))
-		return catalog.Key{}, false
-	}
-	c := s.cfg.C
-	if raw := q.Get("c"); raw != "" {
-		if c, err = strconv.ParseFloat(raw, 64); err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, "bad c %q", raw)
-			return catalog.Key{}, false
-		}
-	}
-	quant := 0
-	if raw := q.Get("q"); raw != "" {
-		if quant, err = strconv.Atoi(raw); err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, "bad q %q", raw)
-			return catalog.Key{}, false
-		}
-	}
-	key, err := catalog.NewKeyQ(q.Get("dataset"), q.Get("family"), q.Get("metric"), budget, c, quant)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		return catalog.Key{}, false
-	}
-	return key, true
-}
-
-// shardedBounds recomputes the build's global shard boundaries from the
-// dataset — the same probsyn.ShardBounds the build used, so gathered
-// coordinates always agree with how the pieces were cut.
-func (s *Server) shardedBounds(key catalog.Key, k int) ([]int, error) {
-	src, err := s.dataset(key.Dataset)
-	if err != nil {
-		return nil, err
-	}
-	return probsyn.ShardBounds(src.Domain(), k, key.Family == catalog.FamilyWavelet), nil
-}
-
-// handleShardedRangeSum answers GET /v1/rangesum for a sharded key:
-// the &shard=s form answers from the local piece; otherwise this node
-// coordinates (forwarding to the dataset owner first when it is not
-// us), splitting the range at the shard boundaries and summing the
-// piece owners' partials, fanned out concurrently.
-func (s *Server) handleShardedRangeSum(w http.ResponseWriter, r *http.Request, shard, shards int, hasShard bool) {
-	key, ok := s.parseKey(w, r)
-	if !ok {
-		return
-	}
-	lo, err := intParam(r, "lo")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		return
-	}
-	hi, err := intParam(r, "hi")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		return
-	}
-	if lo > hi {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "empty range [%d, %d]", lo, hi)
-		return
-	}
-	if hasShard {
-		pk, err := key.Piece(shard, shards)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-			return
-		}
-		entry, ok := s.cfg.Catalog.Get(pk)
-		if !ok {
-			writeError(w, http.StatusNotFound, CodeNotFound, "no synopsis for %s", pk)
-			return
-		}
-		n := entry.Synopsis.Domain()
-		if hi < 0 || lo >= n {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, "range [%d, %d] outside domain [0, %d)", lo, hi, n)
-			return
-		}
-		lo, hi = max(lo, 0), min(hi, n-1)
-		writeJSON(w, http.StatusOK, RangeSumResponse{Key: pk, Lo: lo, Hi: hi, Sum: entry.Querier.RangeSum(lo, hi)})
-		return
-	}
-	if s.clustered() {
-		if owner := s.datasetOwner(key.Dataset); owner != s.cfg.Self {
-			s.forward(w, owner, http.MethodGet, r.URL.RequestURI(), nil, "")
-			return
-		}
-	}
-	bounds, err := s.shardedBounds(key, shards)
-	if err != nil {
-		writeError(w, http.StatusNotFound, CodeNotFound, "%v", err)
-		return
-	}
-	n := bounds[shards]
-	if hi < 0 || lo >= n {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "range [%d, %d] outside domain [0, %d)", lo, hi, n)
-		return
-	}
-	lo, hi = max(lo, 0), min(hi, n-1)
-	// The shards whose span [bounds[i], bounds[i+1]) meets [lo, hi].
-	type part struct{ shard, llo, lhi int }
-	var parts []part
-	for i := 0; i < shards; i++ {
-		if bounds[i] > hi || bounds[i+1]-1 < lo {
-			continue
-		}
-		parts = append(parts, part{i, max(lo, bounds[i]) - bounds[i], min(hi, bounds[i+1]-1) - bounds[i]})
-	}
-	sums := make([]float64, len(parts))
-	err = engine.Fan(len(parts), len(parts), func(i int) error {
-		v, err := s.pieceRangeSum(key, parts[i].shard, shards, parts[i].llo, parts[i].lhi)
-		if err != nil {
-			return err
-		}
-		sums[i] = v
-		return nil
-	})
-	if err != nil {
-		writeError(w, http.StatusBadGateway, CodePeerUnavailable, "%v", err)
-		return
-	}
-	sum := 0.0
-	for _, v := range sums {
-		sum += v
-	}
-	writeJSON(w, http.StatusOK, RangeSumResponse{Key: key, Lo: lo, Hi: hi, Sum: sum})
-}
-
-// handleShardedEstimate answers GET /v1/estimate for a sharded key: an
-// estimate touches exactly one piece, so there is no gather — just a
-// route to the piece that owns item i.
-func (s *Server) handleShardedEstimate(w http.ResponseWriter, r *http.Request, shard, shards int, hasShard bool) {
-	key, ok := s.parseKey(w, r)
-	if !ok {
-		return
-	}
-	i, err := intParam(r, "i")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		return
-	}
-	if hasShard {
-		pk, err := key.Piece(shard, shards)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-			return
-		}
-		entry, ok := s.cfg.Catalog.Get(pk)
-		if !ok {
-			writeError(w, http.StatusNotFound, CodeNotFound, "no synopsis for %s", pk)
-			return
-		}
-		if n := entry.Synopsis.Domain(); i < 0 || i >= n {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, "item %d outside domain [0, %d)", i, n)
-			return
-		}
-		writeJSON(w, http.StatusOK, EstimateResponse{Key: pk, I: i, Estimate: entry.Querier.Estimate(i)})
-		return
-	}
-	if s.clustered() {
-		if owner := s.datasetOwner(key.Dataset); owner != s.cfg.Self {
-			s.forward(w, owner, http.MethodGet, r.URL.RequestURI(), nil, "")
-			return
-		}
-	}
-	bounds, err := s.shardedBounds(key, shards)
-	if err != nil {
-		writeError(w, http.StatusNotFound, CodeNotFound, "%v", err)
-		return
-	}
-	n := bounds[shards]
-	if i < 0 || i >= n {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "item %d outside domain [0, %d)", i, n)
-		return
-	}
-	owning := 0
-	for bounds[owning+1] <= i {
-		owning++
-	}
-	v, err := s.pieceEstimate(key, owning, shards, i-bounds[owning])
-	if err != nil {
-		writeError(w, http.StatusBadGateway, CodePeerUnavailable, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, EstimateResponse{Key: key, I: i, Estimate: v})
-}
-
-// cachedPiece is one compiled remote piece: the querier and its local
-// domain size, everything a gather needs to answer without the peer.
-type cachedPiece struct {
-	querier query.Querier
-	domain  int
-}
-
-// pieceRangeSum answers one shard's subrange, from the local catalog
-// when the piece is here, from the (fetch-once) compiled remote piece
-// otherwise.
-func (s *Server) pieceRangeSum(key catalog.Key, shard, shards, llo, lhi int) (float64, error) {
-	q, n, err := s.pieceQuerier(key, shard, shards)
-	if err != nil {
-		return 0, err
-	}
-	llo, lhi = max(llo, 0), min(lhi, n-1)
-	if llo > lhi {
-		return 0, nil
-	}
-	return q.RangeSum(llo, lhi), nil
-}
-
-// pieceEstimate answers one piece-local estimate, local or remote like
-// pieceRangeSum.
-func (s *Server) pieceEstimate(key catalog.Key, shard, shards, i int) (float64, error) {
-	q, n, err := s.pieceQuerier(key, shard, shards)
-	if err != nil {
-		return 0, err
-	}
-	if i < 0 || i >= n {
-		return 0, fmt.Errorf("item %d outside piece %d/%d domain [0, %d)", i, shard, shards, n)
-	}
-	return q.Estimate(i), nil
-}
-
-// pieceQuerier resolves one piece to a compiled querier and its local
-// domain: the local catalog when the piece lives here, the remote-piece
-// cache (filled by a one-time GET /v1/blob to the owner) otherwise.
-func (s *Server) pieceQuerier(key catalog.Key, shard, shards int) (query.Querier, int, error) {
-	pk, err := key.Piece(shard, shards)
-	if err != nil {
-		return nil, 0, err
-	}
-	if entry, ok := s.cfg.Catalog.Get(pk); ok {
-		return entry.Querier, entry.Synopsis.Domain(), nil
-	}
-	cp, _, err := s.remotePiece(pk)
-	if err != nil {
-		return nil, 0, err
-	}
-	return cp.querier, cp.domain, nil
-}
+// ---- remote pieces ----
 
 // remotePiece returns the compiled querier for a piece that lives on a
-// peer, fetching its envelope once and caching the result when this
-// node owns the piece's dataset (the owner coordinates every gather and
-// every rebuild of the dataset, so its cache is invalidated by its own
-// buildSharded; other nodes — the batch path can gather anywhere — skip
-// the cache and stay fetch-per-use, trading a round trip for never
-// serving a piece a rebuild they cannot observe made stale). The
-// returned code distinguishes a missing piece (CodeNotFound) from an
-// unreachable or misbehaving peer (CodePeerUnavailable).
-func (s *Server) remotePiece(pk catalog.Key) (cachedPiece, string, error) {
+// peer, or (nil, nil) when no peer could hold it (not clustered, or the
+// piece is this node's own to hold). The envelope is fetched once and
+// the querier cached when this node owns the piece's dataset: the owner
+// coordinates every gathered GET and every rebuild of the dataset, so
+// its cache is invalidated by its own buildSharded. Other nodes — a
+// batch gathers anywhere — stay fetch-per-use, trading a round trip for
+// never serving a piece a rebuild they cannot observe made stale. The
+// error code tells a missing piece (not_found) from an unreachable or
+// misbehaving peer (peer_unavailable).
+func (s *Server) remotePiece(pk catalog.Key) (query.Querier, *query.OpError) {
 	if !s.clustered() {
-		return cachedPiece{}, CodeNotFound, fmt.Errorf("no synopsis for %s (build it first)", pk)
+		return nil, nil
 	}
 	owner := s.pieceOwner(pk.Filename())
 	if owner == s.cfg.Self {
-		return cachedPiece{}, CodeNotFound, fmt.Errorf("no synopsis for %s (build it first)", pk)
+		return nil, nil
 	}
 	cacheable := s.datasetOwner(pk.Dataset) == s.cfg.Self
 	if cacheable {
 		s.pieceMu.RLock()
-		cp, ok := s.pieceCache[pk]
+		q, ok := s.pieceCache[pk]
 		s.pieceMu.RUnlock()
 		if ok {
-			return cp, "", nil
+			return q, nil
 		}
+	}
+	fail := func(code string, cause any) (query.Querier, *query.OpError) {
+		return nil, &query.OpError{Code: code, Message: fmt.Sprintf("piece %s on %s: %v", pk, owner, cause)}
 	}
 	status, resp, err := s.remote.Do(owner, http.MethodGet, "/v1/blob?name="+url.QueryEscape(pk.Filename()), nil, "")
 	if err != nil {
-		return cachedPiece{}, CodePeerUnavailable, fmt.Errorf("piece %s on %s: %w", pk, owner, err)
+		return fail(CodePeerUnavailable, err)
 	}
 	if status != http.StatusOK {
-		return cachedPiece{}, CodeNotFound, fmt.Errorf("piece %s on %s: %s", pk, owner, strings.TrimSpace(string(resp)))
+		return fail(CodeNotFound, strings.TrimSpace(string(resp)))
 	}
 	syn, err := probsyn.UnmarshalSynopsis(resp)
 	if err != nil {
-		return cachedPiece{}, CodePeerUnavailable, fmt.Errorf("piece %s on %s: %v", pk, owner, err)
+		return fail(CodePeerUnavailable, err)
 	}
-	cp := cachedPiece{querier: query.Compile(syn), domain: syn.Domain()}
+	q := query.Compile(syn)
 	if cacheable {
 		s.pieceMu.Lock()
-		s.pieceCache[pk] = cp
+		s.pieceCache[pk] = q
 		s.pieceMu.Unlock()
 	}
-	return cp, "", nil
+	return q, nil
 }
 
 // dropCachedPieces forgets the compiled remote pieces of one sharded
@@ -556,39 +294,6 @@ func (s *Server) dropCachedPieces(key catalog.Key, k int) {
 			delete(s.pieceCache, pk)
 		}
 	}
-}
-
-// resolveShardedKey assembles the batch evaluator's querier for a
-// sharded key: every piece is taken from the local catalog or from the
-// compiled remote pieces (fetched once via GET /v1/blob), then composed
-// into a query.ShardedQuerier — so a batch of thousands of ops costs at
-// most k-1 piece fetches, not one network call per op, and on the
-// dataset owner usually none at all (the fetches are cached).
-func (s *Server) resolveShardedKey(key catalog.Key, shards int) (query.Querier, int, *query.OpError) {
-	pieces := make([]query.Querier, shards)
-	bounds := make([]int, shards+1)
-	for i := 0; i < shards; i++ {
-		pk, err := key.Piece(i, shards)
-		if err != nil {
-			return nil, 0, &query.OpError{Code: CodeBadRequest, Message: err.Error()}
-		}
-		if entry, ok := s.cfg.Catalog.Get(pk); ok {
-			pieces[i] = entry.Querier
-			bounds[i+1] = bounds[i] + entry.Synopsis.Domain()
-			continue
-		}
-		cp, code, err := s.remotePiece(pk)
-		if err != nil {
-			return nil, 0, &query.OpError{Code: code, Message: err.Error()}
-		}
-		pieces[i] = cp.querier
-		bounds[i+1] = bounds[i] + cp.domain
-	}
-	sq, err := query.NewSharded(pieces, bounds)
-	if err != nil {
-		return nil, 0, &query.OpError{Code: CodeBadRequest, Message: err.Error()}
-	}
-	return sq, sq.Domain(), nil
 }
 
 // newClusterState validates the peer configuration and returns the ring

@@ -147,11 +147,6 @@ func TestShardedBuildRejections(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("sharded sweep: status %d", resp.StatusCode)
 	}
-	// A shard-addressed read needs the shard count.
-	var eb ErrorBody
-	if resp := getJSON(t, ts.URL+"/v1/rangesum?dataset=ds&family=histogram&metric=SSE&budget=4&shard=1&lo=0&hi=3", &eb); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("shard without shards: status %d", resp.StatusCode)
-	}
 }
 
 // clusterNode is one of the two fixture servers of the cluster test.

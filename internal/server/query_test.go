@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -38,79 +37,6 @@ func postQuery(t *testing.T, ts *httptest.Server, req query.BatchRequest) (*http
 		t.Fatal(err)
 	}
 	return resp, ok, bad
-}
-
-// TestQueryBatchMatchesSingleEndpoints: a heterogeneous batch over both
-// families answers every op with exactly the value the single GET
-// endpoints serve, per-op errors carry the same stable codes, and one
-// failed op fails neither the batch nor its neighbors.
-func TestQueryBatchMatchesSingleEndpoints(t *testing.T) {
-	_, ts, _ := newFixture(t, Config{C: 0.5})
-	for _, b := range []BuildRequest{
-		{Dataset: "ds", Family: "histogram", Metric: "SSE", Budget: 4, Wait: true},
-		{Dataset: "ds", Family: "wavelet", Metric: "SSE", Budget: 6, Wait: true},
-		{Dataset: "ds", Family: "histogram", Metric: "SSRE", Budget: 3, Wait: true}, // served under the -c default
-	} {
-		if resp, _, bad := postBuild(t, ts, b); resp.StatusCode != http.StatusOK {
-			t.Fatalf("build %+v: %d %v", b, resp.StatusCode, bad)
-		}
-	}
-	kh := query.BatchKey{Dataset: "ds", Family: "histogram", Metric: "SSE", Budget: 4}
-	kw := query.BatchKey{Dataset: "ds", Family: "wavelet", Metric: "SSE", Budget: 6}
-	kr := query.BatchKey{Dataset: "ds", Family: "histogram", Metric: "SSRE", Budget: 3} // C omitted: server default applies
-	req := query.BatchRequest{Ops: []query.Op{
-		{BatchKey: kh, Op: query.OpEstimate, I: 0},
-		{BatchKey: kh, Op: query.OpEstimate, I: 17},
-		{BatchKey: kw, Op: query.OpEstimate, I: 17},
-		{BatchKey: kr, Op: query.OpEstimate, I: 5},
-		{BatchKey: kh, Op: query.OpRangeSum, Lo: 3, Hi: 40},
-		{BatchKey: kw, Op: query.OpRangeSum, Lo: 3, Hi: 40},
-		{BatchKey: kw, Op: query.OpRangeSum, Lo: -5, Hi: 1 << 20}, // clamps, like the GET endpoint
-		{BatchKey: query.BatchKey{Dataset: "ds", Family: "histogram", Metric: "SSE", Budget: 99}, Op: query.OpEstimate, I: 0},
-		{BatchKey: kh, Op: query.OpEstimate, I: -1},
-		{BatchKey: kh, Op: "median", I: 1},
-	}}
-	resp, got, bad := postQuery(t, ts, req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query: %d %v", resp.StatusCode, bad)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("Content-Type %q", ct)
-	}
-	if len(got.Results) != len(req.Ops) {
-		t.Fatalf("%d results for %d ops", len(got.Results), len(req.Ops))
-	}
-	single := func(op query.Op) float64 {
-		t.Helper()
-		base := fmt.Sprintf("%s/v1/%s?dataset=%s&family=%s&metric=%s&budget=%d",
-			ts.URL, op.Op, op.Dataset, op.Family, op.Metric, op.Budget)
-		if op.Op == query.OpEstimate {
-			var er EstimateResponse
-			if resp := getJSON(t, fmt.Sprintf("%s&i=%d", base, op.I), &er); resp.StatusCode != http.StatusOK {
-				t.Fatalf("single %v: %d", op, resp.StatusCode)
-			}
-			return er.Estimate
-		}
-		var rr RangeSumResponse
-		if resp := getJSON(t, fmt.Sprintf("%s&lo=%d&hi=%d", base, op.Lo, op.Hi), &rr); resp.StatusCode != http.StatusOK {
-			t.Fatalf("single %v: %d", op, resp.StatusCode)
-		}
-		return rr.Sum
-	}
-	for i := 0; i < 7; i++ {
-		r := got.Results[i]
-		if r.Err != nil {
-			t.Fatalf("op %d failed: %+v", i, r.Err)
-		}
-		if want := single(req.Ops[i]); math.Float64bits(r.Value) != math.Float64bits(want) {
-			t.Fatalf("op %d: batch %v, single endpoint %v", i, r.Value, want)
-		}
-	}
-	for i, wantCode := range map[int]string{7: CodeNotFound, 8: CodeBadRequest, 9: CodeBadRequest} {
-		if r := got.Results[i]; r.Err == nil || r.Err.Code != wantCode {
-			t.Fatalf("op %d: %+v, want %s", i, r, wantCode)
-		}
-	}
 }
 
 // TestQueryBatchRejectsBadBodies: only a malformed or empty batch fails

@@ -31,7 +31,8 @@
 //	GET  /v1/estimate  ?dataset=&family=&metric=&budget=&i=     — point
 //	                   estimate from the catalog.
 //	GET  /v1/rangesum  ?dataset=&family=&metric=&budget=&lo=&hi= — range
-//	                   estimate from the catalog.
+//	                   estimate from the catalog. Both take the optional
+//	                   key syntax &c= &q= &shards= &shard=.
 //	POST /v1/query     {ops: [{dataset, family, metric, budget, c?, op,
 //	                   i?, lo?, hi?}, ...]} — a batch of heterogeneous
 //	                   estimate/rangesum operations against one or many
@@ -52,14 +53,17 @@
 // ordinary key plus k piece entries under shard-suffixed keys. With a
 // peer list configured (Config.Peers/Self), the server is one node of
 // a scatter/gather cluster: builds forward to the dataset's owning
-// node, pieces spread over the consistent-hash ring, and the single
-// GET endpoints accept &shards=k (gather across pieces) and &shard=s
-// (answer one piece locally) — see cluster.go for the full protocol.
+// node and pieces spread over the consistent-hash ring — see cluster.go
+// for the protocol.
 //
-// All queries — the single GET endpoints and batches alike — answer
-// through the entry's compiled querier (internal/query), built once at
-// publish time: O(log) time and zero allocation per operation,
-// bit-identical to the synopsis's own methods.
+// Every read — the single GET endpoints and batches alike — is parse,
+// resolve, evaluate (read.go): the key resolves through catalog.Resolve
+// to a compiled querier (internal/query), built once at publish time,
+// O(log) time and zero allocation per operation, bit-identical to the
+// synopsis's own methods. On the GETs, &shards=k names a k-way sharded
+// build, answered from its k pieces (remote ones fetched from their
+// owners), and &shard=s with it names piece s alone, in the piece's own
+// coordinates; both are key syntax, not separate handlers.
 //
 // Mutations are serialized per dataset (builds of a dataset share a read
 // lock, mutations take the write lock), so a build admitted before an
@@ -83,7 +87,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -191,7 +194,7 @@ type Server struct {
 	// the stale entries after redistributing (see buildSharded) — so
 	// the cache can never outlive the build it was compiled from.
 	pieceMu    sync.RWMutex
-	pieceCache map[catalog.Key]cachedPiece
+	pieceCache map[catalog.Key]query.Querier
 
 	// flat maintains the flat mmap catalog file (nil when Config.
 	// FlatPath is empty): invalidation before catalog-changing jobs,
@@ -324,7 +327,7 @@ func New(cfg Config) (*Server, error) {
 		mutQueue:   make(chan *buildJob, cfg.QueueDepth),
 		datasets:   make(map[string]probsyn.Source),
 		pending:    make(map[jobKey]*buildJob),
-		pieceCache: make(map[catalog.Key]cachedPiece),
+		pieceCache: make(map[catalog.Key]query.Querier),
 		dsLocks:    make(map[string]*sync.RWMutex),
 		lives:      make(map[liveKey]*liveState),
 	}
@@ -447,8 +450,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
 	mux.HandleFunc("POST /v1/append", s.handleAppend)
 	mux.HandleFunc("POST /v1/update", s.handleUpdate)
-	mux.HandleFunc("GET /v1/estimate", s.handleEstimate)
-	mux.HandleFunc("GET /v1/rangesum", s.handleRangeSum)
+	mux.HandleFunc("GET /v1/estimate", s.handleRead(query.OpEstimate))
+	mux.HandleFunc("GET /v1/rangesum", s.handleRead(query.OpRangeSum))
 	mux.HandleFunc("POST /v1/query", s.handleQuery)
 	mux.HandleFunc("GET /v1/synopses", s.handleSynopses)
 	mux.HandleFunc("POST /v1/accept", s.handleAccept)
@@ -858,73 +861,6 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request, update boo
 	})
 }
 
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	shard, shards, hasShard, err := shardParams(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		return
-	}
-	if shards >= 2 {
-		s.handleShardedEstimate(w, r, shard, shards, hasShard)
-		return
-	}
-	key, entry, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
-	i, err := intParam(r, "i")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		return
-	}
-	if n := entry.Synopsis.Domain(); i < 0 || i >= n {
-		// Out-of-domain estimates would fabricate a confident answer (an
-		// edge bucket's representative, a wavelet zero); reject instead.
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "item %d outside domain [0, %d)", i, n)
-		return
-	}
-	writeJSON(w, http.StatusOK, EstimateResponse{Key: key, I: i, Estimate: entry.Querier.Estimate(i)})
-}
-
-func (s *Server) handleRangeSum(w http.ResponseWriter, r *http.Request) {
-	shard, shards, hasShard, err := shardParams(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		return
-	}
-	if shards >= 2 {
-		s.handleShardedRangeSum(w, r, shard, shards, hasShard)
-		return
-	}
-	key, entry, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
-	lo, err := intParam(r, "lo")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		return
-	}
-	hi, err := intParam(r, "hi")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		return
-	}
-	if lo > hi {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "empty range [%d, %d]", lo, hi)
-		return
-	}
-	n := entry.Synopsis.Domain()
-	if hi < 0 || lo >= n {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "range [%d, %d] outside domain [0, %d)", lo, hi, n)
-		return
-	}
-	// Clamp here and echo the clamped bounds, so the response never
-	// claims a sum over more domain than the synopsis covers.
-	lo, hi = max(lo, 0), min(hi, n-1)
-	writeJSON(w, http.StatusOK, RangeSumResponse{Key: key, Lo: lo, Hi: hi, Sum: entry.Querier.RangeSum(lo, hi)})
-}
-
 // maxQueryBody bounds the POST /v1/query body: MaxBatchOps small ops fit
 // comfortably in 1 MiB, and anything larger should be split into several
 // batches rather than buffered whole.
@@ -969,37 +905,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}
-	query.EvalBatch(&sc.req, s.resolveBatchKey, &sc.resp)
+	query.EvalBatch(&sc.req, catalog.Resolver(s.cfg.C, s.querier), &sc.resp)
 	sc.buf.Reset()
 	_ = query.EncodeResponse(&sc.buf, &sc.resp)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(sc.buf.Bytes())
-}
-
-// resolveBatchKey is the batch evaluator's key resolver: the same
-// canonicalization and defaulting as the single endpoints' lookup (an
-// omitted c means the server's -c default for relative-error metrics),
-// one catalog read per distinct key per batch.
-func (s *Server) resolveBatchKey(bk query.BatchKey) (query.Querier, int, *query.OpError) {
-	c := bk.C
-	if c == 0 {
-		c = s.cfg.C
-	}
-	key, err := catalog.NewKeyQ(bk.Dataset, bk.Family, bk.Metric, bk.Budget, c, bk.Q)
-	if err != nil {
-		return nil, 0, &query.OpError{Code: CodeBadRequest, Message: err.Error()}
-	}
-	if bk.Shards >= 2 {
-		// A sharded key answers through a composite querier over its
-		// pieces, remote ones fetched once per batch.
-		return s.resolveShardedKey(key, bk.Shards)
-	}
-	entry, ok := s.cfg.Catalog.Get(key)
-	if !ok {
-		return nil, 0, &query.OpError{Code: CodeNotFound, Message: fmt.Sprintf("no synopsis for %s (build it first)", key)}
-	}
-	return entry.Querier, entry.Synopsis.Domain(), nil
 }
 
 func (s *Server) handleSynopses(w http.ResponseWriter, r *http.Request) {
@@ -1012,42 +923,6 @@ func (s *Server) handleSynopses(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// lookup resolves the key query parameters to a catalog entry, writing
-// the typed error itself when it cannot.
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (catalog.Key, *catalog.Entry, bool) {
-	q := r.URL.Query()
-	budget, err := strconv.Atoi(q.Get("budget"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "bad budget %q", q.Get("budget"))
-		return catalog.Key{}, nil, false
-	}
-	c := s.cfg.C // optional &c= overrides the server default, as in builds
-	if raw := q.Get("c"); raw != "" {
-		if c, err = strconv.ParseFloat(raw, 64); err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, "bad c %q", raw)
-			return catalog.Key{}, nil, false
-		}
-	}
-	quant := 0 // optional &q= selects a quantized build's entry
-	if raw := q.Get("q"); raw != "" {
-		if quant, err = strconv.Atoi(raw); err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, "bad q %q", raw)
-			return catalog.Key{}, nil, false
-		}
-	}
-	key, err := catalog.NewKeyQ(q.Get("dataset"), q.Get("family"), q.Get("metric"), budget, c, quant)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		return catalog.Key{}, nil, false
-	}
-	entry, ok := s.cfg.Catalog.Get(key)
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeNotFound, "no synopsis for %s (build it first)", key)
-		return catalog.Key{}, nil, false
-	}
-	return key, entry, true
 }
 
 // ---- the build path ----
@@ -1372,16 +1247,6 @@ func (s *Server) logf(format string, args ...any) {
 		return
 	}
 	log.Printf(format, args...)
-}
-
-// intParam parses a required integer query parameter.
-func intParam(r *http.Request, name string) (int, error) {
-	raw := r.URL.Query().Get(name)
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", name, raw)
-	}
-	return v, nil
 }
 
 // ---- JSON plumbing ----

@@ -387,6 +387,8 @@ func TestShutdownDrainsQueue(t *testing.T) {
 	}
 }
 
+// The build side's typed errors; every read error is a row of
+// TestReadPathsAgree.
 func TestTypedErrors(t *testing.T) {
 	_, ts, _ := newFixture(t, Config{C: 0.5})
 	cases := []struct {
@@ -395,11 +397,6 @@ func TestTypedErrors(t *testing.T) {
 		status int
 		code   string
 	}{
-		{"estimate before build", func() (*http.Response, ErrorBody) {
-			var bad ErrorBody
-			resp := getJSON(t, ts.URL+"/v1/estimate?dataset=ds&family=histogram&metric=SSE&budget=8&i=0", &bad)
-			return resp, bad
-		}, http.StatusNotFound, CodeNotFound},
 		{"unknown metric", func() (*http.Response, ErrorBody) {
 			resp, _, bad := postBuild(t, ts, BuildRequest{Dataset: "ds", Family: "histogram", Metric: "XXX", Budget: 8})
 			return resp, bad
@@ -440,31 +437,6 @@ func TestTypedErrors(t *testing.T) {
 			if err := json.NewDecoder(resp.Body).Decode(&bad); err != nil {
 				t.Fatal(err)
 			}
-			return resp, bad
-		}, http.StatusBadRequest, CodeBadRequest},
-		{"out-of-domain estimate", func() (*http.Response, ErrorBody) {
-			if resp, _, _ := postBuild(t, ts, BuildRequest{Dataset: "ds", Family: "histogram", Metric: "SSE", Budget: 3, Wait: true}); resp.StatusCode != http.StatusOK {
-				t.Fatal("setup build failed")
-			}
-			var bad ErrorBody
-			resp := getJSON(t, ts.URL+"/v1/estimate?dataset=ds&family=histogram&metric=SSE&budget=3&i=100000", &bad)
-			return resp, bad
-		}, http.StatusBadRequest, CodeBadRequest},
-		{"out-of-domain range", func() (*http.Response, ErrorBody) {
-			if resp, _, _ := postBuild(t, ts, BuildRequest{Dataset: "ds", Family: "histogram", Metric: "SSE", Budget: 3, Wait: true}); resp.StatusCode != http.StatusOK {
-				t.Fatal("setup build failed")
-			}
-			var bad ErrorBody
-			resp := getJSON(t, ts.URL+"/v1/rangesum?dataset=ds&family=histogram&metric=SSE&budget=3&lo=100000&hi=100005", &bad)
-			return resp, bad
-		}, http.StatusBadRequest, CodeBadRequest},
-		{"bad range", func() (*http.Response, ErrorBody) {
-			// Need an entry for the range check to be reached.
-			if resp, _, _ := postBuild(t, ts, BuildRequest{Dataset: "ds", Family: "histogram", Metric: "SSE", Budget: 2, Wait: true}); resp.StatusCode != http.StatusOK {
-				t.Fatal("setup build failed")
-			}
-			var bad ErrorBody
-			resp := getJSON(t, ts.URL+"/v1/rangesum?dataset=ds&family=histogram&metric=SSE&budget=2&lo=9&hi=3", &bad)
 			return resp, bad
 		}, http.StatusBadRequest, CodeBadRequest},
 	}
