@@ -118,9 +118,12 @@ func WithQuantize(q int) BuildOption {
 // overwritten with the DP's cumulative DPStats — split candidates
 // scanned vs. monotonicity-pruned and bucket-cost evaluations — so the
 // pruned DP's output-sensitivity is observable (psyn -v prints it). A
-// live build (BuildLive) refreshes *st after every mutation. Families
-// with no histogram DP — wavelets, the (1+eps)-approximate DP, the
-// equi-depth heuristic — leave the sink untouched.
+// coefficient-tree wavelet DP fills the same three fields with its
+// budget-split candidates evaluated, those skipped as dominated, and its
+// point-error evaluations. A live build (BuildLive) refreshes *st after
+// every mutation, cumulatively for both families. The SSE wavelet greedy runs no DP and zeroes the sink;
+// the (1+eps)-approximate DP and the equi-depth heuristic leave it
+// untouched.
 func WithDPStats(st *DPStats) BuildOption {
 	return func(c *buildConfig) { c.dpStats = st }
 }

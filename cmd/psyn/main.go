@@ -99,7 +99,7 @@ func run(args []string, stdout io.Writer) error {
 		flagQuery    = fs.String("query", "", "batch request file (POST /v1/query JSON body) answered offline from the -out catalog directory; the response JSON is written to stdout, byte-identical to a served one")
 		flagPack     = fs.String("pack", "", "pack this catalog directory's synopses into its flat mmap file (catalog.flat) for millisecond psynd -flat boots; deterministic, byte-identical to the server's own re-packs")
 		flagShards   = fs.Int("shards", 0, "if >= 2, build sharded: split the domain into this many contiguous ranges, build each in parallel, and merge (exact for SSE wavelets; DP families report a certified additive suboptimality bound); with -out (a catalog directory), the merged synopsis and every piece are saved under key-encoded filenames")
-		flagVerbose  = fs.Bool("v", false, "after a histogram DP build (plain, -sweep, or -shards), report the DP work counters: split candidates scanned vs. monotonicity-pruned and bucket-cost evaluations — the pruned DP's output-sensitivity (see probsyn.DPStats); non-DP builds print nothing")
+		flagVerbose  = fs.Bool("v", false, "after a histogram or coefficient-tree wavelet DP build (plain, -sweep, or -shards), report the DP work counters: split candidates scanned vs. pruned and cost evaluations (see probsyn.DPStats); non-DP builds print nothing")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -180,7 +180,7 @@ func run(args []string, stdout io.Writer) error {
 		if err := runSweep(stdout, src, m, p, budget, dataset, *flagOut, rquant, opts); err != nil {
 			return err
 		}
-		reportDPStats(stdout, dpStats)
+		reportDPStats(stdout, dpStats, *flagWavelet)
 		return nil
 	}
 
@@ -191,7 +191,7 @@ func run(args []string, stdout io.Writer) error {
 		if err := runSharded(stdout, src, m, p, budget, *flagShards, dataset, *flagOut, rquant, opts); err != nil {
 			return err
 		}
-		reportDPStats(stdout, dpStats)
+		reportDPStats(stdout, dpStats, *flagWavelet)
 		return nil
 	}
 
@@ -204,24 +204,28 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	reportDPStats(stdout, dpStats)
+	reportDPStats(stdout, dpStats, *flagWavelet)
 	if *flagOut != "" {
 		return saveSynopsis(stdout, *flagOut, syn)
 	}
 	return nil
 }
 
-// reportDPStats prints the histogram DP's work counters collected via
+// reportDPStats prints the DP's work counters collected via
 // WithDPStats (-v). A zero struct — no DP ran, or -v was off — prints
 // nothing.
-func reportDPStats(stdout io.Writer, st probsyn.DPStats) {
+func reportDPStats(stdout io.Writer, st probsyn.DPStats, wavelet bool) {
 	total := st.CandidatesScanned + st.CandidatesPruned
 	if total == 0 {
 		return
 	}
-	fmt.Fprintf(stdout, "dp: %d split candidates, %d scanned, %d pruned (%.1f%%), %d bucket-cost evals\n",
+	evals := "bucket-cost"
+	if wavelet {
+		evals = "point-error"
+	}
+	fmt.Fprintf(stdout, "dp: %d split candidates, %d scanned, %d pruned (%.1f%%), %d %s evals\n",
 		total, st.CandidatesScanned, st.CandidatesPruned,
-		100*float64(st.CandidatesPruned)/float64(total), st.CostEvals)
+		100*float64(st.CandidatesPruned)/float64(total), st.CostEvals, evals)
 }
 
 // runAppend extends a value-model dataset with the items of a second

@@ -264,6 +264,38 @@ func TestRunQuantize(t *testing.T) {
 	}
 }
 
+// -v prints the dp: line for coefficient-tree wavelet builds, the same at
+// every -parallelism, and nothing for the SSE greedy.
+func TestRunVerboseWavelet(t *testing.T) {
+	dir := t.TempDir()
+	dataset, _ := writeDataset(t, dir)
+	dpLine := func(args ...string) string {
+		var out bytes.Buffer
+		if err := run(append([]string{"-input", dataset, "-wavelet", "-coeffs", "3", "-v"}, args...), &out); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(line, "dp: ") {
+				return line
+			}
+		}
+		return ""
+	}
+	serial := dpLine("-metric", "SAE", "-parallelism", "1")
+	if !strings.Contains(serial, "split candidates") || !strings.Contains(serial, "point-error evals") {
+		t.Fatalf("wavelet -v printed %q", serial)
+	}
+	if par := dpLine("-metric", "SAE", "-parallelism", "2"); par != serial {
+		t.Fatalf("-parallelism 2 printed %q, -parallelism 1 %q", par, serial)
+	}
+	if sweep := dpLine("-metric", "SAE", "-sweep"); sweep != serial {
+		t.Fatalf("-sweep printed %q, the plain build %q", sweep, serial)
+	}
+	if line := dpLine("-metric", "SSE"); line != "" {
+		t.Fatalf("SSE wavelet -v printed %q, want nothing", line)
+	}
+}
+
 // writeValueDataset materializes a small value-model dataset (the model
 // live maintenance is defined over).
 func writeValueDataset(t *testing.T, dir, name string, n int) (string, *probsyn.ValuePDF) {

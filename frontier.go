@@ -29,12 +29,19 @@ func BuildSweep(src Source, m Metric, Bmax int, opts ...BuildOption) (Frontier, 
 	return p.frontier(src, Bmax)
 }
 
+// countedFrontier is a frontier that reports its DP's work counters.
+type countedFrontier interface {
+	Frontier
+	Stats() DPStats
+}
+
 // histFrontier adapts the histogram DP table (which already holds every
 // budget level) to the shared Frontier surface.
 type histFrontier struct{ tab *hist.DPTable }
 
 func (f histFrontier) Bmax() int          { return f.tab.Bmax() }
 func (f histFrontier) Cost(b int) float64 { return f.tab.Cost(b) }
+func (f histFrontier) Stats() DPStats     { return f.tab.Stats() }
 
 func (f histFrontier) Synopsis(b int) (Synopsis, error) {
 	if b < 1 || b > f.tab.Bmax() {
@@ -55,6 +62,7 @@ type waveletCurve interface {
 	Cost(b int) float64
 	Synopsis(b int) (*WaveletSynopsis, error)
 	ErrorBound() float64
+	Stats() DPStats
 }
 
 // waveletFrontier adapts a wavelet sweep, fresh or maintained, to the

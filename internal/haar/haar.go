@@ -76,16 +76,18 @@ func Forward(data []float64) []float64 {
 func Inverse(c []float64) []float64 {
 	n := len(c)
 	checkPow2(n)
-	cur := []float64{c[0]}
+	out := make([]float64, n)
+	out[0] = c[0]
 	for length := 1; length < n; length *= 2 {
-		next := make([]float64, 2*length)
-		for k := 0; k < length; k++ {
-			next[2*k] = cur[k] + c[length+k]
-			next[2*k+1] = cur[k] - c[length+k]
+		// In place, last pair first: pair k lands on 2k and 2k+1, past
+		// every average still to be read.
+		for k := length - 1; k >= 0; k-- {
+			avg := out[k]
+			out[2*k] = avg + c[length+k]
+			out[2*k+1] = avg - c[length+k]
 		}
-		cur = next
 	}
-	return cur
+	return out
 }
 
 // Level returns the resolution level of coefficient i: 0 for both the

@@ -5,6 +5,7 @@ import (
 
 	"probsyn/internal/engine"
 	"probsyn/internal/haar"
+	"probsyn/internal/hist"
 	"probsyn/internal/metric"
 	"probsyn/internal/pdata"
 )
@@ -125,22 +126,24 @@ func (lv *Live) Cost(b int) float64 {
 	if lv.bmax == 0 {
 		return lv.at(0).Cost
 	}
-	b = min(max(b, 1), lv.bmax)
 	if lv.costs == nil {
-		costs := make([]float64, lv.bmax)
-		for bb := 1; bb <= lv.bmax; bb++ {
-			// The quantized DP's table objective is approximate, so its
-			// frontier reports the extractions' exactly-evaluated costs
-			// (matching the quantized Sweep's costs).
-			if lv.family != SSEFamily && lv.d != nil && lv.d.quant == 0 {
-				costs[bb-1] = lv.d.cost(bb)
-			} else {
-				costs[bb-1] = lv.at(bb).Cost
-			}
+		var costAt func(int) float64
+		if lv.d != nil && lv.d.quant == 0 {
+			costAt = lv.d.cost
 		}
-		lv.costs = costs
+		lv.costs = curve(lv.bmax, lv.at, costAt)
 	}
-	return lv.costs[b-1]
+	return lv.costs[min(max(b, 1), lv.bmax)-1]
+}
+
+// Stats returns the tree DP's work counters, cumulative across the build
+// and every mutation since: forward sweeps, resweeps and dirty-path
+// repairs. Zero for the SSE family and the n == 1 domain.
+func (lv *Live) Stats() hist.DPStats {
+	if lv.d == nil {
+		return hist.DPStats{}
+	}
+	return lv.d.stats
 }
 
 // ErrorBound returns the additive suboptimality bound of the maintained
@@ -384,6 +387,9 @@ func (lv *Live) rebuildDP() error {
 	if err != nil {
 		return err
 	}
+	if lv.d != nil {
+		d.stats.Add(lv.d.stats) // a live frontier's counters are cumulative, like hist.LiveDP's
+	}
 	lv.d = d
 	return nil
 }
@@ -431,13 +437,6 @@ func (lv *Live) at(b int) *Synopsis {
 	case lv.n == 1:
 		return singleton(lv.family, lv.pe, lv.cands[0], b)
 	default:
-		keep, best := lv.d.extract(b)
-		syn := synopsisFromChoices(lv.n, keep)
-		if lv.d.quant > 0 {
-			syn.Cost = lv.pe.SynopsisError(syn)
-		} else {
-			syn.Cost = best
-		}
-		return syn
+		return lv.d.synopsis(b, false)
 	}
 }

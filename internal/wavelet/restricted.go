@@ -1,8 +1,10 @@
 package wavelet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"probsyn/internal/engine"
 	"probsyn/internal/haar"
@@ -12,18 +14,24 @@ import (
 )
 
 // PointErrors evaluates per-item expected point errors E[err(g_i, v)] at
-// arbitrary reconstruction values v in O(log|V|) (absolute metrics) or O(1)
-// (squared metrics), from per-item precomputed tables (§4.2: "almost all of
-// the actual error computation takes place at the leaf nodes"). Items are
-// those of a value pdf padded to the power-of-two wavelet domain.
+// arbitrary reconstruction values v, in time logarithmic in the item's own
+// support (absolute metrics) or O(1) (squared metrics), from per-item
+// precomputed tables (§4.2: "almost all of the actual error computation
+// takes place at the leaf nodes"). Items are those of a value pdf padded
+// to the power-of-two wavelet domain.
 type PointErrors struct {
 	kind metric.Kind
 	p    metric.Params
 	n    int
-	vs   pdata.ValueSet
-	// absolute family: per-item cumulative weight / weight·value over V
-	itemW, itemS []float64
-	totW, totS   []float64
+	// absolute family: item i's own support, ascending, as the run
+	// val[off[i]:off[i+1]], and per breakpoint the interleaved pair
+	// (W<=, S<=) in ws — the cumulative weight and weight·value through
+	// that value. Frequency 0 (with ZeroProb) always leads the run. Prefix
+	// sums over the whole global value set would hold the same floats: a
+	// value the item does not list adds +0.0 to both.
+	off        []int
+	val, ws    []float64
+	totW, totS []float64
 	// squared family: per-item x=Σpwv², y=Σpwv, z=Σpw
 	x, y, z []float64
 }
@@ -54,26 +62,36 @@ func NewPointErrors(vp *pdata.ValuePDF, kind metric.Kind, p metric.Params) (*Poi
 			pe.x[i], pe.y[i], pe.z[i] = xi, yi, zi
 		}
 	case metric.SAE, metric.SARE, metric.MAE, metric.MARE:
-		vs := pdata.Support(vp)
-		tab, err := pdata.NewPMFTable(vp, vs)
-		if err != nil {
-			return nil, err
-		}
-		k := vs.Len()
-		pe.vs = vs
-		pe.itemW = make([]float64, vp.N*k)
-		pe.itemS = make([]float64, vp.N*k)
+		pe.off = make([]int, vp.N+1)
+		pe.val = make([]float64, 0, vp.M()+vp.N)
+		pe.ws = make([]float64, 0, 2*(vp.M()+vp.N))
 		pe.totW = make([]float64, vp.N)
 		pe.totS = make([]float64, vp.N)
-		for i := 0; i < vp.N; i++ {
-			var cw, cs float64
-			for j := 0; j < k; j++ {
-				w := tab.P[i][j] * kind.Weight(vs.Values[j], p)
-				cw += w
-				cs += w * vs.Values[j]
-				pe.itemW[i*k+j] = cw
-				pe.itemS[i*k+j] = cs
+		var own []pdata.FreqProb
+		for i := range vp.Items {
+			own = append(own[:0], pdata.FreqProb{Prob: vp.Items[i].ZeroProb()})
+			for _, e := range vp.Items[i].Entries {
+				if math.IsNaN(e.Freq) {
+					return nil, fmt.Errorf("wavelet: item %d has a NaN frequency", i)
+				}
+				if e.Freq != 0 {
+					own = append(own, e)
+				}
 			}
+			slices.SortStableFunc(own, func(a, b pdata.FreqProb) int { return cmp.Compare(a.Freq, b.Freq) })
+			var cw, cs float64
+			for k := 0; k < len(own); {
+				f, pr := own[k].Freq, 0.0
+				for ; k < len(own) && own[k].Freq == f; k++ {
+					pr += own[k].Prob
+				}
+				w := pr * kind.Weight(f, p)
+				cw += w
+				cs += w * f
+				pe.val = append(pe.val, f)
+				pe.ws = append(pe.ws, cw, cs)
+			}
+			pe.off[i+1] = len(pe.val)
 			pe.totW[i], pe.totS[i] = cw, cs
 		}
 	default:
@@ -92,16 +110,16 @@ func (pe *PointErrors) Err(i int, v float64) float64 {
 		}
 		return e
 	default:
-		k := pe.vs.Len()
-		// weight mass at values <= v
-		j := numeric.SearchFloats(pe.vs.Values, v) // first index with value >= v
-		if j < k && pe.vs.Values[j] == v {
-			j++ // include the exact match in the <= side
+		// The last breakpoint <= v carries the weight mass at values <= v.
+		lo := pe.off[i]
+		r := pe.val[lo:pe.off[i+1]]
+		k := numeric.SearchFloats(r, v)
+		if k < len(r) && r[k] == v {
+			k++ // the exact match belongs to the <= side
 		}
 		var wle, sle float64
-		if j > 0 {
-			wle = pe.itemW[i*k+j-1]
-			sle = pe.itemS[i*k+j-1]
+		if k > 0 {
+			wle, sle = pe.ws[2*(lo+k)-2], pe.ws[2*(lo+k)-1]
 		}
 		e := v*(2*wle-pe.totW[i]) + pe.totS[i] - 2*sle
 		if e < 0 {

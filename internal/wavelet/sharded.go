@@ -7,6 +7,7 @@ import (
 
 	"probsyn/internal/engine"
 	"probsyn/internal/haar"
+	"probsyn/internal/hist"
 	"probsyn/internal/metric"
 	"probsyn/internal/numeric"
 	"probsyn/internal/pdata"
@@ -29,6 +30,8 @@ type ShardedResult struct {
 	// plus the forced-top-tree reconstruction slack (plus the per-shard
 	// quantization bound when q > 0).
 	Bound float64
+	// Stats is the DP work summed over the shard sweeps; zero for SSE.
+	Stats hist.DPStats
 }
 
 // checkShards validates a k-way split of the padded domain n: shard
@@ -243,6 +246,7 @@ func BuildShardedRestricted(src pdata.Source, kind metric.Kind, p metric.Params,
 		if err != nil {
 			return err
 		}
+		sw.Cost(1) // the allocation reads every shard's whole curve: price it here, k at a time
 		sweeps[s], pes[s] = sw, pe
 		return nil
 	})
@@ -316,7 +320,11 @@ func BuildShardedRestricted(src pdata.Source, kind metric.Kind, p metric.Params,
 	}
 	bound += forcedTopPenalty(vp, kind, pes, k, cum)
 
-	return &ShardedResult{Merged: merged, Pieces: pieces, Bound: bound}, nil
+	res := &ShardedResult{Merged: merged, Pieces: pieces, Bound: bound}
+	for _, sw := range sweeps {
+		res.Stats.Add(sw.stats)
+	}
+	return res, nil
 }
 
 // forcedTopPenalty bounds how much expected error retaining the full

@@ -2,9 +2,11 @@ package wavelet
 
 import (
 	"fmt"
+	"sync"
 
 	"probsyn/internal/engine"
 	"probsyn/internal/haar"
+	"probsyn/internal/hist"
 	"probsyn/internal/metric"
 	"probsyn/internal/pdata"
 )
@@ -19,16 +21,41 @@ import (
 // x-axes) costs one build instead of Bmax.
 //
 // A Sweep retains the DP's per-level tables until it is garbage
-// collected; extraction only reads them, so Synopsis may be called
-// concurrently.
+// collected; extraction only reads them, so Synopsis, Synopses and Cost
+// may be called concurrently.
 type Sweep struct {
-	n     int
-	bmax  int
-	costs []float64 // costs[b-1]: optimal expected error at budget b
-	at    func(b int) *Synopsis
-	pool  *engine.Pool
-	bound float64 // additive suboptimality bound; 0 for exact sweeps
+	n      int
+	bmax   int
+	at     func(b int) *Synopsis
+	costAt func(b int) float64 // budget b's cost without its synopsis; nil: only at(b) knows it
+	pool   *engine.Pool
+	bound  float64      // additive suboptimality bound; 0 for exact sweeps
+	stats  hist.DPStats // the forward DP's work counters; zero for the SSE greedy
+
+	once  sync.Once
+	costs []float64 // costs[b-1], filled by the first Cost call
 }
+
+// curve prices every budget 1..bmax of a frontier: by costAt where the
+// family reads a cost off its tables (the exact tree DP), else by
+// extracting each synopsis — the SSE greedy, the n == 1 domain, and the
+// quantized DP, whose frontier reports exactly re-evaluated costs. Only
+// callers that ask for the curve pay for it; a single build never does.
+func curve(bmax int, at func(b int) *Synopsis, costAt func(b int) float64) []float64 {
+	costs := make([]float64, bmax)
+	for b := 1; b <= bmax; b++ {
+		if costAt != nil {
+			costs[b-1] = costAt(b)
+		} else {
+			costs[b-1] = at(b).Cost
+		}
+	}
+	return costs
+}
+
+// Stats returns the forward DP's work counters (see treeDP.stats); zero
+// for the SSE greedy and the n == 1 domain, which run no DP.
+func (s *Sweep) Stats() hist.DPStats { return s.stats }
 
 // Bmax returns the largest budget the sweep covers (the build budget,
 // clamped to the padded domain size).
@@ -48,13 +75,8 @@ func (s *Sweep) Cost(b int) float64 {
 	if s.bmax == 0 {
 		return s.at(0).Cost
 	}
-	if b > s.bmax {
-		b = s.bmax
-	}
-	if b < 1 {
-		b = 1
-	}
-	return s.costs[b-1]
+	s.once.Do(func() { s.costs = curve(s.bmax, s.at, s.costAt) })
+	return s.costs[min(max(b, 1), s.bmax)-1]
 }
 
 // Synopsis extracts the optimal budget-b synopsis, 1 <= b <= Bmax. A
@@ -213,32 +235,17 @@ func dpSweep(n, B int, cands [][]float64, pe *PointErrors, cumulative bool, quan
 	if err != nil {
 		return nil, err
 	}
-	extract, costAt := d.extract, d.cost
-	if forced {
-		extract, costAt = d.extractForced, d.costForced
+	sw := &Sweep{
+		n: n, bmax: B, pool: d.pool, bound: d.errorBound(), stats: d.stats,
+		at: func(b int) *Synopsis { return d.synopsis(b, forced) },
 	}
-	at := func(b int) *Synopsis {
-		keep, best := extract(b)
-		syn := synopsisFromChoices(n, keep)
-		if d.quant > 0 {
-			syn.Cost = pe.SynopsisError(syn)
-		} else {
-			syn.Cost = best
-		}
-		return syn
-	}
-	costs := make([]float64, B)
-	for b := 1; b <= B; b++ {
-		if d.quant > 0 {
-			costs[b-1] = at(b).Cost
-		} else {
-			costs[b-1] = costAt(b)
+	if d.quant == 0 {
+		sw.costAt = d.cost
+		if forced {
+			sw.costAt = d.costForced
 		}
 	}
-	return &Sweep{
-		n: n, bmax: B, costs: costs, pool: d.pool, at: at,
-		bound: d.errorBound(),
-	}, nil
+	return sw, nil
 }
 
 // extractionSweep wraps a family whose budget-b cost is only known by
@@ -246,9 +253,5 @@ func dpSweep(n, B int, cands [][]float64, pe *PointErrors, cumulative bool, quan
 // n == 1 domain, where budgets are 0 or 1 and each family enumerates its
 // candidates directly.
 func extractionSweep(n, B int, at func(b int) *Synopsis) *Sweep {
-	costs := make([]float64, B)
-	for b := 1; b <= B; b++ {
-		costs[b-1] = at(b).Cost
-	}
-	return &Sweep{n: n, bmax: B, costs: costs, at: at, pool: engine.Serial()}
+	return &Sweep{n: n, bmax: B, at: at, pool: engine.Serial()}
 }

@@ -7,10 +7,13 @@ package wavelet_test
 // one- and two-item domains.
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
+	"probsyn/internal/gen"
 	"probsyn/internal/metric"
 	"probsyn/internal/pdata"
 	"probsyn/internal/ptest"
@@ -201,5 +204,85 @@ func TestSweepBudgetValidation(t *testing.T) {
 	}
 	if _, err := wavelet.NewSweep(src, wavelet.UnrestrictedFamily, metric.SAE, metric.Params{C: 0.5}, 4, -1, nil); err == nil {
 		t.Fatal("negative quantization accepted")
+	}
+}
+
+// TestSweepLazyCurveConcurrent: the cost curve is computed by whichever
+// Cost call comes first, while other goroutines extract; run under -race.
+// Every Cost(b) must be the bits of Synopsis(b).Cost and of an independent
+// budget-b build, exact and quantized.
+func TestSweepLazyCurveConcurrent(t *testing.T) {
+	p := metric.Params{C: 0.5}
+	src := ptest.RandomFractionalValuePDF(rand.New(rand.NewSource(29)), 64, 4)
+	const B = 10
+	for _, q := range []int{0, 4} {
+		sw, err := wavelet.NewSweep(src, wavelet.RestrictedFamily, metric.SAE, p, B, q, finePool(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]float64, B+1)
+		for b := 1; b <= B; b++ {
+			if _, want[b], err = wavelet.BuildRestrictedPool(src, metric.SAE, p, b, nil); q > 0 {
+				_, want[b], err = wavelet.BuildRestrictedApproxPool(src, metric.SAE, p, b, q, nil)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for k := 0; k < B; k++ {
+					b := 1 + (k+g)%B
+					var syn *wavelet.Synopsis
+					if g%4 == 3 {
+						syn = sw.Synopses()[b-1]
+					} else if s, err := sw.Synopsis(b); err != nil {
+						t.Errorf("q=%d: Synopsis(%d): %v", q, b, err)
+						return
+					} else {
+						syn = s
+					}
+					got := math.Float64bits(sw.Cost(b))
+					if got != math.Float64bits(syn.Cost) || got != math.Float64bits(want[b]) {
+						t.Errorf("q=%d: Cost(%d) = %v, Synopsis(%d).Cost = %v, independent build %v", q, b, sw.Cost(b), b, syn.Cost, want[b])
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+}
+
+// TestSweepSynopsisAllocations pins an extraction's allocation count to a
+// bound that does not grow with the domain: the backtrack visits O(b log n)
+// nodes and allocates at none of them (the last internal level's leaf rows
+// live on the stack), and a quantized extraction's exact re-pricing
+// reconstructs in two arrays.
+func TestSweepSynopsisAllocations(t *testing.T) {
+	p := metric.Params{C: 0.5}
+	const B, bound = 8, 12
+	for _, q := range []int{0, 8} {
+		for _, n := range []int{64, 256} {
+			src := gen.SensorGrid(rand.New(rand.NewSource(int64(n))), gen.DefaultSensor(n))
+			sw, err := wavelet.NewSweep(src, wavelet.RestrictedFamily, metric.SAE, p, B, q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var terms int
+			allocs := testing.AllocsPerRun(20, func() {
+				syn, err := sw.Synopsis(B)
+				if err != nil {
+					t.Fatal(err)
+				}
+				terms = syn.Terms()
+			})
+			t.Logf("q=%d n=%d: %.0f allocations per Synopsis(%d) of %d terms", q, n, allocs, B, terms)
+			if allocs > bound {
+				t.Fatalf("q=%d n=%d: Synopsis(%d) allocates %.0f times, want <= %d at every n", q, n, B, allocs, bound)
+			}
+		}
 	}
 }

@@ -121,20 +121,6 @@ func overlap(a, b, lo, hi int) int {
 	return e - s + 1
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // fromDense builds a sparse synopsis from a dense coefficient array,
 // keeping the listed indices.
 func fromDense(c []float64, keep []int) *Synopsis {

@@ -5,9 +5,11 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"probsyn/internal/engine"
 	"probsyn/internal/haar"
+	"probsyn/internal/hist"
 )
 
 // This file implements the coefficient-tree dynamic program shared by the
@@ -89,6 +91,14 @@ type treeDP struct {
 	blo   [][]float64 // blo[l][i], bhi[l][i]: incoming-value bounds of node 2^l+i
 	bhi   [][]float64
 	gstep [][]float64 // gstep[l][i]: grid step on quantized levels, else 0
+
+	// Work of every solveStates call so far (forward sweep plus repairs),
+	// added once per call under mu: budget splits merge evaluated, the
+	// rest of the dense scan's splits (clamped, saturated, or off the
+	// crossing), and PointErrors.Err calls. All three are sums over
+	// states, so they are the same at every worker count.
+	mu    sync.Mutex
+	stats hist.DPStats
 }
 
 // newTreeDP executes the shared DP's forward level sweeps through the
@@ -150,7 +160,7 @@ func (d *treeDP) combine(a, b float64) float64 {
 	if d.cumulative {
 		return a + b
 	}
-	return math.Max(a, b)
+	return max(a, b)
 }
 
 // br returns node j's branch count: drop, or retain at one candidate.
@@ -447,11 +457,8 @@ func (d *treeDP) solveStates(l, lo, hi int, vals []float64, voff int) {
 		ccap = d.bcap[l+1]
 	}
 	centries := ccap + 1
-	var lbuf, rbuf []float64
-	if fused {
-		lbuf = make([]float64, centries)
-		rbuf = make([]float64, centries)
-	}
+	var lbuf, rbuf [2]float64
+	var st hist.DPStats
 	qmode := d.quant > 0
 	qchild := !fused && d.lq(l+1)
 	i := sort.SearchInts(offs, lo+1) - 1
@@ -459,6 +466,10 @@ func (d *treeDP) solveStates(l, lo, hi int, vals []float64, voff int) {
 		j := first + i
 		end := min(hi, offs[i+1])
 		br := d.br(j)
+		var leafEvals int64 // Err calls per decision: each leaf's drop pair, plus a pair per candidate
+		if fused {
+			leafEvals = int64(4 + 2*ccap*(len(d.cands[2*j])+len(d.cands[2*j+1])))
+		}
 		for ; s < end; s++ {
 			local := s - offs[i]
 			var v float64
@@ -473,45 +484,123 @@ func (d *treeDP) solveStates(l, lo, hi int, vals []float64, voff int) {
 			}
 			for dd := 0; dd < br; dd++ {
 				var w float64
-				if dd > 0 {
-					w = d.cands[j][dd-1]
-				}
-				var lt, rt []float64
-				if fused {
-					d.leafTables(2*j, v+w, lbuf)
-					d.leafTables(2*j+1, v-w, rbuf)
-					lt, rt = lbuf, rbuf
-				} else {
-					var cl, cr int
-					if qchild {
-						// Quantized child level: bucket the exact child
-						// values onto the children's grids.
-						cl = coffs[2*i] + d.snap(l+1, 2*i, v+w)
-						cr = coffs[2*i+1] + d.snap(l+1, 2*i+1, v-w)
-					} else {
-						cl = coffs[2*i] + local*br + dd
-						cr = coffs[2*i+1] + local*br + dd
-					}
-					lt = d.res[l+1][cl*centries : (cl+1)*centries]
-					rt = d.res[l+1][cr*centries : (cr+1)*centries]
-				}
 				shift := 0
 				if dd > 0 {
+					w = d.cands[j][dd-1]
 					shift = 1 // retaining j spends one coefficient
 				}
-				for bb := shift; bb < entries; bb++ {
-					budget := bb - shift
-					best := out[bb]
-					for bl := 0; bl <= budget; bl++ {
-						if c := d.combine(lt[min(bl, ccap)], rt[min(budget-bl, ccap)]); c < best {
-							best = c
-						}
-					}
-					out[bb] = best
+				m := entries - shift // budgets 0..m-1 go to the children
+				if m == 0 {
+					break // B = 0: nothing to retain with
 				}
+				st.CandidatesPruned += int64(m * (m + 1) / 2) // the dense scan's splits; the scanned ones come off below
+				if fused {
+					lt, rt := lbuf[:centries], rbuf[:centries]
+					d.leafTables(2*j, v+w, lt)
+					d.leafTables(2*j+1, v-w, rt)
+					st.CostEvals += leafEvals
+					st.CandidatesScanned += d.mergeLeaves(out[shift:], lt, rt)
+					continue
+				}
+				var cl, cr int
+				if qchild {
+					// Quantized child level: bucket the exact child
+					// values onto the children's grids.
+					cl = coffs[2*i] + d.snap(l+1, 2*i, v+w)
+					cr = coffs[2*i+1] + d.snap(l+1, 2*i+1, v-w)
+				} else {
+					cl = coffs[2*i] + local*br + dd
+					cr = coffs[2*i+1] + local*br + dd
+				}
+				st.CandidatesScanned += d.merge(out[shift:],
+					d.res[l+1][cl*centries:(cl+1)*centries], d.res[l+1][cr*centries:(cr+1)*centries])
 			}
 		}
 	}
+	st.CandidatesPruned -= st.CandidatesScanned
+	d.mu.Lock()
+	d.stats.Add(st)
+	d.mu.Unlock()
+}
+
+// merge lowers out[b] to the best split of budget b between the children
+// rows lt and rt (equal length, index = child budget), for every b, and
+// returns how many splits it evaluated. The dense scan is
+// min over bl in [0, b] of combine(lt[min(bl, c)], rt[min(b-bl, c)]) with
+// c the rows' last index. Every row is non-increasing in budget as
+// floats — a row is a min over a candidate set that grows with the
+// budget, over children rows non-increasing by induction from
+// leafTables, and the rounding of + and max is monotone — so a split
+// that clamps one side is no better than the split that hands that side
+// exactly c, and only the unclamped splits need evaluating; past b = 2c
+// that is the one saturated split (lt[c], rt[c]). For the maximum
+// metrics the unclamped splits pit a falling row against a rising one:
+// the minimum sits at their crossing, found by binary search. Either way
+// the result is the same float the dense scan selects.
+func (d *treeDP) merge(out, lt, rt []float64) (scanned int64) {
+	c := len(lt) - 1
+	for b := range out {
+		eb := min(b, 2*c)
+		lo, hi := max(0, eb-c), min(eb, c)
+		l, r := lt[lo:hi+1], rt[eb-hi:eb-lo+1] // l[k] splits against r[len(l)-1-k]
+		best := out[b]
+		if d.cumulative {
+			for k, a := range l {
+				if x := a + r[len(l)-1-k]; x < best {
+					best = x
+				}
+			}
+			scanned += int64(len(l))
+		} else {
+			k, n := 0, len(l) // first k with l[k] <= r's opposite entry
+			for k < n {
+				if mid := int(uint(k+n) >> 1); l[mid] <= r[len(l)-1-mid] {
+					n = mid
+				} else {
+					k = mid + 1
+				}
+			}
+			if k > 0 {
+				if x := max(l[k-1], r[len(l)-k]); x < best {
+					best = x
+				}
+				scanned++
+			}
+			if k < len(l) {
+				if x := max(l[k], r[len(l)-1-k]); x < best {
+					best = x
+				}
+				scanned++
+			}
+		}
+		out[b] = best
+	}
+	return scanned
+}
+
+// mergeLeaves is merge for the last internal level, whose children rows
+// have at most two entries: the splits of budget 0, 1 and >= 2 in closed
+// form, each evaluated only when out has an entry for it.
+func (d *treeDP) mergeLeaves(out, lt, rt []float64) (scanned int64) {
+	c := [3]float64{d.combine(lt[0], rt[0])}
+	scanned = 1
+	if len(lt) > 1 && len(out) > 1 {
+		c[1] = d.combine(lt[0], rt[1])
+		if x := d.combine(lt[1], rt[0]); x < c[1] {
+			c[1] = x
+		}
+		scanned = 3
+		if len(out) > 2 {
+			c[2] = d.combine(lt[1], rt[1])
+			scanned = 4
+		}
+	}
+	for b := range out {
+		if x := c[min(b, 2)]; x < out[b] {
+			out[b] = x
+		}
+	}
+	return scanned
 }
 
 // extract re-derives the optimal retained set and cost at budget b
@@ -540,6 +629,23 @@ func (d *treeDP) extract(b int) ([]coefChoice, float64) {
 		d.walk(0, 1, 0, 0, b, &keep)
 	}
 	return keep, best
+}
+
+// synopsis extracts the budget-b synopsis (root-retaining when forced)
+// and prices it: at the table's optimum, or — the quantized table being
+// only approximate — by exact re-evaluation.
+func (d *treeDP) synopsis(b int, forced bool) *Synopsis {
+	extract := d.extract
+	if forced {
+		extract = d.extractForced
+	}
+	keep, best := extract(b)
+	syn := synopsisFromChoices(d.n, keep)
+	syn.Cost = best
+	if d.quant > 0 {
+		syn.Cost = d.pe.SynopsisError(syn)
+	}
+	return syn
 }
 
 // cost returns only the optimal expected error at budget b (no
@@ -601,11 +707,7 @@ func (d *treeDP) walk(l, j, local int, v float64, b int, keep *[]coefChoice) {
 		ccap = d.bcap[l+1]
 		centries = ccap + 1
 	}
-	var lbuf, rbuf []float64
-	if fused {
-		lbuf = make([]float64, ccap+1)
-		rbuf = make([]float64, ccap+1)
-	}
+	var lbuf, rbuf [2]float64
 	// resolve maps decision dd to the two children's local states and
 	// incoming values. On a quantized child level the exact child value
 	// v±w is bucketed to the child's grid and replaced by the grid value
@@ -632,9 +734,9 @@ func (d *treeDP) walk(l, j, local int, v float64, b int, keep *[]coefChoice) {
 	}
 	childTables := func(locL, locR int, vl, vr float64) (lt, rt []float64) {
 		if fused {
-			d.leafTables(2*j, vl, lbuf)
-			d.leafTables(2*j+1, vr, rbuf)
-			return lbuf, rbuf
+			d.leafTables(2*j, vl, lbuf[:ccap+1])
+			d.leafTables(2*j+1, vr, rbuf[:ccap+1])
+			return lbuf[:ccap+1], rbuf[:ccap+1]
 		}
 		cl := d.offs[l+1][2*i] + locL
 		cr := d.offs[l+1][2*i+1] + locR

@@ -67,7 +67,7 @@ func BuildLive(src Source, m Metric, Bmax int, opts ...BuildOption) (Maintainer,
 		if err != nil {
 			return nil, err
 		}
-		l.state, l.view = lv, func() Frontier { return waveletFrontier{lv} }
+		l.state, l.view = lv, func() countedFrontier { return waveletFrontier{lv} }
 	} else {
 		lv, err := hist.NewLiveDP(vp, func(v *pdata.ValuePDF) (hist.Oracle, error) { return p.oracle(v, p.weights) }, Bmax, p.pool)
 		if err != nil {
@@ -75,7 +75,7 @@ func BuildLive(src Source, m Metric, Bmax int, opts ...BuildOption) (Maintainer,
 		}
 		// The table is revalidated in place by mutations, so it is read
 		// off the live DP at every use, not kept.
-		l.state, l.view = lv, func() Frontier { return histFrontier{lv.Table()} }
+		l.state, l.view = lv, func() countedFrontier { return histFrontier{lv.Table()} }
 	}
 	l.reportStats()
 	return l, nil
@@ -94,16 +94,14 @@ type liveFrontier struct {
 		Append(items []pdata.ItemPDF) error
 		Update(i int, item pdata.ItemPDF) error
 	}
-	view func() Frontier // the frontier over state's current tables
+	view func() countedFrontier // the frontier over state's current tables
 }
 
-// reportStats refreshes the WithDPStats sink (if any) with a histogram
-// table's cumulative work counters; called under mu after build and
-// mutations.
+// reportStats refreshes the WithDPStats sink (if any) with the work
+// counters of the DP behind the current frontier; called under mu after
+// build and mutations.
 func (l *liveFrontier) reportStats() {
-	if h, ok := l.view().(histFrontier); ok {
-		l.plan.report(h.tab.Stats())
-	}
+	l.plan.report(l.view().Stats())
 }
 
 func (l *liveFrontier) Bmax() int {

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"probsyn"
+	"probsyn/internal/engine"
 )
 
 func liveRandItem(rng *rand.Rand) probsyn.ItemPDF {
@@ -220,5 +221,85 @@ func TestLiveDPStatsFollowMutations(t *testing.T) {
 		if st.CostEvals <= built.CostEvals {
 			t.Fatalf("%v: WithDPStats sink not refreshed by live mutations (%d cost evals before, %d after)", m, built.CostEvals, st.CostEvals)
 		}
+	}
+}
+
+// TestWaveletDPStats: a coefficient-tree wavelet build fills the
+// WithDPStats sink, with the same three counts at every worker count and
+// through Build, BuildSweep, BuildLive and a sharded build's shards; a
+// live mutation refreshes it; the SSE greedy, which runs no DP, zeroes it.
+func TestWaveletDPStats(t *testing.T) {
+	vp := liveRandVP(rand.New(rand.NewSource(7)), 64)
+	for _, extra := range [][]probsyn.BuildOption{nil, {probsyn.WithQuantize(4)}, {probsyn.WithUnrestricted(1)}} {
+		for _, m := range []probsyn.Metric{probsyn.SAE, probsyn.MAE} {
+			var want probsyn.DPStats
+			for _, workers := range []int{1, 2, 4} {
+				for entry, build := range []func(opts ...probsyn.BuildOption) error{
+					func(opts ...probsyn.BuildOption) error { _, err := probsyn.Build(vp, m, 9, opts...); return err },
+					func(opts ...probsyn.BuildOption) error { _, err := probsyn.BuildSweep(vp, m, 9, opts...); return err },
+					func(opts ...probsyn.BuildOption) error { _, err := probsyn.BuildLive(vp, m, 9, opts...); return err },
+				} {
+					var st probsyn.DPStats
+					opts := append([]probsyn.BuildOption{probsyn.WithWavelet(), probsyn.WithPool(engine.New(engine.Options{Workers: workers, Grain: 1})), probsyn.WithDPStats(&st)}, extra...)
+					if err := build(opts...); err != nil {
+						t.Fatal(err)
+					}
+					if st.CandidatesScanned <= 0 || st.CandidatesPruned <= 0 || st.CostEvals <= 0 {
+						t.Fatalf("%v entry %d workers %d: sink reads %+v", m, entry, workers, st)
+					}
+					if want == (probsyn.DPStats{}) {
+						want = st
+					}
+					if st != want {
+						t.Fatalf("%v entry %d workers %d: counted %+v, the serial Build %+v", m, entry, workers, st, want)
+					}
+				}
+			}
+		}
+	}
+
+	var st probsyn.DPStats
+	live, err := probsyn.BuildLive(vp, probsyn.SAE, 9, probsyn.WithWavelet(), probsyn.WithDPStats(&st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := st
+	// A mean-preserving update (one entry's mass split around its
+	// frequency) is repaired along its path: the counters grow by the
+	// repair's work.
+	i := 0
+	for len(vp.Items[i].Entries) == 0 || vp.Items[i].Entries[0].Freq < 1 {
+		i++
+	}
+	e := vp.Items[i].Entries[0]
+	split := append([]probsyn.FreqProb{{Freq: e.Freq - 1, Prob: e.Prob / 2}, {Freq: e.Freq + 1, Prob: e.Prob / 2}}, vp.Items[i].Entries[1:]...)
+	if err := live.Update(i, probsyn.ItemPDF{Entries: split}); err != nil {
+		t.Fatal(err)
+	}
+	if st.CostEvals <= built.CostEvals || st.CandidatesScanned <= built.CandidatesScanned {
+		t.Fatalf("live repair left the sink at %+v (built: %+v)", st, built)
+	}
+	// A mean-changing update resweeps. The counters stay cumulative, as a
+	// live histogram's are: they grow by one whole forward sweep, whose
+	// counts under a sum metric depend on the layout alone.
+	want := st
+	want.Add(built)
+	if err := live.Update(i, probsyn.ItemPDF{Entries: []probsyn.FreqProb{{Freq: e.Freq + 3, Prob: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	if st != want {
+		t.Fatalf("live resweep left the sink at %+v, want the repaired counts plus a sweep's, %+v", st, want)
+	}
+	if _, err := probsyn.BuildSharded(vp, probsyn.SAE, 9, 2, probsyn.WithWavelet(), probsyn.WithDPStats(&st)); err != nil {
+		t.Fatal(err)
+	}
+	if st.CandidatesScanned <= 0 || st.CostEvals <= 0 {
+		t.Fatalf("sharded wavelet build: sink reads %+v", st)
+	}
+	if _, err := probsyn.Build(vp, probsyn.SSE, 9, probsyn.WithWavelet(), probsyn.WithDPStats(&st)); err != nil {
+		t.Fatal(err)
+	}
+	if st != (probsyn.DPStats{}) {
+		t.Fatalf("SSE greedy build: sink reads %+v, want zero", st)
 	}
 }

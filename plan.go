@@ -154,6 +154,7 @@ func (p *plan) frontier(src Source, Bmax int) (Frontier, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.report(sw.Stats())
 		return waveletFrontier{sw}, nil
 	}
 	o, err := p.oracle(src, p.weights)

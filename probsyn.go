@@ -87,11 +87,13 @@ type (
 	Params = metric.Params
 )
 
-// DPStats counts the work a histogram DP performed — split candidates
-// scanned vs. monotonicity-pruned, and bucket-cost evaluations. Collect
-// it with WithDPStats; see the hist package for field semantics. The
-// tables (and codec bytes) a build produces are bit-identical whether or
-// not pruning engages; the stats are schedule-dependent observability.
+// DPStats counts the work a DP performed — for a histogram, split
+// candidates scanned vs. monotonicity-pruned and bucket-cost evaluations
+// (see the hist package for field semantics); for a coefficient-tree
+// wavelet DP, budget-split candidates evaluated vs. skipped as dominated
+// and point-error evaluations. Collect it with WithDPStats. The tables
+// (and codec bytes) a build produces are bit-identical whether or not
+// pruning engages, and the counts are the same at every worker count.
 type DPStats = hist.DPStats
 
 // The error objectives (§2.2-2.3; see the metric package for semantics).

@@ -106,6 +106,7 @@ func (p *plan) sharded(src Source, B, k int) (*ShardedResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.report(res.Stats)
 	return rootSharded(res.Merged, res.Pieces, bounds, res.Bound), nil
 }
 
