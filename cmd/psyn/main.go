@@ -37,7 +37,7 @@
 //	psyn -query batch.json -out ./catalog
 //
 // With -pack, a catalog directory's .psyn envelopes are packed into the
-// flat mmap file psynd boots from with -flat (see internal/catalog).
+// flat file psynd boots from with -flat (see internal/catalog).
 // Packing is deterministic: the same logical catalog packs to the same
 // bytes here, on a server's background re-pack, or anywhere else:
 //
@@ -97,7 +97,7 @@ func run(args []string, stdout io.Writer) error {
 		flagAppend   = fs.String("append", "", "value-model dataset file whose items extend the -input dataset; every synopsis for -dataset in the -out catalog directory is revalidated and rewritten")
 		flagSaveData = fs.String("save-data", "", "with -append: write the merged dataset to this file")
 		flagQuery    = fs.String("query", "", "batch request file (POST /v1/query JSON body) answered offline from the -out catalog directory; the response JSON is written to stdout, byte-identical to a served one")
-		flagPack     = fs.String("pack", "", "pack this catalog directory's synopses into its flat mmap file (catalog.flat) for millisecond psynd -flat boots; deterministic, byte-identical to the server's own re-packs")
+		flagPack     = fs.String("pack", "", "pack this catalog directory's synopses into its flat file (catalog.flat) for millisecond psynd -flat boots; deterministic, byte-identical to the server's own re-packs")
 		flagShards   = fs.Int("shards", 0, "if >= 2, build sharded: split the domain into this many contiguous ranges, build each in parallel, and merge (exact for SSE wavelets; DP families report a certified additive suboptimality bound); with -out (a catalog directory), the merged synopsis and every piece are saved under key-encoded filenames")
 		flagVerbose  = fs.Bool("v", false, "after a histogram or coefficient-tree wavelet DP build (plain, -sweep, or -shards), report the DP work counters: split candidates scanned vs. pruned and cost evaluations (see probsyn.DPStats); non-DP builds print nothing")
 	)
@@ -328,7 +328,7 @@ func runAppend(stdout io.Writer, src probsyn.Source, appendPath, dataset, outDir
 }
 
 // runPack loads every .psyn envelope in the catalog directory and packs
-// the flat mmap file beside them. The entry ordering and serialization
+// the flat file beside them. The entry ordering and serialization
 // are fixed by the format, so this file is byte-identical to the one a
 // psynd -flat server re-packs for the same logical catalog — replicas
 // can rsync it, cmp it, or content-address it.

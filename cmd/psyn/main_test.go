@@ -714,7 +714,7 @@ func TestRunShardedValidation(t *testing.T) {
 	}
 }
 
-// -pack builds the flat mmap file psynd -flat boots from. The output
+// -pack builds the flat file psynd -flat boots from. The output
 // must be deterministic and byte-identical to the pack a server's
 // background keeper writes for the same logical catalog — that identity
 // is what lets replicas rsync or content-address the file.

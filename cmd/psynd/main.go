@@ -18,9 +18,9 @@
 //	curl 'localhost:7075/v1/rangesum?dataset=ds&family=histogram&metric=SSE&budget=16&lo=0&hi=99'
 //	curl 'localhost:7075/v1/synopses'
 //
-// With -flat, the server boots from the catalog directory's flat mmap
-// file (packed by `psyn -pack` or a previous run of this server) and
-// serves its first query in milliseconds; the file is invalidated
+// With -flat, the server boots from the catalog directory's flat file
+// (packed by `psyn -pack` or a previous run of this server) and serves
+// its first query in milliseconds; the file is invalidated
 // before any catalog-changing work and re-packed in the background at
 // quiescence, so a crash at any instant leaves a directory that boots
 // correctly from the .psyn envelopes alone:
@@ -72,6 +72,30 @@ import (
 	"probsyn/internal/server"
 )
 
+// Connection limits of both listeners: a client that stalls inside its
+// request headers, or parks an idle keep-alive connection, holds a
+// goroutine and a descriptor only this long. Package values, not flags:
+// no deployment has needed another setting. There is deliberately no
+// WriteTimeout, and no ReadTimeout, whose deadline stays armed while the
+// handler runs: a wait:true response takes as long as its build, and a
+// pprof profile as long as its ?seconds=.
+const (
+	idleTimeout    = 2 * time.Minute
+	maxHeaderBytes = 64 << 10
+)
+
+// readHeaderTimeout is a variable for the test that shortens it.
+var readHeaderTimeout = 10 * time.Second
+
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
 // errParse marks a flag-parse failure the FlagSet has already reported to
 // stderr, so main neither reprints it nor masks the usage text.
 var errParse = errors.New("flag parse error")
@@ -98,7 +122,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		flagAddr     = fs.String("addr", "127.0.0.1:7075", "HTTP listen address")
 		flagData     = fs.String("data", "", "dataset directory: dataset NAME is NAME.pd in this directory (required)")
 		flagCatalog  = fs.String("catalog", "", "catalog directory: preload synopses at startup, persist new builds (optional)")
-		flagFlat     = fs.Bool("flat", false, "boot from the catalog directory's flat mmap file when present and maintain it across builds (requires -catalog)")
+		flagFlat     = fs.Bool("flat", false, "boot from the catalog directory's flat file (catalog.flat) when present and maintain it across builds (requires -catalog)")
 		flagQueue    = fs.Int("queue", server.DefaultQueueDepth, "build queue depth; a full queue rejects builds with queue_full")
 		flagBuilders = fs.Int("build-workers", server.DefaultBuildWorkers, "goroutines draining the build queue")
 		flagMax      = fs.Int("max-builds", 2, "admission cap: builds running DPs concurrently on the shared pool (<= 0: unlimited)")
@@ -153,9 +177,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			warnf := func(format string, args ...any) {
 				fmt.Fprintf(stdout, "psynd: "+format+"\n", args...)
 			}
-			// The Flat handle stays open for the process lifetime: the
-			// keeper's atomic rewrites replace the directory entry without
-			// disturbing this mapping, and view-backed queriers alias it.
+			// The Flat handle stays open for the process lifetime: entries
+			// are decoded from it on first use, and the keeper's atomic
+			// rewrites replace the directory entry without disturbing the
+			// open file.
 			flat, flatN, codecN, err := catalog.BootDir(cat, *flagCatalog, warnf)
 			if err != nil {
 				return err
@@ -212,7 +237,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		pmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		pmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		pprofSrv = &http.Server{Handler: pmux}
+		pprofSrv = newHTTPServer(pmux)
 		fmt.Fprintf(stdout, "psynd: pprof on %s\n", pln.Addr())
 		go func() {
 			if err := pprofSrv.Serve(pln); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -220,7 +245,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			}
 		}()
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	fmt.Fprintf(stdout, "psynd: listening on %s (pool: %d workers, max %d concurrent builds)\n",
 		ln.Addr(), pool.Workers(), pool.MaxBuilds())
 	if len(peers) > 1 {

@@ -225,6 +225,21 @@ func TestRunUnknownFlagIsParseError(t *testing.T) {
 
 var pprofRE = regexp.MustCompile(`pprof on ([^\s(]+)`)
 
+// pprofAddr waits for psynd to report its -pprof listener's address.
+func pprofAddr(t *testing.T, out *syncBuffer) string {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		if m := pprofRE.FindStringSubmatch(out.String()); m != nil {
+			return m[1]
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("psynd never reported its pprof address:\n%s", out.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestPsyndPprofListener: -pprof serves the profiler on its own
 // listener — profile endpoints answer there and are absent from the
 // query surface.
@@ -237,18 +252,7 @@ func TestPsyndPprofListener(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	deadline := time.Now().Add(15 * time.Second)
-	var paddr string
-	for paddr == "" {
-		if m := pprofRE.FindStringSubmatch(out.String()); m != nil {
-			paddr = m[1]
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("psynd never reported its pprof address:\n%s", out.String())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	paddr := pprofAddr(t, out)
 	resp, err := http.Get("http://" + paddr + "/debug/pprof/cmdline")
 	if err != nil {
 		t.Fatal(err)
@@ -265,6 +269,47 @@ func TestPsyndPprofListener(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
 		t.Fatal("pprof served on the query listener")
+	}
+}
+
+// TestPsyndClosesStalledConnections: a client that stops inside its
+// request line is disconnected by the server once the header timeout
+// passes, on both listeners, and a complete request on another
+// connection is answered while it stalls.
+func TestPsyndClosesStalledConnections(t *testing.T) {
+	old := readHeaderTimeout
+	readHeaderTimeout = 200 * time.Millisecond
+	t.Cleanup(func() { readHeaderTimeout = old })
+	base, out, stop := startPsynd(t, []string{"-data", t.TempDir(), "-pprof", "127.0.0.1:0"})
+	for _, addr := range []string{strings.TrimPrefix(base, "http://"), pprofAddr(t, out)} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write([]byte("GET /v1/syno")); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(base + "/v1/synopses")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("well-formed request beside a stalled one: status %d", resp.StatusCode)
+		}
+		// The read must end because the server hung up, not because this
+		// deadline (far beyond the header timeout) ran out.
+		if err := conn.SetReadDeadline(time.Now().Add(15 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		var ne net.Error
+		if _, err := io.ReadAll(conn); errors.As(err, &ne) && ne.Timeout() {
+			t.Fatalf("%s: a connection stalled in its request line was still open after 15 s", addr)
+		}
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -396,8 +441,8 @@ func TestRunRejectsSelfWithoutPeers(t *testing.T) {
 
 // -flat drives the whole replica-restart story at the binary level:
 // a first run builds and (on graceful shutdown) packs the flat file, a
-// restart boots from it in one mmap — reporting "N flat, 0 codec" — and
-// the flat-backed querier serves bit-identical estimates to the codec
+// restart boots from it with one index read — reporting "N flat, 0 codec" — and
+// the flat-booted catalog serves bit-identical estimates to the codec
 // path.
 func TestPsyndFlatBoot(t *testing.T) {
 	dataDir, catDir := t.TempDir(), t.TempDir()

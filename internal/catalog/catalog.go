@@ -27,7 +27,7 @@ import (
 )
 
 // The two synopsis families, as catalog key vocabulary. These match the
-// codec type names registered by internal/synopsis.
+// codec type names of internal/synopsis.
 const (
 	FamilyHistogram = "histogram"
 	FamilyWavelet   = "wavelet"
@@ -289,20 +289,12 @@ type Entry struct {
 	// budget) installs a whole new Entry, querier included, so a reader
 	// holding this entry always has the querier matching this synopsis.
 	Querier query.Querier
-	// lazy, when non-nil, is the entry's flat-catalog backing: its data
-	// block's checksum and shape validation are deferred to the first
-	// Get, so attaching a large flat catalog costs nothing per entry
-	// until the entry is actually served. Codec-loaded entries have nil
-	// lazy (their envelope CRC was checked at decode time).
+	// lazy, when non-nil, is the entry's flat-catalog backing: Synopsis
+	// and Querier are decoded from the entry's envelope in the flat file
+	// on the first Get or List that reaches the entry, so attaching a
+	// large flat catalog costs nothing per entry until the entry is
+	// actually served. Codec-loaded and published entries have nil lazy.
 	lazy *flatLazy
-}
-
-// verify runs the entry's deferred validation, if any (memoized).
-func (e *Entry) verify() error {
-	if e.lazy == nil {
-		return nil
-	}
-	return e.lazy.ensure()
 }
 
 // Catalog is the in-memory registry. Reads (Get, List, Len) take the
@@ -354,33 +346,40 @@ func (c *Catalog) Delete(key Key) {
 	c.mu.Unlock()
 }
 
-// Get returns the entry for the key, if present. A flat-backed entry
-// pays its deferred block validation here, on first fetch; one that
-// fails (a corrupt data block) is withdrawn and reported not-found —
-// not_found triggers a rebuild over the current data, which beats
-// serving wrong estimates from a damaged file.
+// Get returns the entry for the key, if present. A flat-backed entry is
+// decoded here, on first fetch; one that fails (a corrupt envelope) is
+// withdrawn and reported not-found — not_found triggers a rebuild over
+// the current data, which beats serving wrong estimates from a damaged
+// file.
 func (c *Catalog) Get(key Key) (*Entry, bool) {
 	c.mu.RLock()
 	e, ok := c.entries[key]
 	c.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	if err := e.verify(); err != nil {
-		if w := e.lazy.warnf; w != nil {
-			w("withdrawing flat catalog entry %v: %v", key, err)
-		}
-		// Withdraw only if the map still holds this exact entry — a
-		// concurrent republish may have already replaced it with a
-		// healthy one.
-		c.mu.Lock()
-		if c.entries[key] == e {
-			delete(c.entries, key)
-		}
-		c.mu.Unlock()
+	if !ok || e.lazy != nil && !c.decoded(e) {
 		return nil, false
 	}
 	return e, true
+}
+
+// decoded runs a flat-backed entry's deferred decode (memoized) and
+// withdraws the entry, with a warning, if it fails.
+func (c *Catalog) decoded(e *Entry) bool {
+	err := e.lazy.decode(e)
+	if err == nil {
+		return true
+	}
+	if w := e.lazy.f.warnf; w != nil {
+		w("withdrawing flat catalog entry %v: %v", e.Key, err)
+	}
+	// Withdraw only if the map still holds this exact entry — a
+	// concurrent republish may have already replaced it with a healthy
+	// one.
+	c.mu.Lock()
+	if c.entries[e.Key] == e {
+		delete(c.entries, e.Key)
+	}
+	c.mu.Unlock()
+	return false
 }
 
 // Len returns the number of cataloged synopses.
@@ -390,14 +389,23 @@ func (c *Catalog) Len() int {
 	return len(c.entries)
 }
 
-// List returns the entries sorted by key, for stable listings.
+// List returns the entries sorted by key, for stable listings. Like Get
+// it returns only entries whose Synopsis and Querier are set: flat-backed
+// entries not fetched yet are decoded here, outside the catalog lock,
+// and those that fail are withdrawn and left out.
 func (c *Catalog) List() []*Entry {
 	c.mu.RLock()
-	out := make([]*Entry, 0, len(c.entries))
+	all := make([]*Entry, 0, len(c.entries))
 	for _, e := range c.entries {
-		out = append(out, e)
+		all = append(all, e)
 	}
 	c.mu.RUnlock()
+	out := all[:0]
+	for _, e := range all {
+		if e.lazy == nil || c.decoded(e) {
+			out = append(out, e)
+		}
+	}
 	sort.Slice(out, func(a, b int) bool { return keyLess(out[a].Key, out[b].Key) })
 	return out
 }
@@ -505,25 +513,20 @@ func (c *Catalog) SaveAll(dir string) (int, error) {
 // family its name claims) is an error — a corrupt catalog must fail
 // loudly at startup, not serve wrong estimates.
 func (c *Catalog) LoadDir(dir string) (int, error) {
-	return c.LoadDirFunc(dir, nil)
+	return c.loadDir(dir, nil)
 }
 
-// LoadDirFunc is LoadDir with a skip predicate over raw filenames:
-// files it accepts are not loaded (or even key-parsed — the flat boot
-// path skips every file the attached flat catalog already covers, by
-// the name string the flat index recorded, so a covered file costs a
-// map probe instead of a parse).
-func (c *Catalog) LoadDirFunc(dir string, skip func(name string) bool) (int, error) {
+// loadDir is LoadDir minus the files named in covered, which are not
+// loaded (or even key-parsed): the flat boot path skips every file the
+// attached flat catalog already holds, by the name its index recorded.
+func (c *Catalog) loadDir(dir string, covered map[string]bool) (int, error) {
 	des, err := os.ReadDir(dir)
 	if err != nil {
 		return 0, err
 	}
 	n := 0
 	for _, de := range des {
-		if de.IsDir() {
-			continue
-		}
-		if skip != nil && skip(de.Name()) {
+		if de.IsDir() || covered[de.Name()] {
 			continue
 		}
 		key, err := ParseFilename(de.Name())
@@ -534,12 +537,9 @@ func (c *Catalog) LoadDirFunc(dir string, skip func(name string) bool) (int, err
 		if err != nil {
 			return n, fmt.Errorf("catalog: %s: %w", de.Name(), err)
 		}
-		syn, err := synopsis.Unmarshal(blob)
+		syn, err := decodeEnvelope(key, blob)
 		if err != nil {
 			return n, fmt.Errorf("catalog: %s: %w", de.Name(), err)
-		}
-		if fam := familyOf(syn); fam != key.Family {
-			return n, fmt.Errorf("catalog: %s: envelope holds a %s, filename claims %s", de.Name(), fam, key.Family)
 		}
 		c.PutEncoded(key, syn, blob)
 		n++
@@ -547,14 +547,19 @@ func (c *Catalog) LoadDirFunc(dir string, skip func(name string) bool) (int, err
 	return n, nil
 }
 
-// familyOf maps a decoded synopsis to its catalog family via the codec
-// registry's type names (which double as family names).
-func familyOf(s synopsis.Synopsis) string {
-	name, err := synopsis.TypeName(s)
+// decodeEnvelope decodes the envelope stored under key, in a .psyn file
+// or a flat catalog, and checks it holds the family the key names.
+func decodeEnvelope(key Key, blob []byte) (synopsis.Synopsis, error) {
+	syn, err := synopsis.Unmarshal(blob)
 	if err != nil {
-		return ""
+		return nil, err
 	}
-	return name
+	// TypeName cannot fail on what Unmarshal returned; if it did, "" is no
+	// key's family.
+	if fam, _ := synopsis.TypeName(syn); fam != key.Family {
+		return nil, fmt.Errorf("envelope holds a %s, its name claims %s", fam, key.Family)
+	}
+	return syn, nil
 }
 
 // GroupKeys partitions keys (typically one dataset's catalog listing)

@@ -51,9 +51,9 @@ func benchCatalogDir(b *testing.B) string {
 	return dir
 }
 
-// firstQuery performs the boot's first read — a Get (paying any lazy
-// validation) and an estimate — so both benchmarks measure
-// time-to-first-answer, not time-to-attach.
+// firstQuery performs the boot's first read — a Get (paying a flat-backed
+// entry's first-touch decode) and an estimate — so both benchmarks
+// measure time-to-first-answer, not time-to-attach.
 func firstQuery(b *testing.B, c *Catalog) {
 	b.Helper()
 	key, err := NewKey("bench000", FamilyHistogram, "SSE", 1, 0)
@@ -70,7 +70,8 @@ func firstQuery(b *testing.B, c *Catalog) {
 }
 
 // BenchmarkCatalogBootFlat measures a replica restart over the flat
-// file: open + header/index validation + attach + first query. The
+// file: open + header/index validation + attach + first query (one
+// entry's decode and compile, not sixty-four). The
 // acceptance bar (ISSUE 9, gated in CI against BENCH_PR9.json) is >=20x
 // faster than BenchmarkCatalogBootCodec on this same 64-entry catalog.
 func BenchmarkCatalogBootFlat(b *testing.B) {

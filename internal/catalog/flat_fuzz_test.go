@@ -12,12 +12,12 @@ import (
 )
 
 // FuzzOpenFlat feeds arbitrary bytes through the whole flat-catalog
-// read path: open, attach, fetch (which runs the lazy block checks),
-// query, and codec materialization. Truncated, bit-flipped, or
-// misaligned files must produce errors or withdrawn entries — never a
-// crash, and never a served entry whose arrays violate the querier
-// invariants (the shape checks in ensure are exactly what makes the
-// query calls below safe to run on whatever survives).
+// read path: open, attach, fetch (which decodes the entry's envelope),
+// query, and marshal. Truncated or bit-flipped files must produce errors
+// or withdrawn entries — never a crash, and never a served entry that
+// violates the querier invariants (the codec decoder's Validate is
+// exactly what makes the query calls below safe to run on whatever
+// survives).
 func FuzzOpenFlat(f *testing.F) {
 	// Seed with a genuine flat file and targeted damage to it, so the
 	// fuzzer starts at the format's interesting surface instead of
@@ -49,14 +49,14 @@ func FuzzOpenFlat(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(good)
-	f.Add(good[:flatPage])
+	f.Add(good[:flatHeaderLen])
 	f.Add(good[:len(good)-32])
 	flipped := append([]byte(nil), good...)
-	flipped[flatPage+7] ^= 0x20
+	flipped[flatHeaderLen+7] ^= 0x20
 	f.Add(flipped)
 	shifted := append([]byte(nil), good...)
-	dataOff := binary.LittleEndian.Uint64(good[40:])
-	shifted[dataOff+1] ^= 0x08
+	dataOff := flatHeaderLen + binary.LittleEndian.Uint64(good[16:])
+	shifted[dataOff+20] ^= 0x08
 	f.Add(shifted)
 	f.Add([]byte(flatMagic))
 
@@ -76,7 +76,7 @@ func FuzzOpenFlat(f *testing.F) {
 		for _, k := range fl.Keys() {
 			e, ok := cat.Get(k)
 			if !ok {
-				continue // withdrawn by the lazy checks: correct
+				continue // withdrawn by the deferred decode: correct
 			}
 			// Whatever Get vouches for must be queryable and
 			// codec-roundtrippable without panicking.

@@ -3,13 +3,14 @@ package catalog
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
+	"sync"
 	"testing"
 
 	"probsyn/internal/hist"
@@ -71,8 +72,7 @@ func randWavelet(rng *rand.Rand, n int) *wavelet.Synopsis {
 }
 
 // randCatalog fills a catalog with count random entries alternating
-// between the families (wavelet domains drawn from pows, which may
-// exceed the dense-table limit to cover both lookup paths).
+// between the families (wavelet domains drawn from pows).
 func randCatalog(t *testing.T, rng *rand.Rand, count int, pows []int) *Catalog {
 	t.Helper()
 	c := New()
@@ -131,32 +131,88 @@ func sameBits(t *testing.T, key Key, n int, got, want query.Querier, rng *rand.R
 	}
 }
 
-// TestFlatRoundTripBitIdentical is the acceptance property: over random
-// synopses of both families (wavelet domains straddling the dense-table
-// limit), a packed-then-mapped catalog answers every query with the
-// exact float64 bits the compiled path produces.
-func TestFlatRoundTripBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	pows := []int{2, 8, 64, 1024, query.WaveletDenseLimit, 2 * query.WaveletDenseLimit}
-	src := randCatalog(t, rng, 40, pows)
-	dir := t.TempDir()
-	if _, err := Pack(FlatPath(dir), src.List()); err != nil {
+// openAttached opens dir's flat file and attaches it to a new catalog.
+func openAttached(t *testing.T, dir string, warnf func(string, ...any)) (*Flat, *Catalog) {
+	t.Helper()
+	f, err := OpenFlat(FlatPath(dir))
+	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { f.Close() })
+	c := New()
+	c.AttachFlat(f, warnf)
+	return f, c
+}
 
+// TestFlatHoldsTheEnvelopeFiles is the format's one claim: the flat
+// file's data section is the directory's .psyn files, byte for byte, and
+// the file adds nothing to them but the header and the index.
+func TestFlatHoldsTheEnvelopeFiles(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	src := randCatalog(t, rng, 24, []int{2, 16, 256})
+	dir := t.TempDir()
+	for _, e := range src.List() {
+		if _, err := WriteFile(filepath.Join(dir, e.Key.Filename()), e.Synopsis); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flat, err := PackBytes(src.List())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteBlob(FlatPath(dir), flat); err != nil {
+		t.Fatal(err)
+	}
 	f, err := OpenFlat(FlatPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	c := New()
-	if got := c.AttachFlat(f, t.Logf); got != src.Len() {
-		t.Fatalf("attached %d entries, packed %d", got, src.Len())
+	if f.Len() != src.Len() {
+		t.Fatalf("index has %d records, packed %d", f.Len(), src.Len())
+	}
+	envelopes := 0
+	for _, e := range f.entries {
+		file, err := os.ReadFile(filepath.Join(dir, e.Key.Filename()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := flat[e.lazy.off : e.lazy.off+int64(e.Bytes)]; !bytes.Equal(got, file) {
+			t.Fatalf("%v: indexed bytes [%d, +%d) differ from the .psyn file", e.Key, e.lazy.off, e.Bytes)
+		}
+		envelopes += len(file)
+	}
+	indexLen := int(binary.LittleEndian.Uint64(flat[16:]))
+	if len(flat) > envelopes+indexLen+flatHeaderLen {
+		t.Fatalf("flat file is %d bytes, more than %d of envelopes + %d of index + the %d-byte header",
+			len(flat), envelopes, indexLen, flatHeaderLen)
+	}
+}
+
+// TestFlatRoundTripBitIdentical: over random synopses of both families a
+// packed-then-opened catalog hands back, on first Get, the concrete
+// synopsis that was packed — same metadata, same envelope — behind a
+// querier answering with the exact float64 bits the source's does.
+func TestFlatRoundTripBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	src := randCatalog(t, rng, 40, []int{2, 8, 64, 1024})
+	dir := t.TempDir()
+	if _, err := Pack(FlatPath(dir), src.List()); err != nil {
+		t.Fatal(err)
+	}
+	f, c := openAttached(t, dir, t.Logf)
+	if f.Len() != src.Len() || c.Len() != src.Len() {
+		t.Fatalf("opened %d, attached %d entries, packed %d", f.Len(), c.Len(), src.Len())
 	}
 	for _, want := range src.List() {
 		e, ok := c.Get(want.Key)
 		if !ok {
 			t.Fatalf("flat catalog lost %v", want.Key)
+		}
+		switch e.Synopsis.(type) {
+		case *hist.Histogram, *wavelet.Synopsis:
+		default:
+			t.Fatalf("%v: Synopsis is a %T, want the concrete family type", want.Key, e.Synopsis)
 		}
 		n := want.Synopsis.Domain()
 		if e.Synopsis.Domain() != n || e.Synopsis.Terms() != want.Synopsis.Terms() {
@@ -169,43 +225,16 @@ func TestFlatRoundTripBitIdentical(t *testing.T) {
 			t.Fatalf("%v: Bytes = %d, want %d", want.Key, e.Bytes, want.Bytes)
 		}
 		sameBits(t, want.Key, n, e.Querier, want.Querier, rng)
-		// The synopsis facade must answer identically too (it routes
-		// through the same querier).
-		if math.Float64bits(e.Synopsis.Estimate(0)) != math.Float64bits(want.Synopsis.Estimate(0)) {
-			t.Fatalf("%v: facade Estimate differs", want.Key)
-		}
-	}
-}
-
-// TestFlatCodecInterop: a flat-backed entry must round-trip the codec
-// byte-identically to the synopsis it stands for — Marshal resolves the
-// facade to a lazily materialized concrete synopsis.
-func TestFlatCodecInterop(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	src := randCatalog(t, rng, 8, []int{16, 64})
-	dir := t.TempDir()
-	if _, err := Pack(FlatPath(dir), src.List()); err != nil {
-		t.Fatal(err)
-	}
-	f, err := OpenFlat(FlatPath(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	c := New()
-	c.AttachFlat(f, nil)
-	for _, want := range src.List() {
 		wantBlob, err := synopsis.Marshal(want.Synopsis)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, _ := c.Get(want.Key)
 		gotBlob, err := synopsis.Marshal(e.Synopsis)
 		if err != nil {
-			t.Fatalf("%v: marshal through facade: %v", want.Key, err)
+			t.Fatalf("%v: marshal after a flat boot: %v", want.Key, err)
 		}
 		if !bytes.Equal(gotBlob, wantBlob) {
-			t.Fatalf("%v: facade envelope differs from the original", want.Key)
+			t.Fatalf("%v: envelope after a flat boot differs from the original", want.Key)
 		}
 	}
 }
@@ -231,18 +260,13 @@ func TestFlatPackDeterministic(t *testing.T) {
 		t.Fatal("pack order leaked into the file bytes")
 	}
 	// Re-packing a flat-attached catalog (what the server's background
-	// re-pack does after a flat boot) must also be byte-identical.
+	// re-pack does after a flat boot) must also be byte-identical; List
+	// is what decodes the entries no Get has touched.
 	dir := t.TempDir()
 	if err := WriteBlob(FlatPath(dir), a); err != nil {
 		t.Fatal(err)
 	}
-	f, err := OpenFlat(FlatPath(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	c := New()
-	c.AttachFlat(f, nil)
+	_, c := openAttached(t, dir, nil)
 	again, err := PackBytes(c.List())
 	if err != nil {
 		t.Fatal(err)
@@ -250,6 +274,42 @@ func TestFlatPackDeterministic(t *testing.T) {
 	if !bytes.Equal(again, a) {
 		t.Fatal("re-pack of a flat-attached catalog differs from the original pack")
 	}
+}
+
+// TestFlatFirstTouchConcurrent: Get and List racing to an entry's first
+// touch decode it once and all see it decoded (run under -race).
+func TestFlatFirstTouchConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	src := randCatalog(t, rng, 8, []int{32})
+	dir := t.TempDir()
+	if _, err := Pack(FlatPath(dir), src.List()); err != nil {
+		t.Fatal(err)
+	}
+	f, c := openAttached(t, dir, t.Logf)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%4 == 0 {
+				for _, e := range c.List() {
+					if e.Synopsis == nil || e.Querier == nil {
+						t.Errorf("List returned %v undecoded", e.Key)
+					}
+				}
+				return
+			}
+			for _, k := range f.Keys() {
+				e, ok := c.Get(k)
+				if !ok || e.Synopsis == nil || e.Querier == nil {
+					t.Errorf("Get(%v) = %v, %v", k, e, ok)
+					continue
+				}
+				_ = e.Querier.Estimate(0)
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestBootDirFlat: BootDir attaches the flat file and codec-loads only
@@ -309,52 +369,135 @@ func rewriteHeader(data []byte) {
 	binary.LittleEndian.PutUint32(data[60:], crc32.ChecksumIEEE(data[:60]))
 }
 
-// TestBootDirVersionNewer is the boot-ordering regression test: a flat
-// file stamped with a future format version must be skipped with a
-// warning and the catalog loaded through .psyn decode instead.
-func TestBootDirVersionNewer(t *testing.T) {
+// rewriteIndex does the same for the index section.
+func rewriteIndex(data []byte) {
+	indexLen := binary.LittleEndian.Uint64(data[16:])
+	binary.LittleEndian.PutUint32(data[32:], crc32.ChecksumIEEE(data[flatHeaderLen:flatHeaderLen+indexLen]))
+	rewriteHeader(data)
+}
+
+// v1Header is the header page of the format this one replaced: version 1
+// at the same offset, the same header checksum, page-sized sections.
+func v1Header() []byte {
+	h := make([]byte, 4096)
+	copy(h, flatMagic)
+	binary.LittleEndian.PutUint32(h[8:], 1)
+	binary.LittleEndian.PutUint32(h[12:], 0x01020304)
+	binary.LittleEndian.PutUint32(h[16:], 4096)
+	binary.LittleEndian.PutUint64(h[24:], 4096)
+	binary.LittleEndian.PutUint64(h[40:], 4096)
+	binary.LittleEndian.PutUint64(h[48:], 4096)
+	binary.LittleEndian.PutUint32(h[56:], crc32.ChecksumIEEE(nil))
+	rewriteHeader(h)
+	return h
+}
+
+// TestBootDirFallsBack is the boot-ordering regression test and the
+// damage table's open-time half: a flat file of another format version
+// (a future one, or the version 1 this format replaced), or one whose
+// header, index or length is damaged, must fail OpenFlat before anything
+// is attached, and BootDir must then warn and load the whole catalog
+// through .psyn decode.
+func TestBootDirFallsBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	src := randCatalog(t, rng, 6, []int{32})
-	dir := t.TempDir()
-	if _, err := src.SaveAll(dir); err != nil {
-		t.Fatal(err)
-	}
-	data, err := PackBytes(src.List())
+	good, err := PackBytes(src.List())
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(data[8:], flatVersion+1)
-	rewriteHeader(data)
-	if err := WriteBlob(FlatPath(dir), data); err != nil {
-		t.Fatal(err)
+	firstOff := flatHeaderLen + binary.LittleEndian.Uint64(good[16:])
+	cases := []struct {
+		name    string
+		mutate  func([]byte) []byte
+		version bool // the failure must be ErrFlatVersion
+	}{
+		{"version ahead", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[8:], flatVersion+1)
+			rewriteHeader(b)
+			return b
+		}, true},
+		{"version 1 file", func([]byte) []byte { return v1Header() }, false},
+		{"truncated mid-data", func(b []byte) []byte { return b[:len(b)-5] }, false},
+		{"truncated to header", func(b []byte) []byte { return b[:flatHeaderLen] }, false},
+		{"truncated mid-header", func(b []byte) []byte { return b[:40] }, false},
+		{"empty", func([]byte) []byte { return nil }, false},
+		{"trailing byte", func(b []byte) []byte { return append(b, 0) }, false},
+		{"bad magic", func(b []byte) []byte { b[0] ^= 0xff; return b }, false},
+		{"header bit flip", func(b []byte) []byte { b[13] ^= 0x01; return b }, false},
+		{"index bit flip", func(b []byte) []byte { b[flatHeaderLen+2] ^= 0x10; return b }, false},
+		{"entry count lies", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[12:], 5)
+			rewriteHeader(b)
+			return b
+		}, false},
+		{"file size lies", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[24:], uint64(len(b))+8)
+			rewriteHeader(b)
+			return b
+		}, false},
+		{"offset chain broken", func(b []byte) []byte {
+			// The first record's offset field follows its key.
+			keyLen := uint64(binary.LittleEndian.Uint32(b[flatHeaderLen:]))
+			binary.LittleEndian.PutUint64(b[flatHeaderLen+4+keyLen:], firstOff+1)
+			rewriteIndex(b)
+			return b
+		}, false},
+		{"duplicate key", func(b []byte) []byte {
+			// Two entries, the second record overwritten with the first's
+			// key: same length, since the keys differ only in digits.
+			two, err := PackBytes(src.List()[:2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			keyLen := uint64(binary.LittleEndian.Uint32(two[flatHeaderLen:]))
+			rec := flatRecordFixed + keyLen
+			copy(two[flatHeaderLen+rec+4:flatHeaderLen+rec+4+keyLen], two[flatHeaderLen+4:])
+			rewriteIndex(two)
+			return two
+		}, false},
 	}
-	if _, err := OpenFlat(FlatPath(dir)); err == nil {
-		t.Fatal("OpenFlat accepted a future version")
-	} else if !strings.Contains(err.Error(), "version") {
-		t.Fatalf("future version rejected with %v, want a version error", err)
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if _, err := src.SaveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+			data := tc.mutate(append([]byte(nil), good...))
+			if err := os.WriteFile(FlatPath(dir), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			f, err := OpenFlat(FlatPath(dir))
+			if err == nil {
+				f.Close()
+				t.Fatal("OpenFlat accepted the file")
+			}
+			if errors.Is(err, ErrFlatVersion) != tc.version {
+				t.Fatalf("OpenFlat: %v; ErrFlatVersion expected: %v", err, tc.version)
+			}
 
-	var warned []string
-	c := New()
-	f, flatN, codecN, err := BootDir(c, dir, func(format string, args ...any) {
-		warned = append(warned, fmt.Sprintf(format, args...))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f != nil {
-		t.Fatal("BootDir kept a future-version flat file open")
-	}
-	if flatN != 0 || codecN != src.Len() {
-		t.Fatalf("flatN = %d codecN = %d, want 0 and %d (codec fallback)", flatN, codecN, src.Len())
-	}
-	if len(warned) == 0 {
-		t.Fatal("future-version fallback produced no warning")
-	}
-	for _, want := range src.List() {
-		if _, ok := c.Get(want.Key); !ok {
-			t.Fatalf("%v missing after codec fallback", want.Key)
-		}
+			var warned []string
+			c := New()
+			f, flatN, codecN, err := BootDir(c, dir, func(format string, args ...any) {
+				warned = append(warned, fmt.Sprintf(format, args...))
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f != nil {
+				t.Fatal("BootDir kept an unusable flat file open")
+			}
+			if flatN != 0 || codecN != src.Len() {
+				t.Fatalf("flatN = %d codecN = %d, want 0 and %d (codec fallback)", flatN, codecN, src.Len())
+			}
+			if len(warned) != 1 {
+				t.Fatalf("fallback warned %d times, want once: %q", len(warned), warned)
+			}
+			for _, want := range src.List() {
+				if _, ok := c.Get(want.Key); !ok {
+					t.Fatalf("%v missing after codec fallback", want.Key)
+				}
+			}
+		})
 	}
 }
 
@@ -378,86 +521,92 @@ func TestBootDirNoFlatFile(t *testing.T) {
 	}
 }
 
-// TestFlatCorruptBlockWithdrawn: a bit flip in an entry's data block
-// passes the open-time checks (header and index are intact) but must be
-// caught by the entry's lazy CRC at first Get — the entry is withdrawn,
-// never served.
-func TestFlatCorruptBlockWithdrawn(t *testing.T) {
+// TestFlatBadEntryWithdrawn is the damage table's per-entry half: damage
+// the open-time checks cannot see (header and index are intact) is caught
+// when the entry is first touched, by Get or by List — the entry is
+// withdrawn with a warning, never served, and the others serve.
+func TestFlatBadEntryWithdrawn(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	src := randCatalog(t, rng, 4, []int{32})
-	data, err := PackBytes(src.List())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dataOff := binary.LittleEndian.Uint64(data[40:])
-	data[dataOff+3] ^= 0x40 // flip a bit in the first entry's block
-	dir := t.TempDir()
-	if err := WriteBlob(FlatPath(dir), data); err != nil {
-		t.Fatal(err)
-	}
-	f, err := OpenFlat(FlatPath(dir))
-	if err != nil {
-		t.Fatalf("open rejected a file whose damage is block-local: %v", err)
-	}
-	defer f.Close()
-	var warned int
-	c := New()
-	c.AttachFlat(f, func(string, ...any) { warned++ })
-	victim := f.Keys()[0]
-	if _, ok := c.Get(victim); ok {
-		t.Fatal("corrupt entry served")
-	}
-	if warned == 0 {
-		t.Fatal("withdrawal produced no warning")
-	}
-	if _, ok := c.Get(victim); ok {
-		t.Fatal("withdrawn entry came back")
-	}
-	// The other entries are intact and must still serve.
-	for _, k := range f.Keys()[1:] {
-		if _, ok := c.Get(k); !ok {
-			t.Fatalf("intact entry %v withdrawn", k)
-		}
-	}
-}
-
-// TestOpenFlatRejectsDamage: header- and index-level damage must fail
-// at open, before anything is attached.
-func TestOpenFlatRejectsDamage(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	src := randCatalog(t, rng, 3, []int{16})
 	good, err := PackBytes(src.List())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := map[string]func([]byte) []byte{
-		"truncated mid-data":  func(b []byte) []byte { return b[:len(b)-64] },
-		"truncated to header": func(b []byte) []byte { return b[:flatPage] },
-		"empty":               func(b []byte) []byte { return nil },
-		"bad magic":           func(b []byte) []byte { b[0] ^= 0xff; return b },
-		"header bit flip":     func(b []byte) []byte { b[21] ^= 0x01; return b },
-		"index bit flip":      func(b []byte) []byte { b[flatPage+2] ^= 0x10; return b },
-		"entry count lies": func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[20:], 99)
-			rewriteHeader(b)
-			return b
-		},
-		"file size lies": func(b []byte) []byte {
-			binary.LittleEndian.PutUint64(b[48:], uint64(len(b))+flatPage)
-			rewriteHeader(b)
-			return b
-		},
+	firstOff := flatHeaderLen + binary.LittleEndian.Uint64(good[16:])
+	victim := src.List()[0]
+	flip := func(at uint64) func(*testing.T, []byte) []byte {
+		return func(_ *testing.T, b []byte) []byte { b[at] ^= 0x40; return b }
 	}
-	dir := t.TempDir()
-	for name, mutate := range cases {
-		data := mutate(append([]byte(nil), good...))
-		path := FlatPath(dir)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if f, err := OpenFlat(path); err == nil {
-			f.Close()
-			t.Errorf("%s: OpenFlat accepted the file", name)
+	cases := []struct {
+		name   string
+		mutate func(*testing.T, []byte) []byte
+		closed bool // Close the Flat before the first touch
+	}{
+		{"envelope magic flipped", flip(firstOff + 2), false},
+		{"envelope payload flipped", flip(firstOff + uint64(victim.Bytes)/2), false},
+		{"envelope checksum flipped", flip(firstOff + uint64(victim.Bytes) - 1), false},
+		{"envelope of the other family", func(t *testing.T, _ []byte) []byte {
+			// A valid wavelet envelope under the victim's histogram key:
+			// only the family-vs-key check can object.
+			entries := src.List()
+			entries[0] = &Entry{Key: victim.Key, Synopsis: randWavelet(rng, 32)}
+			b, err := PackBytes(entries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}, false},
+		{"file closed before first touch", func(_ *testing.T, b []byte) []byte { return b }, true},
+	}
+	for _, tc := range cases {
+		for _, via := range []string{"Get", "List"} {
+			t.Run(tc.name+"/"+via, func(t *testing.T) {
+				dir := t.TempDir()
+				data := tc.mutate(t, append([]byte(nil), good...))
+				if err := WriteBlob(FlatPath(dir), data); err != nil {
+					t.Fatal(err)
+				}
+				var warned int
+				f, c := openAttached(t, dir, func(string, ...any) { warned++ })
+				others := f.Keys()[1:]
+				if tc.closed {
+					// Decode the others first: what Close costs is the
+					// entries nobody has touched yet.
+					for _, k := range others {
+						if _, ok := c.Get(k); !ok {
+							t.Fatalf("intact entry %v withdrawn", k)
+						}
+					}
+					if err := f.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if via == "List" {
+					for _, e := range c.List() {
+						if e.Key == victim.Key {
+							t.Fatal("List returned the bad entry")
+						}
+					}
+				}
+				if _, ok := c.Get(victim.Key); ok {
+					t.Fatal("bad entry served")
+				}
+				if warned != 1 {
+					t.Fatalf("withdrawal warned %d times, want once", warned)
+				}
+				if c.Len() != len(others) {
+					t.Fatalf("catalog holds %d entries after the withdrawal, want %d", c.Len(), len(others))
+				}
+				for _, k := range others {
+					if _, ok := c.Get(k); !ok {
+						t.Fatalf("intact entry %v withdrawn", k)
+					}
+				}
+				// What is left is a catalog that lists and packs.
+				if _, err := PackBytes(c.List()); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
 	}
 }

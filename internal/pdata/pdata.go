@@ -14,6 +14,7 @@ package pdata
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -21,6 +22,13 @@ import (
 // [0,1] and per-tuple probability masses sum to at most 1; inputs produced
 // by floating-point pipelines routinely overshoot by a few ulps.
 const probTol = 1e-9
+
+// validProb and validFreq are the two rules every model's Validate admits
+// numbers by: a probability is finite and in [0,1] (within probTol), a
+// frequency finite and non-negative. Both are written as the range the
+// value must lie in, so a NaN, which fails every comparison, fails them.
+func validProb(p float64) bool { return p >= -probTol && p <= 1+probTol }
+func validFreq(f float64) bool { return f >= 0 && f <= math.MaxFloat64 }
 
 // Source is a probabilistic relation over the ordered domain [0, Domain()).
 // All three models implement it. EnumerateWorlds must only be called on
@@ -69,7 +77,7 @@ func (b *Basic) Validate() error {
 		if t.Item < 0 || t.Item >= b.N {
 			return fmt.Errorf("pdata: basic tuple %d: item %d outside domain [0,%d)", k, t.Item, b.N)
 		}
-		if t.Prob < -probTol || t.Prob > 1+probTol {
+		if !validProb(t.Prob) {
 			return fmt.Errorf("pdata: basic tuple %d: probability %v outside [0,1]", k, t.Prob)
 		}
 	}
@@ -221,7 +229,7 @@ func (tp *TuplePDF) Validate() error {
 			if a.Item < 0 || a.Item >= tp.N {
 				return fmt.Errorf("pdata: tuple %d: item %d outside domain [0,%d)", k, a.Item, tp.N)
 			}
-			if a.Prob < -probTol || a.Prob > 1+probTol {
+			if !validProb(a.Prob) {
 				return fmt.Errorf("pdata: tuple %d: probability %v outside [0,1]", k, a.Prob)
 			}
 			total += a.Prob
@@ -357,7 +365,7 @@ func (ip *ItemPDF) MeanSq() float64 {
 	return s
 }
 
-// Validate checks one item pdf in isolation: probability ranges,
+// Validate checks one item pdf in isolation: probability ranges, finite
 // non-negative frequencies, and total mass at most 1. It is the per-item
 // slice of ValuePDF.Validate, for callers admitting item mutations (live
 // synopsis maintenance, the serving layer's append/update ingest) that
@@ -365,11 +373,11 @@ func (ip *ItemPDF) MeanSq() float64 {
 func (ip *ItemPDF) Validate() error {
 	total := 0.0
 	for _, e := range ip.Entries {
-		if e.Prob < -probTol || e.Prob > 1+probTol {
+		if !validProb(e.Prob) {
 			return fmt.Errorf("pdata: item pdf: probability %v outside [0,1]", e.Prob)
 		}
-		if e.Freq < 0 {
-			return fmt.Errorf("pdata: item pdf: negative frequency %v", e.Freq)
+		if !validFreq(e.Freq) {
+			return fmt.Errorf("pdata: item pdf: frequency %v not finite and non-negative", e.Freq)
 		}
 		total += e.Prob
 	}
@@ -416,18 +424,8 @@ func (vp *ValuePDF) Validate() error {
 		return fmt.Errorf("pdata: value pdf: %d item pdfs for domain size %d", len(vp.Items), vp.N)
 	}
 	for i := range vp.Items {
-		total := 0.0
-		for _, e := range vp.Items[i].Entries {
-			if e.Prob < -probTol || e.Prob > 1+probTol {
-				return fmt.Errorf("pdata: item %d: probability %v outside [0,1]", i, e.Prob)
-			}
-			if e.Freq < 0 {
-				return fmt.Errorf("pdata: item %d: negative frequency %v", i, e.Freq)
-			}
-			total += e.Prob
-		}
-		if total > 1+probTol {
-			return fmt.Errorf("pdata: item %d: probabilities sum to %v > 1", i, total)
+		if err := vp.Items[i].Validate(); err != nil {
+			return fmt.Errorf("pdata: item %d: %w", i, err)
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package pdata
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -63,6 +64,69 @@ func TestValuePDFValidate(t *testing.T) {
 	}}
 	if err := negFreq.Validate(); err == nil {
 		t.Error("negative frequency accepted")
+	}
+}
+
+// TestValidateNumbers: all three models (and a lone item pdf) admit
+// probabilities and frequencies by the same two rules. NaN is the case
+// that matters: it fails every comparison, so a check written as "reject
+// when below or above" lets it through.
+func TestValidateNumbers(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	models := []struct {
+		name string
+		// validate checks a model holding one entry of probability p (and
+		// frequency f, where the model has frequencies) next to one of
+		// probability rest.
+		validate func(p, f, rest float64) error
+		freqs    bool
+	}{
+		{"basic", func(p, _, rest float64) error {
+			return (&Basic{N: 2, Tuples: []BasicTuple{{Item: 0, Prob: p}, {Item: 1, Prob: rest}}}).Validate()
+		}, false},
+		{"tuple", func(p, _, rest float64) error {
+			return (&TuplePDF{N: 2, Tuples: []Tuple{{Alts: []Alternative{{Item: 0, Prob: p}, {Item: 1, Prob: rest}}}}}).Validate()
+		}, false},
+		{"item", func(p, f, rest float64) error {
+			return (&ItemPDF{Entries: []FreqProb{{Freq: f, Prob: p}, {Freq: 1, Prob: rest}}}).Validate()
+		}, true},
+		{"value", func(p, f, rest float64) error {
+			return (&ValuePDF{N: 2, Items: []ItemPDF{{}, {Entries: []FreqProb{{Freq: f, Prob: p}, {Freq: 1, Prob: rest}}}}}).Validate()
+		}, true},
+	}
+	cases := []struct {
+		name       string
+		p, f, rest float64
+		ok         bool
+		mass       bool // only the models with a per-tuple or per-item mass reject it
+		freq       bool // only the models with frequencies can tell
+	}{
+		{name: "plain", p: 0.5, f: 2, rest: 0.25, ok: true},
+		{name: "bounds", p: 1, f: 0, rest: 0, ok: true},
+		{name: "within tolerance", p: 1 + probTol/2, f: 1, rest: -probTol / 2, ok: true},
+		{name: "NaN probability", p: nan, f: 1},
+		{name: "+Inf probability", p: inf, f: 1},
+		{name: "-Inf probability", p: -inf, f: 1},
+		{name: "probability -0.1", p: -0.1, f: 1},
+		{name: "probability 1.1", p: 1.1, f: 1},
+		{name: "mass 1+2tol", p: 0.5 + probTol, f: 1, rest: 0.5 + probTol, mass: true},
+		{name: "NaN frequency", p: 0.5, f: nan, freq: true},
+		{name: "+Inf frequency", p: 0.5, f: inf, freq: true},
+		{name: "-Inf frequency", p: 0.5, f: -inf, freq: true},
+		{name: "frequency -0.1", p: 0.5, f: -0.1, freq: true},
+		{name: "largest frequency", p: 0.5, f: math.MaxFloat64, ok: true},
+	}
+	for _, m := range models {
+		for _, c := range cases {
+			want := c.ok || c.freq && !m.freqs || c.mass && m.name == "basic"
+			if err := m.validate(c.p, c.f, c.rest); (err == nil) != want {
+				t.Errorf("%s, %s: Validate = %v, want accepted = %v", m.name, c.name, err, want)
+			}
+		}
+	}
+	err := (&ValuePDF{N: 2, Items: []ItemPDF{{}, {Entries: []FreqProb{{Freq: nan, Prob: 0.5}}}}}).Validate()
+	if err == nil || !strings.Contains(err.Error(), "item 1") {
+		t.Errorf("value pdf error %v does not name item 1", err)
 	}
 }
 

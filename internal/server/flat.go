@@ -7,7 +7,7 @@ import (
 	"probsyn/internal/catalog"
 )
 
-// flatKeeper maintains the catalog directory's flat mmap file (see
+// flatKeeper maintains the catalog directory's flat file (see
 // internal/catalog: the format replicas boot from in milliseconds)
 // against live catalog changes. The discipline is remove-then-repack:
 //

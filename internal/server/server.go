@@ -124,7 +124,7 @@ type Config struct {
 	BuildWorkers int
 	// C is the sanity constant handed to relative-error metric builds.
 	C float64
-	// FlatPath, when non-empty, is the flat mmap catalog file this
+	// FlatPath, when non-empty, is the flat catalog file this
 	// server maintains (conventionally catalog.FlatPath(CatalogDir)):
 	// removed before any job that changes the catalog, re-packed in the
 	// background once the server is quiescent, and packed once more on
@@ -196,7 +196,7 @@ type Server struct {
 	pieceMu    sync.RWMutex
 	pieceCache map[catalog.Key]query.Querier
 
-	// flat maintains the flat mmap catalog file (nil when Config.
+	// flat maintains the flat catalog file (nil when Config.
 	// FlatPath is empty): invalidation before catalog-changing jobs,
 	// background re-pack at quiescence, final pack at shutdown.
 	flat *flatKeeper
@@ -430,7 +430,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	select {
 	case <-done:
 		// Every queued job has drained: pack the flat catalog one final
-		// time so the next boot maps it instead of re-decoding.
+		// time so the next boot opens it instead of walking the directory.
 		if s.flat != nil {
 			s.flat.Close()
 		}

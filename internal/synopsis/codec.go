@@ -30,29 +30,19 @@ const (
 var binaryMagic = [4]byte{'P', 'S', 'Y', 'N'}
 
 // Marshal serializes a synopsis in the versioned binary envelope.
-// Underlier facades (flat-catalog entries) are resolved to the concrete
-// synopsis first, so a facade marshals byte-identically to the value it
-// stands for.
 func Marshal(s Synopsis) ([]byte, error) {
-	s, err := Resolve(s)
-	if err != nil {
-		return nil, err
-	}
 	c, err := codecFor(s)
 	if err != nil {
 		return nil, err
 	}
-	payload, err := c.EncodeBinary(s)
+	payload, err := c.encodeBinary(s)
 	if err != nil {
 		return nil, err
 	}
-	if len(c.Name) > 255 {
-		return nil, fmt.Errorf("synopsis: type name %q too long", c.Name)
-	}
-	buf := make([]byte, 0, 4+1+1+len(c.Name)+4+len(payload)+4)
+	buf := make([]byte, 0, 4+1+1+len(c.name)+4+len(payload)+4)
 	buf = append(buf, binaryMagic[:]...)
-	buf = append(buf, binaryVersion, byte(len(c.Name)))
-	buf = append(buf, c.Name...)
+	buf = append(buf, binaryVersion, byte(len(c.name)))
+	buf = append(buf, c.name...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
 	buf = append(buf, payload...)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
@@ -99,7 +89,7 @@ func unmarshalBinary(data []byte) (Synopsis, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.DecodeBinary(payload)
+	return c.decodeBinary(payload)
 }
 
 // jsonEnvelope is the self-describing JSON wire format.
@@ -110,25 +100,20 @@ type jsonEnvelope struct {
 	Synopsis json.RawMessage `json:"synopsis"`
 }
 
-// MarshalJSON serializes a synopsis in the versioned JSON envelope,
-// resolving Underlier facades like Marshal.
+// MarshalJSON serializes a synopsis in the versioned JSON envelope.
 func MarshalJSON(s Synopsis) ([]byte, error) {
-	s, err := Resolve(s)
-	if err != nil {
-		return nil, err
-	}
 	c, err := codecFor(s)
 	if err != nil {
 		return nil, err
 	}
-	body, err := c.EncodeJSON(s)
+	body, err := c.encodeJSON(s)
 	if err != nil {
 		return nil, err
 	}
 	return json.Marshal(jsonEnvelope{
 		Format:   jsonFormat,
 		Version:  jsonVersion,
-		Type:     c.Name,
+		Type:     c.name,
 		Synopsis: body,
 	})
 }
@@ -152,7 +137,7 @@ func UnmarshalJSON(data []byte) (Synopsis, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.DecodeJSON(env.Synopsis)
+	return c.decodeJSON(env.Synopsis)
 }
 
 // binWriter accumulates the fixed-width little-endian primitives the

@@ -122,11 +122,11 @@ func TestJSONRoundTrip(t *testing.T) {
 
 func typeName(t *testing.T, s Synopsis) string {
 	t.Helper()
-	c, err := codecFor(s)
+	name, err := TypeName(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c.Name
+	return name
 }
 
 func buildOneOfEach(t testing.TB) (h *hist.Histogram, w *wavelet.Synopsis) {
@@ -244,17 +244,19 @@ func TestBinaryDecodeValidates(t *testing.T) {
 	}
 }
 
-func TestRegisteredNames(t *testing.T) {
-	names := Registered()
-	want := map[string]bool{"histogram": false, "wavelet": false}
-	for _, n := range names {
-		if _, ok := want[n]; ok {
-			want[n] = true
+// The wire type names are persistence format: both envelopes record them
+// and the catalog reuses them as family names.
+func TestTypeNames(t *testing.T) {
+	h, w := buildOneOfEach(t)
+	for want, s := range map[string]Synopsis{"histogram": h, "wavelet": w} {
+		if got := typeName(t, s); got != want {
+			t.Errorf("TypeName(%T) = %q, want %q", s, got, want)
+		}
+		if c, err := codecByName(want); err != nil || c.name != want {
+			t.Errorf("codecByName(%q) = %v, %v", want, c, err)
 		}
 	}
-	for n, seen := range want {
-		if !seen {
-			t.Errorf("codec %q not registered (have %v)", n, names)
-		}
+	if _, err := TypeName(nil); err == nil {
+		t.Error("TypeName(nil) found a codec")
 	}
 }

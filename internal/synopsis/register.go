@@ -24,25 +24,6 @@ const (
 	waveletType   = "wavelet"
 )
 
-func init() {
-	Register(Codec{
-		Name:         histogramType,
-		Match:        func(s Synopsis) bool { _, ok := s.(*hist.Histogram); return ok },
-		EncodeBinary: encodeHistogramBinary,
-		DecodeBinary: decodeHistogramBinary,
-		EncodeJSON:   encodeHistogramJSON,
-		DecodeJSON:   decodeHistogramJSON,
-	})
-	Register(Codec{
-		Name:         waveletType,
-		Match:        func(s Synopsis) bool { _, ok := s.(*wavelet.Synopsis); return ok },
-		EncodeBinary: encodeWaveletBinary,
-		DecodeBinary: decodeWaveletBinary,
-		EncodeJSON:   encodeWaveletJSON,
-		DecodeJSON:   decodeWaveletJSON,
-	})
-}
-
 // Histogram payload (binary v1): u32 N, u32 buckets, then per bucket
 // u32 start, u32 end, f64 rep, f64 cost, then f64 total cost.
 const histBucketBytes = 4 + 4 + 8 + 8

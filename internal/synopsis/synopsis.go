@@ -5,15 +5,16 @@
 // codec so synopses can be stored, shipped, and served independently of
 // the data they summarize.
 //
-// Concrete synopsis families register a Codec (one per wire-format type
-// name) at init time; Marshal picks the codec whose Match accepts the
-// value, Unmarshal dispatches on the type name recorded in the envelope.
+// Each of the two families has one codec (one wire-format type name):
+// Marshal picks it by the value's concrete type, Unmarshal by the type
+// name recorded in the envelope.
 package synopsis
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+
+	"probsyn/internal/hist"
+	"probsyn/internal/wavelet"
 )
 
 // Synopsis is the common query surface of a built synopsis: point and
@@ -40,80 +41,24 @@ type Synopsis interface {
 	Domain() int
 }
 
-// Underlier is implemented by synopsis facades that stand in for a
-// concrete family value without being one — the flat catalog's
-// mmap-backed entries (internal/catalog) answer queries from file-viewed
-// arrays but are not *hist.Histogram or *wavelet.Synopsis, so the codec
-// could not match them. Underlying materializes the concrete synopsis
-// the facade represents (possibly lazily, possibly failing on a corrupt
-// backing file); Marshal, MarshalJSON, and TypeName resolve through it,
-// so a facade round-trips the codec byte-identically to the value it
-// stands for.
-type Underlier interface {
-	Underlying() (Synopsis, error)
+// codec serializes one synopsis family. name is the wire-format type name
+// (stable across releases; it is written into both envelopes); the
+// encode/decode pairs convert to and from the family's payload bytes
+// (binary) or JSON value.
+type codec struct {
+	name         string
+	encodeBinary func(Synopsis) ([]byte, error)
+	decodeBinary func([]byte) (Synopsis, error)
+	encodeJSON   func(Synopsis) ([]byte, error)
+	decodeJSON   func([]byte) (Synopsis, error)
 }
 
-// Resolve unwraps Underlier facades (recursively, defensively bounded)
-// to the concrete synopsis the codec registry can match.
-func Resolve(s Synopsis) (Synopsis, error) {
-	for depth := 0; depth < 8; depth++ {
-		u, ok := s.(Underlier)
-		if !ok {
-			return s, nil
-		}
-		inner, err := u.Underlying()
-		if err != nil {
-			return nil, err
-		}
-		s = inner
-	}
-	return nil, fmt.Errorf("synopsis: Underlying chain too deep (cycle?)")
-}
-
-// Codec serializes one synopsis family. Name is the wire-format type name
-// (stable across releases; it is written into both envelopes). Match
-// reports whether the codec handles a given value; the Encode/Decode pairs
-// convert to and from the family's payload bytes (binary) or JSON value.
-type Codec struct {
-	Name         string
-	Match        func(Synopsis) bool
-	EncodeBinary func(Synopsis) ([]byte, error)
-	DecodeBinary func([]byte) (Synopsis, error)
-	EncodeJSON   func(Synopsis) ([]byte, error)
-	DecodeJSON   func([]byte) (Synopsis, error)
-}
-
+// The two families. A third is one more value here and one more case in
+// each of codecFor and codecByName.
 var (
-	regMu    sync.RWMutex
-	registry = make(map[string]Codec)
-	regOrder []string
+	histogramCodec = codec{histogramType, encodeHistogramBinary, decodeHistogramBinary, encodeHistogramJSON, decodeHistogramJSON}
+	waveletCodec   = codec{waveletType, encodeWaveletBinary, decodeWaveletBinary, encodeWaveletJSON, decodeWaveletJSON}
 )
-
-// Register installs a codec under its type name. It panics on a duplicate
-// or incomplete codec — registration happens at init time, so a bad codec
-// is a programming error, not a runtime condition.
-func Register(c Codec) {
-	if c.Name == "" || c.Match == nil || c.EncodeBinary == nil || c.DecodeBinary == nil ||
-		c.EncodeJSON == nil || c.DecodeJSON == nil {
-		panic(fmt.Sprintf("synopsis: incomplete codec %q", c.Name))
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[c.Name]; dup {
-		panic(fmt.Sprintf("synopsis: duplicate codec %q", c.Name))
-	}
-	registry[c.Name] = c
-	regOrder = append(regOrder, c.Name)
-}
-
-// Registered returns the registered type names, sorted.
-func Registered() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := append([]string(nil), regOrder...)
-	sort.Strings(out)
-	return out
-}
 
 // TypeName returns the wire-format type name of the codec that handles
 // s — the name the envelopes record, which the catalog layer reuses as
@@ -123,33 +68,27 @@ func TypeName(s Synopsis) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return c.Name, nil
+	return c.name, nil
 }
 
-// codecFor returns the first registered codec (in registration order)
-// whose Match accepts s, resolving Underlier facades first.
-func codecFor(s Synopsis) (Codec, error) {
-	s, err := Resolve(s)
-	if err != nil {
-		return Codec{}, err
+// codecFor returns the codec of s's family.
+func codecFor(s Synopsis) (*codec, error) {
+	switch s.(type) {
+	case *hist.Histogram:
+		return &histogramCodec, nil
+	case *wavelet.Synopsis:
+		return &waveletCodec, nil
 	}
-	regMu.RLock()
-	defer regMu.RUnlock()
-	for _, name := range regOrder {
-		if c := registry[name]; c.Match(s) {
-			return c, nil
-		}
-	}
-	return Codec{}, fmt.Errorf("synopsis: no codec registered for %T", s)
+	return nil, fmt.Errorf("synopsis: no codec for %T", s)
 }
 
-// codecByName returns the codec registered under name.
-func codecByName(name string) (Codec, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	c, ok := registry[name]
-	if !ok {
-		return Codec{}, fmt.Errorf("synopsis: unknown synopsis type %q", name)
+// codecByName returns the codec whose envelopes carry the type name.
+func codecByName(name string) (*codec, error) {
+	switch name {
+	case histogramType:
+		return &histogramCodec, nil
+	case waveletType:
+		return &waveletCodec, nil
 	}
-	return c, nil
+	return nil, fmt.Errorf("synopsis: unknown synopsis type %q", name)
 }

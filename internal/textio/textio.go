@@ -56,6 +56,12 @@ func Write(w io.Writer, src pdata.Source) error {
 	return bw.Flush()
 }
 
+// maxDomain bounds the domain a file may declare. The value model holds
+// its items densely, so the declaration alone sizes an allocation, and an
+// absurd one must be an error here, not a makeslice panic; the synopsis
+// codec stores item indices in 32 bits and has no use for more.
+const maxDomain = 1 << 30
+
 // Read parses a dataset. The returned source is validated.
 func Read(r io.Reader) (pdata.Source, error) {
 	sc := bufio.NewScanner(r)
@@ -83,6 +89,9 @@ func Read(r io.Reader) (pdata.Source, error) {
 			if len(fields) != 2 {
 				return nil, fail("model line needs one argument")
 			}
+			if model != "" {
+				return nil, fail("model declared twice")
+			}
 			model = fields[1]
 			switch model {
 			case "basic", "tuple", "value":
@@ -93,9 +102,12 @@ func Read(r io.Reader) (pdata.Source, error) {
 			if len(fields) != 2 {
 				return nil, fail("domain line needs one argument")
 			}
+			if domain >= 0 {
+				return nil, fail("domain declared twice")
+			}
 			n, err := strconv.Atoi(fields[1])
-			if err != nil || n <= 0 {
-				return nil, fail("bad domain %q", fields[1])
+			if err != nil || n <= 0 || n > maxDomain {
+				return nil, fail("bad domain %q (want 1..%d)", fields[1], maxDomain)
 			}
 			domain = n
 			switch model {
@@ -168,6 +180,9 @@ func Read(r io.Reader) (pdata.Source, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("textio: %w", err)
+	}
+	if model != "" && domain < 0 {
+		return nil, fmt.Errorf("textio: no domain declared")
 	}
 	var src pdata.Source
 	var err error

@@ -92,6 +92,15 @@ func TestReadErrors(t *testing.T) {
 		"unknown directive": "model basic\ndomain 2\nq 1\n",
 		"empty input":       "",
 		"invalid data":      "model basic\ndomain 2\nt 0 1.5\n", // prob > 1 fails Validate
+		"no domain":         "model basic\n",
+		"model twice":       "model value\ndomain 2\nmodel basic\nt 0 0.5\n",
+		"domain twice":      "model basic\ndomain 2\ndomain 3\n",
+		"domain too large":  "model value\ndomain 99999999999\n",
+		"value prob NaN":    "model value\ndomain 4\nv 0 1:NaN\nv 1 2:0.5\n",
+		"value freq NaN":    "model value\ndomain 4\nv 0 NaN:0.5\n",
+		"value freq +Inf":   "model value\ndomain 4\nv 1 2:0.5\nv 3 +Inf:0.5\n",
+		"basic prob NaN":    "model basic\ndomain 2\nt 0 NaN\n",
+		"tuple prob NaN":    "model tuple\ndomain 2\nt 0:NaN 1:0.5\n",
 	}
 	for name, in := range cases {
 		if _, err := Read(strings.NewReader(in)); err == nil {
