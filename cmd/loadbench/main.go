@@ -59,7 +59,6 @@ func run(args []string, stdout io.Writer) error {
 		flagDomain   = fs.Int("domain", 256, "dataset domain size, bounding query items and ranges")
 		flagDuration = fs.Duration("duration", 3*time.Second, "measurement window per scenario")
 		flagConns    = fs.Int("conns", 4, "concurrent client connections")
-		flagShards   = fs.Int("shards", 0, "if >= 2, add the scatter/gather scenario: cross-shard /v1/rangesum queries against a sharded build of this shard count (the ranges straddle shard boundaries, so every request fans out to piece owners)")
 		flagOut      = fs.String("out", "", "write the JSON results here (default stdout)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -93,21 +92,6 @@ func run(args []string, stdout io.Writer) error {
 		{"LoadbenchEstimate", func(seq int) error { return get(client, estimateURL(seq)) }},
 		{"LoadbenchRangeSum", func(seq int) error { return get(client, rangeURL(seq)) }},
 		{"LoadbenchQueryBatch100", func(seq int) error { return post(client, *flagAddr+"/v1/query", batchBody) }},
-	}
-	if *flagShards >= 2 {
-		// Cross-shard gathers: every range starts in the first half and
-		// ends in the second, so it spans at least one shard boundary and
-		// the coordinator must fan out (locally or to peers) and sum.
-		k := *flagShards
-		gatherURL := func(seq int) string {
-			lo := seq % (n / 2)
-			return fmt.Sprintf("%s/v1/rangesum?dataset=%s&family=histogram&metric=%s&budget=%d&shards=%d&lo=%d&hi=%d",
-				*flagAddr, *flagDataset, *flagMetric, *flagBudget, k, lo, lo+n/2)
-		}
-		scenarios = append(scenarios, struct {
-			name string
-			do   func(seq int) error
-		}{"LoadbenchGatherRangeSum", func(seq int) error { return get(client, gatherURL(seq)) }})
 	}
 	for _, sc := range scenarios {
 		r, err := measure(sc.name, *flagDuration, *flagConns, sc.do)

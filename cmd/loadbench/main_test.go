@@ -70,47 +70,6 @@ func TestRunAgainstStubServer(t *testing.T) {
 	}
 }
 
-// TestRunShardsAddsGatherScenario pins that -shards >= 2 appends the
-// scatter/gather scenario, its requests carry &shards=, and every range
-// straddles a shard boundary (lo in the first half, hi in the second).
-func TestRunShardsAddsGatherScenario(t *testing.T) {
-	var gathers atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/rangesum" && r.URL.Query().Get("shards") != "" {
-			gathers.Add(1)
-			if got := r.URL.Query().Get("shards"); got != "2" {
-				t.Errorf("gather request shards=%s, want 2", got)
-			}
-			lo, _ := strconv.Atoi(r.URL.Query().Get("lo"))
-			hi, _ := strconv.Atoi(r.URL.Query().Get("hi"))
-			if lo >= 8 || hi < 8 {
-				t.Errorf("gather range [%d,%d] does not cross the n/2 boundary", lo, hi)
-			}
-		}
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer srv.Close()
-
-	out := filepath.Join(t.TempDir(), "lb.json")
-	err := run([]string{
-		"-addr", srv.URL, "-duration", "50ms", "-conns", "2", "-domain", "16",
-		"-shards", "2", "-out", out,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gathers.Load() == 0 {
-		t.Fatal("no gathered /v1/rangesum requests reached the server")
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(data, []byte(`"name": "LoadbenchGatherRangeSum"`)) {
-		t.Fatalf("output lacks the gather scenario entry:\n%s", data)
-	}
-}
-
 // TestRunRejectsFailingServer pins that a non-200 fails the measurement
 // instead of timing error responses.
 func TestRunRejectsFailingServer(t *testing.T) {

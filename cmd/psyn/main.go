@@ -98,7 +98,7 @@ func run(args []string, stdout io.Writer) error {
 		flagSaveData = fs.String("save-data", "", "with -append: write the merged dataset to this file")
 		flagQuery    = fs.String("query", "", "batch request file (POST /v1/query JSON body) answered offline from the -out catalog directory; the response JSON is written to stdout, byte-identical to a served one")
 		flagPack     = fs.String("pack", "", "pack this catalog directory's synopses into its flat file (catalog.flat) for millisecond psynd -flat boots; deterministic, byte-identical to the server's own re-packs")
-		flagShards   = fs.Int("shards", 0, "if >= 2, build sharded: split the domain into this many contiguous ranges, build each in parallel, and merge (exact for SSE wavelets; DP families report a certified additive suboptimality bound); with -out (a catalog directory), the merged synopsis and every piece are saved under key-encoded filenames")
+		flagShards   = fs.Int("shards", 0, "if >= 2, build sharded: split the domain into this many contiguous ranges, build each in parallel, and merge (exact for SSE wavelets; DP families report a certified additive suboptimality bound); with -out (a catalog directory), the merged synopsis is saved under its key-encoded filename")
 		flagVerbose  = fs.Bool("v", false, "after a histogram or coefficient-tree wavelet DP build (plain, -sweep, or -shards), report the DP work counters: split candidates scanned vs. pruned and cost evaluations (see probsyn.DPStats); non-DP builds print nothing")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -439,8 +439,8 @@ func runSweep(stdout io.Writer, src probsyn.Source, m probsyn.Metric, p probsyn.
 // runSharded builds a k-way sharded synopsis — the offline twin of a
 // psynd build request with shards — printing the merged cost and the
 // certified additive suboptimality bound, and (with -out) saving the
-// merged synopsis plus every piece under key-encoded catalog filenames,
-// byte-identical to what a psynd sharded build persists.
+// merged synopsis under its key-encoded catalog filename, byte-identical
+// to what a psynd sharded build persists.
 func runSharded(stdout io.Writer, src probsyn.Source, m probsyn.Metric, p probsyn.Params, budget, shards int, dataset, outDir string, rquant int, opts []probsyn.BuildOption) error {
 	res, err := probsyn.BuildSharded(src, m, budget, shards, opts...)
 	if err != nil {
@@ -472,19 +472,11 @@ func runSharded(stdout io.Writer, src probsyn.Source, m probsyn.Metric, p probsy
 	if err != nil {
 		return err
 	}
-	if _, err := catalog.WriteFile(filepath.Join(outDir, key.Filename()), syn); err != nil {
+	path := filepath.Join(outDir, key.Filename())
+	if _, err := catalog.WriteFile(path, syn); err != nil {
 		return err
 	}
-	for i, piece := range res.Pieces {
-		pk, err := key.Piece(i, shards)
-		if err != nil {
-			return err
-		}
-		if _, err := catalog.WriteFile(filepath.Join(outDir, pk.Filename()), piece); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(stdout, "saved the merged synopsis and %d pieces to %s\n", len(res.Pieces), outDir)
+	fmt.Fprintf(stdout, "saved the merged synopsis to %s\n", path)
 	return nil
 }
 

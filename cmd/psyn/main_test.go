@@ -539,35 +539,25 @@ func TestRunSharded(t *testing.T) {
 	if err := run([]string{"-input", dataset, "-metric", "SSE", "-buckets", "8", "-shards", "4", "-dataset", "ds", "-out", catDir}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "suboptimality bound") && !strings.Contains(out.String(), "merge is exact") {
-		t.Fatalf("no bound line in output:\n%s", out.String())
+	if !strings.Contains(out.String(), "suboptimality bound") || !strings.Contains(out.String(), "\n3,48,63,") {
+		t.Fatalf("no bound line or no per-shard table in output:\n%s", out.String())
 	}
 	ref, err := probsyn.BuildSharded(src, probsyn.SSE, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Merged file and all four piece files exist and decode to the
-	// reference bytes.
-	names := []string{"ds--histogram--SSE--b8.psyn"}
-	for i := 0; i < 4; i++ {
-		names = append(names, fmt.Sprintf("ds--histogram--SSE--s%dof4--b8.psyn", i))
+	// One file, the merged synopsis under the ordinary key: the pieces are
+	// the table above and nothing on disk.
+	want, err := probsyn.MarshalSynopsis(ref.Synopsis)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := make([][]byte, 0, len(names))
-	for _, syn := range append([]probsyn.Synopsis{ref.Synopsis}, ref.Pieces...) {
-		blob, err := probsyn.MarshalSynopsis(syn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, blob)
+	got, err := os.ReadFile(filepath.Join(catDir, "ds--histogram--SSE--b8.psyn"))
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("merged file differs from the in-process build (%v)", err)
 	}
-	for k, name := range names {
-		got, err := os.ReadFile(filepath.Join(catDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want[k]) {
-			t.Fatalf("%s differs from the in-process build", name)
-		}
+	if des, err := os.ReadDir(catDir); err != nil || len(des) != 1 {
+		t.Fatalf("-shards 4 -out wrote %d files, want 1 (%v)", len(des), err)
 	}
 	// SSE wavelet sharding is exact, and the report says so.
 	out.Reset()
@@ -577,47 +567,44 @@ func TestRunSharded(t *testing.T) {
 	if !strings.Contains(out.String(), "merge is exact") {
 		t.Fatalf("SSE wavelet shard merge not reported exact:\n%s", out.String())
 	}
-	// Offline batch queries resolve sharded keys from the piece files.
-	reqPath := filepath.Join(dir, "batch.json")
-	batch := `{"ops":[{"dataset":"ds","family":"histogram","metric":"SSE","budget":8,"shards":4,"op":"rangesum","lo":5,"hi":40}]}`
-	if err := os.WriteFile(reqPath, []byte(batch), 0o644); err != nil {
+
+	// -append revalidates a sharded build's file like any other: one file
+	// in, one file out, equal to a build over the grown dataset.
+	basePath, base := writeValueDataset(t, dir, "vds.pd", 20)
+	morePath, more := writeValueDataset(t, dir, "more.pd", 3)
+	vcat := filepath.Join(dir, "vcatalog")
+	if err := run([]string{"-input", basePath, "-metric", "SSE", "-buckets", "6", "-shards", "2", "-dataset", "vds", "-out", vcat}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()
-	if err := run([]string{"-query", reqPath, "-out", catDir}, &out); err != nil {
+	if err := run([]string{"-input", basePath, "-append", morePath, "-dataset", "vds", "-out", vcat}, &out); err != nil {
 		t.Fatal(err)
 	}
-	var resp struct {
-		Results []struct {
-			Value float64 `json:"value"`
-			Err   *struct {
-				Code string `json:"code"`
-			} `json:"error"`
-		} `json:"results"`
+	if !strings.Contains(out.String(), "revalidated 1 synopses") {
+		t.Fatalf("append after a sharded build:\n%s", out.String())
 	}
-	if err := json.Unmarshal(out.Bytes(), &resp); err != nil {
+	grown := &probsyn.ValuePDF{N: base.N + more.N, Items: append(append([]probsyn.ItemPDF(nil), base.Items...), more.Items...)}
+	fresh, err := probsyn.Build(grown, probsyn.SSE, 6)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Results) != 1 || resp.Results[0].Err != nil {
-		t.Fatalf("batch results %+v\n%s", resp.Results, out.String())
+	if want, err = probsyn.MarshalSynopsis(fresh); err != nil {
+		t.Fatal(err)
 	}
-	want0 := 0.0
-	for s := 0; s < 4; s++ {
-		lo, hi := ref.Bounds[s], ref.Bounds[s+1]-1
-		if lo > 40 || hi < 5 {
-			continue
-		}
-		want0 += ref.Pieces[s].RangeSum(max(5, lo)-lo, min(40, hi)-lo)
+	got, err = os.ReadFile(filepath.Join(vcat, "vds--histogram--SSE--b6.psyn"))
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("revalidated file differs from a build over the grown dataset (%v)", err)
 	}
-	if resp.Results[0].Value != want0 {
-		t.Fatalf("sharded batch rangesum = %v, want %v", resp.Results[0].Value, want0)
+	if des, err := os.ReadDir(vcat); err != nil || len(des) != 1 {
+		t.Fatalf("catalog directory holds %d files after -append, want 1 (%v)", len(des), err)
 	}
 }
 
 // TestRunQueryMatchesServedBatch: psyn -query and psynd's POST /v1/query
 // answer through the same resolver and evaluator, so over one catalog
-// directory — unsharded keys, a sharded key, and every kind of per-op
-// error — stdout is byte for byte the served response body. The server
+// directory — keys built plain, swept and sharded, a "shards" member
+// neither reads, and every kind of per-op error — stdout is byte for
+// byte the served response body. The server
 // here has no datasets at all: reads need none. (The GET endpoints are
 // held to the batch by internal/server's TestReadPathsAgree.)
 func TestRunQueryMatchesServedBatch(t *testing.T) {
@@ -641,14 +628,14 @@ func TestRunQueryMatchesServedBatch(t *testing.T) {
 		{"dataset":"ds","family":"wavelet","metric":"SAE","budget":3,"op":"rangesum","lo":-2,"hi":2000},
 		{"dataset":"ds","family":"histogram","metric":"SSRE","budget":3,"op":"rangesum","lo":2,"hi":20},
 		{"dataset":"ds","family":"histogram","metric":"SSRE","budget":3,"c":0.5,"op":"estimate","i":1},
-		{"dataset":"ds","family":"histogram","metric":"SSE","budget":8,"shards":4,"op":"rangesum","lo":5,"hi":40},
+		{"dataset":"ds","family":"histogram","metric":"SSE","budget":8,"op":"rangesum","lo":5,"hi":40},
 		{"dataset":"ds","family":"histogram","metric":"SSE","budget":8,"shards":4,"op":"estimate","i":33},
-		{"dataset":"ds","family":"wavelet","metric":"SSE","budget":6,"shards":2,"op":"rangesum","lo":31,"hi":32},
-		{"dataset":"ds","family":"histogram","metric":"SSE","budget":8,"shards":2,"op":"estimate","i":0},
+		{"dataset":"ds","family":"wavelet","metric":"SSE","budget":6,"op":"rangesum","lo":31,"hi":32},
+		{"dataset":"ds","family":"histogram","metric":"SSE","budget":9,"op":"estimate","i":0},
 		{"dataset":"ds","family":"histogram","metric":"SSE","budget":99,"op":"estimate","i":0},
 		{"dataset":"ds","family":"histogram","metric":"SSRE","budget":3,"c":0.25,"op":"estimate","i":0},
 		{"dataset":"ds","family":"histogram","metric":"SSE","budget":4,"op":"estimate","i":-1},
-		{"dataset":"ds","family":"histogram","metric":"SSE","budget":8,"shards":4,"op":"rangesum","lo":9,"hi":3},
+		{"dataset":"ds","family":"histogram","metric":"SSE","budget":8,"op":"rangesum","lo":9,"hi":3},
 		{"dataset":"ds","family":"wavelet","metric":"SAE","budget":3,"op":"rangesum","lo":5000,"hi":6000},
 		{"dataset":"ds","family":"histogram","metric":"SSE","budget":4,"op":"median","i":1},
 		{"dataset":"ds","family":"sketch","metric":"SSE","budget":4,"op":"estimate","i":1},

@@ -28,17 +28,17 @@
 //	psyn -pack ./catalog
 //	psynd -addr 127.0.0.1:7075 -data ./data -catalog ./catalog -flat
 //
-// With -peers, several psynd processes form a scatter/gather cluster:
-// datasets and sharded-build pieces place on a consistent-hash ring
-// derived from the shared peer list, builds forward to the owning node,
-// and gathered reads fan out to the piece owners:
+// With -peers, several psynd processes split the datasets between them:
+// each dataset has one owning node on a consistent-hash ring derived from
+// the shared peer list, and a build, sweep, append, update or GET read
+// sent to any node is forwarded to the owner and answered from there:
 //
 //	psynd -addr 127.0.0.1:7075 -data ./data -peers 127.0.0.1:7075,127.0.0.1:7085
 //	psynd -addr 127.0.0.1:7085 -data ./data -peers 127.0.0.1:7075,127.0.0.1:7085
 //
 //	curl -X POST localhost:7075/v1/build \
 //	     -d '{"dataset":"ds","family":"histogram","metric":"SSE","budget":16,"shards":4,"wait":true}'
-//	curl 'localhost:7085/v1/rangesum?dataset=ds&family=histogram&metric=SSE&budget=16&shards=4&lo=0&hi=99'
+//	curl 'localhost:7085/v1/rangesum?dataset=ds&family=histogram&metric=SSE&budget=16&lo=0&hi=99'
 //
 // With -pprof ADDR, net/http/pprof serves on a second listener separate
 // from the query surface, so profiling a server under load neither

@@ -54,15 +54,6 @@ type Key struct {
 	// one carries bounded suboptimality — so they catalog under distinct
 	// keys and coexist.
 	Q int `json:"q,omitempty"`
-	// Shard/Shards identify one piece of a k-way sharded build: this
-	// entry is shard Shard (0-based) of Shards, covering the global items
-	// [Shard*n/Shards, (Shard+1)*n/Shards) over its own local domain.
-	// Shards == 0 (the zero value) is an ordinary unsharded synopsis;
-	// pieces and the merged whole catalog under distinct keys and
-	// coexist. Budget stays the global budget B the sharded build split,
-	// so a cluster node can locate every sibling piece from any one key.
-	Shard  int `json:"shard,omitempty"`
-	Shards int `json:"shards,omitempty"`
 }
 
 // NewKey canonicalizes and validates the fields of a key: the metric is
@@ -139,29 +130,6 @@ func (k Key) BuildOptions() (probsyn.Metric, []probsyn.BuildOption, error) {
 	return m, opts, nil
 }
 
-// Piece returns the catalog key of shard s of a k-way sharded build of
-// this key's synopsis. The receiver must be a whole-synopsis key; the
-// shard index must be in range.
-func (k Key) Piece(s, shards int) (Key, error) {
-	if k.Shards != 0 {
-		return Key{}, fmt.Errorf("catalog: %v is already a shard piece", k)
-	}
-	if shards < 2 {
-		return Key{}, fmt.Errorf("catalog: shard count %d, want >= 2", shards)
-	}
-	if s < 0 || s >= shards {
-		return Key{}, fmt.Errorf("catalog: shard index %d outside [0, %d)", s, shards)
-	}
-	k.Shard, k.Shards = s, shards
-	return k, nil
-}
-
-// Whole inverts Piece: the key of the merged synopsis a piece belongs to.
-func (k Key) Whole() Key {
-	k.Shard, k.Shards = 0, 0
-	return k
-}
-
 // String renders the key in its canonical human-readable form.
 func (k Key) String() string {
 	m := k.Metric
@@ -171,22 +139,17 @@ func (k Key) String() string {
 	if k.Q != 0 {
 		m += fmt.Sprintf("(q=%d)", k.Q)
 	}
-	s := fmt.Sprintf("%s/%s/%s/%d", k.Dataset, k.Family, m, k.Budget)
-	if k.Shards != 0 {
-		s += fmt.Sprintf("#s%dof%d", k.Shard, k.Shards)
-	}
-	return s
+	return fmt.Sprintf("%s/%s/%s/%d", k.Dataset, k.Family, m, k.Budget)
 }
 
 // Filename encodes the key as a catalog filename:
-// <dataset>--<family>--<metric>[--c<C>][--q<Q>][--s<i>of<k>]--b<budget>.psyn,
+// <dataset>--<family>--<metric>[--c<C>][--q<Q>]--b<budget>.psyn,
 // with the dataset percent-escaped so arbitrary names cannot collide
 // with the separators or escape the directory. The c segment appears
 // exactly for relative-error metrics, so builds under different sanity
 // constants land in different files; the q segment appears exactly for
 // quantized builds, so an approximate synopsis can never shadow the
-// exact one; the s segment appears exactly for shard pieces, so a
-// piece can never shadow the whole.
+// exact one.
 func (k Key) Filename() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s--%s--%s", url.PathEscape(k.Dataset), k.Family, k.Metric)
@@ -195,9 +158,6 @@ func (k Key) Filename() string {
 	}
 	if k.Q != 0 {
 		fmt.Fprintf(&sb, "--q%d", k.Q)
-	}
-	if k.Shards != 0 {
-		fmt.Fprintf(&sb, "--s%dof%d", k.Shard, k.Shards)
 	}
 	fmt.Fprintf(&sb, "--b%d.psyn", k.Budget)
 	return sb.String()
@@ -223,18 +183,7 @@ func ParseFilename(name string) (Key, error) {
 	if err != nil {
 		return Key{}, fmt.Errorf("catalog: filename %q: bad budget: %w", name, err)
 	}
-	tail := 2 // trailing segments after family: metric [c] [q] [s] budget
-	shard, shards := 0, 0
-	if seg := parts[len(parts)-tail]; strings.HasPrefix(seg, "s") && strings.Contains(seg, "of") {
-		i, n, _ := strings.Cut(seg[1:], "of")
-		if shard, err = strconv.Atoi(i); err != nil {
-			return Key{}, fmt.Errorf("catalog: filename %q: bad shard segment: %w", name, err)
-		}
-		if shards, err = strconv.Atoi(n); err != nil {
-			return Key{}, fmt.Errorf("catalog: filename %q: bad shard segment: %w", name, err)
-		}
-		tail++
-	}
+	tail := 2 // trailing segments after family: metric [c] [q] budget
 	q := 0
 	if seg := parts[len(parts)-tail]; strings.HasPrefix(seg, "q") {
 		if q, err = strconv.Atoi(seg[1:]); err != nil {
@@ -260,13 +209,8 @@ func ParseFilename(name string) (Key, error) {
 	if err != nil {
 		return Key{}, err
 	}
-	if shard != 0 || shards != 0 {
-		if key, err = key.Piece(shard, shards); err != nil {
-			return Key{}, err
-		}
-	}
 	// A c segment on a non-relative metric (or a missing one on a
-	// relative metric), or c, q and s segments out of order, is not a
+	// relative metric), or c and q segments out of order, is not a
 	// name Filename produces; reject it so the round trip stays
 	// injective.
 	if key.Filename() != name {
@@ -429,12 +373,6 @@ func keyLess(ka, kb Key) bool {
 	}
 	if ka.Q != kb.Q {
 		return ka.Q < kb.Q
-	}
-	if ka.Shards != kb.Shards {
-		return ka.Shards < kb.Shards
-	}
-	if ka.Shard != kb.Shard {
-		return ka.Shard < kb.Shard
 	}
 	return ka.Budget < kb.Budget
 }

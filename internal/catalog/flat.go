@@ -4,9 +4,9 @@
 // synopsis before the first query can be answered.
 //
 // There is one synopsis encoding. The data section is the entries' PSYN
-// envelopes (synopsis.Marshal), byte for byte what the key's .psyn file,
-// /v1/blob and /v1/accept carry; the flat file adds only the index that
-// finds them. An entry is decoded exactly as a .psyn file is
+// envelopes (synopsis.Marshal), byte for byte what the key's .psyn file
+// holds; the flat file adds only the index that finds them. An entry is
+// decoded exactly as a .psyn file is
 // (synopsis.Unmarshal, family-vs-key check, query.Compile), but on its
 // first Catalog.Get or List instead of at boot: a few microseconds once
 // per entry per process, paid by the first request that needs it.
@@ -41,7 +41,7 @@
 //
 // Invalidation: the flat file is a derived cache of a catalog directory.
 // The server removes it BEFORE the first republication (build, sweep,
-// mutation, accepted piece) that would make it stale and re-packs in the
+// mutation) that would make it stale and re-packs in the
 // background once the catalog settles, so at boot a flat file that
 // exists is never staler than the .psyn files beside it; keys the flat
 // file does not cover (an offline psyn wrote into the directory since)

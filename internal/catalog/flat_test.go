@@ -455,6 +455,19 @@ func TestBootDirFallsBack(t *testing.T) {
 			rewriteIndex(two)
 			return two
 		}, false},
+		{"index names a shard piece", func([]byte) []byte {
+			// A flat file packed when a sharded build's pieces were catalog
+			// entries: d--histogram--SSE--s0of2--b6.psyn is not a key now.
+			piece := &Entry{
+				Key:      Key{Dataset: "d", Family: FamilyHistogram, Metric: "SSE--s0of2", Budget: 6},
+				Synopsis: src.List()[0].Synopsis,
+			}
+			old, err := PackBytes(append(src.List(), piece))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return old
+		}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -497,17 +510,26 @@ func TestBootDirFallsBack(t *testing.T) {
 					t.Fatalf("%v missing after codec fallback", want.Key)
 				}
 			}
+			// What the server packs at shutdown is the pristine file.
+			if repacked, err := PackBytes(c.List()); err != nil || !bytes.Equal(repacked, good) {
+				t.Fatalf("re-pack after fallback differs from the good file (%v)", err)
+			}
 		})
 	}
 }
 
 // TestBootDirNoFlatFile: the common case (no flat file at all) loads
-// through the codec path with no warning.
+// through the codec path with no warning, skipping files that are not
+// catalog files.
 func TestBootDirNoFlatFile(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	src := randCatalog(t, rng, 4, []int{16})
 	dir := t.TempDir()
 	if _, err := src.SaveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	// A shard piece file left by an older psynd is a foreign file now.
+	if err := os.WriteFile(filepath.Join(dir, "d--histogram--SSE--s0of2--b6.psyn"), []byte("PSYN"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var warned int

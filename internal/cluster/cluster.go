@@ -1,23 +1,24 @@
 // Package cluster is the serving layer's placement and forwarding
 // substrate: a consistent-hash ring over a static peer list, and a
 // small HTTP client for peer-to-peer forwarding with per-peer
-// connection reuse, timeouts, and one retry.
+// connection reuse, a deadline chosen by the request's method, and one
+// retry for reads.
 //
 // Placement is coordination-free: every node runs the same ring over
-// the same -peers list, so any node resolves any key to the same owner
-// without gossip or a coordinator. Datasets (and their builds) place by
-// dataset name; the pieces of a sharded build place by piece filename,
-// spreading one dataset's shards across the ring so scatter/gather
-// range queries fan out to many nodes.
+// the same -peers list, so any node resolves a dataset name to the same
+// owner without gossip or a coordinator. Nodes whose lists differ would
+// route differently; Ring.Fingerprint is what they compare to notice.
 package cluster
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -33,8 +34,9 @@ const DefaultVnodes = 64
 // moves only ~1/len(peers) of the keyspace, so a cluster restarted with
 // one peer more keeps most placements.
 type Ring struct {
-	peers  []string
-	points []ringPoint // sorted by hash
+	peers       []string
+	points      []ringPoint // sorted by hash
+	fingerprint string
 }
 
 type ringPoint struct {
@@ -52,7 +54,10 @@ func NewRing(peers []string, vnodes int) (*Ring, error) {
 		vnodes = DefaultVnodes
 	}
 	seen := make(map[string]bool, len(peers))
-	r := &Ring{peers: append([]string(nil), peers...)}
+	r := &Ring{
+		peers:       append([]string(nil), peers...),
+		fingerprint: strconv.FormatUint(hash64(strings.Join(peers, "\x00")), 16),
+	}
 	for i, p := range peers {
 		if p == "" {
 			return nil, fmt.Errorf("cluster: empty peer address at index %d", i)
@@ -87,8 +92,10 @@ func (r *Ring) Owner(key string) string {
 	return r.peers[r.points[i].peer]
 }
 
-// Peers returns the ring's peer list, in construction order.
-func (r *Ring) Peers() []string { return r.peers }
+// Fingerprint identifies the ordered peer list the ring was built over:
+// two rings route every key alike exactly when their lists, and so
+// their fingerprints, are equal.
+func (r *Ring) Fingerprint() string { return r.fingerprint }
 
 func hash64(s string) uint64 {
 	h := fnv.New64a()
@@ -99,56 +106,61 @@ func hash64(s string) uint64 {
 // Client is the peer-to-peer forwarding client. One Client serves every
 // peer: the underlying transport keeps idle connections per host, so
 // repeated forwards to the same peer reuse a connection instead of
-// re-dialing, and every request carries the configured timeout.
+// re-dialing.
 type Client struct {
 	http *http.Client
+	// A forwarded GET answers from a catalog in microseconds of server
+	// time; anything else may run a real DP on the owner before it
+	// answers. Do picks the deadline from the method.
+	readTimeout, writeTimeout time.Duration
 }
 
-// DefaultTimeout bounds one forwarded request end to end. Forwarded
-// builds can run a real DP on the owner, so this is generous; queries
-// finish in microseconds of server time.
-const DefaultTimeout = 120 * time.Second
-
-// NewClient returns a forwarding client; timeout <= 0 means
-// DefaultTimeout.
-func NewClient(timeout time.Duration) *Client {
-	if timeout <= 0 {
-		timeout = DefaultTimeout
-	}
-	return &Client{http: &http.Client{
-		Timeout: timeout,
-		Transport: &http.Transport{
+// NewClient returns a forwarding client.
+func NewClient() *Client {
+	return &Client{
+		http: &http.Client{Transport: &http.Transport{
 			MaxIdleConnsPerHost: 8,
 			IdleConnTimeout:     90 * time.Second,
-		},
-	}}
+		}},
+		readTimeout:  10 * time.Second,
+		writeTimeout: 120 * time.Second,
+	}
 }
 
 // Do sends one request to a peer — method, path with query ("/v1/build"
-// or "/v1/rangesum?..."), optional body — and returns the response
-// status and body. A request that fails at the transport layer (the
-// peer restarting, a stale pooled connection) is retried once against a
-// freshly resolved connection; HTTP-level errors (4xx/5xx) are returned
-// to the caller untouched, status and body intact, so a forwarding
-// server can relay them verbatim.
-func (c *Client) Do(peer, method, path string, body []byte, contentType string) (int, []byte, error) {
-	status, resp, err := c.do(peer, method, path, body, contentType)
-	if err != nil {
-		status, resp, err = c.do(peer, method, path, body, contentType)
+// or "/v1/rangesum?..."), optional body and headers — and returns the
+// response status and body. A GET that fails at the transport layer
+// (the peer restarting, a stale pooled connection) is retried once
+// inside the same deadline; nothing else is, because a build or a
+// mutation whose connection dropped may already have been applied.
+// HTTP-level errors (4xx/5xx) are returned to the caller untouched,
+// status and body intact, so a forwarding server can relay them
+// verbatim.
+func (c *Client) Do(peer, method, path string, body []byte, header http.Header) (int, []byte, error) {
+	timeout, tries := c.writeTimeout, 1
+	if method == http.MethodGet {
+		timeout, tries = c.readTimeout, 2
 	}
-	if err != nil {
-		return 0, nil, fmt.Errorf("cluster: %s %s%s: %w", method, peer, path, err)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	for {
+		status, resp, err := c.do(ctx, peer, method, path, body, header)
+		if err == nil {
+			return status, resp, nil
+		}
+		if tries--; tries == 0 {
+			return 0, nil, fmt.Errorf("cluster: %s %s%s: %w", method, peer, path, err)
+		}
 	}
-	return status, resp, nil
 }
 
-func (c *Client) do(peer, method, path string, body []byte, contentType string) (int, []byte, error) {
-	req, err := http.NewRequest(method, PeerURL(peer)+path, bytes.NewReader(body))
+func (c *Client) do(ctx context.Context, peer, method, path string, body []byte, header http.Header) (int, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, PeerURL(peer)+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, err
 	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
+	for name, values := range header {
+		req.Header[name] = values
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {

@@ -1,12 +1,15 @@
 package cluster
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRingDeterministicAndComplete(t *testing.T) {
@@ -68,6 +71,31 @@ func TestRingRejectsBadPeerLists(t *testing.T) {
 	}
 }
 
+func TestRingFingerprint(t *testing.T) {
+	fp := func(peers ...string) string {
+		r, err := NewRing(peers, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Fingerprint()
+	}
+	same := fp("a:1", "b:2")
+	if same == "" || same != fp("a:1", "b:2") {
+		t.Fatalf("equal lists fingerprint %q and %q", same, fp("a:1", "b:2"))
+	}
+	for name, other := range map[string]string{
+		"reordered": fp("b:2", "a:1"),
+		"one more":  fp("a:1", "b:2", "c:3"),
+		"respelled": fp("a:1", "localhost:2"),
+		"re-cut":    fp("a:1b", ":2"),
+		"single":    fp("a:1"),
+	} {
+		if other == same {
+			t.Errorf("%s peer list has the fingerprint of [a:1 b:2]", name)
+		}
+	}
+}
+
 func TestClientForwardsAndRelaysStatus(t *testing.T) {
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -79,21 +107,21 @@ func TestClientForwardsAndRelaysStatus(t *testing.T) {
 		}
 		body := make([]byte, 64)
 		n, _ := r.Body.Read(body)
-		fmt.Fprintf(w, "echo:%s", body[:n])
+		fmt.Fprintf(w, "echo:%s:%s", r.Header.Get("X-Test"), body[:n])
 	}))
 	defer srv.Close()
 	peer := strings.TrimPrefix(srv.URL, "http://")
-	c := NewClient(0)
-	status, resp, err := c.Do(peer, http.MethodPost, "/v1/echo", []byte("hi"), "application/json")
+	c := NewClient()
+	status, resp, err := c.Do(peer, http.MethodPost, "/v1/echo", []byte("hi"), http.Header{"X-Test": {"hdr"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if status != http.StatusOK || string(resp) != "echo:hi" {
+	if status != http.StatusOK || string(resp) != "echo:hdr:hi" {
 		t.Fatalf("got %d %q", status, resp)
 	}
 	// HTTP-level errors relay without retrying.
 	before := calls.Load()
-	status, resp, err = c.Do(peer, http.MethodGet, "/v1/teapot", nil, "")
+	status, resp, err = c.Do(peer, http.MethodGet, "/v1/teapot", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +132,50 @@ func TestClientForwardsAndRelaysStatus(t *testing.T) {
 		t.Fatalf("HTTP error retried: %d calls", calls.Load()-before)
 	}
 	// Transport-level failures surface as errors after the one retry.
-	if _, _, err := c.Do("127.0.0.1:1", http.MethodGet, "/v1/x", nil, ""); err == nil {
+	if _, _, err := c.Do("127.0.0.1:1", http.MethodGet, "/v1/x", nil, nil); err == nil {
 		t.Fatal("dead peer did not error")
+	}
+}
+
+// A stalled peer fails a read at the read deadline; a build sent to the
+// same peer is still being waited for long after it.
+func TestClientDeadlineByMethod(t *testing.T) {
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-release
+		fmt.Fprint(w, "late")
+	}))
+	defer srv.Close()
+	peer := strings.TrimPrefix(srv.URL, "http://")
+	c := NewClient()
+	if c.readTimeout >= c.writeTimeout {
+		t.Fatalf("read deadline %v is not shorter than the build deadline %v", c.readTimeout, c.writeTimeout)
+	}
+	c.readTimeout = 50 * time.Millisecond
+
+	built := make(chan error, 1)
+	go func() {
+		status, resp, err := c.Do(peer, http.MethodPost, "/v1/build", []byte("{}"), nil)
+		if err == nil && (status != http.StatusOK || string(resp) != "late") {
+			err = fmt.Errorf("got %d %q", status, resp)
+		}
+		built <- err
+	}()
+	start := time.Now()
+	if _, _, err := c.Do(peer, http.MethodGet, "/v1/estimate", nil, nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("stalled read: %v, want a deadline error", err)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("stalled read took %v against a 50 ms deadline", took)
+	}
+	select {
+	case err := <-built:
+		t.Fatalf("the build gave up with the read: %v", err)
+	case <-time.After(4 * c.readTimeout):
+	}
+	close(release)
+	if err := <-built; err != nil {
+		t.Fatalf("build against a slow peer: %v", err)
 	}
 }
 

@@ -34,16 +34,6 @@ type BatchKey struct {
 	// 0 queries the exact synopsis. Exact and quantized entries coexist
 	// under distinct catalog keys, so the querying side must say which.
 	Q int `json:"q,omitempty"`
-	// Shards queries a k-way sharded build through its distributed
-	// pieces: range sums split at shard boundaries and sum the pieces'
-	// partials, estimates route to the single owning piece. 0 queries
-	// the ordinary unsharded synopsis.
-	Shards int `json:"shards,omitempty"`
-	// Piece, when non-zero, addresses shard Piece-1 of the Shards-way
-	// build alone, in that piece's own local coordinates. It is the GET
-	// endpoints' &shard=s key syntax and deliberately not a wire field:
-	// a batch cannot carry it.
-	Piece int `json:"-"`
 }
 
 // The two operation kinds.

@@ -162,8 +162,6 @@ func (s *batchScanner) scanOp(op *Op) bool {
 			op.C, ok = s.scanFloat()
 		case "q":
 			op.Q, ok = s.scanInt()
-		case "shards":
-			op.Shards, ok = s.scanInt()
 		case "i":
 			op.I, ok = s.scanInt()
 		case "lo":

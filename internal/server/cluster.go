@@ -1,303 +1,114 @@
-// Cluster mode: several psynd processes with the same -peers list form
-// a scatter/gather cluster with no coordinator. Placement is pure
-// function of the shared peer list (internal/cluster's consistent-hash
-// ring), so every node routes identically without talking to anyone:
+// Cluster mode: several psynd processes started with the same -peers
+// list split the datasets between them with no coordinator. Every node
+// derives the same consistent-hash ring from the list
+// (internal/cluster), so a dataset has one owner (ring key
+// "ds/<dataset>") that every node computes alike, and the cluster is one
+// rule, stated in route:
 //
-//   - A dataset has one owning node (ring key "ds/<dataset>"). Build
-//     requests forward to the owner, which runs the sharded build and
-//     answers gathered queries for the dataset's sharded keys.
-//   - A sharded build's pieces spread over the ring independently (ring
-//     key "piece/<piece filename>"): the owner builds all k pieces,
-//     pushes each to its owning peer via POST /v1/accept
-//     (persist-before-publish on the receiving side), and publishes the
-//     merged whole under the piece-less key only after every piece
-//     landed — the cluster-wide analogue of the single-node
-//     persist-before-publish discipline.
-//   - A read of a sharded key (&shards=k on the GETs, "shards" in a
-//     batch op) resolves, like every read, through catalog.Resolve: the
-//     k pieces' queriers compose into one query.ShardedQuerier, whose
-//     range sums split at the shard boundaries and add the partials in
-//     shard order and whose estimates route to the owning piece. A piece
-//     cataloged here answers from the catalog; a remote one is fetched
-//     from its owner (GET /v1/blob) and compiled, the missing ones
-//     concurrently. A gathered GET first forwards to the dataset's
-//     owner, the one node that keeps fetched pieces compiled — synopses
-//     are tiny, so its steady-state gathers are purely local and the
-//     scatter happens at build time and on first touch, not per query.
-//     A batch resolves wherever it lands; off the owner, that is one
-//     fetch per remote piece per batch.
+//	a request that names one dataset — build, sweep, append, update,
+//	GET estimate, GET rangesum — is served by that dataset's owner;
+//	any other node forwards it there verbatim and relays the answer.
 //
-// A node outside a cluster (empty peer list, or a single-entry one) is
-// just an ordinary psynd; sharded builds and reads still work against
-// locally built pieces, which is what the single-node tests exercise.
+// Only the owner holds a dataset's file, live frontiers and catalog
+// entries, so N nodes hold N times the datasets. A POST /v1/query batch
+// may name many datasets and is answered by the node it lands on; an op
+// whose dataset lives elsewhere fails not_found, naming the owner.
+//
+// A forwarded request carries the sender's ring fingerprint in
+// ringHeader. The receiver refuses it (409 ring_mismatch) when its own
+// peer list differs — the two nodes disagree on who owns what — and
+// serves it itself otherwise, never forwarding a second time, so no
+// request can bounce between nodes.
 package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
-	"net/url"
-	"strings"
 
-	"probsyn"
-	"probsyn/internal/catalog"
 	"probsyn/internal/cluster"
-	"probsyn/internal/query"
 )
 
-// clustered reports whether this server is one node of a multi-node
-// cluster. A single-entry peer list is legal config but routes nothing.
-func (s *Server) clustered() bool {
-	return s.ring != nil && len(s.cfg.Peers) > 1
+// ringHeader marks a forwarded request and carries the fingerprint of
+// the forwarding node's peer list.
+const ringHeader = "X-Psyn-Ring"
+
+// owner returns the ring owner of a dataset and whether that is another
+// node. Outside a cluster every dataset is this node's own.
+func (s *Server) owner(dataset string) (peer string, elsewhere bool) {
+	if s.ring == nil {
+		return "", false
+	}
+	peer = s.ring.Owner("ds/" + dataset)
+	return peer, peer != s.cfg.Self
 }
 
-// datasetOwner is the node that builds (and coordinates gathers for)
-// the dataset's synopses.
-func (s *Server) datasetOwner(dataset string) string {
-	return s.ring.Owner("ds/" + dataset)
-}
-
-// pieceOwner is the node that serves one piece of a sharded build.
-// Pieces place by filename, independently of their dataset, so a
-// dataset's k pieces spread over the whole ring.
-func (s *Server) pieceOwner(filename string) string {
-	return s.ring.Owner("piece/" + filename)
-}
-
-// forward relays a request to a peer and writes the peer's response
-// back verbatim — the peer's typed errors are this API's typed errors.
-// Only a transport-level failure (peer unreachable after the client's
-// retry) is translated, into 502 peer_unavailable.
-func (s *Server) forward(w http.ResponseWriter, peer, method, pathAndQuery string, body []byte, contentType string) {
-	status, resp, err := s.remote.Do(peer, method, pathAndQuery, body, contentType)
-	if err != nil {
-		writeError(w, http.StatusBadGateway, CodePeerUnavailable, "peer %s: %v", peer, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(resp)
-}
-
-// ---- the sharded build path ----
-
-// buildSharded is the sharded twin of build: one probsyn.BuildSharded
-// over the shared pool (one admission token per shard), then the k
-// pieces are distributed to their owning nodes and the merged whole is
-// published under the ordinary piece-less key — pieces first, merged
-// last, so a key whose whole is cataloged always has every piece
-// servable somewhere. Sharded builds are never short-circuited by an
-// existing catalog entry: the whole may be local while a remote piece
-// was lost, and rebuilding is deterministic and idempotent.
-func (s *Server) buildSharded(key catalog.Key, k int) error {
-	lock := s.datasetLock(key.Dataset)
-	lock.RLock()
-	defer lock.RUnlock()
-	src, err := s.dataset(key.Dataset)
-	if err != nil {
-		return err
-	}
-	m, opts, err := s.buildOptions(key)
-	if err != nil {
-		return err
-	}
-	res, err := probsyn.BuildSharded(src, m, key.Budget, k, opts...)
-	if err != nil {
-		return fmt.Errorf("sharded build %s (%d shards): %w", key, k, err)
-	}
-	// Whatever happens below, compiled remote pieces of this key are
-	// stale the moment redistribution starts; dropping them again on the
-	// way out covers a fetch that raced a partially distributed build.
-	s.dropCachedPieces(key, k)
-	defer s.dropCachedPieces(key, k)
-	for i, piece := range res.Pieces {
-		pk, err := key.Piece(i, k)
+// route wraps the handler of an endpoint that names one dataset (in the
+// query string of a GET, in the JSON body of a POST) with the cluster's
+// rule. The dataset name is all it reads: a request it cannot find one
+// in goes to the local handler, whose validation words the error, and a
+// forwarded request is validated by the owner alone.
+func (s *Server) route(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if from := r.Header.Get(ringHeader); from != "" {
+			// Forwarded once already: served here or refused, never sent on.
+			if s.ring == nil || from != s.ring.Fingerprint() {
+				writeError(w, http.StatusConflict, CodeRingMismatch,
+					"forwarded by a node whose -peers list differs from this node's; no dataset is routed until the lists agree")
+				return
+			}
+			h(w, r)
+			return
+		}
+		if s.ring == nil {
+			h(w, r)
+			return
+		}
+		// The name is read as the handler will read it (url.Values, or
+		// encoding/json's member matching), so the two cannot disagree.
+		var body []byte
+		var named struct {
+			Dataset string `json:"dataset"`
+		}
+		if r.Method == http.MethodGet {
+			named.Dataset = r.URL.Query().Get("dataset")
+		} else {
+			// maxMutateBody is the largest body any routed endpoint takes;
+			// the handler that ends up serving applies its own bound.
+			var err error
+			if body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxMutateBody)); err != nil {
+				writeError(w, http.StatusBadRequest, CodeBadRequest, "bad request body: %v", err)
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			_ = json.Unmarshal(body, &named)
+		}
+		peer, elsewhere := s.owner(named.Dataset)
+		if !elsewhere || named.Dataset == "" {
+			h(w, r)
+			return
+		}
+		header := http.Header{ringHeader: {s.ring.Fingerprint()}}
+		if ct := r.Header.Get("Content-Type"); ct != "" {
+			header.Set("Content-Type", ct)
+		}
+		// The peer's typed errors are this API's typed errors; only a
+		// transport failure is translated.
+		status, resp, err := s.remote.Do(peer, r.Method, r.URL.RequestURI(), body, header)
 		if err != nil {
-			return err
+			writeError(w, http.StatusBadGateway, CodePeerUnavailable, "peer %s: %v", peer, err)
+			return
 		}
-		if err := s.placePiece(pk, piece); err != nil {
-			return err
-		}
-	}
-	if err := s.publish(key, res.Synopsis, nil); err != nil {
-		return err
-	}
-	s.logf("sharded build %s: %d shards, cost %.6g, suboptimality bound %.6g",
-		key, k, res.Synopsis.ErrorCost(), res.Bound)
-	return nil
-}
-
-// placePiece installs one piece at its owning node: locally with the
-// usual persist-before-publish, or pushed to the owning peer, whose
-// /v1/accept applies the same discipline before acknowledging.
-func (s *Server) placePiece(pk catalog.Key, syn probsyn.Synopsis) error {
-	if s.clustered() {
-		if owner := s.pieceOwner(pk.Filename()); owner != s.cfg.Self {
-			blob, err := probsyn.MarshalSynopsis(syn)
-			if err != nil {
-				return err
-			}
-			status, resp, err := s.remote.Do(owner, http.MethodPost,
-				"/v1/accept?name="+url.QueryEscape(pk.Filename()), blob, "application/octet-stream")
-			if err != nil {
-				return fmt.Errorf("place piece %s on %s: %w", pk, owner, err)
-			}
-			if status != http.StatusOK {
-				return fmt.Errorf("place piece %s on %s: %s", pk, owner, strings.TrimSpace(string(resp)))
-			}
-			return nil
-		}
-	}
-	return s.publish(pk, syn, nil)
-}
-
-// maxAcceptBody bounds a pushed piece envelope. Synopses are tiny (B
-// coefficients or buckets), but a piece of a very fine sweep could run
-// to megabytes; 64 MiB is far above anything real without letting a
-// hostile peer buffer unbounded memory.
-const maxAcceptBody = 1 << 26
-
-// handleAccept ingests a piece pushed by the building node: validate
-// the name, decode the envelope, persist, then publish. The piece
-// becomes servable only once it is durably on disk — acknowledging
-// earlier would let the builder publish a merged whole whose piece
-// vanishes on this node's restart.
-func (s *Server) handleAccept(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("name")
-	pk, err := catalog.ParseFilename(name)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "bad piece name %q: %v", name, err)
-		return
-	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxAcceptBody)); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "bad piece body: %v", err)
-		return
-	}
-	blob := bytes.Clone(buf.Bytes())
-	syn, err := probsyn.UnmarshalSynopsis(blob)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "piece %s: %v", pk, err)
-		return
-	}
-	// The envelope carries its own type; a histogram pushed under a
-	// wavelet name would serve wrong answers forever.
-	family := catalog.FamilyHistogram
-	if _, ok := syn.(*probsyn.WaveletSynopsis); ok {
-		family = catalog.FamilyWavelet
-	}
-	if family != pk.Family {
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			"piece %s: envelope holds a %s synopsis", pk, family)
-		return
-	}
-	// Accepts change the catalog outside the job queue, so they carry
-	// their own flat-file invalidation window.
-	if s.flat != nil {
-		s.flat.JobStart()
-		defer s.flat.JobEnd()
-	}
-	if err := s.publish(pk, syn, blob); err != nil {
-		writeError(w, http.StatusInternalServerError, CodeBuildFailed, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, BuildResponse{Key: pk, Status: "built"})
-}
-
-// handleBlob serves a cataloged synopsis's envelope bytes — a node
-// resolving a sharded key fetches the pieces it does not hold through it
-// (remotePiece) and compiles them locally. The catalog retains
-// only decoded synopses, so the envelope is re-marshaled here; the
-// codec is deterministic, so the bytes equal what was persisted.
-func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("name")
-	key, err := catalog.ParseFilename(name)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "bad synopsis name %q: %v", name, err)
-		return
-	}
-	entry, ok := s.cfg.Catalog.Get(key)
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeNotFound, "no synopsis for %s", key)
-		return
-	}
-	blob, err := probsyn.MarshalSynopsis(entry.Synopsis)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeBuildFailed, "encode %s: %v", key, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(blob)
-}
-
-// ---- remote pieces ----
-
-// remotePiece returns the compiled querier for a piece that lives on a
-// peer, or (nil, nil) when no peer could hold it (not clustered, or the
-// piece is this node's own to hold). The envelope is fetched once and
-// the querier cached when this node owns the piece's dataset: the owner
-// coordinates every gathered GET and every rebuild of the dataset, so
-// its cache is invalidated by its own buildSharded. Other nodes — a
-// batch gathers anywhere — stay fetch-per-use, trading a round trip for
-// never serving a piece a rebuild they cannot observe made stale. The
-// error code tells a missing piece (not_found) from an unreachable or
-// misbehaving peer (peer_unavailable).
-func (s *Server) remotePiece(pk catalog.Key) (query.Querier, *query.OpError) {
-	if !s.clustered() {
-		return nil, nil
-	}
-	owner := s.pieceOwner(pk.Filename())
-	if owner == s.cfg.Self {
-		return nil, nil
-	}
-	cacheable := s.datasetOwner(pk.Dataset) == s.cfg.Self
-	if cacheable {
-		s.pieceMu.RLock()
-		q, ok := s.pieceCache[pk]
-		s.pieceMu.RUnlock()
-		if ok {
-			return q, nil
-		}
-	}
-	fail := func(code string, cause any) (query.Querier, *query.OpError) {
-		return nil, &query.OpError{Code: code, Message: fmt.Sprintf("piece %s on %s: %v", pk, owner, cause)}
-	}
-	status, resp, err := s.remote.Do(owner, http.MethodGet, "/v1/blob?name="+url.QueryEscape(pk.Filename()), nil, "")
-	if err != nil {
-		return fail(CodePeerUnavailable, err)
-	}
-	if status != http.StatusOK {
-		return fail(CodeNotFound, strings.TrimSpace(string(resp)))
-	}
-	syn, err := probsyn.UnmarshalSynopsis(resp)
-	if err != nil {
-		return fail(CodePeerUnavailable, err)
-	}
-	q := query.Compile(syn)
-	if cacheable {
-		s.pieceMu.Lock()
-		s.pieceCache[pk] = q
-		s.pieceMu.Unlock()
-	}
-	return q, nil
-}
-
-// dropCachedPieces forgets the compiled remote pieces of one sharded
-// build — called by the owner around redistribution, the only event
-// that changes a piece's content under an unchanged key.
-func (s *Server) dropCachedPieces(key catalog.Key, k int) {
-	s.pieceMu.Lock()
-	defer s.pieceMu.Unlock()
-	for i := 0; i < k; i++ {
-		if pk, err := key.Piece(i, k); err == nil {
-			delete(s.pieceCache, pk)
-		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(status)
+		_, _ = w.Write(resp)
 	}
 }
 
 // newClusterState validates the peer configuration and returns the ring
-// and forwarding client, or nils for a non-clustered server.
+// and forwarding client, or nils for a server outside a cluster.
 func newClusterState(cfg *Config) (*cluster.Ring, *cluster.Client, error) {
 	if len(cfg.Peers) == 0 {
 		if cfg.Self != "" {
@@ -319,5 +130,5 @@ func newClusterState(cfg *Config) (*cluster.Ring, *cluster.Client, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("server: %w", err)
 	}
-	return ring, cluster.NewClient(0), nil
+	return ring, cluster.NewClient(), nil
 }

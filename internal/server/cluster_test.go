@@ -5,124 +5,88 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
-	"math/rand"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"probsyn"
 	"probsyn/internal/catalog"
 	"probsyn/internal/engine"
-	"probsyn/internal/gen"
 	"probsyn/internal/query"
 )
 
-func relClose(a, b, tol float64) bool {
-	return math.Abs(a-b) <= tol*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-}
-
-// A single node accepts sharded builds too: the merged whole and every
-// piece land in its own catalog, and the gathered read paths answer
-// from the local pieces — the degenerate one-node cluster.
+// A k-shard build publishes exactly one thing: the merged synopsis, under
+// the ordinary key, byte for byte what probsyn.BuildSharded returns. The
+// response carries the bound that prices the trade.
 func TestShardedBuildSingleNode(t *testing.T) {
 	s, ts, src := newFixture(t, Config{C: 0.5})
 	const k = 4
-	for _, tc := range []struct {
+	for built, tc := range []struct {
 		family, metric string
+		opts           []probsyn.BuildOption
 	}{
-		{catalog.FamilyHistogram, "SSE"},
-		{catalog.FamilyWavelet, "SAE"},
+		{catalog.FamilyHistogram, "SSE", nil},
+		{catalog.FamilyWavelet, "SAE", []probsyn.BuildOption{probsyn.WithWavelet()}},
+		{catalog.FamilyWavelet, "SSE", []probsyn.BuildOption{probsyn.WithWavelet()}},
 	} {
 		resp, ok, bad := postBuild(t, ts, BuildRequest{
 			Dataset: "ds", Family: tc.family, Metric: tc.metric, Budget: 8, Shards: k, Wait: true,
 		})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s sharded build: status %d, error %+v", tc.family, resp.StatusCode, bad)
-		}
-		if ok.Status != "built" {
-			t.Fatalf("%s sharded build status %q", tc.family, ok.Status)
+		if resp.StatusCode != http.StatusOK || ok.Status != "built" {
+			t.Fatalf("%s sharded build: status %d %q, error %+v", tc.family, resp.StatusCode, ok.Status, bad)
 		}
 		key, err := catalog.NewKey("ds", tc.family, tc.metric, 8, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		whole, okc := s.cfg.Catalog.Get(key)
-		if !okc {
-			t.Fatalf("%s: merged whole not cataloged", tc.family)
-		}
-		for i := 0; i < k; i++ {
-			pk, err := key.Piece(i, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, okc := s.cfg.Catalog.Get(pk); !okc {
-				t.Fatalf("%s: piece %s not cataloged", tc.family, pk)
-			}
-		}
-		// Gathered range sums agree with the merged synopsis (up to FP
-		// association: the gather sums per-shard partials).
-		n := whole.Synopsis.Domain()
-		for _, r := range [][2]int{{0, n - 1}, {5, 40}, {17, 17}, {0, 15}, {30, 50}} {
-			var rr RangeSumResponse
-			url := fmt.Sprintf("%s/v1/rangesum?dataset=ds&family=%s&metric=%s&budget=8&shards=%d&lo=%d&hi=%d",
-				ts.URL, tc.family, tc.metric, k, r[0], r[1])
-			if resp := getJSON(t, url, &rr); resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s gathered rangesum status %d", tc.family, resp.StatusCode)
-			}
-			want := whole.Querier.RangeSum(r[0], r[1])
-			if !relClose(rr.Sum, want, 1e-9) {
-				t.Fatalf("%s gathered rangesum [%d,%d] = %v, merged says %v", tc.family, r[0], r[1], rr.Sum, want)
-			}
-		}
-		// Estimates route to one piece and are bit-equal to the composite.
-		for _, i := range []int{0, 13, 16, 47, n - 1} {
-			var er EstimateResponse
-			url := fmt.Sprintf("%s/v1/estimate?dataset=ds&family=%s&metric=%s&budget=8&shards=%d&i=%d",
-				ts.URL, tc.family, tc.metric, k, i)
-			if resp := getJSON(t, url, &er); resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s sharded estimate status %d", tc.family, resp.StatusCode)
-			}
-			// Locate the owning piece and compare exactly.
-			bounds := probsyn.ShardBounds(src.Domain(), k, tc.family == catalog.FamilyWavelet)
-			sh := 0
-			for bounds[sh+1] <= i {
-				sh++
-			}
-			pk, _ := key.Piece(sh, k)
-			pe, _ := s.cfg.Catalog.Get(pk)
-			if want := pe.Querier.Estimate(i - bounds[sh]); er.Estimate != want {
-				t.Fatalf("%s sharded estimate(%d) = %v, piece says %v", tc.family, i, er.Estimate, want)
-			}
-		}
-		// The batch endpoint answers the same ops through the composite
-		// querier, bit-equal to the gathered GETs (same summation order).
-		breq := query.BatchRequest{Ops: []query.Op{
-			{BatchKey: query.BatchKey{Dataset: "ds", Family: tc.family, Metric: tc.metric, Budget: 8, Shards: k}, Op: query.OpRangeSum, Lo: 5, Hi: 40},
-			{BatchKey: query.BatchKey{Dataset: "ds", Family: tc.family, Metric: tc.metric, Budget: 8, Shards: k}, Op: query.OpEstimate, I: 13},
-		}}
-		body, _ := json.Marshal(breq)
-		resp2, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
+		m, _ := probsyn.ParseMetric(tc.metric)
+		ref, err := probsyn.BuildSharded(src, m, 8, k, tc.opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var bresp query.BatchResponse
-		if err := json.NewDecoder(resp2.Body).Decode(&bresp); err != nil {
+		want, err := probsyn.MarshalSynopsis(ref.Synopsis)
+		if err != nil {
 			t.Fatal(err)
 		}
-		resp2.Body.Close()
-		if len(bresp.Results) != 2 || bresp.Results[0].Err != nil || bresp.Results[1].Err != nil {
-			t.Fatalf("%s batch results %+v", tc.family, bresp.Results)
+		file, err := os.ReadFile(filepath.Join(s.cfg.CatalogDir, key.Filename()))
+		if err != nil || !bytes.Equal(file, want) {
+			t.Fatalf("%s: catalog file differs from BuildSharded's merged synopsis (%v)", key, err)
 		}
-		var rr RangeSumResponse
-		getJSON(t, fmt.Sprintf("%s/v1/rangesum?dataset=ds&family=%s&metric=%s&budget=8&shards=%d&lo=5&hi=40",
-			ts.URL, tc.family, tc.metric, k), &rr)
-		if bresp.Results[0].Value != rr.Sum {
-			t.Fatalf("%s batch rangesum %v != gathered %v", tc.family, bresp.Results[0].Value, rr.Sum)
+		des, err := os.ReadDir(s.cfg.CatalogDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(des) != built+1 || s.cfg.Catalog.Len() != built+1 {
+			t.Fatalf("%d sharded builds left %d files and %d catalog entries", built+1, len(des), s.cfg.Catalog.Len())
+		}
+		// The certificate: exact for SSE wavelets, otherwise the merged
+		// cost is within bound of the unsharded optimum.
+		if ok.Bound != ref.Bound {
+			t.Fatalf("%s: response bound %v, BuildSharded says %v", key, ok.Bound, ref.Bound)
+		}
+		unsharded, err := probsyn.Build(src, m, 8, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.family == catalog.FamilyWavelet && tc.metric == "SSE" && ok.Bound != 0 {
+			t.Fatalf("SSE wavelet merge is exact, bound %v", ok.Bound)
+		}
+		if got := ref.Synopsis.ErrorCost(); got > unsharded.ErrorCost()+ok.Bound {
+			t.Fatalf("%s: sharded cost %v exceeds unsharded %v + bound %v", key, got, unsharded.ErrorCost(), ok.Bound)
+		}
+		// Reads cannot tell: &shards= is not read.
+		plain := fmt.Sprintf("%s/v1/rangesum?dataset=ds&family=%s&metric=%s&budget=8&lo=5&hi=40", ts.URL, tc.family, tc.metric)
+		_, a := getBody(t, plain)
+		status, b := getBody(t, plain+"&shards=4")
+		if status != http.StatusOK || !bytes.Equal(a, b) {
+			t.Fatalf("%s: &shards=4 changed the answer (%d):\n%s\n%s", key, status, a, b)
 		}
 	}
 }
@@ -149,299 +113,274 @@ func TestShardedBuildRejections(t *testing.T) {
 	}
 }
 
-// clusterNode is one of the two fixture servers of the cluster test.
+// clusterNode is one fixture server of a cluster test.
 type clusterNode struct {
 	s    *Server
 	ts   *httptest.Server
 	addr string
 }
 
-// newCluster starts n servers on pre-bound listeners so every node
-// knows the full peer list before it starts, writes the dataset to
-// every node's data dir (only the owner strictly needs it), and
-// returns the nodes.
-func newCluster(t *testing.T, n int, src probsyn.Source) []*clusterNode {
+// listen pre-binds n listeners, so every node can know the full peer
+// list before any of them starts.
+func listen(t *testing.T, n int) ([]net.Listener, []string) {
 	t.Helper()
-	listeners := make([]net.Listener, n)
-	peers := make([]string, n)
+	listeners, peers := make([]net.Listener, n), make([]string, n)
 	for i := range listeners {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		listeners[i] = l
-		peers[i] = l.Addr().String()
+		listeners[i], peers[i] = l, l.Addr().String()
 	}
-	nodes := make([]*clusterNode, n)
-	for i := range nodes {
-		dataDir := t.TempDir()
-		f, err := os.Create(filepath.Join(dataDir, "ds.pd"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := probsyn.WriteDataset(f, src); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		s, err := New(Config{
-			DataDir:    dataDir,
-			CatalogDir: t.TempDir(),
-			Catalog:    catalog.New(),
-			Pool:       engine.New(engine.Options{Workers: 2}),
-			Peers:      peers,
-			Self:       peers[i],
-			C:          0.5,
-			Logf:       t.Logf,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := &httptest.Server{Listener: listeners[i], Config: &http.Server{Handler: s.Handler()}}
-		ts.Start()
-		nodes[i] = &clusterNode{s: s, ts: ts, addr: peers[i]}
-	}
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			nd.ts.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			if err := nd.s.Shutdown(ctx); err != nil {
-				t.Error(err)
-			}
-			cancel()
-		}
-	})
-	return nodes
+	return listeners, peers
 }
 
-// The two-node acceptance path: a sharded build POSTed to either node
-// forwards to the dataset's owner, pieces spread over the ring via
-// /v1/accept, and gathered reads sent to either node answer correctly
-// (forwarding to the owner, fanning out to piece owners).
-func TestClusterTwoNodeShardedBuildAndGather(t *testing.T) {
-	src := gen.MystiQLinkage(rand.New(rand.NewSource(7)), gen.DefaultMystiQ(64))
-	nodes := newCluster(t, 2, src)
-	const k = 4
-	key, err := catalog.NewKey("ds", catalog.FamilyHistogram, "SSE", 8, 0)
+// startNode starts one server on l with the given peer list (nil: no
+// cluster) and its own data and catalog directories, the data directory
+// holding src as ds.pd.
+func startNode(t *testing.T, l net.Listener, peers []string, src probsyn.Source) *clusterNode {
+	t.Helper()
+	dataDir := t.TempDir()
+	var buf bytes.Buffer
+	if err := probsyn.WriteDataset(&buf, src); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dataDir, "ds.pd"), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		DataDir: dataDir, CatalogDir: t.TempDir(), Catalog: catalog.New(),
+		Pool: engine.New(engine.Options{Workers: 2}), C: 0.5, Logf: t.Logf,
+	}
+	if peers != nil {
+		cfg.Peers, cfg.Self = peers, l.Addr().String()
+	}
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := nodes[0].s.datasetOwner("ds")
-	if o2 := nodes[1].s.datasetOwner("ds"); o2 != owner {
-		t.Fatalf("nodes disagree on the dataset owner: %q vs %q", owner, o2)
-	}
-	nonOwner := nodes[0]
-	ownerNode := nodes[1]
-	if owner == nodes[0].addr {
-		nonOwner, ownerNode = nodes[1], nodes[0]
-	}
-	// Build through the NON-owner: the request must forward.
-	resp, ok, bad := postBuild(t, nonOwner.ts, BuildRequest{
-		Dataset: "ds", Family: catalog.FamilyHistogram, Metric: "SSE", Budget: 8, Shards: k, Wait: true,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("forwarded sharded build: status %d, error %+v", resp.StatusCode, bad)
-	}
-	if ok.Status != "built" {
-		t.Fatalf("forwarded sharded build status %q", ok.Status)
-	}
-	// The merged whole lives on the owner, and only there.
-	if _, okc := ownerNode.s.cfg.Catalog.Get(key); !okc {
-		t.Fatal("merged whole missing from the owner's catalog")
-	}
-	if _, okc := nonOwner.s.cfg.Catalog.Get(key); okc {
-		t.Fatal("merged whole leaked into the non-owner's catalog")
-	}
-	// Every piece is cataloged at exactly the node the ring assigns.
-	for i := 0; i < k; i++ {
-		pk, err := key.Piece(i, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := nodes[0].s.pieceOwner(pk.Filename())
-		for _, nd := range nodes {
-			_, has := nd.s.cfg.Catalog.Get(pk)
-			if has != (nd.addr == want) {
-				t.Fatalf("piece %s: cataloged=%v on %s, owner is %s", pk, has, nd.addr, want)
-			}
-		}
-	}
-	// Offline reference: the same deterministic sharded build.
-	ref, err := probsyn.BuildSharded(src, probsyn.SSE, 8, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Gathered reads through EITHER node agree with the reference
-	// pieces (builds are bit-identical, gather sums in shard order).
-	bounds := ref.Bounds
-	for _, nd := range nodes {
-		for _, r := range [][2]int{{0, 63}, {5, 40}, {17, 17}, {30, 50}} {
-			want := 0.0
-			for sh := 0; sh < k; sh++ {
-				if bounds[sh] > r[1] || bounds[sh+1]-1 < r[0] {
-					continue
-				}
-				llo, lhi := max(r[0], bounds[sh])-bounds[sh], min(r[1], bounds[sh+1]-1)-bounds[sh]
-				want += ref.Pieces[sh].RangeSum(llo, lhi)
-			}
-			var rr RangeSumResponse
-			url := fmt.Sprintf("%s/v1/rangesum?dataset=ds&family=histogram&metric=SSE&budget=8&shards=%d&lo=%d&hi=%d",
-				nd.ts.URL, k, r[0], r[1])
-			if resp := getJSON(t, url, &rr); resp.StatusCode != http.StatusOK {
-				t.Fatalf("gathered rangesum via %s: status %d", nd.addr, resp.StatusCode)
-			}
-			if rr.Sum != want {
-				t.Fatalf("gathered rangesum [%d,%d] via %s = %v, want %v", r[0], r[1], nd.addr, rr.Sum, want)
-			}
-		}
-		for _, i := range []int{0, 13, 16, 47, 63} {
-			sh := 0
-			for bounds[sh+1] <= i {
-				sh++
-			}
-			want := ref.Pieces[sh].Estimate(i - bounds[sh])
-			var er EstimateResponse
-			url := fmt.Sprintf("%s/v1/estimate?dataset=ds&family=histogram&metric=SSE&budget=8&shards=%d&i=%d",
-				nd.ts.URL, k, i)
-			if resp := getJSON(t, url, &er); resp.StatusCode != http.StatusOK {
-				t.Fatalf("sharded estimate via %s: status %d", nd.addr, resp.StatusCode)
-			}
-			if er.Estimate != want {
-				t.Fatalf("sharded estimate(%d) via %s = %v, want %v", i, nd.addr, er.Estimate, want)
-			}
-		}
-		// The batch endpoint on this node assembles the composite
-		// querier, fetching any remote piece over /v1/blob.
-		breq := query.BatchRequest{Ops: []query.Op{
-			{BatchKey: query.BatchKey{Dataset: "ds", Family: "histogram", Metric: "SSE", Budget: 8, Shards: k}, Op: query.OpRangeSum, Lo: 5, Hi: 40},
-		}}
-		body, _ := json.Marshal(breq)
-		resp2, err := http.Post(nd.ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var bresp query.BatchResponse
-		if err := json.NewDecoder(resp2.Body).Decode(&bresp); err != nil {
-			t.Fatal(err)
-		}
-		resp2.Body.Close()
-		if len(bresp.Results) != 1 || bresp.Results[0].Err != nil {
-			t.Fatalf("batch via %s: %+v", nd.addr, bresp.Results)
-		}
-		want := 0.0
-		for sh := 0; sh < k; sh++ {
-			llo, lhi := max(5, bounds[sh])-bounds[sh], min(40, bounds[sh+1]-1)-bounds[sh]
-			if bounds[sh] > 40 || bounds[sh+1]-1 < 5 {
-				continue
-			}
-			want += ref.Pieces[sh].RangeSum(llo, lhi)
-		}
-		if bresp.Results[0].Value != want {
-			t.Fatalf("batch rangesum via %s = %v, want %v", nd.addr, bresp.Results[0].Value, want)
-		}
-	}
-	// Peer-down: kill the owner, then a build for a dataset it owns must
-	// fail fast with peer_unavailable at the surviving node.
-	ownerNode.ts.Close()
+	nd := &clusterNode{s: s, addr: l.Addr().String(),
+		ts: &httptest.Server{Listener: l, Config: &http.Server{Handler: s.Handler()}}}
+	nd.ts.Start()
+	t.Cleanup(nd.stop)
+	return nd
+}
+
+// stop closes the node's listener and drains its queues; stopping a
+// stopped node does nothing.
+func (nd *clusterNode) stop() {
+	nd.ts.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	if err := ownerNode.s.Shutdown(ctx); err != nil {
-		t.Error(err)
+	defer cancel()
+	_ = nd.s.Shutdown(ctx)
+}
+
+// newCluster starts two nodes sharing one peer list and returns them as
+// (the owner of "ds", the other node).
+func newCluster(t *testing.T, src probsyn.Source) (owner, other *clusterNode) {
+	t.Helper()
+	listeners, peers := listen(t, 2)
+	a, b := startNode(t, listeners[0], peers, src), startNode(t, listeners[1], peers, src)
+	peer, elsewhere := a.s.owner("ds")
+	if p2, _ := b.s.owner("ds"); p2 != peer {
+		t.Fatalf("nodes disagree on the dataset owner: %q vs %q", peer, p2)
 	}
-	cancel()
-	// Find a dataset name the dead node owns (the ring is deterministic,
-	// so probe until one maps there).
-	name := ""
-	for i := 0; i < 64; i++ {
-		cand := fmt.Sprintf("gone-%d", i)
-		if nonOwner.s.datasetOwner(cand) == ownerNode.addr {
-			name = cand
-			break
+	if elsewhere {
+		return b, a
+	}
+	return a, b
+}
+
+// errorCode is the typed error code a response body carries, "" if none.
+func errorCode(raw []byte) string {
+	var bad ErrorBody
+	_ = json.Unmarshal(raw, &bad)
+	return bad.Error.Code
+}
+
+// ownedBy probes for a dataset name s's ring places on peer.
+func ownedBy(t *testing.T, s *Server, peer string) string {
+	t.Helper()
+	for i := 0; i < 256; i++ {
+		// The varying part leads: FNV-1a mixes a trailing byte into the low
+		// bits only, and the ring orders keys by the high ones.
+		name := fmt.Sprintf("%d-probe", i)
+		if p, _ := s.owner(name); p == peer {
+			return name
 		}
 	}
-	if name == "" {
-		t.Fatal("no probe dataset mapped to the dead peer")
+	t.Fatalf("no probe dataset maps to %s", peer)
+	return ""
+}
+
+// The cluster is one forwarding rule, so its test is one table: every
+// request that names a dataset, sent to the node that does not own it,
+// answers byte for byte what the same request answers on the owner of an
+// identical cluster — successes and typed errors alike — and leaves
+// nothing on the node that forwarded it.
+func TestClusterForwarding(t *testing.T) {
+	vp := valueDataset(24)
+	ownerA, otherA := newCluster(t, vp) // driven through the non-owner
+	ownerB, _ := newCluster(t, vp)      // driven through the owner
+	item := ItemPDFWire{Entries: []FreqProbWire{{Freq: 4, Prob: 0.5}}}
+	const read = "?dataset=ds&family=histogram&metric=SSE&budget=6"
+	requests := []struct {
+		name, path string
+		body       any // nil: a GET
+	}{
+		{"build", "/v1/build", BuildRequest{Dataset: "ds", Family: "histogram", Metric: "SSE", Budget: 6, Shards: 2, Wait: true}},
+		{"sweep", "/v1/sweep", BuildRequest{Dataset: "ds", Family: "wavelet", Metric: "SAE", Budget: 3, Wait: true}},
+		{"append", "/v1/append", MutateRequest{Dataset: "ds", Items: []ItemPDFWire{item, item}, Wait: true}},
+		{"update", "/v1/update", MutateRequest{Dataset: "ds", I: 3, Item: &item, Wait: true}},
+		{"estimate", "/v1/estimate" + read + "&i=25", nil},
+		{"rangesum", "/v1/rangesum" + read + "&lo=2&hi=99", nil},
+		{"ready build", "/v1/build", BuildRequest{Dataset: "ds", Family: "wavelet", Metric: "SAE", Budget: 2}},
+		{"bad metric", "/v1/build", BuildRequest{Dataset: "ds", Family: "histogram", Metric: "XXX", Budget: 6}},
+		{"bad body", "/v1/append", "not an object"},
+		{"update out of domain", "/v1/update", MutateRequest{Dataset: "ds", I: 999, Item: &item, Wait: true}},
+		{"unbuilt key", "/v1/estimate?dataset=ds&family=histogram&metric=SSE&budget=99&i=1", nil},
+		{"out of domain", "/v1/estimate" + read + "&i=26", nil},
 	}
-	resp3, _, bad3 := postBuild(t, nonOwner.ts, BuildRequest{Dataset: name, Family: "histogram", Metric: "SSE", Budget: 4, Wait: true})
-	if resp3.StatusCode != http.StatusBadGateway || bad3.Error.Code != CodePeerUnavailable {
-		t.Fatalf("build for a dead peer's dataset: status %d, error %+v", resp3.StatusCode, bad3)
+	ask := func(nd *clusterNode, path string, body any) (int, []byte) {
+		if body == nil {
+			return getBody(t, nd.ts.URL+path)
+		}
+		resp, raw := postJSON(t, nd.ts.URL+path, body)
+		return resp.StatusCode, raw
+	}
+	for _, rq := range requests {
+		gotStatus, got := ask(otherA, rq.path, rq.body)
+		wantStatus, want := ask(ownerB, rq.path, rq.body)
+		if gotStatus != wantStatus || !bytes.Equal(got, want) {
+			t.Fatalf("%s via the non-owner: %d %s\nvia the owner: %d %s", rq.name, gotStatus, got, wantStatus, want)
+		}
+		if rq.name == "build" && (gotStatus != http.StatusOK || !bytes.Contains(got, []byte(`"built"`))) {
+			t.Fatalf("forwarded build: %d %s", gotStatus, got)
+		}
+	}
+
+	// Everything landed on the owner — the files an offline rebuild over
+	// the mutated dataset writes — and nothing on the node that forwarded:
+	// no catalog entry, no file, no parsed dataset.
+	des, err := os.ReadDir(otherA.s.cfg.CatalogDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherA.s.dsMu.RLock()
+	parsed := len(otherA.s.datasets)
+	otherA.s.dsMu.RUnlock()
+	if len(des) != 0 || otherA.s.cfg.Catalog.Len() != 0 || parsed != 0 {
+		t.Fatalf("the forwarding node holds %d files, %d entries, %d datasets", len(des), otherA.s.cfg.Catalog.Len(), parsed)
+	}
+	mutated := vp.Clone()
+	mutated.Items = append(mutated.Items, item.toPDF(), item.toPDF())
+	mutated.N = len(mutated.Items)
+	mutated.Items[3] = item.toPDF()
+	assertCatalogMatchesOfflineRebuild(t, ownerA.s.cfg.CatalogDir, mutated, "ds", 0.5)
+	if ownerA.s.cfg.Catalog.Len() != 4 || ownerB.s.cfg.Catalog.Len() != 4 {
+		t.Fatalf("owners catalog %d and %d keys, want the 4 built", ownerA.s.cfg.Catalog.Len(), ownerB.s.cfg.Catalog.Len())
+	}
+
+	// A batch is answered where it lands: on the owner it answers, on the
+	// other node the op is not_found and says where the dataset lives.
+	batch := query.BatchRequest{Ops: []query.Op{{
+		BatchKey: query.BatchKey{Dataset: "ds", Family: "histogram", Metric: "SSE", Budget: 6}, Op: query.OpEstimate, I: 25,
+	}}}
+	if _, one, _ := postQuery(t, ownerA.ts, batch); len(one.Results) != 1 || one.Results[0].Err != nil {
+		t.Fatalf("batch on the owner: %+v", one.Results)
+	}
+	_, one, _ := postQuery(t, otherA.ts, batch)
+	if len(one.Results) != 1 || one.Results[0].Err == nil || one.Results[0].Err.Code != CodeNotFound ||
+		!strings.Contains(one.Results[0].Err.Message, "owned by peer "+ownerA.addr) {
+		t.Fatalf("batch on the non-owner: %+v", one.Results)
+	}
+
+	// Owner down: each of the six forwards fails 502 peer_unavailable.
+	ownerA.stop()
+	for _, rq := range requests[:6] {
+		if status, got := ask(otherA, rq.path, rq.body); status != http.StatusBadGateway || errorCode(got) != CodePeerUnavailable {
+			t.Fatalf("%s with the owner down: %d %s", rq.name, status, got)
+		}
 	}
 }
 
-// The owner caches compiled remote pieces after the first gather, so
-// steady-state gathered reads are purely local: once warmed, they keep
-// answering (bit-identically) after every peer is gone.
-func TestClusterGatherCachesRemotePieces(t *testing.T) {
-	src := gen.MystiQLinkage(rand.New(rand.NewSource(7)), gen.DefaultMystiQ(64))
-	nodes := newCluster(t, 2, src)
-	const k = 4
-	key, err := catalog.NewKey("ds", catalog.FamilyHistogram, "SSE", 8, 0)
-	if err != nil {
-		t.Fatal(err)
+// A forward whose connection drops is retried only when it is a read: an
+// append may already have been applied by the peer that went quiet, so it
+// reaches the peer at most once and surfaces as 502.
+func TestForwardRetriesOnlyReads(t *testing.T) {
+	var requests atomic.Int64
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		if requests.Add(1) == 1 {
+			if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+				conn.Close() // the request was read; the answer never comes
+			}
+			return
+		}
+		fmt.Fprint(w, `{"answered":true}`)
+	}))
+	defer peer.Close()
+	peerAddr := strings.TrimPrefix(peer.URL, "http://")
+	listeners, self := listen(t, 1)
+	nd := startNode(t, listeners[0], []string{self[0], peerAddr}, valueDataset(4))
+	name := ownedBy(t, nd.s, peerAddr)
+
+	resp, raw := postJSON(t, nd.ts.URL+"/v1/append", MutateRequest{
+		Dataset: name, Items: []ItemPDFWire{{Entries: []FreqProbWire{{Freq: 1, Prob: 0.5}}}}, Wait: true})
+	if resp.StatusCode != http.StatusBadGateway || errorCode(raw) != CodePeerUnavailable {
+		t.Fatalf("dropped append: %d %s", resp.StatusCode, raw)
 	}
-	owner := nodes[0].s.datasetOwner("ds")
-	ownerNode, peerNode := nodes[1], nodes[0]
-	if owner == nodes[0].addr {
-		ownerNode, peerNode = nodes[0], nodes[1]
+	if got := requests.Load(); got != 1 {
+		t.Fatalf("dropped append reached the peer %d times, want once", got)
 	}
-	resp, ok, bad := postBuild(t, ownerNode.ts, BuildRequest{
-		Dataset: "ds", Family: catalog.FamilyHistogram, Metric: "SSE", Budget: 8, Shards: k, Wait: true,
-	})
-	if resp.StatusCode != http.StatusOK || ok.Status != "built" {
-		t.Fatalf("sharded build: status %d, error %+v", resp.StatusCode, bad)
+	requests.Store(0)
+	status, body := getBody(t, nd.ts.URL+"/v1/estimate?dataset="+name+"&family=histogram&metric=SSE&budget=2&i=0")
+	if status != http.StatusOK || string(body) != `{"answered":true}` {
+		t.Fatalf("dropped estimate was not retried to an answer: %d %s", status, body)
 	}
-	remotePieces := 0
-	for i := 0; i < k; i++ {
-		pk, err := key.Piece(i, k)
+	if got := requests.Load(); got != 2 {
+		t.Fatalf("dropped estimate reached the peer %d times, want twice", got)
+	}
+}
+
+// Nodes whose -peers lists differ refuse each other's forwards instead of
+// routing by two different rings, and a request that was forwarded once
+// is served or refused where it lands, never forwarded again.
+func TestSplitRingRefuses(t *testing.T) {
+	listeners, peers := listen(t, 2)
+	vp := valueDataset(4)
+	x := startNode(t, listeners[0], peers, vp)
+	y := startNode(t, listeners[1], append(peers[:2:2], "127.0.0.1:1"), vp)
+	name := ownedBy(t, x.s, y.addr)
+	estimate := "/v1/estimate?dataset=" + name + "&family=histogram&metric=SSE&budget=2&i=0"
+	for _, path := range []string{"/v1/build", "/v1/append"} {
+		resp, raw := postJSON(t, x.ts.URL+path, map[string]any{"dataset": name, "family": "histogram", "metric": "SSE", "budget": 2})
+		if resp.StatusCode != http.StatusConflict || errorCode(raw) != CodeRingMismatch {
+			t.Fatalf("%s across a split ring: %d %s", path, resp.StatusCode, raw)
+		}
+	}
+	if status, raw := getBody(t, x.ts.URL+estimate); status != http.StatusConflict || errorCode(raw) != CodeRingMismatch {
+		t.Fatalf("estimate across a split ring: %d %s", status, raw)
+	}
+	// What a node says to a request x forwarded: y and a node outside any
+	// cluster refuse it; x itself serves it — its own 404, not y's 409 —
+	// even though its ring places the dataset on y.
+	ls, _ := listen(t, 1)
+	lone := startNode(t, ls[0], nil, vp)
+	for nd, want := range map[*clusterNode]int{y: http.StatusConflict, lone: http.StatusConflict, x: http.StatusNotFound} {
+		req, err := http.NewRequest(http.MethodGet, nd.ts.URL+estimate, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ownerNode.s.pieceOwner(pk.Filename()) != ownerNode.addr {
-			remotePieces++
+		req.Header.Set(ringHeader, x.s.ring.Fingerprint())
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if remotePieces == 0 {
-		t.Skip("ring placed every piece on the dataset owner; nothing remote to cache")
-	}
-	// Warm the cache with one full-domain gather through the owner.
-	var warm RangeSumResponse
-	url := fmt.Sprintf("%s/v1/rangesum?dataset=ds&family=histogram&metric=SSE&budget=8&shards=%d&lo=0&hi=63", ownerNode.ts.URL, k)
-	if resp := getJSON(t, url, &warm); resp.StatusCode != http.StatusOK {
-		t.Fatalf("warming gather: status %d", resp.StatusCode)
-	}
-	ownerNode.s.pieceMu.RLock()
-	cached := len(ownerNode.s.pieceCache)
-	ownerNode.s.pieceMu.RUnlock()
-	if cached != remotePieces {
-		t.Fatalf("owner cached %d pieces, want the %d remote ones", cached, remotePieces)
-	}
-	// Kill the piece-holding peer; warmed gathers must keep answering.
-	peerNode.ts.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	if err := peerNode.s.Shutdown(ctx); err != nil {
-		t.Error(err)
-	}
-	cancel()
-	var after RangeSumResponse
-	if resp := getJSON(t, url, &after); resp.StatusCode != http.StatusOK {
-		t.Fatalf("gather after peer death: status %d", resp.StatusCode)
-	}
-	if after.Sum != warm.Sum {
-		t.Fatalf("gather after peer death = %v, warmed answer was %v", after.Sum, warm.Sum)
-	}
-	// A rebuild on the owner drops the cache: with the peer dead, piece
-	// redistribution must now fail rather than serve stale caches.
-	resp2, _, _ := postBuild(t, ownerNode.ts, BuildRequest{
-		Dataset: "ds", Family: catalog.FamilyHistogram, Metric: "SSE", Budget: 8, Shards: k, Wait: true,
-	})
-	if resp2.StatusCode == http.StatusOK {
-		t.Fatal("sharded rebuild succeeded with the piece owner dead")
-	}
-	ownerNode.s.pieceMu.RLock()
-	left := len(ownerNode.s.pieceCache)
-	ownerNode.s.pieceMu.RUnlock()
-	if left != 0 {
-		t.Fatalf("failed rebuild left %d cached pieces, want 0", left)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("a request forwarded by x got %d from %s, want %d", resp.StatusCode, nd.addr, want)
+		}
 	}
 }
 

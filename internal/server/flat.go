@@ -12,11 +12,11 @@ import (
 // against live catalog changes. The discipline is remove-then-repack:
 //
 //   - JobStart runs before any work that may persist or withdraw
-//     catalog entries (builds, sweeps, mutations, accepted cluster
-//     pieces) and REMOVES the flat file first — so at every instant,
-//     a flat file that exists on disk describes exactly the .psyn
-//     files beside it. A crash mid-job boots from the .psyn directory
-//     alone; nothing can serve a stale flat snapshot.
+//     catalog entries (builds, sweeps, mutations) and REMOVES the flat
+//     file first — so at every instant, a flat file that exists on disk
+//     describes exactly the .psyn files beside it. A crash mid-job boots
+//     from the .psyn directory alone; nothing can serve a stale flat
+//     snapshot.
 //   - JobEnd marks the work finished; once no work is active, the
 //     background packer re-packs the whole catalog and writes the file
 //     atomically. Packs racing a new job are discarded (generation

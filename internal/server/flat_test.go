@@ -8,12 +8,12 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"net/url"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"probsyn"
 	"probsyn/internal/catalog"
 	"probsyn/internal/engine"
 	"probsyn/internal/hist"
@@ -161,11 +161,11 @@ func getBody(t *testing.T, url string) (int, []byte) {
 }
 
 // TestBootPathsAgree: one catalog directory — both families, a
-// relative-error metric, a quantized wavelet, sharded pieces — booted
+// relative-error metric, a quantized wavelet, a sharded build — booted
 // through the codec and through its flat file is the same catalog:
 // every key's querier answers Float64bits-equal, /v1/synopses lists
-// identically, /v1/blob serves the .psyn file's bytes either way, and a
-// batch over every key comes back byte-identical.
+// identically, each entry's synopsis re-encodes to the .psyn file's bytes
+// either way, and a batch over every key comes back byte-identical.
 func TestBootPathsAgree(t *testing.T) {
 	dir := t.TempDir()
 	_, ts, _ := newFixture(t, Config{CatalogDir: dir, C: 0.5})
@@ -244,22 +244,18 @@ func TestBootPathsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, base := range []string{codecTS.URL, flatTS.URL} {
-			status, blob := getBody(t, base+"/v1/blob?name="+url.QueryEscape(key.Filename()))
-			if status != 200 || !bytes.Equal(blob, file) {
-				t.Fatalf("%v: /v1/blob from %s: status %d, %d bytes; the .psyn file has %d", key, base, status, len(blob), len(file))
+		for boot, e := range map[string]*catalog.Entry{"codec": want, "flat": got} {
+			blob, err := probsyn.MarshalSynopsis(e.Synopsis)
+			if err != nil || !bytes.Equal(blob, file) {
+				t.Fatalf("%v: the %s boot's synopsis re-encodes to %d bytes (%v); the .psyn file has %d", key, boot, len(blob), err, len(file))
 			}
 		}
 
-		if key.Shards == 0 {
-			bk := query.BatchKey{Dataset: key.Dataset, Family: key.Family, Metric: key.Metric, Budget: key.Budget, C: key.C, Q: key.Q}
-			batch.Ops = append(batch.Ops,
-				query.Op{BatchKey: bk, Op: query.OpEstimate, I: dom / 3},
-				query.Op{BatchKey: bk, Op: query.OpRangeSum, Lo: 1, Hi: dom - 2})
-		}
+		bk := query.BatchKey{Dataset: key.Dataset, Family: key.Family, Metric: key.Metric, Budget: key.Budget, C: key.C, Q: key.Q}
+		batch.Ops = append(batch.Ops,
+			query.Op{BatchKey: bk, Op: query.OpEstimate, I: dom / 3},
+			query.Op{BatchKey: bk, Op: query.OpRangeSum, Lo: 1, Hi: dom - 2})
 	}
-	sharded := query.BatchKey{Dataset: "ds", Family: "histogram", Metric: "SSE", Budget: 6, Shards: 2}
-	batch.Ops = append(batch.Ops, query.Op{BatchKey: sharded, Op: query.OpRangeSum, Lo: 3, Hi: 60})
 	_, wantBatch := postJSON(t, codecTS.URL+"/v1/query", batch)
 	_, gotBatch := postJSON(t, flatTS.URL+"/v1/query", batch)
 	if !bytes.Equal(gotBatch, wantBatch) {

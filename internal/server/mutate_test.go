@@ -241,6 +241,65 @@ func TestAppendRevalidatesCatalog(t *testing.T) {
 	assertCatalogMatchesOfflineRebuild(t, catDir, want, "vds", 0.5)
 }
 
+// TestMutateAfterShardedBuild: a sharded build publishes one synopsis
+// under the ordinary key, so a mutation revalidates it like any other
+// entry. (When the k pieces were catalog keys too, each was its own
+// revalidation group: every group re-applied the mutation to the one
+// shared live frontier, and the listing showed pieces of domain 26 and 27
+// beside a 24-item dataset after a single one-item append.)
+func TestMutateAfterShardedBuild(t *testing.T) {
+	catDir := t.TempDir()
+	_, ts, vp := newValueFixture(t, Config{CatalogDir: catDir})
+	for _, family := range []string{"histogram", "wavelet"} {
+		if resp, _, bad := postBuild(t, ts, BuildRequest{Dataset: "vds", Family: family, Metric: "SSE", Budget: 6, Shards: 2, Wait: true}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("sharded %s build: %d %v", family, resp.StatusCode, bad)
+		}
+	}
+	item := ItemPDFWire{Entries: []FreqProbWire{{Freq: 3, Prob: 0.5}}}
+	want := vp.Clone()
+	for step, req := range []MutateRequest{
+		{Dataset: "vds", Items: []ItemPDFWire{item}, Wait: true},
+		{Dataset: "vds", Items: []ItemPDFWire{item, item}, Wait: true},
+		{Dataset: "vds", I: 5, Item: &item, Wait: true},
+	} {
+		path := "/v1/append"
+		if req.Item != nil {
+			path = "/v1/update"
+			want.Items[req.I] = item.toPDF()
+		}
+		for _, iw := range req.Items {
+			want.Items = append(want.Items, iw.toPDF())
+		}
+		want.N = len(want.Items)
+		resp, ok, bad := postMutate(t, ts, path, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("mutation %d: %d %v", step, resp.StatusCode, bad)
+		}
+		if ok.Domain != want.N || ok.Republished != 2 {
+			t.Fatalf("mutation %d answered domain %d, republished %d; want %d and the 2 built keys", step, ok.Domain, ok.Republished, want.N)
+		}
+		var list ListResponse
+		getJSON(t, ts.URL+"/v1/synopses", &list)
+		if len(list.Synopses) != 2 {
+			t.Fatalf("mutation %d: %d synopses listed, want 2: %+v", step, len(list.Synopses), list.Synopses)
+		}
+		for _, row := range list.Synopses {
+			domain := want.N
+			if row.Key.Family == "wavelet" {
+				domain = 32 // padded to a power of two
+			}
+			if row.Domain != domain {
+				t.Fatalf("mutation %d: %v listed at domain %d, the dataset has %d items", step, row.Key, row.Domain, want.N)
+			}
+		}
+		des, err := os.ReadDir(catDir)
+		if err != nil || len(des) != 2 {
+			t.Fatalf("mutation %d: catalog directory holds %d files, want one per built key (%v)", step, len(des), err)
+		}
+		assertCatalogMatchesOfflineRebuild(t, catDir, want, "vds", 0)
+	}
+}
+
 // TestQuantizedEntriesCoexistAndRevalidate: a quantized (approximate
 // restricted DP) wavelet build catalogs under its own key next to the
 // exact build of the same dataset/metric/budget, serves through the

@@ -214,7 +214,7 @@ func newBenchServer(b *testing.B) (*Server, *httptest.Server) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := s.build(key); err != nil {
+		if _, err := s.build(key, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

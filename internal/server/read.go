@@ -1,17 +1,15 @@
-// The read path. Every read — a point GET, a piece GET (&shard=s), a
-// gathered GET (&shards=k), each op of a POST /v1/query batch, and
-// offline psyn -query — is the same three steps:
+// The read path. Every read — a GET, each op of a POST /v1/query batch,
+// and offline psyn -query — is the same three steps:
 //
 //	parse    the request into query.Ops (parseRead for a GET's query
 //	         string, query.DecodeBatch for a batch body);
 //	resolve  each op's key to a querier (catalog.Resolve over
-//	         Server.querier: the catalog, then the piece's owning peer);
+//	         Server.querier, the catalog);
 //	evaluate the op against it (query.Eval / query.EvalBatch: the domain
 //	         and clamp rules, then the compiled querier).
 //
 // A GET is a batch of one whose per-op error becomes the HTTP status.
-// No read opens a dataset file: a sharded key's domain and boundaries
-// come from its pieces.
+// No read opens a dataset file.
 package server
 
 import (
@@ -26,8 +24,8 @@ import (
 
 // parseRead parses a GET read's query string, once, into the op it
 // asks: dataset, family, metric, budget and i (estimate) or lo, hi
-// (rangesum) are required; c, q, shards and shard (which needs shards)
-// are optional key syntax. The first bad parameter is the error.
+// (rangesum) are required; c and q are optional key syntax. The first
+// bad parameter is the error.
 func parseRead(rawQuery, kind string) (query.Op, error) {
 	v, _ := url.ParseQuery(rawQuery) // a malformed pair is dropped, as Request.URL.Query drops it
 	var err error
@@ -49,18 +47,6 @@ func parseRead(rawQuery, kind string) (query.Op, error) {
 	}
 	op := query.Op{Op: kind}
 	op.Dataset, op.Family, op.Metric = v.Get("dataset"), v.Get("family"), v.Get("metric")
-	if op.Shards = num("shards", false); op.Shards < 0 {
-		fail("bad shards %q", v.Get("shards"))
-	}
-	if raw := v.Get("shard"); raw != "" {
-		s := num("shard", true)
-		if s < 0 {
-			fail("bad shard %q", raw)
-		} else if op.Shards < 2 {
-			fail("shard=%d needs shards >= 2", s)
-		}
-		op.Piece = s + 1
-	}
 	op.Budget = num("budget", true)
 	if raw := v.Get("c"); raw != "" {
 		c, e := strconv.ParseFloat(raw, 64)
@@ -80,11 +66,8 @@ func parseRead(rawQuery, kind string) (query.Op, error) {
 
 // statusOf maps a per-op error code to the GET endpoints' HTTP status.
 func statusOf(code string) int {
-	switch code {
-	case CodeNotFound:
+	if code == CodeNotFound {
 		return http.StatusNotFound
-	case CodePeerUnavailable:
-		return http.StatusBadGateway
 	}
 	return http.StatusBadRequest
 }
@@ -96,14 +79,6 @@ func (s *Server) handleRead(kind string) http.HandlerFunc {
 		if err != nil {
 			writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 			return
-		}
-		// Routing, not reading: a dataset's owner coordinates its gathers,
-		// because only it may keep the remote pieces compiled (remotePiece).
-		if op.Shards >= 2 && op.Piece == 0 && s.clustered() {
-			if owner := s.datasetOwner(op.Dataset); owner != s.cfg.Self {
-				s.forward(w, owner, http.MethodGet, r.URL.RequestURI(), nil, "")
-				return
-			}
 		}
 		key, q, operr := catalog.Resolve(op.BatchKey, s.cfg.C, s.querier)
 		var res query.OpResult
@@ -125,14 +100,16 @@ func (s *Server) handleRead(kind string) http.HandlerFunc {
 	}
 }
 
-// querier is the server's synopsis source for catalog.Resolve: the local
-// catalog, then — for a piece, which may live on a peer — remotePiece.
+// querier is the server's synopsis source for catalog.Resolve: the
+// catalog. A routed GET for another node's dataset never gets here; a
+// batch op can, and is told where the dataset lives.
 func (s *Server) querier(key catalog.Key) (query.Querier, *query.OpError) {
 	if entry, ok := s.cfg.Catalog.Get(key); ok {
 		return entry.Querier, nil
 	}
-	if key.Shards == 0 {
-		return nil, nil
+	if peer, elsewhere := s.owner(key.Dataset); elsewhere {
+		return nil, &query.OpError{Code: CodeNotFound, Message: fmt.Sprintf(
+			"no synopsis for %s on this node: dataset %q is owned by peer %s", key, key.Dataset, peer)}
 	}
-	return s.remotePiece(key)
+	return nil, nil
 }

@@ -32,7 +32,7 @@
 //	                   estimate from the catalog.
 //	GET  /v1/rangesum  ?dataset=&family=&metric=&budget=&lo=&hi= — range
 //	                   estimate from the catalog. Both take the optional
-//	                   key syntax &c= &q= &shards= &shard=.
+//	                   key syntax &c= &q=.
 //	POST /v1/query     {ops: [{dataset, family, metric, budget, c?, op,
 //	                   i?, lo?, hi?}, ...]} — a batch of heterogeneous
 //	                   estimate/rangesum operations against one or many
@@ -40,30 +40,20 @@
 //	                   errors; one round trip amortizes parsing and key
 //	                   resolution across the whole batch.
 //	GET  /v1/synopses  — list catalog entries.
-//	POST /v1/accept    ?name= (body: envelope bytes) — ingest one piece
-//	                   of a sharded build pushed by the building node
-//	                   (cluster internal; persist-before-publish).
-//	GET  /v1/blob      ?name= — a cataloged synopsis's envelope bytes,
-//	                   fetched by gathering nodes to compile remote
-//	                   pieces locally.
 //
 // Sharded builds and cluster mode: a build request with shards >= 2
 // partitions the domain, builds the shards in parallel over the pool
 // (probsyn.BuildSharded), and publishes the merged synopsis under the
-// ordinary key plus k piece entries under shard-suffixed keys. With a
-// peer list configured (Config.Peers/Self), the server is one node of
-// a scatter/gather cluster: builds forward to the dataset's owning
-// node and pieces spread over the consistent-hash ring — see cluster.go
-// for the protocol.
+// ordinary key — nothing downstream of the build can tell how a synopsis
+// was built. With a peer list configured (Config.Peers/Self), the server
+// is one node of a cluster that forwards every request naming a dataset
+// to the dataset's owning node — see cluster.go for the rule.
 //
 // Every read — the single GET endpoints and batches alike — is parse,
 // resolve, evaluate (read.go): the key resolves through catalog.Resolve
 // to a compiled querier (internal/query), built once at publish time,
 // O(log) time and zero allocation per operation, bit-identical to the
-// synopsis's own methods. On the GETs, &shards=k names a k-way sharded
-// build, answered from its k pieces (remote ones fetched from their
-// owners), and &shard=s with it names piece s alone, in the piece's own
-// coordinates; both are key syntax, not separate handlers.
+// synopsis's own methods.
 //
 // Mutations are serialized per dataset (builds of a dataset share a read
 // lock, mutations take the write lock), so a build admitted before an
@@ -75,7 +65,7 @@
 //
 // Errors are typed: {"error": {"code", "message"}} with codes
 // bad_request, not_found, queue_full, build_failed, shutting_down,
-// peer_unavailable.
+// peer_unavailable, ring_mismatch.
 package server
 
 import (
@@ -137,13 +127,13 @@ type Config struct {
 	// frontier is dropped — a later mutation of its dataset rebuilds it
 	// from the persisted source, trading one build for bounded memory.
 	MaxLiveStates int
-	// Peers, when non-empty, makes this server one node of a
-	// scatter/gather cluster: the full static peer address list, in the
-	// SAME order and spelling on every node — placement is a pure
-	// function of this list, so any disagreement splits the ring.
+	// Peers, when non-empty, makes this server one node of a cluster:
+	// the full static peer address list, in the SAME order and spelling
+	// on every node — placement is a pure function of this list, and
+	// nodes whose lists differ refuse each other's forwarded requests.
 	Peers []string
 	// Self is this node's own entry in Peers (required when Peers is
-	// set): how the node recognizes which datasets and pieces it owns.
+	// set): how the node recognizes which datasets it owns.
 	Self string
 	// Logf, when non-nil, receives operational log lines (failed builds
 	// especially — an async wait:false build has no response to carry
@@ -181,20 +171,9 @@ type Server struct {
 
 	// Cluster state, nil outside cluster mode: the consistent-hash ring
 	// every node derives identically from cfg.Peers, and the reused
-	// HTTP client forwarded requests and piece pushes go through.
+	// HTTP client forwarded requests go through.
 	ring   *cluster.Ring
 	remote *cluster.Client
-
-	// pieceCache holds compiled queriers for REMOTE pieces of datasets
-	// this node owns: synopses are tiny (B terms), so the owning
-	// coordinator fetches each piece's envelope once (GET /v1/blob) and
-	// answers every later gathered read locally instead of paying a
-	// peer round trip per request. Only the dataset owner populates it
-	// — all sharded rebuilds of a dataset run on its owner, which drops
-	// the stale entries after redistributing (see buildSharded) — so
-	// the cache can never outlive the build it was compiled from.
-	pieceMu    sync.RWMutex
-	pieceCache map[catalog.Key]query.Querier
 
 	// flat maintains the flat catalog file (nil when Config.
 	// FlatPath is empty): invalidation before catalog-changing jobs,
@@ -236,7 +215,8 @@ type Server struct {
 
 // jobKey identifies a deduplicatable unit of build work. shards > 1
 // dedupes sharded builds separately from plain builds of the same key:
-// they produce different catalog footprints (pieces).
+// a k-way merge is a different synopsis with its own bound, and the
+// request that waits on the job reports that bound.
 type jobKey struct {
 	catalog.Key
 	sweep  bool
@@ -280,7 +260,9 @@ type buildJob struct {
 	done   chan struct{}
 	err    error
 
-	// mutation results, reported on wait:true responses.
+	// results reported on wait:true responses: a sharded build's
+	// suboptimality bound, a mutation's new domain and republish count.
+	bound       float64
 	domain      int
 	republished int
 }
@@ -320,16 +302,15 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		ring:       ring,
-		remote:     remote,
-		cfg:        cfg,
-		queue:      make(chan *buildJob, cfg.QueueDepth),
-		mutQueue:   make(chan *buildJob, cfg.QueueDepth),
-		datasets:   make(map[string]probsyn.Source),
-		pending:    make(map[jobKey]*buildJob),
-		pieceCache: make(map[catalog.Key]query.Querier),
-		dsLocks:    make(map[string]*sync.RWMutex),
-		lives:      make(map[liveKey]*liveState),
+		ring:     ring,
+		remote:   remote,
+		cfg:      cfg,
+		queue:    make(chan *buildJob, cfg.QueueDepth),
+		mutQueue: make(chan *buildJob, cfg.QueueDepth),
+		datasets: make(map[string]probsyn.Source),
+		pending:  make(map[jobKey]*buildJob),
+		dsLocks:  make(map[string]*sync.RWMutex),
+		lives:    make(map[liveKey]*liveState),
 	}
 	if cfg.FlatPath != "" {
 		s.flat = newFlatKeeper(cfg.FlatPath, cfg.Catalog, s.logf)
@@ -369,11 +350,7 @@ func (s *Server) runJob(job *buildJob) {
 	case jobMutate:
 		job.domain, job.republished, job.err = s.mutate(job.mut)
 	default:
-		if job.shards > 1 {
-			job.err = s.buildSharded(job.key, job.shards)
-		} else {
-			job.err = s.build(job.key)
-		}
+		job.bound, job.err = s.build(job.key, job.shards)
 	}
 	if job.err != nil {
 		// Surface every failure here: an async (wait:false) client has
@@ -446,16 +423,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Handler returns the server's route table.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/build", s.handleBuild)
-	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	mux.HandleFunc("POST /v1/append", s.handleAppend)
-	mux.HandleFunc("POST /v1/update", s.handleUpdate)
-	mux.HandleFunc("GET /v1/estimate", s.handleRead(query.OpEstimate))
-	mux.HandleFunc("GET /v1/rangesum", s.handleRead(query.OpRangeSum))
+	mux.HandleFunc("POST /v1/build", s.route(s.handleBuild))
+	mux.HandleFunc("POST /v1/sweep", s.route(s.handleSweep))
+	mux.HandleFunc("POST /v1/append", s.route(s.handleAppend))
+	mux.HandleFunc("POST /v1/update", s.route(s.handleUpdate))
+	mux.HandleFunc("GET /v1/estimate", s.route(s.handleRead(query.OpEstimate)))
+	mux.HandleFunc("GET /v1/rangesum", s.route(s.handleRead(query.OpRangeSum)))
 	mux.HandleFunc("POST /v1/query", s.handleQuery)
 	mux.HandleFunc("GET /v1/synopses", s.handleSynopses)
-	mux.HandleFunc("POST /v1/accept", s.handleAccept)
-	mux.HandleFunc("GET /v1/blob", s.handleBlob)
 	return mux
 }
 
@@ -480,8 +455,7 @@ type BuildRequest struct {
 	// Shards >= 2 requests a sharded build: the domain splits into that
 	// many contiguous ranges built in parallel over the pool and merged
 	// (probsyn.BuildSharded); the merged synopsis publishes under the
-	// ordinary key and the k pieces under shard-suffixed keys. 0 or 1
-	// is an ordinary unsharded build.
+	// ordinary key. 0 or 1 is an ordinary unsharded build.
 	Shards int `json:"shards,omitempty"`
 	// Wait makes the request synchronous: the response arrives after the
 	// queued build completes (or fails).
@@ -496,6 +470,10 @@ type BuildResponse struct {
 	// Budgets is how many per-budget synopses the request covers: 0 for
 	// single builds, the swept budget count (1..key.budget) for sweeps.
 	Budgets int `json:"budgets,omitempty"`
+	// Bound, on the "built" response of a sharded build, certifies the
+	// merged synopsis's cost within Bound of the unsharded optimum
+	// (probsyn.ShardedResult.Bound; 0, omitted, when the merge is exact).
+	Bound float64 `json:"bound,omitempty"`
 }
 
 // FreqProbWire is one (frequency, probability) entry of a mutation's
@@ -590,6 +568,7 @@ const (
 	CodeBuildFailed     = "build_failed"
 	CodeShuttingDown    = "shutting_down"
 	CodePeerUnavailable = "peer_unavailable"
+	CodeRingMismatch    = "ring_mismatch"
 )
 
 // ---- handlers ----
@@ -649,20 +628,6 @@ func (s *Server) handleBuildLike(w http.ResponseWriter, r *http.Request, sweep b
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "sweeps cannot be sharded")
 		return
 	}
-	// Cluster routing happens before any dataset access: every dataset
-	// has one owning node and only that node is required to hold the
-	// dataset file, so a request landing anywhere forwards whole.
-	if s.clustered() {
-		if owner := s.datasetOwner(key.Dataset); owner != s.cfg.Self {
-			body, err := json.Marshal(req)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-				return
-			}
-			s.forward(w, owner, http.MethodPost, r.URL.Path, body, "application/json")
-			return
-		}
-	}
 	budgets := 0
 	if sweep {
 		if key.Budget > maxSweepBudget {
@@ -672,9 +637,9 @@ func (s *Server) handleBuildLike(w http.ResponseWriter, r *http.Request, sweep b
 		}
 		budgets = key.Budget
 	}
-	// Sharded builds never short-circuit on the cataloged whole: the
-	// pieces live on other nodes and cannot be checked locally, and a
-	// rebuild is deterministic and idempotent.
+	// A sharded build never short-circuits on the cataloged key: the entry
+	// may be the unsharded optimum or another k's merge, and the caller
+	// asked for this one and its bound.
 	if shards <= 1 && s.ready(key, sweep) {
 		writeJSON(w, http.StatusOK, BuildResponse{Key: key, Status: "ready", Budgets: budgets})
 		return
@@ -721,7 +686,7 @@ func (s *Server) handleBuildLike(w http.ResponseWriter, r *http.Request, sweep b
 		writeError(w, http.StatusInternalServerError, CodeBuildFailed, "%v", job.err)
 		return
 	}
-	writeJSON(w, http.StatusOK, BuildResponse{Key: key, Status: "built", Budgets: budgets})
+	writeJSON(w, http.StatusOK, BuildResponse{Key: key, Status: "built", Budgets: budgets, Bound: job.bound})
 }
 
 // ready reports whether the catalog already answers the request: the key
@@ -930,27 +895,45 @@ func (s *Server) handleSynopses(w http.ResponseWriter, r *http.Request) {
 // build constructs the synopsis for a key on the shared pool, registers
 // it in the catalog, and persists it when a catalog directory is
 // configured. This is the serving twin of an offline cmd/psyn build:
-// both run probsyn.Build and both write the same envelope bytes.
-func (s *Server) build(key catalog.Key) error {
+// both run probsyn.Build — or, for shards > 1, probsyn.BuildSharded (one
+// admission token per shard), whose merged synopsis is what publishes and
+// whose suboptimality bound is returned — and both write the same
+// envelope bytes.
+func (s *Server) build(key catalog.Key, shards int) (bound float64, err error) {
 	lock := s.datasetLock(key.Dataset)
 	lock.RLock()
 	defer lock.RUnlock()
-	if _, ok := s.cfg.Catalog.Get(key); ok {
-		return nil // built (or loaded, or republished by a mutation) since this job was queued
+	if shards <= 1 {
+		if _, ok := s.cfg.Catalog.Get(key); ok {
+			return 0, nil // built (or loaded, or republished by a mutation) since this job was queued
+		}
 	}
 	src, err := s.dataset(key.Dataset)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	m, opts, err := s.buildOptions(key)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	syn, err := probsyn.Build(src, m, key.Budget, opts...)
+	if shards <= 1 {
+		syn, err := probsyn.Build(src, m, key.Budget, opts...)
+		if err != nil {
+			return 0, fmt.Errorf("build %s: %w", key, err)
+		}
+		return 0, s.publish(key, syn)
+	}
+	res, err := probsyn.BuildSharded(src, m, key.Budget, shards, opts...)
 	if err != nil {
-		return fmt.Errorf("build %s: %w", key, err)
+		return 0, fmt.Errorf("sharded build %s (%d shards): %w", key, shards, err)
 	}
-	return s.publish(key, syn, nil)
+	if err := s.publish(key, res.Synopsis); err != nil {
+		return 0, err
+	}
+	// An async (wait:false) build has no response to carry the bound.
+	s.logf("sharded build %s: %d shards, cost %.6g, suboptimality bound %.6g",
+		key, shards, res.Synopsis.ErrorCost(), res.Bound)
+	return res.Bound, nil
 }
 
 // buildOptions is key.BuildOptions scheduled on the server's shared pool:
@@ -960,23 +943,20 @@ func (s *Server) buildOptions(key catalog.Key) (probsyn.Metric, []probsyn.BuildO
 	return m, append(opts, probsyn.WithPool(s.cfg.Pool)), err
 }
 
-// publish makes a built synopsis servable under key: encode it (unless
-// the caller already holds its envelope bytes), persist, then catalog.
+// publish makes a built synopsis servable under key: encode it,
+// persist, then catalog.
 // Persist before publishing: a build is observable (ready, servable) only
 // once it is durably on disk, so a failed persist is reported as
 // build_failed with nothing half-done — no window where a key serves
 // estimates and then vanishes, and retries are not short-circuited by a
 // catalog entry that never hit disk. The write is atomic (temp + rename):
 // LoadDir fails loudly on corrupt files, so a crash mid-persist must not
-// block the next startup either. Builds, every budget of a sweep,
-// republished mutations, local pieces and accepted pieces all become
-// servable here and nowhere else.
-func (s *Server) publish(key catalog.Key, syn probsyn.Synopsis, blob []byte) error {
-	if blob == nil {
-		var err error
-		if blob, err = probsyn.MarshalSynopsis(syn); err != nil {
-			return err
-		}
+// block the next startup either. Builds, every budget of a sweep and
+// republished mutations all become servable here and nowhere else.
+func (s *Server) publish(key catalog.Key, syn probsyn.Synopsis) error {
+	blob, err := probsyn.MarshalSynopsis(syn)
+	if err != nil {
+		return err
 	}
 	if s.cfg.CatalogDir != "" {
 		if err := catalog.WriteBlob(filepath.Join(s.cfg.CatalogDir, key.Filename()), blob); err != nil {
@@ -1019,7 +999,7 @@ func (s *Server) buildSweep(key catalog.Key) error {
 		}
 		bkey := key
 		bkey.Budget = b
-		if err := s.publish(bkey, syn, nil); err != nil {
+		if err := s.publish(bkey, syn); err != nil {
 			return err
 		}
 	}
@@ -1128,7 +1108,7 @@ func (s *Server) mutate(mu *mutation) (domain, republished int, err error) {
 				if err != nil {
 					return err
 				}
-				if err := s.publish(key, syn, nil); err != nil {
+				if err := s.publish(key, syn); err != nil {
 					return err
 				}
 				republished++

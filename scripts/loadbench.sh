@@ -16,12 +16,6 @@
 # — otherwise /v1/query is not amortizing HTTP/JSON overhead and exists
 # for nothing. (100 ops in < 5x one op = >= 20x per-op amortization.)
 #
-# A second leg starts a two-node cluster (-peers), builds a sharded
-# synopsis spread across both nodes, and drives cross-shard gathered
-# range sums through one coordinator. Gate: gathered p50 < 3x the
-# single-node rangesum p50 — scatter/gather may cost a peer hop and a
-# fan-out, not an order of magnitude.
-#
 # Environment:
 #   LOADBENCH_DURATION  measurement window per scenario (default 2s)
 #   LOADBENCH_CONNS     concurrent connections (default 4)
@@ -32,12 +26,12 @@ DUR=${LOADBENCH_DURATION:-2s}
 CONNS=${LOADBENCH_CONNS:-4}
 
 WORK=$(mktemp -d)
-PSYND_PIDS=()
+PSYND_PID=""
 cleanup() {
-  for pid in "${PSYND_PIDS[@]}"; do
-    kill -TERM "$pid" 2>/dev/null || true
-    wait "$pid" 2>/dev/null || true
-  done
+  if [ -n "$PSYND_PID" ]; then
+    kill -TERM "$PSYND_PID" 2>/dev/null || true
+    wait "$PSYND_PID" 2>/dev/null || true
+  fi
   rm -rf "$WORK"
 }
 trap cleanup EXIT
@@ -49,7 +43,7 @@ mkdir -p "$WORK/data" "$WORK/catalog"
 # Ephemeral port: psynd prints the bound address on stdout.
 "$WORK/bin/psynd" -addr 127.0.0.1:0 -data "$WORK/data" -catalog "$WORK/catalog" \
   -max-builds 1 > "$WORK/psynd.log" 2>&1 &
-PSYND_PIDS+=($!)
+PSYND_PID=$!
 ADDR=""
 for _ in $(seq 1 50); do
   ADDR=$(sed -n 's/^psynd: listening on \([^ ]*\).*/\1/p' "$WORK/psynd.log")
@@ -86,81 +80,3 @@ awk '
       exit 1
     }
   }' "$OUT"
-
-# ── Cluster leg: two-node scatter/gather ─────────────────────────────
-# Peer addresses must be known before either node starts (the ring is
-# derived from the shared list), so reserve two free ports up front.
-read -r P1 P2 < <(python3 -c '
-import socket
-socks = [socket.socket() for _ in range(2)]
-for s in socks: s.bind(("127.0.0.1", 0))
-print(*(s.getsockname()[1] for s in socks))
-for s in socks: s.close()')
-A1="127.0.0.1:$P1" A2="127.0.0.1:$P2"
-mkdir -p "$WORK/cat1" "$WORK/cat2"
-for i in 1 2; do
-  addr=$A1; [ "$i" = 2 ] && addr=$A2
-  "$WORK/bin/psynd" -addr "$addr" -data "$WORK/data" -catalog "$WORK/cat$i" \
-    -max-builds 1 -peers "$A1,$A2" > "$WORK/psynd$i.log" 2>&1 &
-  PSYND_PIDS+=($!)
-done
-for i in 1 2; do
-  ok=""
-  for _ in $(seq 1 50); do
-    grep -q "listening on" "$WORK/psynd$i.log" && ok=1 && break
-    sleep 0.2
-  done
-  if [ -z "$ok" ]; then
-    echo "loadbench.sh: cluster node $i did not start:" >&2
-    cat "$WORK/psynd$i.log" >&2
-    exit 1
-  fi
-done
-
-# Unsharded builds feed the base scenarios; the sharded histogram build
-# spreads its pieces across both nodes for the gather scenario. Builds
-# forward to the dataset owner regardless of which node takes the POST.
-for family in histogram wavelet; do
-  curl -sf -X POST "http://$A1/v1/build" \
-    -d "{\"dataset\":\"ds\",\"family\":\"$family\",\"metric\":\"SSE\",\"budget\":8,\"wait\":true}" \
-    | grep -q '"status":"built"'
-done
-curl -sf -X POST "http://$A1/v1/build" \
-  -d '{"dataset":"ds","family":"histogram","metric":"SSE","budget":8,"shards":2,"wait":true}' \
-  | grep -q '"status":"built"'
-
-# Unsharded reads only answer on the dataset owner (whole synopses are
-# not replicated), so point loadbench at whichever node serves them.
-TARGET=$A1
-curl -sf "http://$A1/v1/rangesum?dataset=ds&family=histogram&metric=SSE&budget=8&lo=0&hi=9" \
-  > /dev/null 2>&1 || TARGET=$A2
-"$WORK/bin/loadbench" -addr "http://$TARGET" -dataset ds -metric SSE -budget 8 \
-  -domain 256 -duration "$DUR" -conns "$CONNS" -shards 2 -out "$WORK/cluster.json"
-
-# Gate: gathered cross-shard p50 < 3x the single-node rangesum p50.
-awk '
-  match($0, /"name": "[^"]+"/) { name = substr($0, RSTART + 9, RLENGTH - 10) }
-  match($0, /"p50_ns": [0-9.eE+-]+/) { p50[FILENAME "/" name] = substr($0, RSTART + 10, RLENGTH - 10) }
-  END {
-    single = ""; gather = ""
-    for (k in p50) {
-      if (k ~ /cluster\.json\/LoadbenchGatherRangeSum$/) gather = p50[k]
-      else if (k !~ /cluster\.json\// && k ~ /\/LoadbenchRangeSum$/) single = p50[k]
-    }
-    if (single == "" || gather == "") { print "loadbench.sh: missing cluster scenario results"; exit 1 }
-    printf("scatter/gather: cross-shard p50 %.0f ns vs single-node p50 %.0f ns (%.2fx)\n",
-           gather, single, gather / single)
-    if (gather >= 3 * single) {
-      print "FAIL: gathered cross-shard range sums cost >= 3x single-node range sums"
-      exit 1
-    }
-  }' "$OUT" "$WORK/cluster.json"
-
-# Carry the gather scenario into the snapshot alongside the single-node
-# results (the cluster run repeats the base scenarios; only its new
-# entry merges, keeping names unique in the snapshot).
-grep '"name": "LoadbenchGatherRangeSum"' "$WORK/cluster.json" \
-  | sed -e '1i[' -e '$s/,$//' -e '$a]' > "$WORK/gather.json"
-"$(dirname "$0")/json_concat.sh" "$WORK/merged.json" "$OUT" "$WORK/gather.json"
-mv "$WORK/merged.json" "$OUT"
-cat "$OUT"

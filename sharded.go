@@ -15,8 +15,9 @@ import (
 // concurrently), and the per-shard solutions are merged under the global
 // term budget. The per-shard solutions survive as Pieces — Pieces[s] is
 // shard s's synopsis over its own local domain [0, Bounds[s+1]-Bounds[s]),
-// covering global items [Bounds[s], Bounds[s+1]) — so a cluster can serve
-// range queries from pieces without ever assembling the merged synopsis.
+// covering global items [Bounds[s], Bounds[s+1]) — for callers that want
+// to inspect what each shard contributed (psyn -shards tabulates them).
+// Only Synopsis is ever served or persisted.
 type ShardedResult struct {
 	// Synopsis is the merged global synopsis over the full domain.
 	Synopsis Synopsis
@@ -35,8 +36,7 @@ type ShardedResult struct {
 // build uses over a domain of n items: near-equal contiguous ranges,
 // shard s covering [s*n/k, (s+1)*n/k). Wavelet builds shard the
 // zero-padded power-of-two domain (pass wavelet=true), so their
-// boundaries divide haar.Pow2Ceil(n) instead of n; a cluster node can
-// recompute the same boundaries from (n, k) alone, with no coordination.
+// boundaries divide haar.Pow2Ceil(n) instead of n.
 func ShardBounds(n, k int, wavelet bool) []int {
 	if wavelet {
 		n = haar.Pow2Ceil(n)
