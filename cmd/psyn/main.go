@@ -13,19 +13,21 @@
 //	psyn -in h.syn
 //
 // With -sweep, one DP run builds the whole budget frontier: the
-// cost-vs-budget curve for every budget up to -buckets/-coeffs prints as
-// CSV, and -out (a directory) receives one key-encoded catalog file per
-// budget — each byte-identical to a single-budget build, and servable by
-// psynd:
+// cost-vs-budget curve prints as CSV up to the largest distinct budget
+// (the domain size caps it), and -out (a directory) receives one
+// key-encoded catalog file for every budget 1..-buckets/-coeffs — each
+// byte-identical to a single-budget build, and the directory equal to
+// the one psynd's POST /v1/sweep leaves, because both write through
+// internal/catalog's ExtractAndPublish:
 //
 //	psyn -input data.pd -metric SSE -buckets 32 -sweep -out ./catalog
 //
 // With -append, the items of a second (value-model) dataset file extend
-// the -input dataset, and every key-encoded synopsis for that dataset in
-// the -out catalog directory is revalidated through a live frontier
-// (probsyn.BuildLive) and rewritten — each file byte-identical to a
-// from-scratch build over the merged data, and -save-data persists the
-// merged dataset itself:
+// the -input dataset: -save-data persists the merged dataset first, then
+// every key-encoded synopsis for that dataset in the -out catalog
+// directory is rewritten from one sweep per (family, metric, c, q) group
+// over the merged data — the files a psynd POST /v1/append republishes
+// from its retained DP state, through the same write path:
 //
 //	psyn -input data.pd -append more.pd -dataset ds -out ./catalog -save-data data.pd
 //
@@ -45,7 +47,6 @@
 package main
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -229,11 +230,14 @@ func reportDPStats(stdout io.Writer, st probsyn.DPStats, wavelet bool) {
 }
 
 // runAppend extends a value-model dataset with the items of a second
-// dataset file and revalidates every key-encoded synopsis for the
-// dataset in the catalog directory: one live frontier per
-// (family, metric, c) group absorbs the append, and each cataloged
-// budget is rewritten atomically — the offline twin of a psynd
-// POST /v1/append, producing byte-identical files.
+// dataset file and rewrites every key-encoded synopsis for the dataset in
+// the catalog directory — the offline twin of a psynd POST /v1/append,
+// through the same two rules: the merged dataset is written first
+// (catalog.Mutation.Apply), then every key is extracted and published
+// from its group's frontier (catalog.ExtractAndPublish). psyn retains no
+// DP state between runs, so the frontier is always the server's "fresh"
+// case: one sweep over the merged data, byte-identical to a retained
+// frontier that absorbed the append.
 func runAppend(stdout io.Writer, src probsyn.Source, appendPath, dataset, outDir, saveData string, parallelism int) error {
 	base, ok := src.(*probsyn.ValuePDF)
 	if !ok {
@@ -259,10 +263,6 @@ func runAppend(stdout io.Writer, src probsyn.Source, appendPath, dataset, outDir
 	if err != nil {
 		return err
 	}
-	// Collect the dataset's catalog files; directory order is
-	// lexicographic, so the shared grouping (one live frontier per
-	// family/metric/c — the same unit psynd's mutation path revalidates)
-	// is deterministic.
 	var keys []catalog.Key
 	for _, de := range des {
 		key, err := catalog.ParseFilename(de.Name())
@@ -274,54 +274,23 @@ func runAppend(stdout io.Writer, src probsyn.Source, appendPath, dataset, outDir
 	if len(keys) == 0 {
 		return fmt.Errorf("no catalog files for dataset %q in %s", dataset, outDir)
 	}
-	oldN := base.Domain()
-	fmt.Fprintf(stdout, "appending %d items to %s (domain %d -> %d)\n", avp.N, dataset, oldN, oldN+avp.N)
-	written := 0
-	for _, group := range catalog.GroupKeys(keys) {
-		gmax := 0
-		for _, k := range group {
-			if k.Budget > gmax {
-				gmax = k.Budget
-			}
-		}
-		m, opts, err := group[0].BuildOptions()
+	fmt.Fprintf(stdout, "appending %d items to %s (domain %d -> %d)\n", avp.N, dataset, base.N, base.N+avp.N)
+	merged, err := catalog.Mutation{Items: avp.Items}.Apply(base, saveData)
+	if err != nil {
+		return err
+	}
+	written, err := catalog.ExtractAndPublish(outDir, nil, keys, func(top catalog.Key) (probsyn.Frontier, error) {
+		m, opts, err := top.BuildOptions()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		live, err := probsyn.BuildLive(base, m, gmax, append(opts, probsyn.WithParallelism(parallelism))...)
-		if err != nil {
-			return err
-		}
-		if err := live.Append(avp.Items); err != nil {
-			return err
-		}
-		for _, key := range group {
-			syn, err := synopsis.Extract(live, key.Budget)
-			if err != nil {
-				return err
-			}
-			if _, err := catalog.WriteFile(filepath.Join(outDir, key.Filename()), syn); err != nil {
-				return err
-			}
-			written++
-		}
+		return probsyn.BuildSweep(merged, m, top.Budget, append(opts, probsyn.WithParallelism(parallelism))...)
+	})
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(stdout, "revalidated %d synopses in %s\n", written, outDir)
 	if saveData != "" {
-		merged := base.Clone()
-		for i := range avp.Items {
-			merged.Items = append(merged.Items, avp.Items[i].Clone())
-		}
-		merged.N = len(merged.Items)
-		var buf bytes.Buffer
-		if err := probsyn.WriteDataset(&buf, merged); err != nil {
-			return err
-		}
-		// Atomic (temp + rename) through the catalog layer's shared write
-		// path — the same discipline psynd uses for its dataset rewrites.
-		if err := catalog.WriteBlob(saveData, buf.Bytes()); err != nil {
-			return err
-		}
 		fmt.Fprintf(stdout, "saved merged dataset to %s\n", saveData)
 	}
 	return nil
@@ -389,67 +358,62 @@ func runQuery(stdout io.Writer, reqPath, catalogDir string, c float64) error {
 }
 
 // runSweep builds the budget frontier in one DP run, prints the
-// cost-vs-budget curve, and (with -out) persists every budget as a
-// key-encoded catalog file — the same files psynd writes for a
-// /v1/sweep, byte-identical to single-budget builds.
+// cost-vs-budget curve, and (with -out) publishes every requested budget
+// 1..budget as a key-encoded catalog file — the files psynd writes for
+// the same /v1/sweep, budgets past the clamped Bmax repeating the Bmax
+// synopsis.
 func runSweep(stdout io.Writer, src probsyn.Source, m probsyn.Metric, p probsyn.Params, budget int, dataset, outDir string, rquant int, opts []probsyn.BuildOption) error {
 	fr, err := probsyn.BuildSweep(src, m, budget, opts...)
 	if err != nil {
 		return err
-	}
-	if outDir != "" {
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
-			return err
-		}
 	}
 	fmt.Fprintf(stdout, "frontier over n=%d: budgets 1..%d from one DP run\n", src.Domain(), fr.Bmax())
 	if rquant > 0 {
 		fmt.Fprintf(stdout, "quantized restricted DP (q=%d): every cost within %.6g of its restricted optimum\n", rquant, probsyn.ApproxBound(fr))
 	}
 	fmt.Fprintln(stdout, "budget,terms,cost")
-	written := 0
 	for b := 1; b <= fr.Bmax(); b++ {
 		syn, err := fr.Synopsis(b)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "%d,%d,%.6g\n", b, syn.Terms(), syn.ErrorCost())
-		if outDir == "" {
-			continue
-		}
-		family := catalog.FamilyHistogram
-		if _, ok := syn.(*probsyn.WaveletSynopsis); ok {
-			family = catalog.FamilyWavelet
-		}
-		key, err := catalog.NewKeyQ(dataset, family, m.String(), b, p.C, rquant)
-		if err != nil {
-			return err
-		}
-		if _, err := catalog.WriteFile(filepath.Join(outDir, key.Filename()), syn); err != nil {
-			return err
-		}
-		written++
 	}
-	if outDir != "" {
-		fmt.Fprintf(stdout, "saved %d synopses to %s\n", written, outDir)
+	if outDir == "" {
+		return nil
 	}
+	top, err := fr.Synopsis(fr.Bmax())
+	if err != nil {
+		return err
+	}
+	key, err := catalog.KeyFor(dataset, top, m.String(), budget, p.C, rquant)
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(outDir, 0o755); err != nil {
+		return err
+	}
+	written, err := catalog.ExtractAndPublish(outDir, nil, key.Sweep(), func(catalog.Key) (probsyn.Frontier, error) { return fr, nil })
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "saved %d synopses to %s\n", written, outDir)
 	return nil
 }
 
 // runSharded builds a k-way sharded synopsis — the offline twin of a
 // psynd build request with shards — printing the merged cost and the
-// certified additive suboptimality bound, and (with -out) saving the
-// merged synopsis under its key-encoded catalog filename, byte-identical
-// to what a psynd sharded build persists.
+// certified additive suboptimality bound, and (with -out) publishing the
+// merged synopsis under its key-encoded catalog filename, as psynd does.
 func runSharded(stdout io.Writer, src probsyn.Source, m probsyn.Metric, p probsyn.Params, budget, shards int, dataset, outDir string, rquant int, opts []probsyn.BuildOption) error {
 	res, err := probsyn.BuildSharded(src, m, budget, shards, opts...)
 	if err != nil {
 		return err
 	}
 	syn := res.Synopsis
-	family := catalog.FamilyHistogram
-	if _, ok := syn.(*probsyn.WaveletSynopsis); ok {
-		family = catalog.FamilyWavelet
+	family, err := synopsis.TypeName(syn)
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(stdout, "sharded %s %v build over n=%d: %d shards, budget %d, expected error %.6g\n",
 		family, m, src.Domain(), shards, budget, syn.ErrorCost())
@@ -465,18 +429,17 @@ func runSharded(stdout io.Writer, src probsyn.Source, m probsyn.Metric, p probsy
 	if outDir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
-	key, err := catalog.NewKeyQ(dataset, family, m.String(), budget, p.C, rquant)
+	key, err := catalog.KeyFor(dataset, syn, m.String(), budget, p.C, rquant)
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(outDir, key.Filename())
-	if _, err := catalog.WriteFile(path, syn); err != nil {
+	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "saved the merged synopsis to %s\n", path)
+	if err := catalog.Publish(outDir, nil, key, syn); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "saved the merged synopsis to %s\n", filepath.Join(outDir, key.Filename()))
 	return nil
 }
 
@@ -541,7 +504,7 @@ func buildWavelet(stdout io.Writer, src probsyn.Source, m probsyn.Metric, coeffs
 		if err != nil {
 			return nil, err
 		}
-		s, err := synopsis.Extract(fr, coeffs)
+		s, err := fr.Synopsis(fr.Bmax()) // the frontier was built at coeffs: its top budget is the build
 		if err != nil {
 			return nil, err
 		}

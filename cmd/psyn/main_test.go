@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -162,65 +161,6 @@ func TestRunRejectsUnknownMetric(t *testing.T) {
 	}
 }
 
-// TestRunSweep drives -sweep for both families: the CSV frontier prints,
-// the -out directory receives one catalog file per budget, and each file
-// is byte-identical to a single-budget -out build.
-func TestRunSweep(t *testing.T) {
-	dir := t.TempDir()
-	dataset, _ := writeDataset(t, dir)
-	cases := []struct {
-		name    string
-		args    []string
-		family  string
-		metric  string
-		budgets int
-	}{
-		{"histogram", []string{"-metric", "SSE", "-buckets", "5"}, "histogram", "SSE", 5},
-		{"wavelet", []string{"-wavelet", "-metric", "SAE", "-coeffs", "4"}, "wavelet", "SAE", 4},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			outDir := filepath.Join(dir, tc.name+"-sweep")
-			var sweepOut bytes.Buffer
-			args := append([]string{"-input", dataset, "-sweep", "-dataset", "ds", "-out", outDir}, tc.args...)
-			if err := run(args, &sweepOut); err != nil {
-				t.Fatal(err)
-			}
-			if !strings.Contains(sweepOut.String(), "budget,terms,cost") {
-				t.Fatalf("sweep output missing CSV header:\n%s", sweepOut.String())
-			}
-			for b := 1; b <= tc.budgets; b++ {
-				single := filepath.Join(dir, "single.syn")
-				budgetFlag := "-buckets"
-				if tc.family == "wavelet" {
-					budgetFlag = "-coeffs"
-				}
-				sargs := append([]string{"-input", dataset, "-out", single}, tc.args...)
-				// Override the budget for the single build.
-				sargs = append(sargs, budgetFlag, itoa(b))
-				var buildOut bytes.Buffer
-				if err := run(sargs, &buildOut); err != nil {
-					t.Fatal(err)
-				}
-				swept, err := os.ReadFile(filepath.Join(outDir,
-					"ds--"+tc.family+"--"+tc.metric+"--b"+itoa(b)+".psyn"))
-				if err != nil {
-					t.Fatalf("budget %d: %v", b, err)
-				}
-				want, err := os.ReadFile(single)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(swept, want) {
-					t.Fatalf("budget %d: swept catalog file differs from single build", b)
-				}
-			}
-		})
-	}
-}
-
-func itoa(v int) string { return fmt.Sprintf("%d", v) }
-
 // -sweep needs the exact DP; heuristic modes are rejected.
 func TestRunSweepRejectsHeuristics(t *testing.T) {
 	dir := t.TempDir()
@@ -319,98 +259,6 @@ func writeValueDataset(t *testing.T, dir, name string, n int) (string, *probsyn.
 		t.Fatal(err)
 	}
 	return path, vp
-}
-
-// TestRunAppend: sweep a catalog, append a batch through the CLI, and
-// assert every catalog file now matches a from-scratch sweep over the
-// merged dataset byte for byte — plus the -save-data round trip.
-func TestRunAppend(t *testing.T) {
-	dir := t.TempDir()
-	basePath, base := writeValueDataset(t, dir, "vds.pd", 20)
-	morePath, more := writeValueDataset(t, dir, "more.pd", 3)
-	outDir := filepath.Join(dir, "catalog")
-
-	var out bytes.Buffer
-	if err := run([]string{"-input", basePath, "-sweep", "-dataset", "vds", "-metric", "SSE", "-buckets", "4", "-out", outDir}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-input", basePath, "-sweep", "-dataset", "vds", "-wavelet", "-metric", "SAE", "-coeffs", "3", "-out", outDir}, &out); err != nil {
-		t.Fatal(err)
-	}
-	// A quantized restricted sweep catalogs under q-tagged keys, next to
-	// the exact wavelet entries of the same metric and budgets.
-	if err := run([]string{"-input", basePath, "-sweep", "-dataset", "vds", "-wavelet", "-metric", "SAE", "-coeffs", "3", "-quantize", "4", "-out", outDir}, &out); err != nil {
-		t.Fatal(err)
-	}
-
-	merged := filepath.Join(dir, "merged.pd")
-	out.Reset()
-	if err := run([]string{"-input", basePath, "-append", morePath, "-dataset", "vds", "-out", outDir, "-save-data", merged}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "revalidated 10 synopses") {
-		t.Fatalf("append output:\n%s", out.String())
-	}
-
-	// The rewritten catalog must equal a fresh sweep over the merged data.
-	want := &probsyn.ValuePDF{N: base.N + more.N, Items: append(append([]probsyn.ItemPDF(nil), base.Items...), more.Items...)}
-	freshDir := filepath.Join(dir, "fresh")
-	mergedPath := filepath.Join(dir, "want.pd")
-	f, err := os.Create(mergedPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := probsyn.WriteDataset(f, want); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-input", mergedPath, "-sweep", "-dataset", "vds", "-metric", "SSE", "-buckets", "4", "-out", freshDir}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-input", mergedPath, "-sweep", "-dataset", "vds", "-wavelet", "-metric", "SAE", "-coeffs", "3", "-out", freshDir}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-input", mergedPath, "-sweep", "-dataset", "vds", "-wavelet", "-metric", "SAE", "-coeffs", "3", "-quantize", "4", "-out", freshDir}, &out); err != nil {
-		t.Fatal(err)
-	}
-	des, err := os.ReadDir(freshDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checked := 0
-	for _, de := range des {
-		fresh, err := os.ReadFile(filepath.Join(freshDir, de.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		live, err := os.ReadFile(filepath.Join(outDir, de.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(live, fresh) {
-			t.Fatalf("%s: appended catalog differs from fresh sweep over merged data", de.Name())
-		}
-		checked++
-	}
-	if checked != 10 {
-		t.Fatalf("checked %d files, want 10", checked)
-	}
-
-	// -save-data round trip.
-	mf, err := os.Open(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mf.Close()
-	msrc, err := probsyn.ReadDataset(mf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msrc.Domain() != base.N+more.N {
-		t.Fatalf("merged domain %d, want %d", msrc.Domain(), base.N+more.N)
-	}
 }
 
 // TestRunAppendValidation: -append needs a catalog dir with files for

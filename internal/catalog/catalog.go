@@ -7,7 +7,10 @@
 // directory; offline tools (cmd/psyn, the eval harness) write the same
 // files, so a synopsis built anywhere is servable everywhere — and since
 // the engine's builds are deterministic, replicas that build the same key
-// produce byte-identical catalog files.
+// produce byte-identical catalog files. The server and cmd/psyn write
+// through one path, write.go: Publish (persist, then register),
+// ExtractAndPublish (a frontier's budgets under their keys) and
+// Mutation.Apply (the dataset, before any synopsis over it).
 package catalog
 
 import (
@@ -382,19 +385,13 @@ func keyLess(ka, kb Key) bool {
 // deliberately: entries do not retain their envelope bytes, because a
 // long-lived serving catalog holding both the decoded synopsis and its
 // serialized copy would double steady-state memory, and Save runs only
-// on the offline SaveAll path where one extra marshal is cheap. The
-// write is atomic (WriteBlob), so a crash mid-save cannot leave a
-// truncated catalog file behind a valid name.
+// on the offline SaveAll path where one extra marshal is cheap. The file
+// lands through Publish, like every other catalog write.
 func (c *Catalog) Save(dir string, e *Entry) (string, error) {
-	blob, err := synopsis.Marshal(e.Synopsis)
-	if err != nil {
+	if err := Publish(dir, nil, e.Key, e.Synopsis); err != nil {
 		return "", err
 	}
-	path := filepath.Join(dir, e.Key.Filename())
-	if err := WriteBlob(path, blob); err != nil {
-		return "", err
-	}
-	return path, nil
+	return filepath.Join(dir, e.Key.Filename()), nil
 }
 
 // WriteBlob writes an already-encoded envelope to path atomically: into
@@ -498,30 +495,6 @@ func decodeEnvelope(key Key, blob []byte) (synopsis.Synopsis, error) {
 		return nil, fmt.Errorf("envelope holds a %s, its name claims %s", fam, key.Family)
 	}
 	return syn, nil
-}
-
-// GroupKeys partitions keys (typically one dataset's catalog listing)
-// into per-frontier groups — equal (Dataset, Family, Metric, C) — in
-// first-appearance order, keys keeping their input order within each
-// group. Every budget in one group is served by one retained frontier,
-// so this grouping is the unit of live revalidation: the server's
-// mutation path and psyn -append share it rather than each re-deriving
-// what "one frontier's worth of keys" means.
-func GroupKeys(keys []Key) [][]Key {
-	idx := make(map[Key]int, len(keys))
-	var groups [][]Key
-	for _, k := range keys {
-		gk := k
-		gk.Budget = 0
-		g, ok := idx[gk]
-		if !ok {
-			g = len(groups)
-			idx[gk] = g
-			groups = append(groups, nil)
-		}
-		groups[g] = append(groups[g], k)
-	}
-	return groups
 }
 
 // WriteFile serializes a synopsis to path through the versioned codec:

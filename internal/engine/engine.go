@@ -27,11 +27,6 @@ import (
 // costs more than the loop itself.
 const DefaultGrain = 2048
 
-// DynamicChunkFactor is how many chunks per worker a dynamic dispatch
-// cuts: fine enough that one straggling chunk cannot idle the other
-// workers for long, coarse enough that the atomic cursor stays cold.
-const DynamicChunkFactor = 8
-
 // Options configure a Pool.
 type Options struct {
 	// Workers is the number of worker goroutines; <= 0 means one per CPU.
@@ -47,13 +42,6 @@ type Options struct {
 	// admission control: N queued builds share the pool's workers
 	// instead of oversubscribing cores with per-call pools.
 	MaxBuilds int
-	// Dynamic selects the work-stealing chunk dispatch (MapChunksDynamic)
-	// for clients that route through Dispatch: levels whose per-element
-	// cost is ragged — the unrestricted wavelet DP's state-count skew —
-	// finish earlier when idle workers can pull finer chunks off an
-	// atomic cursor. Results are bit-identical either way; see
-	// MapChunksDynamic.
-	Dynamic bool
 }
 
 // Pool executes chunked sweeps and dependency-grid schedules, and
@@ -62,7 +50,6 @@ type Options struct {
 type Pool struct {
 	workers  int
 	grain    int
-	dynamic  bool
 	sem      chan struct{} // admission tokens; nil = unlimited
 	multiMu  sync.Mutex    // serializes multi-token acquirers (AcquireN)
 	inflight atomic.Int32
@@ -70,7 +57,7 @@ type Pool struct {
 }
 
 // New returns a pool for the given options (zero value: NumCPU workers,
-// DefaultGrain, unlimited admission, static dispatch).
+// DefaultGrain, unlimited admission).
 func New(o Options) *Pool {
 	w := o.Workers
 	if w <= 0 {
@@ -80,7 +67,7 @@ func New(o Options) *Pool {
 	if g <= 0 {
 		g = DefaultGrain
 	}
-	p := &Pool{workers: w, grain: g, dynamic: o.Dynamic}
+	p := &Pool{workers: w, grain: g}
 	if o.MaxBuilds > 0 {
 		p.sem = make(chan struct{}, o.MaxBuilds)
 	}
@@ -241,88 +228,13 @@ func (p *Pool) MapChunks(lo, hi, work int, fn func(w, clo, chi int)) {
 	wg.Wait()
 }
 
-// Dispatch routes a chunked sweep to MapChunksDynamic when the pool was
-// built with Options.Dynamic, and to MapChunks otherwise. Clients whose
-// per-chunk result slots are derived from the index range (not from the
-// chunk index) can switch schedules freely: both produce bit-identical
-// results. Like every dispatch here, it is safe on a nil pool — Chunks
-// nil-checks before touching any field, so the sweep runs inline.
-func (p *Pool) Dispatch(lo, hi, work int, fn func(w, clo, chi int)) {
-	if p != nil && p.dynamic {
-		p.MapChunksDynamic(lo, hi, work, fn)
-		return
-	}
-	p.MapChunks(lo, hi, work, fn)
-}
-
-// MapChunksDynamic is MapChunks with work stealing: the range is cut
-// into DynamicChunkFactor-times finer chunks and the pool's workers pull
-// chunk indices off a shared atomic cursor, so ragged per-chunk costs
-// (per-node state-count skew in the unrestricted wavelet DP's levels) do
-// not leave workers idle behind one slow even split. Even slicing
-// (MapChunks) divides the INDEX range equally, but the work behind equal
-// index spans can differ by the product of branch factors along a path —
-// the slowest chunk then bounds the level's wall time while every other
-// worker idles; stealing bounds that tail at one fine chunk instead.
-//
-// The determinism contract is unchanged — chunks are the same contiguous
-// sub-ranges regardless of which worker runs them, each element is
-// processed in serial order within its chunk, and fn must only write
-// state derived from its own chunk index or range (slot ownership: the
-// cursor hands each chunk to exactly one worker, and result slots are
-// functions of the range, not of worker identity) — so results stay
-// bit-identical to MapChunks at every worker count. Chunk indices w are
-// dense in [0, parts) with parts > Workers(); clients sizing per-chunk
-// slot arrays by chunk index must use static MapChunks instead.
-func (p *Pool) MapChunksDynamic(lo, hi, work int, fn func(w, clo, chi int)) {
-	if p.Chunks(work) == 1 {
-		fn(0, lo, hi)
-		return
-	}
-	parts := p.workers * DynamicChunkFactor
-	if span := hi - lo; parts > span {
-		parts = span // below p.workers only when the range itself is tiny
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < p.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(cursor.Add(1) - 1)
-				if c >= parts {
-					return
-				}
-				clo, chi := ChunkBounds(c, parts, lo, hi)
-				fn(c, clo, chi)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// CutGE returns the first index i in [lo, hi) with x[i] >= v, or hi when
+// CutGT returns the first index i in [lo, hi) with x[i] > v, or hi when
 // there is none. x[lo:hi] must be non-decreasing — the caller certifies
 // that (the histogram DP checks it at write time; float wobble voids the
 // guarantee otherwise). The Cut functions are the engine's bounded-search
 // primitive: a reducer that holds an upper bound on the minimum cuts the
 // candidate range to the indices that can still matter in O(log) instead
 // of scanning past them.
-func CutGE(x []float64, lo, hi int, v float64) int {
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if x[mid] >= v {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-// CutGT returns the first index i in [lo, hi) with x[i] > v, or hi when
-// there is none; x[lo:hi] must be non-decreasing.
 func CutGT(x []float64, lo, hi int, v float64) int {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)

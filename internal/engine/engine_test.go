@@ -87,86 +87,19 @@ func TestMapChunksVisitsEveryIndexOnce(t *testing.T) {
 	}
 }
 
-// MapChunksDynamic must preserve MapChunks's coverage contract — every
-// index visited exactly once — while cutting finer chunks than workers.
-func TestMapChunksDynamicVisitsEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8} {
-		p := New(Options{Workers: workers, Grain: 1})
-		for _, span := range []int{0, 1, 2, 5, 100, 1000} {
-			visits := make([]int32, span)
-			maxChunk := int32(-1)
-			p.MapChunksDynamic(0, span, span, func(w, lo, hi int) {
-				for {
-					old := atomic.LoadInt32(&maxChunk)
-					if int32(w) <= old || atomic.CompareAndSwapInt32(&maxChunk, old, int32(w)) {
-						break
-					}
-				}
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&visits[i], 1)
-				}
-			})
-			for i, v := range visits {
-				if v != 1 {
-					t.Fatalf("workers=%d span=%d: index %d visited %d times", workers, span, i, v)
-				}
-			}
-			if workers > 1 && span >= workers*DynamicChunkFactor {
-				if want := int32(workers*DynamicChunkFactor - 1); maxChunk != want {
-					t.Fatalf("workers=%d span=%d: max chunk index %d, want %d", workers, span, maxChunk, want)
-				}
-			}
-		}
-	}
-}
-
-// A dynamic pool's Dispatch must fill range-derived slots identically to
-// a static pool's, including when per-element work is ragged.
-func TestDispatchDynamicMatchesStatic(t *testing.T) {
-	const span = 513
-	fill := func(p *Pool) []float64 {
-		out := make([]float64, span)
-		p.Dispatch(0, span, span, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := float64(i)
-				for k := 0; k < i%17; k++ { // ragged per-element cost
-					v = v*1.0000001 + float64(k)
-				}
-				out[i] = v
-			}
-		})
-		return out
-	}
-	want := fill(Serial())
-	for _, workers := range []int{2, 3, 8} {
-		for _, dynamic := range []bool{false, true} {
-			got := fill(New(Options{Workers: workers, Grain: 1, Dynamic: dynamic}))
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("workers=%d dynamic=%v: slot %d = %v, want %v", workers, dynamic, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// Every dispatch must run inline on a nil pool, not panic: Chunks
-// nil-checks before any field access.
-func TestDispatchNilPoolRunsInline(t *testing.T) {
+// A dispatch must run inline on a nil pool, not panic: Chunks nil-checks
+// before any field access.
+func TestMapChunksNilPoolRunsInline(t *testing.T) {
 	var p *Pool
-	for name, dispatch := range map[string]func(lo, hi, work int, fn func(w, clo, chi int)){
-		"Dispatch": p.Dispatch, "MapChunks": p.MapChunks, "MapChunksDynamic": p.MapChunksDynamic,
-	} {
-		calls := 0
-		dispatch(3, 7, 1<<20, func(w, clo, chi int) {
-			calls++
-			if w != 0 || clo != 3 || chi != 7 {
-				t.Fatalf("%s: nil pool chunk (%d, %d, %d), want (0, 3, 7)", name, w, clo, chi)
-			}
-		})
-		if calls != 1 {
-			t.Fatalf("%s: nil pool made %d calls, want 1 inline", name, calls)
+	calls := 0
+	p.MapChunks(3, 7, 1<<20, func(w, clo, chi int) {
+		calls++
+		if w != 0 || clo != 3 || chi != 7 {
+			t.Fatalf("nil pool chunk (%d, %d, %d), want (0, 3, 7)", w, clo, chi)
 		}
+	})
+	if calls != 1 {
+		t.Fatalf("nil pool made %d calls, want 1 inline", calls)
 	}
 }
 
@@ -394,9 +327,6 @@ func TestCutFunctionsMatchLinearScan(t *testing.T) {
 		lo := rng.Intn(n)
 		hi := lo + rng.Intn(n-lo+1)
 		for _, v := range []float64{up[rng.Intn(n)], -10, 10, 0, math.Inf(1), math.Inf(-1)} {
-			if got, want := CutGE(up, lo, hi, v), cutRef(up, lo, hi, func(x float64) bool { return x >= v }); got != want {
-				t.Fatalf("CutGE(%v, %d, %d, %v) = %d, want %d", up, lo, hi, v, got, want)
-			}
 			if got, want := CutGT(up, lo, hi, v), cutRef(up, lo, hi, func(x float64) bool { return x > v }); got != want {
 				t.Fatalf("CutGT(%v, %d, %d, %v) = %d, want %d", up, lo, hi, v, got, want)
 			}
@@ -410,9 +340,6 @@ func TestCutFunctionsMatchLinearScan(t *testing.T) {
 func TestCutFunctionsEmptyRange(t *testing.T) {
 	x := []float64{1, 2, 3}
 	for _, lo := range []int{0, 1, 3} {
-		if got := CutGE(x, lo, lo, 0); got != lo {
-			t.Fatalf("CutGE empty range at %d returned %d", lo, got)
-		}
 		if got := CutGT(x, lo, lo, 0); got != lo {
 			t.Fatalf("CutGT empty range at %d returned %d", lo, got)
 		}

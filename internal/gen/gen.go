@@ -267,23 +267,3 @@ func sortInts(xs []int) {
 		}
 	}
 }
-
-// poisson samples a Poisson variate by inversion (suitable for small
-// means, as here).
-func poisson(rng *rand.Rand, mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	l := math.Exp(-mean)
-	k, p := 0, 1.0
-	for {
-		p *= rng.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-		if k > 1000 { // guard against pathological means
-			return k
-		}
-	}
-}

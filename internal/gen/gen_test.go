@@ -152,22 +152,6 @@ func TestSensorGridSmoothness(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	const mean, samples = 4.6, 50000
-	sum := 0
-	for i := 0; i < samples; i++ {
-		sum += poisson(rng, mean)
-	}
-	got := float64(sum) / samples
-	if math.Abs(got-mean) > 0.1 {
-		t.Fatalf("poisson sample mean %v, want ≈ %v", got, mean)
-	}
-	if poisson(rng, 0) != 0 || poisson(rng, -1) != 0 {
-		t.Fatal("non-positive mean must give 0")
-	}
-}
-
 func TestMakeSteps(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := makeSteps(rng, 100, 5)

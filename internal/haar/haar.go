@@ -167,9 +167,6 @@ func Denormalize(c []float64) []float64 {
 // ForwardNormalized computes the orthonormal Haar DWT.
 func ForwardNormalized(data []float64) []float64 { return Normalize(Forward(data)) }
 
-// InverseNormalized reconstructs data from orthonormal coefficients.
-func InverseNormalized(c []float64) []float64 { return Inverse(Denormalize(c)) }
-
 // Path returns the coefficient indices whose supports contain leaf k
 // (the root average, then details from coarsest to finest). Its length is
 // log2(n)+1.
@@ -189,17 +186,6 @@ func Path(k, n int) []int {
 		}
 	}
 	return out
-}
-
-// ReconstructPoint evaluates leaf k from unnormalized coefficients in
-// O(log n), summing signed ancestors along the path.
-func ReconstructPoint(c []float64, k int) float64 {
-	n := len(c)
-	v := 0.0
-	for _, i := range Path(k, n) {
-		v += Sign(i, k, n) * c[i]
-	}
-	return v
 }
 
 // TopK returns the indices of the k coefficients with the largest absolute

@@ -115,10 +115,3 @@ func stab(n *node, x int, visit func(Interval) bool) bool {
 		return true
 	}
 }
-
-// CountStab returns the number of intervals containing x.
-func (t *Tree) CountStab(x int) int {
-	c := 0
-	t.Stab(x, func(Interval) bool { c++; return true })
-	return c
-}

@@ -37,8 +37,8 @@ func TestEmptyTree(t *testing.T) {
 func TestSingleInterval(t *testing.T) {
 	tr := New([]Interval{{Lo: 2, Hi: 5, ID: 1}})
 	for x, want := range map[int]int{1: 0, 2: 1, 3: 1, 5: 1, 6: 0} {
-		if got := tr.CountStab(x); got != want {
-			t.Errorf("CountStab(%d) = %d, want %d", x, got, want)
+		if got := len(treeStab(tr, x)); got != want {
+			t.Errorf("stab(%d) found %d intervals, want %d", x, got, want)
 		}
 	}
 }
@@ -56,8 +56,8 @@ func TestPointIntervals(t *testing.T) {
 	if got := treeStab(tr, 0); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("stab(0) = %v", got)
 	}
-	if got := tr.CountStab(1); got != 0 {
-		t.Fatalf("stab(1) = %d, want 0", got)
+	if got := treeStab(tr, 1); len(got) != 0 {
+		t.Fatalf("stab(1) = %v, want none", got)
 	}
 }
 

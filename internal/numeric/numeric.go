@@ -72,9 +72,6 @@ func (pp Prefix) Range(s, e int) float64 {
 	return pp.p[e+1] - pp.p[s]
 }
 
-// Upto returns xs[0] + ... + xs[e]; Upto(-1) == 0.
-func (pp Prefix) Upto(e int) float64 { return pp.p[e+1] }
-
 // Len returns the number of underlying items.
 func (pp Prefix) Len() int { return len(pp.p) - 1 }
 
@@ -120,29 +117,4 @@ func SearchFloats(v []float64, x float64) int {
 		}
 	}
 	return lo
-}
-
-// AlmostEqual reports whether a and b agree to within tol absolutely or
-// relatively (whichever is looser). Useful for cost comparisons where both
-// operands were assembled from differenced prefix sums.
-func AlmostEqual(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	d := math.Abs(a - b)
-	if d <= tol {
-		return true
-	}
-	return d <= tol*math.Max(math.Abs(a), math.Abs(b))
-}
-
-// Clamp returns x clamped to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

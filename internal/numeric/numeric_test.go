@@ -68,7 +68,7 @@ func TestSumMatchesBigAccumulation(t *testing.T) {
 		a.Add(x)
 	}
 	exact = a.Value()
-	if got := Sum(xs); !AlmostEqual(got, exact, 1e-9) {
+	if got := Sum(xs); !almostEqual(got, exact, 1e-9) {
 		t.Fatalf("Sum = %v, reference = %v", got, exact)
 	}
 }
@@ -99,9 +99,6 @@ func TestPrefixRange(t *testing.T) {
 	if pp.Len() != 4 {
 		t.Errorf("Len = %d, want 4", pp.Len())
 	}
-	if pp.Upto(-1) != 0 || pp.Upto(2) != 14 {
-		t.Errorf("Upto wrong: %v %v", pp.Upto(-1), pp.Upto(2))
-	}
 }
 
 func TestPrefixRangeMatchesDirectSum(t *testing.T) {
@@ -118,7 +115,7 @@ func TestPrefixRangeMatchesDirectSum(t *testing.T) {
 		for i := s; i <= e; i++ {
 			a.Add(xs[i])
 		}
-		if got, want := pp.Range(s, e), a.Value(); !AlmostEqual(got, want, 1e-9) {
+		if got, want := pp.Range(s, e), a.Value(); !almostEqual(got, want, 1e-9) {
 			t.Fatalf("Range(%d,%d) = %v, want %v", s, e, got, want)
 		}
 	}
@@ -219,25 +216,11 @@ func TestSearchFloatsMatchesSortPackage(t *testing.T) {
 	}
 }
 
-func TestAlmostEqual(t *testing.T) {
-	if !AlmostEqual(1, 1, 0) {
-		t.Error("identical values must be equal")
-	}
-	if !AlmostEqual(1e12, 1e12+1, 1e-9) {
-		t.Error("relative tolerance should accept 1 part in 1e12")
-	}
-	if AlmostEqual(1, 2, 1e-9) {
-		t.Error("1 and 2 must differ")
-	}
-	if !AlmostEqual(0, 1e-15, 1e-12) {
-		t.Error("absolute tolerance should accept tiny difference near zero")
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
-		t.Error("Clamp misbehaves")
-	}
+// almostEqual reports whether a and b agree to within tol absolutely or
+// relatively, whichever is looser.
+func almostEqual(a, b, tol float64) bool {
+	d := math.Abs(a - b)
+	return d <= tol || d <= tol*math.Max(math.Abs(a), math.Abs(b))
 }
 
 // Property: prefix range sums equal compensated direct sums.
@@ -253,7 +236,7 @@ func TestQuickPrefixConsistency(t *testing.T) {
 		}
 		pp := NewPrefix(xs)
 		whole := Sum(xs)
-		return AlmostEqual(pp.Range(0, len(xs)-1), whole, 1e-9)
+		return almostEqual(pp.Range(0, len(xs)-1), whole, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -208,8 +208,5 @@ func (t *PMFTable) CDF(i, j int) float64 {
 	return t.cdf[i][j]
 }
 
-// Tail returns Pr[g_i > V[j]].
-func (t *PMFTable) Tail(i, j int) float64 { return 1 - t.CDF(i, j) }
-
 // N returns the number of items.
 func (t *PMFTable) N() int { return len(t.P) }

@@ -171,28 +171,6 @@ func (t *Tuple) TotalProb() float64 {
 	return s
 }
 
-// ProbAt returns Pr[t = item], summing alternatives that name item.
-func (t *Tuple) ProbAt(item int) float64 {
-	s := 0.0
-	for _, a := range t.Alts {
-		if a.Item == item {
-			s += a.Prob
-		}
-	}
-	return s
-}
-
-// ProbUpTo returns Pr[t <= item] (the tuple instantiates to an item <= item).
-func (t *Tuple) ProbUpTo(item int) float64 {
-	s := 0.0
-	for _, a := range t.Alts {
-		if a.Item <= item {
-			s += a.Prob
-		}
-	}
-	return s
-}
-
 // Span returns the minimum and maximum item named by the tuple's
 // alternatives; ok is false for a tuple with no alternatives.
 func (t *Tuple) Span() (lo, hi int, ok bool) {

@@ -24,16 +24,6 @@ func (vs *ValueSet) Index(v float64) int {
 	return -1
 }
 
-// Gap returns Values[j+1]-Values[j], the spacing above the j-th value; the
-// gap above the largest value is 0 by convention (it is always multiplied
-// by a zero tail probability in the SAE/SARE cost forms, §3.3).
-func (vs *ValueSet) Gap(j int) float64 {
-	if j+1 >= len(vs.Values) {
-		return 0
-	}
-	return vs.Values[j+1] - vs.Values[j]
-}
-
 // newValueSet sorts and dedups raw values, forcing 0 into the set.
 func newValueSet(raw []float64) ValueSet {
 	raw = append(raw, 0)

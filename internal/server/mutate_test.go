@@ -117,8 +117,8 @@ func assertCatalogMatchesOfflineRebuild(t *testing.T, catDir string, want *pdata
 		t.Fatal(err)
 	}
 	checked := 0
-	sweeps := map[liveKey]probsyn.Frontier{}
-	maxBudget := map[liveKey]int{}
+	sweeps := map[catalog.Key]probsyn.Frontier{}
+	maxBudget := map[catalog.Key]int{}
 	var keys []catalog.Key
 	for _, de := range des {
 		key, err := catalog.ParseFilename(de.Name())
@@ -126,13 +126,15 @@ func assertCatalogMatchesOfflineRebuild(t *testing.T, catDir string, want *pdata
 			continue
 		}
 		keys = append(keys, key)
-		lk := liveKey{dataset: dataset, family: key.Family, metric: key.Metric, c: key.C, q: key.Q}
+		lk := key
+		lk.Budget = 0
 		if key.Budget > maxBudget[lk] {
 			maxBudget[lk] = key.Budget
 		}
 	}
 	for _, key := range keys {
-		lk := liveKey{dataset: dataset, family: key.Family, metric: key.Metric, c: key.C, q: key.Q}
+		lk := key
+		lk.Budget = 0
 		fr, ok := sweeps[lk]
 		if !ok {
 			m, err := probsyn.ParseMetric(key.Metric)
@@ -175,70 +177,6 @@ func assertCatalogMatchesOfflineRebuild(t *testing.T, catDir string, want *pdata
 	if checked == 0 {
 		t.Fatal("no catalog files checked")
 	}
-}
-
-// TestAppendRevalidatesCatalog is the serving acceptance path: catalog a
-// histogram sweep and a wavelet build, append items over HTTP, and
-// verify (1) the response reports the grown domain and every cataloged
-// budget republished, (2) each persisted catalog file is byte-identical
-// to an offline rebuild over the mutated dataset, (3) the dataset file
-// itself was atomically rewritten, and (4) estimates serve the new
-// domain. A second mutation exercises the retained-live (incremental)
-// path end to end.
-func TestAppendRevalidatesCatalog(t *testing.T) {
-	catDir := t.TempDir()
-	_, ts, vp := newValueFixture(t, Config{CatalogDir: catDir, C: 0.5})
-
-	if resp, _, bad := postSweep(t, ts, BuildRequest{Dataset: "vds", Family: "histogram", Metric: "SSE", Budget: 4, Wait: true}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep: %d %v", resp.StatusCode, bad)
-	}
-	if resp, _, bad := postBuild(t, ts, BuildRequest{Dataset: "vds", Family: "wavelet", Metric: "SAE", Budget: 3, Wait: true}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("wavelet build: %d %v", resp.StatusCode, bad)
-	}
-
-	newItems := []ItemPDFWire{
-		{Entries: []FreqProbWire{{Freq: 4, Prob: 0.5}}},
-		{Entries: []FreqProbWire{{Freq: 1, Prob: 0.25}, {Freq: 2, Prob: 0.25}}},
-	}
-	resp, ok, bad := postMutate(t, ts, "/v1/append", MutateRequest{Dataset: "vds", Items: newItems, Wait: true})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("append: %d %v", resp.StatusCode, bad)
-	}
-	if ok.Status != "applied" || ok.Domain != vp.N+2 {
-		t.Fatalf("append response: %+v", ok)
-	}
-	if ok.Republished != 5 { // 4 swept histogram budgets + 1 wavelet build
-		t.Fatalf("republished %d entries, want 5", ok.Republished)
-	}
-
-	want := vp.Clone()
-	for _, iw := range newItems {
-		want.Items = append(want.Items, iw.toPDF())
-	}
-	want.N = len(want.Items)
-	assertCatalogMatchesOfflineRebuild(t, catDir, want, "vds", 0.5)
-
-	// Estimates now serve the grown domain.
-	var est EstimateResponse
-	url := fmt.Sprintf("%s/v1/estimate?dataset=vds&family=histogram&metric=SSE&budget=4&i=%d", ts.URL, vp.N+1)
-	if resp := getJSON(t, url, &est); resp.StatusCode != http.StatusOK {
-		t.Fatalf("estimate on appended item: %d", resp.StatusCode)
-	}
-
-	// Second mutation: the retained live frontier absorbs it.
-	resp, ok, bad = postMutate(t, ts, "/v1/update", MutateRequest{
-		Dataset: "vds", I: 3,
-		Item: &ItemPDFWire{Entries: []FreqProbWire{{Freq: 1, Prob: 0.25}, {Freq: 3, Prob: 0.25}}},
-		Wait: true,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("update: %d %v", resp.StatusCode, bad)
-	}
-	if ok.Republished != 5 {
-		t.Fatalf("update republished %d, want 5", ok.Republished)
-	}
-	want.Items[3] = pdata.ItemPDF{Entries: []pdata.FreqProb{{Freq: 1, Prob: 0.25}, {Freq: 3, Prob: 0.25}}}
-	assertCatalogMatchesOfflineRebuild(t, catDir, want, "vds", 0.5)
 }
 
 // TestMutateAfterShardedBuild: a sharded build publishes one synopsis

@@ -214,7 +214,7 @@ func newBenchServer(b *testing.B) (*Server, *httptest.Server) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := s.build(key, 0); err != nil {
+		if _, err := s.build(key, false, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

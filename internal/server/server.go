@@ -55,13 +55,21 @@
 // O(log) time and zero allocation per operation, bit-identical to the
 // synopsis's own methods.
 //
+// Every write — a build, each budget of a sweep, a sharded build's merged
+// synopsis, every key a mutation republishes, the mutated dataset itself
+// — goes through internal/catalog's write path (Publish,
+// ExtractAndPublish, Mutation.Apply), the functions cmd/psyn writes a
+// catalog directory with, so a served file and an offline one are the
+// same bytes by construction. What this package adds is policy: the
+// queues and their dedupe, the per-dataset locks, which live frontiers
+// stay retained (liveFor), the flat keeper, and withdrawing what a failed
+// mutation could not republish.
+//
 // Mutations are serialized per dataset (builds of a dataset share a read
 // lock, mutations take the write lock), so a build admitted before an
 // append can never overwrite the republished catalog with a stale
 // synopsis, and two mutations cannot interleave their live-state
-// updates. Because live maintenance and from-scratch builds are
-// bit-identical by construction, a republished entry is byte-for-byte
-// what a fresh build over the mutated dataset would persist.
+// updates.
 //
 // Errors are typed: {"error": {"code", "message"}} with codes
 // bad_request, not_found, queue_full, build_failed, shutting_down,
@@ -86,7 +94,6 @@ import (
 	"probsyn/internal/engine"
 	"probsyn/internal/pdata"
 	"probsyn/internal/query"
-	"probsyn/internal/synopsis"
 )
 
 // Config assembles a Server. Catalog and Pool are shared, process-wide
@@ -202,14 +209,15 @@ type Server struct {
 	dlMu    sync.Mutex
 	dsLocks map[string]*sync.RWMutex
 
-	// lives retains the per-(dataset, family, metric, c) maintainable
-	// frontiers mutations revalidate incrementally, bounded at
-	// cfg.MaxLiveStates with least-recently-mutated eviction. breq is
-	// the budget the live state was requested at: a catalog that has
-	// since gained higher budgets forces a rebuild at the larger
-	// request.
+	// lives retains the maintainable frontiers mutations revalidate
+	// incrementally, one per frontier group — keyed by the group's catalog
+	// key with Budget zeroed, so exact and quantized frontiers never serve
+	// each other's keys — bounded at cfg.MaxLiveStates with
+	// least-recently-mutated eviction. breq is the budget the live state
+	// was requested at: a catalog that has since gained higher budgets
+	// forces a rebuild at the larger request.
 	livesMu   sync.Mutex
-	lives     map[liveKey]*liveState
+	lives     map[catalog.Key]*liveState
 	liveClock int64
 }
 
@@ -221,16 +229,6 @@ type jobKey struct {
 	catalog.Key
 	sweep  bool
 	shards int
-}
-
-// liveKey identifies one maintainable frontier: every cataloged budget
-// of the tuple shares one retained DP state. q distinguishes quantized
-// (approximate restricted wavelet) frontiers from exact ones — they
-// retain different DP state and must never serve each other's keys.
-type liveKey struct {
-	dataset, family, metric string
-	c                       float64
-	q                       int
 }
 
 // liveState is a retained live frontier plus the budget it was requested
@@ -267,13 +265,10 @@ type buildJob struct {
 	republished int
 }
 
-// mutation is one parsed dataset mutation: an append batch, or an
-// in-place item update when update is non-nil.
+// mutation is one parsed dataset mutation, addressed to its dataset.
 type mutation struct {
 	dataset string
-	items   []pdata.ItemPDF // append batch
-	updateI int
-	update  *pdata.ItemPDF
+	catalog.Mutation
 }
 
 // New validates the config and returns a server with its queue workers
@@ -310,7 +305,7 @@ func New(cfg Config) (*Server, error) {
 		datasets: make(map[string]probsyn.Source),
 		pending:  make(map[jobKey]*buildJob),
 		dsLocks:  make(map[string]*sync.RWMutex),
-		lives:    make(map[liveKey]*liveState),
+		lives:    make(map[catalog.Key]*liveState),
 	}
 	if cfg.FlatPath != "" {
 		s.flat = newFlatKeeper(cfg.FlatPath, cfg.Catalog, s.logf)
@@ -344,13 +339,10 @@ func (s *Server) runJob(job *buildJob) {
 		s.flat.JobStart()
 		defer s.flat.JobEnd()
 	}
-	switch job.kind {
-	case jobSweep:
-		job.err = s.buildSweep(job.key)
-	case jobMutate:
+	if job.kind == jobMutate {
 		job.domain, job.republished, job.err = s.mutate(job.mut)
-	default:
-		job.bound, job.err = s.build(job.key, job.shards)
+	} else {
+		job.bound, job.err = s.build(job.key, job.kind == jobSweep, job.shards)
 	}
 	if job.err != nil {
 		// Surface every failure here: an async (wait:false) client has
@@ -640,7 +632,7 @@ func (s *Server) handleBuildLike(w http.ResponseWriter, r *http.Request, sweep b
 	// A sharded build never short-circuits on the cataloged key: the entry
 	// may be the unsharded optimum or another k's merge, and the caller
 	// asked for this one and its bound.
-	if shards <= 1 && s.ready(key, sweep) {
+	if shards <= 1 && s.ready(published(key, sweep)) {
 		writeJSON(w, http.StatusOK, BuildResponse{Key: key, Status: "ready", Budgets: budgets})
 		return
 	}
@@ -689,17 +681,11 @@ func (s *Server) handleBuildLike(w http.ResponseWriter, r *http.Request, sweep b
 	writeJSON(w, http.StatusOK, BuildResponse{Key: key, Status: "built", Budgets: budgets, Bound: job.bound})
 }
 
-// ready reports whether the catalog already answers the request: the key
-// itself for single builds, every budget 1..key.Budget for sweeps.
-func (s *Server) ready(key catalog.Key, sweep bool) bool {
-	if !sweep {
-		_, ok := s.cfg.Catalog.Get(key)
-		return ok
-	}
-	for b := 1; b <= key.Budget; b++ {
-		bkey := key
-		bkey.Budget = b
-		if _, ok := s.cfg.Catalog.Get(bkey); !ok {
+// ready reports whether the catalog already holds every key a job would
+// publish.
+func (s *Server) ready(keys []catalog.Key) bool {
+	for _, k := range keys {
+		if _, ok := s.cfg.Catalog.Get(k); !ok {
 			return false
 		}
 	}
@@ -787,16 +773,16 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request, update boo
 			writeError(w, http.StatusBadRequest, CodeBadRequest, "negative item index %d", req.I)
 			return
 		}
-		mut.updateI, mut.update = req.I, &it
+		mut.I, mut.Update = req.I, &it
 	} else {
 		if len(req.Items) == 0 {
 			writeError(w, http.StatusBadRequest, CodeBadRequest, "append needs at least one item pdf")
 			return
 		}
-		mut.items = make([]pdata.ItemPDF, len(req.Items))
+		mut.Items = make([]pdata.ItemPDF, len(req.Items))
 		for k, iw := range req.Items {
-			mut.items[k] = iw.toPDF()
-			if err := mut.items[k].Validate(); err != nil {
+			mut.Items[k] = iw.toPDF()
+			if err := mut.Items[k].Validate(); err != nil {
 				writeError(w, http.StatusBadRequest, CodeBadRequest, "item %d: %v", k, err)
 				return
 			}
@@ -890,23 +876,33 @@ func (s *Server) handleSynopses(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// ---- the build path ----
+// ---- the write path ----
 
-// build constructs the synopsis for a key on the shared pool, registers
-// it in the catalog, and persists it when a catalog directory is
-// configured. This is the serving twin of an offline cmd/psyn build:
-// both run probsyn.Build — or, for shards > 1, probsyn.BuildSharded (one
-// admission token per shard), whose merged synopsis is what publishes and
-// whose suboptimality bound is returned — and both write the same
-// envelope bytes.
-func (s *Server) build(key catalog.Key, shards int) (bound float64, err error) {
+// published lists the keys a build job writes: the key itself, or for a
+// sweep every budget 1..key.Budget of it.
+func published(key catalog.Key, sweep bool) []catalog.Key {
+	if sweep {
+		return key.Sweep()
+	}
+	return []catalog.Key{key}
+}
+
+// build runs one build job on the shared pool and publishes what it
+// built (catalog.Publish: persisted, then cataloged). A plain build and a
+// sweep are the same loop — one probsyn.BuildSweep, one DP run under one
+// admission token, then catalog.ExtractAndPublish over the job's keys —
+// so every swept budget is byte for byte what a single build of it
+// publishes, and what an offline cmd/psyn build writes. shards > 1 runs
+// probsyn.BuildSharded instead (one admission token per shard): the
+// merged synopsis publishes under the ordinary key and its suboptimality
+// bound is returned.
+func (s *Server) build(key catalog.Key, sweep bool, shards int) (bound float64, err error) {
 	lock := s.datasetLock(key.Dataset)
 	lock.RLock()
 	defer lock.RUnlock()
-	if shards <= 1 {
-		if _, ok := s.cfg.Catalog.Get(key); ok {
-			return 0, nil // built (or loaded, or republished by a mutation) since this job was queued
-		}
+	keys := published(key, sweep)
+	if shards <= 1 && s.ready(keys) {
+		return 0, nil // built (or loaded, or republished by a mutation) since this job was queued
 	}
 	src, err := s.dataset(key.Dataset)
 	if err != nil {
@@ -917,17 +913,21 @@ func (s *Server) build(key catalog.Key, shards int) (bound float64, err error) {
 		return 0, err
 	}
 	if shards <= 1 {
-		syn, err := probsyn.Build(src, m, key.Budget, opts...)
-		if err != nil {
-			return 0, fmt.Errorf("build %s: %w", key, err)
-		}
-		return 0, s.publish(key, syn)
+		_, err := catalog.ExtractAndPublish(s.cfg.CatalogDir, s.cfg.Catalog, keys,
+			func(top catalog.Key) (probsyn.Frontier, error) {
+				fr, err := probsyn.BuildSweep(src, m, top.Budget, opts...)
+				if err != nil {
+					return nil, fmt.Errorf("build %s: %w", top, err)
+				}
+				return fr, nil
+			})
+		return 0, err
 	}
 	res, err := probsyn.BuildSharded(src, m, key.Budget, shards, opts...)
 	if err != nil {
 		return 0, fmt.Errorf("sharded build %s (%d shards): %w", key, shards, err)
 	}
-	if err := s.publish(key, res.Synopsis); err != nil {
+	if err := catalog.Publish(s.cfg.CatalogDir, s.cfg.Catalog, key, res.Synopsis); err != nil {
 		return 0, err
 	}
 	// An async (wait:false) build has no response to carry the bound.
@@ -943,74 +943,9 @@ func (s *Server) buildOptions(key catalog.Key) (probsyn.Metric, []probsyn.BuildO
 	return m, append(opts, probsyn.WithPool(s.cfg.Pool)), err
 }
 
-// publish makes a built synopsis servable under key: encode it,
-// persist, then catalog.
-// Persist before publishing: a build is observable (ready, servable) only
-// once it is durably on disk, so a failed persist is reported as
-// build_failed with nothing half-done — no window where a key serves
-// estimates and then vanishes, and retries are not short-circuited by a
-// catalog entry that never hit disk. The write is atomic (temp + rename):
-// LoadDir fails loudly on corrupt files, so a crash mid-persist must not
-// block the next startup either. Builds, every budget of a sweep and
-// republished mutations all become servable here and nowhere else.
-func (s *Server) publish(key catalog.Key, syn probsyn.Synopsis) error {
-	blob, err := probsyn.MarshalSynopsis(syn)
-	if err != nil {
-		return err
-	}
-	if s.cfg.CatalogDir != "" {
-		if err := catalog.WriteBlob(filepath.Join(s.cfg.CatalogDir, key.Filename()), blob); err != nil {
-			return fmt.Errorf("persist %s: %w", key, err)
-		}
-	}
-	s.cfg.Catalog.PutEncoded(key, syn, blob)
-	return nil
-}
-
-// buildSweep is the frontier twin of build: one probsyn.BuildSweep —
-// one DP run under one pool admission token — then every budget
-// 1..key.Budget is extracted, persisted, and registered exactly as a
-// single build of that budget would be. Budgets beyond the frontier's
-// clamped Bmax (a budget larger than the domain) repeat the Bmax
-// synopsis, matching what a single build at that budget returns.
-func (s *Server) buildSweep(key catalog.Key) error {
-	lock := s.datasetLock(key.Dataset)
-	lock.RLock()
-	defer lock.RUnlock()
-	if s.ready(key, true) {
-		return nil // swept (or loaded) since this job was queued
-	}
-	src, err := s.dataset(key.Dataset)
-	if err != nil {
-		return err
-	}
-	m, opts, err := s.buildOptions(key)
-	if err != nil {
-		return err
-	}
-	fr, err := probsyn.BuildSweep(src, m, key.Budget, opts...)
-	if err != nil {
-		return fmt.Errorf("sweep %s: %w", key, err)
-	}
-	for b := 1; b <= key.Budget; b++ {
-		syn, err := synopsis.Extract(fr, b)
-		if err != nil {
-			return fmt.Errorf("sweep %s: budget %d: %w", key, b, err)
-		}
-		bkey := key
-		bkey.Budget = b
-		if err := s.publish(bkey, syn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ---- the mutation path ----
-
-// datasetKeys lists the dataset's cataloged keys. Catalog.List is
-// key-sorted, so budgets arrive ascending and the derived grouping is
-// deterministic.
+// datasetKeys lists the dataset's cataloged keys, in Catalog.List's key
+// order: each frontier group is contiguous, so ExtractAndPublish
+// publishes them in exactly this order.
 func (s *Server) datasetKeys(dataset string) []catalog.Key {
 	var keys []catalog.Key
 	for _, e := range s.cfg.Catalog.List() {
@@ -1022,13 +957,12 @@ func (s *Server) datasetKeys(dataset string) []catalog.Key {
 }
 
 // mutate applies one dataset mutation under the dataset's write lock:
-// persist the mutated dataset (atomic rename — after a restart, a
-// from-scratch rebuild must reproduce exactly what is republished now),
-// swap the in-memory source, then revalidate every cataloged budget of
-// the dataset through its retained live frontier and republish each one
-// persist-before-publish. Because live maintenance is bit-identical to a
-// fresh build, every republished file is byte-for-byte what an offline
-// rebuild over the mutated dataset would write.
+// persist the mutated dataset (catalog.Mutation.Apply: dataset first),
+// swap the in-memory source, then republish every cataloged key of the
+// dataset through catalog.ExtractAndPublish from its group's live
+// frontier. Because live maintenance is bit-identical to a fresh build,
+// every republished file is byte-for-byte what an offline rebuild over
+// the mutated dataset would write.
 //
 // If anything fails after the dataset swap, every catalog entry not yet
 // republished is withdrawn (memory and disk): the old synopses describe
@@ -1048,77 +982,20 @@ func (s *Server) mutate(mu *mutation) (domain, republished int, err error) {
 	if !ok {
 		return 0, 0, fmt.Errorf("dataset %q is not a value-pdf dataset", mu.dataset)
 	}
-	next := vp.Clone()
-	if mu.update != nil {
-		if mu.updateI >= next.N {
-			return 0, 0, fmt.Errorf("update index %d outside domain [0, %d)", mu.updateI, next.N)
-		}
-		next.Items[mu.updateI] = mu.update.Clone()
-	} else {
-		for _, it := range mu.items {
-			next.Items = append(next.Items, it.Clone())
-		}
-		next.N = len(next.Items)
-	}
-	var buf bytes.Buffer
-	if err := probsyn.WriteDataset(&buf, next); err != nil {
+	next, err := mu.Apply(vp, s.datasetPath(mu.dataset))
+	if err != nil {
 		return 0, 0, err
-	}
-	if err := catalog.WriteBlob(s.datasetPath(mu.dataset), buf.Bytes()); err != nil {
-		return 0, 0, fmt.Errorf("persist dataset %q: %w", mu.dataset, err)
 	}
 	s.dsMu.Lock()
 	s.datasets[mu.dataset] = next
 	s.dsMu.Unlock()
 
 	keys := s.datasetKeys(mu.dataset)
-	republish := func() error {
-		for _, group := range catalog.GroupKeys(keys[republished:]) {
-			lk := liveKey{dataset: mu.dataset, family: group[0].Family, metric: group[0].Metric, c: group[0].C, q: group[0].Q}
-			gmax := 0
-			for _, k := range group {
-				if k.Budget > gmax {
-					gmax = k.Budget
-				}
-			}
-			ls, fresh, err := s.liveFor(lk, gmax, next)
-			if err != nil {
-				return fmt.Errorf("live frontier for %s/%s: %w", lk.family, lk.metric, err)
-			}
-			if !fresh {
-				// The retained state holds the pre-mutation data; absorb
-				// the mutation incrementally. A fresh frontier was built
-				// from the already-mutated source and needs nothing.
-				if mu.update != nil {
-					err = ls.m.Update(mu.updateI, *mu.update)
-				} else {
-					err = ls.m.Append(mu.items)
-				}
-				if err != nil {
-					// The live state may be mid-mutation; drop it so the
-					// next mutation rebuilds from the persisted source.
-					s.livesMu.Lock()
-					delete(s.lives, lk)
-					s.livesMu.Unlock()
-					return fmt.Errorf("maintain %s/%s: %w", lk.family, lk.metric, err)
-				}
-			}
-			for _, key := range group {
-				syn, err := synopsis.Extract(ls.m, key.Budget)
-				if err != nil {
-					return err
-				}
-				if err := s.publish(key, syn); err != nil {
-					return err
-				}
-				republished++
-			}
-		}
-		return nil
-	}
-	if err := republish(); err != nil {
-		// keys[:republished] were fully republished before the failure
-		// (groups process their keys in order); withdraw the rest.
+	republished, err = catalog.ExtractAndPublish(s.cfg.CatalogDir, s.cfg.Catalog, keys,
+		func(top catalog.Key) (probsyn.Frontier, error) { return s.liveFor(top, next, mu.Mutation) })
+	if err != nil {
+		// keys[:republished] are republished (see datasetKeys); withdraw
+		// the rest.
 		for _, key := range keys[republished:] {
 			s.cfg.Catalog.Delete(key)
 			if s.cfg.CatalogDir != "" {
@@ -1132,35 +1009,45 @@ func (s *Server) mutate(mu *mutation) (domain, republished int, err error) {
 	return next.N, republished, nil
 }
 
-// liveFor returns the retained live frontier for the key, building one
-// over data (already mutated) when none exists or the cataloged budgets
-// outgrew the retained request. fresh reports which case applied. The
-// retained set is bounded at cfg.MaxLiveStates; inserting beyond it
-// evicts the least-recently-mutated frontier.
-func (s *Server) liveFor(lk liveKey, gmax int, data *pdata.ValuePDF) (ls *liveState, fresh bool, err error) {
+// liveFor returns the live frontier serving top's group — every cataloged
+// budget up to top.Budget — over data, the dataset mu produced: the
+// retained frontier once it has absorbed mu, or, when none is retained or
+// the cataloged budgets outgrew its request, one built over data, which
+// needs nothing. The retained set is bounded at cfg.MaxLiveStates;
+// inserting beyond it evicts the least-recently-mutated frontier.
+func (s *Server) liveFor(top catalog.Key, data *pdata.ValuePDF, mu catalog.Mutation) (probsyn.Maintainer, error) {
+	lk := top
+	lk.Budget = 0
 	s.livesMu.Lock()
-	ls = s.lives[lk]
-	if ls != nil && ls.breq >= gmax {
+	ls := s.lives[lk]
+	if ls != nil && ls.breq >= top.Budget {
 		s.liveClock++
 		ls.stamp = s.liveClock
 		s.livesMu.Unlock()
-		return ls, false, nil
+		if err := mu.Absorb(ls.m); err != nil {
+			// The live state may be mid-mutation; drop it so the next
+			// mutation rebuilds from the persisted source.
+			s.livesMu.Lock()
+			delete(s.lives, lk)
+			s.livesMu.Unlock()
+			return nil, fmt.Errorf("maintain %s/%s: %w", lk.Family, lk.Metric, err)
+		}
+		return ls.m, nil
 	}
 	s.livesMu.Unlock()
-	m, opts, err := s.buildOptions(catalog.Key{Dataset: lk.dataset, Family: lk.family, Metric: lk.metric, C: lk.c, Q: lk.q})
-	if err != nil {
-		return nil, false, err
+	m, opts, err := s.buildOptions(top)
+	var live probsyn.Maintainer
+	if err == nil {
+		live, err = probsyn.BuildLive(data, m, top.Budget, opts...)
 	}
-	live, err := probsyn.BuildLive(data, m, gmax, opts...)
 	if err != nil {
-		return nil, false, err
+		return nil, fmt.Errorf("live frontier for %s/%s: %w", lk.Family, lk.Metric, err)
 	}
 	s.livesMu.Lock()
 	s.liveClock++
-	ls = &liveState{m: live, breq: gmax, stamp: s.liveClock}
-	s.lives[lk] = ls
+	s.lives[lk] = &liveState{m: live, breq: top.Budget, stamp: s.liveClock}
 	for len(s.lives) > s.cfg.MaxLiveStates {
-		var oldest liveKey
+		var oldest catalog.Key
 		first := true
 		for k, v := range s.lives {
 			if k == lk {
@@ -1176,7 +1063,7 @@ func (s *Server) liveFor(lk liveKey, gmax int, data *pdata.ValuePDF) (ls *liveSt
 		delete(s.lives, oldest)
 	}
 	s.livesMu.Unlock()
-	return ls, true, nil
+	return live, nil
 }
 
 // dataset returns the parsed source for a dataset name, reading and

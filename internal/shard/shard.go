@@ -113,11 +113,8 @@ func Allocate(maxTotal int, caps []int, cumulative bool, cost func(s, b int) flo
 	return a, nil
 }
 
-// MaxTotal returns the largest total budget the DP was solved to.
-func (a *Alloc) MaxTotal() int { return a.maxTotal }
-
 // Cost returns the optimal combined cost at the given total budget,
-// clamped to [k, MaxTotal].
+// clamped to [k, maxTotal].
 func (a *Alloc) Cost(total int) float64 {
 	return a.vals[a.k-1][a.clamp(total)]
 }

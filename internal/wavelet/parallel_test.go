@@ -94,30 +94,6 @@ func TestBuildUnrestrictedPoolBitIdentical(t *testing.T) {
 	}
 }
 
-// A dynamic (work-stealing) pool cuts finer chunks pulled off an atomic
-// cursor; the DP's slots are range-derived, so the synopsis must still be
-// bit-identical to serial — on the ragged unrestricted levels especially.
-func TestBuildUnrestrictedDynamicPoolBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(95))
-	src := ptest.RandomValuePDF(rng, 16, 3)
-	for _, k := range []metric.Kind{metric.SAE, metric.MAE} {
-		for _, q := range []int{0, 2} {
-			serial, cs, err := wavelet.BuildUnrestrictedPool(src, k, metric.Params{C: 0.5}, 3, q, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range []int{2, runtime.NumCPU()} {
-				dyn := engine.New(engine.Options{Workers: w, Grain: 1, Dynamic: true})
-				par, cp, err := wavelet.BuildUnrestrictedPool(src, k, metric.Params{C: 0.5}, 3, q, dyn)
-				if err != nil {
-					t.Fatal(err)
-				}
-				synopsesIdentical(t, "dynamic/"+k.String(), serial, par, cs, cp)
-			}
-		}
-	}
-}
-
 // The Workers entry points at the default grain must agree with serial
 // too (they fall back to serial sweeps on small domains, but the whole
 // build must still be deterministic end to end).

@@ -101,7 +101,7 @@ func (g *sseGreedy) at(b int) *Synopsis {
 }
 
 func (g *sseGreedy) sweep(B int) *Sweep {
-	return extractionSweep(len(g.c), min(B, len(g.c)), g.at)
+	return extractionSweep(min(B, len(g.c)), g.at)
 }
 
 // BuildSSE constructs the expected-SSE-optimal B-term synopsis

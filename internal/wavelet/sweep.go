@@ -21,16 +21,14 @@ import (
 // x-axes) costs one build instead of Bmax.
 //
 // A Sweep retains the DP's per-level tables until it is garbage
-// collected; extraction only reads them, so Synopsis, Synopses and Cost
-// may be called concurrently.
+// collected; extraction only reads them, so Synopsis and Cost may be
+// called concurrently.
 type Sweep struct {
-	n      int
 	bmax   int
 	at     func(b int) *Synopsis
 	costAt func(b int) float64 // budget b's cost without its synopsis; nil: only at(b) knows it
-	pool   *engine.Pool
-	bound  float64      // additive suboptimality bound; 0 for exact sweeps
-	stats  hist.DPStats // the forward DP's work counters; zero for the SSE greedy
+	bound  float64             // additive suboptimality bound; 0 for exact sweeps
+	stats  hist.DPStats        // the forward DP's work counters; zero for the SSE greedy
 
 	once  sync.Once
 	costs []float64 // costs[b-1], filled by the first Cost call
@@ -86,20 +84,6 @@ func (s *Sweep) Synopsis(b int) (*Synopsis, error) {
 		return nil, fmt.Errorf("wavelet: sweep budget %d outside [1, %d]", b, s.bmax)
 	}
 	return s.at(b), nil
-}
-
-// Synopses extracts every budget 1..Bmax, dispatching the independent
-// per-budget backtracks through the sweep's engine pool. Extraction
-// slots are independent reads of the kept tables, so the result is
-// bit-identical at any worker count.
-func (s *Sweep) Synopses() []*Synopsis {
-	out := make([]*Synopsis, s.bmax)
-	s.pool.Dispatch(1, s.bmax+1, s.bmax*s.n, func(_, lo, hi int) {
-		for b := lo; b < hi; b++ {
-			out[b-1] = s.at(b)
-		}
-	})
-	return out
 }
 
 // Family selects which wavelet construction a Sweep or a Live frontier
@@ -189,7 +173,7 @@ func sweepDP(src pdata.Source, family Family, kind metric.Kind, p metric.Params,
 		if forced {
 			at = func(int) *Synopsis { return restrictedSingletonForced(pe, cands[0][0]) }
 		}
-		return extractionSweep(1, B, at), pe, nil
+		return extractionSweep(B, at), pe, nil
 	}
 	if family == UnrestrictedFamily {
 		q = 0 // spent on the candidate grids; incoming values stay exact
@@ -236,7 +220,7 @@ func dpSweep(n, B int, cands [][]float64, pe *PointErrors, cumulative bool, quan
 		return nil, err
 	}
 	sw := &Sweep{
-		n: n, bmax: B, pool: d.pool, bound: d.errorBound(), stats: d.stats,
+		bmax: B, bound: d.errorBound(), stats: d.stats,
 		at: func(b int) *Synopsis { return d.synopsis(b, forced) },
 	}
 	if d.quant == 0 {
@@ -252,6 +236,6 @@ func dpSweep(n, B int, cands [][]float64, pe *PointErrors, cumulative bool, quan
 // extracting the budget-b synopsis: the SSE greedy, and the degenerate
 // n == 1 domain, where budgets are 0 or 1 and each family enumerates its
 // candidates directly.
-func extractionSweep(n, B int, at func(b int) *Synopsis) *Sweep {
-	return &Sweep{n: n, bmax: B, at: at, pool: engine.Serial()}
+func extractionSweep(B int, at func(b int) *Synopsis) *Sweep {
+	return &Sweep{bmax: B, at: at}
 }

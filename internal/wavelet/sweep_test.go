@@ -110,28 +110,6 @@ func TestSweepMatchesIndependentBuilds(t *testing.T) {
 	}
 }
 
-// TestSweepSynopsesParallelExtraction: extracting all budgets through the
-// pool yields exactly the per-budget extractions.
-func TestSweepSynopsesParallelExtraction(t *testing.T) {
-	src := ptest.RandomValuePDF(rand.New(rand.NewSource(5)), 32, 3)
-	const B = 12
-	sw, err := wavelet.NewSweep(src, wavelet.RestrictedFamily, metric.SAE, metric.Params{C: 0.5}, B, 0, finePool(runtime.NumCPU()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := sw.Synopses()
-	if len(all) != B {
-		t.Fatalf("Synopses() returned %d budgets, want %d", len(all), B)
-	}
-	for b := 1; b <= B; b++ {
-		one, err := sw.Synopsis(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		synopsesIdentical(t, "parallel-extract", one, all[b-1], one.Cost, all[b-1].Cost)
-	}
-}
-
 // TestSweepTinyDomains exercises the n == 1 and n == 2 special paths of
 // every family.
 func TestSweepTinyDomains(t *testing.T) {
@@ -236,14 +214,18 @@ func TestSweepLazyCurveConcurrent(t *testing.T) {
 				defer wg.Done()
 				for k := 0; k < B; k++ {
 					b := 1 + (k+g)%B
-					var syn *wavelet.Synopsis
-					if g%4 == 3 {
-						syn = sw.Synopses()[b-1]
-					} else if s, err := sw.Synopsis(b); err != nil {
+					if g%4 == 3 { // a reader walking the whole frontier beside the others
+						for e := 1; e <= B; e++ {
+							if _, err := sw.Synopsis(e); err != nil {
+								t.Errorf("q=%d: Synopsis(%d): %v", q, e, err)
+								return
+							}
+						}
+					}
+					syn, err := sw.Synopsis(b)
+					if err != nil {
 						t.Errorf("q=%d: Synopsis(%d): %v", q, b, err)
 						return
-					} else {
-						syn = s
 					}
 					got := math.Float64bits(sw.Cost(b))
 					if got != math.Float64bits(syn.Cost) || got != math.Float64bits(want[b]) {

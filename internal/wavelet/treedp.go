@@ -426,12 +426,8 @@ func (d *treeDP) solveLevel(l int, vals []float64) {
 	if l != d.levels-2 {
 		centries = d.bcap[l+1] + 1
 	}
-	// Dispatch (not MapChunks): result slots are derived from the state
-	// range, so the pool may run this static or dynamic. Unrestricted
-	// levels are ragged — per-node branch counts differ, so equal state
-	// ranges carry unequal work — and a dynamic pool's finer chunks let
-	// idle workers steal them with the same bit-identical result.
-	d.pool.Dispatch(0, total, total*entries*centries, func(_, lo, hi int) {
+	// Result slots are derived from the state range, not the chunk index.
+	d.pool.MapChunks(0, total, total*entries*centries, func(_, lo, hi int) {
 		d.solveStates(l, lo, hi, vals, 0)
 	})
 }
