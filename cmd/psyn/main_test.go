@@ -19,6 +19,7 @@ import (
 	"probsyn/internal/engine"
 	"probsyn/internal/gen"
 	"probsyn/internal/server"
+	"probsyn/internal/wavelet"
 )
 
 // writeDataset materializes a small generated dataset in the probsyn text
@@ -471,6 +472,15 @@ func TestRunQueryMatchesServedBatch(t *testing.T) {
 			t.Fatalf("%v: %v", args, err)
 		}
 	}
+	// And one synopsis whose numbers are finite and whose sums are not.
+	huge, err := catalog.NewKey("huge", catalog.FamilyWavelet, "SSE", 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overflowing := &wavelet.Synopsis{N: 4, Indices: []int{0, 1}, Values: []float64{math.MaxFloat64, math.MaxFloat64}}
+	if _, err := catalog.WriteFile(filepath.Join(catDir, huge.Filename()), overflowing); err != nil {
+		t.Fatal(err)
+	}
 	batch := `{"ops":[
 		{"dataset":"ds","family":"histogram","metric":"SSE","budget":4,"op":"estimate","i":7},
 		{"dataset":"ds","family":"wavelet","metric":"SAE","budget":3,"op":"rangesum","lo":-2,"hi":2000},
@@ -487,7 +497,8 @@ func TestRunQueryMatchesServedBatch(t *testing.T) {
 		{"dataset":"ds","family":"wavelet","metric":"SAE","budget":3,"op":"rangesum","lo":5000,"hi":6000},
 		{"dataset":"ds","family":"histogram","metric":"SSE","budget":4,"op":"median","i":1},
 		{"dataset":"ds","family":"sketch","metric":"SSE","budget":4,"op":"estimate","i":1},
-		{"dataset":"ds","family":"histogram","metric":"SAE","budget":4,"q":4,"op":"estimate","i":1}
+		{"dataset":"ds","family":"histogram","metric":"SAE","budget":4,"q":4,"op":"estimate","i":1},
+		{"dataset":"huge","family":"wavelet","metric":"SSE","budget":2,"op":"estimate","i":0}
 	]}`
 	reqPath := filepath.Join(dir, "batch.json")
 	if err := os.WriteFile(reqPath, []byte(batch), 0o644); err != nil {
@@ -514,7 +525,7 @@ func TestRunQueryMatchesServedBatch(t *testing.T) {
 	if !bytes.Equal(offline.Bytes(), rec.Body.Bytes()) {
 		t.Fatalf("psyn -query and POST /v1/query disagree:\noffline %s\nserved  %s", offline.Bytes(), rec.Body)
 	}
-	// The bytes agree about something: eight answers, then eight errors.
+	// The bytes agree about something: seven answers, then ten errors.
 	var resp struct {
 		Results []struct {
 			Err *struct {
@@ -522,11 +533,11 @@ func TestRunQueryMatchesServedBatch(t *testing.T) {
 			} `json:"error"`
 		} `json:"results"`
 	}
-	if err := json.Unmarshal(offline.Bytes(), &resp); err != nil || len(resp.Results) != 16 {
+	if err := json.Unmarshal(offline.Bytes(), &resp); err != nil || len(resp.Results) != 17 {
 		t.Fatalf("%d results (%v):\n%s", len(resp.Results), err, offline.Bytes())
 	}
 	wantCodes := []string{"", "", "", "", "", "", "", "not_found", "not_found", "not_found",
-		"bad_request", "bad_request", "bad_request", "bad_request", "bad_request", "bad_request"}
+		"bad_request", "bad_request", "bad_request", "bad_request", "bad_request", "bad_request", "internal"}
 	for i, r := range resp.Results {
 		got := ""
 		if r.Err != nil {

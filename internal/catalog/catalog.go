@@ -15,6 +15,7 @@ package catalog
 
 import (
 	"fmt"
+	"math"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -79,8 +80,10 @@ func NewKey(dataset, family, metricName string, budget int, c float64) (Key, err
 	}
 	if !k.Relative() {
 		c = 0
-	} else if !(c > 0) { // NaN included: a NaN key equals nothing, itself least of all
-		return Key{}, fmt.Errorf("catalog: metric %v needs a sanity constant c > 0, got %g", k, c)
+	} else if !(c > 0) || math.IsInf(c, 1) {
+		// NaN included: a NaN key equals nothing, itself least of all. And
+		// no key with a c JSON cannot write: every response echoes its key.
+		return Key{}, fmt.Errorf("catalog: metric %v needs a finite sanity constant c > 0, got %g", k, c)
 	}
 	return Key{Dataset: dataset, Family: family, Metric: k.String(), Budget: budget, C: c}, nil
 }
@@ -175,40 +178,51 @@ func ParseFilename(name string) (Key, error) {
 		return Key{}, fmt.Errorf("catalog: %q is not a catalog file (want .psyn)", name)
 	}
 	// Family, metric, the optional c and q, and budget never contain the
-	// separator, so they are the trailing segments; anything before them
-	// (an escaped dataset name may itself contain "--") rejoins into the
-	// dataset.
-	parts := strings.Split(base, "--")
-	if len(parts) < 4 || !strings.HasPrefix(parts[len(parts)-1], "b") {
+	// separator nor begin with '-', so each is cut off the right end at the
+	// LAST "--"; the dataset, whose escaped name may itself contain "--"
+	// or end in '-', is what is left.
+	rest, ok := base, true
+	pop := func() (seg string) {
+		i := strings.LastIndex(rest, "--")
+		if i < 0 {
+			ok = false
+			return ""
+		}
+		seg, rest = rest[i+2:], rest[:i]
+		return seg
+	}
+	seg := pop()
+	if !strings.HasPrefix(seg, "b") {
 		return Key{}, fmt.Errorf("catalog: filename %q does not encode a key", name)
 	}
-	budget, err := strconv.Atoi(parts[len(parts)-1][1:])
+	budget, err := strconv.Atoi(seg[1:])
 	if err != nil {
 		return Key{}, fmt.Errorf("catalog: filename %q: bad budget: %w", name, err)
 	}
-	tail := 2 // trailing segments after family: metric [c] [q] budget
+	seg = pop() // metric, after the optional q and c
 	q := 0
-	if seg := parts[len(parts)-tail]; strings.HasPrefix(seg, "q") {
+	if strings.HasPrefix(seg, "q") {
 		if q, err = strconv.Atoi(seg[1:]); err != nil {
 			return Key{}, fmt.Errorf("catalog: filename %q: bad quantization: %w", name, err)
 		}
-		tail++
+		seg = pop()
 	}
 	c := 0.0
-	if seg := parts[len(parts)-tail]; strings.HasPrefix(seg, "c") {
+	if strings.HasPrefix(seg, "c") {
 		if c, err = strconv.ParseFloat(seg[1:], 64); err != nil {
 			return Key{}, fmt.Errorf("catalog: filename %q: bad sanity constant: %w", name, err)
 		}
-		tail++
+		seg = pop()
 	}
-	if len(parts) < tail+2 {
+	family := pop()
+	if !ok {
 		return Key{}, fmt.Errorf("catalog: filename %q does not encode a key", name)
 	}
-	dataset, err := url.PathUnescape(strings.Join(parts[:len(parts)-tail-1], "--"))
+	dataset, err := url.PathUnescape(rest)
 	if err != nil {
 		return Key{}, fmt.Errorf("catalog: filename %q: %w", name, err)
 	}
-	key, err := NewKeyQ(dataset, parts[len(parts)-tail-1], parts[len(parts)-tail], budget, c, q)
+	key, err := NewKeyQ(dataset, family, seg, budget, c, q)
 	if err != nil {
 		return Key{}, err
 	}

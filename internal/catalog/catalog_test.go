@@ -113,6 +113,12 @@ func TestFilenameRoundTrip(t *testing.T) {
 		{Dataset: "d", Family: FamilyWavelet, Metric: "SSRE", Budget: 3, C: 1.25},
 		{Dataset: "big--domain", Family: FamilyWavelet, Metric: "SAE", Budget: 32, Q: 64},
 		{Dataset: "d", Family: FamilyWavelet, Metric: "SARE", Budget: 5, C: 0.5, Q: 16},
+		// Names that run into the separator (FuzzReadParams found "-": its
+		// "---histogram…" was split at the first "--", not the last).
+		{Dataset: "-", Family: FamilyHistogram, Metric: "SAE", Budget: 1},
+		{Dataset: "a-", Family: FamilyWavelet, Metric: "SSE", Budget: 2},
+		{Dataset: "--", Family: FamilyHistogram, Metric: "SSRE", Budget: 2, C: 1e-5},
+		{Dataset: "-a---", Family: FamilyWavelet, Metric: "SAE", Budget: 2, Q: 4},
 	}
 	for _, k := range keys {
 		canon, err := NewKeyQ(k.Dataset, k.Family, k.Metric, k.Budget, k.C, k.Q)
@@ -133,6 +139,7 @@ func TestFilenameRoundTrip(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"x.syn", "a--b.psyn", "a--b--c--8.psyn", "a--histogram--SSE--bx.psyn",
+		"--b2.psyn", "SSE--b2.psyn", "histogram--SSE--b2.psyn", "--histogram--SSE--b2.psyn", // too few segments, no dataset
 		"a--histogram--SSRE--b2.psyn",         // relative metric without its c segment
 		"a--histogram--SSE--c0.5--b2.psyn",    // c segment on a metric that ignores it
 		"a--histogram--SAE--q4--b2.psyn",      // q segment on a histogram key

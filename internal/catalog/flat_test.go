@@ -578,6 +578,19 @@ func TestFlatBadEntryWithdrawn(t *testing.T) {
 			}
 			return b
 		}, false},
+		{"envelope holding a number JSON cannot write", func(t *testing.T, _ []byte) []byte {
+			// Well formed and checksummed; only the synopsis's own Validate
+			// can object, or the key would list and answer with empty bodies.
+			entries := src.List()
+			h := randHistogram(rng, 32)
+			h.Buckets[0].Rep = math.NaN()
+			entries[0] = &Entry{Key: victim.Key, Synopsis: h}
+			b, err := PackBytes(entries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}, false},
 		{"file closed before first touch", func(_ *testing.T, b []byte) []byte { return b }, true},
 	}
 	for _, tc := range cases {

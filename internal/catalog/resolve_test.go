@@ -48,13 +48,15 @@ func TestResolve(t *testing.T) {
 }
 
 // A NaN sanity constant would make a key that equals nothing — not even
-// itself, so never its own filename's parse.
-func TestNewKeyRejectsNaN(t *testing.T) {
-	nan := math.NaN()
-	if _, err := NewKey("ds", FamilyHistogram, "SSRE", 4, nan); err == nil {
-		t.Fatal("NaN sanity constant accepted")
-	}
-	if _, err := NewKey("ds", FamilyHistogram, "SSE", 4, nan); err != nil {
-		t.Fatalf("c is unused for SSE, NaN or not: %v", err)
+// itself, so never its own filename's parse — and an infinite one a key no
+// response could echo: JSON writes neither.
+func TestNewKeyRejectsNonFiniteC(t *testing.T) {
+	for _, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewKey("ds", FamilyHistogram, "SSRE", 4, c); err == nil {
+			t.Fatalf("sanity constant %v accepted", c)
+		}
+		if _, err := NewKey("ds", FamilyHistogram, "SSE", 4, c); err != nil {
+			t.Fatalf("c is unused for SSE, %v or not: %v", c, err)
+		}
 	}
 }

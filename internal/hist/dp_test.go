@@ -213,6 +213,10 @@ func TestHistogramValidateRejectsBadShapes(t *testing.T) {
 		{N: 3, Buckets: []hist.Bucket{{Start: 0, End: 2}, {Start: 2, End: 2}}}, // overlap
 		{N: 0, Buckets: []hist.Bucket{{Start: 0, End: 0}}},                     // empty domain
 		{N: 3, Buckets: []hist.Bucket{{Start: 0, End: 2}, {Start: 3, End: 2}}}, // inverted
+		{N: 3, Buckets: []hist.Bucket{{Start: 0, End: 2, Rep: math.NaN()}}},    // numbers JSON cannot write
+		{N: 3, Buckets: []hist.Bucket{{Start: 0, End: 2, Rep: math.Inf(-1)}}},
+		{N: 3, Buckets: []hist.Bucket{{Start: 0, End: 2, Cost: math.Inf(1)}}},
+		{N: 3, Buckets: []hist.Bucket{{Start: 0, End: 2}}, Cost: math.NaN()},
 	}
 	for i, h := range cases {
 		if err := h.Validate(); err == nil {

@@ -9,6 +9,7 @@ package hist
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -112,7 +113,10 @@ func (h *Histogram) prefixTo(i int) float64 {
 	return total
 }
 
-// Validate checks that the buckets are a contiguous partition of [0, N).
+// Validate checks that the buckets are a contiguous partition of [0, N)
+// and that every number is finite: a NaN or infinite representative or
+// cost has no JSON form, so a histogram carrying one could be neither
+// listed nor answered from.
 func (h *Histogram) Validate() error {
 	if h.N <= 0 {
 		return fmt.Errorf("hist: histogram over empty domain")
@@ -131,12 +135,20 @@ func (h *Histogram) Validate() error {
 		if k > 0 && b.Start != h.Buckets[k-1].End+1 {
 			return fmt.Errorf("hist: bucket %d starts at %d, want %d", k, b.Start, h.Buckets[k-1].End+1)
 		}
+		if !finite(b.Rep) || !finite(b.Cost) {
+			return fmt.Errorf("hist: bucket %d has representative %v and cost %v, want finite numbers", k, b.Rep, b.Cost)
+		}
+	}
+	if !finite(h.Cost) {
+		return fmt.Errorf("hist: histogram cost %v, want a finite number", h.Cost)
 	}
 	if last := h.Buckets[len(h.Buckets)-1].End; last != h.N-1 {
 		return fmt.Errorf("hist: last bucket ends at %d, want %d", last, h.N-1)
 	}
 	return nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Boundaries returns the bucket start positions (a convenient compact
 // encoding: boundaries[0] == 0 always).

@@ -3,13 +3,18 @@
 // answered in order. POST /v1/query (internal/server) and psyn -query
 // (cmd/psyn) both evaluate batches through EvalBatch and serialize
 // through EncodeResponse, so a served response body and an offline one
-// over the same catalog are byte-identical.
+// over the same catalog are byte-identical. Those bytes are encoding/json's
+// for a BatchResponse (the documented wire type), written without
+// reflection by encode.go.
+//
+// An answer is a finite number or an error: evalOp turns a sum that
+// overflowed into a per-op error (code internal), so every evaluated
+// batch has a JSON form.
 package query
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
+	"math"
 )
 
 // Batch protocol limits, shared by every evaluator so offline and served
@@ -58,7 +63,8 @@ type BatchRequest struct {
 }
 
 // OpError is a per-operation failure: the same stable codes the single
-// query endpoints use (bad_request, not_found).
+// query endpoints use (bad_request, not_found, and internal for an answer
+// that is not a finite number).
 type OpError struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`
@@ -97,6 +103,15 @@ type resolvedKey struct {
 	err    *OpError
 }
 
+// sameKey is a == b with the numbers compared first: the keys of one
+// batch mostly share their dataset, family and metric strings and differ
+// in the budget, so the struct compare's strings-first order walks three
+// equal strings before it finds the difference.
+func sameKey(a, b *BatchKey) bool {
+	return a.Budget == b.Budget && a.Q == b.Q && a.C == b.C &&
+		a.Dataset == b.Dataset && a.Family == b.Family && a.Metric == b.Metric
+}
+
 // EvalBatch answers every operation of the request in order, appending
 // to resp.Results (callers reuse pooled responses by truncating first).
 // Key resolution is amortized: each distinct key in the batch is
@@ -116,7 +131,7 @@ func EvalBatch(req *BatchRequest, resolve Resolver, resp *BatchResponse) {
 		op := &req.Ops[i]
 		var rk *resolvedKey
 		for j := range cache {
-			if cache[j].key == op.BatchKey {
+			if sameKey(&cache[j].key, &op.BatchKey) {
 				rk = &cache[j]
 				break
 			}
@@ -138,14 +153,18 @@ func EvalBatch(req *BatchRequest, resolve Resolver, resp *BatchResponse) {
 // the rules EvalBatch applies per op, so a point GET is a batch of one.
 func Eval(op *Op, q Querier) OpResult { return evalOp(op, q, q.Domain()) }
 
-// evalOp is the one op evaluator: domain checks, then the querier.
+// evalOp is the one op evaluator: domain checks, then the querier. A
+// synopsis holds finite numbers only (its Validate), but sums of them can
+// overflow; an answer that is not a finite number has no JSON form, so it
+// is an error of the op (code internal), never a value.
 func evalOp(op *Op, q Querier, domain int) OpResult {
+	var v float64
 	switch op.Op {
 	case OpEstimate:
 		if op.I < 0 || op.I >= domain {
 			return opErrorf("bad_request", "item %d outside domain [0, %d)", op.I, domain)
 		}
-		return OpResult{Value: q.Estimate(op.I)}
+		v = q.Estimate(op.I)
 	case OpRangeSum:
 		if op.Lo > op.Hi {
 			return opErrorf("bad_request", "empty range [%d, %d]", op.Lo, op.Hi)
@@ -153,10 +172,14 @@ func evalOp(op *Op, q Querier, domain int) OpResult {
 		if op.Hi < 0 || op.Lo >= domain {
 			return opErrorf("bad_request", "range [%d, %d] outside domain [0, %d)", op.Lo, op.Hi, domain)
 		}
-		return OpResult{Value: q.RangeSum(op.Lo, op.Hi)}
+		v = q.RangeSum(op.Lo, op.Hi)
 	default:
 		return opErrorf("bad_request", "unknown op %q (want %q or %q)", op.Op, OpEstimate, OpRangeSum)
 	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return opErrorf("internal", "the synopsis answers %v, which is not a finite number", v)
+	}
+	return OpResult{Value: v}
 }
 
 func opErrorf(code, format string, args ...any) OpResult {
@@ -173,12 +196,4 @@ func (r *BatchRequest) Validate() error {
 		return fmt.Errorf("query batch carries %d ops, limit %d", len(r.Ops), MaxBatchOps)
 	}
 	return nil
-}
-
-// EncodeResponse writes the canonical serialization of a batch response:
-// compact JSON with a trailing newline, the exact bytes POST /v1/query
-// puts on the wire — psyn -query writes the same bytes so the two are
-// cmp-identical.
-func EncodeResponse(w io.Writer, resp *BatchResponse) error {
-	return json.NewEncoder(w).Encode(resp)
 }

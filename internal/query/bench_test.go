@@ -1,6 +1,8 @@
 package query
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -144,6 +146,39 @@ func BenchmarkEvalBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		resp.Results = resp.Results[:0]
 		EvalBatch(req, resolve, resp)
+	}
+}
+
+// benchResponse is a 1024-result response shaped like a served batch's:
+// values of every magnitude a synopsis gives, and now and then an error.
+func benchResponse() *BatchResponse {
+	rng := rand.New(rand.NewSource(10))
+	resp := &BatchResponse{Results: make([]OpResult, 1024)}
+	for i := range resp.Results {
+		resp.Results[i].Value = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-2))
+		if i%64 == 63 {
+			resp.Results[i] = OpResult{Err: &OpError{Code: "bad_request", Message: "item 4096 outside domain [0, 4096)"}}
+		}
+	}
+	return resp
+}
+
+// BenchmarkEncodeResponse measures the response encoder into a reused
+// buffer, as the /v1/query handler calls it. It must report 0 allocs/op.
+func BenchmarkEncodeResponse(b *testing.B) {
+	resp := benchResponse()
+	var buf bytes.Buffer
+	if err := EncodeResponse(&buf, resp); err != nil { // grows the buffer, once
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := EncodeResponse(&buf, resp); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -66,14 +66,15 @@ func (s *Server) route(h http.HandlerFunc) http.HandlerFunc {
 			h(w, r)
 			return
 		}
-		// The name is read as the handler will read it (url.Values, or
-		// encoding/json's member matching), so the two cannot disagree.
+		// The name is read as the handler will read it (parseRead's scan of
+		// the query string, or encoding/json's member matching), so the two
+		// cannot disagree.
 		var body []byte
 		var named struct {
 			Dataset string `json:"dataset"`
 		}
 		if r.Method == http.MethodGet {
-			named.Dataset = r.URL.Query().Get("dataset")
+			named.Dataset = queryParam(r.URL.RawQuery, "dataset")
 		} else {
 			// maxMutateBody is the largest body any routed endpoint takes;
 			// the handler that ends up serving applies its own bound.
@@ -101,7 +102,7 @@ func (s *Server) route(h http.HandlerFunc) http.HandlerFunc {
 			writeError(w, http.StatusBadGateway, CodePeerUnavailable, "peer %s: %v", peer, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
+		setJSON(w)
 		w.WriteHeader(status)
 		_, _ = w.Write(resp)
 	}

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -8,11 +10,15 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"probsyn"
 	"probsyn/internal/catalog"
 	"probsyn/internal/query"
+	"probsyn/internal/wavelet"
 )
 
 // readAnswer is what a read said, whichever surface it came through: the
@@ -41,6 +47,7 @@ func sameAnswer(a, b readAnswer) bool {
 var wantStatus = map[string]int{
 	CodeBadRequest: http.StatusBadRequest,
 	CodeNotFound:   http.StatusNotFound,
+	CodeInternal:   http.StatusInternalServerError,
 }
 
 // getRead answers one GET /v1/<kind>?<qs>.
@@ -260,25 +267,87 @@ func TestReadsNeverOpenDatasets(t *testing.T) {
 	}
 }
 
-// FuzzReadParams: no query string panics the GET parser, and every
-// request it accepts names — through the one resolver — only catalog keys
-// that survive the filename round trip, so a read can never address a
-// file the catalog could not have written.
+// parseReadReference is the parser parseRead replaced, kept as its
+// reference: one url.ParseQuery into a map, then a Values.Get per
+// parameter.
+func parseReadReference(rawQuery, kind string) (query.Op, error) {
+	v, _ := url.ParseQuery(rawQuery) // a malformed pair is dropped, as Request.URL.Query drops it
+	var err error
+	fail := func(format string, args ...any) {
+		if err == nil {
+			err = fmt.Errorf(format, args...)
+		}
+	}
+	num := func(name string, required bool) int {
+		raw := v.Get(name)
+		if raw == "" && !required {
+			return 0
+		}
+		n, e := strconv.Atoi(raw)
+		if e != nil {
+			fail("bad %s %q", name, raw)
+		}
+		return n
+	}
+	op := query.Op{Op: kind}
+	op.Dataset, op.Family, op.Metric = v.Get("dataset"), v.Get("family"), v.Get("metric")
+	op.Budget = num("budget", true)
+	if raw := v.Get("c"); raw != "" {
+		c, e := strconv.ParseFloat(raw, 64)
+		if e != nil {
+			fail("bad c %q", raw)
+		}
+		op.C = c
+	}
+	op.Q = num("q", false)
+	if kind == query.OpEstimate {
+		op.I = num("i", true)
+	} else {
+		op.Lo, op.Hi = num("lo", true), num("hi", true)
+	}
+	return op, err
+}
+
+// sameOp is a == b with c compared by bits (the parser hands c=NaN on).
+func sameOp(a, b query.Op) bool {
+	ac, bc := a.C, b.C
+	a.C, b.C = 0, 0
+	return a == b && math.Float64bits(ac) == math.Float64bits(bc)
+}
+
+// readParamSeeds are query strings that take every branch of the scan.
+var readParamSeeds = []string{
+	"dataset=ds&family=histogram&metric=SSE&budget=8&i=3",
+	"dataset=ds&family=wavelet&metric=SAE&budget=8&q=4&lo=-5&hi=99",
+	"dataset=..%2Fevil&family=histogram&metric=SSRE&budget=3&c=0.25&i=0",
+	"dataset=a--b&family=histogram&metric=SSE-fixed&budget=1&c=NaN&i=0",
+	"dataset=d&family=wavelet&metric=SARE&budget=2&c=NaN&q=8&lo=0&hi=1",
+	"dataset=d&family=histogram&metric=MARE&budget=2&c=+Inf&q=9223372036854775807&i=1",
+	"dataset=%zz&budget=1;i=2&&=&q=", "",
+	"dataset=&dataset=second&d%61taset=third&budget=1&budget=2&i=%31&i=x",
+	"dataset=a;b&dataset=kept&family=%zz&family=wavelet&metric=S%53E&budget=+4&i=4%",
+	"dataset=a+b%20c&=empty&noequals&lo==1&hi=2=3&budget=99999999999999999999",
+	"&&dataset&family=&metric==&i=1&lo=2&hi=3&budget=0x10&c=1e400&q=-0",
+	"dataset=-&family=histogram&metric=SAE&budget=1&i=0", // a name that runs into the filename separator
+}
+
+// FuzzReadParams: the GET parser answers every query string as the
+// url.ParseQuery parser it replaced does — the same op and, when it
+// refuses, the same words — for both kinds; and every request it accepts
+// names, through the one resolver, only catalog keys that survive the
+// filename round trip, so a read can never address a file the catalog
+// could not have written.
 func FuzzReadParams(f *testing.F) {
-	for _, seed := range []string{
-		"dataset=ds&family=histogram&metric=SSE&budget=8&i=3",
-		"dataset=ds&family=wavelet&metric=SAE&budget=8&q=4&lo=-5&hi=99",
-		"dataset=..%2Fevil&family=histogram&metric=SSRE&budget=3&c=0.25&i=0",
-		"dataset=a--b&family=histogram&metric=SSE-fixed&budget=1&c=NaN&i=0",
-		"dataset=d&family=wavelet&metric=SARE&budget=2&c=NaN&q=8&lo=0&hi=1",
-		"dataset=d&family=histogram&metric=MARE&budget=2&c=+Inf&q=9223372036854775807&i=1",
-		"dataset=%zz&budget=1;i=2&&=&q=", "",
-	} {
+	for _, seed := range readParamSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, raw string) {
 		for _, kind := range []string{query.OpEstimate, query.OpRangeSum} {
 			op, err := parseRead(raw, kind)
+			want, wantErr := parseReadReference(raw, kind)
+			if !sameOp(op, want) || (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("%s of %q parsed as %+v (%v), the url.ParseQuery reference says %+v (%v)", kind, raw, op, err, want, wantErr)
+			}
 			if err != nil {
 				continue
 			}
@@ -296,33 +365,194 @@ func FuzzReadParams(f *testing.F) {
 	})
 }
 
-// A GET read parses its query string once: 11 (estimate) and 12
-// (rangesum) allocations a request by this harness, where every further
-// url.ParseQuery of the same string would add seven or eight.
+// In a cluster the dataset a GET is routed by and the dataset its handler
+// reads are one scan's answer: every spelling url.ParseQuery treats
+// specially sends the request where parseRead's dataset lives. Each row
+// hides a name the far peer owns behind the spelling; reading the query
+// any other way finds a name this node owns, or none.
+func TestRouteReadsDatasetAsParseRead(t *testing.T) {
+	var forwards atomic.Int32
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { forwards.Add(1) }))
+	defer peer.Close()
+	const self = "127.0.0.1:1" // never dialled
+	far := peer.Listener.Addr().String()
+	s, _, _ := newFixture(t, Config{Peers: []string{self, far}, Self: self})
+	name := func(owner, format string) string {
+		t.Helper()
+		for i := 0; i < 256; i++ {
+			n := fmt.Sprintf(format, i)
+			if p, _ := s.owner(n); p == owner {
+				return n
+			}
+		}
+		t.Fatalf("no name like %q maps to %s", format, owner)
+		return ""
+	}
+	remote, local := name(far, "%d-remote"), name(self, "%d-local")
+	spaced := name(far, "%d spaced")
+	for _, row := range []struct {
+		name, query, dataset string
+	}{
+		{"plain", "dataset=" + remote, remote},
+		{"local", "dataset=" + local, local},
+		{"none", "family=histogram", ""},
+		{"first of two", "dataset=" + remote + "&dataset=" + local, remote},
+		{"first of two, local", "dataset=" + local + "&dataset=" + remote, local},
+		{"empty first", "dataset=&dataset=" + remote, ""},
+		{"escaped name", "d%61taset=" + remote + "&dataset=" + local, remote},
+		{"escaped value", "dataset=" + strings.ReplaceAll(remote, "-", "%2D"), remote},
+		{"semicolon pair dropped", "dataset=" + local + ";x&dataset=" + remote, remote},
+		{"bad escape dropped", "dataset=%zz" + local + "&dataset=" + remote, remote},
+		{"bad escape in another pair", "i=%&dataset=" + remote, remote},
+		{"plus is a space", "dataset=" + strings.ReplaceAll(spaced, " ", "+"), spaced},
+		{"no value", "dataset&dataset=" + remote, ""},
+	} {
+		op, _ := parseRead(row.query, query.OpEstimate)
+		ref, _ := parseReadReference(row.query, query.OpEstimate)
+		if op.Dataset != row.dataset || ref.Dataset != row.dataset || queryParam(row.query, "dataset") != row.dataset {
+			t.Errorf("%s: ?%s names dataset %q to parseRead, %q to its reference, %q to route; want %q",
+				row.name, row.query, op.Dataset, ref.Dataset, queryParam(row.query, "dataset"), row.dataset)
+		}
+		served := 0
+		before := forwards.Load()
+		h := s.route(func(w http.ResponseWriter, r *http.Request) { served++ })
+		h(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/estimate?"+row.query, nil))
+		_, elsewhere := s.owner(row.dataset)
+		wantForwarded := elsewhere && row.dataset != ""
+		forwarded := forwards.Load() - before
+		if (forwarded == 1) != wantForwarded || (served == 1) == wantForwarded || forwarded+int32(served) != 1 {
+			t.Errorf("%s: ?%s was forwarded %d times and served here %d times; the owner of %q is elsewhere: %v",
+				row.name, row.query, forwarded, served, row.dataset, elsewhere)
+		}
+	}
+}
+
+// overflowing catalogs a wavelet synopsis whose every coefficient is
+// finite and whose sums are not: two coefficients near MaxFloat64 on item
+// 0's path.
+func overflowing(t *testing.T, s *Server) query.BatchKey {
+	t.Helper()
+	key, err := catalog.NewKey("huge", catalog.FamilyWavelet, "SSE", 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syn := &wavelet.Synopsis{N: 4, Indices: []int{0, 1}, Values: []float64{math.MaxFloat64, math.MaxFloat64}}
+	if err := catalog.Publish("", s.cfg.Catalog, key, syn); err != nil {
+		t.Fatal(err)
+	}
+	return query.BatchKey{Dataset: key.Dataset, Family: key.Family, Metric: key.Metric, Budget: key.Budget}
+}
+
+// An answer that is not a finite number has no JSON form. It used to be a
+// 200 with an empty body on all three read endpoints; it is a 500 with the
+// typed error on the GETs and a per-op error in a batch, whose other ops
+// answer.
+func TestNonFiniteAnswerIsAnError(t *testing.T) {
+	s, ts, _ := newFixture(t, Config{})
+	bk := overflowing(t, s)
+	const qs = "dataset=huge&family=wavelet&metric=SSE&budget=2"
+	for kind, tail := range map[string]string{query.OpEstimate: "&i=0", query.OpRangeSum: "&lo=0&hi=1"} {
+		got := getRead(t, ts.URL, kind, qs+tail)
+		if got.status != http.StatusInternalServerError || got.code != CodeInternal || !strings.Contains(got.msg, "not a finite number") {
+			t.Errorf("%s over an overflowing synopsis answered %v, want 500 internal", kind, got)
+		}
+	}
+	if got := getRead(t, ts.URL, query.OpEstimate, qs+"&i=2"); got.status != http.StatusOK || got.value != 0 {
+		t.Errorf("a finite estimate over the same synopsis answered %v, want 200 0", got) // +Max then -Max
+	}
+	resp, batch, bad := postQuery(t, ts, query.BatchRequest{Ops: []query.Op{
+		{BatchKey: bk, Op: query.OpEstimate, I: 0},
+		{BatchKey: bk, Op: query.OpEstimate, I: 2},
+		{BatchKey: bk, Op: query.OpRangeSum, Lo: 0, Hi: 3},
+	}})
+	if resp.StatusCode != http.StatusOK || len(batch.Results) != 3 {
+		t.Fatalf("batch: %d %+v %+v", resp.StatusCode, batch, bad)
+	}
+	for i, wantErr := range []bool{true, false, true} {
+		if r := batch.Results[i]; (r.Err != nil) != wantErr || (wantErr && (r.Err.Code != CodeInternal || r.Value != 0)) {
+			t.Errorf("batch op %d answered %+v (error %+v), want an internal error: %v", i, r, r.Err, wantErr)
+		}
+	}
+}
+
+// A GET read with plain parameters allocates once, the 16-byte value slice
+// of its Content-Type header: no url.Values map, no reflective encoder
+// (encoding/json is not reached), no body buffer. By this harness that is
+// three (discardResponse makes a header map per request, two allocations),
+// and the limit is one more: under the race detector sync.Pool drops one
+// Put in four. An escaped parameter adds the string url.QueryUnescape
+// makes. The handlers before the one-pass scan measured 11 and 12.
 func TestReadGETAllocations(t *testing.T) {
 	s, ts, _ := newFixture(t, Config{})
 	if resp, _, bad := postBuild(t, ts, BuildRequest{Dataset: "ds", Family: "histogram", Metric: "SSE", Budget: 4, Wait: true}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("build: %d %v", resp.StatusCode, bad)
 	}
 	h := s.Handler()
-	const limit = 18
-	for _, target := range []string{
-		"/v1/estimate?dataset=ds&family=histogram&metric=SSE&budget=4&i=7",
-		"/v1/rangesum?dataset=ds&family=histogram&metric=SSE&budget=4&lo=3&hi=40",
+	for _, tc := range []struct {
+		target string
+		limit  float64
+	}{
+		{"/v1/estimate?dataset=ds&family=histogram&metric=SSE&budget=4&i=7", 4},
+		{"/v1/rangesum?dataset=ds&family=histogram&metric=SSE&budget=4&lo=3&hi=40", 4},
+		{"/v1/rangesum?dataset=d%73&family=histogram&metric=SSE&budget=4&lo=3&hi=40&shards=2", 5},
 	} {
-		req := httptest.NewRequest(http.MethodGet, target, nil)
+		req := httptest.NewRequest(http.MethodGet, tc.target, nil)
 		var w discardResponse
 		allocs := testing.AllocsPerRun(200, func() {
 			w = discardResponse{}
 			h.ServeHTTP(&w, req)
 		})
 		if w.status != http.StatusOK {
-			t.Fatalf("%s: status %d", target, w.status)
+			t.Fatalf("%s: status %d", tc.target, w.status)
 		}
-		if allocs > limit {
-			t.Errorf("%s: %.0f allocations per request, want at most %d", target, allocs, limit)
+		if allocs > tc.limit {
+			t.Errorf("%s: %.0f allocations per request, want at most %.0f", tc.target, allocs, tc.limit)
 		}
 	}
+}
+
+// BenchmarkParseRead: the one-pass scan of a point read's query string.
+// It allocates nothing, which scripts/bench_gate.sh pins.
+func BenchmarkParseRead(b *testing.B) {
+	const raw = "dataset=sensor-a&family=histogram&metric=SSE&budget=16&lo=117&hi=498"
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := parseRead(raw, query.OpRangeSum); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// FuzzReadBodies: the two GET bodies the handler appends are the bytes
+// encoding/json writes for the documented wire types, whatever the key
+// holds (names JSON escapes, HTML, invalid UTF-8) and whatever the numbers
+// are; and where json refuses (a number that is not finite) so do they.
+func FuzzReadBodies(f *testing.F) {
+	f.Add("ds", "histogram", "SSE", 4, 0.0, 0, 7, 40, math.Float64bits(1.5))
+	f.Add("a\"b\\c", "wavelet", "SSRE", 1, 0.25, 8, -3, 1<<40, math.Float64bits(1e-7))
+	f.Add("<script>&amp;", "w\x00\x1f\x7f", "caf\u00e9 \u2028", -1, -0.0, -2, 0, 0, math.Float64bits(1e21))
+	f.Add("bad\xff\xfeutf8", "", "\t\n", math.MaxInt64, 5e-324, 1, math.MinInt64, 3, math.Float64bits(math.MaxFloat64))
+	f.Add("d", "f", "m", 2, math.Inf(1), 0, 1, 2, math.Float64bits(math.NaN()))
+	f.Fuzz(func(t *testing.T, dataset, family, metric string, budget int, c float64, q, lo, hi int, bits uint64) {
+		key := catalog.Key{Dataset: dataset, Family: family, Metric: metric, Budget: budget, C: c, Q: q}
+		v := math.Float64frombits(bits)
+		est := EstimateResponse{Key: key, I: hi, Estimate: v}
+		sum := RangeSumResponse{Key: key, Lo: lo, Hi: hi, Sum: v}
+		for _, body := range []struct {
+			wire   any
+			append func([]byte) ([]byte, error)
+		}{{est, est.appendJSON}, {sum, sum.appendJSON}} {
+			var want bytes.Buffer
+			wantErr := json.NewEncoder(&want).Encode(body.wire)
+			got, err := body.append([]byte("prefix"))
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("%+v: appendJSON says %v, encoding/json says %v", body.wire, err, wantErr)
+			}
+			if err == nil && string(got) != "prefix"+want.String() {
+				t.Fatalf("%+v:\nappendJSON    %q\nencoding/json %q", body.wire, got[len("prefix"):], want.String())
+			}
+		}
+	})
 }
 
 // discardResponse is a ResponseWriter that keeps the status and nothing

@@ -73,7 +73,7 @@
 //
 // Errors are typed: {"error": {"code", "message"}} with codes
 // bad_request, not_found, queue_full, build_failed, shutting_down,
-// peer_unavailable, ring_mismatch.
+// peer_unavailable, ring_mismatch, internal.
 package server
 
 import (
@@ -561,6 +561,9 @@ const (
 	CodeShuttingDown    = "shutting_down"
 	CodePeerUnavailable = "peer_unavailable"
 	CodeRingMismatch    = "ring_mismatch"
+	// CodeInternal is a read whose answer cannot be written: a sum over
+	// the synopsis that is not a finite number. The only 500 a read gives.
+	CodeInternal = "internal"
 )
 
 // ---- handlers ----
@@ -858,8 +861,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	query.EvalBatch(&sc.req, catalog.Resolver(s.cfg.C, s.querier), &sc.resp)
 	sc.buf.Reset()
-	_ = query.EncodeResponse(&sc.buf, &sc.resp)
-	w.Header().Set("Content-Type", "application/json")
+	if err := query.EncodeResponse(&sc.buf, &sc.resp); err != nil {
+		writeError(w, http.StatusInternalServerError, CodeInternal, "encode the results: %v", err)
+		return
+	}
+	setJSON(w)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(sc.buf.Bytes())
 }
@@ -1118,8 +1124,17 @@ func (s *Server) logf(format string, args ...any) {
 
 // ---- JSON plumbing ----
 
+// setJSON marks a response as JSON. It assigns the header key directly
+// (Header.Set would canonicalise a key that is canonical already) and a
+// fresh one-element slice, 16 bytes, the one allocation a 200 read makes: a
+// slice shared between responses would be aliased by every response's
+// header map, where one h[k][0] = v downstream rewrites it for all.
+func setJSON(w http.ResponseWriter) {
+	w.Header()["Content-Type"] = []string{"application/json"}
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	setJSON(w)
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }

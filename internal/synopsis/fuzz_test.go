@@ -1,7 +1,11 @@
 package synopsis
 
 import (
+	"math"
 	"testing"
+
+	"probsyn/internal/hist"
+	"probsyn/internal/wavelet"
 )
 
 // FuzzUnmarshalSynopsis hammers the envelope decoder with arbitrary
@@ -30,6 +34,23 @@ func FuzzUnmarshalSynopsis(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(jblob)
+	}
+	// Well-formed envelopes (Marshal does not validate) around a number JSON
+	// cannot write: a representative, a coefficient, a cost.
+	for _, s := range []Synopsis{
+		&hist.Histogram{N: 2, Buckets: []hist.Bucket{{Start: 0, End: 1, Rep: math.NaN()}}},
+		&hist.Histogram{N: 2, Buckets: []hist.Bucket{{Start: 0, End: 1, Rep: 1}}, Cost: math.Inf(1)},
+		&wavelet.Synopsis{N: 2, Indices: []int{0, 1}, Values: []float64{1, math.Inf(-1)}},
+		&wavelet.Synopsis{N: 2, Indices: []int{0}, Values: []float64{1}, Cost: math.NaN()},
+	} {
+		blob, err := Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if got, err := Unmarshal(blob); err == nil {
+			f.Fatalf("decoded a synopsis holding a non-finite number: %+v", got)
+		}
+		f.Add(blob)
 	}
 	f.Add([]byte(nil))
 	f.Add([]byte("BOGUS_FORMAT"))
@@ -62,6 +83,11 @@ func FuzzUnmarshalSynopsis(f *testing.F) {
 		}
 		_ = s.RangeSum(0, n-1)
 		_ = s.RangeSum(-5, 3*n+1) // out-of-domain ends clamp
+		// Every number it holds is finite, so it has a JSON form: it can be
+		// listed, and its answers written.
+		if _, err := MarshalJSON(s); err != nil {
+			t.Fatalf("decoded synopsis has no JSON form: %v", err)
+		}
 		blob, err := Marshal(s)
 		if err != nil {
 			t.Fatalf("re-marshal of decoded synopsis failed: %v", err)

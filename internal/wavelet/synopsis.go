@@ -6,6 +6,7 @@ package wavelet
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"probsyn/internal/haar"
@@ -37,7 +38,9 @@ func (s *Synopsis) ErrorCost() float64 { return s.Cost }
 // Domain returns the (padded, power-of-two) item-domain size.
 func (s *Synopsis) Domain() int { return s.N }
 
-// Validate checks shape invariants.
+// Validate checks shape invariants, and that every number is finite: a
+// NaN or infinite coefficient or cost has no JSON form, so a synopsis
+// carrying one could be neither listed nor answered from.
 func (s *Synopsis) Validate() error {
 	if !haar.IsPow2(s.N) {
 		return fmt.Errorf("wavelet: domain %d not a power of two", s.N)
@@ -52,6 +55,12 @@ func (s *Synopsis) Validate() error {
 		if k > 0 && idx <= s.Indices[k-1] {
 			return fmt.Errorf("wavelet: indices not strictly ascending at %d", k)
 		}
+		if v := s.Values[k]; math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("wavelet: coefficient %d is %v, want a finite number", idx, v)
+		}
+	}
+	if math.IsNaN(s.Cost) || math.IsInf(s.Cost, 0) {
+		return fmt.Errorf("wavelet: synopsis cost %v, want a finite number", s.Cost)
 	}
 	return nil
 }

@@ -18,11 +18,14 @@ func TestSynopsisValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []*wavelet.Synopsis{
-		{N: 6, Indices: []int{0}, Values: []float64{1}},       // non-pow2 domain
-		{N: 8, Indices: []int{0, 0}, Values: []float64{1, 2}}, // duplicate
-		{N: 8, Indices: []int{3, 1}, Values: []float64{1, 2}}, // unsorted
-		{N: 8, Indices: []int{9}, Values: []float64{1}},       // out of range
-		{N: 8, Indices: []int{1}, Values: []float64{1, 2}},    // length mismatch
+		{N: 6, Indices: []int{0}, Values: []float64{1}},          // non-pow2 domain
+		{N: 8, Indices: []int{0, 0}, Values: []float64{1, 2}},    // duplicate
+		{N: 8, Indices: []int{3, 1}, Values: []float64{1, 2}},    // unsorted
+		{N: 8, Indices: []int{9}, Values: []float64{1}},          // out of range
+		{N: 8, Indices: []int{1}, Values: []float64{1, 2}},       // length mismatch
+		{N: 8, Indices: []int{1}, Values: []float64{math.NaN()}}, // numbers JSON cannot write
+		{N: 8, Indices: []int{0, 1}, Values: []float64{1, math.Inf(1)}},
+		{N: 8, Indices: []int{1}, Values: []float64{1}, Cost: math.Inf(-1)},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
