@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"probsyn/internal/hist"
+	"probsyn/internal/wavelet"
 )
 
 // BuildSweep is Build's budget-sweep twin: one DP run at budget Bmax that
@@ -56,23 +57,14 @@ func (f histFrontier) Synopsis(b int) (Synopsis, error) {
 	return h, nil
 }
 
-// waveletCurve is what a wavelet sweep and a live wavelet frontier share.
-type waveletCurve interface {
-	Bmax() int
-	Cost(b int) float64
-	Synopsis(b int) (*WaveletSynopsis, error)
-	ErrorBound() float64
-	Stats() DPStats
-}
-
-// waveletFrontier adapts a wavelet sweep, fresh or maintained, to the
-// shared Frontier surface. Its promoted ErrorBound reports the additive
-// suboptimality bound of a quantized sweep (0 for exact ones); see
-// ApproxBound.
-type waveletFrontier struct{ waveletCurve }
+// waveletFrontier adapts a wavelet sweep — a fresh one, or the one a live
+// frontier holds over its current state — to the shared Frontier surface.
+// Its promoted ErrorBound reports the additive suboptimality bound of a
+// quantized sweep (0 for exact ones); see ApproxBound.
+type waveletFrontier struct{ *wavelet.Sweep }
 
 func (f waveletFrontier) Synopsis(b int) (Synopsis, error) {
-	syn, err := f.waveletCurve.Synopsis(b)
+	syn, err := f.Sweep.Synopsis(b)
 	if err != nil {
 		return nil, err
 	}

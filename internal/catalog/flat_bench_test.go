@@ -72,7 +72,7 @@ func firstQuery(b *testing.B, c *Catalog) {
 // BenchmarkCatalogBootFlat measures a replica restart over the flat
 // file: open + header/index validation + attach + first query (one
 // entry's decode and compile, not sixty-four). The
-// acceptance bar (ISSUE 9, gated in CI against BENCH_PR9.json) is >=20x
+// acceptance bar (ISSUE 9, gated in CI against BENCH_PR15.json) is >=20x
 // faster than BenchmarkCatalogBootCodec on this same 64-entry catalog.
 func BenchmarkCatalogBootFlat(b *testing.B) {
 	dir := benchCatalogDir(b)

@@ -528,10 +528,12 @@ func BenchmarkParseRead(b *testing.B) {
 // holds (names JSON escapes, HTML, invalid UTF-8) and whatever the numbers
 // are; and where json refuses (a number that is not finite) so do they.
 func FuzzReadBodies(f *testing.F) {
+	// The int seeds are ones every GOARCH's int holds: the extremes through
+	// math.MaxInt/MinInt, and 2^40-1 where int is 64 bits (255 where it is 32).
 	f.Add("ds", "histogram", "SSE", 4, 0.0, 0, 7, 40, math.Float64bits(1.5))
-	f.Add("a\"b\\c", "wavelet", "SSRE", 1, 0.25, 8, -3, 1<<40, math.Float64bits(1e-7))
+	f.Add("a\"b\\c", "wavelet", "SSRE", 1, 0.25, 8, -3, math.MaxInt>>23, math.Float64bits(1e-7))
 	f.Add("<script>&amp;", "w\x00\x1f\x7f", "caf\u00e9 \u2028", -1, -0.0, -2, 0, 0, math.Float64bits(1e21))
-	f.Add("bad\xff\xfeutf8", "", "\t\n", math.MaxInt64, 5e-324, 1, math.MinInt64, 3, math.Float64bits(math.MaxFloat64))
+	f.Add("bad\xff\xfeutf8", "", "\t\n", math.MaxInt, 5e-324, 1, math.MinInt, 1<<30, math.Float64bits(math.MaxFloat64))
 	f.Add("d", "f", "m", 2, math.Inf(1), 0, 1, 2, math.Float64bits(math.NaN()))
 	f.Fuzz(func(t *testing.T, dataset, family, metric string, budget int, c float64, q, lo, hi int, bits uint64) {
 		key := catalog.Key{Dataset: dataset, Family: family, Metric: metric, Budget: budget, C: c, Q: q}

@@ -5,17 +5,22 @@ import (
 
 	"probsyn/internal/engine"
 	"probsyn/internal/haar"
-	"probsyn/internal/hist"
 	"probsyn/internal/metric"
 	"probsyn/internal/pdata"
 )
 
 // Live is a wavelet budget frontier kept live against a mutable value-pdf
-// source. It answers exactly what the corresponding Sweep answers —
-// Bmax/Cost/Synopsis, each extraction bit-identical to an independent
-// build at that budget — but retains the forward state (the DP's
-// per-level tables, or the SSE family's ordered coefficients) so
-// Append/Update can revalidate it without a from-scratch build.
+// source: a Sweep plus its data. The embedded Sweep answers
+// Bmax/Cost/Synopsis/ErrorBound/Stats over the current state — each
+// extraction bit-identical to an independent build at that budget — and
+// Live retains the forward state behind it (the DP's per-level tables, or
+// the SSE family's ordered coefficients) so Append/Update can revalidate
+// it without a from-scratch build. Every mutation re-wraps the Sweep (a
+// closure over the retained state, nothing recomputed), so its memoised
+// cost curve starts over, Bmax can grow after an Append when the requested
+// budget was clamped by the old domain, and Stats is cumulative across the
+// build and every mutation since: forward sweeps, resweeps and dirty-path
+// repairs.
 //
 // How much work a mutation saves is mutation-dependent:
 //
@@ -31,17 +36,19 @@ import (
 //   - DP families, mean-changing mutations: every expected coefficient
 //     on the path moves, which shifts incoming values across whole
 //     subtrees, so the forward sweep re-runs over the patched point
-//     errors and candidates (still on the retained layout). Appends that
-//     outgrow the power-of-two padding rebuild everything, including the
-//     deeper tree.
+//     errors and candidates. Appends that outgrow the power-of-two
+//     padding rebuild everything, including the deeper tree.
 //
 // Whatever path a mutation takes, the maintained state is bit-identical
 // to a fresh build over the mutated data; the live property tests assert
 // byte identity through the codec at every budget and worker count.
 //
-// A Live is not safe for concurrent use; callers serialize mutations
-// against extraction (probsyn.BuildLive's adapter locks internally).
+// A Live is not safe for concurrent use, and a Sweep read off it is good
+// until the next mutation; callers serialize mutations against extraction
+// (probsyn.BuildLive's adapter locks internally).
 type Live struct {
+	*Sweep // the frontier over the current state
+
 	family Family
 	kind   metric.Kind
 	p      metric.Params
@@ -52,11 +59,9 @@ type Live struct {
 	logical int             // unpadded domain size mutations address
 	vp      *pdata.ValuePDF // padded mutable copy of the data
 	n       int             // padded domain size (len of vp.Items)
-	bmax    int             // min(breq, n)
 
 	// DP families: the retained forward state.
 	pe    *PointErrors
-	cvals []float64 // expected coefficients (candidates / grid centers)
 	cands [][]float64
 	d     *treeDP // nil when n == 1 (singleton extraction)
 
@@ -65,7 +70,6 @@ type Live struct {
 	varArr   []float64 // Var[g_i] per logical item
 	g        sseGreedy // over haar.Forward(expected) and varArr
 
-	costs       []float64 // memoized Cost frontier; nil after a mutation
 	fastRepairs int
 }
 
@@ -101,15 +105,11 @@ func NewLive(src pdata.Source, family Family, kind metric.Kind, p metric.Params,
 	}
 	lv.vp = padValuePDF(vp.Clone())
 	lv.n = lv.vp.N
-	if err := lv.rebuildAll(); err != nil {
+	if err := lv.rebuild(); err != nil {
 		return nil, err
 	}
 	return lv, nil
 }
-
-// Bmax returns the largest budget the frontier covers; it can grow after
-// an Append when the requested budget was clamped by the old domain.
-func (lv *Live) Bmax() int { return lv.bmax }
 
 // Domain returns the current logical (unpadded) domain size.
 func (lv *Live) Domain() int { return lv.logical }
@@ -118,53 +118,6 @@ func (lv *Live) Domain() int { return lv.logical }
 // path (DP families only) — tests and benchmarks assert the intended
 // path actually ran.
 func (lv *Live) FastRepairs() int { return lv.fastRepairs }
-
-// Cost returns the optimal expected error at budget b (clamped to
-// [1, Bmax]). The frontier is derived lazily from the maintained state
-// and memoized until the next mutation.
-func (lv *Live) Cost(b int) float64 {
-	if lv.bmax == 0 {
-		return lv.at(0).Cost
-	}
-	if lv.costs == nil {
-		var costAt func(int) float64
-		if lv.d != nil && lv.d.quant == 0 {
-			costAt = lv.d.cost
-		}
-		lv.costs = curve(lv.bmax, lv.at, costAt)
-	}
-	return lv.costs[min(max(b, 1), lv.bmax)-1]
-}
-
-// Stats returns the tree DP's work counters, cumulative across the build
-// and every mutation since: forward sweeps, resweeps and dirty-path
-// repairs. Zero for the SSE family and the n == 1 domain.
-func (lv *Live) Stats() hist.DPStats {
-	if lv.d == nil {
-		return hist.DPStats{}
-	}
-	return lv.d.stats
-}
-
-// ErrorBound returns the additive suboptimality bound of the maintained
-// frontier under the current data: 0 for exact families, the quantized
-// restricted DP's bound otherwise (see Sweep.ErrorBound). Recomputed on
-// demand — mutations move it.
-func (lv *Live) ErrorBound() float64 {
-	if lv.d != nil {
-		return lv.d.errorBound()
-	}
-	return 0
-}
-
-// Synopsis extracts the optimal budget-b synopsis, 1 <= b <= Bmax (0 when
-// Bmax is 0), bit-identical to a fresh build over the current data.
-func (lv *Live) Synopsis(b int) (*Synopsis, error) {
-	if b > lv.bmax || b < min(1, lv.bmax) {
-		return nil, fmt.Errorf("wavelet: live budget %d outside [1, %d]", b, lv.bmax)
-	}
-	return lv.at(b), nil
-}
 
 // Update replaces item i's frequency pdf and revalidates the frontier.
 func (lv *Live) Update(i int, item pdata.ItemPDF) error {
@@ -201,8 +154,7 @@ func (lv *Live) Append(items []pdata.ItemPDF) error {
 		}
 		lv.vp = padValuePDF(grown)
 		lv.logical, lv.n = newLogical, lv.vp.N
-		lv.costs = nil
-		return lv.rebuildAll()
+		return lv.rebuild()
 	}
 	dirty := make([]int, len(items))
 	for k, it := range items {
@@ -214,14 +166,29 @@ func (lv *Live) Append(items []pdata.ItemPDF) error {
 }
 
 // refresh revalidates the maintained state after the items listed in
-// dirty had their pdfs replaced (the padded domain unchanged).
+// dirty had their pdfs replaced (the padded domain unchanged), and
+// re-wraps the frontier over it.
 func (lv *Live) refresh(dirty []int) error {
-	lv.costs = nil
 	if lv.family == SSEFamily {
 		lv.refreshSSE(dirty)
-		return nil
+	} else if err := lv.refreshDP(dirty); err != nil {
+		return err
 	}
-	return lv.refreshDP(dirty)
+	lv.wrap()
+	return nil
+}
+
+// wrap points the embedded Sweep at the maintained state, extracting
+// operation for operation as the family's NewSweep does.
+func (lv *Live) wrap() {
+	switch {
+	case lv.family == SSEFamily:
+		lv.Sweep = lv.g.sweep(lv.breq)
+	case lv.n == 1:
+		lv.Sweep = extractionSweep(min(lv.breq, 1), func(b int) *Synopsis { return singleton(lv.family, lv.pe, lv.cands[0], b) })
+	default:
+		lv.Sweep = lv.d.sweep(false)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -322,32 +289,35 @@ func sortInts(xs []int, less func(a, b int) bool) {
 // patched data (both are rebuilt wholesale — their cost is a vanishing
 // fraction of the forward DP's), diffs the candidates, and picks the
 // cheapest correct path: dirty-path repair when the changes are confined
-// to the dirty items' finest path nodes, a full forward resweep on the
-// retained layout otherwise, and a layout rebuild when candidate counts
-// changed.
+// to the dirty items' finest path nodes, a forward sweep otherwise — when
+// candidate values moved higher up, when candidate counts changed, and,
+// there being no retained candidates of the tree's shape to diff against,
+// on the initial build and after a regrow.
 func (lv *Live) refreshDP(dirty []int) error {
-	newPe, err := NewPointErrors(lv.vp, lv.kind, lv.p)
+	pe, cands, quant, err := dpInputs(lv.vp, lv.family, lv.kind, lv.p, lv.q)
 	if err != nil {
 		return err
 	}
-	newCvals := haar.Forward(lv.vp.ExpectedFreqs())
-	newCands := candidates(lv.family, lv.vp, newCvals, lv.q)
+	old := lv.cands
+	lv.pe, lv.cands = pe, cands
 	if lv.n == 1 {
-		lv.pe, lv.cvals, lv.cands = newPe, newCvals, newCands
 		return nil // singleton extraction reads pe/cands directly
 	}
-	if sameCandidateShape(lv.cands, newCands) {
-		changed := changedCandidates(lv.cands, newCands)
-		if lv.d.canRepair(dirty, changed) {
-			lv.pe, lv.cvals, lv.cands = newPe, newCvals, newCands
-			lv.d.pe, lv.d.cands = newPe, newCands
-			lv.d.repair(dirty)
-			lv.fastRepairs++
-			return nil
-		}
+	if sameCandidateShape(old, cands) && lv.d.canRepair(dirty, changedCandidates(old, cands)) {
+		lv.d.pe, lv.d.cands = pe, cands
+		lv.d.repair(dirty)
+		lv.fastRepairs++
+		return nil
 	}
-	lv.pe, lv.cvals, lv.cands = newPe, newCvals, newCands
-	return lv.rebuildDP()
+	d, err := newTreeDP(lv.n, min(lv.breq, lv.n), cands, pe, lv.kind.Cumulative(), quant, lv.pool)
+	if err != nil {
+		return err
+	}
+	if lv.d != nil {
+		d.stats.Add(lv.d.stats) // a live frontier's counters are cumulative, like hist.LiveDP's
+	}
+	lv.d = d
+	return nil
 }
 
 func sameCandidateShape(a, b [][]float64) bool {
@@ -377,31 +347,9 @@ func changedCandidates(a, b [][]float64) []int {
 	return out
 }
 
-// rebuildDP re-runs the forward sweep over the current pe/cands.
-func (lv *Live) rebuildDP() error {
-	quant := 0
-	if lv.family == RestrictedFamily {
-		quant = lv.q
-	}
-	d, err := newTreeDP(lv.n, lv.bmax, lv.cands, lv.pe, lv.kind.Cumulative(), quant, lv.pool)
-	if err != nil {
-		return err
-	}
-	if lv.d != nil {
-		d.stats.Add(lv.d.stats) // a live frontier's counters are cumulative, like hist.LiveDP's
-	}
-	lv.d = d
-	return nil
-}
-
-// rebuildAll reconstructs every retained structure from lv.vp — the
-// initial build, and the regrow path when appends outgrow the padding.
-func (lv *Live) rebuildAll() error {
-	lv.bmax = lv.breq
-	if lv.bmax > lv.n {
-		lv.bmax = lv.n
-	}
-	lv.costs = nil
+// rebuild reconstructs every retained structure from lv.vp — the initial
+// build, and the regrow path when appends outgrow the padding.
+func (lv *Live) rebuild() error {
 	if lv.family == SSEFamily {
 		lv.expected = lv.vp.ExpectedFreqs()
 		lv.varArr = make([]float64, lv.logical)
@@ -412,31 +360,9 @@ func (lv *Live) rebuildAll() error {
 		c := haar.Forward(lv.expected)
 		lv.g = sseGreedy{c: c, order: haar.TopK(c, lv.n)}
 		lv.g.sums(lv.varArr)
-		return nil
-	}
-	pe, err := NewPointErrors(lv.vp, lv.kind, lv.p)
-	if err != nil {
+	} else if err := lv.refreshDP(nil); err != nil {
 		return err
 	}
-	lv.pe = pe
-	lv.cvals = haar.Forward(lv.vp.ExpectedFreqs())
-	lv.cands = candidates(lv.family, lv.vp, lv.cvals, lv.q)
-	if lv.n == 1 {
-		lv.d = nil
-		return nil
-	}
-	return lv.rebuildDP()
-}
-
-// at extracts the budget-b synopsis from the maintained state, mirroring
-// the corresponding Sweep's extraction operation for operation.
-func (lv *Live) at(b int) *Synopsis {
-	switch {
-	case lv.family == SSEFamily:
-		return lv.g.at(b)
-	case lv.n == 1:
-		return singleton(lv.family, lv.pe, lv.cands[0], b)
-	default:
-		return lv.d.synopsis(b, false)
-	}
+	lv.wrap()
+	return nil
 }

@@ -89,8 +89,9 @@ func refErr(t testing.TB, vp *pdata.ValuePDF, pe *PointErrors, kind metric.Kind,
 // forward sweep — math.Max behind combine, heap-free but otherwise
 // verbatim: for every state and decision, the scan over every split
 // bl in [0, budget] with both sides clamped to the child cap. It reads
-// d's layout, grids and incoming values (which the change left alone)
-// and none of its tables.
+// d's layout, grids and incoming values (which the change left alone;
+// TestIncomingValuesMatchPathSums holds them to their own reference) and
+// none of its tables.
 func refTables(d *treeDP, errf func(int, float64) float64) [][]float64 {
 	combine := func(a, b float64) float64 {
 		if d.cumulative {
@@ -122,10 +123,6 @@ func refTables(d *treeDP, errf func(int, float64) float64) [][]float64 {
 			ccap = d.bcap[l+1]
 		}
 		centries := ccap + 1
-		var vals []float64
-		if fused && d.quant == 0 {
-			vals = d.incomingValues()
-		}
 		res[l] = make([]float64, offs[1<<l]*entries)
 		lbuf, rbuf := make([]float64, centries), make([]float64, centries)
 		for i := 0; i < 1<<l; i++ {
@@ -134,10 +131,8 @@ func refTables(d *treeDP, errf func(int, float64) float64) [][]float64 {
 			for s := offs[i]; s < offs[i+1]; s++ {
 				local := s - offs[i]
 				var v float64
-				if d.quant > 0 {
+				if d.vals[l] != nil {
 					v = d.vals[l][s]
-				} else if fused {
-					v = vals[s]
 				}
 				out := res[l][s*entries : (s+1)*entries]
 				for k := range out {
@@ -206,15 +201,11 @@ func denseSplits(d *treeDP, l int) int64 {
 func buildTree(t testing.TB, src pdata.Source, family Family, kind metric.Kind, p metric.Params, B, q int, pool *engine.Pool) (*treeDP, *pdata.ValuePDF) {
 	t.Helper()
 	vp := padValuePDF(pdata.AsValuePDF(src))
-	pe, err := NewPointErrors(vp, kind, p)
+	pe, cands, quant, err := dpInputs(vp, family, kind, p, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := candidates(family, vp, haar.Forward(vp.ExpectedFreqs()), q)
-	if family == UnrestrictedFamily {
-		q = 0
-	}
-	d, err := newTreeDP(vp.N, min(B, vp.N), cands, pe, kind.Cumulative(), q, pool)
+	d, err := newTreeDP(vp.N, min(B, vp.N), cands, pe, kind.Cumulative(), quant, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,12 +315,8 @@ func TestTreeDPStatsPerLevel(t *testing.T) {
 				total := d.stats
 				var sum hist.DPStats
 				for l := d.levels - 2; l >= 0; l-- {
-					var vals []float64
-					if l == d.levels-2 && d.quant == 0 {
-						vals = d.incomingValues()
-					}
 					d.stats = hist.DPStats{}
-					d.solveStates(l, 0, d.offs[l][1<<l], vals, 0)
+					d.solveStates(l, 0, d.offs[l][1<<l])
 					st := d.stats
 					if got, want := st.CandidatesScanned+st.CandidatesPruned, denseSplits(d, l); got != want || st.CandidatesPruned < 0 || st.CandidatesScanned <= 0 {
 						t.Fatalf("%v/%s/B=%d level %d: %d scanned + %d pruned, dense scan has %d", kind, mode.name, B, l, st.CandidatesScanned, st.CandidatesPruned, want)

@@ -161,28 +161,40 @@ func sweepDP(src pdata.Source, family Family, kind metric.Kind, p metric.Params,
 		return nil, nil, fmt.Errorf("wavelet: forced-root sweep needs budget >= 1, got %d", B)
 	}
 	vp := padValuePDF(pdata.AsValuePDF(src))
-	pe, err := NewPointErrors(vp, kind, p)
+	pe, cands, quant, err := dpInputs(vp, family, kind, p, q)
 	if err != nil {
 		return nil, nil, err
 	}
-	n := vp.N
-	B = min(B, n)
-	cands := candidates(family, vp, haar.Forward(vp.ExpectedFreqs()), q)
-	if n == 1 {
+	B = min(B, vp.N)
+	if vp.N == 1 {
 		at := func(b int) *Synopsis { return singleton(family, pe, cands[0], b) }
 		if forced {
 			at = func(int) *Synopsis { return restrictedSingletonForced(pe, cands[0][0]) }
 		}
 		return extractionSweep(B, at), pe, nil
 	}
-	if family == UnrestrictedFamily {
-		q = 0 // spent on the candidate grids; incoming values stay exact
-	}
-	sw, err := dpSweep(n, B, cands, pe, kind.Cumulative(), q, forced, pool)
+	d, err := newTreeDP(vp.N, B, cands, pe, kind.Cumulative(), quant, pool)
 	if err != nil {
 		return nil, nil, err
 	}
-	return sw, pe, nil
+	return d.sweep(forced), pe, nil
+}
+
+// dpInputs derives what a coefficient-tree DP runs on from a padded value
+// pdf: the point-error evaluator, the family's per-coefficient candidate
+// values, and the incoming-value quantization the tree sees — the
+// unrestricted family spends q on its candidate grids, so its incoming
+// values stay exact.
+func dpInputs(vp *pdata.ValuePDF, family Family, kind metric.Kind, p metric.Params, q int) (*PointErrors, [][]float64, int, error) {
+	pe, err := NewPointErrors(vp, kind, p)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	cands := candidates(family, vp, haar.Forward(vp.ExpectedFreqs()), q)
+	if family == UnrestrictedFamily {
+		q = 0
+	}
+	return pe, cands, q, nil
 }
 
 // candidates builds a DP family's per-coefficient candidate values over
@@ -208,28 +220,21 @@ func singleton(family Family, pe *PointErrors, cands []float64, b int) *Synopsis
 	return restrictedSingleton(pe, cands[0], b)
 }
 
-// dpSweep runs the shared tree DP once and wraps its tables as a Sweep.
-// In quantized mode the DP table's objective is only approximate, so
-// extraction re-evaluates each synopsis exactly (its Cost is the true
-// expected error — never below the exact optimum, since the synopsis is
-// a feasible exact solution) and the sweep carries the DP's additive
-// suboptimality bound.
-func dpSweep(n, B int, cands [][]float64, pe *PointErrors, cumulative bool, quant int, forced bool, pool *engine.Pool) (*Sweep, error) {
-	d, err := newTreeDP(n, B, cands, pe, cumulative, quant, pool)
-	if err != nil {
-		return nil, err
-	}
+// sweep wraps the solved tables as a Sweep over every budget up to d.B
+// (root-retaining extractions when forced). In quantized mode the table's
+// objective is only approximate, so extraction re-evaluates each synopsis
+// exactly (its Cost is the true expected error — never below the exact
+// optimum, since the synopsis is a feasible exact solution) and the sweep
+// carries the DP's additive suboptimality bound.
+func (d *treeDP) sweep(forced bool) *Sweep {
 	sw := &Sweep{
-		bmax: B, bound: d.errorBound(), stats: d.stats,
+		bmax: d.B, bound: d.errorBound(), stats: d.stats,
 		at: func(b int) *Synopsis { return d.synopsis(b, forced) },
 	}
 	if d.quant == 0 {
-		sw.costAt = d.cost
-		if forced {
-			sw.costAt = d.costForced
-		}
+		sw.costAt = func(b int) float64 { return d.cost(b, forced) }
 	}
-	return sw, nil
+	return sw
 }
 
 // extractionSweep wraps a family whose budget-b cost is only known by

@@ -83,11 +83,12 @@ type treeDP struct {
 	offs [][]int     // offs[l][i]: first state of node 2^l+i; last entry = level total
 	bcap []int       // bcap[l] = min(B, subtree coefficient count)
 
-	// Quantized mode only (quant > 0): each state's incoming value, and
-	// the per-node analytic value bounds and grid steps the snapped
-	// transitions bucket against. Exact mode keeps none of this, so its
-	// memory profile is unchanged.
-	vals  [][]float64 // vals[l][state]: incoming value (grid or exact)
+	// vals[l][state] is the state's incoming value, written top-down by
+	// buildGrids. An exact DP keeps the last internal level's only — the
+	// one level it reads; a quantized DP (quant > 0) keeps every level's,
+	// with the per-node analytic value bounds and grid steps its snapped
+	// transitions bucket against.
+	vals  [][]float64
 	blo   [][]float64 // blo[l][i], bhi[l][i]: incoming-value bounds of node 2^l+i
 	bhi   [][]float64
 	gstep [][]float64 // gstep[l][i]: grid step on quantized levels, else 0
@@ -143,15 +144,10 @@ func newTreeDP(n, B int, cands [][]float64, pe *PointErrors, cumulative bool, qu
 	if err := d.layout(); err != nil {
 		return nil, err
 	}
+	d.buildGrids()
 	d.res = make([][]float64, d.levels-1)
-	if d.quant > 0 {
-		d.buildGrids()
-		d.solveLevel(d.levels-2, nil)
-	} else {
-		d.solveLevel(d.levels-2, d.incomingValues())
-	}
-	for l := d.levels - 3; l >= 0; l-- {
-		d.solveLevel(l, nil)
+	for l := d.levels - 2; l >= 0; l-- {
+		d.solveLevel(l)
 	}
 	return d, nil
 }
@@ -265,111 +261,80 @@ func (d *treeDP) stateOverflowErr(l int, need float64) error {
 	return fmt.Errorf("%s; reduce the domain", msg)
 }
 
-// incomingValues returns, for every state of the last internal level, the
-// reconstruction value the ancestors contribute to that node's support —
-// the incoming value v of the paper's OPTW[j, b, v] state. Built top-down
-// level by level; intermediate levels are discarded (the backtrack
-// re-derives v incrementally while descending).
-func (d *treeDP) incomingValues() []float64 {
-	L := d.levels
-	cur := make([]float64, d.offs[0][1])
-	for c, w := range d.cands[0] {
-		cur[c+1] = w
-	}
-	for l := 0; l < L-2; l++ {
-		next := make([]float64, d.offs[l+1][1<<(l+1)])
-		first := 1 << l
-		for i := 0; i < first; i++ {
-			j := first + i
-			b := d.br(j)
-			base := d.offs[l][i]
-			cnt := d.offs[l][i+1] - base
-			lbase := d.offs[l+1][2*i]
-			rbase := d.offs[l+1][2*i+1]
-			for s := 0; s < cnt; s++ {
-				v := cur[base+s]
-				next[lbase+s*b] = v
-				next[rbase+s*b] = v
-				for dd := 1; dd < b; dd++ {
-					w := d.cands[j][dd-1]
-					next[lbase+s*b+dd] = v + w
-					next[rbase+s*b+dd] = v - w
-				}
-			}
-		}
-		cur = next
-	}
-	return cur
-}
-
-// buildGrids materializes, for every kept level, each state's incoming
-// value, plus the per-node analytic value bounds and the grid steps the
-// quantized transitions snap against. Bounds accumulate top-down — a
-// child of node j with candidate w widens its parent's interval by w's
-// contribution on that side — so every reachable incoming value, exact
-// or already snapped, stays inside them. Exact (non-quantized) levels
-// enumerate ancestor decisions with the same v±w recurrence
-// incomingValues uses; a quantized level instead lays quant evenly
-// spaced grid points per node across that node's bounds.
+// buildGrids is the one top-down pass over the incoming value v of the
+// paper's OPTW[j, b, v] state: the reconstruction value a state's retained
+// ancestors contribute to its node's support. An exact level enumerates
+// its parent level's states against the parent node's decisions (drop
+// keeps v; candidate w gives the left child v+w, the right v-w), in the
+// layout's digit order. A quantized level instead lays quant evenly
+// spaced grid points per node across that node's analytic value bounds,
+// which accumulate top-down — a child of node j with candidate w widens
+// its parent's interval by w's contribution on that side — so every
+// reachable incoming value, exact or already snapped, stays inside them.
+// Only the last internal level prices leaves from its values, so an exact
+// DP drops each level's once the level below is written; the quantized
+// DP's transitions and backtrack read every level's.
 func (d *treeDP) buildGrids() {
 	L := d.levels
 	d.vals = make([][]float64, L-1)
-	d.blo = make([][]float64, L-1)
-	d.bhi = make([][]float64, L-1)
-	d.gstep = make([][]float64, L-1)
-	for l := 0; l <= L-2; l++ {
-		nn := 1 << l
-		d.blo[l] = make([]float64, nn)
-		d.bhi[l] = make([]float64, nn)
-		d.gstep[l] = make([]float64, nn)
-		d.vals[l] = make([]float64, d.offs[l][nn])
+	if d.quant > 0 {
+		d.blo = make([][]float64, L-1)
+		d.bhi = make([][]float64, L-1)
+		d.gstep = make([][]float64, L-1)
+		for l := range d.blo {
+			d.blo[l] = make([]float64, 1<<l)
+			d.bhi[l] = make([]float64, 1<<l)
+			d.gstep[l] = make([]float64, 1<<l)
+		}
+		w0 := d.cands[0][0]
+		d.blo[0][0] = math.Min(0, w0)
+		d.bhi[0][0] = math.Max(0, w0)
 	}
-	w0 := d.cands[0][0]
-	d.blo[0][0] = math.Min(0, w0)
-	d.bhi[0][0] = math.Max(0, w0)
 	for l := 0; l <= L-2; l++ {
+		d.vals[l] = make([]float64, d.offs[l][1<<l])
 		for i := 0; i < 1<<l; i++ {
-			base := d.offs[l][i]
-			cnt := d.offs[l][i+1] - base
+			vs := d.vals[l][d.offs[l][i]:d.offs[l][i+1]]
 			switch {
 			case d.lq(l):
 				lo := d.blo[l][i]
 				step := (d.bhi[l][i] - lo) / float64(d.quant-1)
 				d.gstep[l][i] = step
-				for k := 0; k < cnt; k++ {
-					d.vals[l][base+k] = lo + float64(k)*step
+				for k := range vs {
+					vs[k] = lo + float64(k)*step
 				}
 			case l == 0:
-				d.vals[0][1] = w0 // state 0 drops c0: incoming value 0
+				copy(vs[1:], d.cands[0]) // state 0 drops c0: incoming value 0
 			default:
-				// Exact level: the parent level is exact too
-				// (quantization only deepens), so enumerate its states
-				// against the parent node's single candidate.
+				// The parent level is exact too: quantization only deepens.
 				pi := i >> 1
-				pj := (1 << (l - 1)) + pi
-				w := d.cands[pj][0]
-				if i&1 == 1 {
-					w = -w
-				}
-				pbase := d.offs[l-1][pi]
-				pcnt := d.offs[l-1][pi+1] - pbase
-				for s := 0; s < pcnt; s++ {
-					v := d.vals[l-1][pbase+s]
-					d.vals[l][base+2*s] = v
-					d.vals[l][base+2*s+1] = v + w
+				ws := d.cands[(1<<(l-1))+pi]
+				br := 1 + len(ws)
+				for s, v := range d.vals[l-1][d.offs[l-1][pi]:d.offs[l-1][pi+1]] {
+					vs[s*br] = v
+					for c, w := range ws {
+						if i&1 == 0 {
+							vs[s*br+c+1] = v + w
+						} else {
+							vs[s*br+c+1] = v - w
+						}
+					}
 				}
 			}
 		}
-		if l == L-2 {
-			break
-		}
-		for i := 0; i < 1<<l; i++ {
-			w := d.cands[(1<<l)+i][0]
-			lo, hi := d.blo[l][i], d.bhi[l][i]
-			d.blo[l+1][2*i] = lo + math.Min(0, w)
-			d.bhi[l+1][2*i] = hi + math.Max(0, w)
-			d.blo[l+1][2*i+1] = lo - math.Max(0, w)
-			d.bhi[l+1][2*i+1] = hi - math.Min(0, w)
+		switch {
+		case d.quant == 0:
+			if l > 0 {
+				d.vals[l-1] = nil
+			}
+		case l < L-2:
+			for i := 0; i < 1<<l; i++ {
+				w := d.cands[(1<<l)+i][0]
+				lo, hi := d.blo[l][i], d.bhi[l][i]
+				d.blo[l+1][2*i] = lo + math.Min(0, w)
+				d.bhi[l+1][2*i] = hi + math.Max(0, w)
+				d.blo[l+1][2*i+1] = lo - math.Max(0, w)
+				d.bhi[l+1][2*i+1] = hi - math.Min(0, w)
+			}
 		}
 	}
 }
@@ -414,10 +379,8 @@ func (d *treeDP) leafTables(j int, v float64, out []float64) {
 }
 
 // solveLevel computes level l's tables from the completed level below,
-// dispatching the flattened (node, state) space through the pool. vals
-// carries the incoming values when l is the last internal level, whose
-// leaf children are evaluated inline.
-func (d *treeDP) solveLevel(l int, vals []float64) {
+// dispatching the flattened (node, state) space through the pool.
+func (d *treeDP) solveLevel(l int) {
 	offs := d.offs[l]
 	total := offs[1<<l]
 	entries := d.bcap[l] + 1
@@ -428,20 +391,19 @@ func (d *treeDP) solveLevel(l int, vals []float64) {
 	}
 	// Result slots are derived from the state range, not the chunk index.
 	d.pool.MapChunks(0, total, total*entries*centries, func(_, lo, hi int) {
-		d.solveStates(l, lo, hi, vals, 0)
+		d.solveStates(l, lo, hi)
 	})
 }
 
 // solveStates computes the level-l table entries of states [lo, hi) from
-// the completed level below, in the serial operation order. vals holds
-// the incoming values of the covered states when l is the last internal
-// level, indexed vals[s-voff] (the full-level array for the forward
-// sweep, a single node's block for a repair); in quantized mode every
-// level's incoming values are retained in d.vals instead and the vals
-// parameter is ignored. Every state is an independent slot, so any
-// partition of a level into solveStates calls — the pool's chunks, a
-// repair's dirty blocks — produces bit-identical tables.
-func (d *treeDP) solveStates(l, lo, hi int, vals []float64, voff int) {
+// the completed level below, in the serial operation order. A state's
+// incoming value is read from d.vals where the level needs it: the last
+// internal level, whose leaf children are priced inline, and a level
+// above a quantized one, whose transitions snap. Every state is an
+// independent slot, so any partition of a level into solveStates calls —
+// the pool's chunks, a repair's dirty blocks — produces bit-identical
+// tables.
+func (d *treeDP) solveStates(l, lo, hi int) {
 	offs := d.offs[l]
 	first := 1 << l
 	entries := d.bcap[l] + 1
@@ -455,7 +417,6 @@ func (d *treeDP) solveStates(l, lo, hi int, vals []float64, voff int) {
 	centries := ccap + 1
 	var lbuf, rbuf [2]float64
 	var st hist.DPStats
-	qmode := d.quant > 0
 	qchild := !fused && d.lq(l+1)
 	i := sort.SearchInts(offs, lo+1) - 1
 	for s := lo; s < hi; i++ {
@@ -469,10 +430,8 @@ func (d *treeDP) solveStates(l, lo, hi int, vals []float64, voff int) {
 		for ; s < end; s++ {
 			local := s - offs[i]
 			var v float64
-			if qmode {
+			if fused || qchild {
 				v = d.vals[l][s]
-			} else if fused {
-				v = vals[s-voff]
 			}
 			out := d.res[l][s*entries : (s+1)*entries]
 			for k := range out {
@@ -600,42 +559,28 @@ func (d *treeDP) mergeLeaves(out, lt, rt []float64) (scanned int64) {
 }
 
 // extract re-derives the optimal retained set and cost at budget b
-// (clamped to [0, B]) from the kept tables: the root scan and backtrack
-// perform exactly the operations a budget-b DP's finish would, so the
-// extracted solution is bit-identical to an independent budget-b build.
-// It only reads the tables — concurrent extractions at different budgets
-// are safe.
-func (d *treeDP) extract(b int) ([]coefChoice, float64) {
-	if b > d.B {
-		b = d.B
-	}
-	if b < 0 {
-		b = 0
-	}
-	if d.levels == 1 {
-		return d.extractRootLeaf(b)
-	}
-	bestD, best := d.rootBest(b)
+// (clamped as rootBest clamps it) from the kept tables: the root scan and
+// backtrack perform exactly the operations a budget-b DP's finish would,
+// so the extracted solution is bit-identical to an independent budget-b
+// build. It only reads the tables — concurrent extractions at different
+// budgets are safe.
+func (d *treeDP) extract(b int, forced bool) ([]coefChoice, float64) {
+	bestD, rest, best := d.rootBest(b, forced)
 	var keep []coefChoice
+	var v float64
 	if bestD > 0 {
-		w := d.cands[0][bestD-1]
-		keep = append(keep, coefChoice{0, w})
-		d.walk(0, 1, bestD, w, b-1, &keep)
-	} else {
-		d.walk(0, 1, 0, 0, b, &keep)
+		v = d.cands[0][bestD-1]
+		keep = append(keep, coefChoice{0, v})
 	}
+	d.walk(0, 1, bestD, v, rest, &keep)
 	return keep, best
 }
 
-// synopsis extracts the budget-b synopsis (root-retaining when forced)
-// and prices it: at the table's optimum, or — the quantized table being
-// only approximate — by exact re-evaluation.
+// synopsis extracts the budget-b synopsis and prices it: at the table's
+// optimum, or — the quantized table being only approximate — by exact
+// re-evaluation.
 func (d *treeDP) synopsis(b int, forced bool) *Synopsis {
-	extract := d.extract
-	if forced {
-		extract = d.extractForced
-	}
-	keep, best := extract(b)
+	keep, best := d.extract(b, forced)
 	syn := synopsisFromChoices(d.n, keep)
 	syn.Cost = best
 	if d.quant > 0 {
@@ -646,37 +591,45 @@ func (d *treeDP) synopsis(b int, forced bool) *Synopsis {
 
 // cost returns only the optimal expected error at budget b (no
 // backtrack) — the cheap half of extract, for frontier cost curves.
-func (d *treeDP) cost(b int) float64 {
-	if b > d.B {
-		b = d.B
-	}
-	if b < 0 {
-		b = 0
-	}
-	if d.levels == 1 {
-		_, c := d.extractRootLeaf(b)
-		return c
-	}
-	_, best := d.rootBest(b)
+func (d *treeDP) cost(b int, forced bool) float64 {
+	_, _, best := d.rootBest(b, forced)
 	return best
 }
 
 // rootBest scans the root's c0 decisions at budget b — drop first, then
 // candidates in order, with strict <, matching the forward tie-break —
-// and returns the winning decision and its cost.
-func (d *treeDP) rootBest(b int) (int, float64) {
-	entries := d.bcap[0] + 1
-	block := func(s int) []float64 { return d.res[0][s*entries : (s+1)*entries] }
-	best := block(0)[min(b, d.bcap[0])]
-	bestD := 0
-	if b >= 1 {
-		for c := range d.cands[0] {
-			if v := block(c + 1)[min(b-1, d.bcap[0])]; v < best {
-				best, bestD = v, c+1
-			}
+// and returns the winning decision, the budget it leaves the detail tree
+// and its cost. The subtree under a decision is read from the level-0
+// table or, at n == 2 (no table is kept), priced by leafTables.
+//
+// forced skips the drop decision: the optimum over solutions that RETAIN
+// the root coefficient, bit-identically to a DP that never had the drop
+// option (same tables, same comparisons among the candidates). b is
+// clamped to [0, B], or to [1, B] when forced — it includes the root.
+func (d *treeDP) rootBest(b int, forced bool) (bestD, rest int, best float64) {
+	if forced {
+		bestD = 1
+	}
+	b = max(min(b, d.B), bestD)
+	under := func(dd int) float64 {
+		v, bd := 0.0, b-min(dd, 1)
+		if dd > 0 {
+			v = d.cands[0][dd-1]
+		}
+		if d.levels == 1 {
+			var tbl [2]float64
+			d.leafTables(1, v, tbl[:min(bd, 1)+1])
+			return tbl[min(bd, 1)]
+		}
+		return d.res[0][dd*(d.bcap[0]+1)+min(bd, d.bcap[0])]
+	}
+	best = under(bestD)
+	for dd := bestD + 1; dd <= len(d.cands[0]) && b >= 1; dd++ {
+		if c := under(dd); c < best {
+			best, bestD = c, dd
 		}
 	}
-	return bestD, best
+	return bestD, b - min(bestD, 1), best
 }
 
 // walk re-derives the argmin decisions of node j (level l, state local,
@@ -801,116 +754,6 @@ func (d *treeDP) walkLeaf(j int, v float64, b int, keep *[]coefChoice) {
 	}
 }
 
-// extractRootLeaf handles n == 2, where the single detail node is itself
-// a finest-level node: enumerate the c0 decisions directly at budget b.
-func (d *treeDP) extractRootLeaf(b int) ([]coefChoice, float64) {
-	tbl := make([]float64, min(b, 1)+1)
-	best := math.Inf(1)
-	bestD := 0
-	for dd := 0; dd <= len(d.cands[0]); dd++ {
-		budget, v := b, 0.0
-		if dd > 0 {
-			if b < 1 {
-				break
-			}
-			budget, v = b-1, d.cands[0][dd-1]
-		}
-		d.leafTables(1, v, tbl)
-		if c := tbl[min(budget, min(b, 1))]; c < best {
-			best, bestD = c, dd
-		}
-	}
-	var keep []coefChoice
-	v, budget := 0.0, b
-	if bestD > 0 {
-		v, budget = d.cands[0][bestD-1], b-1
-		keep = append(keep, coefChoice{0, v})
-	}
-	d.walkLeaf(1, v, budget, &keep)
-	return keep, best
-}
-
-// ---------------------------------------------------------------------------
-// Forced-root extraction: the sharded merge's per-shard sweeps.
-//
-// A sharded restricted build pins every shard's local c0 (the shard
-// average) so that the merged synopsis reconstructs each shard exactly
-// as the shard's local solution does once the global top tree is
-// retained in full. The forced variants re-derive the optimum over
-// solutions that RETAIN the root coefficient — same kept tables, same
-// forward comparisons, just with the root's drop decision excluded — so
-// a forced extraction at budget b spends one coefficient on c0 and
-// distributes b-1 over the details, bit-identically to a DP that never
-// had the drop option.
-
-// extractForced is extract restricted to root-retaining solutions;
-// b (clamped to [1, B]) includes the forced root coefficient.
-func (d *treeDP) extractForced(b int) ([]coefChoice, float64) {
-	if b > d.B {
-		b = d.B
-	}
-	if b < 1 {
-		b = 1
-	}
-	if d.levels == 1 {
-		return d.extractRootLeafForced(b)
-	}
-	bestD, best := d.rootBestForced(b)
-	w := d.cands[0][bestD-1]
-	keep := []coefChoice{{0, w}}
-	d.walk(0, 1, bestD, w, b-1, &keep)
-	return keep, best
-}
-
-// costForced is cost restricted to root-retaining solutions.
-func (d *treeDP) costForced(b int) float64 {
-	if b > d.B {
-		b = d.B
-	}
-	if b < 1 {
-		b = 1
-	}
-	if d.levels == 1 {
-		_, c := d.extractRootLeafForced(b)
-		return c
-	}
-	_, best := d.rootBestForced(b)
-	return best
-}
-
-// rootBestForced scans only the root's retain decisions, in candidate
-// order with strict <, matching rootBest's tie-break among them.
-func (d *treeDP) rootBestForced(b int) (int, float64) {
-	entries := d.bcap[0] + 1
-	block := func(s int) []float64 { return d.res[0][s*entries : (s+1)*entries] }
-	best := block(1)[min(b-1, d.bcap[0])]
-	bestD := 1
-	for c := 1; c < len(d.cands[0]); c++ {
-		if v := block(c + 1)[min(b-1, d.bcap[0])]; v < best {
-			best, bestD = v, c+1
-		}
-	}
-	return bestD, best
-}
-
-// extractRootLeafForced is extractRootLeaf with the root's drop decision
-// excluded (n == 2, b >= 1).
-func (d *treeDP) extractRootLeafForced(b int) ([]coefChoice, float64) {
-	tbl := make([]float64, min(b-1, 1)+1)
-	best := math.Inf(1)
-	bestD := 1
-	for dd := 1; dd <= len(d.cands[0]); dd++ {
-		d.leafTables(1, d.cands[0][dd-1], tbl)
-		if c := tbl[min(b-1, 1)]; c < best {
-			best, bestD = c, dd
-		}
-	}
-	v := d.cands[0][bestD-1]
-	keep := []coefChoice{{0, v}}
-	d.walkLeaf(1, v, b-1, &keep)
-	return keep, best
-}
-
 // ---------------------------------------------------------------------------
 // Dirty-path repair: incremental maintenance of the kept level tables.
 //
@@ -923,8 +766,8 @@ func (d *treeDP) extractRootLeafForced(b int) ([]coefChoice, float64) {
 // — and hence every expected coefficient — unchanged, the mean-preserving
 // case) invalidates exactly the blocks of the O(log n) nodes on i's
 // root-to-leaf path: every other block's inputs are value-identical, and
-// the dirty blocks' incoming-value rows recompute from clean ancestor
-// candidates. repair re-runs those blocks through the same solveStates
+// the dirty blocks' incoming values come from clean ancestor candidates,
+// so they stand. repair re-runs those blocks through the same solveStates
 // code the forward sweep uses, bottom-up, so the patched tables are
 // bit-identical to a from-scratch sweep over the mutated data. Mutations
 // that change candidates higher in the tree shift the incoming values of
@@ -978,35 +821,23 @@ func (d *treeDP) canRepair(dirtyItems []int, changed []int) bool {
 }
 
 // repair recomputes the state blocks of the dirty items' path nodes,
-// bottom-up: the last internal level's blocks first (with their
-// incoming-value rows re-derived from clean ancestor candidates), then
-// each ancestor level's blocks from the freshly patched level below.
-// The caller must have established canRepair and already swapped the
-// mutated pe/cands into d.
+// bottom-up: the last internal level's blocks first, then each ancestor
+// level's blocks from the freshly patched level below. The retained
+// incoming values (d.vals) are re-read as they are: canRepair refused any
+// change above the two finest levels, and a kept level's values depend
+// only on the candidates of strict ancestors above them. The caller must
+// have established canRepair and already swapped the mutated pe/cands
+// into d.
 func (d *treeDP) repair(dirtyItems []int) {
 	if d.levels < 2 {
 		return // n == 2: extraction reads pe/cands directly
 	}
-	L := d.levels
-	locals := uniqueLocals(dirtyItems, func(it int) int { return d.pathLocal(L-2, it) })
-	for _, i := range locals {
-		// Quantized mode re-reads the retained d.vals grids directly:
-		// repairable mutations only change candidates at the two finest
-		// levels, and every grid (and exact enumeration) on the kept
-		// levels depends only on strict-ancestor candidates above them.
-		var vals []float64
-		voff := 0
-		if d.quant == 0 {
-			vals = d.valsForBlock(i)
-			voff = d.offs[L-2][i]
-		}
-		d.solveStates(L-2, d.offs[L-2][i], d.offs[L-2][i+1], vals, voff)
-	}
-	for l := L - 3; l >= 0; l-- {
-		locals = uniqueLocals(locals, func(child int) int { return child >> 1 })
+	locals := uniqueLocals(dirtyItems, func(it int) int { return d.pathLocal(d.levels-2, it) })
+	for l := d.levels - 2; l >= 0; l-- {
 		for _, i := range locals {
-			d.solveStates(l, d.offs[l][i], d.offs[l][i+1], nil, 0)
+			d.solveStates(l, d.offs[l][i], d.offs[l][i+1])
 		}
+		locals = uniqueLocals(locals, func(child int) int { return child >> 1 })
 	}
 }
 
@@ -1025,39 +856,6 @@ func uniqueLocals(xs []int, f func(int) int) []int {
 		}
 	}
 	return out[:w]
-}
-
-// valsForBlock re-derives the incoming values of every state of the
-// last-internal-level node with local index i, performing the same
-// top-down v±w accumulation incomingValues does along this node's
-// ancestor chain — so each value is bit-identical to the corresponding
-// entry of the forward sweep's full-level array.
-func (d *treeDP) valsForBlock(i int) []float64 {
-	L := d.levels
-	j := (1 << (L - 2)) + i
-	cur := make([]float64, d.br(0))
-	for c, w := range d.cands[0] {
-		cur[c+1] = w
-	}
-	for l := 0; l < L-2; l++ {
-		a := j >> (L - 2 - l)     // ancestor at level l
-		left := j>>(L-3-l) == 2*a // which child the path descends to
-		b := d.br(a)
-		next := make([]float64, len(cur)*b)
-		for s, v := range cur {
-			next[s*b] = v
-			for dd := 1; dd < b; dd++ {
-				w := d.cands[a][dd-1]
-				if left {
-					next[s*b+dd] = v + w
-				} else {
-					next[s*b+dd] = v - w
-				}
-			}
-		}
-		cur = next
-	}
-	return cur
 }
 
 // errorBound bounds the quantized DP's additive suboptimality: the true

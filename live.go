@@ -67,7 +67,9 @@ func BuildLive(src Source, m Metric, Bmax int, opts ...BuildOption) (Maintainer,
 		if err != nil {
 			return nil, err
 		}
-		l.state, l.view = lv, func() countedFrontier { return waveletFrontier{lv} }
+		// Every mutation re-wraps the sweep, so it is read off the live
+		// frontier at every use, not kept.
+		l.state, l.view = lv, func() countedFrontier { return waveletFrontier{lv.Sweep} }
 	} else {
 		lv, err := hist.NewLiveDP(vp, func(v *pdata.ValuePDF) (hist.Oracle, error) { return p.oracle(v, p.weights) }, Bmax, p.pool)
 		if err != nil {
