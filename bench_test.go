@@ -284,20 +284,21 @@ func BenchmarkWaveletRestrictedApprox(b *testing.B) {
 // --- sharded builds -----------------------------------------------------------
 
 // BenchmarkShardedBuild: the same synopsis built with k ∈ {1, 2, 4, 8}
-// domain shards; k = 1 delegates to the unsharded build and is the
-// honest baseline. Two speedup sources compose: work reduction (each
-// shard's DP runs over n/k items, so a superlinear DP shrinks faster
-// than the shard count) and shard concurrency over the pool. The
-// acceptance target — >= 2.5x at k = 4 — is met by the quadratic
-// histogram DP from work reduction alone (~10x even on one core); the
-// O(n·q·B) quantized restricted DP does linear work regardless of k,
-// so its k-fold win is pure concurrency and needs a >= 4-core runner
-// to materialize. The SSE wavelet merge is exact and its transform is
-// cheap, so its entry tracks merge overhead at scale rather than a
-// speedup claim. The exact histogram DP is quadratic in n, so it
-// benches at n=8192; the wavelet families take n=65536, the scale the
-// quantized-build smoke pins.
+// domain shards at one pool worker and at one per CPU, so a k = 1 row is
+// compared with sharded rows that had the same cores (a k-way build fans
+// its shards over k goroutines at any worker count; k = 1 is the
+// unsharded build and uses only the pool). Each row reports the merged
+// synopsis's cost and the certified Bound beside its time: what sharding
+// buys is the time, what it pays is cost(k) - cost(1), and Bound is what
+// it promises. Two speedup sources compose: work reduction (each shard's
+// DP runs over n/k items, so a superlinear DP — the histogram's, the exact
+// coefficient tree's — shrinks faster than the shard count) and shard
+// concurrency; the O(n·q·B) quantized restricted DP does linear work
+// regardless of k, so its win is concurrency alone, which the unsharded
+// build's own level sweeps already have. The SSE wavelet merge is exact
+// and its transform is cheap, so its entry tracks merge overhead.
 func BenchmarkShardedBuild(b *testing.B) {
+	wavelet := []probsyn.BuildOption{probsyn.WithWavelet()}
 	cases := []struct {
 		name string
 		n, B int
@@ -307,19 +308,32 @@ func BenchmarkShardedBuild(b *testing.B) {
 		{"histogram-SSE/n=8192/B=8", 8192, 8, probsyn.SSE, nil},
 		{"wavelet-SAE-q16/n=65536/B=32", 65536, 32, probsyn.SAE,
 			[]probsyn.BuildOption{probsyn.WithWavelet(), probsyn.WithQuantize(16)}},
-		{"wavelet-SSE/n=65536/B=64", 65536, 64, probsyn.SSE,
-			[]probsyn.BuildOption{probsyn.WithWavelet()}},
+		{"wavelet-SSE/n=65536/B=64", 65536, 64, probsyn.SSE, wavelet},
+		{"wavelet-SAE/n=512/B=32", 512, 32, probsyn.SAE, wavelet},
+		{"wavelet-SARE/n=1024/B=16", 1024, 16, probsyn.SARE, wavelet},
+		{"wavelet-MAE/n=512/B=32", 512, 32, probsyn.MAE, wavelet},
+	}
+	workers := []int{1}
+	if runtime.NumCPU() > 1 {
+		workers = append(workers, runtime.NumCPU())
 	}
 	for _, c := range cases {
 		src := benchLinkage(c.n)
 		for _, k := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/k=%d", c.name, k), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := probsyn.BuildSharded(src, c.m, c.B, k, c.opts...); err != nil {
-						b.Fatal(err)
+			for _, w := range workers {
+				b.Run(fmt.Sprintf("%s/k=%d/workers=%d", c.name, k, w), func(b *testing.B) {
+					opts := append(c.opts[:len(c.opts):len(c.opts)], probsyn.WithParallelism(w))
+					var res *probsyn.ShardedResult
+					for i := 0; i < b.N; i++ {
+						var err error
+						if res, err = probsyn.BuildSharded(src, c.m, c.B, k, opts...); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-			})
+					b.ReportMetric(res.Synopsis.ErrorCost(), "cost")
+					b.ReportMetric(res.Bound, "bound")
+				})
+			}
 		}
 	}
 }

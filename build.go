@@ -23,8 +23,6 @@ type buildConfig struct {
 	quantizeSet bool
 	rquant      int
 	rquantSet   bool
-	shards      int
-	shardsSet   bool
 	dpStats     *hist.DPStats
 }
 
@@ -128,15 +126,6 @@ func WithDPStats(st *DPStats) BuildOption {
 	return func(c *buildConfig) { c.dpStats = st }
 }
 
-// WithShards splits the build across k contiguous domain shards built
-// concurrently and merged under the global budget (see BuildSharded,
-// which also returns the per-shard pieces and the suboptimality bound
-// that Build discards). k = 1 is the ordinary unsharded build; wavelet
-// shard counts must be powers of two, and the DP families need B >= k.
-func WithShards(k int) BuildOption {
-	return func(c *buildConfig) { c.shards, c.shardsSet = k, true }
-}
-
 // Build is the unified synopsis constructor: it builds a B-term synopsis
 // of the requested family minimizing the metric's expected error over the
 // source's possible worlds, and returns it behind the shared Synopsis
@@ -150,40 +139,37 @@ func Build(src Source, m Metric, B int, opts ...BuildOption) (Synopsis, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.shards != 1 {
-		res, err := p.sharded(src, B, p.shards)
-		if err != nil {
-			return nil, err
-		}
-		return res.Synopsis, nil
-	}
-	return p.build(src, B)
+	syn, _, err := p.build(src, B)
+	return syn, err
 }
 
-func (p *plan) build(src Source, B int) (Synopsis, error) {
+// build returns the budget-B synopsis with the frontier it was extracted
+// from (nil under histEps, whose DP has none).
+func (p *plan) build(src Source, B int) (Synopsis, Frontier, error) {
 	_, release, err := p.admit(1)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer release()
 	if p.family == histEps {
 		o, err := p.oracle(src, p.weights)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// Return an untyped nil on error: wrapping a nil concrete pointer
 		// in the interface would defeat callers' `!= nil` checks.
 		h, err := hist.ApproximatePool(o, B, p.eps, p.pool)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return h, nil
+		return h, nil, nil
 	}
 	fr, err := p.frontier(src, B)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return synopsis.Extract(fr, B)
+	syn, err := synopsis.Extract(fr, B)
+	return syn, fr, err
 }
 
 // assert the concrete families satisfy the shared interface.

@@ -131,7 +131,7 @@ func TestWritePathsAgree(t *testing.T) {
 				}
 
 				final := base // the data every file must be a build over
-				var extraOpts []probsyn.BuildOption
+				shards := 1   // BuildSharded at k = 1 is Build
 				switch job {
 				case "build":
 					build(cfg, "/v1/build", inDomain, 0)
@@ -139,7 +139,7 @@ func TestWritePathsAgree(t *testing.T) {
 				case "sharded":
 					build(cfg, "/v1/build", inDomain+1, shardK)
 					psyn(cfg, basePath, inDomain+1, "-shards", fmt.Sprint(shardK), "-out", offline)
-					extraOpts = append(extraOpts, probsyn.WithShards(shardK))
+					shards = shardK
 				case "sweep", "sweep-past-domain":
 					budget := inDomain
 					if job == "sweep-past-domain" {
@@ -249,11 +249,11 @@ func TestWritePathsAgree(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					syn, err := probsyn.Build(final, m, key.Budget, append(opts, extraOpts...)...)
+					res, err := probsyn.BuildSharded(final, m, key.Budget, shards, opts...)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := probsyn.MarshalSynopsis(syn)
+					want, err := probsyn.MarshalSynopsis(res.Synopsis)
 					if err != nil {
 						t.Fatal(err)
 					}

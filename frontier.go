@@ -15,8 +15,7 @@ import (
 // construction, and guarantees Frontier.Synopsis(b) is bit-identical —
 // byte-identical through the codec — to Build at budget b with the same
 // options. The (1+eps)-approximate histogram DP prunes its search per
-// budget and produces no frontier; WithEps is rejected, as is WithShards
-// (a frontier is built unsharded).
+// budget and produces no frontier; WithEps is rejected.
 func BuildSweep(src Source, m Metric, Bmax int, opts ...BuildOption) (Frontier, error) {
 	p, err := resolve(m, opts, modeFrontier)
 	if err != nil {

@@ -4,13 +4,13 @@
 // synopsis envelope under a key-encoding filename. A long-lived server
 // loads a catalog directory at startup, answers estimates from memory
 // under an RWMutex, and persists each newly built synopsis back to the
-// directory; offline tools (cmd/psyn, the eval harness) write the same
-// files, so a synopsis built anywhere is servable everywhere — and since
-// the engine's builds are deterministic, replicas that build the same key
-// produce byte-identical catalog files. The server and cmd/psyn write
-// through one path, write.go: Publish (persist, then register),
-// ExtractAndPublish (a frontier's budgets under their keys) and
-// Mutation.Apply (the dataset, before any synopsis over it).
+// directory; cmd/psyn writes the same files offline, so a synopsis built
+// anywhere is servable everywhere — and since the engine's builds are
+// deterministic, replicas that build the same key produce byte-identical
+// catalog files. The server and cmd/psyn write through one path,
+// write.go: Publish (persist, then register), ExtractAndPublish (a
+// frontier's budgets under their keys) and Mutation.Apply (the dataset,
+// before any synopsis over it).
 package catalog
 
 import (
@@ -514,8 +514,7 @@ func decodeEnvelope(key Key, blob []byte) (synopsis.Synopsis, error) {
 // WriteFile serializes a synopsis to path through the versioned codec:
 // the JSON envelope when the path ends in .json, the binary envelope
 // otherwise. It returns the byte count written. This is the one save
-// path shared by cmd/psyn, the eval harness, and the server's catalog
-// persistence.
+// path shared by cmd/psyn and the server's catalog persistence.
 func WriteFile(path string, syn synopsis.Synopsis) (int, error) {
 	var (
 		data []byte

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"probsyn/internal/catalog"
 	"probsyn/internal/engine"
 	"probsyn/internal/hist"
 	"probsyn/internal/metric"
@@ -73,30 +72,9 @@ type HistogramExperiment struct {
 	Budgets []int // ascending bucket budgets to report
 	Samples int   // number of SampledWorld repetitions (the paper plots 3)
 	Rng     *rand.Rand
-	// Parallelism is the DP worker count (0 or 1: single-threaded,
-	// < 0: one worker per CPU). The DP schedule is deterministic, so the
-	// reported series are identical at any setting.
-	Parallelism int
-	// Pool, when non-nil, schedules every DP in the experiment on this
-	// shared engine pool instead of a per-call one (Parallelism is then
-	// ignored) — the same process-wide pool discipline the serving layer
-	// uses. Results are bit-identical either way.
+	// Pool schedules every DP of the experiment; nil is serial. The DP
+	// schedule is deterministic, so the series are identical on any pool.
 	Pool *engine.Pool
-	// Catalog, when non-nil, receives the probabilistic method's built
-	// histogram for every budget under Dataset's name — the same entries
-	// (and, after Catalog.SaveAll, the same files) psynd serves, so an
-	// experiment run doubles as offline catalog construction.
-	Catalog *catalog.Catalog
-	// Dataset names the source in catalog keys; required with Catalog.
-	Dataset string
-}
-
-// pool resolves the experiment's scheduling choice.
-func (e *HistogramExperiment) pool() *engine.Pool {
-	if e.Pool != nil {
-		return e.Pool
-	}
-	return engine.New(engine.Options{Workers: e.workers()})
 }
 
 // Run executes the experiment and returns one series per method (plus one
@@ -118,14 +96,9 @@ func (e *HistogramExperiment) Run() ([]HistSeries, error) {
 	if err != nil {
 		return nil, err
 	}
-	tab, err := hist.RunDPPool(probOracle, bmax, e.pool())
+	tab, err := hist.RunDPPool(probOracle, bmax, e.Pool)
 	if err != nil {
 		return nil, err
-	}
-	if e.Catalog != nil {
-		if err := e.catalogSynopses(tab); err != nil {
-			return nil, err
-		}
 	}
 	lo := minAchievableCost(probOracle)
 	hi := tab.Cost(1)
@@ -175,40 +148,6 @@ func (e *HistogramExperiment) Run() ([]HistSeries, error) {
 	return out, nil
 }
 
-// workers maps the Parallelism field to the DP engine's convention.
-func (e *HistogramExperiment) workers() int {
-	switch {
-	case e.Parallelism < 0:
-		return 0 // one per CPU
-	case e.Parallelism == 0:
-		return 1
-	default:
-		return e.Parallelism
-	}
-}
-
-// catalogSynopses registers the probabilistic method's optimal histogram
-// for every budget in the experiment's catalog: the budget sweep already
-// paid for the whole DP table, so materializing each histogram is a
-// backtrack away, and the entries are exactly what the serving layer
-// answers estimates from.
-func (e *HistogramExperiment) catalogSynopses(tab *hist.DPTable) error {
-	for _, b := range e.Budgets {
-		key, err := catalog.NewKey(e.Dataset, catalog.FamilyHistogram, e.Metric.String(), b, e.Params.C)
-		if err != nil {
-			return err
-		}
-		h, err := tab.Histogram(b)
-		if err != nil {
-			return err
-		}
-		if _, _, err := e.Catalog.Put(key, h); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // heuristicSeries optimizes the deterministic stand-in under the same
 // metric, then re-prices each bucketing under the probabilistic oracle
 // (representatives re-optimized per bucket, matching the paper's
@@ -220,7 +159,7 @@ func (e *HistogramExperiment) heuristicSeries(probOracle hist.Oracle, pct func(f
 	if err != nil {
 		return HistSeries{}, err
 	}
-	detTab, err := hist.RunDPPool(detOracle, bmax, e.pool())
+	detTab, err := hist.RunDPPool(detOracle, bmax, e.Pool)
 	if err != nil {
 		return HistSeries{}, err
 	}

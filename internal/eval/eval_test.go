@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"probsyn/internal/catalog"
 	"probsyn/internal/engine"
 	"probsyn/internal/eval"
 	"probsyn/internal/gen"
@@ -71,11 +70,9 @@ func TestHistogramExperimentOrdering(t *testing.T) {
 	}
 }
 
-// An experiment run on a shared engine pool must report identical series
-// to the per-call default, and when given a catalog it must stash the
-// probabilistic histogram for every budget with the costs the series
-// reports — the entries the serving layer answers from.
-func TestHistogramExperimentSharedPoolAndCatalog(t *testing.T) {
+// An experiment run on a shared engine pool must report the series the
+// serial run (nil Pool) reports, bit for bit.
+func TestHistogramExperimentSharedPool(t *testing.T) {
 	src := smallLinkage(t, 120)
 	budgets := []int{1, 2, 5, 10}
 	base := &eval.HistogramExperiment{
@@ -86,12 +83,10 @@ func TestHistogramExperimentSharedPoolAndCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat := catalog.New()
 	pooled := &eval.HistogramExperiment{
 		Source: src, Metric: metric.SAE, Params: metric.Params{C: 0.5},
 		Budgets: budgets, Samples: 1, Rng: rand.New(rand.NewSource(3)),
-		Pool:    engine.New(engine.Options{Workers: 4, Grain: 1}),
-		Catalog: cat, Dataset: "linkage",
+		Pool: engine.New(engine.Options{Workers: 4, Grain: 1}),
 	}
 	got, err := pooled.Run()
 	if err != nil {
@@ -100,25 +95,8 @@ func TestHistogramExperimentSharedPoolAndCatalog(t *testing.T) {
 	for i := range want {
 		for j := range want[i].Points {
 			if got[i].Points[j] != want[i].Points[j] {
-				t.Fatalf("series %d point %d: pooled %+v != per-call %+v", i, j, got[i].Points[j], want[i].Points[j])
+				t.Fatalf("series %d point %d: pooled %+v != serial %+v", i, j, got[i].Points[j], want[i].Points[j])
 			}
-		}
-	}
-	if cat.Len() != len(budgets) {
-		t.Fatalf("catalog has %d entries, want %d", cat.Len(), len(budgets))
-	}
-	prob := findSeries(want, eval.Probabilistic)
-	for j, b := range budgets {
-		key, err := catalog.NewKey("linkage", catalog.FamilyHistogram, "SAE", b, 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, ok := cat.Get(key)
-		if !ok {
-			t.Fatalf("catalog missing %v", key)
-		}
-		if e.Synopsis.ErrorCost() != prob.Points[j].Cost {
-			t.Fatalf("B=%d: cataloged cost %v != series cost %v", b, e.Synopsis.ErrorCost(), prob.Points[j].Cost)
 		}
 	}
 }

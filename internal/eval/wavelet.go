@@ -5,28 +5,18 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"time"
 
-	"probsyn/internal/catalog"
-	"probsyn/internal/engine"
 	"probsyn/internal/haar"
-	"probsyn/internal/metric"
 	"probsyn/internal/pdata"
-	"probsyn/internal/wavelet"
 )
 
-// WaveletPoint is one (budget, error%) sample of a wavelet series.
-type WaveletPoint struct {
-	B        int
-	ErrorPct float64
-}
-
-// WaveletSeries is one plotted line of Figure 4.
-type WaveletSeries struct {
-	Method Method
-	Sample int
-	Points []WaveletPoint
-}
+// A Figure 4 line has a Figure 2 line's shape, so one printer serves
+// both: a wavelet point's Cost is the Σ μ_ci² mass its coefficient set
+// leaves out, and ErrorPct is that as a share of the total.
+type (
+	WaveletPoint  = HistPoint
+	WaveletSeries = HistSeries
+)
 
 // WaveletExperiment reproduces a panel of Figure 4: expected-SSE wavelet
 // synopses, Probabilistic versus Sampled World, with the error measured as
@@ -55,21 +45,18 @@ func (e *WaveletExperiment) Run() ([]WaveletSeries, error) {
 		muSq[i] = v * v
 		total += muSq[i]
 	}
-	pct := func(retained float64) float64 {
-		if total == 0 {
-			return 0
+	point := func(b int, retained float64) WaveletPoint {
+		pt := WaveletPoint{B: b, Cost: total - retained}
+		if total != 0 && pt.Cost > 0 {
+			pt.ErrorPct = 100 * pt.Cost / total
 		}
-		p := 100 * (total - retained) / total
-		if p < 0 {
-			p = 0
-		}
-		return p
+		return pt
 	}
 
 	var out []WaveletSeries
 	// Probabilistic: retain by |mu| — the optimal order.
 	probOrder := orderByMagnitude(mu)
-	out = append(out, seriesFromOrder(Probabilistic, 0, e.Budgets, probOrder, muSq, pct))
+	out = append(out, seriesFromOrder(Probabilistic, 0, e.Budgets, probOrder, muSq, point))
 
 	samples := e.Samples
 	if samples <= 0 {
@@ -84,76 +71,7 @@ func (e *WaveletExperiment) Run() ([]WaveletSeries, error) {
 		e.Source.SampleInto(rng, freqs)
 		nc := haar.Normalize(haar.Forward(haar.Pad(append([]float64(nil), freqs...))))
 		order := orderByMagnitude(nc)
-		out = append(out, seriesFromOrder(SampledWorld, s, e.Budgets, order, muSq, pct))
-	}
-	return out, nil
-}
-
-// WaveletDPPoint is one (budget, wall time, error) sample of the
-// restricted wavelet DP.
-type WaveletDPPoint struct {
-	B       int
-	Seconds float64
-	Cost    float64
-	Terms   int
-}
-
-// WaveletDPExperiment measures the restricted coefficient-tree DP
-// (Theorem 8) across a budget sweep — the wavelet sibling of the Figure 3
-// histogram-DP timings. Parallelism is the engine worker count threaded
-// into the DP's level sweeps; like HistogramExperiment, the zero value
-// means serial and a negative value means one worker per CPU. The
-// synopsis, and therefore Cost, is bit-identical at any setting, so the
-// series isolates pure scheduling speedup.
-type WaveletDPExperiment struct {
-	Source      pdata.Source
-	Metric      metric.Kind
-	Params      metric.Params
-	Budgets     []int
-	Parallelism int
-	// Pool, when non-nil, schedules every build on this shared engine
-	// pool (Parallelism is then ignored), matching the serving layer's
-	// one-pool-per-process discipline.
-	Pool *engine.Pool
-	// Catalog, when non-nil, receives each built wavelet synopsis keyed
-	// under Dataset — the same entries psynd serves.
-	Catalog *catalog.Catalog
-	// Dataset names the source in catalog keys; required with Catalog.
-	Dataset string
-}
-
-// Run executes the experiment.
-func (e *WaveletDPExperiment) Run() ([]WaveletDPPoint, error) {
-	if len(e.Budgets) == 0 {
-		return nil, fmt.Errorf("eval: no budgets")
-	}
-	pool := e.Pool
-	if pool == nil {
-		workers := e.Parallelism
-		if workers == 0 {
-			workers = 1
-		}
-		pool = engine.New(engine.Options{Workers: workers})
-	}
-	out := make([]WaveletDPPoint, 0, len(e.Budgets))
-	for _, B := range e.Budgets {
-		start := time.Now()
-		syn, cost, err := wavelet.BuildRestrictedPool(e.Source, e.Metric, e.Params, B, pool)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, WaveletDPPoint{
-			B: B, Seconds: time.Since(start).Seconds(), Cost: cost, Terms: syn.B(),
-		})
-		if e.Catalog != nil {
-			key, err := catalog.NewKey(e.Dataset, catalog.FamilyWavelet, e.Metric.String(), B, e.Params.C)
-			if err != nil {
-				return nil, err
-			}
-			if _, _, err := e.Catalog.Put(key, syn); err != nil {
-				return nil, err
-			}
-		}
+		out = append(out, seriesFromOrder(SampledWorld, s, e.Budgets, order, muSq, point))
 	}
 	return out, nil
 }
@@ -173,7 +91,7 @@ func orderByMagnitude(c []float64) []int {
 	return idx
 }
 
-func seriesFromOrder(m Method, sample int, budgets []int, order []int, muSq []float64, pct func(float64) float64) WaveletSeries {
+func seriesFromOrder(m Method, sample int, budgets []int, order []int, muSq []float64, point func(b int, retained float64) WaveletPoint) WaveletSeries {
 	// prefix[k] = mu² mass captured by the first k coefficients of order.
 	prefix := make([]float64, len(order)+1)
 	for k, i := range order {
@@ -185,7 +103,7 @@ func seriesFromOrder(m Method, sample int, budgets []int, order []int, muSq []fl
 		if k > len(order) {
 			k = len(order)
 		}
-		s.Points = append(s.Points, WaveletPoint{B: b, ErrorPct: pct(prefix[k])})
+		s.Points = append(s.Points, point(b, prefix[k]))
 	}
 	return s
 }

@@ -19,8 +19,8 @@ import (
 // solved independently, and the per-shard solutions are merged into one
 // global synopsis. The per-shard solutions survive as Pieces — shard s's
 // local synopsis over its own width-(N/k) domain, which reconstructs the
-// merged synopsis's restriction to shard s exactly (the cluster serves
-// range queries from pieces without ever assembling Merged).
+// merged synopsis's restriction to shard s exactly. Only Merged is ever
+// published; the pieces are what psyn -shards tabulates.
 type ShardedResult struct {
 	Merged *Synopsis
 	Pieces []*Synopsis

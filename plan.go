@@ -39,7 +39,7 @@ type mode int
 const (
 	modeBuild    mode = iota // Build: extract one synopsis
 	modeFrontier             // BuildSweep, BuildLive: hand out the whole cost-vs-budget curve
-	modeSharded              // BuildSharded, and Build under WithShards: k curves merged by shard.Allocate
+	modeSharded              // BuildSharded: k curves merged by shard.Allocate
 )
 
 // plan is a build resolved once from (metric, options, mode): the family
@@ -53,7 +53,6 @@ type plan struct {
 	q       int       // the wavelet DP families' quantization
 	eps     float64   // histEps
 	weights []float64 // histogram workload weights, nil for the metric's own oracle
-	shards  int       // modeBuild only: 1 unless WithShards asked for a sharded Build
 	pool    *engine.Pool
 	stats   *DPStats // WithDPStats sink, or nil
 }
@@ -65,15 +64,7 @@ func resolve(m Metric, opts []BuildOption, md mode) (*plan, error) {
 	}
 	p := &plan{
 		metric: m, params: cfg.params, eps: cfg.eps, weights: cfg.weights,
-		shards: 1, pool: cfg.pool, stats: cfg.dpStats,
-	}
-	if cfg.shardsSet {
-		if md != modeBuild {
-			return nil, fmt.Errorf("probsyn: WithShards is an option of Build alone: BuildSharded takes the shard count as an argument, and a frontier (BuildSweep, BuildLive) is built unsharded")
-		}
-		if cfg.shards != 1 {
-			md, p.shards = modeSharded, cfg.shards
-		}
+		pool: cfg.pool, stats: cfg.dpStats,
 	}
 	switch {
 	case !cfg.wavelet && cfg.quantizeSet:

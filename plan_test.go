@@ -17,8 +17,8 @@ import (
 	"probsyn/internal/ptest"
 )
 
-// combo is one assignment of the options that can conflict. quantize and
-// unrestricted are the option's argument, or unset; shards 0 is unset.
+// combo is one assignment of the options that can conflict. quantize is
+// the option's argument, or unset.
 type combo struct {
 	wavelet      bool
 	metric       probsyn.Metric
@@ -26,7 +26,6 @@ type combo struct {
 	unrestricted bool
 	eps          bool
 	weights      bool
-	shards       int
 }
 
 func (c combo) String() string {
@@ -34,8 +33,8 @@ func (c combo) String() string {
 	if c.quantize != nil {
 		q = fmt.Sprint(*c.quantize)
 	}
-	return fmt.Sprintf("wavelet=%v/%v/quantize=%s/unrestricted=%v/eps=%v/weights=%v/shards=%d",
-		c.wavelet, c.metric, q, c.unrestricted, c.eps, c.weights, c.shards)
+	return fmt.Sprintf("wavelet=%v/%v/quantize=%s/unrestricted=%v/eps=%v/weights=%v",
+		c.wavelet, c.metric, q, c.unrestricted, c.eps, c.weights)
 }
 
 func (c combo) options(n int) []probsyn.BuildOption {
@@ -58,9 +57,6 @@ func (c combo) options(n int) []probsyn.BuildOption {
 			w[i] = float64(1 + i%3)
 		}
 		opts = append(opts, probsyn.WithWorkloadWeights(w))
-	}
-	if c.shards != 0 {
-		opts = append(opts, probsyn.WithShards(c.shards))
 	}
 	return opts
 }
@@ -103,11 +99,9 @@ func wantAccept(c combo, entry int) bool {
 		}
 	}
 	// Rules of the entry point.
-	sharded := entry == viaShardedOne || entry == viaShardedTwo || (entry == viaBuild && c.shards > 1)
+	sharded := entry == viaShardedOne || entry == viaShardedTwo
 	switch {
-	case c.shards != 0 && entry != viaBuild:
-		return false // WithShards is Build's way to ask for BuildSharded
-	case c.eps && (entry != viaBuild || sharded):
+	case c.eps && entry != viaBuild:
 		return false // no frontier
 	case c.unrestricted && sharded:
 		return false // no merge rule
@@ -156,10 +150,7 @@ func TestEntryPointsAgreeOnOptions(t *testing.T) {
 		for _, m := range []probsyn.Metric{probsyn.SSE, probsyn.SSEFixed, probsyn.SAE, probsyn.SARE, probsyn.MAE} {
 			for _, quantize := range []*int{nil, q(-1), q(0), q(1), q(4)} {
 				for flags := 0; flags < 8; flags++ {
-					for _, shards := range []int{0, 1, 2} {
-						c := combo{wavelet, m, quantize, flags&1 != 0, flags&2 != 0, flags&4 != 0, shards}
-						checkCombo(t, c, src, B)
-					}
+					checkCombo(t, combo{wavelet, m, quantize, flags&1 != 0, flags&2 != 0, flags&4 != 0}, src, B)
 				}
 			}
 		}
@@ -180,21 +171,9 @@ func checkCombo(t *testing.T, c combo, src *probsyn.ValuePDF, B int) {
 			blobs[entry] = mustMarshal(t, syn)
 		}
 	}
-	// Whoever accepts builds Build's bytes. A sharded Build is
-	// BuildSharded at that k; a k=2 merge is another synopsis than the
-	// unsharded one (but for SSE wavelets, whose merge is exact).
+	// Whoever accepts builds Build's bytes (a k=2 merge is another synopsis
+	// than the unsharded one, but for SSE wavelets, whose merge is exact).
 	ref := blobs[viaBuild]
-	if c.shards == 2 && ref != nil {
-		c2 := c
-		c2.shards = 0
-		res, err := probsyn.BuildSharded(src, c.metric, B, 2, c2.options(src.N)...)
-		if err != nil {
-			t.Errorf("%v: Build accepts WithShards(2), BuildSharded(k=2) says %v", c, err)
-		} else if !bytes.Equal(ref, mustMarshal(t, res.Synopsis)) {
-			t.Errorf("%v: Build under WithShards(2) and BuildSharded(k=2) differ", c)
-		}
-		return
-	}
 	for entry := viaSweep; entry <= viaShardedOne; entry++ {
 		if blobs[entry] != nil && !bytes.Equal(ref, blobs[entry]) {
 			t.Errorf("%v: %s's budget-%d synopsis differs from Build's", c, entryNames[entry], B)
@@ -203,7 +182,7 @@ func checkCombo(t *testing.T, c combo, src *probsyn.ValuePDF, B int) {
 	// Admission must agree with the worker: a key the catalog admits is a
 	// build every entry point runs. (WithQuantize(0) has no key: q = 0
 	// keys the exact build, which passes no WithQuantize.)
-	if !c.unrestricted && !c.eps && !c.weights && c.shards == 0 && (c.quantize == nil || *c.quantize != 0) {
+	if !c.unrestricted && !c.eps && !c.weights && (c.quantize == nil || *c.quantize != 0) {
 		family, kq := catalog.FamilyHistogram, 0
 		if c.wavelet {
 			family = catalog.FamilyWavelet

@@ -27,8 +27,9 @@ type ShardedResult struct {
 	// returned by ShardBounds: Pieces[s] covers [Bounds[s], Bounds[s+1]).
 	Bounds []int
 	// Bound is the additive suboptimality certificate:
-	// Synopsis.ErrorCost() <= unsharded optimum + Bound. It is exactly 0
-	// for the SSE wavelet family, whose sharded merge is exact.
+	// Synopsis.ErrorCost() <= exact unsharded optimum + Bound, at every k
+	// (under WithQuantize, k = 1 carries the quantized DP's own bound). It
+	// is exactly 0 for the SSE wavelet family, whose sharded merge is exact.
 	Bound float64
 }
 
@@ -78,7 +79,9 @@ func (p *plan) sharded(src Source, B, k int) (*ShardedResult, error) {
 	}
 	_, isWavelet := p.family.wavelet()
 	if k == 1 {
-		syn, err := p.build(src, B)
+		// One shard is the unsharded build; what stands between it and the
+		// exact optimum is its own DP's bound (a quantized wavelet's, else 0).
+		syn, fr, err := p.build(src, B)
 		if err != nil {
 			return nil, err
 		}
@@ -86,6 +89,7 @@ func (p *plan) sharded(src Source, B, k int) (*ShardedResult, error) {
 			Synopsis: syn,
 			Pieces:   []Synopsis{syn},
 			Bounds:   ShardBounds(src.Domain(), 1, isWavelet),
+			Bound:    ApproxBound(fr),
 		}, nil
 	}
 	conc, release, err := p.admit(k)

@@ -16,8 +16,9 @@ func randomValuePDF(n int, seed int64) *probsyn.ValuePDF {
 	return ptest.RandomValuePDF(rand.New(rand.NewSource(seed)), n, 3)
 }
 
-// The sharded SSE wavelet merge is exact: WithShards(k) must produce a
-// synopsis byte-identical (through the codec) to the unsharded build.
+// The sharded SSE wavelet merge is exact: BuildSharded at any k must
+// produce a synopsis byte-identical (through the codec) to the unsharded
+// build, and say so with a zero bound.
 func TestBuildShardsSSEWaveletBitIdentical(t *testing.T) {
 	src := randomValuePDF(48, 3)
 	want, err := probsyn.Build(src, probsyn.SSE, 9, probsyn.WithWavelet())
@@ -29,23 +30,23 @@ func TestBuildShardsSSEWaveletBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []int{1, 2, 4, 8} {
-		got, err := probsyn.Build(src, probsyn.SSE, 9,
-			probsyn.WithWavelet(), probsyn.WithShards(k), probsyn.WithParallelism(runtime.NumCPU()))
+		got, err := probsyn.BuildSharded(src, probsyn.SSE, 9, k,
+			probsyn.WithWavelet(), probsyn.WithParallelism(runtime.NumCPU()))
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		gotBytes, err := probsyn.MarshalSynopsis(got)
+		gotBytes, err := probsyn.MarshalSynopsis(got.Synopsis)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(gotBytes, wantBytes) {
+		if got.Bound != 0 || !bytes.Equal(gotBytes, wantBytes) {
 			t.Fatalf("k=%d: sharded SSE wavelet differs from unsharded build", k)
 		}
 	}
 }
 
-// DP families under WithShards stay within the certified bound of the
-// unsharded optimum, and BuildSharded surfaces that bound.
+// Sharded DP families stay within the certified bound of the unsharded
+// optimum, and BuildSharded surfaces that bound.
 func TestBuildShardedWithinBound(t *testing.T) {
 	cases := []struct {
 		name string
@@ -91,16 +92,6 @@ func TestBuildShardedWithinBound(t *testing.T) {
 			if res.Synopsis.ErrorCost() > opt.ErrorCost()+res.Bound+tol {
 				t.Fatalf("sharded cost %v exceeds optimum %v + bound %v",
 					res.Synopsis.ErrorCost(), opt.ErrorCost(), res.Bound)
-			}
-			// WithShards(k) through Build returns the same merged synopsis.
-			syn, err := probsyn.Build(src, tc.m, B, append(tc.opts[:len(tc.opts):len(tc.opts)], probsyn.WithShards(tc.k))...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a, _ := probsyn.MarshalSynopsis(syn)
-			b, _ := probsyn.MarshalSynopsis(res.Synopsis)
-			if !bytes.Equal(a, b) {
-				t.Fatal("Build(WithShards) differs from BuildSharded merged synopsis")
 			}
 		})
 	}
@@ -159,6 +150,30 @@ func TestBuildShardedQuantizedWithinBound(t *testing.T) {
 	}
 	if res.Synopsis.ErrorCost() > opt.ErrorCost()+res.Bound+tol {
 		t.Fatalf("cost %v exceeds optimum %v + bound %v", res.Synopsis.ErrorCost(), opt.ErrorCost(), res.Bound)
+	}
+}
+
+// Bound certifies against the EXACT unsharded optimum at every k, k = 1
+// included: a quantized one-shard build is an approximation too, and on
+// this input the k = 4 merge (a feasible 32-term restricted synopsis)
+// costs less than it. The exact optimum is at most the cheapest row.
+func TestBuildShardedQuantizedBoundHoldsAtEveryK(t *testing.T) {
+	src := benchLinkage(2048)
+	ks := []int{1, 2, 4}
+	res := make([]*probsyn.ShardedResult, len(ks))
+	best := math.Inf(1)
+	for i, k := range ks {
+		var err error
+		res[i], err = probsyn.BuildSharded(src, probsyn.SAE, 32, k, probsyn.WithWavelet(), probsyn.WithQuantize(32))
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		best = math.Min(best, res[i].Synopsis.ErrorCost())
+	}
+	for i, k := range ks {
+		if cost := res[i].Synopsis.ErrorCost(); cost > best+res[i].Bound {
+			t.Errorf("k=%d: cost %v exceeds a feasible synopsis's %v by more than Bound %v", k, cost, best, res[i].Bound)
+		}
 	}
 }
 
@@ -222,9 +237,6 @@ func TestBuildShardedArgumentErrors(t *testing.T) {
 	}
 	if _, err := probsyn.BuildSharded(src, probsyn.SAE, 8, 2, probsyn.WithWavelet(), probsyn.WithUnrestricted(2)); err == nil {
 		t.Fatal("WithUnrestricted accepted")
-	}
-	if _, err := probsyn.BuildSharded(src, probsyn.SSE, 8, 2, probsyn.WithShards(2)); err == nil {
-		t.Fatal("WithShards inside BuildSharded accepted")
 	}
 	if _, err := probsyn.BuildSharded(src, probsyn.SSE, 8, 32); err == nil {
 		t.Fatal("k > n histogram accepted")
