@@ -122,8 +122,8 @@ func BenchmarkFig4b_WaveletSynthetic(b *testing.B) { benchFig4(b, benchTPCH(4096
 
 // --- ablations ----------------------------------------------------------------
 
-// Exact straddle-corrected tuple-pdf SSE DP vs the paper's closed form
-// (DESIGN.md finding 3): the closed form skips the per-boundary correction.
+// Exact tuple-pdf SSE DP (Gram-row sweep) vs the paper's closed form, which
+// is wrong where a tuple straddles a bucket boundary (DESIGN.md finding 3).
 func BenchmarkAblateTupleSSEExact(b *testing.B) {
 	cfg := gen.DefaultTPCH(benchN, 4*benchN)
 	cfg.Spread = 8
@@ -487,8 +487,8 @@ func BenchmarkRunDP(b *testing.B) {
 }
 
 // BenchmarkRunDPSweepOracle: same comparison on the tuple-pdf SSE oracle,
-// whose per-end sweep is sequential (SweepOracle) — only the split-point
-// reduction parallelizes, bounding the achievable speedup.
+// the sweep-only one: the fill row sums its Gram row an end at a time
+// while the bands scan the columns it has written.
 func BenchmarkRunDPSweepOracle(b *testing.B) {
 	src := benchTPCH(1024)
 	o := hist.NewSSETuple(src)

@@ -135,7 +135,7 @@ func WithDPStats(st *DPStats) BuildOption {
 // under WithEps, whose DP has no frontier. OptimalHistogram,
 // ApproxHistogram and WorkloadHistogram are shorthands for it.
 func Build(src Source, m Metric, B int, opts ...BuildOption) (Synopsis, error) {
-	p, err := resolve(m, opts, modeBuild)
+	p, err := resolve(src, m, opts, modeBuild)
 	if err != nil {
 		return nil, err
 	}

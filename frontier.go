@@ -17,7 +17,7 @@ import (
 // options. The (1+eps)-approximate histogram DP prunes its search per
 // budget and produces no frontier; WithEps is rejected.
 func BuildSweep(src Source, m Metric, Bmax int, opts ...BuildOption) (Frontier, error) {
-	p, err := resolve(m, opts, modeFrontier)
+	p, err := resolve(src, m, opts, modeFrontier)
 	if err != nil {
 		return nil, err
 	}

@@ -282,7 +282,7 @@ func (t *DPTable) runColumns(from int, pool *engine.Pool, ts tileShape) {
 					// winner is usually within a hair of optimal. Pruning
 					// against a seed is strict (> u), so exact ties with the
 					// bound — including the seed candidate itself — survive
-					// and the argmin is untouched.
+					// and the argmin is unchanged.
 					prev := t.opt[b-1]
 					u := math.Inf(1)
 					if i0 := int(t.choice[b][e-1]); i0 >= b-1 && i0 < e {
@@ -439,7 +439,7 @@ func prunedScanLazy(o Oracle, prev []float64, lo, hi, e int, isSum bool, U float
 // left of `from` are unchanged under the new oracle — true when the
 // oracle is rebuilt from the same data with only items >= from mutated
 // (prefix structures agree bit-for-bit left of the first change; oracles
-// whose global value grid changed still price untouched buckets
+// whose global value grid changed still price those buckets
 // identically, because added grid points carry zero mass there).
 func (t *DPTable) resume(o Oracle, from, breq int, pool *engine.Pool, ts tileShape) error {
 	n := o.N()

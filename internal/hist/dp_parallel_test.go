@@ -268,8 +268,8 @@ func (c countingSweep) CostsForEnd(e int, costs, reps []float64) {
 // sweep-accelerated oracle through its sweep alone, and the two
 // recomputations it is checked against — the dense reference DP and
 // OptimalError — through cold Cost calls alone, so that comparing them
-// compares the sweep with the search it stands in for. Only SSETuple is
-// swept by the references as well.
+// compares the sweep with the search it stands in for. Only the exact
+// SSETuple is swept by the references as well.
 func TestReferencePathsPriceThroughCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	const n, B = 40, 5
@@ -308,8 +308,9 @@ func TestReferencePathsPriceThroughCost(t *testing.T) {
 			t.Fatalf("%v: OptimalError %v, table cost %v", k, got, tab.Cost(B))
 		}
 	}
-	tuple := NewSSETuple(ptest.RandomTuplePDF(rng, n, 2*n, 3))
-	if !sweepOnly(tuple) || sweepOnly(countingSweep{SweepOracle: tuple}) {
-		t.Fatal("sweepOnly must hold for SSETuple and for nothing else")
+	src := ptest.RandomTuplePDF(rng, n, 2*n, 3)
+	tuple := NewSSETuple(src)
+	if !sweepOnly(tuple) || sweepOnly(countingSweep{SweepOracle: tuple}) || sweepOnly(NewSSETupleClosedForm(src)) {
+		t.Fatal("sweepOnly must hold for the exact SSETuple and for nothing else")
 	}
 }

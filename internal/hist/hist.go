@@ -162,11 +162,20 @@ func (h *Histogram) Boundaries() []int {
 
 // FromBoundaries assembles a histogram with the given bucket start
 // positions (ascending, starting at 0) over [0, n), using the oracle to
-// fill each bucket's optimal representative and cost.
+// fill each bucket's optimal representative and cost. A sweep-only oracle
+// is priced the way its DP priced it, a column per bucket in end order.
 func FromBoundaries(o Oracle, starts []int) (*Histogram, error) {
 	n := o.N()
 	if len(starts) == 0 || starts[0] != 0 {
 		return nil, fmt.Errorf("hist: boundaries must begin with 0")
+	}
+	price := o.Cost
+	if so, ok := o.(SweepOracle); ok && sweepOnly(o) {
+		costs, reps := make([]float64, n), make([]float64, n)
+		price = func(s, e int) (float64, float64) {
+			so.CostsForEnd(e, costs, reps)
+			return costs[s], reps[s]
+		}
 	}
 	h := &Histogram{N: n, Buckets: make([]Bucket, 0, len(starts))}
 	for k := range starts {
@@ -177,7 +186,7 @@ func FromBoundaries(o Oracle, starts []int) (*Histogram, error) {
 		if starts[k] > end {
 			return nil, fmt.Errorf("hist: boundary %d produces empty bucket", starts[k])
 		}
-		cost, rep := o.Cost(starts[k], end)
+		cost, rep := price(starts[k], end)
 		h.Buckets = append(h.Buckets, Bucket{Start: starts[k], End: end, Rep: rep, Cost: cost})
 	}
 	h.Cost = combineAll(o.Combine(), h.Buckets)

@@ -127,7 +127,7 @@ func TestLiveDPValidation(t *testing.T) {
 	if err := live.Append(nil); err != nil {
 		t.Fatalf("empty append: %v", err)
 	}
-	// A rejected mutation must leave the table untouched.
+	// A rejected mutation must leave the table as it was.
 	if got := live.Domain(); got != 8 {
 		t.Fatalf("domain %d after rejected mutations, want 8", got)
 	}

@@ -20,7 +20,8 @@ const (
 // Cost must be safe for concurrent calls: ApproximatePool issues them
 // from multiple goroutines, and any number of DPs may price through one
 // oracle at once. Every oracle in this package satisfies this by
-// construction — Cost only reads arrays frozen at construction time.
+// construction — Cost only reads arrays frozen at construction time (or,
+// for SSETuple, by its first call under a sync.Once).
 //
 // Cost must be non-negative, exactly, in floats — not just in exact
 // arithmetic. Every error metric is a non-negative expectation, but
@@ -43,11 +44,13 @@ type Oracle interface {
 // at e in one pass over the starts, sharing work between neighbours. Two
 // kinds of oracle implement it:
 //
-//   - sweep-only: SSETuple. Its Cost is O(tuples straddling the start); its
-//     sweep maintains the straddle correction incrementally (DESIGN.md
-//     finding 3), agrees with Cost to rounding, and is what every DP
-//     prices it through (see sweepOnly). Its scratch lives on the oracle:
-//     one sweep at a time per SSETuple.
+//   - sweep-only: the exact SSETuple. Its Cost is O(tuples straddling the
+//     start) over structures its first call builds; its sweep sums one row
+//     of the tuples' Gram matrix (DESIGN.md finding 3), agrees with Cost to
+//     rounding, and is what every DP and FromBoundaries price it through
+//     (see sweepOnly). Its state is that one row, kept on the oracle:
+//     ascending ends, the DP's order, are the fast path, and any order
+//     from any goroutine writes the same floats.
 //   - sweep-accelerated: WeightedAbs and MaxAbs. Cost is a cold search and
 //     stays the definition; the sweep reaches the same answer from the
 //     neighbouring bucket's (DESIGN.md finding 4) and writes what
@@ -69,9 +72,10 @@ type SweepOracle interface {
 }
 
 // sweepOnly reports whether o can only be priced at scale through its
-// sweep. The reference paths consult it, not SweepOracle membership, so
-// that every other oracle is re-priced through cold Cost calls.
+// sweep (the closed-form ablation's Cost is O(1), so it is not). The
+// reference paths consult it, not SweepOracle membership, so that every
+// other oracle is re-priced through cold Cost calls.
 func sweepOnly(o Oracle) bool {
-	_, ok := o.(*SSETuple)
-	return ok
+	t, ok := o.(*SSETuple)
+	return ok && !t.closedForm
 }

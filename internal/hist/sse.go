@@ -1,7 +1,9 @@
 package hist
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"sync"
 
 	"probsyn/internal/intervals"
 	"probsyn/internal/numeric"
@@ -90,36 +92,69 @@ func (o *SSEFixed) Cost(s, e int) (float64, float64) {
 // SSETuple is the Eq. (5) oracle for the tuple pdf model, where items in
 // one bucket are correlated through shared tuples:
 //
-//	Var[Σ_{i∈b} g_i] = Σ_t P_t(1−P_t),  P_t = Pr[s ≤ t ≤ e].
+//	Var[Σ_{i∈b} g_i] = Σ_t P_t(1−P_t) = Σ_t P_t − Q(s,e),
+//	P_t = Pr[s ≤ t ≤ e],  Q(s,e) = Σ_t P_t².
 //
-// Σ_t P_t comes from the prefix array B[e] = Σ_t Pr[t ≤ e]. Σ_t P_t² would
-// be C[e]−C[s−1] with C[e] = Σ_t Pr[t ≤ e]² — but only when no tuple's
-// alternatives straddle the boundary s−1 (always true in the basic model).
-// The general exact correction subtracts 2·F_t(s−1)·(F_t(e)−F_t(s−1)) for
-// each straddling tuple t, located by an interval-tree stab at s−1
-// (random-access Cost), or is maintained incrementally during a
-// start-sweep for each bucket end (CostsForEnd, used by the DP: total
-// O(nm + Bn²), matching Theorem 1's asymptotics).
+// Σ_t P_t comes from the prefix array B[e] = Σ_t Pr[t ≤ e]. The paper
+// differences a second prefix array for Q, C[e] = Σ_t Pr[t ≤ e]², which is
+// right only when no tuple's alternatives straddle the boundary s−1 (always
+// true in the basic model; DESIGN.md finding 3). The exact Q is reached two
+// ways:
+//
+//   - CostsForEnd, the DP's way. With a_{t,i} the mass tuple t puts on item
+//     i, Q(s,e) = Q(s+1,e) + R_s(e) where R_s(e) = Σ_t a_{t,s}·(a_{t,s} +
+//     2·Σ_{s<i≤e} a_{t,i}) is row s of the tuples' Gram matrix summed up to
+//     column e. The oracle keeps the one row R_·(e) and moves it from e−1
+//     to e with one multiply-add per (earlier item, item e) pair of a
+//     tuple; a column of costs is then one running sum down the row. A
+//     build pays Σ_t k_t(k_t−1)/2 pair updates and n(n+1)/2 adds for its
+//     variance terms, within Theorem 1's O(m + Bn²) whenever tuples have
+//     O(1) alternatives.
+//   - Cost, random access: C[e]−C[s−1] minus 2·F_t(s−1)·(F_t(e)−F_t(s−1))
+//     for each tuple t straddling s−1, located by an interval-tree stab.
+//     Nothing the DP runs reads these structures, so they are built by the
+//     first Cost call.
 type SSETuple struct {
 	n      int
 	meanSq numeric.Prefix
 	cumB   []float64 // cumB[e] = Σ_t Pr[t <= e], index shifted by 1
-	cumC   []float64 // cumC[e] = Σ_t Pr[t <= e]^2, index shifted by 1
 
 	// closedForm skips the straddle correction, reproducing the paper's
-	// printed formula; kept as a documented fast approximation / ablation.
+	// printed formula; kept as the ablation of finding 3.
 	closedForm bool
 
-	// exact random-access machinery
-	tree     *intervals.Tree
-	tupItems [][]int     // per tuple: sorted distinct items
-	tupCum   [][]float64 // per tuple: cumulative probability at tupItems
+	// The tuples, flat: runs[runOff[t]:runOff[t+1]] is tuple t as
+	// pdata.Tuple.AppendRun leaves it (ascending distinct items, merged
+	// masses).
+	runs   []pdata.Alternative
+	runOff []int32
 
-	// sweep machinery
-	altTuple [][]int32   // per item: tuple indices with an alternative here
-	altProb  [][]float64 // per item: matching probabilities
-	curP     []float64   // scratch: P_t(s,e) for touched tuples
-	touched  []int32
+	// The Gram-row sweep. pairs[pairOff[e]:pairOff[e+1]] lists, in tuple
+	// order, the run entries at item e that have earlier entries in their
+	// run. row[s] = R_s(rowEnd) for s <= rowEnd and diag[s] = Σ_t a_{t,s}²,
+	// the row's value before any pair reaches it, beyond. rowMu makes a
+	// column one step, so callers on several goroutines cost each other
+	// restarts and never a wrong float.
+	pairs   []runPair
+	pairOff []int32
+	diag    []float64
+	rowMu   sync.Mutex
+	row     []float64
+	rowEnd  int
+
+	randomOnce sync.Once
+	random     *tupleRandomAccess
+}
+
+// runPair is one run entry together with the start of its run:
+// runs[from:at] are the entries it pairs with.
+type runPair struct{ from, at int32 }
+
+// tupleRandomAccess is what Cost needs and the sweep does not.
+type tupleRandomAccess struct {
+	cumC []float64       // cumC[e] = Σ_t Pr[t <= e]^2, index shifted by 1
+	cum  []float64       // parallel to runs: Pr[t <= runs[p].Item]
+	tree *intervals.Tree // per multi-item tuple, the boundaries it straddles
 }
 
 // NewSSETuple builds the exact oracle for a tuple pdf.
@@ -130,77 +165,61 @@ func NewSSETuple(tp *pdata.TuplePDF) *SSETuple {
 // NewSSETupleClosedForm builds the oracle using the paper's closed form
 // without the straddle correction. It is exact exactly when no tuple's
 // alternatives straddle a queried bucket boundary (e.g. the basic model)
-// and an approximation otherwise; see DESIGN.md finding 3.
+// and wrong otherwise; see DESIGN.md finding 3.
 func NewSSETupleClosedForm(tp *pdata.TuplePDF) *SSETuple {
 	return newSSETuple(tp, true)
 }
 
 func newSSETuple(tp *pdata.TuplePDF, closedForm bool) *SSETuple {
 	n := tp.N
-	mom := pdata.MomentsOf(tp)
 	o := &SSETuple{
 		n:          n,
-		meanSq:     numeric.NewPrefix(mom.MeanSq),
 		closedForm: closedForm,
-		cumB:       make([]float64, n+1),
-		cumC:       make([]float64, n+1),
-		altTuple:   make([][]int32, n),
-		altProb:    make([][]float64, n),
-		curP:       make([]float64, len(tp.Tuples)),
-		touched:    make([]int32, 0, 64),
+		runs:       make([]pdata.Alternative, 0, tp.M()),
+		runOff:     make([]int32, 1, len(tp.Tuples)+1),
+		pairOff:    make([]int32, n+1),
+		diag:       make([]float64, n),
+		rowEnd:     -1,
 	}
-
-	// Per-item alternative lists (sweep) and per-tuple sorted CDFs (stab).
-	o.tupItems = make([][]int, len(tp.Tuples))
-	o.tupCum = make([][]float64, len(tp.Tuples))
-	ivs := make([]intervals.Interval, 0, len(tp.Tuples))
-	for t := range tp.Tuples {
-		alts := tp.Tuples[t].Alts
-		if len(alts) == 0 {
-			continue
-		}
-		merged := make(map[int]float64, len(alts))
-		for _, a := range alts {
-			if a.Prob != 0 {
-				merged[a.Item] += a.Prob
-				o.altTuple[a.Item] = append(o.altTuple[a.Item], int32(t))
-				o.altProb[a.Item] = append(o.altProb[a.Item], a.Prob)
+	// One pass: the runs, the per-item moments (tuples in input order, as
+	// pdata.MomentsOf adds them) and the per-item pair counts.
+	mean, meanSq := make([]float64, n), make([]float64, n)
+	for k := range tp.Tuples {
+		at := len(o.runs)
+		o.runs = tp.Tuples[k].AppendRun(o.runs)
+		for p, a := range o.runs[at:] {
+			mean[a.Item] += a.Prob
+			meanSq[a.Item] += a.Prob * (1 - a.Prob) // the variance, until below
+			o.diag[a.Item] += a.Prob * a.Prob
+			if p > 0 {
+				o.pairOff[a.Item+1]++
 			}
 		}
-		items := make([]int, 0, len(merged))
-		for it := range merged {
-			items = append(items, it)
-		}
-		sort.Ints(items)
-		cum := make([]float64, len(items))
-		acc := 0.0
-		for k, it := range items {
-			acc += merged[it]
-			cum[k] = acc
-		}
-		o.tupItems[t], o.tupCum[t] = items, cum
-		if len(items) > 1 {
-			// The tuple can straddle boundaries a in [first, last-1].
-			ivs = append(ivs, intervals.Interval{Lo: items[0], Hi: items[len(items)-1] - 1, ID: t})
-		}
+		o.runOff = append(o.runOff, int32(len(o.runs)))
 	}
-	o.tree = intervals.New(ivs)
+	for i := range meanSq {
+		meanSq[i] += mean[i] * mean[i]
+	}
+	o.meanSq = numeric.NewPrefix(meanSq)
+	o.cumB = numeric.PrefixSums(mean)
+	if closedForm {
+		return o
+	}
 
-	// cumB via per-item expected mass; cumC by walking items left to right
-	// updating each tuple's running CDF when it gains mass.
-	var accB, accC numeric.Accumulator
-	runF := make([]float64, len(tp.Tuples))
 	for i := 0; i < n; i++ {
-		for k, t := range o.altTuple[i] {
-			p := o.altProb[i][k]
-			f := runF[t]
-			accC.Add((f+p)*(f+p) - f*f)
-			runF[t] = f + p
-			accB.Add(p)
-		}
-		o.cumB[i+1] = accB.Value()
-		o.cumC[i+1] = accC.Value()
+		o.pairOff[i+1] += o.pairOff[i]
 	}
+	o.pairs = make([]runPair, o.pairOff[n])
+	next := append([]int32(nil), o.pairOff[:n]...)
+	for t := 0; t+1 < len(o.runOff); t++ {
+		from := o.runOff[t]
+		for at := from + 1; at < o.runOff[t+1]; at++ {
+			item := o.runs[at].Item
+			o.pairs[next[item]] = runPair{from: from, at: at}
+			next[item]++
+		}
+	}
+	o.row = append([]float64(nil), o.diag...)
 	return o
 }
 
@@ -210,28 +229,58 @@ func (o *SSETuple) N() int { return o.n }
 // Combine returns Sum.
 func (o *SSETuple) Combine() Combine { return Sum }
 
+// randomAccess returns the structures Cost reads, building them on the
+// first call.
+func (o *SSETuple) randomAccess() *tupleRandomAccess {
+	o.randomOnce.Do(func() {
+		ra := &tupleRandomAccess{cum: make([]float64, len(o.runs))}
+		sq := make([]float64, o.n)
+		var ivs []intervals.Interval
+		for t := 0; t+1 < len(o.runOff); t++ {
+			from, to := int(o.runOff[t]), int(o.runOff[t+1])
+			f := 0.0
+			for p := from; p < to; p++ {
+				g := f + o.runs[p].Prob
+				sq[o.runs[p].Item] += g*g - f*f
+				ra.cum[p], f = g, g
+			}
+			if to-from > 1 && !o.closedForm {
+				// The tuple can straddle boundaries a in [first, last-1].
+				ivs = append(ivs, intervals.Interval{Lo: o.runs[from].Item, Hi: o.runs[to-1].Item - 1, ID: t})
+			}
+		}
+		ra.cumC = numeric.PrefixSums(sq)
+		ra.tree = intervals.New(ivs)
+		o.random = ra
+	})
+	return o.random
+}
+
 // tupleCDF returns F_t(x) = Pr[t <= x] by binary search over the tuple's
-// distinct items.
-func (o *SSETuple) tupleCDF(t, x int) float64 {
-	items := o.tupItems[t]
-	k := sort.SearchInts(items, x+1) // first item > x
+// run.
+func (o *SSETuple) tupleCDF(ra *tupleRandomAccess, t, x int) float64 {
+	from := int(o.runOff[t])
+	// The first entry with item > x.
+	k, _ := slices.BinarySearchFunc(o.runs[from:o.runOff[t+1]], x+1,
+		func(a pdata.Alternative, item int) int { return cmp.Compare(a.Item, item) })
 	if k == 0 {
 		return 0
 	}
-	return o.tupCum[t][k-1]
+	return ra.cum[from+k-1]
 }
 
 // Cost prices bucket [s, e] in O(log m + k·log ℓ) where k is the number of
 // tuples straddling the boundary s-1.
 func (o *SSETuple) Cost(s, e int) (float64, float64) {
+	ra := o.randomAccess()
 	nb := float64(e - s + 1)
 	esum := o.cumB[e+1] - o.cumB[s]
-	sumP2 := o.cumC[e+1] - o.cumC[s]
+	sumP2 := ra.cumC[e+1] - ra.cumC[s]
 	if s > 0 && !o.closedForm {
 		corr := 0.0
-		o.tree.Stab(s-1, func(iv intervals.Interval) bool {
-			fa := o.tupleCDF(iv.ID, s-1)
-			fb := o.tupleCDF(iv.ID, e)
+		ra.tree.Stab(s-1, func(iv intervals.Interval) bool {
+			fa := o.tupleCDF(ra, iv.ID, s-1)
+			fb := o.tupleCDF(ra, iv.ID, e)
 			corr += fa * (fb - fa)
 			return true
 		})
@@ -245,10 +294,12 @@ func (o *SSETuple) Cost(s, e int) (float64, float64) {
 	return cost, esum / nb
 }
 
-// CostsForEnd fills the exact cost of every bucket [s, e] for fixed e by
-// sweeping s downward while maintaining Σ_t P_t(1−P_t) incrementally;
-// each alternative at items <= e is touched once, so the whole DP costs
-// O(nm) for the variance terms.
+// CostsForEnd fills the exact cost of every bucket [s, e] for fixed e: it
+// brings the Gram row to column e and sums it from s = e down. The DP asks
+// for ends in ascending order and each column then costs its own pairs
+// plus e+1 adds. An end behind the row restarts it from the diagonal, so
+// the row at column e is always the same sequence of additions and a
+// column's floats do not depend on which calls came before.
 func (o *SSETuple) CostsForEnd(e int, costs, reps []float64) {
 	if o.closedForm {
 		// The closed form is already O(1) per query; no sweep needed.
@@ -257,27 +308,30 @@ func (o *SSETuple) CostsForEnd(e int, costs, reps []float64) {
 		}
 		return
 	}
-	varSum := 0.0
-	o.touched = o.touched[:0]
-	for s := e; s >= 0; s-- {
-		for k, t := range o.altTuple[s] {
-			p := o.altProb[s][k]
-			cur := o.curP[t]
-			if cur == 0 {
-				o.touched = append(o.touched, t)
+	o.rowMu.Lock()
+	defer o.rowMu.Unlock()
+	if e < o.rowEnd {
+		copy(o.row, o.diag)
+		o.rowEnd = -1
+	}
+	for o.rowEnd < e {
+		o.rowEnd++
+		for _, pr := range o.pairs[o.pairOff[o.rowEnd]:o.pairOff[o.rowEnd+1]] {
+			a2 := 2 * o.runs[pr.at].Prob
+			for _, b := range o.runs[pr.from:pr.at] {
+				o.row[b.Item] += a2 * b.Prob
 			}
-			varSum += (cur+p)*(1-cur-p) - cur*(1-cur)
-			o.curP[t] = cur + p
 		}
+	}
+	sumP2 := 0.0
+	for s := e; s >= 0; s-- {
+		sumP2 += o.row[s]
 		nb := float64(e - s + 1)
 		esum := o.cumB[e+1] - o.cumB[s]
-		cost := o.meanSq.Range(s, e) - (esum*esum+varSum)/nb
+		cost := o.meanSq.Range(s, e) - (esum*esum+(esum-sumP2))/nb
 		if cost < 0 {
 			cost = 0
 		}
 		costs[s], reps[s] = cost, esum/nb
-	}
-	for _, t := range o.touched {
-		o.curP[t] = 0
 	}
 }

@@ -39,21 +39,12 @@ func MomentsOf(src Source) Moments {
 	case *TuplePDF:
 		// Within a tuple, alternatives naming the same item merge into a
 		// single Bernoulli with the summed probability.
+		var run []Alternative
 		for k := range s.Tuples {
-			t := &s.Tuples[k]
-			if len(t.Alts) == 1 {
-				a := t.Alts[0]
+			run = s.Tuples[k].AppendRun(run[:0])
+			for _, a := range run {
 				mom.Mean[a.Item] += a.Prob
 				mom.Var[a.Item] += a.Prob * (1 - a.Prob)
-				continue
-			}
-			perItem := make(map[int]float64, len(t.Alts))
-			for _, a := range t.Alts {
-				perItem[a.Item] += a.Prob
-			}
-			for item, p := range perItem {
-				mom.Mean[item] += p
-				mom.Var[item] += p * (1 - p)
 			}
 		}
 		for i := 0; i < n; i++ {
@@ -80,23 +71,13 @@ func MomentsOf(src Source) Moments {
 func InducedValuePDF(tp *TuplePDF) *ValuePDF {
 	// Gather, per item, the Bernoulli success probabilities.
 	perItem := make([][]float64, tp.N)
+	var run []Alternative
 	for k := range tp.Tuples {
-		t := &tp.Tuples[k]
-		if len(t.Alts) == 1 {
-			a := t.Alts[0]
+		run = tp.Tuples[k].AppendRun(run[:0])
+		for _, a := range run {
 			if a.Prob > 0 {
 				perItem[a.Item] = append(perItem[a.Item], a.Prob)
 			}
-			continue
-		}
-		merged := make(map[int]float64, len(t.Alts))
-		for _, a := range t.Alts {
-			if a.Prob > 0 {
-				merged[a.Item] += a.Prob
-			}
-		}
-		for item, p := range merged {
-			perItem[item] = append(perItem[item], p)
 		}
 	}
 	vp := &ValuePDF{N: tp.N, Items: make([]ItemPDF, tp.N)}

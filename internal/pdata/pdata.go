@@ -12,10 +12,12 @@
 package pdata
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // probTol is the slack allowed when validating that probabilities lie in
@@ -35,6 +37,11 @@ func validFreq(f float64) bool { return f >= 0 && f <= math.MaxFloat64 }
 // small inputs (the number of worlds is exponential); Sample and
 // ExpectedFreqs scale to arbitrary inputs.
 type Source interface {
+	// Validate checks the representation: a positive domain, items inside
+	// it, probabilities in [0,1] and no pdf with mass above 1, in O(m).
+	// The algorithms index by item and assume the rest; callers holding
+	// data they did not validate when reading it call this first.
+	Validate() error
 	// Domain returns n, the size of the ordered item domain.
 	Domain() int
 	// M returns the input size m: the total number of (item or frequency,
@@ -187,6 +194,36 @@ func (t *Tuple) Span() (lo, hi int, ok bool) {
 		}
 	}
 	return lo, hi, true
+}
+
+// AppendRun appends the tuple to dst as one run of (item, mass) pairs:
+// ascending by item, alternatives naming the same item merged into one
+// Bernoulli (their probabilities summed in input order), zero-probability
+// alternatives dropped. It allocates only to grow dst, so a caller walking
+// many tuples passes the same scratch (dst[:0]) or one flat slice for all.
+func (t *Tuple) AppendRun(dst []Alternative) []Alternative {
+	at := len(dst)
+	for _, a := range t.Alts {
+		if a.Prob != 0 {
+			dst = append(dst, a)
+		}
+	}
+	run := dst[at:]
+	if len(run) < 2 {
+		return dst
+	}
+	// Stable, so that equal items keep their input order for the sums.
+	slices.SortStableFunc(run, func(a, b Alternative) int { return cmp.Compare(a.Item, b.Item) })
+	w := 0
+	for _, a := range run[1:] {
+		if a.Item == run[w].Item {
+			run[w].Prob += a.Prob
+		} else {
+			w++
+			run[w] = a
+		}
+	}
+	return dst[:at+w+1]
 }
 
 // TuplePDF is a probabilistic relation in the tuple pdf model.

@@ -411,3 +411,118 @@ func TestAsValuePDF(t *testing.T) {
 		}
 	}
 }
+
+func TestAppendRun(t *testing.T) {
+	// Float variables, not constants: their sums round as the code's do.
+	p1, p2, p3 := .1, .2, .3
+	cases := []struct {
+		name string
+		alts []Alternative
+		want []Alternative
+	}{
+		{"empty tuple", nil, nil},
+		{"one alternative", []Alternative{{3, .5}}, []Alternative{{3, .5}}},
+		{"zero-probability alternatives go", []Alternative{{3, 0}, {1, .25}, {2, 0}}, []Alternative{{1, .25}}},
+		{"sorted by item", []Alternative{{5, .1}, {0, .2}, {3, .3}}, []Alternative{{0, .2}, {3, .3}, {5, .1}}},
+		// 0.1+0.2+0.3 and 0.3+0.2+0.1 differ in the last bit: the merged
+		// mass is the input-order sum.
+		{"same item merged in input order", []Alternative{{2, .1}, {0, .05}, {2, .2}, {2, .3}}, []Alternative{{0, .05}, {2, p1 + p2 + p3}}},
+		{"all one item", []Alternative{{1, .3}, {1, .2}, {1, .1}}, []Alternative{{1, p3 + p2 + p1}}},
+	}
+	kept := Alternative{Item: 9, Prob: .9}
+	for _, c := range cases {
+		tup := Tuple{Alts: c.alts}
+		for _, dst := range [][]Alternative{nil, {kept}} {
+			got := tup.AppendRun(dst)
+			if len(got) != len(dst)+len(c.want) || (len(dst) == 1 && got[0] != kept) {
+				t.Fatalf("%s: AppendRun(%v) = %v, want %v appended", c.name, dst, got, c.want)
+			}
+			for k, w := range c.want {
+				if g := got[len(dst)+k]; g.Item != w.Item || math.Float64bits(g.Prob) != math.Float64bits(w.Prob) {
+					t.Fatalf("%s: AppendRun(%v) = %v, want %v appended", c.name, dst, got, c.want)
+				}
+			}
+		}
+	}
+}
+
+// MomentsOf and InducedValuePDF read a tuple through AppendRun where they
+// used to build a map per multi-alternative tuple. The map-based forms are
+// kept here as references: every float must match them bit for bit (each
+// item's slot receives one addition per tuple, tuples in input order).
+func TestTupleMomentsMatchMapMerge(t *testing.T) {
+	refMoments := func(tp *TuplePDF) (mean, vr []float64) {
+		mean, vr = make([]float64, tp.N), make([]float64, tp.N)
+		for k := range tp.Tuples {
+			perItem := make(map[int]float64)
+			for _, a := range tp.Tuples[k].Alts {
+				perItem[a.Item] += a.Prob
+			}
+			for item, p := range perItem {
+				mean[item] += p
+				vr[item] += p * (1 - p)
+			}
+		}
+		return mean, vr
+	}
+	refBernoullis := func(tp *TuplePDF) [][]float64 {
+		perItem := make([][]float64, tp.N)
+		for k := range tp.Tuples {
+			merged := make(map[int]float64)
+			for _, a := range tp.Tuples[k].Alts {
+				if a.Prob > 0 {
+					merged[a.Item] += a.Prob
+				}
+			}
+			for item, p := range merged {
+				perItem[item] = append(perItem[item], p)
+			}
+		}
+		return perItem
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 50; trial++ {
+		// Few items and many alternatives, so tuples repeat items; some
+		// alternatives zeroed.
+		tp := randomTuplePDF(rng, 5, 12, 6)
+		for k := range tp.Tuples {
+			if alts := tp.Tuples[k].Alts; rng.Intn(3) == 0 {
+				alts[rng.Intn(len(alts))].Prob = 0
+			}
+		}
+		mom := MomentsOf(tp)
+		mean, vr := refMoments(tp)
+		for i := 0; i < tp.N; i++ {
+			if !same(mom.Mean[i], mean[i]) || !same(mom.Var[i], vr[i]) || !same(mom.MeanSq[i], vr[i]+mean[i]*mean[i]) {
+				t.Fatalf("trial %d item %d: moments (%v, %v, %v), map-merged reference (%v, %v)", trial, i, mom.Mean[i], mom.Var[i], mom.MeanSq[i], mean[i], vr[i])
+			}
+		}
+		iv := InducedValuePDF(tp)
+		for i, probs := range refBernoullis(tp) {
+			var want []FreqProb
+			for v, p := range poissonBinomialPMF(probs) {
+				if p > 0 {
+					want = append(want, FreqProb{Freq: float64(v), Prob: p})
+				}
+			}
+			got := iv.Items[i].Entries
+			if len(got) != len(want) {
+				t.Fatalf("trial %d item %d: induced pdf %v, reference %v", trial, i, got, want)
+			}
+			for k := range want {
+				if got[k].Freq != want[k].Freq || !same(got[k].Prob, want[k].Prob) {
+					t.Fatalf("trial %d item %d: induced pdf %v, reference %v", trial, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// No allocation per tuple: the moments are three arrays and one scratch run.
+func TestTupleMomentsAllocations(t *testing.T) {
+	tp := randomTuplePDF(rand.New(rand.NewSource(3)), 64, 2048, 4)
+	if allocs := testing.AllocsPerRun(10, func() { MomentsOf(tp) }); allocs > 8 {
+		t.Fatalf("MomentsOf on 2048 tuples: %v allocations, want a handful", allocs)
+	}
+}

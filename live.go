@@ -48,7 +48,7 @@ type Maintainer = synopsis.Maintainer
 // workload-weighted histograms reject Append — the weight vector is
 // per-item and there is no ground truth for new items' weights.
 func BuildLive(src Source, m Metric, Bmax int, opts ...BuildOption) (Maintainer, error) {
-	p, err := resolve(m, opts, modeFrontier)
+	p, err := resolve(src, m, opts, modeFrontier)
 	if err != nil {
 		return nil, err
 	}

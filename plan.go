@@ -42,8 +42,9 @@ const (
 	modeSharded              // BuildSharded: k curves merged by shard.Allocate
 )
 
-// plan is a build resolved once from (metric, options, mode): the family
-// to run, its parameters, the pool to run it on and the stats sink.
+// plan is a build resolved once from (source, metric, options, mode): the
+// source validated, the family to run, its parameters, the pool to run it
+// on and the stats sink.
 // Every rule about which options combine, and with which entry point, is
 // in resolve; nothing downstream of it looks at an option again.
 type plan struct {
@@ -57,7 +58,12 @@ type plan struct {
 	stats   *DPStats // WithDPStats sink, or nil
 }
 
-func resolve(m Metric, opts []BuildOption, md mode) (*plan, error) {
+func resolve(src Source, m Metric, opts []BuildOption, md mode) (*plan, error) {
+	// Every entry point's source is checked here: everything downstream
+	// indexes by item and trusts the probabilities.
+	if err := src.Validate(); err != nil {
+		return nil, err
+	}
 	cfg := buildConfig{params: DefaultParams(), parallelism: 1}
 	for _, opt := range opts {
 		opt(&cfg)

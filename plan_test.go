@@ -9,6 +9,7 @@ package probsyn_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -119,7 +120,7 @@ func mustMarshal(t *testing.T, syn probsyn.Synopsis) []byte {
 }
 
 // buildVia runs one entry point and returns the budget-B synopsis.
-func buildVia(entry int, src *probsyn.ValuePDF, m probsyn.Metric, B int, opts []probsyn.BuildOption) (probsyn.Synopsis, error) {
+func buildVia(entry int, src probsyn.Source, m probsyn.Metric, B int, opts []probsyn.BuildOption) (probsyn.Synopsis, error) {
 	var fr probsyn.Frontier
 	var err error
 	switch entry {
@@ -286,5 +287,48 @@ func TestLiveWeightedHistogram(t *testing.T) {
 	}
 	if !bytes.Equal(mustMarshal(t, got), mustMarshal(t, want)) {
 		t.Fatal("updated weighted live histogram differs from a weighted Build over the updated data")
+	}
+}
+
+// A source that breaks its model's rules is an error at every entry point,
+// for both families, never a panic further down: the plan validates it.
+func TestEntryPointsRejectBadSources(t *testing.T) {
+	tuples := func(n int, alts ...probsyn.Alternative) *probsyn.TuplePDF {
+		return &probsyn.TuplePDF{N: n, Tuples: []probsyn.Tuple{{Alts: alts}}}
+	}
+	value := func(n int, entries ...probsyn.FreqProb) *probsyn.ValuePDF {
+		vp := &probsyn.ValuePDF{N: n, Items: make([]probsyn.ItemPDF, max(n, 0))}
+		if n > 0 {
+			vp.Items[0].Entries = entries
+		}
+		return vp
+	}
+	bad := []struct {
+		name string
+		src  probsyn.Source
+	}{
+		{"tuple/item out of range", tuples(4, probsyn.Alternative{Item: 7, Prob: .5})},
+		{"tuple/negative item", tuples(4, probsyn.Alternative{Item: -1, Prob: .5})},
+		{"tuple/probability above 1", tuples(4, probsyn.Alternative{Item: 1, Prob: 1.5})},
+		{"tuple/probability NaN", tuples(4, probsyn.Alternative{Item: 1, Prob: math.NaN()})},
+		{"tuple/mass above 1", tuples(4, probsyn.Alternative{Item: 1, Prob: .7}, probsyn.Alternative{Item: 2, Prob: .7})},
+		{"tuple/empty domain", tuples(0)},
+		{"basic/item out of range", &probsyn.Basic{N: 4, Tuples: []probsyn.BasicTuple{{Item: 4, Prob: .5}}}},
+		{"basic/probability below 0", &probsyn.Basic{N: 4, Tuples: []probsyn.BasicTuple{{Item: 1, Prob: -.5}}}},
+		{"basic/negative domain", &probsyn.Basic{N: -1}},
+		{"value/probability above 1", value(4, probsyn.FreqProb{Freq: 1, Prob: 1.5})},
+		{"value/mass above 1", value(4, probsyn.FreqProb{Freq: 1, Prob: .7}, probsyn.FreqProb{Freq: 2, Prob: .7})},
+		{"value/negative frequency", value(4, probsyn.FreqProb{Freq: -1, Prob: .5})},
+		{"value/item count", &probsyn.ValuePDF{N: 4, Items: make([]probsyn.ItemPDF, 3)}},
+		{"value/empty domain", value(0)},
+	}
+	for _, b := range bad {
+		for entry := 0; entry < entryPoints; entry++ {
+			for _, opts := range [][]probsyn.BuildOption{nil, {probsyn.WithWavelet()}} {
+				if _, err := buildVia(entry, b.src, probsyn.SSE, 2, opts); err == nil {
+					t.Errorf("%s: %s (wavelet=%v) accepted the source", b.name, entryNames[entry], opts != nil)
+				}
+			}
+		}
 	}
 }

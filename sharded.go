@@ -66,7 +66,7 @@ func ShardBounds(n, k int, wavelet bool) []int {
 // wavelet family; WithEps and WithUnrestricted have no sharded merge
 // rule and are rejected.
 func BuildSharded(src Source, m Metric, B, k int, opts ...BuildOption) (*ShardedResult, error) {
-	p, err := resolve(m, opts, modeSharded)
+	p, err := resolve(src, m, opts, modeSharded)
 	if err != nil {
 		return nil, err
 	}
