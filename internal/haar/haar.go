@@ -153,17 +153,6 @@ func Normalize(c []float64) []float64 {
 	return out
 }
 
-// Denormalize inverts Normalize.
-func Denormalize(c []float64) []float64 {
-	n := len(c)
-	checkPow2(n)
-	out := make([]float64, n)
-	for i := range c {
-		out[i] = c[i] / NormFactor(i, n)
-	}
-	return out
-}
-
 // ForwardNormalized computes the orthonormal Haar DWT.
 func ForwardNormalized(data []float64) []float64 { return Normalize(Forward(data)) }
 

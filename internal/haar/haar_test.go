@@ -52,10 +52,9 @@ func TestParseval(t *testing.T) {
 func TestNormalizeRoundTrip(t *testing.T) {
 	a := []float64{1, -3, 2, 7}
 	c := Forward(a)
-	back := Denormalize(Normalize(c))
-	for i := range c {
-		if math.Abs(back[i]-c[i]) > 1e-12 {
-			t.Errorf("denorm(norm)[%d] = %v, want %v", i, back[i], c[i])
+	for i, v := range Normalize(c) {
+		if back := v / NormFactor(i, len(c)); math.Abs(back-c[i]) > 1e-12 {
+			t.Errorf("norm[%d] / NormFactor = %v, want %v", i, back, c[i])
 		}
 	}
 }

@@ -13,9 +13,9 @@ package hist
 // oracles' worst case — every item certain and distinct, so |V| = n+1 and
 // the SAE cost of every even-sized bucket is flat between its two middle
 // values, which sends that bucket to the cold search.
-// scripts/bench_json.sh carries cost-evals/op into the
-// committed snapshot, and scripts/bench_gate.sh compares it run-to-run
-// (the count is exact, so any growth is a real algorithmic change).
+// cost-evals/op is an exact count, so it is pinned by tier-1 tests, not by
+// these rows: one evaluation per bucket, n(n+1)/2, for every oracle kind in
+// TestPrunedDPLazyEvalsBounded and TestReferencePathsPriceThroughCost.
 import (
 	"fmt"
 	"math/rand"

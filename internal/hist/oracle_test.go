@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"probsyn/internal/gen"
 	"probsyn/internal/hist"
 	"probsyn/internal/metric"
 	"probsyn/internal/pdata"
@@ -385,5 +386,66 @@ func TestNewOracleRouting(t *testing.T) {
 				t.Fatalf("NewOracle(%T, %v): combine mismatch", src, k)
 			}
 		}
+	}
+}
+
+// --- allocations -------------------------------------------------------------
+
+// TestOracleCostAllocations pins what a bucket price allocates once the
+// oracle is built: nothing, for every oracle but MaxAbs, from Cost and from
+// the sweep the DP prices a column through. A build asks for
+// n(n+1)/2 prices, so one allocation here is millions there. MaxAbs keeps
+// its scratch: the lines of a refined step, grown by append inside Cost
+// (one doubling per power of two of the bucket width) and, beside the grid
+// envelope and its argmax, three slices a column in CostsForEnd.
+func TestOracleCostAllocations(t *testing.T) {
+	const n, maxWidth = 512, 65
+	basic := gen.MystiQLinkage(rand.New(rand.NewSource(42)), gen.DefaultMystiQ(n))
+	tpch := gen.DefaultTPCH(n, 4*n)
+	tpch.Spread = 8 // tuples straddle bucket starts: Cost takes the stab path
+	rng := rand.New(rand.NewSource(9))
+	buckets := [][2]int{{n - maxWidth, n - 1}} // the widest, whatever the draw
+	for len(buckets) < 64 {
+		s := rng.Intn(n)
+		buckets = append(buckets, [2]int{s, s + rng.Intn(min(n-s, maxWidth))})
+	}
+	costs, reps := make([]float64, n), make([]float64, n)
+	for _, tc := range []struct {
+		name string
+		src  pdata.Source
+		kind metric.Kind
+		// The most one Cost call and, where the oracle has a sweep, one
+		// CostsForEnd(n-1) may allocate.
+		cost, sweep float64
+	}{
+		{"SSE/value", pdata.AsValuePDF(basic), metric.SSE, 0, 0},
+		{"SSE/basic", basic, metric.SSE, 0, 0},
+		{"SSE/tuple", gen.TPCHLineitem(rand.New(rand.NewSource(42)), tpch), metric.SSE, 0, 0},
+		{"SSE-fixed", basic, metric.SSEFixed, 0, 0},
+		{"SSRE", basic, metric.SSRE, 0, 0},
+		{"SAE", basic, metric.SAE, 0, 0},
+		{"SARE", basic, metric.SARE, 0, 0},
+		{"MAE", basic, metric.MAE, 8, 3},
+		{"MARE", basic, metric.MARE, 8, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o, err := hist.NewOracle(tc.src, tc.kind, metric.Params{C: 0.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.Cost(0, n-1) // the tuple-pdf SSE oracle builds what Cost reads here
+			for _, b := range buckets {
+				if got := testing.AllocsPerRun(5, func() { o.Cost(b[0], b[1]) }); got > tc.cost {
+					t.Fatalf("Cost(%d, %d): %v allocations, want at most %v", b[0], b[1], got, tc.cost)
+				}
+			}
+			so, ok := o.(hist.SweepOracle)
+			if !ok {
+				return
+			}
+			if got := testing.AllocsPerRun(5, func() { so.CostsForEnd(n-1, costs, reps) }); got > tc.sweep {
+				t.Errorf("CostsForEnd(%d): %v allocations, want at most %v", n-1, got, tc.sweep)
+			}
+		})
 	}
 }

@@ -129,12 +129,10 @@ func AsValuePDF(src Source) *ValuePDF {
 
 // PMFTable is a dense per-item pmf over a global ValueSet:
 // P[i][j] = Pr[g_i = V[j]], including the implicit zero mass.
-// It is the common precomputation feeding the SAE/SARE/MAE/MARE oracles
-// and the wavelet leaf-error tables.
+// It is the common precomputation feeding the SAE/SARE/MAE/MARE oracles.
 type PMFTable struct {
-	VS  ValueSet
-	P   [][]float64 // n x |V|
-	cdf [][]float64 // n x |V| running Pr[g_i <= V[j]]
+	VS ValueSet
+	P  [][]float64 // n x |V|
 }
 
 // NewPMFTable builds the dense table for a value pdf over the given set.
@@ -142,11 +140,9 @@ type PMFTable struct {
 func NewPMFTable(vp *ValuePDF, vs ValueSet) (*PMFTable, error) {
 	n, k := vp.N, vs.Len()
 	flatP := make([]float64, n*k)
-	flatC := make([]float64, n*k)
-	t := &PMFTable{VS: vs, P: make([][]float64, n), cdf: make([][]float64, n)}
+	t := &PMFTable{VS: vs, P: make([][]float64, n)}
 	for i := 0; i < n; i++ {
 		row := flatP[i*k : (i+1)*k : (i+1)*k]
-		crow := flatC[i*k : (i+1)*k : (i+1)*k]
 		row[0] = vp.Items[i].ZeroProb()
 		for _, e := range vp.Items[i].Entries {
 			if e.Freq == 0 {
@@ -158,12 +154,7 @@ func NewPMFTable(vp *ValuePDF, vs ValueSet) (*PMFTable, error) {
 			}
 			row[j] += e.Prob
 		}
-		acc := 0.0
-		for j := 0; j < k; j++ {
-			acc += row[j]
-			crow[j] = acc
-		}
-		t.P[i], t.cdf[i] = row, crow
+		t.P[i] = row
 	}
 	return t, nil
 }
@@ -179,14 +170,6 @@ type supportError struct {
 
 func (e *supportError) Error() string {
 	return "pdata: frequency value not in the provided ValueSet"
-}
-
-// CDF returns Pr[g_i <= V[j]]. CDF(i, -1) == 0.
-func (t *PMFTable) CDF(i, j int) float64 {
-	if j < 0 {
-		return 0
-	}
-	return t.cdf[i][j]
 }
 
 // N returns the number of items.

@@ -309,18 +309,20 @@ func TestPMFTable(t *testing.T) {
 	if tab.N() != 3 {
 		t.Fatalf("N = %d", tab.N())
 	}
-	// item 2: Pr[g<=0] = 5/12, Pr[g<=1] = 5/12+1/3 = 3/4, Pr[g<=2] = 1.
-	if got := tab.CDF(1, 0); math.Abs(got-5.0/12) > 1e-12 {
-		t.Errorf("CDF(1,0) = %v, want 5/12", got)
+	// item 2: Pr[g=0] = 5/12 (the implicit zero mass), Pr[g=1] = 1/3, Pr[g=2] = 1/4.
+	for j, want := range []float64{5.0 / 12, 1.0 / 3, 0.25} {
+		if got := tab.P[1][j]; math.Abs(got-want) > 1e-12 {
+			t.Errorf("P[1][%d] = %v, want %v", j, got, want)
+		}
 	}
-	if got := tab.CDF(1, 1); math.Abs(got-0.75) > 1e-12 {
-		t.Errorf("CDF(1,1) = %v, want 3/4", got)
-	}
-	if got := tab.CDF(1, 2); math.Abs(got-1) > 1e-12 {
-		t.Errorf("CDF(1,2) = %v, want 1", got)
-	}
-	if got := tab.CDF(1, -1); got != 0 {
-		t.Errorf("CDF(1,-1) = %v, want 0", got)
+	for i, row := range tab.P {
+		sum := 0.0
+		for _, p := range row {
+			sum += p
+		}
+		if math.Abs(sum-1) > 1e-12 {
+			t.Errorf("P[%d] sums to %v, want 1", i, sum)
+		}
 	}
 }
 

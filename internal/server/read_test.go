@@ -481,7 +481,9 @@ func TestNonFiniteAnswerIsAnError(t *testing.T) {
 // three (discardResponse makes a header map per request, two allocations),
 // and the limit is one more: under the race detector sync.Pool drops one
 // Put in four. An escaped parameter adds the string url.QueryUnescape
-// makes. The handlers before the one-pass scan measured 11 and 12.
+// makes. The handlers before the one-pass scan measured 11 and 12. The
+// scan alone (parseRead over the same query string) makes that one string
+// and nothing else.
 func TestReadGETAllocations(t *testing.T) {
 	s, ts, _ := newFixture(t, Config{})
 	if resp, _, bad := postBuild(t, ts, BuildRequest{Dataset: "ds", Family: "histogram", Metric: "SSE", Budget: 4, Wait: true}); resp.StatusCode != http.StatusOK {
@@ -491,12 +493,17 @@ func TestReadGETAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		target string
 		limit  float64
+		parse  float64
 	}{
-		{"/v1/estimate?dataset=ds&family=histogram&metric=SSE&budget=4&i=7", 4},
-		{"/v1/rangesum?dataset=ds&family=histogram&metric=SSE&budget=4&lo=3&hi=40", 4},
-		{"/v1/rangesum?dataset=d%73&family=histogram&metric=SSE&budget=4&lo=3&hi=40&shards=2", 5},
+		{"/v1/estimate?dataset=ds&family=histogram&metric=SSE&budget=4&i=7", 4, 0},
+		{"/v1/rangesum?dataset=ds&family=histogram&metric=SSE&budget=4&lo=3&hi=40", 4, 0},
+		{"/v1/rangesum?dataset=d%73&family=histogram&metric=SSE&budget=4&lo=3&hi=40&shards=2", 5, 1},
 	} {
 		req := httptest.NewRequest(http.MethodGet, tc.target, nil)
+		kind := strings.TrimPrefix(req.URL.Path, "/v1/")
+		if allocs := testing.AllocsPerRun(200, func() { parseRead(req.URL.RawQuery, kind) }); allocs != tc.parse {
+			t.Errorf("%s: parseRead makes %.0f allocations, want %.0f", tc.target, allocs, tc.parse)
+		}
 		var w discardResponse
 		allocs := testing.AllocsPerRun(200, func() {
 			w = discardResponse{}
@@ -512,7 +519,7 @@ func TestReadGETAllocations(t *testing.T) {
 }
 
 // BenchmarkParseRead: the one-pass scan of a point read's query string.
-// It allocates nothing, which scripts/bench_gate.sh pins.
+// It allocates nothing, which TestReadGETAllocations pins.
 func BenchmarkParseRead(b *testing.B) {
 	const raw = "dataset=sensor-a&family=histogram&metric=SSE&budget=16&lo=117&hi=498"
 	b.ReportAllocs()

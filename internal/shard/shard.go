@@ -41,7 +41,6 @@ func Bounds(n, k int) []int {
 type Alloc struct {
 	k        int
 	maxTotal int
-	caps     []int
 	vals     [][]float64 // vals[s][t]: best combined cost of shards 0..s at total t
 	pick     [][]int     // pick[s][t]: shard s's budget in that optimum
 }
@@ -67,7 +66,7 @@ func Allocate(maxTotal int, caps []int, cumulative bool, cost func(s, b int) flo
 			return nil, fmt.Errorf("shard: shard %d has frontier cap %d, want >= 1", s, c)
 		}
 	}
-	a := &Alloc{k: k, maxTotal: maxTotal, caps: append([]int(nil), caps...)}
+	a := &Alloc{k: k, maxTotal: maxTotal}
 	ccost := func(s, b int) float64 {
 		if b > caps[s] {
 			b = caps[s]
