@@ -7,9 +7,11 @@ package wavelet
 // budget-split scan.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"probsyn/internal/engine"
@@ -68,7 +70,9 @@ func (pe *densePointErrors) Err(i int, v float64) float64 {
 		wle = pe.itemW[i*k+j-1]
 		sle = pe.itemS[i*k+j-1]
 	}
-	e := v*(2*wle-pe.totW[i]) + pe.totS[i] - 2*sle
+	// The conversions are production Err's and NewPointErrors': each
+	// product rounds on its own on every architecture, on both sides.
+	e := float64(v*(float64(2*wle)-pe.totW[i])) + pe.totS[i] - float64(2*sle)
 	if e < 0 {
 		e = 0
 	}
@@ -93,12 +97,7 @@ func refErr(t testing.TB, vp *pdata.ValuePDF, pe *PointErrors, kind metric.Kind,
 // TestIncomingValuesMatchPathSums holds them to their own reference) and
 // none of its tables.
 func refTables(d *treeDP, errf func(int, float64) float64) [][]float64 {
-	combine := func(a, b float64) float64 {
-		if d.cumulative {
-			return a + b
-		}
-		return math.Max(a, b)
-	}
+	combine := refCombine(d.cumulative)
 	leaf := func(j int, v float64, out []float64) {
 		li, ri, _ := haar.Children(j, d.n)
 		drop := combine(errf(li, v), errf(ri, v))
@@ -160,25 +159,34 @@ func refTables(d *treeDP, errf func(int, float64) float64) [][]float64 {
 						lt = res[l+1][cl*centries : (cl+1)*centries]
 						rt = res[l+1][cr*centries : (cr+1)*centries]
 					}
-					shift := 0
-					if dd > 0 {
-						shift = 1
-					}
-					for bb := shift; bb < entries; bb++ {
-						budget := bb - shift
-						best := out[bb]
-						for bl := 0; bl <= budget; bl++ {
-							if c := combine(lt[min(bl, ccap)], rt[min(budget-bl, ccap)]); c < best {
-								best = c
-							}
-						}
-						out[bb] = best
-					}
+					denseMerge(combine, out[min(dd, 1):], lt, rt)
 				}
 			}
 		}
 	}
 	return res
+}
+
+func refCombine(cumulative bool) func(a, b float64) float64 {
+	if cumulative {
+		return func(a, b float64) float64 { return a + b }
+	}
+	return math.Max
+}
+
+// denseMerge lowers out[b] to the first split attaining the minimum over
+// every split bl in [0, b], both sides clamped to the rows' last index.
+func denseMerge(combine func(a, b float64) float64, out, lt, rt []float64) {
+	c := len(lt) - 1
+	for b := range out {
+		best := out[b]
+		for bl := 0; bl <= b; bl++ {
+			if x := combine(lt[min(bl, c)], rt[min(b-bl, c)]); x < best {
+				best = x
+			}
+		}
+		out[b] = best
+	}
 }
 
 // denseSplits is the closed-form number of budget splits the dense scan
@@ -229,6 +237,9 @@ func assertTablesEqual(t *testing.T, tag string, d *treeDP, got, want [][]float6
 			if math.Float64bits(got[l][c]) != math.Float64bits(want[l][c]) {
 				t.Fatalf("%s: level %d state %d budget %d: %v (%#x), reference %v (%#x)", tag, l, c/entries, c%entries,
 					got[l][c], math.Float64bits(got[l][c]), want[l][c], math.Float64bits(want[l][c]))
+			}
+			if math.Signbit(got[l][c]) {
+				t.Fatalf("%s: level %d state %d budget %d holds %v: merge's bit-identity needs rows free of −0", tag, l, c/entries, c%entries, got[l][c])
 			}
 			if c%entries > 0 && !(got[l][c] <= got[l][c-1]) {
 				t.Fatalf("%s: level %d state %d: row rises from %v to %v at budget %d", tag, l, c/entries, got[l][c-1], got[l][c], c%entries)
@@ -374,7 +385,10 @@ func TestTreeDPRepairMatchesReference(t *testing.T) {
 }
 
 // TestTreeDPMatchesReferenceAtScale is the same comparison on the
-// benchmark's three DP shapes (bench/builds.go's wavelet-dp round).
+// benchmark's three DP shapes (bench/builds.go's wavelet-dp round), and
+// holds their work counters to the unit (scanned + pruned is the dense
+// scan's split count; a sum-metric scan of the whole unclamped interior
+// would read 1,244,202 and 3,836,202 scanned).
 func TestTreeDPMatchesReferenceAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale reference comparison skipped in -short")
@@ -382,20 +396,88 @@ func TestTreeDPMatchesReferenceAtScale(t *testing.T) {
 	p := metric.DefaultParams()
 	pool := engine.New(engine.Options{Workers: 2})
 	for _, c := range []struct {
-		name string
-		kind metric.Kind
-		n, q int
+		name  string
+		kind  metric.Kind
+		n, q  int
+		stats hist.DPStats
 	}{
-		{"SAE-exact-n512", metric.SAE, 512, 0},
-		{"MAE-exact-n512", metric.MAE, 512, 0},
-		{"SAE-q32-n2048", metric.SAE, 2048, 32},
+		{"SAE-exact-n512", metric.SAE, 512, 0, hist.DPStats{CandidatesScanned: 553582, CandidatesPruned: 1728700, CostEvals: 524288}},
+		{"MAE-exact-n512", metric.MAE, 512, 0, hist.DPStats{CandidatesScanned: 553247, CandidatesPruned: 1729035, CostEvals: 524288}},
+		{"SAE-q32-n2048", metric.SAE, 2048, 32, hist.DPStats{CandidatesScanned: 1095097, CandidatesPruned: 4694897, CostEvals: 262144}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			src := gen.SensorGrid(rand.New(rand.NewSource(int64(c.n))), gen.DefaultSensor(c.n))
 			d, vp := buildTree(t, src, RestrictedFamily, c.kind, p, 32, c.q, pool)
 			assertTablesEqual(t, c.name, d, d.res, refTables(d, refErr(t, vp, d.pe, c.kind, p)))
+			if d.stats != c.stats {
+				t.Fatalf("%s: counted %+v, want %+v", c.name, d.stats, c.stats)
+			}
 		})
 	}
+}
+
+// mergePalette spans what a merge's bound must survive: zero, a
+// subnormal, ties, and magnitudes whose sums round away the smaller or
+// overflow. It holds no value below zero, −0 included: the DP's rows are
+// errors, and assertTablesEqual checks they never hold −0.
+var mergePalette = []float64{
+	0, math.SmallestNonzeroFloat64, 1e-300, 0.1, 0.2, 0.3,
+	1, 2, 3, 1 << 53, 1e10, 1e300, math.MaxFloat64,
+}
+
+// fuzzRow turns n bytes (missing ones read as 0) into a row non-increasing
+// as floats: a byte names a palette value, or past the palette a multiple
+// of 1/7, and the row is the values sorted descending.
+func fuzzRow(data []byte, n int) []float64 {
+	row := make([]float64, n)
+	for k := range row {
+		var b byte
+		if k < len(data) {
+			b = data[k]
+		}
+		if int(b) < len(mergePalette) {
+			row[k] = mergePalette[b]
+		} else {
+			row[k] = float64(b%32) / 7
+		}
+	}
+	slices.SortFunc(row, func(a, b float64) int { return cmp.Compare(b, a) })
+	return row
+}
+
+// FuzzTreeMerge holds merge to the dense scan by Float64bits on two
+// decisions into one out row, as solveStates makes them: drop into out,
+// then retain into out[1:], which the first call has prefilled. Bytes:
+// the child rows' last index, out's length, then the four rows.
+func FuzzTreeMerge(f *testing.F) {
+	f.Add([]byte{4, 9, 0, 1, 1, 0, 1, 20, 20, 20, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1}, true)
+	f.Add([]byte{3, 8, 13, 12, 11, 1, 12, 12, 2, 2, 40, 41, 42, 43, 5, 5, 5, 5}, true)
+	f.Add([]byte{5, 12, 60, 50, 40, 30, 20, 10, 70, 60, 50, 40, 30, 20, 1, 1, 1, 1, 1, 1}, false)
+	f.Fuzz(func(t *testing.T, data []byte, cumulative bool) {
+		if len(data) < 2 {
+			return
+		}
+		c := int(data[0] % 9)
+		m := 1 + int(data[1])%(2*c+3) // past 2c+1 the saturated split repeats
+		rows := data[2:]
+		row := func(k int) []float64 { return fuzzRow(rows[min(k*(c+1), len(rows)):], c+1) }
+		got, want := make([]float64, m+1), make([]float64, m+1)
+		for b := range got {
+			got[b], want[b] = math.Inf(1), math.Inf(1)
+		}
+		d := &treeDP{cumulative: cumulative}
+		for dd := 0; dd < 2; dd++ {
+			lt, rt := row(2*dd), row(2*dd+1)
+			d.merge(got[dd:], lt, rt)
+			denseMerge(refCombine(cumulative), want[dd:], lt, rt)
+			for b := range want {
+				if math.Float64bits(got[b]) != math.Float64bits(want[b]) {
+					t.Fatalf("decision %d, rows %v / %v: out[%d] = %v (%#x), dense %v (%#x)",
+						dd, lt, rt, b, got[b], math.Float64bits(got[b]), want[b], math.Float64bits(want[b]))
+				}
+			}
+		}
+	})
 }
 
 // TestPointErrorsMatchDense: the own-support runs return the dense

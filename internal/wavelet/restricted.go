@@ -24,13 +24,15 @@ type PointErrors struct {
 	p    metric.Params
 	n    int
 	// absolute family: item i's own support, ascending, as the run
-	// val[off[i]:off[i+1]], and per breakpoint the interleaved pair
-	// (W<=, S<=) in ws — the cumulative weight and weight·value through
-	// that value. Frequency 0 (with ZeroProb) always leads the run. Prefix
-	// sums over the whole global value set would hold the same floats: a
-	// value the item does not list adds +0.0 to both.
+	// val[off[i]:off[i+1]] (frequency 0, with ZeroProb, always in it), and
+	// its records rec[2(off[i]+i):2(off[i+1]+i+1)]: record k, for the k
+	// breakpoints <= v, is the interleaved pair (2·W<= − totW, 2·S<=) of
+	// Err's subexpressions over the cumulative weight W<= and weight·value
+	// S<= through the k-th breakpoint. Prefix sums over the whole global
+	// value set would hold the same floats: a value the item does not list
+	// adds +0.0 to both.
 	off        []int
-	val, ws    []float64
+	val, rec   []float64
 	totW, totS []float64
 	// squared family: per-item x=Σpwv², y=Σpwv, z=Σpw
 	x, y, z []float64
@@ -63,8 +65,10 @@ func NewPointErrors(vp *pdata.ValuePDF, kind metric.Kind, p metric.Params) (*Poi
 		}
 	case metric.SAE, metric.SARE, metric.MAE, metric.MARE:
 		pe.off = make([]int, vp.N+1)
+		// A run has at most one breakpoint per entry plus frequency 0, and
+		// one record more than breakpoints.
 		pe.val = make([]float64, 0, vp.M()+vp.N)
-		pe.ws = make([]float64, 0, 2*(vp.M()+vp.N))
+		pe.rec = make([]float64, 0, 2*(vp.M()+2*vp.N))
 		pe.totW = make([]float64, vp.N)
 		pe.totS = make([]float64, vp.N)
 		var own []pdata.FreqProb
@@ -79,6 +83,8 @@ func NewPointErrors(vp *pdata.ValuePDF, kind metric.Kind, p metric.Params) (*Poi
 				}
 			}
 			slices.SortStableFunc(own, func(a, b pdata.FreqProb) int { return cmp.Compare(a.Freq, b.Freq) })
+			first := len(pe.rec)
+			pe.rec = append(pe.rec, 0, 0) // (W<=, S<=) before the first breakpoint
 			var cw, cs float64
 			for k := 0; k < len(own); {
 				f, pr := own[k].Freq, 0.0
@@ -89,7 +95,11 @@ func NewPointErrors(vp *pdata.ValuePDF, kind metric.Kind, p metric.Params) (*Poi
 				cw += w
 				cs += w * f
 				pe.val = append(pe.val, f)
-				pe.ws = append(pe.ws, cw, cs)
+				pe.rec = append(pe.rec, cw, cs)
+			}
+			for r := first; r < len(pe.rec); r += 2 {
+				pe.rec[r] = float64(2*pe.rec[r]) - cw // record 0 holds 0 − totW, not −totW
+				pe.rec[r+1] *= 2
 			}
 			pe.off[i+1] = len(pe.val)
 			pe.totW[i], pe.totS[i] = cw, cs
@@ -100,28 +110,40 @@ func NewPointErrors(vp *pdata.ValuePDF, kind metric.Kind, p metric.Params) (*Poi
 	return pe, nil
 }
 
-// Err returns E[err(g_i, v)].
+// shortRun is the longest own-support run Err scans forward; longer runs
+// are binary-searched. BenchmarkPointErrorsErr puts the crossover between
+// 64 and 96 breakpoints (DESIGN "Point errors").
+const shortRun = 64
+
+// Err returns E[err(g_i, v)]. The float64 conversions keep every product
+// rounded on its own, so no architecture fuses it into the sum after it.
 func (pe *PointErrors) Err(i int, v float64) float64 {
 	switch pe.kind {
 	case metric.SSEFixed, metric.SSRE:
-		e := pe.x[i] - 2*v*pe.y[i] + v*v*pe.z[i]
+		e := pe.x[i] - float64(2*v*pe.y[i]) + float64(v*v*pe.z[i])
 		if e < 0 {
 			e = 0
 		}
 		return e
 	default:
-		// The last breakpoint <= v carries the weight mass at values <= v.
-		lo := pe.off[i]
-		r := pe.val[lo:pe.off[i+1]]
-		k := numeric.SearchFloats(r, v)
-		if k < len(r) && r[k] == v {
-			k++ // the exact match belongs to the <= side
+		// k ends one past the last breakpoint <= v; record k-off[i] holds
+		// the weight mass at values <= v.
+		k, hi := pe.off[i], pe.off[i+1]
+		if hi-k <= shortRun {
+			for k < hi && pe.val[k] <= v {
+				k++
+			}
+		} else {
+			for k < hi {
+				if mid := int(uint(k+hi) >> 1); pe.val[mid] <= v {
+					k = mid + 1
+				} else {
+					hi = mid
+				}
+			}
 		}
-		var wle, sle float64
-		if k > 0 {
-			wle, sle = pe.ws[2*(lo+k)-2], pe.ws[2*(lo+k)-1]
-		}
-		e := v*(2*wle-pe.totW[i]) + pe.totS[i] - 2*sle
+		r := 2 * (k + i) // item i's records start at 2(off[i]+i)
+		e := float64(v*pe.rec[r]) + pe.totS[i] - pe.rec[r+1]
 		if e < 0 {
 			e = 0
 		}

@@ -490,22 +490,44 @@ func (d *treeDP) solveStates(l, lo, hi int) {
 // exactly c, and only the unclamped splits need evaluating; past b = 2c
 // that is the one saturated split (lt[c], rt[c]). For the maximum
 // metrics the unclamped splits pit a falling row against a rising one:
-// the minimum sits at their crossing, found by binary search. Either way
-// the result is the same float the dense scan selects.
+// the minimum sits at their crossing, found by binary search.
+//
+// For the sum metrics the same monotonicity bounds every split beyond a
+// point: with n = len(l), l[k′] + r[n−1−k′] ≥ l[n−1] + r[n−1−k] for all
+// k′ ≥ k, and ≥ l[k] + r[n−1] for all k′ ≤ k. So the scan starts at the
+// previous budget's best split, walks right and then left, and stops each
+// side at the first bound ≥ best: no split past it can be strictly below
+// best. Either way the result is the value the dense scan selects, and
+// the same bits: no row holds −0 (Err never returns it, and neither + nor
+// max makes it from operands that are not −0), so equal values are equal
+// floats.
 func (d *treeDP) merge(out, lt, rt []float64) (scanned int64) {
 	c := len(lt) - 1
+	at := 0 // left budget of the last best split: where the next walk starts
 	for b := range out {
 		eb := min(b, 2*c)
 		lo, hi := max(0, eb-c), min(eb, c)
 		l, r := lt[lo:hi+1], rt[eb-hi:eb-lo+1] // l[k] splits against r[len(l)-1-k]
 		best := out[b]
 		if d.cumulative {
-			for k, a := range l {
-				if x := a + r[len(l)-1-k]; x < best {
-					best = x
+			n := len(l)
+			k0 := min(max(at-lo, 0), n-1)
+			if x := l[k0] + r[n-1-k0]; x < best {
+				best, at = x, lo+k0
+			}
+			k := k0 + 1
+			for ; k < n && l[n-1]+r[n-1-k] < best; k++ {
+				if x := l[k] + r[n-1-k]; x < best {
+					best, at = x, lo+k
 				}
 			}
-			scanned += int64(len(l))
+			scanned += int64(k - k0)
+			for k = k0 - 1; k >= 0 && l[k]+r[n-1] < best; k-- {
+				if x := l[k] + r[n-1-k]; x < best {
+					best, at = x, lo+k
+				}
+			}
+			scanned += int64(k0 - 1 - k)
 		} else {
 			k, n := 0, len(l) // first k with l[k] <= r's opposite entry
 			for k < n {

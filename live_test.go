@@ -280,11 +280,18 @@ func TestWaveletDPStats(t *testing.T) {
 		t.Fatalf("live repair left the sink at %+v (built: %+v)", st, built)
 	}
 	// A mean-changing update resweeps. The counters stay cumulative, as a
-	// live histogram's are: they grow by one whole forward sweep, whose
-	// counts under a sum metric depend on the layout alone.
+	// live histogram's are: they grow by one whole forward sweep over the
+	// mutated data (a sum metric's merge stops on data-dependent bounds).
+	moved := probsyn.ItemPDF{Entries: []probsyn.FreqProb{{Freq: e.Freq + 3, Prob: 1}}}
+	mutated := vp.Clone()
+	mutated.Items[i] = moved
+	var sweep probsyn.DPStats
+	if _, err := probsyn.Build(mutated, probsyn.SAE, 9, probsyn.WithWavelet(), probsyn.WithDPStats(&sweep)); err != nil {
+		t.Fatal(err)
+	}
 	want := st
-	want.Add(built)
-	if err := live.Update(i, probsyn.ItemPDF{Entries: []probsyn.FreqProb{{Freq: e.Freq + 3, Prob: 1}}}); err != nil {
+	want.Add(sweep)
+	if err := live.Update(i, moved); err != nil {
 		t.Fatal(err)
 	}
 	if st != want {
