@@ -248,8 +248,9 @@ func CutGT(x []float64, lo, hi int, v float64) int {
 }
 
 // CutLE returns the first index i in [lo, hi) with x[i] <= v, or hi when
-// there is none; x[lo:hi] must be non-increasing (prefix-min envelopes
-// are, exactly, by construction — see the histogram DP's pruned scan).
+// there is none; x[lo:hi] must be non-increasing (a running minimum is,
+// exactly, by construction — the histogram DP's pruned scan searches the
+// running minimum of its cost column's block minima).
 func CutLE(x []float64, lo, hi int, v float64) int {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)

@@ -156,9 +156,11 @@ func (o *WeightedAbs) row(i int) []float64 {
 func absSlope(lo, hi []float64, l int, w float64) float64 { return 2*(hi[2*l]-lo[2*l]) - w }
 
 // absCost prices that bucket, of totals w and t, at the representative
-// v = V[l].
+// v = V[l]. The float64 conversion keeps the product rounded on its own,
+// so no architecture fuses it into the sum after it: Cost, argmin and
+// CostsForEnd then compute the same floats wherever they inline it.
 func absCost(lo, hi []float64, l int, v, w, t float64) float64 {
-	cost := v*absSlope(lo, hi, l, w) + t - 2*(hi[2*l+1]-lo[2*l+1])
+	cost := float64(v*absSlope(lo, hi, l, w)) + t - 2*(hi[2*l+1]-lo[2*l+1])
 	if cost < 0 {
 		cost = 0
 	}

@@ -164,12 +164,13 @@ func runDP(o Oracle, Bmax int, pool *engine.Pool, ts tileShape) (*DPTable, error
 // ends and run on a dependency grid (engine.Pool.RunGrid). Grid row 0 is
 // the fill row: for each end of its block it prices every bucket ending
 // there — CostsForEnd for a SweepOracle, a Cost loop otherwise — into one
-// slot of a ring of ts.ring cost-column blocks, builds the envelope the
-// scans cut with, and writes level 0. Grid row r >= 1 is the band of
-// levels [1+(r-1)*ts.levels, 1+r*ts.levels): cell (b, e) reads row b-1 at
-// ends < e and the cost column of e, so tile (r, q) may run once (r-1, q)
-// and (r, q-1) have; a fill tile reuses the slot of block q-ring, so it
-// also waits for the last band to finish that block. The fill is dense —
+// slot of a ring of ts.ring cost-column blocks, takes the column's block
+// minima (blockMinima) the scans bound with, and writes level 0. Grid row
+// r >= 1 is the band of levels [1+(r-1)*ts.levels, 1+r*ts.levels): cell
+// (b, e) reads row b-1 at ends < e and the cost column of e, so tile
+// (r, q) may run once (r-1, q) and (r, q-1) have; a fill tile reuses the
+// slot of block q-ring, so it also waits for the last band to finish that
+// block. The fill is dense —
 // pricing only up to the furthest surviving candidate was tried and never
 // paid (35.1M evaluations "bounded" against 33.6M dense at n=8192/B=200:
 // the per-level seed re-pricings cost more than the cuts saved).
@@ -178,12 +179,13 @@ func runDP(o Oracle, Bmax int, pool *engine.Pool, ts tileShape) (*DPTable, error
 // prev[i] is non-decreasing in i and the closing bucket's cost is
 // non-increasing in i, so a certified upper bound on a level's minimum —
 // the previous column's argmin priced at this end — cuts the candidate
-// range by binary search on both sides, and a running incumbent stops the
-// scan at the first prev[i] that can no longer beat it. Every skip is
-// provably >= the incumbent (or strictly > the bound) under the DP's
-// strict-< tie-break, and every cell is one whole serial scan, so the
-// tables are bit-identical to the dense reference (the unpruned scan the
-// package's tests keep) with nothing to combine.
+// range by binary search on both sides, a lower bound from the column's
+// block minima skips whole blocks of candidates inside it, and a running
+// incumbent stops the scan at the first prev[i] that can no longer beat
+// it. Every skip is provably >= the incumbent (or strictly > the bound)
+// under the DP's strict-< tie-break, and every cell is one whole serial
+// scan, so the tables are bit-identical to the dense reference (the
+// unpruned scan the package's tests keep) with nothing to combine.
 //
 // A band's first level reads the monotone certificate of a row the band
 // above is still extending. It reads it from the snapshot that band took
@@ -219,14 +221,14 @@ func (t *DPTable) runColumns(from int, pool *engine.Pool, ts tileShape) {
 	width := min(ts.ends, n-from)
 	ring := min(ts.ring, cols)
 	// One ring slot holds, per end of a block, the costs column and its
-	// prefix-min envelope: cmin[s] = min(costs[1..s]) is non-increasing by
-	// construction regardless of any float wobble in costs itself, so
-	// binary-searching it to skip the dominated low-i prefix is always
-	// sound.
-	ringBuf := make([]float64, ring*width*2*n)
-	column := func(q, e int) (costs, cmin []float64) {
-		at := ((q%ring)*width + e - from - q*ts.ends) * 2 * n
-		return ringBuf[at : at+n], ringBuf[at+n : at+2*n]
+	// block minima (blockMinima): nb floats of bmin, nb of their running
+	// minimum bcm.
+	nb := (n + scanBlock - 1) / scanBlock
+	slot := n + 2*nb
+	ringBuf := make([]float64, ring*width*slot)
+	column := func(q, e int) (costs, bmin, bcm []float64) {
+		at := ((q%ring)*width + e - from - q*ts.ends) * slot
+		return ringBuf[at : at+n], ringBuf[at+n : at+n+nb], ringBuf[at+n+nb : at+slot]
 	}
 	var reps []float64
 	if sweeper != nil {
@@ -245,7 +247,7 @@ func (t *DPTable) runColumns(from int, pool *engine.Pool, ts tileShape) {
 		last := 0
 		if r == 0 {
 			for e := lo; e < hi; e++ {
-				costs, cmin := column(q, e)
+				costs, bmin, bcm := column(q, e)
 				switch {
 				case sweeper != nil:
 					sweeper.CostsForEnd(e, costs, reps)
@@ -259,20 +261,14 @@ func (t *DPTable) runColumns(from int, pool *engine.Pool, ts tileShape) {
 					}
 					st.CostEvals += int64(e + 1)
 				}
-				cm := math.Inf(1)
-				for s := 1; s <= e; s++ {
-					if costs[s] < cm {
-						cm = costs[s]
-					}
-					cmin[s] = cm
-				}
+				blockMinima(costs, e, bmin, bcm)
 				t.setCell(0, e, costs[0], -1)
 			}
 		} else {
 			first := 1 + (r-1)*ts.levels
 			last = min(first+ts.levels, Bmax) - 1
 			for e := max(lo, first); e < hi; e++ {
-				costs, cmin := column(q, e)
+				costs, bmin, bcm := column(q, e)
 				above := snap[(r-1)*cols+q]
 				for b := first; b <= last && b <= e; b++ {
 					// Seed the level's upper bound with the previous
@@ -292,7 +288,7 @@ func (t *DPTable) runColumns(from int, pool *engine.Pool, ts tileShape) {
 							u = c
 						}
 					}
-					best := prunedScanDense(prev, costs, cmin, b-1, e, isSum, u, above >= e, &st)
+					best := prunedScanDense(prev, costs, bmin, bcm, b-1, e, isSum, u, above >= e, &st)
 					if best.arg < 0 {
 						best = minPartial{value: math.Inf(1), arg: int32(b - 1)}
 					}
@@ -319,17 +315,49 @@ type minPartial struct {
 // emptyMin returns the identity candidate: +Inf value, no index.
 func emptyMin() minPartial { return minPartial{value: math.Inf(1), arg: -1} }
 
+// scanBlock is the width of the blocks of a cost column whose minima bound
+// the split scan (blockMinima, prunedScanDense). Of 8, 16 and 32, 16 timed
+// fastest on the benchmark's six histogram builds.
+const scanBlock = 16
+
+// blockMinima takes end e's cost column apart for the scans: block k holds
+// costs[k·scanBlock, (k+1)·scanBlock) — the closing buckets of split
+// candidates i with i+1 in that range — bmin[k] is the exact minimum of
+// costs[1..e] over block k and bcm[k] = min(bmin[0..k]), non-increasing by
+// construction whatever float wobble costs itself has.
+func blockMinima(costs []float64, e int, bmin, bcm []float64) {
+	cm := math.Inf(1)
+	for k, s := 0, 1; s <= e; k++ {
+		m := math.Inf(1)
+		for end := min((k+1)*scanBlock, e+1); s < end; s++ {
+			if costs[s] < m {
+				m = costs[s]
+			}
+		}
+		if m < cm {
+			cm = m
+		}
+		bmin[k], bcm[k] = m, cm
+	}
+}
+
 // prunedScanDense reduces split candidates i in [lo, hi) against a
-// materialized costs row, bit-identically to reduceSplits over the same
-// range. U is a certified upper bound on the level's minimum over the
-// full range (+Inf when unknown): candidates with min(costs[1..i+1]) > U
-// — a prefix, located by binary search on the exact envelope cmin — and,
-// when the prev row's monotone certificate covers the range (monoOK),
-// candidates with prev[i] > U — a suffix — cannot be the argmin under
-// strict-< tie-breaking and are skipped wholesale. Inside the window a
-// certified-monotone prev additionally stops the scan at the first
-// prev[i] >= the running incumbent.
-func prunedScanDense(prev, costs, cmin []float64, lo, hi int, isSum bool, U float64, monoOK bool, st *DPStats) minPartial {
+// materialized costs row and its block minima (blockMinima),
+// bit-identically to reduceSplits over the same range. U is a certified
+// upper bound on the level's minimum over the full range (+Inf when
+// unknown). Candidates in the blocks before the first whose running
+// minimum bcm is <= U close with a bucket dearer than U — a prefix, found
+// by binary search on bcm — and, when the prev row's monotone certificate
+// covers the range (monoOK), candidates with prev[i] > U — a suffix —
+// cannot be the argmin under strict-< tie-breaking either, and both are
+// skipped wholesale. Inside the window a certified-monotone prev also
+// bounds a whole block from below: every candidate j >= i of block k
+// prices at least h(prev[i], bmin[k]), as prev[j] >= prev[i], costs[j+1]
+// >= bmin[k] and + and max round monotonically, so the block is skipped
+// when that bound is > U (it loses to the seed) or >= the incumbent (it
+// cannot displace an equal value at a smaller index). The scan stops at
+// the first prev[i] >= the incumbent.
+func prunedScanDense(prev, costs, bmin, bcm []float64, lo, hi int, isSum bool, U float64, monoOK bool, st *DPStats) minPartial {
 	if lo >= hi {
 		return emptyMin()
 	}
@@ -338,30 +366,52 @@ func prunedScanDense(prev, costs, cmin []float64, lo, hi int, isSum bool, U floa
 		if monoOK {
 			to = engine.CutGT(prev, lo, hi, U)
 		}
-		// First s in [lo+1, to] with cmin[s] <= U; candidate i = s-1. The
-		// search is clamped to the prev-side cut: candidates past it are
-		// pruned anyway.
-		from = engine.CutLE(cmin, lo+1, to+1, U) - 1
+		k := engine.CutLE(bcm, (lo+1)/scanBlock, to/scanBlock+1, U)
+		from = min(max(lo, k*scanBlock-1), to)
 	}
-	var best minPartial
-	i := from
-	if monoOK {
-		best = emptyMin()
+	if !monoOK {
+		st.CandidatesScanned += int64(to - from)
+		st.CandidatesPruned += int64((hi - lo) - (to - from))
+		return reduceSplits(prev, costs, from, to, isSum)
+	}
+	best := emptyMin()
+	scanned := 0
+scan:
+	for i := from; i < to; {
+		k := (i + 1) / scanBlock
+		end := min((k+1)*scanBlock-1, to)
+		p := prev[i]
+		if p >= best.value {
+			break
+		}
+		lb := bmin[k]
 		if isSum {
-			for ; i < to; i++ {
+			lb += p
+		} else if p > lb {
+			lb = p
+		}
+		if lb > U || lb >= best.value {
+			i = end
+			continue
+		}
+		start := i
+		if isSum {
+			for ; i < end; i++ {
 				p := prev[i]
 				if p >= best.value {
-					break
+					scanned += i - start
+					break scan
 				}
 				if v := p + costs[i+1]; v < best.value {
 					best = minPartial{value: v, arg: int32(i)}
 				}
 			}
 		} else {
-			for ; i < to; i++ {
+			for ; i < end; i++ {
 				v := prev[i]
 				if v >= best.value {
-					break
+					scanned += i - start
+					break scan
 				}
 				if c := costs[i+1]; c > v {
 					v = c
@@ -371,12 +421,10 @@ func prunedScanDense(prev, costs, cmin []float64, lo, hi int, isSum bool, U floa
 				}
 			}
 		}
-	} else {
-		best = reduceSplits(prev, costs, from, to, isSum)
-		i = to
+		scanned += i - start
 	}
-	st.CandidatesScanned += int64(i - from)
-	st.CandidatesPruned += int64((from - lo) + (hi - to) + (to - i))
+	st.CandidatesScanned += int64(scanned)
+	st.CandidatesPruned += int64(hi - lo - scanned)
 	return best
 }
 

@@ -11,9 +11,11 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"probsyn/internal/engine"
+	"probsyn/internal/gen"
 	"probsyn/internal/metric"
 	"probsyn/internal/pdata"
 )
@@ -189,6 +191,164 @@ func TestPrunedDPAdversarial(t *testing.T) {
 			t.Logf("%s/%v: scanned %d, pruned %d (%.1f%%), cost evals %d",
 				tc.name, k, st.CandidatesScanned, st.CandidatesPruned, 100*frac, st.CostEvals)
 		}
+	}
+	t.Run("blockEdges", testScanBlockEdges)
+}
+
+// testScanBlockEdges puts the argmin of one scan on the first and on the
+// last candidate of a block (block 1 closes candidates 15..30 with
+// costs[16..31]), and an exact tie across skipped blocks: candidate 10
+// prices 1, and so does the cheapest candidate of each later block, whose
+// bound therefore equals the incumbent exactly — the blocks are skipped
+// and the smaller index keeps the argmin, as in the dense scan.
+func testScanBlockEdges(t *testing.T) {
+	const e = 63
+	prev := make([]float64, e+1)
+	for _, isSum := range []bool{true, false} {
+		for _, tc := range []struct {
+			name    string
+			cheap   []int // closing-cost indices priced 1; the rest price 5
+			seed    int
+			scanned int64 // -1: not checked
+		}{
+			{"first", []int{16}, 40, -1},
+			{"last", []int{31}, 40, -1},
+			{"tie", []int{11, 20, 41, 63}, -1, 15},
+		} {
+			costs := make([]float64, e+1)
+			for s := range costs {
+				costs[s] = 5
+			}
+			for _, s := range tc.cheap {
+				costs[s] = 1
+			}
+			st := checkScan(t, prev, costs, 0, e, tc.seed, isSum, true)
+			if tc.scanned >= 0 && st.CandidatesScanned != tc.scanned {
+				t.Fatalf("%s (sum %v): scanned %d candidates, want block 0's %d alone", tc.name, isSum, st.CandidatesScanned, tc.scanned)
+			}
+		}
+	}
+}
+
+// scanPalette spans what a block bound must survive: zero, a subnormal,
+// ties, sums that round away the smaller term or overflow, and +Inf, which
+// a row holds at ends no split of its level can price finitely.
+var scanPalette = []float64{
+	0, math.SmallestNonzeroFloat64, 0.1, 0.2, 0.3, 1, 2, 3,
+	1 << 53, 1e300, math.MaxFloat64, math.Inf(1),
+}
+
+// checkScan runs prunedScanDense over candidates [lo, hi) of end hi,
+// seeded as runColumns seeds it from candidate i0 (no seed outside the
+// range), and holds it to reduceSplits over the same range: value bits,
+// argmin, and scanned + pruned = hi - lo.
+func checkScan(t *testing.T, prev, costs []float64, lo, hi, i0 int, isSum, monoOK bool) DPStats {
+	t.Helper()
+	nb := hi/scanBlock + 1
+	bmin, bcm := make([]float64, nb), make([]float64, nb)
+	blockMinima(costs, hi, bmin, bcm)
+	u := math.Inf(1)
+	if i0 >= lo && i0 < hi {
+		if c := costs[i0+1]; isSum {
+			u = prev[i0] + c
+		} else if u = prev[i0]; c > u {
+			u = c
+		}
+	}
+	var st DPStats
+	got := prunedScanDense(prev, costs, bmin, bcm, lo, hi, isSum, u, monoOK, &st)
+	want := reduceSplits(prev, costs, lo, hi, isSum)
+	if math.Float64bits(got.value) != math.Float64bits(want.value) || got.arg != want.arg {
+		t.Fatalf("[%d, %d) seed %d sum %v mono %v: pruned scan (%v, %d), dense (%v, %d)\nprev %v\ncosts %v",
+			lo, hi, i0, isSum, monoOK, got.value, got.arg, want.value, want.arg, prev, costs)
+	}
+	if n := st.CandidatesScanned + st.CandidatesPruned; n != int64(hi-lo) {
+		t.Fatalf("[%d, %d): scanned %d + pruned %d, want %d candidates", lo, hi, st.CandidatesScanned, st.CandidatesPruned, hi-lo)
+	}
+	return st
+}
+
+// FuzzPrunedScan holds one split scan to the dense one. Bytes: the end
+// (up to 80 candidates, five blocks), the range's start, the seed
+// candidate (any index from -1 to the end, so some seeds fall outside the
+// range), then the costs and prev rows, each byte a palette value or past
+// the palette a multiple of 1/7; prev is sorted when it is to be
+// certified monotone.
+func FuzzPrunedScan(f *testing.F) {
+	f.Add([]byte{40, 3, 20, 5, 5, 5, 1, 0, 0}, true, true)
+	f.Add([]byte{79, 15, 16, 11, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, false, true)
+	f.Add([]byte{33, 0, 0, 10, 10, 10, 9, 11, 255, 254}, true, false)
+	f.Fuzz(func(t *testing.T, data []byte, isSum, monoOK bool) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		value := func() float64 {
+			b := next()
+			if b < len(scanPalette) {
+				return scanPalette[b]
+			}
+			return float64(b%32) / 7
+		}
+		hi := next() % 81
+		lo := next() % (hi + 1)
+		i0 := next()%(hi+2) - 1
+		costs, prev := make([]float64, hi+1), make([]float64, hi+1)
+		for s := range costs {
+			costs[s] = value()
+		}
+		for i := range prev {
+			prev[i] = value()
+		}
+		if monoOK {
+			slices.Sort(prev)
+		}
+		checkScan(t, prev, costs, lo, hi, i0, isSum, monoOK)
+	})
+}
+
+// TestPrunedDPStatsAtBenchShapes holds the benchmark's six histogram
+// builds (bench/builds.go's hist-scan and hist-oracle rounds, on inputs
+// seeded here) to the dense reference's tables and their work counters to
+// the unit: a change to the scan that moves a count must update the
+// numbers here.
+func TestPrunedDPStatsAtBenchShapes(t *testing.T) {
+	rng := func(n int) *rand.Rand { return rand.New(rand.NewSource(int64(n))) }
+	sensor := func(n int) pdata.Source { return gen.SensorGrid(rng(n), gen.DefaultSensor(n)) }
+	mystiq := func(n int) pdata.Source { return gen.MystiQLinkage(rng(n), gen.DefaultMystiQ(n)) }
+	tpch := gen.TPCHLineitem(rng(512), gen.DefaultTPCH(512, 4*512))
+	for _, c := range []struct {
+		name  string
+		src   pdata.Source
+		kind  metric.Kind
+		B     int
+		stats DPStats
+	}{
+		{"SSE", sensor(512), metric.SSE, 64, DPStats{CandidatesScanned: 1370112, CandidatesPruned: 5913024, CostEvals: 131328}},
+		{"SSRE", mystiq(512), metric.SSRE, 64, DPStats{CandidatesScanned: 1486313, CandidatesPruned: 5796823, CostEvals: 131328}},
+		{"SSE-tuple", tpch, metric.SSE, 64, DPStats{CandidatesScanned: 916216, CandidatesPruned: 6366920, CostEvals: 131328}},
+		{"SAE", sensor(448), metric.SAE, 64, DPStats{CandidatesScanned: 1089058, CandidatesPruned: 4385726, CostEvals: 100576}},
+		{"SARE", mystiq(448), metric.SARE, 64, DPStats{CandidatesScanned: 1322384, CandidatesPruned: 4152400, CostEvals: 100576}},
+		{"MAE", sensor(64), metric.MAE, 16, DPStats{CandidatesScanned: 7598, CandidatesPruned: 16482, CostEvals: 2080}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			o, err := NewOracle(c.src, c.kind, metric.DefaultParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab, err := RunDPPool(o, c.B, finePool(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tablesIdentical(t, denseTable(o, c.B), tab)
+			if got := tab.Stats(); got != c.stats {
+				t.Fatalf("counted %+v, want %+v", got, c.stats)
+			}
+		})
 	}
 }
 

@@ -88,10 +88,12 @@ func (o *MaxAbs) lineFor(i, l int) minimax.Line {
 	}
 }
 
-// itemErrAt evaluates f_i at V[l].
+// itemErrAt evaluates f_i at V[l], the product rounded on its own (as in
+// absCost), so the envelope CostsForEnd keeps and the one errAt evaluates
+// hold the same floats on every architecture.
 func (o *MaxAbs) itemErrAt(i, l int) float64 {
 	ln := o.lineFor(i, l)
-	return ln.A*o.vs.Values[l] + ln.B
+	return float64(ln.A*o.vs.Values[l]) + ln.B
 }
 
 // errAt evaluates the envelope max(0, max_{i∈[s,e]} f_i) at V[l] and, where
@@ -149,7 +151,7 @@ func (o *MaxAbs) refine(g int, best float64, arg, s, e int, lines []minimax.Line
 	if best > 0 {
 		if left {
 			ln := o.lineFor(arg, g-1)
-			left = ln.A > 0 || ln.A*vals[g]+ln.B < best
+			left = ln.A > 0 || float64(ln.A*vals[g])+ln.B < best
 		}
 		right = right && o.lineFor(arg, g).A < 0
 	}
