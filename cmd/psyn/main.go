@@ -57,6 +57,7 @@ import (
 
 	"probsyn"
 	"probsyn/internal/catalog"
+	"probsyn/internal/engine"
 	"probsyn/internal/query"
 	"probsyn/internal/synopsis"
 )
@@ -232,12 +233,12 @@ func reportDPStats(stdout io.Writer, st probsyn.DPStats, wavelet bool) {
 // runAppend extends a value-model dataset with the items of a second
 // dataset file and rewrites every key-encoded synopsis for the dataset in
 // the catalog directory — the offline twin of a psynd POST /v1/append,
-// through the same two rules: the merged dataset is written first
-// (catalog.Mutation.Apply), then every key is extracted and published
-// from its group's frontier (catalog.ExtractAndPublish). psyn retains no
-// DP state between runs, so the frontier is always the server's "fresh"
-// case: one sweep over the merged data, byte-identical to a retained
-// frontier that absorbed the append.
+// through the same write (catalog.Mutation.Republish): the merged dataset
+// is written while the groups' frontiers build, and every key is
+// extracted and published from its group's frontier once the dataset is
+// on disk. psyn retains no DP state between runs, so the frontier is
+// always the server's "fresh" case: one sweep over the merged data,
+// byte-identical to a retained frontier that absorbed the append.
 func runAppend(stdout io.Writer, src probsyn.Source, appendPath, dataset, outDir, saveData string, parallelism int) error {
 	base, ok := src.(*probsyn.ValuePDF)
 	if !ok {
@@ -275,17 +276,17 @@ func runAppend(stdout io.Writer, src probsyn.Source, appendPath, dataset, outDir
 		return fmt.Errorf("no catalog files for dataset %q in %s", dataset, outDir)
 	}
 	fmt.Fprintf(stdout, "appending %d items to %s (domain %d -> %d)\n", avp.N, dataset, base.N, base.N+avp.N)
-	merged, err := catalog.Mutation{Items: avp.Items}.Apply(base, saveData)
-	if err != nil {
-		return err
-	}
-	written, err := catalog.ExtractAndPublish(outDir, nil, keys, func(top catalog.Key) (probsyn.Frontier, error) {
-		m, opts, err := top.BuildOptions()
-		if err != nil {
-			return nil, err
-		}
-		return probsyn.BuildSweep(merged, m, top.Budget, append(opts, probsyn.WithParallelism(parallelism))...)
-	})
+	// One admission token: the groups' sweeps run one at a time, as they
+	// always have, and only the dataset write overlaps them.
+	pool := engine.New(engine.Options{Workers: parallelism, MaxBuilds: 1})
+	_, written, err := catalog.Mutation{Items: avp.Items}.Republish(base, saveData, outDir, nil, keys,
+		func(top catalog.Key, merged *probsyn.ValuePDF) (probsyn.Frontier, error) {
+			m, opts, err := top.BuildOptions()
+			if err != nil {
+				return nil, err
+			}
+			return probsyn.BuildSweep(merged, m, top.Budget, append(opts, probsyn.WithPool(pool))...)
+		})
 	if err != nil {
 		return err
 	}

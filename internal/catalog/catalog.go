@@ -9,8 +9,8 @@
 // deterministic, replicas that build the same key produce byte-identical
 // catalog files. The server and cmd/psyn write through one path,
 // write.go: Publish (persist, then register), ExtractAndPublish (a
-// frontier's budgets under their keys) and Mutation.Apply (the dataset,
-// before any synopsis over it).
+// frontier's budgets under their keys) and Mutation.Republish (the
+// dataset, before any synopsis over it).
 package catalog
 
 import (

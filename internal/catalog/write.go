@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 
 	"probsyn"
+	"probsyn/internal/engine"
 	"probsyn/internal/pdata"
 	"probsyn/internal/synopsis"
 )
@@ -74,12 +75,15 @@ func Publish(dir string, c *Catalog, key Key, syn synopsis.Synopsis) error {
 // frontier after it absorbed the mutation, psyn -append builds it over
 // the merged data.
 func ExtractAndPublish(dir string, c *Catalog, keys []Key, frontier func(top Key) (synopsis.Frontier, error)) (n int, err error) {
-	for _, group := range groupKeys(keys) {
-		top := group[0]
-		for _, k := range group {
-			top.Budget = max(top.Budget, k.Budget)
-		}
-		fr, err := frontier(top)
+	groups := groupKeys(keys)
+	return publishGroups(dir, c, groups, func(g int) (synopsis.Frontier, error) { return frontier(groupTop(groups[g])) })
+}
+
+// publishGroups is ExtractAndPublish's loop over grouped keys: group g's
+// frontier is frontier(g), asked in group order.
+func publishGroups(dir string, c *Catalog, groups [][]Key, frontier func(g int) (synopsis.Frontier, error)) (n int, err error) {
+	for g, group := range groups {
+		fr, err := frontier(g)
 		if err != nil {
 			return n, err
 		}
@@ -95,6 +99,16 @@ func ExtractAndPublish(dir string, c *Catalog, keys []Key, frontier func(top Key
 		}
 	}
 	return n, nil
+}
+
+// groupTop is the key a group's frontier must cover: the group's key at
+// its largest budget.
+func groupTop(group []Key) Key {
+	top := group[0]
+	for _, k := range group {
+		top.Budget = max(top.Budget, k.Budget)
+	}
+	return top
 }
 
 // groupKeys partitions keys into per-frontier groups — equal in
@@ -126,12 +140,11 @@ type Mutation struct {
 	Update *pdata.ItemPDF
 }
 
-// Apply returns a copy of vp with the mutation applied, persisted to path
-// (atomically, in the dataset text format) when path is non-empty. The
-// dataset is written before any synopsis is republished over it: after a
-// crash or restart, a from-scratch rebuild over the file must reproduce
-// what the catalog holds, never an older dataset under newer synopses.
-func (mu Mutation) Apply(vp *pdata.ValuePDF, path string) (*pdata.ValuePDF, error) {
+// Apply returns a copy of vp with the mutation applied, in memory only; vp
+// is left alone, and an update index outside the domain is an error.
+// Persisting the copy is Republish's, which writes it before any synopsis
+// over it.
+func (mu Mutation) Apply(vp *pdata.ValuePDF) (*pdata.ValuePDF, error) {
 	next := vp.Clone()
 	if mu.Update != nil {
 		if mu.I < 0 || mu.I >= next.N {
@@ -144,17 +157,105 @@ func (mu Mutation) Apply(vp *pdata.ValuePDF, path string) (*pdata.ValuePDF, erro
 		}
 		next.N = len(next.Items)
 	}
+	return next, nil
+}
+
+// Republish is a mutation's whole write: the sequence psynd's
+// /v1/append and /v1/update and psyn -append share.
+//
+//  1. Apply the mutation to vp in memory.
+//  2. At once: persist the mutated dataset to dataPath (atomically, in the
+//     dataset text format; skipped when dataPath is empty), and ask every
+//     key group's frontier(top, next) over engine.Fan, top being the
+//     group's key at its largest budget (ExtractAndPublish's groups). The
+//     groups are independent DPs; how many run at once is the caller's
+//     pool's MaxBuilds, whose tokens each frontier's build or maintenance
+//     takes.
+//  3. Once the dataset is on disk, extract and publish the keys group by
+//     group in key order, as ExtractAndPublish does, each group as soon
+//     as its frontier is ready.
+//
+// No synopsis is written before the dataset, so after a crash a rebuild
+// over the file reproduces the catalog or supersedes it, never an older
+// dataset under newer synopses. Republish returns the mutated dataset
+// next, how many keys n it published, and an error:
+//
+//   - Apply fails: next is nil and nothing ran.
+//   - The dataset does not persist: next is nil and err is a
+//     *PersistError. Nothing is published, but every frontier ran, so
+//     state retained behind them absorbed a mutation that never became
+//     durable; the caller must drop it.
+//   - Otherwise next is the mutated dataset and keys[:n] are published.
+//     On an error n is ExtractAndPublish's prefix: group k failing
+//     publishes exactly the groups before it, though the later frontiers
+//     ran.
+//
+// Republish returns only once every frontier call has.
+func (mu Mutation) Republish(vp *pdata.ValuePDF, dataPath, dir string, c *Catalog, keys []Key,
+	frontier func(top Key, next *pdata.ValuePDF) (synopsis.Frontier, error)) (*pdata.ValuePDF, int, error) {
+	// next is a local, not a named result: the frontier calls read it
+	// until the deferred wait, after a return has set the results.
+	next, err := mu.Apply(vp)
+	if err != nil {
+		return nil, 0, err
+	}
+	persisted := make(chan error, 1)
+	go func() { persisted <- persistDataset(dataPath, next) }()
+
+	groups := groupKeys(keys)
+	frs := make([]synopsis.Frontier, len(groups))
+	errs := make([]error, len(groups))
+	ready := make([]chan struct{}, len(groups))
+	for g := range ready {
+		ready[g] = make(chan struct{})
+	}
+	fanned := make(chan struct{})
+	go func() {
+		defer close(fanned)
+		engine.Fan(len(groups), len(groups), func(g int) error {
+			defer close(ready[g])
+			frs[g], errs[g] = frontier(groupTop(groups[g]), next)
+			return nil
+		})
+	}()
+	defer func() { <-fanned }()
+
+	if err := <-persisted; err != nil {
+		return nil, 0, err
+	}
+	n, err := publishGroups(dir, c, groups, func(g int) (synopsis.Frontier, error) {
+		<-ready[g]
+		fr := frs[g]
+		frs[g] = nil // a sweep built only for this call (psyn's) is collectable once its group is published
+		return fr, errs[g]
+	})
+	return next, n, err
+}
+
+// PersistError is Republish's failure to write the mutated dataset.
+type PersistError struct {
+	Path string
+	Err  error
+}
+
+func (e *PersistError) Error() string { return fmt.Sprintf("persist dataset %s: %v", e.Path, e.Err) }
+func (e *PersistError) Unwrap() error { return e.Err }
+
+// persistDataset writes vp to path atomically in the dataset text format;
+// an empty path writes nothing.
+func persistDataset(path string, vp *pdata.ValuePDF) error {
 	if path == "" {
-		return next, nil
+		return nil
 	}
 	var buf bytes.Buffer
-	if err := probsyn.WriteDataset(&buf, next); err != nil {
-		return nil, err
+	err := probsyn.WriteDataset(&buf, vp)
+	if err == nil {
+		err = WriteBlob(path, buf.Bytes())
 	}
-	if err := WriteBlob(path, buf.Bytes()); err != nil {
-		return nil, fmt.Errorf("persist dataset %s: %w", path, err)
+	if err != nil {
+		return &PersistError{Path: path, Err: err}
 	}
-	return next, nil
+	return nil
 }
 
 // Absorb applies the mutation to a live frontier built over the

@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -493,6 +495,181 @@ func TestMutateFailureWithdrawsStaleEntries(t *testing.T) {
 	url := ts.URL + "/v1/estimate?dataset=vds&family=histogram&metric=SSE&budget=3&i=1"
 	if resp := getJSON(t, url, &eb); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("estimate after failed mutation: %d, want 404", resp.StatusCode)
+	}
+}
+
+// datasetLives counts the live frontiers retained for the dataset.
+func datasetLives(s *Server, dataset string) int {
+	s.livesMu.Lock()
+	defer s.livesMu.Unlock()
+	n := 0
+	for k := range s.lives {
+		if k.Dataset == dataset {
+			n++
+		}
+	}
+	return n
+}
+
+// TestMutatePersistFailure: a mutation whose dataset does not persist
+// publishes nothing, leaves the old dataset serving builds, and drops the
+// dataset's live frontiers, which absorbed a mutation that never became
+// durable. Once the dataset can be written again, the next mutation
+// republishes what an offline rebuild over the durable history writes.
+func TestMutatePersistFailure(t *testing.T) {
+	catDir := t.TempDir()
+	s, ts, vp := newValueFixture(t, Config{C: 0.5, CatalogDir: catDir})
+	for _, req := range []BuildRequest{
+		{Dataset: "vds", Family: "histogram", Metric: "SSE", Budget: 3},
+		{Dataset: "vds", Family: "wavelet", Metric: "SAE", Budget: 2},
+	} {
+		req.Wait = true
+		if resp, _, bad := postSweep(t, ts, req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("sweep %+v: %d %v", req, resp.StatusCode, bad)
+		}
+	}
+	item := ItemPDFWire{Entries: []FreqProbWire{{Freq: 3, Prob: 0.5}}}
+	want := vp.Clone()
+	appendItem := func() {
+		t.Helper()
+		if resp, _, bad := postMutate(t, ts, "/v1/append", MutateRequest{Dataset: "vds", Items: []ItemPDFWire{item}, Wait: true}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("append: %d %v", resp.StatusCode, bad)
+		}
+		want.Items = append(want.Items, item.toPDF())
+		want.N = len(want.Items)
+	}
+	appendItem() // retains both groups' live frontiers
+	if n := datasetLives(s, "vds"); n != 2 {
+		t.Fatalf("%d live frontiers retained, want 2", n)
+	}
+	files := func() map[string]string {
+		t.Helper()
+		des, err := os.ReadDir(catDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := map[string]string{}
+		for _, de := range des {
+			b, err := os.ReadFile(filepath.Join(catDir, de.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st[de.Name()] = string(b)
+		}
+		return st
+	}
+	filesBefore, entriesBefore := files(), s.cfg.Catalog.List()
+
+	// The dataset path becomes a directory: the handler's existence check
+	// still passes, but no rewritten file can be renamed onto it.
+	path := s.datasetPath("vds")
+	if err := os.Rename(path, path+".saved"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	resp, _, bad := postMutate(t, ts, "/v1/update", MutateRequest{Dataset: "vds", I: 4, Item: &item, Wait: true})
+	if resp.StatusCode != http.StatusInternalServerError || bad.Error.Code != CodeBuildFailed || !strings.Contains(bad.Error.Message, "persist dataset") {
+		t.Fatalf("got %d %+v, want 500 build_failed on the dataset persist", resp.StatusCode, bad)
+	}
+	if !reflect.DeepEqual(files(), filesBefore) {
+		t.Fatal("a mutation that did not persist changed the catalog directory")
+	}
+	entriesAfter := s.cfg.Catalog.List()
+	if len(entriesAfter) != len(entriesBefore) {
+		t.Fatalf("%d catalog entries after, %d before", len(entriesAfter), len(entriesBefore))
+	}
+	for i, e := range entriesAfter {
+		if e.Key != entriesBefore[i].Key || e.Synopsis != entriesBefore[i].Synopsis {
+			t.Fatalf("catalog entry %s changed", e.Key)
+		}
+	}
+	if n := datasetLives(s, "vds"); n != 0 {
+		t.Fatalf("%d live frontiers of the dataset survived a mutation that never became durable", n)
+	}
+	// A build sees the dataset that is durable, not the failed update.
+	if resp, _, bad := postBuild(t, ts, BuildRequest{Dataset: "vds", Family: "histogram", Metric: "SSE", Budget: 5, Wait: true}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("build: %d %v", resp.StatusCode, bad)
+	}
+	assertCatalogMatchesOfflineRebuild(t, catDir, want, "vds", 0.5)
+
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(path+".saved", path); err != nil {
+		t.Fatal(err)
+	}
+	appendItem()
+	assertCatalogMatchesOfflineRebuild(t, catDir, want, "vds", 0.5)
+}
+
+// TestMutateConcurrentGroups: the four frontier groups serve-mutate keeps
+// (histogram SSE and SAE, wavelet SSE, quantized wavelet SAE) absorb each
+// mutation of a seeded sequence at once, at every admission cap and
+// live-state cap; after every mutation the catalog equals an offline
+// rebuild, and the retained set is within its cap — eviction now runs
+// from concurrent liveFor calls.
+func TestMutateConcurrentGroups(t *testing.T) {
+	for _, maxBuilds := range []int{1, 2, 4} {
+		for _, maxLive := range []int{1, 0} {
+			t.Run(fmt.Sprintf("builds=%d/live=%d", maxBuilds, maxLive), func(t *testing.T) {
+				catDir := t.TempDir()
+				s, ts, vp := newValueFixture(t, Config{C: 0.5, CatalogDir: catDir, MaxLiveStates: maxLive,
+					Pool: engine.New(engine.Options{Workers: 2, MaxBuilds: maxBuilds})})
+				builds := []struct {
+					BuildRequest
+					sweep bool
+				}{
+					{BuildRequest{Family: "histogram", Metric: "SSE", Budget: 6}, true},
+					{BuildRequest{Family: "histogram", Metric: "SAE", Budget: 4}, false},
+					{BuildRequest{Family: "wavelet", Metric: "SSE", Budget: 6}, false},
+					{BuildRequest{Family: "wavelet", Metric: "SAE", Budget: 3, Quantize: 8}, true},
+				}
+				keys := 0
+				for _, b := range builds {
+					b.Dataset, b.Wait = "vds", true
+					post, n := postBuild, 1
+					if b.sweep {
+						post, n = postSweep, b.Budget
+					}
+					if resp, _, bad := post(t, ts, b.BuildRequest); resp.StatusCode != http.StatusOK {
+						t.Fatalf("build %+v: %d %v", b, resp.StatusCode, bad)
+					}
+					keys += n
+				}
+				rng := rand.New(rand.NewSource(int64(10*maxBuilds + maxLive)))
+				pdf := func() ItemPDFWire {
+					return ItemPDFWire{Entries: []FreqProbWire{
+						{Freq: float64(rng.Intn(6)), Prob: 0.25 * float64(1+rng.Intn(2))},
+						{Freq: float64(6 + rng.Intn(4)), Prob: 0.25},
+					}}
+				}
+				want := vp.Clone()
+				for step := 0; step < 6; step++ {
+					path, req := "/v1/append", MutateRequest{Dataset: "vds", Wait: true}
+					if rng.Intn(2) == 0 {
+						it := pdf()
+						path, req.I, req.Item = "/v1/update", rng.Intn(want.N), &it
+						want.Items[req.I] = it.toPDF()
+					} else {
+						for k := 1 + rng.Intn(2); k > 0; k-- {
+							req.Items = append(req.Items, pdf())
+							want.Items = append(want.Items, req.Items[len(req.Items)-1].toPDF())
+						}
+						want.N = len(want.Items)
+					}
+					resp, ok, bad := postMutate(t, ts, path, req)
+					if resp.StatusCode != http.StatusOK || ok.Republished != keys || ok.Domain != want.N {
+						t.Fatalf("step %d %s: %d %+v %v; want %d republished over %d items", step, path, resp.StatusCode, ok, bad, keys, want.N)
+					}
+					assertCatalogMatchesOfflineRebuild(t, catDir, want, "vds", 0.5)
+					if n := datasetLives(s, "vds"); n > s.cfg.MaxLiveStates {
+						t.Fatalf("step %d: %d live frontiers retained, cap %d", step, n, s.cfg.MaxLiveStates)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -58,7 +58,7 @@
 // Every write — a build, each budget of a sweep, a sharded build's merged
 // synopsis, every key a mutation republishes, the mutated dataset itself
 // — goes through internal/catalog's write path (Publish,
-// ExtractAndPublish, Mutation.Apply), the functions cmd/psyn writes a
+// ExtractAndPublish, Mutation.Republish), the functions cmd/psyn writes a
 // catalog directory with, so a served file and an offline one are the
 // same bytes by construction. What this package adds is policy: the
 // queues and their dedupe, the per-dataset locks, which live frontiers
@@ -69,7 +69,8 @@
 // lock, mutations take the write lock), so a build admitted before an
 // append can never overwrite the republished catalog with a stale
 // synopsis, and two mutations cannot interleave their live-state
-// updates.
+// updates. Within one mutation, the live frontiers of the dataset's key
+// groups absorb it concurrently, bounded by the pool's MaxBuilds.
 //
 // Errors are typed: {"error": {"code", "message"}} with codes
 // bad_request, not_found, queue_full, build_failed, shutting_down,
@@ -80,6 +81,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -367,8 +369,11 @@ func (s *Server) runJob(job *buildJob) {
 
 // datasetLock returns the dataset's coherence lock, creating it on first
 // use. Builds hold the read side for their whole build-persist-publish
-// span; mutations hold the write side across dataset persist, live
-// revalidation, and republish.
+// span; a mutation holds the write side across its whole
+// catalog.Mutation.Republish — the dataset persist and the live
+// revalidation of every frontier group, which run concurrently, then the
+// republish — so its groups' liveFor calls run alongside each other, but
+// never alongside another mutation or a build of the dataset.
 func (s *Server) datasetLock(name string) *sync.RWMutex {
 	s.dlMu.Lock()
 	defer s.dlMu.Unlock()
@@ -962,20 +967,25 @@ func (s *Server) datasetKeys(dataset string) []catalog.Key {
 	return keys
 }
 
-// mutate applies one dataset mutation under the dataset's write lock:
-// persist the mutated dataset (catalog.Mutation.Apply: dataset first),
-// swap the in-memory source, then republish every cataloged key of the
-// dataset through catalog.ExtractAndPublish from its group's live
-// frontier. Because live maintenance is bit-identical to a fresh build,
-// every republished file is byte-for-byte what an offline rebuild over
-// the mutated dataset would write.
+// mutate applies one dataset mutation under the dataset's write lock
+// through catalog.Mutation.Republish: the mutated dataset persists while
+// every cataloged key group's live frontier absorbs the mutation at once,
+// then each key republishes in key order once the dataset is on disk.
+// Because live maintenance is bit-identical to a fresh build, every
+// republished file is byte-for-byte what an offline rebuild over the
+// mutated dataset would write.
 //
-// If anything fails after the dataset swap, every catalog entry not yet
-// republished is withdrawn (memory and disk): the old synopses describe
-// data that no longer exists, and a cataloged entry short-circuits
-// /v1/build — withdrawing turns the failure into not_found answers and
-// fresh rebuilds over the mutated data instead of silently stale
-// estimates.
+// If the dataset does not persist, nothing is published and the old
+// in-memory dataset stays, but the dataset's live frontiers absorbed a
+// mutation that never became durable: they are dropped, and the next
+// mutation rebuilds them from the dataset that is on disk.
+//
+// If anything fails after the dataset persisted, the in-memory source is
+// still swapped, and every catalog entry not yet republished is withdrawn
+// (memory and disk): the old synopses describe data that no longer
+// exists, and a cataloged entry short-circuits /v1/build — withdrawing
+// turns the failure into not_found answers and fresh rebuilds over the
+// mutated data instead of silently stale estimates.
 func (s *Server) mutate(mu *mutation) (domain, republished int, err error) {
 	lock := s.datasetLock(mu.dataset)
 	lock.Lock()
@@ -988,17 +998,21 @@ func (s *Server) mutate(mu *mutation) (domain, republished int, err error) {
 	if !ok {
 		return 0, 0, fmt.Errorf("dataset %q is not a value-pdf dataset", mu.dataset)
 	}
-	next, err := mu.Apply(vp, s.datasetPath(mu.dataset))
-	if err != nil {
+	keys := s.datasetKeys(mu.dataset)
+	next, republished, err := mu.Republish(vp, s.datasetPath(mu.dataset), s.cfg.CatalogDir, s.cfg.Catalog, keys,
+		func(top catalog.Key, next *pdata.ValuePDF) (probsyn.Frontier, error) {
+			return s.liveFor(top, next, mu.Mutation)
+		})
+	if next == nil {
+		var pe *catalog.PersistError
+		if errors.As(err, &pe) {
+			s.dropLives(mu.dataset)
+		}
 		return 0, 0, err
 	}
 	s.dsMu.Lock()
 	s.datasets[mu.dataset] = next
 	s.dsMu.Unlock()
-
-	keys := s.datasetKeys(mu.dataset)
-	republished, err = catalog.ExtractAndPublish(s.cfg.CatalogDir, s.cfg.Catalog, keys,
-		func(top catalog.Key) (probsyn.Frontier, error) { return s.liveFor(top, next, mu.Mutation) })
 	if err != nil {
 		// keys[:republished] are republished (see datasetKeys); withdraw
 		// the rest.
@@ -1015,12 +1029,28 @@ func (s *Server) mutate(mu *mutation) (domain, republished int, err error) {
 	return next.N, republished, nil
 }
 
+// dropLives forgets every live frontier retained for the dataset.
+func (s *Server) dropLives(dataset string) {
+	s.livesMu.Lock()
+	defer s.livesMu.Unlock()
+	for k := range s.lives {
+		if k.Dataset == dataset {
+			delete(s.lives, k)
+		}
+	}
+}
+
 // liveFor returns the live frontier serving top's group — every cataloged
 // budget up to top.Budget — over data, the dataset mu produced: the
 // retained frontier once it has absorbed mu, or, when none is retained or
 // the cataloged budgets outgrew its request, one built over data, which
 // needs nothing. The retained set is bounded at cfg.MaxLiveStates;
 // inserting beyond it evicts the least-recently-mutated frontier.
+//
+// A mutation calls liveFor for all its groups at once, one call per group.
+// livesMu guards only the map: an absorb or build runs unlocked, and an
+// insert by one group may evict a frontier another group is absorbing
+// into, which then serves this mutation and is simply not retained.
 func (s *Server) liveFor(top catalog.Key, data *pdata.ValuePDF, mu catalog.Mutation) (probsyn.Maintainer, error) {
 	lk := top
 	lk.Budget = 0

@@ -19,41 +19,63 @@ import (
 	"probsyn/internal/pdata"
 )
 
-// Write serializes a source. Float formatting uses %.17g so a write/read
-// round trip is exact.
+// Write serializes a source. Floats are written as fmt's %.17g would
+// write them, so a write/read round trip is exact. Lines are built with
+// strconv into one reused slice, so a write allocates its buffers and
+// nothing per line.
 func Write(w io.Writer, src pdata.Source) error {
 	bw := bufio.NewWriter(w)
+	b := make([]byte, 0, 512)
+	end := func() {
+		b = append(b, '\n')
+		bw.Write(b)
+	}
+	header := func(model string, n int) {
+		b = append(append(b[:0], "model "...), model...)
+		b = strconv.AppendInt(append(b, "\ndomain "...), int64(n), 10)
+		end()
+	}
 	switch s := src.(type) {
 	case *pdata.Basic:
-		fmt.Fprintf(bw, "model basic\ndomain %d\n", s.N)
+		header("basic", s.N)
 		for _, t := range s.Tuples {
-			fmt.Fprintf(bw, "t %d %.17g\n", t.Item, t.Prob)
+			b = strconv.AppendInt(append(b[:0], "t "...), int64(t.Item), 10)
+			b = appendFloat(append(b, ' '), t.Prob)
+			end()
 		}
 	case *pdata.TuplePDF:
-		fmt.Fprintf(bw, "model tuple\ndomain %d\n", s.N)
+		header("tuple", s.N)
 		for k := range s.Tuples {
-			bw.WriteString("t")
+			b = append(b[:0], 't')
 			for _, a := range s.Tuples[k].Alts {
-				fmt.Fprintf(bw, " %d:%.17g", a.Item, a.Prob)
+				b = strconv.AppendInt(append(b, ' '), int64(a.Item), 10)
+				b = appendFloat(append(b, ':'), a.Prob)
 			}
-			bw.WriteString("\n")
+			end()
 		}
 	case *pdata.ValuePDF:
-		fmt.Fprintf(bw, "model value\ndomain %d\n", s.N)
+		header("value", s.N)
 		for i := range s.Items {
 			if len(s.Items[i].Entries) == 0 {
 				continue
 			}
-			fmt.Fprintf(bw, "v %d", i)
+			b = strconv.AppendInt(append(b[:0], "v "...), int64(i), 10)
 			for _, e := range s.Items[i].Entries {
-				fmt.Fprintf(bw, " %.17g:%.17g", e.Freq, e.Prob)
+				b = appendFloat(append(b, ' '), e.Freq)
+				b = appendFloat(append(b, ':'), e.Prob)
 			}
-			bw.WriteString("\n")
+			end()
 		}
 	default:
 		return fmt.Errorf("textio: unknown source type %T", src)
 	}
 	return bw.Flush()
+}
+
+// appendFloat appends x as %.17g writes it: fmt formats a %g verb with
+// this strconv call and prints its sign as is.
+func appendFloat(b []byte, x float64) []byte {
+	return strconv.AppendFloat(b, x, 'g', 17, 64)
 }
 
 // maxDomain bounds the domain a file may declare. The value model holds

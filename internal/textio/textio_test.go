@@ -1,12 +1,17 @@
 package textio
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
+	"probsyn/internal/gen"
 	"probsyn/internal/pdata"
 	"probsyn/internal/ptest"
 )
@@ -106,6 +111,101 @@ func TestReadErrors(t *testing.T) {
 		if _, err := Read(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: Read accepted invalid input", name)
 		}
+	}
+}
+
+// fmtWrite is Write as it was written with fmt: the reference the
+// strconv writer must match byte for byte.
+func fmtWrite(w io.Writer, src pdata.Source) error {
+	bw := bufio.NewWriter(w)
+	switch s := src.(type) {
+	case *pdata.Basic:
+		fmt.Fprintf(bw, "model basic\ndomain %d\n", s.N)
+		for _, t := range s.Tuples {
+			fmt.Fprintf(bw, "t %d %.17g\n", t.Item, t.Prob)
+		}
+	case *pdata.TuplePDF:
+		fmt.Fprintf(bw, "model tuple\ndomain %d\n", s.N)
+		for k := range s.Tuples {
+			bw.WriteString("t")
+			for _, a := range s.Tuples[k].Alts {
+				fmt.Fprintf(bw, " %d:%.17g", a.Item, a.Prob)
+			}
+			bw.WriteString("\n")
+		}
+	case *pdata.ValuePDF:
+		fmt.Fprintf(bw, "model value\ndomain %d\n", s.N)
+		for i := range s.Items {
+			if len(s.Items[i].Entries) == 0 {
+				continue
+			}
+			fmt.Fprintf(bw, "v %d", i)
+			for _, e := range s.Items[i].Entries {
+				fmt.Fprintf(bw, " %.17g:%.17g", e.Freq, e.Prob)
+			}
+			bw.WriteString("\n")
+		}
+	default:
+		return fmt.Errorf("textio: unknown source type %T", src)
+	}
+	return bw.Flush()
+}
+
+// TestWriteMatchesFmt: Write's bytes are the fmt reference's for the
+// three generated datasets and for edge floats in every float position:
+// signed zeros, the smallest subnormal and others, the largest finite,
+// where %g switches to an exponent, 17-digit values and infinities.
+func TestWriteMatchesFmt(t *testing.T) {
+	edges := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2250738585072009e-308, 1.5e-310,
+		math.SmallestNonzeroFloat64 * 3, math.MaxFloat64, -math.MaxFloat64, 1e21, 1e20, 123456789012345678,
+		0.1, 1.0 / 3, 2.0 / 3, 0.30000000000000004, 9007199254740993, 1e-5, 1e-4, 1e16, 1e17,
+		0.12345678901234567, -1.2345678901234567e-100, math.Inf(1), math.Inf(-1), math.NaN()}
+	basic := &pdata.Basic{N: 1 << 30}
+	tuple := &pdata.TuplePDF{N: 7}
+	value := &pdata.ValuePDF{N: len(edges) + 1, Items: make([]pdata.ItemPDF, len(edges)+1)}
+	for i, x := range edges {
+		basic.Tuples = append(basic.Tuples, pdata.BasicTuple{Item: i * 1e6, Prob: x})
+		tuple.Tuples = append(tuple.Tuples, pdata.Tuple{Alts: []pdata.Alternative{{Item: i % 7, Prob: x}, {Item: -i, Prob: -x}}})
+		value.Items[i].Entries = []pdata.FreqProb{{Freq: x, Prob: edges[len(edges)-1-i]}, {Freq: -x, Prob: x}}
+	}
+	sources := map[string]pdata.Source{
+		"mystiq":      gen.MystiQLinkage(rand.New(rand.NewSource(1)), gen.DefaultMystiQ(512)),
+		"tpch":        gen.TPCHLineitem(rand.New(rand.NewSource(1)), gen.DefaultTPCH(512, 2048)),
+		"sensor":      gen.SensorGrid(rand.New(rand.NewSource(1)), gen.DefaultSensor(512)),
+		"basic edges": basic, "tuple edges": tuple, "value edges": value,
+		"empty tuple": &pdata.TuplePDF{N: 1, Tuples: []pdata.Tuple{{}}},
+	}
+	for name, src := range sources {
+		var got, want bytes.Buffer
+		if err := Write(&got, src); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := fmtWrite(&want, src); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			g, w := got.String(), want.String()
+			for i := 0; i < len(g) && i < len(w); i++ {
+				if g[i] != w[i] {
+					lo := max(0, i-40)
+					t.Fatalf("%s: Write differs from %%.17g at byte %d:\n got %q\nwant %q", name, i, g[lo:min(len(g), i+40)], w[lo:min(len(w), i+40)])
+				}
+			}
+			t.Fatalf("%s: Write wrote %d bytes, %%.17g %d", name, len(g), len(w))
+		}
+	}
+}
+
+// TestWriteAllocations: a dataset write allocates its two buffers and
+// nothing per line (a line past 512 bytes would grow the line buffer).
+func TestWriteAllocations(t *testing.T) {
+	src := gen.SensorGrid(rand.New(rand.NewSource(1)), gen.DefaultSensor(512))
+	if n := testing.AllocsPerRun(10, func() {
+		if err := Write(io.Discard, src); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Fatalf("Write allocated %v times, want at most 2", n)
 	}
 }
 
