@@ -153,9 +153,10 @@ func BenchmarkAblateTupleSSEClosedForm(b *testing.B) {
 	}
 }
 
-// Exact DP vs the (1+eps)-approximate DP of Theorem 5, in the B << n
-// regime where the approximation's compressed levels pay off (see
-// DESIGN.md: at B ~ n/10 the exact DP is already as fast).
+// Exact DP vs the (1+eps)-approximate DP of Theorem 5 at n=4096, B=16:
+// below the approximation's crossover, so the pruned exact DP is the
+// faster one here (DESIGN.md finding 5: at B=16 the approximation wins
+// only from n=32768 at eps >= 0.5).
 func BenchmarkAblateExactDP(b *testing.B) {
 	src := benchLinkage(4096)
 	o, err := hist.NewOracle(src, metric.SSE, metric.Params{})
@@ -588,41 +589,30 @@ func BenchmarkMonteCarloEvaluation(b *testing.B) {
 
 // --- incremental maintenance -------------------------------------------------
 
-// The incremental benchmarks prove the live-maintenance acceptance
-// target: at n=1024 (padded, for wavelets), B=32, one live mutation —
-// including the revalidated frontier it leaves behind — must be >= 5x
-// cheaper than a from-scratch BuildSweep over the same data. Each family
-// is measured where its incremental path applies: histogram updates land
-// near the domain tail (re-DP cost is proportional to the columns right
-// of the update), wavelet updates are mean-preserving corrections (the
-// dirty-path repair; mean-changing updates re-run the forward sweep),
-// and wavelet appends ride the SSE family (DP-family appends move every
-// path coefficient's expected value, which is a full resweep by design —
-// see DESIGN.md "Incremental maintenance").
+// The incremental benchmarks measure what the histogram's retained DP
+// table buys: at n=1024, B=32, one live mutation — including the
+// revalidated frontier it leaves behind — against a from-scratch
+// BuildSweep over the same data. Updates land near the domain tail,
+// where the re-DP is proportional to the columns right of the update. A
+// live wavelet frontier sweeps afresh on every mutation, so its cost is
+// the rebuild row's (DESIGN.md "Incremental maintenance").
 
 const incrB = 32
 
-// incrHistSource: the histogram benches run at the acceptance n directly.
 func incrHistSource() *probsyn.ValuePDF {
 	return gen.SensorGrid(rand.New(rand.NewSource(42)), gen.DefaultSensor(1024))
 }
 
-// incrWaveSource: logical 1008 pads to the acceptance n=1024 and leaves
-// 16 slots so appends stay inside the padding between live rebuilds.
-func incrWaveSource() *probsyn.ValuePDF {
-	return gen.SensorGrid(rand.New(rand.NewSource(42)), gen.DefaultSensor(1008))
-}
-
-// Exactly-mean-1 pdfs: alternating between them is a mean-preserving
-// correction (0.5*2 == 0.25*1 + 0.25*3), the wavelet fast path.
+// Two exactly-mean-1 pdfs (0.5*2 == 0.25*1 + 0.25*3) the update
+// alternates between.
 var (
 	incrItemA = probsyn.ItemPDF{Entries: []probsyn.FreqProb{{Freq: 2, Prob: 0.5}}}
 	incrItemB = probsyn.ItemPDF{Entries: []probsyn.FreqProb{{Freq: 1, Prob: 0.25}, {Freq: 3, Prob: 0.25}}}
 )
 
-func mustBuildLive(b *testing.B, src *probsyn.ValuePDF, m probsyn.Metric, opts ...probsyn.BuildOption) probsyn.Maintainer {
+func mustBuildLive(b *testing.B, src *probsyn.ValuePDF) probsyn.Maintainer {
 	b.Helper()
-	live, err := probsyn.BuildLive(src, m, incrB, opts...)
+	live, err := probsyn.BuildLive(src, probsyn.SSE, incrB)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -632,7 +622,7 @@ func mustBuildLive(b *testing.B, src *probsyn.ValuePDF, m probsyn.Metric, opts .
 func BenchmarkIncrementalUpdate(b *testing.B) {
 	b.Run("histogram-live", func(b *testing.B) {
 		src := incrHistSource()
-		live := mustBuildLive(b, src, probsyn.SSE)
+		live := mustBuildLive(b, src)
 		at := src.N - 64 // tail correction: 64 suffix columns re-run
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -654,77 +644,29 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 			}
 		}
 	})
-	b.Run("wavelet-live", func(b *testing.B) {
-		src := incrWaveSource()
-		live := mustBuildLive(b, src, probsyn.SAE, probsyn.WithWavelet())
-		at := src.N / 2
-		if err := live.Update(at, incrItemA); err != nil { // pin an exact mean (untimed)
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			it := incrItemB
-			if i%2 == 1 {
-				it = incrItemA
-			}
-			if err := live.Update(at, it); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("wavelet-rebuild", func(b *testing.B) {
-		src := incrWaveSource()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := probsyn.BuildSweep(src, probsyn.SAE, incrB, probsyn.WithWavelet()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 func BenchmarkIncrementalAppend(b *testing.B) {
-	appendLoop := func(b *testing.B, build func() probsyn.Maintainer, capacity int) {
-		b.Helper()
+	b.Run("histogram-live", func(b *testing.B) {
+		src := incrHistSource()
 		var live probsyn.Maintainer
-		used := 0
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if live == nil || used == capacity {
+			if i%64 == 0 { // a fresh frontier every 64 appends keeps n near 1024
 				b.StopTimer()
-				live, used = build(), 0
+				live = mustBuildLive(b, src)
 				b.StartTimer()
 			}
 			if err := live.Append([]probsyn.ItemPDF{incrItemA}); err != nil {
 				b.Fatal(err)
 			}
-			used++
 		}
-	}
-	b.Run("histogram-live", func(b *testing.B) {
-		src := incrHistSource()
-		appendLoop(b, func() probsyn.Maintainer { return mustBuildLive(b, src, probsyn.SSE) }, 64)
 	})
 	b.Run("histogram-rebuild", func(b *testing.B) {
 		src := incrHistSource()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := probsyn.BuildSweep(src, probsyn.SSE, incrB); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("wavelet-live", func(b *testing.B) {
-		src := incrWaveSource()
-		appendLoop(b, func() probsyn.Maintainer {
-			return mustBuildLive(b, src, probsyn.SSE, probsyn.WithWavelet())
-		}, 16)
-	})
-	b.Run("wavelet-rebuild", func(b *testing.B) {
-		src := incrWaveSource()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := probsyn.BuildSweep(src, probsyn.SSE, incrB, probsyn.WithWavelet()); err != nil {
 				b.Fatal(err)
 			}
 		}

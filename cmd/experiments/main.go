@@ -403,8 +403,11 @@ func (c *config) ablateStraddle(w io.Writer) error {
 // ablateApprox quantifies Theorem 5's trade-off: (1+eps)-approximate DP
 // versus the exact DP, cost ratio and speedup. The approximation's level
 // compression keeps ~(2B/eps)·ln(errorRange) candidate split points per
-// cell instead of n, so it wins when B << n — the "larger relations"
-// regime §3.5 targets; for B ~ n/10 the exact DP is already as fast.
+// cell instead of n, so it can only win when B << n — the "larger
+// relations" regime §3.5 targets. Against the pruned exact DP at B=16 it
+// loses at n=8192 (the default -n 2048) for every eps < 1, and wins from
+// n=32768 (-n 8192, or -full) at eps >= 0.5 and from n=65536 at
+// eps >= 0.25; eps <= 0.1 loses at all three (DESIGN.md finding 5).
 func (c *config) ablateApprox(w io.Writer) error {
 	n := c.size(4*c.n, 32768)
 	src, _ := c.linkage(n)

@@ -27,7 +27,7 @@
 // every key-encoded synopsis for that dataset in the -out catalog
 // directory is rewritten from one sweep per (family, metric, c, q) group
 // over the merged data — the files a psynd POST /v1/append republishes
-// from its retained DP state, through the same write path:
+// from its live frontiers, through the same write path:
 //
 //	psyn -input data.pd -append more.pd -dataset ds -out ./catalog -save-data data.pd
 //

@@ -1,9 +1,10 @@
 // Live maintenance: build both synopsis families as live frontiers over
 // an uncertain relation, absorb a batch of appended items and an
-// in-place correction without rebuilding, and print the before/after
-// cost frontiers. Every extraction from a live frontier is byte-identical
-// to a from-scratch BuildSweep over the current data — the append just
-// costs a fraction of one.
+// in-place correction, and print the before/after cost frontiers. Every
+// extraction from a live frontier is byte-identical to a from-scratch
+// BuildSweep over the current data. The histogram's append costs a
+// fraction of one (its retained DP table runs only the new columns); the
+// wavelet frontier runs one fresh sweep per mutation.
 //
 // Run with: go run ./examples/live
 package main
@@ -36,8 +37,7 @@ func main() {
 		}
 	}
 	// Item 4's reading is a single uncertain observation with an exactly
-	// representable mean (0.5·8 = 4), so the correction below can
-	// preserve it bit-for-bit.
+	// representable mean (0.5·8 = 4), which the correction below keeps.
 	vp.Items[4] = probsyn.ItemPDF{Entries: []probsyn.FreqProb{{Freq: 8, Prob: 0.5}}}
 	if err := vp.Validate(); err != nil {
 		log.Fatal(err)
@@ -68,8 +68,8 @@ func main() {
 	}
 	// And item 4's reading is corrected in place: the expected value is
 	// preserved exactly (0.25·7 + 0.25·9 = 0.5·8 = 4), only the spread
-	// changes — for the wavelet DP this is the mean-preserving case that
-	// repairs only the dirty root-to-leaf path instead of resweeping.
+	// changes. The histogram re-runs the DP columns from item 4 on; the
+	// wavelet frontier sweeps the corrected data afresh.
 	corrected := probsyn.ItemPDF{Entries: []probsyn.FreqProb{{Freq: 7, Prob: 0.25}, {Freq: 9, Prob: 0.25}}}
 	for _, live := range []probsyn.Maintainer{hist, wave} {
 		if err := live.Update(4, corrected); err != nil {
@@ -81,7 +81,7 @@ func main() {
 	printCosts("histogram/SSE after ", hist)
 	printCosts("wavelet/SAE   after ", wave)
 
-	// The frontiers answer queries immediately — no rebuild happened.
+	// The frontiers answer queries over the mutated data at once.
 	syn, err := hist.Synopsis(B)
 	if err != nil {
 		log.Fatal(err)

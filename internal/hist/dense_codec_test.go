@@ -82,27 +82,29 @@ func TestLivePrunedBytesMatchDenseFresh(t *testing.T) {
 	for _, k := range []metric.Kind{metric.SSE, metric.MARE} {
 		rng := rand.New(rand.NewSource(99))
 		cur := ptest.RandomValuePDF(rng, 17, 3)
-		mk := func(v *pdata.ValuePDF) (hist.Oracle, error) { return hist.NewOracle(v, k, p) }
-		live, err := hist.NewLiveDP(cur, mk, B, engine.New(engine.Options{Workers: 2, Grain: 1}))
+		mk := func(v *pdata.ValuePDF) hist.Oracle {
+			o, err := hist.NewOracle(v, k, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return o
+		}
+		live, err := hist.NewLiveDP(mk(cur), B, engine.New(engine.Options{Workers: 2, Grain: 1}))
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
 		for step := 0; step < 6; step++ {
 			item := ptest.RandomValuePDF(rng, 1, 3).Items[0]
-			if i := rng.Intn(cur.N + 1); i < cur.N {
+			i := rng.Intn(cur.N + 1)
+			if i < cur.N {
 				cur.Items[i] = item
-				err = live.Update(i, item)
 			} else {
 				cur.Items = append(cur.Items, item)
 				cur.N++
-				err = live.Append([]pdata.ItemPDF{item})
 			}
-			if err != nil {
+			o := mk(cur)
+			if err := live.Resume(o, i); err != nil {
 				t.Fatalf("%v step %d: %v", k, step, err)
-			}
-			o, err := mk(cur)
-			if err != nil {
-				t.Fatal(err)
 			}
 			dense := hist.DenseTable(o, B)
 			for b := 1; b <= B; b++ {

@@ -431,35 +431,12 @@ func TestLiveDPPrunedMatchesDenseFresh(t *testing.T) {
 		mk := func(v *pdata.ValuePDF) (Oracle, error) { return NewOracle(v, k, p) }
 		pool := engine.New(engine.Options{Workers: 3, Grain: 1})
 		const B = 6
-		live, err := NewLiveDP(vp, mk, B, pool)
+		live, err := NewLiveDP(mustOracle(t, mk, vp), B, pool)
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
-		cur := vp.Clone()
 		for step := 0; step < 8; step++ {
-			if rng.Intn(2) == 0 {
-				items := []pdata.ItemPDF{liveRandItem(rng), liveRandItem(rng)}
-				for _, it := range items {
-					cur.Items = append(cur.Items, it.Clone())
-				}
-				cur.N = len(cur.Items)
-				if err := live.Append(items); err != nil {
-					t.Fatalf("%v step %d append: %v", k, step, err)
-				}
-			} else {
-				i := rng.Intn(cur.N)
-				it := liveRandItem(rng)
-				cur.Items[i] = it.Clone()
-				if err := live.Update(i, it); err != nil {
-					t.Fatalf("%v step %d update: %v", k, step, err)
-				}
-			}
-			o, err := mk(cur)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dense := denseTable(o, B)
-			tablesIdentical(t, dense, live.Table())
+			tablesIdentical(t, denseTable(liveMutate(t, rng, live, vp, mk), B), live.Table())
 		}
 	}
 }

@@ -33,6 +33,36 @@ func liveRandVP(rng *rand.Rand, n int) *pdata.ValuePDF {
 	return vp
 }
 
+// mustOracle builds an oracle the test cannot go on without.
+func mustOracle(t *testing.T, mk func(*pdata.ValuePDF) (Oracle, error), vp *pdata.ValuePDF) Oracle {
+	t.Helper()
+	o, err := mk(vp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+// liveMutate applies one random mutation to vp — an append of two items
+// or an in-place update — resumes live over it, and returns the oracle
+// over the mutated data.
+func liveMutate(t *testing.T, rng *rand.Rand, live *LiveDP, vp *pdata.ValuePDF, mk func(*pdata.ValuePDF) (Oracle, error)) Oracle {
+	t.Helper()
+	from := vp.N
+	if rng.Intn(2) == 0 {
+		vp.Items = append(vp.Items, liveRandItem(rng), liveRandItem(rng))
+		vp.N = len(vp.Items)
+	} else {
+		from = rng.Intn(vp.N)
+		vp.Items[from] = liveRandItem(rng)
+	}
+	o := mustOracle(t, mk, vp)
+	if err := live.Resume(o, from); err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
 // TestLiveDPMatchesFresh drives a live DP table through a random mutation
 // sequence and checks, after every mutation, that the maintained table is
 // deep-equal to a from-scratch DP over the mutated data — costs AND
@@ -46,34 +76,12 @@ func TestLiveDPMatchesFresh(t *testing.T) {
 			mk := func(v *pdata.ValuePDF) (Oracle, error) { return NewOracle(v, k, p) }
 			pool := engine.New(engine.Options{Workers: workers, Grain: 1})
 			const B = 5
-			live, err := NewLiveDP(vp, mk, B, pool)
+			live, err := NewLiveDP(mustOracle(t, mk, vp), B, pool)
 			if err != nil {
 				t.Fatalf("%v: %v", k, err)
 			}
-			cur := vp.Clone()
 			for step := 0; step < 10; step++ {
-				if rng.Intn(2) == 0 {
-					items := []pdata.ItemPDF{liveRandItem(rng), liveRandItem(rng)}
-					for _, it := range items {
-						cur.Items = append(cur.Items, it.Clone())
-					}
-					cur.N = len(cur.Items)
-					if err := live.Append(items); err != nil {
-						t.Fatalf("%v step %d append: %v", k, step, err)
-					}
-				} else {
-					i := rng.Intn(cur.N)
-					it := liveRandItem(rng)
-					cur.Items[i] = it.Clone()
-					if err := live.Update(i, it); err != nil {
-						t.Fatalf("%v step %d update: %v", k, step, err)
-					}
-				}
-				o, err := mk(cur)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fresh, err := RunDPPool(o, B, pool)
+				fresh, err := RunDPPool(liveMutate(t, rng, live, vp, mk), B, pool)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -105,34 +113,6 @@ func TestLiveDPMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestLiveDPValidation covers the mutation guard rails.
-func TestLiveDPValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	vp := liveRandVP(rng, 8)
-	mk := func(v *pdata.ValuePDF) (Oracle, error) { return NewOracle(v, metric.SSE, metric.Params{}) }
-	live, err := NewLiveDP(vp, mk, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := live.Update(8, pdata.ItemPDF{}); err == nil {
-		t.Fatal("out-of-domain update accepted")
-	}
-	bad := pdata.ItemPDF{Entries: []pdata.FreqProb{{Freq: 1, Prob: 1.5}}}
-	if err := live.Update(0, bad); err == nil {
-		t.Fatal("invalid pdf accepted by Update")
-	}
-	if err := live.Append([]pdata.ItemPDF{bad}); err == nil {
-		t.Fatal("invalid pdf accepted by Append")
-	}
-	if err := live.Append(nil); err != nil {
-		t.Fatalf("empty append: %v", err)
-	}
-	// A rejected mutation must leave the table as it was.
-	if got := live.Domain(); got != 8 {
-		t.Fatalf("domain %d after rejected mutations, want 8", got)
-	}
-}
-
 // TestLiveDPBudgetUnclamps: a budget clamped by a small initial domain
 // grows with the domain, exactly as a fresh DP over the grown data would.
 // The cases put the growth on the tile grid's edges: within the first
@@ -144,30 +124,23 @@ func TestLiveDPBudgetUnclamps(t *testing.T) {
 		for _, workers := range []int{1, 3} {
 			rng := rand.New(rand.NewSource(11))
 			vp := liveRandVP(rng, tc.n)
-			live, err := NewLiveDP(vp, mk, tc.B, engine.New(engine.Options{Workers: workers}))
+			live, err := NewLiveDP(mustOracle(t, mk, vp), tc.B, engine.New(engine.Options{Workers: workers}))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := live.Table().Bmax(); got != tc.n {
 				t.Fatalf("n=%d B=%d: initial Bmax %d, want %d (clamped)", tc.n, tc.B, got, tc.n)
 			}
-			cur := vp.Clone()
-			var items []pdata.ItemPDF
 			for i := 0; i < tc.grow; i++ {
-				it := liveRandItem(rng)
-				items = append(items, it)
-				cur.Items = append(cur.Items, it.Clone())
+				vp.Items = append(vp.Items, liveRandItem(rng))
 			}
-			cur.N = len(cur.Items)
-			if err := live.Append(items); err != nil {
+			vp.N = len(vp.Items)
+			o := mustOracle(t, mk, vp)
+			if err := live.Resume(o, tc.n); err != nil {
 				t.Fatal(err)
 			}
-			if got, want := live.Table().Bmax(), min(tc.B, cur.N); got != want {
+			if got, want := live.Table().Bmax(), min(tc.B, vp.N); got != want {
 				t.Fatalf("n=%d B=%d +%d: post-append Bmax %d, want %d", tc.n, tc.B, tc.grow, got, want)
-			}
-			o, err := mk(cur)
-			if err != nil {
-				t.Fatal(err)
 			}
 			tablesIdentical(t, denseTable(o, tc.B), live.Table())
 		}

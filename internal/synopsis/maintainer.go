@@ -2,21 +2,21 @@ package synopsis
 
 import "probsyn/internal/pdata"
 
-// Maintainer is a live Frontier: a budget frontier whose underlying
-// dynamic-program state is retained after the build so the synopsis can
-// absorb data mutations without recomputing from scratch. Mutations are
-// defined over the value-pdf model — the one model in which "item i's
-// frequency distribution" is a first-class, independently replaceable
-// object — so Append extends the ordered domain with new item pdfs and
-// Update replaces one item's pdf in place.
+// Maintainer is a live Frontier: a budget frontier that keeps its data
+// and absorbs mutations of it. Mutations are defined over the value-pdf
+// model — the one model in which "item i's frequency distribution" is a
+// first-class, independently replaceable object — so Append extends the
+// ordered domain with new item pdfs and Update replaces one item's pdf in
+// place.
 //
 // The maintenance contract extends the Frontier determinism contract:
 // after any sequence of Append/Update calls, Synopsis(b) is bit-identical
 // (and therefore codec-byte-identical) to a fresh frontier built over the
 // mutated data with the same configuration, at every budget and every
-// worker count. How much work a mutation saves is family- and
-// mutation-dependent (see internal/hist and internal/wavelet); what it
-// returns is not.
+// worker count. What a mutation costs is family-dependent — a histogram
+// resumes its retained DP table (internal/hist's LiveDP), a wavelet
+// frontier runs a fresh sweep over the mutated data; what it returns is
+// not.
 //
 // A Maintainer is not safe for concurrent mutation; callers serialize
 // Append/Update against each other and against extraction (the serving

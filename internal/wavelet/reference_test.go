@@ -345,45 +345,6 @@ func TestTreeDPStatsPerLevel(t *testing.T) {
 	}
 }
 
-// TestTreeDPRepairMatchesReference: after a dirty-path repair the
-// maintained tables are the reference's over the mutated data.
-func TestTreeDPRepairMatchesReference(t *testing.T) {
-	p := metric.Params{C: 0.5}
-	for _, kind := range []metric.Kind{metric.SAE, metric.MAE, metric.SSRE} {
-		for _, q := range []int{0, 4} {
-			rng := rand.New(rand.NewSource(int64(31 + q)))
-			vp := liveRandVP(rng, 32)
-			lv, err := NewLive(vp, RestrictedFamily, kind, p, 6, q, engine.New(engine.Options{Workers: 2, Grain: 1}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for step := 0; step < 6; step++ {
-				// Mean-preserving: split one entry's mass around its frequency.
-				i := rng.Intn(32)
-				item := lv.vp.Items[i].Clone()
-				if len(item.Entries) == 0 || item.Entries[0].Freq < 1 {
-					continue
-				}
-				e := item.Entries[0]
-				item.Entries = append(item.Entries[1:],
-					pdata.FreqProb{Freq: e.Freq - 1, Prob: e.Prob / 2}, pdata.FreqProb{Freq: e.Freq + 1, Prob: e.Prob / 2})
-				before := lv.FastRepairs()
-				if err := lv.Update(i, item); err != nil {
-					t.Fatal(err)
-				}
-				if lv.FastRepairs() == before {
-					continue // rounding moved a coefficient: a resweep, covered elsewhere
-				}
-				want := refTables(lv.d, refErr(t, lv.vp, lv.pe, kind, p))
-				assertTablesEqual(t, fmt.Sprintf("%v/q=%d/step %d", kind, q, step), lv.d, lv.d.res, want)
-			}
-			if lv.FastRepairs() == 0 {
-				t.Fatalf("%v/q=%d: no mutation took the repair path", kind, q)
-			}
-		}
-	}
-}
-
 // TestTreeDPMatchesReferenceAtScale is the same comparison on the
 // benchmark's three DP shapes (bench/builds.go's wavelet-dp round), and
 // holds their work counters to the unit (scanned + pruned is the dense

@@ -45,8 +45,8 @@ func (r *SSEReport) ErrorPercent() float64 {
 // (Theorem 7): the Haar transform of the expected frequencies — by
 // linearity these are the expected coefficients — in magnitude order, of
 // which a budget-b synopsis keeps the first b, each at its expected value,
-// and the two sums its error accounting needs. The SSE sweep, BuildSSE and
-// the live frontier all extract from one.
+// and the two sums its error accounting needs. The SSE sweep and BuildSSE
+// both extract from one.
 type sseGreedy struct {
 	c     []float64 // expected coefficients over the zero-padded domain
 	order []int     // haar.TopK's total order: |normalized| desc, index asc
@@ -64,11 +64,9 @@ func newSSEGreedy(src pdata.Source) *sseGreedy {
 	return g
 }
 
-// sums re-derives the error accounting from g.c and the per-item
-// variances.
+// sums derives the error accounting from g.c and the per-item variances.
 func (g *sseGreedy) sums(variances []float64) {
 	n := len(g.c)
-	g.totalMuSq = 0
 	for i, v := range g.c {
 		nv := v * haar.NormFactor(i, n)
 		g.totalMuSq += nv * nv

@@ -86,8 +86,7 @@ func (s *Sweep) Synopsis(b int) (*Synopsis, error) {
 	return s.at(b), nil
 }
 
-// Family selects which wavelet construction a Sweep or a Live frontier
-// runs.
+// Family selects which wavelet construction a Sweep runs.
 type Family int
 
 const (

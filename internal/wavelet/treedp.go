@@ -93,11 +93,11 @@ type treeDP struct {
 	bhi   [][]float64
 	gstep [][]float64 // gstep[l][i]: grid step on quantized levels, else 0
 
-	// Work of every solveStates call so far (forward sweep plus repairs),
-	// added once per call under mu: budget splits merge evaluated, the
-	// rest of the dense scan's splits (clamped, saturated, or off the
-	// crossing), and PointErrors.Err calls. All three are sums over
-	// states, so they are the same at every worker count.
+	// Work of the forward sweep's solveStates calls, added once per call
+	// under mu: budget splits merge evaluated, the rest of the dense
+	// scan's splits (clamped, saturated, or off the crossing), and
+	// PointErrors.Err calls. All three are sums over states, so they are
+	// the same at every worker count.
 	mu    sync.Mutex
 	stats hist.DPStats
 }
@@ -343,7 +343,7 @@ func (d *treeDP) buildGrids() {
 // local index i: the index of the nearest of the quant evenly spaced
 // points spanning the node's bounds. Pure float arithmetic on (v, the
 // node's fixed bounds) — independent of worker count and call site, so
-// forward sweeps, repairs, and backtracks bucket identically.
+// forward sweeps and backtracks bucket identically.
 func (d *treeDP) snap(l, i int, v float64) int {
 	step := d.gstep[l][i]
 	if step == 0 {
@@ -401,8 +401,7 @@ func (d *treeDP) solveLevel(l int) {
 // internal level, whose leaf children are priced inline, and a level
 // above a quantized one, whose transitions snap. Every state is an
 // independent slot, so any partition of a level into solveStates calls —
-// the pool's chunks, a repair's dirty blocks — produces bit-identical
-// tables.
+// the pool's chunks at any worker count — produces bit-identical tables.
 func (d *treeDP) solveStates(l, lo, hi int) {
 	offs := d.offs[l]
 	first := 1 << l
@@ -776,109 +775,9 @@ func (d *treeDP) walkLeaf(j int, v float64, b int, keep *[]coefChoice) {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Dirty-path repair: incremental maintenance of the kept level tables.
-//
-// A state block's entries depend on (a) the point errors of the items in
-// its subtree, (b) the candidate values of the node itself and of the
-// finest-level nodes it evaluates inline, and (c) its states' incoming
-// values — sums of *ancestor* candidate values. So a mutation of item i
-// whose effect on the candidate sets is confined to i's two finest path
-// nodes (in particular: a correction that leaves every expected frequency
-// — and hence every expected coefficient — unchanged, the mean-preserving
-// case) invalidates exactly the blocks of the O(log n) nodes on i's
-// root-to-leaf path: every other block's inputs are value-identical, and
-// the dirty blocks' incoming values come from clean ancestor candidates,
-// so they stand. repair re-runs those blocks through the same solveStates
-// code the forward sweep uses, bottom-up, so the patched tables are
-// bit-identical to a from-scratch sweep over the mutated data. Mutations
-// that change candidates higher in the tree shift the incoming values of
-// entire subtrees and need a full forward resweep (wavelet.Live decides
-// which path applies; see canRepair).
-
 // pathLocal returns the local (within-level) index of the level-l
 // ancestor node of leaf item it.
 func (d *treeDP) pathLocal(l, it int) int { return it >> (d.levels - l) }
-
-// canRepair reports whether the blocks invalidated by mutating
-// dirtyItems, given the set of coefficients whose candidate lists changed
-// value (same lengths — a length change reshapes the layout and always
-// forces a rebuild), are exactly the dirty items' path blocks. That holds
-// when every changed coefficient lives at the two finest levels of a
-// dirty item's path: a finest-level (leaf) node's candidates are only
-// read inline by its parent's block and by the backtrack, and a
-// last-internal-level node's candidates only shape its own block's
-// decisions — neither reaches any other block's incoming values.
-func (d *treeDP) canRepair(dirtyItems []int, changed []int) bool {
-	if d.levels < 2 {
-		return true // n == 2: no tables are materialized at all
-	}
-	L := d.levels
-	onPath := func(l, j int) bool {
-		for _, it := range dirtyItems {
-			if (1<<l)+d.pathLocal(l, it) == j {
-				return true
-			}
-		}
-		return false
-	}
-	for _, j := range changed {
-		if j == 0 {
-			return false // c0 feeds every incoming value
-		}
-		switch l := bits.Len(uint(j)) - 1; {
-		case l == L-1:
-			if !onPath(L-2, j/2) {
-				return false
-			}
-		case l == L-2:
-			if !onPath(L-2, j) {
-				return false
-			}
-		default:
-			return false // higher-level candidates shift whole subtrees
-		}
-	}
-	return true
-}
-
-// repair recomputes the state blocks of the dirty items' path nodes,
-// bottom-up: the last internal level's blocks first, then each ancestor
-// level's blocks from the freshly patched level below. The retained
-// incoming values (d.vals) are re-read as they are: canRepair refused any
-// change above the two finest levels, and a kept level's values depend
-// only on the candidates of strict ancestors above them. The caller must
-// have established canRepair and already swapped the mutated pe/cands
-// into d.
-func (d *treeDP) repair(dirtyItems []int) {
-	if d.levels < 2 {
-		return // n == 2: extraction reads pe/cands directly
-	}
-	locals := uniqueLocals(dirtyItems, func(it int) int { return d.pathLocal(d.levels-2, it) })
-	for l := d.levels - 2; l >= 0; l-- {
-		for _, i := range locals {
-			d.solveStates(l, d.offs[l][i], d.offs[l][i+1])
-		}
-		locals = uniqueLocals(locals, func(child int) int { return child >> 1 })
-	}
-}
-
-// uniqueLocals maps xs through f and returns the sorted distinct results.
-func uniqueLocals(xs []int, f func(int) int) []int {
-	out := make([]int, 0, len(xs))
-	for _, x := range xs {
-		out = append(out, f(x))
-	}
-	sort.Ints(out)
-	w := 0
-	for _, v := range out {
-		if w == 0 || out[w-1] != v {
-			out[w] = v
-			w++
-		}
-	}
-	return out[:w]
-}
 
 // errorBound bounds the quantized DP's additive suboptimality: the true
 // expected error of any synopsis it extracts is within the returned

@@ -10,16 +10,14 @@ import (
 	"probsyn/internal/wavelet"
 )
 
-// Maintainer is a live Frontier: the build's dynamic-program state is
-// retained, so the frontier can absorb Append/Update mutations of the
-// underlying data without a from-scratch rebuild, while every extraction
-// stays byte-identical to a fresh BuildSweep over the mutated data. See
-// BuildLive.
+// Maintainer is a live Frontier: it absorbs Append/Update mutations of the
+// underlying data, and every extraction stays byte-identical to a fresh
+// BuildSweep over the mutated data. See BuildLive.
 type Maintainer = synopsis.Maintainer
 
 // BuildLive is BuildSweep's maintainable twin: the same one-DP-serves-
 // every-budget frontier, built with the same functional options, but
-// returned as a Maintainer whose retained state absorbs data mutations.
+// returned as a Maintainer that absorbs data mutations.
 //
 // Maintenance is defined over the value-pdf model — the one model in
 // which "item i's distribution" is an independently replaceable object —
@@ -28,21 +26,23 @@ type Maintainer = synopsis.Maintainer
 //
 // What a mutation costs:
 //
-//   - histogram: Append runs only the new suffix columns of the DP;
+//   - histogram: the retained DP table resumes at the first column the
+//     mutation can have changed. Append runs only the new suffix columns;
 //     Update re-runs the columns right of the updated item (hot-tail
 //     corrections are nearly free, an update at item 0 is a full re-DP).
-//   - wavelet, SSE family: every mutation is an O(k log n) coefficient
-//     patch plus an O(n) order merge — no re-sort, no moment pass.
-//   - wavelet, DP families: mean-preserving corrections repair only the
-//     O(log n) dirty-path state blocks; mean-changing mutations re-run
-//     the forward sweep over the patched state (the tree's incoming
-//     values shift globally — see DESIGN.md "Incremental maintenance").
+//   - wavelet: one fresh sweep over the mutated data, BuildSweep's cost
+//     for every mutation. An update that keeps the item's mean (a pdf
+//     replaced by one with the same expectation) pays it too; DESIGN.md
+//     "Incremental maintenance" says why no wavelet state is retained.
 //
 // The determinism contract is unchanged: after any mutation sequence,
 // Synopsis(b) is codec-byte-identical to BuildSweep at budget b over the
 // final data, at every worker count. The returned Maintainer serializes
-// its own mutations and extractions with an internal lock, and each
-// mutation holds a pool admission token like any other build.
+// its own mutations and extractions with an internal lock, each mutation
+// holds a pool admission token like any other build, and the WithDPStats
+// sink holds the work of the build and of every mutation since. A
+// rejected mutation changes nothing: Domain, Bmax and every synopsis stay
+// as they were.
 //
 // The (1+eps)-approximate DP has no frontier (WithEps is rejected), and
 // workload-weighted histograms reject Append — the weight vector is
@@ -61,67 +61,85 @@ func BuildLive(src Source, m Metric, Bmax int, opts ...BuildOption) (Maintainer,
 		return nil, err
 	}
 	defer release()
-	l := &liveFrontier{plan: p}
-	if wf, ok := p.family.wavelet(); ok {
-		lv, err := wavelet.NewLive(vp, wf, m, p.params, Bmax, p.q, p.pool)
-		if err != nil {
-			return nil, err
-		}
-		// Every mutation re-wraps the sweep, so it is read off the live
-		// frontier at every use, not kept.
-		l.state, l.view = lv, func() countedFrontier { return waveletFrontier{lv.Sweep} }
-	} else {
-		lv, err := hist.NewLiveDP(vp, func(v *pdata.ValuePDF) (hist.Oracle, error) { return p.oracle(v, p.weights) }, Bmax, p.pool)
-		if err != nil {
-			return nil, err
-		}
-		// The table is revalidated in place by mutations, so it is read
-		// off the live DP at every use, not kept.
-		l.state, l.view = lv, func() countedFrontier { return histFrontier{lv.Table()} }
+	l := &liveFrontier{plan: p, bmax: Bmax, vp: vp.Clone()}
+	if err := l.refresh(0); err != nil {
+		return nil, err
 	}
 	l.reportStats()
 	return l, nil
 }
 
-// liveFrontier is a plan's frontier plus the retained state behind it:
-// the one adapter from a family's maintained DP (hist.LiveDP,
-// wavelet.Live — neither safe for concurrent use) to the Maintainer
-// surface. It serializes extractions and mutations with its lock, and
-// every mutation holds a pool admission token like any other build.
+// liveFrontier is a plan's frontier plus the data behind it: the one copy
+// of the data every mutation is validated against and applied to, once,
+// for either family. It serializes extractions and mutations with its
+// lock, and every mutation holds a pool admission token like any other
+// build.
 type liveFrontier struct {
 	mu    sync.Mutex
 	plan  *plan
-	state interface {
-		Domain() int
-		Append(items []pdata.ItemPDF) error
-		Update(i int, item pdata.ItemPDF) error
+	bmax  int             // the requested budget, before domain clamping
+	vp    *pdata.ValuePDF // the current data
+	hist  *hist.LiveDP    // the histogram table resumed after a mutation; nil for a wavelet family
+	cur   countedFrontier // the frontier over vp
+	spent DPStats         // the work of the wavelet sweeps cur replaced
+}
+
+// refresh brings the frontier up to date with vp, whose items from `from`
+// on changed (every item, on the initial build): a histogram resumes its
+// table at column from, a wavelet family sweeps the whole data afresh.
+func (l *liveFrontier) refresh(from int) error {
+	p := l.plan
+	if wf, ok := p.family.wavelet(); ok {
+		sw, err := wavelet.NewSweep(l.vp, wf, p.metric, p.params, l.bmax, p.q, p.pool)
+		if err != nil {
+			return err
+		}
+		if l.cur != nil {
+			l.spent.Add(l.cur.Stats())
+		}
+		l.cur = waveletFrontier{sw}
+		return nil
 	}
-	view func() countedFrontier // the frontier over state's current tables
+	o, err := p.oracle(l.vp, p.weights)
+	if err != nil {
+		return err
+	}
+	if l.hist != nil {
+		// The table is revalidated in place: cur already reads it.
+		return l.hist.Resume(o, from)
+	}
+	if l.hist, err = hist.NewLiveDP(o, l.bmax, p.pool); err != nil {
+		return err
+	}
+	l.cur = histFrontier{l.hist.Table()}
+	return nil
 }
 
 // reportStats refreshes the WithDPStats sink (if any) with the work
-// counters of the DP behind the current frontier; called under mu after
-// build and mutations.
+// counters of every DP run since the build; called under mu. A histogram
+// table's own counters are cumulative already.
 func (l *liveFrontier) reportStats() {
-	l.plan.report(l.view().Stats())
+	st := l.spent
+	st.Add(l.cur.Stats())
+	l.plan.report(st)
 }
 
 func (l *liveFrontier) Bmax() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.view().Bmax()
+	return l.cur.Bmax()
 }
 
 func (l *liveFrontier) Domain() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.state.Domain()
+	return l.vp.N
 }
 
 func (l *liveFrontier) Cost(b int) float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.view().Cost(b)
+	return l.cur.Cost(b)
 }
 
 // ErrorBound surfaces the quantized restricted DP's additive
@@ -130,27 +148,57 @@ func (l *liveFrontier) Cost(b int) float64 {
 func (l *liveFrontier) ErrorBound() float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return ApproxBound(l.view())
+	return ApproxBound(l.cur)
 }
 
 func (l *liveFrontier) Synopsis(b int) (Synopsis, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.view().Synopsis(b)
+	return l.cur.Synopsis(b)
 }
 
 func (l *liveFrontier) Append(items []pdata.ItemPDF) error {
 	if l.plan.weights != nil {
 		return fmt.Errorf("probsyn: workload-weighted live histograms cannot Append (no weights for new items); rebuild with an extended weight vector")
 	}
-	return l.mutate(func() error { return l.state.Append(items) })
+	for k := range items {
+		if err := items[k].Validate(); err != nil {
+			return fmt.Errorf("probsyn: append item %d: %w", k, err)
+		}
+	}
+	if len(items) == 0 {
+		return nil
+	}
+	return l.mutate(func() (int, func(), error) {
+		n := l.vp.N
+		for _, it := range items {
+			l.vp.Items = append(l.vp.Items, it.Clone())
+		}
+		l.vp.N = len(l.vp.Items)
+		return n, func() { l.vp.Items, l.vp.N = l.vp.Items[:n], n }, nil
+	})
 }
 
 func (l *liveFrontier) Update(i int, item pdata.ItemPDF) error {
-	return l.mutate(func() error { return l.state.Update(i, item) })
+	if err := item.Validate(); err != nil {
+		return fmt.Errorf("probsyn: update item %d: %w", i, err)
+	}
+	return l.mutate(func() (int, func(), error) {
+		if i < 0 || i >= l.vp.N {
+			return 0, nil, fmt.Errorf("probsyn: update index %d outside domain [0, %d)", i, l.vp.N)
+		}
+		old := l.vp.Items[i]
+		l.vp.Items[i] = item.Clone()
+		return i, func() { l.vp.Items[i] = old }, nil
+	})
 }
 
-func (l *liveFrontier) mutate(apply func() error) error {
+// mutate runs one mutation under the lock and a build token. apply
+// changes vp and returns the first item it changed and how to revert the
+// change; a frontier that cannot follow the mutated data (a wavelet DP's
+// state cap, say) has it reverted, so a rejected mutation leaves the data
+// as the frontier still describes it.
+func (l *liveFrontier) mutate(apply func() (from int, undo func(), err error)) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	_, release, err := l.plan.admit(1)
@@ -158,8 +206,16 @@ func (l *liveFrontier) mutate(apply func() error) error {
 		return err
 	}
 	defer release()
-	defer l.reportStats()
-	return apply()
+	from, undo, err := apply()
+	if err != nil {
+		return err
+	}
+	if err := l.refresh(from); err != nil {
+		undo()
+		return err
+	}
+	l.reportStats()
+	return nil
 }
 
 var _ Maintainer = (*liveFrontier)(nil)

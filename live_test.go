@@ -3,9 +3,9 @@ package probsyn_test
 // Live-maintenance property tests: after ANY random sequence of appends
 // and in-place updates, a BuildLive frontier must be codec-byte-identical
 // at every budget to a fresh BuildSweep over the final data — at worker
-// counts {1, 2, NumCPU}, under -race in CI. This is the PR's core
-// contract: retained DP state plus incremental repair never drifts from
-// a from-scratch build.
+// counts {1, 2, NumCPU}, under -race in CI. A histogram's resumed table
+// must never drift from a from-scratch build, and a rejected mutation
+// must change nothing.
 
 import (
 	"bytes"
@@ -42,31 +42,38 @@ func liveRandVP(rng *rand.Rand, n int) *probsyn.ValuePDF {
 }
 
 // liveFamilies enumerates the configurations live maintenance must agree
-// with BuildSweep on: both families, all three wavelet paths.
+// with BuildSweep on: both families, every wavelet path, and the smallest
+// starting domains, which the first append grows across the power-of-two
+// padding (1 item to 2 or more, 2 to 3 or more).
 func liveFamilies() []struct {
 	name string
 	m    probsyn.Metric
 	opts []probsyn.BuildOption
+	n    int // starting domain
 } {
 	return []struct {
 		name string
 		m    probsyn.Metric
 		opts []probsyn.BuildOption
+		n    int
 	}{
-		{"histogram-sse", probsyn.SSE, nil},
-		{"histogram-sae", probsyn.SAE, nil},
-		{"wavelet-sse", probsyn.SSE, []probsyn.BuildOption{probsyn.WithWavelet()}},
-		{"wavelet-restricted", probsyn.SAE, []probsyn.BuildOption{probsyn.WithWavelet()}},
-		{"wavelet-unrestricted", probsyn.SAE, []probsyn.BuildOption{probsyn.WithWavelet(), probsyn.WithUnrestricted(1)}},
+		{"histogram-sse", probsyn.SSE, nil, 13},
+		{"histogram-sae", probsyn.SAE, nil, 13},
+		{"wavelet-sse", probsyn.SSE, []probsyn.BuildOption{probsyn.WithWavelet()}, 13},
+		{"wavelet-restricted", probsyn.SAE, []probsyn.BuildOption{probsyn.WithWavelet()}, 13},
+		{"wavelet-quantized", probsyn.SAE, []probsyn.BuildOption{probsyn.WithWavelet(), probsyn.WithQuantize(4)}, 13},
+		{"wavelet-unrestricted", probsyn.SAE, []probsyn.BuildOption{probsyn.WithWavelet(), probsyn.WithUnrestricted(1)}, 13},
+		{"wavelet-restricted-n1", probsyn.SAE, []probsyn.BuildOption{probsyn.WithWavelet()}, 1},
+		{"wavelet-unrestricted-n2", probsyn.SAE, []probsyn.BuildOption{probsyn.WithWavelet(), probsyn.WithUnrestricted(1)}, 2},
 	}
 }
 
-// mutate applies one random mutation to both the live frontier and the
-// plain model copy; mean-preserving corrections are in the mix so the
-// wavelet dirty-path repair is exercised alongside the resweep path.
-func mutate(t *testing.T, rng *rand.Rand, live probsyn.Maintainer, cur *probsyn.ValuePDF) {
+// mutate applies mutation op to both the live frontier and the plain
+// model copy: 0 appends a batch of one to three items, 1 is a
+// mean-preserving correction, anything else an arbitrary in-place update.
+func mutate(t *testing.T, rng *rand.Rand, op int, live probsyn.Maintainer, cur *probsyn.ValuePDF) {
 	t.Helper()
-	switch rng.Intn(4) {
+	switch op {
 	case 0: // append a batch (eventually outgrows the wavelet padding)
 		k := 1 + rng.Intn(3)
 		items := make([]probsyn.ItemPDF, k)
@@ -107,6 +114,9 @@ func assertLiveMatchesSweep(t *testing.T, live probsyn.Maintainer, cur *probsyn.
 	if live.Domain() != cur.N {
 		t.Fatalf("%s: live domain %d, data %d", tag, live.Domain(), cur.N)
 	}
+	if lb, fb := probsyn.ApproxBound(live), probsyn.ApproxBound(fresh); lb != fb {
+		t.Fatalf("%s: live error bound %v, fresh %v", tag, lb, fb)
+	}
 	for b := 1; b <= live.Bmax(); b++ {
 		ls, err := live.Synopsis(b)
 		if err != nil {
@@ -130,7 +140,7 @@ func assertLiveMatchesSweep(t *testing.T, live probsyn.Maintainer, cur *probsyn.
 	}
 }
 
-// TestLiveByteIdenticalToFreshSweep is the PR's acceptance property: any
+// TestLiveByteIdenticalToFreshSweep is the Maintainer contract: any
 // mutation sequence, every budget, byte-identical through the codec, at
 // several worker counts.
 func TestLiveByteIdenticalToFreshSweep(t *testing.T) {
@@ -139,7 +149,7 @@ func TestLiveByteIdenticalToFreshSweep(t *testing.T) {
 		for _, workers := range []int{1, 2, runtime.NumCPU()} {
 			t.Run(fmt.Sprintf("%s/workers=%d", fam.name, workers), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(41 + workers)))
-				vp := liveRandVP(rng, 13)
+				vp := liveRandVP(rng, fam.n)
 				opts := append(append([]probsyn.BuildOption(nil), fam.opts...), probsyn.WithParallelism(workers))
 				live, err := probsyn.BuildLive(vp, fam.m, B, opts...)
 				if err != nil {
@@ -148,7 +158,11 @@ func TestLiveByteIdenticalToFreshSweep(t *testing.T) {
 				cur := vp.Clone()
 				assertLiveMatchesSweep(t, live, cur, fam.m, B, opts, "initial")
 				for step := 0; step < 6; step++ {
-					mutate(t, rng, live, cur)
+					op := rng.Intn(4)
+					if step == 0 {
+						op = 0 // the small starting domains cross the padding here
+					}
+					mutate(t, rng, op, live, cur)
 					assertLiveMatchesSweep(t, live, cur, fam.m, B, opts, fmt.Sprintf("step %d", step))
 				}
 			})
@@ -173,28 +187,87 @@ func TestBuildLiveValidation(t *testing.T) {
 	if _, err := probsyn.BuildLive(basic, probsyn.SSE, 2); err == nil {
 		t.Fatal("non-value-pdf source accepted")
 	}
-	// Workload weights: builds and updates work, appends are rejected.
-	weights := make([]float64, vp.N)
-	for i := range weights {
-		weights[i] = float64(1 + i%2)
+}
+
+// liveSnapshot is what a caller can observe of a live frontier: its
+// domain, its Bmax and every budget's codec bytes.
+func liveSnapshot(t *testing.T, live probsyn.Maintainer) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "domain %d, bmax %d\n", live.Domain(), live.Bmax())
+	for b := 1; b <= live.Bmax(); b++ {
+		syn, err := live.Synopsis(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := probsyn.MarshalSynopsis(syn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(blob)
 	}
-	live, err := probsyn.BuildLive(vp, probsyn.SSEFixed, 3, probsyn.WithWorkloadWeights(weights))
-	if err != nil {
-		t.Fatal(err)
+	return buf.Bytes()
+}
+
+// TestLiveDPValidation covers the mutation guard rails: every rejected
+// mutation — out-of-domain and invalid updates, an append batch with an
+// invalid pdf in the middle, a workload-weighted histogram's append —
+// must leave the domain, Bmax and every budget's bytes as they were, for
+// both families.
+func TestLiveDPValidation(t *testing.T) {
+	bad := probsyn.ItemPDF{Entries: []probsyn.FreqProb{{Freq: 1, Prob: 1.5}}}
+	rejectAll := func(t *testing.T, live probsyn.Maintainer, calls map[string]func() error) {
+		t.Helper()
+		before := liveSnapshot(t, live)
+		for name, call := range calls {
+			if err := call(); err == nil {
+				t.Fatalf("%s accepted", name)
+			}
+			if !bytes.Equal(liveSnapshot(t, live), before) {
+				t.Fatalf("rejected %s changed the frontier", name)
+			}
+		}
 	}
-	if err := live.Update(2, liveRandItem(rng)); err != nil {
-		t.Fatalf("weighted update: %v", err)
+	for _, fam := range liveFamilies() {
+		t.Run(fam.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(3))
+			live, err := probsyn.BuildLive(liveRandVP(rng, fam.n), fam.m, 4, fam.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			good := liveRandItem(rng)
+			rejectAll(t, live, map[string]func() error{
+				"update at -1":           func() error { return live.Update(-1, good) },
+				"update at Domain()":     func() error { return live.Update(live.Domain(), good) },
+				"invalid pdf by Update":  func() error { return live.Update(0, bad) },
+				"invalid pdf mid-Append": func() error { return live.Append([]probsyn.ItemPDF{good, bad, good}) },
+			})
+			before := liveSnapshot(t, live)
+			if err := live.Append(nil); err != nil {
+				t.Fatalf("empty append: %v", err)
+			}
+			if !bytes.Equal(liveSnapshot(t, live), before) {
+				t.Fatal("empty append changed the frontier")
+			}
+		})
 	}
-	if err := live.Append([]probsyn.ItemPDF{liveRandItem(rng)}); err == nil {
-		t.Fatal("weighted append accepted")
-	}
-	syn, err := live.Synopsis(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if syn.Terms() != 3 {
-		t.Fatalf("weighted live synopsis has %d terms, want 3", syn.Terms())
-	}
+	// A workload-weighted histogram has no weights for new items
+	// (TestLiveWeightedHistogram covers its updates).
+	t.Run("histogram-weighted", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(1))
+		vp := liveRandVP(rng, 8)
+		weights := make([]float64, vp.N)
+		for i := range weights {
+			weights[i] = float64(1 + i%2)
+		}
+		live, err := probsyn.BuildLive(vp, probsyn.SSEFixed, 3, probsyn.WithWorkloadWeights(weights))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rejectAll(t, live, map[string]func() error{
+			"weighted append": func() error { return live.Append([]probsyn.ItemPDF{liveRandItem(rng)}) },
+		})
+	})
 }
 
 // TestLiveDPStatsFollowMutations pins that WithDPStats keeps reporting
@@ -216,7 +289,7 @@ func TestLiveDPStatsFollowMutations(t *testing.T) {
 			t.Fatalf("%v: WithDPStats sink not filled by the live build", m)
 		}
 		for step := 0; step < 6; step++ {
-			mutate(t, rng, live, vp)
+			mutate(t, rng, rng.Intn(4), live, vp)
 		}
 		if st.CostEvals <= built.CostEvals {
 			t.Fatalf("%v: WithDPStats sink not refreshed by live mutations (%d cost evals before, %d after)", m, built.CostEvals, st.CostEvals)
@@ -258,44 +331,52 @@ func TestWaveletDPStats(t *testing.T) {
 		}
 	}
 
+	// Every live mutation adds exactly one fresh Build's counters over the
+	// mutated data, a mean-preserving correction (one entry's mass split
+	// around its frequency) as much as a mean-changing update or an append:
+	// a wavelet frontier sweeps afresh whatever the mutation. The counters
+	// stay cumulative, as a live histogram's are.
 	var st probsyn.DPStats
 	live, err := probsyn.BuildLive(vp, probsyn.SAE, 9, probsyn.WithWavelet(), probsyn.WithDPStats(&st))
 	if err != nil {
 		t.Fatal(err)
 	}
-	built := st
-	// A mean-preserving update (one entry's mass split around its
-	// frequency) is repaired along its path: the counters grow by the
-	// repair's work.
 	i := 0
 	for len(vp.Items[i].Entries) == 0 || vp.Items[i].Entries[0].Freq < 1 {
 		i++
 	}
 	e := vp.Items[i].Entries[0]
-	split := append([]probsyn.FreqProb{{Freq: e.Freq - 1, Prob: e.Prob / 2}, {Freq: e.Freq + 1, Prob: e.Prob / 2}}, vp.Items[i].Entries[1:]...)
-	if err := live.Update(i, probsyn.ItemPDF{Entries: split}); err != nil {
-		t.Fatal(err)
-	}
-	if st.CostEvals <= built.CostEvals || st.CandidatesScanned <= built.CandidatesScanned {
-		t.Fatalf("live repair left the sink at %+v (built: %+v)", st, built)
-	}
-	// A mean-changing update resweeps. The counters stay cumulative, as a
-	// live histogram's are: they grow by one whole forward sweep over the
-	// mutated data (a sum metric's merge stops on data-dependent bounds).
+	split := probsyn.ItemPDF{Entries: append([]probsyn.FreqProb{{Freq: e.Freq - 1, Prob: e.Prob / 2}, {Freq: e.Freq + 1, Prob: e.Prob / 2}}, vp.Items[i].Entries[1:]...)}
 	moved := probsyn.ItemPDF{Entries: []probsyn.FreqProb{{Freq: e.Freq + 3, Prob: 1}}}
-	mutated := vp.Clone()
-	mutated.Items[i] = moved
-	var sweep probsyn.DPStats
-	if _, err := probsyn.Build(mutated, probsyn.SAE, 9, probsyn.WithWavelet(), probsyn.WithDPStats(&sweep)); err != nil {
-		t.Fatal(err)
-	}
-	want := st
-	want.Add(sweep)
-	if err := live.Update(i, moved); err != nil {
-		t.Fatal(err)
-	}
-	if st != want {
-		t.Fatalf("live resweep left the sink at %+v, want the repaired counts plus a sweep's, %+v", st, want)
+	cur := vp.Clone()
+	for _, mu := range []struct {
+		name string
+		at   int // the item updated; -1 appends
+		item probsyn.ItemPDF
+	}{{"mean-preserving update", i, split}, {"mean-changing update", i, moved}, {"append", -1, moved}} {
+		if mu.at < 0 {
+			cur.Items = append(cur.Items, mu.item)
+			cur.N++
+		} else {
+			cur.Items[mu.at] = mu.item
+		}
+		var sweep probsyn.DPStats
+		if _, err := probsyn.Build(cur, probsyn.SAE, 9, probsyn.WithWavelet(), probsyn.WithDPStats(&sweep)); err != nil {
+			t.Fatal(err)
+		}
+		want := st
+		want.Add(sweep)
+		if mu.at < 0 {
+			err = live.Append([]probsyn.ItemPDF{mu.item})
+		} else {
+			err = live.Update(mu.at, mu.item)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st != want {
+			t.Fatalf("%s left the sink at %+v, want the counts before it plus one Build's, %+v", mu.name, st, want)
+		}
 	}
 	if _, err := probsyn.BuildSharded(vp, probsyn.SAE, 9, 2, probsyn.WithWavelet(), probsyn.WithDPStats(&st)); err != nil {
 		t.Fatal(err)

@@ -135,7 +135,9 @@ func histogramOf(s Synopsis, err error) (*Histogram, error) {
 
 // ApproxHistogram builds a (1+eps)-approximate B-bucket histogram for a
 // cumulative metric (Theorem 5), trading accuracy for a much smaller
-// search. It is shorthand for Build(src, m, B, WithParams(p), WithEps(eps)).
+// search. It is shorthand for Build(src, m, B, WithParams(p), WithEps(eps)),
+// and beats the exact DP only on large domains: at B=16 from n=32768 at
+// eps >= 0.5 and from n=65536 at eps >= 0.25 (see WithEps).
 func ApproxHistogram(src Source, m Metric, p Params, B int, eps float64) (*Histogram, error) {
 	return histogramOf(Build(src, m, B, WithParams(p), WithEps(eps)))
 }
