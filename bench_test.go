@@ -250,7 +250,7 @@ func BenchmarkWaveletRestrictedBuild(b *testing.B) {
 // state-space size as the restricted DP.
 func BenchmarkWaveletUnrestrictedBuild(b *testing.B) {
 	benchWaveletBuild(b, func(src pdata.Source, B, workers int) error {
-		_, _, err := wavelet.BuildUnrestrictedPool(src, metric.SAE, metric.Params{C: 0.5}, B, 0, engine.New(engine.Options{Workers: workers}))
+		_, err := probsyn.Build(src, probsyn.SAE, B, probsyn.WithWavelet(), probsyn.WithUnrestricted(0), probsyn.WithParallelism(workers))
 		return err
 	})
 }
@@ -407,7 +407,7 @@ func BenchmarkFrontierSweepUnrestricted(b *testing.B) {
 
 func BenchmarkFrontierIndependentUnrestricted(b *testing.B) {
 	benchFrontierIndependent(b, func(src pdata.Source, B int) error {
-		_, _, err := wavelet.BuildUnrestrictedPool(src, metric.SAE, metric.Params{C: 0.5}, B, 0, nil)
+		_, err := probsyn.Build(src, probsyn.SAE, B, probsyn.WithWavelet(), probsyn.WithUnrestricted(0))
 		return err
 	})
 }

@@ -27,7 +27,8 @@ type buildConfig struct {
 }
 
 // WithParams sets the metric parameters (the sanity constant c of the
-// relative-error metrics). The default is DefaultParams().
+// relative-error metrics, which must be finite and > 0 under SSRE, SARE
+// and MARE; the other metrics ignore it). The default is DefaultParams().
 func WithParams(p Params) BuildOption {
 	return func(c *buildConfig) { c.params = p }
 }
@@ -62,8 +63,9 @@ func WithPool(pool *engine.Pool) BuildOption {
 
 // WithEps switches histogram construction to the (1+eps)-approximate DP of
 // Theorem 5 (cumulative metrics only), trading accuracy for a much smaller
-// split-point search. eps must be > 0; a non-positive value is rejected at
-// Build time rather than silently falling back to the exact DP.
+// split-point search. eps must be finite and > 0; any other value (NaN
+// included) is rejected at Build time rather than silently falling back to
+// the exact DP.
 //
 // It pays only on large domains, because the exact DP is pruned and the
 // approximate one keeps ~(2B/eps)·ln(error range) split candidates per
@@ -97,8 +99,11 @@ func WithWavelet() BuildOption {
 // coefficient's pessimistic range, plus the expected value, instead of
 // being pinned to the expected value. Never worse than the restricted
 // optimum; exponentially more expensive in q and log n, so intended for
-// small domains. Requires WithWavelet and a non-SSE metric (for SSE the
-// expected values are already unrestricted-optimal, Theorem 7).
+// small domains: the result is optimal over the candidate grids, and a
+// state space that would exhaust memory fails fast with an error (see
+// the wavelet package's UnrestrictedFamily). Requires WithWavelet and a
+// non-SSE metric (for SSE the expected values are already
+// unrestricted-optimal, Theorem 7).
 func WithUnrestricted(q int) BuildOption {
 	return func(c *buildConfig) { c.quantize, c.quantizeSet = q, true }
 }
@@ -139,8 +144,8 @@ func WithDPStats(st *DPStats) BuildOption {
 // interface (Estimate/RangeSum/Terms/ErrorCost; serializable with
 // MarshalSynopsis). It is BuildSweep's frontier at budget B, extracted at
 // B (budgets beyond the domain repeat the largest synopsis) — except
-// under WithEps, whose DP has no frontier. OptimalHistogram,
-// ApproxHistogram and WorkloadHistogram are shorthands for it.
+// under WithEps, whose DP has no frontier. A histogram is a
+// *Histogram, a wavelet synopsis a *WaveletSynopsis.
 func Build(src Source, m Metric, B int, opts ...BuildOption) (Synopsis, error) {
 	p, err := resolve(src, m, opts, modeBuild)
 	if err != nil {

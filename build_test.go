@@ -8,6 +8,7 @@ import (
 
 	"probsyn"
 	"probsyn/internal/engine"
+	"probsyn/internal/hist"
 )
 
 // WithPool must produce bit-identical synopses to per-call builds, for
@@ -82,11 +83,15 @@ func TestBuildSharedPoolAdmissionControl(t *testing.T) {
 	}
 }
 
-// Build must produce the same histogram as the named wrappers, at any
+// Build must produce the family layer's optimal histogram, at any
 // parallelism, behind the shared interface.
-func TestBuildMatchesWrappers(t *testing.T) {
+func TestBuildMatchesOptimalPool(t *testing.T) {
 	src := sampleValuePDF()
-	want, err := probsyn.OptimalHistogram(src, probsyn.SSRE, probsyn.DefaultParams(), 2)
+	o, err := hist.NewOracle(src, probsyn.SSRE, probsyn.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hist.OptimalPool(o, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +105,7 @@ func TestBuildMatchesWrappers(t *testing.T) {
 			t.Fatalf("workers=%d: Build returned %T, want *Histogram", workers, s)
 		}
 		if h.Cost != want.Cost || h.B() != want.B() {
-			t.Fatalf("workers=%d: (B=%d, cost=%v) != wrapper (B=%d, cost=%v)",
+			t.Fatalf("workers=%d: (B=%d, cost=%v) != OptimalPool (B=%d, cost=%v)",
 				workers, h.B(), h.Cost, want.B(), want.Cost)
 		}
 	}
@@ -141,9 +146,6 @@ func TestBuildOptionValidation(t *testing.T) {
 		if _, err := probsyn.Build(src, probsyn.SSE, 2, probsyn.WithEps(eps)); err == nil {
 			t.Errorf("eps=%v accepted", eps)
 		}
-		if _, err := probsyn.ApproxHistogram(src, probsyn.SSE, probsyn.DefaultParams(), 2, eps); err == nil {
-			t.Errorf("ApproxHistogram eps=%v accepted", eps)
-		}
 	}
 	// Errors must return an untyped nil interface, not a typed-nil pointer
 	// (the approximate DP rejects maximum-error metrics).
@@ -167,7 +169,11 @@ func TestBuildOptionValidation(t *testing.T) {
 func TestBuildWorkloadWeights(t *testing.T) {
 	src := sampleValuePDF()
 	weights := []float64{1, 1, 10, 10}
-	want, err := probsyn.WorkloadHistogram(src, weights, 2)
+	o, err := hist.NewWorkloadSSE(src, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hist.OptimalPool(o, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +182,7 @@ func TestBuildWorkloadWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	if h := s.(*probsyn.Histogram); h.Cost != want.Cost {
-		t.Fatalf("Build workload cost %v != wrapper %v", h.Cost, want.Cost)
+		t.Fatalf("Build workload cost %v != OptimalPool %v", h.Cost, want.Cost)
 	}
 }
 

@@ -23,10 +23,12 @@ func main() {
 	// Histogram under sum-squared relative error (the metric the paper
 	// leads with): c = 0.5 protects low-frequency entities.
 	const B = 48
-	h, err := probsyn.OptimalHistogram(links, probsyn.SSRE, probsyn.Params{C: 0.5}, B)
+	c := probsyn.WithParams(probsyn.Params{C: 0.5})
+	hs, err := probsyn.Build(links, probsyn.SSRE, B, c)
 	if err != nil {
 		log.Fatal(err)
 	}
+	h := hs.(*probsyn.Histogram)
 	fmt.Printf("\noptimal %d-bucket SSRE histogram: expected error %.4f\n", B, h.Cost)
 	fmt.Println("widest and narrowest buckets:")
 	widest, narrowest := h.Buckets[0], h.Buckets[0]
@@ -45,12 +47,12 @@ func main() {
 
 	// The (1+eps)-approximate construction (Theorem 5) trades a bounded
 	// cost increase for a faster build.
-	apx, err := probsyn.ApproxHistogram(links, probsyn.SSRE, probsyn.Params{C: 0.5}, B, 0.25)
+	apx, err := probsyn.Build(links, probsyn.SSRE, B, c, probsyn.WithEps(0.25))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\n(1+0.25)-approximate histogram: expected error %.4f (%.2fx optimal)\n",
-		apx.Cost, apx.Cost/h.Cost)
+		apx.ErrorCost(), apx.ErrorCost()/h.Cost)
 
 	// Equi-depth over expected matches — the classic heuristic — for
 	// contrast.
@@ -71,8 +73,7 @@ func main() {
 	// The restricted DP runs on the shared execution engine: with
 	// WithParallelism its level sweeps use every core, and the synopsis is
 	// bit-identical to a serial build.
-	rs, err := probsyn.Build(links, probsyn.SAE, 12,
-		probsyn.WithParams(probsyn.Params{C: 0.5}),
+	rs, err := probsyn.Build(links, probsyn.SAE, 12, c,
 		probsyn.WithWavelet(), probsyn.WithParallelism(0))
 	if err != nil {
 		log.Fatal(err)

@@ -45,10 +45,11 @@ func main() {
 
 	// A 3-bucket histogram minimizing expected sum-squared error (the
 	// paper's Eq. 5 objective).
-	h, err := probsyn.OptimalHistogram(vp, probsyn.SSE, probsyn.DefaultParams(), 3)
+	hs, err := probsyn.Build(vp, probsyn.SSE, 3)
 	if err != nil {
 		log.Fatal(err)
 	}
+	h := hs.(*probsyn.Histogram)
 	fmt.Printf("\n== optimal 3-bucket SSE histogram (expected error %.3f) ==\n", h.Cost)
 	for _, b := range h.Buckets {
 		fmt.Printf("items [%2d..%2d] ≈ %6.2f  (bucket cost %.3f)\n", b.Start, b.End, b.Rep, b.Cost)
@@ -56,10 +57,11 @@ func main() {
 
 	// The same budget under a relative-error objective can bucket
 	// differently: small frequencies matter more.
-	hr, err := probsyn.OptimalHistogram(vp, probsyn.SARE, probsyn.Params{C: 0.5}, 3)
+	hrs, err := probsyn.Build(vp, probsyn.SARE, 3, probsyn.WithParams(probsyn.Params{C: 0.5}))
 	if err != nil {
 		log.Fatal(err)
 	}
+	hr := hrs.(*probsyn.Histogram)
 	fmt.Printf("\n== optimal 3-bucket SARE histogram (expected error %.3f) ==\n", hr.Cost)
 	for _, b := range hr.Buckets {
 		fmt.Printf("items [%2d..%2d] ≈ %6.2f\n", b.Start, b.End, b.Rep)

@@ -55,7 +55,7 @@ func main() {
 	}
 
 	// Use the optimal histogram to answer monitoring queries.
-	h, err := probsyn.OptimalHistogram(readings, probsyn.SAE, probsyn.Params{C: 0.5}, 24)
+	h, err := probsyn.Build(readings, probsyn.SAE, 24)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -80,15 +80,15 @@ func main() {
 
 	// Unrestricted vs restricted wavelets under SAE on a small slice.
 	slice := &probsyn.ValuePDF{N: 16, Items: readings.Items[:16]}
-	_, restricted, err := probsyn.RestrictedWavelet(slice, probsyn.SAE, probsyn.Params{C: 0.5}, 3)
+	restricted, err := probsyn.Build(slice, probsyn.SAE, 3, probsyn.WithWavelet())
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, unrestricted, err := probsyn.UnrestrictedWavelet(slice, probsyn.SAE, probsyn.Params{C: 0.5}, 3, 6)
+	unrestricted, err := probsyn.Build(slice, probsyn.SAE, 3, probsyn.WithWavelet(), probsyn.WithUnrestricted(6))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\n3-term SAE wavelet over 16 sensors:\n")
-	fmt.Printf("restricted (values = expected coefficients): expected error %.4f\n", restricted)
-	fmt.Printf("unrestricted (values over quantized ranges):  expected error %.4f\n", unrestricted)
+	fmt.Printf("restricted (values = expected coefficients): expected error %.4f\n", restricted.ErrorCost())
+	fmt.Printf("unrestricted (values over quantized ranges):  expected error %.4f\n", unrestricted.ErrorCost())
 }

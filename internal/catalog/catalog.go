@@ -15,7 +15,6 @@ package catalog
 
 import (
 	"fmt"
-	"math"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -78,12 +77,14 @@ func NewKey(dataset, family, metricName string, budget int, c float64) (Key, err
 	if budget < 1 {
 		return Key{}, fmt.Errorf("catalog: budget %d, want >= 1", budget)
 	}
+	// The build's own rule on c, which also keeps NaN (a key equal to
+	// nothing, itself least of all) and +Inf (a c JSON cannot write, and
+	// every response echoes its key) out of the catalog.
+	if err := (metric.Params{C: c}).Check(k); err != nil {
+		return Key{}, fmt.Errorf("catalog: %w", err)
+	}
 	if !k.Relative() {
 		c = 0
-	} else if !(c > 0) || math.IsInf(c, 1) {
-		// NaN included: a NaN key equals nothing, itself least of all. And
-		// no key with a c JSON cannot write: every response echoes its key.
-		return Key{}, fmt.Errorf("catalog: metric %v needs a finite sanity constant c > 0, got %g", k, c)
 	}
 	return Key{Dataset: dataset, Family: family, Metric: k.String(), Budget: budget, C: c}, nil
 }

@@ -89,7 +89,8 @@ func TestLivePrunedBytesMatchDenseFresh(t *testing.T) {
 			}
 			return o
 		}
-		live, err := hist.NewLiveDP(mk(cur), B, engine.New(engine.Options{Workers: 2, Grain: 1}))
+		pool := engine.New(engine.Options{Workers: 2, Grain: 1})
+		live, err := hist.RunDPPool(mk(cur), B, pool)
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
@@ -103,12 +104,12 @@ func TestLivePrunedBytesMatchDenseFresh(t *testing.T) {
 				cur.N++
 			}
 			o := mk(cur)
-			if err := live.Resume(o, i); err != nil {
+			if err := live.Resume(o, i, pool); err != nil {
 				t.Fatalf("%v step %d: %v", k, step, err)
 			}
 			dense := hist.DenseTable(o, B)
 			for b := 1; b <= B; b++ {
-				got, gerr := live.Table().Histogram(b)
+				got, gerr := live.Histogram(b)
 				want, werr := dense.Histogram(b)
 				if !bytes.Equal(encoded(t, got, gerr), encoded(t, want, werr)) {
 					t.Fatalf("%v step %d budget %d: live bytes differ from a dense fresh build's", k, step, b)

@@ -63,6 +63,7 @@ type DPTable struct {
 	oracle Oracle
 	n      int
 	bmax   int
+	breq   int // the budget RunDPPool was asked for; bmax is it clamped to n
 	opt    [][]float64
 	choice [][]int32
 	// mono[b] certifies the monotone prefix of row b as written: opt[b] is
@@ -135,15 +136,12 @@ func runDP(o Oracle, Bmax int, pool *engine.Pool, ts tileShape) (*DPTable, error
 	if Bmax <= 0 {
 		return nil, fmt.Errorf("hist: bucket budget %d, want >= 1", Bmax)
 	}
-	if Bmax > n {
-		Bmax = n
-	}
-	t := &DPTable{oracle: o, n: n, bmax: Bmax}
+	t := &DPTable{oracle: o, n: n, bmax: min(Bmax, n), breq: Bmax}
 
 	// opt[b][j]: optimal error of a (b+1)-bucket histogram over prefix
 	// [0..j]; choice[b][j]: last bucket is [choice+1 .. j].
-	t.opt = make([][]float64, Bmax)
-	t.choice = make([][]int32, Bmax)
+	t.opt = make([][]float64, t.bmax)
+	t.choice = make([][]int32, t.bmax)
 	for b := range t.opt {
 		t.opt[b] = make([]float64, n)
 		t.choice[b] = make([]int32, n)
@@ -476,20 +474,30 @@ func prunedScanLazy(o Oracle, prev []float64, lo, hi, e int, isSum bool, U float
 	return best
 }
 
-// resume re-anchors the table on a new oracle over a same-or-larger
-// domain and recomputes only the columns a mutation could have changed:
-// everything from `from` rightward. breq is the budget the table was
-// originally requested at — the effective Bmax re-clamps against the new
-// domain, and if that changes the budget-level count, every column is
-// recomputed (old levels would be missing or stale).
+// Resume keeps the table live against a mutation of the caller's data: it
+// re-anchors the table on o, the oracle rebuilt over the mutated data
+// (same or larger domain), and recomputes on pool every column from
+// `from` — the first item changed, or the old domain size for an append.
+// Column e of Eq. (2) reads only bucket costs within [0, e] and columns
+// left of e, so an append of k items runs just the k new columns
+// (O(k·n·B) instead of O(n²·B)) and an update of item i re-runs the
+// columns e >= i: cheap for hot-tail corrections, a full re-DP at i = 0.
+// The budget RunDPPool was asked for re-clamps against the new domain; a
+// change in the number of budget levels recomputes every column.
 //
-// Correctness requires the caller to guarantee that bucket costs wholly
-// left of `from` are unchanged under the new oracle — true when the
-// oracle is rebuilt from the same data with only items >= from mutated
-// (prefix structures agree bit-for-bit left of the first change; oracles
-// whose global value grid changed still price those buckets
-// identically, because added grid points carry zero mass there).
-func (t *DPTable) resume(o Oracle, from, breq int, pool *engine.Pool, ts tileShape) error {
+// The caller must guarantee that bucket costs wholly left of `from` are
+// unchanged under o — true when o is rebuilt from the same data with only
+// items >= from mutated (prefix structures agree bit-for-bit left of the
+// first change; oracles whose global value grid changed still price those
+// buckets identically, because added grid points carry zero mass there).
+// The table and every budget's histogram are then bit-identical to a
+// fresh RunDPPool over the mutated data at any worker count.
+func (t *DPTable) Resume(o Oracle, from int, pool *engine.Pool) error {
+	return t.resume(o, from, pool, defaultTiles)
+}
+
+// resume is Resume on tile shape ts.
+func (t *DPTable) resume(o Oracle, from int, pool *engine.Pool, ts tileShape) error {
 	n := o.N()
 	if n < t.n {
 		return fmt.Errorf("hist: resume cannot shrink the domain (%d -> %d)", t.n, n)
@@ -497,13 +505,7 @@ func (t *DPTable) resume(o Oracle, from, breq int, pool *engine.Pool, ts tileSha
 	if from < 0 || from > t.n {
 		return fmt.Errorf("hist: resume start %d outside [0, %d]", from, t.n)
 	}
-	if breq <= 0 {
-		return fmt.Errorf("hist: bucket budget %d, want >= 1", breq)
-	}
-	bmax := breq
-	if bmax > n {
-		bmax = n
-	}
+	bmax := min(t.breq, n)
 	if bmax != t.bmax {
 		from = 0 // budget levels appear (or vanish): no column survives
 	}

@@ -431,12 +431,12 @@ func TestLiveDPPrunedMatchesDenseFresh(t *testing.T) {
 		mk := func(v *pdata.ValuePDF) (Oracle, error) { return NewOracle(v, k, p) }
 		pool := engine.New(engine.Options{Workers: 3, Grain: 1})
 		const B = 6
-		live, err := NewLiveDP(mustOracle(t, mk, vp), B, pool)
+		live, err := RunDPPool(mustOracle(t, mk, vp), B, pool)
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
 		for step := 0; step < 8; step++ {
-			tablesIdentical(t, denseTable(liveMutate(t, rng, live, vp, mk), B), live.Table())
+			tablesIdentical(t, denseTable(liveMutate(t, rng, live, pool, vp, mk), B), live)
 		}
 	}
 }

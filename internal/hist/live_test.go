@@ -44,9 +44,9 @@ func mustOracle(t *testing.T, mk func(*pdata.ValuePDF) (Oracle, error), vp *pdat
 }
 
 // liveMutate applies one random mutation to vp — an append of two items
-// or an in-place update — resumes live over it, and returns the oracle
-// over the mutated data.
-func liveMutate(t *testing.T, rng *rand.Rand, live *LiveDP, vp *pdata.ValuePDF, mk func(*pdata.ValuePDF) (Oracle, error)) Oracle {
+// or an in-place update — resumes live over it on pool, and returns the
+// oracle over the mutated data.
+func liveMutate(t *testing.T, rng *rand.Rand, live *DPTable, pool *engine.Pool, vp *pdata.ValuePDF, mk func(*pdata.ValuePDF) (Oracle, error)) Oracle {
 	t.Helper()
 	from := vp.N
 	if rng.Intn(2) == 0 {
@@ -57,7 +57,7 @@ func liveMutate(t *testing.T, rng *rand.Rand, live *LiveDP, vp *pdata.ValuePDF, 
 		vp.Items[from] = liveRandItem(rng)
 	}
 	o := mustOracle(t, mk, vp)
-	if err := live.Resume(o, from); err != nil {
+	if err := live.Resume(o, from, pool); err != nil {
 		t.Fatal(err)
 	}
 	return o
@@ -76,16 +76,15 @@ func TestLiveDPMatchesFresh(t *testing.T) {
 			mk := func(v *pdata.ValuePDF) (Oracle, error) { return NewOracle(v, k, p) }
 			pool := engine.New(engine.Options{Workers: workers, Grain: 1})
 			const B = 5
-			live, err := NewLiveDP(mustOracle(t, mk, vp), B, pool)
+			got, err := RunDPPool(mustOracle(t, mk, vp), B, pool)
 			if err != nil {
 				t.Fatalf("%v: %v", k, err)
 			}
 			for step := 0; step < 10; step++ {
-				fresh, err := RunDPPool(liveMutate(t, rng, live, vp, mk), B, pool)
+				fresh, err := RunDPPool(liveMutate(t, rng, got, pool, vp, mk), B, pool)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := live.Table()
 				if got.Bmax() != fresh.Bmax() || got.n != fresh.n {
 					t.Fatalf("%v step %d: shape (%d,%d) vs fresh (%d,%d)", k, step, got.Bmax(), got.n, fresh.Bmax(), fresh.n)
 				}
@@ -124,11 +123,12 @@ func TestLiveDPBudgetUnclamps(t *testing.T) {
 		for _, workers := range []int{1, 3} {
 			rng := rand.New(rand.NewSource(11))
 			vp := liveRandVP(rng, tc.n)
-			live, err := NewLiveDP(mustOracle(t, mk, vp), tc.B, engine.New(engine.Options{Workers: workers}))
+			pool := engine.New(engine.Options{Workers: workers})
+			live, err := RunDPPool(mustOracle(t, mk, vp), tc.B, pool)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := live.Table().Bmax(); got != tc.n {
+			if got := live.Bmax(); got != tc.n {
 				t.Fatalf("n=%d B=%d: initial Bmax %d, want %d (clamped)", tc.n, tc.B, got, tc.n)
 			}
 			for i := 0; i < tc.grow; i++ {
@@ -136,13 +136,13 @@ func TestLiveDPBudgetUnclamps(t *testing.T) {
 			}
 			vp.N = len(vp.Items)
 			o := mustOracle(t, mk, vp)
-			if err := live.Resume(o, tc.n); err != nil {
+			if err := live.Resume(o, tc.n, pool); err != nil {
 				t.Fatal(err)
 			}
-			if got, want := live.Table().Bmax(), min(tc.B, vp.N); got != want {
+			if got, want := live.Bmax(), min(tc.B, vp.N); got != want {
 				t.Fatalf("n=%d B=%d +%d: post-append Bmax %d, want %d", tc.n, tc.B, tc.grow, got, want)
 			}
-			tablesIdentical(t, denseTable(o, tc.B), live.Table())
+			tablesIdentical(t, denseTable(o, tc.B), live)
 		}
 	}
 }
@@ -175,7 +175,7 @@ func TestResumeTileEdges(t *testing.T) {
 					vp.Items[from] = liveRandItem(rng)
 				}
 				o := mk(vp)
-				if err := tab.resume(o, from, B, pool, ts); err != nil {
+				if err := tab.resume(o, from, pool, ts); err != nil {
 					t.Fatalf("tiles=%v workers=%d from=%d: %v", ts, workers, from, err)
 				}
 				tablesIdentical(t, denseTable(o, B), tab)

@@ -38,6 +38,17 @@ type Params struct {
 // DefaultParams matches the paper's mid-range experimental setting c = 0.5.
 func DefaultParams() Params { return Params{C: 0.5} }
 
+// Check reports whether p is usable under k: a relative-error metric
+// divides by max(c, |g|), so its sanity constant must be finite and > 0
+// (NaN included: c = 0 prices a zero frequency at 0/0, and c = +Inf prices
+// every synopsis at 0). The absolute metrics ignore c.
+func (p Params) Check(k Kind) error {
+	if k.Relative() && !(p.C > 0 && !math.IsInf(p.C, 1)) {
+		return fmt.Errorf("metric: %v needs a finite sanity constant c > 0, got %g", k, p.C)
+	}
+	return nil
+}
+
 // String returns the conventional name of the metric.
 func (k Kind) String() string {
 	switch k {

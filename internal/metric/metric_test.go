@@ -49,6 +49,17 @@ func TestRelative(t *testing.T) {
 	}
 }
 
+func TestParamsCheck(t *testing.T) {
+	for _, c := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), 0.5, 1e300} {
+		ok := c > 0 && !math.IsInf(c, 1)
+		for _, k := range []Kind{SSE, SSEFixed, SSRE, SAE, SARE, MAE, MARE} {
+			if err := (Params{C: c}).Check(k); (err == nil) != (ok || !k.Relative()) {
+				t.Errorf("%v with c = %v: Check = %v", k, c, err)
+			}
+		}
+	}
+}
+
 func TestPointErrorValues(t *testing.T) {
 	p := Params{C: 0.5}
 	cases := []struct {

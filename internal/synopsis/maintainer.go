@@ -14,7 +14,7 @@ import "probsyn/internal/pdata"
 // (and therefore codec-byte-identical) to a fresh frontier built over the
 // mutated data with the same configuration, at every budget and every
 // worker count. What a mutation costs is family-dependent — a histogram
-// resumes its retained DP table (internal/hist's LiveDP), a wavelet
+// resumes its retained DP table (internal/hist's DPTable.Resume), a wavelet
 // frontier runs a fresh sweep over the mutated data; what it returns is
 // not.
 //

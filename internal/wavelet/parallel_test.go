@@ -72,18 +72,18 @@ func TestBuildRestrictedPoolBitIdentical(t *testing.T) {
 	}
 }
 
-func TestBuildUnrestrictedPoolBitIdentical(t *testing.T) {
+func TestUnrestrictedSweepBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	src := ptest.RandomValuePDF(rng, 8, 3)
 	for _, k := range []metric.Kind{metric.SAE, metric.MAE} {
 		for _, q := range []int{0, 2} {
 			for _, B := range []int{1, 3} {
-				serial, cs, err := wavelet.BuildUnrestrictedPool(src, k, metric.Params{C: 0.5}, B, q, nil)
+				serial, cs, err := buildUnrestricted(src, k, metric.Params{C: 0.5}, B, q, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, w := range []int{2, runtime.NumCPU()} {
-					par, cp, err := wavelet.BuildUnrestrictedPool(src, k, metric.Params{C: 0.5}, B, q, finePool(w))
+					par, cp, err := buildUnrestricted(src, k, metric.Params{C: 0.5}, B, q, finePool(w))
 					if err != nil {
 						t.Fatal(err)
 					}

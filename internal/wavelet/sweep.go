@@ -103,8 +103,18 @@ const (
 	// bounds the gap to the exact optimum; q at least half the padded
 	// domain size degenerates to the exact DP.
 	RestrictedFamily
-	// UnrestrictedFamily is the unrestricted DP over candidate grids of 2q
-	// points per coefficient (§4.2 sketch; see BuildUnrestrictedPool).
+	// UnrestrictedFamily approximates the unrestricted thresholding problem
+	// §4.2 defers, by the paper's "bound and quantize the range of possible
+	// coefficient values" sketch: a retained value is chosen from a grid
+	// instead of pinned to the expected coefficient μ_j. The grid is μ_j
+	// plus 2q points spanning [μ_j − r_j, μ_j + r_j], r_j a pessimistic
+	// range from the min/max possible frequencies in the coefficient's
+	// support, and the tree DP minimizes over values as well as retain/drop
+	// decisions and budget splits. Its state space grows as
+	// O((2q+2)^depth) against the restricted DP's 2^depth, so it is for
+	// small domains; one that would exhaust memory fails fast with an
+	// error. With μ_j always a candidate, it is never worse than
+	// RestrictedFamily.
 	UnrestrictedFamily
 )
 

@@ -46,7 +46,7 @@ func families() []sweepFamily {
 				return wavelet.NewSweep(src, wavelet.UnrestrictedFamily, metric.SARE, p, B, 2, finePool(workers))
 			},
 			build: func(src pdata.Source, B, workers int) (*wavelet.Synopsis, float64, error) {
-				return wavelet.BuildUnrestrictedPool(src, metric.SARE, p, B, 2, finePool(workers))
+				return buildUnrestricted(src, metric.SARE, p, B, 2, finePool(workers))
 			},
 		},
 		{

@@ -3,38 +3,9 @@ package wavelet
 import (
 	"math"
 
-	"probsyn/internal/engine"
 	"probsyn/internal/haar"
-	"probsyn/internal/metric"
 	"probsyn/internal/pdata"
 )
-
-// BuildUnrestrictedPool approximates the unrestricted thresholding problem of
-// §4.2: retained coefficient values are chosen to optimize the target
-// metric rather than pinned to their expected values. The paper defers
-// this case, sketching the standard approach — "bound and quantize the
-// range of possible coefficient values"; this implements that sketch:
-//
-//   - each coefficient's candidate set is a grid of 2q+1 values spanning
-//     [μ_j − r_j, μ_j + r_j], where μ_j is the expected coefficient and
-//     r_j a pessimistic range bound from the min/max possible frequencies
-//     in its support (the paper's first suggested bounding option);
-//   - the coefficient-tree DP then minimizes over candidate values as well
-//     as retain/drop decisions and budget splits.
-//
-// The ancestor-decision state space grows as the product of candidate-set
-// sizes along each root-to-leaf path — O((2q+2)^depth) instead of the
-// restricted DP's 2^depth — so this is exponentially more expensive than
-// BuildRestrictedPool in both q and log n. Use it on small domains: the
-// result is optimal over the quantized candidate sets, and combinations
-// whose state space would exhaust memory fail fast with an error. By
-// construction its error is never worse than the restricted optimum,
-// since μ_j is always a candidate; the tests verify both properties.
-// The DP is scheduled on pool (nil means serial); like the restricted
-// build, the result is bit-identical at any worker count.
-func BuildUnrestrictedPool(src pdata.Source, kind metric.Kind, p metric.Params, B, q int, pool *engine.Pool) (*Synopsis, float64, error) {
-	return buildAt(src, UnrestrictedFamily, kind, p, B, q, pool)
-}
 
 // unrestrictedSingleton solves the n == 1 domain at budget b: retain the
 // best candidate value only when strictly better than dropping.

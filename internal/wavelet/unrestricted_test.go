@@ -5,11 +5,26 @@ import (
 	"math/rand"
 	"testing"
 
+	"probsyn/internal/engine"
 	"probsyn/internal/metric"
 	"probsyn/internal/pdata"
 	"probsyn/internal/ptest"
 	"probsyn/internal/wavelet"
 )
+
+// buildUnrestricted is the unrestricted family's single-budget build: its
+// sweep at budget B extracted at B, with the synopsis's cost.
+func buildUnrestricted(src pdata.Source, kind metric.Kind, p metric.Params, B, q int, pool *engine.Pool) (*wavelet.Synopsis, float64, error) {
+	sw, err := wavelet.NewSweep(src, wavelet.UnrestrictedFamily, kind, p, B, q, pool)
+	if err != nil {
+		return nil, 0, err
+	}
+	syn, err := sw.Synopsis(sw.Bmax())
+	if err != nil {
+		return nil, 0, err
+	}
+	return syn, syn.Cost, nil
+}
 
 // With q=0 the candidate grid is exactly {mu_j}, so the unrestricted DP
 // must coincide with the restricted DP.
@@ -24,7 +39,7 @@ func TestUnrestrictedQZeroEqualsRestricted(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, unrestricted, err := wavelet.BuildUnrestrictedPool(src, k, p, B, 0, nil)
+				_, unrestricted, err := buildUnrestricted(src, k, p, B, 0, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -50,7 +65,7 @@ func TestUnrestrictedNeverWorseThanRestricted(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, unrestricted, err := wavelet.BuildUnrestrictedPool(src, k, p, B, 3, nil)
+				_, unrestricted, err := buildUnrestricted(src, k, p, B, 3, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -82,7 +97,7 @@ func TestUnrestrictedBeatsRestrictedOnWitness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, unrestricted, err := wavelet.BuildUnrestrictedPool(src, metric.SAE, p, 1, 8, nil)
+	_, unrestricted, err := buildUnrestricted(src, metric.SAE, p, 1, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +117,7 @@ func TestUnrestrictedSelfConsistent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			syn, got, err := wavelet.BuildUnrestrictedPool(src, k, p, 2, 2, nil)
+			syn, got, err := buildUnrestricted(src, k, p, 2, 2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +140,7 @@ func TestUnrestrictedMonotoneInBudget(t *testing.T) {
 	p := metric.Params{C: 0.5}
 	prev := math.Inf(1)
 	for B := 0; B <= 6; B++ {
-		_, got, err := wavelet.BuildUnrestrictedPool(src, metric.SAE, p, B, 2, nil)
+		_, got, err := buildUnrestricted(src, metric.SAE, p, B, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +153,7 @@ func TestUnrestrictedMonotoneInBudget(t *testing.T) {
 
 func TestUnrestrictedTinyDomain(t *testing.T) {
 	src := pdata.Deterministic([]float64{5})
-	syn, cost, err := wavelet.BuildUnrestrictedPool(src, metric.SAE, metric.Params{C: 1}, 1, 2, nil)
+	syn, cost, err := buildUnrestricted(src, metric.SAE, metric.Params{C: 1}, 1, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,13 +164,13 @@ func TestUnrestrictedTinyDomain(t *testing.T) {
 
 func TestUnrestrictedArgumentErrors(t *testing.T) {
 	src := pdata.Deterministic([]float64{1})
-	if _, _, err := wavelet.BuildUnrestrictedPool(src, metric.SAE, metric.Params{}, -1, 1, nil); err == nil {
+	if _, _, err := buildUnrestricted(src, metric.SAE, metric.Params{}, -1, 1, nil); err == nil {
 		t.Error("negative budget accepted")
 	}
-	if _, _, err := wavelet.BuildUnrestrictedPool(src, metric.SAE, metric.Params{}, 1, -1, nil); err == nil {
+	if _, _, err := buildUnrestricted(src, metric.SAE, metric.Params{}, 1, -1, nil); err == nil {
 		t.Error("negative quantization accepted")
 	}
-	if _, _, err := wavelet.BuildUnrestrictedPool(src, metric.SSE, metric.Params{}, 1, 1, nil); err == nil {
+	if _, _, err := buildUnrestricted(src, metric.SSE, metric.Params{}, 1, 1, nil); err == nil {
 		t.Error("clairvoyant SSE accepted")
 	}
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"sync"
 
-	"probsyn/internal/hist"
 	"probsyn/internal/pdata"
 	"probsyn/internal/synopsis"
-	"probsyn/internal/wavelet"
 )
 
 // Maintainer is a live Frontier: it absorbs Append/Update mutations of the
@@ -79,7 +77,6 @@ type liveFrontier struct {
 	plan  *plan
 	bmax  int             // the requested budget, before domain clamping
 	vp    *pdata.ValuePDF // the current data
-	hist  *hist.LiveDP    // the histogram table resumed after a mutation; nil for a wavelet family
 	cur   countedFrontier // the frontier over vp
 	spent DPStats         // the work of the wavelet sweeps cur replaced
 }
@@ -89,29 +86,22 @@ type liveFrontier struct {
 // table at column from, a wavelet family sweeps the whole data afresh.
 func (l *liveFrontier) refresh(from int) error {
 	p := l.plan
-	if wf, ok := p.family.wavelet(); ok {
-		sw, err := wavelet.NewSweep(l.vp, wf, p.metric, p.params, l.bmax, p.q, p.pool)
+	if h, ok := l.cur.(histFrontier); ok {
+		o, err := p.oracle(l.vp, p.weights)
 		if err != nil {
 			return err
 		}
-		if l.cur != nil {
-			l.spent.Add(l.cur.Stats())
-		}
-		l.cur = waveletFrontier{sw}
-		return nil
+		// The table is revalidated in place: cur already reads it.
+		return h.tab.Resume(o, from, p.pool)
 	}
-	o, err := p.oracle(l.vp, p.weights)
+	fr, err := p.frontier(l.vp, l.bmax)
 	if err != nil {
 		return err
 	}
-	if l.hist != nil {
-		// The table is revalidated in place: cur already reads it.
-		return l.hist.Resume(o, from)
+	if l.cur != nil {
+		l.spent.Add(l.cur.Stats())
 	}
-	if l.hist, err = hist.NewLiveDP(o, l.bmax, p.pool); err != nil {
-		return err
-	}
-	l.cur = histFrontier{l.hist.Table()}
+	l.cur = fr
 	return nil
 }
 

@@ -3,6 +3,7 @@ package probsyn
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"probsyn/internal/engine"
 	"probsyn/internal/hist"
@@ -68,6 +69,9 @@ func resolve(src Source, m Metric, opts []BuildOption, md mode) (*plan, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
+	if err := cfg.params.Check(m); err != nil {
+		return nil, err
+	}
 	p := &plan{
 		metric: m, params: cfg.params, eps: cfg.eps, weights: cfg.weights,
 		pool: cfg.pool, stats: cfg.dpStats,
@@ -79,6 +83,9 @@ func resolve(src Source, m Metric, opts []BuildOption, md mode) (*plan, error) {
 		return nil, fmt.Errorf("probsyn: incoming-value quantization is a wavelet option")
 	case !cfg.wavelet && cfg.weights != nil && m != SSE && m != SSEFixed:
 		return nil, fmt.Errorf("probsyn: workload weights require the SSE or SSE-fixed metric, got %v", m)
+	case !cfg.wavelet && cfg.epsSet && !(cfg.eps > 0 && !math.IsInf(cfg.eps, 1)):
+		// NaN slips past a plain eps <= 0 test, and +Inf certifies nothing.
+		return nil, fmt.Errorf("probsyn: WithEps needs a finite eps > 0, got %g", cfg.eps)
 	case !cfg.wavelet && cfg.epsSet:
 		p.family = histEps
 	case !cfg.wavelet:
@@ -145,7 +152,7 @@ func (p *plan) oracle(src Source, weights []float64) (hist.Oracle, error) {
 // the wavelet sweep, either of which answers every budget up to Bmax. The
 // caller holds the admission token. (histEps has no frontier; resolve lets
 // it through for Build alone, which runs it directly.)
-func (p *plan) frontier(src Source, Bmax int) (Frontier, error) {
+func (p *plan) frontier(src Source, Bmax int) (countedFrontier, error) {
 	if wf, ok := p.family.wavelet(); ok {
 		sw, err := wavelet.NewSweep(src, wf, p.metric, p.params, Bmax, p.q, p.pool)
 		if err != nil {

@@ -18,24 +18,29 @@ import (
 	"probsyn/internal/ptest"
 )
 
-// combo is one assignment of the options that can conflict. quantize is
-// the option's argument, or unset.
+// combo is one assignment of the options that can conflict. quantize and
+// c are the options' arguments, or unset; eps is WithEps's argument, or 0
+// for unset.
 type combo struct {
 	wavelet      bool
 	metric       probsyn.Metric
 	quantize     *int
 	unrestricted bool
-	eps          bool
+	eps          float64
 	weights      bool
+	c            *float64
 }
 
 func (c combo) String() string {
-	q := "-"
+	q, sc := "-", "-"
 	if c.quantize != nil {
 		q = fmt.Sprint(*c.quantize)
 	}
-	return fmt.Sprintf("wavelet=%v/%v/quantize=%s/unrestricted=%v/eps=%v/weights=%v",
-		c.wavelet, c.metric, q, c.unrestricted, c.eps, c.weights)
+	if c.c != nil {
+		sc = fmt.Sprint(*c.c)
+	}
+	return fmt.Sprintf("wavelet=%v/%v/quantize=%s/unrestricted=%v/eps=%v/weights=%v/c=%s",
+		c.wavelet, c.metric, q, c.unrestricted, c.eps, c.weights, sc)
 }
 
 func (c combo) options(n int) []probsyn.BuildOption {
@@ -49,8 +54,11 @@ func (c combo) options(n int) []probsyn.BuildOption {
 	if c.unrestricted {
 		opts = append(opts, probsyn.WithUnrestricted(1))
 	}
-	if c.eps {
-		opts = append(opts, probsyn.WithEps(0.5))
+	if c.eps != 0 {
+		opts = append(opts, probsyn.WithEps(c.eps))
+	}
+	if c.c != nil {
+		opts = append(opts, probsyn.WithParams(probsyn.Params{C: *c.c}))
 	}
 	if c.weights {
 		w := make([]float64, n)
@@ -75,11 +83,17 @@ const (
 
 var entryNames = [entryPoints]string{"Build", "BuildSweep", "BuildLive", "BuildSharded(k=1)", "BuildSharded(k=2)"}
 
+// finitePositive is the rule for a sanity constant and for eps.
+func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+
 // wantAccept is DESIGN.md's option-verdict table.
 func wantAccept(c combo, entry int) bool {
 	// Rules of the combination itself, the same at every entry point.
+	if c.c != nil && c.metric.Relative() && !finitePositive(*c.c) {
+		return false // max(c, |g|) divides every relative error
+	}
 	if c.wavelet {
-		if c.weights || c.eps || (c.quantize != nil && c.unrestricted) {
+		if c.weights || c.eps != 0 || (c.quantize != nil && c.unrestricted) {
 			return false
 		}
 		if c.quantize != nil && (*c.quantize < 2 || c.metric == probsyn.SSE) {
@@ -95,14 +109,14 @@ func wantAccept(c combo, entry int) bool {
 		if c.weights && c.metric != probsyn.SSE && c.metric != probsyn.SSEFixed {
 			return false
 		}
-		if c.eps && c.metric == probsyn.MAE {
-			return false // Theorem 5 is for cumulative metrics
+		if c.eps != 0 && (!finitePositive(c.eps) || !c.metric.Cumulative()) {
+			return false // Theorem 5 is for cumulative metrics, at an eps > 0
 		}
 	}
 	// Rules of the entry point.
 	sharded := entry == viaShardedOne || entry == viaShardedTwo
 	switch {
-	case c.eps && entry != viaBuild:
+	case c.eps != 0 && entry != viaBuild:
 		return false // no frontier
 	case c.unrestricted && sharded:
 		return false // no merge rule
@@ -151,8 +165,22 @@ func TestEntryPointsAgreeOnOptions(t *testing.T) {
 		for _, m := range []probsyn.Metric{probsyn.SSE, probsyn.SSEFixed, probsyn.SAE, probsyn.SARE, probsyn.MAE} {
 			for _, quantize := range []*int{nil, q(-1), q(0), q(1), q(4)} {
 				for flags := 0; flags < 8; flags++ {
-					checkCombo(t, combo{wavelet, m, quantize, flags&1 != 0, flags&2 != 0, flags&4 != 0}, src, B)
+					eps := 0.0
+					if flags&2 != 0 {
+						eps = 0.5
+					}
+					checkCombo(t, combo{wavelet, m, quantize, flags&1 != 0, eps, flags&4 != 0, nil}, src, B)
 				}
+			}
+		}
+		// A sanity constant a relative metric cannot divide by, and an eps
+		// that certifies nothing, are errors at every entry point.
+		for _, m := range []probsyn.Metric{probsyn.SSE, probsyn.SAE, probsyn.SSRE, probsyn.SARE, probsyn.MARE} {
+			for _, c := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+				checkCombo(t, combo{wavelet: wavelet, metric: m, c: &c}, src, B)
+			}
+			for _, eps := range []float64{math.NaN(), math.Inf(1)} {
+				checkCombo(t, combo{wavelet: wavelet, metric: m, eps: eps}, src, B)
 			}
 		}
 	}
@@ -183,15 +211,18 @@ func checkCombo(t *testing.T, c combo, src *probsyn.ValuePDF, B int) {
 	// Admission must agree with the worker: a key the catalog admits is a
 	// build every entry point runs. (WithQuantize(0) has no key: q = 0
 	// keys the exact build, which passes no WithQuantize.)
-	if !c.unrestricted && !c.eps && !c.weights && (c.quantize == nil || *c.quantize != 0) {
-		family, kq := catalog.FamilyHistogram, 0
+	if !c.unrestricted && c.eps == 0 && !c.weights && (c.quantize == nil || *c.quantize != 0) {
+		family, kq, kc := catalog.FamilyHistogram, 0, probsyn.DefaultParams().C
 		if c.wavelet {
 			family = catalog.FamilyWavelet
 		}
 		if c.quantize != nil {
 			kq = *c.quantize
 		}
-		_, err := catalog.NewKeyQ("d", family, c.metric.String(), B, probsyn.DefaultParams().C, kq)
+		if c.c != nil {
+			kc = *c.c
+		}
+		_, err := catalog.NewKeyQ("d", family, c.metric.String(), B, kc, kq)
 		if (err == nil) != (ref != nil) {
 			t.Errorf("%v: catalog.NewKeyQ admits = %v (err %v), Build accepts = %v", c, err == nil, err, ref != nil)
 		}
@@ -291,7 +322,8 @@ func TestLiveWeightedHistogram(t *testing.T) {
 }
 
 // A source that breaks its model's rules is an error at every entry point,
-// for both families, never a panic further down: the plan validates it.
+// for both families, never a panic further down: the plan validates it,
+// and so do the two constructors Build cannot express.
 func TestEntryPointsRejectBadSources(t *testing.T) {
 	tuples := func(n int, alts ...probsyn.Alternative) *probsyn.TuplePDF {
 		return &probsyn.TuplePDF{N: n, Tuples: []probsyn.Tuple{{Alts: alts}}}
@@ -329,6 +361,14 @@ func TestEntryPointsRejectBadSources(t *testing.T) {
 					t.Errorf("%s: %s (wavelet=%v) accepted the source", b.name, entryNames[entry], opts != nil)
 				}
 			}
+		}
+		for _, m := range []probsyn.Metric{probsyn.SSE, probsyn.SAE} {
+			if _, err := probsyn.EquiDepthHistogram(b.src, m, probsyn.DefaultParams(), 2); err == nil {
+				t.Errorf("%s: EquiDepthHistogram(%v) accepted the source", b.name, m)
+			}
+		}
+		if _, _, err := probsyn.SSEWavelet(b.src, 2); err == nil {
+			t.Errorf("%s: SSEWavelet accepted the source", b.name)
 		}
 	}
 }

@@ -18,15 +18,17 @@
 // Quick start:
 //
 //	data := probsyn.Deterministic([]float64{2, 2, 0, 2, 3, 5, 4, 4})
-//	h, _ := probsyn.OptimalHistogram(data, probsyn.SSE, probsyn.DefaultParams(), 3)
-//	fmt.Println(h.Estimate(4), h.Cost)
+//	h, _ := probsyn.Build(data, probsyn.SSE, 3)
+//	fmt.Println(h.Estimate(4), h.ErrorCost())
 //
 // Both families implement the shared Synopsis interface (point estimates,
 // range sums, term count, expected error) and serialize through a
-// versioned binary/JSON codec (MarshalSynopsis, UnmarshalSynopsis). The
-// unified constructor Build selects family, exact vs approximate DP,
-// workload weighting, and DP parallelism through functional options; the
-// named constructors below are thin wrappers over it.
+// versioned binary/JSON codec (MarshalSynopsis, UnmarshalSynopsis). Build
+// selects family, exact vs approximate DP, workload weighting, metric
+// parameters and DP parallelism through functional options; BuildSweep,
+// BuildLive and BuildSharded take the same options. Two constructors
+// build what Build cannot express: EquiDepthHistogram (a heuristic, not
+// an optimum) and SSEWavelet (the synopsis with its SSE report).
 //
 // All construction functions accept any of the three data models through
 // the Source interface. See DESIGN.md for the system inventory, the
@@ -118,34 +120,17 @@ func ParseMetric(s string) (Metric, error) { return metric.Parse(s) }
 // algorithms.
 func Deterministic(freqs []float64) *ValuePDF { return pdata.Deterministic(freqs) }
 
-// OptimalHistogram builds the error-optimal B-bucket histogram for the
-// metric over any probabilistic source (Theorems 1-4 and 6 of the paper).
-// It is shorthand for Build(src, m, B, WithParams(p)).
-func OptimalHistogram(src Source, m Metric, p Params, B int) (*Histogram, error) {
-	return histogramOf(Build(src, m, B, WithParams(p)))
-}
-
-// histogramOf narrows a histogram Build's result to its concrete type.
-func histogramOf(s Synopsis, err error) (*Histogram, error) {
-	if err != nil {
-		return nil, err
-	}
-	return s.(*Histogram), nil
-}
-
-// ApproxHistogram builds a (1+eps)-approximate B-bucket histogram for a
-// cumulative metric (Theorem 5), trading accuracy for a much smaller
-// search. It is shorthand for Build(src, m, B, WithParams(p), WithEps(eps)),
-// and beats the exact DP only on large domains: at B=16 from n=32768 at
-// eps >= 0.5 and from n=65536 at eps >= 0.25 (see WithEps).
-func ApproxHistogram(src Source, m Metric, p Params, B int, eps float64) (*Histogram, error) {
-	return histogramOf(Build(src, m, B, WithParams(p), WithEps(eps)))
-}
-
 // EquiDepthHistogram builds the B-bucket equi-depth histogram over expected
 // frequencies, priced under the given metric — the classic quantile
-// heuristic as a comparison point.
+// heuristic as a comparison point. It checks the source and the metric
+// parameters as Build does.
 func EquiDepthHistogram(src Source, m Metric, p Params, B int) (*Histogram, error) {
+	if err := src.Validate(); err != nil {
+		return nil, err
+	}
+	if err := p.Check(m); err != nil {
+		return nil, err
+	}
 	o, err := hist.NewOracle(src, m, p)
 	if err != nil {
 		return nil, err
@@ -154,40 +139,14 @@ func EquiDepthHistogram(src Source, m Metric, p Params, B int) (*Histogram, erro
 }
 
 // SSEWavelet builds the expected-SSE-optimal B-term Haar wavelet synopsis
-// (Theorem 7) together with its exact error accounting. The domain is
-// zero-padded to a power of two.
+// (Theorem 7) together with its exact error accounting — the synopsis
+// Build(src, SSE, B, WithWavelet()) returns, plus the report. The domain is
+// zero-padded to a power of two. It checks the source as Build does.
 func SSEWavelet(src Source, B int) (*WaveletSynopsis, *WaveletSSEReport, error) {
+	if err := src.Validate(); err != nil {
+		return nil, nil, err
+	}
 	return wavelet.BuildSSE(src, B)
-}
-
-// RestrictedWavelet builds the optimal restricted (coefficients fixed to
-// their expected values) B-term wavelet synopsis for a non-SSE metric
-// (Theorem 8), returning the synopsis and its expected error. It is
-// single-threaded; Build(src, m, B, WithWavelet(), WithParallelism(k))
-// runs the same DP across k workers with a bit-identical result.
-func RestrictedWavelet(src Source, m Metric, p Params, B int) (*WaveletSynopsis, float64, error) {
-	return wavelet.BuildRestrictedPool(src, m, p, B, nil)
-}
-
-// UnrestrictedWavelet builds a B-term wavelet synopsis for a non-SSE
-// metric with retained coefficient values optimized over quantized
-// candidate ranges (2q grid points plus the expected value per
-// coefficient) — the unrestricted thresholding problem the paper's §4.2
-// defers, implemented via its "bound and quantize" sketch. Never worse
-// than RestrictedWavelet; exponentially more expensive in q and log n, so
-// intended for small domains.
-func UnrestrictedWavelet(src Source, m Metric, p Params, B, q int) (*WaveletSynopsis, float64, error) {
-	return wavelet.BuildUnrestrictedPool(src, m, p, B, q, nil)
-}
-
-// WorkloadHistogram builds the optimal B-bucket histogram under
-// query-workload-weighted expected squared error: weights[i] is the
-// access frequency of point queries on item i (the non-uniform-workload
-// extension the paper's concluding remarks pose). Uniform weights reduce
-// to the SSEFixed objective. It is shorthand for
-// Build(src, SSEFixed, B, WithWorkloadWeights(weights)).
-func WorkloadHistogram(src Source, weights []float64, B int) (*Histogram, error) {
-	return histogramOf(Build(src, SSEFixed, B, WithWorkloadWeights(weights)))
 }
 
 // ExpectedSSE returns the exact expected sum-squared error of an arbitrary

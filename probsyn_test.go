@@ -17,10 +17,19 @@ func sampleValuePDF() *probsyn.ValuePDF {
 	}}
 }
 
+// buildHistogram is Build narrowed to the histogram family's type.
+func buildHistogram(src probsyn.Source, m probsyn.Metric, B int, opts ...probsyn.BuildOption) (*probsyn.Histogram, error) {
+	s, err := probsyn.Build(src, m, B, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return s.(*probsyn.Histogram), nil
+}
+
 func TestOptimalHistogramFacade(t *testing.T) {
 	for _, m := range []probsyn.Metric{probsyn.SSE, probsyn.SSEFixed, probsyn.SSRE,
 		probsyn.SAE, probsyn.SARE, probsyn.MAE, probsyn.MARE} {
-		h, err := probsyn.OptimalHistogram(sampleValuePDF(), m, probsyn.DefaultParams(), 2)
+		h, err := buildHistogram(sampleValuePDF(), m, 2)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -44,11 +53,11 @@ func TestParseMetricFacade(t *testing.T) {
 }
 
 func TestApproxHistogramFacade(t *testing.T) {
-	opt, err := probsyn.OptimalHistogram(sampleValuePDF(), probsyn.SSE, probsyn.Params{}, 2)
+	opt, err := buildHistogram(sampleValuePDF(), probsyn.SSE, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	apx, err := probsyn.ApproxHistogram(sampleValuePDF(), probsyn.SSE, probsyn.Params{}, 2, 0.25)
+	apx, err := buildHistogram(sampleValuePDF(), probsyn.SSE, 2, probsyn.WithEps(0.25))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +91,12 @@ func TestSSEWaveletFacade(t *testing.T) {
 }
 
 func TestRestrictedWaveletFacade(t *testing.T) {
-	syn, cost, err := probsyn.RestrictedWavelet(sampleValuePDF(), probsyn.SAE, probsyn.DefaultParams(), 2)
+	syn, err := probsyn.Build(sampleValuePDF(), probsyn.SAE, 2, probsyn.WithWavelet())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if syn.B() > 2 || cost < 0 {
-		t.Fatalf("synopsis B=%d cost=%v", syn.B(), cost)
+	if syn.Terms() > 2 || syn.ErrorCost() < 0 {
+		t.Fatalf("synopsis B=%d cost=%v", syn.Terms(), syn.ErrorCost())
 	}
 }
 
@@ -108,39 +117,38 @@ func TestDatasetRoundTripFacade(t *testing.T) {
 
 func TestUnrestrictedWaveletFacade(t *testing.T) {
 	vp := sampleValuePDF()
-	_, restricted, err := probsyn.RestrictedWavelet(vp, probsyn.SAE, probsyn.DefaultParams(), 2)
+	restricted, err := probsyn.Build(vp, probsyn.SAE, 2, probsyn.WithWavelet())
 	if err != nil {
 		t.Fatal(err)
 	}
-	syn, unrestricted, err := probsyn.UnrestrictedWavelet(vp, probsyn.SAE, probsyn.DefaultParams(), 2, 3)
+	syn, err := probsyn.Build(vp, probsyn.SAE, 2, probsyn.WithWavelet(), probsyn.WithUnrestricted(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if syn.B() > 2 {
-		t.Fatalf("budget exceeded: %d", syn.B())
+	if syn.Terms() > 2 {
+		t.Fatalf("budget exceeded: %d", syn.Terms())
 	}
-	if unrestricted > restricted+1e-9 {
+	if unrestricted, restricted := syn.ErrorCost(), restricted.ErrorCost(); unrestricted > restricted+1e-9 {
 		t.Fatalf("unrestricted %v worse than restricted %v", unrestricted, restricted)
 	}
 }
 
 func TestWorkloadHistogramFacade(t *testing.T) {
 	vp := sampleValuePDF()
-	h, err := probsyn.WorkloadHistogram(vp, []float64{4, 1, 1, 0}, 2)
+	h, err := buildHistogram(vp, probsyn.SSEFixed, 2, probsyn.WithWorkloadWeights([]float64{4, 1, 1, 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := probsyn.WorkloadHistogram(vp, []float64{1}, 2); err == nil {
+	if _, err := buildHistogram(vp, probsyn.SSEFixed, 2, probsyn.WithWorkloadWeights([]float64{1})); err == nil {
 		t.Fatal("weight length mismatch accepted")
 	}
 }
 
 func TestDeterministicFacadeAndEstimate(t *testing.T) {
-	h, err := probsyn.OptimalHistogram(probsyn.Deterministic([]float64{7, 7, 1, 1}),
-		probsyn.SSE, probsyn.Params{}, 2)
+	h, err := buildHistogram(probsyn.Deterministic([]float64{7, 7, 1, 1}), probsyn.SSE, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

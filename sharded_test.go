@@ -189,14 +189,15 @@ func TestBuildShardedWorkloadHistogram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := probsyn.WorkloadHistogram(src, weights, 6)
+	opt, err := probsyn.Build(src, probsyn.SSEFixed, 6, probsyn.WithWorkloadWeights(weights))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tol := 1e-9 * math.Max(1, opt.Cost)
-	if res.Synopsis.ErrorCost() < opt.Cost-tol || res.Synopsis.ErrorCost() > opt.Cost+res.Bound+tol {
+	cost := opt.ErrorCost()
+	tol := 1e-9 * math.Max(1, cost)
+	if res.Synopsis.ErrorCost() < cost-tol || res.Synopsis.ErrorCost() > cost+res.Bound+tol {
 		t.Fatalf("sharded workload cost %v outside [opt, opt+bound] = [%v, %v]",
-			res.Synopsis.ErrorCost(), opt.Cost, opt.Cost+res.Bound)
+			res.Synopsis.ErrorCost(), cost, cost+res.Bound)
 	}
 }
 
