@@ -2,9 +2,12 @@ package query
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"testing"
 
 	"probsyn/internal/hist"
@@ -122,30 +125,58 @@ func BenchmarkServeRangeSum(b *testing.B) {
 	benchSink = sink
 }
 
-// BenchmarkEvalBatch measures the batch evaluator over a pre-resolved
-// querier: the per-op overhead the /v1/query handler adds on top of the
-// querier itself.
+// benchBatchBody is the JSON body of an n-op batch whose ops take k
+// distinct keys in turn (k = n: every key distinct), alternating
+// estimates and range sums over [0, 4096). Each key differs from the
+// others in its dataset, family or budget, as a served catalog's do;
+// k = 64 is the shape of bench/'s serve-batch bodies.
+func benchBatchBody(b *testing.B, n, k int) []byte {
+	rng := rand.New(rand.NewSource(9))
+	families := [2]string{"histogram", "wavelet"}
+	req := &BatchRequest{Ops: make([]Op, n)}
+	for i := range req.Ops {
+		j := i % k
+		op := Op{BatchKey: BatchKey{Dataset: "ds" + strconv.Itoa(j%4), Family: families[j/4%2], Metric: "SSE", Budget: 1 + j/8}}
+		if i%2 == 0 {
+			op.Op, op.I = OpEstimate, rng.Intn(4096)
+		} else {
+			op.Op, op.Lo = OpRangeSum, rng.Intn(2048)
+			op.Hi = op.Lo + rng.Intn(2048)
+		}
+		req.Ops[i] = op
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body
+}
+
+// BenchmarkEvalBatch measures the batch evaluator over a resolver that
+// answers every key with one querier: the per-op overhead the /v1/query
+// handler adds on top of the querier itself, with the request decoded
+// first as the handler decodes it. keys=16384 (a MaxBatchOps batch of
+// distinct keys) is the worst case; its per-op cost (ns/batch-op) must
+// stay near keys=64's.
 func BenchmarkEvalBatch(b *testing.B) {
 	h := benchHistogram(4096, 64)
 	q := CompileHistogram(h)
-	key := BatchKey{Dataset: "ds", Family: "histogram", Metric: "SSE", Budget: 64}
-	req := &BatchRequest{}
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 100; i++ {
-		if i%2 == 0 {
-			req.Ops = append(req.Ops, Op{BatchKey: key, Op: OpEstimate, I: rng.Intn(4096)})
-		} else {
-			lo := rng.Intn(2048)
-			req.Ops = append(req.Ops, Op{BatchKey: key, Op: OpRangeSum, Lo: lo, Hi: lo + rng.Intn(2048)})
-		}
-	}
 	resolve := func(BatchKey) (Querier, int, *OpError) { return q, h.N, nil }
-	resp := &BatchResponse{Results: make([]OpResult, 0, len(req.Ops))}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp.Results = resp.Results[:0]
-		EvalBatch(req, resolve, resp)
+	for _, c := range []struct{ ops, keys int }{{100, 1}, {1024, 64}, {MaxBatchOps, MaxBatchOps}} {
+		b.Run(fmt.Sprintf("keys=%d", c.keys), func(b *testing.B) {
+			var req BatchRequest
+			if err := DecodeBatch(benchBatchBody(b, c.ops, c.keys), &req); err != nil {
+				b.Fatal(err)
+			}
+			resp := &BatchResponse{Results: make([]OpResult, 0, len(req.Ops))}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				resp.Results = resp.Results[:0]
+				EvalBatch(&req, resolve, resp)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(req.Ops)), "ns/batch-op")
+		})
 	}
 }
 

@@ -93,6 +93,9 @@ func TestDecodeBatchMatchesStdlibCorpus(t *testing.T) {
 		`{"ops":[{"dataset":"ds","family":"histogram","metric":"SSE","budget":8,"op":"estimate","i":42}]}`,
 		`{"ops":[{"dataset":"ds","budget":8,"op":"rangesum","lo":-3,"hi":17,"c":0.5}]}`,
 		`{"ops":[{"c":1e3},{"c":0.25},{"c":2.5e-2},{"c":-0.125}]}`,
+		`{"ops":[{"c":0},{"c":-0},{"c":-0.0e7},{"c":0.5},{"c":5e-1},{"c":-0.5}]}`, // -0 in three spellings
+		`{"ops":[{"dataset":"a"},{"dataset":""},{},{"dataset":"a","family":""},{"family":"a"}]}`,
+		`{"ops":[{"budget":1,"q":2},{"budget":2,"q":1},{"q":2,"budget":1},{"budget":1,"q":2,"budget":3}]}`,
 		`{"ops":[{"dataset":"ds","family":"wavelet","metric":"SAE","budget":8,"q":16,"op":"estimate","i":1}]}`,
 		`{"ops":[{"q":0},{"q":-4},{"q":2.5}]}`, // float into q: stdlib error
 		`{"ops":[{"i":0},{"i":-0},{"budget":1000000000}]}`,
@@ -128,12 +131,26 @@ func TestDecodeBatchMatchesStdlibCorpus(t *testing.T) {
 
 // FuzzDecodeBatch differentially fuzzes the fast scanner against
 // encoding/json: any input where they disagree — result or error text —
-// is a bug in the scanner's fallback discipline.
+// is a bug in the scanner's fallback discipline. A body that decodes is
+// then evaluated: EvalBatch must resolve exactly the first appearance of
+// each key, in order, and answer each op per its own key.
 func FuzzDecodeBatch(f *testing.F) {
 	f.Add(`{"ops":[{"dataset":"ds","family":"histogram","metric":"SSE","budget":8,"op":"estimate","i":42}]}`)
 	f.Add(`{"ops":[{"dataset":"ds","c":2.5e-2,"lo":-3}]}`)
 	f.Add(`{"ops":[{}]}`)
-	f.Fuzz(func(t *testing.T, in string) { decodeBoth(t, []byte(in)) })
+	f.Add(`{"ops":[{"dataset":"a","budget":1},{"dataset":"b","budget":1},{"dataset":"a","c":-0,"budget":1},{"dataset":"a","budget":1,"c":0}]}`)
+	f.Fuzz(func(t *testing.T, in string) {
+		if req, err := decodeBoth(t, []byte(in)); err == nil {
+			keys := firstAppearance(req.Ops)
+			var calls []BatchKey
+			var resp BatchResponse
+			EvalBatch(&req, keyResolver(keys, &calls), &resp)
+			if got, want := fmt.Sprint(calls), fmt.Sprint(keys); got != want {
+				t.Fatalf("resolved\n %s\nwant first appearances\n %s", got, want)
+			}
+			checkPerOp(t, req.Ops, resp.Results, keyResolver(keys, nil))
+		}
+	})
 }
 
 // TestDecodeBatchClearsPooledOps is the pooled-reuse regression test:
@@ -159,49 +176,35 @@ func TestDecodeBatchClearsPooledOps(t *testing.T) {
 	}
 }
 
+// BenchmarkDecodeBatch decodes a 100-op body over 2 keys and a 1,024-op
+// body over 64 (bench/'s serve-batch shape) into a reused request, by the
+// fast path and by encoding/json.
 func BenchmarkDecodeBatch(b *testing.B) {
-	var req BatchRequest
-	for i := 0; i < 100; i++ {
-		family := "histogram"
-		if i%2 == 1 {
-			family = "wavelet"
-		}
-		op := Op{
-			BatchKey: BatchKey{Dataset: "ds", Family: family, Metric: "SSE", Budget: 8},
-			Op:       OpEstimate, I: i,
-		}
-		if i%4 >= 2 {
-			op.Op = OpRangeSum
-			op.Lo, op.Hi = i, i+64
-		}
-		req.Ops = append(req.Ops, op)
-	}
-	body, err := json.Marshal(&req)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("fast", func(b *testing.B) {
-		var dst BatchRequest
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := DecodeBatch(body, &dst); err != nil {
-				b.Fatal(err)
+	for _, c := range []struct{ ops, keys int }{{100, 2}, {1024, 64}} {
+		body := benchBatchBody(b, c.ops, c.keys)
+		b.Run(fmt.Sprintf("keys=%d/fast", c.keys), func(b *testing.B) {
+			var dst BatchRequest
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := DecodeBatch(body, &dst); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		if len(dst.Ops) != 100 {
-			b.Fatal("bad decode")
-		}
-	})
-	b.Run("stdlib", func(b *testing.B) {
-		var dst BatchRequest
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dst.Ops = dst.Ops[:0]
-			if err := json.Unmarshal(body, &dst); err != nil {
-				b.Fatal(err)
+			if len(dst.Ops) != c.ops {
+				b.Fatal("bad decode")
 			}
-		}
-	})
+		})
+		b.Run(fmt.Sprintf("keys=%d/stdlib", c.keys), func(b *testing.B) {
+			var dst BatchRequest
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dst.Ops = dst.Ops[:0]
+				if err := json.Unmarshal(body, &dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // Guard that the canonical wire shape really takes the fast path: if a

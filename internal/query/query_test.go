@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
+	"strconv"
 	"testing"
 
 	"probsyn/internal/hist"
@@ -281,6 +284,180 @@ func TestEvalBatch(t *testing.T) {
 	if resolves != 2 {
 		t.Fatalf("%d resolver calls, want 2", resolves)
 	}
+
+	// 64 keys x 16 interleaved ops, opened and closed by an op whose c is
+	// -0 (one key with c = 0), reach EvalBatch from the fast decoder, from
+	// the stdlib fallback, and built in code; the last also carries two
+	// ops whose c is NaN, which match no key and so are resolved once
+	// each.
+	keys := distinctKeys()
+	negZero := keys[0]
+	negZero.C = math.Copysign(0, -1)
+	ops := append([]Op{{BatchKey: negZero, Op: OpEstimate, I: 1}}, interleavedOps(keys)...)
+	ops = append(ops, Op{BatchKey: negZero, Op: OpRangeSum, Lo: 2, Hi: 9})
+	nan := keys[1]
+	nan.C = math.NaN()
+	built := append(slices.Clone(ops), Op{BatchKey: nan, Op: OpEstimate}, Op{BatchKey: nan, Op: OpEstimate})
+	for _, c := range []struct {
+		name     string
+		req      *BatchRequest
+		resolves int
+	}{
+		{"fast", decodeBody(t, batchBody(ops, "")), 64},
+		{"stdlib", decodeBody(t, batchBody(ops, `,"unknown":1`)), 64},
+		{"built", &BatchRequest{Ops: built}, 66},
+	} {
+		t.Run("keys/"+c.name, func(t *testing.T) {
+			var calls []BatchKey
+			var resp BatchResponse
+			EvalBatch(c.req, keyResolver(keys, &calls), &resp)
+			if len(calls) != c.resolves {
+				t.Fatalf("%d resolver calls, want %d", len(calls), c.resolves)
+			}
+			if got, want := fmt.Sprint(calls), fmt.Sprint(firstAppearance(c.req.Ops)); got != want {
+				t.Fatalf("resolved\n %s\nwant first appearances\n %s", got, want)
+			}
+			checkPerOp(t, c.req.Ops, resp.Results, keyResolver(keys, nil))
+		})
+	}
+
+	// A decoded request whose ops were then edited resolves the edited
+	// keys, once each, and answers every op per its own key.
+	for name, edit := range map[string]func(ops []Op) []Op{
+		"first op changes key":    func(ops []Op) []Op { ops[0].Budget = 99; return ops },
+		"op joins another key":    func(ops []Op) []Op { ops[71].BatchKey = keys[5]; return ops },
+		"op takes a new key":      func(ops []Op) []Op { ops[300].Dataset = "zz"; return ops },
+		"key's first op is moved": func(ops []Op) []Op { ops[7].BatchKey = keys[5]; return ops },
+		"ops reversed":            func(ops []Op) []Op { slices.Reverse(ops); return ops },
+		"op appended":             func(ops []Op) []Op { return append(ops, Op{BatchKey: keys[3], Op: OpEstimate, I: 3}) },
+	} {
+		t.Run("edited/"+name, func(t *testing.T) {
+			req := decodeBody(t, batchBody(ops, ""))
+			req.Ops = edit(req.Ops)
+			var calls []BatchKey
+			var resp BatchResponse
+			EvalBatch(req, keyResolver(keys, &calls), &resp)
+			checkPerOp(t, req.Ops, resp.Results, keyResolver(keys, nil))
+			if got, want := fmt.Sprint(calls), fmt.Sprint(firstAppearance(req.Ops)); got != want {
+				t.Fatalf("resolved\n %s\nwant first appearances\n %s", got, want)
+			}
+		})
+	}
+}
+
+// keyQuerier is the querier of the key with index q: it folds the index
+// into every answer, so an op answered by another key's querier shows.
+type keyQuerier int
+
+func (q keyQuerier) Estimate(i int) float64 { return float64(q)*(1<<20) + float64(i) }
+func (q keyQuerier) RangeSum(lo, hi int) float64 {
+	return float64(q)*(1<<40) + float64(lo)*(1<<20) + float64(hi)
+}
+func (q keyQuerier) Domain() int { return 64 }
+
+// distinctKeys are 64 distinct keys, each differing from some other in
+// exactly one field, for every field a key compares.
+func distinctKeys() []BatchKey {
+	keys := make([]BatchKey, 64)
+	for k := range keys {
+		keys[k] = BatchKey{
+			Dataset: [2]string{"ds", "dt"}[k&1],
+			Family:  [2]string{"histogram", "wavelet"}[k>>1&1],
+			Metric:  [2]string{"SSE", "SSRE"}[k>>2&1],
+			Budget:  1 + k>>3&1,
+			Q:       4 * (k >> 4 & 1),
+			C:       0.5 * float64(k>>5&1),
+		}
+	}
+	return keys
+}
+
+// interleavedOps is 16 ops per key with the keys taken in turn, each
+// round of keys alternating between estimates and range sums.
+func interleavedOps(keys []BatchKey) []Op {
+	ops := make([]Op, 16*len(keys))
+	for i := range ops {
+		ops[i] = Op{BatchKey: keys[i%len(keys)], Op: OpEstimate, I: i % 64}
+		if i/len(keys)%2 == 1 {
+			ops[i] = Op{BatchKey: keys[i%len(keys)], Op: OpRangeSum, Lo: i % 32, Hi: i%32 + 16}
+		}
+	}
+	return ops
+}
+
+// keyResolver resolves keys[k] to keyQuerier(k) and any other key to
+// not_found, appending each key it is asked for to *calls if calls is
+// not nil.
+func keyResolver(keys []BatchKey, calls *[]BatchKey) Resolver {
+	return func(k BatchKey) (Querier, int, *OpError) {
+		if calls != nil {
+			*calls = append(*calls, k)
+		}
+		if i := slices.Index(keys, k); i >= 0 {
+			return keyQuerier(i), keyQuerier(i).Domain(), nil
+		}
+		return nil, 0, &OpError{Code: "not_found", Message: "no synopsis"}
+	}
+}
+
+// firstAppearance is the key of each op that is == to no op before it,
+// in op order: the keys EvalBatch must resolve, in the order it must
+// resolve them.
+func firstAppearance(ops []Op) []BatchKey {
+	var keys []BatchKey
+next:
+	for i := range ops {
+		for j := range keys {
+			if keys[j] == ops[i].BatchKey {
+				continue next
+			}
+		}
+		keys = append(keys, ops[i].BatchKey)
+	}
+	return keys
+}
+
+// checkPerOp fails unless each result is the op's answer on its own:
+// its key resolved alone, then Eval.
+func checkPerOp(t *testing.T, ops []Op, results []OpResult, resolve Resolver) {
+	t.Helper()
+	if len(results) != len(ops) {
+		t.Fatalf("%d results for %d ops", len(results), len(ops))
+	}
+	for i := range ops {
+		q, _, err := resolve(ops[i].BatchKey)
+		want := OpResult{Err: err}
+		if err == nil {
+			want = Eval(&ops[i], q)
+		}
+		if got := results[i]; !bitEqual(got.Value, want.Value) || !reflect.DeepEqual(got.Err, want.Err) {
+			t.Fatalf("op %d %+v: result %+v, answered alone %+v", i, ops[i], got, want)
+		}
+	}
+}
+
+// batchBody writes ops as a batch body with every member present and c
+// written with its sign (encoding/json omits a c of -0), then extra
+// before the closing brace.
+func batchBody(ops []Op, extra string) []byte {
+	b := []byte(`{"ops":[`)
+	for i, op := range ops {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = fmt.Appendf(b, `{"dataset":%q,"family":%q,"metric":%q,"budget":%d,"q":%d,"c":%s,"op":%q,"i":%d,"lo":%d,"hi":%d}`,
+			op.Dataset, op.Family, op.Metric, op.Budget, op.Q, strconv.FormatFloat(op.C, 'g', -1, 64), op.Op, op.I, op.Lo, op.Hi)
+	}
+	return append(append(b, ']'), extra+"}"...)
+}
+
+func decodeBody(t *testing.T, body []byte) *BatchRequest {
+	t.Helper()
+	req := &BatchRequest{}
+	if err := DecodeBatch(body, req); err != nil {
+		t.Fatal(err)
+	}
+	return req
 }
 
 // TestEvalBatchReusesResults: appending into a response with retained
@@ -302,6 +479,26 @@ func TestEvalBatchReusesResults(t *testing.T) {
 		if &resp.Results[:1][0] != base {
 			t.Fatalf("round %d: results slice reallocated despite capacity", round)
 		}
+	}
+
+	// A pooled request that last held a 64-key batch: a small batch
+	// decoded into it, by either path, resolves its own two keys once
+	// each and answers per them.
+	keys := distinctKeys()
+	small := []Op{{BatchKey: keys[9], Op: OpEstimate, I: 4}, {BatchKey: keys[2], Op: OpEstimate, I: 5}, {BatchKey: keys[9], Op: OpRangeSum, Lo: 1, Hi: 3}}
+	for name, extra := range map[string]string{"fast": "", "stdlib": `,"unknown":1`} {
+		pooled := decodeBody(t, batchBody(interleavedOps(keys), ""))
+		EvalBatch(pooled, keyResolver(keys, nil), resp)
+		if err := DecodeBatch(batchBody(small, extra), pooled); err != nil {
+			t.Fatal(err)
+		}
+		var calls []BatchKey
+		resp.Results = resp.Results[:0]
+		EvalBatch(pooled, keyResolver(keys, &calls), resp)
+		if !slices.Equal(calls, []BatchKey{keys[9], keys[2]}) {
+			t.Fatalf("%s: pooled request resolved %v, want keys 9 and 2", name, calls)
+		}
+		checkPerOp(t, pooled.Ops, resp.Results, keyResolver(keys, nil))
 	}
 }
 
