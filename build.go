@@ -156,7 +156,8 @@ func Build(src Source, m Metric, B int, opts ...BuildOption) (Synopsis, error) {
 }
 
 // build returns the budget-B synopsis with the frontier it was extracted
-// from (nil under histEps, whose DP has none).
+// from (nil under histEps, whose DP has none). A wavelet frontier comes
+// back released: only its Bmax, ErrorBound and Stats still answer.
 func (p *plan) build(src Source, B int) (Synopsis, Frontier, error) {
 	_, release, err := p.admit(1)
 	if err != nil {
@@ -181,6 +182,9 @@ func (p *plan) build(src Source, B int) (Synopsis, Frontier, error) {
 		return nil, nil, err
 	}
 	syn, err := synopsis.Extract(fr, B)
+	if wf, ok := fr.(waveletFrontier); ok {
+		wf.Release() // no caller reads past the one synopsis: hand the DP's tables back
+	}
 	return syn, fr, err
 }
 

@@ -2,6 +2,7 @@ package probsyn
 
 import (
 	"fmt"
+	"math"
 
 	"probsyn/internal/hist"
 	"probsyn/internal/wavelet"
@@ -61,6 +62,16 @@ func (f histFrontier) Synopsis(b int) (Synopsis, error) {
 // Its promoted ErrorBound reports the additive suboptimality bound of a
 // quantized sweep (0 for exact ones); see ApproxBound.
 type waveletFrontier struct{ *wavelet.Sweep }
+
+// Cost is the sweep's. Its one error is a released sweep's, and a sweep is
+// released only once nothing can reach its frontier: a NaN here is a bug.
+func (f waveletFrontier) Cost(b int) float64 {
+	c, err := f.Sweep.Cost(b)
+	if err != nil {
+		return math.NaN()
+	}
+	return c
+}
 
 func (f waveletFrontier) Synopsis(b int) (Synopsis, error) {
 	syn, err := f.Sweep.Synopsis(b)

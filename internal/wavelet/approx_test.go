@@ -50,7 +50,7 @@ func TestRestrictedApproxCostVsExact(t *testing.T) {
 				}
 				prevBound = bound
 				for b := 1; b <= B; b++ {
-					opt, got := exact.Cost(b), sw.Cost(b)
+					opt, got := sweepCost(t, exact, b), sweepCost(t, sw, b)
 					if got < opt-1e-9*math.Abs(opt)-1e-12 {
 						t.Fatalf("n=%d %v q=%d b=%d: quantized cost %v below exact optimum %v", n, kind, q, b, got, opt)
 					}
@@ -78,7 +78,7 @@ func TestRestrictedApproxCostVsExact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				synopsesIdentical(t, "q=n", want, got, exact.Cost(b), sw.Cost(b))
+				synopsesIdentical(t, "q=n", want, got, sweepCost(t, exact, b), sweepCost(t, sw, b))
 			}
 		}
 	}
@@ -121,7 +121,7 @@ func TestRestrictedApproxSweepMatchesBuilds(t *testing.T) {
 			if err != nil {
 				t.Fatalf("q=%d b=%d: %v", q, b, err)
 			}
-			synopsesIdentical(t, "sweep-vs-build", built, fromSweep, cost, sw.Cost(b))
+			synopsesIdentical(t, "sweep-vs-build", built, fromSweep, cost, sweepCost(t, sw, b))
 			sb, err := synopsis.Marshal(fromSweep)
 			if err != nil {
 				t.Fatal(err)

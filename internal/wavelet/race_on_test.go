@@ -1,0 +1,7 @@
+//go:build race
+
+package wavelet_test
+
+// raceEnabled: the race detector makes sync.Pool drop Puts at random, so
+// an allocation bound that rests on the slab cache does not hold under it.
+const raceEnabled = true

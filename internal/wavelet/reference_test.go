@@ -48,9 +48,9 @@ func newDensePointErrors(t testing.TB, vp *pdata.ValuePDF, kind metric.Kind, p m
 	for i := 0; i < vp.N; i++ {
 		var cw, cs float64
 		for j := 0; j < k; j++ {
-			w := tab.P[i][j] * kind.Weight(vs.Values[j], p)
+			w := float64(tab.P[i][j] * kind.Weight(vs.Values[j], p))
 			cw += w
-			cs += w * vs.Values[j]
+			cs += float64(w * vs.Values[j])
 			pe.itemW[i*k+j] = cw
 			pe.itemS[i*k+j] = cs
 		}

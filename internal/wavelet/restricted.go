@@ -55,12 +55,12 @@ func NewPointErrors(vp *pdata.ValuePDF, kind metric.Kind, p metric.Params) (*Poi
 					continue
 				}
 				w := kind.Weight(e.Freq, p)
-				pw := e.Prob * w
-				xi += pw * e.Freq * e.Freq
-				yi += pw * e.Freq
+				pw := float64(e.Prob * w)
+				xi += float64(pw * e.Freq * e.Freq)
+				yi += float64(pw * e.Freq)
 				zi += pw
 			}
-			zi += vp.Items[i].ZeroProb() * w0
+			zi += float64(vp.Items[i].ZeroProb() * w0)
 			pe.x[i], pe.y[i], pe.z[i] = xi, yi, zi
 		}
 	case metric.SAE, metric.SARE, metric.MAE, metric.MARE:
@@ -91,9 +91,9 @@ func NewPointErrors(vp *pdata.ValuePDF, kind metric.Kind, p metric.Params) (*Poi
 				for ; k < len(own) && own[k].Freq == f; k++ {
 					pr += own[k].Prob
 				}
-				w := pr * kind.Weight(f, p)
+				w := float64(pr * kind.Weight(f, p))
 				cw += w
-				cs += w * f
+				cs += float64(w * f)
 				pe.val = append(pe.val, f)
 				pe.rec = append(pe.rec, cw, cs)
 			}

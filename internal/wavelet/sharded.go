@@ -254,7 +254,10 @@ func BuildShardedRestricted(src pdata.Source, kind metric.Kind, p metric.Params,
 		return nil, err
 	}
 	cum := kind.Cumulative()
-	alloc, err := shard.Allocate(B+k, caps, cum, func(s, b int) float64 { return sweeps[s].Cost(b) })
+	alloc, err := shard.Allocate(B+k, caps, cum, func(s, b int) float64 {
+		c, _ := sweeps[s].Cost(b) // only a released sweep errs, and these never are
+		return c
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package wavelet
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -20,18 +21,39 @@ import (
 // directly, and a whole cost-vs-budget frontier (the paper's Figure 2/4
 // x-axes) costs one build instead of Bmax.
 //
-// A Sweep retains the DP's per-level tables until it is garbage
-// collected; extraction only reads them, so Synopsis and Cost may be
-// called concurrently.
+// A Sweep holds the DP's per-level tables, which extraction only reads,
+// so Synopsis and Cost may be called concurrently. Release hands the
+// tables back to the slab cache for the next DP to reuse. Only a holder
+// of the sole reference that has extracted what it needs calls it: a
+// single-budget build (buildAt, probsyn.Build) after its one extraction,
+// and a live frontier for the sweep a mutation replaced. A sweep a caller
+// keeps — a BuildSweep frontier, a live frontier's current sweep, the
+// per-shard sweeps of a sharded build — is never released and lives until
+// it is garbage collected.
 type Sweep struct {
-	bmax   int
-	at     func(b int) *Synopsis
-	costAt func(b int) float64 // budget b's cost without its synopsis; nil: only at(b) knows it
-	bound  float64             // additive suboptimality bound; 0 for exact sweeps
-	stats  hist.DPStats        // the forward DP's work counters; zero for the SSE greedy
+	bmax    int
+	at      func(b int) *Synopsis
+	costAt  func(b int) float64 // budget b's cost without its synopsis; nil: only at(b) knows it
+	bound   float64             // additive suboptimality bound; 0 for exact sweeps
+	stats   hist.DPStats        // the forward DP's work counters; zero for the SSE greedy
+	release func()              // hands the DP's tables to the slab cache; nil when there are none
 
-	once  sync.Once
-	costs []float64 // costs[b-1], filled by the first Cost call
+	once     sync.Once
+	costs    []float64 // costs[b-1], filled by the first Cost call
+	released bool
+}
+
+// errReleased is what a released sweep answers.
+var errReleased = errors.New("wavelet: sweep already released")
+
+// Release hands the sweep's DP tables back to the slab cache. Afterwards
+// Synopsis and Cost return an error; Bmax, ErrorBound and Stats still
+// answer. Release must not run concurrently with any other method.
+func (s *Sweep) Release() {
+	if !s.released && s.release != nil {
+		s.release()
+	}
+	s.released = true
 }
 
 // curve prices every budget 1..bmax of a frontier: by costAt where the
@@ -68,18 +90,24 @@ func (s *Sweep) ErrorBound() float64 { return s.bound }
 // Cost returns the optimal expected error at budget b (clamped to
 // [1, Bmax]), without materializing the synopsis. A zero-budget sweep
 // (Bmax 0, possible when the requested budget was 0) has one cost: the
-// empty synopsis's.
-func (s *Sweep) Cost(b int) float64 {
-	if s.bmax == 0 {
-		return s.at(0).Cost
+// empty synopsis's. The only error is a released sweep's.
+func (s *Sweep) Cost(b int) (float64, error) {
+	switch {
+	case s.released:
+		return 0, errReleased
+	case s.bmax == 0:
+		return s.at(0).Cost, nil
 	}
 	s.once.Do(func() { s.costs = curve(s.bmax, s.at, s.costAt) })
-	return s.costs[min(max(b, 1), s.bmax)-1]
+	return s.costs[min(max(b, 1), s.bmax)-1], nil
 }
 
 // Synopsis extracts the optimal budget-b synopsis, 1 <= b <= Bmax. A
 // zero-budget sweep has the one budget 0: the empty synopsis.
 func (s *Sweep) Synopsis(b int) (*Synopsis, error) {
+	if s.released {
+		return nil, errReleased
+	}
 	if b > s.bmax || b < min(1, s.bmax) {
 		return nil, fmt.Errorf("wavelet: sweep budget %d outside [1, %d]", b, s.bmax)
 	}
@@ -155,6 +183,7 @@ func buildAt(src pdata.Source, family Family, kind metric.Kind, p metric.Params,
 		return nil, 0, err
 	}
 	syn := sw.at(sw.bmax)
+	sw.Release()
 	return syn, syn.Cost, nil
 }
 
@@ -238,7 +267,8 @@ func singleton(family Family, pe *PointErrors, cands []float64, b int) *Synopsis
 func (d *treeDP) sweep(forced bool) *Sweep {
 	sw := &Sweep{
 		bmax: d.B, bound: d.errorBound(), stats: d.stats,
-		at: func(b int) *Synopsis { return d.synopsis(b, forced) },
+		at:      func(b int) *Synopsis { return d.synopsis(b, forced) },
+		release: d.release,
 	}
 	if d.quant == 0 {
 		sw.costAt = func(b int) float64 { return d.cost(b, forced) }

@@ -65,6 +65,16 @@ func families() []sweepFamily {
 	}
 }
 
+// sweepCost is sw.Cost(b) on a sweep the test never releases.
+func sweepCost(t testing.TB, sw *wavelet.Sweep, b int) float64 {
+	t.Helper()
+	c, err := sw.Cost(b)
+	if err != nil {
+		t.Fatalf("Cost(%d): %v", b, err)
+	}
+	return c
+}
+
 func TestSweepMatchesIndependentBuilds(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	sources := map[string]pdata.Source{
@@ -96,14 +106,15 @@ func TestSweepMatchesIndependentBuilds(t *testing.T) {
 					}
 					label := fam.name + "/" + srcName
 					synopsesIdentical(t, label, want, got, cost, got.Cost)
-					if sw.Cost(b) != cost {
-						t.Fatalf("%s: Cost(%d) = %v, independent build cost %v", label, b, sw.Cost(b), cost)
+					c := sweepCost(t, sw, b)
+					if c != cost {
+						t.Fatalf("%s: Cost(%d) = %v, independent build cost %v", label, b, c, cost)
 					}
-					if b > 1 && sw.Cost(b) > prev {
+					if b > 1 && c > prev {
 						t.Fatalf("%s: frontier not non-increasing: Cost(%d)=%v > Cost(%d)=%v",
-							label, b, sw.Cost(b), b-1, prev)
+							label, b, c, b-1, prev)
 					}
-					prev = sw.Cost(b)
+					prev = c
 				}
 			}
 		}
@@ -152,7 +163,7 @@ func TestSweepBudgetValidation(t *testing.T) {
 			t.Fatalf("Synopsis(%d) succeeded, want range error", b)
 		}
 	}
-	if sw.Cost(99) != sw.Cost(4) || sw.Cost(-3) != sw.Cost(1) {
+	if sweepCost(t, sw, 99) != sweepCost(t, sw, 4) || sweepCost(t, sw, -3) != sweepCost(t, sw, 1) {
 		t.Fatal("Cost should clamp out-of-range budgets")
 	}
 	if _, err := wavelet.NewSweep(src, wavelet.RestrictedFamily, metric.SAE, metric.Params{C: 0.5}, -1, 0, nil); err == nil {
@@ -171,7 +182,7 @@ func TestSweepBudgetValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := zero.Cost(1); got != emptyCost {
+	if got := sweepCost(t, zero, 1); got != emptyCost {
 		t.Fatalf("zero sweep Cost = %v, empty build cost %v", got, emptyCost)
 	}
 	if _, err := zero.Synopsis(1); err == nil {
@@ -227,9 +238,13 @@ func TestSweepLazyCurveConcurrent(t *testing.T) {
 						t.Errorf("q=%d: Synopsis(%d): %v", q, b, err)
 						return
 					}
-					got := math.Float64bits(sw.Cost(b))
-					if got != math.Float64bits(syn.Cost) || got != math.Float64bits(want[b]) {
-						t.Errorf("q=%d: Cost(%d) = %v, Synopsis(%d).Cost = %v, independent build %v", q, b, sw.Cost(b), b, syn.Cost, want[b])
+					c, err := sw.Cost(b)
+					if err != nil {
+						t.Errorf("q=%d: Cost(%d): %v", q, b, err)
+						return
+					}
+					if got := math.Float64bits(c); got != math.Float64bits(syn.Cost) || got != math.Float64bits(want[b]) {
+						t.Errorf("q=%d: Cost(%d) = %v, Synopsis(%d).Cost = %v, independent build %v", q, b, c, b, syn.Cost, want[b])
 					}
 				}
 			}(g)

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"probsyn/internal/engine"
 	"probsyn/internal/haar"
@@ -79,6 +80,8 @@ type treeDP struct {
 
 	// Per-level tables, built bottom-up and kept for the backtrack; only
 	// levels 0..levels-2 are materialized (see the layout note above).
+	// res and vals are slabs from the slab cache (takeSlab), handed back by
+	// release.
 	res  [][]float64 // res[l]: flat [state][0..bcap[l]] blocks
 	offs [][]int     // offs[l][i]: first state of node 2^l+i; last entry = level total
 	bcap []int       // bcap[l] = min(B, subtree coefficient count)
@@ -150,6 +153,65 @@ func newTreeDP(n, B int, cands [][]float64, pe *PointErrors, cumulative bool, qu
 		d.solveLevel(l)
 	}
 	return d, nil
+}
+
+// slabs caches the level tables (res) and incoming-value rows (vals) of
+// finished DPs for the next DP to reuse, process-wide: a build without a
+// shared engine pool still finds the slabs the last one released.
+// slabs[c] holds idle slabs of capacity exactly 1<<c. A sync.Pool drops
+// what it holds at GC, so an idle process retains none and there is no
+// retention setting.
+var slabs [bits.UintSize]sync.Pool
+
+// slabFill, when set, is written into every slab takeSlab hands out; see
+// SetSlabFill.
+var slabFill atomic.Pointer[float64]
+
+// takeSlab returns a slab of length n >= 1, recycled when the cache holds
+// one of its capacity class. Its entries are not zeroed: every caller
+// writes an entry before it reads it.
+func takeSlab(n int) []float64 {
+	c := bits.Len(uint(n - 1))
+	var s []float64
+	if p, ok := slabs[c].Get().(*[]float64); ok {
+		s = (*p)[:n]
+	} else {
+		s = make([]float64, n, 1<<c)
+	}
+	if v := slabFill.Load(); v != nil {
+		for k := range s {
+			s[k] = *v
+		}
+	}
+	return s
+}
+
+// putSlab hands a takeSlab slab back to the cache; nil is a no-op.
+func putSlab(s []float64) {
+	if cap(s) > 0 {
+		slabs[bits.Len(uint(cap(s)-1))].Put(&s)
+	}
+}
+
+// SetSlabFill makes every slab the tree DP's slab cache hands out arrive
+// filled with v, until restore is called. It exists for tests: filled
+// with NaN, a slab betrays any entry read before it is written, since
+// such a read would change a synopsis byte.
+func SetSlabFill(v float64) (restore func()) {
+	slabFill.Store(&v)
+	return func() { slabFill.Store(nil) }
+}
+
+// release hands the DP's level tables and incoming-value rows back to the
+// slab cache. The DP is not read again.
+func (d *treeDP) release() {
+	for _, s := range d.res {
+		putSlab(s)
+	}
+	for _, s := range d.vals {
+		putSlab(s)
+	}
+	d.res, d.vals = nil, nil
 }
 
 func (d *treeDP) combine(a, b float64) float64 {
@@ -272,8 +334,10 @@ func (d *treeDP) stateOverflowErr(l int, need float64) error {
 // its parent's interval by w's contribution on that side — so every
 // reachable incoming value, exact or already snapped, stays inside them.
 // Only the last internal level prices leaves from its values, so an exact
-// DP drops each level's once the level below is written; the quantized
-// DP's transitions and backtrack read every level's.
+// DP hands each level's back to the slab cache once the level below is
+// written; the quantized DP's transitions and backtrack read every level's.
+// Every entry of a level is written here, so a recycled slab needs no
+// zeroing.
 func (d *treeDP) buildGrids() {
 	L := d.levels
 	d.vals = make([][]float64, L-1)
@@ -291,7 +355,7 @@ func (d *treeDP) buildGrids() {
 		d.bhi[0][0] = math.Max(0, w0)
 	}
 	for l := 0; l <= L-2; l++ {
-		d.vals[l] = make([]float64, d.offs[l][1<<l])
+		d.vals[l] = takeSlab(d.offs[l][1<<l])
 		for i := 0; i < 1<<l; i++ {
 			vs := d.vals[l][d.offs[l][i]:d.offs[l][i+1]]
 			switch {
@@ -303,7 +367,8 @@ func (d *treeDP) buildGrids() {
 					vs[k] = lo + float64(k)*step
 				}
 			case l == 0:
-				copy(vs[1:], d.cands[0]) // state 0 drops c0: incoming value 0
+				vs[0] = 0 // state 0 drops c0
+				copy(vs[1:], d.cands[0])
 			default:
 				// The parent level is exact too: quantization only deepens.
 				pi := i >> 1
@@ -324,6 +389,7 @@ func (d *treeDP) buildGrids() {
 		switch {
 		case d.quant == 0:
 			if l > 0 {
+				putSlab(d.vals[l-1])
 				d.vals[l-1] = nil
 			}
 		case l < L-2:
@@ -384,7 +450,7 @@ func (d *treeDP) solveLevel(l int) {
 	offs := d.offs[l]
 	total := offs[1<<l]
 	entries := d.bcap[l] + 1
-	d.res[l] = make([]float64, total*entries)
+	d.res[l] = takeSlab(total * entries) // solveStates writes +Inf into every entry before it reads one
 	centries := min(d.B, 1) + 1
 	if l != d.levels-2 {
 		centries = d.bcap[l+1] + 1

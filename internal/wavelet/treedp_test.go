@@ -132,7 +132,11 @@ func TestRootScanMatchesBruteForce(t *testing.T) {
 							}
 							best = min(best, pe.SynopsisError(sub))
 						}
-						if got := sw.Cost(b); !near(got, best) {
+						got, err := sw.Cost(b)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !near(got, best) {
 							t.Fatalf("%s: sweep cost %v, brute force %v", tag, got, best)
 						}
 						syn, err := sw.Synopsis(b)

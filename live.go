@@ -100,6 +100,11 @@ func (l *liveFrontier) refresh(from int) error {
 	}
 	if l.cur != nil {
 		l.spent.Add(l.cur.Stats())
+		if wf, ok := l.cur.(waveletFrontier); ok {
+			// Every extraction holds mu, as the caller does: nothing reads
+			// the replaced sweep again, so its tables go back to the cache.
+			wf.Release()
+		}
 	}
 	l.cur = fr
 	return nil
