@@ -28,17 +28,13 @@
 //	psyn -pack ./catalog
 //	psynd -addr 127.0.0.1:7075 -data ./data -catalog ./catalog -flat
 //
-// With -peers, several psynd processes split the datasets between them:
-// each dataset has one owning node on a consistent-hash ring derived from
-// the shared peer list, and a build, sweep, append, update or GET read
-// sent to any node is forwarded to the owner and answered from there:
-//
-//	psynd -addr 127.0.0.1:7075 -data ./data -peers 127.0.0.1:7075,127.0.0.1:7085
-//	psynd -addr 127.0.0.1:7085 -data ./data -peers 127.0.0.1:7075,127.0.0.1:7085
+// One node serves every dataset. A sharded build ("shards":k in the
+// build body) splits the DP, not the serving: the merged synopsis is
+// published under the ordinary key like any other build, and the
+// response carries the merge's suboptimality bound:
 //
 //	curl -X POST localhost:7075/v1/build \
 //	     -d '{"dataset":"ds","family":"histogram","metric":"SSE","budget":16,"shards":4,"wait":true}'
-//	curl 'localhost:7085/v1/rangesum?dataset=ds&family=histogram&metric=SSE&budget=16&lo=0&hi=99'
 //
 // With -pprof ADDR, net/http/pprof serves on a second listener separate
 // from the query surface, so profiling a server under load neither
@@ -63,7 +59,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -131,8 +126,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		flagMaxLive  = fs.Int("max-live", server.DefaultMaxLiveStates, "retained live frontiers (DP state for incremental /v1/append|/v1/update); least-recently-mutated evicted beyond this")
 		flagDrain    = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for draining queued builds")
 		flagPprof    = fs.String("pprof", "", "serve net/http/pprof on this address (a second listener, kept off the query surface); empty disables")
-		flagPeers    = fs.String("peers", "", "comma-separated static peer list enabling cluster mode; every node must pass the identical list")
-		flagSelf     = fs.String("self", "", "this node's entry in -peers (required with -peers); defaults to -addr")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -143,19 +136,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *flagData == "" {
 		fs.Usage()
 		return fmt.Errorf("missing -data directory")
-	}
-	var peers []string
-	self := ""
-	if *flagPeers != "" {
-		for _, p := range strings.Split(*flagPeers, ",") {
-			peers = append(peers, strings.TrimSpace(p))
-		}
-		self = *flagSelf
-		if self == "" {
-			self = *flagAddr
-		}
-	} else if *flagSelf != "" {
-		return fmt.Errorf("-self %q set without -peers", *flagSelf)
 	}
 
 	// The process-wide pool: every build this server runs shares these
@@ -208,8 +188,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		BuildWorkers:  *flagBuilders,
 		C:             *flagC,
 		MaxLiveStates: *flagMaxLive,
-		Peers:         peers,
-		Self:          self,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(stdout, "psynd: "+format+"\n", args...)
 		},
@@ -248,9 +226,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	httpSrv := newHTTPServer(srv.Handler())
 	fmt.Fprintf(stdout, "psynd: listening on %s (pool: %d workers, max %d concurrent builds)\n",
 		ln.Addr(), pool.Workers(), pool.MaxBuilds())
-	if len(peers) > 1 {
-		fmt.Fprintf(stdout, "psynd: cluster mode, %d peers, self %s\n", len(peers), self)
-	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

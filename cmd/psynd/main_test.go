@@ -313,121 +313,17 @@ func TestPsyndClosesStalledConnections(t *testing.T) {
 	}
 }
 
-// reservePort binds an ephemeral port and releases it, returning the
-// address for a server about to start. The tiny race (something else
-// grabbing the port between close and listen) is acceptable in tests —
-// cluster mode needs the full peer list before any node starts.
-func reservePort(t *testing.T) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return addr
-}
-
-// Two psynd processes with the same -peers list form a cluster: a build
-// POSTed to either node lands on the dataset's owner alone, a read of the
-// key answers byte-identically through either node, and both shut down
-// cleanly. (internal/server's TestClusterForwarding is the table of every
-// forwarded endpoint; this is the flag wiring.)
-func TestPsyndClusterTwoNodes(t *testing.T) {
-	addrs := []string{reservePort(t), reservePort(t)}
-	peers := strings.Join(addrs, ",")
-	urls, catalogs := make([]string, 2), make([]string, 2)
-	stops := make([]func() error, 2)
-	for i, addr := range addrs {
-		dataDir := t.TempDir()
-		writeDataset(t, dataDir)
-		catalogs[i] = t.TempDir()
-		ctx, cancel := context.WithCancel(context.Background())
-		out := &syncBuffer{}
-		done := make(chan error, 1)
-		args := []string{"-addr", addr, "-data", dataDir, "-catalog", catalogs[i], "-peers", peers}
-		go func() { done <- run(ctx, args, out) }()
-		deadline := time.Now().Add(15 * time.Second)
-		for !strings.Contains(out.String(), "listening on") {
-			select {
-			case err := <-done:
-				t.Fatalf("psynd %s exited before listening: %v\noutput:\n%s", addr, err, out.String())
-			default:
+// There is no cluster mode: a deployment that still passes -peers (or
+// -self) fails at flag parsing instead of booting a lone node that holds
+// a fraction of the datasets it was meant to.
+func TestRunRejectsPeerFlags(t *testing.T) {
+	for _, args := range [][]string{{"-peers", "a:1,b:2"}, {"-self", "a:1"}} {
+		t.Run(args[0], func(t *testing.T) {
+			err := run(context.Background(), append([]string{"-data", t.TempDir()}, args...), io.Discard)
+			if !errors.Is(err, errParse) {
+				t.Fatalf("%v: err = %v, want errParse", args, err)
 			}
-			if time.Now().After(deadline) {
-				t.Fatalf("psynd %s never listened:\n%s", addr, out.String())
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		if !strings.Contains(out.String(), "cluster mode, 2 peers") {
-			t.Fatalf("psynd %s did not report cluster mode:\n%s", addr, out.String())
-		}
-		urls[i] = "http://" + addr
-		stops[i] = func() error { cancel(); return <-done }
-	}
-	defer func() {
-		for i, stop := range stops {
-			if stop == nil {
-				continue
-			}
-			if err := stop(); err != nil {
-				t.Errorf("node %d shutdown: %v", i, err)
-			}
-		}
-	}()
-
-	body := `{"dataset":"ds","family":"histogram","metric":"SSE","budget":8,"shards":2,"wait":true}`
-	resp, err := http.Post(urls[0]+"/v1/build", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(raw), `"bound":`) {
-		t.Fatalf("sharded build: status %d: %s", resp.StatusCode, raw)
-	}
-	files := 0
-	for _, dir := range catalogs {
-		des, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files += len(des)
-	}
-	if files != 1 {
-		t.Fatalf("a sharded build left %d files across the two catalogs, want the owner's one", files)
-	}
-	var answers [2][]byte
-	for i, u := range urls {
-		resp, err := http.Get(u + "/v1/rangesum?dataset=ds&family=histogram&metric=SSE&budget=8&lo=5&hi=40")
-		if err != nil {
-			t.Fatal(err)
-		}
-		answers[i], _ = io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("rangesum via %s: status %d: %s", u, resp.StatusCode, answers[i])
-		}
-	}
-	if !bytes.Equal(answers[0], answers[1]) {
-		t.Fatalf("the two nodes answer differently:\n%s\n%s", answers[0], answers[1])
-	}
-	// Clean shutdown of both nodes (the deferred stops check errors);
-	// run them now so failures attribute to this point.
-	for i, stop := range stops {
-		if err := stop(); err != nil {
-			t.Errorf("node %d shutdown: %v", i, err)
-		}
-		stops[i] = nil
-	}
-}
-
-func TestRunRejectsSelfWithoutPeers(t *testing.T) {
-	err := run(context.Background(), []string{"-data", t.TempDir(), "-self", "x:1"}, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "-peers") {
-		t.Fatalf("err = %v", err)
+		})
 	}
 }
 

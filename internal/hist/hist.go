@@ -99,15 +99,16 @@ func (h *Histogram) RangeSum(lo, hi int) float64 {
 // prefixTo returns P(i): the estimated total frequency over [0, i],
 // accumulating full buckets left to right and ending with the partial
 // bucket containing i. The accumulation order is the contract shared with
-// the compiled querier's prefix array (see RangeSum).
+// the compiled querier's prefix array (see RangeSum). Each product is
+// rounded on its own, so no architecture fuses it into the sum after it.
 func (h *Histogram) prefixTo(i int) float64 {
 	total := 0.0
 	for _, b := range h.Buckets {
 		if i > b.End {
-			total += float64(b.Width()) * b.Rep
+			total += float64(float64(b.Width()) * b.Rep)
 			continue
 		}
-		total += float64(i-b.Start+1) * b.Rep
+		total += float64(float64(i-b.Start+1) * b.Rep)
 		break
 	}
 	return total

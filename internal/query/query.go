@@ -109,7 +109,7 @@ func CompileHistogram(h *hist.Histogram) *HistogramQuerier {
 		q.ends[k] = b.End
 		q.reps[k] = b.Rep
 		q.prefix[k] = total
-		total += float64(b.Width()) * b.Rep
+		total += float64(float64(b.Width()) * b.Rep)
 	}
 	return q
 }
@@ -151,10 +151,11 @@ func (q *HistogramQuerier) Estimate(i int) float64 {
 // prefixTo returns P(i) exactly as Histogram.prefixTo computes it:
 // prefix[k] is the identical left-to-right accumulation over the k whole
 // buckets before i's bucket, and the partial term uses the same
-// expression — so the float64 result is bit-identical.
+// expression, rounded on its own as there — so the float64 result is
+// bit-identical on every architecture.
 func (q *HistogramQuerier) prefixTo(i int) float64 {
 	k := q.bucketOf(i)
-	return q.prefix[k] + float64(i-q.starts[k]+1)*q.reps[k]
+	return q.prefix[k] + float64(float64(i-q.starts[k]+1)*q.reps[k])
 }
 
 // RangeSum is bit-identical to Histogram.RangeSum: the same clamp and the
@@ -314,7 +315,7 @@ func (q *WaveletQuerier) RangeSum(lo, hi int) float64 {
 		return total
 	}
 	if q.hasRoot {
-		total += q.root * float64(hi-lo+1)
+		total += float64(q.root * float64(hi-lo+1))
 	}
 	xlo, xhi := q.n+lo, q.n+hi
 	for s := q.log2n; s >= 1; s-- {
@@ -352,7 +353,7 @@ func (q *WaveletQuerier) straddleTerm(k, idx, lo, hi, s int) float64 {
 	mid := cLo + size/2 // first leaf of the minus half
 	plus := overlap(a, b, cLo, mid-1)
 	minus := overlap(a, b, mid, cHi)
-	return q.values[k] * float64(plus-minus)
+	return float64(q.values[k] * float64(plus-minus))
 }
 
 // overlap returns the size of [a,b] ∩ [lo,hi] — the same helper

@@ -13,13 +13,13 @@
 //
 // Neither end of a GET goes through reflection or a map. The query string
 // is scanned once, by url.ParseQuery's rules, straight into the op
-// (nextParam; Server.route reads a routed GET's dataset through the same
-// scan); read_test.go keeps the url.ParseQuery parser it replaced as the
-// reference FuzzReadParams compares it with. The 200 body is appended
-// into pooled scratch with query.AppendFloat and AppendString, to the byte
-// what encoding/json writes for EstimateResponse / RangeSumResponse
-// (FuzzReadBodies); errors, and every other endpoint, still go through
-// writeJSON. What a read allocates is the 16 bytes of setJSON.
+// (nextParam); read_test.go keeps the url.ParseQuery parser it replaced
+// as the reference FuzzReadParams compares it with. The 200 body is
+// appended into pooled scratch with query.AppendFloat and AppendString,
+// to the byte what encoding/json writes for EstimateResponse /
+// RangeSumResponse (FuzzReadBodies); errors, and every other endpoint,
+// still go through writeJSON. What a read allocates is the 16 bytes of
+// setJSON.
 package server
 
 import (
@@ -85,17 +85,6 @@ func nextParam(raw string) (name, value, rest string, ok bool) {
 		return name, value, rest, true
 	}
 	return "", "", "", false
-}
-
-// queryParam returns the first value of one parameter, "" when the query
-// has none: url.Values.Get without the map.
-func queryParam(rawQuery, name string) string {
-	for n, v, rest, ok := nextParam(rawQuery); ok; n, v, rest, ok = nextParam(rest) {
-		if n == name {
-			return v
-		}
-	}
-	return ""
 }
 
 // parseRead parses a GET read's query string, in one pass, into the op it
@@ -280,15 +269,10 @@ func (s *Server) handleRead(kind string) http.HandlerFunc {
 }
 
 // querier is the server's synopsis source for catalog.Resolve: the
-// catalog. A routed GET for another node's dataset never gets here; a
-// batch op can, and is told where the dataset lives.
+// catalog.
 func (s *Server) querier(key catalog.Key) (query.Querier, *query.OpError) {
 	if entry, ok := s.cfg.Catalog.Get(key); ok {
 		return entry.Querier, nil
-	}
-	if peer, elsewhere := s.owner(key.Dataset); elsewhere {
-		return nil, &query.OpError{Code: CodeNotFound, Message: fmt.Sprintf(
-			"no synopsis for %s on this node: dataset %q is owned by peer %s", key, key.Dataset, peer)}
 	}
 	return nil, nil
 }

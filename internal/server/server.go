@@ -41,13 +41,12 @@
 //	                   resolution across the whole batch.
 //	GET  /v1/synopses  — list catalog entries.
 //
-// Sharded builds and cluster mode: a build request with shards >= 2
-// partitions the domain, builds the shards in parallel over the pool
+// Sharded builds: a build request with shards >= 2 partitions the
+// domain, builds the shards in parallel over the pool
 // (probsyn.BuildSharded), and publishes the merged synopsis under the
 // ordinary key — nothing downstream of the build can tell how a synopsis
-// was built. With a peer list configured (Config.Peers/Self), the server
-// is one node of a cluster that forwards every request naming a dataset
-// to the dataset's owning node — see cluster.go for the rule.
+// was built. Sharding is a property of the build, not of serving: one
+// node holds every dataset (DESIGN.md, "Why one node").
 //
 // Every read — the single GET endpoints and batches alike — is parse,
 // resolve, evaluate (read.go): the key resolves through catalog.Resolve
@@ -74,7 +73,7 @@
 //
 // Errors are typed: {"error": {"code", "message"}} with codes
 // bad_request, not_found, queue_full, build_failed, shutting_down,
-// peer_unavailable, ring_mismatch, internal.
+// internal.
 package server
 
 import (
@@ -92,7 +91,6 @@ import (
 
 	"probsyn"
 	"probsyn/internal/catalog"
-	"probsyn/internal/cluster"
 	"probsyn/internal/engine"
 	"probsyn/internal/pdata"
 	"probsyn/internal/query"
@@ -136,14 +134,6 @@ type Config struct {
 	// frontier is dropped — a later mutation of its dataset rebuilds it
 	// from the persisted source, trading one build for bounded memory.
 	MaxLiveStates int
-	// Peers, when non-empty, makes this server one node of a cluster:
-	// the full static peer address list, in the SAME order and spelling
-	// on every node — placement is a pure function of this list, and
-	// nodes whose lists differ refuse each other's forwarded requests.
-	Peers []string
-	// Self is this node's own entry in Peers (required when Peers is
-	// set): how the node recognizes which datasets it owns.
-	Self string
 	// Logf, when non-nil, receives operational log lines (failed builds
 	// especially — an async wait:false build has no response to carry
 	// its error, so the log is where it surfaces). Nil means the
@@ -177,12 +167,6 @@ type Server struct {
 	closingMu sync.RWMutex
 	closed    bool
 	workers   sync.WaitGroup
-
-	// Cluster state, nil outside cluster mode: the consistent-hash ring
-	// every node derives identically from cfg.Peers, and the reused
-	// HTTP client forwarded requests go through.
-	ring   *cluster.Ring
-	remote *cluster.Client
 
 	// flat maintains the flat catalog file (nil when Config.
 	// FlatPath is empty): invalidation before catalog-changing jobs,
@@ -294,13 +278,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxLiveStates <= 0 {
 		cfg.MaxLiveStates = DefaultMaxLiveStates
 	}
-	ring, remote, err := newClusterState(&cfg)
-	if err != nil {
-		return nil, err
-	}
 	s := &Server{
-		ring:     ring,
-		remote:   remote,
 		cfg:      cfg,
 		queue:    make(chan *buildJob, cfg.QueueDepth),
 		mutQueue: make(chan *buildJob, cfg.QueueDepth),
@@ -420,12 +398,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Handler returns the server's route table.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/build", s.route(s.handleBuild))
-	mux.HandleFunc("POST /v1/sweep", s.route(s.handleSweep))
-	mux.HandleFunc("POST /v1/append", s.route(s.handleAppend))
-	mux.HandleFunc("POST /v1/update", s.route(s.handleUpdate))
-	mux.HandleFunc("GET /v1/estimate", s.route(s.handleRead(query.OpEstimate)))
-	mux.HandleFunc("GET /v1/rangesum", s.route(s.handleRead(query.OpRangeSum)))
+	mux.HandleFunc("POST /v1/build", s.handleBuild)
+	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
+	mux.HandleFunc("POST /v1/append", s.handleAppend)
+	mux.HandleFunc("POST /v1/update", s.handleUpdate)
+	mux.HandleFunc("GET /v1/estimate", s.handleRead(query.OpEstimate))
+	mux.HandleFunc("GET /v1/rangesum", s.handleRead(query.OpRangeSum))
 	mux.HandleFunc("POST /v1/query", s.handleQuery)
 	mux.HandleFunc("GET /v1/synopses", s.handleSynopses)
 	return mux
@@ -559,13 +537,11 @@ type APIError struct {
 
 // The error codes.
 const (
-	CodeBadRequest      = "bad_request"
-	CodeNotFound        = "not_found"
-	CodeQueueFull       = "queue_full"
-	CodeBuildFailed     = "build_failed"
-	CodeShuttingDown    = "shutting_down"
-	CodePeerUnavailable = "peer_unavailable"
-	CodeRingMismatch    = "ring_mismatch"
+	CodeBadRequest   = "bad_request"
+	CodeNotFound     = "not_found"
+	CodeQueueFull    = "queue_full"
+	CodeBuildFailed  = "build_failed"
+	CodeShuttingDown = "shutting_down"
 	// CodeInternal is a read whose answer cannot be written: a sum over
 	// the synopsis that is not a finite number. The only 500 a read gives.
 	CodeInternal = "internal"

@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -391,61 +393,134 @@ func TestShutdownDrainsQueue(t *testing.T) {
 // TestReadPathsAgree.
 func TestTypedErrors(t *testing.T) {
 	_, ts, _ := newFixture(t, Config{C: 0.5})
+	postRaw := func(t *testing.T, path string, body []byte) (*http.Response, ErrorBody) {
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var bad ErrorBody
+		if err := json.NewDecoder(resp.Body).Decode(&bad); err != nil {
+			t.Fatal(err)
+		}
+		return resp, bad
+	}
+	// postPadded posts head, bound bytes of JSON whitespace, then tail.
+	postPadded := func(t *testing.T, path, head, tail string, bound int) (*http.Response, ErrorBody) {
+		body := append([]byte(head), bytes.Repeat([]byte(" "), bound)...)
+		resp, bad := postRaw(t, path, append(body, tail...))
+		if !strings.Contains(bad.Error.Message, "too large") {
+			t.Errorf("%s: %q does not name the body bound", path, bad.Error.Message)
+		}
+		return resp, bad
+	}
 	cases := []struct {
 		name   string
-		do     func() (*http.Response, ErrorBody)
+		do     func(*testing.T) (*http.Response, ErrorBody)
 		status int
 		code   string
 	}{
-		{"unknown metric", func() (*http.Response, ErrorBody) {
+		{"unknown metric", func(t *testing.T) (*http.Response, ErrorBody) {
 			resp, _, bad := postBuild(t, ts, BuildRequest{Dataset: "ds", Family: "histogram", Metric: "XXX", Budget: 8})
 			return resp, bad
 		}, http.StatusBadRequest, CodeBadRequest},
-		{"unknown family", func() (*http.Response, ErrorBody) {
+		{"unknown family", func(t *testing.T) (*http.Response, ErrorBody) {
 			resp, _, bad := postBuild(t, ts, BuildRequest{Dataset: "ds", Family: "sketch", Metric: "SSE", Budget: 8})
 			return resp, bad
 		}, http.StatusBadRequest, CodeBadRequest},
-		{"missing dataset", func() (*http.Response, ErrorBody) {
+		{"missing dataset", func(t *testing.T) (*http.Response, ErrorBody) {
 			resp, _, bad := postBuild(t, ts, BuildRequest{Dataset: "nope", Family: "histogram", Metric: "SSE", Budget: 8})
 			return resp, bad
 		}, http.StatusNotFound, CodeNotFound},
-		{"path traversal", func() (*http.Response, ErrorBody) {
+		{"path traversal", func(t *testing.T) (*http.Response, ErrorBody) {
 			resp, _, bad := postBuild(t, ts, BuildRequest{Dataset: "../ds", Family: "histogram", Metric: "SSE", Budget: 8})
 			return resp, bad
 		}, http.StatusBadRequest, CodeBadRequest},
-		{"bad body", func() (*http.Response, ErrorBody) {
-			resp, err := http.Post(ts.URL+"/v1/build", "application/json", bytes.NewReader([]byte("{nope")))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			var bad ErrorBody
-			if err := json.NewDecoder(resp.Body).Decode(&bad); err != nil {
-				t.Fatal(err)
-			}
-			return resp, bad
+		{"bad body", func(t *testing.T) (*http.Response, ErrorBody) {
+			return postRaw(t, "/v1/build", []byte("{nope"))
 		}, http.StatusBadRequest, CodeBadRequest},
-		{"oversized body", func() (*http.Response, ErrorBody) {
+		{"oversized body", func(t *testing.T) (*http.Response, ErrorBody) {
 			huge := append([]byte(`{"dataset":"`), bytes.Repeat([]byte("x"), maxBuildBody)...)
 			huge = append(huge, []byte(`","family":"histogram","metric":"SSE","budget":8}`)...)
-			resp, err := http.Post(ts.URL+"/v1/build", "application/json", bytes.NewReader(huge))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			var bad ErrorBody
-			if err := json.NewDecoder(resp.Body).Decode(&bad); err != nil {
-				t.Fatal(err)
-			}
-			return resp, bad
+			return postRaw(t, "/v1/build", huge)
+		}, http.StatusBadRequest, CodeBadRequest},
+		// Each endpoint bounds its own body. The padded bodies are valid
+		// requests but for their size, so only the bound can refuse them.
+		{"oversized append", func(t *testing.T) (*http.Response, ErrorBody) {
+			return postPadded(t, "/v1/append", `{"dataset":"ds","items":[{"entries":[{"freq":1,"prob":0.5}]}],`, `"wait":true}`, maxMutateBody)
+		}, http.StatusBadRequest, CodeBadRequest},
+		{"oversized update", func(t *testing.T) (*http.Response, ErrorBody) {
+			return postPadded(t, "/v1/update", `{"dataset":"ds","i":0,"item":{"entries":[{"freq":1,"prob":0.5}]},`, `"wait":true}`, maxMutateBody)
+		}, http.StatusBadRequest, CodeBadRequest},
+		{"oversized query", func(t *testing.T) (*http.Response, ErrorBody) {
+			return postPadded(t, "/v1/query", `{"ops":[{"dataset":"ds","family":"histogram","metric":"SSE","budget":8,"op":"estimate","i":0}]`, `}`, maxQueryBody)
 		}, http.StatusBadRequest, CodeBadRequest},
 	}
 	for _, tc := range cases {
-		resp, bad := tc.do()
-		if resp.StatusCode != tc.status || bad.Error.Code != tc.code {
-			t.Errorf("%s: status %d code %q, want %d %q (%s)", tc.name, resp.StatusCode, bad.Error.Code, tc.status, tc.code, bad.Error.Message)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			resp, bad := tc.do(t)
+			if resp.StatusCode != tc.status || bad.Error.Code != tc.code {
+				t.Errorf("status %d code %q, want %d %q (%s)", resp.StatusCode, bad.Error.Code, tc.status, tc.code, bad.Error.Message)
+			}
+		})
 	}
+}
+
+// Handler serves each endpoint straight from its handler: the right
+// method reaches the handler, which answers in JSON (an empty request is
+// a typed error, or the listing for /v1/synopses); the wrong method is
+// the mux's 405 naming the right one; and a path outside the API is 404.
+func TestHandlerRoutes(t *testing.T) {
+	_, ts, _ := newFixture(t, Config{})
+	do := func(t *testing.T, method, path string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp
+	}
+	for _, route := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/build"},
+		{http.MethodPost, "/v1/sweep"},
+		{http.MethodPost, "/v1/append"},
+		{http.MethodPost, "/v1/update"},
+		{http.MethodGet, "/v1/estimate"},
+		{http.MethodGet, "/v1/rangesum"},
+		{http.MethodPost, "/v1/query"},
+		{http.MethodGet, "/v1/synopses"},
+	} {
+		t.Run(route.method+" "+route.path, func(t *testing.T) {
+			resp := do(t, route.method, route.path)
+			if resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed ||
+				!strings.HasPrefix(resp.Header.Get("Content-Type"), "application/json") {
+				t.Errorf("%s %s: status %d, Content-Type %q; want the handler's JSON answer",
+					route.method, route.path, resp.StatusCode, resp.Header.Get("Content-Type"))
+			}
+			wrong := http.MethodGet
+			if route.method == http.MethodGet {
+				wrong = http.MethodPost
+			}
+			resp = do(t, wrong, route.path)
+			if resp.StatusCode != http.StatusMethodNotAllowed || !strings.Contains(resp.Header.Get("Allow"), route.method) {
+				t.Errorf("%s %s: status %d, Allow %q; want 405 allowing %s",
+					wrong, route.path, resp.StatusCode, resp.Header.Get("Allow"), route.method)
+			}
+		})
+	}
+	t.Run("unknown path", func(t *testing.T) {
+		for _, path := range []string{"/", "/v1/", "/v1/peers", "/v1/build/extra"} {
+			if resp := do(t, http.MethodGet, path); resp.StatusCode != http.StatusNotFound {
+				t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
+			}
+		}
+	})
 }
 
 func TestNewValidatesConfig(t *testing.T) {

@@ -91,7 +91,8 @@ func (s *Synopsis) Estimate(i int) float64 {
 }
 
 // RangeSum estimates the total frequency over the inclusive item range
-// [lo, hi] from the synopsis.
+// [lo, hi] from the synopsis. Each term is rounded on its own before it
+// is added, as the compiled querier (internal/query) rounds it.
 func (s *Synopsis) RangeSum(lo, hi int) float64 {
 	if lo < 0 {
 		lo = 0
@@ -111,13 +112,13 @@ func (s *Synopsis) RangeSum(lo, hi int) float64 {
 			continue
 		}
 		if idx == 0 {
-			total += val * float64(b-a+1)
+			total += float64(val * float64(b-a+1))
 			continue
 		}
 		mid := cLo + haar.SupportSize(idx, s.N)/2 // first leaf of the - half
 		plus := overlap(a, b, cLo, mid-1)
 		minus := overlap(a, b, mid, cHi)
-		total += val * float64(plus-minus)
+		total += float64(val * float64(plus-minus))
 	}
 	return total
 }

@@ -61,7 +61,7 @@ func ShardBounds(n, k int, wavelet bool) []int {
 // shard retains at least one term). On a pool with a MaxBuilds admission
 // cap, a k-way sharded build holds up to k build tokens — acquired
 // all-or-nothing, and gracefully degrading to fewer (serializing shards)
-// when the cap is smaller — so a cluster of sharded builds cannot
+// when the cap is smaller — so a burst of sharded builds cannot
 // oversubscribe the pool. Accepts WithQuantize for the restricted
 // wavelet family; WithEps and WithUnrestricted have no sharded merge
 // rule and are rejected.
