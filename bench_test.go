@@ -297,10 +297,10 @@ func BenchmarkWaveletRestrictedApprox(b *testing.B) {
 // it promises. Two speedup sources compose: work reduction (each shard's
 // DP runs over n/k items, so a superlinear DP — the histogram's, the exact
 // coefficient tree's — shrinks faster than the shard count) and shard
-// concurrency; the O(n·q·B) quantized restricted DP does linear work
-// regardless of k, so its win is concurrency alone, which the unsharded
-// build's own level sweeps already have. The SSE wavelet merge is exact
-// and its transform is cheap, so its entry tracks merge overhead.
+// concurrency. (A quantized restricted DP is not sharded: its O(n·q·B)
+// work is linear in n, so k bought concurrency alone, which its own level
+// sweeps already have.) The SSE wavelet merge is exact and its transform
+// is cheap, so its entry tracks merge overhead.
 func BenchmarkShardedBuild(b *testing.B) {
 	wavelet := []probsyn.BuildOption{probsyn.WithWavelet()}
 	cases := []struct {
@@ -310,8 +310,6 @@ func BenchmarkShardedBuild(b *testing.B) {
 		opts []probsyn.BuildOption
 	}{
 		{"histogram-SSE/n=8192/B=8", 8192, 8, probsyn.SSE, nil},
-		{"wavelet-SAE-q16/n=65536/B=32", 65536, 32, probsyn.SAE,
-			[]probsyn.BuildOption{probsyn.WithWavelet(), probsyn.WithQuantize(16)}},
 		{"wavelet-SSE/n=65536/B=64", 65536, 64, probsyn.SSE, wavelet},
 		{"wavelet-SAE/n=512/B=32", 512, 32, probsyn.SAE, wavelet},
 		{"wavelet-SARE/n=1024/B=16", 1024, 16, probsyn.SARE, wavelet},

@@ -1,13 +1,13 @@
 // Command psyn builds histogram and wavelet synopses from a probabilistic
 // dataset file (probsyn text format; see cmd/datagen to create one), and
-// saves/loads them through the versioned synopsis codec.
+// saves/loads them through the versioned binary synopsis envelope.
 //
 // Examples:
 //
 //	psyn -input data.pd -metric SSE -buckets 20
 //	psyn -input data.pd -metric SARE -c 1.0 -buckets 50 -approx 0.25
 //	psyn -input data.pd -metric SSE -buckets 64 -parallelism 0 -out h.syn
-//	psyn -input data.pd -wavelet -metric SAE -coeffs 32 -parallelism 0 -out w.json
+//	psyn -input data.pd -wavelet -metric SAE -coeffs 32 -parallelism 0 -out w.syn
 //	psyn -input big.pd -wavelet -metric SAE -coeffs 32 -quantize 64
 //	psyn -input data.pd -wavelet -metric SAE -coeffs 8 -quantize 2 -unrestricted
 //	psyn -in h.syn
@@ -92,7 +92,7 @@ func run(args []string, stdout io.Writer) error {
 		flagQuant    = fs.Int("quantize", -1, "if >= 0, quantize the restricted wavelet DP's incoming values onto grids of q points (q >= 2; approximate, O(n q B) states, domains far beyond the exact DP build in seconds); with -unrestricted, instead optimize coefficient values over 2q grid points plus the expected value (exact over the grid, exponential in q and log n). Wavelet DP metrics only (not the greedy-exact SSE build, not histograms)")
 		flagUnres    = fs.Bool("unrestricted", false, "with -quantize: build the unrestricted wavelet thresholding DP instead of the quantized restricted one")
 		flagParallel = fs.Int("parallelism", 1, "DP worker goroutines for histogram and non-SSE wavelet builds (<= 0: one per CPU); output is identical at any setting (the SSE wavelet build is greedy and ignores it)")
-		flagOut      = fs.String("out", "", "save the built synopsis to this file (.json: JSON envelope, otherwise binary); with -sweep, a directory receiving one catalog file per budget")
+		flagOut      = fs.String("out", "", "save the built synopsis to this file in the binary envelope (-in prints it back); with -sweep, -shards, -append or -query, a catalog directory")
 		flagIn       = fs.String("in", "", "load a saved synopsis instead of building one")
 		flagSweep    = fs.Bool("sweep", false, "build the whole budget frontier (every budget up to -buckets/-coeffs) from one DP run and print budget,terms,cost CSV")
 		flagDataset  = fs.String("dataset", "", "dataset name used in -sweep/-append catalog filenames (default: the -input file stem)")
@@ -100,7 +100,7 @@ func run(args []string, stdout io.Writer) error {
 		flagSaveData = fs.String("save-data", "", "with -append: write the merged dataset to this file")
 		flagQuery    = fs.String("query", "", "batch request file (POST /v1/query JSON body) answered offline from the -out catalog directory; the response JSON is written to stdout, byte-identical to a served one")
 		flagPack     = fs.String("pack", "", "pack this catalog directory's synopses into its flat file (catalog.flat) for millisecond psynd -flat boots; deterministic, byte-identical to the server's own re-packs")
-		flagShards   = fs.Int("shards", 0, "if >= 2, build sharded: split the domain into this many contiguous ranges, build each in parallel, and merge (exact for SSE wavelets; DP families report a certified additive suboptimality bound); with -out (a catalog directory), the merged synopsis is saved under its key-encoded filename")
+		flagShards   = fs.Int("shards", 0, "if >= 2, build sharded: split the domain into this many contiguous ranges, build each in parallel, and merge (exact for SSE wavelets; the exact DP families report a certified additive suboptimality bound; not with -quantize); with -out (a catalog directory), the merged synopsis is saved under its key-encoded filename")
 		flagVerbose  = fs.Bool("v", false, "after a histogram or coefficient-tree wavelet DP build (plain, -sweep, or -shards), report the DP work counters: split candidates scanned vs. pruned and cost evaluations (see probsyn.DPStats); non-DP builds print nothing")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -187,10 +187,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *flagShards >= 2 {
-		if *flagEqui || *flagApprox > 0 || *flagUnres {
-			return fmt.Errorf("-shards needs the exact or quantized DP (drop -equidepth/-approx/-unrestricted)")
+		if *flagEqui || *flagApprox > 0 || *flagQuant >= 0 {
+			return fmt.Errorf("-shards needs the exact DP (drop -equidepth/-approx/-quantize/-unrestricted)")
 		}
-		if err := runSharded(stdout, src, m, p, budget, *flagShards, dataset, *flagOut, rquant, opts); err != nil {
+		if err := runSharded(stdout, src, m, p, budget, *flagShards, dataset, *flagOut, opts); err != nil {
 			return err
 		}
 		reportDPStats(stdout, dpStats, *flagWavelet)
@@ -406,7 +406,7 @@ func runSweep(stdout io.Writer, src probsyn.Source, m probsyn.Metric, p probsyn.
 // psynd build request with shards — printing the merged cost and the
 // certified additive suboptimality bound, and (with -out) publishing the
 // merged synopsis under its key-encoded catalog filename, as psynd does.
-func runSharded(stdout io.Writer, src probsyn.Source, m probsyn.Metric, p probsyn.Params, budget, shards int, dataset, outDir string, rquant int, opts []probsyn.BuildOption) error {
+func runSharded(stdout io.Writer, src probsyn.Source, m probsyn.Metric, p probsyn.Params, budget, shards int, dataset, outDir string, opts []probsyn.BuildOption) error {
 	res, err := probsyn.BuildSharded(src, m, budget, shards, opts...)
 	if err != nil {
 		return err
@@ -423,14 +423,10 @@ func runSharded(stdout io.Writer, src probsyn.Source, m probsyn.Metric, p probsy
 	} else {
 		fmt.Fprintf(stdout, "suboptimality bound: within %.6g of the unsharded optimum\n", res.Bound)
 	}
-	fmt.Fprintln(stdout, "shard,start,end,terms,cost")
-	for i, piece := range res.Pieces {
-		fmt.Fprintf(stdout, "%d,%d,%d,%d,%.6g\n", i, res.Bounds[i], res.Bounds[i+1]-1, piece.Terms(), piece.ErrorCost())
-	}
 	if outDir == "" {
 		return nil
 	}
-	key, err := catalog.KeyFor(dataset, syn, m.String(), budget, p.C, rquant)
+	key, err := catalog.KeyFor(dataset, syn, m.String(), budget, p.C, 0)
 	if err != nil {
 		return err
 	}
@@ -549,9 +545,8 @@ func printCoeffs(stdout io.Writer, syn *probsyn.WaveletSynopsis) {
 }
 
 // saveSynopsis writes the synopsis through the catalog layer's shared
-// file path (JSON envelope for .json, binary otherwise) — the same bytes
-// psynd persists, so an offline -out file and a served catalog entry for
-// the same build are interchangeable.
+// file path — the same binary envelope psynd persists, so an offline -out
+// file and a served catalog entry for the same build are interchangeable.
 func saveSynopsis(stdout io.Writer, path string, syn probsyn.Synopsis) error {
 	n, err := catalog.WriteFile(path, syn)
 	if err != nil {

@@ -42,7 +42,7 @@ func writeDataset(t *testing.T, dir string) (string, probsyn.Source) {
 }
 
 // TestRunRoundTrip drives the CLI end to end for both synopsis families
-// and both codec envelopes: build with -out, reload with -in, and assert
+// through the binary envelope: build with -out, reload with -in, and assert
 // the persisted synopsis answers Estimate and ErrorCost exactly like the
 // synopsis the same build produces in-process.
 func TestRunRoundTrip(t *testing.T) {
@@ -64,24 +64,10 @@ func TestRunRoundTrip(t *testing.T) {
 			},
 		},
 		{
-			name: "histogram-json", file: "h.json", loadTag: "histogram synopsis",
-			args: []string{"-input", dataset, "-metric", "SSE", "-buckets", "8"},
-			ref: func() (probsyn.Synopsis, error) {
-				return probsyn.Build(src, probsyn.SSE, 8)
-			},
-		},
-		{
 			name: "wavelet-binary", file: "w.syn", loadTag: "wavelet synopsis",
 			args: []string{"-input", dataset, "-wavelet", "-metric", "SAE", "-coeffs", "8", "-parallelism", "2"},
 			ref: func() (probsyn.Synopsis, error) {
 				return probsyn.Build(src, probsyn.SAE, 8, probsyn.WithWavelet(), probsyn.WithParallelism(2))
-			},
-		},
-		{
-			name: "wavelet-json", file: "w.json", loadTag: "wavelet synopsis",
-			args: []string{"-input", dataset, "-wavelet", "-metric", "SAE", "-coeffs", "8"},
-			ref: func() (probsyn.Synopsis, error) {
-				return probsyn.Build(src, probsyn.SAE, 8, probsyn.WithWavelet())
 			},
 		},
 	}
@@ -377,9 +363,9 @@ func TestRunQueryValidation(t *testing.T) {
 	}
 }
 
-// TestRunSharded: a -shards build saves the merged synopsis plus every
-// piece, byte-identical to an in-process BuildSharded, and a -query
-// batch with "shards" answers through the saved pieces.
+// TestRunSharded: a -shards build prints its bound and saves one file,
+// the merged synopsis, byte-identical to an in-process BuildSharded; an
+// -append rewrites that file like any other.
 func TestRunSharded(t *testing.T) {
 	dir := t.TempDir()
 	dataset, src := writeDataset(t, dir)
@@ -388,15 +374,14 @@ func TestRunSharded(t *testing.T) {
 	if err := run([]string{"-input", dataset, "-metric", "SSE", "-buckets", "8", "-shards", "4", "-dataset", "ds", "-out", catDir}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "suboptimality bound") || !strings.Contains(out.String(), "\n3,48,63,") {
-		t.Fatalf("no bound line or no per-shard table in output:\n%s", out.String())
+	if !strings.Contains(out.String(), "suboptimality bound") || strings.Contains(out.String(), "shard,start,end") {
+		t.Fatalf("no bound line, or a per-shard table, in output:\n%s", out.String())
 	}
 	ref, err := probsyn.BuildSharded(src, probsyn.SSE, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One file, the merged synopsis under the ordinary key: the pieces are
-	// the table above and nothing on disk.
+	// One file, the merged synopsis under the ordinary key.
 	want, err := probsyn.MarshalSynopsis(ref.Synopsis)
 	if err != nil {
 		t.Fatal(err)
@@ -557,6 +542,15 @@ func TestRunShardedValidation(t *testing.T) {
 	}
 	if err := run([]string{"-input", dataset, "-shards", "2", "-sweep"}, io.Discard); err == nil {
 		t.Fatal("-shards -sweep accepted")
+	}
+	// A quantized wavelet DP is not sharded: the flag check says so before
+	// anything is built.
+	for _, extra := range [][]string{{"-quantize", "4"}, {"-quantize", "2", "-unrestricted"}} {
+		args := append([]string{"-input", dataset, "-wavelet", "-metric", "SAE", "-coeffs", "8", "-shards", "2"}, extra...)
+		err := run(args, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "drop -equidepth/-approx/-quantize/-unrestricted") {
+			t.Fatalf("%v: %v", extra, err)
+		}
 	}
 }
 

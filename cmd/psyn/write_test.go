@@ -54,6 +54,9 @@ func TestWritePathsAgree(t *testing.T) {
 
 	for _, cfg := range configs {
 		for _, job := range jobs {
+			if job == "sharded" && cfg.q > 0 {
+				continue // a quantized wavelet DP is not sharded
+			}
 			t.Run(cfg.name+"/"+job, func(t *testing.T) {
 				dir := t.TempDir()
 				dataDir, served, offline := filepath.Join(dir, "data"), filepath.Join(dir, "served"), filepath.Join(dir, "offline")

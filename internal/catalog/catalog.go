@@ -512,20 +512,11 @@ func decodeEnvelope(key Key, blob []byte) (synopsis.Synopsis, error) {
 	return syn, nil
 }
 
-// WriteFile serializes a synopsis to path through the versioned codec:
-// the JSON envelope when the path ends in .json, the binary envelope
-// otherwise. It returns the byte count written. This is the one save
-// path shared by cmd/psyn and the server's catalog persistence.
+// WriteFile serializes a synopsis to path in the binary envelope, whatever
+// the path's extension, and returns the byte count written. This is the
+// one save path shared by cmd/psyn and the server's catalog persistence.
 func WriteFile(path string, syn synopsis.Synopsis) (int, error) {
-	var (
-		data []byte
-		err  error
-	)
-	if strings.HasSuffix(path, ".json") {
-		data, err = synopsis.MarshalJSON(syn)
-	} else {
-		data, err = synopsis.Marshal(syn)
-	}
+	data, err := synopsis.Marshal(syn)
 	if err != nil {
 		return 0, err
 	}
@@ -535,8 +526,8 @@ func WriteFile(path string, syn synopsis.Synopsis) (int, error) {
 	return len(data), nil
 }
 
-// ReadFile loads a synopsis from path through the envelope-sniffing
-// decoder — the matching load path.
+// ReadFile loads a synopsis from path through the envelope decoder — the
+// matching load path.
 func ReadFile(path string) (synopsis.Synopsis, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

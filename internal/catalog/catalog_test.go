@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -310,35 +311,40 @@ func TestCatalogConcurrentAccess(t *testing.T) {
 	wg.Wait()
 }
 
-// WriteFile/ReadFile are the shared offline save/load path: .json gets
-// the JSON envelope, everything else the binary one, and both reload.
+// WriteFile/ReadFile are the shared offline save/load path: every path,
+// whatever its extension, gets the binary envelope, and it reloads.
 func TestWriteReadFileEnvelopes(t *testing.T) {
 	h, _ := buildPair(t)
+	want, err := synopsis.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	for _, name := range []string{"h.syn", "h.json"} {
-		path := filepath.Join(dir, name)
-		n, err := WriteFile(path, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(data) != n {
-			t.Fatalf("%s: WriteFile reported %d bytes, file has %d", name, n, len(data))
-		}
-		isJSON := data[0] == '{'
-		if wantJSON := name == "h.json"; isJSON != wantJSON {
-			t.Fatalf("%s: json envelope = %v, want %v", name, isJSON, wantJSON)
-		}
-		back, err := ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back.Terms() != h.Terms() || back.ErrorCost() != h.ErrorCost() {
-			t.Fatalf("%s: reload mismatch", name)
-		}
+	for _, name := range []string{"h.syn", "h.json", "h"} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(dir, name)
+			n, err := WriteFile(path, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(data) != n {
+				t.Fatalf("WriteFile reported %d bytes, file has %d", n, len(data))
+			}
+			if !bytes.Equal(data, want) {
+				t.Fatal("file is not the binary envelope")
+			}
+			back, err := ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if back.Terms() != h.Terms() || back.ErrorCost() != h.ErrorCost() {
+				t.Fatal("reload mismatch")
+			}
+		})
 	}
 }
 

@@ -16,7 +16,7 @@ func TestResolve(t *testing.T) {
 	held := query.Compile(&hist.Histogram{N: 12, Buckets: []hist.Bucket{{Start: 0, End: 11, Rep: 9}}})
 	get := func(k Key) (query.Querier, *query.OpError) {
 		if k.Dataset == "elsewhere" {
-			return nil, &query.OpError{Code: "not_found", Message: "owned by a peer"}
+			return nil, &query.OpError{Code: "not_found", Message: "withdrawn entry"}
 		}
 		if k == whole {
 			return held, nil
@@ -39,10 +39,10 @@ func TestResolve(t *testing.T) {
 	}
 	// A source's own error passes through.
 	bk.Budget, bk.Dataset = 4, "elsewhere"
-	if _, _, operr := Resolve(bk, 0.5, get); operr == nil || operr.Code != "not_found" || operr.Message != "owned by a peer" {
+	if _, _, operr := Resolve(bk, 0.5, get); operr == nil || operr.Code != "not_found" || operr.Message != "withdrawn entry" {
 		t.Fatalf("source error not passed through: %+v", operr)
 	}
-	if _, _, operr := Resolver(0.5, get)(bk); operr == nil || operr.Message != "owned by a peer" {
+	if _, _, operr := Resolver(0.5, get)(bk); operr == nil || operr.Message != "withdrawn entry" {
 		t.Fatalf("Resolver dropped the source error: %+v", operr)
 	}
 }

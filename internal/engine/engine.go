@@ -433,10 +433,11 @@ func ChunkBounds(w, parts, lo, hi int) (int, int) {
 }
 
 // Fan runs f(0..k-1) across at most conc goroutines (a bounded task fan
-// for coarse units of independent work — per-shard builds, per-peer
-// RPCs — as opposed to the pool's fine-grained chunk dispatch). Each
-// call's outcome lands in its own slot, so results are deterministic at
-// any concurrency and completion order; the first error by index wins.
+// for coarse units of independent work — per-shard builds, a mutation's
+// frontier groups — as opposed to the pool's fine-grained chunk
+// dispatch). Each call's outcome lands in its own slot, so results are
+// deterministic at any concurrency and completion order; the first error
+// by index wins.
 func Fan(k, conc int, f func(i int) error) error {
 	if conc < 1 {
 		conc = 1

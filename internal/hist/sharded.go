@@ -9,12 +9,10 @@ import (
 
 // ShardedResult is a domain-sharded histogram build: contiguous shards
 // of the domain solved by independent DPs, recombined by an exact
-// budget-allocation DP over the per-shard frontiers. Pieces[s] is shard
-// s's local histogram over its own [0, n_s) domain; Merged is the same
-// bucketing re-anchored to global item coordinates.
+// budget-allocation DP over the per-shard frontiers. Merged is the shards'
+// local histograms re-anchored to global item coordinates.
 type ShardedResult struct {
 	Merged *Histogram
-	Pieces []*Histogram
 	// Bound is the additive suboptimality of Merged.Cost against the
 	// unsharded optimum at the same budget. It is exact slack-free
 	// accounting: any unsharded B-bucket histogram splits at the k-1
@@ -119,5 +117,5 @@ func mergeSharded(tables []*DPTable, bounds []int, B int) (*ShardedResult, error
 	if bound < 0 {
 		bound = 0
 	}
-	return &ShardedResult{Merged: merged, Pieces: pieces, Bound: bound, Stats: stats}, nil
+	return &ShardedResult{Merged: merged, Bound: bound, Stats: stats}, nil
 }

@@ -430,7 +430,8 @@ type BuildRequest struct {
 	// Shards >= 2 requests a sharded build: the domain splits into that
 	// many contiguous ranges built in parallel over the pool and merged
 	// (probsyn.BuildSharded); the merged synopsis publishes under the
-	// ordinary key. 0 or 1 is an ordinary unsharded build.
+	// ordinary key. 0 or 1 is an ordinary unsharded build. Exact DPs
+	// only: with Quantize, Shards >= 2 is a bad request.
 	Shards int `json:"shards,omitempty"`
 	// Wait makes the request synchronous: the response arrives after the
 	// queued build completes (or fails).
@@ -602,6 +603,10 @@ func (s *Server) handleBuildLike(w http.ResponseWriter, r *http.Request, sweep b
 	}
 	if sweep && shards > 1 {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "sweeps cannot be sharded")
+		return
+	}
+	if key.Q > 0 && shards > 1 {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "a quantized wavelet DP cannot be sharded")
 		return
 	}
 	budgets := 0

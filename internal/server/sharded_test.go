@@ -86,6 +86,7 @@ func TestShardedBuildRejections(t *testing.T) {
 	_, ts, _ := newFixture(t, Config{})
 	for name, req := range map[string]BuildRequest{
 		"negative shards": {Dataset: "ds", Family: "histogram", Metric: "SSE", Budget: 4, Shards: -2},
+		"quantized":       {Dataset: "ds", Family: "wavelet", Metric: "SAE", Budget: 4, Quantize: 4, Shards: 2},
 	} {
 		resp, _, bad := postBuild(t, ts, req)
 		if resp.StatusCode != http.StatusBadRequest || bad.Error.Code != CodeBadRequest {

@@ -23,8 +23,7 @@ import (
 // partition of [0, n) into k shards: shard s covers
 // [Bounds(n,k)[s], Bounds(n,k)[s+1]). The split is the same arithmetic
 // the engine's ChunkBounds uses, so any process that knows (n, k)
-// recomputes identical boundaries (probsyn.ShardBounds hands them to
-// callers reading a sharded build's pieces).
+// recomputes identical boundaries.
 func Bounds(n, k int) []int {
 	out := make([]int, k+1)
 	for s := 0; s <= k; s++ {

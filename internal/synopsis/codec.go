@@ -3,7 +3,6 @@ package synopsis
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -21,11 +20,7 @@ import (
 //
 // The checksum makes truncation and bit-rot loud instead of letting a
 // mangled synopsis serve wrong estimates.
-const (
-	binaryVersion = 1
-	jsonVersion   = 1
-	jsonFormat    = "probsyn-synopsis"
-)
+const binaryVersion = 1
 
 var binaryMagic = [4]byte{'P', 'S', 'Y', 'N'}
 
@@ -49,19 +44,12 @@ func Marshal(s Synopsis) ([]byte, error) {
 	return buf, nil
 }
 
-// Unmarshal deserializes a synopsis from either envelope, sniffing the
-// format: binary input starts with the "PSYN" magic, JSON with '{'.
+// Unmarshal deserializes a synopsis from the binary envelope; anything
+// that does not start with the "PSYN" magic is an error.
 func Unmarshal(data []byte) (Synopsis, error) {
-	if len(data) >= 4 && bytes.Equal(data[:4], binaryMagic[:]) {
-		return unmarshalBinary(data)
+	if len(data) < 4 || !bytes.Equal(data[:4], binaryMagic[:]) {
+		return nil, fmt.Errorf("synopsis: not a synopsis envelope (want %q magic)", binaryMagic)
 	}
-	if trimmed := bytes.TrimLeft(data, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '{' {
-		return UnmarshalJSON(data)
-	}
-	return nil, fmt.Errorf("synopsis: unrecognized envelope (want %q magic or JSON object)", binaryMagic)
-}
-
-func unmarshalBinary(data []byte) (Synopsis, error) {
 	if len(data) < 6 {
 		return nil, fmt.Errorf("synopsis: truncated header (%d bytes)", len(data))
 	}
@@ -90,54 +78,6 @@ func unmarshalBinary(data []byte) (Synopsis, error) {
 		return nil, err
 	}
 	return c.decodeBinary(payload)
-}
-
-// jsonEnvelope is the self-describing JSON wire format.
-type jsonEnvelope struct {
-	Format   string          `json:"format"`
-	Version  int             `json:"version"`
-	Type     string          `json:"type"`
-	Synopsis json.RawMessage `json:"synopsis"`
-}
-
-// MarshalJSON serializes a synopsis in the versioned JSON envelope.
-func MarshalJSON(s Synopsis) ([]byte, error) {
-	c, err := codecFor(s)
-	if err != nil {
-		return nil, err
-	}
-	body, err := c.encodeJSON(s)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(jsonEnvelope{
-		Format:   jsonFormat,
-		Version:  jsonVersion,
-		Type:     c.name,
-		Synopsis: body,
-	})
-}
-
-// UnmarshalJSON deserializes a synopsis from the JSON envelope.
-func UnmarshalJSON(data []byte) (Synopsis, error) {
-	var env jsonEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("synopsis: bad JSON envelope: %w", err)
-	}
-	if env.Format != jsonFormat {
-		return nil, fmt.Errorf("synopsis: JSON format %q, want %q", env.Format, jsonFormat)
-	}
-	if env.Version != jsonVersion {
-		return nil, fmt.Errorf("synopsis: unsupported JSON version %d (have %d)", env.Version, jsonVersion)
-	}
-	if len(env.Synopsis) == 0 {
-		return nil, fmt.Errorf("synopsis: JSON envelope has no synopsis body")
-	}
-	c, err := codecByName(env.Type)
-	if err != nil {
-		return nil, err
-	}
-	return c.decodeJSON(env.Synopsis)
 }
 
 // binWriter accumulates the fixed-width little-endian primitives the

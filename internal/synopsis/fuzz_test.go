@@ -1,6 +1,7 @@
 package synopsis
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -14,7 +15,8 @@ import (
 // structurally valid synopsis — never panic, never accept a corrupted
 // payload whose queries then misbehave. Seeds cover both valid
 // envelopes and the corrupt-envelope cases the unit tests enumerate
-// (truncations, bit flips, forged type names, bogus formats).
+// (truncations, bit flips, forged type names, bogus formats, a
+// JSON body).
 func FuzzUnmarshalSynopsis(f *testing.F) {
 	h, w := buildOneOfEach(f)
 	for _, s := range []Synopsis{h, w} {
@@ -29,11 +31,6 @@ func FuzzUnmarshalSynopsis(f *testing.F) {
 		flipped[len(flipped)/2] ^= 0x40
 		f.Add(flipped)
 		f.Add(forgeName(blob, "histogrm"))
-		jblob, err := MarshalJSON(s)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(jblob)
 	}
 	// Well-formed envelopes (Marshal does not validate) around a number JSON
 	// cannot write: a representative, a coefficient, a cost.
@@ -55,8 +52,17 @@ func FuzzUnmarshalSynopsis(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte("BOGUS_FORMAT"))
 	f.Add([]byte("PSYN"))
-	f.Add([]byte(`{"format":"probsyn-synopsis","version":1,"type":"histogram","synopsis":{}}`))
-	f.Add([]byte(`{"format":"probsyn-synopsis","version":1,"type":"wavelet","synopsis":{"N":3,"Indices":[0],"Values":[1]}}`))
+	// JSON-envelope bodies, one per family: Unmarshal reads the binary
+	// envelope only.
+	for _, body := range []string{
+		`{"version":1,"type":"histogram","synopsis":{"N":1,"Buckets":[{"Start":0,"End":0,"Rep":1}]}}`,
+		`{"version":1,"type":"wavelet","synopsis":{"N":2,"Indices":[0],"Values":[1]}}`,
+	} {
+		if got, err := Unmarshal([]byte(body)); err == nil {
+			f.Fatalf("decoded a JSON-envelope body: %+v", got)
+		}
+		f.Add([]byte(body))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Unmarshal(data)
@@ -85,7 +91,7 @@ func FuzzUnmarshalSynopsis(f *testing.F) {
 		_ = s.RangeSum(-5, 3*n+1) // out-of-domain ends clamp
 		// Every number it holds is finite, so it has a JSON form: it can be
 		// listed, and its answers written.
-		if _, err := MarshalJSON(s); err != nil {
+		if _, err := json.Marshal(s); err != nil {
 			t.Fatalf("decoded synopsis has no JSON form: %v", err)
 		}
 		blob, err := Marshal(s)

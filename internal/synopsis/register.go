@@ -1,21 +1,11 @@
 package synopsis
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 
 	"probsyn/internal/hist"
 	"probsyn/internal/wavelet"
 )
-
-// strictUnmarshal decodes JSON rejecting unknown fields, so a body of one
-// family cannot silently decode as an empty synopsis of another.
-func strictUnmarshal(body []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
 
 // Wire-format type names. These are persistence format, not Go identifiers:
 // never change them for existing families, only add new ones.
@@ -69,21 +59,6 @@ func decodeHistogramBinary(payload []byte) (Synopsis, error) {
 	return h, nil
 }
 
-func encodeHistogramJSON(s Synopsis) ([]byte, error) {
-	return json.Marshal(s.(*hist.Histogram))
-}
-
-func decodeHistogramJSON(body []byte) (Synopsis, error) {
-	h := new(hist.Histogram)
-	if err := strictUnmarshal(body, h); err != nil {
-		return nil, fmt.Errorf("synopsis: bad histogram body: %w", err)
-	}
-	if err := h.Validate(); err != nil {
-		return nil, fmt.Errorf("synopsis: decoded histogram invalid: %w", err)
-	}
-	return h, nil
-}
-
 // Wavelet payload (binary v1): u32 N, u32 terms, then per term u32 index,
 // f64 value, then f64 cost.
 const waveletTermBytes = 4 + 8
@@ -120,21 +95,6 @@ func decodeWaveletBinary(payload []byte) (Synopsis, error) {
 	syn.Cost = r.f64()
 	if err := r.finish(); err != nil {
 		return nil, err
-	}
-	if err := syn.Validate(); err != nil {
-		return nil, fmt.Errorf("synopsis: decoded wavelet synopsis invalid: %w", err)
-	}
-	return syn, nil
-}
-
-func encodeWaveletJSON(s Synopsis) ([]byte, error) {
-	return json.Marshal(s.(*wavelet.Synopsis))
-}
-
-func decodeWaveletJSON(body []byte) (Synopsis, error) {
-	syn := new(wavelet.Synopsis)
-	if err := strictUnmarshal(body, syn); err != nil {
-		return nil, fmt.Errorf("synopsis: bad wavelet body: %w", err)
 	}
 	if err := syn.Validate(); err != nil {
 		return nil, fmt.Errorf("synopsis: decoded wavelet synopsis invalid: %w", err)

@@ -1,8 +1,8 @@
 // Package synopsis defines the shared surface of every B-term synopsis the
 // system builds — histograms and wavelets are two instances of the same
 // idea (a compact summary minimizing expected error over possible worlds,
-// §1 of Cormode & Garofalakis) — together with a versioned binary and JSON
-// codec so synopses can be stored, shipped, and served independently of
+// §1 of Cormode & Garofalakis) — together with a versioned binary codec
+// so synopses can be stored, shipped, and served independently of
 // the data they summarize.
 //
 // Each of the two families has one codec (one wire-format type name):
@@ -42,26 +42,23 @@ type Synopsis interface {
 }
 
 // codec serializes one synopsis family. name is the wire-format type name
-// (stable across releases; it is written into both envelopes); the
-// encode/decode pairs convert to and from the family's payload bytes
-// (binary) or JSON value.
+// (stable across releases; it is written into the envelope); the
+// encode/decode pair converts to and from the family's payload bytes.
 type codec struct {
 	name         string
 	encodeBinary func(Synopsis) ([]byte, error)
 	decodeBinary func([]byte) (Synopsis, error)
-	encodeJSON   func(Synopsis) ([]byte, error)
-	decodeJSON   func([]byte) (Synopsis, error)
 }
 
 // The two families. A third is one more value here and one more case in
 // each of codecFor and codecByName.
 var (
-	histogramCodec = codec{histogramType, encodeHistogramBinary, decodeHistogramBinary, encodeHistogramJSON, decodeHistogramJSON}
-	waveletCodec   = codec{waveletType, encodeWaveletBinary, decodeWaveletBinary, encodeWaveletJSON, decodeWaveletJSON}
+	histogramCodec = codec{histogramType, encodeHistogramBinary, decodeHistogramBinary}
+	waveletCodec   = codec{waveletType, encodeWaveletBinary, decodeWaveletBinary}
 )
 
 // TypeName returns the wire-format type name of the codec that handles
-// s — the name the envelopes record, which the catalog layer reuses as
+// s — the name the envelope records, which the catalog layer reuses as
 // the synopsis family name.
 func TypeName(s Synopsis) (string, error) {
 	c, err := codecFor(s)

@@ -17,18 +17,13 @@ import (
 // ShardedResult is a domain-sharded wavelet build: the padded domain is
 // split into k equal contiguous shards, each shard's Haar subtree is
 // solved independently, and the per-shard solutions are merged into one
-// global synopsis. The per-shard solutions survive as Pieces — shard s's
-// local synopsis over its own width-(N/k) domain, which reconstructs the
-// merged synopsis's restriction to shard s exactly. Only Merged is ever
-// published; the pieces are what psyn -shards tabulates.
+// global synopsis over the whole padded domain.
 type ShardedResult struct {
 	Merged *Synopsis
-	Pieces []*Synopsis
 	// Bound is the additive suboptimality of Merged.Cost against the
 	// unsharded optimum at the same budget: 0 for the SSE family (the
 	// merge is exact), and for the DP families the budget-allocation gap
-	// plus the forced-top-tree reconstruction slack (plus the per-shard
-	// quantization bound when q > 0).
+	// plus the forced-top-tree reconstruction slack.
 	Bound float64
 	// Stats is the DP work summed over the shard sweeps; zero for SSE.
 	Stats hist.DPStats
@@ -60,14 +55,6 @@ func checkShards(n, k int) error {
 func globalIndex(i, s, k int) int {
 	l := haar.Level(i)
 	return (k+s)<<l + (i - 1<<l)
-}
-
-// localOf inverts globalIndex: the owning shard and local index of a
-// global detail coefficient g >= k.
-func localOf(g, k int) (s, i int) {
-	l := haar.Level(g) - haar.Level(k)
-	off := g - k<<l
-	return off >> l, 1<<l + off&(1<<l-1)
 }
 
 // BuildShardedSSE is the domain-sharded BuildSSE: per-shard Haar
@@ -155,51 +142,11 @@ func BuildShardedSSE(src pdata.Source, B, k int, conc int) (*ShardedResult, *SSE
 	rep := g.report(syn)
 	syn.Cost = rep.ExpectedSSE
 
-	return &ShardedResult{
-		Merged: syn,
-		Pieces: ssePieces(syn, k, w),
-	}, &rep, nil
+	return &ShardedResult{Merged: syn}, &rep, nil
 }
 
-// ssePieces projects a merged SSE synopsis onto each shard: retained
-// details map back to local indices, and the retained top-tree
-// coefficients collapse into the shard's constant offset (every
-// top-tree support half spans whole shards), carried as local c0.
-func ssePieces(syn *Synopsis, k, w int) []*Synopsis {
-	N := syn.N
-	pieces := make([]*Synopsis, k)
-	locIdx := make([][]int, k)
-	locVal := make([][]float64, k)
-	for j, g := range syn.Indices {
-		if g < k {
-			continue
-		}
-		s, i := localOf(g, k)
-		locIdx[s] = append(locIdx[s], i)
-		locVal[s] = append(locVal[s], syn.Values[j])
-	}
-	for s := 0; s < k; s++ {
-		delta := 0.0
-		for _, g := range haar.Path(s*w, N) {
-			if g >= k {
-				continue
-			}
-			if j := sort.SearchInts(syn.Indices, g); j < len(syn.Indices) && syn.Indices[j] == g {
-				delta += haar.Sign(g, s*w, N) * syn.Values[j]
-			}
-		}
-		pieces[s] = &Synopsis{
-			N:       w,
-			Indices: append([]int{0}, locIdx[s]...),
-			Values:  append([]float64{delta}, locVal[s]...),
-		}
-	}
-	return pieces
-}
-
-// BuildShardedRestricted is the domain-sharded restricted DP (exact
-// when q == 0, incoming-value quantized when q >= 2): each shard runs a
-// forced-root restricted sweep over its own subdomain (its local c0 —
+// BuildShardedRestricted is the domain-sharded exact restricted DP: each
+// shard runs a forced-root restricted sweep over its own subdomain (its local c0 —
 // the shard average — pinned retained, so the local solution composes
 // with the top tree), and an exact budget-allocation DP over the k
 // frontiers splits the global budget B.
@@ -212,12 +159,9 @@ func ssePieces(syn *Synopsis, k, w int) []*Synopsis {
 // top-tree slot. Merged.Cost is the allocation DP's exact combination
 // of per-shard costs, and the returned Bound certifies
 // Merged.Cost <= OPT + Bound against the unsharded optimum.
-func BuildShardedRestricted(src pdata.Source, kind metric.Kind, p metric.Params, B, k, q int, pool *engine.Pool, conc int) (*ShardedResult, error) {
+func BuildShardedRestricted(src pdata.Source, kind metric.Kind, p metric.Params, B, k int, pool *engine.Pool, conc int) (*ShardedResult, error) {
 	if B < 0 {
 		return nil, fmt.Errorf("wavelet: negative budget %d", B)
-	}
-	if err := checkQuant(RestrictedFamily, q); err != nil {
-		return nil, err
 	}
 	vp := padValuePDF(pdata.AsValuePDF(src))
 	N := vp.N
@@ -242,7 +186,7 @@ func BuildShardedRestricted(src pdata.Source, kind metric.Kind, p metric.Params,
 	pes := make([]*PointErrors, k)
 	err := engine.Fan(k, conc, func(s int) error {
 		svp := &pdata.ValuePDF{N: w, Items: vp.Items[s*w : (s+1)*w]}
-		sw, pe, err := sweepDP(svp, RestrictedFamily, kind, p, caps[s], q, true, pool)
+		sw, pe, err := sweepDP(svp, RestrictedFamily, kind, p, caps[s], 0, true, pool)
 		if err != nil {
 			return err
 		}
@@ -305,25 +249,13 @@ func BuildShardedRestricted(src pdata.Source, kind metric.Kind, p metric.Params,
 	// Additive bound against the unsharded restricted optimum OPT.
 	// Take the optimum's solution S*, add the full top tree: that is a
 	// forced per-shard solution with at most B+k terms, so the alloc
-	// table at total B+k is <= err(S*∪top) (+ the per-shard quantized
-	// slack when q > 0), and err(S*∪top) <= OPT + pen, where pen prices
-	// the reconstruction drift from retaining top-tree coefficients S*
-	// dropped. Hence Cost = Ã(B) <= OPT + (Ã(B)-Ã(B+k)) + pen + quant.
+	// table at total B+k is <= err(S*∪top), and err(S*∪top) <= OPT + pen,
+	// where pen prices the reconstruction drift from retaining top-tree
+	// coefficients S* dropped. Hence Cost = A(B) <= OPT + (A(B)-A(B+k)) + pen.
 	bound := math.Max(0, alloc.Cost(B)-alloc.Cost(B+k))
-	if q > 0 {
-		qt := 0.0
-		for _, sw := range sweeps {
-			if cum {
-				qt += sw.ErrorBound()
-			} else {
-				qt = math.Max(qt, sw.ErrorBound())
-			}
-		}
-		bound += qt
-	}
 	bound += forcedTopPenalty(vp, kind, pes, k, cum)
 
-	res := &ShardedResult{Merged: merged, Pieces: pieces, Bound: bound}
+	res := &ShardedResult{Merged: merged, Bound: bound}
 	for _, sw := range sweeps {
 		res.Stats.Add(sw.stats)
 	}

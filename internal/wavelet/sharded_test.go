@@ -1,10 +1,10 @@
 package wavelet_test
 
 // Sharded-build correctness: the SSE merge must be element-identical to
-// the unsharded build (the property the cluster's exactness rests on),
-// the DP-family merge must cost at least the unsharded optimum and at
-// most optimum + Bound, and everything must be bit-identical across
-// fan concurrency, worker counts, and budgets.
+// the unsharded build, the DP-family merge must cost at least the
+// unsharded optimum and at most optimum + Bound and price its merged
+// synopsis exactly, and everything must be bit-identical across fan
+// concurrency, worker counts, and budgets.
 
 import (
 	"math"
@@ -44,21 +44,6 @@ func TestShardedSSEIdenticalToUnsharded(t *testing.T) {
 					if res.Bound != 0 {
 						t.Fatalf("SSE merge bound = %v, want 0 (exact)", res.Bound)
 					}
-					// Pieces are the merged synopsis seen from each shard:
-					// same reconstruction, shard by shard.
-					full := res.Merged.Reconstruct()
-					w := res.Merged.N / k
-					for s, piece := range res.Pieces {
-						if piece.N != w {
-							t.Fatalf("piece %d domain %d, want %d", s, piece.N, w)
-						}
-						for i, v := range piece.Reconstruct() {
-							if !relClose(v, full[s*w+i], 1e-9) {
-								t.Fatalf("n=%d k=%d B=%d: piece %d item %d reconstructs %v, merged %v",
-									n, k, B, s, i, v, full[s*w+i])
-							}
-						}
-					}
 				}
 			}
 		}
@@ -72,7 +57,7 @@ func TestShardedRestrictedWithinBoundOfOptimum(t *testing.T) {
 	for _, kind := range []metric.Kind{metric.SAE, metric.SSEFixed, metric.MAE} {
 		for _, k := range []int{2, 4} {
 			for _, B := range []int{k, 8, 16} {
-				res, err := wavelet.BuildShardedRestricted(src, kind, p, B, k, 0, finePool(2), 2)
+				res, err := wavelet.BuildShardedRestricted(src, kind, p, B, k, finePool(2), 2)
 				if err != nil {
 					t.Fatalf("%v k=%d B=%d: %v", kind, k, B, err)
 				}
@@ -113,13 +98,13 @@ func TestShardedRestrictedWithinBoundOfOptimum(t *testing.T) {
 func TestShardedRestrictedDeterministic(t *testing.T) {
 	src := ptest.RandomValuePDF(rand.New(rand.NewSource(7)), 64, 3)
 	p := metric.Params{C: 0.5}
-	base, err := wavelet.BuildShardedRestricted(src, metric.SAE, p, 12, 4, 0, nil, 1)
+	base, err := wavelet.BuildShardedRestricted(src, metric.SAE, p, 12, 4, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, runtime.NumCPU()} {
 		for _, conc := range []int{1, 2, 4} {
-			res, err := wavelet.BuildShardedRestricted(src, metric.SAE, p, 12, 4, 0, finePool(workers), conc)
+			res, err := wavelet.BuildShardedRestricted(src, metric.SAE, p, 12, 4, finePool(workers), conc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,50 +112,39 @@ func TestShardedRestrictedDeterministic(t *testing.T) {
 			if res.Bound != base.Bound {
 				t.Fatalf("workers=%d conc=%d: bound %v != %v", workers, conc, res.Bound, base.Bound)
 			}
-			for s := range res.Pieces {
-				synopsesIdentical(t, "piece", base.Pieces[s], res.Pieces[s], base.Pieces[s].Cost, res.Pieces[s].Cost)
-			}
 		}
 	}
 }
 
-// TestShardedRestrictedPiecesComposeMerged: each piece reconstructs the
-// merged synopsis's restriction to its shard — the invariant scatter/
-// gather serving relies on.
-func TestShardedRestrictedPiecesComposeMerged(t *testing.T) {
-	src := ptest.RandomValuePDF(rand.New(rand.NewSource(11)), 32, 3)
-	res, err := wavelet.BuildShardedRestricted(src, metric.SSEFixed, metric.Params{}, 10, 4, 0, nil, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := res.Merged.Reconstruct()
-	w := res.Merged.N / 4
-	for s, piece := range res.Pieces {
-		for i, v := range piece.Reconstruct() {
-			if !relClose(v, full[s*w+i], 1e-9) {
-				t.Fatalf("piece %d item %d reconstructs %v, merged %v", s, i, v, full[s*w+i])
-			}
-		}
-	}
-}
-
-func TestShardedRestrictedQuantizedWithinBound(t *testing.T) {
-	src := ptest.RandomValuePDF(rand.New(rand.NewSource(29)), 64, 3)
+// TestShardedRestrictedMergedCostIsExact: the cost a sharded restricted
+// build reports is the true expected error of the synopsis it merged, for
+// every DP metric, so a merge that put a shard's coefficients in the wrong
+// place of the global tree cannot pass.
+func TestShardedRestrictedMergedCostIsExact(t *testing.T) {
 	p := metric.Params{C: 0.5}
-	const B, k, q = 12, 4, 4
-	res, err := wavelet.BuildShardedRestricted(src, metric.SAE, p, B, k, q, finePool(2), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, opt, err := wavelet.BuildRestrictedPool(src, metric.SAE, p, B, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Merged.Cost < opt && !relClose(res.Merged.Cost, opt, 1e-9) {
-		t.Fatalf("quantized sharded cost %v below exact optimum %v", res.Merged.Cost, opt)
-	}
-	if res.Merged.Cost > opt+res.Bound {
-		t.Fatalf("quantized sharded cost %v exceeds optimum %v + bound %v", res.Merged.Cost, opt, res.Bound)
+	for _, kind := range []metric.Kind{metric.SSEFixed, metric.SSRE, metric.SAE, metric.SARE, metric.MAE, metric.MARE} {
+		t.Run(kind.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			for _, n := range []int{16, 32, 64} {
+				src := ptest.RandomValuePDF(rng, n, 3)
+				pe, err := wavelet.NewPointErrors(src, kind, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range []int{2, 4, 8} {
+					for _, B := range []int{k, k + 3, 2*k + 1} {
+						res, err := wavelet.BuildShardedRestricted(src, kind, p, B, k, nil, 2)
+						if err != nil {
+							t.Fatalf("n=%d k=%d B=%d: %v", n, k, B, err)
+						}
+						if truth := pe.SynopsisError(res.Merged); !relClose(truth, res.Merged.Cost, 1e-9) {
+							t.Fatalf("n=%d k=%d B=%d: merged cost %v but exact evaluation %v",
+								n, k, B, res.Merged.Cost, truth)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -185,7 +159,7 @@ func TestShardedArgumentErrors(t *testing.T) {
 	if _, _, err := wavelet.BuildShardedSSE(src, 4, 32, 1); err == nil {
 		t.Fatal("k > n accepted")
 	}
-	if _, err := wavelet.BuildShardedRestricted(src, metric.SAE, metric.Params{C: 0.5}, 3, 4, 0, nil, 1); err == nil {
+	if _, err := wavelet.BuildShardedRestricted(src, metric.SAE, metric.Params{C: 0.5}, 3, 4, nil, 1); err == nil {
 		t.Fatal("B < k accepted by the sharded restricted build")
 	}
 }

@@ -120,6 +120,8 @@ func wantAccept(c combo, entry int) bool {
 		return false // no frontier
 	case c.unrestricted && sharded:
 		return false // no merge rule
+	case c.quantize != nil && entry == viaShardedTwo:
+		return false // a quantized DP is not sharded; k = 1 is Build
 	}
 	return true
 }

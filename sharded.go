@@ -3,7 +3,6 @@ package probsyn
 import (
 	"fmt"
 
-	"probsyn/internal/haar"
 	"probsyn/internal/hist"
 	"probsyn/internal/pdata"
 	"probsyn/internal/shard"
@@ -13,36 +12,15 @@ import (
 // ShardedResult is a domain-sharded build: the item domain is split into
 // k contiguous shards, each shard's synopsis is built independently (and
 // concurrently), and the per-shard solutions are merged under the global
-// term budget. The per-shard solutions survive as Pieces — Pieces[s] is
-// shard s's synopsis over its own local domain [0, Bounds[s+1]-Bounds[s]),
-// covering global items [Bounds[s], Bounds[s+1]) — for callers that want
-// to inspect what each shard contributed (psyn -shards tabulates them).
-// Only Synopsis is ever served or persisted.
+// term budget into one synopsis over the whole domain.
 type ShardedResult struct {
 	// Synopsis is the merged global synopsis over the full domain.
 	Synopsis Synopsis
-	// Pieces are the k per-shard synopses over their local subdomains.
-	Pieces []Synopsis
-	// Bounds are the k+1 global item boundaries of the shards, as
-	// returned by ShardBounds: Pieces[s] covers [Bounds[s], Bounds[s+1]).
-	Bounds []int
 	// Bound is the additive suboptimality certificate:
 	// Synopsis.ErrorCost() <= exact unsharded optimum + Bound, at every k
 	// (under WithQuantize, k = 1 carries the quantized DP's own bound). It
 	// is exactly 0 for the SSE wavelet family, whose sharded merge is exact.
 	Bound float64
-}
-
-// ShardBounds returns the k+1 global item boundaries a k-way sharded
-// build uses over a domain of n items: near-equal contiguous ranges,
-// shard s covering [s*n/k, (s+1)*n/k). Wavelet builds shard the
-// zero-padded power-of-two domain (pass wavelet=true), so their
-// boundaries divide haar.Pow2Ceil(n) instead of n.
-func ShardBounds(n, k int, wavelet bool) []int {
-	if wavelet {
-		n = haar.Pow2Ceil(n)
-	}
-	return shard.Bounds(n, k)
 }
 
 // BuildSharded builds a B-term synopsis by splitting the domain into k
@@ -56,15 +34,16 @@ func ShardBounds(n, k int, wavelet bool) []int {
 //     allocation DP, with the reported cost the true combined expected
 //     error and Bound certifying it against the unsharded optimum.
 //
-// k = 1 is the unsharded build (one piece spanning the domain); wavelet
-// shard counts must be powers of two. The DP families need B >= k (every
-// shard retains at least one term). On a pool with a MaxBuilds admission
-// cap, a k-way sharded build holds up to k build tokens — acquired
-// all-or-nothing, and gracefully degrading to fewer (serializing shards)
-// when the cap is smaller — so a burst of sharded builds cannot
-// oversubscribe the pool. Accepts WithQuantize for the restricted
-// wavelet family; WithEps and WithUnrestricted have no sharded merge
-// rule and are rejected.
+// k = 1 is the unsharded build; wavelet shard counts must be powers of
+// two. The DP families need B >= k (every shard retains at least one
+// term). On a pool with a MaxBuilds admission cap, a k-way sharded build
+// holds up to k build tokens — acquired all-or-nothing, and gracefully
+// degrading to fewer (serializing shards) when the cap is smaller — so a
+// burst of sharded builds cannot oversubscribe the pool. WithQuantize is
+// accepted at k = 1 only: at k >= 2 a finer unsharded grid costs about the
+// same time for a lower cost and a tighter bound, so the quantized merge is
+// refused. WithEps and WithUnrestricted have no sharded merge rule and are
+// rejected.
 func BuildSharded(src Source, m Metric, B, k int, opts ...BuildOption) (*ShardedResult, error) {
 	p, err := resolve(src, m, opts, modeSharded)
 	if err != nil {
@@ -77,7 +56,6 @@ func (p *plan) sharded(src Source, B, k int) (*ShardedResult, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("probsyn: shard count %d < 1", k)
 	}
-	_, isWavelet := p.family.wavelet()
 	if k == 1 {
 		// One shard is the unsharded build; what stands between it and the
 		// exact optimum is its own DP's bound (a quantized wavelet's, else 0).
@@ -85,33 +63,30 @@ func (p *plan) sharded(src Source, B, k int) (*ShardedResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ShardedResult{
-			Synopsis: syn,
-			Pieces:   []Synopsis{syn},
-			Bounds:   ShardBounds(src.Domain(), 1, isWavelet),
-			Bound:    ApproxBound(fr),
-		}, nil
+		return &ShardedResult{Synopsis: syn, Bound: ApproxBound(fr)}, nil
+	}
+	if p.q > 0 {
+		return nil, fmt.Errorf("probsyn: a quantized wavelet DP is not sharded (k = %d): build unsharded, with a finer WithQuantize grid for the same time", k)
 	}
 	conc, release, err := p.admit(k)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	if !isWavelet {
+	if _, isWavelet := p.family.wavelet(); !isWavelet {
 		return p.shardedHistogram(src, B, k, conc)
 	}
-	bounds := ShardBounds(src.Domain(), k, true)
 	var res *wavelet.ShardedResult
 	if p.family == waveletSSE {
 		res, _, err = wavelet.BuildShardedSSE(src, B, k, conc)
 	} else {
-		res, err = wavelet.BuildShardedRestricted(src, p.metric, p.params, B, k, p.q, p.pool, conc)
+		res, err = wavelet.BuildShardedRestricted(src, p.metric, p.params, B, k, p.pool, conc)
 	}
 	if err != nil {
 		return nil, err
 	}
 	p.report(res.Stats)
-	return rootSharded(res.Merged, res.Pieces, bounds, res.Bound), nil
+	return &ShardedResult{Synopsis: res.Merged, Bound: res.Bound}, nil
 }
 
 // shardedHistogram prices shards against the source's per-item marginal
@@ -146,16 +121,5 @@ func (p *plan) shardedHistogram(src Source, B, k, conc int) (*ShardedResult, err
 		return nil, err
 	}
 	p.report(res.Stats)
-	return rootSharded(res.Merged, res.Pieces, bounds, res.Bound), nil
-}
-
-// rootSharded lifts a family-layer sharded result (concrete synopsis
-// pointers) into the interface-typed root result.
-func rootSharded[S Synopsis](merged S, pieces []S, bounds []int, bound float64) *ShardedResult {
-	out := &ShardedResult{Synopsis: merged, Bounds: bounds, Bound: bound}
-	out.Pieces = make([]Synopsis, len(pieces))
-	for i, p := range pieces {
-		out.Pieces[i] = p
-	}
-	return out
+	return &ShardedResult{Synopsis: res.Merged, Bound: res.Bound}, nil
 }

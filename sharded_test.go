@@ -10,6 +10,7 @@ import (
 	"probsyn"
 	"probsyn/internal/engine"
 	"probsyn/internal/ptest"
+	"probsyn/internal/shard"
 )
 
 func randomValuePDF(n int, seed int64) *probsyn.ValuePDF {
@@ -67,16 +68,6 @@ func TestBuildShardedWithinBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Pieces) != tc.k || len(res.Bounds) != tc.k+1 {
-				t.Fatalf("%d pieces, %d bounds for k=%d", len(res.Pieces), len(res.Bounds), tc.k)
-			}
-			wavelet := len(tc.opts) > 0
-			wantBounds := probsyn.ShardBounds(tc.n, tc.k, wavelet)
-			for i, b := range res.Bounds {
-				if b != wantBounds[i] {
-					t.Fatalf("bounds %v, want %v", res.Bounds, wantBounds)
-				}
-			}
 			// SSEFixed wavelet routes to the exact greedy merge.
 			if tc.name == "wavelet-SSEFixed" && res.Bound != 0 {
 				t.Fatalf("SSE-family sharded bound = %v, want 0", res.Bound)
@@ -97,83 +88,41 @@ func TestBuildShardedWithinBound(t *testing.T) {
 	}
 }
 
-// Pieces must answer range sums: summing the per-shard partials over the
-// shard split of a global range reproduces the merged synopsis's answer
-// — the invariant the scatter/gather server path relies on.
-func TestBuildShardedPiecesAnswerRangeSums(t *testing.T) {
-	src := randomValuePDF(32, 17)
-	for _, tc := range []struct {
-		m    probsyn.Metric
-		opts []probsyn.BuildOption
-	}{
-		{probsyn.SSE, []probsyn.BuildOption{probsyn.WithWavelet()}},
-		{probsyn.SAE, []probsyn.BuildOption{probsyn.WithWavelet()}},
-		{probsyn.SSE, nil},
-	} {
-		res, err := probsyn.BuildSharded(src, tc.m, 10, 4, tc.opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range [][2]int{{0, 32}, {3, 29}, {7, 9}, {0, 1}, {15, 17}} {
-			lo, hi := r[0], r[1]
-			want := res.Synopsis.RangeSum(lo, hi)
-			var got float64
-			for s := 0; s+1 < len(res.Bounds); s++ {
-				a, b := max(lo, res.Bounds[s]), min(hi, res.Bounds[s+1])
-				if a < b {
-					got += res.Pieces[s].RangeSum(a-res.Bounds[s], b-res.Bounds[s])
+// A quantized wavelet DP is not sharded: at k >= 2 BuildSharded refuses
+// WithQuantize (an unsharded build on a finer grid costs about the same
+// time for a lower cost and a tighter bound), and k = 1 stays the plain
+// quantized build, carrying its own DP's bound.
+func TestBuildShardedRefusesQuantizedMerge(t *testing.T) {
+	src := randomValuePDF(64, 23)
+	for _, m := range []probsyn.Metric{probsyn.SAE, probsyn.SSEFixed} {
+		t.Run(m.String(), func(t *testing.T) {
+			opts := []probsyn.BuildOption{probsyn.WithWavelet(), probsyn.WithQuantize(4)}
+			for _, k := range []int{2, 4, 8} {
+				if res, err := probsyn.BuildSharded(src, m, 12, k, opts...); err == nil {
+					t.Fatalf("k=%d: quantized sharded build accepted (bound %v)", k, res.Bound)
 				}
 			}
-			if math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
-				t.Fatalf("%v [%d,%d): gathered %v, merged %v", tc.m, lo, hi, got, want)
+			want, err := probsyn.Build(src, m, 12, opts...)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-}
-
-// Quantized sharded restricted builds through the root API stay within
-// the surfaced bound of the exact unsharded optimum.
-func TestBuildShardedQuantizedWithinBound(t *testing.T) {
-	src := randomValuePDF(64, 23)
-	res, err := probsyn.BuildSharded(src, probsyn.SAE, 12, 4,
-		probsyn.WithWavelet(), probsyn.WithQuantize(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, err := probsyn.Build(src, probsyn.SAE, 12, probsyn.WithWavelet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tol := 1e-9 * math.Max(1, opt.ErrorCost())
-	if res.Synopsis.ErrorCost() < opt.ErrorCost()-tol {
-		t.Fatalf("cost %v below optimum %v", res.Synopsis.ErrorCost(), opt.ErrorCost())
-	}
-	if res.Synopsis.ErrorCost() > opt.ErrorCost()+res.Bound+tol {
-		t.Fatalf("cost %v exceeds optimum %v + bound %v", res.Synopsis.ErrorCost(), opt.ErrorCost(), res.Bound)
-	}
-}
-
-// Bound certifies against the EXACT unsharded optimum at every k, k = 1
-// included: a quantized one-shard build is an approximation too, and on
-// this input the k = 4 merge (a feasible 32-term restricted synopsis)
-// costs less than it. The exact optimum is at most the cheapest row.
-func TestBuildShardedQuantizedBoundHoldsAtEveryK(t *testing.T) {
-	src := benchLinkage(2048)
-	ks := []int{1, 2, 4}
-	res := make([]*probsyn.ShardedResult, len(ks))
-	best := math.Inf(1)
-	for i, k := range ks {
-		var err error
-		res[i], err = probsyn.BuildSharded(src, probsyn.SAE, 32, k, probsyn.WithWavelet(), probsyn.WithQuantize(32))
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		best = math.Min(best, res[i].Synopsis.ErrorCost())
-	}
-	for i, k := range ks {
-		if cost := res[i].Synopsis.ErrorCost(); cost > best+res[i].Bound {
-			t.Errorf("k=%d: cost %v exceeds a feasible synopsis's %v by more than Bound %v", k, cost, best, res[i].Bound)
-		}
+			fr, err := probsyn.BuildSweep(src, m, 12, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := probsyn.BuildSharded(src, m, 12, 1, opts...)
+			if err != nil {
+				t.Fatalf("k=1: %v", err)
+			}
+			a, _ := probsyn.MarshalSynopsis(want)
+			b, _ := probsyn.MarshalSynopsis(got.Synopsis)
+			if !bytes.Equal(a, b) {
+				t.Fatal("k=1: quantized BuildSharded differs from Build")
+			}
+			if got.Bound != probsyn.ApproxBound(fr) || got.Bound <= 0 {
+				t.Fatalf("k=1: Bound %v, the quantized DP's own bound is %v", got.Bound, probsyn.ApproxBound(fr))
+			}
+		})
 	}
 }
 
@@ -253,7 +202,7 @@ func TestBuildShardedFillsDPStats(t *testing.T) {
 	const n, B, k = 40, 9, 3
 	src := randomValuePDF(n, 29)
 	var want int64
-	bounds := probsyn.ShardBounds(n, k, false)
+	bounds := shard.Bounds(n, k)
 	for s := 0; s < k; s++ {
 		for e := 0; e < bounds[s+1]-bounds[s]; e++ {
 			for b := 1; b < B && b <= e; b++ {

@@ -1,10 +1,6 @@
 package probsyn
 
-import (
-	"io"
-
-	"probsyn/internal/synopsis"
-)
+import "probsyn/internal/synopsis"
 
 // Synopsis is the shared query surface of every synopsis family —
 // histograms and wavelets both implement it — so callers can estimate
@@ -23,29 +19,7 @@ type Frontier = synopsis.Frontier
 // ("PSYN" magic, type-tagged, CRC-checked payload).
 func MarshalSynopsis(s Synopsis) ([]byte, error) { return synopsis.Marshal(s) }
 
-// MarshalSynopsisJSON serializes a synopsis in the versioned JSON envelope.
-func MarshalSynopsisJSON(s Synopsis) ([]byte, error) { return synopsis.MarshalJSON(s) }
-
-// UnmarshalSynopsis deserializes a synopsis from either envelope (binary
-// or JSON, sniffed), returning the registered concrete family behind the
-// Synopsis interface.
+// UnmarshalSynopsis deserializes a synopsis from the binary envelope
+// MarshalSynopsis writes, returning the concrete family behind the
+// Synopsis interface; any other input, JSON included, is an error.
 func UnmarshalSynopsis(data []byte) (Synopsis, error) { return synopsis.Unmarshal(data) }
-
-// WriteSynopsis writes a synopsis to w in the binary envelope.
-func WriteSynopsis(w io.Writer, s Synopsis) error {
-	data, err := synopsis.Marshal(s)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
-}
-
-// ReadSynopsis reads one synopsis (either envelope) from r.
-func ReadSynopsis(r io.Reader) (Synopsis, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return synopsis.Unmarshal(data)
-}
