@@ -299,8 +299,9 @@ func BenchmarkWaveletRestrictedApprox(b *testing.B) {
 // coefficient tree's — shrinks faster than the shard count) and shard
 // concurrency. (A quantized restricted DP is not sharded: its O(n·q·B)
 // work is linear in n, so k bought concurrency alone, which its own level
-// sweeps already have.) The SSE wavelet merge is exact and its transform
-// is cheap, so its entry tracks merge overhead.
+// sweeps already have.) A sharded SSE wavelet build is the greedy of
+// Theorem 7, unsplit, so every k of its entry times that one O(n log n)
+// top-B.
 func BenchmarkShardedBuild(b *testing.B) {
 	wavelet := []probsyn.BuildOption{probsyn.WithWavelet()}
 	cases := []struct {

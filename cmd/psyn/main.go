@@ -100,7 +100,7 @@ func run(args []string, stdout io.Writer) error {
 		flagSaveData = fs.String("save-data", "", "with -append: write the merged dataset to this file")
 		flagQuery    = fs.String("query", "", "batch request file (POST /v1/query JSON body) answered offline from the -out catalog directory; the response JSON is written to stdout, byte-identical to a served one")
 		flagPack     = fs.String("pack", "", "pack this catalog directory's synopses into its flat file (catalog.flat) for millisecond psynd -flat boots; deterministic, byte-identical to the server's own re-packs")
-		flagShards   = fs.Int("shards", 0, "if >= 2, build sharded: split the domain into this many contiguous ranges, build each in parallel, and merge (exact for SSE wavelets; the exact DP families report a certified additive suboptimality bound; not with -quantize); with -out (a catalog directory), the merged synopsis is saved under its key-encoded filename")
+		flagShards   = fs.Int("shards", 0, "if >= 2, build sharded: split the domain into this many contiguous ranges, build each in parallel, and merge (the exact DP families report a certified additive suboptimality bound; an SSE wavelet is the unsharded greedy, bound 0; not with -quantize); with -out (a catalog directory), the merged synopsis is saved under its key-encoded filename")
 		flagVerbose  = fs.Bool("v", false, "after a histogram or coefficient-tree wavelet DP build (plain, -sweep, or -shards), report the DP work counters: split candidates scanned vs. pruned and cost evaluations (see probsyn.DPStats); non-DP builds print nothing")
 	)
 	if err := fs.Parse(args); err != nil {

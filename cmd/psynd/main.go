@@ -119,8 +119,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		flagCatalog  = fs.String("catalog", "", "catalog directory: preload synopses at startup, persist new builds (optional)")
 		flagFlat     = fs.Bool("flat", false, "boot from the catalog directory's flat file (catalog.flat) when present and maintain it across builds (requires -catalog)")
 		flagQueue    = fs.Int("queue", server.DefaultQueueDepth, "build queue depth; a full queue rejects builds with queue_full")
-		flagBuilders = fs.Int("build-workers", server.DefaultBuildWorkers, "goroutines draining the build queue")
-		flagMax      = fs.Int("max-builds", 2, "admission cap: builds running DPs concurrently on the shared pool (<= 0: unlimited)")
+		flagMax      = fs.Int("max-builds", 2, "admission cap: builds running DPs concurrently on the shared pool, one build-queue drainer each (<= 0: unlimited, two drainers)")
 		flagParallel = fs.Int("parallelism", 0, "engine worker goroutines per build DP (<= 0: one per CPU)")
 		flagC        = fs.Float64("c", 0.5, "sanity constant for relative-error metrics")
 		flagMaxLive  = fs.Int("max-live", server.DefaultMaxLiveStates, "retained live frontiers (DP state for incremental /v1/append|/v1/update); least-recently-mutated evicted beyond this")
@@ -185,7 +184,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		Catalog:       cat,
 		Pool:          pool,
 		QueueDepth:    *flagQueue,
-		BuildWorkers:  *flagBuilders,
 		C:             *flagC,
 		MaxLiveStates: *flagMaxLive,
 		Logf: func(format string, args ...any) {

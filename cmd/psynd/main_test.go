@@ -315,9 +315,10 @@ func TestPsyndClosesStalledConnections(t *testing.T) {
 
 // There is no cluster mode: a deployment that still passes -peers (or
 // -self) fails at flag parsing instead of booting a lone node that holds
-// a fraction of the datasets it was meant to.
+// a fraction of the datasets it was meant to. -build-workers went the
+// same way: the build queue has one drainer per -max-builds token.
 func TestRunRejectsPeerFlags(t *testing.T) {
-	for _, args := range [][]string{{"-peers", "a:1,b:2"}, {"-self", "a:1"}} {
+	for _, args := range [][]string{{"-peers", "a:1,b:2"}, {"-self", "a:1"}, {"-build-workers", "4"}} {
 		t.Run(args[0], func(t *testing.T) {
 			err := run(context.Background(), append([]string{"-data", t.TempDir()}, args...), io.Discard)
 			if !errors.Is(err, errParse) {

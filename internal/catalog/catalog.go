@@ -400,8 +400,8 @@ func keyLess(ka, kb Key) bool {
 // deliberately: entries do not retain their envelope bytes, because a
 // long-lived serving catalog holding both the decoded synopsis and its
 // serialized copy would double steady-state memory, and Save runs only
-// on the offline SaveAll path where one extra marshal is cheap. The file
-// lands through Publish, like every other catalog write.
+// offline, where one extra marshal is cheap. The file lands through
+// Publish, like every other catalog write.
 func (c *Catalog) Save(dir string, e *Entry) (string, error) {
 	if err := Publish(dir, nil, e.Key, e.Synopsis); err != nil {
 		return "", err
@@ -438,22 +438,6 @@ func WriteBlob(path string, blob []byte) error {
 		return err
 	}
 	return nil
-}
-
-// SaveAll persists every entry into dir (created if missing), returning
-// how many files were written.
-func (c *Catalog) SaveAll(dir string) (int, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, e := range c.List() {
-		if _, err := c.Save(dir, e); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
 }
 
 // LoadDir loads every key-encoded synopsis file in dir into the catalog

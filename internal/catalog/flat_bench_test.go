@@ -42,9 +42,7 @@ func benchCatalogDir(b *testing.B) string {
 		}
 	}
 	dir := b.TempDir()
-	if _, err := c.SaveAll(dir); err != nil {
-		b.Fatal(err)
-	}
+	saveAll(b, c, dir)
 	if _, err := Pack(FlatPath(dir), c.List()); err != nil {
 		b.Fatal(err)
 	}

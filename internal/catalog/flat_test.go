@@ -318,9 +318,7 @@ func TestBootDirFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	src := randCatalog(t, rng, 10, []int{64})
 	dir := t.TempDir()
-	if _, err := src.SaveAll(dir); err != nil {
-		t.Fatal(err)
-	}
+	saveAll(t, src, dir)
 	if _, err := Pack(FlatPath(dir), src.List()); err != nil {
 		t.Fatal(err)
 	}
@@ -472,9 +470,7 @@ func TestBootDirFallsBack(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			if _, err := src.SaveAll(dir); err != nil {
-				t.Fatal(err)
-			}
+			saveAll(t, src, dir)
 			data := tc.mutate(append([]byte(nil), good...))
 			if err := os.WriteFile(FlatPath(dir), data, 0o644); err != nil {
 				t.Fatal(err)
@@ -525,9 +521,7 @@ func TestBootDirNoFlatFile(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	src := randCatalog(t, rng, 4, []int{16})
 	dir := t.TempDir()
-	if _, err := src.SaveAll(dir); err != nil {
-		t.Fatal(err)
-	}
+	saveAll(t, src, dir)
 	// A shard piece file left by an older psynd is a foreign file now.
 	if err := os.WriteFile(filepath.Join(dir, "d--histogram--SSE--s0of2--b6.psyn"), []byte("PSYN"), 0o644); err != nil {
 		t.Fatal(err)

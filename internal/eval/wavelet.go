@@ -2,9 +2,7 @@ package eval
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"sort"
 
 	"probsyn/internal/haar"
 	"probsyn/internal/pdata"
@@ -37,7 +35,8 @@ func (e *WaveletExperiment) Run() ([]WaveletSeries, error) {
 	if len(e.Budgets) == 0 {
 		return nil, fmt.Errorf("eval: no budgets")
 	}
-	mu := haar.Normalize(haar.Forward(haar.Pad(e.Source.ExpectedFreqs())))
+	c := haar.Forward(haar.Pad(e.Source.ExpectedFreqs()))
+	mu := haar.Normalize(c)
 	n := len(mu)
 	muSq := make([]float64, n)
 	total := 0.0
@@ -54,9 +53,9 @@ func (e *WaveletExperiment) Run() ([]WaveletSeries, error) {
 	}
 
 	var out []WaveletSeries
-	// Probabilistic: retain by |mu| — the optimal order.
-	probOrder := orderByMagnitude(mu)
-	out = append(out, seriesFromOrder(Probabilistic, 0, e.Budgets, probOrder, muSq, point))
+	// Probabilistic: retain by |mu| — Theorem 7's order, which TopK ranks
+	// from the unnormalized transform.
+	out = append(out, seriesFromOrder(Probabilistic, 0, e.Budgets, haar.TopK(c, n), muSq, point))
 
 	samples := e.Samples
 	if samples <= 0 {
@@ -69,26 +68,10 @@ func (e *WaveletExperiment) Run() ([]WaveletSeries, error) {
 	freqs := make([]float64, e.Source.Domain())
 	for s := 0; s < samples; s++ {
 		e.Source.SampleInto(rng, freqs)
-		nc := haar.Normalize(haar.Forward(haar.Pad(append([]float64(nil), freqs...))))
-		order := orderByMagnitude(nc)
+		order := haar.TopK(haar.Forward(haar.Pad(freqs)), n)
 		out = append(out, seriesFromOrder(SampledWorld, s, e.Budgets, order, muSq, point))
 	}
 	return out, nil
-}
-
-func orderByMagnitude(c []float64) []int {
-	idx := make([]int, len(c))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ma, mb := math.Abs(c[idx[a]]), math.Abs(c[idx[b]])
-		if ma != mb {
-			return ma > mb
-		}
-		return idx[a] < idx[b]
-	})
-	return idx
 }
 
 func seriesFromOrder(m Method, sample int, budgets []int, order []int, muSq []float64, point func(b int, retained float64) WaveletPoint) WaveletSeries {

@@ -98,9 +98,13 @@ func TestTPCHSpreadBoundsAlternatives(t *testing.T) {
 	cfg := TPCHConfig{N: 1000, M: 500, Alternatives: 3, ZipfS: 1.2, Spread: 10}
 	tp := TPCHLineitem(rng, cfg)
 	for k := range tp.Tuples {
-		lo, hi, ok := tp.Tuples[k].Span()
-		if !ok {
+		alts := tp.Tuples[k].Alts
+		if len(alts) == 0 {
 			t.Fatalf("tuple %d empty", k)
+		}
+		lo, hi := alts[0].Item, alts[0].Item
+		for _, a := range alts[1:] {
+			lo, hi = min(lo, a.Item), max(hi, a.Item)
 		}
 		if hi-lo > 4*cfg.Spread { // reflection at edges can double the window
 			t.Fatalf("tuple %d spans [%d,%d], exceeds spread bound", k, lo, hi)

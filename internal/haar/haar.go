@@ -21,7 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // IsPow2 reports whether n is a positive power of two.
@@ -153,9 +153,6 @@ func Normalize(c []float64) []float64 {
 	return out
 }
 
-// ForwardNormalized computes the orthonormal Haar DWT.
-func ForwardNormalized(data []float64) []float64 { return Normalize(Forward(data)) }
-
 // Path returns the coefficient indices whose supports contain leaf k
 // (the root average, then details from coarsest to finest). Its length is
 // log2(n)+1.
@@ -179,29 +176,34 @@ func Path(k, n int) []int {
 
 // TopK returns the indices of the k coefficients with the largest absolute
 // normalized value, in decreasing order of |normalized value| (ties broken
-// by index for determinism). The input c is unnormalized.
+// by index for determinism). The input c is unnormalized. Each key
+// |c[i]|·NormFactor(i, n) is computed once, before the sort.
 func TopK(c []float64, k int) []int {
 	n := len(c)
 	checkPow2(n)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	type ranked struct {
+		key float64
+		i   int
 	}
-	key := func(i int) float64 { return math.Abs(c[i]) * NormFactor(i, n) }
-	sort.Slice(idx, func(a, b int) bool {
-		ka, kb := key(idx[a]), key(idx[b])
-		if ka != kb {
-			return ka > kb
+	r := make([]ranked, n)
+	for i, v := range c {
+		r[i] = ranked{math.Abs(v) * NormFactor(i, n), i}
+	}
+	slices.SortFunc(r, func(a, b ranked) int {
+		switch {
+		case a.key > b.key:
+			return -1
+		case a.key < b.key:
+			return 1
 		}
-		return idx[a] < idx[b]
+		return a.i - b.i
 	})
-	if k > n {
-		k = n
+	k = max(0, min(k, n))
+	idx := make([]int, k)
+	for j := range idx {
+		idx[j] = r[j].i
 	}
-	if k < 0 {
-		k = 0
-	}
-	return idx[:k]
+	return idx
 }
 
 // Children returns the child coefficient indices of internal node i in the

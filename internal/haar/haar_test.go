@@ -37,7 +37,7 @@ func TestParseval(t *testing.T) {
 		for i := range a {
 			a[i] = rng.NormFloat64() * 10
 		}
-		nc := ForwardNormalized(a)
+		nc := Normalize(Forward(a))
 		sumA, sumC := 0.0, 0.0
 		for i := range a {
 			sumA += a[i] * a[i]

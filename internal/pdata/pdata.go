@@ -178,24 +178,6 @@ func (t *Tuple) TotalProb() float64 {
 	return s
 }
 
-// Span returns the minimum and maximum item named by the tuple's
-// alternatives; ok is false for a tuple with no alternatives.
-func (t *Tuple) Span() (lo, hi int, ok bool) {
-	if len(t.Alts) == 0 {
-		return 0, 0, false
-	}
-	lo, hi = t.Alts[0].Item, t.Alts[0].Item
-	for _, a := range t.Alts[1:] {
-		if a.Item < lo {
-			lo = a.Item
-		}
-		if a.Item > hi {
-			hi = a.Item
-		}
-	}
-	return lo, hi, true
-}
-
 // AppendRun appends the tuple to dst as one run of (item, mass) pairs:
 // ascending by item, alternatives naming the same item merged into one
 // Bernoulli (their probabilities summed in input order), zero-probability

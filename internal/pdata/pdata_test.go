@@ -382,14 +382,6 @@ func TestTupleHelpers(t *testing.T) {
 	if got := t0.TotalProb(); math.Abs(got-5.0/6) > 1e-12 {
 		t.Errorf("TotalProb = %v, want 5/6", got)
 	}
-	lo, hi, ok := t0.Span()
-	if !ok || lo != 0 || hi != 1 {
-		t.Errorf("Span = (%d,%d,%v), want (0,1,true)", lo, hi, ok)
-	}
-	empty := Tuple{}
-	if _, _, ok := empty.Span(); ok {
-		t.Error("empty tuple Span should report !ok")
-	}
 }
 
 func TestAsValuePDF(t *testing.T) {

@@ -284,8 +284,10 @@ func TestServerReplacesOldFlatVersion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := src.SaveAll(dir); err != nil {
-		t.Fatal(err)
+	for _, e := range src.List() {
+		if _, err := src.Save(dir, e); err != nil {
+			t.Fatal(err)
+		}
 	}
 	want, err := catalog.PackBytes(src.List())
 	if err != nil {

@@ -414,11 +414,12 @@ func TestMutateRejectsNonValueModel(t *testing.T) {
 	}
 }
 
-// TestMutationsApplyInPostOrder: mutations drain on a single goroutine,
-// so async appends land in POST order — append semantics ("item
+// TestMutationsApplyInPostOrder: mutations drain on a single goroutine
+// (whatever the build drainers number: four under this pool's cap), so
+// async appends land in POST order — append semantics ("item
 // Domain() gets items[0]") make that order load-bearing.
 func TestMutationsApplyInPostOrder(t *testing.T) {
-	s, ts, vp := newValueFixture(t, Config{C: 0.5, BuildWorkers: 4})
+	s, ts, vp := newValueFixture(t, Config{C: 0.5, Pool: engine.New(engine.Options{Workers: 2, MaxBuilds: 4})})
 	for k := 0; k < 3; k++ {
 		item := ItemPDFWire{Entries: []FreqProbWire{{Freq: float64(10 + k), Prob: 0.5}}}
 		wait := k == 2 // the last append synchronizes the whole sequence

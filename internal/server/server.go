@@ -4,11 +4,11 @@
 // — is exactly a long-lived process, so the server keeps every built
 // synopsis in an in-memory catalog (read-mostly, answering estimates
 // under a read lock) and accepts build requests onto a bounded FIFO
-// queue drained by a fixed set of workers. The workers all build through
-// one process-wide engine.Pool whose MaxBuilds admission cap bounds how
-// many DPs run at once, however many requests arrive; everything else
-// waits in the queue. Builds are deterministic, so two replicas serving
-// the same catalog key answer byte-identically.
+// queue drained by one worker per build token. The workers all build
+// through one process-wide engine.Pool whose MaxBuilds admission cap
+// bounds how many DPs run at once, however many requests arrive;
+// everything else waits in the queue. Builds are deterministic, so two
+// replicas serving the same catalog key answer byte-identically.
 //
 // Endpoints (all JSON):
 //
@@ -109,16 +109,14 @@ type Config struct {
 	// Catalog is the in-memory synopsis registry estimates answer from.
 	Catalog *catalog.Catalog
 	// Pool is the process-wide build pool; its MaxBuilds cap is the
-	// admission control on concurrent build DPs.
+	// admission control on concurrent build DPs, and the number of
+	// goroutines draining the build queue (2 on an uncapped pool): a
+	// drainer beyond the cap would only wait for a build token.
 	Pool *engine.Pool
 	// QueueDepth bounds the build FIFO; <= 0 means DefaultQueueDepth.
 	// A full queue rejects new builds with queue_full instead of letting
 	// requests pile up unboundedly.
 	QueueDepth int
-	// BuildWorkers is how many goroutines drain the queue; <= 0 means
-	// DefaultBuildWorkers. Workers beyond the pool's MaxBuilds cap wait
-	// for build tokens inside probsyn.Build.
-	BuildWorkers int
 	// C is the sanity constant handed to relative-error metric builds.
 	C float64
 	// FlatPath, when non-empty, is the flat catalog file this
@@ -141,10 +139,9 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Queue and worker defaults for the zero Config.
+// Queue and live-state defaults for the zero Config.
 const (
 	DefaultQueueDepth    = 64
-	DefaultBuildWorkers  = 2
 	DefaultMaxLiveStates = 32
 )
 
@@ -272,9 +269,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
-	if cfg.BuildWorkers <= 0 {
-		cfg.BuildWorkers = DefaultBuildWorkers
-	}
 	if cfg.MaxLiveStates <= 0 {
 		cfg.MaxLiveStates = DefaultMaxLiveStates
 	}
@@ -290,7 +284,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.FlatPath != "" {
 		s.flat = newFlatKeeper(cfg.FlatPath, cfg.Catalog, s.logf)
 	}
-	for w := 0; w < cfg.BuildWorkers; w++ {
+	drainers := cfg.Pool.MaxBuilds()
+	if drainers == 0 {
+		drainers = 2
+	}
+	for w := 0; w < drainers; w++ {
 		s.workers.Add(1)
 		go func() {
 			defer s.workers.Done()
@@ -448,7 +446,7 @@ type BuildResponse struct {
 	Budgets int `json:"budgets,omitempty"`
 	// Bound, on the "built" response of a sharded build, certifies the
 	// merged synopsis's cost within Bound of the unsharded optimum
-	// (probsyn.ShardedResult.Bound; 0, omitted, when the merge is exact).
+	// (probsyn.ShardedResult.Bound; 0, omitted, when it is exact).
 	Bound float64 `json:"bound,omitempty"`
 }
 

@@ -211,10 +211,10 @@ func TestServerRoundTripMatchesOfflineBuilds(t *testing.T) {
 
 // Concurrent build requests must be admission-controlled by the shared
 // pool: with MaxBuilds=2, the pool's high-water mark of in-flight builds
-// never exceeds 2 even with more queue workers and many requests.
+// never exceeds 2 however many requests arrive.
 func TestConcurrentBuildsBoundedByAdmissionControl(t *testing.T) {
 	pool := engine.New(engine.Options{Workers: 2, MaxBuilds: 2})
-	_, ts, _ := newFixture(t, Config{Pool: pool, BuildWorkers: 4, QueueDepth: 32, C: 0.5})
+	_, ts, _ := newFixture(t, Config{Pool: pool, QueueDepth: 32, C: 0.5})
 	var wg sync.WaitGroup
 	for b := 2; b <= 9; b++ {
 		wg.Add(1)
@@ -240,7 +240,7 @@ func TestConcurrentBuildsBoundedByAdmissionControl(t *testing.T) {
 // queue_full — requests do not pile up unboundedly.
 func TestBuildQueueBounded(t *testing.T) {
 	pool := engine.New(engine.Options{Workers: 1, MaxBuilds: 1})
-	_, ts, _ := newFixture(t, Config{Pool: pool, BuildWorkers: 1, QueueDepth: 1, C: 0.5})
+	_, ts, _ := newFixture(t, Config{Pool: pool, QueueDepth: 1, C: 0.5})
 
 	// Hold the only build token: the worker's first job blocks inside
 	// probsyn.Build waiting for admission.
@@ -336,7 +336,7 @@ func TestRelativeMetricKeyedBySanityConstant(t *testing.T) {
 func TestDuplicateBuildRequestsCoalesce(t *testing.T) {
 	pool := engine.New(engine.Options{Workers: 1, MaxBuilds: 1})
 	cat := catalog.New()
-	_, ts, _ := newFixture(t, Config{Pool: pool, Catalog: cat, BuildWorkers: 1, QueueDepth: 1, C: 0.5})
+	_, ts, _ := newFixture(t, Config{Pool: pool, Catalog: cat, QueueDepth: 1, C: 0.5})
 	release, err := pool.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -686,7 +686,7 @@ func TestSweepBudgetBounded(t *testing.T) {
 func TestDuplicateSweepRequestsCoalesce(t *testing.T) {
 	pool := engine.New(engine.Options{Workers: 1, MaxBuilds: 1})
 	cat := catalog.New()
-	_, ts, _ := newFixture(t, Config{Pool: pool, Catalog: cat, BuildWorkers: 1, QueueDepth: 1, C: 0.5})
+	_, ts, _ := newFixture(t, Config{Pool: pool, Catalog: cat, QueueDepth: 1, C: 0.5})
 	release, err := pool.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)

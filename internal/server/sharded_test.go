@@ -57,8 +57,8 @@ func TestShardedBuildSingleNode(t *testing.T) {
 		if len(des) != built+1 || s.cfg.Catalog.Len() != built+1 {
 			t.Fatalf("%d sharded builds left %d files and %d catalog entries", built+1, len(des), s.cfg.Catalog.Len())
 		}
-		// The certificate: exact for SSE wavelets, otherwise the merged
-		// cost is within bound of the unsharded optimum.
+		// The certificate: 0 for SSE wavelets (the unsharded greedy),
+		// otherwise the merged cost is within bound of the unsharded optimum.
 		if ok.Bound != ref.Bound {
 			t.Fatalf("%s: response bound %v, BuildSharded says %v", key, ok.Bound, ref.Bound)
 		}
@@ -67,7 +67,7 @@ func TestShardedBuildSingleNode(t *testing.T) {
 			t.Fatal(err)
 		}
 		if tc.family == catalog.FamilyWavelet && tc.metric == "SSE" && ok.Bound != 0 {
-			t.Fatalf("SSE wavelet merge is exact, bound %v", ok.Bound)
+			t.Fatalf("sharded SSE wavelet is the unsharded greedy, bound %v", ok.Bound)
 		}
 		if got := ref.Synopsis.ErrorCost(); got > unsharded.ErrorCost()+ok.Bound {
 			t.Fatalf("%s: sharded cost %v exceeds unsharded %v + bound %v", key, got, unsharded.ErrorCost(), ok.Bound)

@@ -14,25 +14,26 @@ import (
 	"probsyn/internal/shard"
 )
 
-// ShardedResult is a domain-sharded wavelet build: the padded domain is
-// split into k equal contiguous shards, each shard's Haar subtree is
-// solved independently, and the per-shard solutions are merged into one
-// global synopsis over the whole padded domain.
+// ShardedResult is a domain-sharded restricted-DP build: the padded
+// domain is split into k equal contiguous shards, each shard's Haar
+// subtree is solved independently, and the per-shard solutions are merged
+// into one global synopsis over the whole padded domain. (The SSE family
+// has no sharded build: Theorem 7's greedy is one O(n log n) top-B, and a
+// sharded SSE build is that greedy.)
 type ShardedResult struct {
 	Merged *Synopsis
 	// Bound is the additive suboptimality of Merged.Cost against the
-	// unsharded optimum at the same budget: 0 for the SSE family (the
-	// merge is exact), and for the DP families the budget-allocation gap
+	// unsharded optimum at the same budget: the budget-allocation gap
 	// plus the forced-top-tree reconstruction slack.
 	Bound float64
-	// Stats is the DP work summed over the shard sweeps; zero for SSE.
+	// Stats is the DP work summed over the shard sweeps.
 	Stats hist.DPStats
 }
 
-// checkShards validates a k-way split of the padded domain n: shard
+// CheckShards validates a k-way split of the padded domain n: shard
 // subtrees must tile the Haar tree, so k must be a power of two no
 // larger than n.
-func checkShards(n, k int) error {
+func CheckShards(n, k int) error {
 	if k < 2 {
 		return fmt.Errorf("wavelet: sharded build needs k >= 2 shards, got %d", k)
 	}
@@ -49,100 +50,10 @@ func checkShards(n, k int) error {
 // the width-w=N/k shard subtree) to its global Haar-tree index: the
 // shard subtrees are the k subtrees rooted one level below the top
 // tree, so local level l lands at global level log2(k)+l and shard s's
-// block at that level starts at (k+s)·2^l. The map is monotone in i for
-// fixed s, and preserves support size — so |c|·NormFactor keys, and
-// with them TopK's total order, are bit-identical local vs global.
+// block at that level starts at (k+s)·2^l.
 func globalIndex(i, s, k int) int {
 	l := haar.Level(i)
 	return (k+s)<<l + (i - 1<<l)
-}
-
-// BuildShardedSSE is the domain-sharded BuildSSE: per-shard Haar
-// transforms and candidate selections run concurrently (conc bounds the
-// fan), and the merge is EXACT — element-identical to the unsharded
-// build, Cost included.
-//
-// Why exact: the first log2(w) halving passes of the global transform
-// act independently inside each width-w shard, so a shard-local Forward
-// produces bit-identical detail coefficients, and the remaining passes
-// are exactly Forward over the k shard averages (the top tree). TopK's
-// comparator is a strict total order (|c|·NormFactor desc, index asc)
-// preserved by the index map, so each shard's locally-ordered top
-// min(B, w-1) details are a superset of its contribution to the global
-// top B; merging that candidate union with the k top-tree coefficients
-// under the same comparator selects exactly TopK's first B.
-func BuildShardedSSE(src pdata.Source, B, k int, conc int) (*ShardedResult, *SSEReport, error) {
-	if B < 0 {
-		return nil, nil, fmt.Errorf("wavelet: negative budget %d", B)
-	}
-	expected := haar.Pad(src.ExpectedFreqs())
-	N := len(expected)
-	if err := checkShards(N, k); err != nil {
-		return nil, nil, err
-	}
-	if B > N {
-		B = N
-	}
-	w := N / k
-	take := min(B, w-1)
-	dense := make([]float64, N)
-	avgs := make([]float64, k)
-	sels := make([][]int, k)
-	_ = engine.Fan(k, conc, func(s int) error {
-		sc := haar.Forward(expected[s*w : (s+1)*w])
-		avgs[s] = sc[0]
-		// Scatter the details into their (disjoint) global slots and
-		// select the shard's top candidates with cached keys — the only
-		// sqrt per coefficient happens once, outside the comparator.
-		keys := make([]float64, w)
-		idx := make([]int, 0, w-1)
-		for i := 1; i < w; i++ {
-			dense[globalIndex(i, s, k)] = sc[i]
-			keys[i] = math.Abs(sc[i]) * haar.NormFactor(i, w)
-			idx = append(idx, i)
-		}
-		sort.Slice(idx, func(a, b int) bool {
-			ka, kb := keys[idx[a]], keys[idx[b]]
-			if ka != kb {
-				return ka > kb
-			}
-			return idx[a] < idx[b]
-		})
-		sels[s] = idx[:take]
-		return nil
-	})
-	top := haar.Forward(avgs)
-	copy(dense[:k], top)
-
-	// Candidate union: the whole top tree plus each shard's top-take
-	// details, ranked under TopK's exact comparator.
-	cand := make([]int, 0, k+k*take)
-	for g := 0; g < k; g++ {
-		cand = append(cand, g)
-	}
-	for s := 0; s < k; s++ {
-		for _, i := range sels[s] {
-			cand = append(cand, globalIndex(i, s, k))
-		}
-	}
-	key := func(g int) float64 { return math.Abs(dense[g]) * haar.NormFactor(g, N) }
-	sort.Slice(cand, func(a, b int) bool {
-		ka, kb := key(cand[a]), key(cand[b])
-		if ka != kb {
-			return ka > kb
-		}
-		return cand[a] < cand[b]
-	})
-	syn := fromDense(dense, cand[:B])
-
-	// BuildSSE's accounting over the (identical) dense transform, so the
-	// report and Cost stay bit-identical too.
-	g := sseGreedy{c: dense}
-	g.sums(pdata.MomentsOf(src).Var)
-	rep := g.report(syn)
-	syn.Cost = rep.ExpectedSSE
-
-	return &ShardedResult{Merged: syn}, &rep, nil
 }
 
 // BuildShardedRestricted is the domain-sharded exact restricted DP: each
@@ -165,7 +76,7 @@ func BuildShardedRestricted(src pdata.Source, kind metric.Kind, p metric.Params,
 	}
 	vp := padValuePDF(pdata.AsValuePDF(src))
 	N := vp.N
-	if err := checkShards(N, k); err != nil {
+	if err := CheckShards(N, k); err != nil {
 		return nil, err
 	}
 	if B > N {

@@ -1,10 +1,10 @@
 package wavelet_test
 
-// Sharded-build correctness: the SSE merge must be element-identical to
-// the unsharded build, the DP-family merge must cost at least the
+// Sharded-build correctness: the DP-family merge must cost at least the
 // unsharded optimum and at most optimum + Bound and price its merged
 // synopsis exactly, and everything must be bit-identical across fan
-// concurrency, worker counts, and budgets.
+// concurrency, worker counts, and budgets. (A sharded SSE build is the
+// unsharded greedy: the root package's TestBuildShardsSSEWaveletBitIdentical.)
 
 import (
 	"math"
@@ -19,35 +19,6 @@ import (
 
 func relClose(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-}
-
-func TestShardedSSEIdenticalToUnsharded(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, n := range []int{8, 32, 48} { // 48 exercises pad-to-64
-		src := ptest.RandomValuePDF(rng, n, 3)
-		for _, k := range []int{2, 4, 8} {
-			for _, B := range []int{0, 1, 5, 16, n} {
-				want, wantRep, err := wavelet.BuildSSE(src, B)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, conc := range []int{1, runtime.NumCPU()} {
-					res, rep, err := wavelet.BuildShardedSSE(src, B, k, conc)
-					if err != nil {
-						t.Fatalf("n=%d k=%d B=%d: %v", n, k, B, err)
-					}
-					label := "sse-sharded"
-					synopsesIdentical(t, label, want, res.Merged, want.Cost, res.Merged.Cost)
-					if *rep != *wantRep {
-						t.Fatalf("n=%d k=%d B=%d: report %+v != unsharded %+v", n, k, B, rep, wantRep)
-					}
-					if res.Bound != 0 {
-						t.Fatalf("SSE merge bound = %v, want 0 (exact)", res.Bound)
-					}
-				}
-			}
-		}
-	}
 }
 
 func TestShardedRestrictedWithinBoundOfOptimum(t *testing.T) {
@@ -150,16 +121,11 @@ func TestShardedRestrictedMergedCostIsExact(t *testing.T) {
 
 func TestShardedArgumentErrors(t *testing.T) {
 	src := ptest.RandomValuePDF(rand.New(rand.NewSource(3)), 16, 2)
-	if _, _, err := wavelet.BuildShardedSSE(src, 4, 3, 1); err == nil {
-		t.Fatal("k=3 (not a power of two) accepted")
-	}
-	if _, _, err := wavelet.BuildShardedSSE(src, 4, 1, 1); err == nil {
-		t.Fatal("k=1 accepted by the sharded merge")
-	}
-	if _, _, err := wavelet.BuildShardedSSE(src, 4, 32, 1); err == nil {
-		t.Fatal("k > n accepted")
-	}
-	if _, err := wavelet.BuildShardedRestricted(src, metric.SAE, metric.Params{C: 0.5}, 3, 4, nil, 1); err == nil {
+	p := metric.Params{C: 0.5}
+	if _, err := wavelet.BuildShardedRestricted(src, metric.SAE, p, 3, 4, nil, 1); err == nil {
 		t.Fatal("B < k accepted by the sharded restricted build")
+	}
+	if _, err := wavelet.BuildShardedRestricted(src, metric.SAE, p, 4, 1, nil, 1); err == nil {
+		t.Fatal("k=1 accepted by the sharded merge")
 	}
 }

@@ -2,7 +2,6 @@ package wavelet
 
 import (
 	"fmt"
-	"math"
 
 	"probsyn/internal/haar"
 	"probsyn/internal/numeric"
@@ -60,22 +59,17 @@ func newSSEGreedy(src pdata.Source) *sseGreedy {
 	// TopK's order is a deterministic total order (magnitude, then
 	// index), so TopK(c, b) is the b-prefix of TopK(c, n) for every b.
 	g.order = haar.TopK(g.c, len(g.c))
-	g.sums(pdata.MomentsOf(src).Var)
-	return g
-}
-
-// sums derives the error accounting from g.c and the per-item variances.
-func (g *sseGreedy) sums(variances []float64) {
 	n := len(g.c)
 	for i, v := range g.c {
 		nv := v * haar.NormFactor(i, n)
 		g.totalMuSq += nv * nv
 	}
 	var acc numeric.Accumulator
-	for _, v := range variances {
+	for _, v := range pdata.MomentsOf(src).Var {
 		acc.Add(v)
 	}
 	g.varFloor = acc.Value()
+	return g
 }
 
 // report is the exact error accounting of a synopsis that retains some of
@@ -139,62 +133,4 @@ func ExpectedSSEOf(src pdata.Source, syn *Synopsis) float64 {
 		}
 	}
 	return acc.Value()
-}
-
-// CoefficientStats returns the mean and variance of every normalized Haar
-// coefficient of the source (the distribution the possible worlds induce
-// on the coefficient vector, §4.1). Means come from the transform of the
-// expected frequencies (linearity); variances from per-tuple or per-item
-// independence:
-//
-//   - value pdf: Var[ĉ_i] = Σ_{k∈supp(i)} Var[g_k]/S_i (entries ±1/√S_i);
-//   - basic/tuple pdf: ĉ_i = Σ_t Y_t with Y_t the tuple's signed basis
-//     entry, so Var[ĉ_i] = Σ_t (E[Y_t²] − E[Y_t]²), accumulated in
-//     O(m log n) over alternative→ancestor paths.
-//
-// As a Parseval check, Σ_i Var[ĉ_i] = Σ_k Var[g_k]; the tests verify this.
-func CoefficientStats(src pdata.Source) (mu, sigma2 []float64) {
-	expected := haar.Pad(src.ExpectedFreqs())
-	n := len(expected)
-	mu = haar.Normalize(haar.Forward(expected))
-	sigma2 = make([]float64, n)
-
-	switch s := src.(type) {
-	case *pdata.ValuePDF:
-		mom := pdata.MomentsOf(s)
-		varPrefix := numeric.NewPrefix(haar.Pad(mom.Var))
-		for i := 0; i < n; i++ {
-			lo, hi := haar.Support(i, n)
-			sigma2[i] = varPrefix.Range(lo, hi) / float64(haar.SupportSize(i, n))
-		}
-	case *pdata.Basic:
-		coefficientStatsTuple(s.TuplePDF(), n, sigma2)
-	case *pdata.TuplePDF:
-		coefficientStatsTuple(s, n, sigma2)
-	default:
-		panic("wavelet: CoefficientStats: unknown source type")
-	}
-	return mu, sigma2
-}
-
-func coefficientStatsTuple(tp *pdata.TuplePDF, n int, sigma2 []float64) {
-	type acc struct{ h, h2 float64 }
-	for t := range tp.Tuples {
-		perCoef := make(map[int]acc, 8)
-		for _, a := range tp.Tuples[t].Alts {
-			if a.Prob == 0 {
-				continue
-			}
-			for _, i := range haar.Path(a.Item, n) {
-				h := haar.Sign(i, a.Item, n) / math.Sqrt(float64(haar.SupportSize(i, n)))
-				cur := perCoef[i]
-				cur.h += h * a.Prob
-				cur.h2 += h * h * a.Prob
-				perCoef[i] = cur
-			}
-		}
-		for i, cur := range perCoef {
-			sigma2[i] += cur.h2 - cur.h*cur.h
-		}
-	}
 }

@@ -234,65 +234,6 @@ func TestBuildSSERejectsNegativeBudget(t *testing.T) {
 	}
 }
 
-// --- coefficient statistics ---------------------------------------------------
-
-func TestCoefficientStatsParseval(t *testing.T) {
-	rng := rand.New(rand.NewSource(66))
-	for trial := 0; trial < 10; trial++ {
-		for _, src := range []pdata.Source{
-			ptest.RandomValuePDF(rng, 8, 3),
-			ptest.RandomTuplePDF(rng, 8, 5, 3),
-			ptest.RandomBasic(rng, 8, 6),
-		} {
-			_, sigma2 := wavelet.CoefficientStats(src)
-			mom := pdata.MomentsOf(src)
-			wantTotal := 0.0
-			for _, v := range mom.Var {
-				wantTotal += v
-			}
-			gotTotal := 0.0
-			for _, v := range sigma2 {
-				gotTotal += v
-			}
-			if math.Abs(gotTotal-wantTotal) > 1e-9*(1+wantTotal) {
-				t.Fatalf("%T: Σ Var[c_i] = %v, Σ Var[g_i] = %v", src, gotTotal, wantTotal)
-			}
-		}
-	}
-}
-
-func TestCoefficientStatsAgainstEnumeration(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	for trial := 0; trial < 10; trial++ {
-		for _, src := range []pdata.Source{
-			ptest.RandomValuePDF(rng, 4, 2),
-			ptest.RandomTuplePDF(rng, 4, 3, 2),
-		} {
-			mu, sigma2 := wavelet.CoefficientStats(src)
-			n := len(mu)
-			wantMu := make([]float64, n)
-			wantSq := make([]float64, n)
-			src.EnumerateWorlds(func(freqs []float64, prob float64) bool {
-				nc := haar.ForwardNormalized(haar.Pad(append([]float64(nil), freqs...)))
-				for i := range nc {
-					wantMu[i] += prob * nc[i]
-					wantSq[i] += prob * nc[i] * nc[i]
-				}
-				return true
-			})
-			for i := 0; i < n; i++ {
-				if math.Abs(mu[i]-wantMu[i]) > 1e-9 {
-					t.Fatalf("%T: mu[%d] = %v, enum %v", src, i, mu[i], wantMu[i])
-				}
-				wantVar := wantSq[i] - wantMu[i]*wantMu[i]
-				if math.Abs(sigma2[i]-wantVar) > 1e-9 {
-					t.Fatalf("%T: sigma2[%d] = %v, enum %v", src, i, sigma2[i], wantVar)
-				}
-			}
-		}
-	}
-}
-
 // --- point errors and the restricted DP (Theorem 8) --------------------------
 
 func TestPointErrorsAgainstEnumeration(t *testing.T) {

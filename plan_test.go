@@ -203,7 +203,8 @@ func checkCombo(t *testing.T, c combo, src *probsyn.ValuePDF, B int) {
 		}
 	}
 	// Whoever accepts builds Build's bytes (a k=2 merge is another synopsis
-	// than the unsharded one, but for SSE wavelets, whose merge is exact).
+	// than the unsharded one, but for SSE wavelets, whose sharded build is
+	// the unsharded greedy).
 	ref := blobs[viaBuild]
 	for entry := viaSweep; entry <= viaShardedOne; entry++ {
 		if blobs[entry] != nil && !bytes.Equal(ref, blobs[entry]) {

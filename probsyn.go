@@ -23,7 +23,7 @@
 //
 // Both families implement the shared Synopsis interface (point estimates,
 // range sums, term count, expected error) and serialize through a
-// versioned binary/JSON codec (MarshalSynopsis, UnmarshalSynopsis). Build
+// versioned binary codec (MarshalSynopsis, UnmarshalSynopsis). Build
 // selects family, exact vs approximate DP, workload weighting, metric
 // parameters and DP parallelism through functional options; BuildSweep,
 // BuildLive and BuildSharded take the same options. Two constructors

@@ -3,6 +3,7 @@ package probsyn
 import (
 	"fmt"
 
+	"probsyn/internal/haar"
 	"probsyn/internal/hist"
 	"probsyn/internal/pdata"
 	"probsyn/internal/shard"
@@ -19,16 +20,18 @@ type ShardedResult struct {
 	// Bound is the additive suboptimality certificate:
 	// Synopsis.ErrorCost() <= exact unsharded optimum + Bound, at every k
 	// (under WithQuantize, k = 1 carries the quantized DP's own bound). It
-	// is exactly 0 for the SSE wavelet family, whose sharded merge is exact.
+	// is exactly 0 for the SSE wavelet family, whose sharded build is the
+	// unsharded greedy.
 	Bound float64
 }
 
 // BuildSharded builds a B-term synopsis by splitting the domain into k
 // contiguous shards, building each shard concurrently, and merging:
 //
-//   - SSE/SSEFixed wavelets merge per-shard coefficient selections into
-//     the exact global top-B — bit-identical to the unsharded build,
-//     expected SSE included (Bound = 0);
+//   - SSE/SSEFixed wavelets are not split: Theorem 7's greedy top-B is
+//     already one O(n log n) pass, so a sharded SSE build checks k and
+//     runs that greedy on one build token — the unsharded bytes, with
+//     Bound = 0;
 //   - histograms and the restricted wavelet DP metrics solve each shard
 //     to a cost-vs-budget frontier and split B across shards by an exact
 //     allocation DP, with the reported cost the true combined expected
@@ -36,7 +39,7 @@ type ShardedResult struct {
 //
 // k = 1 is the unsharded build; wavelet shard counts must be powers of
 // two. The DP families need B >= k (every shard retains at least one
-// term). On a pool with a MaxBuilds admission cap, a k-way sharded build
+// term). On a pool with a MaxBuilds admission cap, a k-way sharded DP build
 // holds up to k build tokens — acquired all-or-nothing, and gracefully
 // degrading to fewer (serializing shards) when the cap is smaller — so a
 // burst of sharded builds cannot oversubscribe the pool. WithQuantize is
@@ -55,6 +58,15 @@ func BuildSharded(src Source, m Metric, B, k int, opts ...BuildOption) (*Sharded
 func (p *plan) sharded(src Source, B, k int) (*ShardedResult, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("probsyn: shard count %d < 1", k)
+	}
+	if p.family == waveletSSE && k > 1 {
+		// Theorem 7's top-B is one O(n log n) greedy over the whole domain,
+		// so a sharded SSE build is that greedy, on one token: the k-way
+		// split is only checked, never run.
+		if err := wavelet.CheckShards(haar.Pow2Ceil(src.Domain()), k); err != nil {
+			return nil, err
+		}
+		k = 1
 	}
 	if k == 1 {
 		// One shard is the unsharded build; what stands between it and the
@@ -76,12 +88,7 @@ func (p *plan) sharded(src Source, B, k int) (*ShardedResult, error) {
 	if _, isWavelet := p.family.wavelet(); !isWavelet {
 		return p.shardedHistogram(src, B, k, conc)
 	}
-	var res *wavelet.ShardedResult
-	if p.family == waveletSSE {
-		res, _, err = wavelet.BuildShardedSSE(src, B, k, conc)
-	} else {
-		res, err = wavelet.BuildShardedRestricted(src, p.metric, p.params, B, k, p.pool, conc)
-	}
+	res, err := wavelet.BuildShardedRestricted(src, p.metric, p.params, B, k, p.pool, conc)
 	if err != nil {
 		return nil, err
 	}

@@ -17,31 +17,41 @@ func randomValuePDF(n int, seed int64) *probsyn.ValuePDF {
 	return ptest.RandomValuePDF(rand.New(rand.NewSource(seed)), n, 3)
 }
 
-// The sharded SSE wavelet merge is exact: BuildSharded at any k must
-// produce a synopsis byte-identical (through the codec) to the unsharded
-// build, and say so with a zero bound.
+// A sharded SSE or SSE-fixed wavelet build is the unsharded greedy: at any
+// k, budget and parallelism BuildSharded produces a synopsis byte-identical
+// (through the codec, expected SSE included) to Build, with a zero bound.
 func TestBuildShardsSSEWaveletBitIdentical(t *testing.T) {
-	src := randomValuePDF(48, 3)
-	want, err := probsyn.Build(src, probsyn.SSE, 9, probsyn.WithWavelet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBytes, err := probsyn.MarshalSynopsis(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{1, 2, 4, 8} {
-		got, err := probsyn.BuildSharded(src, probsyn.SSE, 9, k,
-			probsyn.WithWavelet(), probsyn.WithParallelism(runtime.NumCPU()))
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		gotBytes, err := probsyn.MarshalSynopsis(got.Synopsis)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Bound != 0 || !bytes.Equal(gotBytes, wantBytes) {
-			t.Fatalf("k=%d: sharded SSE wavelet differs from unsharded build", k)
+	rng := rand.New(rand.NewSource(41))
+	for _, n := range []int{8, 32, 48} { // 48 exercises pad-to-64
+		src := ptest.RandomValuePDF(rng, n, 3)
+		for _, m := range []probsyn.Metric{probsyn.SSE, probsyn.SSEFixed} {
+			for _, B := range []int{0, 1, 5, 16, n} {
+				want, err := probsyn.Build(src, m, B, probsyn.WithWavelet())
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantBytes, err := probsyn.MarshalSynopsis(want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range []int{1, 2, 4, 8} {
+					for _, par := range []int{1, runtime.NumCPU()} {
+						got, err := probsyn.BuildSharded(src, m, B, k,
+							probsyn.WithWavelet(), probsyn.WithParallelism(par))
+						if err != nil {
+							t.Fatalf("n=%d %v B=%d k=%d: %v", n, m, B, k, err)
+						}
+						gotBytes, err := probsyn.MarshalSynopsis(got.Synopsis)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got.Bound != 0 || !bytes.Equal(gotBytes, wantBytes) {
+							t.Fatalf("n=%d %v B=%d k=%d parallelism=%d: sharded SSE wavelet differs from unsharded build (bound %v)",
+								n, m, B, k, par, got.Bound)
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -68,7 +78,7 @@ func TestBuildShardedWithinBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// SSEFixed wavelet routes to the exact greedy merge.
+			// A sharded SSEFixed wavelet build is the unsharded greedy.
 			if tc.name == "wavelet-SSEFixed" && res.Bound != 0 {
 				t.Fatalf("SSE-family sharded bound = %v, want 0", res.Bound)
 			}
@@ -173,23 +183,36 @@ func TestBuildShardedCappedPoolDegrades(t *testing.T) {
 
 func TestBuildShardedArgumentErrors(t *testing.T) {
 	src := randomValuePDF(16, 41)
-	if _, err := probsyn.BuildSharded(src, probsyn.SAE, 8, 3, probsyn.WithWavelet()); err == nil {
-		t.Fatal("non-power-of-two wavelet shard count accepted")
+	wavelet := probsyn.WithWavelet()
+	cases := []struct {
+		name string
+		m    probsyn.Metric
+		B, k int
+		opts []probsyn.BuildOption
+	}{
+		{"wavelet-k-not-pow2", probsyn.SAE, 8, 3, []probsyn.BuildOption{wavelet}},
+		{"wavelet-B-below-k", probsyn.SAE, 2, 4, []probsyn.BuildOption{wavelet}},
+		{"k-zero", probsyn.SSE, 8, 0, nil},
+		{"eps", probsyn.SSE, 8, 2, []probsyn.BuildOption{probsyn.WithEps(0.1)}},
+		{"unrestricted", probsyn.SAE, 8, 2, []probsyn.BuildOption{wavelet, probsyn.WithUnrestricted(2)}},
+		{"hist-k-above-n", probsyn.SSE, 8, 32, nil},
+		{"sse-wavelet-k-not-pow2", probsyn.SSE, 4, 3, []probsyn.BuildOption{wavelet}},
+		{"sse-wavelet-k-above-padded-n", probsyn.SSE, 4, 32, []probsyn.BuildOption{wavelet}},
+		{"sse-wavelet-negative-B", probsyn.SSE, -1, 2, []probsyn.BuildOption{wavelet}},
+		{"ssefixed-wavelet-k-not-pow2", probsyn.SSEFixed, 4, 3, []probsyn.BuildOption{wavelet}},
+		{"ssefixed-wavelet-k-above-padded-n", probsyn.SSEFixed, 4, 32, []probsyn.BuildOption{wavelet}},
+		{"ssefixed-wavelet-negative-B", probsyn.SSEFixed, -1, 2, []probsyn.BuildOption{wavelet}},
 	}
-	if _, err := probsyn.BuildSharded(src, probsyn.SAE, 2, 4, probsyn.WithWavelet()); err == nil {
-		t.Fatal("B < k accepted")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if res, err := probsyn.BuildSharded(src, tc.m, tc.B, tc.k, tc.opts...); err == nil {
+				t.Fatalf("%v B=%d k=%d accepted (bound %v)", tc.m, tc.B, tc.k, res.Bound)
+			}
+		})
 	}
-	if _, err := probsyn.BuildSharded(src, probsyn.SSE, 8, 0); err == nil {
-		t.Fatal("k = 0 accepted")
-	}
-	if _, err := probsyn.BuildSharded(src, probsyn.SSE, 8, 2, probsyn.WithEps(0.1)); err == nil {
-		t.Fatal("WithEps accepted")
-	}
-	if _, err := probsyn.BuildSharded(src, probsyn.SAE, 8, 2, probsyn.WithWavelet(), probsyn.WithUnrestricted(2)); err == nil {
-		t.Fatal("WithUnrestricted accepted")
-	}
-	if _, err := probsyn.BuildSharded(src, probsyn.SSE, 8, 32); err == nil {
-		t.Fatal("k > n histogram accepted")
+	// The padded domain is what bounds k: 12 items pad to 16.
+	if _, err := probsyn.BuildSharded(randomValuePDF(12, 43), probsyn.SSE, 4, 16, wavelet); err != nil {
+		t.Fatalf("k = padded n rejected: %v", err)
 	}
 }
 
