@@ -167,7 +167,7 @@ func (p *plan) build(src Source, B int) (Synopsis, Frontier, error) {
 	}
 	defer release()
 	if p.family == histEps {
-		o, err := p.oracle(src, p.weights)
+		o, err := p.oracle(src)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -183,6 +183,7 @@ func (p *plan) build(src Source, B int) (Synopsis, Frontier, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	p.report(fr.Stats())
 	syn, err := synopsis.Extract(fr, B)
 	if wf, ok := fr.(waveletFrontier); ok {
 		wf.Release() // no caller reads past the one synopsis: hand the DP's tables back

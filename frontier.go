@@ -27,7 +27,12 @@ func BuildSweep(src Source, m Metric, Bmax int, opts ...BuildOption) (Frontier, 
 		return nil, err
 	}
 	defer release()
-	return p.frontier(src, Bmax)
+	fr, err := p.frontier(src, Bmax)
+	if err != nil {
+		return nil, err
+	}
+	p.report(fr.Stats())
+	return fr, nil
 }
 
 // countedFrontier is a frontier that reports its DP's work counters.

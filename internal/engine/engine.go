@@ -103,20 +103,7 @@ func (p *Pool) Acquire(ctx context.Context) (release func(), err error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	n := p.inflight.Add(1)
-	for {
-		old := p.peak.Load()
-		if n <= old || p.peak.CompareAndSwap(old, n) {
-			break
-		}
-	}
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			p.inflight.Add(-1)
-			<-p.sem
-		})
-	}, nil
+	return p.grant(1), nil
 }
 
 // AcquireN blocks until the pool admits n more builds at once and
@@ -153,6 +140,13 @@ func (p *Pool) AcquireN(ctx context.Context, n int) (granted int, release func()
 			return 0, nil, ctx.Err()
 		}
 	}
+	return n, p.grant(n), nil
+}
+
+// grant books n tokens the caller has just put in sem: it raises the
+// in-flight count and its peak, and returns the idempotent release that
+// takes the n tokens back out.
+func (p *Pool) grant(n int) (release func()) {
 	in := p.inflight.Add(int32(n))
 	for {
 		old := p.peak.Load()
@@ -160,16 +154,15 @@ func (p *Pool) AcquireN(ctx context.Context, n int) (granted int, release func()
 			break
 		}
 	}
-	nn := n
 	var once sync.Once
-	return n, func() {
+	return func() {
 		once.Do(func() {
-			p.inflight.Add(int32(-nn))
-			for i := 0; i < nn; i++ {
+			p.inflight.Add(int32(-n))
+			for i := 0; i < n; i++ {
 				<-p.sem
 			}
 		})
-	}, nil
+	}
 }
 
 // InFlight returns the number of currently admitted builds.

@@ -10,12 +10,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"probsyn"
 	"probsyn/internal/engine"
 	"probsyn/internal/gen"
 	"probsyn/internal/hist"
 	"probsyn/internal/metric"
 	"probsyn/internal/pdata"
 	"probsyn/internal/ptest"
+	"probsyn/internal/shard"
 	"probsyn/internal/synopsis"
 )
 
@@ -121,37 +123,52 @@ func TestLivePrunedBytesMatchDenseFresh(t *testing.T) {
 }
 
 // TestShardedPrunedBytesMatchDense: a sharded build's merged histogram
-// must encode to the bytes, and carry the bound, that the same merge over
-// dense per-shard tables gives, and its Stats must account the work of
-// every shard.
+// must encode to the bytes, and carry the bound, that the same allocation
+// and merge over dense per-shard tables give, and its DPStats must account
+// the work of every shard.
 func TestShardedPrunedBytesMatchDense(t *testing.T) {
 	const B, k = 9, 3
 	vp := ptest.RandomValuePDF(rand.New(rand.NewSource(29)), 40, 3)
+	p := metric.Params{C: 0.5}
+	bounds := shard.Bounds(vp.N, k)
 	for _, kind := range []metric.Kind{metric.SSE, metric.SARE, metric.MAE} {
-		oracles, bounds := shardedOracles(t, vp, kind, metric.Params{C: 0.5}, k)
-		pruned, err := hist.BuildSharded(oracles, bounds, B, nil, k)
+		var st probsyn.DPStats
+		pruned, err := probsyn.BuildSharded(vp, kind, B, k, probsyn.WithParams(p), probsyn.WithDPStats(&st))
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
-		if pruned.Stats.CandidatesScanned+pruned.Stats.CandidatesPruned == 0 {
-			t.Fatalf("%v: sharded Stats account no DP work", kind)
+		if st.CandidatesScanned+st.CandidatesPruned == 0 {
+			t.Fatalf("%v: sharded DPStats account no DP work", kind)
 		}
 		tables := make([]*hist.DPTable, k)
-		for s, o := range oracles {
+		caps := make([]int, k)
+		for s := range tables {
+			o, err := hist.NewOracle(&pdata.ValuePDF{N: bounds[s+1] - bounds[s], Items: vp.Items[bounds[s]:bounds[s+1]]}, kind, p)
+			if err != nil {
+				t.Fatal(err)
+			}
 			tables[s] = hist.DenseTable(o, min(B, o.N()))
+			caps[s] = tables[s].Bmax()
+			if pr := tables[s].Stats().CandidatesPruned; pr != 0 {
+				t.Fatalf("%v: dense reference pruned %d candidates", kind, pr)
+			}
 		}
-		dense, err := hist.MergeSharded(tables, bounds, B)
+		alloc, err := shard.Allocate(B+k-1, caps, kind.Cumulative(), func(s, b int) float64 { return tables[s].Cost(b) })
 		if err != nil {
-			t.Fatalf("%v: dense merge: %v", kind, err)
+			t.Fatal(err)
 		}
-		if dense.Stats.CandidatesPruned != 0 {
-			t.Fatalf("%v: dense reference pruned %d candidates", kind, dense.Stats.CandidatesPruned)
+		pieces := make([]*hist.Histogram, k)
+		for s, b := range alloc.Split(B) {
+			if pieces[s], err = tables[s].Histogram(b); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if !bytes.Equal(encoded(t, pruned.Merged, nil), encoded(t, dense.Merged, nil)) {
+		dense, err := hist.MergeShards(pieces, bounds, alloc.Cost(B))
+		if !bytes.Equal(encoded(t, pruned.Synopsis.(*hist.Histogram), nil), encoded(t, dense, err)) {
 			t.Fatalf("%v: merged bytes differ between pruned and dense", kind)
 		}
-		if math.Float64bits(pruned.Bound) != math.Float64bits(dense.Bound) {
-			t.Fatalf("%v: bound %v, dense merge %v", kind, pruned.Bound, dense.Bound)
+		if bound := max(0, alloc.Cost(B)-alloc.Cost(B+k-1)); math.Float64bits(pruned.Bound) != math.Float64bits(bound) {
+			t.Fatalf("%v: bound %v, dense merge %v", kind, pruned.Bound, bound)
 		}
 	}
 }

@@ -6,10 +6,7 @@ package hist
 
 import "math"
 
-var (
-	DenseTable   = denseTable
-	MergeSharded = mergeSharded
-)
+var DenseTable = denseTable
 
 // denseTable is Eq. (2) as written: every bucket ending at e priced, every
 // split candidate of every level scanned, nothing pruned. It is the

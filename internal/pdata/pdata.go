@@ -348,7 +348,7 @@ func (ip *ItemPDF) ZeroProb() float64 {
 func (ip *ItemPDF) Mean() float64 {
 	s := 0.0
 	for _, e := range ip.Entries {
-		s += e.Prob * e.Freq
+		s += float64(e.Prob * e.Freq)
 	}
 	return s
 }

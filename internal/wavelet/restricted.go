@@ -163,10 +163,10 @@ func (pe *PointErrors) Cumulative() bool { return pe.kind.Cumulative() }
 func (pe *PointErrors) errSlack(i int, lo, hi, delta float64) float64 {
 	switch pe.kind {
 	case metric.SSEFixed, metric.SSRE:
-		m := math.Max(math.Abs(pe.z[i]*lo-pe.y[i]), math.Abs(pe.z[i]*hi-pe.y[i]))
-		return 2 * m * delta
+		m := math.Max(math.Abs(float64(pe.z[i]*lo)-pe.y[i]), math.Abs(float64(pe.z[i]*hi)-pe.y[i]))
+		return float64(2 * m * delta)
 	default:
-		return pe.totW[i] * delta
+		return float64(pe.totW[i] * delta)
 	}
 }
 

@@ -7,28 +7,10 @@ import (
 
 	"probsyn/internal/engine"
 	"probsyn/internal/haar"
-	"probsyn/internal/hist"
 	"probsyn/internal/metric"
 	"probsyn/internal/numeric"
 	"probsyn/internal/pdata"
-	"probsyn/internal/shard"
 )
-
-// ShardedResult is a domain-sharded restricted-DP build: the padded
-// domain is split into k equal contiguous shards, each shard's Haar
-// subtree is solved independently, and the per-shard solutions are merged
-// into one global synopsis over the whole padded domain. (The SSE family
-// has no sharded build: Theorem 7's greedy is one O(n log n) top-B, and a
-// sharded SSE build is that greedy.)
-type ShardedResult struct {
-	Merged *Synopsis
-	// Bound is the additive suboptimality of Merged.Cost against the
-	// unsharded optimum at the same budget: the budget-allocation gap
-	// plus the forced-top-tree reconstruction slack.
-	Bound float64
-	// Stats is the DP work summed over the shard sweeps.
-	Stats hist.DPStats
-}
 
 // CheckShards validates a k-way split of the padded domain n: shard
 // subtrees must tile the Haar tree, so k must be a power of two no
@@ -56,77 +38,55 @@ func globalIndex(i, s, k int) int {
 	return (k+s)<<l + (i - 1<<l)
 }
 
-// BuildShardedRestricted is the domain-sharded exact restricted DP: each
-// shard runs a forced-root restricted sweep over its own subdomain (its local c0 —
-// the shard average — pinned retained, so the local solution composes
-// with the top tree), and an exact budget-allocation DP over the k
-// frontiers splits the global budget B.
-//
-// The merged synopsis retains the full k-coefficient top tree at its
-// expected values (restricted-legal: they are exactly the global
-// expected coefficients, by linearity of the transform over shard
-// averages) plus every piece's details — Σ_s b_s terms for per-shard
-// budgets summing to B, since each piece's forced c0 trades 1:1 for its
-// top-tree slot. Merged.Cost is the allocation DP's exact combination
-// of per-shard costs, and the returned Bound certifies
-// Merged.Cost <= OPT + Bound against the unsharded optimum.
-func BuildShardedRestricted(src pdata.Source, kind metric.Kind, p metric.Params, B, k int, pool *engine.Pool, conc int) (*ShardedResult, error) {
-	if B < 0 {
-		return nil, fmt.Errorf("wavelet: negative budget %d", B)
-	}
-	vp := padValuePDF(pdata.AsValuePDF(src))
-	N := vp.N
-	if err := CheckShards(N, k); err != nil {
-		return nil, err
-	}
-	if B > N {
-		B = N
-	}
-	if B < k {
-		return nil, fmt.Errorf("wavelet: sharded restricted build needs budget >= k=%d (one coefficient per shard), got %d", k, B)
-	}
-	w := N / k
-	// Shard s can usefully hold up to min(B+1, w) terms: B+1 because at
-	// the bound's reference total B+k the other k-1 shards keep one term
-	// each; w because that is its whole subdomain.
-	caps := make([]int, k)
-	for s := range caps {
-		caps[s] = min(B+1, w)
-	}
-	sweeps := make([]*Sweep, k)
-	pes := make([]*PointErrors, k)
-	err := engine.Fan(k, conc, func(s int) error {
-		svp := &pdata.ValuePDF{N: w, Items: vp.Items[s*w : (s+1)*w]}
-		sw, pe, err := sweepDP(svp, RestrictedFamily, kind, p, caps[s], 0, true, pool)
-		if err != nil {
-			return err
-		}
-		sw.Cost(1) // the allocation reads every shard's whole curve: price it here, k at a time
-		sweeps[s], pes[s] = sw, pe
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	cum := kind.Cumulative()
-	alloc, err := shard.Allocate(B+k, caps, cum, func(s, b int) float64 {
-		c, _ := sweeps[s].Cost(b) // only a released sweep errs, and these never are
-		return c
-	})
-	if err != nil {
-		return nil, err
-	}
-	split := alloc.Split(B)
-	pieces := make([]*Synopsis, k)
-	for s, b := range split {
-		syn, err := sweeps[s].Synopsis(b)
-		if err != nil {
-			return nil, err
-		}
-		pieces[s] = syn
-	}
+// Shards is the k-way split of a source's padded domain that a sharded
+// restricted build solves: shard s is the s-th block of width N/k, the
+// leaves of the s-th Haar subtree one level below the k-coefficient top
+// tree. Sweep solves one shard, Merge joins the shards' synopses under the
+// top tree, and Penalty prices that top tree in the build's bound.
+type Shards struct {
+	vp   *pdata.ValuePDF // the padded source
+	k    int
+	kind metric.Kind
+	p    metric.Params
+	pes  []*PointErrors // pes[s] is set by Sweep(s), read by Penalty
+}
 
-	// Merge: full top tree + re-indexed piece details, sorted globally.
+// NewShards splits src's padded domain into k shards (see CheckShards).
+func NewShards(src pdata.Source, kind metric.Kind, p metric.Params, k int) (*Shards, error) {
+	vp := padValuePDF(pdata.AsValuePDF(src))
+	if err := CheckShards(vp.N, k); err != nil {
+		return nil, err
+	}
+	return &Shards{vp: vp, k: k, kind: kind, p: p, pes: make([]*PointErrors, k)}, nil
+}
+
+// N returns the padded domain size.
+func (sh *Shards) N() int { return sh.vp.N }
+
+// Sweep runs shard s's forced-root restricted sweep up to budget B: its
+// local c0, the shard average, is retained at every budget, so each of its
+// solutions composes with the top tree. Distinct shards may sweep
+// concurrently.
+func (sh *Shards) Sweep(s, B int, pool *engine.Pool) (*Sweep, error) {
+	w := sh.vp.N / sh.k
+	svp := &pdata.ValuePDF{N: w, Items: sh.vp.Items[s*w : (s+1)*w]}
+	sw, pe, err := sweepDP(svp, RestrictedFamily, sh.kind, sh.p, B, 0, true, pool)
+	if err != nil {
+		return nil, err
+	}
+	sh.pes[s] = pe
+	return sw, nil
+}
+
+// Merge joins one forced-root synopsis per shard into a synopsis over the
+// padded domain with the given cost: the full k-coefficient top tree at
+// its expected values (restricted-legal: by linearity of the transform
+// over shard averages they are exactly the global expected coefficients)
+// plus every piece's details at their global indices. Each piece's forced
+// c0 trades 1:1 for its top-tree slot, so per-shard budgets summing to B
+// make B terms.
+func (sh *Shards) Merge(pieces []*Synopsis, cost float64) *Synopsis {
+	k := sh.k
 	avgs := make([]float64, k)
 	for s, piece := range pieces {
 		avgs[s] = piece.Values[0] // forced local c0 = shard average
@@ -136,7 +96,7 @@ func BuildShardedRestricted(src pdata.Source, kind metric.Kind, p metric.Params,
 		g int
 		v float64
 	}
-	coefs := make([]cv, 0, k+B)
+	coefs := make([]cv, 0, k)
 	for g := 0; g < k; g++ {
 		coefs = append(coefs, cv{g, top[g]})
 	}
@@ -147,30 +107,24 @@ func BuildShardedRestricted(src pdata.Source, kind metric.Kind, p metric.Params,
 	}
 	sort.Slice(coefs, func(a, b int) bool { return coefs[a].g < coefs[b].g })
 	merged := &Synopsis{
-		N:       N,
+		N:       sh.vp.N,
 		Indices: make([]int, len(coefs)),
 		Values:  make([]float64, len(coefs)),
-		Cost:    alloc.Cost(B),
+		Cost:    cost,
 	}
 	for j, c := range coefs {
 		merged.Indices[j] = c.g
 		merged.Values[j] = c.v
 	}
+	return merged
+}
 
-	// Additive bound against the unsharded restricted optimum OPT.
-	// Take the optimum's solution S*, add the full top tree: that is a
-	// forced per-shard solution with at most B+k terms, so the alloc
-	// table at total B+k is <= err(S*∪top), and err(S*∪top) <= OPT + pen,
-	// where pen prices the reconstruction drift from retaining top-tree
-	// coefficients S* dropped. Hence Cost = A(B) <= OPT + (A(B)-A(B+k)) + pen.
-	bound := math.Max(0, alloc.Cost(B)-alloc.Cost(B+k))
-	bound += forcedTopPenalty(vp, kind, pes, k, cum)
-
-	res := &ShardedResult{Merged: merged, Bound: bound}
-	for _, sw := range sweeps {
-		res.Stats.Add(sw.stats)
-	}
-	return res, nil
+// Penalty is the bound's top-tree term, once every shard has swept. The
+// unsharded restricted optimum S* plus the full top tree is a forced
+// per-shard solution of at most B+k terms, so the allocation at total B+k
+// costs at most err(S* ∪ top) <= OPT + Penalty.
+func (sh *Shards) Penalty() float64 {
+	return forcedTopPenalty(sh.vp, sh.kind, sh.pes, sh.k, sh.kind.Cumulative())
 }
 
 // forcedTopPenalty bounds how much expected error retaining the full
@@ -196,7 +150,7 @@ func forcedTopPenalty(vp *pdata.ValuePDF, kind metric.Kind, pes []*PointErrors, 
 			if g >= k {
 				continue
 			}
-			c := haar.Sign(g, s*w, N) * cg[g]
+			c := float64(haar.Sign(g, s*w, N) * cg[g])
 			if c > 0 {
 				pos += c
 			} else {
@@ -213,7 +167,7 @@ func forcedTopPenalty(vp *pdata.ValuePDF, kind metric.Kind, pes []*PointErrors, 
 				// The absolute family's slack is interval-independent;
 				// only the squared family needs the reachable interval.
 				for _, g := range haar.Path(i, N) {
-					c := haar.Sign(g, i, N) * cg[g]
+					c := float64(haar.Sign(g, i, N) * cg[g])
 					if c > 0 {
 						hi += c
 					} else {

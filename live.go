@@ -87,7 +87,7 @@ type liveFrontier struct {
 func (l *liveFrontier) refresh(from int) error {
 	p := l.plan
 	if h, ok := l.cur.(histFrontier); ok {
-		o, err := p.oracle(l.vp, p.weights)
+		o, err := p.oracle(l.vp)
 		if err != nil {
 			return err
 		}

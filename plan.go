@@ -139,29 +139,29 @@ func (p *plan) admit(tokens int) (granted int, release func(), err error) {
 }
 
 // oracle constructs the bucket-cost oracle a histogram DP prices against:
-// workload-weighted SSE when weights are given, the metric's standard
+// workload-weighted SSE when the plan has weights, the metric's standard
 // oracle otherwise.
-func (p *plan) oracle(src Source, weights []float64) (hist.Oracle, error) {
-	if weights != nil {
-		return hist.NewWorkloadSSE(src, weights)
+func (p *plan) oracle(src Source) (hist.Oracle, error) {
+	if p.weights != nil {
+		return hist.NewWorkloadSSE(src, p.weights)
 	}
 	return hist.NewOracle(src, p.metric, p.params)
 }
 
 // frontier runs the plan's one DP at budget Bmax: the histogram table or
 // the wavelet sweep, either of which answers every budget up to Bmax. The
-// caller holds the admission token. (histEps has no frontier; resolve lets
-// it through for Build alone, which runs it directly.)
+// caller holds the admission token and reports the frontier's Stats.
+// (histEps has no frontier; resolve lets it through for Build alone, which
+// runs it directly.)
 func (p *plan) frontier(src Source, Bmax int) (countedFrontier, error) {
 	if wf, ok := p.family.wavelet(); ok {
 		sw, err := wavelet.NewSweep(src, wf, p.metric, p.params, Bmax, p.q, p.pool)
 		if err != nil {
 			return nil, err
 		}
-		p.report(sw.Stats())
 		return waveletFrontier{sw}, nil
 	}
-	o, err := p.oracle(src, p.weights)
+	o, err := p.oracle(src)
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +169,6 @@ func (p *plan) frontier(src Source, Bmax int) (countedFrontier, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.report(tab.Stats())
 	return histFrontier{tab}, nil
 }
 

@@ -3,6 +3,7 @@ package probsyn
 import (
 	"fmt"
 
+	"probsyn/internal/engine"
 	"probsyn/internal/haar"
 	"probsyn/internal/hist"
 	"probsyn/internal/pdata"
@@ -32,10 +33,16 @@ type ShardedResult struct {
 //     already one O(n log n) pass, so a sharded SSE build checks k and
 //     runs that greedy on one build token — the unsharded bytes, with
 //     Bound = 0;
-//   - histograms and the restricted wavelet DP metrics solve each shard
-//     to a cost-vs-budget frontier and split B across shards by an exact
-//     allocation DP, with the reported cost the true combined expected
-//     error and Bound certifying it against the unsharded optimum.
+//   - histograms and the restricted wavelet DP metrics run one loop: each
+//     shard's DP solved to a cost-vs-budget frontier (a histogram shard's
+//     over its slice of the items and of any workload weights, a wavelet
+//     shard's over its subtree with the subtree's root kept), B split
+//     across the k frontiers by an exact allocation DP, and the shards'
+//     pieces joined by the family's merge — histogram buckets re-anchored
+//     to global items, wavelet details placed under the top tree. The
+//     reported cost is the true combined expected error, and Bound is
+//     the allocation's gap to the slack budget plus the family's penalty
+//     (none for histograms, the top tree's for wavelets).
 //
 // k = 1 is the unsharded build; wavelet shard counts must be powers of
 // two. The DP families need B >= k (every shard retains at least one
@@ -55,6 +62,10 @@ func BuildSharded(src Source, m Metric, B, k int, opts ...BuildOption) (*Sharded
 	return p.sharded(src, B, k)
 }
 
+// sharded is BuildSharded's one loop: the family's k shard frontiers
+// solved k at a time on the granted tokens, one allocation over their
+// costs, each shard extracted at its share of B and the pieces merged by
+// the family.
 func (p *plan) sharded(src Source, B, k int) (*ShardedResult, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("probsyn: shard count %d < 1", k)
@@ -80,28 +91,96 @@ func (p *plan) sharded(src Source, B, k int) (*ShardedResult, error) {
 	if p.q > 0 {
 		return nil, fmt.Errorf("probsyn: a quantized wavelet DP is not sharded (k = %d): build unsharded, with a finer WithQuantize grid for the same time", k)
 	}
+	shards := p.histShards
+	if p.family == waveletRestricted {
+		shards = p.waveletShards
+	}
+	split, err := shards(src, B, k)
+	if err != nil {
+		return nil, err
+	}
+	B = split.B
+	if B < k {
+		return nil, fmt.Errorf("probsyn: %d shards need budget >= %d (one term per shard), got %d", k, k, B)
+	}
 	conc, release, err := p.admit(k)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	if _, isWavelet := p.family.wavelet(); !isWavelet {
-		return p.shardedHistogram(src, B, k, conc)
-	}
-	res, err := wavelet.BuildShardedRestricted(src, p.metric, p.params, B, k, p.pool, conc)
+	// Shard s can usefully hold up to B+slack-(k-1) terms, what it keeps
+	// at the bound's reference total B+slack when every other shard keeps
+	// one, and no more than its width.
+	fronts := make([]countedFrontier, k)
+	err = engine.Fan(k, conc, func(s int) error {
+		lo, hi := split.bounds[s], split.bounds[s+1]
+		f, err := split.frontier(s, min(B+split.slack-k+1, hi-lo))
+		if err != nil {
+			return fmt.Errorf("probsyn: shard %d: %w", s, err)
+		}
+		f.Cost(1) // the allocation reads every shard's whole curve: price it here, k at a time
+		fronts[s] = f
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	p.report(res.Stats)
-	return &ShardedResult{Synopsis: res.Merged, Bound: res.Bound}, nil
+	caps := make([]int, k)
+	var stats DPStats
+	for s, f := range fronts {
+		caps[s] = f.Bmax()
+		stats.Add(f.Stats())
+	}
+	alloc, err := shard.Allocate(B+split.slack, caps, p.metric.Cumulative(), func(s, b int) float64 { return fronts[s].Cost(b) })
+	if err != nil {
+		return nil, err
+	}
+	pieces := make([]Synopsis, k)
+	for s, b := range alloc.Split(B) {
+		if pieces[s], err = fronts[s].Synopsis(b); err != nil {
+			return nil, err
+		}
+	}
+	merged, err := split.merge(pieces, alloc.Cost(B))
+	if err != nil {
+		return nil, err
+	}
+	// The unsharded optimum, made sharded (cut at the shard boundaries,
+	// or topped up with the top tree), is a solution of at most B+slack
+	// terms that costs at most OPT + penalty: A(B) <= OPT + bound.
+	bound := alloc.Cost(B) - alloc.Cost(B+split.slack)
+	if bound < 0 {
+		bound = 0
+	}
+	if split.penalty != nil {
+		bound += split.penalty()
+	}
+	p.report(stats)
+	return &ShardedResult{Synopsis: merged, Bound: bound}, nil
 }
 
-// shardedHistogram prices shards against the source's per-item marginal
-// value pdf. That is lossless: every bucket-cost oracle is a per-item
-// expectation aggregated over the bucket, so it depends on the per-item
-// marginals only, and AsValuePDF preserves those for all three data
-// models.
-func (p *plan) shardedHistogram(src Source, B, k, conc int) (*ShardedResult, error) {
+// shardSplit is what a family brings to the sharded loop: where its shards
+// lie, the budget it splits, how to solve one shard and join the pieces,
+// and its terms of the bound.
+type shardSplit struct {
+	bounds   []int // shard s covers [bounds[s], bounds[s+1])
+	B        int   // the budget, clamped as the family's unsharded build clamps it
+	slack    int   // the bound's reference total is B+slack
+	frontier func(s, Bmax int) (countedFrontier, error)
+	merge    func(pieces []Synopsis, cost float64) (Synopsis, error)
+	penalty  func() float64 // nil: the allocation gap is the whole bound
+}
+
+// histShards splits a histogram over contiguous near-equal item ranges,
+// each solved by the plan's own frontier over the shard's slice of the
+// per-item marginal value pdf (and of the workload weights). That is
+// lossless: every bucket-cost oracle is a per-item expectation aggregated
+// over the bucket, so it depends on the per-item marginals only, and
+// AsValuePDF preserves those for all three data models. An unsharded
+// B-bucket histogram cut at the k-1 interior boundaries is a sharded one
+// of at most B+k-1 buckets that costs no more (each piece re-optimizes its
+// representative), so the slack is k-1 with no penalty.
+func (p *plan) histShards(src Source, B, k int) (*shardSplit, error) {
 	vp := pdata.AsValuePDF(src)
 	if k > vp.N {
 		return nil, fmt.Errorf("probsyn: %d shards over %d items (need k <= n)", k, vp.N)
@@ -110,23 +189,57 @@ func (p *plan) shardedHistogram(src Source, B, k, conc int) (*ShardedResult, err
 		return nil, fmt.Errorf("probsyn: %d workload weights for %d items", len(p.weights), vp.N)
 	}
 	bounds := shard.Bounds(vp.N, k)
-	oracles := make([]hist.Oracle, k)
-	for s := range oracles {
-		lo, hi := bounds[s], bounds[s+1]
-		var weights []float64
-		if p.weights != nil {
-			weights = p.weights[lo:hi]
-		}
-		o, err := p.oracle(&pdata.ValuePDF{N: hi - lo, Items: vp.Items[lo:hi]}, weights)
-		if err != nil {
-			return nil, err
-		}
-		oracles[s] = o
-	}
-	res, err := hist.BuildSharded(oracles, bounds, B, p.pool, conc)
+	return &shardSplit{
+		bounds: bounds, B: B, slack: k - 1,
+		frontier: func(s, Bmax int) (countedFrontier, error) {
+			lo, hi := bounds[s], bounds[s+1]
+			sp := *p
+			if p.weights != nil {
+				sp.weights = p.weights[lo:hi]
+			}
+			return sp.frontier(&pdata.ValuePDF{N: hi - lo, Items: vp.Items[lo:hi]}, Bmax)
+		},
+		merge: func(pieces []Synopsis, cost float64) (Synopsis, error) {
+			hs := make([]*hist.Histogram, k)
+			for s, piece := range pieces {
+				hs[s] = piece.(*hist.Histogram)
+			}
+			// Return an untyped nil on error, as histFrontier.Synopsis does.
+			h, err := hist.MergeShards(hs, bounds, cost)
+			if err != nil {
+				return nil, err
+			}
+			return h, nil
+		},
+	}, nil
+}
+
+// waveletShards splits a restricted wavelet into the k subtrees one level
+// below the top tree (wavelet.Shards), with the budget clamped to the
+// padded domain. Adding the k top-tree coefficients to an unsharded
+// solution makes a sharded one of at most B+k terms, which costs at most
+// the top tree's penalty more: the slack is k.
+func (p *plan) waveletShards(src Source, B, k int) (*shardSplit, error) {
+	ws, err := wavelet.NewShards(src, p.metric, p.params, k)
 	if err != nil {
 		return nil, err
 	}
-	p.report(res.Stats)
-	return &ShardedResult{Synopsis: res.Merged, Bound: res.Bound}, nil
+	return &shardSplit{
+		bounds: shard.Bounds(ws.N(), k), B: min(B, ws.N()), slack: k,
+		frontier: func(s, Bmax int) (countedFrontier, error) {
+			sw, err := ws.Sweep(s, Bmax, p.pool)
+			if err != nil {
+				return nil, err
+			}
+			return waveletFrontier{sw}, nil
+		},
+		merge: func(pieces []Synopsis, cost float64) (Synopsis, error) {
+			syns := make([]*wavelet.Synopsis, k)
+			for s, piece := range pieces {
+				syns[s] = piece.(*wavelet.Synopsis)
+			}
+			return ws.Merge(syns, cost), nil
+		},
+		penalty: ws.Penalty,
+	}, nil
 }

@@ -2,19 +2,231 @@ package probsyn_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"probsyn"
 	"probsyn/internal/engine"
+	"probsyn/internal/hist"
+	"probsyn/internal/pdata"
 	"probsyn/internal/ptest"
 	"probsyn/internal/shard"
+	"probsyn/internal/wavelet"
 )
 
 func randomValuePDF(n int, seed int64) *probsyn.ValuePDF {
 	return ptest.RandomValuePDF(rand.New(rand.NewSource(seed)), n, 3)
+}
+
+func relClose(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
+}
+
+// shardedAgainstOptimum builds src sharded k ways and holds the result to
+// the unsharded optimum, OPT <= cost <= OPT + Bound with at most B terms,
+// and to truth, the merged synopsis's exact expected error: the cost the
+// allocation reports must be it, so a shard placed in the wrong slot of
+// the merge cannot pass.
+func shardedAgainstOptimum(t *testing.T, src probsyn.Source, m probsyn.Metric, B, k int, truth func(probsyn.Synopsis) float64, opts ...probsyn.BuildOption) {
+	t.Helper()
+	res, err := probsyn.BuildSharded(src, m, B, k, opts...)
+	if err != nil {
+		t.Fatalf("%v B=%d k=%d: %v", m, B, k, err)
+	}
+	if err := res.Synopsis.(interface{ Validate() error }).Validate(); err != nil {
+		t.Fatalf("%v B=%d k=%d: merged synopsis invalid: %v", m, B, k, err)
+	}
+	if got := res.Synopsis.Terms(); got > B {
+		t.Fatalf("%v B=%d k=%d: merged synopsis has %d terms", m, B, k, got)
+	}
+	opt, err := probsyn.Build(src, m, B, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost, best := res.Synopsis.ErrorCost(), opt.ErrorCost()
+	if cost < best && !relClose(cost, best) {
+		t.Fatalf("%v B=%d k=%d: sharded cost %v below optimum %v", m, B, k, cost, best)
+	}
+	if cost > best+res.Bound && !relClose(cost, best+res.Bound) {
+		t.Fatalf("%v B=%d k=%d: sharded cost %v exceeds optimum %v + bound %v", m, B, k, cost, best, res.Bound)
+	}
+	if want := truth(res.Synopsis); !relClose(cost, want) {
+		t.Fatalf("%v B=%d k=%d: merged cost %v but exact evaluation %v", m, B, k, cost, want)
+	}
+}
+
+// histTruth prices a histogram's buckets with the unsharded oracle.
+func histTruth(t *testing.T, src probsyn.Source, m probsyn.Metric, p probsyn.Params) func(probsyn.Synopsis) float64 {
+	t.Helper()
+	o, err := hist.NewOracle(src, m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(syn probsyn.Synopsis) float64 {
+		var total float64
+		for _, b := range syn.(*probsyn.Histogram).Buckets {
+			if c, _ := o.Cost(b.Start, b.End); o.Combine() == hist.Sum {
+				total += c
+			} else {
+				total = max(total, c)
+			}
+		}
+		return total
+	}
+}
+
+// waveletTruth evaluates a wavelet synopsis's expected error over vp padded
+// to a power of two with certain-zero items.
+func waveletTruth(t *testing.T, vp *probsyn.ValuePDF, m probsyn.Metric, p probsyn.Params) func(probsyn.Synopsis) float64 {
+	t.Helper()
+	padded := &pdata.ValuePDF{N: vp.N, Items: slices.Clone(vp.Items)}
+	for ; padded.N&(padded.N-1) != 0; padded.N++ {
+		padded.Items = append(padded.Items, pdata.ItemPDF{Entries: []pdata.FreqProb{{Freq: 0, Prob: 1}}})
+	}
+	pe, err := wavelet.NewPointErrors(padded, m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(syn probsyn.Synopsis) float64 { return pe.SynopsisError(syn.(*probsyn.WaveletSynopsis)) }
+}
+
+// shardedSame builds src sharded k ways on every pool and requires the
+// codec bytes and the Bound bits the first pool's build has.
+func shardedSame(t *testing.T, src probsyn.Source, m probsyn.Metric, B, k int, pools []*engine.Pool, opts ...probsyn.BuildOption) {
+	t.Helper()
+	var want []byte
+	var wantBound uint64
+	for i, pool := range pools {
+		res, err := probsyn.BuildSharded(src, m, B, k, append(slices.Clone(opts), probsyn.WithPool(pool))...)
+		if err != nil {
+			t.Fatalf("%v B=%d k=%d: %v", m, B, k, err)
+		}
+		blob, err := probsyn.MarshalSynopsis(res.Synopsis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want, wantBound = blob, math.Float64bits(res.Bound)
+		} else if !bytes.Equal(blob, want) || math.Float64bits(res.Bound) != wantBound {
+			t.Fatalf("%v B=%d k=%d: workers=%d max-builds=%d: bytes or bound differ from workers=%d max-builds=%d",
+				m, B, k, pool.Workers(), pool.MaxBuilds(), pools[0].Workers(), pools[0].MaxBuilds())
+		}
+	}
+}
+
+// fanPools crosses worker counts 1, 2 and NumCPU with the given MaxBuilds
+// caps: a k-way sharded build is granted min(k, cap) tokens, so the cap
+// sets how many shards run at once. The first pool is serial on both axes
+// when widths starts at 1.
+func fanPools(widths ...int) []*engine.Pool {
+	var pools []*engine.Pool
+	for _, workers := range []int{1, 2, runtime.NumCPU()} {
+		for _, w := range widths {
+			pools = append(pools, engine.New(engine.Options{Workers: workers, Grain: 1, MaxBuilds: w}))
+		}
+	}
+	return pools
+}
+
+func TestShardedHistWithinBoundOfOptimum(t *testing.T) {
+	vp := ptest.RandomValuePDF(rand.New(rand.NewSource(61)), 26, 3)
+	p := probsyn.Params{C: 0.5}
+	for _, m := range []probsyn.Metric{probsyn.SSE, probsyn.SAE, probsyn.MAE} {
+		truth := histTruth(t, vp, m, p)
+		for _, k := range []int{2, 3, 4} {
+			for _, B := range []int{k, 6, 12} {
+				shardedAgainstOptimum(t, vp, m, B, k, truth, probsyn.WithParams(p))
+			}
+		}
+	}
+}
+
+// Fan width, pool workers and shard completion order cannot change a bit
+// of a sharded histogram.
+func TestShardedHistDeterministic(t *testing.T) {
+	vp := ptest.RandomValuePDF(rand.New(rand.NewSource(67)), 40, 3)
+	shardedSame(t, vp, probsyn.SSE, 9, 4, fanPools(1, 2, 4))
+}
+
+func TestShardedRestrictedWithinBoundOfOptimum(t *testing.T) {
+	src := ptest.RandomValuePDF(rand.New(rand.NewSource(53)), 32, 3)
+	p := probsyn.Params{C: 0.5}
+	pool := engine.New(engine.Options{Workers: 2, Grain: 1})
+	for _, m := range []probsyn.Metric{probsyn.SAE, probsyn.SSRE, probsyn.MAE} {
+		truth := waveletTruth(t, src, m, p)
+		for _, k := range []int{2, 4} {
+			for _, B := range []int{k, 8, 16} {
+				shardedAgainstOptimum(t, src, m, B, k, truth,
+					probsyn.WithWavelet(), probsyn.WithParams(p), probsyn.WithPool(pool))
+			}
+		}
+	}
+}
+
+// Fan width, pool workers and (by slot-indexed merging) shard completion
+// order cannot change a bit of a sharded restricted wavelet.
+func TestShardedRestrictedDeterministic(t *testing.T) {
+	src := ptest.RandomValuePDF(rand.New(rand.NewSource(7)), 64, 3)
+	shardedSame(t, src, probsyn.SAE, 12, 4, fanPools(1, 2, 4),
+		probsyn.WithWavelet(), probsyn.WithParams(probsyn.Params{C: 0.5}))
+}
+
+// The cost a sharded restricted build reports is the true expected error
+// of the synopsis it merged, for every restricted DP metric a sharded
+// build runs (SSE-fixed shards as the greedy,
+// TestBuildShardsSSEWaveletBitIdentical).
+func TestShardedRestrictedMergedCostIsExact(t *testing.T) {
+	p := probsyn.Params{C: 0.5}
+	for _, m := range []probsyn.Metric{probsyn.SSRE, probsyn.SAE, probsyn.SARE, probsyn.MAE, probsyn.MARE} {
+		t.Run(m.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			for _, n := range []int{16, 32, 64} {
+				src := ptest.RandomValuePDF(rng, n, 3)
+				truth := waveletTruth(t, src, m, p)
+				for _, k := range []int{2, 4, 8} {
+					for _, B := range []int{k, k + 3, 2*k + 1} {
+						shardedAgainstOptimum(t, src, m, B, k, truth, probsyn.WithWavelet(), probsyn.WithParams(p))
+					}
+				}
+			}
+		})
+	}
+}
+
+// Width-one shards: a histogram sharded k = n ways (every shard one item)
+// and a restricted wavelet sharded k = padded n ways (every shard one
+// leaf, its forced singleton) still cost within [OPT, OPT + Bound], report
+// their exact expected error, and are the same bytes at any parallelism.
+func TestBuildShardedWidthOneShards(t *testing.T) {
+	p := probsyn.Params{C: 0.5}
+	for _, n := range []int{6, 8} {
+		src := randomValuePDF(n, int64(70+n))
+		for _, m := range []probsyn.Metric{probsyn.SAE, probsyn.MAE, probsyn.SSRE} {
+			for _, tc := range []struct {
+				family string
+				k      int
+				truth  func(probsyn.Synopsis) float64
+				opts   []probsyn.BuildOption
+			}{
+				{"histogram", n, histTruth(t, src, m, p), []probsyn.BuildOption{probsyn.WithParams(p)}},
+				{"wavelet", 8, waveletTruth(t, src, m, p), []probsyn.BuildOption{probsyn.WithParams(p), probsyn.WithWavelet()}},
+			} {
+				t.Run(fmt.Sprintf("%s/n=%d/%v", tc.family, n, m), func(t *testing.T) {
+					for _, B := range []int{tc.k, tc.k + 2} {
+						shardedAgainstOptimum(t, src, m, B, tc.k, tc.truth, tc.opts...)
+						shardedSame(t, src, m, B, tc.k, []*engine.Pool{
+							engine.New(engine.Options{Workers: 1}),
+							engine.New(engine.Options{Workers: runtime.NumCPU(), Grain: 1}),
+						}, tc.opts...)
+					}
+				})
+			}
+		}
+	}
 }
 
 // A sharded SSE or SSE-fixed wavelet build is the unsharded greedy: at any
@@ -192,6 +404,8 @@ func TestBuildShardedArgumentErrors(t *testing.T) {
 	}{
 		{"wavelet-k-not-pow2", probsyn.SAE, 8, 3, []probsyn.BuildOption{wavelet}},
 		{"wavelet-B-below-k", probsyn.SAE, 2, 4, []probsyn.BuildOption{wavelet}},
+		{"wavelet-negative-B", probsyn.SAE, -1, 2, []probsyn.BuildOption{wavelet}},
+		{"hist-B-below-k", probsyn.SSE, 2, 3, nil},
 		{"k-zero", probsyn.SSE, 8, 0, nil},
 		{"eps", probsyn.SSE, 8, 2, []probsyn.BuildOption{probsyn.WithEps(0.1)}},
 		{"unrestricted", probsyn.SAE, 8, 2, []probsyn.BuildOption{wavelet, probsyn.WithUnrestricted(2)}},
