@@ -36,10 +36,11 @@ func WithParams(p Params) BuildOption {
 // WithParallelism spreads the synopsis DP across the given number of
 // worker goroutines — the histogram DP's cost sweeps and split-point
 // reductions, and the wavelet coefficient-tree DP's level sweeps; values
-// <= 0 mean one worker per CPU. The parallel schedule is deterministic:
-// results are bit-identical to a single-threaded build. (The SSE-optimal
-// wavelet build is a greedy selection with no DP; it ignores the
-// setting.)
+// <= 0 mean one worker per CPU. It bounds a sharded build too: its shards
+// share the same workers, so any build keeps at most that many CPUs busy.
+// The parallel schedule is deterministic: results are bit-identical to a
+// single-threaded build. (The SSE-optimal wavelet build is a greedy
+// selection with no DP; it ignores the setting.)
 func WithParallelism(workers int) BuildOption {
 	return func(c *buildConfig) {
 		if workers <= 0 {
@@ -54,7 +55,8 @@ func WithParallelism(workers int) BuildOption {
 // one pool (engine.New with its worker count and, for serving workloads,
 // a MaxBuilds admission cap) and passes it to every Build: concurrent
 // builds then share the pool's workers, and when the pool caps admission
-// each Build blocks for a build token before its DP dispatches, so N
+// each build — a sharded one included — blocks for one build token before
+// its DP dispatches and runs on at most the pool's Workers, so N
 // simultaneous build requests cannot oversubscribe cores. Determinism is
 // unchanged — the synopsis is bit-identical whatever pool runs it.
 func WithPool(pool *engine.Pool) BuildOption {
@@ -161,7 +163,7 @@ func Build(src Source, m Metric, B int, opts ...BuildOption) (Synopsis, error) {
 // from (nil under histEps, whose DP has none). A wavelet frontier comes
 // back released: only its Bmax, ErrorBound and Stats still answer.
 func (p *plan) build(src Source, B int) (Synopsis, Frontier, error) {
-	_, release, err := p.admit(1)
+	release, err := p.admit()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -91,7 +91,7 @@ func run(args []string, stdout io.Writer) error {
 		flagCoeffs   = fs.Int("coeffs", 16, "wavelet coefficient budget")
 		flagQuant    = fs.Int("quantize", -1, "if >= 0, quantize the restricted wavelet DP's incoming values onto grids of q points (q >= 2; approximate, O(n q B) states, domains far beyond the exact DP build in seconds); with -unrestricted, instead optimize coefficient values over 2q grid points plus the expected value (exact over the grid, exponential in q and log n). Wavelet DP metrics only (not the greedy-exact SSE build, not histograms)")
 		flagUnres    = fs.Bool("unrestricted", false, "with -quantize: build the unrestricted wavelet thresholding DP instead of the quantized restricted one")
-		flagParallel = fs.Int("parallelism", 1, "DP worker goroutines for histogram and non-SSE wavelet builds (<= 0: one per CPU); output is identical at any setting (the SSE wavelet build is greedy and ignores it)")
+		flagParallel = fs.Int("parallelism", 1, "DP worker goroutines, the CPUs a histogram or non-SSE wavelet build uses, -shards builds included (<= 0: one per CPU; the default 1 builds shards one at a time, -parallelism 0 builds up to one per CPU at once); output is identical at any setting (the SSE wavelet build is greedy and ignores it)")
 		flagOut      = fs.String("out", "", "save the built synopsis to this file in the binary envelope (-in prints it back); with -sweep, -shards, -append or -query, a catalog directory")
 		flagIn       = fs.String("in", "", "load a saved synopsis instead of building one")
 		flagSweep    = fs.Bool("sweep", false, "build the whole budget frontier (every budget up to -buckets/-coeffs) from one DP run and print budget,terms,cost CSV")
@@ -100,7 +100,7 @@ func run(args []string, stdout io.Writer) error {
 		flagSaveData = fs.String("save-data", "", "with -append: write the merged dataset to this file")
 		flagQuery    = fs.String("query", "", "batch request file (POST /v1/query JSON body) answered offline from the -out catalog directory; the response JSON is written to stdout, byte-identical to a served one")
 		flagPack     = fs.String("pack", "", "pack this catalog directory's synopses into its flat file (catalog.flat) for millisecond psynd -flat boots; deterministic, byte-identical to the server's own re-packs")
-		flagShards   = fs.Int("shards", 0, "if >= 2, build sharded: split the domain into this many contiguous ranges, build each in parallel, and merge (the exact DP families report a certified additive suboptimality bound; an SSE wavelet is the unsharded greedy, bound 0; not with -quantize); with -out (a catalog directory), the merged synopsis is saved under its key-encoded filename")
+		flagShards   = fs.Int("shards", 0, "if >= 2, build sharded: split the domain into this many contiguous ranges, build each within -parallelism, and merge (the exact DP families report a certified additive suboptimality bound; an SSE wavelet is the unsharded greedy, bound 0; not with -quantize); with -out (a catalog directory), the merged synopsis is saved under its key-encoded filename")
 		flagVerbose  = fs.Bool("v", false, "after a histogram or coefficient-tree wavelet DP build (plain, -sweep, or -shards), report the DP work counters: split candidates scanned vs. pruned and cost evaluations (see probsyn.DPStats); non-DP builds print nothing")
 	)
 	if err := fs.Parse(args); err != nil {

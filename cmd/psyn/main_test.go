@@ -434,6 +434,50 @@ func TestRunSharded(t *testing.T) {
 	}
 }
 
+// TestRunShardedSameAtEveryParallelism: -parallelism only sets how many
+// shards solve at once (1 builds them in turn, 0 one per CPU), so stdout
+// and the saved merged synopsis are the same at every setting.
+func TestRunShardedSameAtEveryParallelism(t *testing.T) {
+	dir := t.TempDir()
+	dataset, _ := writeDataset(t, dir)
+	for _, tc := range []struct {
+		name string
+		args []string
+		file string
+	}{
+		{"histogram-SAE", []string{"-metric", "SAE", "-buckets", "8"}, "ds--histogram--SAE--b8.psyn"},
+		{"wavelet-SAE", []string{"-wavelet", "-metric", "SAE", "-coeffs", "8"}, "ds--wavelet--SAE--b8.psyn"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var wantOut string
+			var wantFile []byte
+			for _, par := range []string{"1", "2", "0"} {
+				catDir := filepath.Join(dir, tc.name+"-p"+par)
+				var out bytes.Buffer
+				args := append([]string{"-input", dataset, "-shards", "4", "-parallelism", par, "-dataset", "ds", "-out", catDir}, tc.args...)
+				if err := run(args, &out); err != nil {
+					t.Fatalf("-parallelism %s: %v", par, err)
+				}
+				file, err := os.ReadFile(filepath.Join(catDir, tc.file))
+				if err != nil {
+					t.Fatal(err)
+				}
+				stdout := strings.ReplaceAll(out.String(), catDir, "OUT")
+				if wantFile == nil {
+					wantOut, wantFile = stdout, file
+					continue
+				}
+				if stdout != wantOut {
+					t.Fatalf("-parallelism %s printed\n%s\n-parallelism 1 printed\n%s", par, stdout, wantOut)
+				}
+				if !bytes.Equal(file, wantFile) {
+					t.Fatalf("-parallelism %s saved different bytes than -parallelism 1", par)
+				}
+			}
+		})
+	}
+}
+
 // TestRunQueryMatchesServedBatch: psyn -query and psynd's POST /v1/query
 // answer through the same resolver and evaluator, so over one catalog
 // directory — keys built plain, swept and sharded, a "shards" member

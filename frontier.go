@@ -22,7 +22,7 @@ func BuildSweep(src Source, m Metric, Bmax int, opts ...BuildOption) (Frontier, 
 	if err != nil {
 		return nil, err
 	}
-	_, release, err := p.admit(1)
+	release, err := p.admit()
 	if err != nil {
 		return nil, err
 	}

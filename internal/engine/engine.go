@@ -37,10 +37,13 @@ type Options struct {
 	// field, not a package global, so concurrent tests cannot race on it.
 	Grain int
 	// MaxBuilds caps how many builds the pool admits concurrently
-	// (Acquire blocks past the cap); <= 0 means unlimited. One
-	// process-wide pool with MaxBuilds set is the serving layer's
-	// admission control: N queued builds share the pool's workers
-	// instead of oversubscribing cores with per-call pools.
+	// (Acquire blocks past the cap); <= 0 means unlimited. Every build
+	// takes one token, a k-way sharded one included (its shards share
+	// the build's Workers), so MaxBuilds counts builds and Workers the
+	// CPUs each one keeps busy. One process-wide pool with MaxBuilds set
+	// is the serving layer's admission control: N queued builds share
+	// the pool's workers instead of oversubscribing cores with per-call
+	// pools.
 	MaxBuilds int
 }
 
@@ -50,8 +53,7 @@ type Options struct {
 type Pool struct {
 	workers  int
 	grain    int
-	sem      chan struct{} // admission tokens; nil = unlimited
-	multiMu  sync.Mutex    // serializes multi-token acquirers (AcquireN)
+	sem      chan struct{} // admission tokens, one per build; nil = unlimited
 	inflight atomic.Int32
 	peak     atomic.Int32
 }
@@ -89,11 +91,12 @@ func (p *Pool) MaxBuilds() int {
 }
 
 // Acquire blocks until the pool admits one more build (or ctx is done)
-// and returns the token's release func. Callers bracket each synopsis
-// build with Acquire/release so that however many goroutines request
-// builds, at most MaxBuilds DPs dispatch onto the pool's workers at
-// once. With no cap configured (or on a nil pool) Acquire is a no-op
-// that never blocks. release is idempotent.
+// and returns the token's release func. One token is one build: callers
+// bracket each synopsis build — a sharded one included, whose shards fan
+// inside the pool's workers — with Acquire/release, so however many
+// goroutines request builds, at most MaxBuilds builds dispatch onto the
+// pool's workers at once. With no cap configured (or on a nil pool)
+// Acquire is a no-op that never blocks. release is idempotent.
 func (p *Pool) Acquire(ctx context.Context) (release func(), err error) {
 	if p == nil || p.sem == nil {
 		return func() {}, nil
@@ -103,51 +106,7 @@ func (p *Pool) Acquire(ctx context.Context) (release func(), err error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	return p.grant(1), nil
-}
-
-// AcquireN blocks until the pool admits n more builds at once and
-// returns the granted token count with one release func covering all of
-// them. The grant is all-or-nothing: a mutex serializes multi-token
-// acquirers, so two concurrent AcquireN calls can never each hold a
-// partial grant while waiting for the other's tokens — the loop-of-
-// Acquire pattern deadlocks exactly that way on a small MaxBuilds cap.
-// n is clamped to [1, MaxBuilds] (asking for more than the cap can ever
-// supply would self-deadlock); the caller reads the granted count back
-// and bounds its internal concurrency by it. Uncapped (or nil) pools
-// grant n without blocking. Single Acquire calls are unaffected and
-// cannot be starved: blocked channel sends are served in arrival order,
-// so a collector mid-grant queues like any other sender.
-func (p *Pool) AcquireN(ctx context.Context, n int) (granted int, release func(), err error) {
-	if n < 1 {
-		n = 1
-	}
-	if p == nil || p.sem == nil {
-		return n, func() {}, nil
-	}
-	if c := cap(p.sem); n > c {
-		n = c
-	}
-	p.multiMu.Lock()
-	defer p.multiMu.Unlock()
-	for got := 0; got < n; got++ {
-		select {
-		case p.sem <- struct{}{}:
-		case <-ctx.Done():
-			for ; got > 0; got-- {
-				<-p.sem
-			}
-			return 0, nil, ctx.Err()
-		}
-	}
-	return n, p.grant(n), nil
-}
-
-// grant books n tokens the caller has just put in sem: it raises the
-// in-flight count and its peak, and returns the idempotent release that
-// takes the n tokens back out.
-func (p *Pool) grant(n int) (release func()) {
-	in := p.inflight.Add(int32(n))
+	in := p.inflight.Add(1)
 	for {
 		old := p.peak.Load()
 		if in <= old || p.peak.CompareAndSwap(old, in) {
@@ -157,12 +116,10 @@ func (p *Pool) grant(n int) (release func()) {
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			p.inflight.Add(int32(-n))
-			for i := 0; i < n; i++ {
-				<-p.sem
-			}
+			p.inflight.Add(-1)
+			<-p.sem
 		})
-	}
+	}, nil
 }
 
 // InFlight returns the number of currently admitted builds.

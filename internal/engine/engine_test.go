@@ -175,6 +175,76 @@ func TestAcquireHonorsContextCancel(t *testing.T) {
 	release2()
 }
 
+// A release func frees its own token once: calling it again must not free
+// another holder's, so the pool stays full after a double release.
+func TestAcquireDoubleReleaseFreesOneToken(t *testing.T) {
+	p := New(Options{Workers: 1, MaxBuilds: 2})
+	first, err := p.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := p.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first()
+	first()
+	if got := p.InFlight(); got != 1 {
+		t.Fatalf("InFlight() = %d after one holder released twice, want 1", got)
+	}
+	third, err := p.Acquire(context.Background())
+	if err != nil {
+		t.Fatalf("Acquire into the freed slot: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := p.Acquire(ctx); err == nil {
+		// No releases: a second token already went, so they could block.
+		t.Fatal("a third build was admitted under MaxBuilds 2: the double release freed a second token")
+	}
+	second()
+	third()
+}
+
+// PeakInFlight is a high-water mark: it rises with concurrently held
+// tokens and never falls as they are released. Uncapped and nil pools
+// count nothing.
+func TestPeakInFlightIsHighWaterMark(t *testing.T) {
+	p := New(Options{Workers: 1, MaxBuilds: 4})
+	var held []func()
+	for k := 0; k < 3; k++ {
+		release, err := p.Acquire(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, release)
+	}
+	held[0]()
+	held[1]()
+	release, err := p.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in, peak := p.InFlight(), p.PeakInFlight(); in != 2 || peak != 3 {
+		t.Fatalf("InFlight, PeakInFlight = %d, %d, want 2, 3", in, peak)
+	}
+	release()
+	held[2]()
+	if in, peak := p.InFlight(), p.PeakInFlight(); in != 0 || peak != 3 {
+		t.Fatalf("after every release InFlight, PeakInFlight = %d, %d, want 0, 3", in, peak)
+	}
+	for name, p := range map[string]*Pool{"uncapped": Serial(), "nil": nil} {
+		release, err := p.Acquire(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if in, peak := p.InFlight(), p.PeakInFlight(); in != 0 || peak != 0 {
+			t.Fatalf("%s: InFlight, PeakInFlight = %d, %d while a build holds a no-op token, want 0, 0", name, in, peak)
+		}
+		release()
+	}
+}
+
 // An uncapped (or nil) pool admits everything without blocking.
 func TestAcquireUnlimitedIsNoOp(t *testing.T) {
 	for name, p := range map[string]*Pool{"uncapped": Serial(), "nil": nil} {
@@ -188,107 +258,6 @@ func TestAcquireUnlimitedIsNoOp(t *testing.T) {
 		if p.MaxBuilds() != 0 {
 			t.Fatalf("%s: MaxBuilds() = %d, want 0", name, p.MaxBuilds())
 		}
-	}
-}
-
-// Regression for the multi-token deadlock: two concurrent holders each
-// acquiring k=2 tokens from a MaxBuilds=2 pool in a loop would each get
-// one and wait forever for the other's. AcquireN's all-or-nothing grant
-// must let both complete.
-func TestAcquireNAllOrNothingAvoidsDeadlock(t *testing.T) {
-	p := New(Options{Workers: 1, MaxBuilds: 2})
-	const holders = 4
-	done := make(chan int, holders)
-	for h := 0; h < holders; h++ {
-		go func() {
-			granted, release, err := p.AcquireN(context.Background(), 2)
-			if err != nil {
-				t.Errorf("AcquireN: %v", err)
-				done <- 0
-				return
-			}
-			done <- granted
-			release()
-			release() // idempotent
-		}()
-	}
-	timeout := time.After(10 * time.Second)
-	for h := 0; h < holders; h++ {
-		select {
-		case granted := <-done:
-			if granted != 2 {
-				t.Fatalf("granted %d tokens, want 2", granted)
-			}
-		case <-timeout:
-			t.Fatal("AcquireN holders deadlocked")
-		}
-	}
-	if p.InFlight() != 0 {
-		t.Fatalf("InFlight() = %d after all releases, want 0", p.InFlight())
-	}
-	if p.PeakInFlight() > 2 {
-		t.Fatalf("PeakInFlight() = %d, want <= MaxBuilds 2", p.PeakInFlight())
-	}
-}
-
-// AcquireN clamps the request to the admission cap instead of
-// self-deadlocking, and reports the smaller grant back.
-func TestAcquireNClampsToCap(t *testing.T) {
-	p := New(Options{Workers: 1, MaxBuilds: 2})
-	granted, release, err := p.AcquireN(context.Background(), 8)
-	if err != nil {
-		t.Fatalf("AcquireN: %v", err)
-	}
-	if granted != 2 {
-		t.Fatalf("granted %d, want the cap 2", granted)
-	}
-	release()
-	granted, release, err = p.AcquireN(context.Background(), 0)
-	if err != nil {
-		t.Fatalf("AcquireN: %v", err)
-	}
-	if granted != 1 {
-		t.Fatalf("granted %d for n=0, want 1", granted)
-	}
-	release()
-}
-
-// A cancelled AcquireN returns every token it had collected: the pool
-// stays fully usable afterwards.
-func TestAcquireNHonorsContextCancelAndRepays(t *testing.T) {
-	p := New(Options{Workers: 1, MaxBuilds: 2})
-	release1, err := p.Acquire(context.Background())
-	if err != nil {
-		t.Fatalf("Acquire: %v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		_, _, err := p.AcquireN(ctx, 2) // blocks: only one token free
-		errc <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	if err := <-errc; err == nil {
-		t.Fatal("AcquireN with cancelled context succeeded while pool was short")
-	}
-	release1()
-	// Both tokens must be available again.
-	granted, release, err := p.AcquireN(context.Background(), 2)
-	if err != nil || granted != 2 {
-		t.Fatalf("AcquireN after cancel = (%d, %v), want (2, nil)", granted, err)
-	}
-	release()
-}
-
-// Uncapped and nil pools grant n immediately.
-func TestAcquireNUnlimited(t *testing.T) {
-	for name, p := range map[string]*Pool{"uncapped": Serial(), "nil": nil} {
-		granted, release, err := p.AcquireN(context.Background(), 7)
-		if err != nil || granted != 7 {
-			t.Fatalf("%s: AcquireN = (%d, %v), want (7, nil)", name, granted, err)
-		}
-		release()
 	}
 }
 

@@ -42,8 +42,8 @@
 //	GET  /v1/synopses  — list catalog entries.
 //
 // Sharded builds: a build request with shards >= 2 partitions the
-// domain, builds the shards in parallel over the pool
-// (probsyn.BuildSharded), and publishes the merged synopsis under the
+// domain, builds the shards within the pool's workers on one admission
+// token (probsyn.BuildSharded), and publishes the merged synopsis under the
 // ordinary key — nothing downstream of the build can tell how a synopsis
 // was built. Sharding is a property of the build, not of serving: one
 // node holds every dataset (DESIGN.md, "Why one node").
@@ -883,7 +883,7 @@ func published(key catalog.Key, sweep bool) []catalog.Key {
 // admission token, then catalog.ExtractAndPublish over the job's keys —
 // so every swept budget is byte for byte what a single build of it
 // publishes, and what an offline cmd/psyn build writes. shards > 1 runs
-// probsyn.BuildSharded instead (one admission token per shard): the
+// probsyn.BuildSharded instead (one admission token, like any build): the
 // merged synopsis publishes under the ordinary key and its suboptimality
 // bound is returned.
 func (s *Server) build(key catalog.Key, sweep bool, shards int) (bound float64, err error) {

@@ -54,7 +54,7 @@ func BuildLive(src Source, m Metric, Bmax int, opts ...BuildOption) (Maintainer,
 	if !ok {
 		return nil, fmt.Errorf("probsyn: live maintenance is defined over the value-pdf model; got %T (build from the induced value pdf if marginal semantics suffice)", src)
 	}
-	_, release, err := p.admit(1)
+	release, err := p.admit()
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +196,7 @@ func (l *liveFrontier) Update(i int, item pdata.ItemPDF) error {
 func (l *liveFrontier) mutate(apply func() (from int, undo func(), err error)) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	_, release, err := l.plan.admit(1)
+	release, err := l.plan.admit()
 	if err != nil {
 		return err
 	}

@@ -123,19 +123,13 @@ func resolve(src Source, m Metric, opts []BuildOption, md mode) (*plan, error) {
 	return p, nil
 }
 
-// admit takes the build tokens a construction holds for its whole
+// admit takes the build token a construction holds for its whole
 // duration, so builds sharing a capped pool are bounded at its MaxBuilds
 // (a no-op on uncapped pools, including every per-call one resolve makes).
-// One DP is one token — a frontier's budgets cost one DP, so they also
-// cost one build slot. A k-way sharded build asks for k, all-or-nothing
-// so concurrent multi-token holders cannot deadlock a capped pool, and
-// fans its shards at whatever width was granted.
-func (p *plan) admit(tokens int) (granted int, release func(), err error) {
-	if tokens == 1 {
-		release, err = p.pool.Acquire(context.Background())
-		return 1, release, err
-	}
-	return p.pool.AcquireN(context.Background(), tokens)
+// One build is one token: a frontier's budgets cost one DP, and a sharded
+// build's shards fan inside the pool's workers, so neither takes more.
+func (p *plan) admit() (release func(), err error) {
+	return p.pool.Acquire(context.Background())
 }
 
 // oracle constructs the bucket-cost oracle a histogram DP prices against:

@@ -149,12 +149,6 @@ func SSEWavelet(src Source, B int) (*WaveletSynopsis, *WaveletSSEReport, error) 
 	return wavelet.BuildSSE(src, B)
 }
 
-// ExpectedSSE returns the exact expected sum-squared error of an arbitrary
-// wavelet synopsis over the source.
-func ExpectedSSE(src Source, syn *WaveletSynopsis) float64 {
-	return wavelet.ExpectedSSEOf(src, syn)
-}
-
 // ReadDataset parses a dataset in the probsyn text format.
 func ReadDataset(r io.Reader) (Source, error) { return textio.Read(r) }
 

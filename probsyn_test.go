@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"probsyn"
+	"probsyn/internal/wavelet"
 )
 
 func sampleValuePDF() *probsyn.ValuePDF {
@@ -84,7 +85,7 @@ func TestSSEWaveletFacade(t *testing.T) {
 	if syn.B() != 2 {
 		t.Fatalf("retained %d coefficients", syn.B())
 	}
-	direct := probsyn.ExpectedSSE(sampleValuePDF(), syn)
+	direct := wavelet.ExpectedSSEOf(sampleValuePDF(), syn)
 	if math.Abs(direct-rep.ExpectedSSE) > 1e-9*(1+direct) {
 		t.Fatalf("report %v vs direct %v", rep.ExpectedSSE, direct)
 	}

@@ -12,9 +12,9 @@ import (
 )
 
 // ShardedResult is a domain-sharded build: the item domain is split into
-// k contiguous shards, each shard's synopsis is built independently (and
-// concurrently), and the per-shard solutions are merged under the global
-// term budget into one synopsis over the whole domain.
+// k contiguous shards, each shard's synopsis is built independently, and
+// the per-shard solutions are merged under the global term budget into one
+// synopsis over the whole domain.
 type ShardedResult struct {
 	// Synopsis is the merged global synopsis over the full domain.
 	Synopsis Synopsis
@@ -27,7 +27,7 @@ type ShardedResult struct {
 }
 
 // BuildSharded builds a B-term synopsis by splitting the domain into k
-// contiguous shards, building each shard concurrently, and merging:
+// contiguous shards, building each shard independently, and merging:
 //
 //   - SSE/SSEFixed wavelets are not split: Theorem 7's greedy top-B is
 //     already one O(n log n) pass, so a sharded SSE build checks k and
@@ -46,10 +46,10 @@ type ShardedResult struct {
 //
 // k = 1 is the unsharded build; wavelet shard counts must be powers of
 // two. The DP families need B >= k (every shard retains at least one
-// term). On a pool with a MaxBuilds admission cap, a k-way sharded DP build
-// holds up to k build tokens — acquired all-or-nothing, and gracefully
-// degrading to fewer (serializing shards) when the cap is smaller — so a
-// burst of sharded builds cannot oversubscribe the pool. WithQuantize is
+// term). A sharded build is one build: it takes one token of a MaxBuilds
+// admission cap, like Build, and its w workers (WithParallelism, or the
+// WithPool pool's) are its CPUs — up to w shards solve at once, each
+// shard's DP serial while more than one does. WithQuantize is
 // accepted at k = 1 only: at k >= 2 a finer unsharded grid costs about the
 // same time for a lower cost and a tighter bound, so the quantized merge is
 // refused. WithEps and WithUnrestricted have no sharded merge rule and are
@@ -62,10 +62,10 @@ func BuildSharded(src Source, m Metric, B, k int, opts ...BuildOption) (*Sharded
 	return p.sharded(src, B, k)
 }
 
-// sharded is BuildSharded's one loop: the family's k shard frontiers
-// solved k at a time on the granted tokens, one allocation over their
-// costs, each shard extracted at its share of B and the pieces merged by
-// the family.
+// sharded is BuildSharded's one loop: on one build token, the family's
+// k shard frontiers fanned over the pool's workers, one allocation over
+// their costs, each shard extracted at its share of B and the pieces
+// merged by the family.
 func (p *plan) sharded(src Source, B, k int) (*ShardedResult, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("probsyn: shard count %d < 1", k)
@@ -103,22 +103,30 @@ func (p *plan) sharded(src Source, B, k int) (*ShardedResult, error) {
 	if B < k {
 		return nil, fmt.Errorf("probsyn: %d shards need budget >= %d (one term per shard), got %d", k, k, B)
 	}
-	conc, release, err := p.admit(k)
+	release, err := p.admit()
 	if err != nil {
 		return nil, err
 	}
 	defer release()
+	// The build's workers are its CPUs, whether they run shards or a
+	// shard's DP: up to Workers() shards solve at once, each shard's DP
+	// serial while more than one does, and with one worker the shards run
+	// in turn on the caller's pool.
+	conc, pool := min(k, p.pool.Workers()), p.pool
+	if conc > 1 {
+		pool = engine.Serial()
+	}
 	// Shard s can usefully hold up to B+slack-(k-1) terms, what it keeps
 	// at the bound's reference total B+slack when every other shard keeps
 	// one, and no more than its width.
 	fronts := make([]countedFrontier, k)
 	err = engine.Fan(k, conc, func(s int) error {
 		lo, hi := split.bounds[s], split.bounds[s+1]
-		f, err := split.frontier(s, min(B+split.slack-k+1, hi-lo))
+		f, err := split.frontier(s, min(B+split.slack-k+1, hi-lo), pool)
 		if err != nil {
 			return fmt.Errorf("probsyn: shard %d: %w", s, err)
 		}
-		f.Cost(1) // the allocation reads every shard's whole curve: price it here, k at a time
+		f.Cost(1) // the allocation reads every shard's whole curve: price it here, conc at a time
 		fronts[s] = f
 		return nil
 	})
@@ -166,7 +174,7 @@ type shardSplit struct {
 	bounds   []int // shard s covers [bounds[s], bounds[s+1])
 	B        int   // the budget, clamped as the family's unsharded build clamps it
 	slack    int   // the bound's reference total is B+slack
-	frontier func(s, Bmax int) (countedFrontier, error)
+	frontier func(s, Bmax int, pool *engine.Pool) (countedFrontier, error)
 	merge    func(pieces []Synopsis, cost float64) (Synopsis, error)
 	penalty  func() float64 // nil: the allocation gap is the whole bound
 }
@@ -191,9 +199,10 @@ func (p *plan) histShards(src Source, B, k int) (*shardSplit, error) {
 	bounds := shard.Bounds(vp.N, k)
 	return &shardSplit{
 		bounds: bounds, B: B, slack: k - 1,
-		frontier: func(s, Bmax int) (countedFrontier, error) {
+		frontier: func(s, Bmax int, pool *engine.Pool) (countedFrontier, error) {
 			lo, hi := bounds[s], bounds[s+1]
 			sp := *p
+			sp.pool = pool
 			if p.weights != nil {
 				sp.weights = p.weights[lo:hi]
 			}
@@ -226,8 +235,8 @@ func (p *plan) waveletShards(src Source, B, k int) (*shardSplit, error) {
 	}
 	return &shardSplit{
 		bounds: shard.Bounds(ws.N(), k), B: min(B, ws.N()), slack: k,
-		frontier: func(s, Bmax int) (countedFrontier, error) {
-			sw, err := ws.Sweep(s, Bmax, p.pool)
+		frontier: func(s, Bmax int, pool *engine.Pool) (countedFrontier, error) {
+			sw, err := ws.Sweep(s, Bmax, pool)
 			if err != nil {
 				return nil, err
 			}

@@ -2,12 +2,15 @@ package probsyn_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"probsyn"
 	"probsyn/internal/engine"
@@ -118,18 +121,17 @@ func shardedSame(t *testing.T, src probsyn.Source, m probsyn.Metric, B, k int, p
 	}
 }
 
-// fanPools crosses worker counts 1, 2 and NumCPU with the given MaxBuilds
-// caps: a k-way sharded build is granted min(k, cap) tokens, so the cap
-// sets how many shards run at once. The first pool is serial on both axes
-// when widths starts at 1.
-func fanPools(widths ...int) []*engine.Pool {
+// fanPools varies what sets a sharded build's fan width, min(k, Workers):
+// worker counts 1, 2, 4 and NumCPU at Grain 1, so each shard's DP also
+// fans out when the width is one, plus one MaxBuilds: 1 pool, which a
+// sharded build, taking one token, runs on like any other. The first pool
+// is serial.
+func fanPools() []*engine.Pool {
 	var pools []*engine.Pool
-	for _, workers := range []int{1, 2, runtime.NumCPU()} {
-		for _, w := range widths {
-			pools = append(pools, engine.New(engine.Options{Workers: workers, Grain: 1, MaxBuilds: w}))
-		}
+	for _, workers := range []int{1, 2, 4, runtime.NumCPU()} {
+		pools = append(pools, engine.New(engine.Options{Workers: workers, Grain: 1}))
 	}
-	return pools
+	return append(pools, engine.New(engine.Options{Workers: 2, Grain: 1, MaxBuilds: 1}))
 }
 
 func TestShardedHistWithinBoundOfOptimum(t *testing.T) {
@@ -149,7 +151,7 @@ func TestShardedHistWithinBoundOfOptimum(t *testing.T) {
 // of a sharded histogram.
 func TestShardedHistDeterministic(t *testing.T) {
 	vp := ptest.RandomValuePDF(rand.New(rand.NewSource(67)), 40, 3)
-	shardedSame(t, vp, probsyn.SSE, 9, 4, fanPools(1, 2, 4))
+	shardedSame(t, vp, probsyn.SSE, 9, 4, fanPools())
 }
 
 func TestShardedRestrictedWithinBoundOfOptimum(t *testing.T) {
@@ -171,7 +173,7 @@ func TestShardedRestrictedWithinBoundOfOptimum(t *testing.T) {
 // order cannot change a bit of a sharded restricted wavelet.
 func TestShardedRestrictedDeterministic(t *testing.T) {
 	src := ptest.RandomValuePDF(rand.New(rand.NewSource(7)), 64, 3)
-	shardedSame(t, src, probsyn.SAE, 12, 4, fanPools(1, 2, 4),
+	shardedSame(t, src, probsyn.SAE, 12, 4, fanPools(),
 		probsyn.WithWavelet(), probsyn.WithParams(probsyn.Params{C: 0.5}))
 }
 
@@ -372,24 +374,123 @@ func TestBuildShardedWorkloadHistogram(t *testing.T) {
 	}
 }
 
-// A capped pool admits a sharded build with fewer tokens than shards
-// (degrading the fan) rather than deadlocking, and the result is
-// bit-identical to the uncapped build.
-func TestBuildShardedCappedPoolDegrades(t *testing.T) {
+// A sharded build is one build: a k-way histogram or restricted wavelet
+// build takes one admission token, however many shards it fans and
+// however many tokens the pool has free.
+func TestBuildShardedTakesOneToken(t *testing.T) {
 	src := randomValuePDF(32, 37)
-	want, err := probsyn.BuildSharded(src, probsyn.SAE, 8, 4, probsyn.WithWavelet())
-	if err != nil {
-		t.Fatal(err)
+	pool := engine.New(engine.Options{Workers: 4, Grain: 1, MaxBuilds: 4})
+	for _, tc := range []struct {
+		m    probsyn.Metric
+		opts []probsyn.BuildOption
+	}{
+		{probsyn.SSE, nil},
+		{probsyn.SAE, []probsyn.BuildOption{probsyn.WithWavelet()}},
+	} {
+		if _, err := probsyn.BuildSharded(src, tc.m, 8, 4, append(tc.opts, probsyn.WithPool(pool))...); err != nil {
+			t.Fatalf("%v: %v", tc.m, err)
+		}
+		if peak := pool.PeakInFlight(); peak != 1 {
+			t.Fatalf("%v: a 4-way sharded build took %d of 4 build tokens, want 1", tc.m, peak)
+		}
+		if in := pool.InFlight(); in != 0 {
+			t.Fatalf("%v: %d tokens still held after the build", tc.m, in)
+		}
 	}
+}
+
+// A sharded build goes through admission like any other: on a full
+// MaxBuilds: 1 pool it waits for the held token, then builds.
+func TestBuildShardedWaitsForToken(t *testing.T) {
+	src := randomValuePDF(32, 43)
 	pool := engine.New(engine.Options{Workers: 2, Grain: 1, MaxBuilds: 1})
-	got, err := probsyn.BuildSharded(src, probsyn.SAE, 8, 4, probsyn.WithWavelet(), probsyn.WithPool(pool))
+	release, err := pool.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := probsyn.MarshalSynopsis(want.Synopsis)
-	b, _ := probsyn.MarshalSynopsis(got.Synopsis)
-	if !bytes.Equal(a, b) || got.Bound != want.Bound {
-		t.Fatal("capped-pool sharded build differs from uncapped")
+	done := make(chan error, 1)
+	go func() {
+		_, err := probsyn.BuildSharded(src, probsyn.SSE, 8, 4, probsyn.WithPool(pool))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		release()
+		t.Fatalf("sharded build finished (err %v) while the only token was held", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("sharded build still waiting after the token was released")
+	}
+	if peak := pool.PeakInFlight(); peak != 1 {
+		t.Fatalf("PeakInFlight() = %d, want 1", peak)
+	}
+}
+
+// Concurrent sharded builds on one capped pool hold one token each: all of
+// them finish, never more than MaxBuilds at once, each with the bytes and
+// Bound bits of the same build run alone.
+func TestBuildShardedConcurrentBuildsShareCap(t *testing.T) {
+	src := randomValuePDF(32, 47)
+	cases := []struct {
+		m    probsyn.Metric
+		opts []probsyn.BuildOption
+	}{
+		{probsyn.SSE, nil},
+		{probsyn.SAE, []probsyn.BuildOption{probsyn.WithWavelet()}},
+	}
+	type result struct {
+		blob  []byte
+		bound uint64
+	}
+	build := func(c int, pool *engine.Pool) (result, error) {
+		tc := cases[c%len(cases)]
+		res, err := probsyn.BuildSharded(src, tc.m, 8, 4, append(slices.Clone(tc.opts), probsyn.WithPool(pool))...)
+		if err != nil {
+			return result{}, err
+		}
+		blob, err := probsyn.MarshalSynopsis(res.Synopsis)
+		return result{blob, math.Float64bits(res.Bound)}, err
+	}
+	want := make([]result, len(cases))
+	for c := range cases {
+		var err error
+		if want[c], err = build(c, engine.Serial()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const callers = 6
+	pool := engine.New(engine.Options{Workers: 2, Grain: 1, MaxBuilds: 2})
+	got := make([]result, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			got[c], errs[c] = build(c, pool)
+		}(c)
+	}
+	wg.Wait()
+	for c := range got {
+		if errs[c] != nil {
+			t.Fatalf("caller %d: %v", c, errs[c])
+		}
+		if w := want[c%len(cases)]; !bytes.Equal(got[c].blob, w.blob) || got[c].bound != w.bound {
+			t.Fatalf("caller %d (%v): bytes or bound differ from the build run alone", c, cases[c%len(cases)].m)
+		}
+	}
+	if peak := pool.PeakInFlight(); peak < 1 || peak > 2 {
+		t.Fatalf("PeakInFlight() = %d, want in [1, 2]", peak)
+	}
+	if in := pool.InFlight(); in != 0 {
+		t.Fatalf("%d tokens still held after every build", in)
 	}
 }
 
