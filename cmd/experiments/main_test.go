@@ -65,9 +65,15 @@ func runMode(t *testing.T, args ...string) table {
 	if err := run(append(append([]string(nil), smoke...), args...), &out); err != nil {
 		t.Fatalf("experiments %v: %v", args, err)
 	}
-	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
+	return parseTable(t, out.String())
+}
+
+// parseTable reads one mode's output.
+func parseTable(t *testing.T, text string) table {
+	t.Helper()
+	lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
 	if len(lines) < 3 {
-		t.Fatalf("experiments %v printed %d lines:\n%s", args, len(lines), out.String())
+		t.Fatalf("a table of %d lines:\n%s", len(lines), text)
 	}
 	tab := table{header: lines[0], cols: strings.Split(lines[1], ",")}
 	for _, line := range lines[2:] {
@@ -76,7 +82,7 @@ func runMode(t *testing.T, args ...string) table {
 		}
 		row := strings.Split(line, ",")
 		if len(row) != len(tab.cols) {
-			t.Fatalf("experiments %v: row %q has %d fields under header %q", args, line, len(row), lines[1])
+			t.Fatalf("%s: row %q has %d fields under header %q", tab.header, line, len(row), lines[1])
 		}
 		tab.rows = append(tab.rows, row)
 	}
@@ -98,15 +104,25 @@ func (tab table) float(t *testing.T, row int, col string) float64 {
 	return 0
 }
 
-// Every mode of the table exits nil and prints its own header line, a CSV
-// header and at least one row under it.
+// `all` exits nil after running every mode of the table once, in table
+// order, each table closed by a blank line: every mode prints its own
+// header line, a CSV header and at least one row under it.
 func TestEveryModeRuns(t *testing.T) {
-	for _, m := range (&config{}).modes() {
+	if testing.Short() {
+		t.Skip("all runs fig3a at the figure's own sizes (n up to 8000)")
+	}
+	var out bytes.Buffer
+	if err := run(append(append([]string(nil), smoke...), "all"), &out); err != nil {
+		t.Fatalf("experiments all: %v", err)
+	}
+	modes := (&config{}).modes()
+	texts := strings.Split(strings.TrimSuffix(out.String(), "\n\n"), "\n\n")
+	if len(texts) != len(modes) {
+		t.Fatalf("all printed %d tables for %d modes:\n%s", len(texts), len(modes), out.String())
+	}
+	for i, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
-			if m.name == "fig3a" && testing.Short() {
-				t.Skip("fig3a runs the figure's own sizes (n up to 8000)")
-			}
-			tab := runMode(t, m.name)
+			tab := parseTable(t, texts[i])
 			if want := "# " + m.name + ": " + m.title; !strings.HasPrefix(tab.header, want) {
 				t.Fatalf("header %q, want prefix %q", tab.header, want)
 			}

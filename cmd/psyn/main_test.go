@@ -191,14 +191,17 @@ func TestRunQuantize(t *testing.T) {
 	}
 }
 
-// -v prints the dp: line for coefficient-tree wavelet builds, the same at
-// every -parallelism, and nothing for the SSE greedy.
-func TestRunVerboseWavelet(t *testing.T) {
+// -v prints one dp: line per DP build — bucket-cost evals for a histogram,
+// point-error evals for a coefficient-tree wavelet — the same at every
+// -parallelism and after -sweep, and nothing for a build that runs no DP
+// (the SSE wavelet greedy, an equi-depth histogram).
+func TestRunVerbose(t *testing.T) {
 	dir := t.TempDir()
 	dataset, _ := writeDataset(t, dir)
-	dpLine := func(args ...string) string {
+	dpLine := func(t *testing.T, args ...string) string {
+		t.Helper()
 		var out bytes.Buffer
-		if err := run(append([]string{"-input", dataset, "-wavelet", "-coeffs", "3", "-v"}, args...), &out); err != nil {
+		if err := run(append([]string{"-input", dataset, "-v"}, args...), &out); err != nil {
 			t.Fatal(err)
 		}
 		for _, line := range strings.Split(out.String(), "\n") {
@@ -208,18 +211,31 @@ func TestRunVerboseWavelet(t *testing.T) {
 		}
 		return ""
 	}
-	serial := dpLine("-metric", "SAE", "-parallelism", "1")
-	if !strings.Contains(serial, "split candidates") || !strings.Contains(serial, "point-error evals") {
-		t.Fatalf("wavelet -v printed %q", serial)
+	for _, row := range []struct {
+		name  string
+		args  []string
+		evals string
+	}{
+		{"histogram", []string{"-metric", "SSRE", "-buckets", "3"}, "bucket-cost evals"},
+		{"wavelet", []string{"-wavelet", "-metric", "SAE", "-coeffs", "3"}, "point-error evals"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			serial := dpLine(t, append(row.args, "-parallelism", "1")...)
+			if !strings.Contains(serial, "split candidates") || !strings.Contains(serial, row.evals) {
+				t.Fatalf("-v printed %q", serial)
+			}
+			if par := dpLine(t, append(row.args, "-parallelism", "2")...); par != serial {
+				t.Fatalf("-parallelism 2 printed %q, -parallelism 1 %q", par, serial)
+			}
+			if sweep := dpLine(t, append(row.args, "-sweep")...); sweep != serial {
+				t.Fatalf("-sweep printed %q, the plain build %q", sweep, serial)
+			}
+		})
 	}
-	if par := dpLine("-metric", "SAE", "-parallelism", "2"); par != serial {
-		t.Fatalf("-parallelism 2 printed %q, -parallelism 1 %q", par, serial)
-	}
-	if sweep := dpLine("-metric", "SAE", "-sweep"); sweep != serial {
-		t.Fatalf("-sweep printed %q, the plain build %q", sweep, serial)
-	}
-	if line := dpLine("-metric", "SSE"); line != "" {
-		t.Fatalf("SSE wavelet -v printed %q, want nothing", line)
+	for _, args := range [][]string{{"-wavelet", "-metric", "SSE", "-coeffs", "3"}, {"-equidepth", "-buckets", "3"}} {
+		if line := dpLine(t, args...); line != "" {
+			t.Fatalf("%v -v printed %q, want nothing", args, line)
+		}
 	}
 }
 
@@ -333,7 +349,7 @@ func TestRunQuery(t *testing.T) {
 		t.Fatalf("op 2: want not_found, got %+v", resp.Results[2])
 	}
 	// A second run over the same catalog produces the same bytes
-	// (determinism underpinning the served-vs-offline cmp check in CI).
+	// (determinism underpinning TestRunQueryMatchesServedBatch).
 	var again bytes.Buffer
 	if err := run([]string{"-query", reqPath, "-out", catDir}, &again); err != nil {
 		t.Fatal(err)
@@ -501,6 +517,11 @@ func TestRunQueryMatchesServedBatch(t *testing.T) {
 			t.Fatalf("%v: %v", args, err)
 		}
 	}
+	// A sweep past a 6-item dataset's domain: budgets 7..9 are files too.
+	tiny, _ := writeValueDataset(t, dir, "tiny.pd", 6)
+	if err := run([]string{"-input", tiny, "-dataset", "tiny", "-out", catDir, "-metric", "SSE", "-buckets", "9", "-sweep"}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
 	// And one synopsis whose numbers are finite and whose sums are not.
 	huge, err := catalog.NewKey("huge", catalog.FamilyWavelet, "SSE", 2, 0)
 	if err != nil {
@@ -518,6 +539,7 @@ func TestRunQueryMatchesServedBatch(t *testing.T) {
 		{"dataset":"ds","family":"histogram","metric":"SSE","budget":8,"op":"rangesum","lo":5,"hi":40},
 		{"dataset":"ds","family":"histogram","metric":"SSE","budget":8,"shards":4,"op":"estimate","i":33},
 		{"dataset":"ds","family":"wavelet","metric":"SSE","budget":6,"op":"rangesum","lo":31,"hi":32},
+		{"dataset":"tiny","family":"histogram","metric":"SSE","budget":9,"op":"estimate","i":5},
 		{"dataset":"ds","family":"histogram","metric":"SSE","budget":9,"op":"estimate","i":0},
 		{"dataset":"ds","family":"histogram","metric":"SSE","budget":99,"op":"estimate","i":0},
 		{"dataset":"ds","family":"histogram","metric":"SSRE","budget":3,"c":0.25,"op":"estimate","i":0},
@@ -554,7 +576,7 @@ func TestRunQueryMatchesServedBatch(t *testing.T) {
 	if !bytes.Equal(offline.Bytes(), rec.Body.Bytes()) {
 		t.Fatalf("psyn -query and POST /v1/query disagree:\noffline %s\nserved  %s", offline.Bytes(), rec.Body)
 	}
-	// The bytes agree about something: seven answers, then ten errors.
+	// The bytes agree about something: eight answers, then ten errors.
 	var resp struct {
 		Results []struct {
 			Err *struct {
@@ -562,10 +584,10 @@ func TestRunQueryMatchesServedBatch(t *testing.T) {
 			} `json:"error"`
 		} `json:"results"`
 	}
-	if err := json.Unmarshal(offline.Bytes(), &resp); err != nil || len(resp.Results) != 17 {
+	if err := json.Unmarshal(offline.Bytes(), &resp); err != nil || len(resp.Results) != 18 {
 		t.Fatalf("%d results (%v):\n%s", len(resp.Results), err, offline.Bytes())
 	}
-	wantCodes := []string{"", "", "", "", "", "", "", "not_found", "not_found", "not_found",
+	wantCodes := []string{"", "", "", "", "", "", "", "", "not_found", "not_found", "not_found",
 		"bad_request", "bad_request", "bad_request", "bad_request", "bad_request", "bad_request", "internal"}
 	for i, r := range resp.Results {
 		got := ""

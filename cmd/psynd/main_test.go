@@ -11,10 +11,13 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -22,6 +25,18 @@ import (
 	"probsyn/internal/catalog"
 	"probsyn/internal/gen"
 )
+
+// runMainEnv, set in the environment of a re-run of this test binary,
+// makes that process psynd itself: TestMain hands its arguments to main.
+const runMainEnv = "PSYND_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // syncBuffer is a mutex-guarded buffer: the test reads psynd's stdout
 // while the server goroutine is still writing it.
@@ -391,5 +406,59 @@ func TestRunFlatRequiresCatalog(t *testing.T) {
 	err := run(context.Background(), []string{"-data", t.TempDir(), "-flat"}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "-flat requires -catalog") {
 		t.Fatalf("err = %v, want -flat requires -catalog", err)
+	}
+}
+
+// The signal wiring is main's, not run's: every other test cancels run's
+// context itself. Re-run this test binary as psynd, wait for its listen
+// line, send SIGTERM, and want exit status 0 — the listener closed and
+// the queue drained — before the drain timeout runs out.
+func TestPsyndExitsZeroOnSIGTERM(t *testing.T) {
+	if runtime.GOOS == "windows" {
+		t.Skip("SIGTERM cannot be sent to a process on windows")
+	}
+	const drain = 10 * time.Second
+	dataDir := t.TempDir()
+	writeDataset(t, dataDir)
+	cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:0", "-data", dataDir, "-catalog", t.TempDir(),
+		"-drain-timeout", drain.String())
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	out := &syncBuffer{}
+	cmd.Stdout, cmd.Stderr = out, out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	kill := func() {
+		cmd.Process.Kill()
+		<-exited
+	}
+	listening := time.After(15 * time.Second)
+	for !listenRE.MatchString(out.String()) {
+		select {
+		case err := <-exited:
+			t.Fatalf("psynd exited before listening: %v\noutput:\n%s", err, out)
+		case <-listening:
+			kill()
+			t.Fatalf("psynd never reported its listen address:\n%s", out)
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		kill()
+		t.Fatal(err)
+	}
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("psynd after SIGTERM: %v, want exit status 0\noutput:\n%s", err, out)
+		}
+	case <-time.After(drain):
+		kill()
+		t.Fatalf("psynd still running %v after SIGTERM:\n%s", drain, out)
+	}
+	if !strings.Contains(out.String(), "psynd: bye") {
+		t.Fatalf("psynd exited 0 without its shutdown line:\n%s", out)
 	}
 }

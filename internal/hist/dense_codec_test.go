@@ -1,8 +1,8 @@
 package hist_test
 
 // Default builds against the dense reference, compared as the bytes a
-// saved synopsis has: at serving scale (the test CI runs by name), after
-// live mutations, and through the sharded merge.
+// saved synopsis has: at serving scale (CI also times its SARE and MAE
+// legs), after live mutations, and through the sharded merge.
 
 import (
 	"bytes"

@@ -186,13 +186,21 @@ func assertCatalogMatchesOfflineRebuild(t *testing.T, catDir string, want *pdata
 // entry. (When the k pieces were catalog keys too, each was its own
 // revalidation group: every group re-applied the mutation to the one
 // shared live frontier, and the listing showed pieces of domain 26 and 27
-// beside a 24-item dataset after a single one-item append.)
+// beside a 24-item dataset after a single one-item append.) The keys are
+// three groups: a split histogram DP, an SSE wavelet (never split) and a
+// restricted SAE wavelet DP split four ways.
 func TestMutateAfterShardedBuild(t *testing.T) {
 	catDir := t.TempDir()
 	_, ts, vp := newValueFixture(t, Config{CatalogDir: catDir})
-	for _, family := range []string{"histogram", "wavelet"} {
-		if resp, _, bad := postBuild(t, ts, BuildRequest{Dataset: "vds", Family: family, Metric: "SSE", Budget: 6, Shards: 2, Wait: true}); resp.StatusCode != http.StatusOK {
-			t.Fatalf("sharded %s build: %d %v", family, resp.StatusCode, bad)
+	const built = 3
+	for _, req := range []BuildRequest{
+		{Family: "histogram", Metric: "SSE", Shards: 2},
+		{Family: "wavelet", Metric: "SSE", Shards: 2},
+		{Family: "wavelet", Metric: "SAE", Shards: 4},
+	} {
+		req.Dataset, req.Budget, req.Wait = "vds", 6, true
+		if resp, _, bad := postBuild(t, ts, req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("sharded %+v build: %d %v", req, resp.StatusCode, bad)
 		}
 	}
 	item := ItemPDFWire{Entries: []FreqProbWire{{Freq: 3, Prob: 0.5}}}
@@ -215,13 +223,13 @@ func TestMutateAfterShardedBuild(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("mutation %d: %d %v", step, resp.StatusCode, bad)
 		}
-		if ok.Domain != want.N || ok.Republished != 2 {
-			t.Fatalf("mutation %d answered domain %d, republished %d; want %d and the 2 built keys", step, ok.Domain, ok.Republished, want.N)
+		if ok.Domain != want.N || ok.Republished != built {
+			t.Fatalf("mutation %d answered domain %d, republished %d; want %d and the %d built keys", step, ok.Domain, ok.Republished, want.N, built)
 		}
 		var list ListResponse
 		getJSON(t, ts.URL+"/v1/synopses", &list)
-		if len(list.Synopses) != 2 {
-			t.Fatalf("mutation %d: %d synopses listed, want 2: %+v", step, len(list.Synopses), list.Synopses)
+		if len(list.Synopses) != built {
+			t.Fatalf("mutation %d: %d synopses listed, want %d: %+v", step, len(list.Synopses), built, list.Synopses)
 		}
 		for _, row := range list.Synopses {
 			domain := want.N
@@ -233,7 +241,7 @@ func TestMutateAfterShardedBuild(t *testing.T) {
 			}
 		}
 		des, err := os.ReadDir(catDir)
-		if err != nil || len(des) != 2 {
+		if err != nil || len(des) != built {
 			t.Fatalf("mutation %d: catalog directory holds %d files, want one per built key (%v)", step, len(des), err)
 		}
 		assertCatalogMatchesOfflineRebuild(t, catDir, want, "vds", 0)

@@ -647,11 +647,11 @@ func TestSweepBudgetsBeyondDomainClamp(t *testing.T) {
 	_, ts, src := newFixture(t, Config{Catalog: cat, C: 0.5})
 	n := src.Domain()
 	B := n + 3
-	resp, _, bad := postSweep(t, ts, BuildRequest{
+	resp, ok, bad := postSweep(t, ts, BuildRequest{
 		Dataset: "ds", Family: catalog.FamilyHistogram, Metric: "SSE", Budget: B, Wait: true,
 	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep: status %d, error %+v", resp.StatusCode, bad)
+	if resp.StatusCode != http.StatusOK || ok.Budgets != B {
+		t.Fatalf("sweep: status %d, %d budgets, error %+v; want %d budgets", resp.StatusCode, ok.Budgets, bad, B)
 	}
 	for _, b := range []int{n, n + 1, B} {
 		key, err := catalog.NewKey("ds", catalog.FamilyHistogram, "SSE", b, 0)
