@@ -104,25 +104,35 @@ func (tab table) float(t *testing.T, row int, col string) float64 {
 	return 0
 }
 
-// `all` exits nil after running every mode of the table once, in table
-// order, each table closed by a blank line: every mode prints its own
-// header line, a CSV header and at least one row under it.
+// Every mode of the table exits nil and prints its own header line, a CSV
+// header and at least one row under it. The modes run as `all`, which must
+// print every table once, in table order, each closed by a blank line;
+// -short runs them one at a time instead and skips fig3a, which runs the
+// figure's own sizes (n up to 8000).
 func TestEveryModeRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("all runs fig3a at the figure's own sizes (n up to 8000)")
-	}
-	var out bytes.Buffer
-	if err := run(append(append([]string(nil), smoke...), "all"), &out); err != nil {
-		t.Fatalf("experiments all: %v", err)
-	}
 	modes := (&config{}).modes()
-	texts := strings.Split(strings.TrimSuffix(out.String(), "\n\n"), "\n\n")
-	if len(texts) != len(modes) {
-		t.Fatalf("all printed %d tables for %d modes:\n%s", len(texts), len(modes), out.String())
+	var texts []string
+	if !testing.Short() {
+		var out bytes.Buffer
+		if err := run(append(append([]string(nil), smoke...), "all"), &out); err != nil {
+			t.Fatalf("experiments all: %v", err)
+		}
+		texts = strings.Split(strings.TrimSuffix(out.String(), "\n\n"), "\n\n")
+		if len(texts) != len(modes) {
+			t.Fatalf("all printed %d tables for %d modes:\n%s", len(texts), len(modes), out.String())
+		}
 	}
 	for i, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
-			tab := parseTable(t, texts[i])
+			var tab table
+			switch {
+			case texts != nil:
+				tab = parseTable(t, texts[i])
+			case m.name == "fig3a":
+				t.Skip("fig3a runs the figure's own sizes (n up to 8000)")
+			default:
+				tab = runMode(t, m.name)
+			}
 			if want := "# " + m.name + ": " + m.title; !strings.HasPrefix(tab.header, want) {
 				t.Fatalf("header %q, want prefix %q", tab.header, want)
 			}

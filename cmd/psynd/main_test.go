@@ -14,7 +14,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -414,9 +413,6 @@ func TestRunFlatRequiresCatalog(t *testing.T) {
 // line, send SIGTERM, and want exit status 0 — the listener closed and
 // the queue drained — before the drain timeout runs out.
 func TestPsyndExitsZeroOnSIGTERM(t *testing.T) {
-	if runtime.GOOS == "windows" {
-		t.Skip("SIGTERM cannot be sent to a process on windows")
-	}
 	const drain = 10 * time.Second
 	dataDir := t.TempDir()
 	writeDataset(t, dataDir)
