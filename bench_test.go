@@ -287,56 +287,37 @@ func BenchmarkWaveletRestrictedApprox(b *testing.B) {
 
 // --- sharded builds -----------------------------------------------------------
 
-// BenchmarkShardedBuild: the same synopsis built with k ∈ {1, 2, 4, 8}
+// BenchmarkShardedBuild: the same histogram built with k ∈ {1, 2, 4, 8}
 // domain shards at one pool worker and at one per CPU, so a k = 1 row is
 // compared with sharded rows that had the same cores (a k-way build fans
-// its shards over k goroutines at any worker count; k = 1 is the
-// unsharded build and uses only the pool). Each row reports the merged
-// synopsis's cost and the certified Bound beside its time: what sharding
-// buys is the time, what it pays is cost(k) - cost(1), and Bound is what
-// it promises. Two speedup sources compose: work reduction (each shard's
-// DP runs over n/k items, so a superlinear DP — the histogram's, the exact
-// coefficient tree's — shrinks faster than the shard count) and shard
-// concurrency. (A quantized restricted DP is not sharded: its O(n·q·B)
-// work is linear in n, so k bought concurrency alone, which its own level
-// sweeps already have.) A sharded SSE wavelet build is the greedy of
-// Theorem 7, unsplit, so every k of its entry times that one O(n log n)
-// top-B.
+// its shards over up to k of the pool's workers; k = 1 is the unsharded
+// build). Each row reports the merged histogram's cost and the certified
+// Bound beside its time: what sharding buys is the time, what it pays is
+// cost(k) - cost(1), and Bound is what it promises. Two speedup sources
+// compose: work reduction (each shard's DP runs over n/k items, so the
+// superlinear histogram DP shrinks faster than the shard count) and shard
+// concurrency. (A wavelet is not sharded: past the exact tree DP's reach,
+// WithQuantize is the faster and tighter path.)
 func BenchmarkShardedBuild(b *testing.B) {
-	wavelet := []probsyn.BuildOption{probsyn.WithWavelet()}
-	cases := []struct {
-		name string
-		n, B int
-		m    probsyn.Metric
-		opts []probsyn.BuildOption
-	}{
-		{"histogram-SSE/n=8192/B=8", 8192, 8, probsyn.SSE, nil},
-		{"wavelet-SSE/n=65536/B=64", 65536, 64, probsyn.SSE, wavelet},
-		{"wavelet-SAE/n=512/B=32", 512, 32, probsyn.SAE, wavelet},
-		{"wavelet-SARE/n=1024/B=16", 1024, 16, probsyn.SARE, wavelet},
-		{"wavelet-MAE/n=512/B=32", 512, 32, probsyn.MAE, wavelet},
-	}
+	const n, B = 8192, 8
+	src := benchLinkage(n)
 	workers := []int{1}
 	if runtime.NumCPU() > 1 {
 		workers = append(workers, runtime.NumCPU())
 	}
-	for _, c := range cases {
-		src := benchLinkage(c.n)
-		for _, k := range []int{1, 2, 4, 8} {
-			for _, w := range workers {
-				b.Run(fmt.Sprintf("%s/k=%d/workers=%d", c.name, k, w), func(b *testing.B) {
-					opts := append(c.opts[:len(c.opts):len(c.opts)], probsyn.WithParallelism(w))
-					var res *probsyn.ShardedResult
-					for i := 0; i < b.N; i++ {
-						var err error
-						if res, err = probsyn.BuildSharded(src, c.m, c.B, k, opts...); err != nil {
-							b.Fatal(err)
-						}
+	for _, k := range []int{1, 2, 4, 8} {
+		for _, w := range workers {
+			b.Run(fmt.Sprintf("histogram-SSE/n=%d/B=%d/k=%d/workers=%d", n, B, k, w), func(b *testing.B) {
+				var res *probsyn.ShardedResult
+				for i := 0; i < b.N; i++ {
+					var err error
+					if res, err = probsyn.BuildSharded(src, probsyn.SSE, B, k, probsyn.WithParallelism(w)); err != nil {
+						b.Fatal(err)
 					}
-					b.ReportMetric(res.Synopsis.ErrorCost(), "cost")
-					b.ReportMetric(res.Bound, "bound")
-				})
-			}
+				}
+				b.ReportMetric(res.Synopsis.ErrorCost(), "cost")
+				b.ReportMetric(res.Bound, "bound")
+			})
 		}
 	}
 }

@@ -121,8 +121,9 @@ func WithUnrestricted(q int) BuildOption {
 // Results stay bit-identical at any worker count. Requires WithWavelet
 // and a metric the restricted DP prices (not plain SSE, whose greedy
 // build is already exact); mutually exclusive with WithUnrestricted.
-// BuildSharded accepts it at k = 1 only: a finer unsharded grid beats a
-// sharded quantized merge for the same time.
+// It is the library's one answer to a restricted wavelet too large for
+// the exact DP: BuildSharded refuses wavelets, whose sharded merge was
+// no faster, costlier and certified far looser.
 func WithQuantize(q int) BuildOption {
 	return func(c *buildConfig) { c.rquant, c.rquantSet = q, true }
 }

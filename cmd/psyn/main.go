@@ -59,7 +59,6 @@ import (
 	"probsyn/internal/catalog"
 	"probsyn/internal/engine"
 	"probsyn/internal/query"
-	"probsyn/internal/synopsis"
 )
 
 // errParse marks a flag-parse failure the FlagSet has already reported to
@@ -100,7 +99,7 @@ func run(args []string, stdout io.Writer) error {
 		flagSaveData = fs.String("save-data", "", "with -append: write the merged dataset to this file")
 		flagQuery    = fs.String("query", "", "batch request file (POST /v1/query JSON body) answered offline from the -out catalog directory; the response JSON is written to stdout, byte-identical to a served one")
 		flagPack     = fs.String("pack", "", "pack this catalog directory's synopses into its flat file (catalog.flat) for millisecond psynd -flat boots; deterministic, byte-identical to the server's own re-packs")
-		flagShards   = fs.Int("shards", 0, "if >= 2, build sharded: split the domain into this many contiguous ranges, build each within -parallelism, and merge (the exact DP families report a certified additive suboptimality bound; an SSE wavelet is the unsharded greedy, bound 0; not with -quantize); with -out (a catalog directory), the merged synopsis is saved under its key-encoded filename")
+		flagShards   = fs.Int("shards", 0, "if >= 2, build a sharded histogram: split the domain into this many contiguous ranges, build each within -parallelism, and merge, reporting a certified additive suboptimality bound; with -out (a catalog directory), the merged synopsis is saved under its key-encoded filename. Not with -wavelet: past the exact DP's reach, build unsharded with -quantize")
 		flagVerbose  = fs.Bool("v", false, "after a histogram or coefficient-tree wavelet DP build (plain, -sweep, or -shards), report the DP work counters: split candidates scanned vs. pruned and cost evaluations (see probsyn.DPStats); non-DP builds print nothing")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -187,13 +186,16 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *flagShards >= 2 {
-		if *flagEqui || *flagApprox > 0 || *flagQuant >= 0 {
-			return fmt.Errorf("-shards needs the exact DP (drop -equidepth/-approx/-quantize/-unrestricted)")
+		if *flagWavelet {
+			return fmt.Errorf("-shards builds histograms only (drop -wavelet; past the exact DP's reach, use -quantize)")
+		}
+		if *flagEqui || *flagApprox > 0 {
+			return fmt.Errorf("-shards needs the exact DP (drop -equidepth/-approx)")
 		}
 		if err := runSharded(stdout, src, m, p, budget, *flagShards, dataset, *flagOut, opts); err != nil {
 			return err
 		}
-		reportDPStats(stdout, dpStats, *flagWavelet)
+		reportDPStats(stdout, dpStats, false)
 		return nil
 	}
 
@@ -402,7 +404,7 @@ func runSweep(stdout io.Writer, src probsyn.Source, m probsyn.Metric, p probsyn.
 	return nil
 }
 
-// runSharded builds a k-way sharded synopsis — the offline twin of a
+// runSharded builds a k-way sharded histogram — the offline twin of a
 // psynd build request with shards — printing the merged cost and the
 // certified additive suboptimality bound, and (with -out) publishing the
 // merged synopsis under its key-encoded catalog filename, as psynd does.
@@ -412,12 +414,8 @@ func runSharded(stdout io.Writer, src probsyn.Source, m probsyn.Metric, p probsy
 		return err
 	}
 	syn := res.Synopsis
-	family, err := synopsis.TypeName(syn)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "sharded %s %v build over n=%d: %d shards, budget %d, expected error %.6g\n",
-		family, m, src.Domain(), shards, budget, syn.ErrorCost())
+	fmt.Fprintf(stdout, "sharded histogram %v build over n=%d: %d shards, budget %d, expected error %.6g\n",
+		m, src.Domain(), shards, budget, syn.ErrorCost())
 	if res.Bound == 0 {
 		fmt.Fprintln(stdout, "merge is exact: cost equals the unsharded optimum")
 	} else {

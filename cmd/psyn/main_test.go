@@ -409,14 +409,6 @@ func TestRunSharded(t *testing.T) {
 	if des, err := os.ReadDir(catDir); err != nil || len(des) != 1 {
 		t.Fatalf("-shards 4 -out wrote %d files, want 1 (%v)", len(des), err)
 	}
-	// SSE wavelet sharding is exact, and the report says so.
-	out.Reset()
-	if err := run([]string{"-input", dataset, "-wavelet", "-metric", "SSE", "-coeffs", "6", "-shards", "2", "-dataset", "ds", "-out", catDir}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "merge is exact") {
-		t.Fatalf("SSE wavelet shard merge not reported exact:\n%s", out.String())
-	}
 
 	// -append revalidates a sharded build's file like any other: one file
 	// in, one file out, equal to a build over the grown dataset.
@@ -462,7 +454,7 @@ func TestRunShardedSameAtEveryParallelism(t *testing.T) {
 		file string
 	}{
 		{"histogram-SAE", []string{"-metric", "SAE", "-buckets", "8"}, "ds--histogram--SAE--b8.psyn"},
-		{"wavelet-SAE", []string{"-wavelet", "-metric", "SAE", "-coeffs", "8"}, "ds--wavelet--SAE--b8.psyn"},
+		{"histogram-MAE", []string{"-metric", "MAE", "-buckets", "8"}, "ds--histogram--MAE--b8.psyn"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var wantOut string
@@ -510,7 +502,7 @@ func TestRunQueryMatchesServedBatch(t *testing.T) {
 		{"-wavelet", "-metric", "SAE", "-coeffs", "3", "-sweep"},
 		{"-metric", "SSRE", "-buckets", "3", "-sweep"}, // keyed by the default -c
 		{"-metric", "SSE", "-buckets", "8", "-shards", "4"},
-		{"-wavelet", "-metric", "SSE", "-coeffs", "6", "-shards", "2"},
+		{"-wavelet", "-metric", "SSE", "-coeffs", "6", "-sweep"},
 	} {
 		args = append([]string{"-input", dataset, "-dataset", "ds", "-out", catDir}, args...)
 		if err := run(args, io.Discard); err != nil {
@@ -603,20 +595,30 @@ func TestRunQueryMatchesServedBatch(t *testing.T) {
 func TestRunShardedValidation(t *testing.T) {
 	dir := t.TempDir()
 	dataset, _ := writeDataset(t, dir)
-	if err := run([]string{"-input", dataset, "-shards", "2", "-equidepth"}, io.Discard); err == nil {
-		t.Fatal("-shards -equidepth accepted")
-	}
-	if err := run([]string{"-input", dataset, "-shards", "2", "-sweep"}, io.Discard); err == nil {
-		t.Fatal("-shards -sweep accepted")
-	}
-	// A quantized wavelet DP is not sharded: the flag check says so before
-	// anything is built.
-	for _, extra := range [][]string{{"-quantize", "4"}, {"-quantize", "2", "-unrestricted"}} {
-		args := append([]string{"-input", dataset, "-wavelet", "-metric", "SAE", "-coeffs", "8", "-shards", "2"}, extra...)
-		err := run(args, io.Discard)
-		if err == nil || !strings.Contains(err.Error(), "drop -equidepth/-approx/-quantize/-unrestricted") {
-			t.Fatalf("%v: %v", extra, err)
-		}
+	catDir := filepath.Join(dir, "catalog")
+	// A wavelet is not sharded, exact, greedy or quantized: the flag check
+	// says so, and points at -quantize, before anything is built.
+	wavelet := "drop -wavelet; past the exact DP's reach, use -quantize"
+	for name, tc := range map[string]struct {
+		args []string
+		want string
+	}{
+		"equidepth":            {[]string{"-equidepth"}, "drop -equidepth/-approx"},
+		"sweep":                {[]string{"-sweep"}, "drop -shards"},
+		"wavelet":              {[]string{"-wavelet", "-metric", "SAE"}, wavelet},
+		"wavelet-SSE":          {[]string{"-wavelet", "-metric", "SSE"}, wavelet},
+		"wavelet-quantize":     {[]string{"-wavelet", "-metric", "SAE", "-quantize", "4"}, wavelet},
+		"wavelet-unrestricted": {[]string{"-wavelet", "-metric", "SAE", "-quantize", "2", "-unrestricted"}, wavelet},
+	} {
+		t.Run(name, func(t *testing.T) {
+			args := append([]string{"-input", dataset, "-coeffs", "8", "-shards", "4", "-out", catDir}, tc.args...)
+			if err := run(args, io.Discard); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%v: %v, want an error containing %q", tc.args, err, tc.want)
+			}
+			if _, err := os.Stat(catDir); !os.IsNotExist(err) {
+				t.Fatalf("refused build left %s (%v)", catDir, err)
+			}
+		})
 	}
 }
 

@@ -21,17 +21,18 @@ import (
 
 // TestWritePathsAgree is the write-side twin of internal/server's
 // TestReadPathsAgree: for every (family, metric, q) and every kind of job
-// that writes a catalog — a build, a sharded build, a sweep inside the
-// domain, a sweep past it, an append, an update — the directory a psynd
-// handler leaves equals, file for file and byte for byte, the directory
-// the offline psyn path writes, and every file in it is
-// MarshalSynopsis(probsyn.Build(...)) of its key over the final data.
+// that writes a catalog — a build, a sharded histogram build, a sweep
+// inside the domain, a sweep past it, an append, an update — the
+// directory a psynd handler leaves equals, file for file and byte for
+// byte, the directory the offline psyn path writes, and every file in it
+// is MarshalSynopsis(probsyn.Build(...)) of its key over the final data
+// (of BuildSharded's, for the sharded job's one file).
 // Served and offline files are interchangeable because both sides run
 // catalog.Publish and catalog.ExtractAndPublish, not because they were
 // compared; this test is what notices if one side stops.
 func TestWritePathsAgree(t *testing.T) {
 	const (
-		n        = 16 // a power of two, so wavelet shards and the padded domain are n
+		n        = 16 // a power of two, so the padded wavelet domain is n
 		moreN    = 3
 		updateI  = 2
 		shardK   = 2
@@ -54,8 +55,8 @@ func TestWritePathsAgree(t *testing.T) {
 
 	for _, cfg := range configs {
 		for _, job := range jobs {
-			if job == "sharded" && cfg.q > 0 {
-				continue // a quantized wavelet DP is not sharded
+			if job == "sharded" && cfg.family == catalog.FamilyWavelet {
+				continue // a wavelet is not sharded
 			}
 			t.Run(cfg.name+"/"+job, func(t *testing.T) {
 				dir := t.TempDir()
@@ -134,7 +135,7 @@ func TestWritePathsAgree(t *testing.T) {
 				}
 
 				final := base // the data every file must be a build over
-				shards := 1   // BuildSharded at k = 1 is Build
+				shards := 1
 				switch job {
 				case "build":
 					build(cfg, "/v1/build", inDomain, 0)
@@ -252,11 +253,17 @@ func TestWritePathsAgree(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					res, err := probsyn.BuildSharded(final, m, key.Budget, shards, opts...)
-					if err != nil {
+					var syn probsyn.Synopsis
+					if shards > 1 {
+						res, err := probsyn.BuildSharded(final, m, key.Budget, shards, opts...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						syn = res.Synopsis
+					} else if syn, err = probsyn.Build(final, m, key.Budget, opts...); err != nil {
 						t.Fatal(err)
 					}
-					want, err := probsyn.MarshalSynopsis(res.Synopsis)
+					want, err := probsyn.MarshalSynopsis(syn)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -28,10 +28,12 @@
 //	psyn -pack ./catalog
 //	psynd -addr 127.0.0.1:7075 -data ./data -catalog ./catalog -flat
 //
-// One node serves every dataset. A sharded build ("shards":k in the
-// build body) splits the DP, not the serving: the merged synopsis is
-// published under the ordinary key like any other build, and the
-// response carries the merge's suboptimality bound:
+// One node serves every dataset. A sharded histogram build ("shards":k
+// in the build body, k at most the budget) splits the DP, not the
+// serving: the merged synopsis is published under the ordinary key like
+// any other build, and the response carries the merge's suboptimality
+// bound. A wavelet is never sharded (a sharded wavelet body answers 400):
+// past the exact DP's reach, "quantize":q builds it unsharded.
 //
 //	curl -X POST localhost:7075/v1/build \
 //	     -d '{"dataset":"ds","family":"histogram","metric":"SSE","budget":16,"shards":4,"wait":true}'

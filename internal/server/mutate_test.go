@@ -187,16 +187,15 @@ func assertCatalogMatchesOfflineRebuild(t *testing.T, catDir string, want *pdata
 // revalidation group: every group re-applied the mutation to the one
 // shared live frontier, and the listing showed pieces of domain 26 and 27
 // beside a 24-item dataset after a single one-item append.) The keys are
-// three groups: a split histogram DP, an SSE wavelet (never split) and a
-// restricted SAE wavelet DP split four ways.
+// three groups, histogram DPs split two, three and four ways.
 func TestMutateAfterShardedBuild(t *testing.T) {
 	catDir := t.TempDir()
 	_, ts, vp := newValueFixture(t, Config{CatalogDir: catDir})
 	const built = 3
 	for _, req := range []BuildRequest{
 		{Family: "histogram", Metric: "SSE", Shards: 2},
-		{Family: "wavelet", Metric: "SSE", Shards: 2},
-		{Family: "wavelet", Metric: "SAE", Shards: 4},
+		{Family: "histogram", Metric: "MAE", Shards: 3},
+		{Family: "histogram", Metric: "SAE", Shards: 4},
 	} {
 		req.Dataset, req.Budget, req.Wait = "vds", 6, true
 		if resp, _, bad := postBuild(t, ts, req); resp.StatusCode != http.StatusOK {
@@ -232,11 +231,7 @@ func TestMutateAfterShardedBuild(t *testing.T) {
 			t.Fatalf("mutation %d: %d synopses listed, want %d: %+v", step, len(list.Synopses), built, list.Synopses)
 		}
 		for _, row := range list.Synopses {
-			domain := want.N
-			if row.Key.Family == "wavelet" {
-				domain = 32 // padded to a power of two
-			}
-			if row.Domain != domain {
+			if row.Domain != want.N {
 				t.Fatalf("mutation %d: %v listed at domain %d, the dataset has %d items", step, row.Key, row.Domain, want.N)
 			}
 		}

@@ -41,8 +41,8 @@
 //	                   resolution across the whole batch.
 //	GET  /v1/synopses  — list catalog entries.
 //
-// Sharded builds: a build request with shards >= 2 partitions the
-// domain, builds the shards within the pool's workers on one admission
+// Sharded builds: a histogram build request with shards >= 2 partitions
+// the domain, builds the shards within the pool's workers on one admission
 // token (probsyn.BuildSharded), and publishes the merged synopsis under the
 // ordinary key — nothing downstream of the build can tell how a synopsis
 // was built. Sharding is a property of the build, not of serving: one
@@ -425,11 +425,12 @@ type BuildRequest struct {
 	// The grid size is part of the catalog key, so exact and quantized
 	// synopses of the same dataset/metric/budget coexist.
 	Quantize int `json:"quantize,omitempty"`
-	// Shards >= 2 requests a sharded build: the domain splits into that
-	// many contiguous ranges built in parallel over the pool and merged
-	// (probsyn.BuildSharded); the merged synopsis publishes under the
-	// ordinary key. 0 or 1 is an ordinary unsharded build. Exact DPs
-	// only: with Quantize, Shards >= 2 is a bad request.
+	// Shards >= 2 requests a sharded histogram build: the domain splits
+	// into that many contiguous ranges built in parallel over the pool
+	// and merged (probsyn.BuildSharded); the merged synopsis publishes
+	// under the ordinary key. 0 or 1 is an ordinary unsharded build. A
+	// wavelet, or a budget below the shard count, with Shards >= 2 is a
+	// bad request.
 	Shards int `json:"shards,omitempty"`
 	// Wait makes the request synchronous: the response arrives after the
 	// queued build completes (or fails).
@@ -603,8 +604,12 @@ func (s *Server) handleBuildLike(w http.ResponseWriter, r *http.Request, sweep b
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "sweeps cannot be sharded")
 		return
 	}
-	if key.Q > 0 && shards > 1 {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "a quantized wavelet DP cannot be sharded")
+	if key.Family == catalog.FamilyWavelet && shards > 1 {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "a wavelet is not sharded: build it unsharded, with quantize past the exact DP's reach")
+		return
+	}
+	if shards > key.Budget {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "%d shards need budget >= %d (one bucket per shard), got %d", shards, shards, key.Budget)
 		return
 	}
 	budgets := 0

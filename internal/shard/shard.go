@@ -1,5 +1,5 @@
-// Package shard holds the two pieces of domain-sharded synopsis
-// construction that every family shares: the deterministic contiguous
+// Package shard holds the two pieces of a domain-sharded histogram
+// build that are not histogram code: the deterministic contiguous
 // partition of an item domain into k shards, and the exact budget-
 // allocation dynamic program that recombines per-shard cost frontiers
 // into one global budget split.

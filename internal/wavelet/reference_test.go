@@ -205,7 +205,7 @@ func denseSplits(d *treeDP, l int) int64 {
 	return total
 }
 
-// buildTree runs the production forward sweep the way sweepDP does.
+// buildTree runs the production forward sweep the way NewSweep does.
 func buildTree(t testing.TB, src pdata.Source, family Family, kind metric.Kind, p metric.Params, B, q int, pool *engine.Pool) (*treeDP, *pdata.ValuePDF) {
 	t.Helper()
 	vp := padValuePDF(pdata.AsValuePDF(src))

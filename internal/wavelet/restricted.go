@@ -240,12 +240,6 @@ func restrictedSingleton(pe *PointErrors, c0 float64, b int) *Synopsis {
 	return syn
 }
 
-// restrictedSingletonForced is restrictedSingleton with the retain
-// decision forced: the sharded merge pins every shard's c0.
-func restrictedSingletonForced(pe *PointErrors, c0 float64) *Synopsis {
-	return &Synopsis{N: 1, Indices: []int{0}, Values: []float64{c0}, Cost: pe.Err(0, c0)}
-}
-
 // padValuePDF extends a value pdf with deterministic-zero items up to the
 // next power-of-two domain size.
 func padValuePDF(vp *pdata.ValuePDF) *pdata.ValuePDF {

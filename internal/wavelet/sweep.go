@@ -27,9 +27,8 @@ import (
 // of the sole reference that has extracted what it needs calls it: a
 // single-budget build (buildAt, probsyn.Build) after its one extraction,
 // and a live frontier for the sweep a mutation replaced. A sweep a caller
-// keeps — a BuildSweep frontier, a live frontier's current sweep, the
-// per-shard sweeps of a sharded build — is never released and lives until
-// it is garbage collected.
+// keeps — a BuildSweep frontier, a live frontier's current sweep — is
+// never released and lives until it is garbage collected.
 type Sweep struct {
 	bmax    int
 	at      func(b int) *Synopsis
@@ -171,8 +170,20 @@ func NewSweep(src pdata.Source, family Family, kind metric.Kind, p metric.Params
 	if family == SSEFamily {
 		return newSSEGreedy(src).sweep(B), nil
 	}
-	sw, _, err := sweepDP(src, family, kind, p, B, q, false, pool)
-	return sw, err
+	vp := padValuePDF(pdata.AsValuePDF(src))
+	pe, cands, quant, err := dpInputs(vp, family, kind, p, q)
+	if err != nil {
+		return nil, err
+	}
+	B = min(B, vp.N)
+	if vp.N == 1 {
+		return extractionSweep(B, func(b int) *Synopsis { return singleton(family, pe, cands[0], b) }), nil
+	}
+	d, err := newTreeDP(vp.N, B, cands, pe, kind.Cumulative(), quant, pool)
+	if err != nil {
+		return nil, err
+	}
+	return d.sweep(), nil
 }
 
 // buildAt is the single-budget form of NewSweep: the frontier at budget B
@@ -185,37 +196,6 @@ func buildAt(src pdata.Source, family Family, kind metric.Kind, p metric.Params,
 	syn := sw.at(sw.bmax)
 	sw.Release()
 	return syn, syn.Cost, nil
-}
-
-// sweepDP is the frontier of a coefficient-tree DP family, with the
-// sharded merge's two extras: forced (restricted family only) pins the
-// root coefficient retained at its expected value (one budget unit spent
-// on c0, the rest optimized over the details — the per-shard sweeps of a
-// sharded build, whose local c0 must survive into the merged synopsis),
-// and the PointErrors is returned so the sharded bound can price
-// reconstruction slack without rebuilding it.
-func sweepDP(src pdata.Source, family Family, kind metric.Kind, p metric.Params, B, q int, forced bool, pool *engine.Pool) (*Sweep, *PointErrors, error) {
-	if forced && B < 1 {
-		return nil, nil, fmt.Errorf("wavelet: forced-root sweep needs budget >= 1, got %d", B)
-	}
-	vp := padValuePDF(pdata.AsValuePDF(src))
-	pe, cands, quant, err := dpInputs(vp, family, kind, p, q)
-	if err != nil {
-		return nil, nil, err
-	}
-	B = min(B, vp.N)
-	if vp.N == 1 {
-		at := func(b int) *Synopsis { return singleton(family, pe, cands[0], b) }
-		if forced {
-			at = func(int) *Synopsis { return restrictedSingletonForced(pe, cands[0][0]) }
-		}
-		return extractionSweep(B, at), pe, nil
-	}
-	d, err := newTreeDP(vp.N, B, cands, pe, kind.Cumulative(), quant, pool)
-	if err != nil {
-		return nil, nil, err
-	}
-	return d.sweep(forced), pe, nil
 }
 
 // dpInputs derives what a coefficient-tree DP runs on from a padded value
@@ -258,20 +238,20 @@ func singleton(family Family, pe *PointErrors, cands []float64, b int) *Synopsis
 	return restrictedSingleton(pe, cands[0], b)
 }
 
-// sweep wraps the solved tables as a Sweep over every budget up to d.B
-// (root-retaining extractions when forced). In quantized mode the table's
-// objective is only approximate, so extraction re-evaluates each synopsis
-// exactly (its Cost is the true expected error — never below the exact
-// optimum, since the synopsis is a feasible exact solution) and the sweep
-// carries the DP's additive suboptimality bound.
-func (d *treeDP) sweep(forced bool) *Sweep {
+// sweep wraps the solved tables as a Sweep over every budget up to d.B.
+// In quantized mode the table's objective is only approximate, so
+// extraction re-evaluates each synopsis exactly (its Cost is the true
+// expected error — never below the exact optimum, since the synopsis is
+// a feasible exact solution) and the sweep carries the DP's additive
+// suboptimality bound.
+func (d *treeDP) sweep() *Sweep {
 	sw := &Sweep{
 		bmax: d.B, bound: d.errorBound(), stats: d.stats,
-		at:      func(b int) *Synopsis { return d.synopsis(b, forced) },
+		at:      func(b int) *Synopsis { return d.synopsis(b) },
 		release: d.release,
 	}
 	if d.quant == 0 {
-		sw.costAt = func(b int) float64 { return d.cost(b, forced) }
+		sw.costAt = func(b int) float64 { return d.cost(b) }
 	}
 	return sw
 }

@@ -651,8 +651,8 @@ func (d *treeDP) mergeLeaves(out, lt, rt []float64) (scanned int64) {
 // so the extracted solution is bit-identical to an independent budget-b
 // build. It only reads the tables — concurrent extractions at different
 // budgets are safe.
-func (d *treeDP) extract(b int, forced bool) ([]coefChoice, float64) {
-	bestD, rest, best := d.rootBest(b, forced)
+func (d *treeDP) extract(b int) ([]coefChoice, float64) {
+	bestD, rest, best := d.rootBest(b)
 	var keep []coefChoice
 	var v float64
 	if bestD > 0 {
@@ -666,8 +666,8 @@ func (d *treeDP) extract(b int, forced bool) ([]coefChoice, float64) {
 // synopsis extracts the budget-b synopsis and prices it: at the table's
 // optimum, or — the quantized table being only approximate — by exact
 // re-evaluation.
-func (d *treeDP) synopsis(b int, forced bool) *Synopsis {
-	keep, best := d.extract(b, forced)
+func (d *treeDP) synopsis(b int) *Synopsis {
+	keep, best := d.extract(b)
 	syn := synopsisFromChoices(d.n, keep)
 	syn.Cost = best
 	if d.quant > 0 {
@@ -678,8 +678,8 @@ func (d *treeDP) synopsis(b int, forced bool) *Synopsis {
 
 // cost returns only the optimal expected error at budget b (no
 // backtrack) — the cheap half of extract, for frontier cost curves.
-func (d *treeDP) cost(b int, forced bool) float64 {
-	_, _, best := d.rootBest(b, forced)
+func (d *treeDP) cost(b int) float64 {
+	_, _, best := d.rootBest(b)
 	return best
 }
 
@@ -687,17 +687,10 @@ func (d *treeDP) cost(b int, forced bool) float64 {
 // candidates in order, with strict <, matching the forward tie-break —
 // and returns the winning decision, the budget it leaves the detail tree
 // and its cost. The subtree under a decision is read from the level-0
-// table or, at n == 2 (no table is kept), priced by leafTables.
-//
-// forced skips the drop decision: the optimum over solutions that RETAIN
-// the root coefficient, bit-identically to a DP that never had the drop
-// option (same tables, same comparisons among the candidates). b is
-// clamped to [0, B], or to [1, B] when forced — it includes the root.
-func (d *treeDP) rootBest(b int, forced bool) (bestD, rest int, best float64) {
-	if forced {
-		bestD = 1
-	}
-	b = max(min(b, d.B), bestD)
+// table or, at n == 2 (no table is kept), priced by leafTables. b is
+// clamped to [0, B].
+func (d *treeDP) rootBest(b int) (bestD, rest int, best float64) {
+	b = max(min(b, d.B), 0)
 	under := func(dd int) float64 {
 		v, bd := 0.0, b-min(dd, 1)
 		if dd > 0 {
@@ -710,8 +703,8 @@ func (d *treeDP) rootBest(b int, forced bool) (bestD, rest int, best float64) {
 		}
 		return d.res[0][dd*(d.bcap[0]+1)+min(bd, d.bcap[0])]
 	}
-	best = under(bestD)
-	for dd := bestD + 1; dd <= len(d.cands[0]) && b >= 1; dd++ {
+	best = under(0)
+	for dd := 1; dd <= len(d.cands[0]) && b >= 1; dd++ {
 		if c := under(dd); c < best {
 			best, bestD = c, dd
 		}

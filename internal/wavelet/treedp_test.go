@@ -93,16 +93,14 @@ func TestIncomingValuesMatchPathSums(t *testing.T) {
 }
 
 // TestRootScanMatchesBruteForce: at every budget the sweep's cost is the
-// minimum expected error over every coefficient subset within the budget —
-// over those that contain the root when forced — and the extracted
-// synopsis attains it. n = 2 takes rootBest's leafTables arm, n > 2 its
-// level-0 table arm; the sparse source is one whose optimum drops the
-// root, so the forced column is not the unforced one again.
+// minimum expected error over every coefficient subset within the budget,
+// and the extracted synopsis attains it. n = 2 takes rootBest's leafTables
+// arm, n > 2 its level-0 table arm; the sparse source is one whose optimum
+// drops the root.
 func TestRootScanMatchesBruteForce(t *testing.T) {
 	p := metric.Params{C: 0.5}
 	rng := rand.New(rand.NewSource(52))
 	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*(1+math.Abs(b)) }
-	forcedCostsMore := false
 	for _, n := range []int{2, 4, 8} {
 		sparse := &pdata.ValuePDF{N: n, Items: make([]pdata.ItemPDF, n)}
 		for i := range sparse.Items {
@@ -111,55 +109,48 @@ func TestRootScanMatchesBruteForce(t *testing.T) {
 		for srcName, src := range map[string]*pdata.ValuePDF{"random": ptest.RandomValuePDF(rng, n, 3), "sparse": sparse} {
 			c := haar.Forward(src.ExpectedFreqs())
 			for _, kind := range refKinds {
-				var unforced []float64
-				for _, forced := range []bool{false, true} {
-					sw, pe, err := sweepDP(src, RestrictedFamily, kind, p, n, 0, forced, nil)
+				pe, err := NewPointErrors(src, kind, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sw, err := NewSweep(src, RestrictedFamily, kind, p, n, 0, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for b := 1; b <= n; b++ {
+					tag := fmt.Sprintf("n=%d/%s/%v/b=%d", n, srcName, kind, b)
+					best := math.Inf(1)
+					for mask := 0; mask < 1<<n; mask++ {
+						if bits.OnesCount(uint(mask)) > b {
+							continue
+						}
+						sub := &Synopsis{N: n}
+						for i := 0; i < n; i++ {
+							if mask>>i&1 == 1 {
+								sub.Indices, sub.Values = append(sub.Indices, i), append(sub.Values, c[i])
+							}
+						}
+						best = min(best, pe.SynopsisError(sub))
+					}
+					got, err := sw.Cost(b)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for b := 1; b <= n; b++ {
-						tag := fmt.Sprintf("n=%d/%s/%v/forced=%v/b=%d", n, srcName, kind, forced, b)
-						best := math.Inf(1)
-						for mask := 0; mask < 1<<n; mask++ {
-							if bits.OnesCount(uint(mask)) > b || (forced && mask&1 == 0) {
-								continue
-							}
-							sub := &Synopsis{N: n}
-							for i := 0; i < n; i++ {
-								if mask>>i&1 == 1 {
-									sub.Indices, sub.Values = append(sub.Indices, i), append(sub.Values, c[i])
-								}
-							}
-							best = min(best, pe.SynopsisError(sub))
-						}
-						got, err := sw.Cost(b)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !near(got, best) {
-							t.Fatalf("%s: sweep cost %v, brute force %v", tag, got, best)
-						}
-						syn, err := sw.Synopsis(b)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if syn.B() > b || (forced && (syn.B() == 0 || syn.Indices[0] != 0)) {
-							t.Fatalf("%s: extracted coefficients %v", tag, syn.Indices)
-						}
-						if direct := pe.SynopsisError(syn); !near(direct, best) || !near(syn.Cost, best) {
-							t.Fatalf("%s: extracted synopsis costs %v (reports %v), brute force %v", tag, direct, syn.Cost, best)
-						}
-						if !forced {
-							unforced = append(unforced, best)
-						} else if best > unforced[b-1]*(1+1e-6) {
-							forcedCostsMore = true
-						}
+					if !near(got, best) {
+						t.Fatalf("%s: sweep cost %v, brute force %v", tag, got, best)
+					}
+					syn, err := sw.Synopsis(b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if syn.B() > b {
+						t.Fatalf("%s: extracted coefficients %v", tag, syn.Indices)
+					}
+					if direct := pe.SynopsisError(syn); !near(direct, best) || !near(syn.Cost, best) {
+						t.Fatalf("%s: extracted synopsis costs %v (reports %v), brute force %v", tag, direct, syn.Cost, best)
 					}
 				}
 			}
 		}
-	}
-	if !forcedCostsMore {
-		t.Fatal("no case where retaining the root costs more than the optimum: the forced rows tested nothing the unforced ones did not")
 	}
 }

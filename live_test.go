@@ -299,8 +299,8 @@ func TestLiveDPStatsFollowMutations(t *testing.T) {
 
 // TestWaveletDPStats: a coefficient-tree wavelet build fills the
 // WithDPStats sink, with the same three counts at every worker count and
-// through Build, BuildSweep, BuildLive and a sharded build's shards; a
-// live mutation refreshes it; the SSE greedy, which runs no DP, zeroes it.
+// through Build, BuildSweep and BuildLive; a live mutation refreshes it;
+// the SSE greedy, which runs no DP, zeroes it.
 func TestWaveletDPStats(t *testing.T) {
 	vp := liveRandVP(rand.New(rand.NewSource(7)), 64)
 	for _, extra := range [][]probsyn.BuildOption{nil, {probsyn.WithQuantize(4)}, {probsyn.WithUnrestricted(1)}} {
@@ -377,12 +377,6 @@ func TestWaveletDPStats(t *testing.T) {
 		if st != want {
 			t.Fatalf("%s left the sink at %+v, want the counts before it plus one Build's, %+v", mu.name, st, want)
 		}
-	}
-	if _, err := probsyn.BuildSharded(vp, probsyn.SAE, 9, 2, probsyn.WithWavelet(), probsyn.WithDPStats(&st)); err != nil {
-		t.Fatal(err)
-	}
-	if st.CandidatesScanned <= 0 || st.CostEvals <= 0 {
-		t.Fatalf("sharded wavelet build: sink reads %+v", st)
 	}
 	if _, err := probsyn.Build(vp, probsyn.SSE, 9, probsyn.WithWavelet(), probsyn.WithDPStats(&st)); err != nil {
 		t.Fatal(err)

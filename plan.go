@@ -40,7 +40,7 @@ type mode int
 const (
 	modeBuild    mode = iota // Build: extract one synopsis
 	modeFrontier             // BuildSweep, BuildLive: hand out the whole cost-vs-budget curve
-	modeSharded              // BuildSharded: k curves merged by shard.Allocate
+	modeSharded              // BuildSharded: k histogram curves merged by shard.Allocate
 )
 
 // plan is a build resolved once from (source, metric, options, mode): the
@@ -68,6 +68,9 @@ func resolve(src Source, m Metric, opts []BuildOption, md mode) (*plan, error) {
 	cfg := buildConfig{params: DefaultParams(), parallelism: 1}
 	for _, opt := range opts {
 		opt(&cfg)
+	}
+	if md == modeSharded && cfg.wavelet {
+		return nil, fmt.Errorf("probsyn: a wavelet is not sharded: build it unsharded, with WithQuantize past the exact DP's reach")
 	}
 	if err := cfg.params.Check(m); err != nil {
 		return nil, err
@@ -111,11 +114,8 @@ func resolve(src Source, m Metric, opts []BuildOption, md mode) (*plan, error) {
 	default:
 		p.family = waveletRestricted
 	}
-	switch {
-	case md != modeBuild && p.family == histEps:
+	if md != modeBuild && p.family == histEps {
 		return nil, fmt.Errorf("probsyn: the (1+eps)-approximate DP prunes its search per budget: it has no frontier to sweep, maintain or merge across shards; use the exact DP")
-	case md == modeSharded && p.family == waveletUnrestricted:
-		return nil, fmt.Errorf("probsyn: unrestricted coefficient values have no sharded merge rule")
 	}
 	if p.pool == nil {
 		p.pool = engine.New(engine.Options{Workers: cfg.parallelism})

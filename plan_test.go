@@ -114,14 +114,11 @@ func wantAccept(c combo, entry int) bool {
 		}
 	}
 	// Rules of the entry point.
-	sharded := entry == viaShardedOne || entry == viaShardedTwo
 	switch {
 	case c.eps != 0 && entry != viaBuild:
 		return false // no frontier
-	case c.unrestricted && sharded:
-		return false // no merge rule
-	case c.quantize != nil && entry == viaShardedTwo:
-		return false // a quantized DP is not sharded; k = 1 is Build
+	case c.wavelet && entry >= viaShardedOne:
+		return false // a wavelet is not sharded, at any k
 	}
 	return true
 }
@@ -203,8 +200,7 @@ func checkCombo(t *testing.T, c combo, src *probsyn.ValuePDF, B int) {
 		}
 	}
 	// Whoever accepts builds Build's bytes (a k=2 merge is another synopsis
-	// than the unsharded one, but for SSE wavelets, whose sharded build is
-	// the unsharded greedy).
+	// than the unsharded one).
 	ref := blobs[viaBuild]
 	for entry := viaSweep; entry <= viaShardedOne; entry++ {
 		if blobs[entry] != nil && !bytes.Equal(ref, blobs[entry]) {
@@ -266,7 +262,11 @@ func TestEntryPointsAgreeOnEdgeBudgets(t *testing.T) {
 			opts = append(opts, probsyn.WithWavelet())
 		}
 		var ref []byte
-		for entry := viaBuild; entry <= viaShardedOne; entry++ {
+		last := viaShardedOne
+		if tc.wavelet {
+			last = viaLive // a wavelet is not sharded
+		}
+		for entry := viaBuild; entry <= last; entry++ {
 			syn, err := buildVia(entry, tc.src, tc.metric, tc.B, opts)
 			if (err == nil) != tc.accept {
 				t.Errorf("%s: %s accepted = %v (err %v), want %v", tc.name, entryNames[entry], err == nil, err, tc.accept)

@@ -26,9 +26,10 @@
 // versioned binary codec (MarshalSynopsis, UnmarshalSynopsis). Build
 // selects family, exact vs approximate DP, workload weighting, metric
 // parameters and DP parallelism through functional options; BuildSweep,
-// BuildLive and BuildSharded take the same options. Two constructors
-// build what Build cannot express: EquiDepthHistogram (a heuristic, not
-// an optimum) and SSEWavelet (the synopsis with its SSE report).
+// BuildLive and BuildSharded (histograms only) take the same options.
+// Two constructors build what Build cannot express: EquiDepthHistogram
+// (a heuristic, not an optimum) and SSEWavelet (the synopsis with its
+// SSE report).
 //
 // All construction functions accept any of the three data models through
 // the Source interface. See DESIGN.md for the system inventory, the

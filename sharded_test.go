@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,10 +16,8 @@ import (
 	"probsyn"
 	"probsyn/internal/engine"
 	"probsyn/internal/hist"
-	"probsyn/internal/pdata"
 	"probsyn/internal/ptest"
 	"probsyn/internal/shard"
-	"probsyn/internal/wavelet"
 )
 
 func randomValuePDF(n int, seed int64) *probsyn.ValuePDF {
@@ -69,6 +68,11 @@ func histTruth(t *testing.T, src probsyn.Source, m probsyn.Metric, p probsyn.Par
 	if err != nil {
 		t.Fatal(err)
 	}
+	return oracleTruth(o)
+}
+
+// oracleTruth prices a histogram's buckets with o.
+func oracleTruth(o hist.Oracle) func(probsyn.Synopsis) float64 {
 	return func(syn probsyn.Synopsis) float64 {
 		var total float64
 		for _, b := range syn.(*probsyn.Histogram).Buckets {
@@ -80,21 +84,6 @@ func histTruth(t *testing.T, src probsyn.Source, m probsyn.Metric, p probsyn.Par
 		}
 		return total
 	}
-}
-
-// waveletTruth evaluates a wavelet synopsis's expected error over vp padded
-// to a power of two with certain-zero items.
-func waveletTruth(t *testing.T, vp *probsyn.ValuePDF, m probsyn.Metric, p probsyn.Params) func(probsyn.Synopsis) float64 {
-	t.Helper()
-	padded := &pdata.ValuePDF{N: vp.N, Items: slices.Clone(vp.Items)}
-	for ; padded.N&(padded.N-1) != 0; padded.N++ {
-		padded.Items = append(padded.Items, pdata.ItemPDF{Entries: []pdata.FreqProb{{Freq: 0, Prob: 1}}})
-	}
-	pe, err := wavelet.NewPointErrors(padded, m, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return func(syn probsyn.Synopsis) float64 { return pe.SynopsisError(syn.(*probsyn.WaveletSynopsis)) }
 }
 
 // shardedSame builds src sharded k ways on every pool and requires the
@@ -134,267 +123,142 @@ func fanPools() []*engine.Pool {
 	return append(pools, engine.New(engine.Options{Workers: 2, Grain: 1, MaxBuilds: 1}))
 }
 
+// TestShardedHistWithinBoundOfOptimum holds sharded histograms to
+// [OPT, OPT + Bound] at their exact cost, on random items and on the
+// shapes a split is likeliest to get wrong: a spike on the first item of
+// a shard, all-equal items, width-one shards (k = n), zero-mass items,
+// and workload weights, positive or zero over a whole shard and here and
+// there elsewhere.
 func TestShardedHistWithinBoundOfOptimum(t *testing.T) {
-	vp := ptest.RandomValuePDF(rand.New(rand.NewSource(61)), 26, 3)
+	const n = 24
 	p := probsyn.Params{C: 0.5}
-	for _, m := range []probsyn.Metric{probsyn.SSE, probsyn.SAE, probsyn.MAE} {
-		truth := histTruth(t, vp, m, p)
-		for _, k := range []int{2, 3, 4} {
-			for _, B := range []int{k, 6, 12} {
-				shardedAgainstOptimum(t, vp, m, B, k, truth, probsyn.WithParams(p))
-			}
+	rng := rand.New(rand.NewSource(61))
+	random := ptest.RandomValuePDF(rng, 26, 3)
+	equal := &probsyn.ValuePDF{N: n, Items: make([]probsyn.ItemPDF, n)}
+	for i := range equal.Items {
+		equal.Items[i].Entries = []probsyn.FreqProb{{Freq: 1, Prob: 0.5}, {Freq: 3, Prob: 0.25}}
+	}
+	zeroMass := ptest.RandomValuePDF(rng, n, 3)
+	for i := range zeroMass.Items {
+		if i%3 != 1 {
+			zeroMass.Items[i].Entries = nil
+		}
+	}
+	// spike is all-equal items but for one certain large frequency on the
+	// first item of shard 1 of a k-way split.
+	spike := func(k int) *probsyn.ValuePDF {
+		vp := equal.Clone()
+		vp.Items[shard.Bounds(n, k)[1]].Entries = []probsyn.FreqProb{{Freq: 1000, Prob: 1}}
+		return vp
+	}
+	narrow := ptest.RandomValuePDF(rng, 8, 3)
+	for _, m := range []probsyn.Metric{probsyn.SSE, probsyn.SSRE, probsyn.SAE, probsyn.MAE} {
+		for _, tc := range []struct {
+			name string
+			src  func(k int) *probsyn.ValuePDF
+			ks   []int
+		}{
+			{"random", func(int) *probsyn.ValuePDF { return random }, []int{2, 3, 4}},
+			{"spike-on-boundary", spike, []int{2, 3, 4}},
+			{"all-equal", func(int) *probsyn.ValuePDF { return equal }, []int{2, 3, 4}},
+			{"width-one", func(int) *probsyn.ValuePDF { return narrow }, []int{8}},
+			{"zero-mass", func(int) *probsyn.ValuePDF { return zeroMass }, []int{2, 3, 4}},
+		} {
+			t.Run(fmt.Sprintf("%s/%v", tc.name, m), func(t *testing.T) {
+				for _, k := range tc.ks {
+					src := tc.src(k)
+					truth := histTruth(t, src, m, p)
+					for _, B := range []int{k, max(6, k+2), 12} {
+						shardedAgainstOptimum(t, src, m, B, k, truth, probsyn.WithParams(p))
+					}
+				}
+			})
+		}
+	}
+	// Workload weights shard by slicing: positive ones, and ones that are
+	// zero over shard 0 of every split and on every fifth item beyond it.
+	weighted := ptest.RandomValuePDF(rng, n, 3)
+	positive, zeros := make([]float64, n), make([]float64, n)
+	for i := range positive {
+		positive[i] = 1 + rng.Float64()
+		if i >= n/2 && i%5 != 0 {
+			zeros[i] = positive[i]
+		}
+	}
+	for name, weights := range map[string][]float64{"weights": positive, "zero-weights": zeros} {
+		o, err := hist.NewWorkloadSSE(weighted, weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []probsyn.Metric{probsyn.SSE, probsyn.SSEFixed} {
+			t.Run(fmt.Sprintf("%s/%v", name, m), func(t *testing.T) {
+				for _, k := range []int{2, 3, 4} {
+					for _, B := range []int{k, 6, 12} {
+						shardedAgainstOptimum(t, weighted, m, B, k, oracleTruth(o), probsyn.WithWorkloadWeights(weights))
+					}
+				}
+			})
 		}
 	}
 }
 
 // Fan width, pool workers and shard completion order cannot change a bit
-// of a sharded histogram.
+// of a sharded histogram, width-one shards included.
 func TestShardedHistDeterministic(t *testing.T) {
-	vp := ptest.RandomValuePDF(rand.New(rand.NewSource(67)), 40, 3)
-	shardedSame(t, vp, probsyn.SSE, 9, 4, fanPools())
-}
-
-func TestShardedRestrictedWithinBoundOfOptimum(t *testing.T) {
-	src := ptest.RandomValuePDF(rand.New(rand.NewSource(53)), 32, 3)
-	p := probsyn.Params{C: 0.5}
-	pool := engine.New(engine.Options{Workers: 2, Grain: 1})
-	for _, m := range []probsyn.Metric{probsyn.SAE, probsyn.SSRE, probsyn.MAE} {
-		truth := waveletTruth(t, src, m, p)
-		for _, k := range []int{2, 4} {
-			for _, B := range []int{k, 8, 16} {
-				shardedAgainstOptimum(t, src, m, B, k, truth,
-					probsyn.WithWavelet(), probsyn.WithParams(p), probsyn.WithPool(pool))
-			}
-		}
-	}
-}
-
-// Fan width, pool workers and (by slot-indexed merging) shard completion
-// order cannot change a bit of a sharded restricted wavelet.
-func TestShardedRestrictedDeterministic(t *testing.T) {
-	src := ptest.RandomValuePDF(rand.New(rand.NewSource(7)), 64, 3)
-	shardedSame(t, src, probsyn.SAE, 12, 4, fanPools(),
-		probsyn.WithWavelet(), probsyn.WithParams(probsyn.Params{C: 0.5}))
-}
-
-// The cost a sharded restricted build reports is the true expected error
-// of the synopsis it merged, for every restricted DP metric a sharded
-// build runs (SSE-fixed shards as the greedy,
-// TestBuildShardsSSEWaveletBitIdentical).
-func TestShardedRestrictedMergedCostIsExact(t *testing.T) {
-	p := probsyn.Params{C: 0.5}
-	for _, m := range []probsyn.Metric{probsyn.SSRE, probsyn.SAE, probsyn.SARE, probsyn.MAE, probsyn.MARE} {
-		t.Run(m.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(11))
-			for _, n := range []int{16, 32, 64} {
-				src := ptest.RandomValuePDF(rng, n, 3)
-				truth := waveletTruth(t, src, m, p)
-				for _, k := range []int{2, 4, 8} {
-					for _, B := range []int{k, k + 3, 2*k + 1} {
-						shardedAgainstOptimum(t, src, m, B, k, truth, probsyn.WithWavelet(), probsyn.WithParams(p))
-					}
-				}
+	t.Run("n=40/SSE/k=4", func(t *testing.T) {
+		vp := ptest.RandomValuePDF(rand.New(rand.NewSource(67)), 40, 3)
+		shardedSame(t, vp, probsyn.SSE, 9, 4, fanPools())
+	})
+	narrow := randomValuePDF(6, 76)
+	for _, m := range []probsyn.Metric{probsyn.SAE, probsyn.MAE, probsyn.SSRE} {
+		t.Run(fmt.Sprintf("width-one/%v", m), func(t *testing.T) {
+			for _, B := range []int{6, 8} {
+				shardedSame(t, narrow, m, B, 6, fanPools(), probsyn.WithParams(probsyn.Params{C: 0.5}))
 			}
 		})
 	}
 }
 
-// Width-one shards: a histogram sharded k = n ways (every shard one item)
-// and a restricted wavelet sharded k = padded n ways (every shard one
-// leaf, its forced singleton) still cost within [OPT, OPT + Bound], report
-// their exact expected error, and are the same bytes at any parallelism.
-func TestBuildShardedWidthOneShards(t *testing.T) {
-	p := probsyn.Params{C: 0.5}
-	for _, n := range []int{6, 8} {
-		src := randomValuePDF(n, int64(70+n))
-		for _, m := range []probsyn.Metric{probsyn.SAE, probsyn.MAE, probsyn.SSRE} {
-			for _, tc := range []struct {
-				family string
-				k      int
-				truth  func(probsyn.Synopsis) float64
-				opts   []probsyn.BuildOption
-			}{
-				{"histogram", n, histTruth(t, src, m, p), []probsyn.BuildOption{probsyn.WithParams(p)}},
-				{"wavelet", 8, waveletTruth(t, src, m, p), []probsyn.BuildOption{probsyn.WithParams(p), probsyn.WithWavelet()}},
-			} {
-				t.Run(fmt.Sprintf("%s/n=%d/%v", tc.family, n, m), func(t *testing.T) {
-					for _, B := range []int{tc.k, tc.k + 2} {
-						shardedAgainstOptimum(t, src, m, B, tc.k, tc.truth, tc.opts...)
-						shardedSame(t, src, m, B, tc.k, []*engine.Pool{
-							engine.New(engine.Options{Workers: 1}),
-							engine.New(engine.Options{Workers: runtime.NumCPU(), Grain: 1}),
-						}, tc.opts...)
-					}
-				})
-			}
-		}
-	}
-}
-
-// A sharded SSE or SSE-fixed wavelet build is the unsharded greedy: at any
-// k, budget and parallelism BuildSharded produces a synopsis byte-identical
-// (through the codec, expected SSE included) to Build, with a zero bound.
-func TestBuildShardsSSEWaveletBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, n := range []int{8, 32, 48} { // 48 exercises pad-to-64
-		src := ptest.RandomValuePDF(rng, n, 3)
-		for _, m := range []probsyn.Metric{probsyn.SSE, probsyn.SSEFixed} {
-			for _, B := range []int{0, 1, 5, 16, n} {
-				want, err := probsyn.Build(src, m, B, probsyn.WithWavelet())
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantBytes, err := probsyn.MarshalSynopsis(want)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, k := range []int{1, 2, 4, 8} {
-					for _, par := range []int{1, runtime.NumCPU()} {
-						got, err := probsyn.BuildSharded(src, m, B, k,
-							probsyn.WithWavelet(), probsyn.WithParallelism(par))
-						if err != nil {
-							t.Fatalf("n=%d %v B=%d k=%d: %v", n, m, B, k, err)
-						}
-						gotBytes, err := probsyn.MarshalSynopsis(got.Synopsis)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got.Bound != 0 || !bytes.Equal(gotBytes, wantBytes) {
-							t.Fatalf("n=%d %v B=%d k=%d parallelism=%d: sharded SSE wavelet differs from unsharded build (bound %v)",
-								n, m, B, k, par, got.Bound)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// Sharded DP families stay within the certified bound of the unsharded
-// optimum, and BuildSharded surfaces that bound.
-func TestBuildShardedWithinBound(t *testing.T) {
-	cases := []struct {
-		name string
-		m    probsyn.Metric
-		opts []probsyn.BuildOption
-		n, k int
-	}{
-		{"hist-SSE", probsyn.SSE, nil, 26, 3},
-		{"hist-MAE", probsyn.MAE, nil, 26, 4},
-		{"wavelet-SAE", probsyn.SAE, []probsyn.BuildOption{probsyn.WithWavelet()}, 32, 4},
-		{"wavelet-SSEFixed", probsyn.SSEFixed, []probsyn.BuildOption{probsyn.WithWavelet()}, 32, 2},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			src := randomValuePDF(tc.n, 11)
-			const B = 8
-			res, err := probsyn.BuildSharded(src, tc.m, B, tc.k, tc.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// A sharded SSEFixed wavelet build is the unsharded greedy.
-			if tc.name == "wavelet-SSEFixed" && res.Bound != 0 {
-				t.Fatalf("SSE-family sharded bound = %v, want 0", res.Bound)
-			}
-			opt, err := probsyn.Build(src, tc.m, B, tc.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tol := 1e-9 * math.Max(1, opt.ErrorCost())
-			if res.Synopsis.ErrorCost() < opt.ErrorCost()-tol {
-				t.Fatalf("sharded cost %v below optimum %v", res.Synopsis.ErrorCost(), opt.ErrorCost())
-			}
-			if res.Synopsis.ErrorCost() > opt.ErrorCost()+res.Bound+tol {
-				t.Fatalf("sharded cost %v exceeds optimum %v + bound %v",
-					res.Synopsis.ErrorCost(), opt.ErrorCost(), res.Bound)
-			}
-		})
-	}
-}
-
-// A quantized wavelet DP is not sharded: at k >= 2 BuildSharded refuses
-// WithQuantize (an unsharded build on a finer grid costs about the same
-// time for a lower cost and a tighter bound), and k = 1 stays the plain
-// quantized build, carrying its own DP's bound.
-func TestBuildShardedRefusesQuantizedMerge(t *testing.T) {
+// A wavelet is never sharded: BuildSharded refuses WithWavelet at every
+// metric and every k, k = 1 and a quantized grid included, and the error
+// names WithQuantize, the path that builds it past the exact DP's reach.
+func TestBuildShardedRefusesWavelets(t *testing.T) {
 	src := randomValuePDF(64, 23)
-	for _, m := range []probsyn.Metric{probsyn.SAE, probsyn.SSEFixed} {
+	for _, m := range []probsyn.Metric{probsyn.SSE, probsyn.SSEFixed, probsyn.SSRE, probsyn.SAE, probsyn.SARE, probsyn.MAE, probsyn.MARE} {
 		t.Run(m.String(), func(t *testing.T) {
-			opts := []probsyn.BuildOption{probsyn.WithWavelet(), probsyn.WithQuantize(4)}
-			for _, k := range []int{2, 4, 8} {
-				if res, err := probsyn.BuildSharded(src, m, 12, k, opts...); err == nil {
-					t.Fatalf("k=%d: quantized sharded build accepted (bound %v)", k, res.Bound)
+			for _, k := range []int{1, 2, 3, 4, 8} {
+				for _, opts := range [][]probsyn.BuildOption{
+					{probsyn.WithWavelet()},
+					{probsyn.WithWavelet(), probsyn.WithQuantize(4)},
+					{probsyn.WithWavelet(), probsyn.WithParallelism(0)},
+				} {
+					res, err := probsyn.BuildSharded(src, m, 12, k, opts...)
+					if err == nil {
+						t.Fatalf("k=%d: sharded wavelet accepted (bound %v)", k, res.Bound)
+					}
+					if !strings.Contains(err.Error(), "WithQuantize") {
+						t.Fatalf("k=%d: error %q does not name WithQuantize", k, err)
+					}
 				}
-			}
-			want, err := probsyn.Build(src, m, 12, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fr, err := probsyn.BuildSweep(src, m, 12, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := probsyn.BuildSharded(src, m, 12, 1, opts...)
-			if err != nil {
-				t.Fatalf("k=1: %v", err)
-			}
-			a, _ := probsyn.MarshalSynopsis(want)
-			b, _ := probsyn.MarshalSynopsis(got.Synopsis)
-			if !bytes.Equal(a, b) {
-				t.Fatal("k=1: quantized BuildSharded differs from Build")
-			}
-			if got.Bound != probsyn.ApproxBound(fr) || got.Bound <= 0 {
-				t.Fatalf("k=1: Bound %v, the quantized DP's own bound is %v", got.Bound, probsyn.ApproxBound(fr))
 			}
 		})
 	}
 }
 
-// Workload-weighted histograms shard by slicing the weights.
-func TestBuildShardedWorkloadHistogram(t *testing.T) {
-	src := randomValuePDF(24, 29)
-	weights := make([]float64, 24)
-	rng := rand.New(rand.NewSource(31))
-	for i := range weights {
-		weights[i] = 1 + rng.Float64()
-	}
-	res, err := probsyn.BuildSharded(src, probsyn.SSEFixed, 6, 3, probsyn.WithWorkloadWeights(weights))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, err := probsyn.Build(src, probsyn.SSEFixed, 6, probsyn.WithWorkloadWeights(weights))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cost := opt.ErrorCost()
-	tol := 1e-9 * math.Max(1, cost)
-	if res.Synopsis.ErrorCost() < cost-tol || res.Synopsis.ErrorCost() > cost+res.Bound+tol {
-		t.Fatalf("sharded workload cost %v outside [opt, opt+bound] = [%v, %v]",
-			res.Synopsis.ErrorCost(), cost, cost+res.Bound)
-	}
-}
-
-// A sharded build is one build: a k-way histogram or restricted wavelet
-// build takes one admission token, however many shards it fans and
-// however many tokens the pool has free.
+// A sharded build is one build: a k-way build takes one admission token,
+// however many shards it fans and however many tokens the pool has free.
 func TestBuildShardedTakesOneToken(t *testing.T) {
 	src := randomValuePDF(32, 37)
 	pool := engine.New(engine.Options{Workers: 4, Grain: 1, MaxBuilds: 4})
-	for _, tc := range []struct {
-		m    probsyn.Metric
-		opts []probsyn.BuildOption
-	}{
-		{probsyn.SSE, nil},
-		{probsyn.SAE, []probsyn.BuildOption{probsyn.WithWavelet()}},
-	} {
-		if _, err := probsyn.BuildSharded(src, tc.m, 8, 4, append(tc.opts, probsyn.WithPool(pool))...); err != nil {
-			t.Fatalf("%v: %v", tc.m, err)
+	for _, m := range []probsyn.Metric{probsyn.SSE, probsyn.SAE} {
+		if _, err := probsyn.BuildSharded(src, m, 8, 4, probsyn.WithPool(pool)); err != nil {
+			t.Fatalf("%v: %v", m, err)
 		}
 		if peak := pool.PeakInFlight(); peak != 1 {
-			t.Fatalf("%v: a 4-way sharded build took %d of 4 build tokens, want 1", tc.m, peak)
+			t.Fatalf("%v: a 4-way sharded build took %d of 4 build tokens, want 1", m, peak)
 		}
 		if in := pool.InFlight(); in != 0 {
-			t.Fatalf("%v: %d tokens still held after the build", tc.m, in)
+			t.Fatalf("%v: %d tokens still held after the build", m, in)
 		}
 	}
 }
@@ -438,20 +302,13 @@ func TestBuildShardedWaitsForToken(t *testing.T) {
 // Bound bits of the same build run alone.
 func TestBuildShardedConcurrentBuildsShareCap(t *testing.T) {
 	src := randomValuePDF(32, 47)
-	cases := []struct {
-		m    probsyn.Metric
-		opts []probsyn.BuildOption
-	}{
-		{probsyn.SSE, nil},
-		{probsyn.SAE, []probsyn.BuildOption{probsyn.WithWavelet()}},
-	}
+	cases := []probsyn.Metric{probsyn.SSE, probsyn.SAE}
 	type result struct {
 		blob  []byte
 		bound uint64
 	}
 	build := func(c int, pool *engine.Pool) (result, error) {
-		tc := cases[c%len(cases)]
-		res, err := probsyn.BuildSharded(src, tc.m, 8, 4, append(slices.Clone(tc.opts), probsyn.WithPool(pool))...)
+		res, err := probsyn.BuildSharded(src, cases[c%len(cases)], 8, 4, probsyn.WithPool(pool))
 		if err != nil {
 			return result{}, err
 		}
@@ -483,7 +340,7 @@ func TestBuildShardedConcurrentBuildsShareCap(t *testing.T) {
 			t.Fatalf("caller %d: %v", c, errs[c])
 		}
 		if w := want[c%len(cases)]; !bytes.Equal(got[c].blob, w.blob) || got[c].bound != w.bound {
-			t.Fatalf("caller %d (%v): bytes or bound differ from the build run alone", c, cases[c%len(cases)].m)
+			t.Fatalf("caller %d (%v): bytes or bound differ from the build run alone", c, cases[c%len(cases)])
 		}
 	}
 	if peak := pool.PeakInFlight(); peak < 1 || peak > 2 {
@@ -496,27 +353,18 @@ func TestBuildShardedConcurrentBuildsShareCap(t *testing.T) {
 
 func TestBuildShardedArgumentErrors(t *testing.T) {
 	src := randomValuePDF(16, 41)
-	wavelet := probsyn.WithWavelet()
 	cases := []struct {
 		name string
 		m    probsyn.Metric
 		B, k int
 		opts []probsyn.BuildOption
 	}{
-		{"wavelet-k-not-pow2", probsyn.SAE, 8, 3, []probsyn.BuildOption{wavelet}},
-		{"wavelet-B-below-k", probsyn.SAE, 2, 4, []probsyn.BuildOption{wavelet}},
-		{"wavelet-negative-B", probsyn.SAE, -1, 2, []probsyn.BuildOption{wavelet}},
-		{"hist-B-below-k", probsyn.SSE, 2, 3, nil},
+		{"B-below-k", probsyn.SSE, 2, 3, nil},
+		{"negative-B", probsyn.SAE, -1, 2, nil},
 		{"k-zero", probsyn.SSE, 8, 0, nil},
+		{"k-above-n", probsyn.SSE, 8, 32, nil},
 		{"eps", probsyn.SSE, 8, 2, []probsyn.BuildOption{probsyn.WithEps(0.1)}},
-		{"unrestricted", probsyn.SAE, 8, 2, []probsyn.BuildOption{wavelet, probsyn.WithUnrestricted(2)}},
-		{"hist-k-above-n", probsyn.SSE, 8, 32, nil},
-		{"sse-wavelet-k-not-pow2", probsyn.SSE, 4, 3, []probsyn.BuildOption{wavelet}},
-		{"sse-wavelet-k-above-padded-n", probsyn.SSE, 4, 32, []probsyn.BuildOption{wavelet}},
-		{"sse-wavelet-negative-B", probsyn.SSE, -1, 2, []probsyn.BuildOption{wavelet}},
-		{"ssefixed-wavelet-k-not-pow2", probsyn.SSEFixed, 4, 3, []probsyn.BuildOption{wavelet}},
-		{"ssefixed-wavelet-k-above-padded-n", probsyn.SSEFixed, 4, 32, []probsyn.BuildOption{wavelet}},
-		{"ssefixed-wavelet-negative-B", probsyn.SSEFixed, -1, 2, []probsyn.BuildOption{wavelet}},
+		{"weights-length", probsyn.SSE, 8, 2, []probsyn.BuildOption{probsyn.WithWorkloadWeights(make([]float64, 15))}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -524,10 +372,6 @@ func TestBuildShardedArgumentErrors(t *testing.T) {
 				t.Fatalf("%v B=%d k=%d accepted (bound %v)", tc.m, tc.B, tc.k, res.Bound)
 			}
 		})
-	}
-	// The padded domain is what bounds k: 12 items pad to 16.
-	if _, err := probsyn.BuildSharded(randomValuePDF(12, 43), probsyn.SSE, 4, 16, wavelet); err != nil {
-		t.Fatalf("k = padded n rejected: %v", err)
 	}
 }
 
