@@ -39,9 +39,10 @@
 //	psyn -query batch.json -out ./catalog
 //
 // With -pack, a catalog directory's .psyn envelopes are packed into the
-// flat file psynd boots from with -flat (see internal/catalog).
-// Packing is deterministic: the same logical catalog packs to the same
-// bytes here, on a server's background re-pack, or anywhere else:
+// flat file psynd boots from (see internal/catalog). Every later write
+// into the directory removes it until the next pack. Packing is
+// deterministic: the same logical catalog packs to the same bytes here,
+// at a psynd's shutdown, or anywhere else:
 //
 //	psyn -pack ./catalog
 package main
@@ -91,15 +92,15 @@ func run(args []string, stdout io.Writer) error {
 		flagQuant    = fs.Int("quantize", -1, "if >= 0, quantize the restricted wavelet DP's incoming values onto grids of q points (q >= 2; approximate, O(n q B) states, domains far beyond the exact DP build in seconds); with -unrestricted, instead optimize coefficient values over 2q grid points plus the expected value (exact over the grid, exponential in q and log n). Wavelet DP metrics only (not the greedy-exact SSE build, not histograms)")
 		flagUnres    = fs.Bool("unrestricted", false, "with -quantize: build the unrestricted wavelet thresholding DP instead of the quantized restricted one")
 		flagParallel = fs.Int("parallelism", 1, "DP worker goroutines, the CPUs a histogram or non-SSE wavelet build uses, -shards builds included (<= 0: one per CPU; the default 1 builds shards one at a time, -parallelism 0 builds up to one per CPU at once); output is identical at any setting (the SSE wavelet build is greedy and ignores it)")
-		flagOut      = fs.String("out", "", "save the built synopsis to this file in the binary envelope (-in prints it back); with -sweep, -shards, -append or -query, a catalog directory")
+		flagOut      = fs.String("out", "", "save the built synopsis to this file in the binary envelope (-in prints it back); with -sweep, -append or -query, a catalog directory")
 		flagIn       = fs.String("in", "", "load a saved synopsis instead of building one")
 		flagSweep    = fs.Bool("sweep", false, "build the whole budget frontier (every budget up to -buckets/-coeffs) from one DP run and print budget,terms,cost CSV")
 		flagDataset  = fs.String("dataset", "", "dataset name used in -sweep/-append catalog filenames (default: the -input file stem)")
 		flagAppend   = fs.String("append", "", "value-model dataset file whose items extend the -input dataset; every synopsis for -dataset in the -out catalog directory is revalidated and rewritten")
 		flagSaveData = fs.String("save-data", "", "with -append: write the merged dataset to this file")
 		flagQuery    = fs.String("query", "", "batch request file (POST /v1/query JSON body) answered offline from the -out catalog directory; the response JSON is written to stdout, byte-identical to a served one")
-		flagPack     = fs.String("pack", "", "pack this catalog directory's synopses into its flat file (catalog.flat) for millisecond psynd -flat boots; deterministic, byte-identical to the server's own re-packs")
-		flagShards   = fs.Int("shards", 0, "if >= 2, build a sharded histogram: split the domain into this many contiguous ranges, build each within -parallelism, and merge, reporting a certified additive suboptimality bound; with -out (a catalog directory), the merged synopsis is saved under its key-encoded filename. Not with -wavelet: past the exact DP's reach, build unsharded with -quantize")
+		flagPack     = fs.String("pack", "", "pack this catalog directory's synopses into its flat file (catalog.flat), which psynd -catalog boots from; deterministic, byte-identical to psynd's shutdown pack; any later write into the directory removes it")
+		flagShards   = fs.Int("shards", 0, "if >= 2, build a sharded histogram: split the domain into this many contiguous ranges, build each within -parallelism, and merge, reporting a certified additive suboptimality bound; -out saves the merged synopsis to that file, never into a catalog (the merge is not the build a key names). Not with -wavelet: past the exact DP's reach, build unsharded with -quantize")
 		flagVerbose  = fs.Bool("v", false, "after a histogram or coefficient-tree wavelet DP build (plain, -sweep, or -shards), report the DP work counters: split candidates scanned vs. pruned and cost evaluations (see probsyn.DPStats); non-DP builds print nothing")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -192,7 +193,7 @@ func run(args []string, stdout io.Writer) error {
 		if *flagEqui || *flagApprox > 0 {
 			return fmt.Errorf("-shards needs the exact DP (drop -equidepth/-approx)")
 		}
-		if err := runSharded(stdout, src, m, p, budget, *flagShards, dataset, *flagOut, opts); err != nil {
+		if err := runSharded(stdout, src, m, budget, *flagShards, *flagOut, opts); err != nil {
 			return err
 		}
 		reportDPStats(stdout, dpStats, false)
@@ -302,8 +303,8 @@ func runAppend(stdout io.Writer, src probsyn.Source, appendPath, dataset, outDir
 // runPack loads every .psyn envelope in the catalog directory and packs
 // the flat file beside them. The entry ordering and serialization
 // are fixed by the format, so this file is byte-identical to the one a
-// psynd -flat server re-packs for the same logical catalog — replicas
-// can rsync it, cmp it, or content-address it.
+// psynd packs at shutdown for the same logical catalog — replicas can
+// rsync it, cmp it, or content-address it.
 func runPack(stdout io.Writer, dir string) error {
 	c := catalog.New()
 	n, err := c.LoadDir(dir)
@@ -404,11 +405,12 @@ func runSweep(stdout io.Writer, src probsyn.Source, m probsyn.Metric, p probsyn.
 	return nil
 }
 
-// runSharded builds a k-way sharded histogram — the offline twin of a
-// psynd build request with shards — printing the merged cost and the
-// certified additive suboptimality bound, and (with -out) publishing the
-// merged synopsis under its key-encoded catalog filename, as psynd does.
-func runSharded(stdout io.Writer, src probsyn.Source, m probsyn.Metric, p probsyn.Params, budget, shards int, dataset, outDir string, opts []probsyn.BuildOption) error {
+// runSharded builds a k-way sharded histogram, printing the merged cost
+// and the certified additive suboptimality bound, and (with -out) saves
+// the merged synopsis to that one file, as any single build does. It
+// writes no catalog key: a key names the unsharded build over its
+// dataset, which is what psynd serves and a mutation republishes.
+func runSharded(stdout io.Writer, src probsyn.Source, m probsyn.Metric, budget, shards int, out string, opts []probsyn.BuildOption) error {
 	res, err := probsyn.BuildSharded(src, m, budget, shards, opts...)
 	if err != nil {
 		return err
@@ -421,21 +423,10 @@ func runSharded(stdout io.Writer, src probsyn.Source, m probsyn.Metric, p probsy
 	} else {
 		fmt.Fprintf(stdout, "suboptimality bound: within %.6g of the unsharded optimum\n", res.Bound)
 	}
-	if outDir == "" {
+	if out == "" {
 		return nil
 	}
-	key, err := catalog.KeyFor(dataset, syn, m.String(), budget, p.C, 0)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
-	if err := catalog.Publish(outDir, nil, key, syn); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "saved the merged synopsis to %s\n", filepath.Join(outDir, key.Filename()))
-	return nil
+	return saveSynopsis(stdout, out, syn)
 }
 
 func buildHistogram(stdout io.Writer, src probsyn.Source, m probsyn.Metric, p probsyn.Params, buckets int, approx float64, equi bool, opts []probsyn.BuildOption) (probsyn.Synopsis, error) {

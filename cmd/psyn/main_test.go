@@ -379,15 +379,19 @@ func TestRunQueryValidation(t *testing.T) {
 	}
 }
 
-// TestRunSharded: a -shards build prints its bound and saves one file,
-// the merged synopsis, byte-identical to an in-process BuildSharded; an
-// -append rewrites that file like any other.
+// TestRunSharded: a -shards build prints its bound, and -out f saves the
+// merged synopsis to f and nothing else, byte-identical to an in-process
+// BuildSharded: no catalog key, since a key names the unsharded build.
 func TestRunSharded(t *testing.T) {
 	dir := t.TempDir()
 	dataset, src := writeDataset(t, dir)
-	catDir := filepath.Join(dir, "catalog")
+	outDir := filepath.Join(dir, "out")
+	if err := os.Mkdir(outDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(outDir, "merged.syn")
 	var out bytes.Buffer
-	if err := run([]string{"-input", dataset, "-metric", "SSE", "-buckets", "8", "-shards", "4", "-dataset", "ds", "-out", catDir}, &out); err != nil {
+	if err := run([]string{"-input", dataset, "-metric", "SSE", "-buckets", "8", "-shards", "4", "-dataset", "ds", "-out", path}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "suboptimality bound") || strings.Contains(out.String(), "shard,start,end") {
@@ -397,48 +401,16 @@ func TestRunSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One file, the merged synopsis under the ordinary key.
 	want, err := probsyn.MarshalSynopsis(ref.Synopsis)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(filepath.Join(catDir, "ds--histogram--SSE--b8.psyn"))
+	got, err := os.ReadFile(path)
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("merged file differs from the in-process build (%v)", err)
 	}
-	if des, err := os.ReadDir(catDir); err != nil || len(des) != 1 {
-		t.Fatalf("-shards 4 -out wrote %d files, want 1 (%v)", len(des), err)
-	}
-
-	// -append revalidates a sharded build's file like any other: one file
-	// in, one file out, equal to a build over the grown dataset.
-	basePath, base := writeValueDataset(t, dir, "vds.pd", 20)
-	morePath, more := writeValueDataset(t, dir, "more.pd", 3)
-	vcat := filepath.Join(dir, "vcatalog")
-	if err := run([]string{"-input", basePath, "-metric", "SSE", "-buckets", "6", "-shards", "2", "-dataset", "vds", "-out", vcat}, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if err := run([]string{"-input", basePath, "-append", morePath, "-dataset", "vds", "-out", vcat}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "revalidated 1 synopses") {
-		t.Fatalf("append after a sharded build:\n%s", out.String())
-	}
-	grown := &probsyn.ValuePDF{N: base.N + more.N, Items: append(append([]probsyn.ItemPDF(nil), base.Items...), more.Items...)}
-	fresh, err := probsyn.Build(grown, probsyn.SSE, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want, err = probsyn.MarshalSynopsis(fresh); err != nil {
-		t.Fatal(err)
-	}
-	got, err = os.ReadFile(filepath.Join(vcat, "vds--histogram--SSE--b6.psyn"))
-	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("revalidated file differs from a build over the grown dataset (%v)", err)
-	}
-	if des, err := os.ReadDir(vcat); err != nil || len(des) != 1 {
-		t.Fatalf("catalog directory holds %d files after -append, want 1 (%v)", len(des), err)
+	if des, err := os.ReadDir(outDir); err != nil || len(des) != 1 || des[0].Name() != "merged.syn" {
+		t.Fatalf("-shards 4 -out %s left %v in its directory, want just that file (%v)", path, des, err)
 	}
 }
 
@@ -451,26 +423,25 @@ func TestRunShardedSameAtEveryParallelism(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		args []string
-		file string
 	}{
-		{"histogram-SAE", []string{"-metric", "SAE", "-buckets", "8"}, "ds--histogram--SAE--b8.psyn"},
-		{"histogram-MAE", []string{"-metric", "MAE", "-buckets", "8"}, "ds--histogram--MAE--b8.psyn"},
+		{"histogram-SAE", []string{"-metric", "SAE", "-buckets", "8"}},
+		{"histogram-MAE", []string{"-metric", "MAE", "-buckets", "8"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var wantOut string
 			var wantFile []byte
 			for _, par := range []string{"1", "2", "0"} {
-				catDir := filepath.Join(dir, tc.name+"-p"+par)
+				path := filepath.Join(dir, tc.name+"-p"+par+".syn")
 				var out bytes.Buffer
-				args := append([]string{"-input", dataset, "-shards", "4", "-parallelism", par, "-dataset", "ds", "-out", catDir}, tc.args...)
+				args := append([]string{"-input", dataset, "-shards", "4", "-parallelism", par, "-out", path}, tc.args...)
 				if err := run(args, &out); err != nil {
 					t.Fatalf("-parallelism %s: %v", par, err)
 				}
-				file, err := os.ReadFile(filepath.Join(catDir, tc.file))
+				file, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)
 				}
-				stdout := strings.ReplaceAll(out.String(), catDir, "OUT")
+				stdout := strings.ReplaceAll(out.String(), path, "OUT")
 				if wantFile == nil {
 					wantOut, wantFile = stdout, file
 					continue
@@ -488,8 +459,8 @@ func TestRunShardedSameAtEveryParallelism(t *testing.T) {
 
 // TestRunQueryMatchesServedBatch: psyn -query and psynd's POST /v1/query
 // answer through the same resolver and evaluator, so over one catalog
-// directory — keys built plain, swept and sharded, a "shards" member
-// neither reads, and every kind of per-op error — stdout is byte for
+// directory — keys built plain and swept, a "shards" member neither
+// reads, and every kind of per-op error — stdout is byte for
 // byte the served response body. The server
 // here has no datasets at all: reads need none. (The GET endpoints are
 // held to the batch by internal/server's TestReadPathsAgree.)
@@ -498,10 +469,9 @@ func TestRunQueryMatchesServedBatch(t *testing.T) {
 	dataset, _ := writeDataset(t, dir)
 	catDir := filepath.Join(dir, "catalog")
 	for _, args := range [][]string{
-		{"-metric", "SSE", "-buckets", "4", "-sweep"},
 		{"-wavelet", "-metric", "SAE", "-coeffs", "3", "-sweep"},
 		{"-metric", "SSRE", "-buckets", "3", "-sweep"}, // keyed by the default -c
-		{"-metric", "SSE", "-buckets", "8", "-shards", "4"},
+		{"-metric", "SSE", "-buckets", "8", "-sweep"},
 		{"-wavelet", "-metric", "SSE", "-coeffs", "6", "-sweep"},
 	} {
 		args = append([]string{"-input", dataset, "-dataset", "ds", "-out", catDir}, args...)
@@ -622,10 +592,10 @@ func TestRunShardedValidation(t *testing.T) {
 	}
 }
 
-// -pack builds the flat file psynd -flat boots from. The output
-// must be deterministic and byte-identical to the pack a server's
-// background keeper writes for the same logical catalog — that identity
-// is what lets replicas rsync or content-address the file.
+// -pack builds the flat file psynd boots from. The output must be
+// deterministic and byte-identical to the pack a server writes at
+// shutdown for the same logical catalog — that identity is what lets
+// replicas rsync or content-address the file.
 func TestRunPack(t *testing.T) {
 	dir := t.TempDir()
 	dataset, _ := writeDataset(t, dir)
@@ -655,7 +625,7 @@ func TestRunPack(t *testing.T) {
 	}
 	f.Close()
 
-	// Byte identity with the in-process pack the server's keeper writes.
+	// Byte identity with the in-process pack a server's shutdown writes.
 	c := catalog.New()
 	if _, err := c.LoadDir(outDir); err != nil {
 		t.Fatal(err)

@@ -18,25 +18,17 @@
 //	curl 'localhost:7075/v1/rangesum?dataset=ds&family=histogram&metric=SSE&budget=16&lo=0&hi=99'
 //	curl 'localhost:7075/v1/synopses'
 //
-// With -flat, the server boots from the catalog directory's flat file
-// (packed by `psyn -pack` or a previous run of this server) and serves
-// its first query in milliseconds; the file is invalidated
-// before any catalog-changing work and re-packed in the background at
-// quiescence, so a crash at any instant leaves a directory that boots
-// correctly from the .psyn envelopes alone:
+// With -catalog, the server boots through catalog.BootDir: from the
+// directory's flat file when one is there (packed by `psyn -pack` or by
+// this server's last graceful shutdown), decoding each entry on first
+// use, and from the .psyn envelopes for everything else. Every catalog
+// write removes the flat file first, so a crash at any instant leaves a
+// directory that boots correctly; a graceful shutdown packs it again.
 //
-//	psyn -pack ./catalog
-//	psynd -addr 127.0.0.1:7075 -data ./data -catalog ./catalog -flat
-//
-// One node serves every dataset. A sharded histogram build ("shards":k
-// in the build body, k at most the budget) splits the DP, not the
-// serving: the merged synopsis is published under the ordinary key like
-// any other build, and the response carries the merge's suboptimality
-// bound. A wavelet is never sharded (a sharded wavelet body answers 400):
-// past the exact DP's reach, "quantize":q builds it unsharded.
-//
-//	curl -X POST localhost:7075/v1/build \
-//	     -d '{"dataset":"ds","family":"histogram","metric":"SSE","budget":16,"shards":4,"wait":true}'
+// One node serves every dataset, and every build it runs is unsharded:
+// "shards" >= 2 in a build body answers 400. A sharded histogram is an
+// offline build (psyn -shards); a wavelet past the exact DP's reach
+// builds unsharded with "quantize":q.
 //
 // With -pprof ADDR, net/http/pprof serves on a second listener separate
 // from the query surface, so profiling a server under load neither
@@ -47,7 +39,9 @@
 //	go tool pprof http://127.0.0.1:7076/debug/pprof/profile?seconds=10
 //
 // SIGINT/SIGTERM shut down gracefully: the listener closes, queued
-// builds drain, and the process exits 0.
+// builds drain, the directory's .psyn files pack into its flat file (as
+// psyn -pack packs them, so a key another writer changed or removed
+// meanwhile is packed as it is on disk), and the process exits 0.
 package main
 
 import (
@@ -118,8 +112,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	var (
 		flagAddr     = fs.String("addr", "127.0.0.1:7075", "HTTP listen address")
 		flagData     = fs.String("data", "", "dataset directory: dataset NAME is NAME.pd in this directory (required)")
-		flagCatalog  = fs.String("catalog", "", "catalog directory: preload synopses at startup, persist new builds (optional)")
-		flagFlat     = fs.Bool("flat", false, "boot from the catalog directory's flat file (catalog.flat) when present and maintain it across builds (requires -catalog)")
+		flagCatalog  = fs.String("catalog", "", "catalog directory: preload synopses at startup (from its catalog.flat when present), persist new builds, pack catalog.flat on graceful shutdown (optional)")
 		flagQueue    = fs.Int("queue", server.DefaultQueueDepth, "build queue depth; a full queue rejects builds with queue_full")
 		flagMax      = fs.Int("max-builds", 2, "admission cap: builds running DPs concurrently on the shared pool, one build-queue drainer each (<= 0: unlimited, two drainers)")
 		flagParallel = fs.Int("parallelism", 0, "engine worker goroutines per build DP (<= 0: one per CPU)")
@@ -144,40 +137,27 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	pool := engine.New(engine.Options{Workers: *flagParallel, MaxBuilds: *flagMax})
 	cat := catalog.New()
 	flatPath := ""
-	if *flagFlat {
-		if *flagCatalog == "" {
-			return fmt.Errorf("-flat requires -catalog")
-		}
-		flatPath = catalog.FlatPath(*flagCatalog)
-	}
 	if *flagCatalog != "" {
 		if err := os.MkdirAll(*flagCatalog, 0o755); err != nil {
 			return err
 		}
-		if *flagFlat {
-			warnf := func(format string, args ...any) {
-				fmt.Fprintf(stdout, "psynd: "+format+"\n", args...)
-			}
-			// The Flat handle stays open for the process lifetime: entries
-			// are decoded from it on first use, and the keeper's atomic
-			// rewrites replace the directory entry without disturbing the
-			// open file.
-			flat, flatN, codecN, err := catalog.BootDir(cat, *flagCatalog, warnf)
-			if err != nil {
-				return err
-			}
-			if flat != nil {
-				defer flat.Close()
-			}
-			fmt.Fprintf(stdout, "psynd: loaded %d synopses from %s (%d flat, %d codec)\n",
-				flatN+codecN, *flagCatalog, flatN, codecN)
-		} else {
-			n, err := cat.LoadDir(*flagCatalog)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "psynd: loaded %d synopses from %s\n", n, *flagCatalog)
+		warnf := func(format string, args ...any) {
+			fmt.Fprintf(stdout, "psynd: "+format+"\n", args...)
 		}
+		// The Flat handle stays open for the process lifetime: entries are
+		// decoded from it on first use, and the write path's unlink and the
+		// shutdown pack's rename replace the directory entry without
+		// disturbing the open file.
+		flat, flatN, codecN, err := catalog.BootDir(cat, *flagCatalog, warnf)
+		if err != nil {
+			return err
+		}
+		if flat != nil {
+			defer flat.Close()
+		}
+		fmt.Fprintf(stdout, "psynd: loaded %d synopses from %s (%d flat, %d codec)\n",
+			flatN+codecN, *flagCatalog, flatN, codecN)
+		flatPath = catalog.FlatPath(*flagCatalog)
 	}
 	srv, err := server.New(server.Config{
 		DataDir:       *flagData,

@@ -342,16 +342,19 @@ func TestRunRejectsPeerFlags(t *testing.T) {
 	}
 }
 
-// -flat drives the whole replica-restart story at the binary level:
-// a first run builds and (on graceful shutdown) packs the flat file, a
-// restart boots from it with one index read — reporting "N flat, 0 codec" — and
-// the flat-booted catalog serves bit-identical estimates to the codec
-// path.
+// The whole replica-restart story at the binary level, with no flag
+// asking for it: a first run builds and (on graceful shutdown) packs the
+// flat file, a restart boots from it with one index read — reporting "N
+// flat, 0 codec" — and the flat-booted catalog serves bit-identical
+// estimates to an offline build.
 func TestPsyndFlatBoot(t *testing.T) {
 	dataDir, catDir := t.TempDir(), t.TempDir()
 	src := writeDataset(t, dataDir)
 
-	base, _, stop := startPsynd(t, []string{"-data", dataDir, "-catalog", catDir, "-flat"})
+	base, out, stop := startPsynd(t, []string{"-data", dataDir, "-catalog", catDir})
+	if !strings.Contains(out.String(), "(0 flat, 0 codec)") {
+		t.Fatalf("first boot over an empty catalog:\n%s", out.String())
+	}
 	body := `{"dataset":"ds","family":"histogram","metric":"SSE","budget":8,"wait":true}`
 	resp, err := http.Post(base+"/v1/build", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -364,12 +367,12 @@ func TestPsyndFlatBoot(t *testing.T) {
 	if err := stop(); err != nil {
 		t.Fatalf("graceful shutdown: %v", err)
 	}
-	// Graceful shutdown runs the keeper's final synchronous pack.
+	// Graceful shutdown packs the directory once the queue has drained.
 	if _, err := os.Stat(catalog.FlatPath(catDir)); err != nil {
 		t.Fatalf("no flat file after graceful shutdown: %v", err)
 	}
 
-	base2, out2, stop2 := startPsynd(t, []string{"-data", dataDir, "-catalog", catDir, "-flat"})
+	base2, out2, stop2 := startPsynd(t, []string{"-data", dataDir, "-catalog", catDir})
 	if !strings.Contains(out2.String(), "(1 flat, 0 codec)") {
 		t.Fatalf("restart did not boot from the flat file:\n%s", out2.String())
 	}
@@ -399,12 +402,16 @@ func TestPsyndFlatBoot(t *testing.T) {
 	}
 }
 
-// -flat is a catalog-directory feature; without -catalog there is
-// nothing to pack or boot from.
-func TestRunFlatRequiresCatalog(t *testing.T) {
-	err := run(context.Background(), []string{"-data", t.TempDir(), "-flat"}, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "-flat requires -catalog") {
-		t.Fatalf("err = %v, want -flat requires -catalog", err)
+// -flat went: a catalog directory always boots through its flat file
+// when one is there. A deployment that still passes it fails at flag
+// parsing, and main exits 2.
+func TestPsyndFlatIsUnknownFlag(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-data", t.TempDir(), "-catalog", t.TempDir(), "-flat")
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined: -flat") {
+		t.Fatalf("psynd -flat: %v, want exit status 2 and an unknown-flag message\n%s", err, out)
 	}
 }
 

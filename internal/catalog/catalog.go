@@ -119,9 +119,10 @@ func NewKeyQ(dataset, family, metricName string, budget int, c float64, q int) (
 // requested at, > 0 exactly for relative-error metrics; Params.C is unused
 // otherwise), the family and the quantization. The caller adds where the
 // build runs (WithPool or WithParallelism). Everything that publishes
-// under a key — a server build, sweep, sharded build or live frontier,
-// psyn -append — derives its build from here, so that one key cannot come
-// to mean two builds.
+// under a key — a server build, sweep or live frontier, psyn -sweep or
+// -append — derives its build from here, so that one key cannot come to
+// mean two builds. A sharded merge is not the build its key would name,
+// so it never publishes under one.
 func (k Key) BuildOptions() (probsyn.Metric, []probsyn.BuildOption, error) {
 	m, err := probsyn.ParseMetric(k.Metric)
 	if err != nil {

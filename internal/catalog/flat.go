@@ -11,12 +11,12 @@
 // first Catalog.Get or List instead of at boot: a few microseconds once
 // per entry per process, paid by the first request that needs it.
 //
-// Layout (version 2; integers little-endian, read with encoding/binary,
+// Layout (version 3; integers little-endian, read with encoding/binary,
 // so the file opens on any host):
 //
 //	header    64 bytes:
 //	          [0]  magic     "PSYNFLAT" (8 bytes)
-//	          [8]  version   u32 (2)
+//	          [8]  version   u32 (3)
 //	          [12] entries   u32
 //	          [16] indexLen  u64 (the index starts at byte 64)
 //	          [24] fileSize  u64
@@ -39,15 +39,17 @@
 // with a warning and answers not_found rather than serving wrong data,
 // and an intact entry pays the decode exactly once.
 //
-// Invalidation: the flat file is a derived cache of a catalog directory.
-// The server removes it BEFORE the first republication (build, sweep,
-// mutation) that would make it stale and re-packs in the
-// background once the catalog settles, so at boot a flat file that
-// exists is never staler than the .psyn files beside it; keys the flat
-// file does not cover (an offline psyn wrote into the directory since)
-// load through the codec path (BootDir). Being derived is also why there
-// is no reader for older versions: an old file is skipped with a warning
-// and the next re-pack replaces it.
+// Invalidation: the flat file is a derived cache of a catalog directory,
+// and the write path keeps it one: Publish and Mutation.Republish remove
+// it before they persist anything into the directory, whoever calls them
+// (psynd, psyn -sweep/-append). Only a pack writes it — psyn -pack, or a
+// server's shutdown once its queue has drained — so a flat file that
+// exists at boot describes exactly the .psyn files beside it. Being
+// derived is also why there is no reader for older versions: an old file
+// is skipped with a warning and the next pack replaces it. Version 2
+// files were packed while the rule belonged to one server's keeper, so an
+// offline write could leave one stale; version 3 is the same layout under
+// the write path's rule.
 package catalog
 
 import (
@@ -65,8 +67,9 @@ import (
 )
 
 // FlatName is the conventional flat catalog filename inside a catalog
-// directory — shared by psynd's boot path, its background re-packer,
-// and the offline psyn -pack, so they all find each other's output.
+// directory — shared by the boot path, the write path that removes it,
+// psynd's shutdown pack and psyn -pack, so they all find each other's
+// output.
 const FlatName = "catalog.flat"
 
 // FlatPath returns the flat catalog path for a catalog directory.
@@ -79,7 +82,7 @@ var ErrFlatVersion = errors.New("catalog: flat catalog version is newer than thi
 
 const (
 	flatMagic     = "PSYNFLAT"
-	flatVersion   = 2
+	flatVersion   = 3
 	flatHeaderLen = 64
 	// flatRecordFixed is an index record without its key: keyLen, offset,
 	// length.
@@ -150,8 +153,8 @@ func (l *flatLazy) decode(e *Entry) error {
 // Pack serializes the entries into the flat catalog format and writes
 // the file atomically (temp + rename). Entries are sorted by key first,
 // so packing the same logical catalog produces byte-identical files
-// wherever it runs — the server's background re-pack and the offline
-// psyn -pack are interchangeable. It returns the number of entries
+// wherever it runs — a server's shutdown pack and the offline psyn -pack
+// are interchangeable. It returns the number of entries
 // packed.
 func Pack(path string, entries []*Entry) (int, error) {
 	data, err := PackBytes(entries)
@@ -250,7 +253,7 @@ func (f *Flat) readIndex() error {
 	if v := binary.LittleEndian.Uint32(h[8:]); v > flatVersion {
 		return fmt.Errorf("%w: file version %d, binary supports %d", ErrFlatVersion, v, flatVersion)
 	} else if v != flatVersion {
-		return bad("unsupported version %d (this binary reads %d; the next re-pack replaces the file)", v, flatVersion)
+		return bad("unsupported version %d (this binary reads %d; the next pack replaces the file)", v, flatVersion)
 	}
 	if binary.LittleEndian.Uint32(h[60:]) != crc32.ChecksumIEEE(h[:60]) {
 		return bad("header checksum mismatch")

@@ -241,7 +241,7 @@ func TestFlatRoundTripBitIdentical(t *testing.T) {
 
 // TestFlatPackDeterministic: packing the same logical catalog must be
 // byte-identical regardless of entry order — the offline psyn -pack and
-// the server's background re-pack are interchangeable.
+// a server's shutdown pack are interchangeable.
 func TestFlatPackDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	src := randCatalog(t, rng, 12, []int{32})
@@ -259,8 +259,8 @@ func TestFlatPackDeterministic(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("pack order leaked into the file bytes")
 	}
-	// Re-packing a flat-attached catalog (what the server's background
-	// re-pack does after a flat boot) must also be byte-identical; List
+	// Re-packing a flat-attached catalog (what a server's shutdown pack
+	// does after a flat boot) must also be byte-identical; List
 	// is what decodes the entries no Get has touched.
 	dir := t.TempDir()
 	if err := WriteBlob(FlatPath(dir), a); err != nil {
@@ -374,7 +374,7 @@ func rewriteIndex(data []byte) {
 	rewriteHeader(data)
 }
 
-// v1Header is the header page of the format this one replaced: version 1
+// v1Header is the header page of the layout version 2 replaced: version 1
 // at the same offset, the same header checksum, page-sized sections.
 func v1Header() []byte {
 	h := make([]byte, 4096)
@@ -392,7 +392,7 @@ func v1Header() []byte {
 
 // TestBootDirFallsBack is the boot-ordering regression test and the
 // damage table's open-time half: a flat file of another format version
-// (a future one, or the version 1 this format replaced), or one whose
+// (a future one, or the versions 1 and 2 this format replaced), or one whose
 // header, index or length is damaged, must fail OpenFlat before anything
 // is attached, and BootDir must then warn and load the whole catalog
 // through .psyn decode.
@@ -415,6 +415,13 @@ func TestBootDirFallsBack(t *testing.T) {
 			return b
 		}, true},
 		{"version 1 file", func([]byte) []byte { return v1Header() }, false},
+		{"version 2 file", func(b []byte) []byte {
+			// The same layout, packed before the write path removed the
+			// file on every write: it may be stale, so it is not read.
+			binary.LittleEndian.PutUint32(b[8:], 2)
+			rewriteHeader(b)
+			return b
+		}, false},
 		{"truncated mid-data", func(b []byte) []byte { return b[:len(b)-5] }, false},
 		{"truncated to header", func(b []byte) []byte { return b[:flatHeaderLen] }, false},
 		{"truncated mid-header", func(b []byte) []byte { return b[:40] }, false},

@@ -2,7 +2,10 @@ package catalog
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
 
 	"probsyn"
@@ -11,11 +14,15 @@ import (
 	"probsyn/internal/synopsis"
 )
 
-// The write path. Every catalog write — a server build, sweep, sharded
-// build or mutation, psyn -sweep/-shards/-append into a directory — is the
-// same act: take a frontier, extract a budget, publish it under its key.
-// The three rules live here and nowhere else, which is what makes a file
-// psyn wrote and one psynd persisted interchangeable by construction.
+// The write path. Every catalog write — a server build, sweep or
+// mutation, psyn -sweep/-append into a directory — is the same act: take
+// a frontier, extract a budget, publish it under its key. The rules live
+// here and nowhere else, which is what makes a file psyn wrote and one
+// psynd persisted interchangeable by construction. One of them keeps the
+// directory's flat catalog honest: it is a derived index of the .psyn
+// files, so every write removes it before it persists a byte (Publish,
+// Republish), and only a pack (psyn -pack, a server's shutdown) makes a
+// new one.
 
 // KeyFor is the key a built synopsis publishes under: the family is the
 // synopsis's codec type name, the rest is what the build was asked for.
@@ -44,19 +51,34 @@ func (k Key) Sweep() []Key {
 // observable (ready, servable) only once it is on disk, so a failed
 // persist leaves nothing half-done — no window where a key serves
 // estimates and then vanishes, and no catalog entry that never hit disk
-// short-circuiting a retry. The write is atomic (WriteBlob).
+// short-circuiting a retry. The write is atomic (WriteBlob), and dir's
+// flat catalog is removed before it, so a flat file never outlives a key
+// it packed.
 func Publish(dir string, c *Catalog, key Key, syn synopsis.Synopsis) error {
 	blob, err := synopsis.Marshal(syn)
 	if err != nil {
 		return err
 	}
 	if dir != "" {
+		if err := invalidateFlat(dir); err != nil {
+			return err
+		}
 		if err := WriteBlob(filepath.Join(dir, key.Filename()), blob); err != nil {
 			return fmt.Errorf("persist %s: %w", key, err)
 		}
 	}
 	if c != nil {
 		c.PutEncoded(key, syn, blob)
+	}
+	return nil
+}
+
+// invalidateFlat removes dir's flat catalog, the index a write to dir
+// would leave stale. A missing file is fine.
+func invalidateFlat(dir string) error {
+	err := os.Remove(FlatPath(dir))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("invalidate the flat catalog: %w", err)
 	}
 	return nil
 }
@@ -163,7 +185,8 @@ func (mu Mutation) Apply(vp *pdata.ValuePDF) (*pdata.ValuePDF, error) {
 // Republish is a mutation's whole write: the sequence psynd's
 // /v1/append and /v1/update and psyn -append share.
 //
-//  1. Apply the mutation to vp in memory.
+//  1. Apply the mutation to vp in memory, and remove dir's flat catalog:
+//     from here on keys change or are withdrawn.
 //  2. At once: persist the mutated dataset to dataPath (atomically, in the
 //     dataset text format; skipped when dataPath is empty), and ask every
 //     key group's frontier(top, next) over engine.Fan, top being the
@@ -180,7 +203,8 @@ func (mu Mutation) Apply(vp *pdata.ValuePDF) (*pdata.ValuePDF, error) {
 // dataset under newer synopses. Republish returns the mutated dataset
 // next, how many keys n it published, and an error:
 //
-//   - Apply fails: next is nil and nothing ran.
+//   - Apply or the flat catalog's removal fails: next is nil and nothing
+//     ran.
 //   - The dataset does not persist: next is nil and err is a
 //     *PersistError. Nothing is published, but every frontier ran, so
 //     state retained behind them absorbed a mutation that never became
@@ -198,6 +222,11 @@ func (mu Mutation) Republish(vp *pdata.ValuePDF, dataPath, dir string, c *Catalo
 	next, err := mu.Apply(vp)
 	if err != nil {
 		return nil, 0, err
+	}
+	if dir != "" {
+		if err := invalidateFlat(dir); err != nil {
+			return nil, 0, err
+		}
 	}
 	persisted := make(chan error, 1)
 	go func() { persisted <- persistDataset(dataPath, next) }()

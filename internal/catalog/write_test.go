@@ -236,6 +236,21 @@ func TestMutationRepublishContract(t *testing.T) {
 		}
 	}
 
+	// The first group fails: nothing is published, yet the directory's
+	// flat catalog is gone, since the caller now withdraws every key.
+	reset()
+	dir = t.TempDir()
+	if _, err := Pack(FlatPath(dir), nil); err != nil {
+		t.Fatal(err)
+	}
+	next, n, err = mu.Republish(base, filepath.Join(dir, "d.pd"), dir, New(), keys, sweep(t, "", FamilyHistogram))
+	if err == nil || next == nil || n != 0 {
+		t.Fatalf("published %d, next %v, %v; want 0, the mutated data and boom", n, next, err)
+	}
+	if _, err := os.Stat(FlatPath(dir)); !os.IsNotExist(err) {
+		t.Fatalf("the flat catalog outlived a republish that withdraws every key (stat err = %v)", err)
+	}
+
 	// The persist fails: no synopsis file is created or changed, nothing
 	// is cataloged, and every frontier ran.
 	reset()

@@ -20,128 +20,65 @@ import (
 	"probsyn/internal/query"
 )
 
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// The keeper's core discipline, exercised directly: JobStart removes the
-// flat file before work, JobEnd re-packs at quiescence with bytes equal
-// to a fresh PackBytes of the catalog, and Close runs a final
-// synchronous pack.
-func TestFlatKeeperLifecycle(t *testing.T) {
-	cat := catalog.New()
-	key, err := catalog.NewKey("ds", catalog.FamilyHistogram, "SSE", 1, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &hist.Histogram{N: 4, Buckets: []hist.Bucket{{Start: 0, End: 3, Rep: 1}}}
-	if _, _, err := cat.Put(key, h); err != nil {
-		t.Fatal(err)
-	}
-	path := catalog.FlatPath(t.TempDir())
-	if _, err := catalog.Pack(path, cat.List()); err != nil {
-		t.Fatal(err)
-	}
-
-	fk := newFlatKeeper(path, cat, t.Logf)
-	fk.JobStart()
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("flat file still present during an active job (stat err = %v)", err)
-	}
-	fk.JobEnd()
-	waitFor(t, "quiescent re-pack", func() bool {
-		_, err := os.Stat(path)
-		return err == nil
-	})
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := catalog.PackBytes(cat.List())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("re-packed flat file differs from a fresh pack of the catalog")
-	}
-
-	// A job that mutates the catalog: after Close, the final pack must
-	// reflect the mutation, not the earlier snapshot.
-	fk.JobStart()
-	key2, err := catalog.NewKey("ds", catalog.FamilyHistogram, "SSE", 2, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2 := &hist.Histogram{N: 4, Buckets: []hist.Bucket{
-		{Start: 0, End: 1, Rep: 1}, {Start: 2, End: 3, Rep: 2},
-	}}
-	if _, _, err := cat.Put(key2, h2); err != nil {
-		t.Fatal(err)
-	}
-	fk.JobEnd()
-	fk.Close()
-	f, err := catalog.OpenFlat(path)
-	if err != nil {
-		t.Fatalf("final pack unreadable: %v", err)
-	}
-	defer f.Close()
-	if f.Len() != 2 {
-		t.Fatalf("final pack has %d entries, want 2", f.Len())
-	}
-}
-
-// The server wiring end to end: a waited build invalidates the flat
-// file, and the background keeper re-packs it once the queue is
-// quiescent, covering the new entry.
-func TestServerFlatRepackAfterBuild(t *testing.T) {
+// The server writes the flat file once, at graceful shutdown after its
+// queues drain, and never past the deadline. A build removes a packed
+// file (Publish's rule, not the server's), nothing puts it back while
+// the server runs, and the shutdown pack covers what the jobs wrote,
+// byte for byte a fresh PackBytes of the directory's .psyn files.
+func TestServerPacksFlatAtShutdownOnly(t *testing.T) {
 	catDir := t.TempDir()
 	path := catalog.FlatPath(catDir)
-	_, ts, _ := newFixture(t, Config{CatalogDir: catDir, FlatPath: path})
-
-	resp, ok, bad := postBuild(t, ts, BuildRequest{
-		Dataset: "ds", Family: "histogram", Metric: "SSE", Budget: 4, Wait: true,
-	})
-	if resp.StatusCode != 200 {
-		t.Fatalf("build: status %d (%+v)", resp.StatusCode, bad)
-	}
-	if ok.Status != "built" {
-		t.Fatalf("build status %q, want built", ok.Status)
-	}
-
-	waitFor(t, "post-build re-pack", func() bool {
-		_, err := os.Stat(path)
-		return err == nil
-	})
-	f, err := catalog.OpenFlat(path)
-	if err != nil {
+	s, ts, _ := newValueFixture(t, Config{CatalogDir: catDir, FlatPath: path})
+	if _, err := catalog.Pack(path, nil); err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	if f.Len() != 1 {
-		t.Fatalf("re-packed flat file has %d entries, want 1", f.Len())
-	}
-	// The persisted envelope beside it is what the flat file packs, so a
-	// replica booting this directory gets both paths in agreement.
-	des, err := os.ReadDir(catDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	psyn := 0
-	for _, de := range des {
-		if filepath.Ext(de.Name()) == ".psyn" {
-			psyn++
+	gone := func(what string) {
+		t.Helper()
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("after %s the flat file is on disk (stat err = %v)", what, err)
 		}
 	}
-	if psyn != 1 {
-		t.Fatalf("catalog dir holds %d .psyn envelopes, want 1", psyn)
+	if resp, _, bad := postBuild(t, ts, BuildRequest{Dataset: "vds", Family: "histogram", Metric: "SSE", Budget: 4, Wait: true}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("build: status %d (%+v)", resp.StatusCode, bad)
+	}
+	gone("a build")
+	item := ItemPDFWire{Entries: []FreqProbWire{{Freq: 2, Prob: 0.5}}}
+	if resp, _, bad := postMutate(t, ts, "/v1/append", MutateRequest{Dataset: "vds", Items: []ItemPDFWire{item}, Wait: true}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("append: status %d (%+v)", resp.StatusCode, bad)
+	}
+	gone("a mutation")
+
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	// A drained server given a spent deadline returns without packing.
+	// (Which case the select takes is not fixed, so only the file is
+	// checked.)
+	_ = s.Shutdown(expired)
+	gone("a shutdown past its deadline")
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no flat file after a graceful shutdown: %v", err)
+	}
+	// Without a CatalogDir there are no files to pack.
+	if _, err := New(Config{DataDir: t.TempDir(), Catalog: catalog.New(), Pool: engine.New(engine.Options{}), FlatPath: path}); err == nil {
+		t.Fatal("New accepted a FlatPath without a CatalogDir")
+	}
+	disk := catalog.New()
+	if _, err := disk.LoadDir(catDir); err != nil {
+		t.Fatal(err)
+	}
+	want, err := catalog.PackBytes(disk.List())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) || disk.Len() != 1 {
+		t.Fatalf("the shutdown pack (%d bytes) is not a pack of the %d-file directory (%d bytes)", len(got), disk.Len(), len(want))
 	}
 }
 
@@ -161,7 +98,7 @@ func getBody(t *testing.T, url string) (int, []byte) {
 }
 
 // TestBootPathsAgree: one catalog directory — both families, a
-// relative-error metric, a quantized wavelet, a sharded build — booted
+// relative-error metric, a quantized wavelet, a single build — booted
 // through the codec and through its flat file is the same catalog:
 // every key's querier answers Float64bits-equal, /v1/synopses lists
 // identically, each entry's synopsis re-encodes to the .psyn file's bytes
@@ -181,7 +118,7 @@ func TestBootPathsAgree(t *testing.T) {
 	}
 	for _, req := range []BuildRequest{
 		{Dataset: "ds", Family: "wavelet", Metric: "SAE", Budget: 4, Quantize: 4},
-		{Dataset: "ds", Family: "histogram", Metric: "SSE", Budget: 6, Shards: 2},
+		{Dataset: "ds", Family: "histogram", Metric: "SAE", Budget: 6},
 	} {
 		req.Wait = true
 		if resp, _, bad := postBuild(t, ts, req); resp.StatusCode != 200 {
@@ -267,10 +204,12 @@ func TestBootPathsAgree(t *testing.T) {
 }
 
 // TestServerReplacesOldFlatVersion: a catalog directory holding a flat
-// file of the version this format replaced boots through the codec with
-// one warning, and the server's shutdown pack leaves a current file that
-// covers the catalog — there is no reader for the old layout because the
-// file is re-derived at the first opportunity.
+// file of version 2 — this layout, packed when one server's keeper, not
+// the write path, removed it, so an offline write could leave it stale —
+// boots through the codec with one warning, and the server's shutdown
+// pack leaves a current file that covers the catalog: there is no reader
+// for an old version because the file is re-derived at the first
+// opportunity.
 func TestServerReplacesOldFlatVersion(t *testing.T) {
 	dir := t.TempDir()
 	src := catalog.New()
@@ -293,11 +232,9 @@ func TestServerReplacesOldFlatVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A version 1 header page: same magic, version field and header
-	// checksum as today's, over an empty index.
-	old := make([]byte, 4096)
-	copy(old, want[:8])
-	binary.LittleEndian.PutUint32(old[8:], 1)
+	// The same pack under version 2: the file size does not change.
+	old := append([]byte(nil), want...)
+	binary.LittleEndian.PutUint32(old[8:], 2)
 	binary.LittleEndian.PutUint32(old[60:], crc32.ChecksumIEEE(old[:60]))
 	path := catalog.FlatPath(dir)
 	if err := os.WriteFile(path, old, 0o644); err != nil {
@@ -311,7 +248,7 @@ func TestServerReplacesOldFlatVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	if f != nil || flatN != 0 || codecN != src.Len() || warned != 1 {
-		t.Fatalf("boot over a version 1 file: f=%v flatN=%d codecN=%d warned=%d, want nil/0/%d/1", f, flatN, codecN, warned, src.Len())
+		t.Fatalf("boot over a version 2 file: f=%v flatN=%d codecN=%d warned=%d, want nil/0/%d/1", f, flatN, codecN, warned, src.Len())
 	}
 	s, err := New(Config{
 		DataDir: t.TempDir(), CatalogDir: dir, Catalog: cat, FlatPath: path,
@@ -330,6 +267,6 @@ func TestServerReplacesOldFlatVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("the shutdown pack did not replace the version 1 file with a pack of the catalog")
+		t.Fatal("the shutdown pack did not replace the version 2 file with a pack of the catalog")
 	}
 }

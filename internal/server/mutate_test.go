@@ -181,25 +181,20 @@ func assertCatalogMatchesOfflineRebuild(t *testing.T, catDir string, want *pdata
 	}
 }
 
-// TestMutateAfterShardedBuild: a sharded build publishes one synopsis
-// under the ordinary key, so a mutation revalidates it like any other
-// entry. (When the k pieces were catalog keys too, each was its own
-// revalidation group: every group re-applied the mutation to the one
-// shared live frontier, and the listing showed pieces of domain 26 and 27
-// beside a 24-item dataset after a single one-item append.) The keys are
-// three groups, histogram DPs split two, three and four ways.
-func TestMutateAfterShardedBuild(t *testing.T) {
+// TestMutateThreeFrontierGroups: a dataset holding keys of three
+// histogram frontier groups (SSE, MAE, SAE) takes an append, a second
+// append and an update, and after each one the response counts every key,
+// the listing shows every key at the dataset's new domain, the directory
+// holds one file per key, and each file is what an offline rebuild over
+// the mutated data writes.
+func TestMutateThreeFrontierGroups(t *testing.T) {
 	catDir := t.TempDir()
 	_, ts, vp := newValueFixture(t, Config{CatalogDir: catDir})
 	const built = 3
-	for _, req := range []BuildRequest{
-		{Family: "histogram", Metric: "SSE", Shards: 2},
-		{Family: "histogram", Metric: "MAE", Shards: 3},
-		{Family: "histogram", Metric: "SAE", Shards: 4},
-	} {
-		req.Dataset, req.Budget, req.Wait = "vds", 6, true
+	for _, metric := range []string{"SSE", "MAE", "SAE"} {
+		req := BuildRequest{Dataset: "vds", Family: "histogram", Metric: metric, Budget: 6, Wait: true}
 		if resp, _, bad := postBuild(t, ts, req); resp.StatusCode != http.StatusOK {
-			t.Fatalf("sharded %+v build: %d %v", req, resp.StatusCode, bad)
+			t.Fatalf("%+v build: %d %v", req, resp.StatusCode, bad)
 		}
 	}
 	item := ItemPDFWire{Entries: []FreqProbWire{{Freq: 3, Prob: 0.5}}}
@@ -457,14 +452,11 @@ func TestMutationsApplyInPostOrder(t *testing.T) {
 // withdrawal is what turns the failure into not_found + rebuild instead
 // of silently stale estimates.
 func TestMutateFailureWithdrawsStaleEntries(t *testing.T) {
-	dir := t.TempDir()
-	// CatalogDir is a FILE: dataset persistence (DataDir) succeeds, but
-	// republish's WriteBlob into it must fail.
-	notADir := filepath.Join(dir, "not-a-dir")
-	if err := os.WriteFile(notADir, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, ts, vp := newValueFixture(t, Config{C: 0.5, CatalogDir: notADir})
+	// A non-empty directory where the key's file would go: dataset
+	// persistence (DataDir) succeeds, but republish's WriteBlob of the
+	// key must fail.
+	catDir := t.TempDir()
+	s, ts, vp := newValueFixture(t, Config{C: 0.5, CatalogDir: catDir})
 
 	// Seed the in-memory catalog directly (persistence is broken by
 	// construction, so we cannot build through the API).
@@ -478,6 +470,9 @@ func TestMutateFailureWithdrawsStaleEntries(t *testing.T) {
 	}
 	key, err := catalog.NewKey("vds", catalog.FamilyHistogram, "SSE", 3, 0)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(catDir, key.Filename(), "x"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	cat := s.cfg.Catalog

@@ -214,7 +214,7 @@ func newBenchServer(b *testing.B) (*Server, *httptest.Server) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := s.build(key, false, 0); err != nil {
+		if err := s.build(key, false); err != nil {
 			b.Fatal(err)
 		}
 	}

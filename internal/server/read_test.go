@@ -124,7 +124,7 @@ func TestReadPathsAgree(t *testing.T) {
 		{Dataset: "ds", Family: "histogram", Metric: "SSRE", Budget: 3}, // under the server's c
 		{Dataset: "ds", Family: "histogram", Metric: "SSRE", Budget: 3, C: 0.25},
 		{Dataset: "ds", Family: "wavelet", Metric: "SAE", Budget: 4, Quantize: 4},
-		{Dataset: "ds", Family: "histogram", Metric: "SSE", Budget: 8, Shards: 4}, // a key like any other
+		{Dataset: "ds", Family: "histogram", Metric: "SSE", Budget: 8},
 	} {
 		b.Wait = true
 		if resp, _, bad := postBuild(t, ts, b); resp.StatusCode != http.StatusOK {

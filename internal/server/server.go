@@ -41,11 +41,10 @@
 //	                   resolution across the whole batch.
 //	GET  /v1/synopses  — list catalog entries.
 //
-// Sharded builds: a histogram build request with shards >= 2 partitions
-// the domain, builds the shards within the pool's workers on one admission
-// token (probsyn.BuildSharded), and publishes the merged synopsis under the
-// ordinary key — nothing downstream of the build can tell how a synopsis
-// was built. Sharding is a property of the build, not of serving: one
+// A served key is the build it names over the dataset on disk, so the
+// server builds unsharded only: a build request with shards >= 2 is a 400
+// before anything is queued. A sharded histogram is an offline build
+// (psyn -shards), whose merge and bound ship as one synopsis file. One
 // node holds every dataset (DESIGN.md, "Why one node").
 //
 // Every read — the single GET endpoints and batches alike — is parse,
@@ -54,15 +53,17 @@
 // O(log) time and zero allocation per operation, bit-identical to the
 // synopsis's own methods.
 //
-// Every write — a build, each budget of a sweep, a sharded build's merged
-// synopsis, every key a mutation republishes, the mutated dataset itself
-// — goes through internal/catalog's write path (Publish,
-// ExtractAndPublish, Mutation.Republish), the functions cmd/psyn writes a
-// catalog directory with, so a served file and an offline one are the
-// same bytes by construction. What this package adds is policy: the
-// queues and their dedupe, the per-dataset locks, which live frontiers
-// stay retained (liveFor), the flat keeper, and withdrawing what a failed
-// mutation could not republish.
+// Every write — a build, each budget of a sweep, every key a mutation
+// republishes, the mutated dataset itself — goes through
+// internal/catalog's write path (Publish, ExtractAndPublish,
+// Mutation.Republish), the functions cmd/psyn writes a catalog directory
+// with, so a served file and an offline one are the same bytes by
+// construction, and every one of them removes the directory's flat
+// catalog before it writes. What this package adds is policy: the queues
+// and their dedupe, the per-dataset locks, which live frontiers stay
+// retained (liveFor), withdrawing what a failed mutation could not
+// republish, and one pack of the directory's .psyn files into its flat
+// catalog at graceful shutdown.
 //
 // Mutations are serialized per dataset (builds of a dataset share a read
 // lock, mutations take the write lock), so a build admitted before an
@@ -119,12 +120,12 @@ type Config struct {
 	QueueDepth int
 	// C is the sanity constant handed to relative-error metric builds.
 	C float64
-	// FlatPath, when non-empty, is the flat catalog file this
-	// server maintains (conventionally catalog.FlatPath(CatalogDir)):
-	// removed before any job that changes the catalog, re-packed in the
-	// background once the server is quiescent, and packed once more on
-	// graceful shutdown — so a replica boot always finds either a flat
-	// file exactly matching the .psyn directory or no flat file at all.
+	// FlatPath, when non-empty, is where Shutdown packs CatalogDir's
+	// .psyn files once its queues have drained (conventionally
+	// catalog.FlatPath(CatalogDir)), so the next boot opens one file. It
+	// needs a CatalogDir. Nothing else here writes it: the write path
+	// removes it before any catalog write, so a boot finds either a flat
+	// file matching the .psyn directory or none.
 	FlatPath string
 	// MaxLiveStates caps how many live frontiers (retained DP state for
 	// incremental mutation maintenance) the server keeps; <= 0 means
@@ -165,11 +166,6 @@ type Server struct {
 	closed    bool
 	workers   sync.WaitGroup
 
-	// flat maintains the flat catalog file (nil when Config.
-	// FlatPath is empty): invalidation before catalog-changing jobs,
-	// background re-pack at quiescence, final pack at shutdown.
-	flat *flatKeeper
-
 	// read-mostly cache of parsed datasets.
 	dsMu     sync.RWMutex
 	datasets map[string]probsyn.Source
@@ -204,14 +200,10 @@ type Server struct {
 	liveClock int64
 }
 
-// jobKey identifies a deduplicatable unit of build work. shards > 1
-// dedupes sharded builds separately from plain builds of the same key:
-// a k-way merge is a different synopsis with its own bound, and the
-// request that waits on the job reports that bound.
+// jobKey identifies a deduplicatable unit of build work.
 type jobKey struct {
 	catalog.Key
-	sweep  bool
-	shards int
+	sweep bool
 }
 
 // liveState is a retained live frontier plus the budget it was requested
@@ -234,16 +226,13 @@ const (
 // buildJob is one queued build, budget sweep, or dataset mutation; err
 // (and the mutation results) are valid once done is closed.
 type buildJob struct {
-	kind   jobKind
-	key    catalog.Key // build/sweep
-	shards int         // > 1 selects the sharded build path
-	mut    *mutation   // mutate
-	done   chan struct{}
-	err    error
+	kind jobKind
+	key  catalog.Key // build/sweep
+	mut  *mutation   // mutate
+	done chan struct{}
+	err  error
 
-	// results reported on wait:true responses: a sharded build's
-	// suboptimality bound, a mutation's new domain and republish count.
-	bound       float64
+	// a mutation's results, reported on wait:true responses.
 	domain      int
 	republished int
 }
@@ -266,6 +255,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("server: no data directory")
 	}
+	if cfg.FlatPath != "" && cfg.CatalogDir == "" {
+		return nil, fmt.Errorf("server: a flat path needs a catalog directory to pack")
+	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
@@ -280,9 +272,6 @@ func New(cfg Config) (*Server, error) {
 		pending:  make(map[jobKey]*buildJob),
 		dsLocks:  make(map[string]*sync.RWMutex),
 		lives:    make(map[catalog.Key]*liveState),
-	}
-	if cfg.FlatPath != "" {
-		s.flat = newFlatKeeper(cfg.FlatPath, cfg.Catalog, s.logf)
 	}
 	drainers := cfg.Pool.MaxBuilds()
 	if drainers == 0 {
@@ -308,19 +297,12 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// runJob executes one queued job and completes it. Every job may change
-// the catalog (persist, publish, withdraw), so the flat catalog file is
-// invalidated before the job runs and re-packed once the server
-// quiesces after it.
+// runJob executes one queued job and completes it.
 func (s *Server) runJob(job *buildJob) {
-	if s.flat != nil {
-		s.flat.JobStart()
-		defer s.flat.JobEnd()
-	}
 	if job.kind == jobMutate {
 		job.domain, job.republished, job.err = s.mutate(job.mut)
 	} else {
-		job.bound, job.err = s.build(job.key, job.kind == jobSweep, job.shards)
+		job.err = s.build(job.key, job.kind == jobSweep)
 	}
 	if job.err != nil {
 		// Surface every failure here: an async (wait:false) client has
@@ -337,7 +319,7 @@ func (s *Server) runJob(job *buildJob) {
 	// never registered.)
 	if job.kind != jobMutate {
 		s.pendingMu.Lock()
-		delete(s.pending, jobKey{job.key, job.kind == jobSweep, job.shards})
+		delete(s.pending, jobKey{job.key, job.kind == jobSweep})
 		s.pendingMu.Unlock()
 	}
 	close(job.done)
@@ -364,6 +346,12 @@ func (s *Server) datasetLock(name string) *sync.RWMutex {
 // Shutdown stops admitting new builds, lets the workers drain every job
 // already queued, and returns when they have finished (or ctx expires).
 // Estimate reads keep working throughout — only build ingest closes.
+// Once the queues have drained within ctx, and only then, the .psyn
+// files of CatalogDir are packed to Config.FlatPath, as psyn -pack packs
+// them: the files and not the in-memory catalog, since another writer
+// (psyn -append, an operator's rm) may have changed the directory while
+// the server ran. A failed pack is logged, not returned: the next boot
+// decodes the .psyn files instead.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.closingMu.Lock()
 	if !s.closed {
@@ -379,18 +367,25 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		// Every queued job has drained: pack the flat catalog one final
-		// time so the next boot opens it instead of walking the directory.
-		if s.flat != nil {
-			s.flat.Close()
-		}
-		return nil
 	case <-ctx.Done():
-		// Jobs may still be running; a final pack here could race them.
-		// The flat file was already invalidated by any active job, so
-		// the next boot correctly falls back to the .psyn directory.
 		return fmt.Errorf("server: shutdown: %w", ctx.Err())
 	}
+	if s.cfg.FlatPath != "" && ctx.Err() == nil {
+		if err := s.packFlat(); err != nil {
+			s.logf("flat catalog: pack %s: %v", s.cfg.FlatPath, err)
+		}
+	}
+	return nil
+}
+
+// packFlat packs the .psyn files on disk in CatalogDir to FlatPath.
+func (s *Server) packFlat() error {
+	disk := catalog.New()
+	if _, err := disk.LoadDir(s.cfg.CatalogDir); err != nil {
+		return err
+	}
+	_, err := catalog.Pack(s.cfg.FlatPath, disk.List())
+	return err
 }
 
 // Handler returns the server's route table.
@@ -425,12 +420,10 @@ type BuildRequest struct {
 	// The grid size is part of the catalog key, so exact and quantized
 	// synopses of the same dataset/metric/budget coexist.
 	Quantize int `json:"quantize,omitempty"`
-	// Shards >= 2 requests a sharded histogram build: the domain splits
-	// into that many contiguous ranges built in parallel over the pool
-	// and merged (probsyn.BuildSharded); the merged synopsis publishes
-	// under the ordinary key. 0 or 1 is an ordinary unsharded build. A
-	// wavelet, or a budget below the shard count, with Shards >= 2 is a
-	// bad request.
+	// Shards is read only to be refused: 0 or 1 is the build every
+	// request gets, anything else a bad request naming psyn -shards, the
+	// offline build a sharded histogram is (a merge is not the build its
+	// key names, so it has no key to serve under).
 	Shards int `json:"shards,omitempty"`
 	// Wait makes the request synchronous: the response arrives after the
 	// queued build completes (or fails).
@@ -445,10 +438,6 @@ type BuildResponse struct {
 	// Budgets is how many per-budget synopses the request covers: 0 for
 	// single builds, the swept budget count (1..key.budget) for sweeps.
 	Budgets int `json:"budgets,omitempty"`
-	// Bound, on the "built" response of a sharded build, certifies the
-	// merged synopsis's cost within Bound of the unsharded optimum
-	// (probsyn.ShardedResult.Bound; 0, omitted, when it is exact).
-	Bound float64 `json:"bound,omitempty"`
 }
 
 // FreqProbWire is one (frequency, probability) entry of a mutation's
@@ -592,24 +581,9 @@ func (s *Server) handleBuildLike(w http.ResponseWriter, r *http.Request, sweep b
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}
-	shards := req.Shards
-	if shards < 0 {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "negative shard count %d", shards)
-		return
-	}
-	if shards == 1 {
-		shards = 0 // one shard IS the unsharded build
-	}
-	if sweep && shards > 1 {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "sweeps cannot be sharded")
-		return
-	}
-	if key.Family == catalog.FamilyWavelet && shards > 1 {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "a wavelet is not sharded: build it unsharded, with quantize past the exact DP's reach")
-		return
-	}
-	if shards > key.Budget {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "%d shards need budget >= %d (one bucket per shard), got %d", shards, shards, key.Budget)
+	if req.Shards != 0 && req.Shards != 1 {
+		writeError(w, http.StatusBadRequest, CodeBadRequest,
+			"shards %d: psynd builds unsharded; build a sharded histogram offline with psyn -shards", req.Shards)
 		return
 	}
 	budgets := 0
@@ -621,10 +595,7 @@ func (s *Server) handleBuildLike(w http.ResponseWriter, r *http.Request, sweep b
 		}
 		budgets = key.Budget
 	}
-	// A sharded build never short-circuits on the cataloged key: the entry
-	// may be the unsharded optimum or another k's merge, and the caller
-	// asked for this one and its bound.
-	if shards <= 1 && s.ready(published(key, sweep)) {
+	if s.ready(published(key, sweep)) {
 		writeJSON(w, http.StatusOK, BuildResponse{Key: key, Status: "ready", Budgets: budgets})
 		return
 	}
@@ -638,7 +609,7 @@ func (s *Server) handleBuildLike(w http.ResponseWriter, r *http.Request, sweep b
 	// once it is actually queued — so a job found in pending is always
 	// one a worker will complete, and a failed enqueue is visible to
 	// nobody.
-	jk := jobKey{key, sweep, shards}
+	jk := jobKey{key, sweep}
 	kind := jobBuild
 	if sweep {
 		kind = jobSweep
@@ -646,7 +617,7 @@ func (s *Server) handleBuildLike(w http.ResponseWriter, r *http.Request, sweep b
 	s.pendingMu.Lock()
 	job, inflight := s.pending[jk]
 	if !inflight {
-		job = &buildJob{kind: kind, key: key, shards: shards, done: make(chan struct{})}
+		job = &buildJob{kind: kind, key: key, done: make(chan struct{})}
 		if code, err := s.enqueue(job); err != nil {
 			s.pendingMu.Unlock()
 			writeError(w, http.StatusServiceUnavailable, code, "%v", err)
@@ -670,7 +641,7 @@ func (s *Server) handleBuildLike(w http.ResponseWriter, r *http.Request, sweep b
 		writeError(w, http.StatusInternalServerError, CodeBuildFailed, "%v", job.err)
 		return
 	}
-	writeJSON(w, http.StatusOK, BuildResponse{Key: key, Status: "built", Budgets: budgets, Bound: job.bound})
+	writeJSON(w, http.StatusOK, BuildResponse{Key: key, Status: "built", Budgets: budgets})
 }
 
 // ready reports whether the catalog already holds every key a job would
@@ -887,48 +858,32 @@ func published(key catalog.Key, sweep bool) []catalog.Key {
 // sweep are the same loop — one probsyn.BuildSweep, one DP run under one
 // admission token, then catalog.ExtractAndPublish over the job's keys —
 // so every swept budget is byte for byte what a single build of it
-// publishes, and what an offline cmd/psyn build writes. shards > 1 runs
-// probsyn.BuildSharded instead (one admission token, like any build): the
-// merged synopsis publishes under the ordinary key and its suboptimality
-// bound is returned.
-func (s *Server) build(key catalog.Key, sweep bool, shards int) (bound float64, err error) {
+// publishes, and what an offline cmd/psyn build writes.
+func (s *Server) build(key catalog.Key, sweep bool) error {
 	lock := s.datasetLock(key.Dataset)
 	lock.RLock()
 	defer lock.RUnlock()
 	keys := published(key, sweep)
-	if shards <= 1 && s.ready(keys) {
-		return 0, nil // built (or loaded, or republished by a mutation) since this job was queued
+	if s.ready(keys) {
+		return nil // built (or loaded, or republished by a mutation) since this job was queued
 	}
 	src, err := s.dataset(key.Dataset)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	m, opts, err := s.buildOptions(key)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	if shards <= 1 {
-		_, err := catalog.ExtractAndPublish(s.cfg.CatalogDir, s.cfg.Catalog, keys,
-			func(top catalog.Key) (probsyn.Frontier, error) {
-				fr, err := probsyn.BuildSweep(src, m, top.Budget, opts...)
-				if err != nil {
-					return nil, fmt.Errorf("build %s: %w", top, err)
-				}
-				return fr, nil
-			})
-		return 0, err
-	}
-	res, err := probsyn.BuildSharded(src, m, key.Budget, shards, opts...)
-	if err != nil {
-		return 0, fmt.Errorf("sharded build %s (%d shards): %w", key, shards, err)
-	}
-	if err := catalog.Publish(s.cfg.CatalogDir, s.cfg.Catalog, key, res.Synopsis); err != nil {
-		return 0, err
-	}
-	// An async (wait:false) build has no response to carry the bound.
-	s.logf("sharded build %s: %d shards, cost %.6g, suboptimality bound %.6g",
-		key, shards, res.Synopsis.ErrorCost(), res.Bound)
-	return res.Bound, nil
+	_, err = catalog.ExtractAndPublish(s.cfg.CatalogDir, s.cfg.Catalog, keys,
+		func(top catalog.Key) (probsyn.Frontier, error) {
+			fr, err := probsyn.BuildSweep(src, m, top.Budget, opts...)
+			if err != nil {
+				return nil, fmt.Errorf("build %s: %w", top, err)
+			}
+			return fr, nil
+		})
+	return err
 }
 
 // buildOptions is key.BuildOptions scheduled on the server's shared pool:
