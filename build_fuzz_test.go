@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"probsyn"
+	"probsyn/internal/hist"
 )
 
 // fuzzProbs and fuzzFreqs are the values a fuzzed source draws from: the
@@ -76,7 +77,9 @@ func fuzzSource(data []byte) (probsyn.Source, int) {
 // FuzzBuildSources: every public builder answers any small source and
 // budget with a synopsis or an error, never a panic. A source that breaks
 // its model's rules is an error everywhere; a valid one at a budget >= 1
-// builds everywhere.
+// builds everywhere (a two-way merge needs two items and two buckets). A
+// histogram's reported cost is what the unsharded oracle prices its
+// buckets at, merged or approximate ones included.
 func FuzzBuildSources(f *testing.F) {
 	for _, seed := range [][]byte{
 		{1, 4, 2, 1, 7, 3},       // tuple item out of range
@@ -97,48 +100,70 @@ func FuzzBuildSources(f *testing.F) {
 		{2, 4, 0xfe, 1, 2, 3},    // negative budget
 		{2, 8, 3, 1, 2, 4, 2, 5, 3, 6, 2, 1, 1, 4, 2, 3, 3}, // valid
 		{1, 16, 17, 2, 0, 3, 15, 2, 1, 9, 4, 3, 5, 2, 7, 3}, // valid, B > n
+		{1, 4, 2, 3, 0, 2, 1, 2, 2, 2},                      // one tuple on items 0, 1 and 2: it straddles the two-way split
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src, B := fuzzSource(data)
 		valid := src.Validate() == nil
-		check := func(name string, ok bool, err error) {
+		check := func(name string, ok bool, err error, builds bool) {
 			t.Helper()
 			switch {
 			case err == nil && !ok:
 				t.Fatalf("%s: nil synopsis and nil error", name)
 			case err == nil && !valid:
 				t.Fatalf("%s accepted an invalid source", name)
-			case err != nil && valid && B >= 1:
+			case err != nil && valid && builds:
 				t.Fatalf("%s refused a valid source at B=%d: %v", name, B, err)
 			}
 		}
-		for _, b := range []struct {
-			name string
-			m    probsyn.Metric
-			opts []probsyn.BuildOption
-		}{
-			{"Build(SSE)", probsyn.SSE, nil},
-			{"Build(SAE)", probsyn.SAE, nil},
-			{"Build(SAE, WithWavelet)", probsyn.SAE, []probsyn.BuildOption{probsyn.WithWavelet()}},
-		} {
-			syn, err := probsyn.Build(src, b.m, B, b.opts...)
-			check(b.name, syn != nil, err)
-		}
-		fr, err := probsyn.BuildSweep(src, probsyn.SAE, B)
-		if err == nil {
-			var syn probsyn.Synopsis
-			syn, err = fr.Synopsis(fr.Bmax())
-			check("BuildSweep(SAE).Synopsis", syn != nil, err)
-		} else {
-			check("BuildSweep(SAE)", false, err)
+		price := func(name string, m probsyn.Metric, syn probsyn.Synopsis) {
+			t.Helper()
+			h, ok := syn.(*probsyn.Histogram)
+			if !ok {
+				return
+			}
+			o, err := hist.NewOracle(src, m, probsyn.DefaultParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := hist.FromBoundaries(o, h.Boundaries())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !near(h.ErrorCost(), want.Cost) {
+				t.Fatalf("%s reports %v, its buckets cost %v", name, h.ErrorCost(), want.Cost)
+			}
 		}
 		for _, m := range []probsyn.Metric{probsyn.SSE, probsyn.SAE} {
+			for name, opts := range map[string][]probsyn.BuildOption{"Build": nil, "Build(WithEps)": {probsyn.WithEps(0.5)}} {
+				syn, err := probsyn.Build(src, m, B, opts...)
+				check(name, syn != nil, err, B >= 1)
+				price(name, m, syn)
+			}
+			res, err := probsyn.BuildSharded(src, m, B, 2)
+			check("BuildSharded(k=2)", res != nil, err, B >= 2 && src.Domain() >= 2)
+			if err == nil {
+				price("BuildSharded(k=2)", m, res.Synopsis)
+			}
 			h, err := probsyn.EquiDepthHistogram(src, m, probsyn.DefaultParams(), B)
-			check("EquiDepthHistogram", h != nil, err)
+			check("EquiDepthHistogram", h != nil, err, B >= 1)
+			if err == nil {
+				price("EquiDepthHistogram", m, h)
+			}
 		}
-		syn, rep, err := probsyn.SSEWavelet(src, B)
-		check("SSEWavelet", syn != nil && rep != nil, err)
+		syn, err := probsyn.Build(src, probsyn.SAE, B, probsyn.WithWavelet())
+		check("Build(SAE, WithWavelet)", syn != nil, err, B >= 1)
+		fr, err := probsyn.BuildSweep(src, probsyn.SAE, B)
+		if err == nil {
+			syn, err = fr.Synopsis(fr.Bmax())
+			check("BuildSweep(SAE).Synopsis", syn != nil, err, true)
+			price("BuildSweep(SAE)", probsyn.SAE, syn)
+		} else {
+			check("BuildSweep(SAE)", false, err, B >= 1)
+		}
+		wsyn, rep, err := probsyn.SSEWavelet(src, B)
+		check("SSEWavelet", wsyn != nil && rep != nil, err, B >= 1)
 	})
 }

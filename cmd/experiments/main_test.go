@@ -145,7 +145,7 @@ func TestEveryModeRuns(t *testing.T) {
 
 // The frontier mode is three BuildSweep calls, so at every budget its cost
 // and terms columns are Build's at that budget, for both served families
-// (to the six digits the CSV carries; TestEntryPointsAgreeOnOptions at the
+// (to the six digits the CSV carries; TestConformance at the
 // root holds BuildSweep to Build bit for bit).
 func TestFrontierMatchesBuild(t *testing.T) {
 	tab := runMode(t, "frontier")

@@ -190,41 +190,3 @@ func minAchievableCost(o hist.Oracle) float64 {
 	}
 	return total
 }
-
-// EvaluateAt prices an existing histogram — its bucketing AND its stored
-// representatives — under a per-item-decomposable metric, using the
-// marginal value pdf of the source. (For the clairvoyant SSE objective the
-// cost is representative-free; use the oracle's bucket costs instead.)
-func EvaluateAt(src pdata.Source, k metric.Kind, p metric.Params, h *hist.Histogram) (float64, error) {
-	if k == metric.SSE {
-		return 0, fmt.Errorf("eval: EvaluateAt is representative-based; SSE (Eq. 5) is not")
-	}
-	vp := pdata.AsValuePDF(src)
-	if vp.N != h.N {
-		return 0, fmt.Errorf("eval: histogram domain %d != source domain %d", h.N, vp.N)
-	}
-	total := 0.0
-	for _, b := range h.Buckets {
-		for i := b.Start; i <= b.End; i++ {
-			e := expectedPointError(&vp.Items[i], k, p, b.Rep)
-			if k.Cumulative() {
-				total += e
-			} else if e > total {
-				total = e
-			}
-		}
-	}
-	return total, nil
-}
-
-// expectedPointError computes E[err(g, v)] directly from one item pdf.
-func expectedPointError(ip *pdata.ItemPDF, k metric.Kind, p metric.Params, v float64) float64 {
-	total := ip.ZeroProb() * k.PointError(0, v, p)
-	for _, e := range ip.Entries {
-		if e.Freq == 0 {
-			continue
-		}
-		total += e.Prob * k.PointError(e.Freq, v, p)
-	}
-	return total
-}

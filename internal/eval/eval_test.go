@@ -152,68 +152,6 @@ func TestHistogramExperimentArgumentErrors(t *testing.T) {
 	}
 }
 
-func TestEvaluateAtMatchesOracleOptimum(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	src := ptest.RandomValuePDF(rng, 8, 3)
-	p := metric.Params{C: 0.5}
-	for _, k := range []metric.Kind{metric.SSEFixed, metric.SSRE, metric.SAE, metric.SARE, metric.MAE, metric.MARE} {
-		o, err := hist.NewOracle(src, k, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := hist.OptimalPool(o, 3, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := eval.EvaluateAt(src, k, p, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-h.Cost) > 1e-9*(1+h.Cost) {
-			t.Fatalf("%v: EvaluateAt = %v, oracle cost %v", k, got, h.Cost)
-		}
-	}
-}
-
-func TestEvaluateAtPenalizesWorseReps(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	src := ptest.RandomValuePDF(rng, 8, 3)
-	p := metric.Params{C: 0.5}
-	o, err := hist.NewOracle(src, metric.SAE, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := hist.OptimalPool(o, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perturbed := *h
-	perturbed.Buckets = append([]hist.Bucket(nil), h.Buckets...)
-	for i := range perturbed.Buckets {
-		perturbed.Buckets[i].Rep += 1.5
-	}
-	base, _ := eval.EvaluateAt(src, metric.SAE, p, h)
-	worse, err := eval.EvaluateAt(src, metric.SAE, p, &perturbed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if worse < base-1e-12 {
-		t.Fatalf("perturbed reps evaluate better: %v < %v", worse, base)
-	}
-}
-
-func TestEvaluateAtRejectsSSEAndMismatch(t *testing.T) {
-	src := pdata.Deterministic([]float64{1, 2})
-	h := &hist.Histogram{N: 2, Buckets: []hist.Bucket{{Start: 0, End: 1, Rep: 1.5}}}
-	if _, err := eval.EvaluateAt(src, metric.SSE, metric.Params{}, h); err == nil {
-		t.Error("EvaluateAt accepted clairvoyant SSE")
-	}
-	small := &hist.Histogram{N: 1, Buckets: []hist.Bucket{{Start: 0, End: 0, Rep: 1}}}
-	if _, err := eval.EvaluateAt(src, metric.SAE, metric.Params{}, small); err == nil {
-		t.Error("EvaluateAt accepted domain mismatch")
-	}
-}
-
 func TestMethodString(t *testing.T) {
 	if eval.Probabilistic.String() != "Probabilistic" ||
 		eval.Expectation.String() != "Expectation" ||

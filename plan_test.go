@@ -1,20 +1,41 @@
 package probsyn_test
 
-// One verdict per option combination: Build, BuildSweep, BuildLive and
-// BuildSharded resolve their options through one plan, so they must agree
-// on what they accept — up to the documented per-entry-point rules, which
-// wantAccept restates from DESIGN.md's table — and, where they accept,
-// on the bytes.
+// The conformance table. Build, BuildSweep, BuildLive and BuildSharded
+// resolve their options through one plan, so for every option combination
+// and metric, over every source model and the shapes oracles get wrong
+// (one spike, all ties, mass below 1, frequencies either side of the
+// relative metrics' constant c, repeated frequencies), through every entry
+// point and the two facades, at worker counts 1, 2 and NumCPU, it checks:
+//
+//   - acceptance: each entry point accepts what DESIGN.md's verdict table
+//     says (wantAccept), and a catalog key admits what Build accepts;
+//   - sameness: codec bytes and DPStats agree across worker counts and
+//     entry points, a sweep extracts at every budget what Build builds
+//     there, a live frontier after an Append and an Update what a fresh
+//     sweep builds, BuildSharded at k = 1 what Build builds, and every
+//     synopsis decodes to itself;
+//   - truth, on the sources of at most 8 items: the whole-answer oracle
+//     (worlds) agrees. A reported ErrorCost is the synopsis's expected
+//     error over the possible worlds, every bucket is priced at its best
+//     representative, an exact path reaches the optimum over every
+//     bucketing or coefficient subset, and an approximate one stays within
+//     its certificate.
+//
+// Two wider sources span several DP tiles, so that the worker counts
+// really share the grids; the oracle cannot enumerate them.
 
 import (
 	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"probsyn"
 	"probsyn/internal/catalog"
+	"probsyn/internal/engine"
+	"probsyn/internal/haar"
 	"probsyn/internal/ptest"
 )
 
@@ -43,6 +64,24 @@ func (c combo) String() string {
 		c.wavelet, c.metric, q, c.unrestricted, c.eps, c.weights, sc)
 }
 
+// comboWeights is the workload a weighted combination builds under: zero
+// over the first third of the items (a whole shard of a three-way split)
+// and on every third item past it.
+func comboWeights(n int) []float64 {
+	w := make([]float64, n)
+	for i := n / 3; i < n; i++ {
+		w[i] = float64(i % 3)
+	}
+	return w
+}
+
+func (c combo) params() probsyn.Params {
+	if c.c != nil {
+		return probsyn.Params{C: *c.c}
+	}
+	return probsyn.DefaultParams()
+}
+
 func (c combo) options(n int) []probsyn.BuildOption {
 	var opts []probsyn.BuildOption
 	if c.wavelet {
@@ -58,36 +97,35 @@ func (c combo) options(n int) []probsyn.BuildOption {
 		opts = append(opts, probsyn.WithEps(c.eps))
 	}
 	if c.c != nil {
-		opts = append(opts, probsyn.WithParams(probsyn.Params{C: *c.c}))
+		opts = append(opts, probsyn.WithParams(c.params()))
 	}
 	if c.weights {
-		w := make([]float64, n)
-		for i := range w {
-			w[i] = float64(1 + i%3)
-		}
-		opts = append(opts, probsyn.WithWorkloadWeights(w))
+		opts = append(opts, probsyn.WithWorkloadWeights(comboWeights(n)))
 	}
 	return opts
 }
 
-// The entry points. shardedOne is BuildSharded at k = 1, which must be
-// Build; shardedTwo a real sharded build, whose verdict must match.
+// The entry points. viaShardedOne is BuildSharded at k = 1, which must be
+// Build; the k = 2 and 3 rows are real merges.
 const (
 	viaBuild = iota
 	viaSweep
 	viaLive
 	viaShardedOne
 	viaShardedTwo
+	viaShardedThree
 	entryPoints
 )
 
-var entryNames = [entryPoints]string{"Build", "BuildSweep", "BuildLive", "BuildSharded(k=1)", "BuildSharded(k=2)"}
+var entryNames = [entryPoints]string{"Build", "BuildSweep", "BuildLive", "BuildSharded(k=1)", "BuildSharded(k=2)", "BuildSharded(k=3)"}
 
 // finitePositive is the rule for a sanity constant and for eps.
 func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
-// wantAccept is DESIGN.md's option-verdict table.
-func wantAccept(c combo, entry int) bool {
+// wantAccept is DESIGN.md's option-verdict table, then what the source and
+// budget allow: live maintenance is over value pdfs, and a k-way merge
+// needs k <= n items and B >= k buckets.
+func wantAccept(c combo, entry int, src probsyn.Source, B int) bool {
 	// Rules of the combination itself, the same at every entry point.
 	if c.c != nil && c.metric.Relative() && !finitePositive(*c.c) {
 		return false // max(c, |g|) divides every relative error
@@ -119,6 +157,12 @@ func wantAccept(c combo, entry int) bool {
 		return false // no frontier
 	case c.wavelet && entry >= viaShardedOne:
 		return false // a wavelet is not sharded, at any k
+	case entry == viaLive:
+		_, ok := src.(*probsyn.ValuePDF)
+		return ok
+	case entry > viaShardedOne:
+		k := 1 + entry - viaShardedOne
+		return k <= src.Domain() && B >= k
 	}
 	return true
 }
@@ -156,75 +200,505 @@ func buildVia(entry int, src probsyn.Source, m probsyn.Metric, B int, opts []pro
 	return fr.Synopsis(min(B, fr.Bmax()))
 }
 
-func TestEntryPointsAgreeOnOptions(t *testing.T) {
-	const n, B = 8, 3
-	src := ptest.RandomValuePDF(rand.New(rand.NewSource(14)), n, 3)
+// confSource is one source of the table and the budget it is built at;
+// truth is its oracle, nil past the oracle's reach.
+type confSource struct {
+	name  string
+	src   probsyn.Source
+	B     int
+	truth *worlds
+}
+
+func conformanceSources() []confSource {
+	rng := rand.New(rand.NewSource(45))
+	items := func(n int, pdf func(i int) []float64) *probsyn.ValuePDF {
+		vp := &probsyn.ValuePDF{N: n, Items: make([]probsyn.ItemPDF, n)}
+		for i := range vp.Items {
+			fp := pdf(i)
+			for k := 0; k < len(fp); k += 2 {
+				vp.Items[i].Entries = append(vp.Items[i].Entries, probsyn.FreqProb{Freq: fp[k], Prob: fp[k+1]})
+			}
+		}
+		return vp
+	}
+	tuple := ptest.RandomTuplePDF(rng, 8, 5, 3)
+	tuple.Tuples = append(tuple.Tuples,
+		probsyn.Tuple{Alts: []probsyn.Alternative{{Item: 2, Prob: .2}, {Item: 3, Prob: .3}, {Item: 4, Prob: .3}}},    // straddles every split
+		probsyn.Tuple{Alts: []probsyn.Alternative{{Item: 6, Prob: .25}, {Item: 7, Prob: .25}, {Item: 6, Prob: .25}}}) // names item 6 twice
+	srcs := []confSource{
+		{name: "value", src: ptest.RandomValuePDF(rng, 8, 3), B: 4},
+		{name: "tuple", src: tuple, B: 4},
+		{name: "basic", src: ptest.RandomBasic(rng, 8, 10), B: 4},
+		// A certain 1000 on the first item of the second shard at k = 2.
+		{name: "spike", B: 3, src: items(7, func(i int) []float64 {
+			if i == 3 {
+				return []float64{1000, 1}
+			}
+			return []float64{1, .5}
+		})},
+		{name: "ties", B: 3, src: items(6, func(int) []float64 { return []float64{1, .5, 3, .25} })},
+		// Three items: a three-way split has shards one item wide.
+		{name: "mass<1", B: 3, src: items(3, func(i int) []float64 {
+			return [][]float64{{2, .3}, nil, {1, .2, 4, .1}}[i]
+		})},
+		// One item, which an Append grows across the wavelet padding.
+		{name: "one", B: 1, src: items(1, func(int) []float64 { return []float64{2, .5, 3, .25} })},
+		// 0.25, 0.5, 0.75 and 1 about the default c = 0.5.
+		{name: "straddle-c", B: 4, src: items(8, func(i int) []float64 {
+			return []float64{.25 * float64(1+i%4), .5, .25 * float64(1+(i+2)%4), .25}
+		})},
+		// Each item lists one frequency twice.
+		{name: "duplicates", B: 3, src: items(6, func(i int) []float64 {
+			f := float64(1 + i%3)
+			return []float64{f, .25, f + 1, .25, f, .25}
+		})},
+		{name: "wide-value", src: ptest.RandomValuePDF(rng, 40, 3), B: 9},
+		{name: "wide-tuple", src: ptest.RandomTuplePDF(rng, 40, 60, 3), B: 9},
+	}
+	for i := range srcs {
+		if srcs[i].src.Domain() <= 8 {
+			srcs[i].truth = newWorlds(srcs[i].src)
+		}
+	}
+	return srcs
+}
+
+// conformanceCombos crosses every metric with the options that can
+// conflict, valid or not, and adds a sanity constant a relative metric
+// cannot divide by and an eps that certifies nothing.
+func conformanceCombos() []combo {
 	q := func(v int) *int { return &v }
+	var combos []combo
 	for _, wavelet := range []bool{false, true} {
-		for _, m := range []probsyn.Metric{probsyn.SSE, probsyn.SSEFixed, probsyn.SAE, probsyn.SARE, probsyn.MAE} {
-			for _, quantize := range []*int{nil, q(-1), q(0), q(1), q(4)} {
+		for _, m := range []probsyn.Metric{probsyn.SSE, probsyn.SSEFixed, probsyn.SSRE, probsyn.SAE, probsyn.SARE, probsyn.MAE, probsyn.MARE} {
+			for _, quantize := range []*int{nil, q(-1), q(0), q(1), q(2), q(4)} {
 				for flags := 0; flags < 8; flags++ {
 					eps := 0.0
 					if flags&2 != 0 {
 						eps = 0.5
 					}
-					checkCombo(t, combo{wavelet, m, quantize, flags&1 != 0, eps, flags&4 != 0, nil}, src, B)
+					combos = append(combos, combo{wavelet, m, quantize, flags&1 != 0, eps, flags&4 != 0, nil})
 				}
 			}
 		}
-		// A sanity constant a relative metric cannot divide by, and an eps
-		// that certifies nothing, are errors at every entry point.
 		for _, m := range []probsyn.Metric{probsyn.SSE, probsyn.SAE, probsyn.SSRE, probsyn.SARE, probsyn.MARE} {
 			for _, c := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-				checkCombo(t, combo{wavelet: wavelet, metric: m, c: &c}, src, B)
+				combos = append(combos, combo{wavelet: wavelet, metric: m, c: &c})
 			}
 			for _, eps := range []float64{math.NaN(), math.Inf(1)} {
-				checkCombo(t, combo{wavelet: wavelet, metric: m, eps: eps}, src, B)
+				combos = append(combos, combo{wavelet: wavelet, metric: m, eps: eps})
 			}
+		}
+	}
+	return combos
+}
+
+func TestConformance(t *testing.T) {
+	combos := conformanceCombos()
+	for _, c := range combos {
+		checkKey(t, c)
+	}
+	var pools []*engine.Pool
+	for _, w := range []int{1, 2, runtime.NumCPU()} {
+		pools = append(pools, engine.New(engine.Options{Workers: w, Grain: 8}))
+	}
+	for _, cs := range conformanceSources() {
+		t.Run(cs.name, func(t *testing.T) {
+			for _, c := range combos {
+				r := &row{t: t, cs: cs, c: c, pools: pools}
+				r.run()
+			}
+		})
+	}
+}
+
+// checkKey: admission must agree with the worker. A key the catalog admits
+// is a build every entry point runs. (WithQuantize(0) has no key: q = 0
+// keys the exact build, which passes no WithQuantize.)
+func checkKey(t *testing.T, c combo) {
+	t.Helper()
+	const B = 3
+	if c.unrestricted || c.eps != 0 || c.weights || (c.quantize != nil && *c.quantize == 0) {
+		return
+	}
+	family, kq := catalog.FamilyHistogram, 0
+	if c.wavelet {
+		family = catalog.FamilyWavelet
+	}
+	if c.quantize != nil {
+		kq = *c.quantize
+	}
+	_, err := catalog.NewKeyQ("d", family, c.metric.String(), B, c.params().C, kq)
+	if accept := wantAccept(c, viaBuild, nil, B); (err == nil) != accept {
+		t.Errorf("%v: catalog.NewKeyQ admits = %v (err %v), Build accepts = %v", c, err == nil, err, accept)
+	}
+}
+
+// row is one combination over one source.
+type row struct {
+	t     *testing.T
+	cs    confSource
+	c     combo
+	pools []*engine.Pool
+	bad   bool
+}
+
+func (r *row) fail(format string, args ...any) {
+	r.t.Helper()
+	r.t.Errorf("%v: "+format, append([]any{r.c}, args...)...)
+	r.bad = true
+}
+
+// opts are the combination's options on pool, counting into st.
+func (r *row) opts(pool *engine.Pool, st *probsyn.DPStats) []probsyn.BuildOption {
+	return append(r.c.options(r.cs.src.Domain()), probsyn.WithPool(pool), probsyn.WithDPStats(st))
+}
+
+func (r *row) objective() objective {
+	o := objective{m: r.c.metric, p: r.c.params()}
+	if r.c.weights {
+		o.weights = comboWeights(r.cs.src.Domain())
+	}
+	return o
+}
+
+// decode returns syn's codec bytes and the synopsis they decode to, which
+// must print as syn does: every bucket, coefficient and cost, bit for bit.
+func (r *row) decode(what string, syn probsyn.Synopsis) (probsyn.Synopsis, []byte) {
+	r.t.Helper()
+	blob := mustMarshal(r.t, syn)
+	back, err := probsyn.UnmarshalSynopsis(blob)
+	if err != nil {
+		r.fail("%s: %v", what, err)
+		return syn, blob
+	}
+	if fmt.Sprint(back) != fmt.Sprint(syn) {
+		r.fail("%s: decodes to %v, built %v", what, back, syn)
+	}
+	return back, blob
+}
+
+func (r *row) run() {
+	r.t.Helper()
+	src, m, B := r.cs.src, r.c.metric, r.cs.B
+	var accepted [entryPoints]bool
+	for entry := range entryPoints {
+		_, err := buildVia(entry, src, m, B, r.opts(r.pools[0], new(probsyn.DPStats)))
+		accepted[entry] = err == nil
+		if want := wantAccept(r.c, entry, src, B); accepted[entry] != want {
+			r.fail("%s accepted = %v (err %v), want %v", entryNames[entry], err == nil, err, want)
+		}
+	}
+	if r.bad || !accepted[viaBuild] {
+		return
+	}
+	// The reference: serial Builds at every budget a sweep serves (at B
+	// alone under WithEps, which has none).
+	ref := make([][]byte, B+1)
+	var refStats probsyn.DPStats
+	for b := B; b >= 1 && (b == B || accepted[viaSweep]); b-- {
+		var st probsyn.DPStats
+		syn, err := probsyn.Build(src, m, b, r.opts(r.pools[0], &st)...)
+		if err != nil {
+			r.fail("Build at budget %d: %v", b, err)
+			return
+		}
+		syn, ref[b] = r.decode(fmt.Sprintf("Build at budget %d", b), syn)
+		if b == B {
+			refStats = st
+			if r.c.eps != 0 {
+				// Theorem 5: within (1 + eps/2B)^B of the optimum, B <= n.
+				bn := float64(min(B, src.Domain()))
+				factor := math.Pow(1+r.c.eps/(2*bn), bn)
+				r.truth("Build", syn, b, func(cost, opt float64) bool { return atMost(opt, cost) && atMost(cost, factor*opt) })
+			}
+		}
+	}
+	for _, pool := range r.pools {
+		var st probsyn.DPStats
+		syn, err := probsyn.Build(src, m, B, r.opts(pool, &st)...)
+		if err != nil {
+			r.fail("Build on %d workers: %v", pool.Workers(), err)
+			return
+		}
+		if !bytes.Equal(mustMarshal(r.t, syn), ref[B]) || st != refStats {
+			r.fail("Build on %d workers: bytes or DPStats %+v differ from the serial build's (%+v)", pool.Workers(), st, refStats)
+		}
+	}
+	if accepted[viaSweep] {
+		r.sweeps(ref, refStats)
+	}
+	if accepted[viaLive] {
+		r.live(ref, refStats)
+	}
+	for entry := viaShardedOne; entry <= viaShardedThree; entry++ {
+		if accepted[entry] {
+			r.sharded(1+entry-viaShardedOne, ref[B])
+		}
+	}
+	r.facades(ref[B])
+}
+
+// sweeps: on every pool, the sweep extracts at every budget the serial
+// Build's bytes, with its DPStats and one certified bound, and its cost
+// at each budget is its synopsis's, which the oracle holds to the optimum
+// (an unrestricted wavelet to the restricted one, a quantized one to
+// within the bound). An exact sweep's costs never rise with the budget.
+func (r *row) sweeps(ref [][]byte, refStats probsyn.DPStats) {
+	src, m, B := r.cs.src, r.c.metric, r.cs.B
+	var bound0 float64
+	for i, pool := range r.pools {
+		var st probsyn.DPStats
+		fr, err := probsyn.BuildSweep(src, m, B, r.opts(pool, &st)...)
+		if err != nil {
+			r.fail("BuildSweep on %d workers: %v", pool.Workers(), err)
+			return
+		}
+		bound := probsyn.ApproxBound(fr)
+		if i == 0 {
+			bound0 = bound
+		}
+		if st != refStats || math.Float64bits(bound) != math.Float64bits(bound0) {
+			r.fail("BuildSweep on %d workers: DPStats %+v and bound %v, Build's %+v and %v", pool.Workers(), st, bound, refStats, bound0)
+		}
+		if fr.Bmax() != B {
+			r.fail("BuildSweep: Bmax %d, want %d", fr.Bmax(), B)
+			return
+		}
+		for b := 1; b <= B; b++ {
+			syn, err := fr.Synopsis(b)
+			if err != nil {
+				r.fail("BuildSweep: budget %d: %v", b, err)
+				return
+			}
+			syn, blob := r.decode(fmt.Sprintf("BuildSweep at budget %d", b), syn)
+			// A histogram DP spends the whole budget, as the SSE greedy does.
+			if greedy := r.c.quantize == nil && !r.c.unrestricted && (m == probsyn.SSE || m == probsyn.SSEFixed); (!r.c.wavelet || greedy) && syn.Terms() != b {
+				r.fail("BuildSweep: %d terms at budget %d", syn.Terms(), b)
+			}
+			if !bytes.Equal(blob, ref[b]) {
+				r.fail("BuildSweep on %d workers: budget %d's bytes differ from Build's", pool.Workers(), b)
+			}
+			// A histogram re-prices its buckets in bucket order, which can
+			// move the sum by an ulp.
+			if got, rec := fr.Cost(b), syn.ErrorCost(); got != rec && (r.c.wavelet || relDiff(got, rec) > 1e-12) {
+				r.fail("BuildSweep: Cost(%d) = %v, its synopsis reports %v", b, got, rec)
+			}
+			if b > 1 && !atMost(fr.Cost(b), fr.Cost(b-1)) && r.c.quantize == nil {
+				r.fail("BuildSweep: cost rises at budget %d", b)
+			}
+			if i > 0 {
+				continue
+			}
+			ok := func(cost, opt float64) bool { return atMost(opt, cost) && atMost(cost, opt+bound) }
+			if r.c.unrestricted {
+				ok = func(cost, opt float64) bool { return atMost(cost, opt) }
+			}
+			r.truth("BuildSweep", syn, b, ok)
+		}
+		for _, b := range []int{-1, 0, B + 1} {
+			if _, err := fr.Synopsis(b); err == nil {
+				r.fail("BuildSweep: Synopsis(%d) of a budget-%d frontier succeeded", b, B)
+			}
+		}
+	}
+	// A grid as fine as the exact state space (q >= N/2) is the exact DP
+	// (under SSE-fixed, which builds greedily unquantized, the restricted
+	// package test holds it).
+	if q := r.c.quantize; q != nil && *q >= haar.Pow2Ceil(src.Domain())/2 && m != probsyn.SSEFixed {
+		exact, err := probsyn.Build(src, m, B, combo{wavelet: true, metric: m}.options(src.Domain())...)
+		if err != nil || bound0 != 0 || !bytes.Equal(mustMarshal(r.t, exact), ref[B]) {
+			r.fail("quantized at q=%d >= N/2: bound %v, or bytes other than the exact DP's (err %v)", *q, bound0, err)
 		}
 	}
 }
 
-func checkCombo(t *testing.T, c combo, src *probsyn.ValuePDF, B int) {
-	t.Helper()
-	opts := c.options(src.N)
-	var blobs [entryPoints][]byte
-	for entry := 0; entry < entryPoints; entry++ {
-		syn, err := buildVia(entry, src, c.metric, B, opts)
-		if want := wantAccept(c, entry); (err == nil) != want {
-			t.Errorf("%v: %s accepted = %v (err %v), want %v", c, entryNames[entry], err == nil, err, want)
-			continue
+// live: on every pool, a live frontier starts with Build's bytes and
+// DPStats, and after an Append (refused, changing nothing, under workload
+// weights, which new items have none of), an Update and an Update that
+// keeps the item's mean holds at every budget the bytes and bound of a
+// fresh sweep over the mutated data.
+func (r *row) live(ref [][]byte, refStats probsyn.DPStats) {
+	m, B := r.c.metric, r.cs.B
+	for _, pool := range r.pools {
+		var st probsyn.DPStats
+		cur := r.cs.src.(*probsyn.ValuePDF).Clone()
+		live, err := probsyn.BuildLive(cur, m, B, r.opts(pool, &st)...)
+		if err != nil {
+			r.fail("BuildLive on %d workers: %v", pool.Workers(), err)
+			return
 		}
-		if err == nil {
-			blobs[entry] = mustMarshal(t, syn)
+		if st != refStats {
+			r.fail("BuildLive on %d workers: DPStats %+v, Build's %+v", pool.Workers(), st, refStats)
+		}
+		r.sameFrontier("BuildLive", live, ref)
+		added := probsyn.ItemPDF{Entries: []probsyn.FreqProb{{Freq: 2, Prob: .5}, {Freq: 5, Prob: .25}}}
+		if err := live.Append([]probsyn.ItemPDF{added}); r.c.weights != (err != nil) {
+			r.fail("BuildLive: Append error %v under weights=%v", err, r.c.weights)
+			return
+		}
+		if !r.c.weights {
+			cur.Items, cur.N = append(cur.Items, added), cur.N+1
+		}
+		for _, u := range []struct {
+			at   int
+			item probsyn.ItemPDF
+		}{
+			{cur.N / 2, probsyn.ItemPDF{Entries: []probsyn.FreqProb{{Freq: 4, Prob: .75}}}},
+			{0, probsyn.ItemPDF{Entries: []probsyn.FreqProb{{Freq: 2 * cur.Items[0].Mean(), Prob: .5}}}},
+		} {
+			if err := live.Update(u.at, u.item); err != nil {
+				r.fail("BuildLive: Update: %v", err)
+				return
+			}
+			cur.Items[u.at] = u.item
+		}
+		fresh, err := probsyn.BuildSweep(cur, m, B, r.opts(pool, new(probsyn.DPStats))...)
+		if err != nil {
+			r.fail("fresh BuildSweep after mutations: %v", err)
+			return
+		}
+		if live.Domain() != cur.N || math.Float64bits(probsyn.ApproxBound(live)) != math.Float64bits(probsyn.ApproxBound(fresh)) {
+			r.fail("BuildLive after mutations: domain %d and bound %v, fresh %d and %v", live.Domain(), probsyn.ApproxBound(live), cur.N, probsyn.ApproxBound(fresh))
+		}
+		want := make([][]byte, B+1)
+		for b := 1; b <= fresh.Bmax(); b++ {
+			syn, err := fresh.Synopsis(b)
+			if err != nil {
+				r.fail("fresh BuildSweep: budget %d: %v", b, err)
+				return
+			}
+			want[b] = mustMarshal(r.t, syn)
+		}
+		r.sameFrontier("BuildLive after its mutations", live, want)
+	}
+}
+
+// sameFrontier requires fr's bytes at every budget to be want's.
+func (r *row) sameFrontier(what string, fr probsyn.Frontier, want [][]byte) {
+	if fr.Bmax() != len(want)-1 {
+		r.fail("%s: Bmax %d, want %d", what, fr.Bmax(), len(want)-1)
+		return
+	}
+	for b := 1; b <= fr.Bmax(); b++ {
+		syn, err := fr.Synopsis(b)
+		if err != nil {
+			r.fail("%s: budget %d: %v", what, b, err)
+			return
+		}
+		if !bytes.Equal(mustMarshal(r.t, syn), want[b]) {
+			r.fail("%s: budget %d's bytes differ", what, b)
 		}
 	}
-	// Whoever accepts builds Build's bytes (a k=2 merge is another synopsis
-	// than the unsharded one).
-	ref := blobs[viaBuild]
-	for entry := viaSweep; entry <= viaShardedOne; entry++ {
-		if blobs[entry] != nil && !bytes.Equal(ref, blobs[entry]) {
-			t.Errorf("%v: %s's budget-%d synopsis differs from Build's", c, entryNames[entry], B)
+}
+
+// sharded: a k-way merge has the same bytes, Bound bits and DPStats on
+// every pool; at k = 1 it is Build with Bound 0, and past it the oracle
+// holds its cost to [OPT, OPT + Bound].
+func (r *row) sharded(k int, build []byte) {
+	src, m, B := r.cs.src, r.c.metric, r.cs.B
+	var blob0 []byte
+	var bound0 float64
+	var stats0 probsyn.DPStats
+	for i, pool := range r.pools {
+		var st probsyn.DPStats
+		res, err := probsyn.BuildSharded(src, m, B, k, r.opts(pool, &st)...)
+		if err != nil {
+			r.fail("BuildSharded(k=%d) on %d workers: %v", k, pool.Workers(), err)
+			return
+		}
+		syn, blob := r.decode(fmt.Sprintf("BuildSharded(k=%d)", k), res.Synopsis)
+		if i == 0 {
+			blob0, bound0, stats0 = blob, res.Bound, st
+			if k == 1 && (!bytes.Equal(blob, build) || res.Bound != 0) {
+				r.fail("BuildSharded(k=1): bound %v, or bytes other than Build's", res.Bound)
+			}
+			if k > 1 {
+				r.truth(fmt.Sprintf("BuildSharded(k=%d)", k), syn, B, func(cost, opt float64) bool { return atMost(opt, cost) && atMost(cost, opt+res.Bound) })
+			}
+		} else if !bytes.Equal(blob, blob0) || math.Float64bits(res.Bound) != math.Float64bits(bound0) || st != stats0 {
+			r.fail("BuildSharded(k=%d) on %d workers: bytes, bound %v or DPStats %+v differ from one worker's (%v, %+v)", k, pool.Workers(), res.Bound, st, bound0, stats0)
 		}
 	}
-	// Admission must agree with the worker: a key the catalog admits is a
-	// build every entry point runs. (WithQuantize(0) has no key: q = 0
-	// keys the exact build, which passes no WithQuantize.)
-	if !c.unrestricted && c.eps == 0 && !c.weights && (c.quantize == nil || *c.quantize != 0) {
-		family, kq, kc := catalog.FamilyHistogram, 0, probsyn.DefaultParams().C
-		if c.wavelet {
-			family = catalog.FamilyWavelet
+}
+
+// facades: the equi-depth heuristic prices its buckets as an exact build
+// would, and SSEWavelet is Build's greedy synopsis with its accounting.
+func (r *row) facades(build []byte) {
+	c, src, B := r.c, r.cs.src, r.cs.B
+	if c != (combo{wavelet: c.wavelet, metric: c.metric}) {
+		return
+	}
+	if !c.wavelet {
+		h, err := probsyn.EquiDepthHistogram(src, c.metric, c.params(), B)
+		if err != nil {
+			r.fail("EquiDepthHistogram: %v", err)
+			return
 		}
-		if c.quantize != nil {
-			kq = *c.quantize
+		syn, _ := r.decode("EquiDepthHistogram", h)
+		r.truth("EquiDepthHistogram", syn, B, func(cost, opt float64) bool { return atMost(opt, cost) })
+		return
+	}
+	if c.metric != probsyn.SSE {
+		return
+	}
+	syn, rep, err := probsyn.SSEWavelet(src, B)
+	if err != nil {
+		r.fail("SSEWavelet: %v", err)
+		return
+	}
+	if !bytes.Equal(mustMarshal(r.t, syn), build) || rep.ExpectedSSE != syn.ErrorCost() {
+		r.fail("SSEWavelet: bytes differ from Build's, or its report's %v from its cost %v", rep.ExpectedSSE, syn.ErrorCost())
+	}
+}
+
+// truth holds syn, built at budget b, to the oracle: its reported cost is
+// its expected error over the source's possible worlds, a histogram prices
+// every bucket at that bucket's best representative (under SSE, at the
+// mean of its expected frequencies, Eq. 5's estimate), and ok accepts the
+// expected error against opt, the least any synopsis of the family reaches
+// at b: every bucketing, or every subset of the expected coefficients.
+func (r *row) truth(what string, syn probsyn.Synopsis, b int, ok func(cost, opt float64) bool) {
+	r.t.Helper()
+	w := r.cs.truth
+	if w == nil {
+		return
+	}
+	o := r.objective()
+	var truth, opt float64
+	switch s := syn.(type) {
+	case *probsyn.Histogram:
+		if s.N != w.n || s.Terms() > b {
+			r.fail("%s: %d buckets over %d items at budget %d", what, s.Terms(), s.N, b)
+			return
 		}
-		if c.c != nil {
-			kc = *c.c
+		for _, k := range s.Buckets {
+			got, best := w.bucketErr(o, k.Start, k.End, k.Rep), w.minTable(o)[k.Start][k.End]
+			if !near(k.Cost, got) || !near(got, best) {
+				r.fail("%s: bucket [%d, %d] at %v reports %v: its expected error is %v, the bucket's least %v", what, k.Start, k.End, k.Rep, k.Cost, got, best)
+			}
+			if o.m == probsyn.SSE && o.weights == nil {
+				mean := 0.0
+				for i := k.Start; i <= k.End; i++ {
+					mean += w.mean[i]
+				}
+				if mean /= float64(k.Width()); !near(k.Rep, mean) {
+					r.fail("%s: bucket [%d, %d] estimates %v, its mean expected frequency is %v", what, k.Start, k.End, k.Rep, mean)
+				}
+			}
+			truth = o.combine(truth, got)
 		}
-		_, err := catalog.NewKeyQ("d", family, c.metric.String(), B, kc, kq)
-		if (err == nil) != (ref != nil) {
-			t.Errorf("%v: catalog.NewKeyQ admits = %v (err %v), Build accepts = %v", c, err == nil, err, ref != nil)
-		}
+		opt = w.histOpt(o)[min(b, w.n)]
+	case *probsyn.WaveletSynopsis:
+		truth = w.waveletErr(o, s.Reconstruct())
+		wopt := w.waveletOpt(o)
+		opt = wopt[min(b, len(wopt)-1)]
+	}
+	if !near(syn.ErrorCost(), truth) {
+		r.fail("%s: reports %v, its expected error over the possible worlds is %v", what, syn.ErrorCost(), truth)
+	}
+	if !ok(truth, opt) {
+		r.fail("%s: expected error %v against the optimum %v at budget %d breaks its certificate", what, truth, opt, b)
 	}
 }
 

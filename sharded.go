@@ -66,16 +66,12 @@ func (p *plan) sharded(src Source, B, k int) (*ShardedResult, error) {
 		}
 		return &ShardedResult{Synopsis: syn}, nil
 	}
-	// Slicing the per-item marginal value pdf is lossless: every
-	// bucket-cost oracle is a per-item expectation aggregated over the
-	// bucket, so it depends on the per-item marginals only, and AsValuePDF
-	// preserves those for all three data models.
-	vp := pdata.AsValuePDF(src)
-	if k > vp.N {
-		return nil, fmt.Errorf("probsyn: %d shards over %d items (need k <= n)", k, vp.N)
+	n := src.Domain()
+	if k > n {
+		return nil, fmt.Errorf("probsyn: %d shards over %d items (need k <= n)", k, n)
 	}
-	if p.weights != nil && len(p.weights) != vp.N {
-		return nil, fmt.Errorf("probsyn: %d workload weights for %d items", len(p.weights), vp.N)
+	if p.weights != nil && len(p.weights) != n {
+		return nil, fmt.Errorf("probsyn: %d workload weights for %d items", len(p.weights), n)
 	}
 	if B < k {
 		return nil, fmt.Errorf("probsyn: %d shards need budget >= %d (one bucket per shard), got %d", k, k, B)
@@ -96,7 +92,7 @@ func (p *plan) sharded(src Source, B, k int) (*ShardedResult, error) {
 	// Shard s can usefully hold up to B buckets, what it keeps at the
 	// bound's reference total B+k-1 when every other shard keeps one, and
 	// no more than its width.
-	bounds := shard.Bounds(vp.N, k)
+	bounds := shard.Bounds(n, k)
 	fronts := make([]countedFrontier, k)
 	err = engine.Fan(k, conc, func(s int) error {
 		lo, hi := bounds[s], bounds[s+1]
@@ -105,7 +101,7 @@ func (p *plan) sharded(src Source, B, k int) (*ShardedResult, error) {
 		if p.weights != nil {
 			sp.weights = p.weights[lo:hi]
 		}
-		f, err := sp.frontier(&pdata.ValuePDF{N: hi - lo, Items: vp.Items[lo:hi]}, min(B, hi-lo))
+		f, err := sp.frontier(shardSource(src, lo, hi), min(B, hi-lo))
 		if err != nil {
 			return fmt.Errorf("probsyn: shard %d: %w", s, err)
 		}
@@ -143,4 +139,35 @@ func (p *plan) sharded(src Source, B, k int) (*ShardedResult, error) {
 	}
 	p.report(stats)
 	return &ShardedResult{Synopsis: merged, Bound: bound}, nil
+}
+
+// shardSource is src restricted to the items [lo, hi), re-indexed from 0,
+// in src's own model: a value pdf's items, or each tuple's alternatives in
+// range, a tuple with none dropped (a basic relation as its tuple pdf).
+// A bucket inside the shard then costs what it costs in src under every
+// metric: Eq. (5) prices a tuple pdf's correlations through each tuple's
+// mass inside the bucket, and the other metrics read per-item marginals.
+func shardSource(src Source, lo, hi int) Source {
+	var tp *pdata.TuplePDF
+	switch s := src.(type) {
+	case *pdata.ValuePDF:
+		return &pdata.ValuePDF{N: hi - lo, Items: s.Items[lo:hi]}
+	case *pdata.Basic:
+		tp = s.TuplePDF()
+	case *pdata.TuplePDF:
+		tp = s
+	}
+	out := &pdata.TuplePDF{N: hi - lo}
+	for _, t := range tp.Tuples {
+		var in pdata.Tuple
+		for _, a := range t.Alts {
+			if a.Item >= lo && a.Item < hi {
+				in.Alts = append(in.Alts, pdata.Alternative{Item: a.Item - lo, Prob: a.Prob})
+			}
+		}
+		if len(in.Alts) > 0 {
+			out.Tuples = append(out.Tuples, in)
+		}
+	}
+	return out
 }
