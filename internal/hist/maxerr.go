@@ -22,17 +22,21 @@ import (
 //     the paper's "divide-and-conquer over convex hulls" (see refine).
 //
 // Cost evaluates the envelope at each probed grid point from the bucket's
-// items, O(n_b·log|V|); CostsForEnd keeps the whole grid envelope as it
-// adds items, O(|V|) per bucket (DESIGN.md finding 4). Unlike the
-// cumulative metrics the optimal b̂ may fall strictly between two values
-// of V.
+// items and solves the steps over all of them, O(n_b·log|V|).
+// CostsForEnd keeps the whole grid envelope as it adds items, O(|V|) per
+// bucket, and keeps each step's last solve: an item whose line the
+// solve's trace admits costs a few comparisons, and only a step new to
+// the sweep or a line the trace cannot admit costs a solve, O(n_b)
+// (DESIGN.md finding 4). Unlike the cumulative metrics the optimal b̂ may
+// fall strictly between two values of V.
 type MaxAbs struct {
 	kind metric.Kind
 	n    int
 	vs   pdata.ValueSet
-	// itemW[i*k+j] = Σ_{j'<=j} w_{i,j'}; itemS likewise for w·v.
-	itemW, itemS []float64
-	totW, totS   []float64
+	// lines[i*k+l] is item i's error on the step [V[l], V[l+1]]:
+	// A = 2·W≤ − W, B = S − 2·S≤, where W≤ = Σ_{j<=l} w_{i,j}, S≤ likewise
+	// for w·v, and W, S are the item's totals.
+	lines []minimax.Line
 }
 
 // NewMaxAbs builds the oracle from a dense pmf table; kind must be
@@ -46,25 +50,24 @@ func NewMaxAbs(tab *pdata.PMFTable, kind metric.Kind, p metric.Params) (*MaxAbs,
 		kind:  kind,
 		n:     n,
 		vs:    tab.VS,
-		itemW: make([]float64, n*k),
-		itemS: make([]float64, n*k),
-		totW:  make([]float64, n),
-		totS:  make([]float64, n),
+		lines: make([]minimax.Line, n*k),
 	}
 	mw := make([]float64, k)
 	for j := 0; j < k; j++ {
 		mw[j] = kind.Weight(tab.VS.Values[j], p)
 	}
 	for i := 0; i < n; i++ {
+		row := o.lines[i*k : (i+1)*k]
 		var cw, cs float64
-		for j := 0; j < k; j++ {
+		for j := range row {
 			w := tab.P[i][j] * mw[j]
 			cw += w
 			cs += w * tab.VS.Values[j]
-			o.itemW[i*k+j] = cw
-			o.itemS[i*k+j] = cs
+			row[j] = minimax.Line{A: cw, B: cs}
 		}
-		o.totW[i], o.totS[i] = cw, cs
+		for j, c := range row {
+			row[j] = minimax.Line{A: 2*c.A - cw, B: cs - 2*c.B}
+		}
 	}
 	return o, nil
 }
@@ -80,13 +83,7 @@ func (o *MaxAbs) Kind() metric.Kind { return o.kind }
 
 // lineFor returns item i's error as a line a·t+b valid on the segment
 // [V[l], V[l+1]].
-func (o *MaxAbs) lineFor(i, l int) minimax.Line {
-	k := o.vs.Len()
-	return minimax.Line{
-		A: 2*o.itemW[i*k+l] - o.totW[i],
-		B: o.totS[i] - 2*o.itemS[i*k+l],
-	}
-}
+func (o *MaxAbs) lineFor(i, l int) minimax.Line { return o.lines[i*o.vs.Len()+l] }
 
 // itemErrAt evaluates f_i at V[l], the product rounded on its own (as in
 // absCost), so the envelope CostsForEnd keeps and the one errAt evaluates
@@ -133,6 +130,34 @@ func (o *MaxAbs) gridArgmin(env []float64, s, e int) int {
 	return l
 }
 
+// stepSolve is refine's last solve of a step: the step, the first item of
+// the bucket solved (its lines are those of items s..e) and the run's
+// trace. refine keeps one per parity of the step index, so the two steps
+// beside a grid minimizer, and the one a move to its neighbour keeps,
+// each have theirs.
+type stepSolve struct {
+	seg, s int
+	tr     minimax.Trace
+}
+
+// noSolves is refine's state before its first solve.
+func noSolves() [2]stepSolve { return [2]stepSolve{{seg: -1}, {seg: -1}} }
+
+// covers reports whether sv's answer is also step seg's for items s..e:
+// sv solved that step for items sv.s..e, and its trace admits each line
+// the bucket adds, nearest first, as the solver would meet them.
+func (o *MaxAbs) covers(sv *stepSolve, seg, s int) bool {
+	if sv.seg != seg {
+		return false
+	}
+	for i := sv.s - 1; i >= s; i-- {
+		if !sv.tr.Admits(o.lineFor(i, seg)) {
+			return false
+		}
+	}
+	return true
+}
+
 // refine prices bucket [s, e] given its grid minimizer g, the envelope
 // best there and, if best > 0, an item arg attaining it, by solving the
 // steps either side of V[g], left then right, and keeping a strictly
@@ -143,8 +168,12 @@ func (o *MaxAbs) gridArgmin(env []float64, s, e int) int {
 // in the step, at least what it is at V[g] — exactly so in floats, as
 // rounding is monotone. To the right that value is best itself; to the
 // left it is the left line's, which rounding may put a hair under best,
-// so it is checked. lines is scratch, returned for reuse.
-func (o *MaxAbs) refine(g int, best float64, arg, s, e int, lines []minimax.Line) (float64, float64, []minimax.Line) {
+// so it is checked.
+// A step solved for a bucket [s', e] with s' > s is not solved again if
+// its trace admits the lines of items s..s'−1: the solver would return
+// the same bits. lines is scratch, returned for reuse; solves holds the
+// last solve of each parity of step, updated in place.
+func (o *MaxAbs) refine(g int, best float64, arg, s, e int, lines []minimax.Line, solves *[2]stepSolve) (float64, float64, []minimax.Line) {
 	vals := o.vs.Values
 	rep := vals[g]
 	left, right := g > 0, g+1 < len(vals)
@@ -160,11 +189,17 @@ func (o *MaxAbs) refine(g int, best float64, arg, s, e int, lines []minimax.Line
 			continue
 		}
 		seg := g - 1 + side
-		lines = lines[:0]
-		for i := s; i <= e; i++ {
-			lines = append(lines, o.lineFor(i, seg))
+		sv := &solves[seg&1]
+		if !o.covers(sv, seg, s) {
+			lines = lines[:0]
+			for i := s; i <= e; i++ {
+				lines = append(lines, o.lineFor(i, seg))
+			}
+			sv.tr.Solve(lines, vals[seg], vals[seg+1])
+			sv.seg = seg
 		}
-		if x, y := minimax.MinimizeMax(lines, vals[seg], vals[seg+1]); y < best {
+		sv.s = s
+		if x, y := sv.tr.Answer(); y < best {
 			best, rep = y, x
 		}
 	}
@@ -178,7 +213,8 @@ func (o *MaxAbs) refine(g int, best float64, arg, s, e int, lines []minimax.Line
 func (o *MaxAbs) Cost(s, e int) (float64, float64) {
 	g := o.gridArgmin(nil, s, e)
 	best, arg := o.errAt(g, s, e)
-	cost, rep, _ := o.refine(g, best, arg, s, e, nil)
+	solves := noSolves()
+	cost, rep, _ := o.refine(g, best, arg, s, e, nil, &solves)
 	return cost, rep
 }
 
@@ -186,12 +222,14 @@ func (o *MaxAbs) Cost(s, e int) (float64, float64) {
 // envelope at every grid point (and an item attaining it) is kept as the
 // items are added — a maximum, so the same floats Cost computes whatever
 // the order — and each bucket then runs Cost's own search and refinement
-// on it. All state is local to the call.
+// on it, reusing the previous buckets' solves where their traces admit
+// the added lines. All state is local to the call.
 func (o *MaxAbs) CostsForEnd(e int, costs, reps []float64) {
 	k := o.vs.Len()
 	env := make([]float64, k)
 	arg := make([]int, k)
 	lines := make([]minimax.Line, 0, e+1)
+	solves := noSolves()
 	for s := e; s >= 0; s-- {
 		for l := range env {
 			if v := o.itemErrAt(s, l); v > env[l] {
@@ -199,6 +237,6 @@ func (o *MaxAbs) CostsForEnd(e int, costs, reps []float64) {
 			}
 		}
 		g := o.gridArgmin(env, s, e)
-		costs[s], reps[s], lines = o.refine(g, env[g], arg[g], s, e, lines)
+		costs[s], reps[s], lines = o.refine(g, env[g], arg[g], s, e, lines, &solves)
 	}
 }

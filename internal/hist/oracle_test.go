@@ -397,7 +397,9 @@ func TestNewOracleRouting(t *testing.T) {
 // n(n+1)/2 prices, so one allocation here is millions there. MaxAbs keeps
 // its scratch: the lines of a refined step, grown by append inside Cost
 // (one doubling per power of two of the bucket width) and, beside the grid
-// envelope and its argmax, three slices a column in CostsForEnd.
+// envelope and its argmax, three slices a column in CostsForEnd. The
+// solves refine keeps across a column's buckets, traces included, are
+// fixed-size locals and allocate nothing.
 func TestOracleCostAllocations(t *testing.T) {
 	const n, maxWidth = 512, 65
 	basic := gen.MystiQLinkage(rand.New(rand.NewSource(42)), gen.DefaultMystiQ(n))

@@ -1,6 +1,7 @@
 package hist_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -64,17 +65,19 @@ func (o *naiveWeightedAbs) Cost(s, e int) (float64, float64) {
 
 // naiveMaxAbs is MaxAbs as it was: every probe of the grid search
 // re-evaluates the bucket's items, and both steps beside the grid minimizer
-// are always solved, by the sorted-hull solver.
+// are always solved, from scratch, by solve (the sorted-hull solver unless
+// a test sets it).
 type naiveMaxAbs struct {
 	vs           pdata.ValueSet
 	itemW, itemS []float64 // itemW[i*k+j] = Σ_{j'<=j} w_{i,j'}; itemS likewise for w·v
 	totW, totS   []float64
+	solve        func(lines []minimax.Line, lo, hi float64) (float64, float64)
 }
 
 func newNaiveMaxAbs(tab *pdata.PMFTable, kind metric.Kind, p metric.Params) *naiveMaxAbs {
 	n, k := tab.N(), tab.VS.Len()
 	o := &naiveMaxAbs{vs: tab.VS, itemW: make([]float64, n*k), itemS: make([]float64, n*k),
-		totW: make([]float64, n), totS: make([]float64, n)}
+		totW: make([]float64, n), totS: make([]float64, n), solve: ptest.SortedHullMinimizeMax}
 	for i := 0; i < n; i++ {
 		var cw, cs float64
 		for j := 0; j < k; j++ {
@@ -117,7 +120,7 @@ func (o *naiveMaxAbs) Cost(s, e int) (float64, float64) {
 		for i := s; i <= e; i++ {
 			lines = append(lines, o.lineFor(i, seg))
 		}
-		x, y := ptest.SortedHullMinimizeMax(lines, o.vs.Values[seg], o.vs.Values[seg+1])
+		x, y := o.solve(lines, o.vs.Values[seg], o.vs.Values[seg+1])
 		if y < best {
 			best, bestRep = y, x
 		}
@@ -347,4 +350,105 @@ func TestAbsSweepsMatchNaiveOnGeneratedData(t *testing.T) {
 			checkSweep(t, k.String()+" "+name, o, newNaiveMaxAbs(tab, k, p).Cost)
 		}
 	}
+}
+
+// The sweep's reuse of a step's solve across buckets runs longest on long
+// buckets: every end's column in full at the benchmark generators' scale.
+func TestMaxAbsSweepMatchesCostAtScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("eight 1024-bucket columns of three 1024-item domains")
+	}
+	const n = 1024
+	p := metric.DefaultParams()
+	rng := rand.New(rand.NewSource(139))
+	ends := []int{n - 1}
+	for len(ends) < 8 {
+		ends = append(ends, rng.Intn(n-1))
+	}
+	costs, reps := make([]float64, n), make([]float64, n)
+	for name, src := range benchSources(n) {
+		tab := tableOf(t, src)
+		for _, k := range []metric.Kind{metric.MAE, metric.MARE} {
+			o, err := hist.NewMaxAbs(tab, k, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range ends {
+				o.CostsForEnd(e, costs, reps)
+				for s := 0; s <= e; s++ {
+					if c, r := o.Cost(s, e); !sameBits(costs[s], c) || !sameBits(reps[s], r) {
+						t.Fatalf("%v %s [%d,%d]: CostsForEnd = (%v, %v), Cost (%v, %v)", k, name, s, e, costs[s], reps[s], c, r)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzMaxAbsSweep turns bytes into a small value pdf (up to 12 items of up
+// to 3 entries: frequencies in quarter steps, zero probabilities, partial
+// mass, and items repeating the one before). Under MAE and MARE the sweep
+// and Cost must give, on every bucket, the bits of the reference that
+// solves both steps from scratch with the same solver, and the costs of
+// the sorted-hull reference to rounding: on lines through one point that
+// rounding separates, the two solvers may meet different pairs of them
+// (the last seed: MARE [1, 7] is 0.9 at 0.45 from one, at
+// 0.44999999999999996 from the other).
+func FuzzMaxAbsSweep(f *testing.F) {
+	f.Add([]byte{4, 2, 8, 128, 16, 127, 0, 1, 4, 255, 3, 12, 0, 20, 90, 6, 90})
+	f.Add([]byte{12, 1, 40, 200, 0, 1, 40, 200, 1, 0, 2, 4, 30, 8, 30, 0, 3, 1, 0, 2, 60, 5, 60, 9, 60})
+	f.Add([]byte{7, 3, 1, 85, 2, 85, 3, 85, 0, 0, 0, 1, 0, 0})
+	f.Add([]byte("711012\x92Z\x92\x9200100012\x92x\x92\x92000000000"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		vp := &pdata.ValuePDF{N: 1 + next()%12}
+		vp.Items = make([]pdata.ItemPDF, vp.N)
+		for i := range vp.Items {
+			if i > 0 && next()%4 == 0 {
+				vp.Items[i] = vp.Items[i-1].Clone()
+				continue
+			}
+			var it pdata.ItemPDF
+			weight := 0
+			for k := next() % 4; k > 0; k-- {
+				freq, w := float64(next()%64)/4, next()
+				it.Entries = append(it.Entries, pdata.FreqProb{Freq: freq, Prob: float64(w)})
+				weight += w
+			}
+			for k := range it.Entries {
+				it.Entries[k].Prob /= float64(max(weight, 255)) // mass <= 1, < 1 for light items
+			}
+			vp.Items[i] = it
+		}
+		if err := vp.Validate(); err != nil {
+			t.Fatalf("decoded an invalid value pdf: %v", err)
+		}
+		tab := tableOf(t, vp)
+		p := metric.DefaultParams()
+		for _, k := range []metric.Kind{metric.MAE, metric.MARE} {
+			o, err := hist.NewMaxAbs(tab, k, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same, hull := newNaiveMaxAbs(tab, k, p), newNaiveMaxAbs(tab, k, p)
+			same.solve = minimax.MinimizeMax
+			what := fmt.Sprintf("%v %+v", k, vp)
+			checkSweep(t, what, o, same.Cost)
+			for e := 0; e < vp.N; e++ {
+				for s := 0; s <= e; s++ {
+					c, _ := o.Cost(s, e)
+					if hc, _ := hull.Cost(s, e); math.Abs(c-hc) > 1e-12*(1+math.Abs(hc)) {
+						t.Fatalf("%s [%d,%d]: Cost = %v, sorted-hull reference %v", what, s, e, c, hc)
+					}
+				}
+			}
+		}
+	})
 }
