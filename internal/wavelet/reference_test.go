@@ -441,9 +441,13 @@ func FuzzTreeMerge(f *testing.F) {
 	})
 }
 
-// TestPointErrorsMatchDense: the own-support runs return the dense
-// tables' Err to the bit, on the shapes that tell the two apart.
-func TestPointErrorsMatchDense(t *testing.T) {
+// pointErrorFixtures are the value pdfs that tell point-error evaluators
+// apart: unsorted and duplicate entries, an explicit frequency 0, mass
+// < 1, an item with no zero mass, one with all of it, a 200-breakpoint
+// item (Err's binary-search branch), pad items, and one value shared by
+// every item. probes lists, for a fixture, every breakpoint, the values
+// either side of it, and the extremes, ±0 included.
+func pointErrorFixtures() (fixtures map[string]*pdata.ValuePDF, probes func(*pdata.ValuePDF) []float64) {
 	long := pdata.ItemPDF{}
 	for k := 200; k >= 1; k-- { // 200 breakpoints, listed descending
 		long.Entries = append(long.Entries, pdata.FreqProb{Freq: float64(k) * 0.37, Prob: 1.0 / 256})
@@ -462,11 +466,21 @@ func TestPointErrorsMatchDense(t *testing.T) {
 		{Entries: []pdata.FreqProb{fp(6, 0.5)}}, {Entries: []pdata.FreqProb{fp(6, 1)}},
 		{Entries: []pdata.FreqProb{fp(6, 0.25), fp(6, 0.25)}}, {Entries: []pdata.FreqProb{fp(6, 0.75)}},
 	}}
-	for name, vp := range map[string]*pdata.ValuePDF{"mixed": vp, "one shared value": shared} {
+	return map[string]*pdata.ValuePDF{"mixed": vp, "one shared value": shared}, func(vp *pdata.ValuePDF) []float64 {
 		probes := []float64{-3, math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, 1e9, math.Inf(1), math.Inf(-1)}
 		for _, v := range pdata.Support(vp).Values { // every breakpoint, and either side of it
 			probes = append(probes, v, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1)), v-0.01, v+0.01)
 		}
+		return probes
+	}
+}
+
+// TestPointErrorsMatchDense: the own-support runs return the dense
+// tables' Err to the bit, on the shapes that tell the two apart.
+func TestPointErrorsMatchDense(t *testing.T) {
+	fixtures, probesOf := pointErrorFixtures()
+	for name, vp := range fixtures {
+		probes := probesOf(vp)
 		for _, kind := range []metric.Kind{metric.SAE, metric.SARE, metric.MAE, metric.MARE} {
 			p := metric.Params{C: 0.5}
 			pe, err := NewPointErrors(vp, kind, p)
@@ -486,8 +500,65 @@ func TestPointErrorsMatchDense(t *testing.T) {
 			}
 		}
 	}
-	nan := &pdata.ValuePDF{N: 1, Items: []pdata.ItemPDF{{Entries: []pdata.FreqProb{fp(math.NaN(), 0.5)}}}}
+	nan := &pdata.ValuePDF{N: 1, Items: []pdata.ItemPDF{{Entries: []pdata.FreqProb{{Freq: math.NaN(), Prob: 0.5}}}}}
 	if _, err := NewPointErrors(nan, metric.SAE, metric.Params{C: 0.5}); err == nil {
 		t.Fatal("a NaN frequency built point errors, want the error the dense tables gave")
+	}
+}
+
+// TestErrSweepMatchesErr: the leaf sweep gives Err's bits at every value
+// of a list, for both metric families, on the fixtures that tell point
+// evaluators apart. The lists climb through every breakpoint with
+// repeats and both zeros (the 200-breakpoint item crosses Err's
+// binary-search threshold), and others go down, restart after +Inf or
+// −Inf, or hold a NaN followed by smaller values: a cursor that did not
+// restart there would keep a count of breakpoints too high.
+func TestErrSweepMatchesErr(t *testing.T) {
+	fixtures, probesOf := pointErrorFixtures()
+	rng := rand.New(rand.NewSource(47))
+	for name, vp := range fixtures {
+		asc := probesOf(vp)
+		slices.Sort(asc)
+		var climb, desc []float64
+		for _, v := range asc {
+			climb = append(climb, v, v)
+		}
+		climb = append(climb, math.Copysign(0, -1), 0, math.Copysign(0, -1)) // equal values, in either order
+		for k := len(asc) - 1; k >= 0; k-- {
+			desc = append(desc, asc[k])
+		}
+		h := len(asc) / 2
+		lists := map[string][]float64{
+			"empty":         nil,
+			"ascending":     asc,
+			"repeats":       climb,
+			"descending":    desc,
+			"after +Inf":    slices.Concat(asc[h:], []float64{math.Inf(1)}, asc[:h]),
+			"after -Inf":    slices.Concat(asc[h:], []float64{math.Inf(-1)}, asc),
+			"after NaN":     slices.Concat(asc[h:], []float64{math.NaN()}, asc[:h]),
+			"NaN then more": slices.Concat(asc[:h], []float64{math.NaN(), math.NaN()}, asc[h:]),
+			"shuffled":      slices.Clone(asc),
+		}
+		rng.Shuffle(len(lists["shuffled"]), func(a, b int) {
+			lists["shuffled"][a], lists["shuffled"][b] = lists["shuffled"][b], lists["shuffled"][a]
+		})
+		for _, kind := range refKinds {
+			pe, err := NewPointErrors(vp, kind, metric.Params{C: 0.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < vp.N; i++ {
+				for listName, list := range lists {
+					out := make([]float64, len(list))
+					pe.errSweep(i, list, out)
+					for k, v := range list {
+						if got, want := out[k], pe.Err(i, v); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s/%v item %d, %s list: sweep at [%d] = %v gives %v (%#x), Err %v (%#x)",
+								name, kind, i, listName, k, v, got, math.Float64bits(got), want, math.Float64bits(want))
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -151,6 +151,60 @@ func (pe *PointErrors) Err(i int, v float64) float64 {
 	}
 }
 
+// errSweep is Err's sweep twin: out[t] = Err(i, vs[t]) bit for bit, by
+// Err's expressions, float64 conversions included, on Err's operands. The
+// tree DP's leaf level prices each item at every state of a node in
+// ascending order of incoming value. Err's k counts the breakpoints <= v,
+// a count non-decreasing in v, so along a non-decreasing list the cursor
+// only moves forward. A list that goes down, or a NaN (Err's k for NaN is
+// 0), resets it: the answer never depends on the list being sorted, only
+// the work does. Past shortRun breakpoints still ahead the cursor
+// binary-searches, as Err does, so a short list over a long run costs no
+// more than Err calls.
+func (pe *PointErrors) errSweep(i int, vs, out []float64) {
+	out = out[:len(vs)]
+	switch pe.kind {
+	case metric.SSEFixed, metric.SSRE:
+		x, y, z := pe.x[i], pe.y[i], pe.z[i]
+		for t, v := range vs {
+			e := x - float64(2*v*y) + float64(v*v*z)
+			if e < 0 {
+				e = 0
+			}
+			out[t] = e
+		}
+	default:
+		lo, hi := pe.off[i], pe.off[i+1]
+		val := pe.val[lo:hi]
+		rec := pe.rec[2*(lo+i) : 2*(hi+i+1)]
+		totS := pe.totS[i]
+		k, prev := 0, math.Inf(-1)
+		for t, v := range vs {
+			if !(v >= prev) {
+				k = 0
+			}
+			prev = v
+			if n := len(val); n-k > shortRun {
+				for k < n {
+					if mid := int(uint(k+n) >> 1); val[mid] <= v {
+						k = mid + 1
+					} else {
+						n = mid
+					}
+				}
+			}
+			for k < len(val) && val[k] <= v {
+				k++
+			}
+			e := float64(v*rec[2*k]) + totS - rec[2*k+1]
+			if e < 0 {
+				e = 0
+			}
+			out[t] = e
+		}
+	}
+}
+
 // Cumulative reports whether the evaluator's metric sums over items.
 func (pe *PointErrors) Cumulative() bool { return pe.kind.Cumulative() }
 

@@ -1,8 +1,9 @@
 package wavelet_test
 
-// The tree DP takes its level tables and incoming-value rows from a
-// process-wide slab cache. The root package's TestPoisonedSlabReuse holds
-// its output to fresh zeroed slabs; this pins what a warm build allocates.
+// The tree DP takes its level tables, incoming-value rows and orders and
+// its leaf-sweep scratch from a process-wide slab cache. The root
+// package's TestPoisonedSlabReuse holds its output to fresh zeroed slabs;
+// this pins what a warm build allocates.
 
 import (
 	"math/rand"
@@ -30,19 +31,21 @@ func TestTreeDPAllocations(t *testing.T) {
 	p := metric.Params{C: 0.5}
 	for _, tc := range []struct {
 		name     string
+		kind     metric.Kind
 		n, B, q  int
 		maxBytes float64 // per build
 	}{
-		{"restricted-SAE", 512, 32, 0, 0.5e6},
-		{"q32-SAE", 2048, 32, 32, 1e6},
+		{"restricted-SAE", metric.SAE, 512, 32, 0, 0.5e6},
+		{"restricted-MAE", metric.MAE, 512, 32, 0, 0.5e6},
+		{"q32-SAE", metric.SAE, 2048, 32, 32, 1e6},
 	} {
 		src := gen.SensorGrid(rand.New(rand.NewSource(1)), gen.DefaultSensor(tc.n))
 		build := func() {
 			var err error
 			if tc.q == 0 {
-				_, _, err = wavelet.BuildRestrictedPool(src, metric.SAE, p, tc.B, nil)
+				_, _, err = wavelet.BuildRestrictedPool(src, tc.kind, p, tc.B, nil)
 			} else {
-				_, _, err = wavelet.BuildRestrictedApproxPool(src, metric.SAE, p, tc.B, tc.q, nil)
+				_, _, err = wavelet.BuildRestrictedApproxPool(src, tc.kind, p, tc.B, tc.q, nil)
 			}
 			if err != nil {
 				t.Fatal(err)

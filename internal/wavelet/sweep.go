@@ -243,8 +243,13 @@ func singleton(family Family, pe *PointErrors, cands []float64, b int) *Synopsis
 // extraction re-evaluates each synopsis exactly (its Cost is the true
 // expected error — never below the exact optimum, since the synopsis is
 // a feasible exact solution) and the sweep carries the DP's additive
-// suboptimality bound.
+// suboptimality bound. Extraction reads no incoming-value order, so the
+// orders go back to the slab cache here, before a caller holds the sweep.
 func (d *treeDP) sweep() *Sweep {
+	for _, s := range d.ord {
+		orders.put(s)
+	}
+	d.ord = nil
 	sw := &Sweep{
 		bmax: d.B, bound: d.errorBound(), stats: d.stats,
 		at:      func(b int) *Synopsis { return d.synopsis(b) },

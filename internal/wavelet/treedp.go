@@ -36,9 +36,12 @@ import (
 // entries beyond the cap would only repeat the saturated value, so reads
 // clamp instead (res[min(b, cap)]). The finest detail level (whose
 // children are data items) is never materialized: its two-entry tables
-// are recomputed inline from PointErrors both by its parents' sweep and
-// by the backtrack, which re-derives every argmin decision from the kept
-// level tables.
+// are recomputed inline from PointErrors, by its parents' forward sweep a
+// node at a time — each item priced along the node's states in ascending
+// order of incoming value (solveLeafStates, errSweep) — and by the
+// backtrack one path at a time (leafTables, the same pricing on a
+// one-value list; walkLeaf, Err), which re-derives every argmin decision
+// from the kept level tables.
 //
 // Quantized mode (restricted DP only). Exact ancestor-decision state
 // counts double per level — 2^(l+1) states per node at level l — which is
@@ -91,15 +94,24 @@ type treeDP struct {
 	// one level it reads; a quantized DP (quant > 0) keeps every level's,
 	// with the per-node analytic value bounds and grid steps its snapped
 	// transitions bucket against.
-	vals  [][]float64
+	vals [][]float64
+	// ord[l][offs[l][i]:offs[l][i+1]] lists node 2^l+i's local states in
+	// ascending order of incoming value, in an order slab (takeOrder). Only
+	// a DP whose last internal level is exact builds them, and buildGrids
+	// leaves the order of the level above that one only: the leaf sweep
+	// merges each last-level node's order from it (leafOrder), and sweep
+	// hands it back to the slab cache, extraction never reading it. A
+	// quantized last level's order is its grid's.
+	ord   [][]int32
 	blo   [][]float64 // blo[l][i], bhi[l][i]: incoming-value bounds of node 2^l+i
 	bhi   [][]float64
 	gstep [][]float64 // gstep[l][i]: grid step on quantized levels, else 0
 
 	// Work of the forward sweep's solveStates calls, added once per call
 	// under mu: budget splits merge evaluated, the rest of the dense
-	// scan's splits (clamped, saturated, or off the crossing), and
-	// PointErrors.Err calls. All three are sums over states, so they are
+	// scan's splits (clamped, saturated, or off the crossing), and point
+	// errors evaluated (as many as a state-by-state leaf level's
+	// PointErrors.Err calls). All three are sums over states, so they are
 	// the same at every worker count.
 	mu    sync.Mutex
 	stats hist.DPStats
@@ -155,29 +167,46 @@ func newTreeDP(n, B int, cands [][]float64, pe *PointErrors, cumulative bool, qu
 	return d, nil
 }
 
-// slabs caches the level tables (res) and incoming-value rows (vals) of
-// finished DPs for the next DP to reuse, process-wide: a build without a
-// shared engine pool still finds the slabs the last one released.
-// slabs[c] holds idle slabs of capacity exactly 1<<c. A sync.Pool drops
-// what it holds at GC, so an idle process retains none and there is no
-// retention setting.
-var slabs [bits.UintSize]sync.Pool
+// slabPool caches the slabs of finished DPs for the next DP to reuse,
+// process-wide: a build without a shared engine pool still finds the
+// slabs the last one released. Class c holds idle slabs of capacity
+// exactly 1<<c. A sync.Pool drops what it holds at GC, so an idle process
+// retains none and there is no retention setting.
+type slabPool[T float64 | int32] [bits.UintSize]sync.Pool
 
-// slabFill, when set, is written into every slab takeSlab hands out; see
-// SetSlabFill.
+// take returns a slab of length n >= 1, recycled when the pool holds one
+// of its capacity class. Its entries are not zeroed: every caller writes
+// an entry before it reads it.
+func (p *slabPool[T]) take(n int) []T {
+	c := bits.Len(uint(n - 1))
+	if s, ok := p[c].Get().(*[]T); ok {
+		return (*s)[:n]
+	}
+	return make([]T, n, 1<<c)
+}
+
+// put hands a taken slab back to the pool; nil is a no-op.
+func (p *slabPool[T]) put(s []T) {
+	if cap(s) > 0 {
+		p[bits.Len(uint(cap(s)-1))].Put(&s)
+	}
+}
+
+// slabs holds the level tables (res), the incoming-value rows (vals) and
+// the leaf sweep's scratch; orders holds the incoming-value orders (ord)
+// and the leaf sweep's per-node orders.
+var (
+	slabs  slabPool[float64]
+	orders slabPool[int32]
+)
+
+// slabFill, when set, is written into every float slab takeSlab hands out,
+// and -1 into every order takeOrder hands out; see SetSlabFill.
 var slabFill atomic.Pointer[float64]
 
-// takeSlab returns a slab of length n >= 1, recycled when the cache holds
-// one of its capacity class. Its entries are not zeroed: every caller
-// writes an entry before it reads it.
+// takeSlab returns a float64 slab of length n >= 1 from the cache.
 func takeSlab(n int) []float64 {
-	c := bits.Len(uint(n - 1))
-	var s []float64
-	if p, ok := slabs[c].Get().(*[]float64); ok {
-		s = (*p)[:n]
-	} else {
-		s = make([]float64, n, 1<<c)
-	}
+	s := slabs.take(n)
 	if v := slabFill.Load(); v != nil {
 		for k := range s {
 			s[k] = *v
@@ -186,17 +215,23 @@ func takeSlab(n int) []float64 {
 	return s
 }
 
-// putSlab hands a takeSlab slab back to the cache; nil is a no-op.
-func putSlab(s []float64) {
-	if cap(s) > 0 {
-		slabs[bits.Len(uint(cap(s)-1))].Put(&s)
+// takeOrder returns an int32 slab of length n >= 1 from the cache.
+func takeOrder(n int) []int32 {
+	s := orders.take(n)
+	if slabFill.Load() != nil {
+		for k := range s {
+			s[k] = -1
+		}
 	}
+	return s
 }
 
 // SetSlabFill makes every slab the tree DP's slab cache hands out arrive
-// filled with v, until restore is called. It exists for tests: filled
+// poisoned until restore is called: float slabs filled with v, order
+// slabs with -1, an index out of every range. It exists for tests: filled
 // with NaN, a slab betrays any entry read before it is written, since
-// such a read would change a synopsis byte.
+// such a read would change a synopsis byte, and a -1 read as an index
+// panics.
 func SetSlabFill(v float64) (restore func()) {
 	slabFill.Store(&v)
 	return func() { slabFill.Store(nil) }
@@ -206,10 +241,10 @@ func SetSlabFill(v float64) (restore func()) {
 // slab cache. The DP is not read again.
 func (d *treeDP) release() {
 	for _, s := range d.res {
-		putSlab(s)
+		slabs.put(s)
 	}
 	for _, s := range d.vals {
-		putSlab(s)
+		slabs.put(s)
 	}
 	d.res, d.vals = nil, nil
 }
@@ -336,11 +371,21 @@ func (d *treeDP) stateOverflowErr(l int, need float64) error {
 // Only the last internal level prices leaves from its values, so an exact
 // DP hands each level's back to the slab cache once the level below is
 // written; the quantized DP's transitions and backtrack read every level's.
+// When the last internal level is exact, each level above it is also
+// sorted by incoming value (mergeOrder: each node's order merged from its
+// parent's), and only the order of the level just above the last is kept,
+// from which the leaf sweep merges each last-level node's order as it
+// prices it. (newTreeDP normalizes quant >= 2^(levels-1) to exact mode, so
+// a quantized DP's last internal level is always on its grid.)
 // Every entry of a level is written here, so a recycled slab needs no
 // zeroing.
 func (d *treeDP) buildGrids() {
 	L := d.levels
 	d.vals = make([][]float64, L-1)
+	sorted := !d.lq(L - 2)
+	if sorted {
+		d.ord = make([][]int32, L-1)
+	}
 	if d.quant > 0 {
 		d.blo = make([][]float64, L-1)
 		d.bhi = make([][]float64, L-1)
@@ -356,6 +401,10 @@ func (d *treeDP) buildGrids() {
 	}
 	for l := 0; l <= L-2; l++ {
 		d.vals[l] = takeSlab(d.offs[l][1<<l])
+		ordered := sorted && l < L-2
+		if ordered {
+			d.ord[l] = takeOrder(d.offs[l][1<<l])
+		}
 		for i := 0; i < 1<<l; i++ {
 			vs := d.vals[l][d.offs[l][i]:d.offs[l][i+1]]
 			switch {
@@ -385,11 +434,18 @@ func (d *treeDP) buildGrids() {
 					}
 				}
 			}
+			if ordered {
+				d.mergeOrder(l, i, d.ord[l][d.offs[l][i]:d.offs[l][i+1]])
+			}
+		}
+		if ordered && l > 0 {
+			orders.put(d.ord[l-1])
+			d.ord[l-1] = nil
 		}
 		switch {
 		case d.quant == 0:
 			if l > 0 {
-				putSlab(d.vals[l-1])
+				slabs.put(d.vals[l-1])
 				d.vals[l-1] = nil
 			}
 		case l < L-2:
@@ -402,6 +458,43 @@ func (d *treeDP) buildGrids() {
 				d.bhi[l+1][2*i+1] = hi - math.Min(0, w)
 			}
 		}
+	}
+}
+
+// mergeOrder writes into ord the local states of node i of exact level l
+// in ascending order of incoming value. State p·br+c is parent state p
+// under decision c; the parent's states come in ascending order of their
+// own values (level 0's one node has the empty path's one state). Along
+// them, decision c's values v, v+w or v−w are non-decreasing, since
+// fl(v ± w) is non-decreasing in v, so the order is a br-way merge of
+// those runs, the lowest decision first among equals. A NaN value leaves
+// the runs unsorted; ord is still a permutation, and the leaf sweep, which
+// restarts its cursor wherever a list goes down, still prices every state
+// right.
+func (d *treeDP) mergeOrder(l, i int, ord []int32) {
+	vs := d.vals[l][d.offs[l][i]:d.offs[l][i+1]]
+	po := []int32{0}
+	if l > 0 {
+		po = d.ord[l-1][d.offs[l-1][i>>1]:d.offs[l-1][(i>>1)+1]]
+	}
+	n, br := len(po), len(vs)/len(po)
+	var hs [8]int // run c's next position; on the stack up to 7 candidates
+	heads := hs[:min(br, len(hs))]
+	if br > len(hs) {
+		heads = make([]int, br)
+	}
+	for k := range ord {
+		best, bv := -1, 0.0
+		for c, t := range heads {
+			if t == n {
+				continue
+			}
+			if v := vs[int(po[t])*br+c]; best < 0 || v < bv {
+				best, bv = c, v
+			}
+		}
+		ord[k] = po[heads[best]]*int32(br) + int32(best)
+		heads[best]++
 	}
 }
 
@@ -429,19 +522,12 @@ func (d *treeDP) snap(l, i int, v float64) int {
 // finest-level detail node j at incoming value v: out[0] drops the
 // coefficient, out[1] (when the budget allows one) may retain the best
 // candidate — "at most" semantics, so it is never worse than dropping.
+// It is leafRows on a one-value list: the backtrack prices a leaf row by
+// the forward sweep's own code, so their rows cannot drift apart.
 func (d *treeDP) leafTables(j int, v float64, out []float64) {
-	li, ri, _ := haar.Children(j, d.n)
-	drop := d.combine(d.pe.Err(li, v), d.pe.Err(ri, v))
-	out[0] = drop
-	if len(out) > 1 {
-		best := drop
-		for _, w := range d.cands[j] {
-			if r := d.combine(d.pe.Err(li, v+w), d.pe.Err(ri, v-w)); r < best {
-				best = r
-			}
-		}
-		out[1] = best
-	}
+	x := [1]float64{v}
+	var sc [4]float64
+	d.leafRows(j, x[:], out, sc[:])
 }
 
 // solveLevel computes level l's tables from the completed level below,
@@ -464,38 +550,41 @@ func (d *treeDP) solveLevel(l int) {
 // solveStates computes the level-l table entries of states [lo, hi) from
 // the completed level below, in the serial operation order. A state's
 // incoming value is read from d.vals where the level needs it: the last
-// internal level, whose leaf children are priced inline, and a level
-// above a quantized one, whose transitions snap. Every state is an
-// independent slot, so any partition of a level into solveStates calls —
-// the pool's chunks at any worker count — produces bit-identical tables.
+// internal level, whose leaf children are priced inline
+// (solveLeafStates), and a level above a quantized one, whose transitions
+// snap. Every state is an independent slot, so any partition of a level
+// into solveStates calls — the pool's chunks at any worker count —
+// produces bit-identical tables.
 func (d *treeDP) solveStates(l, lo, hi int) {
-	offs := d.offs[l]
+	var st hist.DPStats
+	if l == d.levels-2 {
+		d.solveLeafStates(lo, hi, &st)
+	} else {
+		d.solveInnerStates(l, lo, hi, &st)
+	}
+	st.CandidatesPruned -= st.CandidatesScanned
+	d.mu.Lock()
+	d.stats.Add(st)
+	d.mu.Unlock()
+}
+
+// solveInnerStates is solveStates for a level above the last internal
+// one: each decision merges two kept child rows.
+func (d *treeDP) solveInnerStates(l, lo, hi int, st *hist.DPStats) {
+	offs, coffs := d.offs[l], d.offs[l+1]
 	first := 1 << l
 	entries := d.bcap[l] + 1
-	fused := l == d.levels-2
-	var coffs []int
-	ccap := min(d.B, 1)
-	if !fused {
-		coffs = d.offs[l+1]
-		ccap = d.bcap[l+1]
-	}
-	centries := ccap + 1
-	var lbuf, rbuf [2]float64
-	var st hist.DPStats
-	qchild := !fused && d.lq(l+1)
+	centries := d.bcap[l+1] + 1
+	qchild := d.lq(l + 1)
 	i := sort.SearchInts(offs, lo+1) - 1
 	for s := lo; s < hi; i++ {
 		j := first + i
 		end := min(hi, offs[i+1])
 		br := d.br(j)
-		var leafEvals int64 // Err calls per decision: each leaf's drop pair, plus a pair per candidate
-		if fused {
-			leafEvals = int64(4 + 2*ccap*(len(d.cands[2*j])+len(d.cands[2*j+1])))
-		}
 		for ; s < end; s++ {
 			local := s - offs[i]
 			var v float64
-			if fused || qchild {
+			if qchild {
 				v = d.vals[l][s]
 			}
 			out := d.res[l][s*entries : (s+1)*entries]
@@ -513,15 +602,7 @@ func (d *treeDP) solveStates(l, lo, hi int) {
 				if m == 0 {
 					break // B = 0: nothing to retain with
 				}
-				st.CandidatesPruned += int64(m * (m + 1) / 2) // the dense scan's splits; the scanned ones come off below
-				if fused {
-					lt, rt := lbuf[:centries], rbuf[:centries]
-					d.leafTables(2*j, v+w, lt)
-					d.leafTables(2*j+1, v-w, rt)
-					st.CostEvals += leafEvals
-					st.CandidatesScanned += d.mergeLeaves(out[shift:], lt, rt)
-					continue
-				}
+				st.CandidatesPruned += int64(m * (m + 1) / 2) // the dense scan's splits; the scanned ones come off in solveStates
 				var cl, cr int
 				if qchild {
 					// Quantized child level: bucket the exact child
@@ -537,10 +618,137 @@ func (d *treeDP) solveStates(l, lo, hi int) {
 			}
 		}
 	}
-	st.CandidatesPruned -= st.CandidatesScanned
-	d.mu.Lock()
-	d.stats.Add(st)
-	d.mu.Unlock()
+}
+
+// solveLeafStates is solveStates for the last internal level, whose
+// children are finest detail nodes priced inline. Pricing state by state
+// would call leafTables, and so Err, once per state, decision and item;
+// instead each node's states in [lo, hi) are taken in ascending order of
+// incoming value (leafOrder), and each item is priced along the whole list
+// by one errSweep per (decision, child decision) — a list that, shifted by
+// constants, stays non-decreasing. leafRows then does leafTables' work on
+// those point errors and mergeLeaves merges each state's rows, so every
+// row sees the operations of the state-by-state loop, in its order, on
+// Err's bits: every entry and counter is unchanged.
+func (d *treeDP) solveLeafStates(lo, hi int, st *hist.DPStats) {
+	if lo >= hi {
+		return // an empty dispatch chunk
+	}
+	l := d.levels - 2
+	offs := d.offs[l]
+	entries := d.bcap[l] + 1
+	ce := min(d.B, 1) + 1 // entries of a leaf row
+	i0 := sort.SearchInts(offs, lo+1) - 1
+	span := 0 // the most states of one node [lo, hi) meets
+	for i := i0; offs[i] < hi; i++ {
+		span = max(span, offs[i+1]-offs[i])
+	}
+	sorted := takeOrder(span)
+	buf := takeSlab((7 + 2*ce) * span)
+	v, xl, xr, sc := buf[:span], buf[span:2*span], buf[2*span:3*span], buf[3*span:7*span]
+	lt, rt := buf[7*span:(7+ce)*span], buf[(7+ce)*span:]
+	for i := i0; offs[i] < hi; i++ {
+		j := 1<<l + i
+		ord := d.leafOrder(i, max(lo, offs[i])-offs[i], min(hi, offs[i+1])-offs[i], sorted)
+		n := len(ord)
+		rows := d.res[l][offs[i]*entries : offs[i+1]*entries]
+		vs := d.vals[l][offs[i]:offs[i+1]]
+		for k, s := range ord {
+			v[k] = vs[s]
+			out := rows[int(s)*entries : (int(s)+1)*entries]
+			for e := range out {
+				out[e] = math.Inf(1)
+			}
+		}
+		// Err calls per state and decision: each leaf's drop pair, plus a
+		// pair per candidate.
+		leafEvals := int64(4 + 2*(ce-1)*(len(d.cands[2*j])+len(d.cands[2*j+1])))
+		for dd := 0; dd < d.br(j); dd++ {
+			var w float64
+			shift := 0
+			if dd > 0 {
+				w = d.cands[j][dd-1]
+				shift = 1 // retaining j spends one coefficient
+			}
+			m := entries - shift // budgets 0..m-1 go to the children
+			if m == 0 {
+				break // B = 0: nothing to retain with
+			}
+			st.CandidatesPruned += int64(n * m * (m + 1) / 2)
+			st.CostEvals += int64(n) * leafEvals
+			for k, x := range v[:n] {
+				xl[k], xr[k] = x+w, x-w
+			}
+			d.leafRows(2*j, xl[:n], lt[:ce*n], sc)
+			d.leafRows(2*j+1, xr[:n], rt[:ce*n], sc)
+			st.CandidatesScanned += d.mergeLeaves(rows, entries, shift, ord, lt[:ce*n], rt[:ce*n])
+		}
+	}
+	orders.put(sorted)
+	slabs.put(buf)
+}
+
+// leafOrder returns the local states in [a, b) of the last internal
+// level's node i in ascending order of incoming value: the grid's order
+// on a quantized level, else the order mergeOrder merges into buf (which
+// holds the node's states) from the parent's, filtered to the range when
+// a dispatch chunk splits the node.
+func (d *treeDP) leafOrder(i, a, b int, buf []int32) []int32 {
+	l := d.levels - 2
+	if d.lq(l) {
+		buf = buf[:b-a]
+		for k := range buf {
+			buf[k] = int32(a + k)
+		}
+		return buf
+	}
+	full := buf[:d.offs[l][i+1]-d.offs[l][i]]
+	d.mergeOrder(l, i, full)
+	if b-a == len(full) {
+		return full
+	}
+	m := 0
+	for _, s := range full {
+		if a <= int(s) && int(s) < b {
+			full[m] = s
+			m++
+		}
+	}
+	return full[:m]
+}
+
+// leafRows is leafTables along a list of incoming values: tab[k·c:(k+1)·c]
+// is finest detail node j's row at x[k], with c = len(tab)/len(x) its
+// entries (1 or 2). A row's entry 0 drops j; its entry 1 is the least of
+// drop and every candidate w's split of the children at v+w and v−w. The
+// point errors come from errSweep, which has Err's bits. sc is scratch
+// for 4·len(x) floats.
+func (d *treeDP) leafRows(j int, x, tab, sc []float64) {
+	n := len(x)
+	c := len(tab) / n
+	y, z, el, er := sc[:n], sc[n:2*n], sc[2*n:3*n], sc[3*n:4*n]
+	li, ri, _ := haar.Children(j, d.n)
+	d.pe.errSweep(li, x, el)
+	d.pe.errSweep(ri, x, er)
+	for k := range x {
+		drop := d.combine(el[k], er[k])
+		tab[k*c], tab[k*c+c-1] = drop, drop // a retaining entry starts at drop
+	}
+	if c == 1 {
+		return
+	}
+	for _, w := range d.cands[j] {
+		for k, xv := range x {
+			y[k], z[k] = xv+w, xv-w
+		}
+		d.pe.errSweep(li, y, el)
+		d.pe.errSweep(ri, z, er)
+		for k := range x {
+			if r := d.combine(el[k], er[k]); r < tab[k*c+1] {
+				tab[k*c+1] = r
+			}
+		}
+	}
 }
 
 // merge lowers out[b] to the best split of budget b between the children
@@ -621,28 +829,38 @@ func (d *treeDP) merge(out, lt, rt []float64) (scanned int64) {
 }
 
 // mergeLeaves is merge for the last internal level, whose children rows
-// have at most two entries: the splits of budget 0, 1 and >= 2 in closed
-// form, each evaluated only when out has an entry for it.
-func (d *treeDP) mergeLeaves(out, lt, rt []float64) (scanned int64) {
-	c := [3]float64{d.combine(lt[0], rt[0])}
-	scanned = 1
-	if len(lt) > 1 && len(out) > 1 {
-		c[1] = d.combine(lt[0], rt[1])
-		if x := d.combine(lt[1], rt[0]); x < c[1] {
-			c[1] = x
+// have at most two entries, over a node's states in a list: row ord[k] of
+// rows (entries floats a row) is lowered from entry shift on by the
+// splits between the leaf rows lt[k·c:(k+1)·c] and rt[k·c:(k+1)·c] — the
+// splits of budget 0, 1 and >= 2 in closed form, each evaluated only when
+// the row has an entry for it. It returns how many splits it evaluated.
+func (d *treeDP) mergeLeaves(rows []float64, entries, shift int, ord []int32, lt, rt []float64) (scanned int64) {
+	c := len(lt) / len(ord)
+	m := entries - shift // entries a row takes from this decision
+	per := 1             // splits a row
+	if c > 1 && m > 1 {
+		per = min(m, 3) + 1 // budget 1's two splits, and budget 2's when the row has it
+	}
+	for k, s := range ord {
+		l0, l1, r0, r1 := lt[k*c], lt[k*c+c-1], rt[k*c], rt[k*c+c-1]
+		x := [3]float64{d.combine(l0, r0)}
+		if per > 1 {
+			x[1] = d.combine(l0, r1)
+			if y := d.combine(l1, r0); y < x[1] {
+				x[1] = y
+			}
+			if per > 3 {
+				x[2] = d.combine(l1, r1)
+			}
 		}
-		scanned = 3
-		if len(out) > 2 {
-			c[2] = d.combine(lt[1], rt[1])
-			scanned = 4
+		out := rows[int(s)*entries+shift : (int(s)+1)*entries]
+		for b := range out {
+			if y := x[min(b, 2)]; y < out[b] {
+				out[b] = y
+			}
 		}
 	}
-	for b := range out {
-		if x := c[min(b, 2)]; x < out[b] {
-			out[b] = x
-		}
-	}
-	return scanned
+	return int64(per * len(ord))
 }
 
 // extract re-derives the optimal retained set and cost at budget b

@@ -92,6 +92,77 @@ func TestIncomingValuesMatchPathSums(t *testing.T) {
 	}
 }
 
+// TestIncomingOrderSortsStates holds the orders the leaf sweep prices a
+// node's states in: each lists every local state of its node once, in
+// non-decreasing order of incoming value. An exact DP keeps the order of
+// the level above the last internal one only, and merges each last-level
+// node's from it as the sweep reaches it (leafOrder), until sweep hands it
+// back. A quantized DP builds none: its last internal level is on its
+// grid, whose order is the identity. Over n = 4…64 every level depth from 0 to 4 is one of the two
+// checked levels of some tree, and each is merged from all the levels
+// above it; q4 is exact at n <= 8 and quantizes only the last internal
+// level at n = 16.
+func TestIncomingOrderSortsStates(t *testing.T) {
+	p := metric.Params{C: 0.5}
+	rng := rand.New(rand.NewSource(47))
+	for _, mode := range []refMode{
+		{"restricted", RestrictedFamily, 0},
+		{"unrestricted-q1", UnrestrictedFamily, 1},
+		{"unrestricted-q2", UnrestrictedFamily, 2},
+		{"q4", RestrictedFamily, 4},
+	} {
+		for _, n := range []int{4, 7, 8, 16, 32, 64} {
+			tag := fmt.Sprintf("%s/n=%d", mode.name, n)
+			d, _ := buildTree(t, ptest.RandomFractionalValuePDF(rng, n, 4), mode.family, metric.SAE, p, 3, mode.q, nil)
+			if d.quant > 0 && d.ord != nil {
+				t.Fatalf("%s: a quantized DP built incoming-value orders", tag)
+			}
+			check := func(l, i int, ord []int32, vals []float64) {
+				lo, hi := d.offs[l][i], d.offs[l][i+1]
+				if len(ord) != hi-lo {
+					t.Fatalf("%s: level %d node %d orders %d of its %d states", tag, l, 1<<l+i, len(ord), hi-lo)
+				}
+				seen := make([]bool, hi-lo)
+				for k, s := range ord {
+					if s < 0 || int(s) >= hi-lo || seen[s] {
+						t.Fatalf("%s: level %d node %d lists state %d at %d: not a permutation of its %d states", tag, l, 1<<l+i, s, k, hi-lo)
+					}
+					seen[s] = true
+					if k > 0 && !(vals[ord[k-1]] <= vals[s]) {
+						t.Fatalf("%s: level %d node %d: state %d (%v) follows state %d (%v)", tag, l, 1<<l+i, s, vals[s], ord[k-1], vals[ord[k-1]])
+					}
+				}
+			}
+			last := d.levels - 2
+			for l, ord := range d.ord {
+				if l != last-1 {
+					if ord != nil {
+						t.Fatalf("%s: an exact DP kept level %d's order", tag, l)
+					}
+					continue
+				}
+				// The level above the last: its values went back to the
+				// slab cache, and pathSum has their bits.
+				for i := 0; i < 1<<l; i++ {
+					vals := make([]float64, d.offs[l][i+1]-d.offs[l][i])
+					for s := range vals {
+						vals[s] = pathSum(d, 1<<l+i, s)
+					}
+					check(l, i, ord[d.offs[l][i]:d.offs[l][i+1]], vals)
+				}
+			}
+			buf := make([]int32, d.offs[last][1<<last])
+			for i := 0; i < 1<<last; i++ {
+				lo, hi := d.offs[last][i], d.offs[last][i+1]
+				check(last, i, d.leafOrder(i, 0, hi-lo, buf), d.vals[last][lo:hi])
+			}
+			if d.sweep(); d.ord != nil {
+				t.Fatalf("%s: a sweep holds the DP's incoming-value orders", tag)
+			}
+		}
+	}
+}
+
 // TestRootScanMatchesBruteForce: at every budget the sweep's cost is the
 // minimum expected error over every coefficient subset within the budget,
 // and the extracted synopsis attains it. n = 2 takes rootBest's leafTables
