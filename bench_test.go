@@ -10,7 +10,7 @@
 //	BenchmarkFig3a      DP scaling in n at fixed B (Figure 3a)
 //	BenchmarkFig3b      DP scaling in B at fixed n (Figure 3b)
 //	BenchmarkFig4a/b    wavelet error% sweeps (Figure 4)
-//	BenchmarkWavelet*Build  restricted/unrestricted coefficient-tree DP
+//	BenchmarkWavelet*Build  restricted coefficient-tree DP
 //	BenchmarkAblate*    exact-vs-closed-form tuple SSE; exact-vs-approx DP
 package probsyn_test
 
@@ -243,18 +243,6 @@ func BenchmarkWaveletRestrictedBuild(b *testing.B) {
 	})
 }
 
-// BenchmarkWaveletUnrestrictedBuild: the same sweep through the
-// unrestricted path at q=0, where the candidate grids degenerate to the
-// expected values — larger q is exponential in tree depth and is not
-// benchmark material. This tracks the unrestricted plumbing at the same
-// state-space size as the restricted DP.
-func BenchmarkWaveletUnrestrictedBuild(b *testing.B) {
-	benchWaveletBuild(b, func(src pdata.Source, B, workers int) error {
-		_, err := probsyn.Build(src, probsyn.SAE, B, probsyn.WithWavelet(), probsyn.WithUnrestricted(0), probsyn.WithParallelism(workers))
-		return err
-	})
-}
-
 // BenchmarkWaveletRestrictedApprox: the quantized restricted DP against
 // the exact one at the size where quantization starts paying — the exact
 // DP's incoming-value rows grow as 2^(l+1) up the tree while the grids
@@ -375,19 +363,6 @@ func BenchmarkFrontierSweepRestricted(b *testing.B) {
 func BenchmarkFrontierIndependentRestricted(b *testing.B) {
 	benchFrontierIndependent(b, func(src pdata.Source, B int) error {
 		_, _, err := wavelet.BuildRestrictedPool(src, metric.SAE, metric.Params{C: 0.5}, B, nil)
-		return err
-	})
-}
-
-func BenchmarkFrontierSweepUnrestricted(b *testing.B) {
-	benchFrontierSweep(b, func(src pdata.Source) (*wavelet.Sweep, error) {
-		return wavelet.NewSweep(src, wavelet.UnrestrictedFamily, metric.SAE, metric.Params{C: 0.5}, frontierB, 0, nil)
-	})
-}
-
-func BenchmarkFrontierIndependentUnrestricted(b *testing.B) {
-	benchFrontierIndependent(b, func(src pdata.Source, B int) error {
-		_, err := probsyn.Build(src, probsyn.SAE, B, probsyn.WithWavelet(), probsyn.WithUnrestricted(0))
 		return err
 	})
 }

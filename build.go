@@ -19,10 +19,8 @@ type buildConfig struct {
 	epsSet      bool
 	weights     []float64
 	wavelet     bool
-	quantize    int
-	quantizeSet bool
-	rquant      int
-	rquantSet   bool
+	quant       int
+	quantSet    bool
 	dpStats     *hist.DPStats
 }
 
@@ -95,21 +93,6 @@ func WithWavelet() BuildOption {
 	return func(c *buildConfig) { c.wavelet = true }
 }
 
-// WithUnrestricted switches a wavelet build to the unrestricted
-// thresholding DP (§4.2's "bound and quantize" sketch): retained
-// coefficient values are optimized over a grid of 2q points spanning each
-// coefficient's pessimistic range, plus the expected value, instead of
-// being pinned to the expected value. Never worse than the restricted
-// optimum; exponentially more expensive in q and log n, so intended for
-// small domains: the result is optimal over the candidate grids, and a
-// state space that would exhaust memory fails fast with an error (see
-// the wavelet package's UnrestrictedFamily). Requires WithWavelet and a
-// non-SSE metric (for SSE the expected values are already
-// unrestricted-optimal, Theorem 7).
-func WithUnrestricted(q int) BuildOption {
-	return func(c *buildConfig) { c.quantize, c.quantizeSet = q, true }
-}
-
 // WithQuantize switches a wavelet build to the approximate restricted DP
 // (§4.2's bound-and-quantize argument): per-node incoming-value rows are
 // bucketed onto grids of q >= 2 points, capping the DP's state space at
@@ -120,12 +103,12 @@ func WithUnrestricted(q int) BuildOption {
 // it as q grows; q at least half the padded domain size is the exact DP.
 // Results stay bit-identical at any worker count. Requires WithWavelet
 // and a metric the restricted DP prices (not plain SSE, whose greedy
-// build is already exact); mutually exclusive with WithUnrestricted.
+// build is already exact).
 // It is the library's one answer to a restricted wavelet too large for
 // the exact DP: BuildSharded refuses wavelets, whose sharded merge was
 // no faster, costlier and certified far looser.
 func WithQuantize(q int) BuildOption {
-	return func(c *buildConfig) { c.rquant, c.rquantSet = q, true }
+	return func(c *buildConfig) { c.quant, c.quantSet = q, true }
 }
 
 // WithDPStats points the build at a work-counter sink: on success of a

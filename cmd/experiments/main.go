@@ -53,7 +53,6 @@ type config struct {
 	n, samples, points int
 	seed               int64
 	full               bool
-	quantize           int
 	workers            int          // -parallelism, resolved to a positive count
 	pool               *engine.Pool // the one pool every DP of the run schedules on
 }
@@ -99,7 +98,6 @@ func run(args []string, stdout io.Writer) error {
 	fs.IntVar(&c.points, "points", 10, "budgets per series")
 	fs.BoolVar(&c.full, "full", false, "use the paper's full problem sizes (slow)")
 	fs.IntVar(&c.workers, "parallelism", 1, "DP worker goroutines for the histogram and wavelet DPs (<= 0: one per CPU); results are identical at any setting")
-	fs.IntVar(&c.quantize, "quantize", 0, "frontier mode: unrestricted wavelet quantization q (< 0: skip the unrestricted series)")
 	modes := c.modes()
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: experiments [flags] <mode>|all\nmodes:")
@@ -321,9 +319,8 @@ func (c *config) fig4(w io.Writer, src pdata.Source, n, bmax int) error {
 }
 
 // frontier: whole cost-vs-budget curves (the shape of Figures 2 and 4)
-// from one DP run per family: a probsyn.BuildSweep for the histogram, one
-// for the restricted wavelet and, unless -quantize < 0, one for the
-// unrestricted wavelet. Every option rule is the build plan's.
+// from one DP run per family: a probsyn.BuildSweep for the histogram and
+// one for the restricted wavelet. Every option rule is the build plan's.
 func (c *config) frontier(w io.Writer) error {
 	n := c.size(512, 2048)
 	src, _ := c.linkage(n)
@@ -336,10 +333,6 @@ func (c *config) frontier(w io.Writer) error {
 	}{
 		{"histogram", nil},
 		{"wavelet", []probsyn.BuildOption{probsyn.WithWavelet()}},
-		{"wavelet-unrestricted", []probsyn.BuildOption{probsyn.WithWavelet(), probsyn.WithUnrestricted(c.quantize)}},
-	}
-	if c.quantize < 0 {
-		series = series[:2]
 	}
 	for _, s := range series {
 		var st probsyn.DPStats

@@ -174,10 +174,13 @@ func TestFrontierMatchesBuild(t *testing.T) {
 			t.Fatalf("%s B=%d: printed cost %s terms %s, Build has %s and %d", family, b, cost, terms, want, syn.Terms())
 		}
 	}
-	for _, family := range []string{"histogram", "wavelet", "wavelet-unrestricted"} {
+	for family := range opts {
 		if seen[family] != 32 {
 			t.Fatalf("%s: %d rows, want budgets 1..32", family, seen[family])
 		}
+	}
+	if len(seen) != len(opts) {
+		t.Fatalf("series %v, want only %d families", seen, len(opts))
 	}
 }
 

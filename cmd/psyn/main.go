@@ -9,7 +9,6 @@
 //	psyn -input data.pd -metric SSE -buckets 64 -parallelism 0 -out h.syn
 //	psyn -input data.pd -wavelet -metric SAE -coeffs 32 -parallelism 0 -out w.syn
 //	psyn -input big.pd -wavelet -metric SAE -coeffs 32 -quantize 64
-//	psyn -input data.pd -wavelet -metric SAE -coeffs 8 -quantize 2 -unrestricted
 //	psyn -in h.syn
 //
 // With -sweep, one DP run builds the whole budget frontier: the
@@ -89,8 +88,7 @@ func run(args []string, stdout io.Writer) error {
 		flagEqui     = fs.Bool("equidepth", false, "build the equi-depth heuristic instead of the optimal histogram")
 		flagWavelet  = fs.Bool("wavelet", false, "build a wavelet synopsis instead of a histogram")
 		flagCoeffs   = fs.Int("coeffs", 16, "wavelet coefficient budget")
-		flagQuant    = fs.Int("quantize", -1, "if >= 0, quantize the restricted wavelet DP's incoming values onto grids of q points (q >= 2; approximate, O(n q B) states, domains far beyond the exact DP build in seconds); with -unrestricted, instead optimize coefficient values over 2q grid points plus the expected value (exact over the grid, exponential in q and log n). Wavelet DP metrics only (not the greedy-exact SSE build, not histograms)")
-		flagUnres    = fs.Bool("unrestricted", false, "with -quantize: build the unrestricted wavelet thresholding DP instead of the quantized restricted one")
+		flagQuant    = fs.Int("quantize", -1, "if >= 0, quantize the restricted wavelet DP's incoming values onto grids of q points (q >= 2; approximate, O(n q B) states, domains far beyond the exact DP build in seconds; prints the certified bound on the gap to the exact optimum). Wavelet DP metrics only (not the greedy-exact SSE build, not histograms)")
 		flagParallel = fs.Int("parallelism", 1, "DP worker goroutines, the CPUs a histogram or non-SSE wavelet build uses, -shards builds included (<= 0: one per CPU; the default 1 builds shards one at a time, -parallelism 0 builds up to one per CPU at once); output is identical at any setting (the SSE wavelet build is greedy and ignores it)")
 		flagOut      = fs.String("out", "", "save the built synopsis to this file in the binary envelope (-in prints it back); with -sweep, -append or -query, a catalog directory")
 		flagIn       = fs.String("in", "", "load a saved synopsis instead of building one")
@@ -142,20 +140,13 @@ func run(args []string, stdout io.Writer) error {
 	if *flagVerbose {
 		opts = append(opts, probsyn.WithDPStats(&dpStats))
 	}
-	if *flagUnres && *flagQuant < 0 {
-		return fmt.Errorf("-unrestricted needs -quantize q")
-	}
-	rquant := 0 // the restricted-DP grid size, when the approximate path is selected
+	quant := 0 // the restricted-DP grid size, when the approximate path is selected
 	if *flagQuant >= 0 {
 		if !*flagWavelet {
 			return fmt.Errorf("-quantize is a wavelet option (add -wavelet)")
 		}
-		if *flagUnres {
-			opts = append(opts, probsyn.WithUnrestricted(*flagQuant))
-		} else {
-			opts = append(opts, probsyn.WithQuantize(*flagQuant))
-			rquant = *flagQuant
-		}
+		opts = append(opts, probsyn.WithQuantize(*flagQuant))
+		quant = *flagQuant
 	}
 
 	dataset := *flagDataset
@@ -179,7 +170,7 @@ func run(args []string, stdout io.Writer) error {
 		if *flagShards >= 2 {
 			return fmt.Errorf("-sweep cannot shard (drop -shards)")
 		}
-		if err := runSweep(stdout, src, m, p, budget, dataset, *flagOut, rquant, opts); err != nil {
+		if err := runSweep(stdout, src, m, p, budget, dataset, *flagOut, quant, opts); err != nil {
 			return err
 		}
 		reportDPStats(stdout, dpStats, *flagWavelet)
@@ -202,7 +193,7 @@ func run(args []string, stdout io.Writer) error {
 
 	var syn probsyn.Synopsis
 	if *flagWavelet {
-		syn, err = buildWavelet(stdout, src, m, budget, *flagQuant, *flagUnres, opts)
+		syn, err = buildWavelet(stdout, src, m, budget, *flagQuant, opts)
 	} else {
 		syn, err = buildHistogram(stdout, src, m, p, budget, *flagApprox, *flagEqui, opts)
 	}
@@ -366,14 +357,14 @@ func runQuery(stdout io.Writer, reqPath, catalogDir string, c float64) error {
 // 1..budget as a key-encoded catalog file — the files psynd writes for
 // the same /v1/sweep, budgets past the clamped Bmax repeating the Bmax
 // synopsis.
-func runSweep(stdout io.Writer, src probsyn.Source, m probsyn.Metric, p probsyn.Params, budget int, dataset, outDir string, rquant int, opts []probsyn.BuildOption) error {
+func runSweep(stdout io.Writer, src probsyn.Source, m probsyn.Metric, p probsyn.Params, budget int, dataset, outDir string, quant int, opts []probsyn.BuildOption) error {
 	fr, err := probsyn.BuildSweep(src, m, budget, opts...)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "frontier over n=%d: budgets 1..%d from one DP run\n", src.Domain(), fr.Bmax())
-	if rquant > 0 {
-		fmt.Fprintf(stdout, "quantized restricted DP (q=%d): every cost within %.6g of its restricted optimum\n", rquant, probsyn.ApproxBound(fr))
+	if quant > 0 {
+		fmt.Fprintf(stdout, "quantized restricted DP (q=%d): every cost within %.6g of its restricted optimum\n", quant, probsyn.ApproxBound(fr))
 	}
 	fmt.Fprintln(stdout, "budget,terms,cost")
 	for b := 1; b <= fr.Bmax(); b++ {
@@ -390,7 +381,7 @@ func runSweep(stdout io.Writer, src probsyn.Source, m probsyn.Metric, p probsyn.
 	if err != nil {
 		return err
 	}
-	key, err := catalog.KeyFor(dataset, top, m.String(), budget, p.C, rquant)
+	key, err := catalog.KeyFor(dataset, top, m.String(), budget, p.C, quant)
 	if err != nil {
 		return err
 	}
@@ -467,21 +458,8 @@ func buildHistogram(stdout io.Writer, src probsyn.Source, m probsyn.Metric, p pr
 }
 
 // buildWavelet builds and prints a wavelet synopsis; opts already select
-// the family (WithWavelet, and WithUnrestricted or WithQuantize if asked).
-func buildWavelet(stdout io.Writer, src probsyn.Source, m probsyn.Metric, coeffs, quantize int, unrestricted bool, opts []probsyn.BuildOption) (probsyn.Synopsis, error) {
-	if quantize >= 0 && unrestricted {
-		// Unrestricted DP: coefficient values optimized over quantized
-		// candidate grids.
-		s, err := probsyn.Build(src, m, coeffs, opts...)
-		if err != nil {
-			return nil, err
-		}
-		syn := s.(*probsyn.WaveletSynopsis)
-		fmt.Fprintf(stdout, "unrestricted (q=%d) %v wavelet synopsis over n=%d (padded %d): %d coefficients, expected error %.6g\n",
-			quantize, m, src.Domain(), syn.N, syn.B(), syn.Cost)
-		printCoeffs(stdout, syn)
-		return syn, nil
-	}
+// the family (WithWavelet, and WithQuantize if asked).
+func buildWavelet(stdout io.Writer, src probsyn.Source, m probsyn.Metric, coeffs, quantize int, opts []probsyn.BuildOption) (probsyn.Synopsis, error) {
 	if quantize >= 0 {
 		// Quantized restricted DP: build through the frontier (bit-identical
 		// to probsyn.Build, per the sweep guarantee) so the §4.2 additive

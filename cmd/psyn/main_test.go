@@ -160,17 +160,13 @@ func TestRunSweepRejectsHeuristics(t *testing.T) {
 	}
 }
 
-// -quantize alone routes the wavelet build through the quantized
-// restricted DP (reporting its additive error bound); with -unrestricted
-// it selects the unrestricted thresholding DP. Both require -wavelet.
+// -quantize routes the wavelet build through the quantized restricted DP,
+// reporting its additive error bound. It requires -wavelet.
 func TestRunQuantize(t *testing.T) {
 	dir := t.TempDir()
 	dataset, _ := writeDataset(t, dir)
 	if err := run([]string{"-input", dataset, "-metric", "SAE", "-quantize", "4"}, io.Discard); err == nil {
 		t.Fatal("-quantize without -wavelet succeeded, want error")
-	}
-	if err := run([]string{"-input", dataset, "-unrestricted"}, io.Discard); err == nil {
-		t.Fatal("-unrestricted without -quantize succeeded, want error")
 	}
 	if err := run([]string{"-input", dataset, "-wavelet", "-metric", "SAE", "-coeffs", "3", "-quantize", "1"}, io.Discard); err == nil {
 		t.Fatal("quantized restricted build with q=1 succeeded, want error (grids need q >= 2)")
@@ -180,13 +176,6 @@ func TestRunQuantize(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "quantized restricted (q=4)") || !strings.Contains(out.String(), "of the restricted optimum") {
-		t.Fatalf("unexpected output:\n%s", out.String())
-	}
-	out.Reset()
-	if err := run([]string{"-input", dataset, "-wavelet", "-metric", "SAE", "-coeffs", "3", "-quantize", "1", "-unrestricted"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "unrestricted (q=1)") {
 		t.Fatalf("unexpected output:\n%s", out.String())
 	}
 }
@@ -573,12 +562,11 @@ func TestRunShardedValidation(t *testing.T) {
 		args []string
 		want string
 	}{
-		"equidepth":            {[]string{"-equidepth"}, "drop -equidepth/-approx"},
-		"sweep":                {[]string{"-sweep"}, "drop -shards"},
-		"wavelet":              {[]string{"-wavelet", "-metric", "SAE"}, wavelet},
-		"wavelet-SSE":          {[]string{"-wavelet", "-metric", "SSE"}, wavelet},
-		"wavelet-quantize":     {[]string{"-wavelet", "-metric", "SAE", "-quantize", "4"}, wavelet},
-		"wavelet-unrestricted": {[]string{"-wavelet", "-metric", "SAE", "-quantize", "2", "-unrestricted"}, wavelet},
+		"equidepth":        {[]string{"-equidepth"}, "drop -equidepth/-approx"},
+		"sweep":            {[]string{"-sweep"}, "drop -shards"},
+		"wavelet":          {[]string{"-wavelet", "-metric", "SAE"}, wavelet},
+		"wavelet-SSE":      {[]string{"-wavelet", "-metric", "SSE"}, wavelet},
+		"wavelet-quantize": {[]string{"-wavelet", "-metric", "SAE", "-quantize", "4"}, wavelet},
 	} {
 		t.Run(name, func(t *testing.T) {
 			args := append([]string{"-input", dataset, "-coeffs", "8", "-shards", "4", "-out", catDir}, tc.args...)

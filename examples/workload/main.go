@@ -1,8 +1,6 @@
-// Workload: the two extensions beyond the paper's core results — a
-// query-workload-weighted histogram (§6 poses non-uniform point-query
-// workloads as future work) and the unrestricted wavelet thresholding of
-// §4.2 (retained values optimized over quantized ranges rather than pinned
-// to expected coefficients).
+// Workload: a query-workload-weighted histogram, the extension beyond the
+// paper's core results that §6 poses as future work (non-uniform
+// point-query workloads).
 //
 // Run with: go run ./examples/workload
 package main
@@ -78,17 +76,4 @@ func main() {
 	fmt.Printf("uniform objective:  %.4f\n", score(uniform))
 	fmt.Printf("workload objective: %.4f\n", score(weighted))
 
-	// Unrestricted vs restricted wavelets under SAE on a small slice.
-	slice := &probsyn.ValuePDF{N: 16, Items: readings.Items[:16]}
-	restricted, err := probsyn.Build(slice, probsyn.SAE, 3, probsyn.WithWavelet())
-	if err != nil {
-		log.Fatal(err)
-	}
-	unrestricted, err := probsyn.Build(slice, probsyn.SAE, 3, probsyn.WithWavelet(), probsyn.WithUnrestricted(6))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\n3-term SAE wavelet over 16 sensors:\n")
-	fmt.Printf("restricted (values = expected coefficients): expected error %.4f\n", restricted.ErrorCost())
-	fmt.Printf("unrestricted (values over quantized ranges):  expected error %.4f\n", unrestricted.ErrorCost())
 }

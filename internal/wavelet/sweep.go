@@ -130,31 +130,7 @@ const (
 	// bounds the gap to the exact optimum; q at least half the padded
 	// domain size degenerates to the exact DP.
 	RestrictedFamily
-	// UnrestrictedFamily approximates the unrestricted thresholding problem
-	// §4.2 defers, by the paper's "bound and quantize the range of possible
-	// coefficient values" sketch: a retained value is chosen from a grid
-	// instead of pinned to the expected coefficient μ_j. The grid is μ_j
-	// plus 2q points spanning [μ_j − r_j, μ_j + r_j], r_j a pessimistic
-	// range from the min/max possible frequencies in the coefficient's
-	// support, and the tree DP minimizes over values as well as retain/drop
-	// decisions and budget splits. Its state space grows as
-	// O((2q+2)^depth) against the restricted DP's 2^depth, so it is for
-	// small domains; one that would exhaust memory fails fast with an
-	// error. With μ_j always a candidate, it is never worse than
-	// RestrictedFamily.
-	UnrestrictedFamily
 )
-
-// checkQuant validates a family's q.
-func checkQuant(family Family, q int) error {
-	switch {
-	case family == UnrestrictedFamily && q < 0:
-		return fmt.Errorf("wavelet: negative quantization %d", q)
-	case family == RestrictedFamily && q != 0 && q < 2:
-		return fmt.Errorf("wavelet: the quantized restricted DP needs q = 0 (exact) or q >= 2, got %d", q)
-	}
-	return nil
-}
 
 // NewSweep runs the family's one forward pass at budget B and returns the
 // whole frontier: every budget b <= B is a backtrack away, bit-identical
@@ -164,22 +140,23 @@ func NewSweep(src pdata.Source, family Family, kind metric.Kind, p metric.Params
 	if B < 0 {
 		return nil, fmt.Errorf("wavelet: negative budget %d", B)
 	}
-	if err := checkQuant(family, q); err != nil {
-		return nil, err
+	if family == RestrictedFamily && q != 0 && q < 2 {
+		return nil, fmt.Errorf("wavelet: the quantized restricted DP needs q = 0 (exact) or q >= 2, got %d", q)
 	}
 	if family == SSEFamily {
 		return newSSEGreedy(src).sweep(B), nil
 	}
 	vp := padValuePDF(pdata.AsValuePDF(src))
-	pe, cands, quant, err := dpInputs(vp, family, kind, p, q)
+	pe, err := NewPointErrors(vp, kind, p)
 	if err != nil {
 		return nil, err
 	}
+	mu := haar.Forward(vp.ExpectedFreqs())
 	B = min(B, vp.N)
 	if vp.N == 1 {
-		return extractionSweep(B, func(b int) *Synopsis { return singleton(family, pe, cands[0], b) }), nil
+		return extractionSweep(B, func(b int) *Synopsis { return restrictedSingleton(pe, mu[0], b) }), nil
 	}
-	d, err := newTreeDP(vp.N, B, cands, pe, kind.Cumulative(), quant, pool)
+	d, err := newTreeDP(vp.N, B, mu, pe, kind.Cumulative(), q, pool)
 	if err != nil {
 		return nil, err
 	}
@@ -196,46 +173,6 @@ func buildAt(src pdata.Source, family Family, kind metric.Kind, p metric.Params,
 	syn := sw.at(sw.bmax)
 	sw.Release()
 	return syn, syn.Cost, nil
-}
-
-// dpInputs derives what a coefficient-tree DP runs on from a padded value
-// pdf: the point-error evaluator, the family's per-coefficient candidate
-// values, and the incoming-value quantization the tree sees — the
-// unrestricted family spends q on its candidate grids, so its incoming
-// values stay exact.
-func dpInputs(vp *pdata.ValuePDF, family Family, kind metric.Kind, p metric.Params, q int) (*PointErrors, [][]float64, int, error) {
-	pe, err := NewPointErrors(vp, kind, p)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	cands := candidates(family, vp, haar.Forward(vp.ExpectedFreqs()), q)
-	if family == UnrestrictedFamily {
-		q = 0
-	}
-	return pe, cands, q, nil
-}
-
-// candidates builds a DP family's per-coefficient candidate values over
-// the expected coefficients cvals. The restricted problem is the shared
-// tree DP with a single candidate per coefficient: its expected value.
-func candidates(family Family, vp *pdata.ValuePDF, cvals []float64, q int) [][]float64 {
-	if family == UnrestrictedFamily {
-		return candidateGrids(vp, cvals, q)
-	}
-	cands := make([][]float64, len(cvals))
-	for j := range cands {
-		cands[j] = cvals[j : j+1]
-	}
-	return cands
-}
-
-// singleton solves the degenerate n == 1 domain at budget b, where each
-// family enumerates the root's candidates directly.
-func singleton(family Family, pe *PointErrors, cands []float64, b int) *Synopsis {
-	if family == UnrestrictedFamily {
-		return unrestrictedSingleton(pe, cands, b)
-	}
-	return restrictedSingleton(pe, cands[0], b)
 }
 
 // sweep wraps the solved tables as a Sweep over every budget up to d.B.
@@ -263,8 +200,8 @@ func (d *treeDP) sweep() *Sweep {
 
 // extractionSweep wraps a family whose budget-b cost is only known by
 // extracting the budget-b synopsis: the SSE greedy, and the degenerate
-// n == 1 domain, where budgets are 0 or 1 and each family enumerates its
-// candidates directly.
+// n == 1 domain, where budgets are 0 or 1 and the root's two decisions
+// are enumerated directly.
 func extractionSweep(B int, at func(b int) *Synopsis) *Sweep {
 	return &Sweep{bmax: B, at: at}
 }

@@ -2,9 +2,9 @@ package wavelet_test
 
 // Sweep frontier tests: one DP run must serve every budget b <= B with
 // exactly the synopsis (coefficients, values, cost — bit-identical) an
-// independent budget-b build produces, for the restricted, unrestricted,
-// and greedy-SSE families, at several worker counts and on the degenerate
-// one- and two-item domains.
+// independent budget-b build produces, for the restricted and greedy-SSE
+// families, at several worker counts and on the degenerate one- and
+// two-item domains.
 
 import (
 	"math"
@@ -21,7 +21,7 @@ import (
 )
 
 // sweepFamilies enumerates the sweep constructors next to their
-// single-budget builders, so every test covers all three families.
+// single-budget builders, so every test covers both families.
 type sweepFamily struct {
 	name  string
 	sweep func(src pdata.Source, B int, workers int) (*wavelet.Sweep, error)
@@ -38,15 +38,6 @@ func families() []sweepFamily {
 			},
 			build: func(src pdata.Source, B, workers int) (*wavelet.Synopsis, float64, error) {
 				return wavelet.BuildRestrictedPool(src, metric.SAE, p, B, finePool(workers))
-			},
-		},
-		{
-			name: "unrestricted",
-			sweep: func(src pdata.Source, B, workers int) (*wavelet.Sweep, error) {
-				return wavelet.NewSweep(src, wavelet.UnrestrictedFamily, metric.SARE, p, B, 2, finePool(workers))
-			},
-			build: func(src pdata.Source, B, workers int) (*wavelet.Synopsis, float64, error) {
-				return buildUnrestricted(src, metric.SARE, p, B, 2, finePool(workers))
 			},
 		},
 		{
@@ -191,7 +182,7 @@ func TestSweepBudgetValidation(t *testing.T) {
 	if empty, err := zero.Synopsis(0); err != nil || empty.Terms() != 0 || empty.Cost != emptyCost {
 		t.Fatalf("zero sweep Synopsis(0) = %+v, %v; want the empty synopsis at cost %v", empty, err, emptyCost)
 	}
-	if _, err := wavelet.NewSweep(src, wavelet.UnrestrictedFamily, metric.SAE, metric.Params{C: 0.5}, 4, -1, nil); err == nil {
+	if _, err := wavelet.NewSweep(src, wavelet.RestrictedFamily, metric.SAE, metric.Params{C: 0.5}, 4, -1, nil); err == nil {
 		t.Fatal("negative quantization accepted")
 	}
 }

@@ -19,8 +19,8 @@ type Synopsis struct {
 	Indices []int     // sorted ascending
 	Values  []float64 // unnormalized coefficient values, parallel to Indices
 	// Cost is the synopsis's expected error under the objective it was
-	// built for (expected SSE for BuildSSE, the restricted/unrestricted
-	// DP's metric otherwise). Zero for hand-assembled synopses.
+	// built for (expected SSE for BuildSSE, the restricted DP's metric
+	// otherwise). Zero for hand-assembled synopses.
 	Cost float64
 }
 

@@ -13,13 +13,12 @@ import (
 	"probsyn/internal/hist"
 )
 
-// This file implements the coefficient-tree dynamic program shared by the
-// restricted (Theorem 8) and unrestricted (§4.2 sketch) thresholding
-// problems as a bottom-up, level-by-level sweep over the Haar error tree.
+// This file implements the restricted coefficient-tree dynamic program of
+// Theorem 8 (§4.2) as a bottom-up, level-by-level sweep over the Haar
+// error tree. Every retained coefficient keeps its expected value μⱼ.
 //
-// A DP state is (node j, ancestor decisions): every subset of j's
-// ancestors that is retained — each at one of its candidate values —
-// determines the "incoming value" v that the ancestors contribute to j's
+// A DP state is (node j, ancestor decisions): which of j's ancestors are
+// retained determines the "incoming value" v that they contribute to j's
 // support, and the table OPTW[j, state][b] holds the minimal expected
 // subtree error with at most b coefficients retained below (and at) j.
 // States of one level depend only on the completed level below, so each
@@ -28,41 +27,37 @@ import (
 // at any worker count because no cross-worker reduction exists — every
 // slot is computed by one worker in the serial operation order.
 //
-// Layout. Level l holds detail nodes [2^l, 2^{l+1}); a node whose parent
-// block has S states and whose parent branches br ways (drop + one branch
-// per candidate value) has S·br states, stored contiguously with the
-// parent state as the high digits (child state = parent state · br +
-// decision). Budget axes are capped at the subtree coefficient count —
-// entries beyond the cap would only repeat the saturated value, so reads
-// clamp instead (res[min(b, cap)]). The finest detail level (whose
-// children are data items) is never materialized: its two-entry tables
-// are recomputed inline from PointErrors, by its parents' forward sweep a
-// node at a time — each item priced along the node's states in ascending
-// order of incoming value (solveLeafStates, errSweep) — and by the
-// backtrack one path at a time (leafTables, the same pricing on a
-// one-value list; walkLeaf, Err), which re-derives every argmin decision
-// from the kept level tables.
+// Layout. Level l holds detail nodes [2^l, 2^{l+1}); every node there has
+// the 2^(l+1) states of its l+1 ancestors' drop-or-keep decisions, c0's
+// included, stored contiguously with the parent state as the high digits
+// (child state = parent state · 2 + decision). Budget axes are capped at
+// the subtree coefficient count — entries beyond the cap would only
+// repeat the saturated value, so reads clamp instead (res[min(b, cap)]).
+// The finest detail level (whose children are data items) is never
+// materialized: its two-entry tables are recomputed inline from
+// PointErrors, by its parents' forward sweep a node at a time — each item
+// priced along the node's states in ascending order of incoming value
+// (solveLeafStates, errSweep) — and by the backtrack one path at a time
+// (leafTables, the same pricing on a one-value list; walkLeaf, Err),
+// which re-derives every argmin decision from the kept level tables.
 //
-// Quantized mode (restricted DP only). Exact ancestor-decision state
-// counts double per level — 2^(l+1) states per node at level l — which is
-// what makes the restricted DP O(n²B²). With quant = q > 0, any level
-// whose per-node exact count would exceed q instead keeps q states per
-// node: a uniform grid of q incoming values spanning the node's analytic
-// value bounds (the paper's §4.2 "bound and quantize" argument). A
-// transition into a quantized level snaps the exact child value v±w to
-// the nearest grid point; everything else — decision order, tie-breaks,
-// the budget convolution — is unchanged, so quantized results stay
-// bit-identical at any worker count and across sweep extractions for the
-// same reason exact ones do. The DP's internal objective is then only
-// approximate; extraction re-evaluates the chosen synopsis exactly
+// Quantized mode. Exact state counts double per level, which is what
+// makes the DP O(n²B²). With quant = q > 0, any level whose per-node
+// exact count would exceed q instead keeps q states per node: a uniform
+// grid of q incoming values spanning the node's analytic value bounds
+// (the paper's §4.2 "bound and quantize" argument). A transition into a
+// quantized level snaps the exact child value v±μⱼ to the nearest grid
+// point; everything else — decision order, tie-breaks, the budget
+// convolution — is unchanged, so quantized results stay bit-identical at
+// any worker count and across sweep extractions for the same reason exact
+// ones do. The DP's internal objective is then only approximate;
+// extraction re-evaluates the chosen synopsis exactly
 // (PointErrors.SynopsisError) and errorBound() bounds the gap to the
 // exact optimum.
 
-// maxTreeStates bounds one level's ancestor-decision state count. The
-// restricted DP stays quadratic (2^depth states over 2^depth nodes at the
-// finest kept level), but the unrestricted DP grows as the product of
-// candidate-set sizes along the path, so runaway (n, q) combinations fail
-// fast with an error instead of exhausting memory.
+// maxTreeStates bounds one level's state count. The exact DP has
+// 2^(2l+1) states at level l, so runaway domains fail fast with an error
+// that names the quantization that fits instead of exhausting memory.
 const maxTreeStates = 1 << 26
 
 // coefChoice is one retained coefficient: its index and stored value.
@@ -72,11 +67,11 @@ type coefChoice struct {
 }
 
 type treeDP struct {
-	n          int // padded domain size, power of two, >= 2
-	levels     int // log2 n: detail levels of the error tree
-	B          int // coefficient budget ("at most B"), already clamped to n
-	quant      int // incoming-value grid size per node; 0 = exact
-	cands      [][]float64
+	n          int       // padded domain size, power of two, >= 2
+	levels     int       // log2 n: detail levels of the error tree
+	B          int       // coefficient budget ("at most B"), already clamped to n
+	quant      int       // incoming-value grid size per node; 0 = exact
+	mu         []float64 // mu[j]: coefficient j's expected value, the one it is retained at
 	pe         *PointErrors
 	cumulative bool
 	pool       *engine.Pool
@@ -108,45 +103,38 @@ type treeDP struct {
 	gstep [][]float64 // gstep[l][i]: grid step on quantized levels, else 0
 
 	// Work of the forward sweep's solveStates calls, added once per call
-	// under mu: budget splits merge evaluated, the rest of the dense
+	// under statsMu: budget splits merge evaluated, the rest of the dense
 	// scan's splits (clamped, saturated, or off the crossing), and point
 	// errors evaluated (as many as a state-by-state leaf level's
 	// PointErrors.Err calls). All three are sums over states, so they are
 	// the same at every worker count.
-	mu    sync.Mutex
-	stats hist.DPStats
+	statsMu sync.Mutex
+	stats   hist.DPStats
 }
 
-// newTreeDP executes the shared DP's forward level sweeps through the
-// pool and returns the solved table set. cands[j] lists the candidate
-// retained values of coefficient j (the restricted problem passes exactly
-// its expected value); cands[0] is the overall average c0. The kept level
-// tables answer extract(b) for every budget b <= B: an entry at budget
-// index b' is computed only from child entries at budgets <= b', so the
-// prefix of each table up to b is identical to the table a budget-b DP
-// would have built — one forward run serves the whole budget frontier.
+// newTreeDP executes the DP's forward level sweeps through the pool and
+// returns the solved table set. mu[j] is coefficient j's expected value;
+// mu[0] is the overall average c0. The kept level tables answer
+// extract(b) for every budget b <= B: an entry at budget index b' is
+// computed only from child entries at budgets <= b', so the prefix of
+// each table up to b is identical to the table a budget-b DP would have
+// built — one forward run serves the whole budget frontier.
 //
-// quant > 0 selects quantized mode (restricted candidate shape only —
-// exactly one candidate per coefficient): per-node incoming-value rows
-// are capped at quant grid states. A grid at least as fine as the
+// quant > 0 selects quantized mode: per-node incoming-value rows are
+// capped at quant grid states. A grid at least as fine as the
 // largest exact level changes nothing, so quant >= 2^(levels-1) is
 // normalized to exact mode and yields bit-identical results.
-func newTreeDP(n, B int, cands [][]float64, pe *PointErrors, cumulative bool, quant int, pool *engine.Pool) (*treeDP, error) {
+func newTreeDP(n, B int, mu []float64, pe *PointErrors, cumulative bool, quant int, pool *engine.Pool) (*treeDP, error) {
 	if pool == nil {
 		pool = engine.Serial()
 	}
 	d := &treeDP{
 		n: n, levels: bits.Len(uint(n)) - 1, B: B,
-		cands: cands, pe: pe, cumulative: cumulative, pool: pool,
+		mu: mu, pe: pe, cumulative: cumulative, pool: pool,
 	}
 	if quant > 0 {
 		if quant < 2 {
 			return nil, fmt.Errorf("wavelet: incoming-value quantization needs q >= 2, got %d", quant)
-		}
-		for _, cs := range cands {
-			if len(cs) != 1 {
-				return nil, fmt.Errorf("wavelet: quantized incoming values require the restricted candidate shape (one candidate per coefficient)")
-			}
 		}
 		if quant >= 1<<(d.levels-1) {
 			quant = 0
@@ -256,117 +244,64 @@ func (d *treeDP) combine(a, b float64) float64 {
 	return max(a, b)
 }
 
-// br returns node j's branch count: drop, or retain at one candidate.
-func (d *treeDP) br(j int) int { return 1 + len(d.cands[j]) }
-
 // lq reports whether level l's per-node states sit on a quantized grid:
 // its exact ancestor-decision count 2^(l+1) would exceed the grid size.
 func (d *treeDP) lq(l int) bool { return d.quant > 0 && 1<<(l+1) > d.quant }
 
 // layout computes the per-level state offsets and budget caps, rejecting
-// state spaces beyond maxTreeStates. In quantized mode per-node counts
-// are capped at quant.
+// a level beyond maxTreeStates. A node at level l has 2^(l+1) exact
+// states, or quant on a quantized level.
 func (d *treeDP) layout() error {
 	L := d.levels
 	d.offs = make([][]int, L-1)
 	d.bcap = make([]int, L-1)
-	counts := []int{d.br(0)} // level 0: node 1, one state per c0 decision
 	for l := 0; l <= L-2; l++ {
 		d.bcap[l] = min(d.B, (1<<(L-l))-1)
-		offs := make([]int, len(counts)+1)
-		total := 0
-		for i, c := range counts {
-			offs[i] = total
-			total += c
-			if total > maxTreeStates {
-				return d.stateOverflowErr(l, levelTotal(counts))
-			}
+		per := 1 << (l + 1)
+		if d.lq(l) {
+			per = d.quant
 		}
-		offs[len(counts)] = total
+		if need := float64(per) * float64(int(1)<<l); need > maxTreeStates {
+			return d.stateOverflowErr(l, need)
+		}
+		offs := make([]int, 1<<l+1)
+		for i := range offs {
+			offs[i] = i * per
+		}
 		d.offs[l] = offs
-		if l == L-2 {
-			break
-		}
-		next := make([]int, 2*len(counts))
-		for i, c := range counts {
-			b := d.br((1 << l) + i)
-			if c > maxTreeStates/b {
-				need := 0.0
-				for i2, c2 := range counts {
-					need += 2 * float64(c2) * float64(d.br((1<<l)+i2))
-				}
-				return d.stateOverflowErr(l+1, need)
-			}
-			cb := c * b
-			if d.quant > 0 && cb > d.quant {
-				cb = d.quant
-			}
-			next[2*i] = cb
-			next[2*i+1] = cb
-		}
-		counts = next
 	}
 	return nil
-}
-
-// levelTotal sums per-node state counts in float64, so an overflowing
-// demand can still be reported exactly as computed.
-func levelTotal(counts []int) float64 {
-	t := 0.0
-	for _, c := range counts {
-		t += float64(c)
-	}
-	return t
 }
 
 // stateOverflowErr builds the maxTreeStates diagnostic: the level that
 // overflowed, the state count it actually needs, and the largest
 // quantization that would fit. The finest kept level L-2 has 2^(L-2)
-// nodes, so a quantized restricted DP holds at most 2^(L-2)·q states per
-// level; the unrestricted DP's per-node branch count is at most 2q+2
-// (drop + mean + 2q grid candidates), giving ~2^(L-2)·(2q+2)^(L-1)
-// states at the finest kept level.
+// nodes, so a quantized DP holds at most 2^(L-2)·q states per level.
 func (d *treeDP) stateOverflowErr(l int, need float64) error {
 	msg := fmt.Sprintf("wavelet: coefficient-tree DP needs %.4g states at level %d, over the %d cap", need, l, maxTreeStates)
-	restricted := true
-	for _, cs := range d.cands {
-		if len(cs) != 1 {
-			restricted = false
-			break
-		}
+	qfit := 0
+	if s := d.levels - 2; s >= 0 && s < 62 {
+		qfit = maxTreeStates >> s
 	}
-	if restricted {
-		qfit := 0
-		if s := d.levels - 2; s >= 0 && s < 62 {
-			qfit = maxTreeStates >> s
-		}
-		switch {
-		case qfit >= 2 && d.quant > 0:
-			return fmt.Errorf("%s; reduce the quantization to q <= %d", msg, qfit)
-		case qfit >= 2:
-			return fmt.Errorf("%s; a quantized build with q <= %d fits", msg, qfit)
-		default:
-			return fmt.Errorf("%s; the domain is too large for any quantization", msg)
-		}
+	switch {
+	case qfit >= 2 && d.quant > 0:
+		return fmt.Errorf("%s; reduce the quantization to q <= %d", msg, qfit)
+	case qfit >= 2:
+		return fmt.Errorf("%s; a quantized build with q <= %d fits", msg, qfit)
+	default:
+		return fmt.Errorf("%s; the domain is too large for any quantization", msg)
 	}
-	if d.levels >= 2 {
-		bstar := math.Pow(float64(maxTreeStates)/math.Pow(2, float64(d.levels-2)), 1/float64(d.levels-1))
-		if q := int((bstar - 2) / 2); q >= 1 {
-			return fmt.Errorf("%s; reduce the candidate quantization to q <= %d", msg, q)
-		}
-	}
-	return fmt.Errorf("%s; reduce the domain", msg)
 }
 
 // buildGrids is the one top-down pass over the incoming value v of the
 // paper's OPTW[j, b, v] state: the reconstruction value a state's retained
 // ancestors contribute to its node's support. An exact level enumerates
 // its parent level's states against the parent node's decisions (drop
-// keeps v; candidate w gives the left child v+w, the right v-w), in the
+// keeps v; keeping μ gives the left child v+μ, the right v−μ), in the
 // layout's digit order. A quantized level instead lays quant evenly
 // spaced grid points per node across that node's analytic value bounds,
-// which accumulate top-down — a child of node j with candidate w widens
-// its parent's interval by w's contribution on that side — so every
+// which accumulate top-down — a child of node j widens its parent's
+// interval by μⱼ's contribution on that side — so every
 // reachable incoming value, exact or already snapped, stays inside them.
 // Only the last internal level prices leaves from its values, so an exact
 // DP hands each level's back to the slab cache once the level below is
@@ -395,7 +330,7 @@ func (d *treeDP) buildGrids() {
 			d.bhi[l] = make([]float64, 1<<l)
 			d.gstep[l] = make([]float64, 1<<l)
 		}
-		w0 := d.cands[0][0]
+		w0 := d.mu[0]
 		d.blo[0][0] = math.Min(0, w0)
 		d.bhi[0][0] = math.Max(0, w0)
 	}
@@ -416,21 +351,17 @@ func (d *treeDP) buildGrids() {
 					vs[k] = lo + float64(k)*step
 				}
 			case l == 0:
-				vs[0] = 0 // state 0 drops c0
-				copy(vs[1:], d.cands[0])
+				vs[0], vs[1] = 0, d.mu[0] // state 0 drops c0, state 1 keeps it
 			default:
 				// The parent level is exact too: quantization only deepens.
 				pi := i >> 1
-				ws := d.cands[(1<<(l-1))+pi]
-				br := 1 + len(ws)
+				w := d.mu[(1<<(l-1))+pi]
 				for s, v := range d.vals[l-1][d.offs[l-1][pi]:d.offs[l-1][pi+1]] {
-					vs[s*br] = v
-					for c, w := range ws {
-						if i&1 == 0 {
-							vs[s*br+c+1] = v + w
-						} else {
-							vs[s*br+c+1] = v - w
-						}
+					vs[2*s] = v
+					if i&1 == 0 {
+						vs[2*s+1] = v + w
+					} else {
+						vs[2*s+1] = v - w
 					}
 				}
 			}
@@ -450,7 +381,7 @@ func (d *treeDP) buildGrids() {
 			}
 		case l < L-2:
 			for i := 0; i < 1<<l; i++ {
-				w := d.cands[(1<<l)+i][0]
+				w := d.mu[(1<<l)+i]
 				lo, hi := d.blo[l][i], d.bhi[l][i]
 				d.blo[l+1][2*i] = lo + math.Min(0, w)
 				d.bhi[l+1][2*i] = hi + math.Max(0, w)
@@ -462,39 +393,30 @@ func (d *treeDP) buildGrids() {
 }
 
 // mergeOrder writes into ord the local states of node i of exact level l
-// in ascending order of incoming value. State p·br+c is parent state p
+// in ascending order of incoming value. State 2p+c is parent state p
 // under decision c; the parent's states come in ascending order of their
 // own values (level 0's one node has the empty path's one state). Along
-// them, decision c's values v, v+w or v−w are non-decreasing, since
-// fl(v ± w) is non-decreasing in v, so the order is a br-way merge of
-// those runs, the lowest decision first among equals. A NaN value leaves
-// the runs unsorted; ord is still a permutation, and the leaf sweep, which
-// restarts its cursor wherever a list goes down, still prices every state
-// right.
+// them, the drop run's values v and the keep run's v+μ or v−μ are each
+// non-decreasing, since fl(v ± μ) is non-decreasing in v, so the order is
+// a two-way merge of the runs, the drop first among equals. A NaN value
+// leaves the runs unsorted; ord is still a permutation, and the leaf
+// sweep, which restarts its cursor wherever a list goes down, still
+// prices every state right.
 func (d *treeDP) mergeOrder(l, i int, ord []int32) {
 	vs := d.vals[l][d.offs[l][i]:d.offs[l][i+1]]
 	po := []int32{0}
 	if l > 0 {
 		po = d.ord[l-1][d.offs[l-1][i>>1]:d.offs[l-1][(i>>1)+1]]
 	}
-	n, br := len(po), len(vs)/len(po)
-	var hs [8]int // run c's next position; on the stack up to 7 candidates
-	heads := hs[:min(br, len(hs))]
-	if br > len(hs) {
-		heads = make([]int, br)
-	}
+	a, b := 0, 0 // the drop run's and the keep run's next positions in po
 	for k := range ord {
-		best, bv := -1, 0.0
-		for c, t := range heads {
-			if t == n {
-				continue
-			}
-			if v := vs[int(po[t])*br+c]; best < 0 || v < bv {
-				best, bv = c, v
-			}
+		if b == len(po) || (a < len(po) && !(vs[2*po[b]+1] < vs[2*po[a]])) {
+			ord[k] = 2 * po[a]
+			a++
+		} else {
+			ord[k] = 2*po[b] + 1
+			b++
 		}
-		ord[k] = po[heads[best]]*int32(br) + int32(best)
-		heads[best]++
 	}
 }
 
@@ -520,8 +442,8 @@ func (d *treeDP) snap(l, i int, v float64) int {
 
 // leafTables fills out (length min(B,1)+1) with the budget table of the
 // finest-level detail node j at incoming value v: out[0] drops the
-// coefficient, out[1] (when the budget allows one) may retain the best
-// candidate — "at most" semantics, so it is never worse than dropping.
+// coefficient, out[1] (when the budget allows one) may retain it —
+// "at most" semantics, so it is never worse than dropping.
 // It is leafRows on a one-value list: the backtrack prices a leaf row by
 // the forward sweep's own code, so their rows cannot drift apart.
 func (d *treeDP) leafTables(j int, v float64, out []float64) {
@@ -563,9 +485,9 @@ func (d *treeDP) solveStates(l, lo, hi int) {
 		d.solveInnerStates(l, lo, hi, &st)
 	}
 	st.CandidatesPruned -= st.CandidatesScanned
-	d.mu.Lock()
+	d.statsMu.Lock()
 	d.stats.Add(st)
-	d.mu.Unlock()
+	d.statsMu.Unlock()
 }
 
 // solveInnerStates is solveStates for a level above the last internal
@@ -580,7 +502,6 @@ func (d *treeDP) solveInnerStates(l, lo, hi int, st *hist.DPStats) {
 	for s := lo; s < hi; i++ {
 		j := first + i
 		end := min(hi, offs[i+1])
-		br := d.br(j)
 		for ; s < end; s++ {
 			local := s - offs[i]
 			var v float64
@@ -591,11 +512,11 @@ func (d *treeDP) solveInnerStates(l, lo, hi int, st *hist.DPStats) {
 			for k := range out {
 				out[k] = math.Inf(1)
 			}
-			for dd := 0; dd < br; dd++ {
+			for dd := 0; dd < 2; dd++ { // drop, then keep
 				var w float64
 				shift := 0
 				if dd > 0 {
-					w = d.cands[j][dd-1]
+					w = d.mu[j]
 					shift = 1 // retaining j spends one coefficient
 				}
 				m := entries - shift // budgets 0..m-1 go to the children
@@ -610,8 +531,8 @@ func (d *treeDP) solveInnerStates(l, lo, hi int, st *hist.DPStats) {
 					cl = coffs[2*i] + d.snap(l+1, 2*i, v+w)
 					cr = coffs[2*i+1] + d.snap(l+1, 2*i+1, v-w)
 				} else {
-					cl = coffs[2*i] + local*br + dd
-					cr = coffs[2*i+1] + local*br + dd
+					cl = coffs[2*i] + 2*local + dd
+					cr = coffs[2*i+1] + 2*local + dd
 				}
 				st.CandidatesScanned += d.merge(out[shift:],
 					d.res[l+1][cl*centries:(cl+1)*centries], d.res[l+1][cr*centries:(cr+1)*centries])
@@ -660,14 +581,14 @@ func (d *treeDP) solveLeafStates(lo, hi int, st *hist.DPStats) {
 				out[e] = math.Inf(1)
 			}
 		}
-		// Err calls per state and decision: each leaf's drop pair, plus a
-		// pair per candidate.
-		leafEvals := int64(4 + 2*(ce-1)*(len(d.cands[2*j])+len(d.cands[2*j+1])))
-		for dd := 0; dd < d.br(j); dd++ {
+		// Err calls per state and decision: each leaf's drop pair, plus its
+		// keep pair when a leaf row has a retaining entry.
+		leafEvals := int64(4 + 4*(ce-1))
+		for dd := 0; dd < 2; dd++ { // drop, then keep
 			var w float64
 			shift := 0
 			if dd > 0 {
-				w = d.cands[j][dd-1]
+				w = d.mu[j]
 				shift = 1 // retaining j spends one coefficient
 			}
 			m := entries - shift // budgets 0..m-1 go to the children
@@ -719,8 +640,8 @@ func (d *treeDP) leafOrder(i, a, b int, buf []int32) []int32 {
 
 // leafRows is leafTables along a list of incoming values: tab[k·c:(k+1)·c]
 // is finest detail node j's row at x[k], with c = len(tab)/len(x) its
-// entries (1 or 2). A row's entry 0 drops j; its entry 1 is the least of
-// drop and every candidate w's split of the children at v+w and v−w. The
+// entries (1 or 2). A row's entry 0 drops j; its entry 1 is the lesser of
+// drop and keeping μⱼ, which prices the children at v+μⱼ and v−μⱼ. The
 // point errors come from errSweep, which has Err's bits. sc is scratch
 // for 4·len(x) floats.
 func (d *treeDP) leafRows(j int, x, tab, sc []float64) {
@@ -737,16 +658,15 @@ func (d *treeDP) leafRows(j int, x, tab, sc []float64) {
 	if c == 1 {
 		return
 	}
-	for _, w := range d.cands[j] {
-		for k, xv := range x {
-			y[k], z[k] = xv+w, xv-w
-		}
-		d.pe.errSweep(li, y, el)
-		d.pe.errSweep(ri, z, er)
-		for k := range x {
-			if r := d.combine(el[k], er[k]); r < tab[k*c+1] {
-				tab[k*c+1] = r
-			}
+	w := d.mu[j]
+	for k, xv := range x {
+		y[k], z[k] = xv+w, xv-w
+	}
+	d.pe.errSweep(li, y, el)
+	d.pe.errSweep(ri, z, er)
+	for k := range x {
+		if r := d.combine(el[k], er[k]); r < tab[k*c+1] {
+			tab[k*c+1] = r
 		}
 	}
 }
@@ -874,7 +794,7 @@ func (d *treeDP) extract(b int) ([]coefChoice, float64) {
 	var keep []coefChoice
 	var v float64
 	if bestD > 0 {
-		v = d.cands[0][bestD-1]
+		v = d.mu[0]
 		keep = append(keep, coefChoice{0, v})
 	}
 	d.walk(0, 1, bestD, v, rest, &keep)
@@ -902,7 +822,7 @@ func (d *treeDP) cost(b int) float64 {
 }
 
 // rootBest scans the root's c0 decisions at budget b — drop first, then
-// candidates in order, with strict <, matching the forward tie-break —
+// keep, with strict <, matching the forward tie-break —
 // and returns the winning decision, the budget it leaves the detail tree
 // and its cost. The subtree under a decision is read from the level-0
 // table or, at n == 2 (no table is kept), priced by leafTables. b is
@@ -912,7 +832,7 @@ func (d *treeDP) rootBest(b int) (bestD, rest int, best float64) {
 	under := func(dd int) float64 {
 		v, bd := 0.0, b-min(dd, 1)
 		if dd > 0 {
-			v = d.cands[0][dd-1]
+			v = d.mu[0]
 		}
 		if d.levels == 1 {
 			var tbl [2]float64
@@ -922,9 +842,9 @@ func (d *treeDP) rootBest(b int) (bestD, rest int, best float64) {
 		return d.res[0][dd*(d.bcap[0]+1)+min(bd, d.bcap[0])]
 	}
 	best = under(0)
-	for dd := 1; dd <= len(d.cands[0]) && b >= 1; dd++ {
-		if c := under(dd); c < best {
-			best, bestD = c, dd
+	if b >= 1 {
+		if c := under(1); c < best {
+			best, bestD = c, 1
 		}
 	}
 	return bestD, b - min(bestD, 1), best
@@ -933,7 +853,7 @@ func (d *treeDP) rootBest(b int) (bestD, rest int, best float64) {
 // walk re-derives the argmin decisions of node j (level l, state local,
 // incoming value v, budget b), appending retained coefficients to keep.
 // Decisions are scanned in the forward order — drop with the smallest
-// left budget first, then candidates — with <=, so ties resolve
+// left budget first, then keep — with <=, so ties resolve
 // deterministically and independently of the worker count.
 func (d *treeDP) walk(l, j, local int, v float64, b int, keep *[]coefChoice) {
 	if l == d.levels-1 {
@@ -946,7 +866,6 @@ func (d *treeDP) walk(l, j, local int, v float64, b int, keep *[]coefChoice) {
 	flat := offs[i] + local
 	out := d.res[l][flat*entries : (flat+1)*entries]
 	tgt := out[min(b, d.bcap[l])]
-	br := d.br(j)
 	fused := l == d.levels-2
 	ccap := min(d.B, 1)
 	centries := 0
@@ -957,13 +876,13 @@ func (d *treeDP) walk(l, j, local int, v float64, b int, keep *[]coefChoice) {
 	var lbuf, rbuf [2]float64
 	// resolve maps decision dd to the two children's local states and
 	// incoming values. On a quantized child level the exact child value
-	// v±w is bucketed to the child's grid and replaced by the grid value
+	// v±μⱼ is bucketed to the child's grid and replaced by the grid value
 	// — exactly the forward sweep's transition — so the descent keeps
 	// reproducing the forward argmin comparisons bit for bit.
 	resolve := func(dd int) (locL, locR int, vl, vr float64) {
 		var w float64
 		if dd > 0 {
-			w = d.cands[j][dd-1]
+			w = d.mu[j]
 		}
 		vl, vr = v+w, v-w
 		if fused {
@@ -976,7 +895,7 @@ func (d *treeDP) walk(l, j, local int, v float64, b int, keep *[]coefChoice) {
 			vr = d.vals[l+1][d.offs[l+1][2*i+1]+locR]
 			return locL, locR, vl, vr
 		}
-		locL = local*br + dd
+		locL = 2*local + dd
 		return locL, locL, vl, vr
 	}
 	childTables := func(locL, locR int, vl, vr float64) (lt, rt []float64) {
@@ -1000,16 +919,14 @@ func (d *treeDP) walk(l, j, local int, v float64, b int, keep *[]coefChoice) {
 		}
 	}
 	if b >= 1 {
-		for c, w := range d.cands[j] {
-			locL, locR, vl, vr := resolve(c + 1)
-			lt, rt := childTables(locL, locR, vl, vr)
-			for bl := 0; bl <= b-1; bl++ {
-				if d.combine(lt[min(bl, ccap)], rt[min(b-1-bl, ccap)]) <= tgt {
-					*keep = append(*keep, coefChoice{j, w})
-					d.walk(l+1, 2*j, locL, vl, bl, keep)
-					d.walk(l+1, 2*j+1, locR, vr, b-1-bl, keep)
-					return
-				}
+		locL, locR, vl, vr := resolve(1)
+		lt, rt := childTables(locL, locR, vl, vr)
+		for bl := 0; bl <= b-1; bl++ {
+			if d.combine(lt[min(bl, ccap)], rt[min(b-1-bl, ccap)]) <= tgt {
+				*keep = append(*keep, coefChoice{j, d.mu[j]})
+				d.walk(l+1, 2*j, locL, vl, bl, keep)
+				d.walk(l+1, 2*j+1, locR, vr, b-1-bl, keep)
+				return
 			}
 		}
 	}
@@ -1027,28 +944,15 @@ func (d *treeDP) walk(l, j, local int, v float64, b int, keep *[]coefChoice) {
 }
 
 // walkLeaf re-derives a finest-level node's decision: retain only when
-// strictly better than dropping (ties prefer the smaller synopsis), at
-// the first candidate achieving the minimum.
+// strictly better than dropping (ties prefer the smaller synopsis).
 func (d *treeDP) walkLeaf(j int, v float64, b int, keep *[]coefChoice) {
-	if b < 1 || len(d.cands[j]) == 0 {
+	if b < 1 {
 		return
 	}
 	li, ri, _ := haar.Children(j, d.n)
-	drop := d.combine(d.pe.Err(li, v), d.pe.Err(ri, v))
-	best := drop
-	for _, w := range d.cands[j] {
-		if r := d.combine(d.pe.Err(li, v+w), d.pe.Err(ri, v-w)); r < best {
-			best = r
-		}
-	}
-	if drop <= best {
-		return
-	}
-	for _, w := range d.cands[j] {
-		if d.combine(d.pe.Err(li, v+w), d.pe.Err(ri, v-w)) <= best {
-			*keep = append(*keep, coefChoice{j, w})
-			return
-		}
+	w := d.mu[j]
+	if d.combine(d.pe.Err(li, v+w), d.pe.Err(ri, v-w)) < d.combine(d.pe.Err(li, v), d.pe.Err(ri, v)) {
+		*keep = append(*keep, coefChoice{j, w})
 	}
 }
 
@@ -1086,8 +990,8 @@ func (d *treeDP) errorBound() float64 {
 		// The item's reachable reconstruction values: its L-2 ancestor's
 		// bounds extended by the two finest decisions and the drift.
 		i2 := d.pathLocal(L-2, i)
-		ext := math.Abs(d.cands[(1<<(L-2))+i2][0]) +
-			math.Abs(d.cands[(1<<(L-1))+i/2][0]) + delta
+		ext := math.Abs(d.mu[(1<<(L-2))+i2]) +
+			math.Abs(d.mu[(1<<(L-1))+i/2]) + delta
 		lo := d.blo[L-2][i2] - ext
 		hi := d.bhi[L-2][i2] + ext
 		e := d.pe.errSlack(i, lo, hi, delta)

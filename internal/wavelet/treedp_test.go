@@ -18,29 +18,28 @@ import (
 )
 
 // pathSum is the incoming value of local state s of node j, derived from
-// nothing but the state encoding: s's digits, least significant first, are
-// the decisions of j's parent, grandparent, ... node 1 and finally c0
-// (radix: that coefficient's branch count); the value is the retained
-// ancestors' candidates summed top-down, added where the path to j
-// descends left and subtracted where it descends right.
+// nothing but the state encoding: s's bits, least significant first, are
+// the drop-or-keep decisions of j's parent, grandparent, ... node 1 and
+// finally c0; the value is the retained ancestors' expected values summed
+// top-down, added where the path to j descends left and subtracted where
+// it descends right.
 func pathSum(d *treeDP, j, s int) float64 {
 	depth := bits.Len(uint(j)) - 1
 	dec := make([]int, depth+1) // dec[0]: c0; dec[k]: j's ancestor at level k-1
 	for k := depth; k >= 1; k-- {
-		br := d.br(j >> (depth - k + 1))
-		dec[k], s = s%br, s/br
+		dec[k], s = s%2, s/2
 	}
 	dec[0] = s
 	var v float64
 	if dec[0] > 0 {
-		v = d.cands[0][dec[0]-1]
+		v = d.mu[0]
 	}
 	for k := 1; k <= depth; k++ {
 		a := j >> (depth - k + 1)
 		if dec[k] == 0 {
 			continue
 		}
-		if w := d.cands[a][dec[k]-1]; j>>(depth-k)&1 == 0 {
+		if w := d.mu[a]; j>>(depth-k)&1 == 0 {
 			v += w
 		} else {
 			v -= w
@@ -55,16 +54,10 @@ func pathSum(d *treeDP, j, s int) float64 {
 func TestIncomingValuesMatchPathSums(t *testing.T) {
 	p := metric.Params{C: 0.5}
 	rng := rand.New(rand.NewSource(25))
-	for _, mode := range []refMode{
-		{"restricted", RestrictedFamily, 0},
-		{"unrestricted-q1", UnrestrictedFamily, 1},
-		{"unrestricted-q2", UnrestrictedFamily, 2},
-		{"q4", RestrictedFamily, 4},
-		{"q16", RestrictedFamily, 16},
-	} {
+	for _, mode := range []refMode{{"restricted", 0}, {"q4", 4}, {"q16", 16}} {
 		for _, n := range []int{4, 7, 8, 16, 32, 64} {
 			tag := fmt.Sprintf("%s/n=%d", mode.name, n)
-			d, _ := buildTree(t, ptest.RandomFractionalValuePDF(rng, n, 4), mode.family, metric.SAE, p, 3, mode.q, nil)
+			d, _ := buildTree(t, ptest.RandomFractionalValuePDF(rng, n, 4), metric.SAE, p, 3, mode.q, nil)
 			for l, vals := range d.vals {
 				if d.quant == 0 && l < d.levels-2 {
 					if vals != nil {
@@ -105,15 +98,10 @@ func TestIncomingValuesMatchPathSums(t *testing.T) {
 func TestIncomingOrderSortsStates(t *testing.T) {
 	p := metric.Params{C: 0.5}
 	rng := rand.New(rand.NewSource(47))
-	for _, mode := range []refMode{
-		{"restricted", RestrictedFamily, 0},
-		{"unrestricted-q1", UnrestrictedFamily, 1},
-		{"unrestricted-q2", UnrestrictedFamily, 2},
-		{"q4", RestrictedFamily, 4},
-	} {
+	for _, mode := range []refMode{{"restricted", 0}, {"q4", 4}} {
 		for _, n := range []int{4, 7, 8, 16, 32, 64} {
 			tag := fmt.Sprintf("%s/n=%d", mode.name, n)
-			d, _ := buildTree(t, ptest.RandomFractionalValuePDF(rng, n, 4), mode.family, metric.SAE, p, 3, mode.q, nil)
+			d, _ := buildTree(t, ptest.RandomFractionalValuePDF(rng, n, 4), metric.SAE, p, 3, mode.q, nil)
 			if d.quant > 0 && d.ord != nil {
 				t.Fatalf("%s: a quantized DP built incoming-value orders", tag)
 			}

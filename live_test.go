@@ -62,9 +62,8 @@ func liveFamilies() []struct {
 		{"wavelet-sse", probsyn.SSE, []probsyn.BuildOption{probsyn.WithWavelet()}, 13},
 		{"wavelet-restricted", probsyn.SAE, []probsyn.BuildOption{probsyn.WithWavelet()}, 13},
 		{"wavelet-quantized", probsyn.SAE, []probsyn.BuildOption{probsyn.WithWavelet(), probsyn.WithQuantize(4)}, 13},
-		{"wavelet-unrestricted", probsyn.SAE, []probsyn.BuildOption{probsyn.WithWavelet(), probsyn.WithUnrestricted(1)}, 13},
 		{"wavelet-restricted-n1", probsyn.SAE, []probsyn.BuildOption{probsyn.WithWavelet()}, 1},
-		{"wavelet-unrestricted-n2", probsyn.SAE, []probsyn.BuildOption{probsyn.WithWavelet(), probsyn.WithUnrestricted(1)}, 2},
+		{"wavelet-restricted-n2", probsyn.SAE, []probsyn.BuildOption{probsyn.WithWavelet()}, 2},
 	}
 }
 
@@ -179,9 +178,6 @@ func TestBuildLiveValidation(t *testing.T) {
 	}
 	if _, err := probsyn.BuildLive(vp, probsyn.SSE, 4, probsyn.WithEps(0.5)); err == nil {
 		t.Fatal("eps-approximate live accepted")
-	}
-	if _, err := probsyn.BuildLive(vp, probsyn.SSE, 4, probsyn.WithUnrestricted(1)); err == nil {
-		t.Fatal("unrestricted histogram accepted")
 	}
 	basic := &probsyn.Basic{N: 4, Tuples: []probsyn.BasicTuple{{Item: 1, Prob: 0.5}}}
 	if _, err := probsyn.BuildLive(basic, probsyn.SSE, 2); err == nil {
@@ -303,7 +299,7 @@ func TestLiveDPStatsFollowMutations(t *testing.T) {
 // the SSE greedy, which runs no DP, zeroes it.
 func TestWaveletDPStats(t *testing.T) {
 	vp := liveRandVP(rand.New(rand.NewSource(7)), 64)
-	for _, extra := range [][]probsyn.BuildOption{nil, {probsyn.WithQuantize(4)}, {probsyn.WithUnrestricted(1)}} {
+	for _, extra := range [][]probsyn.BuildOption{nil, {probsyn.WithQuantize(4)}} {
 		for _, m := range []probsyn.Metric{probsyn.SAE, probsyn.MAE} {
 			var want probsyn.DPStats
 			for _, workers := range []int{1, 2, 4} {

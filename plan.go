@@ -14,11 +14,10 @@ import (
 type family int
 
 const (
-	histExact           family = iota // the DP of Eq. (2) over a bucket-cost oracle
-	histEps                           // the (1+eps)-approximate DP of Theorem 5: per budget, no frontier
-	waveletSSE                        // the greedy top-B of Theorem 7
-	waveletRestricted                 // the coefficient-tree DP of Theorem 8; q = 0 exact, q >= 2 quantized
-	waveletUnrestricted               // the same DP over candidate grids of 2q values per coefficient
+	histExact         family = iota // the DP of Eq. (2) over a bucket-cost oracle
+	histEps                         // the (1+eps)-approximate DP of Theorem 5: per budget, no frontier
+	waveletSSE                      // the greedy top-B of Theorem 7
+	waveletRestricted               // the coefficient-tree DP of Theorem 8; q = 0 exact, q >= 2 quantized
 )
 
 // wavelet maps a wavelet family to the wavelet package's name for it.
@@ -28,8 +27,6 @@ func (f family) wavelet() (wavelet.Family, bool) {
 		return wavelet.SSEFamily, true
 	case waveletRestricted:
 		return wavelet.RestrictedFamily, true
-	case waveletUnrestricted:
-		return wavelet.UnrestrictedFamily, true
 	}
 	return 0, false
 }
@@ -52,7 +49,7 @@ type plan struct {
 	metric  Metric
 	params  Params
 	family  family
-	q       int       // the wavelet DP families' quantization
+	q       int       // waveletRestricted's quantization
 	eps     float64   // histEps
 	weights []float64 // histogram workload weights, nil for the metric's own oracle
 	pool    *engine.Pool
@@ -80,9 +77,7 @@ func resolve(src Source, m Metric, opts []BuildOption, md mode) (*plan, error) {
 		pool: cfg.pool, stats: cfg.dpStats,
 	}
 	switch {
-	case !cfg.wavelet && cfg.quantizeSet:
-		return nil, fmt.Errorf("probsyn: unrestricted coefficient values are a wavelet option")
-	case !cfg.wavelet && cfg.rquantSet:
+	case !cfg.wavelet && cfg.quantSet:
 		return nil, fmt.Errorf("probsyn: incoming-value quantization is a wavelet option")
 	case !cfg.wavelet && cfg.weights != nil && m != SSE && m != SSEFixed:
 		return nil, fmt.Errorf("probsyn: workload weights require the SSE or SSE-fixed metric, got %v", m)
@@ -97,18 +92,14 @@ func resolve(src Source, m Metric, opts []BuildOption, md mode) (*plan, error) {
 		return nil, fmt.Errorf("probsyn: workload weights are a histogram option")
 	case cfg.epsSet:
 		return nil, fmt.Errorf("probsyn: the (1+eps)-approximate DP is a histogram option")
-	case cfg.quantizeSet && cfg.rquantSet:
-		return nil, fmt.Errorf("probsyn: WithQuantize (approximate restricted) and WithUnrestricted are mutually exclusive")
-	case cfg.quantizeSet:
-		p.family, p.q = waveletUnrestricted, cfg.quantize
-	case cfg.rquantSet && m == SSE:
+	case cfg.quantSet && m == SSE:
 		return nil, fmt.Errorf("probsyn: the SSE wavelet build is greedy-exact (Theorem 7); incoming-value quantization applies to the restricted DP metrics")
-	case cfg.rquantSet && cfg.rquant < 2:
-		return nil, fmt.Errorf("probsyn: WithQuantize needs a grid of q >= 2 points, got %d", cfg.rquant)
-	case cfg.rquantSet:
+	case cfg.quantSet && cfg.quant < 2:
+		return nil, fmt.Errorf("probsyn: WithQuantize needs a grid of q >= 2 points, got %d", cfg.quant)
+	case cfg.quantSet:
 		// SSE-fixed included: a stored-representative objective the
 		// restricted DP prices like any other.
-		p.family, p.q = waveletRestricted, cfg.rquant
+		p.family, p.q = waveletRestricted, cfg.quant
 	case m == SSE || m == SSEFixed:
 		p.family = waveletSSE
 	default:

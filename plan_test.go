@@ -43,25 +43,30 @@ import (
 // c are the options' arguments, or unset; eps is WithEps's argument, or 0
 // for unset.
 type combo struct {
-	wavelet      bool
-	metric       probsyn.Metric
-	quantize     *int
-	unrestricted bool
-	eps          float64
-	weights      bool
-	c            *float64
+	wavelet  bool
+	metric   probsyn.Metric
+	quantize *int
+	eps      float64
+	weights  bool
+	c        *float64
 }
 
+// String names the combination, and its subtest under each source: for
+// example wavelet/SAE/q=2/eps=0/weights=false, with a /c=… segment when
+// the combination sets the sanity constant.
 func (c combo) String() string {
-	q, sc := "-", "-"
+	family, q := "hist", "-"
+	if c.wavelet {
+		family = "wavelet"
+	}
 	if c.quantize != nil {
 		q = fmt.Sprint(*c.quantize)
 	}
+	name := fmt.Sprintf("%s/%v/q=%s/eps=%v/weights=%v", family, c.metric, q, c.eps, c.weights)
 	if c.c != nil {
-		sc = fmt.Sprint(*c.c)
+		name += fmt.Sprintf("/c=%v", *c.c)
 	}
-	return fmt.Sprintf("wavelet=%v/%v/quantize=%s/unrestricted=%v/eps=%v/weights=%v/c=%s",
-		c.wavelet, c.metric, q, c.unrestricted, c.eps, c.weights, sc)
+	return name
 }
 
 // comboWeights is the workload a weighted combination builds under: zero
@@ -89,9 +94,6 @@ func (c combo) options(n int) []probsyn.BuildOption {
 	}
 	if c.quantize != nil {
 		opts = append(opts, probsyn.WithQuantize(*c.quantize))
-	}
-	if c.unrestricted {
-		opts = append(opts, probsyn.WithUnrestricted(1))
 	}
 	if c.eps != 0 {
 		opts = append(opts, probsyn.WithEps(c.eps))
@@ -131,17 +133,14 @@ func wantAccept(c combo, entry int, src probsyn.Source, B int) bool {
 		return false // max(c, |g|) divides every relative error
 	}
 	if c.wavelet {
-		if c.weights || c.eps != 0 || (c.quantize != nil && c.unrestricted) {
+		if c.weights || c.eps != 0 {
 			return false
 		}
 		if c.quantize != nil && (*c.quantize < 2 || c.metric == probsyn.SSE) {
 			return false
 		}
-		if c.unrestricted && c.metric == probsyn.SSE {
-			return false // the DP's point errors price stored values, not plain SSE
-		}
 	} else {
-		if c.quantize != nil || c.unrestricted {
+		if c.quantize != nil {
 			return false
 		}
 		if c.weights && c.metric != probsyn.SSE && c.metric != probsyn.SSEFixed {
@@ -272,12 +271,12 @@ func conformanceCombos() []combo {
 	for _, wavelet := range []bool{false, true} {
 		for _, m := range []probsyn.Metric{probsyn.SSE, probsyn.SSEFixed, probsyn.SSRE, probsyn.SAE, probsyn.SARE, probsyn.MAE, probsyn.MARE} {
 			for _, quantize := range []*int{nil, q(-1), q(0), q(1), q(2), q(4)} {
-				for flags := 0; flags < 8; flags++ {
+				for flags := 0; flags < 4; flags++ {
 					eps := 0.0
-					if flags&2 != 0 {
+					if flags&1 != 0 {
 						eps = 0.5
 					}
-					combos = append(combos, combo{wavelet, m, quantize, flags&1 != 0, eps, flags&4 != 0, nil})
+					combos = append(combos, combo{wavelet, m, quantize, eps, flags&2 != 0, nil})
 				}
 			}
 		}
@@ -305,8 +304,10 @@ func TestConformance(t *testing.T) {
 	for _, cs := range conformanceSources() {
 		t.Run(cs.name, func(t *testing.T) {
 			for _, c := range combos {
-				r := &row{t: t, cs: cs, c: c, pools: pools}
-				r.run()
+				t.Run(c.String(), func(t *testing.T) {
+					r := &row{t: t, cs: cs, c: c, pools: pools}
+					r.run()
+				})
 			}
 		})
 	}
@@ -318,7 +319,7 @@ func TestConformance(t *testing.T) {
 func checkKey(t *testing.T, c combo) {
 	t.Helper()
 	const B = 3
-	if c.unrestricted || c.eps != 0 || c.weights || (c.quantize != nil && *c.quantize == 0) {
+	if c.eps != 0 || c.weights || (c.quantize != nil && *c.quantize == 0) {
 		return
 	}
 	family, kq := catalog.FamilyHistogram, 0
@@ -442,8 +443,8 @@ func (r *row) run() {
 // sweeps: on every pool, the sweep extracts at every budget the serial
 // Build's bytes, with its DPStats and one certified bound, and its cost
 // at each budget is its synopsis's, which the oracle holds to the optimum
-// (an unrestricted wavelet to the restricted one, a quantized one to
-// within the bound). An exact sweep's costs never rise with the budget.
+// (a quantized one to within the bound). An exact sweep's costs never
+// rise with the budget.
 func (r *row) sweeps(ref [][]byte, refStats probsyn.DPStats) {
 	src, m, B := r.cs.src, r.c.metric, r.cs.B
 	var bound0 float64
@@ -473,7 +474,7 @@ func (r *row) sweeps(ref [][]byte, refStats probsyn.DPStats) {
 			}
 			syn, blob := r.decode(fmt.Sprintf("BuildSweep at budget %d", b), syn)
 			// A histogram DP spends the whole budget, as the SSE greedy does.
-			if greedy := r.c.quantize == nil && !r.c.unrestricted && (m == probsyn.SSE || m == probsyn.SSEFixed); (!r.c.wavelet || greedy) && syn.Terms() != b {
+			if greedy := r.c.quantize == nil && (m == probsyn.SSE || m == probsyn.SSEFixed); (!r.c.wavelet || greedy) && syn.Terms() != b {
 				r.fail("BuildSweep: %d terms at budget %d", syn.Terms(), b)
 			}
 			if !bytes.Equal(blob, ref[b]) {
@@ -490,11 +491,7 @@ func (r *row) sweeps(ref [][]byte, refStats probsyn.DPStats) {
 			if i > 0 {
 				continue
 			}
-			ok := func(cost, opt float64) bool { return atMost(opt, cost) && atMost(cost, opt+bound) }
-			if r.c.unrestricted {
-				ok = func(cost, opt float64) bool { return atMost(cost, opt) }
-			}
-			r.truth("BuildSweep", syn, b, ok)
+			r.truth("BuildSweep", syn, b, func(cost, opt float64) bool { return atMost(opt, cost) && atMost(cost, opt+bound) })
 		}
 		for _, b := range []int{-1, 0, B + 1} {
 			if _, err := fr.Synopsis(b); err == nil {

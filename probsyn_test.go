@@ -116,24 +116,6 @@ func TestDatasetRoundTripFacade(t *testing.T) {
 	}
 }
 
-func TestUnrestrictedWaveletFacade(t *testing.T) {
-	vp := sampleValuePDF()
-	restricted, err := probsyn.Build(vp, probsyn.SAE, 2, probsyn.WithWavelet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	syn, err := probsyn.Build(vp, probsyn.SAE, 2, probsyn.WithWavelet(), probsyn.WithUnrestricted(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if syn.Terms() > 2 {
-		t.Fatalf("budget exceeded: %d", syn.Terms())
-	}
-	if unrestricted, restricted := syn.ErrorCost(), restricted.ErrorCost(); unrestricted > restricted+1e-9 {
-		t.Fatalf("unrestricted %v worse than restricted %v", unrestricted, restricted)
-	}
-}
-
 func TestWorkloadHistogramFacade(t *testing.T) {
 	vp := sampleValuePDF()
 	h, err := buildHistogram(vp, probsyn.SSEFixed, 2, probsyn.WithWorkloadWeights([]float64{4, 1, 1, 0}))

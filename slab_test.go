@@ -66,11 +66,6 @@ func TestPoisonedSlabReuse(t *testing.T) {
 			}
 			add("q8-SAE", probsyn.SAE, 32, 8)
 			add("q32-SAE", probsyn.SAE, 32, 32)
-			if n == 64 {
-				jobs = append(jobs, job{fmt.Sprintf("Build/unrestricted-SARE/n=%d/workers=%d", n, workers), func() ([]byte, error) {
-					return encode(probsyn.Build(src, probsyn.SARE, 8, probsyn.WithWavelet(), probsyn.WithUnrestricted(1), par))
-				}})
-			}
 		}
 		for _, q := range []int{0, 8} {
 			jobs = append(jobs, job{fmt.Sprintf("BuildLive/q%d/workers=%d", q, workers), func() ([]byte, error) {
