@@ -31,14 +31,18 @@ func WithParams(p Params) BuildOption {
 	return func(c *buildConfig) { c.params = p }
 }
 
-// WithParallelism spreads the synopsis DP across the given number of
-// worker goroutines — the histogram DP's cost sweeps and split-point
-// reductions, and the wavelet coefficient-tree DP's level sweeps; values
-// <= 0 mean one worker per CPU. It bounds a sharded build too: its shards
-// share the same workers, so any build keeps at most that many CPUs busy.
-// The parallel schedule is deterministic: results are bit-identical to a
-// single-threaded build. (The SSE-optimal wavelet build is a greedy
-// selection with no DP; it ignores the setting.)
+// WithParallelism sets how many worker goroutines the synopsis DP may
+// use; values <= 0 mean one worker per CPU. The wavelet coefficient-tree
+// DP's level sweeps and the (1+eps) histogram DP's level chunks spread
+// over all of them. The exact histogram DP does not: it is a grid of
+// tiles whose fill row cycles through a ring of two cost-column blocks,
+// and engine.Pool.RunGrid runs at most ring tiles at once, so it keeps at
+// most two workers busy whatever the setting. The setting bounds a
+// sharded build too: its shards share the same workers, so any build
+// keeps at most that many CPUs busy. The parallel schedule is
+// deterministic: results are bit-identical to a single-threaded build.
+// (The SSE-optimal wavelet build is a greedy selection with no DP; it
+// ignores the setting.)
 func WithParallelism(workers int) BuildOption {
 	return func(c *buildConfig) {
 		if workers <= 0 {

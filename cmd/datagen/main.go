@@ -31,6 +31,10 @@ var (
 
 func main() {
 	flag.Parse()
+	if *flagN < 1 {
+		fmt.Fprintf(os.Stderr, "datagen: -n %d: the domain needs at least one item\n", *flagN)
+		os.Exit(2)
+	}
 	rng := rand.New(rand.NewSource(*flagSeed))
 
 	var src probsyn.Source

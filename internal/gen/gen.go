@@ -128,10 +128,9 @@ func DefaultTPCH(n, m int) TPCHConfig {
 // collapsing into a handful of wavelet coefficients.
 func TPCHLineitem(rng *rand.Rand, cfg TPCHConfig) *pdata.TuplePDF {
 	n := cfg.N
-	alts := cfg.Alternatives
-	if alts < 1 {
-		alts = 1
-	}
+	// A tuple's alternatives are distinct items, so there are at most n of
+	// them; capping here changes no draw wherever n >= Alternatives.
+	alts := min(max(cfg.Alternatives, 1), n)
 	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(n-1))
 	scatter := rng.Perm(n) // decouple Zipf rank from domain position
 	smooth := makeSteps(rng, n, 16)

@@ -4,6 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
+
+	"probsyn/internal/pdata"
 )
 
 func TestMystiQLinkageShape(t *testing.T) {
@@ -90,6 +93,36 @@ func TestTPCHLineitemShape(t *testing.T) {
 	mean := total / float64(len(e))
 	if maxE < 5*mean {
 		t.Fatalf("max expected mass %v vs mean %v: no hotspot skew", maxE, mean)
+	}
+}
+
+// TestTPCHTinyDomains: a domain smaller than the alternative count still
+// generates, each tuple over every item there is (min(4, n) distinct
+// items). The distinct-alternative loop once had no exit there.
+func TestTPCHTinyDomains(t *testing.T) {
+	for n := 1; n <= 3; n++ {
+		cfg := DefaultTPCH(n, 4*n)
+		done := make(chan *pdata.TuplePDF, 1)
+		go func() { done <- TPCHLineitem(rand.New(rand.NewSource(1)), cfg) }()
+		var tp *pdata.TuplePDF
+		select {
+		case tp = <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("n=%d: TPCHLineitem did not return", n)
+		}
+		if err := tp.Validate(); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		want := min(cfg.Alternatives, n)
+		for k, tuple := range tp.Tuples {
+			seen := map[int]bool{}
+			for _, a := range tuple.Alts {
+				seen[a.Item] = true
+			}
+			if len(tuple.Alts) != want || len(seen) != want {
+				t.Errorf("n=%d: tuple %d has %d alternatives over %d items, want %d distinct", n, k, len(tuple.Alts), len(seen), want)
+			}
+		}
 	}
 }
 

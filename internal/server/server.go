@@ -390,16 +390,51 @@ func (s *Server) packFlat() error {
 
 // Handler returns the server's route table.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/build", s.handleBuild)
-	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	mux.HandleFunc("POST /v1/append", s.handleAppend)
-	mux.HandleFunc("POST /v1/update", s.handleUpdate)
-	mux.HandleFunc("GET /v1/estimate", s.handleRead(query.OpEstimate))
-	mux.HandleFunc("GET /v1/rangesum", s.handleRead(query.OpRangeSum))
-	mux.HandleFunc("POST /v1/query", s.handleQuery)
-	mux.HandleFunc("GET /v1/synopses", s.handleSynopses)
-	return mux
+	return s.newRoutes()
+}
+
+// routes is the route table: the ServeMux that holds every route, and
+// the two GET reads answered ahead of it.
+type routes struct {
+	mux                *http.ServeMux
+	estimate, rangesum http.HandlerFunc
+}
+
+func (s *Server) newRoutes() *routes {
+	rt := &routes{
+		mux:      http.NewServeMux(),
+		estimate: s.handleRead(query.OpEstimate),
+		rangesum: s.handleRead(query.OpRangeSum),
+	}
+	rt.mux.HandleFunc("POST /v1/build", s.handleBuild)
+	rt.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
+	rt.mux.HandleFunc("POST /v1/append", s.handleAppend)
+	rt.mux.HandleFunc("POST /v1/update", s.handleUpdate)
+	rt.mux.HandleFunc("GET /v1/estimate", rt.estimate)
+	rt.mux.HandleFunc("GET /v1/rangesum", rt.rangesum)
+	rt.mux.HandleFunc("POST /v1/query", s.handleQuery)
+	rt.mux.HandleFunc("GET /v1/synopses", s.handleSynopses)
+	return rt
+}
+
+// ServeHTTP answers a GET of exactly /v1/estimate or /v1/rangesum with
+// the handler the mux would pick for it, without the mux's path cleaning
+// and pattern match (22% of a point read's CPU in the handler). Every
+// other request — HEAD, another method, an escaped or unclean path, any
+// other path — goes to the mux, which answers it as it always has (405
+// with Allow, the clean-path redirects, 404).
+func (rt *routes) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodGet && r.URL.RawPath == "" {
+		switch r.URL.Path {
+		case "/v1/estimate":
+			rt.estimate(w, r)
+			return
+		case "/v1/rangesum":
+			rt.rangesum(w, r)
+			return
+		}
+	}
+	rt.mux.ServeHTTP(w, r)
 }
 
 // ---- wire types ----

@@ -26,7 +26,7 @@ import (
 // newFixture writes a small dataset under a data dir and returns a
 // running server (with catalog persistence), its HTTP test wrapper, and
 // the parsed source for offline reference builds.
-func newFixture(t *testing.T, cfg Config) (*Server, *httptest.Server, probsyn.Source) {
+func newFixture(t testing.TB, cfg Config) (*Server, *httptest.Server, probsyn.Source) {
 	t.Helper()
 	dataDir := t.TempDir()
 	src := gen.MystiQLinkage(rand.New(rand.NewSource(7)), gen.DefaultMystiQ(64))
@@ -66,7 +66,7 @@ func newFixture(t *testing.T, cfg Config) (*Server, *httptest.Server, probsyn.So
 	return s, ts, src
 }
 
-func postBuild(t *testing.T, ts *httptest.Server, req BuildRequest) (*http.Response, BuildResponse, ErrorBody) {
+func postBuild(t testing.TB, ts *httptest.Server, req BuildRequest) (*http.Response, BuildResponse, ErrorBody) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -495,6 +495,12 @@ func TestHandlerRoutes(t *testing.T) {
 		{http.MethodGet, "/v1/rangesum"},
 		{http.MethodPost, "/v1/query"},
 		{http.MethodGet, "/v1/synopses"},
+		// HEAD and escaped paths skip the exact GET route; the mux answers
+		// them with the read handlers all the same.
+		{http.MethodHead, "/v1/estimate"},
+		{http.MethodHead, "/v1/rangesum"},
+		{http.MethodGet, "/v1/%65stimate"},
+		{http.MethodGet, "/v1/r%61ngesum"},
 	} {
 		t.Run(route.method+" "+route.path, func(t *testing.T) {
 			resp := do(t, route.method, route.path)
@@ -504,7 +510,7 @@ func TestHandlerRoutes(t *testing.T) {
 					route.method, route.path, resp.StatusCode, resp.Header.Get("Content-Type"))
 			}
 			wrong := http.MethodGet
-			if route.method == http.MethodGet {
+			if route.method == http.MethodGet || route.method == http.MethodHead {
 				wrong = http.MethodPost
 			}
 			resp = do(t, wrong, route.path)
@@ -538,7 +544,7 @@ func TestNewValidatesConfig(t *testing.T) {
 }
 
 // postSweep POSTs to /v1/sweep with the same body shape as a build.
-func postSweep(t *testing.T, ts *httptest.Server, req BuildRequest) (*http.Response, BuildResponse, ErrorBody) {
+func postSweep(t testing.TB, ts *httptest.Server, req BuildRequest) (*http.Response, BuildResponse, ErrorBody) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
