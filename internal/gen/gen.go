@@ -147,6 +147,29 @@ func TPCHLineitem(rng *rand.Rand, cfg TPCHConfig) *pdata.TuplePDF {
 		}
 		return scatter[int(zipf.Uint64())]
 	}
+	// window maps an offset d from a tuple's seed item into the domain:
+	// reflected at either edge, then clamped, which only a domain smaller
+	// than the window needs.
+	window := func(seed, d int) int {
+		item := seed + d
+		if item < 0 {
+			item = -item
+		}
+		if item >= n {
+			item = 2*(n-1) - item
+		}
+		return min(max(item, 0), n-1)
+	}
+	// exhausted reports whether seen holds every item a draw from seed's
+	// window, or the probe after it, can reach: no draw can add an item.
+	exhausted := func(seed int, seen map[int]bool) bool {
+		for d := -cfg.Spread; d <= cfg.Spread; d++ {
+			if w := window(seed, d); !seen[w] || !seen[(w+1)%n] {
+				return false
+			}
+		}
+		return true
+	}
 	tp := &pdata.TuplePDF{N: n, Tuples: make([]pdata.Tuple, cfg.M)}
 	for t := 0; t < cfg.M; t++ {
 		seed := draw()
@@ -156,13 +179,7 @@ func TPCHLineitem(rng *rand.Rand, cfg TPCHConfig) *pdata.TuplePDF {
 		for len(tuple.Alts) < alts {
 			var item int
 			if cfg.Spread > 0 {
-				item = seed + rng.Intn(2*cfg.Spread+1) - cfg.Spread
-				if item < 0 {
-					item = -item
-				}
-				if item >= n {
-					item = 2*(n-1) - item
-				}
+				item = window(seed, rng.Intn(2*cfg.Spread+1)-cfg.Spread)
 			} else {
 				item = draw()
 			}
@@ -170,7 +187,16 @@ func TPCHLineitem(rng *rand.Rand, cfg TPCHConfig) *pdata.TuplePDF {
 				// Resample; with tiny domains fall back to a linear probe.
 				item = (item + 1) % n
 				if seen[item] {
-					continue
+					if cfg.Spread == 0 || !exhausted(seed, seen) {
+						continue
+					}
+					// A window at a domain edge can reach fewer items than
+					// the tuple needs: take the next unseen one, drawing
+					// nothing, so every tuple that completed before draws
+					// as it did.
+					for seen[item] {
+						item = (item + 1) % n
+					}
 				}
 			}
 			seen[item] = true

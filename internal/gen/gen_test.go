@@ -98,20 +98,36 @@ func TestTPCHLineitemShape(t *testing.T) {
 
 // TestTPCHTinyDomains: a domain smaller than the alternative count still
 // generates, each tuple over every item there is (min(4, n) distinct
-// items). The distinct-alternative loop once had no exit there.
+// items), and so does a spread window at a domain edge that reaches fewer
+// items than that (spread 1 reaches 3 at items 0 and n-1), or a window
+// wider than the domain. The distinct-alternative loop once had no exit
+// in either case, and a window wider than the domain wrote items outside
+// it.
 func TestTPCHTinyDomains(t *testing.T) {
+	type shape struct{ n, spread int }
+	var shapes []shape
 	for n := 1; n <= 3; n++ {
+		shapes = append(shapes, shape{n, 0})
+	}
+	for spread := 1; spread <= 3; spread++ {
+		for _, n := range []int{1, 2, 3, 4, 5, 7, 16, 64} {
+			shapes = append(shapes, shape{n, spread})
+		}
+	}
+	for _, sh := range shapes {
+		n := sh.n
 		cfg := DefaultTPCH(n, 4*n)
+		cfg.Spread = sh.spread
 		done := make(chan *pdata.TuplePDF, 1)
 		go func() { done <- TPCHLineitem(rand.New(rand.NewSource(1)), cfg) }()
 		var tp *pdata.TuplePDF
 		select {
 		case tp = <-done:
 		case <-time.After(10 * time.Second):
-			t.Fatalf("n=%d: TPCHLineitem did not return", n)
+			t.Fatalf("n=%d spread=%d: TPCHLineitem did not return", n, sh.spread)
 		}
 		if err := tp.Validate(); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
+			t.Fatalf("n=%d spread=%d: %v", n, sh.spread, err)
 		}
 		want := min(cfg.Alternatives, n)
 		for k, tuple := range tp.Tuples {
@@ -120,7 +136,7 @@ func TestTPCHTinyDomains(t *testing.T) {
 				seen[a.Item] = true
 			}
 			if len(tuple.Alts) != want || len(seen) != want {
-				t.Errorf("n=%d: tuple %d has %d alternatives over %d items, want %d distinct", n, k, len(tuple.Alts), len(seen), want)
+				t.Errorf("n=%d spread=%d: tuple %d has %d alternatives over %d items, want %d distinct", n, sh.spread, k, len(tuple.Alts), len(seen), want)
 			}
 		}
 	}

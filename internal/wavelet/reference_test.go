@@ -205,12 +205,13 @@ func denseSplits(d *treeDP, l int) int64 {
 // buildTree runs the production forward sweep the way NewSweep does.
 func buildTree(t testing.TB, src pdata.Source, kind metric.Kind, p metric.Params, B, q int, pool *engine.Pool) (*treeDP, *pdata.ValuePDF) {
 	t.Helper()
-	vp := padValuePDF(pdata.AsValuePDF(src))
+	unpadded := pdata.AsValuePDF(src)
+	vp := padValuePDF(unpadded)
 	pe, err := NewPointErrors(vp, kind, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := newTreeDP(vp.N, min(B, vp.N), haar.Forward(vp.ExpectedFreqs()), pe, kind.Cumulative(), q, pool)
+	d, err := newTreeDP(vp.N, unpadded.N, min(B, vp.N), haar.Forward(vp.ExpectedFreqs()), pe, kind.Cumulative(), q, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,16 +257,27 @@ var refModes = []refMode{{"exact", 0}, {"q2", 2}, {"q8", 8}}
 
 // TestTreeDPMatchesReference: every cell of every level table equals the
 // dense-scan, dense-point-error reference's, at every worker count, and
-// the counters account for exactly the reference's scan.
+// the counters account for exactly the reference's scan. The domains
+// 9, 17, 33 and 65 pad to trees holding whole zero subtrees at several
+// levels (solveZeroStates' closed form), 5 to one whose zero tail covers
+// finest detail nodes only.
 func TestTreeDPMatchesReference(t *testing.T) {
 	p := metric.Params{C: 0.5}
 	rng := rand.New(rand.NewSource(18))
-	for _, n := range []int{2, 3, 4, 8, 13, 64} {
+	for _, n := range []int{2, 3, 4, 5, 8, 9, 13, 17, 33, 64, 65} {
 		sources := map[string]pdata.Source{
 			"basic": ptest.RandomBasic(rng, n, 2*n),
 			"tuple": ptest.RandomTuplePDF(rng, n, 2*n, 3),
 			"value": ptest.RandomFractionalValuePDF(rng, n, 4),
 		}
+		// Every item at MaxFloat64: the averages overflow, so incoming
+		// values reach +Inf and NaN, which every row must price as the
+		// general loop does (+Inf), zero subtrees included.
+		huge := &pdata.ValuePDF{N: n, Items: make([]pdata.ItemPDF, n)}
+		for i := range huge.Items {
+			huge.Items[i].Entries = []pdata.FreqProb{{Freq: math.MaxFloat64, Prob: 1}}
+		}
+		sources["overflow"] = huge
 		for srcName, src := range sources {
 			for _, kind := range refKinds {
 				for _, mode := range refModes {
@@ -330,16 +342,21 @@ func TestTreeDPStatsPerLevel(t *testing.T) {
 }
 
 // TestTreeDPMatchesReferenceAtScale is the same comparison on the
-// benchmark's three DP shapes (bench/builds.go's wavelet-dp round), and
-// holds their work counters to the unit (scanned + pruned is the dense
-// scan's split count; a sum-metric scan of the whole unclamped interior
-// would read 1,244,202 and 3,836,202 scanned).
+// benchmark's three DP shapes (bench/builds.go's wavelet-dp round) and on
+// serve-mutate's live wavelet before and after its first append (512
+// items, then 516 padded to 1024), and holds their work counters to the
+// unit (scanned + pruned is the dense scan's split count; a sum-metric
+// scan of the whole unclamped interior would read 1,244,202 and 3,836,202
+// scanned). The padded build's zero subtrees cost one point error a
+// state: it may price at most 1.1x the unpadded build's point errors
+// (pricing them like real nodes took 2x).
 func TestTreeDPMatchesReferenceAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale reference comparison skipped in -short")
 	}
 	p := metric.DefaultParams()
 	pool := engine.New(engine.Options{Workers: 2})
+	counted := map[string]hist.DPStats{}
 	for _, c := range []struct {
 		name  string
 		kind  metric.Kind
@@ -349,6 +366,8 @@ func TestTreeDPMatchesReferenceAtScale(t *testing.T) {
 		{"SAE-exact-n512", metric.SAE, 512, 0, hist.DPStats{CandidatesScanned: 553582, CandidatesPruned: 1728700, CostEvals: 524288}},
 		{"MAE-exact-n512", metric.MAE, 512, 0, hist.DPStats{CandidatesScanned: 553247, CandidatesPruned: 1729035, CostEvals: 524288}},
 		{"SAE-q32-n2048", metric.SAE, 2048, 32, hist.DPStats{CandidatesScanned: 1095097, CandidatesPruned: 4694897, CostEvals: 262144}},
+		{"SAE-q32-n512", metric.SAE, 512, 32, hist.DPStats{CandidatesScanned: 180548, CandidatesPruned: 987622, CostEvals: 65536}},
+		{"SAE-q32-n516", metric.SAE, 516, 32, hist.DPStats{CandidatesScanned: 252638, CandidatesPruned: 2456140, CostEvals: 70112}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			src := gen.SensorGrid(rand.New(rand.NewSource(int64(c.n))), gen.DefaultSensor(c.n))
@@ -357,7 +376,12 @@ func TestTreeDPMatchesReferenceAtScale(t *testing.T) {
 			if d.stats != c.stats {
 				t.Fatalf("%s: counted %+v, want %+v", c.name, d.stats, c.stats)
 			}
+			counted[c.name] = d.stats
 		})
+	}
+	padded, unpadded := counted["SAE-q32-n516"].CostEvals, counted["SAE-q32-n512"].CostEvals
+	if unpadded == 0 || float64(padded) > 1.1*float64(unpadded) {
+		t.Fatalf("n=516 (padded to 1024) priced %d point errors, n=512 %d: more than 1.1x", padded, unpadded)
 	}
 }
 

@@ -146,7 +146,8 @@ func NewSweep(src pdata.Source, family Family, kind metric.Kind, p metric.Params
 	if family == SSEFamily {
 		return newSSEGreedy(src).sweep(B), nil
 	}
-	vp := padValuePDF(pdata.AsValuePDF(src))
+	unpadded := pdata.AsValuePDF(src)
+	vp := padValuePDF(unpadded)
 	pe, err := NewPointErrors(vp, kind, p)
 	if err != nil {
 		return nil, err
@@ -156,7 +157,7 @@ func NewSweep(src pdata.Source, family Family, kind metric.Kind, p metric.Params
 	if vp.N == 1 {
 		return extractionSweep(B, func(b int) *Synopsis { return restrictedSingleton(pe, mu[0], b) }), nil
 	}
-	d, err := newTreeDP(vp.N, B, mu, pe, kind.Cumulative(), q, pool)
+	d, err := newTreeDP(vp.N, unpadded.N, B, mu, pe, kind.Cumulative(), q, pool)
 	if err != nil {
 		return nil, err
 	}

@@ -54,6 +54,16 @@ import (
 // extraction re-evaluates the chosen synopsis exactly
 // (PointErrors.SynopsisError) and errorBound() bounds the gap to the
 // exact optimum.
+//
+// Zero subtrees. §4's tree needs a power-of-two domain, so NewSweep pads
+// the data with deterministic-zero items; the DP is told where that tail
+// starts (zero). A node whose items all lie in it has every coefficient
+// below it exactly 0 and one point-error function for every item, so its
+// rows are constant in budget and come in closed form (solveZeroStates).
+// Such nodes are a suffix of each level: solveLevel dispatches only the
+// states before it through the pool and fills the suffix after, writing
+// every entry the general loop would, bit for bit. A power-of-two domain
+// has no tail and runs the general loop alone.
 
 // maxTreeStates bounds one level's state count. The exact DP has
 // 2^(2l+1) states at level l, so runaway domains fail fast with an error
@@ -68,6 +78,7 @@ type coefChoice struct {
 
 type treeDP struct {
 	n          int       // padded domain size, power of two, >= 2
+	zero       int       // first item of the deterministic-zero padding tail; n when there is none
 	levels     int       // log2 n: detail levels of the error tree
 	B          int       // coefficient budget ("at most B"), already clamped to n
 	quant      int       // incoming-value grid size per node; 0 = exact
@@ -106,15 +117,17 @@ type treeDP struct {
 	// under statsMu: budget splits merge evaluated, the rest of the dense
 	// scan's splits (clamped, saturated, or off the crossing), and point
 	// errors evaluated (as many as a state-by-state leaf level's
-	// PointErrors.Err calls). All three are sums over states, so they are
-	// the same at every worker count.
+	// PointErrors.Err calls). solveZeroStates adds its closed-form rows'
+	// after each level's dispatch. All three are sums over states, so they
+	// are the same at every worker count.
 	statsMu sync.Mutex
 	stats   hist.DPStats
 }
 
 // newTreeDP executes the DP's forward level sweeps through the pool and
 // returns the solved table set. mu[j] is coefficient j's expected value;
-// mu[0] is the overall average c0. The kept level tables answer
+// mu[0] is the overall average c0. Items zero..n-1 are the padding
+// padValuePDF appended: deterministic zeros. The kept level tables answer
 // extract(b) for every budget b <= B: an entry at budget index b' is
 // computed only from child entries at budgets <= b', so the prefix of
 // each table up to b is identical to the table a budget-b DP would have
@@ -124,12 +137,12 @@ type treeDP struct {
 // capped at quant grid states. A grid at least as fine as the
 // largest exact level changes nothing, so quant >= 2^(levels-1) is
 // normalized to exact mode and yields bit-identical results.
-func newTreeDP(n, B int, mu []float64, pe *PointErrors, cumulative bool, quant int, pool *engine.Pool) (*treeDP, error) {
+func newTreeDP(n, zero, B int, mu []float64, pe *PointErrors, cumulative bool, quant int, pool *engine.Pool) (*treeDP, error) {
 	if pool == nil {
 		pool = engine.Serial()
 	}
 	d := &treeDP{
-		n: n, levels: bits.Len(uint(n)) - 1, B: B,
+		n: n, zero: zero, levels: bits.Len(uint(n)) - 1, B: B,
 		mu: mu, pe: pe, cumulative: cumulative, pool: pool,
 	}
 	if quant > 0 {
@@ -453,20 +466,92 @@ func (d *treeDP) leafTables(j int, v float64, out []float64) {
 }
 
 // solveLevel computes level l's tables from the completed level below,
-// dispatching the flattened (node, state) space through the pool.
+// dispatching the flattened (node, state) space of the nodes that hold a
+// real item through the pool, then filling the zero nodes' suffix.
 func (d *treeDP) solveLevel(l int) {
 	offs := d.offs[l]
-	total := offs[1<<l]
+	// iz is the first node whose items [i·2^sh, (i+1)·2^sh) all lie in
+	// the zero tail; 2^l when there is none.
+	sh := d.levels - l
+	iz := min(1<<l, (d.zero+1<<sh-1)>>sh)
+	live := offs[iz]
 	entries := d.bcap[l] + 1
-	d.res[l] = takeSlab(total * entries) // solveStates writes +Inf into every entry before it reads one
+	d.res[l] = takeSlab(offs[1<<l] * entries) // every entry is written before it is read
 	centries := min(d.B, 1) + 1
 	if l != d.levels-2 {
 		centries = d.bcap[l+1] + 1
 	}
 	// Result slots are derived from the state range, not the chunk index.
-	d.pool.MapChunks(0, total, total*entries*centries, func(_, lo, hi int) {
+	d.pool.MapChunks(0, live, live*entries*centries, func(_, lo, hi int) {
 		d.solveStates(l, lo, hi)
 	})
+	d.solveZeroStates(l, iz)
+}
+
+// solveZeroStates fills the rows of level l's zero nodes, local indices
+// i0..2^l-1. At and below such a node every μ is exactly +0 and every
+// item's point error is the pad item's function, so keeping a coefficient
+// hands the children the very values dropping it does, and every budget
+// split sees the same two child entries: the general loop's row is
+// constant, each entry the drop decision's budget-0 split. On the last
+// internal level that is combine(combine(e, e), combine(e, e)), e the pad
+// item's error at the state's value; above it, combine of entry 0 of the
+// child rows the drop reaches (on a quantized child level, the grid
+// points its values snap to). v+0 and v−0, the children's values under a
+// drop, are v but for −0, which Err and snap read as +0. A split the
+// general loop's strict comparisons never take (NaN, +Inf) leaves its
+// +Inf. Counters keep the dense split count, one of them scanned, and one
+// point error a state on the last internal level.
+func (d *treeDP) solveZeroStates(l, i0 int) {
+	offs := d.offs[l]
+	if offs[i0] == offs[1<<l] {
+		return
+	}
+	entries := d.bcap[l] + 1
+	leaf := l == d.levels-2
+	var crows []float64 // the child level's rows, centries floats a state
+	var coffs []int
+	centries := 0
+	if !leaf {
+		crows, coffs, centries = d.res[l+1], d.offs[l+1], d.bcap[l+1]+1
+	}
+	inf := math.Inf(1)
+	for i := i0; i < 1<<l; i++ {
+		for s := offs[i]; s < offs[i+1]; s++ {
+			var x float64
+			switch {
+			case leaf:
+				e := d.pe.Err(d.zero, d.vals[l][s])
+				x = d.combine(d.combine(e, e), d.combine(e, e))
+			case d.lq(l + 1):
+				v := d.vals[l][s]
+				cl := coffs[2*i] + d.snap(l+1, 2*i, v)
+				cr := coffs[2*i+1] + d.snap(l+1, 2*i+1, v)
+				x = d.combine(crows[cl*centries], crows[cr*centries])
+			default:
+				local := s - offs[i]
+				x = d.combine(crows[(coffs[2*i]+2*local)*centries], crows[(coffs[2*i+1]+2*local)*centries])
+			}
+			if !(x < inf) {
+				x = inf
+			}
+			out := d.res[l][s*entries : (s+1)*entries]
+			for k := range out {
+				out[k] = x
+			}
+		}
+	}
+	states := int64(offs[1<<l] - offs[i0])
+	var dense int64
+	for dd := 0; dd < 2 && entries-dd > 0; dd++ {
+		m := int64(entries - dd)
+		dense += m * (m + 1) / 2
+	}
+	st := hist.DPStats{CandidatesScanned: states, CandidatesPruned: states * (dense - 1)}
+	if leaf {
+		st.CostEvals = states
+	}
+	d.stats.Add(st)
 }
 
 // solveStates computes the level-l table entries of states [lo, hi) from

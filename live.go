@@ -32,6 +32,10 @@ type Maintainer = synopsis.Maintainer
 //     for every mutation. An update that keeps the item's mean (a pdf
 //     replaced by one with the same expectation) pays it too; DESIGN.md
 //     "Incremental maintenance" says why no wavelet state is retained.
+//     The sweep costs about the items the data holds, not the power of
+//     two it is padded to: the padding's all-zero subtrees are priced in
+//     closed form, so an append past a power of two (512 items to 516)
+//     does not double it.
 //
 // The determinism contract is unchanged: after any mutation sequence,
 // Synopsis(b) is codec-byte-identical to BuildSweep at budget b over the

@@ -42,9 +42,10 @@ func liveRandVP(rng *rand.Rand, n int) *probsyn.ValuePDF {
 }
 
 // liveFamilies enumerates the configurations live maintenance must agree
-// with BuildSweep on: both families, every wavelet path, and the smallest
+// with BuildSweep on: both families, every wavelet path, the smallest
 // starting domains, which the first append grows across the power-of-two
-// padding (1 item to 2 or more, 2 to 3 or more).
+// padding (1 item to 2 or more, 2 to 3 or more), and 16 items, which the
+// first append pads to 32 with whole zero subtrees in the tree.
 func liveFamilies() []struct {
 	name string
 	m    probsyn.Metric
@@ -64,6 +65,8 @@ func liveFamilies() []struct {
 		{"wavelet-quantized", probsyn.SAE, []probsyn.BuildOption{probsyn.WithWavelet(), probsyn.WithQuantize(4)}, 13},
 		{"wavelet-restricted-n1", probsyn.SAE, []probsyn.BuildOption{probsyn.WithWavelet()}, 1},
 		{"wavelet-restricted-n2", probsyn.SAE, []probsyn.BuildOption{probsyn.WithWavelet()}, 2},
+		{"wavelet-restricted-n16", probsyn.SAE, []probsyn.BuildOption{probsyn.WithWavelet()}, 16},
+		{"wavelet-quantized-n16", probsyn.SAE, []probsyn.BuildOption{probsyn.WithWavelet(), probsyn.WithQuantize(4)}, 16},
 	}
 }
 
