@@ -91,8 +91,10 @@ func WithWorkloadWeights(weights []float64) BuildOption {
 }
 
 // WithWavelet builds a B-term wavelet synopsis instead of a histogram:
-// the SSE-optimal synopsis of Theorem 7 for SSE/SSEFixed, the restricted
-// coefficient-tree DP of Theorem 8 otherwise.
+// the SSE-optimal synopsis of Theorem 7 for SSE, the restricted
+// coefficient-tree DP of Theorem 8 otherwise. SSEFixed is refused: the
+// stored coefficients are expected values, so the SSE synopsis is already
+// the SSE-fixed optimum.
 func WithWavelet() BuildOption {
 	return func(c *buildConfig) { c.wavelet = true }
 }
@@ -106,8 +108,8 @@ func WithWavelet() BuildOption {
 // bound of it (surfaced on frontiers via ApproxBound), and converging to
 // it as q grows; q at least half the padded domain size is the exact DP.
 // Results stay bit-identical at any worker count. Requires WithWavelet
-// and a metric the restricted DP prices (not plain SSE, whose greedy
-// build is already exact).
+// and a metric the restricted DP prices: SSRE, SAE, SARE, MAE or MARE
+// (SSE's greedy build is already exact).
 // It is the library's one answer to a restricted wavelet too large for
 // the exact DP: BuildSharded refuses wavelets, whose sharded merge was
 // no faster, costlier and certified far looser.

@@ -81,14 +81,14 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("psyn", flag.ContinueOnError)
 	var (
 		flagInput    = fs.String("input", "", "dataset file (required unless -in is given)")
-		flagMetric   = fs.String("metric", "SSE", "error metric: SSE, SSE-fixed, SSRE, SAE, SARE, MAE, MARE")
+		flagMetric   = fs.String("metric", "SSE", "error metric: SSE, SSE-fixed (histograms only; a wavelet's is its SSE synopsis), SSRE, SAE, SARE, MAE, MARE")
 		flagC        = fs.Float64("c", 0.5, "sanity constant for relative-error metrics")
 		flagBuckets  = fs.Int("buckets", 16, "histogram bucket budget")
 		flagApprox   = fs.Float64("approx", 0, "if > 0, build a (1+eps)-approximate histogram with this eps")
 		flagEqui     = fs.Bool("equidepth", false, "build the equi-depth heuristic instead of the optimal histogram")
 		flagWavelet  = fs.Bool("wavelet", false, "build a wavelet synopsis instead of a histogram")
 		flagCoeffs   = fs.Int("coeffs", 16, "wavelet coefficient budget")
-		flagQuant    = fs.Int("quantize", -1, "if >= 0, quantize the restricted wavelet DP's incoming values onto grids of q points (q >= 2; approximate, O(n q B) states, domains far beyond the exact DP build in seconds; prints the certified bound on the gap to the exact optimum). Wavelet DP metrics only (not the greedy-exact SSE build, not histograms)")
+		flagQuant    = fs.Int("quantize", -1, "if >= 0, quantize the restricted wavelet DP's incoming values onto grids of q points (q >= 2; approximate, O(n q B) states, domains far beyond the exact DP build in seconds; prints the certified bound on the gap to the exact optimum). Wavelet DP metrics only: SSRE, SAE, SARE, MAE, MARE (not the greedy-exact SSE build, not histograms)")
 		flagParallel = fs.Int("parallelism", 1, "DP worker goroutines, the CPUs a histogram or non-SSE wavelet build uses, -shards builds included (<= 0: one per CPU; the default 1 builds shards one at a time, -parallelism 0 builds up to one per CPU at once); output is identical at any setting (the SSE wavelet build is greedy and ignores it)")
 		flagOut      = fs.String("out", "", "save the built synopsis to this file in the binary envelope (-in prints it back); with -sweep, -append or -query, a catalog directory")
 		flagIn       = fs.String("in", "", "load a saved synopsis instead of building one")
@@ -478,7 +478,7 @@ func buildWavelet(stdout io.Writer, src probsyn.Source, m probsyn.Metric, coeffs
 		printCoeffs(stdout, syn)
 		return syn, nil
 	}
-	if m == probsyn.SSE || m == probsyn.SSEFixed {
+	if m == probsyn.SSE {
 		syn, rep, err := probsyn.SSEWavelet(src, coeffs)
 		if err != nil {
 			return nil, err

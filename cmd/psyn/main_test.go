@@ -178,6 +178,13 @@ func TestRunQuantize(t *testing.T) {
 	if !strings.Contains(out.String(), "quantized restricted (q=4)") || !strings.Contains(out.String(), "of the restricted optimum") {
 		t.Fatalf("unexpected output:\n%s", out.String())
 	}
+	// SSE-fixed is a histogram metric, exact or quantized, built or swept.
+	for _, extra := range [][]string{nil, {"-quantize", "4"}, {"-sweep", "-out", filepath.Join(dir, "cat")}} {
+		args := append([]string{"-input", dataset, "-wavelet", "-metric", "SSE-fixed", "-coeffs", "3"}, extra...)
+		if err := run(args, io.Discard); err == nil || !strings.Contains(err.Error(), "ask for SSE") {
+			t.Fatalf("%v: %v, want a refusal naming SSE", extra, err)
+		}
+	}
 }
 
 // -v prints one dp: line per DP build — bucket-cost evals for a histogram,

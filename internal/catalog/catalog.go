@@ -62,7 +62,9 @@ type Key struct {
 // NewKey canonicalizes and validates the fields of a key: the metric is
 // round-tripped through metric.Parse so "SSE-fixed" and friends are
 // spelled exactly one way, c is zeroed for metrics that ignore it, the
-// family must be a known one, and dataset must be non-empty.
+// family must be a known one, and dataset must be non-empty. A wavelet
+// SSE-fixed key is refused as every build refuses it: that synopsis is
+// the wavelet SSE one, so keys stay one-to-one with synopses.
 func NewKey(dataset, family, metricName string, budget int, c float64) (Key, error) {
 	if dataset == "" {
 		return Key{}, fmt.Errorf("catalog: empty dataset name")
@@ -73,6 +75,9 @@ func NewKey(dataset, family, metricName string, budget int, c float64) (Key, err
 	k, err := metric.Parse(metricName)
 	if err != nil {
 		return Key{}, fmt.Errorf("catalog: %w", err)
+	}
+	if family == FamilyWavelet && k == metric.SSEFixed {
+		return Key{}, fmt.Errorf("catalog: SSE-fixed is a histogram metric: a wavelet's SSE-fixed optimum is its SSE synopsis (Theorem 7); ask for SSE")
 	}
 	if budget < 1 {
 		return Key{}, fmt.Errorf("catalog: budget %d, want >= 1", budget)

@@ -101,28 +101,26 @@ func TestNewKeyQValidates(t *testing.T) {
 		c              float64
 		q              int
 	}{
-		{FamilyWavelet, "SAE", 0, 1},   // q must be 0 or >= 2
-		{FamilyWavelet, "SAE", 0, -3},  // negative q
-		{FamilyHistogram, "SAE", 0, 4}, // quantization is wavelet-only
-		{FamilyWavelet, "SSE", 0, 4},   // SSE wavelet build is greedy-exact
-		{FamilyWavelet, "bogus", 0, 4}, // NewKey validation still applies
-		{FamilyWavelet, "SSRE", 0, 4},  // relative metric still needs c
+		{FamilyWavelet, "SAE", 0, 1},       // q must be 0 or >= 2
+		{FamilyWavelet, "SAE", 0, -3},      // negative q
+		{FamilyHistogram, "SAE", 0, 4},     // quantization is wavelet-only
+		{FamilyWavelet, "SSE", 0, 4},       // SSE wavelet build is greedy-exact
+		{FamilyWavelet, "bogus", 0, 4},     // NewKey validation still applies
+		{FamilyWavelet, "SSRE", 0, 4},      // relative metric still needs c
+		{FamilyWavelet, "SSE-fixed", 0, 4}, // a histogram metric, at every q
+		{FamilyWavelet, "SSE-fixed", 0, 0},
 	}
 	for _, b := range bad {
 		if _, err := NewKeyQ("d", b.family, b.metric, 8, b.c, b.q); err == nil {
 			t.Errorf("NewKeyQ(%q, %q, c=%g, q=%d) accepted", b.family, b.metric, b.c, b.q)
 		}
 	}
-	// SSE-fixed is a restricted-DP metric and must key fine.
-	if _, err := NewKeyQ("d", FamilyWavelet, "SSE-fixed", 8, 0, 4); err != nil {
-		t.Fatalf("SSE-fixed with q: %v", err)
-	}
 }
 
 func TestFilenameRoundTrip(t *testing.T) {
 	keys := []Key{
 		{Dataset: "data", Family: FamilyHistogram, Metric: "SSE", Budget: 8},
-		{Dataset: "weird--name/v2", Family: FamilyWavelet, Metric: "SSE-fixed", Budget: 100},
+		{Dataset: "weird--name/v2", Family: FamilyHistogram, Metric: "SSE-fixed", Budget: 100},
 		{Dataset: "dots.and spaces", Family: FamilyHistogram, Metric: "MARE", Budget: 1, C: 0.5},
 		{Dataset: "d", Family: FamilyWavelet, Metric: "SSRE", Budget: 3, C: 1.25},
 		{Dataset: "big--domain", Family: FamilyWavelet, Metric: "SAE", Budget: 32, Q: 64},
@@ -158,6 +156,7 @@ func TestFilenameRoundTrip(t *testing.T) {
 		"a--histogram--SSE--c0.5--b2.psyn",    // c segment on a metric that ignores it
 		"a--histogram--SAE--q4--b2.psyn",      // q segment on a histogram key
 		"a--wavelet--SSE--q4--b2.psyn",        // q segment on the greedy-exact SSE build
+		"a--wavelet--SSE-fixed--b2.psyn",      // a histogram metric on a wavelet key
 		"a--wavelet--SAE--q1--b2.psyn",        // q below the minimum grid size
 		"a--wavelet--SAE--qx--b2.psyn",        // malformed q
 		"a--wavelet--SARE--q4--c0.5--b2.psyn", // c and q out of canonical order

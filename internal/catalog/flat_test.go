@@ -473,6 +473,15 @@ func TestBootDirFallsBack(t *testing.T) {
 			}
 			return old
 		}, false},
+		{"index names a wavelet SSE-fixed key", func([]byte) []byte {
+			// Packed when wavelet SSE-fixed keys were admitted.
+			old := &Entry{Key: Key{Dataset: "d", Family: FamilyWavelet, Metric: "SSE-fixed", Budget: 4}, Synopsis: src.List()[1].Synopsis}
+			b, err := PackBytes(append(src.List(), old))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -529,9 +538,20 @@ func TestBootDirNoFlatFile(t *testing.T) {
 	src := randCatalog(t, rng, 4, []int{16})
 	dir := t.TempDir()
 	saveAll(t, src, dir)
-	// A shard piece file left by an older psynd is a foreign file now.
-	if err := os.WriteFile(filepath.Join(dir, "d--histogram--SSE--s0of2--b6.psyn"), []byte("PSYN"), 0o644); err != nil {
+	// A shard piece file left by an older psynd is a foreign file now, and
+	// so are wavelet SSE-fixed entries, whatever envelope they hold.
+	env, err := synopsis.Marshal(src.List()[1].Synopsis)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for name, blob := range map[string][]byte{
+		"d--histogram--SSE--s0of2--b6.psyn":   []byte("PSYN"),
+		"d--wavelet--SSE-fixed--b4.psyn":      env,
+		"d--wavelet--SSE-fixed--q16--b4.psyn": env,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var warned int
 	c := New()

@@ -7,7 +7,10 @@
 // SSE is the paper's Eq. (5) objective — the expected within-world bucket
 // variance, i.e. the error against the clairvoyant per-world bucket mean —
 // while SSEFixed charges each bucket against a single fixed representative,
-// the semantics an actual stored synopsis delivers.
+// the semantics an actual stored synopsis delivers. SSEFixed is a histogram
+// metric: a wavelet stores its coefficients at their expected values, so
+// its expected SSE and SSE-fixed are one objective, which Theorem 7's SSE
+// greedy minimizes.
 package metric
 
 import (
@@ -21,7 +24,7 @@ type Kind int
 // The supported error objectives.
 const (
 	SSE      Kind = iota // expected sum-squared error, paper Eq. (5) (clairvoyant representative)
-	SSEFixed             // expected sum-squared error against a fixed representative
+	SSEFixed             // expected sum-squared error against a fixed representative (histograms only)
 	SSRE                 // expected sum-squared relative error (sanity constant c)
 	SAE                  // expected sum-absolute error
 	SARE                 // expected sum-absolute relative error (sanity constant c)

@@ -13,7 +13,6 @@ package pdata
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -514,64 +513,4 @@ func Deterministic(freqs []float64) *ValuePDF {
 		}
 	}
 	return vp
-}
-
-// ErrTooManyWorlds is returned by CountWorlds when the possible-world count
-// exceeds the given limit.
-var ErrTooManyWorlds = errors.New("pdata: too many possible worlds to enumerate")
-
-// CountWorlds returns the number of raw enumeration branches of src (an
-// upper bound on distinct worlds), capped at limit. It lets callers guard
-// EnumerateWorlds against exponential blowup.
-func CountWorlds(src Source, limit float64) (float64, error) {
-	count := 1.0
-	mul := func(k float64) error {
-		count *= k
-		if count > limit {
-			return ErrTooManyWorlds
-		}
-		return nil
-	}
-	switch s := src.(type) {
-	case *Basic:
-		for range s.Tuples {
-			if err := mul(2); err != nil {
-				return count, err
-			}
-		}
-	case *TuplePDF:
-		for k := range s.Tuples {
-			branches := float64(len(s.Tuples[k].Alts))
-			if s.Tuples[k].TotalProb() < 1-probTol {
-				branches++
-			}
-			if branches == 0 {
-				branches = 1
-			}
-			if err := mul(branches); err != nil {
-				return count, err
-			}
-		}
-	case *ValuePDF:
-		for i := range s.Items {
-			branches := 0.0
-			for _, e := range s.Items[i].Entries {
-				if e.Freq != 0 {
-					branches++
-				}
-			}
-			if s.Items[i].ZeroProb() > 0 {
-				branches++
-			}
-			if branches == 0 {
-				branches = 1
-			}
-			if err := mul(branches); err != nil {
-				return count, err
-			}
-		}
-	default:
-		return 0, fmt.Errorf("pdata: CountWorlds: unknown source type %T", src)
-	}
-	return count, nil
 }

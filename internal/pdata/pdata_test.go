@@ -356,26 +356,6 @@ func TestSampleMeansConvergeToExpectation(t *testing.T) {
 	}
 }
 
-func TestCountWorlds(t *testing.T) {
-	if c, err := CountWorlds(exampleBasic(), 1e6); err != nil || c != 16 {
-		t.Errorf("basic count = %v err %v, want 16", c, err)
-	}
-	// tuple pdf: both tuples have mass < 1, so branches = 3 each.
-	if c, err := CountWorlds(exampleTuplePDF(), 1e6); err != nil || c != 9 {
-		t.Errorf("tuple count = %v err %v, want 9", c, err)
-	}
-	if c, err := CountWorlds(exampleValuePDF(), 1e6); err != nil || c != 12 {
-		t.Errorf("value count = %v err %v, want 12", c, err)
-	}
-	big := &Basic{N: 2, Tuples: make([]BasicTuple, 100)}
-	for i := range big.Tuples {
-		big.Tuples[i] = BasicTuple{Item: 0, Prob: 0.5}
-	}
-	if _, err := CountWorlds(big, 1e6); err != ErrTooManyWorlds {
-		t.Errorf("expected ErrTooManyWorlds, got %v", err)
-	}
-}
-
 func TestTupleHelpers(t *testing.T) {
 	tp := exampleTuplePDF()
 	t0 := &tp.Tuples[0]

@@ -424,6 +424,14 @@ func TestTypedErrors(t *testing.T) {
 			resp, _, bad := postBuild(t, ts, BuildRequest{Dataset: "ds", Family: "histogram", Metric: "XXX", Budget: 8})
 			return resp, bad
 		}, http.StatusBadRequest, CodeBadRequest},
+		// A histogram metric: a wavelet's SSE-fixed optimum is its SSE synopsis.
+		{"wavelet SSE-fixed build", func(t *testing.T) (*http.Response, ErrorBody) {
+			resp, _, bad := postBuild(t, ts, BuildRequest{Dataset: "ds", Family: "wavelet", Metric: "SSE-fixed", Budget: 8, Quantize: 16})
+			return resp, bad
+		}, http.StatusBadRequest, CodeBadRequest},
+		{"wavelet SSE-fixed read", func(t *testing.T) (resp *http.Response, bad ErrorBody) {
+			return getJSON(t, ts.URL+"/v1/estimate?dataset=ds&family=wavelet&metric=SSE-fixed&budget=8&i=0", &bad), bad
+		}, http.StatusBadRequest, CodeBadRequest},
 		{"unknown family", func(t *testing.T) (*http.Response, ErrorBody) {
 			resp, _, bad := postBuild(t, ts, BuildRequest{Dataset: "ds", Family: "sketch", Metric: "SSE", Budget: 8})
 			return resp, bad

@@ -27,7 +27,7 @@ import (
 func TestRestrictedApproxCostVsExact(t *testing.T) {
 	p := metric.Params{C: 0.5}
 	for _, n := range []int{64, 256} {
-		for _, kind := range []metric.Kind{metric.SAE, metric.SSEFixed, metric.MAE} {
+		for _, kind := range []metric.Kind{metric.SAE, metric.SSRE, metric.MAE} {
 			rng := rand.New(rand.NewSource(int64(n)))
 			vp := ptest.RandomValuePDF(rng, n, 3)
 			const B = 12

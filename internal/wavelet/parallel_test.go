@@ -53,8 +53,7 @@ func TestBuildRestrictedPoolBitIdentical(t *testing.T) {
 		"basic": ptest.RandomBasic(rng, 16, 20),
 	}
 	for srcName, src := range sources {
-		for _, k := range []metric.Kind{metric.SSEFixed, metric.SSRE,
-			metric.SAE, metric.SARE, metric.MAE, metric.MARE} {
+		for _, k := range []metric.Kind{metric.SSRE, metric.SAE, metric.SARE, metric.MAE, metric.MARE} {
 			for _, B := range []int{0, 1, 4, 9} {
 				serial, cs, err := wavelet.BuildRestrictedPool(src, k, metric.Params{C: 0.5}, B, nil)
 				if err != nil {

@@ -83,7 +83,7 @@ func (pe *densePointErrors) Err(i int, v float64) float64 {
 // with: the dense tables for the absolute family, the production closed
 // form (which this change did not touch) for the squared one.
 func refErr(t testing.TB, vp *pdata.ValuePDF, pe *PointErrors, kind metric.Kind, p metric.Params) func(int, float64) float64 {
-	if kind == metric.SSEFixed || kind == metric.SSRE {
+	if kind == metric.SSRE {
 		return pe.Err
 	}
 	return newDensePointErrors(t, vp, kind, p).Err
@@ -246,7 +246,7 @@ func assertTablesEqual(t *testing.T, tag string, d *treeDP, got, want [][]float6
 	}
 }
 
-var refKinds = []metric.Kind{metric.SAE, metric.SARE, metric.MAE, metric.MARE, metric.SSRE, metric.SSEFixed}
+var refKinds = []metric.Kind{metric.SAE, metric.SARE, metric.MAE, metric.MARE, metric.SSRE}
 
 type refMode struct {
 	name string

@@ -34,16 +34,16 @@ type PointErrors struct {
 	off        []int
 	val, rec   []float64
 	totW, totS []float64
-	// squared family: per-item x=Σpwv², y=Σpwv, z=Σpw
+	// squared family (SSRE): per-item x=Σpwv², y=Σpwv, z=Σpw
 	x, y, z []float64
 }
 
 // NewPointErrors builds the evaluator for vp (already padded) under kind.
-// Supported kinds: SSEFixed, SSRE, SAE, SARE, MAE, MARE.
+// Supported kinds: SSRE, SAE, SARE, MAE, MARE.
 func NewPointErrors(vp *pdata.ValuePDF, kind metric.Kind, p metric.Params) (*PointErrors, error) {
 	pe := &PointErrors{kind: kind, p: p, n: vp.N}
 	switch kind {
-	case metric.SSEFixed, metric.SSRE:
+	case metric.SSRE:
 		pe.x = make([]float64, vp.N)
 		pe.y = make([]float64, vp.N)
 		pe.z = make([]float64, vp.N)
@@ -105,7 +105,7 @@ func NewPointErrors(vp *pdata.ValuePDF, kind metric.Kind, p metric.Params) (*Poi
 			pe.totW[i], pe.totS[i] = cw, cs
 		}
 	default:
-		return nil, fmt.Errorf("wavelet: PointErrors does not support %v (use BuildSSE for SSE)", kind)
+		return nil, fmt.Errorf("wavelet: PointErrors does not support %v (use BuildSSE for SSE and SSE-fixed)", kind)
 	}
 	return pe, nil
 }
@@ -119,7 +119,7 @@ const shortRun = 64
 // rounded on its own, so no architecture fuses it into the sum after it.
 func (pe *PointErrors) Err(i int, v float64) float64 {
 	switch pe.kind {
-	case metric.SSEFixed, metric.SSRE:
+	case metric.SSRE:
 		e := pe.x[i] - float64(2*v*pe.y[i]) + float64(v*v*pe.z[i])
 		if e < 0 {
 			e = 0
@@ -164,7 +164,7 @@ func (pe *PointErrors) Err(i int, v float64) float64 {
 func (pe *PointErrors) errSweep(i int, vs, out []float64) {
 	out = out[:len(vs)]
 	switch pe.kind {
-	case metric.SSEFixed, metric.SSRE:
+	case metric.SSRE:
 		x, y, z := pe.x[i], pe.y[i], pe.z[i]
 		for t, v := range vs {
 			e := x - float64(2*v*y) + float64(v*v*z)
@@ -216,7 +216,7 @@ func (pe *PointErrors) Cumulative() bool { return pe.kind.Cumulative() }
 // 2·wle - totW, bounded by totW in magnitude.
 func (pe *PointErrors) errSlack(i int, lo, hi, delta float64) float64 {
 	switch pe.kind {
-	case metric.SSEFixed, metric.SSRE:
+	case metric.SSRE:
 		m := math.Max(math.Abs(float64(pe.z[i]*lo)-pe.y[i]), math.Abs(float64(pe.z[i]*hi)-pe.y[i]))
 		return float64(2 * m * delta)
 	default:

@@ -153,35 +153,38 @@ func TestBuildSSEAgainstEnumeration(t *testing.T) {
 	}
 }
 
-// Theorem 7 optimality: no other same-size subset of expected-value
-// coefficients achieves lower expected SSE.
+// Theorem 7 optimality: at every budget, no other same-size subset of
+// expected-value coefficients achieves lower expected SSE. Stored
+// coefficients are fixed, so this is also the SSE-fixed optimum, which
+// is why a wavelet has no SSE-fixed build of its own.
 func TestBuildSSEOptimalAmongSubsets(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	for trial := 0; trial < 8; trial++ {
 		src := ptest.RandomValuePDF(rng, 8, 3)
 		expected := src.ExpectedFreqs()
 		c := haar.Forward(expected)
-		B := 3
-		syn, _, err := wavelet.BuildSSE(src, B)
-		if err != nil {
-			t.Fatal(err)
-		}
-		best := wavelet.ExpectedSSEOf(src, syn)
-		for mask := 0; mask < 1<<8; mask++ {
-			if popcount(mask) != B {
-				continue
+		for B := 0; B <= 8; B++ {
+			syn, _, err := wavelet.BuildSSE(src, B)
+			if err != nil {
+				t.Fatal(err)
 			}
-			var idx []int
-			var vals []float64
-			for i := 0; i < 8; i++ {
-				if mask&(1<<i) != 0 {
-					idx = append(idx, i)
-					vals = append(vals, c[i])
+			best := wavelet.ExpectedSSEOf(src, syn)
+			for mask := 0; mask < 1<<8; mask++ {
+				if popcount(mask) != B {
+					continue
 				}
-			}
-			alt := wavelet.ExpectedSSEOf(src, &wavelet.Synopsis{N: 8, Indices: idx, Values: vals})
-			if alt < best-1e-9 {
-				t.Fatalf("trial %d: subset %b (SSE %v) beats TopK (SSE %v)", trial, mask, alt, best)
+				var idx []int
+				var vals []float64
+				for i := 0; i < 8; i++ {
+					if mask&(1<<i) != 0 {
+						idx = append(idx, i)
+						vals = append(vals, c[i])
+					}
+				}
+				alt := wavelet.ExpectedSSEOf(src, &wavelet.Synopsis{N: 8, Indices: idx, Values: vals})
+				if alt < best-1e-9 {
+					t.Fatalf("trial %d B=%d: subset %b (SSE %v) beats TopK (SSE %v)", trial, B, mask, alt, best)
+				}
 			}
 		}
 	}
@@ -239,7 +242,7 @@ func TestBuildSSERejectsNegativeBudget(t *testing.T) {
 func TestPointErrorsAgainstEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(68))
 	p := metric.Params{C: 0.5}
-	kinds := []metric.Kind{metric.SSEFixed, metric.SSRE, metric.SAE, metric.SARE, metric.MAE, metric.MARE}
+	kinds := []metric.Kind{metric.SSRE, metric.SAE, metric.SARE, metric.MAE, metric.MARE}
 	for trial := 0; trial < 8; trial++ {
 		vp := ptest.RandomValuePDF(rng, 4, 3)
 		for _, k := range kinds {
@@ -259,17 +262,20 @@ func TestPointErrorsAgainstEnumeration(t *testing.T) {
 	}
 }
 
+// SSE and SSE-fixed are the greedy's (BuildSSE), not the restricted DP's.
 func TestPointErrorsRejectsSSE(t *testing.T) {
 	vp := pdata.Deterministic([]float64{1, 2})
-	if _, err := wavelet.NewPointErrors(vp, metric.SSE, metric.Params{}); err == nil {
-		t.Fatal("PointErrors accepted the clairvoyant SSE metric")
+	for _, k := range []metric.Kind{metric.SSE, metric.SSEFixed} {
+		if _, err := wavelet.NewPointErrors(vp, k, metric.Params{}); err == nil {
+			t.Fatalf("PointErrors accepted %v", k)
+		}
 	}
 }
 
 func TestBuildRestrictedMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(69))
 	p := metric.Params{C: 0.5}
-	kinds := []metric.Kind{metric.SSEFixed, metric.SAE, metric.SARE, metric.MAE}
+	kinds := []metric.Kind{metric.SSRE, metric.SAE, metric.SARE, metric.MAE}
 	for trial := 0; trial < 6; trial++ {
 		src := ptest.RandomValuePDF(rng, 8, 3)
 		c := haar.Forward(src.ExpectedFreqs())
@@ -311,28 +317,6 @@ func TestBuildRestrictedMatchesBruteForce(t *testing.T) {
 				if math.Abs(got-best) > 1e-8*(1+best) {
 					t.Fatalf("%v trial %d B=%d: DP %v, brute force %v", k, trial, B, got, best)
 				}
-			}
-		}
-	}
-}
-
-// For the fixed-representative squared error, the restricted DP must agree
-// with the greedy TopK selection of Theorem 7 (both are optimal).
-func TestBuildRestrictedSSEFixedMatchesGreedy(t *testing.T) {
-	rng := rand.New(rand.NewSource(70))
-	for trial := 0; trial < 8; trial++ {
-		src := ptest.RandomValuePDF(rng, 8, 3)
-		for B := 0; B <= 8; B++ {
-			_, rep, err := wavelet.BuildSSE(src, B)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, dp, err := wavelet.BuildRestrictedPool(src, metric.SSEFixed, metric.Params{}, B, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(dp-rep.ExpectedSSE) > 1e-8*(1+dp) {
-				t.Fatalf("trial %d B=%d: restricted DP %v, greedy %v", trial, B, dp, rep.ExpectedSSE)
 			}
 		}
 	}

@@ -92,15 +92,15 @@ func resolve(src Source, m Metric, opts []BuildOption, md mode) (*plan, error) {
 		return nil, fmt.Errorf("probsyn: workload weights are a histogram option")
 	case cfg.epsSet:
 		return nil, fmt.Errorf("probsyn: the (1+eps)-approximate DP is a histogram option")
+	case m == SSEFixed:
+		return nil, fmt.Errorf("probsyn: SSE-fixed is a histogram metric: a wavelet's SSE-fixed optimum is its SSE synopsis (Theorem 7); ask for SSE")
 	case cfg.quantSet && m == SSE:
 		return nil, fmt.Errorf("probsyn: the SSE wavelet build is greedy-exact (Theorem 7); incoming-value quantization applies to the restricted DP metrics")
 	case cfg.quantSet && cfg.quant < 2:
 		return nil, fmt.Errorf("probsyn: WithQuantize needs a grid of q >= 2 points, got %d", cfg.quant)
 	case cfg.quantSet:
-		// SSE-fixed included: a stored-representative objective the
-		// restricted DP prices like any other.
 		p.family, p.q = waveletRestricted, cfg.quant
-	case m == SSE || m == SSEFixed:
+	case m == SSE:
 		p.family = waveletSSE
 	default:
 		p.family = waveletRestricted

@@ -133,8 +133,8 @@ func wantAccept(c combo, entry int, src probsyn.Source, B int) bool {
 		return false // max(c, |g|) divides every relative error
 	}
 	if c.wavelet {
-		if c.weights || c.eps != 0 {
-			return false
+		if c.weights || c.eps != 0 || c.metric == probsyn.SSEFixed {
+			return false // SSE-fixed: the SSE synopsis already, at every q
 		}
 		if c.quantize != nil && (*c.quantize < 2 || c.metric == probsyn.SSE) {
 			return false
@@ -474,7 +474,7 @@ func (r *row) sweeps(ref [][]byte, refStats probsyn.DPStats) {
 			}
 			syn, blob := r.decode(fmt.Sprintf("BuildSweep at budget %d", b), syn)
 			// A histogram DP spends the whole budget, as the SSE greedy does.
-			if greedy := r.c.quantize == nil && (m == probsyn.SSE || m == probsyn.SSEFixed); (!r.c.wavelet || greedy) && syn.Terms() != b {
+			if greedy := r.c.quantize == nil && m == probsyn.SSE; (!r.c.wavelet || greedy) && syn.Terms() != b {
 				r.fail("BuildSweep: %d terms at budget %d", syn.Terms(), b)
 			}
 			if !bytes.Equal(blob, ref[b]) {
@@ -499,10 +499,8 @@ func (r *row) sweeps(ref [][]byte, refStats probsyn.DPStats) {
 			}
 		}
 	}
-	// A grid as fine as the exact state space (q >= N/2) is the exact DP
-	// (under SSE-fixed, which builds greedily unquantized, the restricted
-	// package test holds it).
-	if q := r.c.quantize; q != nil && *q >= haar.Pow2Ceil(src.Domain())/2 && m != probsyn.SSEFixed {
+	// A grid as fine as the exact state space (q >= N/2) is the exact DP.
+	if q := r.c.quantize; q != nil && *q >= haar.Pow2Ceil(src.Domain())/2 {
 		exact, err := probsyn.Build(src, m, B, combo{wavelet: true, metric: m}.options(src.Domain())...)
 		if err != nil || bound0 != 0 || !bytes.Equal(mustMarshal(r.t, exact), ref[B]) {
 			r.fail("quantized at q=%d >= N/2: bound %v, or bytes other than the exact DP's (err %v)", *q, bound0, err)

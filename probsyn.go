@@ -102,7 +102,7 @@ type DPStats = hist.DPStats
 // The error objectives (§2.2-2.3; see the metric package for semantics).
 const (
 	SSE      = metric.SSE
-	SSEFixed = metric.SSEFixed
+	SSEFixed = metric.SSEFixed // histograms only: a wavelet's SSE synopsis (Theorem 7) is its SSE-fixed optimum
 	SSRE     = metric.SSRE
 	SAE      = metric.SAE
 	SARE     = metric.SARE
