@@ -71,21 +71,20 @@ func WithPool(pool *engine.Pool) BuildOption {
 // included) is rejected at Build time rather than silently falling back to
 // the exact DP.
 //
-// It pays only on large domains, because the exact DP is pruned and the
-// approximate one keeps ~(2B/eps)·ln(error range) split candidates per
-// cell. Measured serially at B=16 under SSE (`experiments ablate-approx`,
-// cost within 3.3% of optimal throughout): at n=8192 it is slower than the
-// exact DP for every eps < 1; it wins from n=32768 at eps >= 0.5 (1.2–2.6x)
-// and from n=65536 at eps >= 0.25 (1.6–5.8x); eps <= 0.1 lost at every n.
+// It pays only on large domains: the exact DP is pruned, and this one
+// keeps ~(2B/eps)·ln(error range) split candidates per cell. Against
+// BuildSharded, the other large-domain path, it is on the front under
+// SSRE, and under SSE on datagen's sensor data (DESIGN.md finding 5:
+// sensor n=65536 SSE, eps=0.25 +0.13% in 9.7 s, k=2 +0.18% in 13.8 s).
 func WithEps(eps float64) BuildOption {
 	return func(c *buildConfig) { c.eps, c.epsSet = eps, true }
 }
 
 // WithWorkloadWeights builds the histogram under query-workload-weighted
 // expected squared error: weights[i] is the access frequency of point
-// queries on item i. Requires the SSEFixed (or SSE) metric — the weighted
-// objective charges a stored representative, and uniform weights reduce to
-// SSEFixed.
+// queries on item i. Requires the SSEFixed metric: the weighted objective
+// charges a stored representative, and uniform weights reduce to SSEFixed.
+// Every other metric, SSE included, is refused.
 func WithWorkloadWeights(weights []float64) BuildOption {
 	return func(c *buildConfig) { c.weights = weights }
 }

@@ -2,6 +2,7 @@ package probsyn_test
 
 import (
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -155,6 +156,13 @@ func TestBuildOptionValidation(t *testing.T) {
 	}
 	if _, err := probsyn.Build(src, probsyn.SAE, 2, probsyn.WithWorkloadWeights([]float64{1, 1, 1, 1})); err == nil {
 		t.Error("workload weights accepted under SAE")
+	}
+	// A weighted build has one spelling, SSE-fixed, at every entry point.
+	for entry := range entryPoints {
+		_, err := buildVia(entry, src, probsyn.SSE, 3, []probsyn.BuildOption{probsyn.WithWorkloadWeights([]float64{1, 1, 1, 1})})
+		if err == nil || !strings.Contains(err.Error(), "SSE-fixed") {
+			t.Errorf("%s: SSE under workload weights: err %v, want a refusal naming SSE-fixed", entryNames[entry], err)
+		}
 	}
 	if _, err := probsyn.Build(src, probsyn.SSE, 2, probsyn.WithWavelet(), probsyn.WithEps(0.5)); err == nil {
 		t.Error("eps accepted for wavelet family")

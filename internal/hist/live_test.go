@@ -2,7 +2,6 @@ package hist
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"probsyn/internal/engine"
@@ -61,55 +60,6 @@ func liveMutate(t *testing.T, rng *rand.Rand, live *DPTable, pool *engine.Pool, 
 		t.Fatal(err)
 	}
 	return o
-}
-
-// TestLiveDPMatchesFresh drives a live DP table through a random mutation
-// sequence and checks, after every mutation, that the maintained table is
-// deep-equal to a from-scratch DP over the mutated data — costs AND
-// back-pointers, so extraction at any budget is forced identical too.
-func TestLiveDPMatchesFresh(t *testing.T) {
-	for _, k := range []metric.Kind{metric.SSE, metric.SAE, metric.MARE} {
-		for _, workers := range []int{1, 3} {
-			rng := rand.New(rand.NewSource(7))
-			vp := liveRandVP(rng, 19)
-			p := metric.Params{C: 0.5}
-			mk := func(v *pdata.ValuePDF) (Oracle, error) { return NewOracle(v, k, p) }
-			pool := engine.New(engine.Options{Workers: workers, Grain: 1})
-			const B = 5
-			got, err := RunDPPool(mustOracle(t, mk, vp), B, pool)
-			if err != nil {
-				t.Fatalf("%v: %v", k, err)
-			}
-			for step := 0; step < 10; step++ {
-				fresh, err := RunDPPool(liveMutate(t, rng, got, pool, vp, mk), B, pool)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Bmax() != fresh.Bmax() || got.n != fresh.n {
-					t.Fatalf("%v step %d: shape (%d,%d) vs fresh (%d,%d)", k, step, got.Bmax(), got.n, fresh.Bmax(), fresh.n)
-				}
-				if !reflect.DeepEqual(got.opt, fresh.opt) {
-					t.Fatalf("%v step %d: opt tables diverge", k, step)
-				}
-				if !reflect.DeepEqual(got.choice, fresh.choice) {
-					t.Fatalf("%v step %d: choice tables diverge", k, step)
-				}
-				for b := 1; b <= got.Bmax(); b++ {
-					gh, err := got.Histogram(b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fh, err := fresh.Histogram(b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(gh, fh) {
-						t.Fatalf("%v step %d: budget-%d histograms diverge", k, step, b)
-					}
-				}
-			}
-		}
-	}
 }
 
 // TestLiveDPBudgetUnclamps: a budget clamped by a small initial domain

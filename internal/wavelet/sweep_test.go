@@ -1,15 +1,16 @@
 package wavelet_test
 
-// Sweep frontier tests: one DP run must serve every budget b <= B with
-// exactly the synopsis (coefficients, values, cost — bit-identical) an
-// independent budget-b build produces, for the restricted and greedy-SSE
-// families, at several worker counts and on the degenerate one- and
-// two-item domains.
+// Sweep frontier tests: on the degenerate one- and two-item domains one
+// DP run serves every budget b <= B with exactly the synopsis
+// (coefficients, values, cost — bit-identical) an independent budget-b
+// build produces, for the restricted and greedy-SSE families; budgets
+// are validated, the cost curve is priced lazily and safely, and
+// extraction allocates little. The root conformance table holds every
+// sweep to its builds on wider domains and every pool.
 
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -64,52 +65,6 @@ func sweepCost(t testing.TB, sw *wavelet.Sweep, b int) float64 {
 		t.Fatalf("Cost(%d): %v", b, err)
 	}
 	return c
-}
-
-func TestSweepMatchesIndependentBuilds(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	sources := map[string]pdata.Source{
-		"value": ptest.RandomValuePDF(rng, 16, 3),
-		"basic": ptest.RandomBasic(rng, 16, 20),
-	}
-	const B = 16
-	for _, fam := range families() {
-		for srcName, src := range sources {
-			for _, workers := range []int{1, 2, runtime.NumCPU()} {
-				sw, err := fam.sweep(src, B, workers)
-				if err != nil {
-					t.Fatalf("%s/%s: sweep: %v", fam.name, srcName, err)
-				}
-				if sw.Bmax() != B {
-					t.Fatalf("%s/%s: Bmax = %d, want %d", fam.name, srcName, sw.Bmax(), B)
-				}
-				prev := 0.0
-				for b := 1; b <= B; b++ {
-					got, err := sw.Synopsis(b)
-					if err != nil {
-						t.Fatalf("%s/%s: Synopsis(%d): %v", fam.name, srcName, b, err)
-					}
-					// Independent builds run serial: the sweep's parallel
-					// schedule must not change a single bit.
-					want, cost, err := fam.build(src, b, 1)
-					if err != nil {
-						t.Fatalf("%s/%s: build(%d): %v", fam.name, srcName, b, err)
-					}
-					label := fam.name + "/" + srcName
-					synopsesIdentical(t, label, want, got, cost, got.Cost)
-					c := sweepCost(t, sw, b)
-					if c != cost {
-						t.Fatalf("%s: Cost(%d) = %v, independent build cost %v", label, b, c, cost)
-					}
-					if b > 1 && c > prev {
-						t.Fatalf("%s: frontier not non-increasing: Cost(%d)=%v > Cost(%d)=%v",
-							label, b, c, b-1, prev)
-					}
-					prev = c
-				}
-			}
-		}
-	}
 }
 
 // TestSweepTinyDomains exercises the n == 1 and n == 2 special paths of

@@ -272,56 +272,6 @@ func TestPointErrorsRejectsSSE(t *testing.T) {
 	}
 }
 
-func TestBuildRestrictedMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(69))
-	p := metric.Params{C: 0.5}
-	kinds := []metric.Kind{metric.SSRE, metric.SAE, metric.SARE, metric.MAE}
-	for trial := 0; trial < 6; trial++ {
-		src := ptest.RandomValuePDF(rng, 8, 3)
-		c := haar.Forward(src.ExpectedFreqs())
-		for _, k := range kinds {
-			pe, err := wavelet.NewPointErrors(src, k, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for B := 0; B <= 3; B++ {
-				syn, got, err := wavelet.BuildRestrictedPool(src, k, p, B, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if syn.B() > B {
-					t.Fatalf("%v B=%d: retained %d coefficients", k, B, syn.B())
-				}
-				if direct := pe.SynopsisError(syn); math.Abs(direct-got) > 1e-8*(1+got) {
-					t.Fatalf("%v B=%d: DP reports %v but synopsis evaluates to %v", k, B, got, direct)
-				}
-				// brute force over all subsets of size <= B
-				best := math.Inf(1)
-				for mask := 0; mask < 1<<8; mask++ {
-					if popcount(mask) > B {
-						continue
-					}
-					var idx []int
-					var vals []float64
-					for i := 0; i < 8; i++ {
-						if mask&(1<<i) != 0 {
-							idx = append(idx, i)
-							vals = append(vals, c[i])
-						}
-					}
-					alt := pe.SynopsisError(&wavelet.Synopsis{N: 8, Indices: idx, Values: vals})
-					if alt < best {
-						best = alt
-					}
-				}
-				if math.Abs(got-best) > 1e-8*(1+best) {
-					t.Fatalf("%v trial %d B=%d: DP %v, brute force %v", k, trial, B, got, best)
-				}
-			}
-		}
-	}
-}
-
 func TestBuildRestrictedMonotoneInBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	src := ptest.RandomValuePDF(rng, 8, 3)

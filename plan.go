@@ -79,8 +79,8 @@ func resolve(src Source, m Metric, opts []BuildOption, md mode) (*plan, error) {
 	switch {
 	case !cfg.wavelet && cfg.quantSet:
 		return nil, fmt.Errorf("probsyn: incoming-value quantization is a wavelet option")
-	case !cfg.wavelet && cfg.weights != nil && m != SSE && m != SSEFixed:
-		return nil, fmt.Errorf("probsyn: workload weights require the SSE or SSE-fixed metric, got %v", m)
+	case !cfg.wavelet && cfg.weights != nil && m != SSEFixed:
+		return nil, fmt.Errorf("probsyn: workload weights price the SSE-fixed objective: ask for SSE-fixed, got %v", m)
 	case !cfg.wavelet && cfg.epsSet && !(cfg.eps > 0 && !math.IsInf(cfg.eps, 1)):
 		// NaN slips past a plain eps <= 0 test, and +Inf certifies nothing.
 		return nil, fmt.Errorf("probsyn: WithEps needs a finite eps > 0, got %g", cfg.eps)

@@ -11,7 +11,7 @@ package probsyn_test
 //     says (wantAccept), and a catalog key admits what Build accepts;
 //   - sameness: codec bytes and DPStats agree across worker counts and
 //     entry points, a sweep extracts at every budget what Build builds
-//     there, a live frontier after an Append and an Update what a fresh
+//     there, a live frontier after each Append and Update what a fresh
 //     sweep builds, BuildSharded at k = 1 what Build builds, and every
 //     synopsis decodes to itself;
 //   - truth, on the sources of at most 8 items: the whole-answer oracle
@@ -143,8 +143,8 @@ func wantAccept(c combo, entry int, src probsyn.Source, B int) bool {
 		if c.quantize != nil {
 			return false
 		}
-		if c.weights && c.metric != probsyn.SSE && c.metric != probsyn.SSEFixed {
-			return false
+		if c.weights && c.metric != probsyn.SSEFixed {
+			return false // the weights price SSE-fixed's objective alone
 		}
 		if c.eps != 0 && (!finitePositive(c.eps) || !c.metric.Cumulative()) {
 			return false // Theorem 5 is for cumulative metrics, at an eps > 0
@@ -292,6 +292,12 @@ func conformanceCombos() []combo {
 	return combos
 }
 
+// TestConformance names each check by its path,
+// <source>/<combination>/<entry>: the entries are entryNames and Facades.
+// A combination spans five name levels, six with its /c= one, so one
+// entry across every row is
+//
+//	-run 'TestConformance/.*/.*/.*/.*/.*/.*/(c=|BuildLive$)/BuildLive$'
 func TestConformance(t *testing.T) {
 	combos := conformanceCombos()
 	for _, c := range combos {
@@ -305,8 +311,7 @@ func TestConformance(t *testing.T) {
 		t.Run(cs.name, func(t *testing.T) {
 			for _, c := range combos {
 				t.Run(c.String(), func(t *testing.T) {
-					r := &row{t: t, cs: cs, c: c, pools: pools}
-					r.run()
+					(&row{cs: cs, c: c, pools: pools}).run(t)
 				})
 			}
 		})
@@ -335,19 +340,22 @@ func checkKey(t *testing.T, c combo) {
 	}
 }
 
-// row is one combination over one source.
+// row is one combination over one source. t is the running entry's
+// subtest; ref and refStats are the serial Builds every entry is held to,
+// made by reference.
 type row struct {
-	t     *testing.T
-	cs    confSource
-	c     combo
-	pools []*engine.Pool
-	bad   bool
+	t        *testing.T
+	cs       confSource
+	c        combo
+	pools    []*engine.Pool
+	ref      [][]byte
+	refStats probsyn.DPStats
+	refDone  bool
 }
 
 func (r *row) fail(format string, args ...any) {
 	r.t.Helper()
 	r.t.Errorf("%v: "+format, append([]any{r.c}, args...)...)
-	r.bad = true
 }
 
 // opts are the combination's options on pool, counting into st.
@@ -379,34 +387,74 @@ func (r *row) decode(what string, syn probsyn.Synopsis) (probsyn.Synopsis, []byt
 	return back, blob
 }
 
-func (r *row) run() {
-	r.t.Helper()
-	src, m, B := r.cs.src, r.c.metric, r.cs.B
-	var accepted [entryPoints]bool
+// run gives each entry that the verdict table accepts a subtest, whose
+// first build is its verdict, then holds its synopses to the reference;
+// an entry the table refuses gets one only when it accepts. A subtest
+// makes the reference if no earlier one did, so -run can select any one
+// entry.
+func (r *row) run(t *testing.T) {
 	for entry := range entryPoints {
-		_, err := buildVia(entry, src, m, B, r.opts(r.pools[0], new(probsyn.DPStats)))
-		accepted[entry] = err == nil
-		if want := wantAccept(r.c, entry, src, B); accepted[entry] != want {
-			r.fail("%s accepted = %v (err %v), want %v", entryNames[entry], err == nil, err, want)
+		if !wantAccept(r.c, entry, r.cs.src, r.cs.B) {
+			if _, err := buildVia(entry, r.cs.src, r.c.metric, r.cs.B, r.opts(r.pools[0], new(probsyn.DPStats))); err == nil {
+				t.Run(entryNames[entry], func(t *testing.T) {
+					r.t = t
+					r.fail("accepted, want a refusal")
+				})
+			}
+			continue
 		}
+		t.Run(entryNames[entry], func(t *testing.T) {
+			r.t = t
+			switch {
+			case r.reference() == nil:
+				// No reference: nothing to hold this entry to.
+			case entry == viaBuild:
+				r.build()
+			case entry == viaSweep:
+				r.sweeps()
+			case entry == viaLive:
+				r.live()
+			default:
+				r.sharded(1 + entry - viaShardedOne)
+			}
+		})
 	}
-	if r.bad || !accepted[viaBuild] {
-		return
+	// The facades take no options: EquiDepthHistogram a histogram metric,
+	// SSEWavelet none.
+	bare := r.c == (combo{wavelet: r.c.wavelet, metric: r.c.metric})
+	if bare && wantAccept(r.c, viaBuild, r.cs.src, r.cs.B) && (!r.c.wavelet || r.c.metric == probsyn.SSE) {
+		t.Run("Facades", func(t *testing.T) {
+			r.t = t
+			if r.reference() != nil {
+				r.facades()
+			}
+		})
 	}
-	// The reference: serial Builds at every budget a sweep serves (at B
-	// alone under WithEps, which has none).
+}
+
+// reference makes, once a row, the serial Builds every entry is held to:
+// one at every budget a sweep serves (at B alone under WithEps, which has
+// none), each decoding to itself, and an eps build within its
+// certificate. It is nil after a failure, which the subtest that made it
+// reports.
+func (r *row) reference() [][]byte {
+	if r.refDone {
+		return r.ref
+	}
+	r.refDone = true
+	src, m, B := r.cs.src, r.c.metric, r.cs.B
 	ref := make([][]byte, B+1)
-	var refStats probsyn.DPStats
-	for b := B; b >= 1 && (b == B || accepted[viaSweep]); b-- {
+	sweeps := wantAccept(r.c, viaSweep, src, B)
+	for b := B; b >= 1 && (b == B || sweeps); b-- {
 		var st probsyn.DPStats
 		syn, err := probsyn.Build(src, m, b, r.opts(r.pools[0], &st)...)
 		if err != nil {
 			r.fail("Build at budget %d: %v", b, err)
-			return
+			return nil
 		}
 		syn, ref[b] = r.decode(fmt.Sprintf("Build at budget %d", b), syn)
 		if b == B {
-			refStats = st
+			r.refStats = st
 			if r.c.eps != 0 {
 				// Theorem 5: within (1 + eps/2B)^B of the optimum, B <= n.
 				bn := float64(min(B, src.Domain()))
@@ -415,29 +463,25 @@ func (r *row) run() {
 			}
 		}
 	}
-	for _, pool := range r.pools {
+	r.ref = ref
+	return ref
+}
+
+// build: on every pool past the reference's serial one, Build has the
+// reference's bytes and DPStats.
+func (r *row) build() {
+	src, m, B := r.cs.src, r.c.metric, r.cs.B
+	for _, pool := range r.pools[1:] {
 		var st probsyn.DPStats
 		syn, err := probsyn.Build(src, m, B, r.opts(pool, &st)...)
 		if err != nil {
 			r.fail("Build on %d workers: %v", pool.Workers(), err)
 			return
 		}
-		if !bytes.Equal(mustMarshal(r.t, syn), ref[B]) || st != refStats {
-			r.fail("Build on %d workers: bytes or DPStats %+v differ from the serial build's (%+v)", pool.Workers(), st, refStats)
+		if !bytes.Equal(mustMarshal(r.t, syn), r.ref[B]) || st != r.refStats {
+			r.fail("Build on %d workers: bytes or DPStats %+v differ from the serial build's (%+v)", pool.Workers(), st, r.refStats)
 		}
 	}
-	if accepted[viaSweep] {
-		r.sweeps(ref, refStats)
-	}
-	if accepted[viaLive] {
-		r.live(ref, refStats)
-	}
-	for entry := viaShardedOne; entry <= viaShardedThree; entry++ {
-		if accepted[entry] {
-			r.sharded(1+entry-viaShardedOne, ref[B])
-		}
-	}
-	r.facades(ref[B])
 }
 
 // sweeps: on every pool, the sweep extracts at every budget the serial
@@ -445,8 +489,8 @@ func (r *row) run() {
 // at each budget is its synopsis's, which the oracle holds to the optimum
 // (a quantized one to within the bound). An exact sweep's costs never
 // rise with the budget.
-func (r *row) sweeps(ref [][]byte, refStats probsyn.DPStats) {
-	src, m, B := r.cs.src, r.c.metric, r.cs.B
+func (r *row) sweeps() {
+	src, m, B, ref, refStats := r.cs.src, r.c.metric, r.cs.B, r.ref, r.refStats
 	var bound0 float64
 	for i, pool := range r.pools {
 		var st probsyn.DPStats
@@ -509,63 +553,80 @@ func (r *row) sweeps(ref [][]byte, refStats probsyn.DPStats) {
 }
 
 // live: on every pool, a live frontier starts with Build's bytes and
-// DPStats, and after an Append (refused, changing nothing, under workload
-// weights, which new items have none of), an Update and an Update that
-// keeps the item's mean holds at every budget the bytes and bound of a
-// fresh sweep over the mutated data.
-func (r *row) live(ref [][]byte, refStats probsyn.DPStats) {
+// DPStats, and after each of an Append (refused, changing nothing, under
+// workload weights, which new items have none of), an Update and an
+// Update that keeps the item's mean holds at every budget the bytes and
+// bound of a fresh serial sweep over the mutated data.
+func (r *row) live() {
 	m, B := r.c.metric, r.cs.B
-	for _, pool := range r.pools {
+	cur := r.cs.src.(*probsyn.ValuePDF).Clone()
+	lives := make([]probsyn.Maintainer, len(r.pools))
+	for i, pool := range r.pools {
 		var st probsyn.DPStats
-		cur := r.cs.src.(*probsyn.ValuePDF).Clone()
 		live, err := probsyn.BuildLive(cur, m, B, r.opts(pool, &st)...)
 		if err != nil {
 			r.fail("BuildLive on %d workers: %v", pool.Workers(), err)
 			return
 		}
-		if st != refStats {
-			r.fail("BuildLive on %d workers: DPStats %+v, Build's %+v", pool.Workers(), st, refStats)
+		if st != r.refStats {
+			r.fail("BuildLive on %d workers: DPStats %+v, Build's %+v", pool.Workers(), st, r.refStats)
 		}
-		r.sameFrontier("BuildLive", live, ref)
-		added := probsyn.ItemPDF{Entries: []probsyn.FreqProb{{Freq: 2, Prob: .5}, {Freq: 5, Prob: .25}}}
-		if err := live.Append([]probsyn.ItemPDF{added}); r.c.weights != (err != nil) {
-			r.fail("BuildLive: Append error %v under weights=%v", err, r.c.weights)
-			return
-		}
-		if !r.c.weights {
-			cur.Items, cur.N = append(cur.Items, added), cur.N+1
-		}
-		for _, u := range []struct {
-			at   int
-			item probsyn.ItemPDF
-		}{
-			{cur.N / 2, probsyn.ItemPDF{Entries: []probsyn.FreqProb{{Freq: 4, Prob: .75}}}},
-			{0, probsyn.ItemPDF{Entries: []probsyn.FreqProb{{Freq: 2 * cur.Items[0].Mean(), Prob: .5}}}},
-		} {
-			if err := live.Update(u.at, u.item); err != nil {
-				r.fail("BuildLive: Update: %v", err)
-				return
-			}
-			cur.Items[u.at] = u.item
-		}
-		fresh, err := probsyn.BuildSweep(cur, m, B, r.opts(pool, new(probsyn.DPStats))...)
+		r.sameFrontier("BuildLive", live, r.ref)
+		lives[i] = live
+	}
+	asFresh := func(what string) bool {
+		fresh, err := probsyn.BuildSweep(cur, m, B, r.opts(r.pools[0], new(probsyn.DPStats))...)
 		if err != nil {
-			r.fail("fresh BuildSweep after mutations: %v", err)
-			return
-		}
-		if live.Domain() != cur.N || math.Float64bits(probsyn.ApproxBound(live)) != math.Float64bits(probsyn.ApproxBound(fresh)) {
-			r.fail("BuildLive after mutations: domain %d and bound %v, fresh %d and %v", live.Domain(), probsyn.ApproxBound(live), cur.N, probsyn.ApproxBound(fresh))
+			r.fail("fresh BuildSweep after %s: %v", what, err)
+			return false
 		}
 		want := make([][]byte, B+1)
 		for b := 1; b <= fresh.Bmax(); b++ {
 			syn, err := fresh.Synopsis(b)
 			if err != nil {
-				r.fail("fresh BuildSweep: budget %d: %v", b, err)
-				return
+				r.fail("fresh BuildSweep after %s: budget %d: %v", what, b, err)
+				return false
 			}
 			want[b] = mustMarshal(r.t, syn)
 		}
-		r.sameFrontier("BuildLive after its mutations", live, want)
+		for _, live := range lives {
+			if live.Domain() != cur.N || math.Float64bits(probsyn.ApproxBound(live)) != math.Float64bits(probsyn.ApproxBound(fresh)) {
+				r.fail("BuildLive after %s: domain %d and bound %v, fresh %d and %v", what, live.Domain(), probsyn.ApproxBound(live), cur.N, probsyn.ApproxBound(fresh))
+			}
+			r.sameFrontier("BuildLive after "+what, live, want)
+		}
+		return true
+	}
+	added := probsyn.ItemPDF{Entries: []probsyn.FreqProb{{Freq: 2, Prob: .5}, {Freq: 5, Prob: .25}}}
+	for _, live := range lives {
+		if err := live.Append([]probsyn.ItemPDF{added}); r.c.weights != (err != nil) {
+			r.fail("BuildLive: Append error %v under weights=%v", err, r.c.weights)
+			return
+		}
+	}
+	if !r.c.weights {
+		cur.Items, cur.N = append(cur.Items, added), cur.N+1
+	}
+	if !asFresh("an Append") {
+		return
+	}
+	for _, u := range []struct {
+		at   int
+		item probsyn.ItemPDF
+	}{
+		{cur.N / 2, probsyn.ItemPDF{Entries: []probsyn.FreqProb{{Freq: 4, Prob: .75}}}},
+		{0, probsyn.ItemPDF{Entries: []probsyn.FreqProb{{Freq: 2 * cur.Items[0].Mean(), Prob: .5}}}},
+	} {
+		for _, live := range lives {
+			if err := live.Update(u.at, u.item); err != nil {
+				r.fail("BuildLive: Update: %v", err)
+				return
+			}
+		}
+		cur.Items[u.at] = u.item
+		if !asFresh(fmt.Sprintf("an Update of item %d", u.at)) {
+			return
+		}
 	}
 }
 
@@ -590,8 +651,8 @@ func (r *row) sameFrontier(what string, fr probsyn.Frontier, want [][]byte) {
 // sharded: a k-way merge has the same bytes, Bound bits and DPStats on
 // every pool; at k = 1 it is Build with Bound 0, and past it the oracle
 // holds its cost to [OPT, OPT + Bound].
-func (r *row) sharded(k int, build []byte) {
-	src, m, B := r.cs.src, r.c.metric, r.cs.B
+func (r *row) sharded(k int) {
+	src, m, B, build := r.cs.src, r.c.metric, r.cs.B, r.ref[r.cs.B]
 	var blob0 []byte
 	var bound0 float64
 	var stats0 probsyn.DPStats
@@ -619,11 +680,10 @@ func (r *row) sharded(k int, build []byte) {
 
 // facades: the equi-depth heuristic prices its buckets as an exact build
 // would, and SSEWavelet is Build's greedy synopsis with its accounting.
-func (r *row) facades(build []byte) {
+// (The codec's facades, MarshalSynopsis and UnmarshalSynopsis, are every
+// entry's decode.)
+func (r *row) facades() {
 	c, src, B := r.c, r.cs.src, r.cs.B
-	if c != (combo{wavelet: c.wavelet, metric: c.metric}) {
-		return
-	}
 	if !c.wavelet {
 		h, err := probsyn.EquiDepthHistogram(src, c.metric, c.params(), B)
 		if err != nil {
@@ -634,37 +694,39 @@ func (r *row) facades(build []byte) {
 		r.truth("EquiDepthHistogram", syn, B, func(cost, opt float64) bool { return atMost(opt, cost) })
 		return
 	}
-	if c.metric != probsyn.SSE {
-		return
-	}
 	syn, rep, err := probsyn.SSEWavelet(src, B)
 	if err != nil {
 		r.fail("SSEWavelet: %v", err)
 		return
 	}
-	if !bytes.Equal(mustMarshal(r.t, syn), build) || rep.ExpectedSSE != syn.ErrorCost() {
+	if !bytes.Equal(mustMarshal(r.t, syn), r.ref[B]) || rep.ExpectedSSE != syn.ErrorCost() {
 		r.fail("SSEWavelet: bytes differ from Build's, or its report's %v from its cost %v", rep.ExpectedSSE, syn.ErrorCost())
 	}
 }
 
-// truth holds syn, built at budget b, to the oracle: its reported cost is
-// its expected error over the source's possible worlds, a histogram prices
-// every bucket at that bucket's best representative (under SSE, at the
-// mean of its expected frequencies, Eq. 5's estimate), and ok accepts the
-// expected error against opt, the least any synopsis of the family reaches
-// at b: every bucketing, or every subset of the expected coefficients.
+// truth holds syn, built at budget b, to the oracle: it has at most b
+// terms, its reported cost is its expected error over the source's
+// possible worlds, a histogram prices every bucket at that bucket's best
+// representative (under SSE, at the mean of its expected frequencies,
+// Eq. 5's estimate), and ok accepts the expected error against opt, the
+// least any synopsis of the family reaches at b: every bucketing, or
+// every subset of the expected coefficients.
 func (r *row) truth(what string, syn probsyn.Synopsis, b int, ok func(cost, opt float64) bool) {
 	r.t.Helper()
 	w := r.cs.truth
 	if w == nil {
 		return
 	}
+	if syn.Terms() > b {
+		r.fail("%s: %d terms at budget %d", what, syn.Terms(), b)
+		return
+	}
 	o := r.objective()
 	var truth, opt float64
 	switch s := syn.(type) {
 	case *probsyn.Histogram:
-		if s.N != w.n || s.Terms() > b {
-			r.fail("%s: %d buckets over %d items at budget %d", what, s.Terms(), s.N, b)
+		if s.N != w.n {
+			r.fail("%s: buckets over %d items, the source has %d", what, s.N, w.n)
 			return
 		}
 		for _, k := range s.Buckets {

@@ -40,6 +40,10 @@ type ShardedResult struct {
 // w shards solve at once, each shard's DP serial while more than one
 // does.
 //
+// Against WithEps it is on the front under SAE, and under SSE on
+// datagen's mystiq data (DESIGN.md finding 5: mystiq n=32768 SSE, k=2
+// +0.00% in 3.5 s, eps=0.5 +0.46% in 4.5 s).
+//
 // A wavelet is not sharded: WithWavelet is refused at every k. Past the
 // exact tree DP's reach, an unsharded WithQuantize build is as fast, no
 // worse and certified far tighter than a sharded merge (DESIGN.md,

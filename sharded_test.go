@@ -185,6 +185,7 @@ func TestShardedHistWithinBoundOfOptimum(t *testing.T) {
 			zeros[i] = positive[i]
 		}
 	}
+	// They price SSE-fixed's objective alone: SSE is refused, naming it.
 	for name, weights := range map[string][]float64{"weights": positive, "zero-weights": zeros} {
 		o, err := hist.NewWorkloadSSE(weighted, weights)
 		if err != nil {
@@ -194,7 +195,11 @@ func TestShardedHistWithinBoundOfOptimum(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%v", name, m), func(t *testing.T) {
 				for _, k := range []int{2, 3, 4} {
 					for _, B := range []int{k, 6, 12} {
-						shardedAgainstOptimum(t, weighted, m, B, k, oracleTruth(o), probsyn.WithWorkloadWeights(weights))
+						if m == probsyn.SSEFixed {
+							shardedAgainstOptimum(t, weighted, m, B, k, oracleTruth(o), probsyn.WithWorkloadWeights(weights))
+						} else if _, err := probsyn.BuildSharded(weighted, m, B, k, probsyn.WithWorkloadWeights(weights)); err == nil || !strings.Contains(err.Error(), "SSE-fixed") {
+							t.Errorf("k=%d B=%d: weighted SSE: err %v, want a refusal naming SSE-fixed", k, B, err)
+						}
 					}
 				}
 			})
