@@ -1,13 +1,16 @@
 package probsyn_test
 
 import (
-	"bufio"
-	"bytes"
+	"go/ast"
+	"go/build"
+	"go/parser"
+	"go/token"
 	"os"
-	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // TestCIPatternsMatchTests: every `go test -run <pattern>` and
@@ -15,7 +18,9 @@ import (
 // target in each package the line lists. A pattern that matches nothing
 // passes vacuously, so a test renamed or deleted here would drop out of
 // CI without a sound. (-run '^$', "run none", is how a fuzz or bench step
-// keeps the tests out; it is skipped.)
+// keeps the tests out; it is skipped.) The names come from parsing each
+// package's test files (testNames), not from `go test -list`, which would
+// build every listed package's test binary.
 func TestCIPatternsMatchTests(t *testing.T) {
 	yml, err := os.ReadFile(".github/workflows/ci.yml")
 	if err != nil {
@@ -53,23 +58,13 @@ func TestCIPatternsMatchTests(t *testing.T) {
 	if len(uses) == 0 {
 		t.Fatal("no -run or -fuzz pattern found in ci.yml")
 	}
-	// go test -list prints each package's tests, then its "ok" line.
-	args := []string{"test", "-list", "."}
+	listed := map[string][]string{} // package directory -> test and fuzz names
 	for pkg := range pkgSet {
-		args = append(args, pkg)
-	}
-	out, err := exec.Command("go", args...).CombinedOutput()
-	if err != nil {
-		t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, out)
-	}
-	listed := map[string][]string{} // import path -> test and fuzz names
-	var names []string
-	for sc := bufio.NewScanner(bytes.NewReader(out)); sc.Scan(); {
-		if f := strings.Fields(sc.Text()); len(f) >= 2 && f[0] == "ok" {
-			listed[f[1]], names = names, nil
-		} else if len(f) == 1 {
-			names = append(names, f[0])
+		names, err := testNames(pkg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		listed[pkg] = names
 	}
 	for _, u := range uses {
 		// -run matches its first '/'-separated element against top-level
@@ -79,12 +74,8 @@ func TestCIPatternsMatchTests(t *testing.T) {
 			t.Errorf("%s %q: %v", u.flag, u.pattern, err)
 			continue
 		}
-		path := "probsyn"
-		if u.pkg != "." {
-			path += "/" + strings.TrimPrefix(u.pkg, "./")
-		}
 		found := false
-		for _, name := range listed[path] {
+		for _, name := range listed[u.pkg] {
 			if re.MatchString(name) && (u.flag == "-run" || strings.HasPrefix(name, "Fuzz")) {
 				found = true
 				break
@@ -94,4 +85,44 @@ func TestCIPatternsMatchTests(t *testing.T) {
 			t.Errorf("ci.yml: %s %q matches no test in %s", u.flag, u.pattern, u.pkg)
 		}
 	}
+}
+
+// testNames returns the top-level tests, fuzz targets and examples that
+// `go test` would find in the package in dir: the TestXxx, FuzzXxx and
+// ExampleXxx functions of its _test.go files that build on this platform
+// without tags (go/build's constraint rules, as `go test` applies them).
+func testNames(dir string) ([]string, error) {
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	fset := token.NewFileSet()
+	for _, f := range files {
+		if !strings.HasSuffix(f.Name(), "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, f.Name()); err != nil || !ok {
+			if err != nil {
+				return nil, err
+			}
+			continue
+		}
+		file, err := parser.ParseFile(fset, filepath.Join(dir, f.Name()), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		for _, d := range file.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil {
+				continue
+			}
+			for _, prefix := range []string{"Test", "Fuzz", "Example"} {
+				if rest, ok := strings.CutPrefix(fn.Name.Name, prefix); ok && (rest == "" || !unicode.IsLower(rune(rest[0]))) {
+					names = append(names, fn.Name.Name)
+				}
+			}
+		}
+	}
+	return names, nil
 }

@@ -15,6 +15,7 @@ package catalog
 
 import (
 	"fmt"
+	"io"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -421,12 +422,21 @@ func (c *Catalog) Save(dir string, e *Entry) (string, error) {
 // partially written one — a crash leaves at worst a stray .tmp, which
 // LoadDir skips.
 func WriteBlob(path string, blob []byte) error {
+	return writeAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(blob)
+		return err
+	})
+}
+
+// writeAtomic is WriteBlob for content that write streams into the temp
+// file.
+func writeAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(blob); err == nil {
+	if err = write(tmp); err == nil {
 		err = tmp.Close()
 	} else {
 		tmp.Close()

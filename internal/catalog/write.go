@@ -1,9 +1,9 @@
 package catalog
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -270,17 +270,14 @@ type PersistError struct {
 func (e *PersistError) Error() string { return fmt.Sprintf("persist dataset %s: %v", e.Path, e.Err) }
 func (e *PersistError) Unwrap() error { return e.Err }
 
-// persistDataset writes vp to path atomically in the dataset text format;
-// an empty path writes nothing.
+// persistDataset writes vp to path atomically in the dataset text format,
+// streamed into the temp file (the writer buffers a few kB, not the
+// file); an empty path writes nothing.
 func persistDataset(path string, vp *pdata.ValuePDF) error {
 	if path == "" {
 		return nil
 	}
-	var buf bytes.Buffer
-	err := probsyn.WriteDataset(&buf, vp)
-	if err == nil {
-		err = WriteBlob(path, buf.Bytes())
-	}
+	err := writeAtomic(path, func(w io.Writer) error { return probsyn.WriteDataset(w, vp) })
 	if err != nil {
 		return &PersistError{Path: path, Err: err}
 	}

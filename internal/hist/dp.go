@@ -3,6 +3,7 @@ package hist
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"probsyn/internal/engine"
 )
@@ -74,6 +75,23 @@ type DPTable struct {
 	// the true argmin and break bit-identity with the dense scan.
 	mono  []int
 	stats DPStats
+	// runColumns' scratch, kept across resumes (a fresh table drops it):
+	// the cost-column ring, the sweep's representatives, the bands'
+	// certificate snapshots and their work counters.
+	ring, reps []float64
+	snap       []int
+	bandStats  []DPStats
+}
+
+// grow returns buf resliced to length n, its first min(len(buf), n)
+// elements kept, reallocating with append's amortised headroom when short
+// of capacity: a structure that grows a few items at a time reallocates
+// rarely.
+func grow[T any](buf []T, n int) []T {
+	if n <= cap(buf) {
+		return buf[:n]
+	}
+	return slices.Grow(buf, n-len(buf))[:n]
 }
 
 // Stats returns the cumulative DP work counters (see DPStats).
@@ -147,6 +165,9 @@ func runDP(o Oracle, Bmax int, pool *engine.Pool, ts tileShape) (*DPTable, error
 		t.choice[b] = make([]int32, n)
 	}
 	t.runColumns(0, pool, ts)
+	// Only a resume reuses the scratch; a table that is never resumed
+	// holds no more than its opt/choice.
+	t.ring, t.reps, t.snap, t.bandStats = nil, nil, nil, nil
 	return t, nil
 }
 
@@ -223,20 +244,25 @@ func (t *DPTable) runColumns(from int, pool *engine.Pool, ts tileShape) {
 	// minimum bcm.
 	nb := (n + scanBlock - 1) / scanBlock
 	slot := n + 2*nb
-	ringBuf := make([]float64, ring*width*slot)
+	t.ring = grow(t.ring[:0], ring*width*slot)
+	ringBuf := t.ring
 	column := func(q, e int) (costs, bmin, bcm []float64) {
 		at := ((q%ring)*width + e - from - q*ts.ends) * slot
 		return ringBuf[at : at+n], ringBuf[at+n : at+n+nb], ringBuf[at+n+nb : at+slot]
 	}
 	var reps []float64
 	if sweeper != nil {
-		reps = make([]float64, n)
+		t.reps = grow(t.reps[:0], n)
+		reps = t.reps
 	}
 	// snap[r*cols+q] is row r's last-level certificate as tile (r, q) left
 	// it; stats[r] is row r's work, summed at the end so the total does not
 	// depend on which worker ran what.
-	snap := make([]int, rows*cols)
-	stats := make([]DPStats, rows)
+	t.snap = grow(t.snap[:0], rows*cols)
+	snap := t.snap
+	t.bandStats = grow(t.bandStats[:0], rows)
+	stats := t.bandStats
+	clear(stats)
 
 	pool.RunGrid(rows, cols, ring, func(r, q int) {
 		lo := from + q*ts.ends
@@ -475,9 +501,10 @@ func prunedScanLazy(o Oracle, prev []float64, lo, hi, e int, isSum bool, U float
 }
 
 // Resume keeps the table live against a mutation of the caller's data: it
-// re-anchors the table on o, the oracle rebuilt over the mutated data
-// (same or larger domain), and recomputes on pool every column from
-// `from` — the first item changed, or the old domain size for an append.
+// re-anchors the table on o, the oracle over the mutated data (rebuilt,
+// or the same one resumed in place; same or larger domain), and
+// recomputes on pool every column from `from` — the first item changed,
+// or the old domain size for an append.
 // Column e of Eq. (2) reads only bucket costs within [0, e] and columns
 // left of e, so an append of k items runs just the k new columns
 // (O(k·n·B) instead of O(n²·B)) and an update of item i re-runs the
@@ -513,20 +540,15 @@ func (t *DPTable) resume(o Oracle, from int, pool *engine.Pool, ts tileShape) er
 		t.opt = t.opt[:bmax]
 		t.choice = t.choice[:bmax]
 	}
+	// Rows grow with headroom: a live table absorbs appends a few items
+	// at a time.
+	for b := range t.opt {
+		t.opt[b] = grow(t.opt[b], n)
+		t.choice[b] = grow(t.choice[b], n)
+	}
 	for b := t.bmax; b < bmax; b++ {
 		t.opt = append(t.opt, make([]float64, n))
 		t.choice = append(t.choice, make([]int32, n))
-	}
-	if n > t.n {
-		for b := 0; b < len(t.opt); b++ {
-			if len(t.opt[b]) < n {
-				opt := make([]float64, n)
-				copy(opt, t.opt[b])
-				choice := make([]int32, n)
-				copy(choice, t.choice[b])
-				t.opt[b], t.choice[b] = opt, choice
-			}
-		}
 	}
 	t.oracle, t.n, t.bmax = o, n, bmax
 	t.runColumns(from, pool, ts)

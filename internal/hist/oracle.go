@@ -20,8 +20,10 @@ const (
 // Cost must be safe for concurrent calls: ApproximatePool issues them
 // from multiple goroutines, and any number of DPs may price through one
 // oracle at once. Every oracle in this package satisfies this by
-// construction — Cost only reads arrays frozen at construction time (or,
-// for SSETuple, by its first call under a sync.Once).
+// construction — Cost only reads arrays written at construction time (or,
+// for SSETuple, by its first call under a sync.Once). One oracle's arrays
+// are rewritten later: a live WeightedAbs's, by its owner's Resume, which
+// the live frontier calls under its lock while no DP runs on the oracle.
 //
 // Cost must be non-negative, exactly, in floats — not just in exact
 // arithmetic. Every error metric is a non-negative expectation, but

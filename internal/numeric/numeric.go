@@ -9,7 +9,10 @@
 // costs stable even for n ~ 10^5 items with widely varying magnitudes.
 package numeric
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Sum returns the Kahan–Neumaier compensated sum of xs.
 func Sum(xs []float64) float64 {
@@ -74,6 +77,34 @@ func (pp Prefix) Range(s, e int) float64 {
 
 // Len returns the number of underlying items.
 func (pp Prefix) Len() int { return len(pp.p) - 1 }
+
+// Push appends item x, continuing a, the accumulator that summed the
+// items before it: len(xs) Pushes onto an empty table with a zero
+// accumulator write NewPrefix(xs) bit for bit, so a table truncated to its
+// first k items (Truncate) resumes exactly from the accumulator's state
+// after those k.
+func (pp *Prefix) Push(a *Accumulator, x float64) {
+	if len(pp.p) == 0 {
+		pp.p = append(pp.p, 0)
+	}
+	a.Add(x)
+	pp.p = append(pp.p, a.Value())
+}
+
+// Reserve makes room for a table of n items, so that Pushes up to n
+// allocate nothing.
+func (pp *Prefix) Reserve(n int) {
+	if more := n + 1 - len(pp.p); more > 0 {
+		pp.p = slices.Grow(pp.p, more)
+	}
+}
+
+// Truncate keeps the entries of the first n items (n <= Len()).
+func (pp *Prefix) Truncate(n int) {
+	if pp.p != nil {
+		pp.p = pp.p[:n+1]
+	}
+}
 
 // MinConvexGrid minimizes f over the integer grid [lo, hi] (inclusive),
 // assuming the difference sequence f(k+1)-f(k) is non-decreasing in k

@@ -143,20 +143,31 @@ func NewPMFTable(vp *ValuePDF, vs ValueSet) (*PMFTable, error) {
 	t := &PMFTable{VS: vs, P: make([][]float64, n)}
 	for i := 0; i < n; i++ {
 		row := flatP[i*k : (i+1)*k : (i+1)*k]
-		row[0] = vp.Items[i].ZeroProb()
-		for _, e := range vp.Items[i].Entries {
-			if e.Freq == 0 {
-				continue
-			}
-			j := vs.Index(e.Freq)
-			if j < 0 {
-				return nil, errValueNotInSupport(i, e.Freq)
-			}
-			row[j] += e.Prob
+		if freq, ok := vs.PMFRow(row, &vp.Items[i]); !ok {
+			return nil, errValueNotInSupport(i, freq)
 		}
 		t.P[i] = row
 	}
 	return t, nil
+}
+
+// PMFRow writes one item's pmf over V into row (len |V|): row[j] =
+// Pr[g = V[j]], the implicit zero mass included — one row of
+// NewPMFTable. It reports the first listed frequency V lacks, if any.
+func (vs *ValueSet) PMFRow(row []float64, it *ItemPDF) (missing float64, ok bool) {
+	clear(row)
+	row[0] = it.ZeroProb()
+	for _, e := range it.Entries {
+		if e.Freq == 0 {
+			continue
+		}
+		j := vs.Index(e.Freq)
+		if j < 0 {
+			return e.Freq, false
+		}
+		row[j] += e.Prob
+	}
+	return 0, true
 }
 
 func errValueNotInSupport(item int, freq float64) error {

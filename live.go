@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"probsyn/internal/hist"
 	"probsyn/internal/pdata"
 	"probsyn/internal/synopsis"
 )
@@ -28,6 +29,13 @@ type Maintainer = synopsis.Maintainer
 //     mutation can have changed. Append runs only the new suffix columns;
 //     Update re-runs the columns right of the updated item (hot-tail
 //     corrections are nearly free, an update at item 0 is a full re-DP).
+//     The table's rows grow in place, with headroom. An SAE/SARE oracle
+//     resumes in place too: it rewrites its table rows past the change
+//     (past the checkpoint at most 63 rows before it), so an append costs
+//     the new rows and allocates next to nothing. A mutation that adds a
+//     value to its grid, or drops one, refills the table whole, in the
+//     same memory. Every other oracle is rebuilt over the mutated data, in
+//     O(n) or in less time than its DP.
 //   - wavelet: one fresh sweep over the mutated data, BuildSweep's cost
 //     for every mutation. An update that keeps the item's mean (a pdf
 //     replaced by one with the same expectation) pays it too; DESIGN.md
@@ -64,7 +72,7 @@ func BuildLive(src Source, m Metric, Bmax int, opts ...BuildOption) (Maintainer,
 	}
 	defer release()
 	l := &liveFrontier{plan: p, bmax: Bmax, vp: vp.Clone()}
-	if err := l.refresh(0); err != nil {
+	if err := l.refresh(0, nil); err != nil {
 		return nil, err
 	}
 	l.reportStats()
@@ -83,20 +91,51 @@ type liveFrontier struct {
 	vp    *pdata.ValuePDF // the current data
 	cur   countedFrontier // the frontier over vp
 	spent DPStats         // the work of the wavelet sweeps cur replaced
+	// oracle is a histogram frontier's bucket-cost oracle over vp: an
+	// SAE/SARE one resumes in place, any other is rebuilt.
+	oracle hist.Oracle
 }
 
 // refresh brings the frontier up to date with vp, whose items from `from`
-// on changed (every item, on the initial build): a histogram resumes its
-// table at column from, a wavelet family sweeps the whole data afresh.
-func (l *liveFrontier) refresh(from int) error {
+// on changed (every item, on the initial build), replaced holding the
+// items the mutation overwrote: a histogram resumes its oracle, or
+// rebuilds it, and resumes its table at column from; a wavelet family
+// sweeps the whole data afresh.
+func (l *liveFrontier) refresh(from int, replaced []pdata.ItemPDF) error {
 	p := l.plan
 	if h, ok := l.cur.(histFrontier); ok {
-		o, err := p.oracle(l.vp)
+		o := l.oracle
+		if r, ok := o.(*hist.WeightedAbs); ok { // built by plan.liveOracle
+			// Under mu, with no DP running: the table reads the oracle
+			// only inside its own Resume. Whatever the table's Resume
+			// would refuse, the oracle's refuses first, unwritten.
+			if err := r.Resume(l.vp, from, replaced); err != nil {
+				return err
+			}
+		} else {
+			var err error
+			if o, err = p.oracle(l.vp); err != nil {
+				return err
+			}
+		}
+		// The table is revalidated in place: cur already reads it.
+		if err := h.tab.Resume(o, from, p.pool); err != nil {
+			return err
+		}
+		l.oracle = o
+		return nil
+	}
+	if l.cur == nil && p.family == histExact {
+		o, err := p.liveOracle(l.vp)
 		if err != nil {
 			return err
 		}
-		// The table is revalidated in place: cur already reads it.
-		return h.tab.Resume(o, from, p.pool)
+		fr, err := p.histFrontier(o, l.bmax)
+		if err != nil {
+			return err
+		}
+		l.cur, l.oracle = fr, o
+		return nil
 	}
 	fr, err := p.frontier(l.vp, l.bmax)
 	if err != nil {
@@ -168,13 +207,13 @@ func (l *liveFrontier) Append(items []pdata.ItemPDF) error {
 	if len(items) == 0 {
 		return nil
 	}
-	return l.mutate(func() (int, func(), error) {
+	return l.mutate(func() (int, []pdata.ItemPDF, func(), error) {
 		n := l.vp.N
 		for _, it := range items {
 			l.vp.Items = append(l.vp.Items, it.Clone())
 		}
 		l.vp.N = len(l.vp.Items)
-		return n, func() { l.vp.Items, l.vp.N = l.vp.Items[:n], n }, nil
+		return n, nil, func() { l.vp.Items, l.vp.N = l.vp.Items[:n], n }, nil
 	})
 }
 
@@ -182,22 +221,23 @@ func (l *liveFrontier) Update(i int, item pdata.ItemPDF) error {
 	if err := item.Validate(); err != nil {
 		return fmt.Errorf("probsyn: update item %d: %w", i, err)
 	}
-	return l.mutate(func() (int, func(), error) {
+	return l.mutate(func() (int, []pdata.ItemPDF, func(), error) {
 		if i < 0 || i >= l.vp.N {
-			return 0, nil, fmt.Errorf("probsyn: update index %d outside domain [0, %d)", i, l.vp.N)
+			return 0, nil, nil, fmt.Errorf("probsyn: update index %d outside domain [0, %d)", i, l.vp.N)
 		}
 		old := l.vp.Items[i]
 		l.vp.Items[i] = item.Clone()
-		return i, func() { l.vp.Items[i] = old }, nil
+		return i, []pdata.ItemPDF{old}, func() { l.vp.Items[i] = old }, nil
 	})
 }
 
 // mutate runs one mutation under the lock and a build token. apply
-// changes vp and returns the first item it changed and how to revert the
-// change; a frontier that cannot follow the mutated data (a wavelet DP's
-// state cap, say) has it reverted, so a rejected mutation leaves the data
-// as the frontier still describes it.
-func (l *liveFrontier) mutate(apply func() (from int, undo func(), err error)) error {
+// changes vp and returns the first item it changed, the items it
+// overwrote from there, and how to revert the change; a frontier that
+// cannot follow the mutated data (a wavelet DP's state cap, say) has it
+// reverted, so a rejected mutation leaves the data as the frontier still
+// describes it.
+func (l *liveFrontier) mutate(apply func() (from int, replaced []pdata.ItemPDF, undo func(), err error)) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	release, err := l.plan.admit()
@@ -205,11 +245,11 @@ func (l *liveFrontier) mutate(apply func() (from int, undo func(), err error)) e
 		return err
 	}
 	defer release()
-	from, undo, err := apply()
+	from, replaced, undo, err := apply()
 	if err != nil {
 		return err
 	}
-	if err := l.refresh(from); err != nil {
+	if err := l.refresh(from, replaced); err != nil {
 		undo()
 		return err
 	}

@@ -16,6 +16,8 @@ import (
 
 	"probsyn"
 	"probsyn/internal/engine"
+	"probsyn/internal/gen"
+	"probsyn/internal/ptest"
 )
 
 func liveRandItem(rng *rand.Rand) probsyn.ItemPDF {
@@ -168,6 +170,87 @@ func TestLiveByteIdenticalToFreshSweep(t *testing.T) {
 					assertLiveMatchesSweep(t, live, cur, fam.m, B, opts, fmt.Sprintf("step %d", step))
 				}
 			})
+		}
+	}
+}
+
+// TestLiveGridMutations: live SAE and SARE histograms follow mutations
+// that move the value grid — values added below, between and above it,
+// the last entry listing a value replaced, a negative zero coming and
+// going (ptest.GridMutations) — byte-identical to a fresh BuildSweep at
+// every budget after each one, at several worker counts. liveRandItem
+// lists frequencies 0..5 only, so its grid saturates within a few items.
+func TestLiveGridMutations(t *testing.T) {
+	const B = 8
+	for _, m := range []probsyn.Metric{probsyn.SAE, probsyn.SARE} {
+		for _, workers := range []int{1, 2, runtime.NumCPU()} {
+			t.Run(fmt.Sprintf("%v/workers=%d", m, workers), func(t *testing.T) {
+				vp, muts := ptest.GridMutations(rand.New(rand.NewSource(5)), 20)
+				opts := []probsyn.BuildOption{probsyn.WithParallelism(workers)}
+				live, err := probsyn.BuildLive(vp, m, B, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cur := vp.Clone()
+				for step, mu := range muts {
+					if mu.At < 0 {
+						err = live.Append(mu.Items)
+					} else {
+						err = live.Update(mu.At, mu.Items[0])
+					}
+					if err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+					mu.Apply(cur)
+					assertLiveMatchesSweep(t, live, cur, m, B, opts, fmt.Sprintf("step %d (at %d)", step, mu.At))
+				}
+			})
+		}
+	}
+}
+
+// TestLiveHistogramAllocations pins what a served mutation allocates on
+// a live SAE B=32 histogram over sensor data, n=512: the oracle and the
+// DP table resume in place, so a 4-item Append and a midpoint Update
+// each allocate well under a rebuilt oracle's megabyte, amortised over
+// rounds after a warm one.
+func TestLiveHistogramAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const n, rounds, maxBytes = 512, 8, 128 << 10
+	data := gen.SensorGrid(rand.New(rand.NewSource(1)), gen.DefaultSensor(n))
+	pdfs := gen.SensorGrid(rand.New(rand.NewSource(2)), gen.DefaultSensor(5*(rounds+1))).Items
+	live, err := probsyn.BuildLive(data, probsyn.SAE, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var appendBytes, updateBytes uint64
+	for r := 0; r <= rounds; r++ {
+		take := pdfs[5*r : 5*(r+1)]
+		var m0, m1, m2 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if err := live.Append(take[:4]); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		if err := live.Update(n/2, take[4]); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m2)
+		if r > 0 { // round 0 is the warm one
+			appendBytes += m1.TotalAlloc - m0.TotalAlloc
+			updateBytes += m2.TotalAlloc - m1.TotalAlloc
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		bytes uint64
+	}{{"4-item Append", appendBytes}, {"midpoint Update", updateBytes}} {
+		per := c.bytes / rounds
+		t.Logf("%s: %d bytes a mutation", c.name, per)
+		if per > maxBytes {
+			t.Errorf("%s allocates %d bytes a mutation, want <= %d", c.name, per, maxBytes)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"probsyn/internal/engine"
 	"probsyn/internal/hist"
+	"probsyn/internal/pdata"
 	"probsyn/internal/wavelet"
 )
 
@@ -133,6 +134,17 @@ func (p *plan) oracle(src Source) (hist.Oracle, error) {
 	return hist.NewOracle(src, p.metric, p.params)
 }
 
+// liveOracle builds the oracle of a histogram kept live over vp: the
+// SAE/SARE oracle in the form that resumes in place
+// (hist.WeightedAbs.Resume); any other is rebuilt per mutation, its
+// rebuild O(n) or dwarfed by its DP.
+func (p *plan) liveOracle(vp *pdata.ValuePDF) (hist.Oracle, error) {
+	if p.weights == nil && (p.metric == SAE || p.metric == SARE) {
+		return hist.NewLiveWeightedAbs(vp, p.metric, p.params)
+	}
+	return p.oracle(vp)
+}
+
 // frontier runs the plan's one DP at budget Bmax: the histogram table or
 // the wavelet sweep, either of which answers every budget up to Bmax. The
 // caller holds the admission token and reports the frontier's Stats.
@@ -150,6 +162,11 @@ func (p *plan) frontier(src Source, Bmax int) (countedFrontier, error) {
 	if err != nil {
 		return nil, err
 	}
+	return p.histFrontier(o, Bmax)
+}
+
+// histFrontier runs the histogram DP over o at budget Bmax.
+func (p *plan) histFrontier(o hist.Oracle, Bmax int) (countedFrontier, error) {
 	tab, err := hist.RunDPPool(o, Bmax, p.pool)
 	if err != nil {
 		return nil, err
