@@ -166,12 +166,22 @@ type Mutation struct {
 // is left alone, and an update index outside the domain is an error.
 // Persisting the copy is Republish's, which writes it before any synopsis
 // over it.
+//
+// The copy is shallow where it can be: a fresh Items slice, sized for
+// the append, holding clones of the new or updated items and sharing
+// every untouched item's Entries array with vp. That is sound because no
+// code writes an ItemPDF.Entries element in place once the item is in a
+// dataset: entries are built by append while an item is parsed or made,
+// an item is replaced whole, and a stored item is only read. A change
+// that writes into a stored item's entries breaks that invariant, and
+// with it every older dataset that shares the array.
 func (mu Mutation) Apply(vp *pdata.ValuePDF) (*pdata.ValuePDF, error) {
-	next := vp.Clone()
+	if mu.Update != nil && (mu.I < 0 || mu.I >= vp.N) {
+		return nil, fmt.Errorf("update index %d outside domain [0, %d)", mu.I, vp.N)
+	}
+	next := &pdata.ValuePDF{N: vp.N, Items: make([]pdata.ItemPDF, len(vp.Items), len(vp.Items)+len(mu.Items))}
+	copy(next.Items, vp.Items)
 	if mu.Update != nil {
-		if mu.I < 0 || mu.I >= next.N {
-			return nil, fmt.Errorf("update index %d outside domain [0, %d)", mu.I, next.N)
-		}
 		next.Items[mu.I] = mu.Update.Clone()
 	} else {
 		for _, it := range mu.Items {

@@ -107,6 +107,48 @@ func TestMutationApply(t *testing.T) {
 	}
 }
 
+// TestMutationApplySharesOnlyUntouchedItems: Apply leaves vp's items and
+// entries as they were after an update and after an append, never
+// appends into spare capacity of vp's Items array, clones the items it
+// adds or replaces, and shares every untouched item's entries instead of
+// copying them.
+func TestMutationApplySharesOnlyUntouchedItems(t *testing.T) {
+	base := probsyn.Deterministic([]float64{1, 2, 3})
+	spare := probsyn.ItemPDF{Entries: []probsyn.FreqProb{{Freq: 99, Prob: 1}}}
+	items := make([]probsyn.ItemPDF, len(base.Items), len(base.Items)+4)
+	copy(items, base.Items)
+	for k := len(items); k < cap(items); k++ {
+		items[:cap(items)][k] = spare // what an append into spare capacity would overwrite
+	}
+	vp := &probsyn.ValuePDF{N: len(items), Items: items}
+	want := vp.Clone()
+	item := probsyn.ItemPDF{Entries: []probsyn.FreqProb{{Freq: 7, Prob: 0.5}}}
+	for _, mu := range []Mutation{{I: 1, Update: &item}, {Items: []probsyn.ItemPDF{item, item}}} {
+		next, err := mu.Apply(vp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(vp, want) {
+			t.Fatalf("%+v changed its input: %+v, want %+v", mu, vp, want)
+		}
+		for k, it := range items[len(items):cap(items)] {
+			if !reflect.DeepEqual(it, spare) {
+				t.Fatalf("%+v wrote %+v into the input's spare capacity at %d", mu, it, len(items)+k)
+			}
+		}
+		for i, it := range next.Items {
+			added := (mu.Update != nil && i == mu.I) || i >= vp.N
+			if added {
+				if it.Entries[0] != item.Entries[0] || &it.Entries[0] == &item.Entries[0] {
+					t.Fatalf("%+v: item %d is %+v at %p, want a clone of the mutation's item", mu, i, it, &it.Entries[0])
+				}
+			} else if &it.Entries[0] != &vp.Items[i].Entries[0] {
+				t.Fatalf("%+v: untouched item %d was copied, not shared", mu, i)
+			}
+		}
+	}
+}
+
 // orderedFrontier fails the test if a synopsis is extracted from it — the
 // step right before Publish — while the dataset file does not yet hold
 // the data the frontier was built over.

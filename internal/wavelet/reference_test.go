@@ -3,8 +3,9 @@ package wavelet
 // The code the leaf-first tree DP replaced, kept as the reference the
 // production path is held to bit for bit (as denseTable is for the
 // histogram DP): the dense n×|V| point-error tables with their binary
-// search over the global value set, and the forward sweep's full clamped
-// budget-split scan.
+// search over the global value set, the forward sweep's full clamped
+// budget-split scan, and the pruned merge that re-sliced the window for
+// every budget and binary-searched the max metrics' crossing.
 
 import (
 	"cmp"
@@ -184,6 +185,65 @@ func denseMerge(combine func(a, b float64) float64, out, lt, rt []float64) {
 		}
 		out[b] = best
 	}
+}
+
+// walkMerge is treeDP.merge as it was before it indexed the window in
+// place: per budget it slices the unclamped window out of both rows, and
+// for the max metrics binary-searches the crossing. It evaluates the
+// same splits merge does, so it is the reference for merge's split count
+// as well as its values.
+func walkMerge(cumulative bool, out, lt, rt []float64) (scanned int64) {
+	c := len(lt) - 1
+	at := 0 // left budget of the last best split: where the next walk starts
+	for b := range out {
+		eb := min(b, 2*c)
+		lo, hi := max(0, eb-c), min(eb, c)
+		l, r := lt[lo:hi+1], rt[eb-hi:eb-lo+1] // l[k] splits against r[len(l)-1-k]
+		best := out[b]
+		if cumulative {
+			n := len(l)
+			k0 := min(max(at-lo, 0), n-1)
+			if x := l[k0] + r[n-1-k0]; x < best {
+				best, at = x, lo+k0
+			}
+			k := k0 + 1
+			for ; k < n && l[n-1]+r[n-1-k] < best; k++ {
+				if x := l[k] + r[n-1-k]; x < best {
+					best, at = x, lo+k
+				}
+			}
+			scanned += int64(k - k0)
+			for k = k0 - 1; k >= 0 && l[k]+r[n-1] < best; k-- {
+				if x := l[k] + r[n-1-k]; x < best {
+					best, at = x, lo+k
+				}
+			}
+			scanned += int64(k0 - 1 - k)
+		} else {
+			k, n := 0, len(l) // first k with l[k] <= r's opposite entry
+			for k < n {
+				if mid := int(uint(k+n) >> 1); l[mid] <= r[len(l)-1-mid] {
+					n = mid
+				} else {
+					k = mid + 1
+				}
+			}
+			if k > 0 {
+				if x := max(l[k-1], r[len(l)-k]); x < best {
+					best = x
+				}
+				scanned++
+			}
+			if k < len(l) {
+				if x := max(l[k], r[len(l)-1-k]); x < best {
+					best = x
+				}
+				scanned++
+			}
+		}
+		out[b] = best
+	}
+	return scanned
 }
 
 // denseSplits is the closed-form number of budget splits the dense scan
@@ -414,39 +474,108 @@ func fuzzRow(data []byte, n int) []float64 {
 	return row
 }
 
-// FuzzTreeMerge holds merge to the dense scan by Float64bits on two
-// decisions into one out row, as solveStates makes them: drop into out,
-// then retain into out[1:], which the first call has prefilled. Bytes:
-// the child rows' last index, out's length, then the four rows.
+// checkMerge runs two decisions into one out row of m+1 entries, as
+// solveStates makes them: drop (rows[0], rows[1]) into out, then retain
+// (rows[2], rows[3]) into out[1:], which the first call has prefilled. It
+// holds merge to the dense scan and to walkMerge by Float64bits after
+// each decision, and its split count to walkMerge's.
+func checkMerge(t *testing.T, tag string, cumulative bool, m int, rows [4][]float64) {
+	t.Helper()
+	got, walk, dense := make([]float64, m+1), make([]float64, m+1), make([]float64, m+1)
+	for b := range got {
+		got[b], walk[b], dense[b] = math.Inf(1), math.Inf(1), math.Inf(1)
+	}
+	d := &treeDP{cumulative: cumulative}
+	for dd := 0; dd < 2; dd++ {
+		lt, rt := rows[2*dd], rows[2*dd+1]
+		n := d.merge(got[dd:], lt, rt)
+		nw := walkMerge(cumulative, walk[dd:], lt, rt)
+		denseMerge(refCombine(cumulative), dense[dd:], lt, rt)
+		for b := range dense {
+			if g := math.Float64bits(got[b]); g != math.Float64bits(dense[b]) || g != math.Float64bits(walk[b]) {
+				t.Fatalf("%scumulative=%v decision %d, rows %v / %v: out[%d] = %v (%#x), walk %v, dense %v (%#x)",
+					tag, cumulative, dd, lt, rt, b, got[b], g, walk[b], dense[b], math.Float64bits(dense[b]))
+			}
+		}
+		if n != nw {
+			t.Fatalf("%scumulative=%v decision %d, rows %v / %v into %d budgets: merge evaluated %d splits, walkMerge %d",
+				tag, cumulative, dd, lt, rt, m+1-dd, n, nw)
+		}
+	}
+}
+
+// FuzzTreeMerge holds merge to the dense scan and to walkMerge (values by
+// Float64bits, and the split count) through checkMerge. Bytes: the child
+// rows' last index, out's length, then the four rows.
 func FuzzTreeMerge(f *testing.F) {
 	f.Add([]byte{4, 9, 0, 1, 1, 0, 1, 20, 20, 20, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1}, true)
 	f.Add([]byte{3, 8, 13, 12, 11, 1, 12, 12, 2, 2, 40, 41, 42, 43, 5, 5, 5, 5}, true)
 	f.Add([]byte{5, 12, 60, 50, 40, 30, 20, 10, 70, 60, 50, 40, 30, 20, 1, 1, 1, 1, 1, 1}, false)
+	f.Add([]byte{8, 16, 0, 0, 0, 0, 0, 0, 0, 0, 0, 12, 12, 12, 12, 12, 12, 12, 12, 12}, false)
 	f.Fuzz(func(t *testing.T, data []byte, cumulative bool) {
 		if len(data) < 2 {
 			return
 		}
 		c := int(data[0] % 9)
 		m := 1 + int(data[1])%(2*c+3) // past 2c+1 the saturated split repeats
-		rows := data[2:]
-		row := func(k int) []float64 { return fuzzRow(rows[min(k*(c+1), len(rows)):], c+1) }
-		got, want := make([]float64, m+1), make([]float64, m+1)
-		for b := range got {
-			got[b], want[b] = math.Inf(1), math.Inf(1)
+		rest := data[2:]
+		var rows [4][]float64
+		for k := range rows {
+			rows[k] = fuzzRow(rest[min(k*(c+1), len(rest)):], c+1)
 		}
-		d := &treeDP{cumulative: cumulative}
-		for dd := 0; dd < 2; dd++ {
-			lt, rt := row(2*dd), row(2*dd+1)
-			d.merge(got[dd:], lt, rt)
-			denseMerge(refCombine(cumulative), want[dd:], lt, rt)
-			for b := range want {
-				if math.Float64bits(got[b]) != math.Float64bits(want[b]) {
-					t.Fatalf("decision %d, rows %v / %v: out[%d] = %v (%#x), dense %v (%#x)",
-						dd, lt, rt, b, got[b], math.Float64bits(got[b]), want[b], math.Float64bits(want[b]))
+		checkMerge(t, "", cumulative, m, rows)
+	})
+}
+
+// TestTreeMergeAdversarialRows pins merge's values and split counts to
+// walkMerge's, on every test run, on the rows that stress its cursor and its
+// walk: ties and flat runs (every split equal), a row all zero against
+// one all MaxFloat64 (the crossing at either end of every window),
+// subnormals beside zero, sums that round away the smaller term or
+// overflow, steps that move the crossing by several splits between two
+// budgets, and seeded random palette rows — each as both decisions of
+// one out row, the second into the row the first prefilled, at every cap
+// c ≤ 8 and every out length up to 2c+2.
+func TestTreeMergeAdversarialRows(t *testing.T) {
+	const maxF, tiny = math.MaxFloat64, math.SmallestNonzeroFloat64
+	fill := func(n int, v float64) []float64 { return slices.Repeat([]float64{v}, n) }
+	step := func(n, at int, hi, lo float64) []float64 { // hi before at, lo from it
+		row := fill(n, lo)
+		for k := range min(at, n) {
+			row[k] = hi
+		}
+		return row
+	}
+	rng := rand.New(rand.NewSource(54))
+	for c := 0; c <= 8; c++ {
+		n := c + 1
+		families := map[string][4][]float64{
+			"flat":       {fill(n, 1), fill(n, 1), fill(n, 1), fill(n, 1)},
+			"zero-max":   {fill(n, 0), fill(n, maxF), fill(n, maxF), fill(n, 0)},
+			"max-max":    {fill(n, maxF), fill(n, maxF), step(n, 1, maxF, 1), step(n, n-1, maxF, 0)},
+			"subnormal":  {step(n, n/2, tiny, 0), step(n, 1, 2*tiny, tiny), fill(n, tiny), step(n, n-1, tiny, 0)},
+			"rounding":   {step(n, 1, 1<<53, 1), step(n, n/2, 1e300, 1e-300), step(n, 2, 1<<53, 0), fill(n, 1<<53)},
+			"late-cross": {step(n, n-1, 3, 0), step(n, 1, 2, 1), step(n, n/2, 3, 2), step(n, 1, 3, 0)},
+		}
+		for k := 0; k < 40; k++ {
+			data := make([]byte, 4*n)
+			for i := range data {
+				data[i] = byte(rng.Intn(len(mergePalette) + 8))
+			}
+			var rows [4][]float64
+			for r := range rows {
+				rows[r] = fuzzRow(data[r*n:], n)
+			}
+			families[fmt.Sprintf("random-%d", k)] = rows
+		}
+		for name, rows := range families {
+			for m := 1; m <= 2*c+2; m++ {
+				for _, cumulative := range []bool{true, false} {
+					checkMerge(t, fmt.Sprintf("c=%d %s m=%d: ", c, name, m), cumulative, m, rows)
 				}
 			}
 		}
-	})
+	}
 }
 
 // pointErrorFixtures are the value pdfs that tell point-error evaluators

@@ -765,64 +765,68 @@ func (d *treeDP) leafRows(j int, x, tab, sc []float64) {
 // budget, over children rows non-increasing by induction from
 // leafTables, and the rounding of + and max is monotone — so a split
 // that clamps one side is no better than the split that hands that side
-// exactly c, and only the unclamped splits need evaluating; past b = 2c
-// that is the one saturated split (lt[c], rt[c]). For the maximum
-// metrics the unclamped splits pit a falling row against a rising one:
-// the minimum sits at their crossing, found by binary search.
+// exactly c, and only the unclamped splits bl in [lo, hi] =
+// [max(0, eb−c), min(eb, c)], eb = min(b, 2c), need evaluating; past
+// b = 2c that is the one saturated split (lt[c], rt[c]). The window is
+// indexed in place: split bl pairs lt[bl] with rt[eb−bl].
+//
+// For the maximum metrics the window pits a falling lt[bl] against a
+// rising rt[eb−bl]: the minimum sits at their crossing, the first bl with
+// lt[bl] ≤ rt[eb−bl], or one before it. The crossing never moves left as
+// b grows: rt[eb+1−bl] ≤ rt[eb−bl], so a bl that fails the test at b
+// fails it at b+1. So one cursor, clamped up to each budget's lo, walks
+// forward across the whole row: O(B) a row.
 //
 // For the sum metrics the same monotonicity bounds every split beyond a
-// point: with n = len(l), l[k′] + r[n−1−k′] ≥ l[n−1] + r[n−1−k] for all
-// k′ ≥ k, and ≥ l[k] + r[n−1] for all k′ ≤ k. So the scan starts at the
-// previous budget's best split, walks right and then left, and stops each
-// side at the first bound ≥ best: no split past it can be strictly below
-// best. Either way the result is the value the dense scan selects, and
-// the same bits: no row holds −0 (Err never returns it, and neither + nor
-// max makes it from operands that are not −0), so equal values are equal
-// floats.
+// point: every bl′ > bl in the window sums to ≥ lt[hi] + rt[eb−bl], and
+// every bl′ < bl to ≥ lt[bl] + rt[eb−lo]. So the scan starts at the
+// previous budget's best split, walks right and then left, and stops
+// each side at the first bound ≥ best: no split past it can be strictly
+// below best. Either way the result is the value the dense scan selects,
+// and the same bits: no row holds −0 (Err never returns it, and neither
+// + nor max makes it from operands that are not −0), so equal values are
+// equal floats.
 func (d *treeDP) merge(out, lt, rt []float64) (scanned int64) {
 	c := len(lt) - 1
-	at := 0 // left budget of the last best split: where the next walk starts
+	// The sum metrics' walk starts at at, the left budget of the last best
+	// split; the max metrics' cursor is at, the last budget's crossing.
+	at := 0
 	for b := range out {
 		eb := min(b, 2*c)
 		lo, hi := max(0, eb-c), min(eb, c)
-		l, r := lt[lo:hi+1], rt[eb-hi:eb-lo+1] // l[k] splits against r[len(l)-1-k]
 		best := out[b]
 		if d.cumulative {
-			n := len(l)
-			k0 := min(max(at-lo, 0), n-1)
-			if x := l[k0] + r[n-1-k0]; x < best {
-				best, at = x, lo+k0
+			k0 := min(max(at, lo), hi)
+			if x := lt[k0] + rt[eb-k0]; x < best {
+				best, at = x, k0
 			}
+			lhi, rlo := lt[hi], rt[eb-lo] // the two stopping bounds' fixed terms
 			k := k0 + 1
-			for ; k < n && l[n-1]+r[n-1-k] < best; k++ {
-				if x := l[k] + r[n-1-k]; x < best {
-					best, at = x, lo+k
+			for ; k <= hi && lhi+rt[eb-k] < best; k++ {
+				if x := lt[k] + rt[eb-k]; x < best {
+					best, at = x, k
 				}
 			}
 			scanned += int64(k - k0)
-			for k = k0 - 1; k >= 0 && l[k]+r[n-1] < best; k-- {
-				if x := l[k] + r[n-1-k]; x < best {
-					best, at = x, lo+k
+			for k = k0 - 1; k >= lo && lt[k]+rlo < best; k-- {
+				if x := lt[k] + rt[eb-k]; x < best {
+					best, at = x, k
 				}
 			}
 			scanned += int64(k0 - 1 - k)
 		} else {
-			k, n := 0, len(l) // first k with l[k] <= r's opposite entry
-			for k < n {
-				if mid := int(uint(k+n) >> 1); l[mid] <= r[len(l)-1-mid] {
-					n = mid
-				} else {
-					k = mid + 1
-				}
+			at = max(at, lo)
+			for at <= hi && lt[at] > rt[eb-at] {
+				at++
 			}
-			if k > 0 {
-				if x := max(l[k-1], r[len(l)-k]); x < best {
+			if at > lo {
+				if x := max(lt[at-1], rt[eb-at+1]); x < best {
 					best = x
 				}
 				scanned++
 			}
-			if k < len(l) {
-				if x := max(l[k], r[len(l)-1-k]); x < best {
+			if at <= hi {
+				if x := max(lt[at], rt[eb-at]); x < best {
 					best = x
 				}
 				scanned++
