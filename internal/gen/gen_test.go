@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"probsyn/internal/pdata"
 )
@@ -96,52 +95,6 @@ func TestTPCHLineitemShape(t *testing.T) {
 	}
 }
 
-// TestTPCHTinyDomains: a domain smaller than the alternative count still
-// generates, each tuple over every item there is (min(4, n) distinct
-// items), and so does a spread window at a domain edge that reaches fewer
-// items than that (spread 1 reaches 3 at items 0 and n-1), or a window
-// wider than the domain. The distinct-alternative loop once had no exit
-// in either case, and a window wider than the domain wrote items outside
-// it.
-func TestTPCHTinyDomains(t *testing.T) {
-	type shape struct{ n, spread int }
-	var shapes []shape
-	for n := 1; n <= 3; n++ {
-		shapes = append(shapes, shape{n, 0})
-	}
-	for spread := 1; spread <= 3; spread++ {
-		for _, n := range []int{1, 2, 3, 4, 5, 7, 16, 64} {
-			shapes = append(shapes, shape{n, spread})
-		}
-	}
-	for _, sh := range shapes {
-		n := sh.n
-		cfg := DefaultTPCH(n, 4*n)
-		cfg.Spread = sh.spread
-		done := make(chan *pdata.TuplePDF, 1)
-		go func() { done <- TPCHLineitem(rand.New(rand.NewSource(1)), cfg) }()
-		var tp *pdata.TuplePDF
-		select {
-		case tp = <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("n=%d spread=%d: TPCHLineitem did not return", n, sh.spread)
-		}
-		if err := tp.Validate(); err != nil {
-			t.Fatalf("n=%d spread=%d: %v", n, sh.spread, err)
-		}
-		want := min(cfg.Alternatives, n)
-		for k, tuple := range tp.Tuples {
-			seen := map[int]bool{}
-			for _, a := range tuple.Alts {
-				seen[a.Item] = true
-			}
-			if len(tuple.Alts) != want || len(seen) != want {
-				t.Errorf("n=%d spread=%d: tuple %d has %d alternatives over %d items, want %d distinct", n, sh.spread, k, len(tuple.Alts), len(seen), want)
-			}
-		}
-	}
-}
-
 func TestTPCHSpreadBoundsAlternatives(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	cfg := TPCHConfig{N: 1000, M: 500, Alternatives: 3, ZipfS: 1.2, Spread: 10}
@@ -221,4 +174,79 @@ func TestMakeSteps(t *testing.T) {
 	if len(distinct) < 2 {
 		t.Fatal("steps degenerate to a constant")
 	}
+}
+
+// drawCap is a rand.Source that fails past a budget of draws: a generator
+// caught in a loop that draws fails a fuzz run instead of hanging it.
+type drawCap struct {
+	rand.Source
+	left int
+}
+
+func (d *drawCap) Int63() int64 {
+	if d.left--; d.left < 0 {
+		panic("gen: draw budget exhausted")
+	}
+	return d.Source.Int63()
+}
+
+// FuzzGenerators runs each generator over fuzzed shapes — domains down to
+// one item, tuple counts, TPC-H alternative counts and spread windows
+// (negative, or wider than the domain) — and requires a valid source over
+// n items within a draw budget, every TPC-H tuple over min(alternatives,
+// n) distinct items. The corpus is the tiny domains and edge windows
+// where the distinct-alternative loop once had no exit.
+func FuzzGenerators(f *testing.F) {
+	const mystiq, tpch, sensor = 0, 1, 2
+	add := func(kind, n, m, spread, alts int, seed int64) {
+		f.Add(uint8(kind), uint8(n-1), uint16(m), int8(spread), uint8(alts), seed)
+	}
+	for n := 1; n <= 3; n++ {
+		add(tpch, n, 4*n, 0, 4, 1)
+	}
+	for spread := 1; spread <= 3; spread++ {
+		for _, n := range []int{1, 2, 3, 4, 5, 7, 16, 64} {
+			add(tpch, n, 4*n, spread, 4, 1)
+		}
+	}
+	add(tpch, 9, 30, -2, 6, 4)
+	add(mystiq, 40, 0, 0, 0, 2)
+	add(sensor, 33, 0, 0, 3, 3)
+	// n8 is n-1: every byte decodes to a domain of 1 to 64 items.
+	f.Fuzz(func(t *testing.T, kind, n8 uint8, m16 uint16, spread int8, alts8 uint8, seed int64) {
+		n, m, alts := 1+int(n8)%64, int(m16)%(4*64+1), int(alts8)%8
+		// Past its budget the source panics, and the fuzz run fails on the
+		// input instead of hanging.
+		rng := rand.New(&drawCap{Source: rand.NewSource(seed), left: 1024 + 256*(n+m*max(alts, 1))})
+		var got pdata.Source
+		switch kind % 3 {
+		case mystiq:
+			got = MystiQLinkage(rng, DefaultMystiQ(n))
+		case tpch:
+			cfg := DefaultTPCH(n, m)
+			cfg.Spread, cfg.Alternatives = int(spread), alts
+			tp := TPCHLineitem(rng, cfg)
+			want := min(max(alts, 1), n)
+			for k, tuple := range tp.Tuples {
+				seen := map[int]bool{}
+				for _, a := range tuple.Alts {
+					seen[a.Item] = true
+				}
+				if len(tuple.Alts) != want || len(seen) != want {
+					t.Fatalf("n=%d spread=%d alternatives=%d: tuple %d has %d alternatives over %d items, want %d distinct", n, spread, alts, k, len(tuple.Alts), len(seen), want)
+				}
+			}
+			got = tp
+		default:
+			cfg := DefaultSensor(n)
+			cfg.Levels = alts
+			got = SensorGrid(rng, cfg)
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("kind %d, n=%d m=%d spread=%d alternatives=%d: %v", kind%3, n, m, spread, alts, err)
+		}
+		if got.Domain() != n {
+			t.Fatalf("kind %d: domain %d, want %d", kind%3, got.Domain(), n)
+		}
+	})
 }

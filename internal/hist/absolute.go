@@ -30,8 +30,8 @@ import (
 // O(|V|·n) space.
 //
 // The table is item-prefix sums, so a change at item i leaves rows 0..i
-// as they were: a live oracle (NewLiveWeightedAbs) follows mutations of
-// its data by rewriting the rows past the change (Resume).
+// as they were: the oracle follows mutations of its data by rewriting the
+// rows past the change (Resume).
 type WeightedAbs struct {
 	kind metric.Kind
 	n    int
@@ -53,7 +53,7 @@ type WeightedAbs struct {
 	// compensated references of column ℓ's W≤ and S≤ sums.
 	ref  []numeric.Accumulator
 	sums absSums
-	live *absLive // nil: built frozen, by NewWeightedAbs
+	live *absLive // nil: filled from a raw pmf table, which cannot resume
 }
 
 // absSums are the fill's running measures after some rows: the magnitudes
@@ -65,7 +65,7 @@ type absSums struct {
 	accW, accS                               numeric.Accumulator
 }
 
-// absLive is what a live oracle keeps to follow its data.
+// absLive is what the oracle keeps to follow its data.
 type absLive struct {
 	p metric.Params
 	// holders[ℓ] counts the entries of the data that list V[ℓ]; negZeros
@@ -81,27 +81,16 @@ type absLive struct {
 	added  []float64 // the frequencies a mutation lists that V lacks
 }
 
-// ckRows is the spacing of a live oracle's checkpoints: an update refills
+// ckRows is the spacing of the oracle's checkpoints: an update refills
 // at most ckRows-1 rows it did not change, and the checkpoints hold
 // 2/ckRows of the table's floats.
 const ckRows = 64
 
-// NewWeightedAbs builds the oracle from a dense pmf table; kind must be
-// metric.SAE or metric.SARE. The oracle is frozen: Resume refuses it.
-func NewWeightedAbs(tab *pdata.PMFTable, kind metric.Kind, p metric.Params) (*WeightedAbs, error) {
-	o, err := newWeightedAbs(tab.VS, tab.N(), kind, p)
-	if err != nil {
-		return nil, err
-	}
-	o.fill(0, tab.N(), func(i int) []float64 { return tab.P[i] })
-	return o, nil
-}
-
-// NewLiveWeightedAbs builds the oracle over a value pdf the caller will
-// mutate, bit-identical to NewWeightedAbs over its pmf table, plus what
-// Resume needs to follow the mutations. It never builds the n×|V| pmf
-// table: each item's row is made in one reused scratch row.
-func NewLiveWeightedAbs(vp *pdata.ValuePDF, kind metric.Kind, p metric.Params) (*WeightedAbs, error) {
+// NewWeightedAbs builds the oracle over vp; kind must be metric.SAE or
+// metric.SARE. It never builds the n×|V| pmf table: each item's row is made
+// in one reused scratch row. The oracle keeps what Resume needs to follow
+// mutations of vp: holder counts, and a checkpoint every ckRows rows.
+func NewWeightedAbs(vp *pdata.ValuePDF, kind metric.Kind, p metric.Params) (*WeightedAbs, error) {
 	vs := pdata.Support(vp)
 	o, err := newWeightedAbs(vs, vp.N, kind, p)
 	if err != nil {
@@ -142,7 +131,7 @@ func (o *WeightedAbs) setWeights(p metric.Params) {
 }
 
 // liveRows returns the fill's row source over vp: item i's pmf row, made
-// in the live scratch row.
+// in the scratch row.
 func (o *WeightedAbs) liveRows(vp *pdata.ValuePDF) func(int) []float64 {
 	row := o.live.row
 	return func(i int) []float64 {
@@ -157,8 +146,8 @@ func (o *WeightedAbs) liveRows(vp *pdata.ValuePDF) func(int) []float64 {
 // fill is the one fill loop, a build's and every resume's: it writes
 // table rows start+1..n and the tw/ts entries past start from the pmf
 // rows of items start..n-1, continuing from o.ref and o.sums, which must
-// stand after row start, and then sets the margins. A live oracle saves a
-// checkpoint at every ckRows-th row it passes.
+// stand after row start, and then sets the margins. An oracle that can
+// resume saves a checkpoint at every ckRows-th row it passes.
 //
 // Every column is also summed with compensated accumulators, exact to a
 // few ulps whatever n is, and the largest disagreement kept: what
@@ -217,7 +206,7 @@ func (o *WeightedAbs) fill(start, n int, pmf func(i int) []float64) {
 	o.margin = searchMargins(o.margin, vals, ew, ef)
 }
 
-// Resume brings a live oracle up to date with vp after a mutation: the
+// Resume brings the oracle up to date with vp after a mutation: the
 // items from `from` on changed, and replaced holds the items vp held at
 // from, from+1, … before it (an update's one item; none for an append,
 // whose from is the old domain size). Rows 0..from of the table are item
@@ -227,17 +216,18 @@ func (o *WeightedAbs) fill(start, n int, pmf func(i int) []float64) {
 // amortised capacity. A mutation that lists a frequency V lacks, or
 // replaces the last entry listing one, changes the grid, and the fill
 // restarts at row 0 over the new grid, in the same memory. The oracle is
-// then bit-identical — V, table, prefixes, margins — to NewWeightedAbs
-// over vp.
+// then bit-identical — V, table, prefixes, margins — to a NewWeightedAbs
+// over the mutated vp.
 //
 // Nothing may price through the oracle while Resume runs. A refused call
-// (a frozen oracle, a shrinking domain, a start out of range) changes
+// (an oracle filled from a raw table, a shrinking domain, a start out of
+// range) changes
 // nothing.
 func (o *WeightedAbs) Resume(vp *pdata.ValuePDF, from int, replaced []pdata.ItemPDF) error {
 	lv := o.live
 	switch {
 	case lv == nil:
-		return fmt.Errorf("hist: a WeightedAbs built by NewWeightedAbs is frozen; NewLiveWeightedAbs builds one that resumes")
+		return fmt.Errorf("hist: a WeightedAbs filled from a raw pmf table cannot resume; NewWeightedAbs builds one that does")
 	case vp.N < o.n:
 		return fmt.Errorf("hist: resume cannot shrink the domain (%d -> %d)", o.n, vp.N)
 	case from < 0 || from+len(replaced) > o.n || (len(replaced) == 0 && from != o.n):

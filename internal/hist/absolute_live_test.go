@@ -12,7 +12,7 @@ import (
 	"probsyn/internal/ptest"
 )
 
-// freshWeightedAbs is NewWeightedAbs over vp's pmf table: what a resumed
+// freshWeightedAbs is NewWeightedAbsTable over vp's pmf table: what a resumed
 // oracle must equal.
 func freshWeightedAbs(t testing.TB, vp *pdata.ValuePDF, kind metric.Kind, p metric.Params) *WeightedAbs {
 	t.Helper()
@@ -20,7 +20,7 @@ func freshWeightedAbs(t testing.TB, vp *pdata.ValuePDF, kind metric.Kind, p metr
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := NewWeightedAbs(tab, kind, p)
+	o, err := NewWeightedAbsTable(tab, kind, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func checkResumed(t testing.TB, got, want *WeightedAbs, tag string) {
 // TestWeightedAbsResumeMovesTheGrid: a live oracle resumed over
 // ptest.GridMutations — values added below, between and above the grid,
 // last holders replaced, a negative zero — and over updates at every
-// checkpoint edge equals NewWeightedAbs over the mutated data after each
+// checkpoint edge equals NewWeightedAbsTable over the mutated data after each
 // mutation, for SAE and SARE.
 func TestWeightedAbsResumeMovesTheGrid(t *testing.T) {
 	for _, kind := range []metric.Kind{metric.SAE, metric.SARE} {
@@ -92,7 +92,7 @@ func TestWeightedAbsResumeMovesTheGrid(t *testing.T) {
 						muts = append(muts, ptest.Mutation{At: at, Items: []pdata.ItemPDF{{Entries: []pdata.FreqProb{{Freq: float64(at%7) + 0.75, Prob: 0.5}}}}})
 					}
 				}
-				live, err := NewLiveWeightedAbs(vp, kind, p)
+				live, err := NewWeightedAbs(vp, kind, p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -109,16 +109,16 @@ func TestWeightedAbsResumeMovesTheGrid(t *testing.T) {
 	}
 }
 
-// TestWeightedAbsResumeRefusals: a frozen oracle, a shrinking domain and
+// TestWeightedAbsResumeRefusals: an oracle filled from a table, a shrinking domain and
 // a start out of range are refused, and a refused call changes nothing.
 func TestWeightedAbsResumeRefusals(t *testing.T) {
 	vp, _ := ptest.GridMutations(rand.New(rand.NewSource(1)), 9)
 	p := metric.Params{C: 0.5}
 	frozen := freshWeightedAbs(t, vp, metric.SAE, p)
 	if err := frozen.Resume(vp, vp.N, nil); err == nil {
-		t.Fatal("a frozen oracle resumed")
+		t.Fatal("an oracle filled from a table resumed")
 	}
-	live, err := NewLiveWeightedAbs(vp, metric.SAE, p)
+	live, err := NewWeightedAbs(vp, metric.SAE, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestWeightedAbsResumeRefusals(t *testing.T) {
 }
 
 // FuzzWeightedAbsResume applies a fuzzed value pdf and mutation sequence
-// to a live oracle and holds it, after every mutation, to NewWeightedAbs
+// to a live oracle and holds it, after every mutation, to NewWeightedAbsTable
 // over the mutated data.
 func FuzzWeightedAbsResume(f *testing.F) {
 	f.Add([]byte{5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 200, 3, 4, 100, 0, 7})
@@ -179,7 +179,7 @@ func FuzzWeightedAbsResume(f *testing.F) {
 			vp.Items[i] = randItem()
 		}
 		p := metric.Params{C: 0.5}
-		live, err := NewLiveWeightedAbs(vp, kind, p)
+		live, err := NewWeightedAbs(vp, kind, p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,13 +35,10 @@ func NewOracle(src pdata.Source, k metric.Kind, p metric.Params) (Oracle, error)
 	case metric.SSRE:
 		return NewSSRE(pdata.AsValuePDF(src), p), nil
 	case metric.SAE, metric.SARE:
-		tab, err := pmfTable(src)
-		if err != nil {
-			return nil, err
-		}
-		return NewWeightedAbs(tab, k, p)
+		return NewWeightedAbs(pdata.AsValuePDF(src), k, p)
 	case metric.MAE, metric.MARE:
-		tab, err := pmfTable(src)
+		vp := pdata.AsValuePDF(src)
+		tab, err := pdata.NewPMFTable(vp, pdata.Support(vp))
 		if err != nil {
 			return nil, err
 		}
@@ -49,9 +46,4 @@ func NewOracle(src pdata.Source, k metric.Kind, p metric.Params) (Oracle, error)
 	default:
 		return nil, fmt.Errorf("hist: no oracle for metric %v", k)
 	}
-}
-
-func pmfTable(src pdata.Source) (*pdata.PMFTable, error) {
-	vp := pdata.AsValuePDF(src)
-	return pdata.NewPMFTable(vp, pdata.Support(vp))
 }

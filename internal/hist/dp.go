@@ -584,6 +584,10 @@ func reduceSplits(prev, costs []float64, from, to int, isSum bool) minPartial {
 // Bmax returns the largest budget the table covers.
 func (t *DPTable) Bmax() int { return t.bmax }
 
+// Oracle returns the oracle the table prices against: the one it was
+// built over, or the one its last Resume re-anchored it on.
+func (t *DPTable) Oracle() Oracle { return t.oracle }
+
 // Cost returns the optimal B-bucket error (B clamped to [1, Bmax]).
 func (t *DPTable) Cost(B int) float64 {
 	B = min(max(B, 1), t.bmax)

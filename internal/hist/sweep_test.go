@@ -301,7 +301,7 @@ func TestWeightedAbsSweepMatchesCostAndNaive(t *testing.T) {
 	p := metric.DefaultParams()
 	for _, in := range sweepInputs(t) {
 		for _, k := range []metric.Kind{metric.SAE, metric.SARE} {
-			o, err := hist.NewWeightedAbs(in.tab, k, p)
+			o, err := hist.NewWeightedAbsTable(in.tab, k, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -333,7 +333,7 @@ func TestAbsSweepsMatchNaiveOnGeneratedData(t *testing.T) {
 	for name, src := range benchSources(160) {
 		tab := tableOf(t, src)
 		for _, k := range []metric.Kind{metric.SAE, metric.SARE} {
-			o, err := hist.NewWeightedAbs(tab, k, p)
+			o, err := hist.NewWeightedAbsTable(tab, k, p)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -79,27 +79,6 @@ func RandomFractionalValuePDF(rng *rand.Rand, n, maxVals int) *pdata.ValuePDF {
 	return vp
 }
 
-// ExactBucketCost computes, by exhaustive enumeration, the expected bucket
-// cost E_W[Σ_{i∈[s,e]} err(g_i, rep)] for cumulative metrics, or
-// max_{i∈[s,e]} E_W[err(g_i, rep)] for maximum metrics.
-func ExactBucketCost(src pdata.Source, k metric.Kind, p metric.Params, s, e int, rep float64) float64 {
-	perItem := PerItemExpectedErrors(src, k, p, rep)
-	if k.Cumulative() {
-		total := 0.0
-		for i := s; i <= e; i++ {
-			total += perItem[i]
-		}
-		return total
-	}
-	worst := 0.0
-	for i := s; i <= e; i++ {
-		if perItem[i] > worst {
-			worst = perItem[i]
-		}
-	}
-	return worst
-}
-
 // PerItemExpectedErrors returns E_W[err(g_i, rep)] for every item, by
 // exhaustive enumeration.
 func PerItemExpectedErrors(src pdata.Source, k metric.Kind, p metric.Params, rep float64) []float64 {

@@ -91,21 +91,18 @@ type liveFrontier struct {
 	vp    *pdata.ValuePDF // the current data
 	cur   countedFrontier // the frontier over vp
 	spent DPStats         // the work of the wavelet sweeps cur replaced
-	// oracle is a histogram frontier's bucket-cost oracle over vp: an
-	// SAE/SARE one resumes in place, any other is rebuilt.
-	oracle hist.Oracle
 }
 
-// refresh brings the frontier up to date with vp, whose items from `from`
-// on changed (every item, on the initial build), replaced holding the
-// items the mutation overwrote: a histogram resumes its oracle, or
-// rebuilds it, and resumes its table at column from; a wavelet family
-// sweeps the whole data afresh.
+// refresh builds the frontier over vp (with no frontier yet), or brings
+// it up to date with vp, whose items from `from` on changed, replaced
+// holding the items the mutation overwrote: a histogram resumes its
+// oracle, or rebuilds it, and resumes its table at column from; a wavelet
+// family sweeps the whole data afresh.
 func (l *liveFrontier) refresh(from int, replaced []pdata.ItemPDF) error {
 	p := l.plan
 	if h, ok := l.cur.(histFrontier); ok {
-		o := l.oracle
-		if r, ok := o.(*hist.WeightedAbs); ok { // built by plan.liveOracle
+		o := h.tab.Oracle()
+		if r, ok := o.(*hist.WeightedAbs); ok {
 			// Under mu, with no DP running: the table reads the oracle
 			// only inside its own Resume. Whatever the table's Resume
 			// would refuse, the oracle's refuses first, unwritten.
@@ -119,23 +116,7 @@ func (l *liveFrontier) refresh(from int, replaced []pdata.ItemPDF) error {
 			}
 		}
 		// The table is revalidated in place: cur already reads it.
-		if err := h.tab.Resume(o, from, p.pool); err != nil {
-			return err
-		}
-		l.oracle = o
-		return nil
-	}
-	if l.cur == nil && p.family == histExact {
-		o, err := p.liveOracle(l.vp)
-		if err != nil {
-			return err
-		}
-		fr, err := p.histFrontier(o, l.bmax)
-		if err != nil {
-			return err
-		}
-		l.cur, l.oracle = fr, o
-		return nil
+		return h.tab.Resume(o, from, p.pool)
 	}
 	fr, err := p.frontier(l.vp, l.bmax)
 	if err != nil {

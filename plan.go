@@ -7,7 +7,6 @@ import (
 
 	"probsyn/internal/engine"
 	"probsyn/internal/hist"
-	"probsyn/internal/pdata"
 	"probsyn/internal/wavelet"
 )
 
@@ -132,17 +131,6 @@ func (p *plan) oracle(src Source) (hist.Oracle, error) {
 		return hist.NewWorkloadSSE(src, p.weights)
 	}
 	return hist.NewOracle(src, p.metric, p.params)
-}
-
-// liveOracle builds the oracle of a histogram kept live over vp: the
-// SAE/SARE oracle in the form that resumes in place
-// (hist.WeightedAbs.Resume); any other is rebuilt per mutation, its
-// rebuild O(n) or dwarfed by its DP.
-func (p *plan) liveOracle(vp *pdata.ValuePDF) (hist.Oracle, error) {
-	if p.weights == nil && (p.metric == SAE || p.metric == SARE) {
-		return hist.NewLiveWeightedAbs(vp, p.metric, p.params)
-	}
-	return p.oracle(vp)
 }
 
 // frontier runs the plan's one DP at budget Bmax: the histogram table or

@@ -36,6 +36,7 @@ import (
 	"probsyn/internal/catalog"
 	"probsyn/internal/engine"
 	"probsyn/internal/haar"
+	"probsyn/internal/hist"
 	"probsyn/internal/ptest"
 )
 
@@ -240,8 +241,9 @@ func conformanceSources() []confSource {
 		{name: "mass<1", B: 3, src: items(3, func(i int) []float64 {
 			return [][]float64{{2, .3}, nil, {1, .2, 4, .1}}[i]
 		})},
-		// One item, which an Append grows across the wavelet padding.
-		{name: "one", B: 1, src: items(1, func(int) []float64 { return []float64{2, .5, 3, .25} })},
+		// One item, which an Append grows across the wavelet padding, at a
+		// budget past the domain: a live frontier's clamp must grow with it.
+		{name: "one", B: 2, src: items(1, func(int) []float64 { return []float64{2, .5, 3, .25} })},
 		// 0.25, 0.5, 0.75 and 1 about the default c = 0.5.
 		{name: "straddle-c", B: 4, src: items(8, func(i int) []float64 {
 			return []float64{.25 * float64(1+i%4), .5, .25 * float64(1+(i+2)%4), .25}
@@ -293,7 +295,8 @@ func conformanceCombos() []combo {
 }
 
 // TestConformance names each check by its path,
-// <source>/<combination>/<entry>: the entries are entryNames and Facades.
+// <source>/<combination>/<entry>: the entries are entryNames, Facades and
+// Oracle.
 // A combination spans five name levels, six with its /c= one, so one
 // entry across every row is
 //
@@ -430,6 +433,14 @@ func (r *row) run(t *testing.T) {
 			}
 		})
 	}
+	// Every bucket, not only those a build keeps: the oracle's whole table
+	// on a source the oracle enumerates (eps prices through the same one).
+	if !r.c.wavelet && r.c.eps == 0 && r.cs.truth != nil && wantAccept(r.c, viaBuild, r.cs.src, r.cs.B) {
+		t.Run("Oracle", func(t *testing.T) {
+			r.t = t
+			r.oracle()
+		})
+	}
 }
 
 // reference makes, once a row, the serial Builds every entry is held to:
@@ -506,11 +517,11 @@ func (r *row) sweeps() {
 		if st != refStats || math.Float64bits(bound) != math.Float64bits(bound0) {
 			r.fail("BuildSweep on %d workers: DPStats %+v and bound %v, Build's %+v and %v", pool.Workers(), st, bound, refStats, bound0)
 		}
-		if fr.Bmax() != B {
-			r.fail("BuildSweep: Bmax %d, want %d", fr.Bmax(), B)
+		if fr.Bmax() != r.bmax() {
+			r.fail("BuildSweep: Bmax %d, want %d", fr.Bmax(), r.bmax())
 			return
 		}
-		for b := 1; b <= B; b++ {
+		for b := 1; b <= fr.Bmax(); b++ {
 			syn, err := fr.Synopsis(b)
 			if err != nil {
 				r.fail("BuildSweep: budget %d: %v", b, err)
@@ -537,9 +548,9 @@ func (r *row) sweeps() {
 			}
 			r.truth("BuildSweep", syn, b, func(cost, opt float64) bool { return atMost(opt, cost) && atMost(cost, opt+bound) })
 		}
-		for _, b := range []int{-1, 0, B + 1} {
+		for _, b := range []int{-1, 0, fr.Bmax() + 1} {
 			if _, err := fr.Synopsis(b); err == nil {
-				r.fail("BuildSweep: Synopsis(%d) of a budget-%d frontier succeeded", b, B)
+				r.fail("BuildSweep: Synopsis(%d) of a budget-%d frontier succeeded", b, fr.Bmax())
 			}
 		}
 	}
@@ -571,7 +582,7 @@ func (r *row) live() {
 		if st != r.refStats {
 			r.fail("BuildLive on %d workers: DPStats %+v, Build's %+v", pool.Workers(), st, r.refStats)
 		}
-		r.sameFrontier("BuildLive", live, r.ref)
+		r.sameFrontier("BuildLive", live, r.ref[:r.bmax()+1])
 		lives[i] = live
 	}
 	asFresh := func(what string) bool {
@@ -580,7 +591,7 @@ func (r *row) live() {
 			r.fail("fresh BuildSweep after %s: %v", what, err)
 			return false
 		}
-		want := make([][]byte, B+1)
+		want := make([][]byte, fresh.Bmax()+1)
 		for b := 1; b <= fresh.Bmax(); b++ {
 			syn, err := fresh.Synopsis(b)
 			if err != nil {
@@ -628,6 +639,16 @@ func (r *row) live() {
 			return
 		}
 	}
+}
+
+// bmax is the budget a frontier built at B serves up to: B clamped to the
+// domain, a wavelet's padded one.
+func (r *row) bmax() int {
+	n := r.cs.src.Domain()
+	if r.c.wavelet {
+		n = haar.Pow2Ceil(n)
+	}
+	return min(r.cs.B, n)
 }
 
 // sameFrontier requires fr's bytes at every budget to be want's.
@@ -704,6 +725,61 @@ func (r *row) facades() {
 	}
 }
 
+// oracle holds the bucket-cost oracle a histogram build prices against to
+// bucket's rule on every bucket [s, e], priced by random access and
+// through the sweep the DP reads.
+func (r *row) oracle() {
+	var o hist.Oracle
+	var err error
+	if r.c.weights {
+		o, err = hist.NewWorkloadSSE(r.cs.src, comboWeights(r.cs.src.Domain()))
+	} else {
+		o, err = hist.NewOracle(r.cs.src, r.c.metric, r.c.params())
+	}
+	if err != nil {
+		r.fail("oracle: %v", err)
+		return
+	}
+	n := o.N()
+	sweep, _ := o.(hist.SweepOracle)
+	costs, reps := make([]float64, n), make([]float64, n)
+	for e := range n {
+		if sweep != nil {
+			sweep.CostsForEnd(e, costs, reps)
+		}
+		for s := 0; s <= e; s++ {
+			cost, rep := o.Cost(s, e)
+			r.bucket("oracle Cost", s, e, rep, cost)
+			if sweep != nil {
+				r.bucket("oracle CostsForEnd", s, e, reps[s], costs[s])
+			}
+		}
+	}
+}
+
+// bucket holds a bucket [s, e] priced at cost with representative rep to
+// the oracle: cost is the bucket's expected error at rep, and that is its
+// least over every representative (under SSE, Eq. 5's estimate is the mean
+// of the bucket's expected frequencies). It returns the expected error.
+func (r *row) bucket(what string, s, e int, rep, cost float64) float64 {
+	r.t.Helper()
+	w, o := r.cs.truth, r.objective()
+	got, best := w.bucketErr(o, s, e, rep), w.minTable(o)[s][e]
+	if !near(cost, got) || !near(got, best) {
+		r.fail("%s: bucket [%d, %d] at %v reports %v: its expected error is %v, the bucket's least %v", what, s, e, rep, cost, got, best)
+	}
+	if o.m == probsyn.SSE && o.weights == nil {
+		mean := 0.0
+		for i := s; i <= e; i++ {
+			mean += w.mean[i]
+		}
+		if mean /= float64(e - s + 1); !near(rep, mean) {
+			r.fail("%s: bucket [%d, %d] estimates %v, its mean expected frequency is %v", what, s, e, rep, mean)
+		}
+	}
+	return got
+}
+
 // truth holds syn, built at budget b, to the oracle: it has at most b
 // terms, its reported cost is its expected error over the source's
 // possible worlds, a histogram prices every bucket at that bucket's best
@@ -730,20 +806,7 @@ func (r *row) truth(what string, syn probsyn.Synopsis, b int, ok func(cost, opt 
 			return
 		}
 		for _, k := range s.Buckets {
-			got, best := w.bucketErr(o, k.Start, k.End, k.Rep), w.minTable(o)[k.Start][k.End]
-			if !near(k.Cost, got) || !near(got, best) {
-				r.fail("%s: bucket [%d, %d] at %v reports %v: its expected error is %v, the bucket's least %v", what, k.Start, k.End, k.Rep, k.Cost, got, best)
-			}
-			if o.m == probsyn.SSE && o.weights == nil {
-				mean := 0.0
-				for i := k.Start; i <= k.End; i++ {
-					mean += w.mean[i]
-				}
-				if mean /= float64(k.Width()); !near(k.Rep, mean) {
-					r.fail("%s: bucket [%d, %d] estimates %v, its mean expected frequency is %v", what, k.Start, k.End, k.Rep, mean)
-				}
-			}
-			truth = o.combine(truth, got)
+			truth = o.combine(truth, r.bucket(what, k.Start, k.End, k.Rep, k.Cost))
 		}
 		opt = w.histOpt(o)[min(b, w.n)]
 	case *probsyn.WaveletSynopsis:
