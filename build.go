@@ -170,7 +170,7 @@ func (p *plan) build(src Source, B int) (Synopsis, Frontier, error) {
 		}
 		return h, nil, nil
 	}
-	fr, err := p.frontier(src, B)
+	fr, err := p.frontier(src, B, nil)
 	if err != nil {
 		return nil, nil, err
 	}

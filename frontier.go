@@ -27,7 +27,7 @@ func BuildSweep(src Source, m Metric, Bmax int, opts ...BuildOption) (Frontier, 
 		return nil, err
 	}
 	defer release()
-	fr, err := p.frontier(src, Bmax)
+	fr, err := p.frontier(src, Bmax, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -55,21 +55,27 @@ func checkPow2(n int) {
 
 // Forward computes the unnormalized Haar DWT of data.
 func Forward(data []float64) []float64 {
-	n := len(data)
+	c := make([]float64, len(data))
+	ForwardInto(c, append([]float64(nil), data...))
+	return c
+}
+
+// ForwardInto writes the unnormalized Haar DWT of work into c, which must
+// have work's length, and leaves work overwritten: each level's averages
+// are written over the pairs they are taken from.
+func ForwardInto(c, work []float64) {
+	n := len(work)
 	checkPow2(n)
-	c := make([]float64, n)
-	cur := append([]float64(nil), data...)
-	next := make([]float64, n/2)
+	c = c[:n]
 	for length := n; length > 1; length /= 2 {
 		half := length / 2
 		for k := 0; k < half; k++ {
-			next[k] = (cur[2*k] + cur[2*k+1]) / 2
-			c[half+k] = (cur[2*k] - cur[2*k+1]) / 2
+			a, b := work[2*k], work[2*k+1]
+			work[k] = (a + b) / 2 // 2k >= k: no pair still to be read is overwritten
+			c[half+k] = (a - b) / 2
 		}
-		cur, next = next[:half], cur
 	}
-	c[0] = cur[0]
-	return c
+	c[0] = work[0]
 }
 
 // Inverse reconstructs the data from unnormalized coefficients.
@@ -179,17 +185,28 @@ func Path(k, n int) []int {
 // by index for determinism). The input c is unnormalized. Each key
 // |c[i]|·NormFactor(i, n) is computed once, before the sort.
 func TopK(c []float64, k int) []int {
+	var r Ranking
+	return r.AppendTopK(make([]int, 0, max(0, min(k, len(c)))), c, k)
+}
+
+// Ranking is TopK's sort memory, one (key, index) pair a coefficient,
+// kept for the next ranking to reuse.
+type Ranking struct{ r []ranked }
+
+type ranked struct {
+	key float64
+	i   int
+}
+
+// AppendTopK appends TopK(c, k) to dst, ranking in r's memory.
+func (r *Ranking) AppendTopK(dst []int, c []float64, k int) []int {
 	n := len(c)
 	checkPow2(n)
-	type ranked struct {
-		key float64
-		i   int
-	}
-	r := make([]ranked, n)
+	r.r = slices.Grow(r.r[:0], n)[:n]
 	for i, v := range c {
-		r[i] = ranked{math.Abs(v) * NormFactor(i, n), i}
+		r.r[i] = ranked{math.Abs(v) * NormFactor(i, n), i}
 	}
-	slices.SortFunc(r, func(a, b ranked) int {
+	slices.SortFunc(r.r, func(a, b ranked) int {
 		switch {
 		case a.key > b.key:
 			return -1
@@ -198,12 +215,11 @@ func TopK(c []float64, k int) []int {
 		}
 		return a.i - b.i
 	})
-	k = max(0, min(k, n))
-	idx := make([]int, k)
-	for j := range idx {
-		idx[j] = r[j].i
+	dst = slices.Grow(dst, max(0, min(k, n)))
+	for _, x := range r.r[:max(0, min(k, n))] {
+		dst = append(dst, x.i)
 	}
-	return idx
+	return dst
 }
 
 // Children returns the child coefficient indices of internal node i in the

@@ -89,7 +89,8 @@ const ckRows = 64
 // NewWeightedAbs builds the oracle over vp; kind must be metric.SAE or
 // metric.SARE. It never builds the n×|V| pmf table: each item's row is made
 // in one reused scratch row. The oracle keeps what Resume needs to follow
-// mutations of vp: holder counts, and a checkpoint every ckRows rows.
+// mutations of vp: holder counts, taken from where each row places its
+// entries, and a checkpoint every ckRows rows.
 func NewWeightedAbs(vp *pdata.ValuePDF, kind metric.Kind, p metric.Params) (*WeightedAbs, error) {
 	vs := pdata.Support(vp)
 	o, err := newWeightedAbs(vs, vp.N, kind, p)
@@ -97,11 +98,11 @@ func NewWeightedAbs(vp *pdata.ValuePDF, kind metric.Kind, p metric.Params) (*Wei
 		return nil, err
 	}
 	lv := &absLive{p: p, holders: make([]int32, vs.Len()), row: make([]float64, vs.Len())}
-	for i := range vp.Items {
-		lv.count(&vp.Items[i], &vs, 1, nil)
-	}
 	o.live = lv
-	o.fill(0, vp.N, o.liveRows(vp))
+	o.fill(0, vp.N, o.liveRows(vp, lv.holders))
+	for i := range vp.Items {
+		lv.negZeros += negZeros(&vp.Items[i])
+	}
 	return o, nil
 }
 
@@ -131,11 +132,12 @@ func (o *WeightedAbs) setWeights(p metric.Params) {
 }
 
 // liveRows returns the fill's row source over vp: item i's pmf row, made
-// in the scratch row.
-func (o *WeightedAbs) liveRows(vp *pdata.ValuePDF) func(int) []float64 {
+// in the scratch row, counting its entries into holders when that is not
+// nil.
+func (o *WeightedAbs) liveRows(vp *pdata.ValuePDF, holders []int32) func(int) []float64 {
 	row := o.live.row
 	return func(i int) []float64 {
-		if f, ok := o.vs.PMFRow(row, &vp.Items[i]); !ok {
+		if f, ok := o.vs.PMFRow(row, &vp.Items[i], holders); !ok {
 			// Resume puts every listed frequency on the grid first.
 			panic(fmt.Sprintf("hist: live grid lacks frequency %v of item %d", f, i))
 		}
@@ -277,17 +279,17 @@ func (o *WeightedAbs) Resume(vp *pdata.ValuePDF, from int, replaced []pdata.Item
 		o.vs.Values[0] = pdata.Support(vp).Values[0]
 	}
 	o.setWeights(lv.p)
-	o.fill(start, vp.N, o.liveRows(vp))
+	o.fill(start, vp.N, o.liveRows(vp, nil))
 	return nil
 }
 
 // count adds d to the holders of every frequency it lists and returns
-// added with the frequencies vs lacks appended.
+// added with the frequencies vs lacks appended. A resume counts the items
+// a mutation wrote or overwrote by it, before any row is made: its search
+// is what finds the frequencies the grid lacks.
 func (lv *absLive) count(it *pdata.ItemPDF, vs *pdata.ValueSet, d int32, added []float64) []float64 {
+	lv.negZeros += int(d) * negZeros(it)
 	for _, e := range it.Entries {
-		if e.Freq == 0 && math.Signbit(e.Freq) {
-			lv.negZeros += int(d)
-		}
 		if j := vs.Index(e.Freq); j >= 0 {
 			lv.holders[j] += d
 		} else {
@@ -295,6 +297,17 @@ func (lv *absLive) count(it *pdata.ItemPDF, vs *pdata.ValueSet, d int32, added [
 		}
 	}
 	return added
+}
+
+// negZeros counts the entries of it that list a negative zero.
+func negZeros(it *pdata.ItemPDF) int {
+	k := 0
+	for _, e := range it.Entries {
+		if e.Freq == 0 && math.Signbit(e.Freq) {
+			k++
+		}
+	}
+	return k
 }
 
 // regrid moves V and holders to the grid the counts describe — the values

@@ -16,12 +16,16 @@ type Moments struct {
 // per tuple, with success probability Pr[t = i]), so
 // Var[g_i] = Σ_t p_t(i)(1-p_t(i)) and E[g_i^2] = Var + E^2 (§3.1).
 func MomentsOf(src Source) Moments {
+	var mom Moments
+	mom.Fill(src)
+	return mom
+}
+
+// Fill overwrites mom with src's moments (see MomentsOf), in the slices
+// mom holds where they are long enough.
+func (mom *Moments) Fill(src Source) {
 	n := src.Domain()
-	mom := Moments{
-		Mean:   make([]float64, n),
-		MeanSq: make([]float64, n),
-		Var:    make([]float64, n),
-	}
+	mom.Mean, mom.MeanSq, mom.Var = sized(mom.Mean, n), sized(mom.MeanSq, n), sized(mom.Var, n)
 	switch s := src.(type) {
 	case *ValuePDF:
 		for i := range s.Items {
@@ -29,6 +33,8 @@ func MomentsOf(src Source) Moments {
 			mom.Mean[i], mom.MeanSq[i], mom.Var[i] = mean, sq, sq-mean*mean
 		}
 	case *Basic:
+		clear(mom.Mean)
+		clear(mom.Var)
 		for _, t := range s.Tuples {
 			mom.Mean[t.Item] += t.Prob
 			mom.Var[t.Item] += t.Prob * (1 - t.Prob)
@@ -39,6 +45,8 @@ func MomentsOf(src Source) Moments {
 	case *TuplePDF:
 		// Within a tuple, alternatives naming the same item merge into a
 		// single Bernoulli with the summed probability.
+		clear(mom.Mean)
+		clear(mom.Var)
 		var run []Alternative
 		for k := range s.Tuples {
 			run = s.Tuples[k].AppendRun(run[:0])
@@ -55,7 +63,16 @@ func MomentsOf(src Source) Moments {
 		// expensive; all shipped sources are covered above.
 		panic("pdata: MomentsOf: unknown source type")
 	}
-	return mom
+}
+
+// sized returns s resliced to n, reallocated at twice its capacity (or
+// n) when it is too short, so a domain that grows a few items at a time
+// regrows rarely. Its entries are not kept.
+func sized(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n, max(n, 2*cap(s)))
+	}
+	return s[:n]
 }
 
 // InducedValuePDF computes, for a tuple pdf input, the per-item marginal
@@ -143,7 +160,7 @@ func NewPMFTable(vp *ValuePDF, vs ValueSet) (*PMFTable, error) {
 	t := &PMFTable{VS: vs, P: make([][]float64, n)}
 	for i := 0; i < n; i++ {
 		row := flatP[i*k : (i+1)*k : (i+1)*k]
-		if freq, ok := vs.PMFRow(row, &vp.Items[i]); !ok {
+		if freq, ok := vs.PMFRow(row, &vp.Items[i], nil); !ok {
 			return nil, errValueNotInSupport(i, freq)
 		}
 		t.P[i] = row
@@ -153,19 +170,24 @@ func NewPMFTable(vp *ValuePDF, vs ValueSet) (*PMFTable, error) {
 
 // PMFRow writes one item's pmf over V into row (len |V|): row[j] =
 // Pr[g = V[j]], the implicit zero mass included — one row of
-// NewPMFTable. It reports the first listed frequency V lacks, if any.
-func (vs *ValueSet) PMFRow(row []float64, it *ItemPDF) (missing float64, ok bool) {
+// NewPMFTable. When holders is not nil (len |V|), every listed entry adds
+// one to the holder count of the grid value it lists, a frequency 0 to
+// holders[0]. It reports the first listed frequency V lacks, if any;
+// holders then counts the entries before it.
+func (vs *ValueSet) PMFRow(row []float64, it *ItemPDF, holders []int32) (missing float64, ok bool) {
 	clear(row)
 	row[0] = it.ZeroProb()
 	for _, e := range it.Entries {
-		if e.Freq == 0 {
-			continue
+		j := 0
+		if e.Freq != 0 {
+			if j = vs.Index(e.Freq); j < 0 {
+				return e.Freq, false
+			}
+			row[j] += e.Prob
 		}
-		j := vs.Index(e.Freq)
-		if j < 0 {
-			return e.Freq, false
+		if holders != nil {
+			holders[j]++
 		}
-		row[j] += e.Prob
 	}
 	return 0, true
 }

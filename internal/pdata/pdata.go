@@ -441,11 +441,15 @@ func (vp *ValuePDF) M() int {
 
 // ExpectedFreqs returns E[g_i] per item.
 func (vp *ValuePDF) ExpectedFreqs() []float64 {
-	e := make([]float64, vp.N)
+	return vp.AppendExpectedFreqs(make([]float64, 0, vp.N))
+}
+
+// AppendExpectedFreqs appends E[g_i] per item to dst.
+func (vp *ValuePDF) AppendExpectedFreqs(dst []float64) []float64 {
 	for i := range vp.Items {
-		e[i] = vp.Items[i].Mean()
+		dst = append(dst, vp.Items[i].Mean())
 	}
-	return e
+	return dst
 }
 
 // EnumerateWorlds enumerates the cross product of per-item frequency choices.

@@ -266,12 +266,12 @@ func denseSplits(d *treeDP, l int) int64 {
 func buildTree(t testing.TB, src pdata.Source, kind metric.Kind, p metric.Params, B, q int, pool *engine.Pool) (*treeDP, *pdata.ValuePDF) {
 	t.Helper()
 	unpadded := pdata.AsValuePDF(src)
-	vp := padValuePDF(unpadded)
-	pe, err := NewPointErrors(vp, kind, p)
+	set := new(Buffers)
+	vp, err := set.fillLeaves(unpadded, kind, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := newTreeDP(vp.N, unpadded.N, min(B, vp.N), haar.Forward(vp.ExpectedFreqs()), pe, kind.Cumulative(), q, pool)
+	d, err := newTreeDP(&set.dp, vp.N, unpadded.N, min(B, vp.N), set.mu, &set.pe, kind.Cumulative(), q, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +590,7 @@ func pointErrorFixtures() (fixtures map[string]*pdata.ValuePDF, probes func(*pda
 		long.Entries = append(long.Entries, pdata.FreqProb{Freq: float64(k) * 0.37, Prob: 1.0 / 256})
 	}
 	fp := func(f, p float64) pdata.FreqProb { return pdata.FreqProb{Freq: f, Prob: p} }
-	vp := padValuePDF(&pdata.ValuePDF{N: 7, Items: []pdata.ItemPDF{
+	vp := new(Buffers).pad(&pdata.ValuePDF{N: 7, Items: []pdata.ItemPDF{
 		{Entries: []pdata.FreqProb{fp(7, 0.1), fp(2, 0.3), fp(11, 0.05), fp(3, 0.2)}},           // unsorted
 		{Entries: []pdata.FreqProb{fp(4, 0.1), fp(2, 0.3), fp(4, 0.2), fp(2, 0.1), fp(4, 0.1)}}, // duplicate frequencies
 		{Entries: []pdata.FreqProb{fp(0, 0.25), fp(5, 0.5)}},                                    // explicit frequency 0

@@ -36,17 +36,28 @@ type PointErrors struct {
 	totW, totS []float64
 	// squared family (SSRE): per-item x=Σpwv², y=Σpwv, z=Σpw
 	x, y, z []float64
+	own     []pdata.FreqProb // fill's scratch: one item's sorted run
 }
 
 // NewPointErrors builds the evaluator for vp (already padded) under kind.
 // Supported kinds: SSRE, SAE, SARE, MAE, MARE.
 func NewPointErrors(vp *pdata.ValuePDF, kind metric.Kind, p metric.Params) (*PointErrors, error) {
-	pe := &PointErrors{kind: kind, p: p, n: vp.N}
+	pe := new(PointErrors)
+	if err := pe.fill(vp, kind, p); err != nil {
+		return nil, err
+	}
+	return pe, nil
+}
+
+// fill is NewPointErrors in pe's memory: every table is rewritten for vp,
+// in the arrays pe already holds where they are long enough.
+func (pe *PointErrors) fill(vp *pdata.ValuePDF, kind metric.Kind, p metric.Params) error {
+	pe.kind, pe.p, pe.n = kind, p, vp.N
 	switch kind {
 	case metric.SSRE:
-		pe.x = make([]float64, vp.N)
-		pe.y = make([]float64, vp.N)
-		pe.z = make([]float64, vp.N)
+		pe.x = resize(pe.x, vp.N)
+		pe.y = resize(pe.y, vp.N)
+		pe.z = resize(pe.z, vp.N)
 		w0 := kind.Weight(0, p)
 		for i := 0; i < vp.N; i++ {
 			var xi, yi, zi float64
@@ -64,19 +75,20 @@ func NewPointErrors(vp *pdata.ValuePDF, kind metric.Kind, p metric.Params) (*Poi
 			pe.x[i], pe.y[i], pe.z[i] = xi, yi, zi
 		}
 	case metric.SAE, metric.SARE, metric.MAE, metric.MARE:
-		pe.off = make([]int, vp.N+1)
+		pe.off = resize(pe.off, vp.N+1)
+		pe.off[0] = 0
 		// A run has at most one breakpoint per entry plus frequency 0, and
 		// one record more than breakpoints.
-		pe.val = make([]float64, 0, vp.M()+vp.N)
-		pe.rec = make([]float64, 0, 2*(vp.M()+2*vp.N))
-		pe.totW = make([]float64, vp.N)
-		pe.totS = make([]float64, vp.N)
-		var own []pdata.FreqProb
+		pe.val = resize(pe.val, vp.M()+vp.N)[:0]
+		pe.rec = resize(pe.rec, 2*(vp.M()+2*vp.N))[:0]
+		pe.totW = resize(pe.totW, vp.N)
+		pe.totS = resize(pe.totS, vp.N)
+		own := pe.own
 		for i := range vp.Items {
 			own = append(own[:0], pdata.FreqProb{Prob: vp.Items[i].ZeroProb()})
 			for _, e := range vp.Items[i].Entries {
 				if math.IsNaN(e.Freq) {
-					return nil, fmt.Errorf("wavelet: item %d has a NaN frequency", i)
+					return fmt.Errorf("wavelet: item %d has a NaN frequency", i)
 				}
 				if e.Freq != 0 {
 					own = append(own, e)
@@ -104,10 +116,11 @@ func NewPointErrors(vp *pdata.ValuePDF, kind metric.Kind, p metric.Params) (*Poi
 			pe.off[i+1] = len(pe.val)
 			pe.totW[i], pe.totS[i] = cw, cs
 		}
+		pe.own = own
 	default:
-		return nil, fmt.Errorf("wavelet: PointErrors does not support %v (use BuildSSE for SSE and SSE-fixed)", kind)
+		return fmt.Errorf("wavelet: PointErrors does not support %v (use BuildSSE for SSE and SSE-fixed)", kind)
 	}
-	return pe, nil
+	return nil
 }
 
 // shortRun is the longest own-support run Err scans forward; longer runs
@@ -294,17 +307,22 @@ func restrictedSingleton(pe *PointErrors, c0 float64, b int) *Synopsis {
 	return syn
 }
 
-// padValuePDF extends a value pdf with deterministic-zero items up to the
-// next power-of-two domain size.
-func padValuePDF(vp *pdata.ValuePDF) *pdata.ValuePDF {
+// padItem is every padding item: a deterministic zero. Its entries are
+// shared by every padded domain and never written.
+var padItem = pdata.ItemPDF{Entries: []pdata.FreqProb{{Freq: 0, Prob: 1}}}
+
+// pad extends a value pdf with deterministic-zero items up to the next
+// power-of-two domain size, in the set's item slice; a domain that is a
+// power of two already comes back as it is.
+func (set *Buffers) pad(vp *pdata.ValuePDF) *pdata.ValuePDF {
 	n := haar.Pow2Ceil(vp.N)
 	if n == vp.N {
 		return vp
 	}
-	out := &pdata.ValuePDF{N: n, Items: make([]pdata.ItemPDF, n)}
-	copy(out.Items, vp.Items)
-	for i := vp.N; i < n; i++ {
-		out.Items[i] = pdata.ItemPDF{Entries: []pdata.FreqProb{{Freq: 0, Prob: 1}}}
+	items := append(slices.Grow(set.padded.Items[:0], n), vp.Items...)
+	for len(items) < n {
+		items = append(items, padItem)
 	}
-	return out
+	set.padded = pdata.ValuePDF{N: n, Items: items}
+	return &set.padded
 }

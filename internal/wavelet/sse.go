@@ -2,6 +2,7 @@ package wavelet
 
 import (
 	"fmt"
+	"slices"
 
 	"probsyn/internal/haar"
 	"probsyn/internal/numeric"
@@ -52,24 +53,47 @@ type sseGreedy struct {
 	// totalMuSq is Σ_i μ_i² in coefficient order; varFloor the compensated
 	// Σ_i Var[g_i] in item order (padding items are deterministic zeros).
 	totalMuSq, varFloor float64
+
+	// fill's scratch: the padded expected frequencies, TopK's ranking and
+	// the per-item moments.
+	work []float64
+	rank haar.Ranking
+	mom  pdata.Moments
 }
 
-func newSSEGreedy(src pdata.Source) *sseGreedy {
-	g := &sseGreedy{c: haar.Forward(haar.Pad(src.ExpectedFreqs()))}
+// fill runs the greedy over src, in g's memory.
+func (g *sseGreedy) fill(src pdata.Source) {
+	n := haar.Pow2Ceil(src.Domain())
+	g.work = appendExpectedFreqs(slices.Grow(g.work[:0], n), src)
+	for len(g.work) < n {
+		g.work = append(g.work, 0)
+	}
+	g.c = resize(g.c, n)
+	haar.ForwardInto(g.c, g.work)
 	// TopK's order is a deterministic total order (magnitude, then
 	// index), so TopK(c, b) is the b-prefix of TopK(c, n) for every b.
-	g.order = haar.TopK(g.c, len(g.c))
-	n := len(g.c)
+	g.order = g.rank.AppendTopK(g.order[:0], g.c, n)
+	g.totalMuSq = 0
 	for i, v := range g.c {
 		nv := v * haar.NormFactor(i, n)
 		g.totalMuSq += nv * nv
 	}
+	g.mom.Fill(src)
 	var acc numeric.Accumulator
-	for _, v := range pdata.MomentsOf(src).Var {
+	for _, v := range g.mom.Var {
 		acc.Add(v)
 	}
 	g.varFloor = acc.Value()
-	return g
+}
+
+// appendExpectedFreqs appends src's expected frequencies to dst: in dst's
+// memory for a value pdf, the model a live frontier holds.
+func appendExpectedFreqs(dst []float64, src pdata.Source) []float64 {
+	dst = slices.Grow(dst, src.Domain())
+	if vp, ok := src.(*pdata.ValuePDF); ok {
+		return vp.AppendExpectedFreqs(dst)
+	}
+	return append(dst, src.ExpectedFreqs()...)
 }
 
 // report is the exact error accounting of a synopsis that retains some of
@@ -105,7 +129,8 @@ func BuildSSE(src pdata.Source, B int) (*Synopsis, *SSEReport, error) {
 	if B < 0 {
 		return nil, nil, fmt.Errorf("wavelet: negative budget %d", B)
 	}
-	g := newSSEGreedy(src)
+	g := new(sseGreedy)
+	g.fill(src)
 	sw := g.sweep(B)
 	syn := sw.at(sw.bmax)
 	rep := g.report(syn)

@@ -21,13 +21,14 @@ import (
 // directly, and a whole cost-vs-budget frontier (the paper's Figure 2/4
 // x-axes) costs one build instead of Bmax.
 //
-// A Sweep holds the DP's per-level tables, which extraction only reads,
-// so Synopsis and Cost may be called concurrently. Release hands the
-// tables back to the slab cache for the next DP to reuse. Only a holder
-// of the sole reference that has extracted what it needs calls it: a
-// single-budget build (buildAt, probsyn.Build) after its one extraction,
-// and a live frontier for the sweep a mutation replaced. A sweep a caller
-// keeps — a BuildSweep frontier, a live frontier's current sweep — is
+// A Sweep reads the Buffers set it was filled into — the DP's per-level
+// tables among them — and extraction only reads it, so Synopsis and Cost
+// may be called concurrently. Release ends the sweep. For NewSweep's own
+// set it hands the tables back to the slab cache for the next DP to
+// reuse; only a holder of the sole reference that has extracted what it
+// needs calls it: a single-budget build (buildAt, probsyn.Build) after its
+// one extraction. A live frontier releases the sweep a mutation replaced,
+// which only marks it: the set is its to refill. A BuildSweep frontier is
 // never released and lives until it is garbage collected.
 type Sweep struct {
 	bmax    int
@@ -35,7 +36,7 @@ type Sweep struct {
 	costAt  func(b int) float64 // budget b's cost without its synopsis; nil: only at(b) knows it
 	bound   float64             // additive suboptimality bound; 0 for exact sweeps
 	stats   hist.DPStats        // the forward DP's work counters; zero for the SSE greedy
-	release func()              // hands the DP's tables to the slab cache; nil when there are none
+	release func()              // hands NewSweep's tables to the slab cache; nil for a kept set's sweep
 
 	once     sync.Once
 	costs    []float64 // costs[b-1], filled by the first Cost call
@@ -45,7 +46,8 @@ type Sweep struct {
 // errReleased is what a released sweep answers.
 var errReleased = errors.New("wavelet: sweep already released")
 
-// Release hands the sweep's DP tables back to the slab cache. Afterwards
+// Release hands the DP tables of a NewSweep back to the slab cache; a
+// sweep filled into a caller's Buffers set moves no memory. Afterwards
 // Synopsis and Cost return an error; Bmax, ErrorBound and Stats still
 // answer. Release must not run concurrently with any other method.
 func (s *Sweep) Release() {
@@ -135,8 +137,45 @@ const (
 // NewSweep runs the family's one forward pass at budget B and returns the
 // whole frontier: every budget b <= B is a backtrack away, bit-identical
 // to the family's Build function at budget b, the same q and any worker
-// count. pool nil means serial.
+// count. pool nil means serial. It is Buffers.Sweep into an empty set, and
+// the sweep's Release hands that set's level tables to the slab cache.
 func NewSweep(src pdata.Source, family Family, kind metric.Kind, p metric.Params, B, q int, pool *engine.Pool) (*Sweep, error) {
+	set := new(Buffers)
+	sw, err := set.Sweep(src, family, kind, p, B, q, pool)
+	if err != nil {
+		return nil, err
+	}
+	sw.release = set.dp.release
+	return sw, nil
+}
+
+// Buffers is the memory a sweep fills and its extractions read: the
+// padded items, the point-error tables, the expected frequencies and
+// coefficients, the tree DP's level tables and layout, and the SSE
+// greedy's coefficients, order, ranking scratch and moments. Sweep
+// refills it in place, growing an array only when the padded domain or
+// the entry count outgrows it, so a holder that sweeps again and again
+// (a live frontier keeps two sets) allocates next to nothing after the
+// first sweep of each shape. The level tables of an empty set come from
+// the slab cache, and a set that outgrows one hands it back there.
+//
+// A sweep reads the set it was filled into until the set is filled
+// again: refill a set only once nothing reads its last sweep. Such a
+// sweep's Release marks it released and moves no memory.
+type Buffers struct {
+	padded pdata.ValuePDF // the data padded to a power of two, when it is not one
+	pe     PointErrors
+	work   []float64 // the expected frequencies, then the Haar transform's scratch
+	mu     []float64 // the expected coefficients
+	dp     dpTables
+	sse    sseGreedy
+}
+
+// Sweep runs the family's one forward pass at budget B over src in the
+// set's memory and returns the frontier, as NewSweep does. A failed sweep
+// leaves the set partly rewritten, to be filled again: a sweep reads
+// nothing the set held before it.
+func (set *Buffers) Sweep(src pdata.Source, family Family, kind metric.Kind, p metric.Params, B, q int, pool *engine.Pool) (*Sweep, error) {
 	if B < 0 {
 		return nil, fmt.Errorf("wavelet: negative budget %d", B)
 	}
@@ -144,24 +183,37 @@ func NewSweep(src pdata.Source, family Family, kind metric.Kind, p metric.Params
 		return nil, fmt.Errorf("wavelet: the quantized restricted DP needs q = 0 (exact) or q >= 2, got %d", q)
 	}
 	if family == SSEFamily {
-		return newSSEGreedy(src).sweep(B), nil
+		set.sse.fill(src)
+		return set.sse.sweep(B), nil
 	}
 	unpadded := pdata.AsValuePDF(src)
-	vp := padValuePDF(unpadded)
-	pe, err := NewPointErrors(vp, kind, p)
+	vp, err := set.fillLeaves(unpadded, kind, p)
 	if err != nil {
 		return nil, err
 	}
-	mu := haar.Forward(vp.ExpectedFreqs())
 	B = min(B, vp.N)
+	pe, mu := &set.pe, set.mu
 	if vp.N == 1 {
 		return extractionSweep(B, func(b int) *Synopsis { return restrictedSingleton(pe, mu[0], b) }), nil
 	}
-	d, err := newTreeDP(vp.N, unpadded.N, B, mu, pe, kind.Cumulative(), q, pool)
+	d, err := newTreeDP(&set.dp, vp.N, unpadded.N, B, mu, pe, kind.Cumulative(), q, pool)
 	if err != nil {
 		return nil, err
 	}
 	return d.sweep(), nil
+}
+
+// fillLeaves pads vp and fills what the tree DP reads of the data: the
+// point errors and the expected coefficients of the padded domain.
+func (set *Buffers) fillLeaves(vp *pdata.ValuePDF, kind metric.Kind, p metric.Params) (*pdata.ValuePDF, error) {
+	vp = set.pad(vp)
+	if err := set.pe.fill(vp, kind, p); err != nil {
+		return nil, err
+	}
+	set.work = appendExpectedFreqs(set.work[:0], vp)
+	set.mu = resize(set.mu, vp.N)
+	haar.ForwardInto(set.mu, set.work)
+	return vp, nil
 }
 
 // buildAt is the single-budget form of NewSweep: the frontier at budget B
@@ -190,8 +242,7 @@ func (d *treeDP) sweep() *Sweep {
 	d.ord = nil
 	sw := &Sweep{
 		bmax: d.B, bound: d.errorBound(), stats: d.stats,
-		at:      func(b int) *Synopsis { return d.synopsis(b) },
-		release: d.release,
+		at: func(b int) *Synopsis { return d.synopsis(b) },
 	}
 	if d.quant == 0 {
 		sw.costAt = func(b int) float64 { return d.cost(b) }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -77,6 +78,7 @@ type coefChoice struct {
 }
 
 type treeDP struct {
+	*dpTables
 	n          int       // padded domain size, power of two, >= 2
 	zero       int       // first item of the deterministic-zero padding tail; n when there is none
 	levels     int       // log2 n: detail levels of the error tree
@@ -87,20 +89,6 @@ type treeDP struct {
 	cumulative bool
 	pool       *engine.Pool
 
-	// Per-level tables, built bottom-up and kept for the backtrack; only
-	// levels 0..levels-2 are materialized (see the layout note above).
-	// res and vals are slabs from the slab cache (takeSlab), handed back by
-	// release.
-	res  [][]float64 // res[l]: flat [state][0..bcap[l]] blocks
-	offs [][]int     // offs[l][i]: first state of node 2^l+i; last entry = level total
-	bcap []int       // bcap[l] = min(B, subtree coefficient count)
-
-	// vals[l][state] is the state's incoming value, written top-down by
-	// buildGrids. An exact DP keeps the last internal level's only — the
-	// one level it reads; a quantized DP (quant > 0) keeps every level's,
-	// with the per-node analytic value bounds and grid steps its snapped
-	// transitions bucket against.
-	vals [][]float64
 	// ord[l][offs[l][i]:offs[l][i+1]] lists node 2^l+i's local states in
 	// ascending order of incoming value, in an order slab (takeOrder). Only
 	// a DP whose last internal level is exact builds them, and buildGrids
@@ -108,10 +96,7 @@ type treeDP struct {
 	// merges each last-level node's order from it (leafOrder), and sweep
 	// hands it back to the slab cache, extraction never reading it. A
 	// quantized last level's order is its grid's.
-	ord   [][]int32
-	blo   [][]float64 // blo[l][i], bhi[l][i]: incoming-value bounds of node 2^l+i
-	bhi   [][]float64
-	gstep [][]float64 // gstep[l][i]: grid step on quantized levels, else 0
+	ord [][]int32
 
 	// Work of the forward sweep's solveStates calls, added once per call
 	// under statsMu: budget splits merge evaluated, the rest of the dense
@@ -122,6 +107,27 @@ type treeDP struct {
 	// are the same at every worker count.
 	statsMu sync.Mutex
 	stats   hist.DPStats
+}
+
+// dpTables is the tree DP's memory in a Buffers set: the per-level
+// tables, built bottom-up and kept for the backtrack, and the layout and
+// grids they are read through. Only levels 0..levels-2 are materialized
+// (see the layout note above). res and vals are slabs (slab); the other
+// arrays are the set's own (resize).
+type dpTables struct {
+	res  [][]float64 // res[l]: flat [state][0..bcap[l]] blocks
+	offs [][]int     // offs[l][i]: first state of node 2^l+i; last entry = level total
+	bcap []int       // bcap[l] = min(B, subtree coefficient count)
+
+	// vals[l][state] is the state's incoming value, written top-down by
+	// buildGrids. An exact DP keeps only the last internal level's — the
+	// one level it reads; a quantized DP (quant > 0) keeps every level's,
+	// with the per-node analytic value bounds and grid steps its snapped
+	// transitions bucket against.
+	vals  [][]float64
+	blo   [][]float64 // blo[l][i], bhi[l][i]: incoming-value bounds of node 2^l+i
+	bhi   [][]float64
+	gstep [][]float64 // gstep[l][i]: grid step on quantized levels, else 0
 }
 
 // newTreeDP executes the DP's forward level sweeps through the pool and
@@ -137,12 +143,13 @@ type treeDP struct {
 // capped at quant grid states. A grid at least as fine as the
 // largest exact level changes nothing, so quant >= 2^(levels-1) is
 // normalized to exact mode and yields bit-identical results.
-func newTreeDP(n, zero, B int, mu []float64, pe *PointErrors, cumulative bool, quant int, pool *engine.Pool) (*treeDP, error) {
+func newTreeDP(tabs *dpTables, n, zero, B int, mu []float64, pe *PointErrors, cumulative bool, quant int, pool *engine.Pool) (*treeDP, error) {
 	if pool == nil {
 		pool = engine.Serial()
 	}
 	d := &treeDP{
-		n: n, zero: zero, levels: bits.Len(uint(n)) - 1, B: B,
+		dpTables: tabs,
+		n:        n, zero: zero, levels: bits.Len(uint(n)) - 1, B: B,
 		mu: mu, pe: pe, cumulative: cumulative, pool: pool,
 	}
 	if quant > 0 {
@@ -161,7 +168,7 @@ func newTreeDP(n, zero, B int, mu []float64, pe *PointErrors, cumulative bool, q
 		return nil, err
 	}
 	d.buildGrids()
-	d.res = make([][]float64, d.levels-1)
+	d.res = resize(d.res, d.levels-1)
 	for l := d.levels - 2; l >= 0; l-- {
 		d.solveLevel(l)
 	}
@@ -201,53 +208,92 @@ var (
 	orders slabPool[int32]
 )
 
-// slabFill, when set, is written into every float slab takeSlab hands out,
-// and -1 into every order takeOrder hands out; see SetSlabFill.
+// slabFill, when set, is written into every float array a sweep's memory
+// hands out, and -1 into every index array; see SetSlabFill.
 var slabFill atomic.Pointer[float64]
+
+// poison writes the slab fill, when one is set, into every entry of s:
+// the fill into a float array, -1 into an index array.
+func poison[T any](s []T) {
+	v := slabFill.Load()
+	if v == nil {
+		return
+	}
+	switch s := any(s).(type) {
+	case []float64:
+		for k := range s {
+			s[k] = *v
+		}
+	case []int:
+		for k := range s {
+			s[k] = -1
+		}
+	case []int32:
+		for k := range s {
+			s[k] = -1
+		}
+	}
+}
 
 // takeSlab returns a float64 slab of length n >= 1 from the cache.
 func takeSlab(n int) []float64 {
 	s := slabs.take(n)
-	if v := slabFill.Load(); v != nil {
-		for k := range s {
-			s[k] = *v
-		}
-	}
+	poison(s)
 	return s
 }
 
 // takeOrder returns an int32 slab of length n >= 1 from the cache.
 func takeOrder(n int) []int32 {
 	s := orders.take(n)
-	if slabFill.Load() != nil {
-		for k := range s {
-			s[k] = -1
-		}
-	}
+	poison(s)
 	return s
 }
 
-// SetSlabFill makes every slab the tree DP's slab cache hands out arrive
-// poisoned until restore is called: float slabs filled with v, order
-// slabs with -1, an index out of every range. It exists for tests: filled
-// with NaN, a slab betrays any entry read before it is written, since
-// such a read would change a synopsis byte, and a -1 read as an index
-// panics.
+// slab returns s, a slab of a set's level tables, resliced to n >= 1
+// entries: in its own memory when it holds n, else a slab from the cache,
+// s going back there. Its entries are not zeroed.
+func slab(s []float64, n int) []float64 {
+	if cap(s) < n {
+		slabs.put(s)
+		return takeSlab(n)
+	}
+	s = s[:n]
+	poison(s)
+	return s
+}
+
+// resize returns s resliced to n entries, regrown as append grows a slice
+// when it is too short: an array sized by a domain that grows a few items
+// at a time regrows rarely, and one sized by the padded domain once at
+// each power of two. Its entries are not zeroed: a per-level row list
+// keeps the rows it holds.
+func resize[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	poison(s)
+	return s
+}
+
+// SetSlabFill makes every array a sweep's memory hands out arrive
+// poisoned until restore is called: the slab cache's, and a Buffers set's
+// own when it is refilled. Float arrays are filled with v, index arrays
+// with -1, an index out of every range. It exists for tests: filled with
+// NaN, an array betrays any entry read before it is written, since such a
+// read would change a synopsis byte, and a -1 read as an index panics.
 func SetSlabFill(v float64) (restore func()) {
 	slabFill.Store(&v)
 	return func() { slabFill.Store(nil) }
 }
 
-// release hands the DP's level tables and incoming-value rows back to the
-// slab cache. The DP is not read again.
-func (d *treeDP) release() {
-	for _, s := range d.res {
+// release hands the level tables and incoming-value rows back to the slab
+// cache. Nothing reads them again.
+func (t *dpTables) release() {
+	for _, s := range t.res {
 		slabs.put(s)
 	}
-	for _, s := range d.vals {
+	for _, s := range t.vals {
 		slabs.put(s)
 	}
-	d.res, d.vals = nil, nil
+	t.res, t.vals = nil, nil
 }
 
 func (d *treeDP) combine(a, b float64) float64 {
@@ -266,8 +312,8 @@ func (d *treeDP) lq(l int) bool { return d.quant > 0 && 1<<(l+1) > d.quant }
 // states, or quant on a quantized level.
 func (d *treeDP) layout() error {
 	L := d.levels
-	d.offs = make([][]int, L-1)
-	d.bcap = make([]int, L-1)
+	d.offs = resize(d.offs, L-1)
+	d.bcap = resize(d.bcap, L-1)
 	for l := 0; l <= L-2; l++ {
 		d.bcap[l] = min(d.B, (1<<(L-l))-1)
 		per := 1 << (l + 1)
@@ -277,7 +323,7 @@ func (d *treeDP) layout() error {
 		if need := float64(per) * float64(int(1)<<l); need > maxTreeStates {
 			return d.stateOverflowErr(l, need)
 		}
-		offs := make([]int, 1<<l+1)
+		offs := resize(d.offs[l], 1<<l+1)
 		for i := range offs {
 			offs[i] = i * per
 		}
@@ -318,37 +364,39 @@ func (d *treeDP) stateOverflowErr(l int, need float64) error {
 // reachable incoming value, exact or already snapped, stays inside them.
 // Only the last internal level prices leaves from its values, so an exact
 // DP hands each level's back to the slab cache once the level below is
-// written; the quantized DP's transitions and backtrack read every level's.
+// written, as it does the orders: the set keeps what extraction reads.
+// The quantized DP's transitions and backtrack read every level's.
 // When the last internal level is exact, each level above it is also
 // sorted by incoming value (mergeOrder: each node's order merged from its
 // parent's), and only the order of the level just above the last is kept,
 // from which the leaf sweep merges each last-level node's order as it
 // prices it. (newTreeDP normalizes quant >= 2^(levels-1) to exact mode, so
 // a quantized DP's last internal level is always on its grid.)
-// Every entry of a level is written here, so a recycled slab needs no
-// zeroing.
+// Every entry of a level is written here, so a recycled or refilled slab
+// needs no zeroing.
 func (d *treeDP) buildGrids() {
 	L := d.levels
-	d.vals = make([][]float64, L-1)
+	d.vals = resize(d.vals, L-1)
 	sorted := !d.lq(L - 2)
 	if sorted {
 		d.ord = make([][]int32, L-1)
 	}
 	if d.quant > 0 {
-		d.blo = make([][]float64, L-1)
-		d.bhi = make([][]float64, L-1)
-		d.gstep = make([][]float64, L-1)
+		d.blo, d.bhi, d.gstep = resize(d.blo, L-1), resize(d.bhi, L-1), resize(d.gstep, L-1)
 		for l := range d.blo {
-			d.blo[l] = make([]float64, 1<<l)
-			d.bhi[l] = make([]float64, 1<<l)
-			d.gstep[l] = make([]float64, 1<<l)
+			d.blo[l] = resize(d.blo[l], 1<<l)
+			d.bhi[l] = resize(d.bhi[l], 1<<l)
+			d.gstep[l] = resize(d.gstep[l], 1<<l)
+			if !d.lq(l) {
+				clear(d.gstep[l])
+			}
 		}
 		w0 := d.mu[0]
 		d.blo[0][0] = math.Min(0, w0)
 		d.bhi[0][0] = math.Max(0, w0)
 	}
 	for l := 0; l <= L-2; l++ {
-		d.vals[l] = takeSlab(d.offs[l][1<<l])
+		d.vals[l] = slab(d.vals[l], d.offs[l][1<<l])
 		ordered := sorted && l < L-2
 		if ordered {
 			d.ord[l] = takeOrder(d.offs[l][1<<l])
@@ -476,7 +524,7 @@ func (d *treeDP) solveLevel(l int) {
 	iz := min(1<<l, (d.zero+1<<sh-1)>>sh)
 	live := offs[iz]
 	entries := d.bcap[l] + 1
-	d.res[l] = takeSlab(offs[1<<l] * entries) // every entry is written before it is read
+	d.res[l] = slab(d.res[l], offs[1<<l]*entries) // every entry is written before it is read
 	centries := min(d.B, 1) + 1
 	if l != d.levels-2 {
 		centries = d.bcap[l+1] + 1

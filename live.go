@@ -7,6 +7,7 @@ import (
 	"probsyn/internal/hist"
 	"probsyn/internal/pdata"
 	"probsyn/internal/synopsis"
+	"probsyn/internal/wavelet"
 )
 
 // Maintainer is a live Frontier: it absorbs Append/Update mutations of the
@@ -36,14 +37,19 @@ type Maintainer = synopsis.Maintainer
 //     value to its grid, or drops one, refills the table whole, in the
 //     same memory. Every other oracle is rebuilt over the mutated data, in
 //     O(n) or in less time than its DP.
-//   - wavelet: one fresh sweep over the mutated data, BuildSweep's cost
+//   - wavelet: one fresh sweep over the mutated data, BuildSweep's work
 //     for every mutation. An update that keeps the item's mean (a pdf
 //     replaced by one with the same expectation) pays it too; DESIGN.md
 //     "Incremental maintenance" says why no wavelet state is retained.
-//     The sweep costs about the items the data holds, not the power of
-//     two it is padded to: the padding's all-zero subtrees are priced in
-//     closed form, so an append past a power of two (512 items to 516)
-//     does not double it.
+//     The sweep runs in the memory of the sweep before last: the frontier
+//     keeps two sets of point errors, coefficients and level tables,
+//     refills the spare one and swaps it in once the sweep succeeds, so a
+//     mutation allocates next to nothing once both sets have the padded
+//     domain's shape, at the price of holding a second set. The sweep
+//     costs about the items the data holds, not the power of two it is
+//     padded to: the padding's all-zero subtrees are priced in closed
+//     form, so an append past a power of two (512 items to 516) does not
+//     double it.
 //
 // The determinism contract is unchanged: after any mutation sequence,
 // Synopsis(b) is codec-byte-identical to BuildSweep at budget b over the
@@ -72,6 +78,9 @@ func BuildLive(src Source, m Metric, Bmax int, opts ...BuildOption) (Maintainer,
 	}
 	defer release()
 	l := &liveFrontier{plan: p, bmax: Bmax, vp: vp.Clone()}
+	if _, ok := p.family.wavelet(); ok {
+		l.set, l.spare = new(wavelet.Buffers), new(wavelet.Buffers)
+	}
 	if err := l.refresh(0, nil); err != nil {
 		return nil, err
 	}
@@ -91,13 +100,17 @@ type liveFrontier struct {
 	vp    *pdata.ValuePDF // the current data
 	cur   countedFrontier // the frontier over vp
 	spent DPStats         // the work of the wavelet sweeps cur replaced
+	// A wavelet family's two sweep memories: set is the one cur reads,
+	// spare the one the next sweep fills. They swap once that sweep
+	// succeeds, so a refused mutation leaves cur and set as they were.
+	set, spare *wavelet.Buffers
 }
 
 // refresh builds the frontier over vp (with no frontier yet), or brings
 // it up to date with vp, whose items from `from` on changed, replaced
 // holding the items the mutation overwrote: a histogram resumes its
 // oracle, or rebuilds it, and resumes its table at column from; a wavelet
-// family sweeps the whole data afresh.
+// family sweeps the whole data afresh, in the spare set's memory.
 func (l *liveFrontier) refresh(from int, replaced []pdata.ItemPDF) error {
 	p := l.plan
 	if h, ok := l.cur.(histFrontier); ok {
@@ -118,19 +131,18 @@ func (l *liveFrontier) refresh(from int, replaced []pdata.ItemPDF) error {
 		// The table is revalidated in place: cur already reads it.
 		return h.tab.Resume(o, from, p.pool)
 	}
-	fr, err := p.frontier(l.vp, l.bmax)
+	fr, err := p.frontier(l.vp, l.bmax, l.spare)
 	if err != nil {
 		return err
 	}
 	if l.cur != nil {
 		l.spent.Add(l.cur.Stats())
-		if wf, ok := l.cur.(waveletFrontier); ok {
-			// Every extraction holds mu, as the caller does: nothing reads
-			// the replaced sweep again, so its tables go back to the cache.
-			wf.Release()
-		}
+		// Every extraction holds mu, as the caller does: nothing reads the
+		// replaced sweep again, so its set is the next sweep's to fill.
+		l.cur.(waveletFrontier).Release()
 	}
 	l.cur = fr
+	l.set, l.spare = l.spare, l.set
 	return nil
 }
 

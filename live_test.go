@@ -215,13 +215,34 @@ func TestLiveGridMutations(t *testing.T) {
 // each allocate well under a rebuilt oracle's megabyte, amortised over
 // rounds after a warm one.
 func TestLiveHistogramAllocations(t *testing.T) {
+	assertLiveAllocations(t, probsyn.SAE, 32, 128<<10)
+}
+
+// TestLiveWaveletAllocations pins the same for the two live wavelets
+// serve-mutate keeps, a quantized SAE q=32 B=32 DP and the SSE B=64
+// greedy: each mutation sweeps afresh, but into the spare set's memory,
+// so after the warm round and the append that pads the domain to 1024 in
+// both sets, a mutation allocates a small fraction of one sweep's tables.
+func TestLiveWaveletAllocations(t *testing.T) {
+	t.Run("SAE/q=32", func(t *testing.T) {
+		assertLiveAllocations(t, probsyn.SAE, 32, 48<<10, probsyn.WithWavelet(), probsyn.WithQuantize(32))
+	})
+	t.Run("SSE", func(t *testing.T) {
+		assertLiveAllocations(t, probsyn.SSE, 64, 48<<10, probsyn.WithWavelet())
+	})
+}
+
+// assertLiveAllocations builds a live frontier over sensor data, n=512,
+// and holds a 4-item Append and a midpoint Update each to maxBytes,
+// amortised over 8 rounds after a warm one.
+func assertLiveAllocations(t *testing.T, m probsyn.Metric, B int, maxBytes uint64, opts ...probsyn.BuildOption) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const n, rounds, maxBytes = 512, 8, 128 << 10
+	const n, rounds = 512, 8
 	data := gen.SensorGrid(rand.New(rand.NewSource(1)), gen.DefaultSensor(n))
 	pdfs := gen.SensorGrid(rand.New(rand.NewSource(2)), gen.DefaultSensor(5*(rounds+1))).Items
-	live, err := probsyn.BuildLive(data, probsyn.SAE, 32)
+	live, err := probsyn.BuildLive(data, m, B, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,13 +134,19 @@ func (p *plan) oracle(src Source) (hist.Oracle, error) {
 }
 
 // frontier runs the plan's one DP at budget Bmax: the histogram table or
-// the wavelet sweep, either of which answers every budget up to Bmax. The
-// caller holds the admission token and reports the frontier's Stats.
-// (histEps has no frontier; resolve lets it through for Build alone, which
-// runs it directly.)
-func (p *plan) frontier(src Source, Bmax int) (countedFrontier, error) {
+// the wavelet sweep, either of which answers every budget up to Bmax. A
+// wavelet sweeps into set when there is one (a live frontier's spare),
+// else into fresh memory that its Release hands to the slab cache; a
+// histogram has no set. The caller holds the admission token and reports
+// the frontier's Stats. (histEps has no frontier; resolve lets it through
+// for Build alone, which runs it directly.)
+func (p *plan) frontier(src Source, Bmax int, set *wavelet.Buffers) (countedFrontier, error) {
 	if wf, ok := p.family.wavelet(); ok {
-		sw, err := wavelet.NewSweep(src, wf, p.metric, p.params, Bmax, p.q, p.pool)
+		sweep := wavelet.NewSweep
+		if set != nil {
+			sweep = set.Sweep
+		}
+		sw, err := sweep(src, wf, p.metric, p.params, Bmax, p.q, p.pool)
 		if err != nil {
 			return nil, err
 		}

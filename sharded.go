@@ -105,7 +105,7 @@ func (p *plan) sharded(src Source, B, k int) (*ShardedResult, error) {
 		if p.weights != nil {
 			sp.weights = p.weights[lo:hi]
 		}
-		f, err := sp.frontier(shardSource(src, lo, hi), min(B, hi-lo))
+		f, err := sp.frontier(shardSource(src, lo, hi), min(B, hi-lo), nil)
 		if err != nil {
 			return fmt.Errorf("probsyn: shard %d: %w", s, err)
 		}

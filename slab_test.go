@@ -14,14 +14,17 @@ import (
 	"probsyn/internal/wavelet"
 )
 
-// TestPoisonedSlabReuse drives the three paths that hand a tree DP's slabs
-// back to the cache — Build, the wavelet package's single-budget builders
-// (buildAt) and a live frontier replacing its sweep on every mutation —
-// over every DP family at interleaved domain sizes, three builds at a
-// time, once with every slab the cache hands out filled with NaN and once
-// with zeros (what a fresh slab holds). The bytes must not move: a NaN
-// read before it is written would change a decision or a cost. It also
-// checks that a released sweep refuses to extract.
+// TestPoisonedSlabReuse drives the paths that reuse a sweep's memory —
+// Build and the wavelet package's single-budget builders (buildAt), which
+// hand a tree DP's slabs back to the cache, and a live frontier, which
+// refills its spare set on every mutation — over every DP family at
+// interleaved domain sizes, three builds at a time, once with every array
+// the cache or a refilled set hands out poisoned with NaN (−1 in an index
+// array) and once with zeros (what a fresh slab holds). The bytes must
+// not move: a NaN read before it is written would change a decision or a
+// cost. Each live sequence also holds every budget to a fresh BuildSweep
+// after every step. It also checks that a released sweep refuses to
+// extract.
 func TestPoisonedSlabReuse(t *testing.T) {
 	type job struct {
 		name string
@@ -29,7 +32,7 @@ func TestPoisonedSlabReuse(t *testing.T) {
 	}
 	var jobs []job
 	srcs := map[int]*probsyn.ValuePDF{}
-	for _, n := range []int{64, 512, 2048} {
+	for _, n := range []int{60, 64, 508, 512, 2048} {
 		srcs[n] = gen.SensorGrid(rand.New(rand.NewSource(int64(n))), gen.DefaultSensor(n))
 	}
 	p := probsyn.DefaultParams()
@@ -67,10 +70,22 @@ func TestPoisonedSlabReuse(t *testing.T) {
 			add("q8-SAE", probsyn.SAE, 32, 8)
 			add("q32-SAE", probsyn.SAE, 32, 32)
 		}
-		for _, q := range []int{0, 8} {
-			jobs = append(jobs, job{fmt.Sprintf("BuildLive/q%d/workers=%d", q, workers), func() ([]byte, error) {
-				return liveSequence(srcs[64], q, par)
-			}})
+		// Live sequences cross a power of two, 60 -> 68 and 508 -> 516
+		// items, so each set regrows once and is refilled at both shapes.
+		for _, n := range []int{60, 508} {
+			add := func(name string, m probsyn.Metric, q int) {
+				jobs = append(jobs, job{fmt.Sprintf("BuildLive/%s/n=%d/workers=%d", name, n, workers), func() ([]byte, error) {
+					return liveSequence(srcs[n], m, q, par)
+				}})
+			}
+			add("SSE", probsyn.SSE, 0)
+			for _, m := range []probsyn.Metric{probsyn.SAE, probsyn.MAE, probsyn.SSRE} {
+				if n < 508 || workers == 2 { // exact at 1024 padded items: once
+					add(fmt.Sprintf("restricted-%v", m), m, 0)
+				}
+				add(fmt.Sprintf("q8-%v", m), m, 8)
+				add(fmt.Sprintf("q32-%v", m), m, 32)
+			}
 		}
 	}
 	run := func(fill float64) [][]byte {
@@ -130,41 +145,60 @@ func encode(syn probsyn.Synopsis, err error) ([]byte, error) {
 	return probsyn.MarshalSynopsis(syn)
 }
 
-// liveSequence runs a fixed append/update sequence through a live
-// restricted SAE wavelet frontier (quantized when q > 0) and returns the
-// codec bytes of its top-budget and mid-budget synopses after each step.
-func liveSequence(src *probsyn.ValuePDF, q int, par probsyn.BuildOption) ([]byte, error) {
+// liveSequence runs two 4-item appends and two updates through a live
+// wavelet frontier of metric m over src (the restricted DP, quantized when
+// q > 0; the greedy for SSE), holds every budget's codec bytes to a fresh
+// BuildSweep over the same data after every step, and returns them.
+func liveSequence(src *probsyn.ValuePDF, m probsyn.Metric, q int, par probsyn.BuildOption) ([]byte, error) {
+	const B = 16
 	opts := []probsyn.BuildOption{probsyn.WithWavelet(), par}
 	if q > 0 {
 		opts = append(opts, probsyn.WithQuantize(q))
 	}
-	live, err := probsyn.BuildLive(src, probsyn.SAE, 16, opts...)
+	live, err := probsyn.BuildLive(src, m, B, opts...)
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(35))
+	cur := src.Clone()
+	pdfs := gen.SensorGrid(rand.New(rand.NewSource(int64(src.N))), gen.DefaultSensor(10)).Items
 	var out []byte
-	for step := 0; step < 8; step++ {
-		if step > 0 {
-			if step%2 == 1 {
-				err = live.Append([]probsyn.ItemPDF{liveRandItem(rng), liveRandItem(rng)})
-			} else {
-				err = live.Update(rng.Intn(live.Domain()), liveRandItem(rng))
-			}
-			if err != nil {
-				return nil, err
-			}
+	for step := 0; step <= 4; step++ {
+		switch step {
+		case 1, 3:
+			items := pdfs[5*(step/2) : 5*(step/2)+4]
+			err = live.Append(items)
+			cur.Items = append(cur.Items, items...)
+			cur.N = len(cur.Items)
+		case 2, 4:
+			i := cur.N / step
+			err = live.Update(i, pdfs[5*(step/2)-1])
+			cur.Items[i] = pdfs[5*(step/2)-1]
 		}
-		for _, b := range []int{live.Bmax(), live.Bmax() / 2} {
-			syn, err := live.Synopsis(b)
-			if err != nil {
-				return nil, err
+		if err != nil {
+			return nil, err
+		}
+		fresh, err := probsyn.BuildSweep(cur, m, B, opts...)
+		if err != nil {
+			return nil, err
+		}
+		if live.Bmax() != fresh.Bmax() {
+			return nil, fmt.Errorf("step %d: live Bmax %d, fresh %d", step, live.Bmax(), fresh.Bmax())
+		}
+		for b := 1; b <= live.Bmax(); b++ {
+			var enc [2][]byte
+			for k, f := range []probsyn.Frontier{live, fresh} {
+				syn, err := f.Synopsis(b)
+				if err != nil {
+					return nil, err
+				}
+				if enc[k], err = probsyn.MarshalSynopsis(syn); err != nil {
+					return nil, err
+				}
 			}
-			enc, err := probsyn.MarshalSynopsis(syn)
-			if err != nil {
-				return nil, err
+			if !bytes.Equal(enc[0], enc[1]) {
+				return nil, fmt.Errorf("step %d: budget %d's bytes differ from a fresh BuildSweep's", step, b)
 			}
-			out = append(out, enc...)
+			out = append(out, enc[0]...)
 		}
 	}
 	return out, nil
