@@ -177,7 +177,7 @@ func (p *plan) build(src Source, B int) (Synopsis, Frontier, error) {
 	p.report(fr.Stats())
 	syn, err := synopsis.Extract(fr, B)
 	if wf, ok := fr.(waveletFrontier); ok {
-		wf.Release() // no caller reads past the one synopsis: hand the DP's tables back
+		wf.Release() // no caller reads past the one synopsis: pool the sweep's set
 	}
 	return syn, fr, err
 }

@@ -30,17 +30,17 @@ func (mom *Moments) Fill(src Source) {
 	case *ValuePDF:
 		for i := range s.Items {
 			mean, sq := s.Items[i].Mean(), s.Items[i].MeanSq()
-			mom.Mean[i], mom.MeanSq[i], mom.Var[i] = mean, sq, sq-mean*mean
+			mom.Mean[i], mom.MeanSq[i], mom.Var[i] = mean, sq, sq-float64(mean*mean)
 		}
 	case *Basic:
 		clear(mom.Mean)
 		clear(mom.Var)
 		for _, t := range s.Tuples {
 			mom.Mean[t.Item] += t.Prob
-			mom.Var[t.Item] += t.Prob * (1 - t.Prob)
+			mom.Var[t.Item] += float64(t.Prob * (1 - t.Prob))
 		}
 		for i := 0; i < n; i++ {
-			mom.MeanSq[i] = mom.Var[i] + mom.Mean[i]*mom.Mean[i]
+			mom.MeanSq[i] = mom.Var[i] + float64(mom.Mean[i]*mom.Mean[i])
 		}
 	case *TuplePDF:
 		// Within a tuple, alternatives naming the same item merge into a
@@ -52,11 +52,11 @@ func (mom *Moments) Fill(src Source) {
 			run = s.Tuples[k].AppendRun(run[:0])
 			for _, a := range run {
 				mom.Mean[a.Item] += a.Prob
-				mom.Var[a.Item] += a.Prob * (1 - a.Prob)
+				mom.Var[a.Item] += float64(a.Prob * (1 - a.Prob))
 			}
 		}
 		for i := 0; i < n; i++ {
-			mom.MeanSq[i] = mom.Var[i] + mom.Mean[i]*mom.Mean[i]
+			mom.MeanSq[i] = mom.Var[i] + float64(mom.Mean[i]*mom.Mean[i])
 		}
 	default:
 		// Generic fallback via the value pdf induced marginals would be
@@ -120,7 +120,7 @@ func poissonBinomialPMF(probs []float64) []float64 {
 	for _, q := range probs {
 		pmf = append(pmf, 0)
 		for v := len(pmf) - 1; v >= 1; v-- {
-			pmf[v] = pmf[v]*(1-q) + pmf[v-1]*q
+			pmf[v] = float64(pmf[v]*(1-q)) + float64(pmf[v-1]*q)
 		}
 		pmf[0] *= 1 - q
 	}

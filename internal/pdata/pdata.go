@@ -356,7 +356,7 @@ func (ip *ItemPDF) Mean() float64 {
 func (ip *ItemPDF) MeanSq() float64 {
 	s := 0.0
 	for _, e := range ip.Entries {
-		s += e.Prob * e.Freq * e.Freq
+		s += float64(e.Prob * e.Freq * e.Freq)
 	}
 	return s
 }

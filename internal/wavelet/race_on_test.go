@@ -3,5 +3,6 @@
 package wavelet_test
 
 // raceEnabled: the race detector makes sync.Pool drop Puts at random, so
-// an allocation bound that rests on the slab cache does not hold under it.
+// an allocation bound that rests on NewSweep's pool of sets does not hold
+// under it.
 const raceEnabled = true

@@ -267,15 +267,15 @@ func buildTree(t testing.TB, src pdata.Source, kind metric.Kind, p metric.Params
 	t.Helper()
 	unpadded := pdata.AsValuePDF(src)
 	set := new(Buffers)
+	q, err := treeQuant(haar.Pow2Ceil(unpadded.N), q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	vp, err := set.fillLeaves(unpadded, kind, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := newTreeDP(&set.dp, vp.N, unpadded.N, min(B, vp.N), set.mu, &set.pe, kind.Cumulative(), q, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d, vp
+	return newTreeDP(&set.dp, vp.N, unpadded.N, min(B, vp.N), set.mu, &set.pe, kind.Cumulative(), q, pool), vp
 }
 
 // assertTablesEqual holds got to want cell for cell by Float64bits and
@@ -383,7 +383,7 @@ func TestTreeDPStatsPerLevel(t *testing.T) {
 				var sum hist.DPStats
 				for l := d.levels - 2; l >= 0; l-- {
 					d.stats = hist.DPStats{}
-					d.solveStates(l, 0, d.offs[l][1<<l])
+					d.solveStates(l, 0, 0, d.offs[l][1<<l])
 					st := d.stats
 					if got, want := st.CandidatesScanned+st.CandidatesPruned, denseSplits(d, l); got != want || st.CandidatesPruned < 0 || st.CandidatesScanned <= 0 {
 						t.Fatalf("%v/%s/B=%d level %d: %d scanned + %d pruned, dense scan has %d", kind, mode.name, B, l, st.CandidatesScanned, st.CandidatesPruned, want)

@@ -76,7 +76,7 @@ func (g *sseGreedy) fill(src pdata.Source) {
 	g.totalMuSq = 0
 	for i, v := range g.c {
 		nv := v * haar.NormFactor(i, n)
-		g.totalMuSq += nv * nv
+		g.totalMuSq += float64(nv * nv)
 	}
 	g.mom.Fill(src)
 	var acc numeric.Accumulator
@@ -103,7 +103,7 @@ func (g *sseGreedy) report(syn *Synopsis) SSEReport {
 	n := len(g.c)
 	for k, i := range syn.Indices {
 		nv := syn.Values[k] * haar.NormFactor(i, n)
-		rep.RetainedMuSq += nv * nv
+		rep.RetainedMuSq += float64(nv * nv)
 	}
 	rep.ExpectedSSE = rep.VarianceFloor + rep.DroppedMuSq()
 	return rep

@@ -24,19 +24,20 @@ import (
 // A Sweep reads the Buffers set it was filled into — the DP's per-level
 // tables among them — and extraction only reads it, so Synopsis and Cost
 // may be called concurrently. Release ends the sweep. For NewSweep's own
-// set it hands the tables back to the slab cache for the next DP to
-// reuse; only a holder of the sole reference that has extracted what it
-// needs calls it: a single-budget build (buildAt, probsyn.Build) after its
-// one extraction. A live frontier releases the sweep a mutation replaced,
-// which only marks it: the set is its to refill. A BuildSweep frontier is
-// never released and lives until it is garbage collected.
+// set it puts the set back in the pool for the next NewSweep to refill;
+// only a holder of the sole reference that has extracted what it needs
+// calls it: a single-budget build (buildAt, probsyn.Build) after its one
+// extraction. A live frontier releases the sweep a mutation replaced,
+// which only marks it: the set is its own, already refilled. A BuildSweep
+// frontier is never released and lives, with its set, until it is
+// garbage collected.
 type Sweep struct {
 	bmax    int
 	at      func(b int) *Synopsis
 	costAt  func(b int) float64 // budget b's cost without its synopsis; nil: only at(b) knows it
 	bound   float64             // additive suboptimality bound; 0 for exact sweeps
 	stats   hist.DPStats        // the forward DP's work counters; zero for the SSE greedy
-	release func()              // hands NewSweep's tables to the slab cache; nil for a kept set's sweep
+	release func()              // pools NewSweep's set; nil for a caller's set's sweep
 
 	once     sync.Once
 	costs    []float64 // costs[b-1], filled by the first Cost call
@@ -46,10 +47,10 @@ type Sweep struct {
 // errReleased is what a released sweep answers.
 var errReleased = errors.New("wavelet: sweep already released")
 
-// Release hands the DP tables of a NewSweep back to the slab cache; a
-// sweep filled into a caller's Buffers set moves no memory. Afterwards
-// Synopsis and Cost return an error; Bmax, ErrorBound and Stats still
-// answer. Release must not run concurrently with any other method.
+// Release puts a NewSweep's set back in the pool; a sweep filled into a
+// caller's Buffers set moves no memory. Afterwards Synopsis and Cost
+// return an error; Bmax, ErrorBound and Stats still answer. Release must
+// not run concurrently with any other method.
 func (s *Sweep) Release() {
 	if !s.released && s.release != nil {
 		s.release()
@@ -137,31 +138,47 @@ const (
 // NewSweep runs the family's one forward pass at budget B and returns the
 // whole frontier: every budget b <= B is a backtrack away, bit-identical
 // to the family's Build function at budget b, the same q and any worker
-// count. pool nil means serial. It is Buffers.Sweep into an empty set, and
-// the sweep's Release hands that set's level tables to the slab cache.
+// count. pool nil means serial. It is Buffers.Sweep into a set taken from
+// a pool of idle sets, and the sweep's Release puts that set back, so a
+// single-budget build refills the set the last one released.
 func NewSweep(src pdata.Source, family Family, kind metric.Kind, p metric.Params, B, q int, pool *engine.Pool) (*Sweep, error) {
-	set := new(Buffers)
+	set := sets.Get().(*Buffers)
 	sw, err := set.Sweep(src, family, kind, p, B, q, pool)
 	if err != nil {
+		set.release()
 		return nil, err
 	}
-	sw.release = set.dp.release
+	sw.release = set.release
 	return sw, nil
+}
+
+// sets holds the idle sets of released NewSweeps, process-wide: a build
+// without a shared engine pool still finds the set the last one released.
+// A sync.Pool drops what it holds at GC, so an idle process retains none
+// and there is no retention setting.
+var sets = sync.Pool{New: func() any { return new(Buffers) }}
+
+// release drops the set's references to the caller's items and pools it.
+// Nothing reads its last sweep again.
+func (set *Buffers) release() {
+	clear(set.padded.Items[:cap(set.padded.Items)])
+	sets.Put(set)
 }
 
 // Buffers is the memory a sweep fills and its extractions read: the
 // padded items, the point-error tables, the expected frequencies and
-// coefficients, the tree DP's level tables and layout, and the SSE
-// greedy's coefficients, order, ranking scratch and moments. Sweep
-// refills it in place, growing an array only when the padded domain or
-// the entry count outgrows it, so a holder that sweeps again and again
-// (a live frontier keeps two sets) allocates next to nothing after the
-// first sweep of each shape. The level tables of an empty set come from
-// the slab cache, and a set that outgrows one hands it back there.
+// coefficients, the tree DP's level tables, layout, incoming values,
+// orders and leaf scratch, and the SSE greedy's coefficients, order,
+// ranking scratch and moments. It is the one owner of what a sweep
+// writes. Sweep refills it in place, growing an array only when the
+// padded domain or the entry count outgrows it, so a holder that sweeps
+// again and again (a live frontier, NewSweep's pool) allocates next to
+// nothing after the first sweep of each shape.
 //
 // A sweep reads the set it was filled into until the set is filled
-// again: refill a set only once nothing reads its last sweep. Such a
-// sweep's Release marks it released and moves no memory.
+// again: refill a set only once nothing reads its last sweep, or once a
+// refused sweep has left it as it was. Such a sweep's Release marks it
+// released and moves no memory.
 type Buffers struct {
 	padded pdata.ValuePDF // the data padded to a power of two, when it is not one
 	pe     PointErrors
@@ -172,9 +189,13 @@ type Buffers struct {
 }
 
 // Sweep runs the family's one forward pass at budget B over src in the
-// set's memory and returns the frontier, as NewSweep does. A failed sweep
-// leaves the set partly rewritten, to be filled again: a sweep reads
-// nothing the set held before it.
+// set's memory and returns the frontier, as NewSweep does. The budget,
+// the grid size and the tree DP's state cap are checked before anything
+// is written, so a sweep they refuse leaves the set, and the sweep last
+// filled into it, as they were; on a validated source they are the only
+// refusals. Any other failure (a metric PointErrors does not price, a NaN
+// frequency) leaves the set partly rewritten, to be filled again: a sweep
+// reads nothing the set held before it.
 func (set *Buffers) Sweep(src pdata.Source, family Family, kind metric.Kind, p metric.Params, B, q int, pool *engine.Pool) (*Sweep, error) {
 	if B < 0 {
 		return nil, fmt.Errorf("wavelet: negative budget %d", B)
@@ -186,6 +207,10 @@ func (set *Buffers) Sweep(src pdata.Source, family Family, kind metric.Kind, p m
 		set.sse.fill(src)
 		return set.sse.sweep(B), nil
 	}
+	q, err := treeQuant(haar.Pow2Ceil(src.Domain()), q)
+	if err != nil {
+		return nil, err
+	}
 	unpadded := pdata.AsValuePDF(src)
 	vp, err := set.fillLeaves(unpadded, kind, p)
 	if err != nil {
@@ -196,11 +221,7 @@ func (set *Buffers) Sweep(src pdata.Source, family Family, kind metric.Kind, p m
 	if vp.N == 1 {
 		return extractionSweep(B, func(b int) *Synopsis { return restrictedSingleton(pe, mu[0], b) }), nil
 	}
-	d, err := newTreeDP(&set.dp, vp.N, unpadded.N, B, mu, pe, kind.Cumulative(), q, pool)
-	if err != nil {
-		return nil, err
-	}
-	return d.sweep(), nil
+	return newTreeDP(&set.dp, vp.N, unpadded.N, B, mu, pe, kind.Cumulative(), q, pool).sweep(), nil
 }
 
 // fillLeaves pads vp and fills what the tree DP reads of the data: the
@@ -233,13 +254,8 @@ func buildAt(src pdata.Source, family Family, kind metric.Kind, p metric.Params,
 // extraction re-evaluates each synopsis exactly (its Cost is the true
 // expected error — never below the exact optimum, since the synopsis is
 // a feasible exact solution) and the sweep carries the DP's additive
-// suboptimality bound. Extraction reads no incoming-value order, so the
-// orders go back to the slab cache here, before a caller holds the sweep.
+// suboptimality bound.
 func (d *treeDP) sweep() *Sweep {
-	for _, s := range d.ord {
-		orders.put(s)
-	}
-	d.ord = nil
 	sw := &Sweep{
 		bmax: d.B, bound: d.errorBound(), stats: d.stats,
 		at: func(b int) *Synopsis { return d.synopsis(b) },

@@ -84,7 +84,7 @@ func (s *Synopsis) Estimate(i int) float64 {
 	for _, idx := range haar.Path(i, s.N) {
 		k := sort.SearchInts(s.Indices, idx)
 		if k < len(s.Indices) && s.Indices[k] == idx {
-			v += haar.Sign(idx, i, s.N) * s.Values[k]
+			v += float64(haar.Sign(idx, i, s.N) * s.Values[k])
 		}
 	}
 	return v

@@ -89,15 +89,6 @@ type treeDP struct {
 	cumulative bool
 	pool       *engine.Pool
 
-	// ord[l][offs[l][i]:offs[l][i+1]] lists node 2^l+i's local states in
-	// ascending order of incoming value, in an order slab (takeOrder). Only
-	// a DP whose last internal level is exact builds them, and buildGrids
-	// leaves the order of the level above that one only: the leaf sweep
-	// merges each last-level node's order from it (leafOrder), and sweep
-	// hands it back to the slab cache, extraction never reading it. A
-	// quantized last level's order is its grid's.
-	ord [][]int32
-
 	// Work of the forward sweep's solveStates calls, added once per call
 	// under statsMu: budget splits merge evaluated, the rest of the dense
 	// scan's splits (clamped, saturated, or off the crossing), and point
@@ -110,28 +101,40 @@ type treeDP struct {
 }
 
 // dpTables is the tree DP's memory in a Buffers set: the per-level
-// tables, built bottom-up and kept for the backtrack, and the layout and
-// grids they are read through. Only levels 0..levels-2 are materialized
-// (see the layout note above). res and vals are slabs (slab); the other
-// arrays are the set's own (resize).
+// tables, built bottom-up and kept for the backtrack, the layout and
+// grids they are read through, and the forward sweep's scratch. Only
+// levels 0..levels-2 are materialized (see the layout note above). Every
+// array is sized by resize and refilled by the set's next sweep.
 type dpTables struct {
 	res  [][]float64 // res[l]: flat [state][0..bcap[l]] blocks
 	offs [][]int     // offs[l][i]: first state of node 2^l+i; last entry = level total
 	bcap []int       // bcap[l] = min(B, subtree coefficient count)
 
 	// vals[l][state] is the state's incoming value, written top-down by
-	// buildGrids. An exact DP keeps only the last internal level's — the
-	// one level it reads; a quantized DP (quant > 0) keeps every level's,
-	// with the per-node analytic value bounds and grid steps its snapped
-	// transitions bucket against.
+	// buildGrids for every level. The last internal level's prices the
+	// leaves; a quantized DP (quant > 0) also snaps its transitions and
+	// backtrack from every level's, against the per-node analytic value
+	// bounds and grid steps.
 	vals  [][]float64
 	blo   [][]float64 // blo[l][i], bhi[l][i]: incoming-value bounds of node 2^l+i
 	bhi   [][]float64
 	gstep [][]float64 // gstep[l][i]: grid step on quantized levels, else 0
+
+	// ord[l][offs[l][i]:offs[l][i+1]] lists node 2^l+i's local states in
+	// ascending order of incoming value, for each level above the last
+	// internal one of a DP whose last internal level is exact: the leaf
+	// sweep merges each last-level node's order from the level above's
+	// (leafOrder). A quantized last level's order is its grid's.
+	ord [][]int32
+
+	// leafBuf[w] and leafOrd[w] are dispatch chunk w's scratch on the last
+	// internal level (solveLeafStates).
+	leafBuf [][]float64
+	leafOrd [][]int32
 }
 
 // newTreeDP executes the DP's forward level sweeps through the pool and
-// returns the solved table set. mu[j] is coefficient j's expected value;
+// returns the solved tables. mu[j] is coefficient j's expected value;
 // mu[0] is the overall average c0. Items zero..n-1 are the padding
 // padValuePDF appended: deterministic zeros. The kept level tables answer
 // extract(b) for every budget b <= B: an entry at budget index b' is
@@ -140,82 +143,60 @@ type dpTables struct {
 // built — one forward run serves the whole budget frontier.
 //
 // quant > 0 selects quantized mode: per-node incoming-value rows are
-// capped at quant grid states. A grid at least as fine as the
-// largest exact level changes nothing, so quant >= 2^(levels-1) is
-// normalized to exact mode and yields bit-identical results.
-func newTreeDP(tabs *dpTables, n, zero, B int, mu []float64, pe *PointErrors, cumulative bool, quant int, pool *engine.Pool) (*treeDP, error) {
+// capped at quant grid states. quant is what treeQuant returned for n.
+func newTreeDP(tabs *dpTables, n, zero, B int, mu []float64, pe *PointErrors, cumulative bool, quant int, pool *engine.Pool) *treeDP {
 	if pool == nil {
 		pool = engine.Serial()
 	}
 	d := &treeDP{
 		dpTables: tabs,
-		n:        n, zero: zero, levels: bits.Len(uint(n)) - 1, B: B,
+		n:        n, zero: zero, levels: bits.Len(uint(n)) - 1, B: B, quant: quant,
 		mu: mu, pe: pe, cumulative: cumulative, pool: pool,
 	}
-	if quant > 0 {
-		if quant < 2 {
-			return nil, fmt.Errorf("wavelet: incoming-value quantization needs q >= 2, got %d", quant)
-		}
-		if quant >= 1<<(d.levels-1) {
-			quant = 0
-		}
-	}
-	d.quant = quant
 	if d.levels == 1 {
-		return d, nil // n == 2: extract enumerates the two nodes directly
+		return d // n == 2: extract enumerates the two nodes directly
 	}
-	if err := d.layout(); err != nil {
-		return nil, err
-	}
+	d.layout()
 	d.buildGrids()
 	d.res = resize(d.res, d.levels-1)
 	for l := d.levels - 2; l >= 0; l-- {
 		d.solveLevel(l)
 	}
-	return d, nil
+	return d
 }
 
-// slabPool caches the slabs of finished DPs for the next DP to reuse,
-// process-wide: a build without a shared engine pool still finds the
-// slabs the last one released. Class c holds idle slabs of capacity
-// exactly 1<<c. A sync.Pool drops what it holds at GC, so an idle process
-// retains none and there is no retention setting.
-type slabPool[T float64 | int32] [bits.UintSize]sync.Pool
-
-// take returns a slab of length n >= 1, recycled when the pool holds one
-// of its capacity class. Its entries are not zeroed: every caller writes
-// an entry before it reads it.
-func (p *slabPool[T]) take(n int) []T {
-	c := bits.Len(uint(n - 1))
-	if s, ok := p[c].Get().(*[]T); ok {
-		return (*s)[:n]
+// treeQuant is the one check of a tree DP's shape, run before a sweep
+// writes anything: it returns the grid size the DP over a padded domain
+// of n items runs at, or the error of a level past maxTreeStates. A grid
+// at least as fine as the largest exact level changes nothing, so quant
+// >= 2^(levels-1) = n/2 is exact mode, 0, and yields bit-identical
+// results. A node at level l has 2^(l+1) exact states, or quant on a
+// quantized level.
+func treeQuant(n, quant int) (int, error) {
+	if quant >= n/2 {
+		quant = 0
 	}
-	return make([]T, n, 1<<c)
-}
-
-// put hands a taken slab back to the pool; nil is a no-op.
-func (p *slabPool[T]) put(s []T) {
-	if cap(s) > 0 {
-		p[bits.Len(uint(cap(s)-1))].Put(&s)
+	L := bits.Len(uint(n)) - 1
+	for l := 0; l <= L-2; l++ {
+		per := 1 << (l + 1)
+		if quant > 0 {
+			per = min(per, quant)
+		}
+		if need := float64(per) * float64(int(1)<<l); need > maxTreeStates {
+			return 0, stateOverflowErr(L, quant, l, need)
+		}
 	}
+	return quant, nil
 }
 
-// slabs holds the level tables (res), the incoming-value rows (vals) and
-// the leaf sweep's scratch; orders holds the incoming-value orders (ord)
-// and the leaf sweep's per-node orders.
-var (
-	slabs  slabPool[float64]
-	orders slabPool[int32]
-)
+// poisonFill, when set, is written into every float array resize hands
+// out, and -1 into every index array; see SetSlabFill.
+var poisonFill atomic.Pointer[float64]
 
-// slabFill, when set, is written into every float array a sweep's memory
-// hands out, and -1 into every index array; see SetSlabFill.
-var slabFill atomic.Pointer[float64]
-
-// poison writes the slab fill, when one is set, into every entry of s:
+// poison writes the poison fill, when one is set, into every entry of s:
 // the fill into a float array, -1 into an index array.
 func poison[T any](s []T) {
-	v := slabFill.Load()
+	v := poisonFill.Load()
 	if v == nil {
 		return
 	}
@@ -235,33 +216,6 @@ func poison[T any](s []T) {
 	}
 }
 
-// takeSlab returns a float64 slab of length n >= 1 from the cache.
-func takeSlab(n int) []float64 {
-	s := slabs.take(n)
-	poison(s)
-	return s
-}
-
-// takeOrder returns an int32 slab of length n >= 1 from the cache.
-func takeOrder(n int) []int32 {
-	s := orders.take(n)
-	poison(s)
-	return s
-}
-
-// slab returns s, a slab of a set's level tables, resliced to n >= 1
-// entries: in its own memory when it holds n, else a slab from the cache,
-// s going back there. Its entries are not zeroed.
-func slab(s []float64, n int) []float64 {
-	if cap(s) < n {
-		slabs.put(s)
-		return takeSlab(n)
-	}
-	s = s[:n]
-	poison(s)
-	return s
-}
-
 // resize returns s resliced to n entries, regrown as append grows a slice
 // when it is too short: an array sized by a domain that grows a few items
 // at a time regrows rarely, and one sized by the padded domain once at
@@ -273,27 +227,15 @@ func resize[T any](s []T, n int) []T {
 	return s
 }
 
-// SetSlabFill makes every array a sweep's memory hands out arrive
-// poisoned until restore is called: the slab cache's, and a Buffers set's
-// own when it is refilled. Float arrays are filled with v, index arrays
-// with -1, an index out of every range. It exists for tests: filled with
+// SetSlabFill makes every array a Buffers set hands a sweep (resize)
+// arrive poisoned until restore is called, in a fresh set and a refilled
+// one alike. Float arrays are filled with v, index arrays with -1, an
+// index out of every range. It exists for tests: filled with
 // NaN, an array betrays any entry read before it is written, since such a
 // read would change a synopsis byte, and a -1 read as an index panics.
 func SetSlabFill(v float64) (restore func()) {
-	slabFill.Store(&v)
-	return func() { slabFill.Store(nil) }
-}
-
-// release hands the level tables and incoming-value rows back to the slab
-// cache. Nothing reads them again.
-func (t *dpTables) release() {
-	for _, s := range t.res {
-		slabs.put(s)
-	}
-	for _, s := range t.vals {
-		slabs.put(s)
-	}
-	t.res, t.vals = nil, nil
+	poisonFill.Store(&v)
+	return func() { poisonFill.Store(nil) }
 }
 
 func (d *treeDP) combine(a, b float64) float64 {
@@ -307,10 +249,9 @@ func (d *treeDP) combine(a, b float64) float64 {
 // its exact ancestor-decision count 2^(l+1) would exceed the grid size.
 func (d *treeDP) lq(l int) bool { return d.quant > 0 && 1<<(l+1) > d.quant }
 
-// layout computes the per-level state offsets and budget caps, rejecting
-// a level beyond maxTreeStates. A node at level l has 2^(l+1) exact
-// states, or quant on a quantized level.
-func (d *treeDP) layout() error {
+// layout computes the per-level state offsets and budget caps of the
+// shape treeQuant admitted.
+func (d *treeDP) layout() {
 	L := d.levels
 	d.offs = resize(d.offs, L-1)
 	d.bcap = resize(d.bcap, L-1)
@@ -320,30 +261,26 @@ func (d *treeDP) layout() error {
 		if d.lq(l) {
 			per = d.quant
 		}
-		if need := float64(per) * float64(int(1)<<l); need > maxTreeStates {
-			return d.stateOverflowErr(l, need)
-		}
 		offs := resize(d.offs[l], 1<<l+1)
 		for i := range offs {
 			offs[i] = i * per
 		}
 		d.offs[l] = offs
 	}
-	return nil
 }
 
 // stateOverflowErr builds the maxTreeStates diagnostic: the level that
 // overflowed, the state count it actually needs, and the largest
 // quantization that would fit. The finest kept level L-2 has 2^(L-2)
 // nodes, so a quantized DP holds at most 2^(L-2)·q states per level.
-func (d *treeDP) stateOverflowErr(l int, need float64) error {
+func stateOverflowErr(levels, quant, l int, need float64) error {
 	msg := fmt.Sprintf("wavelet: coefficient-tree DP needs %.4g states at level %d, over the %d cap", need, l, maxTreeStates)
 	qfit := 0
-	if s := d.levels - 2; s >= 0 && s < 62 {
+	if s := levels - 2; s >= 0 && s < 62 {
 		qfit = maxTreeStates >> s
 	}
 	switch {
-	case qfit >= 2 && d.quant > 0:
+	case qfit >= 2 && quant > 0:
 		return fmt.Errorf("%s; reduce the quantization to q <= %d", msg, qfit)
 	case qfit >= 2:
 		return fmt.Errorf("%s; a quantized build with q <= %d fits", msg, qfit)
@@ -362,24 +299,19 @@ func (d *treeDP) stateOverflowErr(l int, need float64) error {
 // which accumulate top-down — a child of node j widens its parent's
 // interval by μⱼ's contribution on that side — so every
 // reachable incoming value, exact or already snapped, stays inside them.
-// Only the last internal level prices leaves from its values, so an exact
-// DP hands each level's back to the slab cache once the level below is
-// written, as it does the orders: the set keeps what extraction reads.
-// The quantized DP's transitions and backtrack read every level's.
 // When the last internal level is exact, each level above it is also
 // sorted by incoming value (mergeOrder: each node's order merged from its
-// parent's), and only the order of the level just above the last is kept,
-// from which the leaf sweep merges each last-level node's order as it
-// prices it. (newTreeDP normalizes quant >= 2^(levels-1) to exact mode, so
-// a quantized DP's last internal level is always on its grid.)
-// Every entry of a level is written here, so a recycled or refilled slab
-// needs no zeroing.
+// parent's), and the leaf sweep merges each last-level node's order from
+// the level just above's as it prices it. (treeQuant normalizes
+// quant >= 2^(levels-1) to exact mode, so a quantized DP's last internal
+// level is always on its grid.) Every entry of a level is written here,
+// so a refilled set needs no zeroing.
 func (d *treeDP) buildGrids() {
 	L := d.levels
 	d.vals = resize(d.vals, L-1)
 	sorted := !d.lq(L - 2)
 	if sorted {
-		d.ord = make([][]int32, L-1)
+		d.ord = resize(d.ord, L-2)
 	}
 	if d.quant > 0 {
 		d.blo, d.bhi, d.gstep = resize(d.blo, L-1), resize(d.bhi, L-1), resize(d.gstep, L-1)
@@ -396,10 +328,10 @@ func (d *treeDP) buildGrids() {
 		d.bhi[0][0] = math.Max(0, w0)
 	}
 	for l := 0; l <= L-2; l++ {
-		d.vals[l] = slab(d.vals[l], d.offs[l][1<<l])
+		d.vals[l] = resize(d.vals[l], d.offs[l][1<<l])
 		ordered := sorted && l < L-2
 		if ordered {
-			d.ord[l] = takeOrder(d.offs[l][1<<l])
+			d.ord[l] = resize(d.ord[l], d.offs[l][1<<l])
 		}
 		for i := 0; i < 1<<l; i++ {
 			vs := d.vals[l][d.offs[l][i]:d.offs[l][i+1]]
@@ -409,7 +341,7 @@ func (d *treeDP) buildGrids() {
 				step := (d.bhi[l][i] - lo) / float64(d.quant-1)
 				d.gstep[l][i] = step
 				for k := range vs {
-					vs[k] = lo + float64(k)*step
+					vs[k] = lo + float64(float64(k)*step)
 				}
 			case l == 0:
 				vs[0], vs[1] = 0, d.mu[0] // state 0 drops c0, state 1 keeps it
@@ -430,17 +362,7 @@ func (d *treeDP) buildGrids() {
 				d.mergeOrder(l, i, d.ord[l][d.offs[l][i]:d.offs[l][i+1]])
 			}
 		}
-		if ordered && l > 0 {
-			orders.put(d.ord[l-1])
-			d.ord[l-1] = nil
-		}
-		switch {
-		case d.quant == 0:
-			if l > 0 {
-				slabs.put(d.vals[l-1])
-				d.vals[l-1] = nil
-			}
-		case l < L-2:
+		if d.quant > 0 && l < L-2 {
 			for i := 0; i < 1<<l; i++ {
 				w := d.mu[(1<<l)+i]
 				lo, hi := d.blo[l][i], d.bhi[l][i]
@@ -524,14 +446,18 @@ func (d *treeDP) solveLevel(l int) {
 	iz := min(1<<l, (d.zero+1<<sh-1)>>sh)
 	live := offs[iz]
 	entries := d.bcap[l] + 1
-	d.res[l] = slab(d.res[l], offs[1<<l]*entries) // every entry is written before it is read
+	d.res[l] = resize(d.res[l], offs[1<<l]*entries) // every entry is written before it is read
 	centries := min(d.B, 1) + 1
 	if l != d.levels-2 {
 		centries = d.bcap[l+1] + 1
+	} else {
+		parts := d.pool.Chunks(live * entries * centries)
+		d.leafBuf, d.leafOrd = resize(d.leafBuf, parts), resize(d.leafOrd, parts)
 	}
-	// Result slots are derived from the state range, not the chunk index.
-	d.pool.MapChunks(0, live, live*entries*centries, func(_, lo, hi int) {
-		d.solveStates(l, lo, hi)
+	// Result slots are derived from the state range; only the leaf
+	// sweep's scratch from the chunk index.
+	d.pool.MapChunks(0, live, live*entries*centries, func(w, lo, hi int) {
+		d.solveStates(l, w, lo, hi)
 	})
 	d.solveZeroStates(l, iz)
 }
@@ -609,11 +535,11 @@ func (d *treeDP) solveZeroStates(l, i0 int) {
 // (solveLeafStates), and a level above a quantized one, whose transitions
 // snap. Every state is an independent slot, so any partition of a level
 // into solveStates calls — the pool's chunks at any worker count —
-// produces bit-identical tables.
-func (d *treeDP) solveStates(l, lo, hi int) {
+// produces bit-identical tables. w is the dispatch chunk's index.
+func (d *treeDP) solveStates(l, w, lo, hi int) {
 	var st hist.DPStats
 	if l == d.levels-2 {
-		d.solveLeafStates(lo, hi, &st)
+		d.solveLeafStates(w, lo, hi, &st)
 	} else {
 		d.solveInnerStates(l, lo, hi, &st)
 	}
@@ -683,8 +609,9 @@ func (d *treeDP) solveInnerStates(l, lo, hi int, st *hist.DPStats) {
 // constants, stays non-decreasing. leafRows then does leafTables' work on
 // those point errors and mergeLeaves merges each state's rows, so every
 // row sees the operations of the state-by-state loop, in its order, on
-// Err's bits: every entry and counter is unchanged.
-func (d *treeDP) solveLeafStates(lo, hi int, st *hist.DPStats) {
+// Err's bits: every entry and counter is unchanged. Its scratch is
+// chunk w's, sized by the states of one node.
+func (d *treeDP) solveLeafStates(w, lo, hi int, st *hist.DPStats) {
 	if lo >= hi {
 		return // an empty dispatch chunk
 	}
@@ -693,12 +620,10 @@ func (d *treeDP) solveLeafStates(lo, hi int, st *hist.DPStats) {
 	entries := d.bcap[l] + 1
 	ce := min(d.B, 1) + 1 // entries of a leaf row
 	i0 := sort.SearchInts(offs, lo+1) - 1
-	span := 0 // the most states of one node [lo, hi) meets
-	for i := i0; offs[i] < hi; i++ {
-		span = max(span, offs[i+1]-offs[i])
-	}
-	sorted := takeOrder(span)
-	buf := takeSlab((7 + 2*ce) * span)
+	span := offs[1] - offs[0] // every node of a level has as many states
+	d.leafOrd[w] = resize(d.leafOrd[w], span)
+	d.leafBuf[w] = resize(d.leafBuf[w], (7+2*ce)*span)
+	sorted, buf := d.leafOrd[w], d.leafBuf[w]
 	v, xl, xr, sc := buf[:span], buf[span:2*span], buf[2*span:3*span], buf[3*span:7*span]
 	lt, rt := buf[7*span:(7+ce)*span], buf[(7+ce)*span:]
 	for i := i0; offs[i] < hi; i++ {
@@ -738,8 +663,6 @@ func (d *treeDP) solveLeafStates(lo, hi int, st *hist.DPStats) {
 			st.CandidatesScanned += d.mergeLeaves(rows, entries, shift, ord, lt[:ce*n], rt[:ce*n])
 		}
 	}
-	orders.put(sorted)
-	slabs.put(buf)
 }
 
 // leafOrder returns the local states in [a, b) of the last internal
@@ -1118,7 +1041,7 @@ func (d *treeDP) errorBound() float64 {
 		delta := 0.0
 		for l := 0; l <= L-2; l++ {
 			if d.lq(l) {
-				delta += d.gstep[l][d.pathLocal(l, i)] / 2
+				delta += float64(d.gstep[l][d.pathLocal(l, i)] / 2)
 			}
 		}
 		if delta == 0 {

@@ -48,9 +48,9 @@ func pathSum(d *treeDP, j, s int) float64 {
 	return v
 }
 
-// TestIncomingValuesMatchPathSums holds every retained incoming value to
-// pathSum by Float64bits (exact levels) or to the node's grid blo + k·step
-// (quantized levels), and an exact DP to keeping the one level it reads.
+// TestIncomingValuesMatchPathSums holds every level's incoming values, all
+// of which the set keeps, to pathSum by Float64bits (exact levels) or to
+// the node's grid blo + k·step (quantized levels).
 func TestIncomingValuesMatchPathSums(t *testing.T) {
 	p := metric.Params{C: 0.5}
 	rng := rand.New(rand.NewSource(25))
@@ -58,13 +58,10 @@ func TestIncomingValuesMatchPathSums(t *testing.T) {
 		for _, n := range []int{4, 7, 8, 16, 32, 64} {
 			tag := fmt.Sprintf("%s/n=%d", mode.name, n)
 			d, _ := buildTree(t, ptest.RandomFractionalValuePDF(rng, n, 4), metric.SAE, p, 3, mode.q, nil)
+			if len(d.vals) != d.levels-1 {
+				t.Fatalf("%s: %d levels of incoming values for %d internal levels", tag, len(d.vals), d.levels-1)
+			}
 			for l, vals := range d.vals {
-				if d.quant == 0 && l < d.levels-2 {
-					if vals != nil {
-						t.Fatalf("%s: an exact DP kept level %d's incoming values", tag, l)
-					}
-					continue
-				}
 				if len(vals) != d.offs[l][1<<l] {
 					t.Fatalf("%s: level %d holds %d incoming values for %d states", tag, l, len(vals), d.offs[l][1<<l])
 				}
@@ -87,12 +84,12 @@ func TestIncomingValuesMatchPathSums(t *testing.T) {
 
 // TestIncomingOrderSortsStates holds the orders the leaf sweep prices a
 // node's states in: each lists every local state of its node once, in
-// non-decreasing order of incoming value. An exact DP keeps the order of
-// the level above the last internal one only, and merges each last-level
-// node's from it as the sweep reaches it (leafOrder), until sweep hands it
-// back. A quantized DP builds none: its last internal level is on its
-// grid, whose order is the identity. Over n = 4…64 every level depth from 0 to 4 is one of the two
-// checked levels of some tree, and each is merged from all the levels
+// non-decreasing order of incoming value. An exact DP's set keeps the
+// order of every level above the last internal one, and the sweep merges
+// each last-level node's from the level above's as it reaches it
+// (leafOrder). A quantized DP builds none: its last internal level is on
+// its grid, whose order is the identity. Over n = 4…64 every level depth
+// from 0 to 4 is checked in some tree, each merged from all the levels
 // above it; q4 is exact at n <= 8 and quantizes only the last internal
 // level at n = 16.
 func TestIncomingOrderSortsStates(t *testing.T) {
@@ -122,30 +119,19 @@ func TestIncomingOrderSortsStates(t *testing.T) {
 				}
 			}
 			last := d.levels - 2
+			if d.quant == 0 && len(d.ord) != last {
+				t.Fatalf("%s: an exact DP ordered %d levels above its last internal one, %d", tag, len(d.ord), last)
+			}
 			for l, ord := range d.ord {
-				if l != last-1 {
-					if ord != nil {
-						t.Fatalf("%s: an exact DP kept level %d's order", tag, l)
-					}
-					continue
-				}
-				// The level above the last: its values went back to the
-				// slab cache, and pathSum has their bits.
 				for i := 0; i < 1<<l; i++ {
-					vals := make([]float64, d.offs[l][i+1]-d.offs[l][i])
-					for s := range vals {
-						vals[s] = pathSum(d, 1<<l+i, s)
-					}
-					check(l, i, ord[d.offs[l][i]:d.offs[l][i+1]], vals)
+					lo, hi := d.offs[l][i], d.offs[l][i+1]
+					check(l, i, ord[lo:hi], d.vals[l][lo:hi])
 				}
 			}
 			buf := make([]int32, d.offs[last][1<<last])
 			for i := 0; i < 1<<last; i++ {
 				lo, hi := d.offs[last][i], d.offs[last][i+1]
 				check(last, i, d.leafOrder(i, 0, hi-lo, buf), d.vals[last][lo:hi])
-			}
-			if d.sweep(); d.ord != nil {
-				t.Fatalf("%s: a sweep holds the DP's incoming-value orders", tag)
 			}
 		}
 	}

@@ -41,11 +41,11 @@ type Maintainer = synopsis.Maintainer
 //     for every mutation. An update that keeps the item's mean (a pdf
 //     replaced by one with the same expectation) pays it too; DESIGN.md
 //     "Incremental maintenance" says why no wavelet state is retained.
-//     The sweep runs in the memory of the sweep before last: the frontier
-//     keeps two sets of point errors, coefficients and level tables,
-//     refills the spare one and swaps it in once the sweep succeeds, so a
-//     mutation allocates next to nothing once both sets have the padded
-//     domain's shape, at the price of holding a second set. The sweep
+//     The sweep refills the frontier's one set of point errors,
+//     coefficients and level tables in place, so a mutation allocates
+//     next to nothing once the set has the padded domain's shape. The
+//     one refusal a sweep of validated data can meet, the DP's state
+//     cap, is checked before the set is written. The sweep
 //     costs about the items the data holds, not the power of two it is
 //     padded to: the padding's all-zero subtrees are priced in closed
 //     form, so an append past a power of two (512 items to 516) does not
@@ -79,7 +79,7 @@ func BuildLive(src Source, m Metric, Bmax int, opts ...BuildOption) (Maintainer,
 	defer release()
 	l := &liveFrontier{plan: p, bmax: Bmax, vp: vp.Clone()}
 	if _, ok := p.family.wavelet(); ok {
-		l.set, l.spare = new(wavelet.Buffers), new(wavelet.Buffers)
+		l.set = new(wavelet.Buffers)
 	}
 	if err := l.refresh(0, nil); err != nil {
 		return nil, err
@@ -100,17 +100,17 @@ type liveFrontier struct {
 	vp    *pdata.ValuePDF // the current data
 	cur   countedFrontier // the frontier over vp
 	spent DPStats         // the work of the wavelet sweeps cur replaced
-	// A wavelet family's two sweep memories: set is the one cur reads,
-	// spare the one the next sweep fills. They swap once that sweep
-	// succeeds, so a refused mutation leaves cur and set as they were.
-	set, spare *wavelet.Buffers
+	// A wavelet family's sweep memory: cur reads it, and the next sweep
+	// refills it. A sweep the state cap refuses writes none of it, so a
+	// refused mutation leaves cur and set as they were.
+	set *wavelet.Buffers
 }
 
 // refresh builds the frontier over vp (with no frontier yet), or brings
 // it up to date with vp, whose items from `from` on changed, replaced
 // holding the items the mutation overwrote: a histogram resumes its
 // oracle, or rebuilds it, and resumes its table at column from; a wavelet
-// family sweeps the whole data afresh, in the spare set's memory.
+// family sweeps the whole data afresh, in the set's memory.
 func (l *liveFrontier) refresh(from int, replaced []pdata.ItemPDF) error {
 	p := l.plan
 	if h, ok := l.cur.(histFrontier); ok {
@@ -131,18 +131,17 @@ func (l *liveFrontier) refresh(from int, replaced []pdata.ItemPDF) error {
 		// The table is revalidated in place: cur already reads it.
 		return h.tab.Resume(o, from, p.pool)
 	}
-	fr, err := p.frontier(l.vp, l.bmax, l.spare)
+	fr, err := p.frontier(l.vp, l.bmax, l.set)
 	if err != nil {
 		return err
 	}
 	if l.cur != nil {
 		l.spent.Add(l.cur.Stats())
 		// Every extraction holds mu, as the caller does: nothing reads the
-		// replaced sweep again, so its set is the next sweep's to fill.
+		// replaced sweep, whose set fr refilled, again.
 		l.cur.(waveletFrontier).Release()
 	}
 	l.cur = fr
-	l.set, l.spare = l.spare, l.set
 	return nil
 }
 

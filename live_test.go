@@ -220,9 +220,9 @@ func TestLiveHistogramAllocations(t *testing.T) {
 
 // TestLiveWaveletAllocations pins the same for the two live wavelets
 // serve-mutate keeps, a quantized SAE q=32 B=32 DP and the SSE B=64
-// greedy: each mutation sweeps afresh, but into the spare set's memory,
-// so after the warm round and the append that pads the domain to 1024 in
-// both sets, a mutation allocates a small fraction of one sweep's tables.
+// greedy: each mutation sweeps afresh, but into the frontier's one set,
+// so after the warm round and the append that pads the domain to 1024, a
+// mutation allocates a small fraction of one sweep's tables.
 func TestLiveWaveletAllocations(t *testing.T) {
 	t.Run("SAE/q=32", func(t *testing.T) {
 		assertLiveAllocations(t, probsyn.SAE, 32, 48<<10, probsyn.WithWavelet(), probsyn.WithQuantize(32))
@@ -230,6 +230,41 @@ func TestLiveWaveletAllocations(t *testing.T) {
 	t.Run("SSE", func(t *testing.T) {
 		assertLiveAllocations(t, probsyn.SSE, 64, 48<<10, probsyn.WithWavelet())
 	})
+}
+
+// TestLiveWaveletHeld pins what a live wavelet key holds, SAE q=32 B=32
+// over 516 items (the domain pads to 1024), after an append and an update:
+// the data, the sweep and the one set it reads, measured as the heap the
+// frontier keeps live after a collection. A second set would hold about as
+// much again.
+func TestLiveWaveletHeld(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	data := gen.SensorGrid(rand.New(rand.NewSource(1)), gen.DefaultSensor(512))
+	more := gen.SensorGrid(rand.New(rand.NewSource(2)), gen.DefaultSensor(5)).Items
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC() // the second empties the sync.Pools' victim caches
+	runtime.ReadMemStats(&before)
+	live, err := probsyn.BuildLive(data, probsyn.SAE, 32, probsyn.WithWavelet(), probsyn.WithQuantize(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Append(more[:4]); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Update(256, more[4]); err != nil { // a second sweep at the padded shape
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	held := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / 1e6
+	runtime.KeepAlive(live)
+	t.Logf("a live SAE q=32 B=32 key over 516 items holds %.2f MB", held)
+	if held > 2.2 {
+		t.Errorf("a live SAE q=32 B=32 key over 516 items holds %.2f MB, want <= 2.2 MB", held)
+	}
 }
 
 // assertLiveAllocations builds a live frontier over sensor data, n=512,
@@ -314,7 +349,8 @@ func liveSnapshot(t *testing.T, live probsyn.Maintainer) []byte {
 
 // TestLiveDPValidation covers the mutation guard rails: every rejected
 // mutation — out-of-domain and invalid updates, an append batch with an
-// invalid pdf in the middle, a workload-weighted histogram's append —
+// invalid pdf in the middle, an exact wavelet's append past its DP's
+// state cap, a workload-weighted histogram's append —
 // must leave the domain, Bmax and every budget's bytes as they were, for
 // both families.
 func TestLiveDPValidation(t *testing.T) {
@@ -354,6 +390,23 @@ func TestLiveDPValidation(t *testing.T) {
 			}
 		})
 	}
+	// An exact wavelet's DP refuses a domain past its state cap (2^15+1
+	// items pad to 2^16) before its sweep writes the frontier's one set,
+	// so the sweep the frontier holds still answers.
+	t.Run("wavelet-restricted-state-cap", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(4))
+		live, err := probsyn.BuildLive(liveRandVP(rng, 13), probsyn.SAE, 4, probsyn.WithWavelet())
+		if err != nil {
+			t.Fatal(err)
+		}
+		items := make([]probsyn.ItemPDF, 1<<15+1-13)
+		for k := range items {
+			items[k] = liveRandItem(rng)
+		}
+		rejectAll(t, live, map[string]func() error{
+			"append past the state cap": func() error { return live.Append(items) },
+		})
+	})
 	// A workload-weighted histogram has no weights for new items
 	// (TestLiveWeightedHistogram covers its updates).
 	t.Run("histogram-weighted", func(t *testing.T) {

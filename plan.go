@@ -135,11 +135,11 @@ func (p *plan) oracle(src Source) (hist.Oracle, error) {
 
 // frontier runs the plan's one DP at budget Bmax: the histogram table or
 // the wavelet sweep, either of which answers every budget up to Bmax. A
-// wavelet sweeps into set when there is one (a live frontier's spare),
-// else into fresh memory that its Release hands to the slab cache; a
-// histogram has no set. The caller holds the admission token and reports
-// the frontier's Stats. (histEps has no frontier; resolve lets it through
-// for Build alone, which runs it directly.)
+// wavelet sweeps into set when there is one (a live frontier's), else
+// into a pooled set that its Release puts back; a histogram has no set.
+// The caller holds the admission token and reports the frontier's Stats.
+// (histEps has no frontier; resolve lets it through for Build alone,
+// which runs it directly.)
 func (p *plan) frontier(src Source, Bmax int, set *wavelet.Buffers) (countedFrontier, error) {
 	if wf, ok := p.family.wavelet(); ok {
 		sweep := wavelet.NewSweep

@@ -16,15 +16,14 @@ import (
 
 // TestPoisonedSlabReuse drives the paths that reuse a sweep's memory —
 // Build and the wavelet package's single-budget builders (buildAt), which
-// hand a tree DP's slabs back to the cache, and a live frontier, which
-// refills its spare set on every mutation — over every DP family at
+// refill a set from NewSweep's pool and put it back, and a live frontier,
+// which refills its one set on every mutation — over every DP family at
 // interleaved domain sizes, three builds at a time, once with every array
-// the cache or a refilled set hands out poisoned with NaN (−1 in an index
-// array) and once with zeros (what a fresh slab holds). The bytes must
-// not move: a NaN read before it is written would change a decision or a
-// cost. Each live sequence also holds every budget to a fresh BuildSweep
-// after every step. It also checks that a released sweep refuses to
-// extract.
+// a set hands a sweep poisoned with NaN (−1 in an index array) and once
+// with zeros (what a fresh array holds). The bytes must not move: a NaN
+// read before it is written would change a decision or a cost. Each live
+// sequence also holds every budget to a fresh BuildSweep after every
+// step. It also checks that a released sweep refuses to extract.
 func TestPoisonedSlabReuse(t *testing.T) {
 	type job struct {
 		name string
@@ -115,7 +114,7 @@ func TestPoisonedSlabReuse(t *testing.T) {
 	poisoned, zeroed := run(math.NaN()), run(0)
 	for k, j := range jobs {
 		if !bytes.Equal(poisoned[k], zeroed[k]) {
-			t.Errorf("%s: the bytes built on NaN-filled slabs differ from those built on zeroed slabs", j.name)
+			t.Errorf("%s: the bytes built on NaN-filled arrays differ from those built on zeroed arrays", j.name)
 		}
 	}
 
