@@ -247,7 +247,7 @@ func BenchmarkWaveletRestrictedBuild(b *testing.B) {
 // the exact one at the size where quantization starts paying — the exact
 // DP's incoming-value rows grow as 2^(l+1) up the tree while the grids
 // stay capped at q. The acceptance target is >= 5x over exact at n=4096,
-// B=32 (q=16); past this n the exact DP trips the state cap entirely and
+// B=32 (q=16); past n=8192 the exact DP trips the entry cap and
 // only the quantized rows fit.
 func BenchmarkWaveletRestrictedApprox(b *testing.B) {
 	const n, B = 4096, 32

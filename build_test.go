@@ -1,6 +1,9 @@
 package probsyn_test
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -9,6 +12,7 @@ import (
 	"probsyn"
 	"probsyn/internal/engine"
 	"probsyn/internal/hist"
+	"probsyn/internal/ptest"
 )
 
 // WithPool must produce bit-identical synopses to per-call builds, for
@@ -190,6 +194,24 @@ func TestBuildWorkloadWeights(t *testing.T) {
 	}
 	if h := s.(*probsyn.Histogram); h.Cost != want.Cost {
 		t.Fatalf("Build workload cost %v != OptimalPool %v", h.Cost, want.Cost)
+	}
+}
+
+// TestWorkloadWeightsMustBeFinite: a NaN or infinite workload weight is
+// refused before any DP runs, at every entry point, by an error naming the
+// weight and its item in the whole domain (item 5 lies in a two-way
+// split's second shard).
+func TestWorkloadWeightsMustBeFinite(t *testing.T) {
+	src := ptest.RandomValuePDF(rand.New(rand.NewSource(58)), 8, 3)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		weights := []float64{1, 2, 1, 2, 1, 2, 1, 2}
+		weights[5] = bad
+		for entry := range entryPoints {
+			_, err := buildVia(entry, src, probsyn.SSEFixed, 3, []probsyn.BuildOption{probsyn.WithWorkloadWeights(weights)})
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("weight %v at item 5", bad)) {
+				t.Errorf("%s: weight %v: err %v, want a refusal naming the weight at item 5", entryNames[entry], bad, err)
+			}
+		}
 	}
 }
 

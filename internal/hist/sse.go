@@ -17,7 +17,8 @@ import (
 // the expected within-world deviation from the per-world bucket mean. The
 // fixed-representative variant prices it at Σ E[g_i²] − (Σ E[g_i])²/n_b,
 // the error a stored single representative actually achieves (DESIGN.md
-// finding 1). Both decompose over precomputed prefix arrays.
+// finding 1); that variant is a Quadratic oracle (NewSSEFixed). Both
+// decompose over precomputed prefix arrays.
 
 // SSEValue is the Eq. (5) oracle for the value pdf model, where items are
 // independent so E[(Σg)²] = (ΣE[g])² + ΣVar[g] splits item by item.
@@ -48,43 +49,9 @@ func (o *SSEValue) Combine() Combine { return Sum }
 func (o *SSEValue) Cost(s, e int) (float64, float64) {
 	nb := float64(e - s + 1)
 	sum := o.mean.Range(s, e)
-	cost := o.meanSq.Range(s, e) - (sum*sum+o.vr.Range(s, e))/nb
+	cost := o.meanSq.Range(s, e) - (float64(sum*sum)+o.vr.Range(s, e))/nb
 	if cost < 0 {
 		cost = 0 // differenced prefixes can go an ulp negative
-	}
-	return cost, sum / nb
-}
-
-// SSEFixed is the fixed-representative SSE oracle, valid for any source
-// because its cost uses only per-item marginal moments:
-// cost = Σ E[g²] − (Σ E[g])²/n_b, minimized by b̂ = mean of expected
-// frequencies. Under this objective the optimal bucketing coincides with
-// the V-optimal histogram of the expected frequencies (finding 1), which
-// the tests verify.
-type SSEFixed struct {
-	meanSq numeric.Prefix
-	mean   numeric.Prefix
-}
-
-// NewSSEFixed builds the oracle from any probabilistic source.
-func NewSSEFixed(src pdata.Source) *SSEFixed {
-	mom := pdata.MomentsOf(src)
-	return &SSEFixed{meanSq: numeric.NewPrefix(mom.MeanSq), mean: numeric.NewPrefix(mom.Mean)}
-}
-
-// N returns the domain size.
-func (o *SSEFixed) N() int { return o.mean.Len() }
-
-// Combine returns Sum.
-func (o *SSEFixed) Combine() Combine { return Sum }
-
-// Cost prices bucket [s, e] against its optimal fixed representative.
-func (o *SSEFixed) Cost(s, e int) (float64, float64) {
-	nb := float64(e - s + 1)
-	sum := o.mean.Range(s, e)
-	cost := o.meanSq.Range(s, e) - sum*sum/nb
-	if cost < 0 {
-		cost = 0
 	}
 	return cost, sum / nb
 }

@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"probsyn/internal/gen"
 	"probsyn/internal/hist"
 	"probsyn/internal/metric"
+	"probsyn/internal/numeric"
 	"probsyn/internal/pdata"
 	"probsyn/internal/ptest"
 )
@@ -48,25 +50,46 @@ func TestWorkloadSSEAgainstEnumeration(t *testing.T) {
 	}
 }
 
+// TestWorkloadSSEUniformReducesToSSEFixed: under unit weights the workload
+// oracle, NewSSEFixed and SSE-fixed's closed form Σ E[g²] − (Σ E[g])²/n_b
+// (rep Σ E[g]/n_b) price every bucket to the same bits, over value, tuple
+// and basic sources. One Quadratic serves both because a prefix of ones is
+// exact: Z is n_b, and the z <= 0 guard never fires.
 func TestWorkloadSSEUniformReducesToSSEFixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
-	src := ptest.RandomValuePDF(rng, 8, 3)
-	uniform := make([]float64, 8)
-	for i := range uniform {
-		uniform[i] = 1
-	}
-	wo, err := hist.NewWorkloadSSE(src, uniform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fo := hist.NewSSEFixed(src)
-	allBuckets(8, func(s, e int) {
-		wc, wr := wo.Cost(s, e)
-		fc, fr := fo.Cost(s, e)
-		if math.Abs(wc-fc) > 1e-9 || math.Abs(wr-fr) > 1e-9 {
-			t.Fatalf("[%d,%d]: workload (%v,%v) vs fixed (%v,%v)", s, e, wc, wr, fc, fr)
+	for name, src := range map[string]pdata.Source{
+		"value": ptest.RandomValuePDF(rng, 300, 3),
+		"tuple": ptest.RandomTuplePDF(rng, 300, 400, 3),
+		"basic": gen.MystiQLinkage(rng, gen.DefaultMystiQ(512)),
+	} {
+		n := src.Domain()
+		uniform := make([]float64, n)
+		for i := range uniform {
+			uniform[i] = 1
 		}
-	})
+		wo, err := hist.NewWorkloadSSE(src, uniform)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fo := hist.NewSSEFixed(src)
+		mom := pdata.MomentsOf(src)
+		meanSq, mean := numeric.NewPrefix(mom.MeanSq), numeric.NewPrefix(mom.Mean)
+		allBuckets(n, func(s, e int) {
+			nb := float64(e - s + 1)
+			sum := mean.Range(s, e)
+			cc := meanSq.Range(s, e) - sum*sum/nb
+			if cc < 0 {
+				cc = 0
+			}
+			cr := sum / nb
+			for how, o := range map[string]hist.Oracle{"workload": wo, "SSE-fixed": fo} {
+				c, r := o.Cost(s, e)
+				if math.Float64bits(c) != math.Float64bits(cc) || math.Float64bits(r) != math.Float64bits(cr) {
+					t.Fatalf("%s [%d,%d]: %s prices (%v,%v), the closed form (%v,%v)", name, s, e, how, c, r, cc, cr)
+				}
+			}
+		})
+	}
 }
 
 // Skewed workloads must reshape the bucketing: items the workload never
@@ -126,7 +149,9 @@ func TestWorkloadSSEArgumentErrors(t *testing.T) {
 	if _, err := hist.NewWorkloadSSE(src, []float64{1}); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := hist.NewWorkloadSSE(src, []float64{1, -1}); err == nil {
-		t.Error("negative weight accepted")
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := hist.NewWorkloadSSE(src, []float64{1, bad}); err == nil {
+			t.Errorf("weight %v accepted", bad)
+		}
 	}
 }

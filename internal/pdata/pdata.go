@@ -17,6 +17,8 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+
+	"probsyn/internal/metric"
 )
 
 // probTol is the slack allowed when validating that probabilities lie in
@@ -359,6 +361,28 @@ func (ip *ItemPDF) MeanSq() float64 {
 		s += float64(e.Prob * e.Freq * e.Freq)
 	}
 	return s
+}
+
+// SSRETerms returns the item's three sums of the SSRE objective (§3.2,
+// Theorem 2), with w(v) = 1/max(c,|v|)²:
+//
+//	x = Σ_v Pr[g=v]·w(v)·v²,  y = Σ_v Pr[g=v]·w(v)·v,  z = Σ_v Pr[g=v]·w(v),
+//
+// so that E[w(g)·(g−b)²] = x − 2b·y + b²·z. The zero frequency's mass,
+// listed or implicit, enters z alone. A histogram bucket's cost and a
+// wavelet's point error are both read from these.
+func (ip *ItemPDF) SSRETerms(p metric.Params) (x, y, z float64) {
+	for _, e := range ip.Entries {
+		if e.Freq == 0 {
+			continue // in the zero mass below
+		}
+		pw := float64(e.Prob * metric.SSRE.Weight(e.Freq, p))
+		x += float64(pw * e.Freq * e.Freq)
+		y += float64(pw * e.Freq)
+		z += pw
+	}
+	z += float64(ip.ZeroProb() * metric.SSRE.Weight(0, p))
+	return x, y, z
 }
 
 // Validate checks one item pdf in isolation: probability ranges, finite

@@ -7,7 +7,7 @@ package wavelet_test
 // space), stay bit-identical across worker counts, and extract
 // codec-byte-identical synopses from one sweep and from independent
 // builds. The large-domain test pins the headline capability: domains
-// where the exact DP overflows maxTreeStates build fine quantized, and
+// where the exact DP overflows maxTreeEntries build fine quantized, and
 // the overflow error itself reports the grid size that would fit.
 
 import (
@@ -143,17 +143,17 @@ func TestRestrictedApproxLargeDomain(t *testing.T) {
 	}
 	p := metric.Params{C: 0.5}
 	rng := rand.New(rand.NewSource(3))
-	const n = 32768 // levels = 15: the exact DP needs 2^27 states at level 13
+	const n = 32768 // levels = 15: the exact DP at B = 8 needs 1.085e9 table entries
 	vp := ptest.RandomValuePDF(rng, n, 2)
 	_, _, err := wavelet.BuildRestrictedPool(vp, metric.SAE, p, 8, nil)
 	if err == nil {
 		t.Fatal("exact restricted DP unexpectedly fit n=32768")
 	}
-	if !strings.Contains(err.Error(), "q <= 8192") {
+	if !strings.Contains(err.Error(), "q <= 2446") {
 		t.Fatalf("overflow error does not name the grid size that fits: %v", err)
 	}
-	if !strings.Contains(err.Error(), "1.342e+08") {
-		t.Fatalf("overflow error does not report the actual state demand: %v", err)
+	if !strings.Contains(err.Error(), "1.085e+09") {
+		t.Fatalf("overflow error does not report the actual entry demand: %v", err)
 	}
 	syn, cost, err := wavelet.BuildRestrictedApproxPool(vp, metric.SAE, p, 8, 16, finePool(0))
 	if err != nil {

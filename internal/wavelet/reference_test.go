@@ -267,7 +267,7 @@ func buildTree(t testing.TB, src pdata.Source, kind metric.Kind, p metric.Params
 	t.Helper()
 	unpadded := pdata.AsValuePDF(src)
 	set := new(Buffers)
-	q, err := treeQuant(haar.Pow2Ceil(unpadded.N), q)
+	q, err := treeQuant(haar.Pow2Ceil(unpadded.N), B, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,6 +35,7 @@ type PointErrors struct {
 	val, rec   []float64
 	totW, totS []float64
 	// squared family (SSRE): per-item x=Σpwv², y=Σpwv, z=Σpw
+	// (pdata.ItemPDF.SSRETerms)
 	x, y, z []float64
 	own     []pdata.FreqProb // fill's scratch: one item's sorted run
 }
@@ -58,21 +59,8 @@ func (pe *PointErrors) fill(vp *pdata.ValuePDF, kind metric.Kind, p metric.Param
 		pe.x = resize(pe.x, vp.N)
 		pe.y = resize(pe.y, vp.N)
 		pe.z = resize(pe.z, vp.N)
-		w0 := kind.Weight(0, p)
-		for i := 0; i < vp.N; i++ {
-			var xi, yi, zi float64
-			for _, e := range vp.Items[i].Entries {
-				if e.Freq == 0 {
-					continue
-				}
-				w := kind.Weight(e.Freq, p)
-				pw := float64(e.Prob * w)
-				xi += float64(pw * e.Freq * e.Freq)
-				yi += float64(pw * e.Freq)
-				zi += pw
-			}
-			zi += float64(vp.Items[i].ZeroProb() * w0)
-			pe.x[i], pe.y[i], pe.z[i] = xi, yi, zi
+		for i := range vp.Items {
+			pe.x[i], pe.y[i], pe.z[i] = vp.Items[i].SSRETerms(p)
 		}
 	case metric.SAE, metric.SARE, metric.MAE, metric.MARE:
 		pe.off = resize(pe.off, vp.N+1)

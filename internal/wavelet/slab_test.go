@@ -4,7 +4,7 @@ package wavelet_test
 // process-wide pool of sets, and a live frontier keeps its own. The root
 // package's TestPoisonedSlabReuse holds the output of refilled sets to
 // fresh zeroed ones; this pins what a warm build allocates, and that a
-// sweep refused at its state cap writes nothing into the set.
+// sweep refused at its entry cap writes nothing into the set.
 
 import (
 	"math/rand"
@@ -70,7 +70,7 @@ func TestTreeDPAllocations(t *testing.T) {
 }
 
 // TestRefusedSweepKeepsSet sweeps a small source into a set, then asks the
-// same set for an exact sweep of a domain past the tree DP's state cap
+// same set for an exact sweep of a domain past the tree DP's entry cap
 // (2^15+1 items pad to 2^16). The refusal must come before anything is
 // written: every budget of the first sweep still extracts its synopsis,
 // coefficients, values and cost, as before.
@@ -99,7 +99,7 @@ func TestRefusedSweepKeepsSet(t *testing.T) {
 			big.Items[i] = item
 		}
 		if _, err := set.Sweep(big, wavelet.RestrictedFamily, metric.SAE, p, 16, 0, nil); err == nil {
-			t.Fatal("an exact sweep of 2^15+1 items fit the state cap")
+			t.Fatal("an exact sweep of 2^15+1 items fit the entry cap")
 		}
 		if after := extract(); !reflect.DeepEqual(after, before) {
 			t.Fatalf("q=%d: a refused sweep changed the synopses of the set's last sweep", q)

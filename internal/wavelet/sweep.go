@@ -190,7 +190,7 @@ type Buffers struct {
 
 // Sweep runs the family's one forward pass at budget B over src in the
 // set's memory and returns the frontier, as NewSweep does. The budget,
-// the grid size and the tree DP's state cap are checked before anything
+// the grid size and the tree DP's entry cap are checked before anything
 // is written, so a sweep they refuse leaves the set, and the sweep last
 // filled into it, as they were; on a validated source they are the only
 // refusals. Any other failure (a metric PointErrors does not price, a NaN
@@ -207,7 +207,7 @@ func (set *Buffers) Sweep(src pdata.Source, family Family, kind metric.Kind, p m
 		set.sse.fill(src)
 		return set.sse.sweep(B), nil
 	}
-	q, err := treeQuant(haar.Pow2Ceil(src.Domain()), q)
+	q, err := treeQuant(haar.Pow2Ceil(src.Domain()), B, q)
 	if err != nil {
 		return nil, err
 	}

@@ -66,10 +66,12 @@ import (
 // every entry the general loop would, bit for bit. A power-of-two domain
 // has no tail and runs the general loop alone.
 
-// maxTreeStates bounds one level's state count. The exact DP has
-// 2^(2l+1) states at level l, so runaway domains fail fast with an error
-// that names the quantization that fits instead of exhausting memory.
-const maxTreeStates = 1 << 26
+// maxTreeEntries bounds the float64 entries a tree DP keeps: every kept
+// level's budget rows and incoming values, Σ_l states_l·(bcap_l+2)
+// (treeEntries), 2 GiB at the cap. The exact DP has 2^(2l+1) states at
+// level l, so runaway domains fail fast with an error that names the
+// quantization that fits instead of exhausting memory.
+const maxTreeEntries = 1 << 28
 
 // coefChoice is one retained coefficient: its index and stored value.
 type coefChoice struct {
@@ -167,26 +169,38 @@ func newTreeDP(tabs *dpTables, n, zero, B int, mu []float64, pe *PointErrors, cu
 
 // treeQuant is the one check of a tree DP's shape, run before a sweep
 // writes anything: it returns the grid size the DP over a padded domain
-// of n items runs at, or the error of a level past maxTreeStates. A grid
-// at least as fine as the largest exact level changes nothing, so quant
-// >= 2^(levels-1) = n/2 is exact mode, 0, and yields bit-identical
-// results. A node at level l has 2^(l+1) exact states, or quant on a
-// quantized level.
-func treeQuant(n, quant int) (int, error) {
+// of n items at budget B runs at, or the error of a DP past
+// maxTreeEntries. A grid at least as fine as the largest exact level
+// changes nothing, so quant >= 2^(levels-1) = n/2 is exact mode, 0, and
+// yields bit-identical results.
+func treeQuant(n, B, quant int) (int, error) {
 	if quant >= n/2 {
 		quant = 0
 	}
+	if need := treeEntries(n, B, quant); need > maxTreeEntries {
+		return 0, entryOverflowErr(n, B, quant, need)
+	}
+	return quant, nil
+}
+
+// treeEntries counts the float64 entries of the level tables and incoming
+// values of a tree DP over n padded items at budget B (clamped to n) and
+// grid size quant (0 exact), as layout sizes them: a node at level l has
+// 2^(l+1) exact states, or quant on a quantized level, and each state a
+// budget row of bcap_l+1 entries and its incoming value.
+func treeEntries(n, B, quant int) float64 {
+	B = min(B, n)
 	L := bits.Len(uint(n)) - 1
+	total := 0.0
 	for l := 0; l <= L-2; l++ {
 		per := 1 << (l + 1)
 		if quant > 0 {
 			per = min(per, quant)
 		}
-		if need := float64(per) * float64(int(1)<<l); need > maxTreeStates {
-			return 0, stateOverflowErr(L, quant, l, need)
-		}
+		bcap := min(B, (1<<(L-l))-1)
+		total += float64(float64(per) * float64(int(1)<<l) * float64(bcap+2))
 	}
-	return quant, nil
+	return total
 }
 
 // poisonFill, when set, is written into every float array resize hands
@@ -269,16 +283,13 @@ func (d *treeDP) layout() {
 	}
 }
 
-// stateOverflowErr builds the maxTreeStates diagnostic: the level that
-// overflowed, the state count it actually needs, and the largest
-// quantization that would fit. The finest kept level L-2 has 2^(L-2)
-// nodes, so a quantized DP holds at most 2^(L-2)·q states per level.
-func stateOverflowErr(levels, quant, l int, need float64) error {
-	msg := fmt.Sprintf("wavelet: coefficient-tree DP needs %.4g states at level %d, over the %d cap", need, l, maxTreeStates)
-	qfit := 0
-	if s := levels - 2; s >= 0 && s < 62 {
-		qfit = maxTreeStates >> s
-	}
+// entryOverflowErr builds the maxTreeEntries diagnostic: the entries the
+// DP needs and the largest quantization that fits at the same budget,
+// which treeQuant admits. Entries grow with the grid size, so that is a
+// binary search over q in [2, n/2).
+func entryOverflowErr(n, B, quant int, need float64) error {
+	msg := fmt.Sprintf("wavelet: coefficient-tree DP over a %d-item padded domain at budget %d needs %.4g table entries, over the %d cap", n, min(B, n), need, maxTreeEntries)
+	qfit := sort.Search(n/2, func(q int) bool { return q >= 2 && treeEntries(n, B, q) > maxTreeEntries }) - 1
 	switch {
 	case qfit >= 2 && quant > 0:
 		return fmt.Errorf("%s; reduce the quantization to q <= %d", msg, qfit)

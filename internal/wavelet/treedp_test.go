@@ -9,6 +9,8 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"regexp"
+	"strconv"
 	"testing"
 
 	"probsyn/internal/haar"
@@ -194,6 +196,63 @@ func TestRootScanMatchesBruteForce(t *testing.T) {
 					if direct := pe.SynopsisError(syn); !near(direct, best) || !near(syn.Cost, best) {
 						t.Fatalf("%s: extracted synopsis costs %v (reports %v), brute force %v", tag, direct, syn.Cost, best)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestTreeEntriesCountTables holds treeEntries, the count the entry cap
+// checks, to the level tables and incoming values a sweep actually lays
+// out, exact and quantized.
+func TestTreeEntriesCountTables(t *testing.T) {
+	rng := rand.New(rand.NewSource(58))
+	for _, n := range []int{4, 8, 60, 128} {
+		vp := ptest.RandomValuePDF(rng, n, 2)
+		for _, B := range []int{1, 3, 16, 200} {
+			for _, q := range []int{0, 2, 5, 16} {
+				d, _ := buildTree(t, vp, metric.SAE, metric.Params{C: 0.5}, B, q, nil)
+				got := 0
+				for l := range d.res {
+					got += len(d.res[l]) + len(d.vals[l])
+				}
+				quant, err := treeQuant(d.n, B, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := treeEntries(d.n, B, quant); float64(got) != want {
+					t.Fatalf("n=%d B=%d q=%d: the tables hold %d entries, treeEntries counts %v", n, B, q, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestTreeOverflowHintFits: the grid size an overflow error recommends
+// passes treeQuant at the same budget, fits the entry cap, and is the
+// largest that does.
+func TestTreeOverflowHintFits(t *testing.T) {
+	hint := regexp.MustCompile(`q <= (\d+)`)
+	for n := 1 << 12; n <= 1<<20; n <<= 1 {
+		for _, B := range []int{1, 8, 32, 256} {
+			for _, quant := range []int{0, n / 4} {
+				_, err := treeQuant(n, B, quant)
+				if err == nil {
+					continue
+				}
+				m := hint.FindStringSubmatch(err.Error())
+				if m == nil {
+					t.Fatalf("n=%d B=%d q=%d: %v names no grid size", n, B, quant, err)
+				}
+				q, _ := strconv.Atoi(m[1])
+				if got, err := treeQuant(n, B, q); err != nil || got != q {
+					t.Fatalf("n=%d B=%d q=%d: the hint q=%d gives (%d, %v)", n, B, quant, q, got, err)
+				}
+				if e := treeEntries(n, B, q); e > maxTreeEntries {
+					t.Fatalf("n=%d B=%d: the hint q=%d needs %v entries", n, B, q, e)
+				}
+				if _, err := treeQuant(n, B, q+1); q+1 < n/2 && err == nil {
+					t.Fatalf("n=%d B=%d: q=%d fits too, past the hint q=%d", n, B, q+1, q)
 				}
 			}
 		}

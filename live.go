@@ -101,7 +101,7 @@ type liveFrontier struct {
 	cur   countedFrontier // the frontier over vp
 	spent DPStats         // the work of the wavelet sweeps cur replaced
 	// A wavelet family's sweep memory: cur reads it, and the next sweep
-	// refills it. A sweep the state cap refuses writes none of it, so a
+	// refills it. A sweep the entry cap refuses writes none of it, so a
 	// refused mutation leaves cur and set as they were.
 	set *wavelet.Buffers
 }
@@ -226,7 +226,7 @@ func (l *liveFrontier) Update(i int, item pdata.ItemPDF) error {
 // mutate runs one mutation under the lock and a build token. apply
 // changes vp and returns the first item it changed, the items it
 // overwrote from there, and how to revert the change; a frontier that
-// cannot follow the mutated data (a wavelet DP's state cap, say) has it
+// cannot follow the mutated data (a wavelet DP's entry cap, say) has it
 // reverted, so a rejected mutation leaves the data as the frontier still
 // describes it.
 func (l *liveFrontier) mutate(apply func() (from int, replaced []pdata.ItemPDF, undo func(), err error)) error {

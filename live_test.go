@@ -350,7 +350,7 @@ func liveSnapshot(t *testing.T, live probsyn.Maintainer) []byte {
 // TestLiveDPValidation covers the mutation guard rails: every rejected
 // mutation — out-of-domain and invalid updates, an append batch with an
 // invalid pdf in the middle, an exact wavelet's append past its DP's
-// state cap, a workload-weighted histogram's append —
+// entry cap, a workload-weighted histogram's append —
 // must leave the domain, Bmax and every budget's bytes as they were, for
 // both families.
 func TestLiveDPValidation(t *testing.T) {
@@ -390,7 +390,7 @@ func TestLiveDPValidation(t *testing.T) {
 			}
 		})
 	}
-	// An exact wavelet's DP refuses a domain past its state cap (2^15+1
+	// An exact wavelet's DP refuses a domain past its entry cap (2^15+1
 	// items pad to 2^16) before its sweep writes the frontier's one set,
 	// so the sweep the frontier holds still answers.
 	t.Run("wavelet-restricted-state-cap", func(t *testing.T) {

@@ -74,8 +74,11 @@ func (p *plan) sharded(src Source, B, k int) (*ShardedResult, error) {
 	if k > n {
 		return nil, fmt.Errorf("probsyn: %d shards over %d items (need k <= n)", k, n)
 	}
-	if p.weights != nil && len(p.weights) != n {
-		return nil, fmt.Errorf("probsyn: %d workload weights for %d items", len(p.weights), n)
+	if p.weights != nil {
+		// Checked whole: an error names the item, not its place in a shard.
+		if err := hist.CheckWorkloadWeights(p.weights, n); err != nil {
+			return nil, err
+		}
 	}
 	if B < k {
 		return nil, fmt.Errorf("probsyn: %d shards need budget >= %d (one bucket per shard), got %d", k, k, B)
