@@ -181,30 +181,14 @@ func (p *Pool) MapChunks(lo, hi, work int, fn func(w, clo, chi int)) {
 // CutGT returns the first index i in [lo, hi) with x[i] > v, or hi when
 // there is none. x[lo:hi] must be non-decreasing — the caller certifies
 // that (the histogram DP checks it at write time; float wobble voids the
-// guarantee otherwise). The Cut functions are the engine's bounded-search
-// primitive: a reducer that holds an upper bound on the minimum cuts the
-// candidate range to the indices that can still matter in O(log) instead
-// of scanning past them.
+// guarantee otherwise). It is the engine's bounded-search primitive: a
+// reducer that holds an upper bound on the minimum cuts the candidate
+// range to the indices that can still matter in O(log) instead of scanning
+// past them.
 func CutGT(x []float64, lo, hi int, v float64) int {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if x[mid] > v {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-// CutLE returns the first index i in [lo, hi) with x[i] <= v, or hi when
-// there is none; x[lo:hi] must be non-increasing (a running minimum is,
-// exactly, by construction — the histogram DP's pruned scan searches the
-// running minimum of its cost column's block minima).
-func CutLE(x []float64, lo, hi int, v float64) int {
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if x[mid] <= v {
 			hi = mid
 		} else {
 			lo = mid + 1

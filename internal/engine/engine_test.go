@@ -261,7 +261,7 @@ func TestAcquireUnlimitedIsNoOp(t *testing.T) {
 	}
 }
 
-// cutRef is the linear-scan reference for the Cut* binary searches: the
+// cutRef is the linear-scan reference for the CutGT binary search: the
 // first index in [lo, hi) whose value satisfies pred, or hi.
 func cutRef(x []float64, lo, hi int, pred func(float64) bool) int {
 	for i := lo; i < hi; i++ {
@@ -289,18 +289,11 @@ func TestCutFunctionsMatchLinearScan(t *testing.T) {
 		if rng.Intn(8) == 0 {
 			up[n-1] = math.Inf(1)
 		}
-		down := make([]float64, n)
-		for i := range down {
-			down[i] = -up[i] // non-increasing
-		}
 		lo := rng.Intn(n)
 		hi := lo + rng.Intn(n-lo+1)
 		for _, v := range []float64{up[rng.Intn(n)], -10, 10, 0, math.Inf(1), math.Inf(-1)} {
 			if got, want := CutGT(up, lo, hi, v), cutRef(up, lo, hi, func(x float64) bool { return x > v }); got != want {
 				t.Fatalf("CutGT(%v, %d, %d, %v) = %d, want %d", up, lo, hi, v, got, want)
-			}
-			if got, want := CutLE(down, lo, hi, -v), cutRef(down, lo, hi, func(x float64) bool { return x <= -v }); got != want {
-				t.Fatalf("CutLE(%v, %d, %d, %v) = %d, want %d", down, lo, hi, -v, got, want)
 			}
 		}
 	}
@@ -311,9 +304,6 @@ func TestCutFunctionsEmptyRange(t *testing.T) {
 	for _, lo := range []int{0, 1, 3} {
 		if got := CutGT(x, lo, lo, 0); got != lo {
 			t.Fatalf("CutGT empty range at %d returned %d", lo, got)
-		}
-		if got := CutLE(x, lo, lo, 0); got != lo {
-			t.Fatalf("CutLE empty range at %d returned %d", lo, got)
 		}
 	}
 }

@@ -11,10 +11,11 @@ import (
 // DPStats counts the work one DP performed, cumulatively across the
 // initial build and every resume. The split reduction of Eq. (2) is
 // monotonicity-pruned: a candidate is either scanned (its value was
-// computed) or pruned (skipped because it provably cannot beat the
-// incumbent under the DP's strict-< tie-break), so per reduction
-// Scanned + Pruned equals the candidate count and the pruned share is
-// the output-sensitivity win. CostEvals counts bucket-cost evaluations —
+// computed; the seed each scan starts from counts as scanned) or pruned
+// (skipped because it provably cannot displace the incumbent under the
+// DP's smallest-index tie-break), so per reduction Scanned + Pruned
+// equals the candidate count and the pruned share is the
+// output-sensitivity win. CostEvals counts bucket-cost evaluations —
 // oracle Cost calls plus sweep-fill entries. The fill is dense: every
 // bucket ending at a computed end is priced once, e+1 per end, so a full
 // build pays exactly n(n+1)/2 whatever the oracle (a one-level table reads
@@ -69,10 +70,11 @@ type DPTable struct {
 	choice [][]int32
 	// mono[b] certifies the monotone prefix of row b as written: opt[b] is
 	// non-decreasing over [b, mono[b]) with opt[b][b] >= 0. The pruned
-	// split reduction binary-searches rows only inside their certificate —
-	// the mathematical lemma (a longer prefix never costs less) can wobble
-	// by ULPs in floats, and an unchecked binary search could then skip
-	// the true argmin and break bit-identity with the dense scan.
+	// split reduction bounds candidates by their prev value only inside
+	// the certificate — the mathematical lemma (a longer prefix never
+	// costs less) can wobble by ULPs in floats, and an unchecked bound
+	// could then skip the true argmin and break bit-identity with the
+	// dense scan.
 	mono  []int
 	stats DPStats
 	// runColumns' scratch, kept across resumes (a fresh table drops it):
@@ -195,16 +197,14 @@ func runDP(o Oracle, Bmax int, pool *engine.Pool, ts tileShape) (*DPTable, error
 // the per-level seed re-pricings cost more than the cuts saved).
 //
 // The split reduction is monotonicity-pruned (see DESIGN.md "Pruned DP"):
-// prev[i] is non-decreasing in i and the closing bucket's cost is
-// non-increasing in i, so a certified upper bound on a level's minimum —
-// the previous column's argmin priced at this end — cuts the candidate
-// range by binary search on both sides, a lower bound from the column's
-// block minima skips whole blocks of candidates inside it, and a running
-// incumbent stops the scan at the first prev[i] that can no longer beat
-// it. Every skip is provably >= the incumbent (or strictly > the bound)
-// under the DP's strict-< tie-break, and every cell is one whole serial
-// scan, so the tables are bit-identical to the dense reference (the
-// unpruned scan the package's tests keep) with nothing to combine.
+// each cell's scan starts at the previous column's argmin, usually its own,
+// and walks up and down from it, skipping whole blocks of candidates whose
+// lower bound from the column's block minima cannot displace the incumbent
+// and stopping where prev[i] (upward) or the running block minimum
+// (downward) no longer can. Every skip is provably no better under the
+// DP's smallest-index tie-break, and every cell is one whole serial scan,
+// so the tables are bit-identical to the dense reference (the unpruned
+// scan the package's tests keep) with nothing to combine.
 //
 // A band's first level reads the monotone certificate of a row the band
 // above is still extending. It reads it from the snapshot that band took
@@ -215,6 +215,12 @@ func (t *DPTable) runColumns(from int, pool *engine.Pool, ts tileShape) {
 	o, n, Bmax := t.oracle, t.n, t.bmax
 	isSum := o.Combine() == Sum
 	sweeper, _ := o.(SweepOracle)
+	switch o.(type) {
+	case *SSEValue, *Quadratic:
+		if Bmax == 1 {
+			sweeper = nil // only costs[0] is read: one O(1) Cost an end
+		}
+	}
 
 	// Monotone certificates: columns >= from are rewritten, so no
 	// certificate may extend past from (entries left of from survive and
@@ -295,27 +301,15 @@ func (t *DPTable) runColumns(from int, pool *engine.Pool, ts tileShape) {
 				costs, bmin, bcm := column(q, e)
 				above := snap[(r-1)*cols+q]
 				for b := first; b <= last && b <= e; b++ {
-					// Seed the level's upper bound with the previous
-					// column's argmin priced at this end: any valid split
-					// index upper-bounds the minimum, stale post-resume
+					// Seed the scan with the previous column's argmin: any
+					// valid split index is a candidate, stale post-resume
 					// back-pointers included, and the previous column's
-					// winner is usually within a hair of optimal. Pruning
-					// against a seed is strict (> u), so exact ties with the
-					// bound — including the seed candidate itself — survive
-					// and the argmin is unchanged.
-					prev := t.opt[b-1]
-					u := math.Inf(1)
-					if i0 := int(t.choice[b][e-1]); i0 >= b-1 && i0 < e {
-						if c := costs[i0+1]; isSum {
-							u = prev[i0] + c
-						} else if u = prev[i0]; c > u {
-							u = c
-						}
+					// winner is usually this one's too.
+					seed := int(t.choice[b][e-1])
+					if seed < b-1 || seed >= e {
+						seed = b - 1
 					}
-					best := prunedScanDense(prev, costs, bmin, bcm, b-1, e, isSum, u, above >= e, &st)
-					if best.arg < 0 {
-						best = minPartial{value: math.Inf(1), arg: int32(b - 1)}
-					}
+					best := scanFromSeed(t.opt[b-1], costs, bmin, bcm, b-1, e, seed, isSum, above >= e, &st)
 					t.setCell(b, e, best.value, best.arg)
 					above = t.mono[b]
 				}
@@ -340,7 +334,7 @@ type minPartial struct {
 func emptyMin() minPartial { return minPartial{value: math.Inf(1), arg: -1} }
 
 // scanBlock is the width of the blocks of a cost column whose minima bound
-// the split scan (blockMinima, prunedScanDense). Of 8, 16 and 32, 16 timed
+// the split scan (blockMinima, scanFromSeed). Of 8, 16 and 32, 16 timed
 // fastest on the benchmark's six histogram builds.
 const scanBlock = 16
 
@@ -365,103 +359,131 @@ func blockMinima(costs []float64, e int, bmin, bcm []float64) {
 	}
 }
 
-// prunedScanDense reduces split candidates i in [lo, hi) against a
-// materialized costs row and its block minima (blockMinima),
-// bit-identically to reduceSplits over the same range. U is a certified
-// upper bound on the level's minimum over the full range (+Inf when
-// unknown). Candidates in the blocks before the first whose running
-// minimum bcm is <= U close with a bucket dearer than U — a prefix, found
-// by binary search on bcm — and, when the prev row's monotone certificate
-// covers the range (monoOK), candidates with prev[i] > U — a suffix —
-// cannot be the argmin under strict-< tie-breaking either, and both are
-// skipped wholesale. Inside the window a certified-monotone prev also
-// bounds a whole block from below: every candidate j >= i of block k
-// prices at least h(prev[i], bmin[k]), as prev[j] >= prev[i], costs[j+1]
-// >= bmin[k] and + and max round monotonically, so the block is skipped
-// when that bound is > U (it loses to the seed) or >= the incumbent (it
-// cannot displace an equal value at a smaller index). The scan stops at
-// the first prev[i] >= the incumbent.
-func prunedScanDense(prev, costs, bmin, bcm []float64, lo, hi int, isSum bool, U float64, monoOK bool, st *DPStats) minPartial {
-	if lo >= hi {
-		return emptyMin()
+// splitCost is a candidate's value h(prev[i], costs[i+1]) in reduceSplits'
+// floats: the builtin max differs from it on (-0, +0).
+func splitCost(p, c float64, isSum bool) float64 {
+	if isSum {
+		return p + c
 	}
-	from, to := lo, hi
-	if !math.IsInf(U, 1) {
-		if monoOK {
-			to = engine.CutGT(prev, lo, hi, U)
-		}
-		k := engine.CutLE(bcm, (lo+1)/scanBlock, to/scanBlock+1, U)
-		from = min(max(lo, k*scanBlock-1), to)
+	if c > p {
+		return c
 	}
-	if !monoOK {
-		st.CandidatesScanned += int64(to - from)
-		st.CandidatesPruned += int64((hi - lo) - (to - from))
-		return reduceSplits(prev, costs, from, to, isSum)
+	return p
+}
+
+// scanFromSeed reduces split candidates i in [lo, hi) against a
+// materialized costs row and its block minima (blockMinima), starting from
+// the incumbent seed in [lo, hi), and returns reduceSplits' argmin over
+// the range with an empty result read as {+Inf, lo}. Candidates above the
+// seed must win strictly and those below win ties, so the smallest
+// minimizing index wins as in the dense scan. The walks skip what provably
+// cannot win: costs[j+1] >= bmin[k] for every candidate j of block k, and
+// when prev is certified non-decreasing (monoOK) prev[j] >= prev[i] for j
+// >= i, and + and max round monotonically, so every j >= i of block k
+// prices at least h(prev[i], bmin[k]).
+func scanFromSeed(prev, costs, bmin, bcm []float64, lo, hi, seed int, isSum, monoOK bool, st *DPStats) minPartial {
+	best := minPartial{value: splitCost(prev[seed], costs[seed+1], isSum), arg: int32(seed)}
+	scanned := 1
+	if monoOK {
+		var up, down int
+		best, up = walkUp(prev, costs, bmin, seed+1, hi, isSum, best)
+		best, down = walkDown(prev, costs, bmin, bcm, lo, seed, isSum, best)
+		scanned += up + down
+	} else {
+		// Only the closing costs bound an uncertified row: the blocks
+		// below the first whose running minimum is within the seed's value
+		// cannot reach it, and the rest is one pass.
+		j := (seed + 1) / scanBlock
+		for j > (lo+1)/scanBlock && bcm[j-1] <= best.value {
+			j--
+		}
+		from := max(j*scanBlock-1, lo)
+		if r := reduceSplits(prev, costs, from, hi, isSum); r.arg >= 0 {
+			best = r
+		}
+		scanned = hi - from
 	}
-	best := emptyMin()
-	scanned := 0
-scan:
-	for i := from; i < to; {
-		k := (i + 1) / scanBlock
-		end := min((k+1)*scanBlock-1, to)
-		p := prev[i]
-		if p >= best.value {
-			break
-		}
-		lb := bmin[k]
-		if isSum {
-			lb += p
-		} else if p > lb {
-			lb = p
-		}
-		if lb > U || lb >= best.value {
-			i = end
-			continue
-		}
-		start := i
-		if isSum {
-			for ; i < end; i++ {
-				p := prev[i]
-				if p >= best.value {
-					scanned += i - start
-					break scan
-				}
-				if v := p + costs[i+1]; v < best.value {
-					best = minPartial{value: v, arg: int32(i)}
-				}
-			}
-		} else {
-			for ; i < end; i++ {
-				v := prev[i]
-				if v >= best.value {
-					scanned += i - start
-					break scan
-				}
-				if c := costs[i+1]; c > v {
-					v = c
-				}
-				if v < best.value {
-					best = minPartial{value: v, arg: int32(i)}
-				}
-			}
-		}
-		scanned += i - start
+	if math.IsInf(best.value, 1) {
+		best.arg = int32(lo) // every candidate is +Inf: reduceSplits' empty result
 	}
 	st.CandidatesScanned += int64(scanned)
 	st.CandidatesPruned += int64(hi - lo - scanned)
 	return best
 }
 
-// prunedScanLazy is a fully lazy variant of prunedScanDense: no costs
-// row exists at all, so surviving candidates are priced by o.Cost on
-// demand and the low-i envelope cut is unavailable — the prev-side cut,
+// walkUp is scanFromSeed's walk over candidates [from, hi) above the
+// incumbent best on a certified row, each of which must beat it strictly.
+// It stops at the first prev[i] >= the incumbent and skips a block whose
+// bound from its first unpriced candidate reaches it, and returns the new
+// incumbent and the number of candidates it priced.
+func walkUp(prev, costs, bmin []float64, from, hi int, isSum bool, best minPartial) (minPartial, int) {
+	scanned := 0
+	for i := from; i < hi; {
+		k := (i + 1) / scanBlock
+		end := min((k+1)*scanBlock-1, hi)
+		if prev[i] >= best.value {
+			break
+		}
+		if splitCost(prev[i], bmin[k], isSum) >= best.value {
+			i = end
+			continue
+		}
+		start := i
+		for ; i < end; i++ {
+			p := prev[i]
+			if p >= best.value {
+				return best, scanned + i - start
+			}
+			if v := splitCost(p, costs[i+1], isSum); v < best.value {
+				best = minPartial{value: v, arg: int32(i)}
+			}
+		}
+		scanned += i - start
+	}
+	return best, scanned
+}
+
+// walkDown is scanFromSeed's walk over candidates [lo, to) below the
+// incumbent best on a certified row, each of which displaces it on a tie.
+// It stops at the first block whose running minimum bcm exceeds the
+// incumbent, as every lower candidate closes with a dearer bucket, and
+// skips a block whose bound from its first candidate exceeds it; each run
+// of blocks between is priced in one pass. It returns the new incumbent
+// and the number of candidates it priced. The walks are functions of
+// their own: written inside scanFromSeed, the block index of this loop
+// was kept on the stack, and a block check took about 5.5 ns.
+func walkDown(prev, costs, bmin, bcm []float64, lo, to int, isSum bool, best minPartial) (minPartial, int) {
+	scanned := 0
+	klo := (lo + 1) / scanBlock
+	for k, top := to/scanBlock, to-1; top >= lo; {
+		j := k
+		for j >= klo && bcm[j] <= best.value && splitCost(prev[max(j*scanBlock-1, lo)], bmin[j], isSum) <= best.value {
+			j--
+		}
+		if from := max((j+1)*scanBlock-1, lo); from <= top {
+			scanned += top - from + 1
+			if r := reduceSplits(prev, costs, from, top+1, isSum); r.value <= best.value && r.arg >= 0 {
+				best = r
+			}
+		}
+		if j < klo || bcm[j] > best.value {
+			break
+		}
+		k, top = j-1, max(j*scanBlock-1, lo)-1
+	}
+	return best, scanned
+}
+
+// prunedScanLazy is the split scan without a costs row: surviving
+// candidates are priced by o.Cost on demand against U, the seed priced
+// at this end, and no block minima exist — the prev-side cut,
 // the incumbent stop, and per-candidate prev[i] > U skips (sound without
 // any monotonicity: the candidate value is >= prev[i] > U >= the
 // minimum) do the pruning. Each evaluation is counted in CostEvals.
 // OptimalError's level-major rolling DP uses it: with no per-end reuse
 // across levels there is nothing to materialize. runColumns instead fills
-// each end's column once and scans it densely at every level, so costs are
-// priced once per end, not once per level.
+// each end's column once and scans it at every level, so costs are priced
+// once per end, not once per level.
 func prunedScanLazy(o Oracle, prev []float64, lo, hi, e int, isSum bool, U float64, monoOK bool, st *DPStats) minPartial {
 	if lo >= hi {
 		return emptyMin()

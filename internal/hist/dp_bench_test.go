@@ -89,8 +89,8 @@ func benchDPGrid(b *testing.B, dense bool) {
 
 // BenchmarkHistDPPruned: the default path. Compare each sub-benchmark
 // against its BenchmarkHistDPDense twin; the SSE n=8192/B=200 pair is
-// the headline (7.3x at -benchtime=2x on a 2-CPU Xeon: 0.91 s pruned,
-// 6.66 s dense).
+// the headline (at -benchtime=2x on a 2-CPU Xeon: 1.11 s pruned, 8.3 to
+// 9.9 s dense).
 func BenchmarkHistDPPruned(b *testing.B) { benchDPGrid(b, false) }
 
 // BenchmarkHistDPDense: the dense reference, same grid.

@@ -8,6 +8,7 @@ package hist
 // under -race this also exercises the tile schedule.
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"runtime"
@@ -197,34 +198,48 @@ func TestPrunedDPAdversarial(t *testing.T) {
 
 // testScanBlockEdges puts the argmin of one scan on the first and on the
 // last candidate of a block (block 1 closes candidates 15..30 with
-// costs[16..31]), and an exact tie across skipped blocks: candidate 10
-// prices 1, and so does the cheapest candidate of each later block, whose
-// bound therefore equals the incumbent exactly — the blocks are skipped
-// and the smaller index keeps the argmin, as in the dense scan.
+// costs[16..31]), on the candidate next to the seed on either side (a tie
+// below the seed wins, one above loses: the smallest index keeps the
+// argmin) and two blocks below it, at the range's ends, and an exact tie
+// across skipped blocks: candidate 10, the seed, prices 1, and so does the
+// cheapest candidate of each later block, whose bound therefore equals the
+// incumbent exactly — on a certified row the blocks are skipped and the
+// seed keeps the argmin, after a scan of itself and the ten candidates
+// below it. The zero prev row is scanned certified and uncertified.
 func testScanBlockEdges(t *testing.T) {
 	const e = 63
 	prev := make([]float64, e+1)
 	for _, isSum := range []bool{true, false} {
-		for _, tc := range []struct {
-			name    string
-			cheap   []int // closing-cost indices priced 1; the rest price 5
-			seed    int
-			scanned int64 // -1: not checked
-		}{
-			{"first", []int{16}, 40, -1},
-			{"last", []int{31}, 40, -1},
-			{"tie", []int{11, 20, 41, 63}, -1, 15},
-		} {
-			costs := make([]float64, e+1)
-			for s := range costs {
-				costs[s] = 5
-			}
-			for _, s := range tc.cheap {
-				costs[s] = 1
-			}
-			st := checkScan(t, prev, costs, 0, e, tc.seed, isSum, true)
-			if tc.scanned >= 0 && st.CandidatesScanned != tc.scanned {
-				t.Fatalf("%s (sum %v): scanned %d candidates, want block 0's %d alone", tc.name, isSum, st.CandidatesScanned, tc.scanned)
+		for _, monoOK := range []bool{true, false} {
+			for _, tc := range []struct {
+				name      string
+				cheap     []int // closing-cost indices priced 1; the rest price 5
+				seed, arg int
+				scanned   int64 // -1: not checked
+			}{
+				{"first", []int{16}, 40, 15, -1},
+				{"last", []int{31}, 40, 30, -1},
+				{"tie below", []int{20, 21}, 20, 19, -1},
+				{"tie above", []int{20, 21}, 19, 19, -1},
+				{"tie two blocks below", []int{5, 40}, 39, 4, -1},
+				{"seed at lo", []int{50}, 0, 49, -1},
+				{"seed at hi-1", []int{3}, e - 1, 2, -1},
+				{"tie", []int{11, 20, 41, 63}, 10, 10, 11},
+			} {
+				costs := make([]float64, e+1)
+				for s := range costs {
+					costs[s] = 5
+				}
+				for _, s := range tc.cheap {
+					costs[s] = 1
+				}
+				got, st := checkScan(t, prev, costs, 0, e, tc.seed, isSum, monoOK)
+				if int(got.arg) != tc.arg {
+					t.Fatalf("%s (sum %v, certified %v): argmin %d, want %d", tc.name, isSum, monoOK, got.arg, tc.arg)
+				}
+				if monoOK && tc.scanned >= 0 && st.CandidatesScanned != tc.scanned {
+					t.Fatalf("%s (sum %v): scanned %d candidates, want %d", tc.name, isSum, st.CandidatesScanned, tc.scanned)
+				}
 			}
 		}
 	}
@@ -238,46 +253,57 @@ var scanPalette = []float64{
 	1 << 53, 1e300, math.MaxFloat64, math.Inf(1),
 }
 
-// checkScan runs prunedScanDense over candidates [lo, hi) of end hi,
-// seeded as runColumns seeds it from candidate i0 (no seed outside the
-// range), and holds it to reduceSplits over the same range: value bits,
+// checkScan runs scanFromSeed over candidates [lo, hi) of end hi from the
+// seed, and holds it to reduceSplits over the same range read as
+// runColumns reads it (an empty result is {+Inf, lo}): value bits,
 // argmin, and scanned + pruned = hi - lo.
-func checkScan(t *testing.T, prev, costs []float64, lo, hi, i0 int, isSum, monoOK bool) DPStats {
+func checkScan(t *testing.T, prev, costs []float64, lo, hi, seed int, isSum, monoOK bool) (minPartial, DPStats) {
 	t.Helper()
 	nb := hi/scanBlock + 1
 	bmin, bcm := make([]float64, nb), make([]float64, nb)
 	blockMinima(costs, hi, bmin, bcm)
-	u := math.Inf(1)
-	if i0 >= lo && i0 < hi {
-		if c := costs[i0+1]; isSum {
-			u = prev[i0] + c
-		} else if u = prev[i0]; c > u {
-			u = c
-		}
-	}
 	var st DPStats
-	got := prunedScanDense(prev, costs, bmin, bcm, lo, hi, isSum, u, monoOK, &st)
+	got := scanFromSeed(prev, costs, bmin, bcm, lo, hi, seed, isSum, monoOK, &st)
 	want := reduceSplits(prev, costs, lo, hi, isSum)
+	if want.arg < 0 {
+		want = minPartial{value: math.Inf(1), arg: int32(lo)}
+	}
 	if math.Float64bits(got.value) != math.Float64bits(want.value) || got.arg != want.arg {
 		t.Fatalf("[%d, %d) seed %d sum %v mono %v: pruned scan (%v, %d), dense (%v, %d)\nprev %v\ncosts %v",
-			lo, hi, i0, isSum, monoOK, got.value, got.arg, want.value, want.arg, prev, costs)
+			lo, hi, seed, isSum, monoOK, got.value, got.arg, want.value, want.arg, prev, costs)
 	}
 	if n := st.CandidatesScanned + st.CandidatesPruned; n != int64(hi-lo) {
 		t.Fatalf("[%d, %d): scanned %d + pruned %d, want %d candidates", lo, hi, st.CandidatesScanned, st.CandidatesPruned, hi-lo)
 	}
-	return st
+	return got, st
 }
 
 // FuzzPrunedScan holds one split scan to the dense one. Bytes: the end
-// (up to 80 candidates, five blocks), the range's start, the seed
-// candidate (any index from -1 to the end, so some seeds fall outside the
-// range), then the costs and prev rows, each byte a palette value or past
-// the palette a multiple of 1/7; prev is sorted when it is to be
-// certified monotone.
+// (1 to 80 candidates, up to six blocks), the range's start below it, the
+// seed's offset into the range, then the costs and prev rows, each byte a
+// palette value (missing bytes read 0) or past the palette a multiple of
+// 1/7; prev is sorted when it is to be certified monotone. The corpus adds
+// a tie just below the seed (it must win) and just above (it must lose),
+// an all-+Inf row, seeds at lo and hi-1, and an uncertified row.
 func FuzzPrunedScan(f *testing.F) {
 	f.Add([]byte{40, 3, 20, 5, 5, 5, 1, 0, 0}, true, true)
 	f.Add([]byte{79, 15, 16, 11, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, false, true)
 	f.Add([]byte{33, 0, 0, 10, 10, 10, 9, 11, 255, 254}, true, false)
+	// costs[20] = costs[21] = 1, the rest 3 but for costs[26] = 0.3, and
+	// prev is 0 up to candidate 20 and 1 past it: candidates 19 and 20
+	// tie, and candidate 25 keeps block 1 from being skipped whole.
+	tie := slices.Concat([]byte{39, 0, 20}, bytes.Repeat([]byte{7}, 20), []byte{5, 5, 7, 7, 7, 7, 4},
+		bytes.Repeat([]byte{7}, 14), bytes.Repeat([]byte{0}, 21), bytes.Repeat([]byte{5}, 20))
+	f.Add(tie, true, true)
+	f.Add(slices.Concat([]byte{39, 0, 19}, tie[3:]), false, true)
+	f.Add(slices.Concat([]byte{39, 0, 20}, bytes.Repeat([]byte{11}, 82)), true, true)
+	f.Add(slices.Concat([]byte{39, 5, 0}, bytes.Repeat([]byte{7}, 30), []byte{5}), true, true)
+	f.Add(slices.Concat([]byte{39, 5, 34}, bytes.Repeat([]byte{7}, 8), []byte{5}, bytes.Repeat([]byte{7}, 32)), false, true)
+	uncertified := []byte{39, 0, 10}
+	for i := range 82 {
+		uncertified = append(uncertified, byte(31-i%20))
+	}
+	f.Add(uncertified, true, false)
 	f.Fuzz(func(t *testing.T, data []byte, isSum, monoOK bool) {
 		next := func() int {
 			if len(data) == 0 {
@@ -294,9 +320,9 @@ func FuzzPrunedScan(f *testing.F) {
 			}
 			return float64(b%32) / 7
 		}
-		hi := next() % 81
-		lo := next() % (hi + 1)
-		i0 := next()%(hi+2) - 1
+		hi := 1 + next()%80
+		lo := next() % hi
+		seed := lo + next()%(hi-lo)
 		costs, prev := make([]float64, hi+1), make([]float64, hi+1)
 		for s := range costs {
 			costs[s] = value()
@@ -307,7 +333,7 @@ func FuzzPrunedScan(f *testing.F) {
 		if monoOK {
 			slices.Sort(prev)
 		}
-		checkScan(t, prev, costs, lo, hi, i0, isSum, monoOK)
+		checkScan(t, prev, costs, lo, hi, seed, isSum, monoOK)
 	})
 }
 
@@ -328,12 +354,12 @@ func TestPrunedDPStatsAtBenchShapes(t *testing.T) {
 		B     int
 		stats DPStats
 	}{
-		{"SSE", sensor(512), metric.SSE, 64, DPStats{CandidatesScanned: 1370112, CandidatesPruned: 5913024, CostEvals: 131328}},
-		{"SSRE", mystiq(512), metric.SSRE, 64, DPStats{CandidatesScanned: 1486313, CandidatesPruned: 5796823, CostEvals: 131328}},
-		{"SSE-tuple", tpch, metric.SSE, 64, DPStats{CandidatesScanned: 916216, CandidatesPruned: 6366920, CostEvals: 131328}},
-		{"SAE", sensor(448), metric.SAE, 64, DPStats{CandidatesScanned: 1089058, CandidatesPruned: 4385726, CostEvals: 100576}},
-		{"SARE", mystiq(448), metric.SARE, 64, DPStats{CandidatesScanned: 1322384, CandidatesPruned: 4152400, CostEvals: 100576}},
-		{"MAE", sensor(64), metric.MAE, 16, DPStats{CandidatesScanned: 7598, CandidatesPruned: 16482, CostEvals: 2080}},
+		{"SSE", sensor(512), metric.SSE, 64, DPStats{CandidatesScanned: 1367775, CandidatesPruned: 5915361, CostEvals: 131328}},
+		{"SSRE", mystiq(512), metric.SSRE, 64, DPStats{CandidatesScanned: 1479964, CandidatesPruned: 5803172, CostEvals: 131328}},
+		{"SSE-tuple", tpch, metric.SSE, 64, DPStats{CandidatesScanned: 877863, CandidatesPruned: 6405273, CostEvals: 131328}},
+		{"SAE", sensor(448), metric.SAE, 64, DPStats{CandidatesScanned: 1086700, CandidatesPruned: 4388084, CostEvals: 100576}},
+		{"SARE", mystiq(448), metric.SARE, 64, DPStats{CandidatesScanned: 1316505, CandidatesPruned: 4158279, CostEvals: 100576}},
+		{"MAE", sensor(64), metric.MAE, 16, DPStats{CandidatesScanned: 6931, CandidatesPruned: 17149, CostEvals: 2080}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			o, err := NewOracle(c.src, c.kind, metric.DefaultParams())

@@ -43,7 +43,7 @@ type Oracle interface {
 }
 
 // SweepOracle is the form the exact DP prefers: price every bucket ending
-// at e in one pass over the starts, sharing work between neighbours. Two
+// at e in one pass over the starts, sharing work between neighbours. Three
 // kinds of oracle implement it:
 //
 //   - sweep-only: the exact SSETuple. Its Cost is O(tuples straddling the
@@ -60,6 +60,11 @@ type Oracle interface {
 //     (OptimalError, the tests' dense DP) keep pricing through Cost, so
 //     that they check the sweep instead of repeating it. Their scratch is
 //     local to the call: any number of DPs may sweep one oracle at once.
+//   - closed-form columns: SSEValue and Quadratic. Cost is O(1) from prefix
+//     arrays; the sweep is one loop down those arrays through the same
+//     pricing function, so it writes Cost's floats bit for bit, with no
+//     interface call per bucket and no state. A one-level table still
+//     prices them through Cost, once per end.
 //
 // Within one DP, CostsForEnd is called from one goroutine at a time, in
 // end order: only the fill row of the DP's tile grid prices buckets, and a

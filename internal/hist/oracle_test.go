@@ -256,7 +256,7 @@ func TestNewOracleRouting(t *testing.T) {
 
 // TestOracleCostAllocations pins what a bucket price allocates once the
 // oracle is built: nothing, for every oracle but MaxAbs, from Cost and from
-// the sweep the DP prices a column through. A build asks for
+// the sweep the DP prices a column through, which every oracle has. A build asks for
 // n(n+1)/2 prices, so one allocation here is millions there. MaxAbs keeps
 // its scratch: the lines of a refined step, grown by append inside Cost
 // (one doubling per power of two of the bucket width) and, beside the grid
@@ -275,26 +275,34 @@ func TestOracleCostAllocations(t *testing.T) {
 		buckets = append(buckets, [2]int{s, s + rng.Intn(min(n-s, maxWidth))})
 	}
 	costs, reps := make([]float64, n), make([]float64, n)
+	weights := make([]float64, n)
+	for i := range weights {
+		weights[i] = float64(i % 3) // zero-weight buckets price on a branch of their own
+	}
 	for _, tc := range []struct {
 		name string
 		src  pdata.Source
 		kind metric.Kind
-		// The most one Cost call and, where the oracle has a sweep, one
-		// CostsForEnd(n-1) may allocate.
+		// The most one Cost call and one CostsForEnd(n-1) may allocate.
 		cost, sweep float64
+		weights     []float64 // non-nil: the workload SSE oracle
 	}{
-		{"SSE/value", pdata.AsValuePDF(basic), metric.SSE, 0, 0},
-		{"SSE/basic", basic, metric.SSE, 0, 0},
-		{"SSE/tuple", gen.TPCHLineitem(rand.New(rand.NewSource(42)), tpch), metric.SSE, 0, 0},
-		{"SSE-fixed", basic, metric.SSEFixed, 0, 0},
-		{"SSRE", basic, metric.SSRE, 0, 0},
-		{"SAE", basic, metric.SAE, 0, 0},
-		{"SARE", basic, metric.SARE, 0, 0},
-		{"MAE", basic, metric.MAE, 8, 3},
-		{"MARE", basic, metric.MARE, 8, 3},
+		{"SSE/value", pdata.AsValuePDF(basic), metric.SSE, 0, 0, nil},
+		{"SSE/basic", basic, metric.SSE, 0, 0, nil},
+		{"SSE/tuple", gen.TPCHLineitem(rand.New(rand.NewSource(42)), tpch), metric.SSE, 0, 0, nil},
+		{"SSE-fixed", basic, metric.SSEFixed, 0, 0, nil},
+		{"SSE-fixed/workload", basic, metric.SSEFixed, 0, 0, weights},
+		{"SSRE", basic, metric.SSRE, 0, 0, nil},
+		{"SAE", basic, metric.SAE, 0, 0, nil},
+		{"SARE", basic, metric.SARE, 0, 0, nil},
+		{"MAE", basic, metric.MAE, 8, 3, nil},
+		{"MARE", basic, metric.MARE, 8, 3, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o, err := hist.NewOracle(tc.src, tc.kind, metric.Params{C: 0.5})
+			if tc.weights != nil {
+				o, err = hist.NewWorkloadSSE(tc.src, tc.weights)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -306,7 +314,7 @@ func TestOracleCostAllocations(t *testing.T) {
 			}
 			so, ok := o.(hist.SweepOracle)
 			if !ok {
-				return
+				t.Fatalf("%T has no sweep", o)
 			}
 			if got := testing.AllocsPerRun(5, func() { so.CostsForEnd(n-1, costs, reps) }); got > tc.sweep {
 				t.Errorf("CostsForEnd(%d): %v allocations, want at most %v", n-1, got, tc.sweep)

@@ -107,12 +107,26 @@ func (o *Quadratic) Combine() Combine { return Sum }
 
 // Cost prices bucket [s, e] in O(1).
 func (o *Quadratic) Cost(s, e int) (float64, float64) {
-	z := o.z.Range(s, e)
+	return quadCost(o.x.Range(s, e), o.y.Range(s, e), o.z.Range(s, e))
+}
+
+// CostsForEnd writes Cost(s, e) for every s <= e, one pass over the
+// prefix arrays.
+func (o *Quadratic) CostsForEnd(e int, costs, reps []float64) {
+	x, y, z := o.x.Sums(), o.y.Sums(), o.z.Sums()
+	xE, yE, zE := x[e+1], y[e+1], z[e+1]
+	reps = reps[:e+1]
+	for s := range costs[:e+1] {
+		costs[s], reps[s] = quadCost(xE-x[s], yE-y[s], zE-z[s])
+	}
+}
+
+// quadCost prices a bucket from its range sums X, Y and Z.
+func quadCost(x, y, z float64) (float64, float64) {
 	if z <= 0 {
 		return 0, 0
 	}
-	y := o.y.Range(s, e)
-	cost := o.x.Range(s, e) - y*y/z
+	cost := x - y*y/z
 	if cost < 0 {
 		cost = 0 // differenced prefixes can go an ulp negative
 	}

@@ -47,9 +47,25 @@ func (o *SSEValue) Combine() Combine { return Sum }
 
 // Cost implements Eq. (5) for bucket [s, e].
 func (o *SSEValue) Cost(s, e int) (float64, float64) {
-	nb := float64(e - s + 1)
-	sum := o.mean.Range(s, e)
-	cost := o.meanSq.Range(s, e) - (float64(sum*sum)+o.vr.Range(s, e))/nb
+	return sseCost(o.meanSq.Range(s, e), o.mean.Range(s, e), o.vr.Range(s, e), e-s+1)
+}
+
+// CostsForEnd writes Cost(s, e) for every s <= e, one pass over the
+// prefix arrays.
+func (o *SSEValue) CostsForEnd(e int, costs, reps []float64) {
+	sq, m, vr := o.meanSq.Sums(), o.mean.Sums(), o.vr.Sums()
+	sqE, mE, vrE := sq[e+1], m[e+1], vr[e+1]
+	reps = reps[:e+1]
+	for s := range costs[:e+1] {
+		costs[s], reps[s] = sseCost(sqE-sq[s], mE-m[s], vrE-vr[s], e-s+1)
+	}
+}
+
+// sseCost prices a bucket of n items from its range sums of E[g²], E[g]
+// and Var[g].
+func sseCost(sq, sum, vr float64, n int) (float64, float64) {
+	nb := float64(n)
+	cost := sq - (float64(sum*sum)+vr)/nb
 	if cost < 0 {
 		cost = 0 // differenced prefixes can go an ulp negative
 	}

@@ -352,6 +352,40 @@ func TestAbsSweepsMatchNaiveOnGeneratedData(t *testing.T) {
 	}
 }
 
+// TestClosedFormSweepsMatchCost holds the O(1) oracles' columns to their
+// Cost calls, costs and representatives to the bit, on every bucket of the
+// generators' data (the tuple pdf through its induced value pdf where the
+// oracle takes one). The workload weights vanish on every third run of 16
+// items, so buckets inside a run take the Z <= 0 branch.
+func TestClosedFormSweepsMatchCost(t *testing.T) {
+	const n = 320
+	p := metric.DefaultParams()
+	weights := make([]float64, n)
+	for i := range weights {
+		if (i/16)%3 != 0 {
+			weights[i] = 0.25 + float64(i%5)
+		}
+	}
+	for name, src := range benchSources(n) {
+		vp := pdata.AsValuePDF(src)
+		workload, err := hist.NewWorkloadSSE(src, weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, r := workload.Cost(0, 15); c != 0 || r != 0 {
+			t.Fatalf("%s: zero-weight bucket [0,15] priced (%v, %v), want (0, 0)", name, c, r)
+		}
+		for what, o := range map[string]hist.SweepOracle{
+			"SSE":          hist.NewSSEValue(vp),
+			"SSE-fixed":    hist.NewSSEFixed(src),
+			"SSRE":         hist.NewSSRE(vp, p),
+			"workload SSE": workload,
+		} {
+			checkSweep(t, what+" "+name, o, o.Cost)
+		}
+	}
+}
+
 // The sweep's reuse of a step's solve across buckets runs longest on long
 // buckets: every end's column in full at the benchmark generators' scale.
 func TestMaxAbsSweepMatchesCostAtScale(t *testing.T) {

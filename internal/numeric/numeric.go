@@ -78,6 +78,10 @@ func (pp Prefix) Range(s, e int) float64 {
 // Len returns the number of underlying items.
 func (pp Prefix) Len() int { return len(pp.p) - 1 }
 
+// Sums returns the table itself, which the caller must not modify:
+// Range(s, e) is Sums()[e+1] - Sums()[s] for s <= e.
+func (pp Prefix) Sums() []float64 { return pp.p }
+
 // Push appends item x, continuing a, the accumulator that summed the
 // items before it: len(xs) Pushes onto an empty table with a zero
 // accumulator write NewPrefix(xs) bit for bit, so a table truncated to its
