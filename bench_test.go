@@ -445,10 +445,10 @@ func BenchmarkRunDP(b *testing.B) {
 	}
 }
 
-// BenchmarkRunDPSweepOracle: same comparison on the tuple-pdf SSE oracle,
+// BenchmarkRunDPSweepOnly: same comparison on the tuple-pdf SSE oracle,
 // the sweep-only one: the fill row sums its Gram row an end at a time
 // while the bands scan the columns it has written.
-func BenchmarkRunDPSweepOracle(b *testing.B) {
+func BenchmarkRunDPSweepOnly(b *testing.B) {
 	src := benchTPCH(1024)
 	o := hist.NewSSETuple(src)
 	for _, workers := range benchWorkers() {
@@ -512,11 +512,10 @@ func BenchmarkOracleSweep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			so := o.(hist.SweepOracle)
 			costs, reps := make([]float64, n), make([]float64, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				so.CostsForEnd(n-1, costs, reps)
+				o.CostsForEnd(n-1, costs, reps)
 			}
 			b.ReportMetric(float64(b.Elapsed())/float64(b.N)/float64(n), "ns/cost")
 		})

@@ -41,7 +41,7 @@ func (e *WaveletExperiment) Run() ([]WaveletSeries, error) {
 	muSq := make([]float64, n)
 	total := 0.0
 	for i, v := range mu {
-		muSq[i] = v * v
+		muSq[i] = float64(v * v)
 		total += muSq[i]
 	}
 	point := func(b int, retained float64) WaveletPoint {

@@ -52,8 +52,8 @@ func MystiQLinkage(rng *rand.Rand, cfg MystiQConfig) *pdata.Basic {
 	steps := makeSteps(rng, n, 8)
 	for i := 0; i < n; i++ {
 		x := float64(i) / float64(n)
-		mod := 0.6 + 0.4*math.Sin(2*math.Pi*x*2) +
-			0.25*math.Sin(2*math.Pi*x*5) + steps[i]
+		mod := 0.6 + float64(0.4*math.Sin(float64(2*math.Pi*x)*2)) +
+			float64(0.25*math.Sin(2*math.Pi*x*5)) + steps[i]
 		if mod < 0.05 {
 			mod = 0.05
 		}
@@ -61,7 +61,7 @@ func MystiQLinkage(rng *rand.Rand, cfg MystiQConfig) *pdata.Basic {
 		// candidate matches (as popular movies do), so cross-item structure
 		// grows quadratically while per-item variance grows linearly.
 		mod = mod * mod
-		mean := cfg.TuplesPerItem * mod
+		mean := float64(cfg.TuplesPerItem * mod)
 		// Rank-decaying confidences: linkage produces mostly confident
 		// leading matches (p near 1, hence low per-tuple variance p(1-p))
 		// trailing off linearly into noise candidates. Match quality u
@@ -74,9 +74,9 @@ func MystiQLinkage(rng *rand.Rand, cfg MystiQConfig) *pdata.Basic {
 		if k > maxT {
 			k, frac = maxT, 0
 		}
-		u := 0.85 + 0.1*math.Sin(2*math.Pi*x*3) + 0.06*(rng.Float64()-0.5)
+		u := 0.85 + float64(0.1*math.Sin(2*math.Pi*x*3)) + float64(0.06*(float64(rng.Float64())-0.5))
 		conf := func(r float64) float64 {
-			p := u * (1 - 0.06*r)
+			p := u * (1 - float64(0.06*r))
 			if p > 0.98 {
 				p = 0.98
 			} else if p < 0.05 {
@@ -140,7 +140,7 @@ func TPCHLineitem(rng *rand.Rand, cfg TPCHConfig) *pdata.TuplePDF {
 			// domain has regions of higher and lower traffic
 			for {
 				i := rng.Intn(n)
-				if rng.Float64() < 0.25+0.75*smooth[i] {
+				if rng.Float64() < 0.25+float64(0.75*smooth[i]) {
 					return i
 				}
 			}
@@ -233,28 +233,28 @@ func SensorGrid(rng *rand.Rand, cfg SensorConfig) *pdata.ValuePDF {
 	vp := &pdata.ValuePDF{N: n, Items: make([]pdata.ItemPDF, n)}
 	steps := makeSteps(rng, n, 6)
 	for i := 0; i < n; i++ {
-		signal := cfg.MaxValue * (0.5 + 0.3*math.Sin(2*math.Pi*float64(i)/float64(n)*5) + 0.5*steps[i])
+		signal := cfg.MaxValue * (0.5 + float64(0.3*math.Sin(2*math.Pi*float64(i)/float64(n)*5)) + float64(0.5*steps[i]))
 		if signal < 0 {
 			signal = 0
 		}
-		spread := cfg.Noise*signal + 0.5
+		spread := float64(cfg.Noise*signal) + 0.5
 		entries := make([]pdata.FreqProb, 0, cfg.Levels)
 		totalW := 0.0
 		weights := make([]float64, cfg.Levels)
 		values := make([]float64, cfg.Levels)
 		for l := 0; l < cfg.Levels; l++ {
-			off := (float64(l) - float64(cfg.Levels-1)/2) * spread / float64(cfg.Levels)
+			off := (float64(l) - float64(float64(cfg.Levels-1)/2)) * spread / float64(cfg.Levels)
 			v := signal + off
 			if v < 0 {
 				v = 0
 			}
 			values[l] = math.Round(v*4) / 4 // quarter-step grid keeps |V| modest
-			w := math.Exp(-0.5 * (off / (spread/2 + 1e-9)) * (off / (spread/2 + 1e-9)))
+			w := math.Exp(-0.5 * (off / (float64(spread/2) + 1e-9)) * (off / (float64(spread/2) + 1e-9)))
 			weights[l] = w
 			totalW += w
 		}
 		// Leave a little mass for "sensor dropped the reading" (freq 0).
-		keep := 0.9 + 0.1*rng.Float64()
+		keep := 0.9 + float64(0.1*rng.Float64())
 		for l := 0; l < cfg.Levels; l++ {
 			entries = append(entries, pdata.FreqProb{Freq: values[l], Prob: keep * weights[l] / totalW})
 		}

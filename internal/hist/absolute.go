@@ -173,8 +173,8 @@ func (o *WeightedAbs) fill(start, n int, pmf func(i int) []float64) {
 		var aw, as numeric.Accumulator
 		row, next := o.tab[2*k*i:2*k*(i+1)], o.tab[2*k*(i+1):2*k*(i+2)]
 		for j, pr := range pmf(i) {
-			w := pr * mw[j]
-			x := w * vals[j]
+			w := float64(pr * mw[j])
+			x := float64(w * vals[j])
 			cw += w
 			cs += x
 			next[2*j] = row[2*j] + cw
@@ -203,8 +203,8 @@ func (o *WeightedAbs) fill(start, n int, pmf func(i int) []float64) {
 	// once; a cost is a value times a slope plus the same of the S sums. The
 	// last term covers the dozen roundings of the expressions themselves.
 	vmax := math.Max(-vals[0], vals[k-1])
-	ew := 4*errW + errTotW + 0x1p-47*sumW
-	ef := vmax*ew + 4*errS + errTotS + 0x1p-47*(vmax*sumW+sumS)
+	ew := float64(4*errW) + errTotW + float64(0x1p-47*sumW)
+	ef := float64(vmax*ew) + float64(4*errS) + errTotS + float64(0x1p-47*(float64(vmax*sumW)+sumS))
 	o.margin = searchMargins(o.margin, vals, ew, ef)
 }
 

@@ -31,7 +31,7 @@ func denseTable(o Oracle, Bmax int) *DPTable {
 	reps := make([]float64, n)
 	for e := 0; e < n; e++ {
 		if sweepOnly(o) {
-			o.(SweepOracle).CostsForEnd(e, costs, reps)
+			o.CostsForEnd(e, costs, reps)
 		} else {
 			for s := 0; s <= e; s++ {
 				costs[s], reps[s] = o.Cost(s, e)

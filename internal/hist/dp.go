@@ -128,7 +128,7 @@ func (t *DPTable) setCell(b, e int, v float64, arg int32) {
 // for concurrent calls (all oracles in this package are: Cost reads only
 // precomputed arrays) because several DPs may share one oracle; within one
 // DP every bucket is priced by the fill row, one tile at a time in end
-// order, so a SweepOracle's sweeps never overlap.
+// order, so its sweeps never overlap.
 func RunDPPool(o Oracle, Bmax int, pool *engine.Pool) (*DPTable, error) {
 	return runDP(o, Bmax, pool, defaultTiles)
 }
@@ -184,9 +184,10 @@ func runDP(o Oracle, Bmax int, pool *engine.Pool, ts tileShape) (*DPTable, error
 // The (level, end) table is cut into tiles of ts.levels levels by ts.ends
 // ends and run on a dependency grid (engine.Pool.RunGrid). Grid row 0 is
 // the fill row: for each end of its block it prices every bucket ending
-// there — CostsForEnd for a SweepOracle, a Cost loop otherwise — into one
-// slot of a ring of ts.ring cost-column blocks, takes the column's block
-// minima (blockMinima) the scans bound with, and writes level 0. Grid row
+// there (CostsForEnd; one Cost(0, e) when a single level reads only the
+// first, unless the oracle is sweep-only) into one slot of a ring of
+// ts.ring cost-column blocks, takes the column's block minima
+// (blockMinima) the scans bound with, and writes level 0. Grid row
 // r >= 1 is the band of levels [1+(r-1)*ts.levels, 1+r*ts.levels): cell
 // (b, e) reads row b-1 at ends < e and the cost column of e, so tile
 // (r, q) may run once (r-1, q) and (r, q-1) have; a fill tile reuses the
@@ -214,13 +215,9 @@ func runDP(o Oracle, Bmax int, pool *engine.Pool, ts tileShape) (*DPTable, error
 func (t *DPTable) runColumns(from int, pool *engine.Pool, ts tileShape) {
 	o, n, Bmax := t.oracle, t.n, t.bmax
 	isSum := o.Combine() == Sum
-	sweeper, _ := o.(SweepOracle)
-	switch o.(type) {
-	case *SSEValue, *Quadratic:
-		if Bmax == 1 {
-			sweeper = nil // only costs[0] is read: one O(1) Cost an end
-		}
-	}
+	// A one-level table reads costs[0] alone: one Cost(0, e) an end, which
+	// writes the sweep's bits (Oracle).
+	single := Bmax == 1 && !sweepOnly(o)
 
 	// Monotone certificates: columns >= from are rewritten, so no
 	// certificate may extend past from (entries left of from survive and
@@ -256,11 +253,8 @@ func (t *DPTable) runColumns(from int, pool *engine.Pool, ts tileShape) {
 		at := ((q%ring)*width + e - from - q*ts.ends) * slot
 		return ringBuf[at : at+n], ringBuf[at+n : at+n+nb], ringBuf[at+n+nb : at+slot]
 	}
-	var reps []float64
-	if sweeper != nil {
-		t.reps = grow(t.reps[:0], n)
-		reps = t.reps
-	}
+	t.reps = grow(t.reps[:0], n)
+	reps := t.reps
 	// snap[r*cols+q] is row r's last-level certificate as tile (r, q) left
 	// it; stats[r] is row r's work, summed at the end so the total does not
 	// depend on which worker ran what.
@@ -278,17 +272,11 @@ func (t *DPTable) runColumns(from int, pool *engine.Pool, ts tileShape) {
 		if r == 0 {
 			for e := lo; e < hi; e++ {
 				costs, bmin, bcm := column(q, e)
-				switch {
-				case sweeper != nil:
-					sweeper.CostsForEnd(e, costs, reps)
-					st.CostEvals += int64(e + 1)
-				case Bmax == 1:
+				if single {
 					costs[0], _ = o.Cost(0, e)
 					st.CostEvals++
-				default:
-					for s := 0; s <= e; s++ {
-						costs[s], _ = o.Cost(s, e)
-					}
+				} else {
+					o.CostsForEnd(e, costs, reps)
 					st.CostEvals += int64(e + 1)
 				}
 				blockMinima(costs, e, bmin, bcm)

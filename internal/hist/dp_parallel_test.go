@@ -206,12 +206,12 @@ func TestOptimalWorkersMatchesOptimal(t *testing.T) {
 	}
 }
 
-// TestSharedSweepOracleConcurrentDPs: WeightedAbs and MaxAbs keep their
+// TestSharedOracleConcurrentSweeps: WeightedAbs and MaxAbs keep their
 // sweep state local to CostsForEnd, so any number of DPs may sweep one
 // oracle at once. Two goroutines build from one shared oracle, each on its
 // own fanned-out pool; both tables must equal the serial build. Under
 // -race this is the check that the sweeps share nothing they write.
-func TestSharedSweepOracleConcurrentDPs(t *testing.T) {
+func TestSharedOracleConcurrentSweeps(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	const n, B = 96, 9
 	for srcName, src := range parallelSources(rng, n) {
@@ -219,9 +219,6 @@ func TestSharedSweepOracleConcurrentDPs(t *testing.T) {
 			o, err := NewOracle(src, k, metric.Params{C: 0.5})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", srcName, k, err)
-			}
-			if _, ok := o.(SweepOracle); !ok {
-				t.Fatalf("%s/%v: %T has no sweep", srcName, k, o)
 			}
 			serial, err := RunDPPool(o, B, nil)
 			if err != nil {
@@ -248,69 +245,88 @@ func TestSharedSweepOracleConcurrentDPs(t *testing.T) {
 	}
 }
 
-// countingSweep counts how a DP prices a sweep oracle.
+// countingSweep counts how a DP prices an oracle. Its sweep is the
+// embedded oracle's, counted: the sweep the references are checked
+// against, not a loop over Cost.
 type countingSweep struct {
-	SweepOracle
+	Oracle
 	costs, sweeps *int
 }
 
 func (c countingSweep) Cost(s, e int) (float64, float64) {
 	*c.costs++
-	return c.SweepOracle.Cost(s, e)
+	return c.Oracle.Cost(s, e)
 }
 
 func (c countingSweep) CostsForEnd(e int, costs, reps []float64) {
 	*c.sweeps++
-	c.SweepOracle.CostsForEnd(e, costs, reps)
+	c.Oracle.CostsForEnd(e, costs, reps)
 }
 
 // TestReferencePathsPriceThroughCost: the default DP prices a
 // sweep-accelerated oracle through its sweep alone, and the two
 // recomputations it is checked against — the dense reference DP and
 // OptimalError — through cold Cost calls alone, so that comparing them
-// compares the sweep with the search it stands in for. Only the exact
-// SSETuple is swept by the references as well.
+// compares the sweep with the search it stands in for. A one-level DP
+// reads only buckets [0, e] and prices each by one Cost call. Only the
+// exact SSETuple is swept by the references, and at every budget.
 func TestReferencePathsPriceThroughCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
-	const n, B = 40, 5
-	for _, k := range []metric.Kind{metric.SARE, metric.MAE} {
-		base, err := NewOracle(ptest.RandomValuePDF(rng, n, 3), k, metric.Params{C: 0.5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var costs, sweeps int
-		o := countingSweep{base.(SweepOracle), &costs, &sweeps}
-		tab, err := RunDPPool(o, B, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if costs != 0 || sweeps != n {
-			t.Fatalf("%v default DP: %d Cost calls and %d sweeps, want 0 and %d", k, costs, sweeps, n)
-		}
-		if got, want := tab.Stats().CostEvals, int64(n*(n+1)/2); got != want {
-			t.Fatalf("%v default DP: %d cost evals, want one per bucket, %d", k, got, want)
-		}
-		costs, sweeps = 0, 0
-		dense := denseTable(o, B)
-		if costs == 0 || sweeps != 0 {
-			t.Fatalf("%v dense DP: %d Cost calls and %d sweeps, want some and 0", k, costs, sweeps)
-		}
-		tablesIdentical(t, dense, tab)
-		costs, sweeps = 0, 0
-		got, err := OptimalError(o, B)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if costs == 0 || sweeps != 0 {
-			t.Fatalf("%v OptimalError: %d Cost calls and %d sweeps, want some and 0", k, costs, sweeps)
-		}
-		if math.Float64bits(got) != math.Float64bits(tab.Cost(B)) {
-			t.Fatalf("%v: OptimalError %v, table cost %v", k, got, tab.Cost(B))
+	const n = 40
+	for _, B := range []int{5, 1} {
+		for _, k := range []metric.Kind{metric.SARE, metric.MAE} {
+			base, err := NewOracle(ptest.RandomValuePDF(rng, n, 3), k, metric.Params{C: 0.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var costs, sweeps int
+			o := countingSweep{base, &costs, &sweeps}
+			tab, err := RunDPPool(o, B, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantCosts, wantSweeps, wantEvals := 0, n, int64(n*(n+1)/2)
+			if B == 1 {
+				wantCosts, wantSweeps, wantEvals = n, 0, n
+			}
+			if costs != wantCosts || sweeps != wantSweeps {
+				t.Fatalf("%v B=%d default DP: %d Cost calls and %d sweeps, want %d and %d", k, B, costs, sweeps, wantCosts, wantSweeps)
+			}
+			if got := tab.Stats().CostEvals; got != wantEvals {
+				t.Fatalf("%v B=%d default DP: %d cost evals, want %d", k, B, got, wantEvals)
+			}
+			costs, sweeps = 0, 0
+			dense := denseTable(o, B)
+			if costs == 0 || sweeps != 0 {
+				t.Fatalf("%v B=%d dense DP: %d Cost calls and %d sweeps, want some and 0", k, B, costs, sweeps)
+			}
+			tablesIdentical(t, dense, tab)
+			costs, sweeps = 0, 0
+			got, err := OptimalError(o, B)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if costs == 0 || sweeps != 0 {
+				t.Fatalf("%v B=%d OptimalError: %d Cost calls and %d sweeps, want some and 0", k, B, costs, sweeps)
+			}
+			if math.Float64bits(got) != math.Float64bits(tab.Cost(B)) {
+				t.Fatalf("%v B=%d: OptimalError %v, table cost %v", k, B, got, tab.Cost(B))
+			}
 		}
 	}
 	src := ptest.RandomTuplePDF(rng, n, 2*n, 3)
 	tuple := NewSSETuple(src)
-	if !sweepOnly(tuple) || sweepOnly(countingSweep{SweepOracle: tuple}) || sweepOnly(NewSSETupleClosedForm(src)) {
+	if !sweepOnly(tuple) || sweepOnly(countingSweep{Oracle: tuple}) || sweepOnly(NewSSETupleClosedForm(src)) {
 		t.Fatal("sweepOnly must hold for the exact SSETuple and for nothing else")
+	}
+	for o, want := range map[Oracle]int64{tuple: n * (n + 1) / 2, NewSSETupleClosedForm(src): n} {
+		tab, err := RunDPPool(o, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tab.Stats().CostEvals; got != want {
+			t.Fatalf("%T (sweep-only %v) B=1: %d cost evals, want %d", o, sweepOnly(o), got, want)
+		}
+		tablesIdentical(t, denseTable(o, 1), tab)
 	}
 }

@@ -56,6 +56,14 @@ func (d dipOracle) Cost(s, e int) (float64, float64) {
 	return c, rep
 }
 
+// CostsForEnd sweeps the dipped costs: the embedded oracle's own sweep
+// would price the un-dipped ones.
+func (d dipOracle) CostsForEnd(e int, costs, reps []float64) {
+	for s := 0; s <= e; s++ {
+		costs[s], reps[s] = d.Cost(s, e)
+	}
+}
+
 func checkStatsBalance(t *testing.T, tag string, tab *DPTable) {
 	t.Helper()
 	st := tab.Stats()
@@ -417,7 +425,7 @@ func TestPrunedDPLazyEvalsBounded(t *testing.T) {
 
 // TestOptimalErrorMatchesTableCost: the rolling two-row DP must agree
 // with the full table to the bit, for every oracle family (including the
-// SweepOracle fallback) and a budget clamped by the domain.
+// sweep-only one's full-table path) and a budget clamped by the domain.
 func TestOptimalErrorMatchesTableCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	for srcName, src := range parallelSources(rng, 60) {

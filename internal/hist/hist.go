@@ -171,10 +171,10 @@ func FromBoundaries(o Oracle, starts []int) (*Histogram, error) {
 		return nil, fmt.Errorf("hist: boundaries must begin with 0")
 	}
 	price := o.Cost
-	if so, ok := o.(SweepOracle); ok && sweepOnly(o) {
+	if sweepOnly(o) {
 		costs, reps := make([]float64, n), make([]float64, n)
 		price = func(s, e int) (float64, float64) {
-			so.CostsForEnd(e, costs, reps)
+			o.CostsForEnd(e, costs, reps)
 			return costs[s], reps[s]
 		}
 	}

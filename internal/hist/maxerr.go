@@ -60,9 +60,9 @@ func NewMaxAbs(tab *pdata.PMFTable, kind metric.Kind, p metric.Params) (*MaxAbs,
 		row := o.lines[i*k : (i+1)*k]
 		var cw, cs float64
 		for j := range row {
-			w := tab.P[i][j] * mw[j]
+			w := float64(tab.P[i][j] * mw[j])
 			cw += w
-			cs += w * tab.VS.Values[j]
+			cs += float64(w * tab.VS.Values[j])
 			row[j] = minimax.Line{A: cw, B: cs}
 		}
 		for j, c := range row {

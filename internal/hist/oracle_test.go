@@ -25,7 +25,7 @@ func allBuckets(n int, f func(s, e int)) {
 
 // bothWays invokes f on every bucket of o twice: priced by Cost, then by
 // the sweep the DP prices it through.
-func bothWays(o hist.SweepOracle, f func(how string, s, e int, cost, rep float64)) {
+func bothWays(o hist.Oracle, f func(how string, s, e int, cost, rep float64)) {
 	n := o.N()
 	costs, reps := make([]float64, n), make([]float64, n)
 	for e := 0; e < n; e++ {
@@ -312,11 +312,7 @@ func TestOracleCostAllocations(t *testing.T) {
 					t.Fatalf("Cost(%d, %d): %v allocations, want at most %v", b[0], b[1], got, tc.cost)
 				}
 			}
-			so, ok := o.(hist.SweepOracle)
-			if !ok {
-				t.Fatalf("%T has no sweep", o)
-			}
-			if got := testing.AllocsPerRun(5, func() { so.CostsForEnd(n-1, costs, reps) }); got > tc.sweep {
+			if got := testing.AllocsPerRun(5, func() { o.CostsForEnd(n-1, costs, reps) }); got > tc.sweep {
 				t.Errorf("CostsForEnd(%d): %v allocations, want at most %v", n-1, got, tc.sweep)
 			}
 		})

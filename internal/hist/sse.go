@@ -172,8 +172,8 @@ func newSSETuple(tp *pdata.TuplePDF, closedForm bool) *SSETuple {
 		o.runs = tp.Tuples[k].AppendRun(o.runs)
 		for p, a := range o.runs[at:] {
 			mean[a.Item] += a.Prob
-			meanSq[a.Item] += a.Prob * (1 - a.Prob) // the variance, until below
-			o.diag[a.Item] += a.Prob * a.Prob
+			meanSq[a.Item] += float64(a.Prob * (1 - a.Prob)) // the variance, until below
+			o.diag[a.Item] += float64(a.Prob * a.Prob)
 			if p > 0 {
 				o.pairOff[a.Item+1]++
 			}
@@ -181,7 +181,7 @@ func newSSETuple(tp *pdata.TuplePDF, closedForm bool) *SSETuple {
 		o.runOff = append(o.runOff, int32(len(o.runs)))
 	}
 	for i := range meanSq {
-		meanSq[i] += mean[i] * mean[i]
+		meanSq[i] += float64(mean[i] * mean[i])
 	}
 	o.meanSq = numeric.NewPrefix(meanSq)
 	o.cumB = numeric.PrefixSums(mean)
@@ -224,7 +224,7 @@ func (o *SSETuple) randomAccess() *tupleRandomAccess {
 			f := 0.0
 			for p := from; p < to; p++ {
 				g := f + o.runs[p].Prob
-				sq[o.runs[p].Item] += g*g - f*f
+				sq[o.runs[p].Item] += float64(g*g) - float64(f*f)
 				ra.cum[p], f = g, g
 			}
 			if to-from > 1 && !o.closedForm {
@@ -264,13 +264,13 @@ func (o *SSETuple) Cost(s, e int) (float64, float64) {
 		ra.tree.Stab(s-1, func(iv intervals.Interval) bool {
 			fa := o.tupleCDF(ra, iv.ID, s-1)
 			fb := o.tupleCDF(ra, iv.ID, e)
-			corr += fa * (fb - fa)
+			corr += float64(fa * (fb - fa))
 			return true
 		})
 		sumP2 -= 2 * corr
 	}
 	variance := esum - sumP2
-	cost := o.meanSq.Range(s, e) - (esum*esum+variance)/nb
+	cost := o.meanSq.Range(s, e) - (float64(esum*esum)+variance)/nb
 	if cost < 0 {
 		cost = 0
 	}
@@ -302,7 +302,7 @@ func (o *SSETuple) CostsForEnd(e int, costs, reps []float64) {
 		for _, pr := range o.pairs[o.pairOff[o.rowEnd]:o.pairOff[o.rowEnd+1]] {
 			a2 := 2 * o.runs[pr.at].Prob
 			for _, b := range o.runs[pr.from:pr.at] {
-				o.row[b.Item] += a2 * b.Prob
+				o.row[b.Item] += float64(a2 * b.Prob)
 			}
 		}
 	}
@@ -311,7 +311,7 @@ func (o *SSETuple) CostsForEnd(e int, costs, reps []float64) {
 		sumP2 += o.row[s]
 		nb := float64(e - s + 1)
 		esum := o.cumB[e+1] - o.cumB[s]
-		cost := o.meanSq.Range(s, e) - (esum*esum+(esum-sumP2))/nb
+		cost := o.meanSq.Range(s, e) - (float64(esum*esum)+(esum-sumP2))/nb
 		if cost < 0 {
 			cost = 0
 		}

@@ -89,7 +89,7 @@ func endOrderColumns(tp *pdata.TuplePDF) [][]float64 {
 
 // checkColumns asks o for the given ends in the given order and fails on
 // the first column that is not, bit for bit, want's.
-func checkColumns(t *testing.T, what string, o hist.SweepOracle, ends []int, want [][]float64) {
+func checkColumns(t *testing.T, what string, o hist.Oracle, ends []int, want [][]float64) {
 	t.Helper()
 	n := o.N()
 	costs, reps := make([]float64, n), make([]float64, n)

@@ -275,7 +275,7 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 
 // checkSweep holds o's sweep and its Cost to the reference's bits, costs
 // and representatives, over every bucket.
-func checkSweep(t *testing.T, what string, o hist.SweepOracle, ref func(s, e int) (float64, float64)) {
+func checkSweep(t *testing.T, what string, o hist.Oracle, ref func(s, e int) (float64, float64)) {
 	t.Helper()
 	n := o.N()
 	costs, reps := make([]float64, n), make([]float64, n)
@@ -375,7 +375,7 @@ func TestClosedFormSweepsMatchCost(t *testing.T) {
 		if c, r := workload.Cost(0, 15); c != 0 || r != 0 {
 			t.Fatalf("%s: zero-weight bucket [0,15] priced (%v, %v), want (0, 0)", name, c, r)
 		}
-		for what, o := range map[string]hist.SweepOracle{
+		for what, o := range map[string]hist.Oracle{
 			"SSE":          hist.NewSSEValue(vp),
 			"SSE-fixed":    hist.NewSSEFixed(src),
 			"SSRE":         hist.NewSSRE(vp, p),

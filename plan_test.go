@@ -741,18 +741,13 @@ func (r *row) oracle() {
 		return
 	}
 	n := o.N()
-	sweep, _ := o.(hist.SweepOracle)
 	costs, reps := make([]float64, n), make([]float64, n)
 	for e := range n {
-		if sweep != nil {
-			sweep.CostsForEnd(e, costs, reps)
-		}
+		o.CostsForEnd(e, costs, reps)
 		for s := 0; s <= e; s++ {
 			cost, rep := o.Cost(s, e)
 			r.bucket("oracle Cost", s, e, rep, cost)
-			if sweep != nil {
-				r.bucket("oracle CostsForEnd", s, e, reps[s], costs[s])
-			}
+			r.bucket("oracle CostsForEnd", s, e, reps[s], costs[s])
 		}
 	}
 }
